@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-storage cover fuzz crash-test replication-test soak-test
+.PHONY: build test vet bench bench-storage bench-extract bench-ledger cover fuzz crash-test replication-test soak-test
 
 build:
 	$(GO) build ./...
@@ -12,9 +12,10 @@ build:
 # the concurrent scan path is race-checked even on one core). The
 # allocation-regression guards (zero-alloc CSR incidence iteration,
 # zero-alloc binary WAL append, zero-cost disabled ANALYZE
-# instrumentation on the warm expand path) are gated //go:build !race —
-# the race detector inflates AllocsPerRun — so a plain-build pass runs
-# them.
+# instrumentation on the warm expand path, the extraction pass's
+# per-report ceiling, the IOC scanner and the zero-alloc warm CRF
+# decoder) are gated //go:build !race — the race detector inflates
+# AllocsPerRun — so a plain-build pass runs them.
 # The final pass re-runs the transaction schedule harness (scripted +
 # randomized interleavings against the snapshot-isolation oracle) and
 # the parallel reader stress test under -race with fresh counts, so the
@@ -26,7 +27,7 @@ build:
 # scrape).
 test: vet
 	$(GO) test -race ./...
-	$(GO) test -run 'Allocs' ./internal/graph/ ./internal/storage/ ./internal/cypher/
+	$(GO) test -run 'Allocs' ./internal/graph/ ./internal/storage/ ./internal/cypher/ ./internal/ner/ ./internal/ioc/ ./internal/crf/
 	$(GO) test -race -count=2 -run 'TestSchedule|TestConcurrentReadersSeeAtomicWrites|TestTx' ./internal/cypher/
 	$(MAKE) replication-test
 	$(MAKE) soak-test SOAKFLAGS=-short
@@ -84,6 +85,21 @@ bench-storage:
 	$(GO) test -run '^$$' -bench 'StorageCodec' -benchmem -benchtime 20x . -json | tee -a BENCH_cypher.json | \
 		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
 
+# bench-extract runs the front half's benchmarks — the extraction pass
+# through its two entry points (NERExtract, RelationExtract), the IOC
+# scanner (IOCProtection) and the whole crawl-to-graph path
+# (EndToEndIngest, PipelineWorkers) — and records the event stream in
+# BENCH_extract.json, as bench does for the engine in BENCH_cypher.json.
+bench-extract:
+	$(GO) test -run '^$$' -bench 'NERExtract|RelationExtract|IOCProtection|EndToEndIngest|PipelineWorkers' -benchmem . -json | tee BENCH_extract.json | \
+		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
+
+# bench-ledger runs the performance ledger (bench/README.md): four
+# workloads, end-to-end and per-layer metrics, untraced then traced.
+bench-ledger:
+	$(GO) vet ./bench
+	$(GO) run ./bench -seed 1
+
 # crash-test hammers the durability subsystem: a child writer process
 # is SIGKILLed at random moments and recovery must reproduce a prefix
 # fold of its mutation stream byte-for-byte (TestCrashProcessKill),
@@ -112,11 +128,13 @@ cover:
 		if (t+0 < floor+0) { printf "internal/server coverage %.1f%% is below the %s%% floor\n", t, floor; exit 1 } \
 		else { printf "internal/server coverage %.1f%% (floor %s%%)\n", t, floor } }'
 
-# fuzz exercises the parser, engine and WAL-recovery fuzz targets for
-# 30s each (parser must never panic; engines must error, not crash;
+# fuzz exercises the IOC-scanner, parser, engine and WAL-recovery fuzz
+# targets for 30s each (the anchored scanner must equal the ten-regex
+# sweep; parser must never panic; engines must error, not crash;
 # recovery must survive arbitrary log bytes and stay writable).
 FUZZTIME ?= 30s
 fuzz:
+	$(GO) test ./internal/ioc -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzEngineQuery -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/storage -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run '^$$'

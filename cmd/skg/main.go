@@ -58,8 +58,8 @@ func main() {
 	fmt.Printf("skg: crawled %d files in %s (%.0f reports/min), %d retries, %d failures\n",
 		st.Crawl.Collected, st.Crawl.Elapsed.Round(1e6), st.Crawl.ReportsPerMinute(),
 		st.Crawl.Retries, st.Crawl.Failures)
-	fmt.Printf("skg: processed %d reports (%d rejected by checkers, %d parse errors) in %s\n",
-		st.Process.Connected, st.Process.Rejected, st.Process.ParseErrs,
+	fmt.Printf("skg: processed %d reports (%d rejected by checkers, %d parse errors, %d lost after extraction) in %s\n",
+		st.Process.Connected, st.Process.Rejected, st.Process.ParseErrs, st.Process.ExtractErrs,
 		st.Process.Elapsed.Round(1e6))
 
 	if *fuse && cfg.Fusion.Enabled {

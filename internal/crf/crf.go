@@ -7,6 +7,11 @@
 // Observations are sparse string features per token (lemmas, POS tags,
 // shapes, embedding cluster ids, gazetteer flags — produced by package
 // ner). Labels are BIO tags.
+//
+// A model interns its features: each feature string has a dense id, and
+// the weights of feature id are row id of one flat slab. Sentences are
+// resolved to ids once (resolved), and scoring, training and decoding work
+// on ids and flat lattices.
 package crf
 
 import (
@@ -31,11 +36,29 @@ type Sequence struct {
 type Model struct {
 	labels   []string
 	labelIdx map[string]int
-	// unary[feature][label] weight; sparse over features.
-	unary map[string][]float64
-	// trans[prev][cur] transition weight, with an extra virtual start
-	// state at index len(labels).
-	trans [][]float64
+	// featIdx maps a feature string to its row of unary.
+	featIdx map[string]int32
+	// unary holds len(featIdx) rows of len(labels) weights:
+	// unary[id*L+label].
+	unary []float64
+	// trans[prev*L+cur] is the transition weight; row L is the virtual
+	// start state.
+	trans []float64
+	// into[cur*L+prev] is trans[prev*L+cur] once the weights are final:
+	// Viterbi reads the transitions into a label side by side.
+	into []float64
+}
+
+// finish derives what decoding reads from the final weights.
+func (m *Model) finish() *Model {
+	L := len(m.labels)
+	m.into = make([]float64, L*L)
+	for prev := 0; prev < L; prev++ {
+		for cur := 0; cur < L; cur++ {
+			m.into[cur*L+prev] = m.trans[prev*L+cur]
+		}
+	}
+	return m
 }
 
 // Labels returns the model's label set in index order.
@@ -44,6 +67,21 @@ func (m *Model) Labels() []string {
 	copy(out, m.labels)
 	return out
 }
+
+// resolved is one sentence's features as model ids: position t holds
+// ids[off[t]:off[t+1]], in the order the features were given. Features the
+// model does not know are left out; they weigh nothing.
+type resolved struct {
+	ids []int32
+	off []int32
+}
+
+func (r *resolved) reset() {
+	r.ids = r.ids[:0]
+	r.off = append(r.off[:0], 0)
+}
+
+func (r *resolved) positions() int { return len(r.off) - 1 }
 
 // TrainConfig controls optimization.
 type TrainConfig struct {
@@ -71,6 +109,21 @@ func (c *TrainConfig) defaults() {
 	}
 }
 
+// trainer is the state of one Train call: the training set as ids, the
+// AdaGrad accumulators (laid out as the weights are) and the lattices one
+// gradient step works on.
+type trainer struct {
+	m      *Model
+	cfg    TrainConfig
+	seqs   []resolved
+	gold   [][]int
+	gUnary []float64
+	gTrans []float64
+
+	scores, alpha, beta []float64
+	acc, p              []float64
+}
+
 // Train fits a CRF on the sequences. The label set is collected from the
 // data. Sequences with mismatched feature/label lengths are rejected.
 func Train(seqs []Sequence, cfg TrainConfig) (*Model, error) {
@@ -96,23 +149,35 @@ func Train(seqs []Sequence, cfg TrainConfig) (*Model, error) {
 	m := &Model{
 		labels:   labels,
 		labelIdx: make(map[string]int, len(labels)),
-		unary:    make(map[string][]float64),
+		featIdx:  make(map[string]int32),
 	}
 	for i, l := range labels {
 		m.labelIdx[l] = i
 	}
 	L := len(labels)
-	m.trans = make([][]float64, L+1) // +1 virtual start row
-	for i := range m.trans {
-		m.trans[i] = make([]float64, L)
+	tr := &trainer{m: m, cfg: cfg, seqs: make([]resolved, len(seqs)), gold: make([][]int, len(seqs)),
+		acc: make([]float64, L), p: make([]float64, L)}
+	for i, s := range seqs {
+		r := &tr.seqs[i]
+		r.reset()
+		tr.gold[i] = make([]int, len(s.Labels))
+		for t, feats := range s.Features {
+			for _, f := range feats {
+				id, ok := m.featIdx[f]
+				if !ok {
+					id = int32(len(m.featIdx))
+					m.featIdx[f] = id
+				}
+				r.ids = append(r.ids, id)
+			}
+			r.off = append(r.off, int32(len(r.ids)))
+			tr.gold[i][t] = m.labelIdx[s.Labels[t]]
+		}
 	}
-
-	// AdaGrad accumulators, mirroring weight layout.
-	gUnary := make(map[string][]float64)
-	gTrans := make([][]float64, L+1)
-	for i := range gTrans {
-		gTrans[i] = make([]float64, L)
-	}
+	m.unary = make([]float64, len(m.featIdx)*L)
+	m.trans = make([]float64, (L+1)*L)
+	tr.gUnary = make([]float64, len(m.unary))
+	tr.gTrans = make([]float64, len(m.trans))
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(len(seqs))
@@ -121,105 +186,54 @@ func Train(seqs []Sequence, cfg TrainConfig) (*Model, error) {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var totalNLL float64
 		for _, si := range order {
-			nll := m.sgdStep(&seqs[si], cfg, gUnary, gTrans)
-			totalNLL += nll
+			totalNLL += tr.sgdStep(&tr.seqs[si], tr.gold[si])
 		}
 		if cfg.Verbose != nil {
 			fmt.Fprintf(cfg.Verbose, "crf: epoch %d nll=%.2f\n", epoch+1, totalNLL)
 		}
 	}
-	return m, nil
+	return m.finish(), nil
 }
 
 // sgdStep computes the gradient of one sequence via forward-backward and
 // applies an AdaGrad update. It returns the sequence NLL before the update.
-func (m *Model) sgdStep(s *Sequence, cfg TrainConfig, gUnary map[string][]float64, gTrans [][]float64) float64 {
-	T := len(s.Labels)
+func (tr *trainer) sgdStep(r *resolved, gold []int) float64 {
+	T := len(gold)
 	if T == 0 {
 		return 0
 	}
+	m := tr.m
 	L := len(m.labels)
-	start := L
+	start := L * L // offset of the virtual start row of trans
 
-	scores := m.scoreMatrix(s.Features)
-
-	// Forward (log space): alpha[t][y].
-	alpha := make([][]float64, T)
-	for t := range alpha {
-		alpha[t] = make([]float64, L)
-	}
-	for y := 0; y < L; y++ {
-		alpha[0][y] = scores[0][y] + m.trans[start][y]
-	}
-	for t := 1; t < T; t++ {
-		for y := 0; y < L; y++ {
-			acc := make([]float64, L)
-			for yp := 0; yp < L; yp++ {
-				acc[yp] = alpha[t-1][yp] + m.trans[yp][y]
-			}
-			alpha[t][y] = logSumExp(acc) + scores[t][y]
-		}
-	}
-	logZ := logSumExp(alpha[T-1])
-
-	// Backward: beta[t][y].
-	beta := make([][]float64, T)
-	for t := range beta {
-		beta[t] = make([]float64, L)
-	}
-	for t := T - 2; t >= 0; t-- {
-		for y := 0; y < L; y++ {
-			acc := make([]float64, L)
-			for yn := 0; yn < L; yn++ {
-				acc[yn] = m.trans[y][yn] + scores[t+1][yn] + beta[t+1][yn]
-			}
-			beta[t][y] = logSumExp(acc)
-		}
-	}
+	tr.scores = m.scoreInto(tr.scores, r)
+	tr.alpha = grow(tr.alpha, T*L)
+	tr.beta = grow(tr.beta, T*L)
+	scores, alpha, beta := tr.scores, tr.alpha, tr.beta
+	logZ := m.forwardBackward(scores, alpha, beta, tr.acc)
 
 	// Gold path score for NLL reporting.
-	gold := make([]int, T)
 	goldScore := 0.0
 	prev := start
-	for t := 0; t < T; t++ {
-		y, ok := m.labelIdx[s.Labels[t]]
-		if !ok {
-			return 0 // label unseen at collection time cannot happen in Train
-		}
-		gold[t] = y
-		goldScore += scores[t][y] + m.trans[prev][y]
-		prev = y
+	for t, y := range gold {
+		goldScore += scores[t*L+y] + m.trans[prev+y]
+		prev = y * L
 	}
 	nll := logZ - goldScore
 
-	lr := cfg.LearningRate
-	l2 := cfg.L2
-	updateUnary := func(feat string, y int, grad float64) {
-		w, ok := m.unary[feat]
-		if !ok {
-			w = make([]float64, L)
-			m.unary[feat] = w
-		}
-		g, ok := gUnary[feat]
-		if !ok {
-			g = make([]float64, L)
-			gUnary[feat] = g
-		}
-		grad += l2 * w[y]
-		g[y] += grad * grad
-		w[y] -= lr * grad / (1e-8 + math.Sqrt(g[y]))
-	}
-	updateTrans := func(a, b int, grad float64) {
-		grad += l2 * m.trans[a][b]
-		gTrans[a][b] += grad * grad
-		m.trans[a][b] -= lr * grad / (1e-8 + math.Sqrt(gTrans[a][b]))
+	lr := tr.cfg.LearningRate
+	l2 := tr.cfg.L2
+	update := func(w, g []float64, i int, grad float64) {
+		grad += l2 * w[i]
+		g[i] += grad * grad
+		w[i] -= lr * grad / (1e-8 + math.Sqrt(g[i]))
 	}
 
 	// Unary gradients: P(y_t) - 1{y_t = gold}.
+	p := tr.p
 	for t := 0; t < T; t++ {
-		p := make([]float64, L)
 		for y := 0; y < L; y++ {
-			p[y] = math.Exp(alpha[t][y] + beta[t][y] - logZ)
+			p[y] = math.Exp(alpha[t*L+y] + beta[t*L+y] - logZ)
 		}
 		for y := 0; y < L; y++ {
 			grad := p[y]
@@ -229,8 +243,8 @@ func (m *Model) sgdStep(s *Sequence, cfg TrainConfig, gUnary map[string][]float6
 			if grad == 0 {
 				continue
 			}
-			for _, feat := range s.Features[t] {
-				updateUnary(feat, y, grad)
+			for _, id := range r.ids[r.off[t]:r.off[t+1]] {
+				update(m.unary, tr.gUnary, int(id)*L+y, grad)
 			}
 		}
 	}
@@ -238,25 +252,23 @@ func (m *Model) sgdStep(s *Sequence, cfg TrainConfig, gUnary map[string][]float6
 	// Transition gradients.
 	// Start transition: P(y_0) - 1{gold}.
 	for y := 0; y < L; y++ {
-		p := math.Exp(alpha[0][y] + beta[0][y] - logZ)
-		grad := p
+		grad := math.Exp(alpha[y] + beta[y] - logZ)
 		if y == gold[0] {
 			grad -= 1
 		}
 		if grad != 0 {
-			updateTrans(start, y, grad)
+			update(m.trans, tr.gTrans, start+y, grad)
 		}
 	}
 	for t := 1; t < T; t++ {
 		for yp := 0; yp < L; yp++ {
 			for y := 0; y < L; y++ {
-				p := math.Exp(alpha[t-1][yp] + m.trans[yp][y] + scores[t][y] + beta[t][y] - logZ)
-				grad := p
+				grad := math.Exp(alpha[(t-1)*L+yp] + m.trans[yp*L+y] + scores[t*L+y] + beta[t*L+y] - logZ)
 				if yp == gold[t-1] && y == gold[t] {
 					grad -= 1
 				}
 				if grad != 0 {
-					updateTrans(yp, y, grad)
+					update(m.trans, tr.gTrans, yp*L+y, grad)
 				}
 			}
 		}
@@ -264,67 +276,161 @@ func (m *Model) sgdStep(s *Sequence, cfg TrainConfig, gUnary map[string][]float6
 	return nll
 }
 
-// scoreMatrix computes unary scores for every position and label.
-func (m *Model) scoreMatrix(features [][]string) [][]float64 {
-	T := len(features)
+// grow returns buf resized to n, reallocating only when it is too small.
+// The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// scoreInto computes the unary scores of every position and label into
+// scores (resized as needed): scores[t*L+y].
+func (m *Model) scoreInto(scores []float64, r *resolved) []float64 {
 	L := len(m.labels)
-	scores := make([][]float64, T)
-	for t := 0; t < T; t++ {
-		row := make([]float64, L)
-		for _, feat := range features[t] {
-			if w, ok := m.unary[feat]; ok {
-				for y := 0; y < L; y++ {
-					row[y] += w[y]
-				}
+	scores = grow(scores, r.positions()*L)
+	clear(scores)
+	for t := 0; t < r.positions(); t++ {
+		row := scores[t*L : (t+1)*L]
+		for _, id := range r.ids[r.off[t]:r.off[t+1]] {
+			w := m.unary[int(id)*L : (int(id)+1)*L]
+			for y := range row {
+				row[y] += w[y]
 			}
 		}
-		scores[t] = row
 	}
 	return scores
 }
 
-// Decode returns the Viterbi-optimal label sequence for the features.
-func (m *Model) Decode(features [][]string) []string {
-	T := len(features)
-	if T == 0 {
-		return nil
-	}
+// forwardBackward fills the log-space lattices alpha[t*L+y] and
+// beta[t*L+y] for the scores and returns log Z. acc is scratch of len L.
+func (m *Model) forwardBackward(scores, alpha, beta, acc []float64) float64 {
 	L := len(m.labels)
-	start := L
-	scores := m.scoreMatrix(features)
-	delta := make([][]float64, T)
-	back := make([][]int, T)
-	for t := range delta {
-		delta[t] = make([]float64, L)
-		back[t] = make([]int, L)
-	}
+	T := len(scores) / L
 	for y := 0; y < L; y++ {
-		delta[0][y] = scores[0][y] + m.trans[start][y]
+		alpha[y] = scores[y] + m.trans[L*L+y]
 	}
 	for t := 1; t < T; t++ {
 		for y := 0; y < L; y++ {
-			best, bestPrev := math.Inf(-1), 0
 			for yp := 0; yp < L; yp++ {
-				v := delta[t-1][yp] + m.trans[yp][y]
-				if v > best {
+				acc[yp] = alpha[(t-1)*L+yp] + m.trans[yp*L+y]
+			}
+			alpha[t*L+y] = logSumExp(acc) + scores[t*L+y]
+		}
+	}
+	clear(beta[(T-1)*L:])
+	for t := T - 2; t >= 0; t-- {
+		for y := 0; y < L; y++ {
+			for yn := 0; yn < L; yn++ {
+				acc[yn] = m.trans[y*L+yn] + scores[(t+1)*L+yn] + beta[(t+1)*L+yn]
+			}
+			beta[t*L+y] = logSumExp(acc)
+		}
+	}
+	return logSumExp(alpha[(T-1)*L:])
+}
+
+// Decoder resolves the features of one sentence at a time against its
+// model and decodes them, reusing its buffers from sentence to sentence.
+// A sentence is Reset, then Add for each feature of a position and Next to
+// close the position, then Viterbi. A Decoder is not safe for concurrent
+// use; the model it reads is.
+type Decoder struct {
+	m      *Model
+	key    []byte
+	r      resolved
+	scores []float64
+	delta  []float64
+	back   []int32
+	path   []int
+}
+
+// NewDecoder returns a decoder over the model.
+func (m *Model) NewDecoder() *Decoder { return &Decoder{m: m} }
+
+// Reset starts a new sentence.
+func (d *Decoder) Reset() { d.r.reset() }
+
+// Add adds the feature template+value to the current position. The two
+// parts are looked up as one string without being joined into one.
+func (d *Decoder) Add(template, value string) {
+	d.key = append(append(d.key[:0], template...), value...)
+	if id, ok := d.m.featIdx[string(d.key)]; ok {
+		d.r.ids = append(d.r.ids, id)
+	}
+}
+
+// Next closes the current position.
+func (d *Decoder) Next() { d.r.off = append(d.r.off, int32(len(d.r.ids))) }
+
+func (d *Decoder) load(features [][]string) {
+	d.Reset()
+	for _, feats := range features {
+		for _, f := range feats {
+			d.Add(f, "")
+		}
+		d.Next()
+	}
+}
+
+// Viterbi returns the optimal label index (into Labels) of every position
+// of the sentence. The slice is the decoder's: the next Viterbi overwrites
+// it.
+func (d *Decoder) Viterbi() []int {
+	T := d.r.positions()
+	if T == 0 {
+		return nil
+	}
+	m := d.m
+	L := len(m.labels)
+	d.scores = m.scoreInto(d.scores, &d.r)
+	d.delta = grow(d.delta, T*L)
+	d.back = grow(d.back, T*L)
+	d.path = grow(d.path, T)
+	scores, delta, back, path := d.scores, d.delta, d.back, d.path
+	for y := 0; y < L; y++ {
+		delta[y] = scores[y] + m.trans[L*L+y]
+	}
+	for t := 1; t < T; t++ {
+		prev := delta[(t-1)*L : t*L]
+		for y := 0; y < L; y++ {
+			into := m.into[y*L : (y+1)*L][:len(prev)]
+			best, bestPrev := math.Inf(-1), 0
+			for yp, dv := range prev {
+				if v := dv + into[yp]; v > best {
 					best, bestPrev = v, yp
 				}
 			}
-			delta[t][y] = best + scores[t][y]
-			back[t][y] = bestPrev
+			delta[t*L+y] = best + scores[t*L+y]
+			back[t*L+y] = int32(bestPrev)
 		}
 	}
 	bestY, bestV := 0, math.Inf(-1)
-	for y := 0; y < L; y++ {
-		if delta[T-1][y] > bestV {
-			bestV, bestY = delta[T-1][y], y
+	for y, v := range delta[(T-1)*L:] {
+		if v > bestV {
+			bestV, bestY = v, y
 		}
 	}
-	out := make([]string, T)
 	y := bestY
 	for t := T - 1; t >= 0; t-- {
+		path[t] = y
+		y = int(back[t*L+y])
+	}
+	return path
+}
+
+// Decode returns the Viterbi-optimal label sequence for the features.
+func (m *Model) Decode(features [][]string) []string {
+	d := m.NewDecoder()
+	d.load(features)
+	path := d.Viterbi()
+	if path == nil {
+		return nil
+	}
+	out := make([]string, len(path))
+	for t, y := range path {
 		out[t] = m.labels[y]
-		y = back[t][y]
 	}
 	return out
 }
@@ -337,41 +443,16 @@ func (m *Model) MarginalProbs(features [][]string) [][]float64 {
 		return nil
 	}
 	L := len(m.labels)
-	start := L
-	scores := m.scoreMatrix(features)
-	alpha := make([][]float64, T)
-	beta := make([][]float64, T)
-	for t := range alpha {
-		alpha[t] = make([]float64, L)
-		beta[t] = make([]float64, L)
-	}
-	for y := 0; y < L; y++ {
-		alpha[0][y] = scores[0][y] + m.trans[start][y]
-	}
-	for t := 1; t < T; t++ {
-		for y := 0; y < L; y++ {
-			acc := make([]float64, L)
-			for yp := 0; yp < L; yp++ {
-				acc[yp] = alpha[t-1][yp] + m.trans[yp][y]
-			}
-			alpha[t][y] = logSumExp(acc) + scores[t][y]
-		}
-	}
-	for t := T - 2; t >= 0; t-- {
-		for y := 0; y < L; y++ {
-			acc := make([]float64, L)
-			for yn := 0; yn < L; yn++ {
-				acc[yn] = m.trans[y][yn] + scores[t+1][yn] + beta[t+1][yn]
-			}
-			beta[t][y] = logSumExp(acc)
-		}
-	}
-	logZ := logSumExp(alpha[T-1])
+	d := m.NewDecoder()
+	d.load(features)
+	scores := m.scoreInto(nil, &d.r)
+	alpha, beta := make([]float64, T*L), make([]float64, T*L)
+	logZ := m.forwardBackward(scores, alpha, beta, make([]float64, L))
 	out := make([][]float64, T)
 	for t := 0; t < T; t++ {
 		out[t] = make([]float64, L)
 		for y := 0; y < L; y++ {
-			out[t][y] = math.Exp(alpha[t][y] + beta[t][y] - logZ)
+			out[t][y] = math.Exp(alpha[t*L+y] + beta[t*L+y] - logZ)
 		}
 	}
 	return out
@@ -407,11 +488,17 @@ const modelMagic = "securitykg-crf-v1"
 
 // Save serializes the model as JSON.
 func (m *Model) Save(w io.Writer) error {
+	L := len(m.labels)
+	p := persistModel{Magic: modelMagic, Labels: m.labels,
+		Unary: make(map[string][]float64, len(m.featIdx)), Trans: make([][]float64, L+1)}
+	for f, id := range m.featIdx {
+		p.Unary[f] = m.unary[int(id)*L : (int(id)+1)*L]
+	}
+	for i := range p.Trans {
+		p.Trans[i] = m.trans[i*L : (i+1)*L]
+	}
 	bw := bufio.NewWriter(w)
-	err := json.NewEncoder(bw).Encode(persistModel{
-		Magic: modelMagic, Labels: m.labels, Unary: m.unary, Trans: m.trans,
-	})
-	if err != nil {
+	if err := json.NewEncoder(bw).Encode(p); err != nil {
 		return fmt.Errorf("crf: save: %w", err)
 	}
 	return bw.Flush()
@@ -426,20 +513,37 @@ func Load(r io.Reader) (*Model, error) {
 	if p.Magic != modelMagic {
 		return nil, errors.New("crf: not a securitykg CRF model")
 	}
+	L := len(p.Labels)
 	m := &Model{
 		labels:   p.Labels,
-		labelIdx: make(map[string]int, len(p.Labels)),
-		unary:    p.Unary,
-		trans:    p.Trans,
-	}
-	if m.unary == nil {
-		m.unary = map[string][]float64{}
+		labelIdx: make(map[string]int, L),
+		featIdx:  make(map[string]int32, len(p.Unary)),
+		unary:    make([]float64, 0, len(p.Unary)*L),
+		trans:    make([]float64, 0, (L+1)*L),
 	}
 	for i, l := range p.Labels {
 		m.labelIdx[l] = i
 	}
-	if len(m.trans) != len(p.Labels)+1 {
+	if len(p.Trans) != L+1 {
 		return nil, errors.New("crf: corrupt transition matrix")
 	}
-	return m, nil
+	for _, row := range p.Trans {
+		if len(row) != L {
+			return nil, errors.New("crf: corrupt transition matrix")
+		}
+		m.trans = append(m.trans, row...)
+	}
+	feats := make([]string, 0, len(p.Unary))
+	for f := range p.Unary {
+		feats = append(feats, f)
+	}
+	sort.Strings(feats)
+	for _, f := range feats {
+		if len(p.Unary[f]) != L {
+			return nil, fmt.Errorf("crf: corrupt weights for feature %q", f)
+		}
+		m.featIdx[f] = int32(len(m.featIdx))
+		m.unary = append(m.unary, p.Unary[f]...)
+	}
+	return m.finish(), nil
 }

@@ -256,10 +256,8 @@ func TestL2ShrinksWeights(t *testing.T) {
 	strong, _ := Train(seqs, TrainConfig{Epochs: 3, L2: 0.5})
 	norm := func(m *Model) float64 {
 		var s float64
-		for _, ws := range m.unary {
-			for _, w := range ws {
-				s += w * w
-			}
+		for _, w := range m.unary {
+			s += w * w
 		}
 		return s
 	}

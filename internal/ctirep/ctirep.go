@@ -65,6 +65,21 @@ type CTIRep struct {
 	// Extractor-filled slots.
 	Entities  []ontology.Entity   `json:"entities,omitempty"`
 	Relations []ontology.Relation `json:"relations,omitempty"`
+
+	// analysis is what one extractor computed about this rep and leaves
+	// for the next extractor on the same worker. It never crosses a stage
+	// boundary: it is not part of the wire format.
+	analysis any
+}
+
+// SetAnalysis leaves a for a later extractor to take.
+func (c *CTIRep) SetAnalysis(a any) { c.analysis = a }
+
+// TakeAnalysis returns what SetAnalysis left, if anything, and clears it.
+func (c *CTIRep) TakeAnalysis() any {
+	a := c.analysis
+	c.analysis = nil
+	return a
 }
 
 // ReportEntity builds the report's own ontology entity.

@@ -7,6 +7,8 @@
 package depparse
 
 import (
+	"sort"
+
 	"securitykg/internal/ontology"
 	"securitykg/internal/textproc"
 )
@@ -355,7 +357,15 @@ func ExtractRelations(toks []textproc.Token, spans []EntitySpan) []Triple {
 		}
 		out = append(out, Triple{Src: *src, Verb: lemma, Rel: rel, Dst: *dst})
 	}
-	for v, r := range verbRoles {
+	// In text order, so that the triples (and which verb a duplicated
+	// pair keeps) do not depend on map iteration.
+	verbs := make([]int, 0, len(verbRoles))
+	for v := range verbRoles {
+		verbs = append(verbs, v)
+	}
+	sort.Ints(verbs)
+	for _, v := range verbs {
+		r := verbRoles[v]
 		for _, s := range r.subj {
 			for _, o := range r.obj {
 				emit(s, o, v)

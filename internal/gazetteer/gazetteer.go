@@ -6,7 +6,11 @@
 // functions behave like the paper's.
 package gazetteer
 
-import "strings"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // ThreatActors lists known adversary group names (ATT&CK-style).
 func ThreatActors() []string { return copyList(threatActors) }
@@ -157,6 +161,14 @@ func Classes() []Class {
 type Lookup struct {
 	phrases map[string]Class // normalized phrase -> class
 	maxLen  int              // longest phrase in tokens
+	// byFirst holds every phrase as words under its first word, longest
+	// first.
+	byFirst map[string][]phraseWords
+}
+
+type phraseWords struct {
+	words []string
+	class Class
 }
 
 // NewLookup builds the default lookup over every curated list.
@@ -179,6 +191,14 @@ func NewLookup() *Lookup {
 	addAll(software, ClassSoftware)
 	addAll(platforms, ClassPlatform)
 	addAll(vendors, ClassVendor)
+	l.byFirst = make(map[string][]phraseWords)
+	for key, c := range l.phrases {
+		words := strings.Split(key, " ")
+		l.byFirst[words[0]] = append(l.byFirst[words[0]], phraseWords{words, c})
+	}
+	for _, ps := range l.byFirst {
+		sort.Slice(ps, func(i, j int) bool { return len(ps[i].words) > len(ps[j].words) })
+	}
 	return l
 }
 
@@ -197,12 +217,44 @@ func (l *Lookup) Match(phrase string) (Class, bool) {
 	return c, ok
 }
 
-// MatchTokens checks the token span [i, i+n) of lowercased tokens.
-func (l *Lookup) MatchTokens(tokens []string, i, n int) (Class, bool) {
-	if i < 0 || i+n > len(tokens) {
-		return "", false
+// LongestMatch returns the length in tokens and the class of the longest
+// curated phrase that starts at token i of the lowercased tokens, or 0.
+func (l *Lookup) LongestMatch(tokens []string, i int) (int, Class) {
+	window := tokens[i:min(i+l.maxLen, len(tokens))]
+	for _, t := range window {
+		if !isASCII(t) {
+			return l.longestMatchNormalized(window)
+		}
 	}
-	return l.Match(strings.Join(tokens[i:i+n], " "))
+	// ASCII tokens hold no space and are their own normal form, so a span
+	// matches a phrase exactly when it matches it word for word.
+	for _, p := range l.byFirst[tokens[i]] {
+		if len(p.words) <= len(window) && slices.Equal(p.words[1:], window[1:len(p.words)]) {
+			return len(p.words), p.class
+		}
+	}
+	return 0, ""
+}
+
+// longestMatchNormalized tries every prefix of the window as a joined,
+// normalized phrase. Tokens beyond ASCII may hold Unicode spaces and
+// letters that lowercase twice, which only Normalize accounts for.
+func (l *Lookup) longestMatchNormalized(window []string) (int, Class) {
+	for n := len(window); n >= 1; n-- {
+		if c, ok := l.Match(strings.Join(window[:n], " ")); ok {
+			return n, c
+		}
+	}
+	return 0, ""
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // Size returns the number of curated phrases.

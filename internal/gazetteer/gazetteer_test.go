@@ -1,6 +1,10 @@
 package gazetteer
 
-import "testing"
+import (
+	"math/rand"
+	"strings"
+	"testing"
+)
 
 func TestListsNonEmptyAndDistinct(t *testing.T) {
 	lists := map[string][]string{
@@ -58,20 +62,49 @@ func TestLookupMatching(t *testing.T) {
 	}
 }
 
-func TestLookupMatchTokens(t *testing.T) {
+func TestLookupLongestMatch(t *testing.T) {
 	l := NewLookup()
 	toks := []string{"the", "lazarus", "group", "used", "mimikatz"}
-	if c, ok := l.MatchTokens(toks, 1, 2); !ok || c != ClassActor {
-		t.Errorf("MatchTokens span: %v %v", c, ok)
+	if n, c := l.LongestMatch(toks, 1); n != 2 || c != ClassActor {
+		t.Errorf("two-word phrase: %d %v", n, c)
 	}
-	if c, ok := l.MatchTokens(toks, 4, 1); !ok || c != ClassTool {
-		t.Errorf("single token: %v %v", c, ok)
+	if n, c := l.LongestMatch(toks, 4); n != 1 || c != ClassTool {
+		t.Errorf("last token: %d %v", n, c)
 	}
-	if _, ok := l.MatchTokens(toks, 4, 3); ok {
-		t.Error("out-of-range span matched")
+	if n, _ := l.LongestMatch(toks, 0); n != 0 {
+		t.Errorf("uncurated token matched %d tokens", n)
 	}
-	if _, ok := l.MatchTokens(toks, -1, 1); ok {
-		t.Error("negative index matched")
+}
+
+// LongestMatch is the longest n for which the joined span is a curated
+// phrase after Normalize; check it against that definition, including
+// tokens Normalize rewrites (Unicode spaces and letters).
+func TestLongestMatchAgainstDefinition(t *testing.T) {
+	l := NewLookup()
+	words := []string{"lazarus", "group", "apt", "28", "cobalt", "strike", "the", "process",
+		"injection", "command", "and", "control", "-", ":", "powershell", "\u00a0", "group\u00a0", "caf\u00e9", "\u0130"}
+	for key := range l.phrases {
+		words = append(words, strings.Fields(key)...)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 3000; trial++ {
+		toks := make([]string, 1+rng.Intn(8))
+		for i := range toks {
+			toks[i] = words[rng.Intn(len(words))]
+		}
+		for i := range toks {
+			wantN, wantC := 0, Class("")
+			for n := l.MaxPhraseLen(); n >= 1 && wantN == 0; n-- {
+				if i+n <= len(toks) {
+					if c, ok := l.Match(strings.Join(toks[i:i+n], " ")); ok {
+						wantN, wantC = n, c
+					}
+				}
+			}
+			if n, c := l.LongestMatch(toks, i); n != wantN || c != wantC {
+				t.Fatalf("LongestMatch(%q, %d) = %d %v, want %d %v", toks, i, n, c, wantN, wantC)
+			}
+		}
 	}
 }
 

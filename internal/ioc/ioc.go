@@ -13,7 +13,7 @@ package ioc
 
 import (
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 
 	"securitykg/internal/ontology"
@@ -73,19 +73,30 @@ type Match struct {
 	End   int
 }
 
+// defangings pairs each defanged form with what it stands for.
+var defangings = []string{
+	"hxxps://", "https://",
+	"hxxp://", "http://",
+	"hXXps://", "https://",
+	"hXXp://", "http://",
+	"[.]", ".", "(.)", ".", "{.}", ".", "[dot]", ".", "(dot)", ".",
+	"[at]", "@", "(at)", "@", "[@]", "@",
+	"[:]", ":", "[://]", "://",
+}
+
+var refanger = strings.NewReplacer(defangings...)
+
 // Refang normalizes common defanging conventions so IOCs match:
 // hxxp -> http, [.] ( .) {.} [dot] -> ., [at] -> @, [:] -> :.
 func Refang(s string) string {
-	r := strings.NewReplacer(
-		"hxxps://", "https://",
-		"hxxp://", "http://",
-		"hXXps://", "https://",
-		"hXXp://", "http://",
-		"[.]", ".", "(.)", ".", "{.}", ".", "[dot]", ".", "(dot)", ".",
-		"[at]", "@", "(at)", "@", "[@]", "@",
-		"[:]", ":", "[://]", "://",
-	)
-	return r.Replace(s)
+	// A Replacer copies its input even when it replaces nothing; most
+	// texts hold no defanged form and are returned as they are.
+	for i := 0; i < len(defangings); i += 2 {
+		if strings.Contains(s, defangings[i]) {
+			return refanger.Replace(s)
+		}
+	}
+	return s
 }
 
 var (
@@ -101,26 +112,112 @@ var (
 	reDomain   = regexp.MustCompile(`\b(?:[a-zA-Z0-9](?:[a-zA-Z0-9\-]{0,61}[a-zA-Z0-9])?\.)+(?:com|net|org|info|biz|ru|cn|io|co|uk|de|fr|xyz|top|onion|su|tk|ml|ga|cf|gq|pw|cc|ws|me|site|online|club|live|store|tech|space|fun|icu)\b`)
 )
 
-type matcher struct {
-	kind Kind
-	re   *regexp.Regexp
-	grp  int // capture group index holding the value (0 = whole match)
+// byteSet is a set of bytes.
+type byteSet [256]bool
+
+const wordBytes = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
+
+// island builds the byte set bounding a pattern's matches: the word bytes
+// plus extra. Word bytes are always in, so the byte beyond an island's edge
+// is a non-word byte and `\b` there reads as it does at a text edge.
+func island(extra string) *byteSet {
+	var s byteSet
+	for i := 0; i < len(wordBytes); i++ {
+		s[wordBytes[i]] = true
+	}
+	for i := 0; i < len(extra); i++ {
+		s[extra[i]] = true
+	}
+	return &s
 }
+
+// A matcher runs its pattern only where it can match. anchor finds the
+// next occurrence at or after from of something every match contains; the
+// island around it is the maximal run of bytes a match may consist of. No
+// match crosses an island edge and no pattern looks past one (the only
+// look-around is `\b` and reUnixPath's one-byte lead), so matching the
+// island alone finds exactly what a sweep of the whole text finds there.
+type matcher struct {
+	kind   Kind
+	re     *regexp.Regexp
+	grp    int // capture group index holding the value (0 = whole match)
+	anchor func(s string, from int) int
+	island *byteSet
+	lead   int // bytes the pattern consumes before the island
+}
+
+func literal(lit string) func(string, int) int {
+	return func(s string, from int) int {
+		if i := strings.Index(s[from:], lit); i >= 0 {
+			return from + i
+		}
+		return -1
+	}
+}
+
+// dottedToken finds a '.' inside a token: after a letter, digit, '_' or
+// '-' and before a letter or digit. Dotted quads, file extensions and
+// domain labels all hold one; a sentence-final period does not.
+func dottedToken(s string, from int) int {
+	for from < len(s) {
+		i := strings.IndexByte(s[from:], '.')
+		if i < 0 {
+			return -1
+		}
+		i += from
+		if i > 0 && i+1 < len(s) && (isAlnum(s[i-1]) || s[i-1] == '_' || s[i-1] == '-') && isAlnum(s[i+1]) {
+			return i
+		}
+		from = i + 1
+	}
+	return -1
+}
+
+func isAlnum(b byte) bool {
+	return b >= '0' && b <= '9' || b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z'
+}
+
+func isHex(b byte) bool {
+	return b >= '0' && b <= '9' || b >= 'a' && b <= 'f' || b >= 'A' && b <= 'F'
+}
+
+// hexRun finds the start of a run of at least 32 hex digits (an MD5's
+// length, the shortest hash).
+func hexRun(s string, from int) int {
+	run := 0
+	for i := from; i < len(s); i++ {
+		if !isHex(s[i]) {
+			run = 0
+			continue
+		}
+		if run++; run == 32 {
+			return i - 31
+		}
+	}
+	return -1
+}
+
+var dotted = island(".-")
 
 // matchers in priority order: more specific kinds first so overlap
 // resolution keeps the most informative reading (URL over domain, email
 // over domain, registry key over file path, ...).
 var matchers = []matcher{
-	{KindURL, reURL, 0},
-	{KindEmail, reEmail, 0},
-	{KindCVE, reCVE, 0},
-	{KindRegistry, reRegistry, 0},
-	{KindHash, reHash, 0},
-	{KindIP, reIP, 0},
-	{KindFilePath, reWinPath, 0},
-	{KindFilePath, reUnixPath, 1},
-	{KindFileName, reFileName, 0},
-	{KindDomain, reDomain, 0},
+	{KindURL, reURL, 0, literal("://"), island(`.-~:/?#[]@!$&'()*+,;=%`), 0},
+	{KindEmail, reEmail, 0, literal("@"), island(".%+-@"), 0},
+	{KindCVE, reCVE, 0, literal("CVE-"), island("-"), 0},
+	{KindRegistry, reRegistry, 0, literal("HK"), island(`\.{}-`), 0},
+	{KindHash, reHash, 0, hexRun, island(""), 0},
+	{KindIP, reIP, 0, dottedToken, dotted, 0},
+	{KindFilePath, reWinPath, 0, literal(`:\`), island(`:\. ${}%-`), 0},
+	{KindFilePath, reUnixPath, 1, literal("/"), island("/.-"), 1},
+	{KindFileName, reFileName, 0, dottedToken, dotted, 0},
+	{KindDomain, reDomain, 0, dottedToken, dotted, 0},
+}
+
+type candidate struct {
+	m    Match
+	prio int
 }
 
 // Scan finds all IOCs in text after refanging. Overlapping matches are
@@ -129,38 +226,39 @@ var matchers = []matcher{
 // also returns so callers can index into it.
 func Scan(text string) ([]Match, string) {
 	rf := Refang(text)
-	type cand struct {
-		m    Match
-		prio int
-	}
-	var cands []cand
-	for p, mt := range matchers {
-		for _, loc := range mt.re.FindAllStringSubmatchIndex(rf, -1) {
-			s, e := loc[2*mt.grp], loc[2*mt.grp+1]
-			if s < 0 || e <= s {
-				continue
+	var cands []candidate
+	for p := range matchers {
+		mt := &matchers[p]
+		for pos := 0; pos < len(rf); {
+			a := mt.anchor(rf, pos)
+			if a < 0 {
+				break
 			}
-			val := rf[s:e]
-			for len(val) > 0 && strings.ContainsRune(".,;:)]}>'\"", rune(val[len(val)-1])) {
-				val = val[:len(val)-1]
-				e--
+			lo, hi := a, a+1
+			for lo > 0 && mt.island[rf[lo-1]] {
+				lo--
 			}
-			if val == "" {
-				continue
+			for hi < len(rf) && mt.island[rf[hi]] {
+				hi++
 			}
-			cands = append(cands, cand{Match{Kind: mt.kind, Value: val, Start: s, End: e}, p})
+			pos = hi
+			lo = max(lo-mt.lead, 0)
+			for _, loc := range mt.re.FindAllStringSubmatchIndex(rf[lo:hi], -1) {
+				cands = appendCandidate(cands, rf, p, lo+loc[2*mt.grp], lo+loc[2*mt.grp+1])
+			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
+	if len(cands) == 0 {
+		return nil, rf
+	}
+	slices.SortFunc(cands, func(a, b candidate) int {
 		if a.prio != b.prio {
-			return a.prio < b.prio
+			return a.prio - b.prio
 		}
-		al, bl := a.m.End-a.m.Start, b.m.End-b.m.Start
-		if al != bl {
-			return al > bl
+		if al, bl := a.m.End-a.m.Start, b.m.End-b.m.Start; al != bl {
+			return bl - al
 		}
-		return a.m.Start < b.m.Start
+		return a.m.Start - b.m.Start
 	})
 	taken := make([]bool, len(rf))
 	free := func(s, e int) bool {
@@ -171,7 +269,7 @@ func Scan(text string) ([]Match, string) {
 		}
 		return true
 	}
-	var out []Match
+	out := make([]Match, 0, len(cands))
 	for _, c := range cands {
 		if !free(c.m.Start, c.m.End) {
 			continue
@@ -181,8 +279,23 @@ func Scan(text string) ([]Match, string) {
 		}
 		out = append(out, c.m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	slices.SortFunc(out, func(a, b Match) int { return a.Start - b.Start })
 	return out, rf
+}
+
+// appendCandidate records the match rf[s:e] of matcher prio, less any
+// trailing sentence punctuation.
+func appendCandidate(cands []candidate, rf string, prio, s, e int) []candidate {
+	if s < 0 || e <= s {
+		return cands
+	}
+	for e > s && strings.IndexByte(".,;:)]}>'\"", rf[e-1]) >= 0 {
+		e--
+	}
+	if e == s {
+		return cands
+	}
+	return append(cands, candidate{Match{Kind: matchers[prio].kind, Value: rf[s:e], Start: s, End: e}, prio})
 }
 
 // HashAlgo guesses the algorithm of a hex hash value by length.

@@ -22,6 +22,7 @@ type Entity struct {
 // features + CRF decoding, with IOC regex recognition alongside.
 type Extractor struct {
 	model    *crf.Model
+	labels   []bioLabel // the model's labels, by label index
 	lookup   *gazetteer.Lookup
 	clusters map[string]int
 }
@@ -86,12 +87,16 @@ func Train(texts []string, opts TrainOptions) (*Extractor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ner: crf training: %w", err)
 	}
-	return &Extractor{model: model, lookup: lookup, clusters: opts.Clusters}, nil
+	return newExtractor(model, lookup, opts.Clusters), nil
+}
+
+func newExtractor(m *crf.Model, lookup *gazetteer.Lookup, clusters map[string]int) *Extractor {
+	return &Extractor{model: m, labels: parseLabels(m.Labels()), lookup: lookup, clusters: clusters}
 }
 
 // NewFromModel wraps a pre-trained CRF model into an extractor.
 func NewFromModel(m *crf.Model, clusters map[string]int) *Extractor {
-	return &Extractor{model: m, lookup: gazetteer.NewLookup(), clusters: clusters}
+	return newExtractor(m, gazetteer.NewLookup(), clusters)
 }
 
 // Model exposes the underlying CRF for persistence.
@@ -100,17 +105,7 @@ func (e *Extractor) Model() *crf.Model { return e.model }
 // Extract recognizes entities in text: IOCs via the scanner (exact, typed)
 // and higher-level entities via the CRF over IOC-protected text.
 func (e *Extractor) Extract(text string) []Entity {
-	prot := ioc.Protect(text)
-	out := iocEntities(prot)
-	for _, s := range textproc.SplitSentences(prot.Protected) {
-		st := prepareSentence(s.Text, prot, e.lookup)
-		if len(st.toks) == 0 {
-			continue
-		}
-		tags := e.model.Decode(st.featureMatrix(e.clusters))
-		out = append(out, spansFromBIO(st.toks, tags, prot, "crf")...)
-	}
-	return dedupeEntities(out)
+	return e.entities(e.newAnalyzer().document(ioc.Protect(text)))
 }
 
 // iocEntities converts protected IOC matches into typed entities.
@@ -126,44 +121,15 @@ func iocEntities(prot *ioc.Protection) []Entity {
 	return out
 }
 
-// spansFromBIO converts a BIO tag sequence over tokens into entities,
-// restoring any IOC placeholders inside span text.
-func spansFromBIO(toks []textproc.Token, tags []string, prot *ioc.Protection, source string) []Entity {
-	var out []Entity
-	i := 0
-	for i < len(tags) {
-		tag := tags[i]
-		if !strings.HasPrefix(tag, "B-") {
-			i++
-			continue
-		}
-		cls := gazetteer.Class(tag[2:])
-		j := i + 1
-		for j < len(tags) && tags[j] == "I-"+string(cls) {
-			j++
-		}
-		et, ok := EntityTypeOf(cls)
-		if ok {
-			words := make([]string, 0, j-i)
-			for k := i; k < j; k++ {
-				words = append(words, toks[k].Text)
-			}
-			name := strings.Join(words, " ")
-			if prot != nil {
-				name = prot.Restore(name)
-			}
-			out = append(out, Entity{Type: et, Name: name, Source: source})
-		}
-		i = j
-	}
-	return out
-}
-
 func dedupeEntities(es []Entity) []Entity {
-	seen := make(map[string]bool, len(es))
+	type key struct {
+		typ  ontology.EntityType
+		name string
+	}
+	seen := make(map[key]bool, len(es))
 	out := es[:0]
 	for _, e := range es {
-		k := string(e.Type) + "\x00" + strings.ToLower(e.Name)
+		k := key{e.Type, strings.ToLower(e.Name)}
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, e)

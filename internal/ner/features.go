@@ -6,7 +6,7 @@
 package ner
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"securitykg/internal/gazetteer"
@@ -65,6 +65,8 @@ func classOf(t ontology.EntityType) (gazetteer.Class, bool) {
 // per-token gazetteer span info.
 type sentenceTokens struct {
 	toks []textproc.Token
+	// lower[i] is the lowercased surface form of token i.
+	lower []string
 	// gazClass[i] is the class of the gazetteer span covering token i
 	// ("" when uncovered); gazBegin[i] marks span starts.
 	gazClass []gazetteer.Class
@@ -79,13 +81,13 @@ func prepareSentence(text string, prot *ioc.Protection, lookup *gazetteer.Lookup
 	toks := textproc.Annotate(text)
 	st := sentenceTokens{
 		toks:        toks,
+		lower:       make([]string, len(toks)),
 		gazClass:    make([]gazetteer.Class, len(toks)),
 		gazBegin:    make([]bool, len(toks)),
 		placeholder: make([]bool, len(toks)),
 	}
-	lower := make([]string, len(toks))
 	for i, t := range toks {
-		lower[i] = strings.ToLower(t.Text)
+		st.lower[i] = strings.ToLower(t.Text)
 		if prot != nil {
 			if _, ok := prot.IsPlaceholder(t.Text); ok {
 				st.placeholder[i] = true
@@ -93,16 +95,8 @@ func prepareSentence(text string, prot *ioc.Protection, lookup *gazetteer.Lookup
 		}
 	}
 	// Longest-match gazetteer tagging.
-	maxLen := lookup.MaxPhraseLen()
 	for i := 0; i < len(toks); {
-		matched := 0
-		var mclass gazetteer.Class
-		for n := maxLen; n >= 1; n-- {
-			if c, ok := lookup.MatchTokens(lower, i, n); ok {
-				matched, mclass = n, c
-				break
-			}
-		}
+		matched, mclass := lookup.LongestMatch(st.lower, i)
 		if matched == 0 {
 			i++
 			continue
@@ -116,75 +110,107 @@ func prepareSentence(text string, prot *ioc.Protection, lookup *gazetteer.Lookup
 	return st
 }
 
-// features computes the sparse CRF feature strings for token i of the
-// sentence, optionally adding embedding cluster features.
-func (st *sentenceTokens) features(i int, clusters map[string]int) []string {
+// featureSink receives the sparse CRF features of one token. A feature is
+// the string template+value; it is handed over in two parts so a sink that
+// only looks it up (crf.Decoder) never has to build it.
+type featureSink interface {
+	Add(template, value string)
+}
+
+// emit hands the features of token i of the sentence to sink, optionally
+// adding embedding cluster features. The order is part of the model: a
+// token's score is summed in it.
+func (st *sentenceTokens) emit(i int, clusters map[string]int, sink featureSink) {
 	t := st.toks[i]
-	lw := strings.ToLower(t.Text)
-	fs := make([]string, 0, 24)
-	fs = append(fs,
-		"bias",
-		"w="+lw,
-		"lemma="+t.Lemma,
-		"pos="+t.POS,
-		"shape="+t.Shape,
-	)
+	lw := st.lower[i]
+	sink.Add("bias", "")
+	sink.Add("w=", lw)
+	sink.Add("lemma=", t.Lemma)
+	sink.Add("pos=", t.POS)
+	sink.Add("shape=", t.Shape)
 	if n := len(lw); n >= 3 {
-		fs = append(fs, "pre3="+lw[:3], "suf3="+lw[n-3:])
+		sink.Add("pre3=", lw[:3])
+		sink.Add("suf3=", lw[n-3:])
 	}
 	if i == 0 {
-		fs = append(fs, "first")
+		sink.Add("first", "")
 	}
 	if t.Text != "" && t.Text[0] >= 'A' && t.Text[0] <= 'Z' {
-		fs = append(fs, "cap")
-		if strings.ToUpper(t.Text) == t.Text && len(t.Text) > 1 {
-			fs = append(fs, "allcaps")
+		sink.Add("cap", "")
+		if len(t.Text) > 1 && isUpper(t.Text) {
+			sink.Add("allcaps", "")
 		}
 	}
 	if strings.ContainsAny(lw, "0123456789") {
-		fs = append(fs, "hasdigit")
+		sink.Add("hasdigit", "")
 	}
 	if st.placeholder[i] {
-		fs = append(fs, "iocplaceholder")
+		sink.Add("iocplaceholder", "")
 	}
 	if c := st.gazClass[i]; c != "" {
-		fs = append(fs, "gaz="+string(c))
+		sink.Add("gaz=", string(c))
 		if st.gazBegin[i] {
-			fs = append(fs, "gazB="+string(c))
+			sink.Add("gazB=", string(c))
 		}
 	}
 	if clusters != nil {
 		if cl, ok := clusters[lw]; ok {
-			fs = append(fs, fmt.Sprintf("emb=%d", cl))
+			sink.Add("emb=", strconv.Itoa(cl))
 		}
 	}
 	// Context window.
 	if i > 0 {
 		p := st.toks[i-1]
-		fs = append(fs, "-1w="+strings.ToLower(p.Text), "-1pos="+p.POS, "-1lemma="+p.Lemma)
+		sink.Add("-1w=", st.lower[i-1])
+		sink.Add("-1pos=", p.POS)
+		sink.Add("-1lemma=", p.Lemma)
 	} else {
-		fs = append(fs, "-1w=<s>")
+		sink.Add("-1w=<s>", "")
 	}
 	if i > 1 {
-		fs = append(fs, "-2pos="+st.toks[i-2].POS, "-2lemma="+st.toks[i-2].Lemma)
+		sink.Add("-2pos=", st.toks[i-2].POS)
+		sink.Add("-2lemma=", st.toks[i-2].Lemma)
 	}
 	if i+1 < len(st.toks) {
 		n := st.toks[i+1]
-		fs = append(fs, "+1w="+strings.ToLower(n.Text), "+1pos="+n.POS, "+1lemma="+n.Lemma)
+		sink.Add("+1w=", st.lower[i+1])
+		sink.Add("+1pos=", n.POS)
+		sink.Add("+1lemma=", n.Lemma)
 	} else {
-		fs = append(fs, "+1w=</s>")
+		sink.Add("+1w=</s>", "")
 	}
 	if i+2 < len(st.toks) {
-		fs = append(fs, "+2pos="+st.toks[i+2].POS, "+2lemma="+st.toks[i+2].Lemma)
+		sink.Add("+2pos=", st.toks[i+2].POS)
+		sink.Add("+2lemma=", st.toks[i+2].Lemma)
 	}
-	return fs
 }
 
-// featureMatrix computes features for every token of the sentence.
+// isUpper reports whether uppercasing s leaves it unchanged.
+func isUpper(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return strings.ToUpper(s) == s
+		}
+		if s[i] >= 'a' && s[i] <= 'z' {
+			return false
+		}
+	}
+	return true
+}
+
+// featureStrings collects features as the strings a CRF is trained on.
+type featureStrings []string
+
+func (f *featureStrings) Add(template, value string) { *f = append(*f, template+value) }
+
+// featureMatrix computes the feature strings of every token of the
+// sentence.
 func (st *sentenceTokens) featureMatrix(clusters map[string]int) [][]string {
 	out := make([][]string, len(st.toks))
 	for i := range st.toks {
-		out[i] = st.features(i, clusters)
+		fs := make(featureStrings, 0, 24)
+		st.emit(i, clusters, &fs)
+		out[i] = fs
 	}
 	return out
 }

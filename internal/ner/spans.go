@@ -1,10 +1,7 @@
 package ner
 
 import (
-	"strings"
-
 	"securitykg/internal/depparse"
-	"securitykg/internal/gazetteer"
 	"securitykg/internal/ioc"
 	"securitykg/internal/ontology"
 	"securitykg/internal/textproc"
@@ -19,94 +16,10 @@ type SentenceResult struct {
 }
 
 // ExtractSpans runs the full NER pipeline, returning per-sentence token
-// and span detail. IOC placeholders become typed entity spans (with the
-// original IOC value as the name); CRF spans cover the remaining entity
-// classes. Overlaps resolve in favor of IOC spans.
+// and span detail: IOC placeholder spans, CRF spans and the spans the
+// document-consistency pass adds.
 func (e *Extractor) ExtractSpans(text string) []SentenceResult {
-	prot := ioc.Protect(text)
-	var out []SentenceResult
-	var coveredAll [][]bool
-	// knownEnts maps a lowercased single-token surface form found as an
-	// entity anywhere in the document to its type, enabling the
-	// document-consistency pass below.
-	knownEnts := map[string]ontology.EntityType{}
-	for _, s := range textproc.SplitSentences(prot.Protected) {
-		st := prepareSentence(s.Text, prot, e.lookup)
-		if len(st.toks) == 0 {
-			continue
-		}
-		res := SentenceResult{Tokens: st.toks}
-		covered := make([]bool, len(st.toks))
-		// IOC placeholder spans first (authoritative).
-		for i, tok := range st.toks {
-			if m, ok := prot.IsPlaceholder(tok.Text); ok {
-				res.Spans = append(res.Spans, depparse.EntitySpan{
-					Type: m.Kind.EntityType(), Name: m.Value, Start: i, End: i + 1,
-				})
-				covered[i] = true
-			}
-		}
-		// CRF spans for the higher-level entity classes.
-		tags := e.model.Decode(st.featureMatrix(e.clusters))
-		for i := 0; i < len(tags); {
-			if len(tags[i]) < 2 || tags[i][0] != 'B' {
-				i++
-				continue
-			}
-			cls := gazetteer.Class(tags[i][2:])
-			j := i + 1
-			for j < len(tags) && tags[j] == "I-"+string(cls) {
-				j++
-			}
-			overlap := false
-			for k := i; k < j; k++ {
-				if covered[k] {
-					overlap = true
-				}
-			}
-			if et, ok := EntityTypeOf(cls); ok && !overlap {
-				name := joinTokens(st.toks[i:j])
-				res.Spans = append(res.Spans, depparse.EntitySpan{
-					Type: et, Name: prot.Restore(name), Start: i, End: j,
-				})
-				for k := i; k < j; k++ {
-					covered[k] = true
-				}
-				if j == i+1 && propagatable(st.toks[i].Text) {
-					knownEnts[joinLower(st.toks[i:j])] = et
-				}
-			}
-			i = j
-		}
-		out = append(out, res)
-		coveredAll = append(coveredAll, covered)
-	}
-	// Document-consistency pass: an entity recognized in one sentence
-	// (usually beside a contextual cue) marks identical uncovered tokens
-	// in every other sentence.
-	for si := range out {
-		toks := out[si].Tokens
-		for i, tok := range toks {
-			if coveredAll[si][i] || !propagatable(tok.Text) {
-				continue
-			}
-			if et, ok := knownEnts[joinLower(toks[i:i+1])]; ok {
-				out[si].Spans = append(out[si].Spans, depparse.EntitySpan{
-					Type: et, Name: prot.Restore(tok.Text), Start: i, End: i + 1,
-				})
-				coveredAll[si][i] = true
-			}
-		}
-	}
-	return out
-}
-
-func joinLower(toks []textproc.Token) string {
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = strings.ToLower(t.Text)
-	}
-	return strings.Join(out, " ")
+	return e.spans(e.newAnalyzer().document(ioc.Protect(text)))
 }
 
 func joinTokens(toks []textproc.Token) string {
@@ -126,16 +39,5 @@ func joinTokens(toks []textproc.Token) string {
 // ExtractRelations runs span extraction and the dependency-based relation
 // extractor over every sentence, returning ontology relations.
 func (e *Extractor) ExtractRelations(text string) []ontology.Relation {
-	var out []ontology.Relation
-	for _, sent := range e.ExtractSpans(text) {
-		for _, tr := range depparse.ExtractRelations(sent.Tokens, sent.Spans) {
-			out = append(out, ontology.Relation{
-				Src:   ontology.Entity{Type: tr.Src.Type, Name: tr.Src.Name},
-				Type:  tr.Rel,
-				Dst:   ontology.Entity{Type: tr.Dst.Type, Name: tr.Dst.Name},
-				Attrs: map[string]string{"verb": tr.Verb},
-			})
-		}
-	}
-	return out
+	return relations(e.ExtractSpans(text))
 }

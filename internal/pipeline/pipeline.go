@@ -57,6 +57,7 @@ type Stats struct {
 	Parsed      int64
 	ParseErrs   int64
 	Extracted   int64
+	ExtractErrs int64 // extracted but lost re-encoding for the connector stage
 	Connected   int64
 	ConnectErrs int64
 	Elapsed     time.Duration
@@ -81,11 +82,16 @@ type Pipeline struct {
 	Connectors []connector.Connector
 	Cfg        Config
 
+	// encodeCTI stands in for ctirep.EncodeCTIRep in tests of encoding
+	// failures, which no CTIRep a parser or extractor builds provokes.
+	encodeCTI func(*ctirep.CTIRep) ([]byte, error)
+
 	ported      atomic.Int64
 	rejected    atomic.Int64
 	parsed      atomic.Int64
 	parseErrs   atomic.Int64
 	extracted   atomic.Int64
+	extractErrs atomic.Int64
 	connected   atomic.Int64
 	connectErrs atomic.Int64
 }
@@ -98,6 +104,7 @@ func (p *Pipeline) Stats() Stats {
 		Parsed:      p.parsed.Load(),
 		ParseErrs:   p.parseErrs.Load(),
 		Extracted:   p.extracted.Load(),
+		ExtractErrs: p.extractErrs.Load(),
 		Connected:   p.connected.Load(),
 		ConnectErrs: p.connectErrs.Load(),
 	}
@@ -241,8 +248,12 @@ func (p *Pipeline) Run(ctx context.Context, files <-chan ctirep.RawFile) (Stats,
 						p.logf("pipeline: extract %s (%s): %v", cti.ReportID, ex.Name(), err)
 					}
 				}
+				// An analysis nobody took ends with the stage.
+				cti.TakeAnalysis()
 				cti2, err := p.reserializeCTI(cti)
 				if err != nil {
+					p.extractErrs.Add(1)
+					p.logf("pipeline: serialize extracted %s: %v", cti.ReportID, err)
 					continue
 				}
 				p.extracted.Add(1)
@@ -304,7 +315,11 @@ func (p *Pipeline) reserializeCTI(cti *ctirep.CTIRep) (*ctirep.CTIRep, error) {
 	if !p.Cfg.Serialize {
 		return cti, nil
 	}
-	b, err := ctirep.EncodeCTIRep(cti)
+	encode := ctirep.EncodeCTIRep
+	if p.encodeCTI != nil {
+		encode = p.encodeCTI
+	}
+	b, err := encode(cti)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,9 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
+	"log"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -427,5 +430,157 @@ func TestStatsRejectionCounting(t *testing.T) {
 	}
 	if st.Connected != 1 {
 		t.Errorf("connected %d, want 1", st.Connected)
+	}
+}
+
+// captureConnector keeps every rep the pipeline delivers.
+type captureConnector struct {
+	mu   sync.Mutex
+	reps []*ctirep.CTIRep
+}
+
+func (*captureConnector) Name() string { return "capture" }
+
+func (c *captureConnector) Connect(rep *ctirep.CTIRep) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reps = append(c.reps, rep)
+	return nil
+}
+
+// The extract stage analyzes a report once for both extractors. What it
+// delivers must be what the two extractors' public entry points give when
+// each analyzes for itself: Extract over title+body, ExtractRelations over
+// the body — for every report of the synthetic web, element for element.
+func TestFusedExtractionMatchesTwoCallAPI(t *testing.T) {
+	ext := sharedNER(t)
+	kinds := map[string]int{}
+	titleIOCs := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		specs := sources.DefaultSources(3)
+		web := sources.NewWeb(seed, specs)
+		files := crawlFiles(t, web, specs)
+		capture := &captureConnector{}
+		p := newPipeline(t, specs, nil, nil, seed != 2) // seed 2 hands reps over unserialized
+		p.Connectors = []connector.Connector{capture}
+		st, err := p.Run(context.Background(), feed(files))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(st.Connected) != len(capture.reps) || st.Connected != st.Ported-st.Rejected {
+			t.Fatalf("seed %d: %d reps captured, stats %+v", seed, len(capture.reps), st)
+		}
+		for _, rep := range capture.reps {
+			kinds[rep.Kind]++
+			if strings.Contains(rep.Title, "CVE-") {
+				titleIOCs++
+			}
+			if rep.TakeAnalysis() != nil {
+				t.Fatalf("%s left the extract stage carrying its analysis", rep.URL)
+			}
+			var wantEnts []ontology.Entity
+			for _, e := range ext.Extract(rep.Title + ".\n" + rep.Text) {
+				wantEnts = append(wantEnts, ontology.Entity{Type: e.Type, Name: e.Name,
+					Attrs: map[string]string{"extractor": e.Source}})
+			}
+			if !reflect.DeepEqual(rep.Entities, wantEnts) {
+				t.Fatalf("%s (%s): entities\n got %+v\nwant %+v", rep.URL, rep.Kind, rep.Entities, wantEnts)
+			}
+			if want := ext.ExtractRelations(rep.Text); !reflect.DeepEqual(rep.Relations, want) {
+				t.Fatalf("%s (%s): relations\n got %+v\nwant %+v", rep.URL, rep.Kind, rep.Relations, want)
+			}
+		}
+	}
+	for _, k := range []string{"malware", "vulnerability", "attack"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s report compared (kinds %v)", k, kinds)
+		}
+	}
+	if titleIOCs == 0 {
+		t.Error("no report with an IOC in its title compared")
+	}
+}
+
+// A RelationExtractor that finds no analysis of its own NER over the rep's
+// text analyzes the body itself.
+func TestRelationExtractorWithoutSharedAnalysis(t *testing.T) {
+	ext := sharedNER(t)
+	web := sources.NewWeb(5, sources.DefaultSources(2))
+	tr := web.GenerateTruth(web.Sources()[0], 0)
+	text := strings.Join(tr.Paragraphs, "\n")
+	want := ext.ExtractRelations(text)
+	if len(want) == 0 {
+		t.Fatal("report without relations")
+	}
+
+	alone := &ctirep.CTIRep{Title: tr.Title, Text: text}
+	if err := (RelationExtractor{NER: ext}).Extract(alone); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(alone.Relations, want) {
+		t.Errorf("no entity extractor before: relations %+v, want %+v", alone.Relations, want)
+	}
+
+	edited := &ctirep.CTIRep{Title: tr.Title, Text: text}
+	if err := (EntityExtractor{NER: ext}).Extract(edited); err != nil {
+		t.Fatal(err)
+	}
+	edited.Text = tr.Paragraphs[0] // an extractor in between rewrote the body
+	if err := (RelationExtractor{NER: ext}).Extract(edited); err != nil {
+		t.Fatal(err)
+	}
+	if want := ext.ExtractRelations(edited.Text); !reflect.DeepEqual(edited.Relations, want) {
+		t.Errorf("stale analysis used: relations %+v, want %+v", edited.Relations, want)
+	}
+	if edited.TakeAnalysis() != nil {
+		t.Error("analysis left on the rep")
+	}
+
+	other := &ctirep.CTIRep{Title: tr.Title, Text: text}
+	if err := (EntityExtractor{NER: ext}).Extract(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := (RelationExtractor{NER: ner.NewFromModel(ext.Model(), nil)}).Extract(other); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(other.Relations, want) {
+		t.Errorf("another extractor's analysis: relations %+v, want %+v", other.Relations, want)
+	}
+}
+
+// A rep that extracts but cannot be re-encoded for the connector stage is
+// logged and counted, so the stats still add up.
+func TestExtractStageEncodeFailureIsCounted(t *testing.T) {
+	specs := sources.DefaultSources(4)[:1]
+	web := sources.NewWeb(37, specs)
+	files := crawlFiles(t, web, specs)
+	var logBuf bytes.Buffer
+	var victim string
+	var once sync.Once
+	p := newPipeline(t, specs, graph.New(), nil, true)
+	p.Cfg.Logger = log.New(&logBuf, "", 0)
+	p.encodeCTI = func(c *ctirep.CTIRep) ([]byte, error) {
+		// Fails for one report, and only once it carries entities: after
+		// extraction, not after parsing.
+		if len(c.Entities) > 0 {
+			once.Do(func() { victim = c.ReportID })
+			if c.ReportID == victim {
+				return nil, errors.New("cannot encode")
+			}
+		}
+		return ctirep.EncodeCTIRep(c)
+	}
+	st, err := p.Run(context.Background(), feed(files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ExtractErrs != 1 {
+		t.Errorf("ExtractErrs = %d, want 1", st.ExtractErrs)
+	}
+	if st.Connected != st.Ported-st.Rejected-st.ParseErrs-st.ExtractErrs || st.Connected != 3 {
+		t.Errorf("stats do not add up: %+v", st)
+	}
+	if want := "pipeline: serialize extracted " + victim + ": cannot encode"; !strings.Contains(logBuf.String(), want) {
+		t.Errorf("log %q lacks %q", logBuf.String(), want)
 	}
 }

@@ -439,6 +439,8 @@ type Extractor interface {
 }
 
 // EntityExtractor fills Entities using the NER pipeline over title+body.
+// The analysis it makes also covers the body's relations; it leaves it on
+// the rep for a RelationExtractor that follows.
 type EntityExtractor struct {
 	NER *ner.Extractor
 }
@@ -448,19 +450,22 @@ func (EntityExtractor) Name() string { return "entity" }
 
 // Extract implements Extractor.
 func (e EntityExtractor) Extract(c *ctirep.CTIRep) error {
-	text := c.Title + ".\n" + c.Text
-	for _, ent := range e.NER.Extract(text) {
+	a := e.NER.Analyze(c.Title, c.Text)
+	for _, ent := range a.Entities() {
 		c.Entities = append(c.Entities, ontology.Entity{
 			Type:  ent.Type,
 			Name:  ent.Name,
 			Attrs: map[string]string{"extractor": ent.Source},
 		})
 	}
+	c.SetAnalysis(a)
 	return nil
 }
 
 // RelationExtractor fills Relations using dependency-based verb extraction
-// between recognized entity spans.
+// between recognized entity spans. It takes the analysis an EntityExtractor
+// with the same NER left on the rep, and analyzes the body itself when
+// there is none.
 type RelationExtractor struct {
 	NER *ner.Extractor
 }
@@ -470,6 +475,10 @@ func (RelationExtractor) Name() string { return "relation" }
 
 // Extract implements Extractor.
 func (e RelationExtractor) Extract(c *ctirep.CTIRep) error {
+	if a, ok := c.TakeAnalysis().(*ner.Analysis); ok && a.Of(e.NER, c.Text) {
+		c.Relations = append(c.Relations, a.Relations()...)
+		return nil
+	}
 	c.Relations = append(c.Relations, e.NER.ExtractRelations(c.Text)...)
 	return nil
 }
