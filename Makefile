@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-storage bench-extract bench-ledger cover fuzz crash-test replication-test soak-test
+.PHONY: build test vet bench bench-storage bench-extract bench-scan bench-ledger cover fuzz crash-test replication-test soak-test
 
 build:
 	$(GO) build ./...
@@ -12,10 +12,12 @@ build:
 # the concurrent scan path is race-checked even on one core). The
 # allocation-regression guards (zero-alloc CSR incidence iteration,
 # zero-alloc binary WAL append, zero-cost disabled ANALYZE
-# instrumentation on the warm expand path, the extraction pass's
-# per-report ceiling, the IOC scanner and the zero-alloc warm CRF
-# decoder) are gated //go:build !race — the race detector inflates
-# AllocsPerRun — so a plain-build pass runs them.
+# instrumentation on the warm expand path, the row-path pins — O(k)
+# top-k, per-group grouping, zero per row on a label scan and in the
+# NDJSON encoder — the extraction pass's per-report ceiling, the IOC
+# scanner and the zero-alloc warm CRF decoder) are gated
+# //go:build !race — the race detector inflates AllocsPerRun — so a
+# plain-build pass runs them.
 # The final pass re-runs the transaction schedule harness (scripted +
 # randomized interleavings against the snapshot-isolation oracle) and
 # the parallel reader stress test under -race with fresh counts, so the
@@ -27,7 +29,7 @@ build:
 # scrape).
 test: vet
 	$(GO) test -race ./...
-	$(GO) test -run 'Allocs' ./internal/graph/ ./internal/storage/ ./internal/cypher/ ./internal/ner/ ./internal/ioc/ ./internal/crf/
+	$(GO) test -run 'Allocs' ./internal/graph/ ./internal/storage/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/
 	$(GO) test -race -count=2 -run 'TestSchedule|TestConcurrentReadersSeeAtomicWrites|TestTx' ./internal/cypher/
 	$(MAKE) replication-test
 	$(MAKE) soak-test SOAKFLAGS=-short
@@ -94,6 +96,16 @@ bench-extract:
 	$(GO) test -run '^$$' -bench 'NERExtract|RelationExtract|IOCProtection|EndToEndIngest|PipelineWorkers' -benchmem . -json | tee BENCH_extract.json | \
 		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
 
+# bench-scan runs the heavy-read arms — the ledger's five hunt-scan
+# statements over a kg-100k-shaped graph, four through Engine.Query and
+# the 20 000-row NDJSON stream through a real HTTP server — and records
+# the event stream in BENCH_scan.json. Every arm reports the GOMAXPROCS
+# it ran at: the root label scans partition across workers when more
+# than one CPU is available.
+bench-scan:
+	$(GO) test -run '^$$' -bench 'CypherScanClasses' -benchmem -benchtime 50x . -json | tee BENCH_scan.json | \
+		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
+
 # bench-ledger runs the performance ledger (bench/README.md): four
 # workloads, end-to-end and per-layer metrics, untraced then traced.
 bench-ledger:
@@ -128,13 +140,16 @@ cover:
 		if (t+0 < floor+0) { printf "internal/server coverage %.1f%% is below the %s%% floor\n", t, floor; exit 1 } \
 		else { printf "internal/server coverage %.1f%% (floor %s%%)\n", t, floor } }'
 
-# fuzz exercises the IOC-scanner, parser, engine and WAL-recovery fuzz
-# targets for 30s each (the anchored scanner must equal the ten-regex
-# sweep; parser must never panic; engines must error, not crash;
-# recovery must survive arbitrary log bytes and stay writable).
+# fuzz exercises the IOC-scanner, parser, engine, NDJSON-escaper and
+# WAL-recovery fuzz targets for 30s each (the anchored scanner must
+# equal the ten-regex sweep; parser must never panic; engines must
+# error, not crash; a streamed cell must be escaped exactly as
+# encoding/json escapes it; recovery must survive arbitrary log bytes
+# and stay writable).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/ioc -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzEngineQuery -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/server -fuzz FuzzJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/storage -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run '^$$'

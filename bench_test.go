@@ -1,8 +1,9 @@
 package securitykg
 
-// One testing.B benchmark per experiment in DESIGN.md's index (E1-E13).
-// These are CI-scale versions of the tables cmd/skg-bench regenerates;
-// EXPERIMENTS.md records full-scale runs.
+// One testing.B benchmark per experiment in cmd/skg-bench's index (its
+// defs table, E1 onwards): CI-scale versions of the tables that command
+// regenerates. `make bench` records the engine arms in BENCH_cypher.json;
+// the end-to-end ledger is bench/ (bench/README.md).
 
 import (
 	"context"

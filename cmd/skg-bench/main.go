@@ -1,5 +1,5 @@
-// Command skg-bench regenerates every experiment in DESIGN.md's index
-// (E1-E13), printing the same tables EXPERIMENTS.md records.
+// Command skg-bench regenerates every experiment in its index (the defs
+// table below, E1-E15) and prints each as a table.
 //
 // Usage:
 //

@@ -176,13 +176,19 @@ type OrderKey struct {
 // Expr is an evaluable expression node.
 type Expr interface{ exprNode() }
 
-// VarExpr references a pattern variable (node or edge binding).
-type VarExpr struct{ Name string }
+// VarExpr references a pattern variable (node or edge binding). slot is
+// the planner's stamp (frame.go): the variable's frame slot plus one, 0
+// on a parsed expression no plan has stamped.
+type VarExpr struct {
+	Name string
+	slot int
+}
 
 // PropExpr references a property of a bound variable: v.prop.
 type PropExpr struct {
 	Var  string
 	Prop string
+	slot int // as VarExpr.slot
 }
 
 // LitExpr is a literal value.

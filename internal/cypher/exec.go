@@ -3,7 +3,7 @@ package cypher
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 
 	"securitykg/internal/graph"
@@ -277,17 +277,6 @@ func (e *Engine) Explain(src string) (string, error) {
 	return pl.String(), nil
 }
 
-// binding maps pattern variables to runtime values during matching.
-type binding map[string]Value
-
-func (b binding) clone() binding {
-	c := make(binding, len(b))
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
-
 // RunQuery executes a parsed query through the planned streaming
 // pipeline (planner.go + iter.go), or through the legacy tree-walking
 // matcher when Options.Legacy is set. EXPLAIN always reports the
@@ -357,7 +346,7 @@ func (e *Engine) runLegacyScoped(q *Query, ps params) (*Result, error) {
 	if q.HasWrites() {
 		stats = &WriteStats{}
 	}
-	bindings := []binding{{}}
+	bindings := []binding{newBinding(legacyTable(&q.Parts[0], nil))}
 	for pi := range q.Parts {
 		part := &q.Parts[pi]
 		var err error
@@ -383,12 +372,33 @@ func (e *Engine) runLegacyScoped(q *Query, ps params) (*Result, error) {
 		if pi == len(q.Parts)-1 {
 			return e.legacyFinal(part, bindings, ps, bud, stats)
 		}
-		bindings, err = e.legacyWith(part, bindings, ps, bud)
+		bindings, err = e.legacyWith(part, legacyTable(&q.Parts[pi+1], part.Items), bindings, ps, bud)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return nil, fmt.Errorf("cypher: query has no RETURN part")
+}
+
+// legacyTable names the frame slots of one part for the legacy matcher,
+// which works from the parsed query: the aliases the previous part
+// hands over, the UNWIND alias, and every named variable of the part's
+// reading and writing patterns.
+func legacyTable(part *QueryPart, carried []ReturnItem) *slotTable {
+	tab := &slotTable{}
+	for _, it := range carried {
+		tab.add(it.Alias)
+	}
+	if part.Unwind != nil {
+		tab.add(part.Unwind.Alias)
+	}
+	for _, mc := range part.Matches {
+		patternVarsInto(tab, mc.Patterns)
+	}
+	for _, cc := range part.Creates {
+		patternVarsInto(tab, cc.Patterns)
+	}
+	return tab
 }
 
 // ErrReadOnly is the uniform rejection both engines return for write
@@ -403,7 +413,7 @@ var ErrReadOnly = fmt.Errorf("cypher: write clauses (CREATE/MERGE/SET/DELETE) ar
 func (e *Engine) legacyUnwind(uc *UnwindClause, in []binding, ps params, bud *byteBudget) ([]binding, error) {
 	var out []binding
 	for _, b := range in {
-		v, err := evalExpr(uc.Expr, b, ps)
+		v, err := evalExpr(uc.Expr, &b, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -418,7 +428,7 @@ func (e *Engine) legacyUnwind(uc *UnwindClause, in []binding, ps params, bud *by
 		}
 		for _, el := range elems {
 			b2 := b.clone()
-			b2[uc.Alias] = el
+			b2.set(uc.Alias, el)
 			if err := bud.charge(bindingBytes(b2)); err != nil {
 				return nil, err
 			}
@@ -449,7 +459,7 @@ func (e *Engine) legacyMatchPart(part *QueryPart, in []binding, ps params, bud *
 		for _, b := range out {
 			e.matchPatterns(run.pats, 0, b, hints, ps, func(b2 binding) bool {
 				if run.where != nil {
-					v, err := evalExpr(run.where, b2, ps)
+					v, err := evalExpr(run.where, &b2, ps)
 					if err != nil {
 						matchErr = err
 						return false
@@ -497,7 +507,7 @@ func (e *Engine) legacyOptional(mc MatchClause, in []binding, ps params, bud *by
 		found := false
 		e.matchPatterns(mc.Patterns, 0, b, hints, ps, func(b2 binding) bool {
 			if mc.Where != nil {
-				v, err := evalExpr(mc.Where, b2, ps)
+				v, err := evalExpr(mc.Where, &b2, ps)
 				if err != nil {
 					matchErr = err
 					return false
@@ -520,8 +530,8 @@ func (e *Engine) legacyOptional(mc MatchClause, in []binding, ps params, bud *by
 		if !found {
 			b2 := b.clone()
 			for v := range optVars {
-				if _, bound := b2[v]; !bound {
-					b2[v] = NullValue()
+				if _, bound := b2.get(v); !bound {
+					b2.set(v, NullValue())
 				}
 			}
 			if err := bud.charge(bindingBytes(b2)); err != nil {
@@ -536,7 +546,7 @@ func (e *Engine) legacyOptional(mc MatchClause, in []binding, ps params, bud *by
 // legacyWith projects a part's bindings through its WITH items into
 // fresh bindings for the next part, applying DISTINCT and the post-WITH
 // WHERE filter.
-func (e *Engine) legacyWith(part *QueryPart, matches []binding, ps params, bud *byteBudget) ([]binding, error) {
+func (e *Engine) legacyWith(part *QueryPart, next *slotTable, matches []binding, ps params, bud *byteBudget) ([]binding, error) {
 	hasAgg := false
 	for _, it := range part.Items {
 		if isAggregate(it.Expr) {
@@ -551,8 +561,8 @@ func (e *Engine) legacyWith(part *QueryPart, matches []binding, ps params, bud *
 		}
 		rows = res.Rows
 	} else {
-		for _, b := range matches {
-			row, err := projectRow(part.Items, b, ps)
+		for i := range matches {
+			row, err := projectRow(part.Items, nil, &matches[i], ps)
 			if err != nil {
 				return nil, err
 			}
@@ -567,12 +577,12 @@ func (e *Engine) legacyWith(part *QueryPart, matches []binding, ps params, bud *
 	}
 	var out []binding
 	for _, row := range rows {
-		nb := make(binding, len(part.Items))
+		nb := newBinding(next)
 		for i, it := range part.Items {
-			nb[it.Alias] = row[i]
+			nb.set(it.Alias, row[i])
 		}
 		if part.Where != nil {
-			v, err := evalExpr(part.Where, nb, ps)
+			v, err := evalExpr(part.Where, &nb, ps)
 			if err != nil {
 				return nil, err
 			}
@@ -608,12 +618,8 @@ func (e *Engine) legacyFinal(part *QueryPart, matches []binding, ps params, bud 
 			return nil, err
 		}
 	} else {
-		for _, b := range matches {
-			row, err := projectRow(part.Items, b, ps)
-			if err != nil {
-				return nil, err
-			}
-			row, err = appendHiddenKeys(row, op, b, ps)
+		for i := range matches {
+			row, err := projectRow(part.Items, op, &matches[i], ps)
 			if err != nil {
 				return nil, err
 			}
@@ -658,18 +664,18 @@ func (e *Engine) matchChain(p Pattern, i int, b binding,
 	np := p.Nodes[i]
 
 	tryNode := func(n *graph.Node) bool {
-		if !nodeMatches(np, n, ps) {
+		if !nodeMatches(&np, n, ps) {
 			return true // skip, continue search
 		}
 		b2 := b
 		if np.Var != "" {
-			if prev, bound := b[np.Var]; bound {
+			if prev, bound := b.get(np.Var); bound {
 				if prev.Kind != KindNode || prev.Node.ID != n.ID {
 					return true
 				}
 			} else {
 				b2 = b.clone()
-				b2[np.Var] = NodeValue(n)
+				b2.set(np.Var, NodeValue(n))
 			}
 		}
 		if i == len(p.Nodes)-1 {
@@ -680,7 +686,7 @@ func (e *Engine) matchChain(p Pattern, i int, b binding,
 
 	// If the variable is already bound, only that node is a candidate.
 	if np.Var != "" {
-		if prev, bound := b[np.Var]; bound {
+		if prev, bound := b.get(np.Var); bound {
 			if prev.Kind != KindNode {
 				return true
 			}
@@ -727,28 +733,28 @@ func (e *Engine) matchEdge(p Pattern, i int, from *graph.Node, b binding,
 			}
 			b2 := b
 			if ep.Var != "" {
-				if prev, bound := b[ep.Var]; bound {
+				if prev, bound := b.get(ep.Var); bound {
 					if prev.Kind != KindEdge || prev.Edge.ID != ed.ID {
 						continue
 					}
 				} else {
 					b2 = b.clone()
-					b2[ep.Var] = EdgeValue(ed)
+					b2.set(ep.Var, EdgeValue(ed))
 				}
 			}
 			np := p.Nodes[i+1]
-			if !nodeMatches(np, other, ps) {
+			if !nodeMatches(&np, other, ps) {
 				continue
 			}
 			b3 := b2
 			if np.Var != "" {
-				if prev, bound := b2[np.Var]; bound {
+				if prev, bound := b2.get(np.Var); bound {
 					if prev.Kind != KindNode || prev.Node.ID != other.ID {
 						continue
 					}
 				} else {
 					b3 = b2.clone()
-					b3[np.Var] = NodeValue(other)
+					b3.set(np.Var, NodeValue(other))
 				}
 			}
 			if i+1 == len(p.Nodes)-1 {
@@ -772,20 +778,20 @@ func (e *Engine) matchEdge(p Pattern, i int, from *graph.Node, b binding,
 func (e *Engine) matchVarEdge(p Pattern, i int, from *graph.Node, b binding,
 	hints map[string]map[string]hintVal, ps params, emit func(binding) bool) bool {
 	np := p.Nodes[i+1]
-	for _, id := range e.bfsTargets(from.ID, p.Edges[i], false) {
+	for _, id := range new(bfsWalk).targets(e.view, from.ID, p.Edges[i], false) {
 		other := e.view.Node(id)
-		if other == nil || !nodeMatches(np, other, ps) {
+		if other == nil || !nodeMatches(&np, other, ps) {
 			continue
 		}
 		b2 := b
 		if np.Var != "" {
-			if prev, bound := b[np.Var]; bound {
+			if prev, bound := b.get(np.Var); bound {
 				if prev.Kind != KindNode || prev.Node.ID != other.ID {
 					continue
 				}
 			} else {
 				b2 = b.clone()
-				b2[np.Var] = NodeValue(other)
+				b2.set(np.Var, NodeValue(other))
 			}
 		}
 		if i+1 == len(p.Nodes)-1 {
@@ -799,38 +805,52 @@ func (e *Engine) matchVarEdge(p Pattern, i int, from *graph.Node, b binding,
 	return true
 }
 
-// bfsTargets returns the IDs of the nodes whose shortest distance from
+// bfsWalk holds the buffers of the bounded breadth-first walk behind
+// variable-length patterns, so an iterator that walks once per input row
+// reuses its visited set and frontiers instead of reallocating them.
+type bfsWalk struct {
+	visited        map[graph.NodeID]bool
+	frontier, next []graph.NodeID
+	out            []graph.NodeID
+	inc            []graph.IncidentEdge
+}
+
+// targets returns the IDs of the nodes whose shortest distance from
 // start — along edges matching the pattern's type and direction — lies
 // within [MinHops, MaxHops] (MaxHops < 0 = unbounded). Each node is
 // visited at most once, so the walk terminates on any graph. Both
-// engines share it, so variable-length semantics cannot drift.
-func (e *Engine) bfsTargets(start graph.NodeID, ep EdgePattern, reverse bool) []graph.NodeID {
+// engines share it, so variable-length semantics cannot drift. The
+// result is valid until the walk's next call.
+func (w *bfsWalk) targets(view graph.View, start graph.NodeID, ep EdgePattern, reverse bool) []graph.NodeID {
 	dir := expandDir(ep.Dir, reverse)
-	visited := map[graph.NodeID]bool{start: true}
-	frontier := []graph.NodeID{start}
-	var out []graph.NodeID
-	var inc []graph.IncidentEdge
-	if ep.MinHops == 0 {
-		out = append(out, start)
+	if w.visited == nil {
+		w.visited = map[graph.NodeID]bool{}
 	}
-	for depth := 1; len(frontier) > 0 && (ep.MaxHops < 0 || depth <= ep.MaxHops); depth++ {
-		var next []graph.NodeID
-		for _, id := range frontier {
-			inc = e.view.IncidentEdges(inc[:0], id, dir, ep.Type)
-			for _, he := range inc {
-				if visited[he.Other] {
+	clear(w.visited)
+	w.visited[start] = true
+	w.frontier = append(w.frontier[:0], start)
+	w.out = w.out[:0]
+	if ep.MinHops == 0 {
+		w.out = append(w.out, start)
+	}
+	for depth := 1; len(w.frontier) > 0 && (ep.MaxHops < 0 || depth <= ep.MaxHops); depth++ {
+		w.next = w.next[:0]
+		for _, id := range w.frontier {
+			w.inc = view.IncidentEdges(w.inc[:0], id, dir, ep.Type)
+			for _, he := range w.inc {
+				if w.visited[he.Other] {
 					continue
 				}
-				visited[he.Other] = true
-				next = append(next, he.Other)
+				w.visited[he.Other] = true
+				w.next = append(w.next, he.Other)
 				if depth >= ep.MinHops {
-					out = append(out, he.Other)
+					w.out = append(w.out, he.Other)
 				}
 			}
 		}
-		frontier = next
+		w.frontier, w.next = w.next, w.frontier
 	}
-	return out
+	return w.out
 }
 
 // candidates enumerates starting nodes for a node pattern, using indexes
@@ -883,7 +903,7 @@ func (e *Engine) candidates(np NodePattern, hints map[string]map[string]hintVal,
 
 // nodeMatches checks label and inline property constraints, resolving
 // $parameter-valued properties against the execution's bindings.
-func nodeMatches(np NodePattern, n *graph.Node, ps params) bool {
+func nodeMatches(np *NodePattern, n *graph.Node, ps params) bool {
 	if np.Label != "" && n.Type != np.Label {
 		return false
 	}
@@ -936,7 +956,7 @@ func edgeProp(ed *graph.Edge, prop string) Value {
 	return NullValue()
 }
 
-func evalExpr(e Expr, b binding, ps params) (Value, error) {
+func evalExpr(e Expr, b *binding, ps params) (Value, error) {
 	switch v := e.(type) {
 	case LitExpr:
 		return v.Val, nil
@@ -956,12 +976,12 @@ func evalExpr(e Expr, b binding, ps params) (Value, error) {
 		}
 		return Value{Kind: KindList, List: elems}, nil
 	case VarExpr:
-		if val, ok := b[v.Name]; ok {
-			return val, nil
+		if val, ok := b.lookup(v.slot, v.Name); ok {
+			return *val, nil
 		}
 		return NullValue(), fmt.Errorf("cypher: unbound variable %q", v.Name)
 	case PropExpr:
-		val, ok := b[v.Var]
+		val, ok := b.lookup(v.slot, v.Var)
 		if !ok {
 			return NullValue(), fmt.Errorf("cypher: unbound variable %q", v.Var)
 		}
@@ -1097,41 +1117,116 @@ func evalExpr(e Expr, b binding, ps params) (Value, error) {
 }
 
 // isAggName reports whether name is an aggregate function.
-func isAggName(name string) bool {
-	switch name {
-	case "count", "min", "max", "sum", "collect":
-		return true
-	}
-	return false
-}
+func isAggName(name string) bool { return aggOpByName(name) != aggNone }
 
-func isAggregate(e Expr) bool {
-	f, ok := e.(FuncExpr)
-	return ok && isAggName(f.Name)
-}
+func isAggregate(e Expr) bool { return aggOpOf(e) != aggNone }
 
 // --- projection, grouping, ordering ---
 
-// projectRow evaluates the projection items against one binding.
-func projectRow(items []ReturnItem, b binding, ps params) ([]Value, error) {
-	row := make([]Value, len(items))
-	for i, it := range items {
-		v, err := evalExpr(it.Expr, b, ps)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
+// projectRow evaluates the projection items against one binding, then
+// the order plan's hidden ORDER BY expressions (op may be nil), into one
+// row allocated at its final size.
+func projectRow(items []ReturnItem, op *orderPlan, b *binding, ps params) ([]Value, error) {
+	n := len(items)
+	if op != nil {
+		n += len(op.hidden)
+	}
+	row := make([]Value, n)
+	if err := projectInto(row, items, op, b, ps); err != nil {
+		return nil, err
 	}
 	return row, nil
 }
 
-// rowKey identifies a row for DISTINCT and grouping.
-func rowKey(row []Value) string {
-	parts := make([]string, len(row))
-	for i, v := range row {
-		parts[i] = v.key()
+// projectInto is projectRow into a caller-owned row of the right length
+// — the top-k window's scratch row, so a row that never enters the
+// window is never allocated.
+func projectInto(row []Value, items []ReturnItem, op *orderPlan, b *binding, ps params) error {
+	for i, it := range items {
+		v, err := evalExpr(it.Expr, b, ps)
+		if err != nil {
+			return err
+		}
+		row[i] = v
 	}
-	return strings.Join(parts, "\x00")
+	if op != nil {
+		for i, hx := range op.hidden {
+			v, err := evalExpr(hx, b, ps)
+			if err != nil {
+				return err
+			}
+			row[len(items)+i] = v
+		}
+	}
+	return nil
+}
+
+// appendRowKey appends the key identifying a row for DISTINCT and
+// grouping: its values' keys, NUL-separated. Callers probe their maps
+// with string(buf), which does not allocate; only a first sighting pays
+// for the key string.
+func appendRowKey(dst []byte, row []Value) []byte {
+	for i := range row {
+		if i > 0 {
+			dst = append(dst, 0)
+		}
+		dst = row[i].appendKey(dst)
+	}
+	return dst
+}
+
+// rowSet is the DISTINCT filter: the set of row keys seen so far.
+type rowSet struct {
+	seen map[string]struct{}
+	buf  []byte
+}
+
+func newRowSet() *rowSet { return &rowSet{seen: map[string]struct{}{}} }
+
+// add reports whether row is new, recording it if so.
+func (s *rowSet) add(row []Value) bool {
+	s.buf = appendRowKey(s.buf[:0], row)
+	if _, dup := s.seen[string(s.buf)]; dup {
+		return false
+	}
+	s.seen[string(s.buf)] = struct{}{}
+	return true
+}
+
+// aggOp is an aggregate item's function, resolved once per aggregation
+// rather than matched by name once per row.
+type aggOp uint8
+
+const (
+	aggNone aggOp = iota // not an aggregate: a grouping key
+	aggCount
+	aggSum
+	aggMin
+	aggMax
+	aggCollect
+)
+
+func aggOpByName(name string) aggOp {
+	switch name {
+	case "count":
+		return aggCount
+	case "sum":
+		return aggSum
+	case "min":
+		return aggMin
+	case "max":
+		return aggMax
+	case "collect":
+		return aggCollect
+	}
+	return aggNone
+}
+
+func aggOpOf(e Expr) aggOp {
+	if f, ok := e.(FuncExpr); ok {
+		return aggOpByName(f.Name)
+	}
+	return aggNone
 }
 
 // aggState accumulates one aggregate column within one group.
@@ -1142,43 +1237,45 @@ type aggState struct {
 	vals     []Value // collect
 }
 
-func (a *aggState) add(name string, v Value) error {
+func (a *aggState) add(op aggOp, v *Value) error {
 	if v.Kind == KindNull {
 		return nil
 	}
 	a.count++
-	switch name {
-	case "sum":
+	switch op {
+	case aggSum:
 		if v.Kind != KindNumber {
 			return fmt.Errorf("cypher: sum() over non-numeric value %s", v.String())
 		}
 		a.sum += v.Num
-	case "min":
-		if a.min.Kind == KindNull || v.totalLess(a.min) {
-			a.min = v
+	case aggMin:
+		if a.min.Kind == KindNull || v.order(&a.min) < 0 {
+			a.min = *v
 		}
-	case "max":
-		if a.max.Kind == KindNull || a.max.totalLess(v) {
-			a.max = v
+	case aggMax:
+		if a.max.Kind == KindNull || a.max.order(v) < 0 {
+			a.max = *v
 		}
-	case "collect":
-		a.vals = append(a.vals, v)
+	case aggCollect:
+		a.vals = append(a.vals, *v)
 	}
 	return nil
 }
 
-func (a *aggState) result(name string) Value {
-	switch name {
-	case "count":
+func (a *aggState) result(op aggOp) Value {
+	switch op {
+	case aggCount:
 		return NumberValue(float64(a.count))
-	case "sum":
+	case aggSum:
 		return NumberValue(a.sum) // sum of nothing is 0
-	case "min":
+	case aggMin:
 		return a.min
-	case "max":
+	case aggMax:
 		return a.max
-	case "collect":
-		sort.SliceStable(a.vals, func(i, j int) bool { return a.vals[i].totalLess(a.vals[j]) })
+	case aggCollect:
+		// Values that compare equal render identically, so the order among
+		// them is invisible and the sort need not be stable.
+		slices.SortFunc(a.vals, func(x, y Value) int { return x.order(&y) })
 		return ListValue(a.vals)
 	}
 	return NullValue()
@@ -1186,16 +1283,25 @@ func (a *aggState) result(name string) Value {
 
 // pullFromSlice adapts a materialized match set to aggregateRows' pull
 // protocol (nil binding = exhausted).
-func pullFromSlice(matches []binding) func() (binding, error) {
+func pullFromSlice(matches []binding) func() (*binding, error) {
 	i := 0
-	return func() (binding, error) {
+	return func() (*binding, error) {
 		if i >= len(matches) {
 			return nil, nil
 		}
-		b := matches[i]
+		b := &matches[i]
 		i++
 		return b, nil
 	}
+}
+
+// aggGroup is one group of an aggregation: its output row — the grouping
+// values at their item positions from the first row of the group, the
+// aggregate columns filled in when the input is exhausted — and the
+// running aggregates, one per aggregate column.
+type aggGroup struct {
+	row  []Value
+	aggs []aggState
 }
 
 // aggregateRows consumes bindings from pull (nil binding = exhausted),
@@ -1204,13 +1310,24 @@ func pullFromSlice(matches []binding) func() (binding, error) {
 // first-seen order; collect() lists are canonically ordered so both
 // engines agree regardless of enumeration order. The legacy path wraps
 // its match slice, the streaming path wraps the iterator pipeline.
-func aggregateRows(items []ReturnItem, res *Result, pull func() (binding, error), ps params) error {
-	type group struct {
-		keyVals []Value
-		aggs    []aggState
+//
+// A row costs no allocation once its group exists: the grouping values
+// are evaluated into a scratch row and keyed through a reused buffer
+// (appendRowKey), and only a group's first row is copied.
+func aggregateRows(items []ReturnItem, res *Result, pull func() (*binding, error), ps params) error {
+	var keyCols, aggCols []int
+	var ops []aggOp // aligned with aggCols
+	for i, it := range items {
+		if op := aggOpOf(it.Expr); op == aggNone {
+			keyCols = append(keyCols, i)
+		} else {
+			aggCols, ops = append(aggCols, i), append(ops, op)
+		}
 	}
-	groups := map[string]*group{}
-	var order []string
+	groups := map[string]*aggGroup{}
+	var order []*aggGroup
+	keyVals := make([]Value, len(keyCols))
+	var keyBuf []byte
 	for {
 		b, err := pull()
 		if err != nil {
@@ -1219,66 +1336,50 @@ func aggregateRows(items []ReturnItem, res *Result, pull func() (binding, error)
 		if b == nil {
 			break
 		}
-		var keyParts []string
-		keyVals := make([]Value, len(items))
-		for i, it := range items {
-			if isAggregate(it.Expr) {
-				continue
-			}
-			v, err := evalExpr(it.Expr, b, ps)
-			if err != nil {
+		for k, col := range keyCols {
+			if keyVals[k], err = evalExpr(items[col].Expr, b, ps); err != nil {
 				return err
 			}
-			keyVals[i] = v
-			keyParts = append(keyParts, v.key())
 		}
-		k := strings.Join(keyParts, "\x00")
-		g, ok := groups[k]
+		keyBuf = appendRowKey(keyBuf[:0], keyVals)
+		g, ok := groups[string(keyBuf)]
 		if !ok {
-			g = &group{keyVals: keyVals, aggs: make([]aggState, len(items))}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for i, it := range items {
-			fe, ok := it.Expr.(FuncExpr)
-			if !ok || !isAggName(fe.Name) {
-				continue
+			g = &aggGroup{row: make([]Value, len(items)), aggs: make([]aggState, len(aggCols))}
+			for k, col := range keyCols {
+				g.row[col] = keyVals[k]
 			}
+			groups[string(keyBuf)] = g
+			order = append(order, g)
+		}
+		for a, col := range aggCols {
+			fe := items[col].Expr.(FuncExpr)
 			if fe.Star {
-				g.aggs[i].count++
+				g.aggs[a].count++
 				continue
 			}
 			v, err := evalExpr(fe.Arg, b, ps)
 			if err != nil {
 				return err
 			}
-			if err := g.aggs[i].add(fe.Name, v); err != nil {
+			if err := g.aggs[a].add(ops[a], &v); err != nil {
 				return err
 			}
 		}
 	}
-	for _, k := range order {
-		g := groups[k]
-		row := make([]Value, len(items))
-		for i, it := range items {
-			if fe, ok := it.Expr.(FuncExpr); ok && isAggName(fe.Name) {
-				row[i] = g.aggs[i].result(fe.Name)
-			} else {
-				row[i] = g.keyVals[i]
-			}
+	for _, g := range order {
+		for a, col := range aggCols {
+			g.row[col] = g.aggs[a].result(ops[a])
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, g.row)
 	}
 	return nil
 }
 
 func distinctRows(rows [][]Value) [][]Value {
-	seen := map[string]bool{}
+	seen := newRowSet()
 	out := rows[:0]
 	for _, r := range rows {
-		k := rowKey(r)
-		if !seen[k] {
-			seen[k] = true
+		if seen.add(r) {
 			out = append(out, r)
 		}
 	}
@@ -1325,64 +1426,50 @@ func resolveOrderKeys(orderBy []OrderKey, items []ReturnItem, distinct, hasAgg b
 	return op, nil
 }
 
-// appendHiddenKeys evaluates the order plan's hidden expressions against
-// the binding and appends them to the row.
-func appendHiddenKeys(row []Value, op *orderPlan, b binding, ps params) ([]Value, error) {
-	if op == nil || len(op.hidden) == 0 {
-		return row, nil
-	}
-	for _, hx := range op.hidden {
-		v, err := evalExpr(hx, b, ps)
-		if err != nil {
-			return nil, err
+// compareRows is the ORDER BY comparison of two rows over the resolved
+// key columns. It is a total preorder (Value.order is total, so nulls
+// and mixed kinds have a place), which a comparison sort and the top-k
+// heap both need: rows that compare equal here are ordered by arrival.
+func compareRows(orderBy []OrderKey, keyCols []int, a, b []Value) int {
+	for i, col := range keyCols {
+		if c := a[col].order(&b[col]); c != 0 {
+			if orderBy[i].Desc {
+				return -c
+			}
+			return c
 		}
-		row = append(row, v)
 	}
-	return row, nil
+	return 0
 }
 
-// sortRows sorts rows by the resolved ORDER BY key columns.
+// sortRows sorts rows by the resolved ORDER BY key columns, stably.
 func sortRows(orderBy []OrderKey, rows [][]Value, keyCols []int) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i, col := range keyCols {
-			c, ok := rows[a][col].Compare(rows[b][col])
-			if !ok || c == 0 {
-				continue
-			}
-			if orderBy[i].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
+	slices.SortStableFunc(rows, func(a, b []Value) int {
+		return compareRows(orderBy, keyCols, a, b)
 	})
 }
 
-// finishRows applies the trailing row operators shared by both engines:
-// sort (stripping any hidden key columns afterwards), SKIP, LIMIT, and
-// the MaxRows safety valve (which sets Truncated when it drops rows).
+// finishRows applies the legacy engine's trailing row operators: sort
+// (stripping any hidden key columns afterwards), SKIP, LIMIT, and the
+// MaxRows safety valve (which sets Truncated when it drops rows).
 func finishRows(orderBy []OrderKey, skip, limit int, res *Result, op *orderPlan, maxRows int) {
 	if op != nil {
 		sortRows(orderBy, res.Rows, op.keyCols)
-		if len(op.hidden) > 0 {
-			visible := len(res.Columns)
-			for i, r := range res.Rows {
-				res.Rows[i] = r[:visible]
-			}
-		}
+		stripHidden(res.Rows, len(res.Columns), op)
 	}
-	if skip > 0 {
-		if skip >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[skip:]
-		}
-	}
-	if limit >= 0 && len(res.Rows) > limit {
-		res.Rows = res.Rows[:limit]
-	}
+	res.Rows = pageRows(res.Rows, skip, limit)
 	if maxRows > 0 && len(res.Rows) > maxRows {
 		res.Rows = res.Rows[:maxRows]
 		res.Truncated = true
+	}
+}
+
+// stripHidden cuts the hidden ORDER BY columns off sorted rows.
+func stripHidden(rows [][]Value, visible int, op *orderPlan) {
+	if len(op.hidden) == 0 {
+		return
+	}
+	for i, r := range rows {
+		rows[i] = r[:visible]
 	}
 }

@@ -1,7 +1,7 @@
 package cypher
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -9,8 +9,8 @@ import (
 )
 
 // The executor runs plans as lazy pull-based iterators (Volcano style,
-// but with a single shared binding per segment mutated in place and
-// undone on backtrack instead of cloned per level). Each stage's
+// but with a single shared slot frame per segment (frame.go) mutated in
+// place and undone on backtrack instead of cloned per level). Each stage's
 // iterator pulls from its input only when it needs another row, so
 // LIMIT, MaxRows and aggregate early exits stop pattern matching
 // upstream instead of truncating a materialized match set. WITH
@@ -24,37 +24,19 @@ type iter interface {
 
 // execCtx is the shared execution state of one pipeline segment: the
 // engine and the one binding all of the segment's stage iterators extend
-// and unwind, the execution's parameter bindings and byte budget (both
-// shared across every segment of the query), plus a per-execution cache
-// of scan ID lists so optional sub-pipelines rebuilt per input row
-// (optionalIter) don't re-fetch a constant access path every time.
+// and unwind, plus the execution's parameter bindings and byte budget
+// (both shared across every segment of the query).
 type execCtx struct {
-	e          *Engine
-	b          binding
-	ps         params
-	bud        *byteBudget
-	writes     *WriteStats // shared across segments; nil for read-only plans
-	cacheScans bool        // segment has optional sub-pipelines: cache scan ID lists
-	scanIDs    map[*ScanStage][]graph.NodeID
+	e      *Engine
+	b      binding
+	ps     params
+	bud    *byteBudget
+	writes *WriteStats // shared across segments; nil for read-only plans
 	// prof, non-nil only under EXPLAIN ANALYZE, makes buildStageChain wrap
 	// every stage iterator in a profiling decorator (analyze.go). The nil
 	// check happens at pipeline construction, so un-analyzed executions
 	// run the exact pre-existing iterator chain.
 	prof *planProf
-}
-
-// fetchScanIDs returns the (cached) candidate ID list for a scan stage;
-// the access path is constant for the query's lifetime.
-func (ec *execCtx) fetchScanIDs(s *scanIter) []graph.NodeID {
-	if ec.scanIDs == nil {
-		ec.scanIDs = map[*ScanStage][]graph.NodeID{}
-	}
-	ids, ok := ec.scanIDs[s.st]
-	if !ok {
-		ids = s.fetchIDs()
-		ec.scanIDs[s.st] = ids
-	}
-	return ids
 }
 
 func (s *ScanStage) newIter(ec *execCtx, input iter) iter {
@@ -84,7 +66,16 @@ func (s *OptionalStage) newIter(ec *execCtx, input iter) iter {
 	if input == nil {
 		input = &onceIter{}
 	}
-	return &optionalIter{ec: ec, st: s, input: input}
+	// The planner roots every optional sub-pipeline at a scan (planChain),
+	// which is the one iterator that latches exhaustion and so the one
+	// the optional iterator must re-arm per input row.
+	head := &scanIter{ec: ec, st: s.Inner[0].(*ScanStage)}
+	var root iter = head
+	if ec.prof != nil {
+		root = ec.prof.wrap(s.Inner[0], head, nil)
+	}
+	return &optionalIter{ec: ec, st: s, input: input,
+		head: head, inner: buildStageChain(ec, s.Inner[1:], root)}
 }
 
 func (s *MutationStage) newIter(ec *execCtx, input iter) iter {
@@ -123,7 +114,7 @@ func (o *onceIter) next() (bool, error) {
 	return true, nil
 }
 
-func evalPreds(preds []Expr, b binding, ps params) (bool, error) {
+func evalPreds(preds []Expr, b *binding, ps params) (bool, error) {
 	for _, p := range preds {
 		v, err := evalExpr(p, b, ps)
 		if err != nil {
@@ -136,6 +127,53 @@ func evalPreds(preds []Expr, b binding, ps params) (bool, error) {
 	return true, nil
 }
 
+// --- chunked node reads ---
+
+// nodeWindow walks a list of node IDs, resolving them through the view a
+// chunk at a time (graph.View.Nodes: one hold of the store's read lock
+// per chunk rather than per node). The lock is only ever held inside a
+// refill, so never across a next() — a paused cursor or a stalled
+// client holds nothing. The first chunk is small, so a LIMIT or an
+// abandoned cursor resolves few nodes it never reads.
+type nodeWindow struct {
+	ids   []graph.NodeID
+	nodes []*graph.Node // ids[lo : lo+len(nodes)], resolved
+	lo    int
+	i     int // next position in ids
+}
+
+// Window sizes. The store bounds its own lock holds (graph.View.Nodes);
+// these only decide how far ahead of the consumer a window resolves.
+const (
+	firstWindow = 16
+	nextWindow  = 256
+)
+
+func (w *nodeWindow) reset(ids []graph.NodeID) {
+	w.ids, w.nodes, w.lo, w.i = ids, w.nodes[:0], 0, 0
+}
+
+// next returns the next listed node the view can see (its position in
+// the list is then w.i-1), or nil when the list is exhausted.
+func (w *nodeWindow) next(view graph.View) *graph.Node {
+	for w.i < len(w.ids) {
+		if w.i == w.lo+len(w.nodes) {
+			n := nextWindow
+			if w.i == 0 {
+				n = firstWindow
+			}
+			w.lo = w.i
+			w.nodes = view.Nodes(w.nodes[:0], w.ids[w.i:min(w.i+n, len(w.ids))])
+		}
+		n := w.nodes[w.i-w.lo]
+		w.i++
+		if n != nil {
+			return n
+		}
+	}
+	return nil
+}
+
 // --- scan ---
 
 type scanIter struct {
@@ -146,7 +184,7 @@ type scanIter struct {
 	active    bool
 	fetched   bool // ids loaded once; the access path is constant per query
 	ids       []graph.NodeID
-	i         int
+	win       nodeWindow
 	boundCand *graph.Node // AccessBound: the single candidate
 	set       bool        // we bound Node.Var on the last emitted row
 	// Partitioned scan: par holds the IDs of the pattern- and
@@ -176,21 +214,21 @@ func (s *scanIter) runParallelScan(ids []graph.NodeID) ([]graph.NodeID, error) {
 		workers = len(ids)/parallelScanMinRows + 1
 	}
 	filter := func(part []graph.NodeID) ([]graph.NodeID, error) {
-		b := binding{}
-		var out []graph.NodeID
-		for _, id := range part {
-			n := ec.e.view.Node(id)
-			if n == nil || !nodeMatches(s.st.Node, n, ec.ps) {
+		b := newBinding(ec.b.tab)
+		out := make([]graph.NodeID, 0, len(part))
+		var win nodeWindow
+		win.reset(part)
+		for n := win.next(ec.e.view); n != nil; n = win.next(ec.e.view) {
+			if !nodeMatches(&s.st.Node, n, ec.ps) {
 				continue
 			}
-			b[s.st.Node.Var] = NodeValue(n)
-			ok, err := evalPreds(s.st.Filters, b, ec.ps)
-			delete(b, s.st.Node.Var)
+			b.vals[s.st.slot] = NodeValue(n)
+			ok, err := evalPreds(s.st.Filters, &b, ec.ps)
 			if err != nil {
 				return out, err
 			}
 			if ok {
-				out = append(out, id)
+				out = append(out, n.ID)
 			}
 		}
 		return out, nil
@@ -218,7 +256,11 @@ func (s *scanIter) runParallelScan(ids []graph.NodeID) ([]graph.NodeID, error) {
 		}(w, ids[lo:hi])
 	}
 	wg.Wait()
-	var out []graph.NodeID
+	total := 0
+	for _, r := range results {
+		total += len(r)
+	}
+	out := make([]graph.NodeID, 0, total)
 	for w := 0; w < workers; w++ {
 		out = append(out, results[w]...)
 		if errs[w] != nil {
@@ -272,7 +314,7 @@ func (s *scanIter) fetchIDs() []graph.NodeID {
 
 func (s *scanIter) next() (bool, error) {
 	ec := s.ec
-	np := s.st.Node
+	st := s.st
 	for {
 		if !s.active {
 			if s.input == nil {
@@ -287,89 +329,75 @@ func (s *scanIter) next() (bool, error) {
 				}
 			}
 			s.active = true
-			s.i = 0
 			s.boundCand = nil
-			if s.st.Access == AccessBound {
-				if v, ok := ec.b[np.Var]; ok && v.Kind == KindNode {
+			if st.Access == AccessBound {
+				if v := &ec.b.vals[st.slot]; v.Kind == KindNode {
 					s.boundCand = v.Node
 				}
-			} else if !s.fetched {
-				if ec.cacheScans {
-					s.ids = ec.fetchScanIDs(s)
-				} else {
+			} else {
+				if !s.fetched {
 					s.ids = s.fetchIDs()
+					// ScanWorkers: 1 is the documented escape hatch back to the
+					// streaming scan; the materializing path only engages when
+					// more than one worker can actually run.
+					if st.Parallel && s.input == nil && len(s.ids) >= parallelScanMinRows &&
+						ec.e.scanWorkers() > 1 {
+						s.usePar = true
+						s.par, s.parErr = s.runParallelScan(s.ids)
+					}
+					s.fetched = true
 				}
-				// ScanWorkers: 1 is the documented escape hatch back to the
-				// streaming scan; the materializing path only engages when
-				// more than one worker can actually run.
-				if s.st.Parallel && s.input == nil && len(s.ids) >= parallelScanMinRows &&
-					ec.e.scanWorkers() > 1 {
-					s.usePar = true
-					s.par, s.parErr = s.runParallelScan(s.ids)
+				if s.usePar {
+					s.win.reset(s.par)
+				} else {
+					s.win.reset(s.ids)
 				}
-				s.fetched = true
 			}
 			if s.parErr != nil {
 				return false, s.parErr
 			}
 		}
 		if s.set {
-			delete(ec.b, np.Var)
+			ec.b.unset(st.slot)
 			s.set = false
-		}
-		if s.usePar {
-			// Pattern and filters were already applied by the workers;
-			// emission re-fetches by ID like the sequential path.
-			for s.i < len(s.par) {
-				n := ec.e.view.Node(s.par[s.i])
-				s.i++
-				if n == nil {
-					continue
-				}
-				ec.b[np.Var] = NodeValue(n)
-				s.set = true
-				return true, nil
-			}
-			s.active = false
-			continue
 		}
 		for {
 			var n *graph.Node
-			if s.st.Access == AccessBound {
+			if st.Access == AccessBound {
 				if s.boundCand == nil {
 					break
 				}
 				n, s.boundCand = s.boundCand, nil
-			} else {
-				if s.i >= len(s.ids) {
-					break
-				}
-				n = ec.e.view.Node(s.ids[s.i])
-				s.i++
-				if n == nil {
-					continue
-				}
+			} else if n = s.win.next(ec.e.view); n == nil {
+				break
 			}
-			if !nodeMatches(np, n, ec.ps) {
+			if s.usePar {
+				// Pattern and filters were already applied by the workers;
+				// emission re-fetches by ID like the sequential path.
+				ec.b.vals[st.slot] = NodeValue(n)
+				s.set = true
+				return true, nil
+			}
+			if !nodeMatches(&st.Node, n, ec.ps) {
 				continue
 			}
-			if s.st.Access != AccessBound {
-				if prev, bound := ec.b[np.Var]; bound {
+			if st.Access != AccessBound {
+				if prev := &ec.b.vals[st.slot]; prev.Kind != kindUnbound {
 					if prev.Kind != KindNode || prev.Node.ID != n.ID {
 						continue
 					}
 				} else {
-					ec.b[np.Var] = NodeValue(n)
+					*prev = NodeValue(n)
 					s.set = true
 				}
 			}
-			ok, err := evalPreds(s.st.Filters, ec.b, ec.ps)
+			ok, err := evalPreds(st.Filters, &ec.b, ec.ps)
 			if err != nil {
 				return false, err
 			}
 			if !ok {
 				if s.set {
-					delete(ec.b, np.Var)
+					ec.b.unset(st.slot)
 					s.set = false
 				}
 				continue
@@ -388,13 +416,14 @@ type expandIter struct {
 	input  iter
 	active bool
 	// inc is the reusable incidence buffer: one IncidentEdges call per
-	// input row, no per-edge record fetches. The edge record itself is
+	// input row, no per-edge record fetches; others lists its far
+	// endpoints for the chunked node reads. The edge record itself is
 	// only materialized (store.Edge) when a user-named edge variable
-	// must be bound; synthetic "$" variables skip binding entirely —
-	// nothing can reference them.
+	// must be bound; synthetic "$" variables (edgeSlot < 0) skip binding
+	// entirely — nothing can reference them.
 	inc     []graph.IncidentEdge
-	ei      int
-	synth   bool // st.Edge.Var is planner-synthesized, never bound/read
+	others  []graph.NodeID
+	win     nodeWindow
 	setEdge bool
 	setNode bool
 }
@@ -440,11 +469,11 @@ func expandDir(d EdgeDir, reverse bool) graph.Direction {
 
 func (x *expandIter) undo() {
 	if x.setEdge {
-		delete(x.ec.b, x.st.Edge.Var)
+		x.ec.b.unset(x.st.edgeSlot)
 		x.setEdge = false
 	}
 	if x.setNode {
-		delete(x.ec.b, x.st.To.Var)
+		x.ec.b.unset(x.st.toSlot)
 		x.setNode = false
 	}
 }
@@ -458,50 +487,52 @@ func (x *expandIter) next() (bool, error) {
 			if err != nil || !ok {
 				return false, err
 			}
-			v, ok := ec.b[st.From]
-			if !ok || v.Kind != KindNode {
+			v := &ec.b.vals[st.fromSlot]
+			if v.Kind != KindNode {
 				continue // non-node binding (e.g. optional null): no expansion
 			}
 			x.inc = ec.e.view.IncidentEdges(x.inc[:0], v.Node.ID,
 				expandDir(st.Edge.Dir, st.Reverse), st.Edge.Type)
-			x.ei = 0
-			x.synth = strings.HasPrefix(st.Edge.Var, "$")
+			x.others = slices.Grow(x.others[:0], len(x.inc))
+			for _, he := range x.inc {
+				x.others = append(x.others, he.Other)
+			}
+			x.win.reset(x.others)
 			x.active = true
 		}
 		x.undo()
-		for x.ei < len(x.inc) {
-			he := x.inc[x.ei]
-			x.ei++
-			other := ec.e.view.Node(he.Other)
+		for {
+			other := x.win.next(ec.e.view)
 			if other == nil {
-				continue
+				break
 			}
-			if !x.synth {
-				if prev, bound := ec.b[st.Edge.Var]; bound {
+			if st.edgeSlot >= 0 {
+				he := x.inc[x.win.i-1]
+				if prev := &ec.b.vals[st.edgeSlot]; prev.Kind != kindUnbound {
 					if prev.Kind != KindEdge || prev.Edge.ID != he.ID {
 						continue
 					}
 				} else if ed := ec.e.view.Edge(he.ID); ed != nil {
-					ec.b[st.Edge.Var] = EdgeValue(ed)
+					*prev = EdgeValue(ed)
 					x.setEdge = true
 				} else {
 					continue
 				}
 			}
-			if !nodeMatches(st.To, other, ec.ps) {
+			if !nodeMatches(&st.To, other, ec.ps) {
 				x.undo()
 				continue
 			}
-			if prev, bound := ec.b[st.To.Var]; bound {
+			if prev := &ec.b.vals[st.toSlot]; prev.Kind != kindUnbound {
 				if prev.Kind != KindNode || prev.Node.ID != other.ID {
 					x.undo()
 					continue
 				}
 			} else {
-				ec.b[st.To.Var] = NodeValue(other)
+				*prev = NodeValue(other)
 				x.setNode = true
 			}
-			ok, err := evalPreds(st.Filters, ec.b, ec.ps)
+			ok, err := evalPreds(st.Filters, &ec.b, ec.ps)
 			if err != nil {
 				return false, err
 			}
@@ -519,17 +550,17 @@ func (x *expandIter) next() (bool, error) {
 
 // varExpandIter streams the bounded BFS of a variable-length pattern:
 // for every input row it computes the set of nodes whose shortest
-// distance from the anchor lies within the hop range (bfsTargets, shared
+// distance from the anchor lies within the hop range (bfsWalk, shared
 // with the legacy matcher) and binds the target variable once per
 // distinct endpoint.
 type varExpandIter struct {
-	ec      *execCtx
-	st      *VarExpandStage
-	input   iter
-	active  bool
-	targets []graph.NodeID
-	ti      int
-	set     bool
+	ec     *execCtx
+	st     *VarExpandStage
+	input  iter
+	active bool
+	walk   bfsWalk
+	win    nodeWindow
+	set    bool
 }
 
 func (x *varExpandIter) next() (bool, error) {
@@ -541,39 +572,40 @@ func (x *varExpandIter) next() (bool, error) {
 			if err != nil || !ok {
 				return false, err
 			}
-			v, ok := ec.b[st.From]
-			if !ok || v.Kind != KindNode {
+			v := &ec.b.vals[st.fromSlot]
+			if v.Kind != KindNode {
 				continue // non-node binding (e.g. optional null): nothing reachable
 			}
-			x.targets = ec.e.bfsTargets(v.Node.ID, st.Edge, st.Reverse)
-			x.ti = 0
+			x.win.reset(x.walk.targets(ec.e.view, v.Node.ID, st.Edge, st.Reverse))
 			x.active = true
 		}
 		if x.set {
-			delete(ec.b, st.To.Var)
+			ec.b.unset(st.toSlot)
 			x.set = false
 		}
-		for x.ti < len(x.targets) {
-			n := ec.e.view.Node(x.targets[x.ti])
-			x.ti++
-			if n == nil || !nodeMatches(st.To, n, ec.ps) {
+		for {
+			n := x.win.next(ec.e.view)
+			if n == nil {
+				break
+			}
+			if !nodeMatches(&st.To, n, ec.ps) {
 				continue
 			}
-			if prev, bound := ec.b[st.To.Var]; bound {
+			if prev := &ec.b.vals[st.toSlot]; prev.Kind != kindUnbound {
 				if prev.Kind != KindNode || prev.Node.ID != n.ID {
 					continue
 				}
 			} else {
-				ec.b[st.To.Var] = NodeValue(n)
+				*prev = NodeValue(n)
 				x.set = true
 			}
-			ok, err := evalPreds(st.Filters, ec.b, ec.ps)
+			ok, err := evalPreds(st.Filters, &ec.b, ec.ps)
 			if err != nil {
 				return false, err
 			}
 			if !ok {
 				if x.set {
-					delete(ec.b, st.To.Var)
+					ec.b.unset(st.toSlot)
 					x.set = false
 				}
 				continue
@@ -586,59 +618,79 @@ func (x *varExpandIter) next() (bool, error) {
 
 // --- hash join ---
 
-// joinKey evaluates the key expressions against a binding and renders
-// them as one hashable string. ok=false when any component is null: a
-// null key can never satisfy the equality the join implements, so the
-// row is dropped exactly as the predicate filter would have dropped it.
-func joinKey(keys []Expr, b binding, ps params) (string, bool, error) {
-	var sb strings.Builder
+// joinKey evaluates the key expressions against a binding and appends
+// them to buf[:0] as one hashable key. ok=false when any component is
+// null: a null key can never satisfy the equality the join implements,
+// so the row is dropped exactly as the predicate filter would have
+// dropped it.
+func joinKey(buf []byte, keys []Expr, b *binding, ps params) ([]byte, bool, error) {
+	buf = buf[:0]
 	for i, k := range keys {
 		v, err := evalExpr(k, b, ps)
 		if err != nil {
-			return "", false, err
+			return buf, false, err
 		}
 		if v.Kind == KindNull {
-			return "", false, nil
+			return buf, false, nil
 		}
 		if i > 0 {
-			sb.WriteByte(0)
+			buf = append(buf, 0)
 		}
-		sb.WriteString(v.key())
+		buf = v.appendKey(buf)
 	}
-	return sb.String(), true, nil
+	return buf, true, nil
+}
+
+// joinBucket holds the hashed side's rows for one key, in insertion
+// order: projected build variables when the chain is hashed, whole
+// frames when the input is.
+type joinBucket struct {
+	rows   [][]Value
+	frames []binding
 }
 
 // hashJoinIter executes a HashJoinStage. Build-side rows are charged to
 // the query's byte budget as they are retained — the hash table is the
 // stage's one materialization point. Bucket contents keep insertion
 // order and the chain enumerates deterministically, so output order is
-// byte-stable across runs.
+// byte-stable across runs. Keys are built in a reused buffer and probed
+// as string(key), so only a bucket's first row allocates its key.
 type hashJoinIter struct {
 	ec      *execCtx
 	st      *HashJoinStage
 	input   iter
 	started bool
+	buckets map[string]*joinBucket
+	key     []byte
 
 	// build=chain mode: chain rows hashed, input rows probe.
-	buckets   map[string][][]Value
 	matches   [][]Value
 	mi        int
 	installed bool
 
 	// build=input mode: input rows hashed, chain streams as probe.
-	inBuckets map[string][]binding
 	chain     iter
 	chainB    binding
 	inMatches []binding
 	imi       int
-	merged    binding  // bucket row currently extended with chain vars
-	mergedSet []string // chain vars installed into merged (for undo)
+	merged    *binding // bucket row currently extended with chain vars
+	mergedSet []int    // chain slots installed into merged (for undo)
+}
+
+// bucket returns the bucket of the key in h.key, creating it if asked.
+func (h *hashJoinIter) bucket(create bool) *joinBucket {
+	bk := h.buckets[string(h.key)]
+	if bk == nil && create {
+		bk = &joinBucket{}
+		h.buckets[string(h.key)] = bk
+	}
+	return bk
 }
 
 func (h *hashJoinIter) undo() {
 	if h.installed {
-		for _, v := range h.st.BuildVars {
-			delete(h.ec.b, v)
+		for _, slot := range h.st.buildSlots {
+			h.ec.b.unset(slot)
 		}
 		h.installed = false
 	}
@@ -651,10 +703,10 @@ func (h *hashJoinIter) next() (bool, error) {
 	ec := h.ec
 	if !h.started {
 		h.started = true
-		h.buckets = map[string][][]Value{}
-		// The build sub-pipeline runs once in its own binding namespace;
-		// it shares the engine, parameters and byte budget.
-		bec := &execCtx{e: ec.e, b: binding{}, ps: ec.ps, bud: ec.bud, prof: ec.prof}
+		h.buckets = map[string]*joinBucket{}
+		// The build sub-pipeline runs once over a frame of its own; it
+		// shares the engine, slot table, parameters and byte budget.
+		bec := &execCtx{e: ec.e, b: newBinding(ec.b.tab), ps: ec.ps, bud: ec.bud, prof: ec.prof}
 		chain := buildStageChain(bec, h.st.Build, nil)
 		for {
 			ok, err := chain.next()
@@ -664,21 +716,21 @@ func (h *hashJoinIter) next() (bool, error) {
 			if !ok {
 				break
 			}
-			key, ok, err := joinKey(h.st.BuildKeys, bec.b, ec.ps)
-			if err != nil {
+			if h.key, ok, err = joinKey(h.key, h.st.BuildKeys, &bec.b, ec.ps); err != nil {
 				return false, err
 			}
 			if !ok {
 				continue
 			}
-			row := make([]Value, len(h.st.BuildVars))
-			for i, v := range h.st.BuildVars {
-				row[i] = bec.b[v]
+			row := make([]Value, len(h.st.buildSlots))
+			for i, slot := range h.st.buildSlots {
+				row[i] = bec.b.vals[slot]
 			}
-			if err := ec.bud.charge(24 + len(key) + rowBytes(row)); err != nil {
+			if err := ec.bud.charge(24 + len(h.key) + rowBytes(row)); err != nil {
 				return false, err
 			}
-			h.buckets[key] = append(h.buckets[key], row)
+			bk := h.bucket(true)
+			bk.rows = append(bk.rows, row)
 		}
 	}
 	for {
@@ -686,11 +738,11 @@ func (h *hashJoinIter) next() (bool, error) {
 		for h.mi < len(h.matches) {
 			row := h.matches[h.mi]
 			h.mi++
-			for i, v := range h.st.BuildVars {
-				ec.b[v] = row[i]
+			for i, slot := range h.st.buildSlots {
+				ec.b.vals[slot] = row[i]
 			}
 			h.installed = true
-			ok, err := evalPreds(h.st.Filters, ec.b, ec.ps)
+			ok, err := evalPreds(h.st.Filters, &ec.b, ec.ps)
 			if err != nil {
 				return false, err
 			}
@@ -703,14 +755,16 @@ func (h *hashJoinIter) next() (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		key, ok, err := joinKey(h.st.ProbeKeys, ec.b, ec.ps)
-		if err != nil {
+		if h.key, ok, err = joinKey(h.key, h.st.ProbeKeys, &ec.b, ec.ps); err != nil {
 			return false, err
 		}
 		if !ok {
 			continue
 		}
-		h.matches, h.mi = h.buckets[key], 0
+		h.matches, h.mi = nil, 0
+		if bk := h.bucket(false); bk != nil {
+			h.matches = bk.rows
+		}
 	}
 }
 
@@ -722,7 +776,7 @@ func (h *hashJoinIter) nextBuildInput() (bool, error) {
 	ec := h.ec
 	if !h.started {
 		h.started = true
-		h.inBuckets = map[string][]binding{}
+		h.buckets = map[string]*joinBucket{}
 		for {
 			ok, err := h.input.next()
 			if err != nil {
@@ -731,8 +785,7 @@ func (h *hashJoinIter) nextBuildInput() (bool, error) {
 			if !ok {
 				break
 			}
-			key, ok, err := joinKey(h.st.ProbeKeys, ec.b, ec.ps)
-			if err != nil {
+			if h.key, ok, err = joinKey(h.key, h.st.ProbeKeys, &ec.b, ec.ps); err != nil {
 				return false, err
 			}
 			if !ok {
@@ -741,9 +794,10 @@ func (h *hashJoinIter) nextBuildInput() (bool, error) {
 			if err := ec.bud.charge(bindingBytes(ec.b)); err != nil {
 				return false, err
 			}
-			h.inBuckets[key] = append(h.inBuckets[key], ec.b.clone())
+			bk := h.bucket(true)
+			bk.frames = append(bk.frames, ec.b.clone())
 		}
-		h.chainB = binding{}
+		h.chainB = newBinding(ec.b.tab)
 		ec.b = h.chainB
 		h.chain = buildStageChain(ec, h.st.Build, nil)
 	}
@@ -752,26 +806,26 @@ func (h *hashJoinIter) nextBuildInput() (bool, error) {
 		// any other) — the same install/undo discipline the build=chain
 		// mode applies to the shared binding, so no per-row clones.
 		if h.merged != nil {
-			for _, v := range h.mergedSet {
-				delete(h.merged, v)
+			for _, slot := range h.mergedSet {
+				h.merged.unset(slot)
 			}
 			h.merged, h.mergedSet = nil, h.mergedSet[:0]
 		}
 		if h.imi < len(h.inMatches) {
-			outer := h.inMatches[h.imi]
+			outer := &h.inMatches[h.imi]
 			h.imi++
-			// BuildVars are disjoint from every probe row's keys (bound
-			// and synthetic vars are excluded at plan time), so installing
+			// The build slots are unbound in every probe row (bound and
+			// synthetic vars are excluded at plan time), so installing
 			// into the bucket row cannot shadow anything.
-			for _, v := range h.st.BuildVars {
-				if val, ok := h.chainB[v]; ok {
-					outer[v] = val
-					h.mergedSet = append(h.mergedSet, v)
+			for _, slot := range h.st.buildSlots {
+				if h.chainB.bound(slot) {
+					outer.vals[slot] = h.chainB.vals[slot]
+					h.mergedSet = append(h.mergedSet, slot)
 				}
 			}
 			h.merged = outer
-			ec.b = outer
-			ok, err := evalPreds(h.st.Filters, ec.b, ec.ps)
+			ec.b = *outer
+			ok, err := evalPreds(h.st.Filters, &ec.b, ec.ps)
 			if err != nil {
 				return false, err
 			}
@@ -785,14 +839,16 @@ func (h *hashJoinIter) nextBuildInput() (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		key, ok, err := joinKey(h.st.BuildKeys, h.chainB, ec.ps)
-		if err != nil {
+		if h.key, ok, err = joinKey(h.key, h.st.BuildKeys, &h.chainB, ec.ps); err != nil {
 			return false, err
 		}
 		if !ok {
 			continue
 		}
-		h.inMatches, h.imi = h.inBuckets[key], 0
+		h.inMatches, h.imi = nil, 0
+		if bk := h.bucket(false); bk != nil {
+			h.inMatches = bk.frames
+		}
 	}
 }
 
@@ -833,7 +889,7 @@ func (x *biExpandIter) stepCounts(cur map[graph.NodeID]int, edge EdgePattern, to
 			otherID := he.Other
 			if _, seen := next[otherID]; !seen {
 				n := ec.e.view.Node(otherID)
-				if n == nil || !nodeMatches(to, n, ec.ps) {
+				if n == nil || !nodeMatches(&to, n, ec.ps) {
 					next[otherID] = -1 // rejected: cached so we match each node once
 					continue
 				}
@@ -893,7 +949,7 @@ func (x *biExpandIter) meetCount(from, to graph.NodeID) int {
 
 func (x *biExpandIter) clear() {
 	if x.set {
-		delete(x.ec.b, x.st.toPattern().Var)
+		x.ec.b.unset(x.st.toSlot)
 		x.set = false
 	}
 }
@@ -912,20 +968,20 @@ func (x *biExpandIter) next() (bool, error) {
 			if err != nil || !ok {
 				return false, err
 			}
-			v, ok := ec.b[x.st.From]
-			if !ok || v.Kind != KindNode {
+			v := &ec.b.vals[x.st.fromSlot]
+			if v.Kind != KindNode {
 				continue // non-node binding (e.g. optional null): no walks
 			}
-			if prev, bound := ec.b[to.Var]; bound {
+			if prev := &ec.b.vals[x.st.toSlot]; prev.Kind != kindUnbound {
 				// Far endpoint already bound: meet in the middle.
-				if prev.Kind != KindNode || !nodeMatches(to, prev.Node, ec.ps) {
+				if prev.Kind != KindNode || !nodeMatches(&to, prev.Node, ec.ps) {
 					continue
 				}
 				c := x.meetCount(v.Node.ID, prev.Node.ID)
 				if c == 0 {
 					continue
 				}
-				ok, err := evalPreds(x.st.Filters, ec.b, ec.ps)
+				ok, err := evalPreds(x.st.Filters, &ec.b, ec.ps)
 				if err != nil {
 					return false, err
 				}
@@ -940,7 +996,7 @@ func (x *biExpandIter) next() (bool, error) {
 			for id := range x.counts {
 				x.ids = append(x.ids, id)
 			}
-			sort.Slice(x.ids, func(i, j int) bool { return x.ids[i] < x.ids[j] })
+			slices.Sort(x.ids)
 			x.i = 0
 			x.active = true
 		}
@@ -952,9 +1008,9 @@ func (x *biExpandIter) next() (bool, error) {
 			if n == nil {
 				continue
 			}
-			ec.b[to.Var] = NodeValue(n)
+			ec.b.vals[x.st.toSlot] = NodeValue(n)
 			x.set = true
-			ok, err := evalPreds(x.st.Filters, ec.b, ec.ps)
+			ok, err := evalPreds(x.st.Filters, &ec.b, ec.ps)
 			if err != nil {
 				return false, err
 			}
@@ -974,22 +1030,27 @@ func (x *biExpandIter) next() (bool, error) {
 // optionalIter runs the optional sub-pipeline once per input row. Rows
 // with at least one extension stream each of them; rows with none pass
 // through once with the sub-pipeline's variables bound to null. The
-// inner iterator chain is rebuilt per input row (stage state is cheap)
-// and shares the segment's binding, so anchored scans and expands read
-// the outer row's variables directly.
+// inner chain is built once and shares the segment's binding, so
+// anchored scans and expands read the outer row's variables directly;
+// an exhausted chain has undone all its bindings and every stage but
+// its head scan pulls afresh, so re-arming the head restarts it for the
+// next input row with its buffers (incidence lists, node windows, the
+// head's candidate IDs) kept.
 type optionalIter struct {
 	ec      *execCtx
 	st      *OptionalStage
 	input   iter
-	inner   iter
+	head    *scanIter // first inner stage
+	inner   iter      // last inner stage
+	running bool      // inner is mid-enumeration for the current input row
 	matched bool
 	padded  bool
 }
 
 func (o *optionalIter) clearPad() {
 	if o.padded {
-		for _, v := range o.st.Vars {
-			delete(o.ec.b, v)
+		for _, slot := range o.st.slots {
+			o.ec.b.unset(slot)
 		}
 		o.padded = false
 	}
@@ -997,14 +1058,14 @@ func (o *optionalIter) clearPad() {
 
 func (o *optionalIter) next() (bool, error) {
 	for {
-		if o.inner == nil {
+		if !o.running {
 			o.clearPad()
 			ok, err := o.input.next()
 			if err != nil || !ok {
 				return false, err
 			}
-			o.inner = buildStageChain(o.ec, o.st.Inner, nil)
-			o.matched = false
+			o.head.started = false
+			o.running, o.matched = true, false
 		}
 		ok, err := o.inner.next()
 		if err != nil {
@@ -1014,10 +1075,10 @@ func (o *optionalIter) next() (bool, error) {
 			o.matched = true
 			return true, nil
 		}
-		o.inner = nil
+		o.running = false
 		if !o.matched {
-			for _, v := range o.st.Vars {
-				o.ec.b[v] = NullValue()
+			for _, slot := range o.st.slots {
+				o.ec.b.vals[slot] = NullValue()
 			}
 			o.padded = true
 			return true, nil
@@ -1049,14 +1110,14 @@ func (u *unwindIter) next() (bool, error) {
 	for {
 		if !u.active {
 			if u.set {
-				delete(ec.b, u.st.Alias)
+				ec.b.unset(u.st.slot)
 				u.set = false
 			}
 			ok, err := u.input.next()
 			if err != nil || !ok {
 				return false, err
 			}
-			v, err := evalExpr(u.st.Expr, ec.b, ec.ps)
+			v, err := evalExpr(u.st.Expr, &ec.b, ec.ps)
 			if err != nil {
 				return false, err
 			}
@@ -1073,11 +1134,11 @@ func (u *unwindIter) next() (bool, error) {
 			u.active = true
 		}
 		if u.set {
-			delete(ec.b, u.st.Alias)
+			ec.b.unset(u.st.slot)
 			u.set = false
 		}
 		if u.i < len(u.list) {
-			ec.b[u.st.Alias] = u.list[u.i]
+			ec.b.vals[u.st.slot] = u.list[u.i]
 			u.i++
 			u.set = true
 			return true, nil
@@ -1155,8 +1216,8 @@ type withIter struct {
 	seg   *PlanSegment
 	src   iter
 
-	seen    map[string]bool // DISTINCT
-	buf     [][]Value       // aggregate groups
+	seen    *rowSet   // DISTINCT
+	buf     [][]Value // aggregate groups
 	bi      int
 	started bool
 }
@@ -1164,11 +1225,11 @@ type withIter struct {
 // emit installs a projected row as the downstream binding and applies
 // the WITH ... WHERE filter.
 func (w *withIter) emit(row []Value) (bool, error) {
-	for i, it := range w.seg.Items {
-		w.dstEC.b[it.Alias] = row[i]
+	for i, slot := range w.seg.outSlots {
+		w.dstEC.b.vals[slot] = row[i]
 	}
 	if w.seg.Filter != nil {
-		v, err := evalExpr(w.seg.Filter, w.dstEC.b, w.dstEC.ps)
+		v, err := evalExpr(w.seg.Filter, &w.dstEC.b, w.dstEC.ps)
 		if err != nil {
 			return false, err
 		}
@@ -1184,7 +1245,7 @@ func (w *withIter) next() (bool, error) {
 		if !w.started {
 			w.started = true
 			res := &Result{}
-			if err := aggregateRows(w.seg.Items, res, func() (binding, error) {
+			if err := aggregateRows(w.seg.Items, res, func() (*binding, error) {
 				ok, err := w.src.next()
 				if err != nil || !ok {
 					return nil, err
@@ -1192,7 +1253,7 @@ func (w *withIter) next() (bool, error) {
 				if err := w.srcEC.bud.charge(aggRowCost); err != nil {
 					return nil, err
 				}
-				return w.srcEC.b, nil
+				return &w.srcEC.b, nil
 			}, w.srcEC.ps); err != nil {
 				return false, err
 			}
@@ -1216,19 +1277,15 @@ func (w *withIter) next() (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		row, err := projectRow(w.seg.Items, w.srcEC.b, w.srcEC.ps)
+		row, err := projectRow(w.seg.Items, nil, &w.srcEC.b, w.srcEC.ps)
 		if err != nil {
 			return false, err
 		}
 		if err := w.srcEC.bud.charge(rowBytes(row)); err != nil {
 			return false, err
 		}
-		if w.seen != nil {
-			k := rowKey(row)
-			if w.seen[k] {
-				continue
-			}
-			w.seen[k] = true
+		if w.seen != nil && !w.seen.add(row) {
+			continue
 		}
 		ok, err = w.emit(row)
 		if err != nil {

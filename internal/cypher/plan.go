@@ -83,6 +83,8 @@ type ScanStage struct {
 	// exactly the sequential stream (planner.go markParallelScan).
 	Parallel bool
 	Est      float64
+
+	slot int // frame slot of Node.Var
 }
 
 func (s *ScanStage) estRows() float64 { return s.Est }
@@ -167,6 +169,10 @@ type ExpandStage struct {
 	// assumed ("" = all nodes) — kept on the stage so ANALYZE can key
 	// cardinality-drift observations to the histogram that produced Est.
 	SrcLabel string
+
+	// Frame slots of From, Edge.Var and To.Var; edgeSlot is -1 for a
+	// synthetic edge name, which nothing can read and so is never bound.
+	fromSlot, edgeSlot, toSlot int
 }
 
 func (s *ExpandStage) estRows() float64 { return s.Est }
@@ -188,6 +194,8 @@ type VarExpandStage struct {
 	Filters  []Expr
 	Est      float64
 	SrcLabel string // planner-assumed source label (see ExpandStage)
+
+	fromSlot, toSlot int // frame slots of From and To.Var
 }
 
 func (s *VarExpandStage) estRows() float64 { return s.Est }
@@ -215,6 +223,8 @@ type HashJoinStage struct {
 	BuildInput bool     // hash the incoming side instead (it is the cheaper one)
 	Filters    []Expr
 	Est        float64
+
+	buildSlots []int // frame slots of BuildVars
 }
 
 func (s *HashJoinStage) estRows() float64 { return s.Est }
@@ -262,6 +272,8 @@ type BiExpandStage struct {
 	Filters  []Expr
 	Est      float64
 	SrcLabel string // planner-assumed source label (see ExpandStage)
+
+	fromSlot, toSlot int // frame slots of From and the last hop's To.Var
 }
 
 func (s *BiExpandStage) toPattern() NodePattern { return s.Hops[len(s.Hops)-1].To }
@@ -287,6 +299,8 @@ type OptionalStage struct {
 	Inner []Stage  // sub-pipeline, anchored on already-bound variables
 	Vars  []string // variables the inner pipeline introduces (null-padded)
 	Est   float64
+
+	slots []int // frame slots of Vars
 }
 
 func (s *OptionalStage) estRows() float64 { return s.Est }
@@ -313,6 +327,8 @@ type UnwindStage struct {
 	Expr  Expr
 	Alias string
 	Est   float64
+
+	slot int // frame slot of Alias
 }
 
 func (s *UnwindStage) estRows() float64 { return s.Est }
@@ -372,11 +388,15 @@ type PlanSegment struct {
 	Skip         int
 	Limit        int // -1 when absent
 
-	// Resolved once at plan time (both are plan-invariant), so repeated
+	// Resolved once at plan time (all plan-invariant), so repeated
 	// executions of a cached plan skip the work: the projected column
-	// names, and the ORDER BY strategy (nil without ORDER BY).
-	cols []string
-	op   *orderPlan
+	// names, the ORDER BY strategy (nil without ORDER BY), the segment's
+	// slot table (frame.go) and, on a non-final segment, the slot each
+	// projected item takes in the next segment's frames.
+	cols     []string
+	op       *orderPlan
+	tab      *slotTable
+	outSlots []int
 }
 
 // Plan is the executable query plan: a chain of pipeline segments.

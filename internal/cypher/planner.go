@@ -46,23 +46,32 @@ func (e *Engine) planQuery(q *Query) (*Plan, error) {
 		return nil, fmt.Errorf("cypher: empty query")
 	}
 	pl := &Plan{Params: q.Params, HasWrites: q.HasWrites()}
-	bound := map[string]bool{}
+	var carried []string
 	synth := 0
 	for pi := range q.Parts {
 		part := &q.Parts[pi]
 		final := pi == len(q.Parts)-1
-		seg, err := e.planPart(part, final, bound, &synth)
+		seg, err := e.planPart(part, final, carried, &synth)
 		if err != nil {
 			return nil, err
+		}
+		if pi > 0 {
+			// The bridge from the previous segment writes into this
+			// segment's frames and filters on them.
+			prev := pl.Segments[pi-1]
+			prev.outSlots = slotsOf(seg.tab, carried)
+			if prev.Filter != nil {
+				prev.Filter = stampExpr(prev.Filter, seg.tab)
+			}
 		}
 		pl.Segments = append(pl.Segments, seg)
 		if part.Unwind != nil && part.HasWrites() {
 			pl.Batch = true
 		}
 		// The next segment sees only the projected aliases.
-		bound = map[string]bool{}
-		for _, it := range part.Items {
-			bound[it.Alias] = true
+		carried = make([]string, len(part.Items))
+		for i, it := range part.Items {
+			carried[i] = it.Alias
 		}
 	}
 	e.markParallelScan(pl)
@@ -124,9 +133,10 @@ func scanFeedsBarrier(pl *Plan) bool {
 	return false
 }
 
-// planPart plans one WITH-delimited segment. preBound names the
-// variables carried in from the previous segment's projection.
-func (e *Engine) planPart(part *QueryPart, final bool, preBound map[string]bool, synth *int) (*PlanSegment, error) {
+// planPart plans one WITH-delimited segment. carried names the
+// variables the previous segment's projection hands over, in item order;
+// they take the first slots of this segment's frames.
+func (e *Engine) planPart(part *QueryPart, final bool, carried []string, synth *int) (*PlanSegment, error) {
 	if len(part.Items) == 0 && !(final && part.HasWrites()) {
 		return nil, fmt.Errorf("cypher: empty RETURN")
 	}
@@ -157,7 +167,10 @@ func (e *Engine) planPart(part *QueryPart, final bool, preBound map[string]bool,
 		seg.op = op
 	}
 
-	bound := copyBound(preBound)
+	bound := make(map[string]bool, len(carried))
+	for _, a := range carried {
+		bound[a] = true
+	}
 	cur := 1.0
 	if part.Unwind != nil {
 		if bound[part.Unwind.Alias] {
@@ -196,6 +209,21 @@ func (e *Engine) planPart(part *QueryPart, final bool, preBound map[string]bool,
 		// (the stage is an eager barrier) and bind their created
 		// variables for the projection.
 		seg.Stages = append(seg.Stages, &MutationStage{Writes: wc, Est: cur})
+	}
+
+	seg.tab = &slotTable{}
+	slotsOf(seg.tab, carried)
+	assignStageSlots(seg.Stages, seg.tab)
+	for _, cc := range part.Creates {
+		patternVarsInto(seg.tab, cc.Patterns)
+	}
+	stampStages(seg.Stages, seg.tab)
+	seg.Items = make([]ReturnItem, len(part.Items))
+	for i, it := range part.Items {
+		seg.Items[i] = ReturnItem{Expr: stampExpr(it.Expr, seg.tab), Alias: it.Alias}
+	}
+	if seg.op != nil {
+		seg.op.hidden = stampExprs(seg.op.hidden, seg.tab)
 	}
 	return seg, nil
 }

@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -44,6 +45,11 @@ type Rows struct {
 	began time.Time
 	nrows int64
 	bud   *byteBudget
+	// reused marks a source that overwrites the row it returned on its
+	// next pull (the streaming path: a cursor consumer reads a row before
+	// asking for the next, so one row buffer serves the whole stream);
+	// materialize copies such rows to keep them.
+	reused bool
 }
 
 // BudgetUsed returns the bytes charged against the statement's byte
@@ -215,7 +221,11 @@ func rowsFromResult(res *Result) *Rows {
 func materialize(rows *Rows, maxRows int) (*Result, error) {
 	res := &Result{Columns: rows.Columns()}
 	for rows.Next() {
-		res.Rows = append(res.Rows, rows.Row())
+		row := rows.Row()
+		if rows.reused {
+			row = append([]Value(nil), row...)
+		}
+		res.Rows = append(res.Rows, row)
 		if maxRows > 0 && len(res.Rows) >= maxRows {
 			if rows.Next() {
 				res.Truncated = true
@@ -280,15 +290,6 @@ func (b *byteBudget) charge(n int) error {
 // than held memory.
 const aggRowCost = 64
 
-// bindingBytes charges one materialized binding (legacy engine).
-func bindingBytes(b binding) int {
-	n := 48
-	for _, v := range b {
-		n += 16 + valueBytes(v)
-	}
-	return n
-}
-
 // --- plan execution as a row stream ---
 
 // rowsForPlan wires a (possibly cached, possibly shared) plan into the
@@ -333,31 +334,24 @@ func (e *Engine) rowsForPlanScoped(pl *Plan, ps params, prof *planProf) (*Rows, 
 		writes = &WriteStats{}
 	}
 	began := time.Now()
-	ec := &execCtx{e: e, b: binding{}, ps: ps, bud: bud, writes: writes, prof: prof}
+	var ec *execCtx
 	var root iter
 	for si, seg := range pl.Segments {
-		for _, st := range seg.Stages {
-			if _, ok := st.(*OptionalStage); ok {
-				// Optional sub-pipelines rebuild their iterators per input
-				// row; cache their scans' constant ID lists.
-				ec.cacheScans = true
-				break
-			}
-		}
-		root = buildStageChain(ec, seg.Stages, root)
-		if si < len(pl.Segments)-1 {
-			nec := &execCtx{e: e, b: binding{}, ps: ps, bud: bud, writes: writes, prof: prof}
-			w := &withIter{srcEC: ec, dstEC: nec, seg: seg, src: root}
-			if seg.Distinct && !seg.HasAggregate {
-				w.seen = map[string]bool{}
+		nec := &execCtx{e: e, b: newBinding(seg.tab), ps: ps, bud: bud, writes: writes, prof: prof}
+		if si > 0 {
+			prev := pl.Segments[si-1]
+			w := &withIter{srcEC: ec, dstEC: nec, seg: prev, src: root}
+			if prev.Distinct && !prev.HasAggregate {
+				w.seen = newRowSet()
 			}
 			if prof != nil {
-				root = prof.wrapOp(seg, w, root)
+				root = prof.wrapOp(prev, w, root)
 			} else {
 				root = w
 			}
-			ec = nec
 		}
+		ec = nec
+		root = buildStageChain(ec, seg.Stages, root)
 	}
 
 	if writes != nil && fin.Limit == 0 && len(fin.Items) > 0 {
@@ -377,6 +371,7 @@ func (e *Engine) rowsForPlanScoped(pl *Plan, ps params, prof *planProf) (*Rows, 
 	}
 
 	var src rowSource
+	reused := false
 	switch {
 	case len(fin.Items) == 0:
 		// Write-only statement: drain the pipeline (applying every
@@ -387,20 +382,21 @@ func (e *Engine) rowsForPlanScoped(pl *Plan, ps params, prof *planProf) (*Rows, 
 	case fin.op != nil:
 		ss := &sortedSource{fin: fin, root: root, ec: ec}
 		if fin.Distinct {
-			ss.seen = map[string]bool{}
+			ss.seen = newRowSet()
 		}
 		src = ss
 	default:
-		st := &streamSource{fin: fin, root: root, ec: ec}
+		st := &streamSource{fin: fin, root: root, ec: ec, row: make([]Value, len(fin.Items))}
 		if fin.Distinct {
-			st.seen = map[string]bool{}
+			st.seen = newRowSet()
 		}
-		src = st
+		src, reused = st, true
 	}
 	if prof != nil {
 		src = &profSource{src: src, sp: prof.opFor(fin, root)}
 	}
 	r := newRows(fin.cols, src)
+	r.reused = reused
 	r.writes = writes
 	r.began = began
 	r.bud = bud
@@ -434,48 +430,16 @@ func (d *drainSource) pull() ([]Value, error) {
 	}
 }
 
-// basePull produces the next accepted (projected, budget-charged,
-// deduplicated) row for the sorted path, with hidden ORDER BY key
-// columns appended.
-func basePull(fin *PlanSegment, root iter, ec *execCtx, seen map[string]bool) ([]Value, error) {
-	for {
-		ok, err := root.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil
-		}
-		row, err := projectRow(fin.Items, ec.b, ec.ps)
-		if err != nil {
-			return nil, err
-		}
-		if err := ec.bud.charge(rowBytes(row)); err != nil {
-			return nil, err
-		}
-		if seen != nil {
-			k := rowKey(row)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		row, err = appendHiddenKeys(row, fin.op, ec.b, ec.ps)
-		if err != nil {
-			return nil, err
-		}
-		return row, nil
-	}
-}
-
 // streamSource is the fully incremental path: projection, DISTINCT,
 // SKIP and LIMIT are applied row by row, so a satisfied LIMIT stops
-// upstream matching immediately.
+// upstream matching immediately. Every row is projected into the one
+// row buffer (Rows.reused), so streaming a row allocates nothing.
 type streamSource struct {
 	fin     *PlanSegment
 	root    iter
 	ec      *execCtx
-	seen    map[string]bool
+	row     []Value
+	seen    *rowSet
 	skipped int
 	emitted int
 	done    bool
@@ -497,42 +461,125 @@ func (s *streamSource) pull() ([]Value, error) {
 			s.done = true
 			return nil, nil
 		}
-		row, err := projectRow(fin.Items, s.ec.b, s.ec.ps)
-		if err != nil {
+		if err := projectInto(s.row, fin.Items, nil, &s.ec.b, s.ec.ps); err != nil {
 			return nil, err
 		}
-		if err := s.ec.bud.charge(rowBytes(row)); err != nil {
+		if err := s.ec.bud.charge(rowBytes(s.row)); err != nil {
 			s.done = true
 			return nil, err
 		}
-		if s.seen != nil {
-			k := rowKey(row)
-			if s.seen[k] {
-				continue
-			}
-			s.seen[k] = true
+		if s.seen != nil && !s.seen.add(s.row) {
+			continue
 		}
 		if s.skipped < fin.Skip {
 			s.skipped++
 			continue
 		}
 		s.emitted++
-		return row, nil
+		return s.row, nil
 	}
 }
 
-// sortedSource buffers, sorts and pages the stream on the first pull.
-// With a LIMIT it keeps a bounded top-k window: the buffer is
-// periodically sorted and cut to Skip+Limit rows, so memory stays O(k)
-// while every matched row is still considered.
+// sortedSource orders and pages the stream on the first pull. Without a
+// LIMIT it buffers every row and sorts once. With one it keeps only the
+// Skip+Limit best rows seen so far in a bounded heap ordered by (ORDER
+// BY keys, arrival) — exactly the first Skip+Limit rows of the full
+// stable sort — so memory and allocations are O(k) while every matched
+// row is still considered and charged to the byte budget.
 type sortedSource struct {
 	fin     *PlanSegment
 	root    iter
 	ec      *execCtx
-	seen    map[string]bool
+	seen    *rowSet
 	started bool
 	buf     [][]Value
 	bi      int
+}
+
+// topRow is one row of the top-k window with its arrival number, the
+// tie-break that makes the window the prefix of a stable sort.
+type topRow struct {
+	row []Value
+	seq int
+}
+
+// topK is the bounded window: a binary max-heap whose root is the worst
+// row kept, i.e. the one the next better row evicts.
+type topK struct {
+	fin  *PlanSegment
+	rows []topRow
+}
+
+// after reports whether a sorts after b in (keys, arrival) order.
+func (t *topK) after(a, b *topRow) bool {
+	if c := compareRows(t.fin.OrderBy, t.fin.op.keyCols, a.row, b.row); c != 0 {
+		return c > 0
+	}
+	return a.seq > b.seq
+}
+
+func (t *topK) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.after(&t.rows[i], &t.rows[p]) {
+			return
+		}
+		t.rows[i], t.rows[p] = t.rows[p], t.rows[i]
+		i = p
+	}
+}
+
+func (t *topK) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(t.rows) {
+			return
+		}
+		if c+1 < len(t.rows) && t.after(&t.rows[c+1], &t.rows[c]) {
+			c++
+		}
+		if !t.after(&t.rows[c], &t.rows[i]) {
+			return
+		}
+		t.rows[i], t.rows[c] = t.rows[c], t.rows[i]
+		i = c
+	}
+}
+
+// offer considers the scratch row (the seq-th to arrive) for a window of
+// k rows. A row that enters is copied — into the evicted row's storage
+// once the window is full, so a full window allocates nothing; a row
+// that cannot enter costs one comparison against the root.
+func (t *topK) offer(scratch []Value, seq, k int) {
+	cand := topRow{row: scratch, seq: seq}
+	if len(t.rows) < k {
+		cand.row = append([]Value(nil), scratch...)
+		t.rows = append(t.rows, cand)
+		t.up(len(t.rows) - 1)
+		return
+	}
+	if !t.after(&t.rows[0], &cand) {
+		return
+	}
+	cand.row = t.rows[0].row
+	copy(cand.row, scratch)
+	t.rows[0] = cand
+	t.down(0)
+}
+
+// sorted empties the window into (keys, arrival) order.
+func (t *topK) sorted() [][]Value {
+	slices.SortFunc(t.rows, func(a, b topRow) int {
+		if t.after(&a, &b) {
+			return 1
+		}
+		return -1
+	})
+	out := make([][]Value, len(t.rows))
+	for i := range t.rows {
+		out[i] = t.rows[i].row
+	}
+	return out
 }
 
 func (s *sortedSource) pull() ([]Value, error) {
@@ -542,53 +589,10 @@ func (s *sortedSource) pull() ([]Value, error) {
 		if fin.Limit == 0 {
 			return nil, nil
 		}
-		prof := s.ec.prof
-		var fed int64
-		var sortTime time.Duration
-		if k := fin.Skip + fin.Limit; fin.Limit > 0 {
-			window := 2*k + 1024
-			for {
-				row, err := basePull(fin, s.root, s.ec, s.seen)
-				if err != nil {
-					return nil, err
-				}
-				if row == nil {
-					break
-				}
-				s.buf = append(s.buf, row)
-				fed++
-				if len(s.buf) >= window {
-					t := time.Now()
-					sortRows(fin.OrderBy, s.buf, fin.op.keyCols)
-					sortTime += time.Since(t)
-					s.buf = s.buf[:k]
-				}
-			}
-		} else {
-			for {
-				row, err := basePull(fin, s.root, s.ec, s.seen)
-				if err != nil {
-					return nil, err
-				}
-				if row == nil {
-					break
-				}
-				s.buf = append(s.buf, row)
-				fed++
-			}
+		if err := s.fill(); err != nil {
+			return nil, err
 		}
-		t := time.Now()
-		sortRows(fin.OrderBy, s.buf, fin.op.keyCols)
-		sortTime += time.Since(t)
-		if prof != nil {
-			prof.noteSort(fin, fed, sortTime)
-		}
-		if len(fin.op.hidden) > 0 {
-			visible := len(fin.cols)
-			for i, r := range s.buf {
-				s.buf[i] = r[:visible]
-			}
-		}
+		stripHidden(s.buf, len(fin.cols), fin.op)
 		s.buf = pageRows(s.buf, fin.Skip, fin.Limit)
 	}
 	if s.bi >= len(s.buf) {
@@ -597,6 +601,54 @@ func (s *sortedSource) pull() ([]Value, error) {
 	row := s.buf[s.bi]
 	s.bi++
 	return row, nil
+}
+
+// fill drains the pipeline into s.buf in ORDER BY order (before paging).
+// Each row is projected — hidden ORDER BY keys included — into a scratch
+// row first, so the budget charge and the DISTINCT check see exactly the
+// row streaming would have produced, and only a row that is kept is
+// copied out of it.
+func (s *sortedSource) fill() error {
+	fin, ec := s.fin, s.ec
+	visible := len(fin.cols)
+	scratch := make([]Value, visible+len(fin.op.hidden))
+	top := topK{fin: fin}
+	k := fin.Skip + fin.Limit // meaningful only with a LIMIT
+	fed := 0
+	for {
+		ok, err := s.root.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := projectInto(scratch, fin.Items, fin.op, &ec.b, ec.ps); err != nil {
+			return err
+		}
+		if err := ec.bud.charge(rowBytes(scratch[:visible])); err != nil {
+			return err
+		}
+		if s.seen != nil && !s.seen.add(scratch[:visible]) {
+			continue
+		}
+		if fin.Limit > 0 {
+			top.offer(scratch, fed, k)
+		} else {
+			s.buf = append(s.buf, append([]Value(nil), scratch...))
+		}
+		fed++
+	}
+	t := time.Now()
+	if fin.Limit > 0 {
+		s.buf = top.sorted()
+	} else {
+		sortRows(fin.OrderBy, s.buf, fin.op.keyCols)
+	}
+	if ec.prof != nil {
+		ec.prof.noteSort(fin, int64(fed), time.Since(t))
+	}
+	return nil
 }
 
 // aggSource lazily runs the final aggregation on the first pull
@@ -634,7 +686,7 @@ func (s *aggSource) pull() ([]Value, error) {
 
 // consume feeds one upstream binding to the aggregation, charging the
 // byte budget so unbounded enumerations abort instead of hanging.
-func (s *aggSource) consume() (binding, error) {
+func (s *aggSource) consume() (*binding, error) {
 	ok, err := s.root.next()
 	if err != nil || !ok {
 		return nil, err
@@ -642,7 +694,7 @@ func (s *aggSource) consume() (binding, error) {
 	if err := s.ec.bud.charge(aggRowCost); err != nil {
 		return nil, err
 	}
-	return s.ec.b, nil
+	return &s.ec.b, nil
 }
 
 // pageRows applies SKIP and LIMIT to a materialized row buffer.

@@ -563,3 +563,88 @@ func TestConcurrentReadersSeeAtomicWrites(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSchedulePausedCursorKeepsSnapshot: the executor resolves scanned
+// and expanded nodes in chunks (one read-lock hold per chunk, released
+// before the cursor returns), so a cursor can sit between two chunks —
+// or in the middle of a resolved one — for as long as its caller likes.
+// Commits that land meanwhile (attribute updates, deletes, creations,
+// both bare and transactional) must neither block behind the paused
+// cursor nor become visible to it: every row it goes on to emit, from
+// the chunk it was in and from chunks it had not read yet, is the
+// snapshot's. Afterwards the MVCC overlay is empty again.
+func TestSchedulePausedCursorKeepsSnapshot(t *testing.T) {
+	const n = 1000 // several 256-node chunks after the 16-node first one
+	s := graph.New()
+	hub, _ := s.MergeNode("Hub", "hub", nil)
+	for i := 0; i < n; i++ {
+		id, _ := s.MergeNode("KV", fmt.Sprintf("k%04d", i), map[string]string{"val": "old"})
+		if _, _, err := s.AddEdge(hub, "HAS", id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEngine(s, Options{UseIndexes: true})
+	for _, q := range []string{
+		`match (k:KV) return k.name, k.val`,                            // label scan
+		`match (h:Hub {name: "hub"})-[:HAS]->(k) return k.name, k.val`, // expand targets
+		`match (h:Hub {name: "hub"})-[:HAS*1..1]->(k) return k.name, k.val`,
+	} {
+		for _, pauseAt := range []int{1, 16, 20, 300} {
+			rows, err := e.QueryRows(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			read := func(upTo int) {
+				for len(seen) < upTo && rows.Next() {
+					name, val := rows.Row()[0].Str, rows.Row()[1].Str
+					if val != "old" || seen[name] {
+						t.Fatalf("%s: paused at %d, row %d is %s=%s", q, pauseAt, len(seen), name, val)
+					}
+					seen[name] = true
+				}
+			}
+			read(pauseAt)
+			// Commits while the cursor is parked: none may block.
+			if _, err := e.Query(`match (k:KV) set k.val = "new"`, nil); err != nil {
+				t.Fatal(err)
+			}
+			tx, err := e.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Query(`match (k:KV) where k.name >= "k0900" detach delete k`, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Query(`create (k:KV {name: "k9999", val: "new"})`, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			read(n + 1)
+			if err := rows.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(seen) != n {
+				t.Fatalf("%s: paused at %d: cursor emitted %d rows, snapshot had %d", q, pauseAt, len(seen), n)
+			}
+			if st := s.MVCCStats(); st != (graph.MVCCStats{}) {
+				t.Fatalf("%s: MVCC overlay not purged after the cursor closed: %+v", q, st)
+			}
+			// Restore the fixture for the next round.
+			if _, err := e.Query(`match (k:KV {name: "k9999"}) detach delete k`, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := 900; i < n; i++ {
+				id, _ := s.MergeNode("KV", fmt.Sprintf("k%04d", i), nil)
+				if _, _, err := s.AddEdge(hub, "HAS", id, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := e.Query(`match (k:KV) set k.val = "old"`, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

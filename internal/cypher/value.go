@@ -1,6 +1,8 @@
 package cypher
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -212,7 +214,7 @@ func (v Value) String() string {
 }
 
 // sortedMapKeys returns the map's keys in sorted order so every map
-// rendering (String, key) is deterministic.
+// rendering (String, appendKey) is deterministic.
 func (v Value) sortedMapKeys() []string {
 	keys := make([]string, 0, len(v.Map))
 	for k := range v.Map {
@@ -322,74 +324,94 @@ func (v Value) Compare(o Value) (int, bool) {
 	return 0, false
 }
 
-// key returns a map key identifying the value for DISTINCT/grouping.
-func (v Value) key() string {
+// appendKey appends the key identifying the value for DISTINCT, grouping
+// and hash-join buckets. Keys of different kinds never collide (each
+// carries a kind prefix), equal values always do.
+func (v *Value) appendKey(dst []byte) []byte {
 	switch v.Kind {
 	case KindNull:
-		return "\x00null"
+		return append(dst, "\x00null"...)
 	case KindString:
-		return "s:" + v.Str
+		return append(append(dst, "s:"...), v.Str...)
 	case KindNumber:
-		return "n:" + strconv.FormatFloat(v.Num, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "n:"...), v.Num, 'g', -1, 64)
 	case KindBool:
-		return "b:" + strconv.FormatBool(v.Bool)
+		return strconv.AppendBool(append(dst, "b:"...), v.Bool)
 	case KindNode:
-		return "N:" + strconv.FormatInt(int64(v.Node.ID), 10)
+		return strconv.AppendInt(append(dst, "N:"...), int64(v.Node.ID), 10)
 	case KindEdge:
-		return "E:" + strconv.FormatInt(int64(v.Edge.ID), 10)
+		return strconv.AppendInt(append(dst, "E:"...), int64(v.Edge.ID), 10)
 	case KindList:
-		parts := make([]string, len(v.List))
-		for i, e := range v.List {
-			parts[i] = e.key()
+		dst = append(dst, "L:"...)
+		for i := range v.List {
+			if i > 0 {
+				dst = append(dst, 1)
+			}
+			dst = v.List[i].appendKey(dst)
 		}
-		return "L:" + strings.Join(parts, "\x01")
+		return dst
 	case KindMap:
-		parts := make([]string, 0, len(v.Map))
-		for _, k := range v.sortedMapKeys() {
-			parts = append(parts, k+"\x02"+v.Map[k].key())
+		dst = append(dst, "M:"...)
+		for i, k := range v.sortedMapKeys() {
+			if i > 0 {
+				dst = append(dst, 1)
+			}
+			e := v.Map[k]
+			dst = e.appendKey(append(append(dst, k...), 2))
 		}
-		return "M:" + strings.Join(parts, "\x01")
+		return dst
 	}
-	return "?"
+	return append(dst, '?')
 }
 
-// totalLess is a total order over all values, used by min()/max() and
-// the canonical ordering of collect() so aggregates are deterministic
-// regardless of match enumeration order. Kinds order by their enum value;
-// within a kind, the natural order (numbers numerically, strings
-// lexically, nodes/edges by ID, lists lexicographically).
-func (v Value) totalLess(o Value) bool {
+// order is the one total order over values: ORDER BY (both engines and
+// the top-k window), min()/max() and collect()'s canonical ordering all
+// use it. Within a kind it is the natural order — numbers numerically,
+// strings lexically, nodes and edges by ID, lists lexicographically;
+// values of different kinds order by kind; null sorts after everything,
+// so an ascending ORDER BY puts nulls last and a descending one puts
+// them first, as openCypher does.
+func (v *Value) order(o *Value) int {
 	if v.Kind != o.Kind {
-		return v.Kind < o.Kind
+		switch {
+		case v.Kind == KindNull:
+			return 1
+		case o.Kind == KindNull:
+			return -1
+		}
+		return cmp.Compare(v.Kind, o.Kind)
 	}
 	switch v.Kind {
 	case KindString:
-		return v.Str < o.Str
+		return strings.Compare(v.Str, o.Str)
 	case KindNumber:
-		return v.Num < o.Num
+		return cmp.Compare(v.Num, o.Num)
 	case KindBool:
-		return !v.Bool && o.Bool
+		switch {
+		case v.Bool == o.Bool:
+			return 0
+		case o.Bool:
+			return -1
+		}
+		return 1
 	case KindNode:
-		return v.Node.ID < o.Node.ID
+		return cmp.Compare(v.Node.ID, o.Node.ID)
 	case KindEdge:
-		return v.Edge.ID < o.Edge.ID
+		return cmp.Compare(v.Edge.ID, o.Edge.ID)
 	case KindList:
 		for i := range v.List {
 			if i >= len(o.List) {
-				return false
+				return 1
 			}
-			if v.List[i].totalLess(o.List[i]) {
-				return true
-			}
-			if o.List[i].totalLess(v.List[i]) {
-				return false
+			if c := v.List[i].order(&o.List[i]); c != 0 {
+				return c
 			}
 		}
-		return len(v.List) < len(o.List)
+		return cmp.Compare(len(v.List), len(o.List))
 	case KindMap:
 		// Maps order by their canonical grouping key: deterministic, and
 		// maps are never hot in ORDER BY paths.
-		return v.key() < o.key()
+		return bytes.Compare(v.appendKey(nil), o.appendKey(nil))
 	}
-	return false
+	return 0
 }

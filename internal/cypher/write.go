@@ -66,7 +66,8 @@ func writeClausesOf(part *QueryPart) *writeClauses {
 }
 
 // applyWrites applies one part's writes for one row, mutating the
-// binding in place: CREATE/MERGE bind their pattern variables to the
+// binding's slots in place (a binding value aliases its frame, and every
+// variable a write can bind has a slot): CREATE/MERGE bind their pattern variables to the
 // created-or-merged entities, SET refreshes the variable it updates so
 // downstream projections see the new value. Every count lands in stats.
 func (e *Engine) applyWrites(wc *writeClauses, b binding, ps params, stats *WriteStats) error {
@@ -138,10 +139,10 @@ func (e *Engine) createPattern(p *Pattern, b binding, ps params, stats *WriteSta
 			stats.PropsSet += augmented
 		}
 		if ep.Var != "" {
-			if _, bound := b[ep.Var]; bound {
+			if _, bound := b.get(ep.Var); bound {
 				return fmt.Errorf("cypher: relationship variable %q already bound in CREATE", ep.Var)
 			}
-			b[ep.Var] = EdgeValue(e.w.LatestEdge(id))
+			b.set(ep.Var, EdgeValue(e.w.LatestEdge(id)))
 		}
 	}
 	return nil
@@ -152,7 +153,7 @@ func (e *Engine) createPattern(p *Pattern, b binding, ps params, stats *WriteSta
 // pattern), anything else needs a label and a name and is merged in.
 func (e *Engine) createNode(np *NodePattern, b binding, ps params, stats *WriteStats) (graph.NodeID, error) {
 	if np.Var != "" {
-		if v, bound := b[np.Var]; bound {
+		if v, bound := b.get(np.Var); bound {
 			if v.Kind != KindNode {
 				return 0, fmt.Errorf("cypher: CREATE endpoint %q is not a node (null from OPTIONAL MATCH?)", np.Var)
 			}
@@ -200,7 +201,7 @@ func (e *Engine) createNode(np *NodePattern, b binding, ps params, stats *WriteS
 		stats.PropsSet += augmented
 	}
 	if np.Var != "" {
-		b[np.Var] = NodeValue(e.w.LatestNode(id))
+		b.set(np.Var, NodeValue(e.w.LatestNode(id)))
 	}
 	return id, nil
 }
@@ -235,7 +236,7 @@ func resolveAttrs(props map[string]Value, paramProps map[string]string,
 		attrs[k] = s
 	}
 	for k, ex := range exprProps {
-		v, err := evalExpr(ex, b, ps)
+		v, err := evalExpr(ex, &b, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +265,7 @@ func attrString(key string, v Value) (string, error) {
 // applySet applies one SET assignment for one row. Null targets (an
 // OPTIONAL MATCH that found nothing) skip silently, mirroring Neo4j.
 func (e *Engine) applySet(it *SetItem, b binding, ps params, stats *WriteStats) error {
-	v, bound := b[it.Var]
+	v, bound := b.get(it.Var)
 	if !bound {
 		return fmt.Errorf("cypher: SET references unbound variable %q", it.Var)
 	}
@@ -278,7 +279,7 @@ func (e *Engine) applySet(it *SetItem, b binding, ps params, stats *WriteStats) 
 	case "name", "type", "label", "id":
 		return fmt.Errorf("cypher: cannot SET %s.%s — it is structural (drives the merge and label indexes)", it.Var, it.Prop)
 	}
-	val, err := evalExpr(it.Val, b, ps)
+	val, err := evalExpr(it.Val, &b, ps)
 	if err != nil {
 		return err
 	}
@@ -297,7 +298,7 @@ func (e *Engine) applySet(it *SetItem, b binding, ps params, stats *WriteStats) 
 		return fmt.Errorf("cypher: SET %s.%s: node was deleted", it.Var, it.Prop)
 	}
 	if old, had := cur.Attrs[it.Prop]; had && old == s {
-		b[it.Var] = NodeValue(cur)
+		b.set(it.Var, NodeValue(cur))
 		return nil
 	}
 	if err := e.w.SetAttr(v.Node.ID, it.Prop, s); err != nil {
@@ -305,7 +306,7 @@ func (e *Engine) applySet(it *SetItem, b binding, ps params, stats *WriteStats) 
 	}
 	stats.PropsSet++
 	// Refresh the binding so downstream projections see the new value.
-	b[it.Var] = NodeValue(e.w.LatestNode(v.Node.ID))
+	b.set(it.Var, NodeValue(e.w.LatestNode(v.Node.ID)))
 	return nil
 }
 
@@ -314,7 +315,7 @@ func (e *Engine) applySet(it *SetItem, b binding, ps params, stats *WriteStats) 
 // endpoint) skip silently; the store is the source of truth.
 func (e *Engine) applyDelete(dc *DeleteClause, b binding, stats *WriteStats) error {
 	for _, name := range dc.Vars {
-		v, bound := b[name]
+		v, bound := b.get(name)
 		if !bound {
 			return fmt.Errorf("cypher: DELETE references unbound variable %q", name)
 		}

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md's index (E1-E13), each regenerating the
+// per experiment in cmd/skg-bench's index (E1-E15), each regenerating the
 // corresponding paper claim, table, or figure as a printable table.
 // cmd/skg-bench exposes them on the command line; the root bench_test.go
 // wraps the hot paths in testing.B benchmarks.
@@ -12,7 +12,7 @@ import (
 )
 
 // Table is one experiment's result: a titled grid plus free-form notes
-// (the paper-vs-measured comparison lives in EXPERIMENTS.md).
+// (among them the paper's figure the measurement is compared with).
 type Table struct {
 	ID      string
 	Title   string

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -488,6 +489,28 @@ func (s *Store) Node(id NodeID) *Node {
 	return rec.n
 }
 
+// nodeChunk bounds how many node lookups one batch read (Nodes) does
+// under a single hold of the read lock, so a long ID list cannot starve
+// a writer.
+const nodeChunk = 256
+
+// Nodes appends the current record of each listed node to dst (nil where
+// absent, so dst stays aligned with ids), taking the read lock once per
+// nodeChunk ids instead of once per node.
+func (s *Store) Nodes(dst []*Node, ids []NodeID) []*Node {
+	dst = slices.Grow(dst, len(ids))
+	for len(ids) > 0 {
+		chunk := ids[:min(len(ids), nodeChunk)]
+		ids = ids[len(chunk):]
+		s.mu.RLock()
+		for _, id := range chunk {
+			dst = append(dst, s.nodes[id].n)
+		}
+		s.mu.RUnlock()
+	}
+	return dst
+}
+
 // Edge returns the edge (nil if absent). The returned record is shared and
 // immutable — treat it and its Attrs as read-only.
 func (s *Store) Edge(id EdgeID) *Edge {
@@ -885,16 +908,7 @@ func (s *Store) ForEachNode(fn func(*Node) bool) {
 		ids = append(ids, id)
 	}
 	s.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := s.Node(id)
-		if n == nil {
-			continue
-		}
-		if !fn(n) {
-			return
-		}
-	}
+	forEachNodeChunked(s, sortNodeIDs(ids), fn)
 }
 
 // ForEachEdge calls fn for every edge; iteration stops if fn returns false.

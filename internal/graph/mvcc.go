@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"sort"
 )
 
@@ -82,6 +83,7 @@ var ErrTxDone = errors.New("graph: transaction already committed or rolled back"
 // own writes). The Cypher executor reads exclusively through it.
 type View interface {
 	Node(id NodeID) *Node
+	Nodes(dst []*Node, ids []NodeID) []*Node
 	Edge(id EdgeID) *Edge
 	FindNode(typ, name string) *Node
 	NodesByName(name string) []*Node
@@ -378,6 +380,33 @@ func (sn *Snap) Node(id NodeID) *Node {
 	return sn.resolveNodeLocked(id)
 }
 
+// Nodes appends the version of each listed node visible to the snapshot
+// to dst — nil where the snapshot sees none, so dst stays aligned with
+// ids — taking the store's read lock once per nodeChunk ids instead of
+// once per node. The lock is released between chunks and before
+// returning, so a caller that pauses between batches (a cursor nobody
+// pulls, a stream whose client stopped reading) never holds it.
+func (sn *Snap) Nodes(dst []*Node, ids []NodeID) []*Node {
+	s := sn.s
+	dst = slices.Grow(dst, len(ids))
+	for len(ids) > 0 {
+		chunk := ids[:min(len(ids), nodeChunk)]
+		ids = ids[len(chunk):]
+		s.mu.RLock()
+		if sn.fastNodesLocked() {
+			for _, id := range chunk {
+				dst = append(dst, s.nodes[id].n)
+			}
+		} else {
+			for _, id := range chunk {
+				dst = append(dst, sn.resolveNodeLocked(id))
+			}
+		}
+		s.mu.RUnlock()
+	}
+	return dst
+}
+
 // Edge returns the edge visible to the snapshot (nil if absent).
 func (sn *Snap) Edge(id EdgeID) *Edge {
 	sn.s.mu.RLock()
@@ -415,7 +444,7 @@ func sortNodes(out []*Node) []*Node {
 }
 
 func sortNodeIDs(ids []NodeID) []NodeID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -497,7 +526,7 @@ func (sn *Snap) NodeIDsByType(typ string) []NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	tsym := s.syms.lookup(typ)
-	var ids []NodeID
+	ids := make([]NodeID, 0, len(s.byType[tsym]))
 	for id := range s.byType[tsym] {
 		if sn.fastNodesLocked() || sn.curNodeVisibleLocked(id) {
 			ids = append(ids, id)
@@ -518,7 +547,7 @@ func (sn *Snap) NodeIDsByName(name string) []NodeID {
 	s := sn.s
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var ids []NodeID
+	ids := make([]NodeID, 0, len(s.byName[name]))
 	for id := range s.byName[name] {
 		if sn.fastNodesLocked() || sn.curNodeVisibleLocked(id) {
 			ids = append(ids, id)
@@ -687,13 +716,21 @@ func (sn *Snap) ForEachNode(fn func(*Node) bool) {
 	sn.s.mu.RLock()
 	ids := sn.allNodeIDsLocked()
 	sn.s.mu.RUnlock()
-	for _, id := range ids {
-		n := sn.Node(id)
-		if n == nil {
-			continue
-		}
-		if !fn(n) {
-			return
+	forEachNodeChunked(sn, ids, fn)
+}
+
+// forEachNodeChunked resolves ids through v a chunk at a time and calls
+// fn for every node found, outside the lock.
+func forEachNodeChunked(v View, ids []NodeID, fn func(*Node) bool) {
+	buf := make([]*Node, 0, min(len(ids), nodeChunk))
+	for len(ids) > 0 {
+		chunk := ids[:min(len(ids), nodeChunk)]
+		ids = ids[len(chunk):]
+		buf = v.Nodes(buf[:0], chunk)
+		for _, n := range buf {
+			if n != nil && !fn(n) {
+				return
+			}
 		}
 	}
 }
@@ -952,7 +989,10 @@ func (tx *Tx) Rollback() error {
 
 // --- Tx as a View: the snapshot plus the transaction's own writes ---
 
-func (tx *Tx) Node(id NodeID) *Node            { return tx.snap.Node(id) }
+func (tx *Tx) Node(id NodeID) *Node { return tx.snap.Node(id) }
+func (tx *Tx) Nodes(dst []*Node, ids []NodeID) []*Node {
+	return tx.snap.Nodes(dst, ids)
+}
 func (tx *Tx) Edge(id EdgeID) *Edge            { return tx.snap.Edge(id) }
 func (tx *Tx) FindNode(typ, name string) *Node { return tx.snap.FindNode(typ, name) }
 func (tx *Tx) NodesByName(name string) []*Node { return tx.snap.NodesByName(name) }

@@ -410,8 +410,7 @@ func sortedIDs(set map[NodeID]struct{}) []NodeID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortNodeIDs(out)
 }
 
 // AllNodeIDs returns every node ID, sorted.
@@ -422,8 +421,7 @@ func (s *Store) AllNodeIDs() []NodeID {
 	for id := range s.nodes {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortNodeIDs(out)
 }
 
 // NodeIDsByType returns the IDs of nodes with the given type, sorted.

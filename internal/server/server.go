@@ -545,12 +545,13 @@ func (s *Server) writeCypherResult(w http.ResponseWriter, res *cypher.Result, co
 	writeJSON(w, out)
 }
 
-// streamCypher writes the result as NDJSON, flushing after every row so
-// a hunting client sees matches as the executor produces them. Rows are
-// not capped by MaxRows here — the cursor streams until exhaustion, an
-// error (e.g. the byte budget), or the client going away: a failed
-// write or a canceled request context closes the cursor, which stops
-// all remaining pattern matching.
+// streamCypher writes the result as NDJSON so a hunting client sees
+// matches as the executor produces them: the first row leaves at once,
+// later ones at most flushEvery behind (ndjson.go). Rows are not capped
+// by MaxRows here — the cursor streams until exhaustion, an error (e.g.
+// the byte budget), or the client going away: a failed write or a
+// canceled request context closes the cursor, which stops all remaining
+// pattern matching.
 func (s *Server) streamCypher(w http.ResponseWriter, r *http.Request, query string, params map[string]any) {
 	began := time.Now()
 	rows, err := s.eng.QueryRows(query, params)
@@ -564,20 +565,18 @@ func (s *Server) streamCypher(w http.ResponseWriter, r *http.Request, query stri
 
 // streamRows drains a cursor as NDJSON (shared by the plain and
 // transaction-session streaming paths), returning the number of rows
-// written (for the slow-query log). seqOnWrites attaches the
-// read-your-writes token to the done-trailer of a writing statement;
-// the transaction path passes false because in-tx writes only become
-// visible (and WAL-logged) at COMMIT.
+// written (for the slow-query log): a {"columns": ...} line, one
+// {"row": ...} line per row, then {"done": n} or {"error": ...}.
+// seqOnWrites attaches the read-your-writes token to the done-trailer of
+// a writing statement; the transaction path passes false because in-tx
+// writes only become visible (and WAL-logged) at COMMIT.
 func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher.Rows, seqOnWrites bool) int {
 	defer rows.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(map[string]any{"columns": rows.Columns()}); err != nil {
+	out := newNDJSONWriter(w)
+	defer out.close()
+	if err := out.header(rows.Columns()); err != nil {
 		return 0
-	}
-	if flusher != nil {
-		flusher.Flush()
 	}
 	done := r.Context().Done()
 	n := 0
@@ -587,21 +586,15 @@ func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher
 			return n
 		default:
 		}
-		vals := rows.Row()
-		cells := make([]string, len(vals))
-		for i, v := range vals {
-			cells[i] = v.String()
-		}
-		if err := enc.Encode(map[string]any{"row": cells}); err != nil {
+		if err := out.row(rows.Row()); err != nil {
 			return n
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 		n++
 	}
+	// A trailer that cannot be written means the client is gone: there is
+	// nobody left to report the failure to.
 	if err := rows.Err(); err != nil {
-		enc.Encode(map[string]any{"error": err.Error()})
+		_ = out.object(map[string]any{"error": err.Error()})
 		return n
 	}
 	trailer := map[string]any{"done": n}
@@ -611,7 +604,7 @@ func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher
 			trailer["seq"] = s.repl.Seq()
 		}
 	}
-	enc.Encode(trailer)
+	_ = out.object(trailer)
 	return n
 }
 
