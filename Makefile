@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-storage bench-extract bench-scan bench-ledger cover fuzz crash-test replication-test soak-test
+.PHONY: build test vet bench bench-storage bench-extract bench-scan bench-heap bench-ledger cover fuzz crash-test replication-test soak-test
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,19 @@ bench-extract:
 bench-scan:
 	$(GO) test -run '^$$' -bench 'CypherScanClasses' -benchmem -benchtime 50x . -json | tee BENCH_scan.json | \
 		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
+
+# bench-heap prices keeping the graph in memory: BenchmarkResidentGraph
+# builds the bench-scan graph once, reports live-heap B/node and B/edge,
+# and leaves the store reachable, so the heap profile written when the
+# run ends attributes in-use space to the structures that hold it. The
+# test binary and the profile go to the git-ignored .bench_build/. Then
+# BenchmarkIndexChurn prices what the compact indexes must not cost: a
+# random DeleteNode, or SET of an indexed key, on a 100k-node label.
+bench-heap:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'ResidentGraph' -benchtime 1x -o .bench_build/heap.test -memprofile .bench_build/heap.prof .
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 .bench_build/heap.test .bench_build/heap.prof
+	$(GO) test -run '^$$' -bench 'IndexChurn' -benchtime 10000x ./internal/graph
 
 # bench-ledger runs the performance ledger (bench/README.md): four
 # workloads, end-to-end and per-layer metrics, untraced then traced.

@@ -21,7 +21,11 @@ import (
 // attribute naming one of 200 tools and hub-skewed CONNECT edges onto
 // 35 000 IPs and 20 000 domains. The heavy-read arms below run the
 // ledger's five hunt-scan statements over it.
-func scanKG() *graph.Store {
+func scanKG() *graph.Store { return buildScanKG(func() {}) }
+
+// buildScanKG is scanKG with a call between the last node and the first
+// edge, where BenchmarkResidentGraph reads the heap.
+func buildScanKG(nodesDone func()) *graph.Store {
 	rng := rand.New(rand.NewSource(1))
 	s := graph.New()
 	s.BeginBulk()
@@ -55,6 +59,7 @@ func scanKG() *graph.Store {
 	reports := mk("MalwareReport", "report", 30000, func(int) map[string]string {
 		return map[string]string{"published": fmt.Sprintf("2021-%02d-%02d", 1+rng.Intn(12), 1+rng.Intn(28))}
 	})
+	nodesDone()
 	for _, r := range reports {
 		s.AddEdge(r, "REPORTED_BY", vendors[rng.Intn(len(vendors))], nil)
 		for k := 0; k < 6; k++ {
@@ -68,6 +73,34 @@ func scanKG() *graph.Store {
 		}
 	}
 	return s
+}
+
+// residentGraph keeps BenchmarkResidentGraph's last store reachable, so
+// the heap profile `make bench-heap` writes when the run ends shows the
+// graph as in-use space.
+var residentGraph *graph.Store
+
+// BenchmarkResidentGraph prices keeping the graph in memory: the live
+// heap the scanKG nodes hold (records, attributes, label and name
+// indexes) per node, and what the edges add (records, dedup index,
+// packed adjacency) per edge, each read after a forced GC.
+func BenchmarkResidentGraph(b *testing.B) {
+	live := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc)
+	}
+	for i := 0; i < b.N; i++ {
+		residentGraph = nil
+		empty := live()
+		var nodes float64
+		residentGraph = buildScanKG(func() { nodes = live() })
+		st := residentGraph.Stats()
+		b.ReportMetric((nodes-empty)/float64(st.Nodes), "B/node")
+		b.ReportMetric((live()-nodes)/float64(st.Edges), "B/edge")
+	}
 }
 
 // BenchmarkCypherScanClasses prices the ledger's hunt-scan classes one by

@@ -101,7 +101,7 @@ func findMalware(sys *securitykg.System, q string) *graph.Node {
 			return true
 		}
 		if strings.Contains(strings.ToLower(n.Name), q) ||
-			strings.Contains(strings.ToLower(n.Attrs["aliases"]), q) {
+			strings.Contains(strings.ToLower(n.Attrs.Get("aliases")), q) {
 			found = n
 			return false
 		}

@@ -132,10 +132,10 @@ func TestIntegrationFusionMergesGeneratedAliases(t *testing.T) {
 		// Or the canonical was folded into the alias (degree tie): accept
 		// if either node records the other as alias.
 		if n := sys.Store.FindNode("Malware", canon); n != nil &&
-			strings.Contains(n.Attrs["aliases"], alias) {
+			strings.Contains(n.Attrs.Get("aliases"), alias) {
 			merged++
 		} else if n := sys.Store.FindNode("Malware", alias); n != nil &&
-			strings.Contains(n.Attrs["aliases"], canon) {
+			strings.Contains(n.Attrs.Get("aliases"), canon) {
 			merged++
 		}
 	}

@@ -272,7 +272,7 @@ func Timeline(s *graph.Store, threat graph.NodeID) []TimelineBucket {
 		if rep == nil {
 			continue
 		}
-		date := rep.Attrs["published_at"]
+		date := rep.Attrs.Get("published_at")
 		if len(date) < 7 {
 			continue
 		}

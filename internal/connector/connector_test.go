@@ -52,7 +52,7 @@ func TestGraphConnectorRefactorsToOntology(t *testing.T) {
 	}
 	// Report node with attrs.
 	rep := store.FindNode(string(ontology.TypeMalwareReport), "WannaCry analysis")
-	if rep == nil || rep.Attrs["report_id"] != "rep-1" {
+	if rep == nil || rep.Attrs.Get("report_id") != "rep-1" {
 		t.Fatalf("report node: %+v", rep)
 	}
 	// Vendor attribution.

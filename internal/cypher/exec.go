@@ -937,7 +937,7 @@ func nodeProp(n *graph.Node, prop string) Value {
 	case "id":
 		return NumberValue(float64(n.ID))
 	}
-	if v, ok := n.Attrs[prop]; ok {
+	if v, ok := n.Attrs.Lookup(prop); ok {
 		return StringValue(v)
 	}
 	return NullValue()
@@ -950,7 +950,7 @@ func edgeProp(ed *graph.Edge, prop string) Value {
 	case "id":
 		return NumberValue(float64(ed.ID))
 	}
-	if v, ok := ed.Attrs[prop]; ok {
+	if v, ok := ed.Attrs.Lookup(prop); ok {
 		return StringValue(v)
 	}
 	return NullValue()

@@ -122,7 +122,7 @@ func (e *Engine) createPattern(p *Pattern, b binding, ps params, stats *WriteSta
 					continue
 				}
 				for k := range attrs {
-					if _, has := ed.Attrs[k]; !has {
+					if _, has := ed.Attrs.Lookup(k); !has {
 						augmented++
 					}
 				}
@@ -189,7 +189,7 @@ func (e *Engine) createNode(np *NodePattern, b binding, ps params, stats *WriteS
 	augmented := 0
 	if existing := e.w.LatestFindNode(np.Label, name); existing != nil {
 		for k := range attrs {
-			if _, has := existing.Attrs[k]; !has {
+			if _, has := existing.Attrs.Lookup(k); !has {
 				augmented++
 			}
 		}
@@ -297,7 +297,7 @@ func (e *Engine) applySet(it *SetItem, b binding, ps params, stats *WriteStats) 
 	if cur == nil {
 		return fmt.Errorf("cypher: SET %s.%s: node was deleted", it.Var, it.Prop)
 	}
-	if old, had := cur.Attrs[it.Prop]; had && old == s {
+	if old, had := cur.Attrs.Lookup(it.Prop); had && old == s {
 		b.set(it.Var, NodeValue(cur))
 		return nil
 	}

@@ -494,7 +494,7 @@ func TestWriteWithLimitZero(t *testing.T) {
 			t.Fatalf("legacy=%v LIMIT 0 dropped writes: %+v", legacy, res.Writes)
 		}
 		for _, name := range []string{"t1", "t2"} {
-			if n := s.FindNode("Tool", name); n == nil || n.Attrs["mark"] != "1" {
+			if n := s.FindNode("Tool", name); n == nil || n.Attrs.Get("mark") != "1" {
 				t.Fatalf("legacy=%v %s not written: %+v", legacy, name, n)
 			}
 		}

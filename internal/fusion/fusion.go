@@ -120,10 +120,10 @@ func Fuse(s *graph.Store, opts Options) (Stats, error) {
 				return st, err
 			}
 			// Unify attributes: keep canonical's values, adopt new keys.
-			for ak, av := range m.Attrs {
+			for _, kv := range m.Attrs {
 				if cur := s.Node(best.ID); cur != nil {
-					if _, has := cur.Attrs[ak]; !has {
-						if err := s.SetAttr(best.ID, ak, av); err != nil {
+					if _, has := cur.Attrs.Lookup(kv.Key); !has {
+						if err := s.SetAttr(best.ID, kv.Key, kv.Val); err != nil {
 							return st, err
 						}
 					}
@@ -156,7 +156,7 @@ func Fuse(s *graph.Store, opts Options) (Stats, error) {
 func collectAliases(s *graph.Store, n *graph.Node) map[string]bool {
 	out := map[string]bool{}
 	if cur := s.Node(n.ID); cur != nil {
-		if prev, ok := cur.Attrs["aliases"]; ok && prev != "" {
+		if prev, ok := cur.Attrs.Lookup("aliases"); ok && prev != "" {
 			for _, a := range strings.Split(prev, "|") {
 				out[a] = true
 			}

@@ -66,11 +66,11 @@ func TestFuseMergesAliasGroup(t *testing.T) {
 		t.Fatal("canonical node gone")
 	}
 	// Aliases recorded.
-	if n.Attrs["aliases"] != "W32/WannaCry|WANNACRY" {
-		t.Errorf("aliases attr: %q", n.Attrs["aliases"])
+	if n.Attrs.Get("aliases") != "W32/WannaCry|WANNACRY" {
+		t.Errorf("aliases attr: %q", n.Attrs.Get("aliases"))
 	}
 	// Attributes unified (first writer wins, new keys adopted).
-	if n.Attrs["seen"] != "2017" || n.Attrs["av"] != "vendor1" {
+	if n.Attrs.Get("seen") != "2017" || n.Attrs.Get("av") != "vendor1" {
 		t.Errorf("attrs not unified: %+v", n.Attrs)
 	}
 }

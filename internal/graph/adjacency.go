@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // CSR-style adjacency: incidence is stored as two packed, ID-sorted
 // arrays of (edge ID, far endpoint, type symbol) triples — one for
@@ -17,8 +17,8 @@ import "sort"
 // monotonically, every delta edge ID is greater than every base edge
 // ID, so base-then-delta iteration stays globally ascending. Once the
 // overlay grows past a fraction of the base the store rebuilds the
-// packed arrays in one O(V + E) pass (a sorted edge-ID list is
-// maintained incrementally, so the rebuild never sorts) — epoch-batched
+// packed arrays in one O(V + E) pass over the edge slab (which is in
+// edge-ID order, so the rebuild never sorts) — epoch-batched
 // compaction, amortized O(1) per mutation — so long-lived mixed
 // workloads converge back to pure array scans.
 
@@ -62,11 +62,6 @@ type adjacency struct {
 	// pending counts overlay entries (delta adds + tombstones) since the
 	// last rebuild; the rebuild threshold compares it to the base size.
 	pending int
-	// all is every edge ID ever registered, ascending (appends are
-	// monotonic), including recently deleted ones; rebuild compacts it
-	// against the live edge map, which is what keeps the repack sort-free.
-	// nil means "reconstruct from the edge map" (the bulk-load path).
-	all []EdgeID
 }
 
 func newAdjacency() *adjacency {
@@ -83,7 +78,6 @@ func newAdjacency() *adjacency {
 func (a *adjacency) addEdge(id EdgeID, from, to NodeID, typ Sym) {
 	a.out.delta[from] = append(a.out.delta[from], halfEdge{id: id, other: to, typ: typ})
 	a.in.delta[to] = append(a.in.delta[to], halfEdge{id: id, other: from, typ: typ})
-	a.all = append(a.all, id)
 	a.pending += 2
 }
 
@@ -184,70 +178,40 @@ func (a *adjacency) needsRebuild() bool {
 	return a.pending > 128 && a.pending > len(a.out.ids)/2
 }
 
-// rebuild repacks both halves from the store's edge records. Called
-// under the store's write lock.
+// rebuildAdjLocked repacks both halves from the edge slab. Called under
+// the store's write lock.
 func (s *Store) rebuildAdjLocked() {
-	a := s.adj
-	if a.all == nil {
-		// Bulk-load path (graph.Load): reconstruct the sorted ID list once.
-		a.all = make([]EdgeID, 0, len(s.edges))
-		for id := range s.edges {
-			a.all = append(a.all, id)
-		}
-		sort.Slice(a.all, func(i, j int) bool { return a.all[i] < a.all[j] })
-	}
-	// Compact out deletions; survivors stay ascending.
-	eids := a.all[:0]
-	for _, id := range a.all {
-		if _, ok := s.edges[id]; ok {
-			eids = append(eids, id)
-		}
-	}
-	a.all = eids
-	var maxEdge EdgeID
-	if len(eids) > 0 {
-		maxEdge = eids[len(eids)-1]
-	}
-	maxNode := s.nextNode
-	for _, id := range eids {
-		e := s.edges[id]
-		if e.from > maxNode {
-			maxNode = e.from
-		}
-		if e.to > maxNode {
-			maxNode = e.to
-		}
-	}
-	slots := int(maxNode) + 2 // NodeIDs are 1-based and ≥ 1 (Load rejects others)
+	slots := len(s.nodes) + 1 // every endpoint is a live node, so inside the slab
 	outOff := make([]uint32, slots)
 	inOff := make([]uint32, slots)
-	for _, id := range eids {
-		e := s.edges[id]
-		outOff[e.from+1]++
-		inOff[e.to+1]++
+	for _, e := range s.edges {
+		if e.e != nil {
+			outOff[e.from+1]++
+			inOff[e.to+1]++
+		}
 	}
 	for i := 1; i < slots; i++ {
 		outOff[i] += outOff[i-1]
 		inOff[i] += inOff[i-1]
 	}
-	outIDs := make([]halfEdge, len(eids))
-	inIDs := make([]halfEdge, len(eids))
-	outCur := make([]uint32, slots)
-	inCur := make([]uint32, slots)
-	copy(outCur, outOff)
-	copy(inCur, inOff)
+	outIDs := make([]halfEdge, s.nEdges)
+	inIDs := make([]halfEdge, s.nEdges)
+	outCur := slices.Clone(outOff)
+	inCur := slices.Clone(inOff)
 	// Filling in ascending edge-ID order keeps every per-node range
 	// ascending without a per-bucket sort.
-	for _, id := range eids {
-		e := s.edges[id]
-		outIDs[outCur[e.from]] = halfEdge{id: id, other: e.to, typ: e.typ}
-		outCur[e.from]++
-		inIDs[inCur[e.to]] = halfEdge{id: id, other: e.from, typ: e.typ}
-		inCur[e.to]++
+	for id, e := range s.edges {
+		if e.e != nil {
+			outIDs[outCur[e.from]] = halfEdge{id: EdgeID(id), other: e.to, typ: e.typ}
+			outCur[e.from]++
+			inIDs[inCur[e.to]] = halfEdge{id: EdgeID(id), other: e.from, typ: e.typ}
+			inCur[e.to]++
+		}
 	}
+	a := s.adj
 	a.out = adjHalf{off: outOff, ids: outIDs, delta: make(map[NodeID][]halfEdge)}
 	a.in = adjHalf{off: inOff, ids: inIDs, delta: make(map[NodeID][]halfEdge)}
-	a.baseMaxEdge = maxEdge
+	a.baseMaxEdge = s.nextEdge // every later edge gets a greater ID
 	if len(a.dead) > 0 {
 		a.dead = make(map[EdgeID]struct{})
 	}

@@ -196,15 +196,21 @@ func (s *Store) saveBinaryLocked(w io.Writer) error {
 	// makes the byte stream reproducible across differently-built stores.
 	vocab := make(map[string]struct{})
 	for _, rec := range s.nodes {
+		if rec.n == nil {
+			continue
+		}
 		vocab[rec.n.Type] = struct{}{}
-		for k := range rec.n.Attrs {
-			vocab[k] = struct{}{}
+		for _, kv := range rec.n.Attrs {
+			vocab[kv.Key] = struct{}{}
 		}
 	}
 	for _, rec := range s.edges {
+		if rec.e == nil {
+			continue
+		}
 		vocab[rec.e.Type] = struct{}{}
-		for k := range rec.e.Attrs {
-			vocab[k] = struct{}{}
+		for _, kv := range rec.e.Attrs {
+			vocab[kv.Key] = struct{}{}
 		}
 	}
 	delete(vocab, "") // ref 0 is implicit
@@ -229,35 +235,32 @@ func (s *Store) saveBinaryLocked(w io.Writer) error {
 	b.uvarint(uint64(s.nextNode))
 	b.uvarint(uint64(s.nextEdge))
 
-	writeAttrs := func(attrs map[string]string) {
+	writeAttrs := func(attrs Attrs) {
 		b.uvarint(uint64(len(attrs)))
-		keys := make([]string, 0, len(attrs))
-		for k := range attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b.uvarint(refs[k])
-			b.str(attrs[k])
+		for _, kv := range attrs {
+			b.uvarint(refs[kv.Key])
+			b.str(kv.Val)
 		}
 	}
 
-	b.uvarint(uint64(len(s.nodes)))
-	for _, id := range s.sortedNodeIDsLocked() {
-		n := s.nodes[id].n
-		b.uvarint(uint64(n.ID))
-		b.uvarint(refs[n.Type])
-		b.str(n.Name)
-		writeAttrs(n.Attrs)
+	b.uvarint(uint64(s.nNodes))
+	for _, rec := range s.nodes {
+		if n := rec.n; n != nil {
+			b.uvarint(uint64(n.ID))
+			b.uvarint(refs[n.Type])
+			b.str(n.Name)
+			writeAttrs(n.Attrs)
+		}
 	}
-	b.uvarint(uint64(len(s.edges)))
-	for _, id := range s.sortedEdgeIDsLocked() {
-		e := s.edges[id].e
-		b.uvarint(uint64(e.ID))
-		b.uvarint(refs[e.Type])
-		b.uvarint(uint64(e.From))
-		b.uvarint(uint64(e.To))
-		writeAttrs(e.Attrs)
+	b.uvarint(uint64(s.nEdges))
+	for _, rec := range s.edges {
+		if e := rec.e; e != nil {
+			b.uvarint(uint64(e.ID))
+			b.uvarint(refs[e.Type])
+			b.uvarint(uint64(e.From))
+			b.uvarint(uint64(e.To))
+			writeAttrs(e.Attrs)
+		}
 	}
 	if b.err != nil {
 		return fmt.Errorf("graph: save binary: %w", b.err)
@@ -290,7 +293,7 @@ func loadBinary(br *bufio.Reader) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: load binary: string count: %w", err)
 	}
-	strs := make([]string, 1, minU64(nstrs+1, 4096))
+	strs := make([]string, 1, min(nstrs, 4095)+1)
 	strs[0] = ""
 	for i := uint64(0); i < nstrs; i++ {
 		v, err := b.str()
@@ -305,15 +308,12 @@ func loadBinary(br *bufio.Reader) (*Store, error) {
 		}
 		return strs[r], nil
 	}
-	readAttrs := func() (map[string]string, error) {
+	readAttrs := func() (Attrs, error) {
 		n, err := b.uvarint()
-		if err != nil {
+		if err != nil || n == 0 {
 			return nil, err
 		}
-		if n == 0 {
-			return nil, nil
-		}
-		attrs := make(map[string]string, minU64(n, 256))
+		attrs := make(Attrs, 0, min(n, 256))
 		for i := uint64(0); i < n; i++ {
 			kr, err := b.uvarint()
 			if err != nil {
@@ -323,11 +323,14 @@ func loadBinary(br *bufio.Reader) (*Store, error) {
 			if err != nil {
 				return nil, err
 			}
+			if i > 0 && attrs[i-1].Key >= k {
+				return nil, fmt.Errorf("graph: load binary: attribute keys out of order")
+			}
 			v, err := b.str()
 			if err != nil {
 				return nil, err
 			}
-			attrs[k] = v
+			attrs = append(attrs, Attr{Key: k, Val: v})
 		}
 		return attrs, nil
 	}
@@ -342,6 +345,9 @@ func loadBinary(br *bufio.Reader) (*Store, error) {
 	}
 
 	s := New()
+	if err := s.loadAllocators(NodeID(nextNode), EdgeID(nextEdge)); err != nil {
+		return nil, err
+	}
 	nNodes, err := b.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("graph: load binary: node count: %w", err)
@@ -399,13 +405,6 @@ func loadBinary(br *bufio.Reader) (*Store, error) {
 	if err := b.checkCRC(); err != nil {
 		return nil, err
 	}
-	s.finishLoad(NodeID(nextNode), EdgeID(nextEdge))
+	s.finishLoad()
 	return s, nil
-}
-
-func minU64(v uint64, lim int) int {
-	if v > uint64(lim) {
-		return lim
-	}
-	return int(v)
 }

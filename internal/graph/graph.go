@@ -5,25 +5,31 @@
 // traversal primitives the Cypher engine, the fusion stage, and the
 // exploration API are built on.
 //
-// Internally the store is symbol-interned and copy-on-write: labels, edge
-// types, and attribute names resolve to dense uint32 symbols (symtab.go),
-// every index map is keyed on symbols or small structs rather than built
-// strings, incidence lives in a CSR-style packed layout (adjacency.go),
-// and node/edge records are immutable once published — mutations build a
-// fresh record and swap it in, so accessors hand out shared pointers
-// without copying. None of this is visible at the API: everything exported
-// still speaks strings, and the JSON persistence format is unchanged.
+// Internally the store is symbol-interned, ID-ordered and copy-on-write:
+// labels, edge types, and attribute names resolve to dense uint32 symbols
+// (symtab.go); node and edge records live in slabs indexed by ID (IDs are
+// allocated monotonically and never reused, so a lookup is a bounds check
+// and a deleted entity leaves a nil hole); every secondary index holds
+// ascending ID lists in chunks (posting.go), so scans, persistence and the
+// adjacency rebuild walk in ID order without sorting; incidence lives in a CSR-style
+// packed layout (adjacency.go); attributes are one key-sorted slice per
+// record (attrs.go); and node/edge records are immutable once published —
+// mutations build a fresh record and swap it in, so accessors hand out
+// shared pointers without copying. Apart from the Attrs type none of this
+// is visible at the API: everything exported still speaks strings, and the
+// JSON persistence format is unchanged.
 package graph
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -40,20 +46,20 @@ type EdgeID int64
 // Nodes returned by the store are shared immutable records: treat them
 // (including Attrs) as read-only. Mutating one corrupts indexed state.
 type Node struct {
-	ID    NodeID            `json:"id"`
-	Type  string            `json:"type"`
-	Name  string            `json:"name"`
-	Attrs map[string]string `json:"attrs,omitempty"`
+	ID    NodeID `json:"id"`
+	Type  string `json:"type"`
+	Name  string `json:"name"`
+	Attrs Attrs  `json:"attrs,omitempty"`
 }
 
 // Edge is one directed, typed edge. Edges returned by the store are shared
 // immutable records: treat them (including Attrs) as read-only.
 type Edge struct {
-	ID    EdgeID            `json:"id"`
-	Type  string            `json:"type"`
-	From  NodeID            `json:"from"`
-	To    NodeID            `json:"to"`
-	Attrs map[string]string `json:"attrs,omitempty"`
+	ID    EdgeID `json:"id"`
+	Type  string `json:"type"`
+	From  NodeID `json:"from"`
+	To    NodeID `json:"to"`
+	Attrs Attrs  `json:"attrs,omitempty"`
 }
 
 // Direction selects edge orientation for traversals.
@@ -66,7 +72,8 @@ const (
 )
 
 // nodeRec pairs a node's immutable record with its interned label so
-// index maintenance never re-hashes the label string.
+// index maintenance never re-hashes the label string. A nil n is a hole
+// in the slab: an ID never allocated here, or deleted.
 type nodeRec struct {
 	typ Sym
 	n   *Node
@@ -74,19 +81,12 @@ type nodeRec struct {
 
 // edgeRec carries the adjacency-relevant edge fields (endpoints, interned
 // type) alongside the immutable record, so CSR rebuilds and type filters
-// never chase the record pointer for strings.
+// never chase the record pointer for strings. A nil e is a hole.
 type edgeRec struct {
 	from NodeID
 	to   NodeID
 	typ  Sym
 	e    *Edge
-}
-
-// nodeKeyT is the exact (type, name) merge-index key: interned label +
-// name string, hashed as a struct instead of a concatenation.
-type nodeKeyT struct {
-	typ  Sym
-	name string
 }
 
 // edgeKeyT is the (from, type, to) dedup-index key.
@@ -121,10 +121,15 @@ type Store struct {
 	// always writerMu before mu.
 	writerMu sync.Mutex
 
-	syms  *symtab
-	nodes map[NodeID]nodeRec
-	edges map[EdgeID]edgeRec
-	adj   *adjacency
+	syms *symtab
+	// nodes[id] / edges[id] is the current record of the entity, slot 0
+	// unused. Both slabs end at or before nextNode / nextEdge; nNodes and
+	// nEdges count the slots that are not holes.
+	nodes  []nodeRec
+	edges  []edgeRec
+	nNodes int
+	nEdges int
+	adj    *adjacency
 
 	// MVCC side state (mvcc.go). commitTS is the timestamp of the last
 	// committed write; curProv is the in-flight (provisional) timestamp a
@@ -144,16 +149,18 @@ type Store struct {
 	edgeOld   map[EdgeID][]edgeVer
 	snaps     map[uint64]int // active snapshot count per asOf timestamp
 
-	byKey  map[nodeKeyT]NodeID            // exact (type, name) merge index
-	byType map[Sym]map[NodeID]struct{}    // label index; empty sets are pruned
-	byName map[string]map[NodeID]struct{} // name index across types; empty sets are pruned
-	// propIdx[key][val] is the node set for one indexed attribute value;
+	byType map[Sym]posting // label index; empty postings are pruned
+	// byName is the name index across types, empty postings pruned. It is
+	// the merge index too: the exact (type, name) probe filters the name's
+	// posting — almost always one ID long — by the records' labels.
+	byName map[string]posting
+	// propIdx[key][val] is the posting for one indexed attribute value;
 	// propIdxSize[key] counts the nodes carrying the key (sum over vals),
 	// kept live so AvgAttrBucket is O(1).
-	propIdx     map[Sym]map[string]map[NodeID]struct{}
+	propIdx     map[Sym]map[string]posting
 	propIdxSize map[Sym]int
-	typeAttr    map[typeAttrKeyT]map[NodeID]struct{} // composite (type, key, val) index for indexed attrs
-	indexed     map[Sym]bool                         // which attribute keys are indexed
+	typeAttr    map[typeAttrKeyT]posting // composite (type, key, val) index for indexed attrs
+	indexed     map[Sym]bool             // which attribute keys are indexed
 	edgeKey     map[edgeKeyT]EdgeID
 
 	edgeTypeCount map[Sym]int // live per-type edge counts for the statistics layer
@@ -206,15 +213,14 @@ type Store struct {
 func New() *Store {
 	s := &Store{
 		syms:          newSymtab(),
-		nodes:         make(map[NodeID]nodeRec),
-		edges:         make(map[EdgeID]edgeRec),
+		nodes:         make([]nodeRec, 1),
+		edges:         make([]edgeRec, 1),
 		adj:           newAdjacency(),
-		byKey:         make(map[nodeKeyT]NodeID),
-		byType:        make(map[Sym]map[NodeID]struct{}),
-		byName:        make(map[string]map[NodeID]struct{}),
-		propIdx:       make(map[Sym]map[string]map[NodeID]struct{}),
+		byType:        make(map[Sym]posting),
+		byName:        make(map[string]posting),
+		propIdx:       make(map[Sym]map[string]posting),
 		propIdxSize:   make(map[Sym]int),
-		typeAttr:      make(map[typeAttrKeyT]map[NodeID]struct{}),
+		typeAttr:      make(map[typeAttrKeyT]posting),
 		indexed:       make(map[Sym]bool),
 		edgeKey:       make(map[edgeKeyT]EdgeID),
 		edgeTypeCount: make(map[Sym]int),
@@ -225,28 +231,83 @@ func New() *Store {
 		edgeOld:       make(map[EdgeID][]edgeVer),
 		snaps:         make(map[uint64]int),
 	}
-	s.adj.all = []EdgeID{}
 	s.rebaseStatsLocked()
 	return s
 }
 
-// Reserve pre-sizes the store's core maps for a bulk load of roughly
-// nodes nodes and edges edges, eliminating the incremental rehashing a
-// long insert sequence otherwise pays. Only empty maps are replaced —
-// on a store that already holds data Reserve is a no-op — so callers
-// (recovery, bulk import) can pass a cheap upper bound unconditionally.
+// Reserve pre-sizes the store for a bulk load of roughly nodes nodes and
+// edges edges: slab capacity for that many records and room in the name
+// and edge-dedup maps, eliminating the incremental regrowth a long insert
+// sequence otherwise pays. Only an empty store is resized — on one that
+// already holds data Reserve is a no-op — so callers (recovery, bulk
+// import) can pass a cheap upper bound unconditionally.
 func (s *Store) Reserve(nodes, edges int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if nodes > 0 && len(s.nodes) == 0 {
-		s.nodes = make(map[NodeID]nodeRec, nodes)
-		s.byKey = make(map[nodeKeyT]NodeID, nodes)
-		s.byName = make(map[string]map[NodeID]struct{}, nodes)
+	if nodes > 0 && s.nNodes == 0 {
+		s.nodes = slices.Grow(s.nodes, nodes)
+		s.byName = make(map[string]posting, nodes)
 	}
-	if edges > 0 && len(s.edges) == 0 {
-		s.edges = make(map[EdgeID]edgeRec, edges)
+	if edges > 0 && s.nEdges == 0 {
+		s.edges = slices.Grow(s.edges, edges)
 		s.edgeKey = make(map[edgeKeyT]EdgeID, edges)
 	}
+}
+
+// nodeAt returns node id's current record; ok is false for an ID outside
+// the slab and for a hole.
+func (s *Store) nodeAt(id NodeID) (nodeRec, bool) {
+	if uint64(id) < uint64(len(s.nodes)) {
+		rec := s.nodes[id]
+		return rec, rec.n != nil
+	}
+	return nodeRec{}, false
+}
+
+func (s *Store) edgeAt(id EdgeID) (edgeRec, bool) {
+	if uint64(id) < uint64(len(s.edges)) {
+		rec := s.edges[id]
+		return rec, rec.e != nil
+	}
+	return edgeRec{}, false
+}
+
+// slot returns slab grown so that index i exists. New slots are holes:
+// capacity past the length is always zero, because cutSlab clears what it
+// cuts.
+func slot[R any](slab []R, i int) []R {
+	if i < len(slab) {
+		return slab
+	}
+	return slices.Grow(slab, i+1-len(slab))[:i+1]
+}
+
+// cutSlab shortens slab to n slots, clearing the tail it drops.
+func cutSlab[R any](slab []R, n int) []R {
+	if n >= len(slab) {
+		return slab
+	}
+	clear(slab[n:])
+	return slab[:n]
+}
+
+// canonKeys swaps every key of a freshly built attr set for the store's
+// interned copy, so each record shares one heap string per key.
+func (s *Store) canonKeys(a Attrs) Attrs {
+	for i := range a {
+		a[i].Key = s.syms.canon(a[i].Key)
+	}
+	return a
+}
+
+// findLocked is the exact (type, name) probe of the merge index.
+func (s *Store) findLocked(typ Sym, name string) (NodeID, bool) {
+	for id := range s.byName[name].all() {
+		if s.nodes[id].typ == typ {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // QueryCache returns the store-scoped slot higher layers use to share
@@ -277,53 +338,43 @@ func (s *Store) IndexAttr(key string) {
 	// A new access path always changes what the planner may pick: bump the
 	// planner-facing stats version unconditionally.
 	s.bumpStatsLocked()
-	s.propIdx[ks] = make(map[string]map[NodeID]struct{})
-	for id, rec := range s.nodes {
-		if v, ok := rec.n.Attrs[key]; ok {
-			s.propIdxAdd(ks, v, id)
-			s.typeAttrAdd(rec.typ, ks, v, id)
+	s.propIdx[ks] = make(map[string]posting)
+	for _, rec := range s.nodes {
+		if rec.n == nil {
+			continue
+		}
+		if v, ok := rec.n.Attrs.Lookup(key); ok {
+			s.indexAttr(rec.typ, ks, v, rec.n.ID)
 		}
 	}
 }
 
-func (s *Store) typeAttrAdd(typ, key Sym, val string, id NodeID) {
-	k := typeAttrKeyT{typ: typ, key: key, val: val}
-	set, ok := s.typeAttr[k]
-	if !ok {
-		set = make(map[NodeID]struct{})
-		s.typeAttr[k] = set
-	}
-	set[id] = struct{}{}
-}
-
-func (s *Store) typeAttrDel(typ, key Sym, val string, id NodeID) {
-	k := typeAttrKeyT{typ: typ, key: key, val: val}
-	if set, ok := s.typeAttr[k]; ok {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(s.typeAttr, k)
-		}
-	}
-}
-
-func (s *Store) propIdxAdd(key Sym, val string, id NodeID) {
+// indexAttr files node id under an indexed attribute's value in both
+// attribute indexes; unindexAttr is its inverse.
+func (s *Store) indexAttr(typ, key Sym, val string, id NodeID) {
 	m := s.propIdx[key]
-	set, ok := m[val]
-	if !ok {
-		set = make(map[NodeID]struct{})
-		m[val] = set
-	}
-	set[id] = struct{}{}
+	m[val] = m[val].add(id)
 	s.propIdxSize[key]++
+	k := typeAttrKeyT{typ: typ, key: key, val: val}
+	s.typeAttr[k] = s.typeAttr[k].add(id)
 }
 
-func (s *Store) propIdxDel(key Sym, val string, id NodeID) {
-	if set, ok := s.propIdx[key][val]; ok {
-		if _, had := set[id]; had {
-			delete(set, id)
-			s.propIdxSize[key]--
-			if len(set) == 0 {
-				delete(s.propIdx[key], val)
+func (s *Store) unindexAttr(typ, key Sym, val string, id NodeID) {
+	if unfile(s.propIdx[key], val, id) {
+		s.propIdxSize[key]--
+	}
+	unfile(s.typeAttr, typeAttrKeyT{typ: typ, key: key, val: val}, id)
+}
+
+// indexAttrsLocked files (or, with file false, unfiles) every indexed
+// attribute of rec.
+func (s *Store) indexAttrsLocked(rec nodeRec, file bool) {
+	for _, kv := range rec.n.Attrs {
+		if ks := s.syms.lookup(kv.Key); s.indexed[ks] {
+			if file {
+				s.indexAttr(rec.typ, ks, kv.Val, rec.n.ID)
+			} else {
+				s.unindexAttr(rec.typ, ks, kv.Val, rec.n.ID)
 			}
 		}
 	}
@@ -346,35 +397,26 @@ func (s *Store) MergeNode(typ, name string, attrs map[string]string) (NodeID, bo
 
 func (s *Store) mergeNodeLocked(typ, name string, attrs map[string]string) (NodeID, bool) {
 	tsym := s.syms.intern(typ)
-	key := nodeKeyT{typ: tsym, name: name}
-	if id, ok := s.byKey[key]; ok {
+	if id, ok := s.findLocked(tsym, name); ok {
 		s.mergeHits++
 		rec := s.nodes[id]
-		n := rec.n
 		// Copy-on-write: records already published to readers are never
-		// touched — augmentation builds a fresh attr map and node.
-		var merged map[string]string
+		// touched — augmentation builds a fresh attr slice and node.
+		merged := rec.n.Attrs
 		for k, v := range attrs {
-			if _, exists := n.Attrs[k]; !exists {
-				if merged == nil {
-					merged = make(map[string]string, len(n.Attrs)+len(attrs))
-					for k2, v2 := range n.Attrs {
-						merged[k2] = v2
-					}
-				}
+			if _, exists := rec.n.Attrs.Lookup(k); !exists {
 				ks := s.syms.intern(k)
-				merged[s.syms.str(ks)] = v
+				merged = merged.with(s.syms.str(ks), v)
 				if s.indexed[ks] {
-					s.propIdxAdd(ks, v, id)
-					s.typeAttrAdd(tsym, ks, v, id)
+					s.indexAttr(tsym, ks, v, id)
 				}
 			}
 		}
-		if merged != nil {
+		if len(merged) != len(rec.n.Attrs) {
 			s.retireNodeLocked(id, rec, true)
-			nn := *n
+			nn := *rec.n
 			nn.Attrs = merged
-			s.nodes[id] = nodeRec{typ: rec.typ, n: &nn}
+			s.nodes[id].n = &nn
 			s.stampNodeLocked(id)
 			s.noteMutation(Mutation{Op: OpMergeNode, Type: typ, Name: name, Attrs: attrs})
 		}
@@ -382,30 +424,10 @@ func (s *Store) mergeNodeLocked(typ, name string, attrs map[string]string) (Node
 	}
 	s.nextNode++
 	id := s.nextNode
-	n := &Node{ID: id, Type: s.syms.str(tsym), Name: name}
-	if len(attrs) > 0 {
-		n.Attrs = make(map[string]string, len(attrs))
-		for k, v := range attrs {
-			ks := s.syms.intern(k)
-			n.Attrs[s.syms.str(ks)] = v
-			if s.indexed[ks] {
-				s.propIdxAdd(ks, v, id)
-				s.typeAttrAdd(tsym, ks, v, id)
-			}
-		}
-	}
+	n := &Node{ID: id, Type: s.syms.str(tsym), Name: name, Attrs: s.canonKeys(newAttrs(attrs))}
 	s.retireNodeLocked(id, nodeRec{}, false)
-	s.nodes[id] = nodeRec{typ: tsym, n: n}
+	s.installNodeLocked(id, nodeRec{typ: tsym, n: n})
 	s.stampNodeLocked(id)
-	s.byKey[key] = id
-	if s.byType[tsym] == nil {
-		s.byType[tsym] = make(map[NodeID]struct{})
-	}
-	s.byType[tsym][id] = struct{}{}
-	if s.byName[name] == nil {
-		s.byName[name] = make(map[NodeID]struct{})
-	}
-	s.byName[name][id] = struct{}{}
 	s.noteMutation(Mutation{Op: OpMergeNode, Type: typ, Name: name, Attrs: attrs})
 	return id, true
 }
@@ -424,57 +446,20 @@ func (s *Store) AddEdge(from NodeID, typ string, to NodeID, attrs map[string]str
 }
 
 func (s *Store) addEdgePublicLocked(from NodeID, typ string, to NodeID, attrs map[string]string) (EdgeID, bool, error) {
-	if _, ok := s.nodes[from]; !ok {
+	if _, ok := s.nodeAt(from); !ok {
 		return 0, false, fmt.Errorf("graph: AddEdge: unknown source node %d", from)
 	}
-	if _, ok := s.nodes[to]; !ok {
+	if _, ok := s.nodeAt(to); !ok {
 		return 0, false, fmt.Errorf("graph: AddEdge: unknown target node %d", to)
 	}
-	tsym := s.syms.intern(typ)
-	ek := edgeKeyT{from: from, to: to, typ: tsym}
-	if id, ok := s.edgeKey[ek]; ok {
-		rec := s.edges[id]
-		e := rec.e
-		var merged map[string]string
-		for k, v := range attrs {
-			if _, exists := e.Attrs[k]; !exists {
-				if merged == nil {
-					merged = make(map[string]string, len(e.Attrs)+len(attrs))
-					for k2, v2 := range e.Attrs {
-						merged[k2] = v2
-					}
-				}
-				merged[s.syms.canon(k)] = v
-			}
-		}
-		if merged != nil {
-			s.retireEdgeLocked(id, rec, true)
-			ne := *e
-			ne.Attrs = merged
-			s.edges[id] = edgeRec{from: rec.from, to: rec.to, typ: rec.typ, e: &ne}
-			s.stampEdgeLocked(id)
-			s.noteMutation(Mutation{Op: OpAddEdge, From: from, Type: typ, To: to, Attrs: attrs})
-		}
-		return id, false, nil
+	id, created, changed := s.addEdgeLocked(from, s.syms.intern(typ), to, s.canonKeys(newAttrs(attrs)))
+	if changed {
+		s.noteMutation(Mutation{Op: OpAddEdge, From: from, Type: typ, To: to, Attrs: attrs})
 	}
-	s.nextEdge++
-	id := s.nextEdge
-	e := &Edge{ID: id, Type: s.syms.str(tsym), From: from, To: to}
-	if len(attrs) > 0 {
-		e.Attrs = make(map[string]string, len(attrs))
-		for k, v := range attrs {
-			e.Attrs[s.syms.canon(k)] = v
-		}
+	if created {
+		s.maybeRebuildAdjLocked()
 	}
-	s.retireEdgeLocked(id, edgeRec{}, false)
-	s.edges[id] = edgeRec{from: from, to: to, typ: tsym, e: e}
-	s.stampEdgeLocked(id)
-	s.edgeKey[ek] = id
-	s.adj.addEdge(id, from, to, tsym)
-	s.edgeTypeCount[tsym]++
-	s.noteMutation(Mutation{Op: OpAddEdge, From: from, Type: typ, To: to, Attrs: attrs})
-	s.maybeRebuildAdjLocked()
-	return id, true, nil
+	return id, created, nil
 }
 
 // Node returns the node (nil if absent). The returned record is shared and
@@ -482,10 +467,7 @@ func (s *Store) addEdgePublicLocked(from NodeID, typ string, to NodeID, attrs ma
 func (s *Store) Node(id NodeID) *Node {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rec, ok := s.nodes[id]
-	if !ok {
-		return nil
-	}
+	rec, _ := s.nodeAt(id)
 	return rec.n
 }
 
@@ -504,7 +486,8 @@ func (s *Store) Nodes(dst []*Node, ids []NodeID) []*Node {
 		ids = ids[len(chunk):]
 		s.mu.RLock()
 		for _, id := range chunk {
-			dst = append(dst, s.nodes[id].n)
+			rec, _ := s.nodeAt(id)
+			dst = append(dst, rec.n)
 		}
 		s.mu.RUnlock()
 	}
@@ -516,10 +499,7 @@ func (s *Store) Nodes(dst []*Node, ids []NodeID) []*Node {
 func (s *Store) Edge(id EdgeID) *Edge {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rec, ok := s.edges[id]
-	if !ok {
-		return nil
-	}
+	rec, _ := s.edgeAt(id)
 	return rec.e
 }
 
@@ -527,7 +507,7 @@ func (s *Store) Edge(id EdgeID) *Edge {
 func (s *Store) FindNode(typ, name string) *Node {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if id, ok := s.byKey[nodeKeyT{typ: s.syms.lookup(typ), name: name}]; ok {
+	if id, ok := s.findLocked(s.syms.lookup(typ), name); ok {
 		return s.nodes[id].n
 	}
 	return nil
@@ -538,40 +518,39 @@ func (s *Store) FindNode(typ, name string) *Node {
 func (s *Store) NodesByName(name string) []*Node {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.collect(s.byName[name])
+	return s.nodesOfLocked(s.byName[name])
 }
 
 // NodesByType returns all nodes with the given type, sorted by ID.
 func (s *Store) NodesByType(typ string) []*Node {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.collect(s.byType[s.syms.lookup(typ)])
+	return s.nodesOfLocked(s.byType[s.syms.lookup(typ)])
 }
 
-// NodesByAttr returns nodes with attrs[key] == val. If the attribute is
-// indexed the lookup is O(result); otherwise it scans.
+// NodesByAttr returns nodes with attrs[key] == val, sorted by ID. If the
+// attribute is indexed the lookup is O(result); otherwise it scans.
 func (s *Store) NodesByAttr(key, val string) []*Node {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if ks := s.syms.lookup(key); s.indexed[ks] {
-		return s.collect(s.propIdx[ks][val])
+		return s.nodesOfLocked(s.propIdx[ks][val])
 	}
 	var out []*Node
 	for _, rec := range s.nodes {
-		if rec.n.Attrs[key] == val {
+		if rec.n != nil && rec.n.Attrs.Get(key) == val {
 			out = append(out, rec.n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-func (s *Store) collect(set map[NodeID]struct{}) []*Node {
-	out := make([]*Node, 0, len(set))
-	for id := range set {
+// nodesOfLocked resolves a posting to its nodes' records.
+func (s *Store) nodesOfLocked(p posting) []*Node {
+	out := make([]*Node, 0, p.n)
+	for id := range p.all() {
 		out = append(out, s.nodes[id].n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -595,7 +574,7 @@ func (s *Store) Edges(id NodeID, dir Direction) []*Edge {
 	// Each direction walks in ascending edge-ID order already; only a Both
 	// walk whose out and in blocks interleave pays the sort.
 	if !sorted {
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		slices.SortFunc(out, func(a, b *Edge) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	return out
 }
@@ -605,12 +584,18 @@ func (s *Store) Edges(id NodeID, dir Direction) []*Edge {
 func (s *Store) Neighbors(id NodeID, dir Direction) []*Node {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	seen := make(map[NodeID]struct{})
+	var ids []NodeID
 	s.adj.forEach(id, dir, func(he halfEdge) bool {
-		seen[he.other] = struct{}{}
+		ids = append(ids, he.other)
 		return true
 	})
-	return s.collect(seen)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	out := make([]*Node, len(ids))
+	for i, id := range ids {
+		out[i] = s.nodes[id].n
+	}
+	return out
 }
 
 // SetAttr sets one attribute on a node, updating indexes.
@@ -625,33 +610,25 @@ func (s *Store) SetAttr(id NodeID, key, val string) error {
 }
 
 func (s *Store) setAttrLocked(id NodeID, key, val string) error {
-	rec, ok := s.nodes[id]
+	rec, ok := s.nodeAt(id)
 	if !ok {
 		return fmt.Errorf("graph: SetAttr: unknown node %d", id)
 	}
-	n := rec.n
-	old, had := n.Attrs[key]
+	old, had := rec.n.Attrs.Lookup(key)
 	if had && old == val {
 		return nil // no-op write: nothing to invalidate or log
 	}
 	ks := s.syms.intern(key)
 	if had && s.indexed[ks] {
-		s.propIdxDel(ks, old, id)
-		s.typeAttrDel(rec.typ, ks, old, id)
+		s.unindexAttr(rec.typ, ks, old, id)
 	}
-	merged := make(map[string]string, len(n.Attrs)+1)
-	for k, v := range n.Attrs {
-		merged[k] = v
-	}
-	merged[s.syms.str(ks)] = val
 	s.retireNodeLocked(id, rec, true)
-	nn := *n
-	nn.Attrs = merged
-	s.nodes[id] = nodeRec{typ: rec.typ, n: &nn}
+	nn := *rec.n
+	nn.Attrs = rec.n.Attrs.with(s.syms.str(ks), val)
+	s.nodes[id].n = &nn
 	s.stampNodeLocked(id)
 	if s.indexed[ks] {
-		s.propIdxAdd(ks, val, id)
-		s.typeAttrAdd(rec.typ, ks, val, id)
+		s.indexAttr(rec.typ, ks, val, id)
 	}
 	s.noteMutation(Mutation{Op: OpSetAttr, Node: id, Key: key, Val: val})
 	return nil
@@ -669,7 +646,7 @@ func (s *Store) DeleteNode(id NodeID) error {
 }
 
 func (s *Store) deleteNodeLocked(id NodeID) error {
-	rec, ok := s.nodes[id]
+	rec, ok := s.nodeAt(id)
 	if !ok {
 		return fmt.Errorf("graph: DeleteNode: unknown node %d", id)
 	}
@@ -691,55 +668,24 @@ func (s *Store) deleteNodeLocked(id NodeID) error {
 }
 
 // uninstallNodeLocked removes node id's current record and every index
-// entry derived from it. Shared by DeleteNode and transaction rollback
-// (which strips the tx's version before reinstalling the pre-image).
+// entry derived from it. Shared by DeleteNode and transaction rollback.
 func (s *Store) uninstallNodeLocked(id NodeID, rec nodeRec) {
-	n := rec.n
-	key := nodeKeyT{typ: rec.typ, name: n.Name}
-	if cur, ok := s.byKey[key]; ok && cur == id {
-		delete(s.byKey, key)
-	}
-	if set := s.byType[rec.typ]; set != nil {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(s.byType, rec.typ)
-		}
-	}
-	if set := s.byName[n.Name]; set != nil {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(s.byName, n.Name)
-		}
-	}
-	for k, v := range n.Attrs {
-		if ks := s.syms.lookup(k); s.indexed[ks] {
-			s.propIdxDel(ks, v, id)
-			s.typeAttrDel(rec.typ, ks, v, id)
-		}
-	}
-	delete(s.nodes, id)
+	unfile(s.byType, rec.typ, id)
+	unfile(s.byName, rec.n.Name, id)
+	s.indexAttrsLocked(rec, false)
+	s.nodes[id] = nodeRec{}
+	s.nNodes--
 }
 
-// installNodeLocked is uninstallNodeLocked's inverse: it republishes a
-// node record and rebuilds its index entries. Only rollback uses it.
+// installNodeLocked is uninstallNodeLocked's inverse: it publishes a node
+// record (growing the slab for a new ID) and files its index entries.
 func (s *Store) installNodeLocked(id NodeID, rec nodeRec) {
-	n := rec.n
+	s.nodes = slot(s.nodes, int(id))
 	s.nodes[id] = rec
-	s.byKey[nodeKeyT{typ: rec.typ, name: n.Name}] = id
-	if s.byType[rec.typ] == nil {
-		s.byType[rec.typ] = make(map[NodeID]struct{})
-	}
-	s.byType[rec.typ][id] = struct{}{}
-	if s.byName[n.Name] == nil {
-		s.byName[n.Name] = make(map[NodeID]struct{})
-	}
-	s.byName[n.Name][id] = struct{}{}
-	for k, v := range n.Attrs {
-		if ks := s.syms.lookup(k); s.indexed[ks] {
-			s.propIdxAdd(ks, v, id)
-			s.typeAttrAdd(rec.typ, ks, v, id)
-		}
-	}
+	s.nNodes++
+	s.byType[rec.typ] = s.byType[rec.typ].add(id)
+	s.byName[rec.n.Name] = s.byName[rec.n.Name].add(id)
+	s.indexAttrsLocked(rec, true)
 }
 
 // DeleteEdge removes one edge.
@@ -754,7 +700,7 @@ func (s *Store) DeleteEdge(id EdgeID) error {
 }
 
 func (s *Store) deleteEdgePublicLocked(id EdgeID) error {
-	if _, ok := s.edges[id]; !ok {
+	if _, ok := s.edgeAt(id); !ok {
 		return fmt.Errorf("graph: DeleteEdge: unknown edge %d", id)
 	}
 	s.deleteEdgeLocked(id)
@@ -764,7 +710,7 @@ func (s *Store) deleteEdgePublicLocked(id EdgeID) error {
 }
 
 func (s *Store) deleteEdgeLocked(id EdgeID) {
-	rec, ok := s.edges[id]
+	rec, ok := s.edgeAt(id)
 	if !ok {
 		return
 	}
@@ -779,19 +725,22 @@ func (s *Store) deleteEdgeLocked(id EdgeID) {
 // wholesale). Shared by deleteEdgeLocked and transaction rollback.
 func (s *Store) uninstallEdgeLocked(id EdgeID, rec edgeRec) {
 	ek := edgeKeyT{from: rec.from, to: rec.to, typ: rec.typ}
-	if cur, ok := s.edgeKey[ek]; ok && cur == id {
+	if s.edgeKey[ek] == id {
 		delete(s.edgeKey, ek)
 	}
-	delete(s.edges, id)
+	s.edges[id] = edgeRec{}
+	s.nEdges--
 	if s.edgeTypeCount[rec.typ]--; s.edgeTypeCount[rec.typ] <= 0 {
 		delete(s.edgeTypeCount, rec.typ)
 	}
 }
 
-// installEdgeLocked republishes an edge record and its index entries
-// (again excluding adjacency). Only rollback uses it.
+// installEdgeLocked publishes an edge record (growing the slab for a new
+// ID) and its index entries, again excluding adjacency.
 func (s *Store) installEdgeLocked(id EdgeID, rec edgeRec) {
+	s.edges = slot(s.edges, int(id))
 	s.edges[id] = rec
+	s.nEdges++
 	s.edgeKey[edgeKeyT{from: rec.from, to: rec.to, typ: rec.typ}] = id
 	s.edgeTypeCount[rec.typ]++
 }
@@ -811,10 +760,10 @@ func (s *Store) MigrateEdges(from, to NodeID) error {
 }
 
 func (s *Store) migrateEdgesLocked(from, to NodeID) error {
-	if _, ok := s.nodes[from]; !ok {
+	if _, ok := s.nodeAt(from); !ok {
 		return fmt.Errorf("graph: MigrateEdges: unknown node %d", from)
 	}
-	if _, ok := s.nodes[to]; !ok {
+	if _, ok := s.nodeAt(to); !ok {
 		return fmt.Errorf("graph: MigrateEdges: unknown node %d", to)
 	}
 	var outs, ins []EdgeID
@@ -831,24 +780,20 @@ func (s *Store) migrateEdgesLocked(from, to NodeID) error {
 	}
 	for _, eid := range outs {
 		rec := s.edges[eid]
-		typ, dst, attrs := rec.typ, rec.to, rec.e.Attrs
 		s.deleteEdgeLocked(eid)
-		if dst == to || dst == from {
-			continue
+		if rec.to != to && rec.to != from {
+			s.addEdgeLocked(to, rec.typ, rec.to, rec.e.Attrs)
 		}
-		s.addEdgeLocked(to, typ, dst, attrs)
 	}
 	for _, eid := range ins {
-		rec, ok := s.edges[eid]
+		rec, ok := s.edgeAt(eid)
 		if !ok {
 			continue // already removed as an out-edge self pair
 		}
-		typ, src, attrs := rec.typ, rec.from, rec.e.Attrs
 		s.deleteEdgeLocked(eid)
-		if src == to || src == from {
-			continue
+		if rec.from != to && rec.from != from {
+			s.addEdgeLocked(rec.from, rec.typ, to, rec.e.Attrs)
 		}
-		s.addEdgeLocked(src, typ, to, attrs)
 	}
 	// One logical record regardless of fan-in/out: replaying the call
 	// reproduces every per-edge delete/re-add deterministically.
@@ -857,76 +802,69 @@ func (s *Store) migrateEdgesLocked(from, to NodeID) error {
 	return nil
 }
 
-// addEdgeLocked inserts or augments an edge whose attrs map is already
-// safe to share (it comes from an immutable record).
-func (s *Store) addEdgeLocked(from NodeID, typ Sym, to NodeID, attrs map[string]string) {
+// addEdgeLocked inserts the edge, or augments the one already holding
+// its (from, type, to) with the attrs it lacks (first writer wins). attrs
+// carries canonical keys and is safe to share: it is freshly built or
+// comes from an immutable record. Reports the edge, whether it is new,
+// and whether anything changed.
+func (s *Store) addEdgeLocked(from NodeID, typ Sym, to NodeID, attrs Attrs) (id EdgeID, created, changed bool) {
 	ek := edgeKeyT{from: from, to: to, typ: typ}
 	if id, ok := s.edgeKey[ek]; ok {
 		rec := s.edges[id]
-		e := rec.e
-		var merged map[string]string
-		for k, v := range attrs {
-			if _, exists := e.Attrs[k]; !exists {
-				if merged == nil {
-					merged = make(map[string]string, len(e.Attrs)+len(attrs))
-					for k2, v2 := range e.Attrs {
-						merged[k2] = v2
-					}
-				}
-				merged[k] = v
+		merged := rec.e.Attrs
+		for _, kv := range attrs {
+			if _, exists := rec.e.Attrs.Lookup(kv.Key); !exists {
+				merged = merged.with(kv.Key, kv.Val)
 			}
 		}
-		if merged != nil {
-			s.retireEdgeLocked(id, rec, true)
-			ne := *e
-			ne.Attrs = merged
-			s.edges[id] = edgeRec{from: rec.from, to: rec.to, typ: rec.typ, e: &ne}
-			s.stampEdgeLocked(id)
+		if len(merged) == len(rec.e.Attrs) {
+			return id, false, false
 		}
-		return
+		s.retireEdgeLocked(id, rec, true)
+		ne := *rec.e
+		ne.Attrs = merged
+		s.edges[id].e = &ne
+		s.stampEdgeLocked(id)
+		return id, false, true
 	}
 	s.nextEdge++
-	id := s.nextEdge
-	e := &Edge{ID: id, Type: s.syms.str(typ), From: from, To: to}
-	if len(attrs) > 0 {
-		e.Attrs = attrs
-	}
+	id = s.nextEdge
+	e := &Edge{ID: id, Type: s.syms.str(typ), From: from, To: to, Attrs: attrs}
 	s.retireEdgeLocked(id, edgeRec{}, false)
-	s.edges[id] = edgeRec{from: from, to: to, typ: typ, e: e}
+	s.installEdgeLocked(id, edgeRec{from: from, to: to, typ: typ, e: e})
 	s.stampEdgeLocked(id)
-	s.edgeKey[ek] = id
 	s.adj.addEdge(id, from, to, typ)
-	s.edgeTypeCount[typ]++
+	return id, true, true
 }
 
-// ForEachNode calls fn for every node; iteration stops if fn returns false.
-// The callback receives the shared immutable record.
+// ForEachNode calls fn for every node in ID order; iteration stops if fn
+// returns false. The callback receives the shared immutable record.
 func (s *Store) ForEachNode(fn func(*Node) bool) {
-	s.mu.RLock()
-	ids := make([]NodeID, 0, len(s.nodes))
-	for id := range s.nodes {
-		ids = append(ids, id)
-	}
-	s.mu.RUnlock()
-	forEachNodeChunked(s, sortNodeIDs(ids), fn)
+	forEachNodeChunked(s, s.AllNodeIDs(), fn)
 }
 
-// ForEachEdge calls fn for every edge; iteration stops if fn returns false.
+// ForEachEdge calls fn for every edge in ID order; iteration stops if fn
+// returns false. It walks the slab as long as it was when the walk
+// began, copying out at most nodeChunk records per hold of the read lock
+// and calling fn on them outside it.
 func (s *Store) ForEachEdge(fn func(*Edge) bool) {
 	s.mu.RLock()
-	ids := make([]EdgeID, 0, len(s.edges))
-	for id := range s.edges {
-		ids = append(ids, id)
-	}
+	end := len(s.edges)
 	s.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e := s.Edge(id)
-		if e == nil {
-			continue
+	buf := make([]*Edge, 0, min(end, nodeChunk))
+	for lo := 1; lo < end; lo += nodeChunk {
+		buf = buf[:0]
+		s.mu.RLock()
+		for _, rec := range s.edges[min(lo, len(s.edges)):min(lo+nodeChunk, end, len(s.edges))] {
+			if rec.e != nil {
+				buf = append(buf, rec.e)
+			}
 		}
-		if !fn(e) {
-			return
+		s.mu.RUnlock()
+		for _, e := range buf {
+			if !fn(e) {
+				return
+			}
 		}
 	}
 }
@@ -947,14 +885,14 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := Stats{
-		Nodes:       len(s.nodes),
-		Edges:       len(s.edges),
+		Nodes:       s.nNodes,
+		Edges:       s.nEdges,
 		NodesByType: make(map[string]int, len(s.byType)),
 		EdgesByType: make(map[string]int, len(s.edgeTypeCount)),
 		MergeHits:   s.mergeHits,
 	}
-	for sy, set := range s.byType {
-		st.NodesByType[s.syms.str(sy)] = len(set)
+	for sy, p := range s.byType {
+		st.NodesByType[s.syms.str(sy)] = p.n
 	}
 	for sy, c := range s.edgeTypeCount {
 		st.EdgesByType[s.syms.str(sy)] = c
@@ -1005,40 +943,28 @@ func (s *Store) saveLocked(w io.Writer) error {
 	hdr := persistHeader{
 		Magic: persistMagic, Version: 1,
 		NextNode: s.nextNode, NextEdge: s.nextEdge,
-		Nodes: len(s.nodes), Edges: len(s.edges),
+		Nodes: s.nNodes, Edges: s.nEdges,
 	}
 	if err := enc.Encode(hdr); err != nil {
 		return fmt.Errorf("graph: save header: %w", err)
 	}
-	for _, id := range s.sortedNodeIDsLocked() {
-		if err := enc.Encode(s.nodes[id].n); err != nil {
-			return fmt.Errorf("graph: save node %d: %w", id, err)
+	for _, rec := range s.nodes {
+		if rec.n == nil {
+			continue
+		}
+		if err := enc.Encode(rec.n); err != nil {
+			return fmt.Errorf("graph: save node %d: %w", rec.n.ID, err)
 		}
 	}
-	for _, id := range s.sortedEdgeIDsLocked() {
-		if err := enc.Encode(s.edges[id].e); err != nil {
-			return fmt.Errorf("graph: save edge %d: %w", id, err)
+	for _, rec := range s.edges {
+		if rec.e == nil {
+			continue
+		}
+		if err := enc.Encode(rec.e); err != nil {
+			return fmt.Errorf("graph: save edge %d: %w", rec.e.ID, err)
 		}
 	}
 	return bw.Flush()
-}
-
-func (s *Store) sortedNodeIDsLocked() []NodeID {
-	nids := make([]NodeID, 0, len(s.nodes))
-	for id := range s.nodes {
-		nids = append(nids, id)
-	}
-	sort.Slice(nids, func(i, j int) bool { return nids[i] < nids[j] })
-	return nids
-}
-
-func (s *Store) sortedEdgeIDsLocked() []EdgeID {
-	eids := make([]EdgeID, 0, len(s.edges))
-	for id := range s.edges {
-		eids = append(eids, id)
-	}
-	sort.Slice(eids, func(i, j int) bool { return eids[i] < eids[j] })
-	return eids
 }
 
 // Load reads a graph previously written by Save or SaveBinary into an
@@ -1065,6 +991,9 @@ func loadJSON(br *bufio.Reader) (*Store, error) {
 	if hdr.Version != 1 {
 		return nil, fmt.Errorf("graph: unsupported version %d", hdr.Version)
 	}
+	if err := s.loadAllocators(hdr.NextNode, hdr.NextEdge); err != nil {
+		return nil, err
+	}
 	for i := 0; i < hdr.Nodes; i++ {
 		var n Node
 		if err := dec.Decode(&n); err != nil {
@@ -1083,69 +1012,69 @@ func loadJSON(br *bufio.Reader) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.finishLoad(hdr.NextNode, hdr.NextEdge)
+	s.finishLoad()
 	return s, nil
 }
 
-// loadNode validates and installs one node during Load. The store is not
-// yet shared, so no locking.
-func (s *Store) loadNode(n Node) error {
-	if n.ID < 1 {
-		return fmt.Errorf("graph: load: invalid node id %d", n.ID)
+// maxLoadID is the highest ID allocator Load accepts. A record's ID sizes
+// the slab and is checked only against its own stream's header, so the
+// header is checked against this: a store that had handed out 2^31 IDs
+// would not fit the memory of the machine loading it.
+const maxLoadID = math.MaxInt32
+
+// loadAllocators installs a stream's ID allocators ahead of its records.
+func (s *Store) loadAllocators(nextNode NodeID, nextEdge EdgeID) error {
+	if nextNode < 0 || nextNode > maxLoadID || nextEdge < 0 || nextEdge > maxLoadID {
+		return fmt.Errorf("graph: load: implausible id allocators (next_node %d, next_edge %d)", nextNode, nextEdge)
 	}
-	if _, dup := s.nodes[n.ID]; dup {
+	s.nextNode, s.nextEdge = nextNode, nextEdge
+	return nil
+}
+
+// loadNode validates and installs one node during Load. The store is not
+// yet shared, so no locking. The store never hands out an ID above its
+// allocators, so a record that carries one is corrupt — and must not
+// size the slab.
+func (s *Store) loadNode(n Node) error {
+	if n.ID < 1 || n.ID > s.nextNode {
+		return fmt.Errorf("graph: load: invalid node id %d (next_node %d)", n.ID, s.nextNode)
+	}
+	if _, dup := s.nodeAt(n.ID); dup {
 		return fmt.Errorf("graph: load: duplicate node id %d", n.ID)
 	}
 	tsym := s.syms.intern(n.Type)
-	key := nodeKeyT{typ: tsym, name: n.Name}
-	if _, dup := s.byKey[key]; dup {
+	if _, dup := s.findLocked(tsym, n.Name); dup {
 		return fmt.Errorf("graph: load: duplicate node (%s, %q)", n.Type, n.Name)
 	}
-	nc := n
-	nc.Type = s.syms.str(tsym)
-	s.nodes[n.ID] = nodeRec{typ: tsym, n: &nc}
-	s.byKey[key] = n.ID
-	if s.byType[tsym] == nil {
-		s.byType[tsym] = make(map[NodeID]struct{})
-	}
-	s.byType[tsym][n.ID] = struct{}{}
-	if s.byName[n.Name] == nil {
-		s.byName[n.Name] = make(map[NodeID]struct{})
-	}
-	s.byName[n.Name][n.ID] = struct{}{}
+	n.Type, n.Attrs = s.syms.str(tsym), s.canonKeys(n.Attrs)
+	s.installNodeLocked(n.ID, nodeRec{typ: tsym, n: &n})
 	return nil
 }
 
 // loadEdge validates and installs one edge during Load. Adjacency is not
 // maintained per edge; finishLoad rebuilds it in one pass.
 func (s *Store) loadEdge(e Edge) error {
-	if e.ID < 1 {
-		return fmt.Errorf("graph: load: invalid edge id %d", e.ID)
+	if e.ID < 1 || e.ID > s.nextEdge {
+		return fmt.Errorf("graph: load: invalid edge id %d (next_edge %d)", e.ID, s.nextEdge)
 	}
-	if _, dup := s.edges[e.ID]; dup {
+	if _, dup := s.edgeAt(e.ID); dup {
 		return fmt.Errorf("graph: load: duplicate edge id %d", e.ID)
 	}
-	if _, ok := s.nodes[e.From]; !ok {
+	if _, ok := s.nodeAt(e.From); !ok {
 		return fmt.Errorf("graph: load: edge %d references unknown node %d", e.ID, e.From)
 	}
-	if _, ok := s.nodes[e.To]; !ok {
+	if _, ok := s.nodeAt(e.To); !ok {
 		return fmt.Errorf("graph: load: edge %d references unknown node %d", e.ID, e.To)
 	}
 	tsym := s.syms.intern(e.Type)
-	ec := e
-	ec.Type = s.syms.str(tsym)
-	s.edges[e.ID] = edgeRec{from: e.From, to: e.To, typ: tsym, e: &ec}
-	s.edgeKey[edgeKeyT{from: e.From, to: e.To, typ: tsym}] = e.ID
-	s.edgeTypeCount[tsym]++
+	e.Type, e.Attrs = s.syms.str(tsym), s.canonKeys(e.Attrs)
+	s.installEdgeLocked(e.ID, edgeRec{from: e.From, to: e.To, typ: tsym, e: &e})
 	return nil
 }
 
-// finishLoad seals a bulk load: ID allocators, one adjacency rebuild over
-// all loaded edges, and the stats baseline.
-func (s *Store) finishLoad(nextNode NodeID, nextEdge EdgeID) {
-	s.nextNode = nextNode
-	s.nextEdge = nextEdge
-	s.adj.all = nil // force reconstruction from the edge map
+// finishLoad seals a bulk load: one adjacency rebuild over all loaded
+// edges, and the stats baseline.
+func (s *Store) finishLoad() {
 	s.rebuildAdjLocked()
 	s.rebaseStatsLocked()
 }

@@ -43,10 +43,10 @@ func TestMergeNodeExactTextSemantics(t *testing.T) {
 	}
 	// First-writer-wins attribute augmentation.
 	n := s.Node(a)
-	if n.Attrs["src"] != "r1" {
-		t.Errorf("existing attr overwritten: %q", n.Attrs["src"])
+	if n.Attrs.Get("src") != "r1" {
+		t.Errorf("existing attr overwritten: %q", n.Attrs.Get("src"))
 	}
-	if n.Attrs["extra"] != "x" {
+	if n.Attrs.Get("extra") != "x" {
 		t.Errorf("new attr not added: %+v", n.Attrs)
 	}
 	if s.Stats().MergeHits != 1 {
@@ -76,7 +76,7 @@ func TestAddEdgeDedup(t *testing.T) {
 	if _, created, _ := s.AddEdge(b, "CONNECT", a, nil); !created {
 		t.Error("reverse direction should create")
 	}
-	if e := s.Edge(e1); e.Attrs["report"] != "r1" {
+	if e := s.Edge(e1); e.Attrs.Get("report") != "r1" {
 		t.Error("edge attr overwritten on dedup")
 	}
 }
@@ -247,7 +247,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if st1, st2 := s.Stats(), s2.Stats(); st1.Nodes != st2.Nodes || st1.Edges != st2.Edges {
 		t.Errorf("stats mismatch: %+v vs %+v", st1, st2)
 	}
-	if n := s2.FindNode("Malware", "WannaCry"); n == nil || n.Attrs["seen"] != "2017" {
+	if n := s2.FindNode("Malware", "WannaCry"); n == nil || n.Attrs.Get("seen") != "2017" {
 		t.Error("node attrs lost in round trip")
 	}
 	// New IDs continue after the loaded maximum.

@@ -1,15 +1,15 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"slices"
-	"sort"
 )
 
 // This file layers multi-version concurrency control over the store.
 //
-// The scheme is a side-map overlay, not a rewrite of the core maps: the
-// nodes/edges maps and every index always describe the *latest* state
+// The scheme is a side-map overlay, not a rewrite of the core state: the
+// nodes/edges slabs and every index always describe the *latest* state
 // (so bare accessors, the planner's statistics, and persistence are
 // untouched), while five auxiliary maps record just enough history for
 // point-in-time reads:
@@ -301,7 +301,7 @@ func (sn *Snap) curEdgeVisibleLocked(id EdgeID) bool {
 // snapshot, or nil.
 func (sn *Snap) resolveNodeLocked(id NodeID) *Node {
 	s := sn.s
-	if rec, ok := s.nodes[id]; ok && sn.curNodeVisibleLocked(id) {
+	if rec, ok := s.nodeAt(id); ok && sn.curNodeVisibleLocked(id) {
 		return rec.n
 	}
 	if len(s.nodeOld) > 0 {
@@ -316,7 +316,7 @@ func (sn *Snap) resolveNodeLocked(id NodeID) *Node {
 
 func (sn *Snap) resolveEdgeLocked(id EdgeID) *Edge {
 	s := sn.s
-	if rec, ok := s.edges[id]; ok && sn.curEdgeVisibleLocked(id) {
+	if rec, ok := s.edgeAt(id); ok && sn.curEdgeVisibleLocked(id) {
 		return rec.e
 	}
 	if len(s.edgeOld) > 0 {
@@ -340,13 +340,13 @@ func (sn *Snap) fastEdgesLocked() bool {
 }
 
 // overlayNodesLocked calls fn for every node id whose visible version
-// lives in the history overlay rather than the current maps: ids whose
+// lives in the history overlay rather than the current slab: ids whose
 // current record is invisible (or gone) but which have a visible old
 // version. These are exactly the ids the index-driven paths miss.
 func (sn *Snap) overlayNodesLocked(fn func(id NodeID, v nodeVer)) {
 	s := sn.s
 	for id, vers := range s.nodeOld {
-		if _, cur := s.nodes[id]; cur && sn.curNodeVisibleLocked(id) {
+		if _, cur := s.nodeAt(id); cur && sn.curNodeVisibleLocked(id) {
 			continue // disjoint intervals: no old version can also be visible
 		}
 		for _, v := range vers {
@@ -361,7 +361,7 @@ func (sn *Snap) overlayNodesLocked(fn func(id NodeID, v nodeVer)) {
 func (sn *Snap) overlayEdgesLocked(fn func(id EdgeID, v edgeVer)) {
 	s := sn.s
 	for id, vers := range s.edgeOld {
-		if _, cur := s.edges[id]; cur {
+		if _, cur := s.edgeAt(id); cur {
 			continue // still present: adjacency walks resolve it
 		}
 		for _, v := range vers {
@@ -395,7 +395,8 @@ func (sn *Snap) Nodes(dst []*Node, ids []NodeID) []*Node {
 		s.mu.RLock()
 		if sn.fastNodesLocked() {
 			for _, id := range chunk {
-				dst = append(dst, s.nodes[id].n)
+				rec, _ := s.nodeAt(id)
+				dst = append(dst, rec.n)
 			}
 		} else {
 			for _, id := range chunk {
@@ -421,7 +422,7 @@ func (sn *Snap) FindNode(typ, name string) *Node {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	tsym := s.syms.lookup(typ)
-	if id, ok := s.byKey[nodeKeyT{typ: tsym, name: name}]; ok {
+	if id, ok := s.findLocked(tsym, name); ok {
 		if n := sn.resolveNodeLocked(id); n != nil {
 			return n
 		}
@@ -438,59 +439,49 @@ func (sn *Snap) FindNode(typ, name string) *Node {
 	return nil
 }
 
-func sortNodes(out []*Node) []*Node {
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// visibleIDsLocked is every index read of a snapshot: of ids — a copy of
+// the index entry, the caller's to keep — those whose current record the
+// snapshot sees, plus the overlay versions match accepts, ascending. With
+// no node history that is ids itself; the overlay's IDs come out of a
+// map, so only a read that found some sorts.
+func (sn *Snap) visibleIDsLocked(ids []NodeID, match func(nodeVer) bool) []NodeID {
+	if sn.fastNodesLocked() {
+		return ids
+	}
+	ids = slices.DeleteFunc(ids, func(id NodeID) bool { return !sn.curNodeVisibleLocked(id) })
+	current := len(ids)
+	sn.overlayNodesLocked(func(id NodeID, v nodeVer) {
+		if match(v) {
+			ids = append(ids, id)
+		}
+	})
+	if len(ids) > current {
+		slices.Sort(ids)
+	}
+	return ids
 }
 
-func sortNodeIDs(ids []NodeID) []NodeID {
-	slices.Sort(ids)
-	return ids
+// resolveAllLocked maps IDs the snapshot sees to the versions it sees.
+func (sn *Snap) resolveAllLocked(ids []NodeID) []*Node {
+	out := make([]*Node, len(ids))
+	for i, id := range ids {
+		out[i] = sn.resolveNodeLocked(id)
+	}
+	return out
 }
 
 // NodesByName returns all visible nodes named name, sorted by ID.
 func (sn *Snap) NodesByName(name string) []*Node {
-	s := sn.s
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if sn.fastNodesLocked() {
-		return s.collect(s.byName[name])
-	}
-	var out []*Node
-	for id := range s.byName[name] {
-		if sn.curNodeVisibleLocked(id) {
-			out = append(out, s.nodes[id].n)
-		}
-	}
-	sn.overlayNodesLocked(func(_ NodeID, v nodeVer) {
-		if v.rec.n.Name == name {
-			out = append(out, v.rec.n)
-		}
-	})
-	return sortNodes(out)
+	sn.s.mu.RLock()
+	defer sn.s.mu.RUnlock()
+	return sn.resolveAllLocked(sn.idsByNameLocked(name))
 }
 
 // NodesByType returns all visible nodes with the given type, sorted by ID.
 func (sn *Snap) NodesByType(typ string) []*Node {
-	s := sn.s
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	tsym := s.syms.lookup(typ)
-	if sn.fastNodesLocked() {
-		return s.collect(s.byType[tsym])
-	}
-	var out []*Node
-	for id := range s.byType[tsym] {
-		if sn.curNodeVisibleLocked(id) {
-			out = append(out, s.nodes[id].n)
-		}
-	}
-	sn.overlayNodesLocked(func(_ NodeID, v nodeVer) {
-		if v.rec.typ == tsym {
-			out = append(out, v.rec.n)
-		}
-	})
-	return sortNodes(out)
+	sn.s.mu.RLock()
+	defer sn.s.mu.RUnlock()
+	return sn.resolveAllLocked(sn.idsByTypeLocked(typ))
 }
 
 // AllNodeIDs returns every visible node ID, sorted.
@@ -501,66 +492,30 @@ func (sn *Snap) AllNodeIDs() []NodeID {
 }
 
 func (sn *Snap) allNodeIDsLocked() []NodeID {
-	s := sn.s
-	ids := make([]NodeID, 0, len(s.nodes))
-	if sn.fastNodesLocked() {
-		for id := range s.nodes {
-			ids = append(ids, id)
-		}
-		return sortNodeIDs(ids)
-	}
-	for id := range s.nodes {
-		if sn.curNodeVisibleLocked(id) {
-			ids = append(ids, id)
-		}
-	}
-	sn.overlayNodesLocked(func(id NodeID, _ nodeVer) {
-		ids = append(ids, id)
-	})
-	return sortNodeIDs(ids)
+	return sn.visibleIDsLocked(sn.s.liveNodeIDsLocked(), func(nodeVer) bool { return true })
 }
 
 // NodeIDsByType returns the visible node IDs with the given type, sorted.
 func (sn *Snap) NodeIDsByType(typ string) []NodeID {
-	s := sn.s
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	tsym := s.syms.lookup(typ)
-	ids := make([]NodeID, 0, len(s.byType[tsym]))
-	for id := range s.byType[tsym] {
-		if sn.fastNodesLocked() || sn.curNodeVisibleLocked(id) {
-			ids = append(ids, id)
-		}
-	}
-	if !sn.fastNodesLocked() {
-		sn.overlayNodesLocked(func(id NodeID, v nodeVer) {
-			if v.rec.typ == tsym {
-				ids = append(ids, id)
-			}
-		})
-	}
-	return sortNodeIDs(ids)
+	sn.s.mu.RLock()
+	defer sn.s.mu.RUnlock()
+	return sn.idsByTypeLocked(typ)
+}
+
+func (sn *Snap) idsByTypeLocked(typ string) []NodeID {
+	tsym := sn.s.syms.lookup(typ)
+	return sn.visibleIDsLocked(sn.s.byType[tsym].ids(), func(v nodeVer) bool { return v.rec.typ == tsym })
 }
 
 // NodeIDsByName returns the visible node IDs named name, sorted.
 func (sn *Snap) NodeIDsByName(name string) []NodeID {
-	s := sn.s
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]NodeID, 0, len(s.byName[name]))
-	for id := range s.byName[name] {
-		if sn.fastNodesLocked() || sn.curNodeVisibleLocked(id) {
-			ids = append(ids, id)
-		}
-	}
-	if !sn.fastNodesLocked() {
-		sn.overlayNodesLocked(func(id NodeID, v nodeVer) {
-			if v.rec.n.Name == name {
-				ids = append(ids, id)
-			}
-		})
-	}
-	return sortNodeIDs(ids)
+	sn.s.mu.RLock()
+	defer sn.s.mu.RUnlock()
+	return sn.idsByNameLocked(name)
+}
+
+func (sn *Snap) idsByNameLocked(name string) []NodeID {
+	return sn.visibleIDsLocked(sn.s.byName[name].ids(), func(v nodeVer) bool { return v.rec.n.Name == name })
 }
 
 // NodeIDsByAttr returns the visible node IDs with attrs[key] == val when
@@ -573,20 +528,7 @@ func (sn *Snap) NodeIDsByAttr(key, val string) []NodeID {
 	if !s.indexed[ks] {
 		return nil
 	}
-	ids := make([]NodeID, 0, len(s.propIdx[ks][val]))
-	for id := range s.propIdx[ks][val] {
-		if sn.fastNodesLocked() || sn.curNodeVisibleLocked(id) {
-			ids = append(ids, id)
-		}
-	}
-	if !sn.fastNodesLocked() {
-		sn.overlayNodesLocked(func(id NodeID, v nodeVer) {
-			if v.rec.n.Attrs[key] == val {
-				ids = append(ids, id)
-			}
-		})
-	}
-	return sortNodeIDs(ids)
+	return sn.visibleIDsLocked(s.propIdx[ks][val].ids(), func(v nodeVer) bool { return v.rec.n.Attrs.Get(key) == val })
 }
 
 // NodeIDsByTypeAttr returns the visible node IDs with the given type and
@@ -600,21 +542,9 @@ func (sn *Snap) NodeIDsByTypeAttr(typ, key, val string) []NodeID {
 		return nil
 	}
 	tsym := s.syms.lookup(typ)
-	set := s.typeAttr[typeAttrKeyT{typ: tsym, key: ks, val: val}]
-	ids := make([]NodeID, 0, len(set))
-	for id := range set {
-		if sn.fastNodesLocked() || sn.curNodeVisibleLocked(id) {
-			ids = append(ids, id)
-		}
-	}
-	if !sn.fastNodesLocked() {
-		sn.overlayNodesLocked(func(id NodeID, v nodeVer) {
-			if v.rec.typ == tsym && v.rec.n.Attrs[key] == val {
-				ids = append(ids, id)
-			}
-		})
-	}
-	return sortNodeIDs(ids)
+	return sn.visibleIDsLocked(s.typeAttr[typeAttrKeyT{typ: tsym, key: ks, val: val}].ids(), func(v nodeVer) bool {
+		return v.rec.typ == tsym && v.rec.n.Attrs.Get(key) == val
+	})
 }
 
 // Edges returns the visible edges incident to id in the given
@@ -652,7 +582,7 @@ func (sn *Snap) Edges(id NodeID, dir Direction) []*Edge {
 		})
 	}
 	if !sorted {
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		slices.SortFunc(out, func(a, b *Edge) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	return out
 }
@@ -702,8 +632,7 @@ func (sn *Snap) IncidentEdges(buf []IncidentEdge, id NodeID, dir Direction, typ 
 			}
 		})
 		if added {
-			tail := buf[start:]
-			sort.Slice(tail, func(i, j int) bool { return tail[i].ID < tail[j].ID })
+			slices.SortFunc(buf[start:], func(a, b IncidentEdge) int { return cmp.Compare(a.ID, b.ID) })
 		}
 	}
 	return buf
@@ -920,56 +849,36 @@ func (tx *Tx) Rollback() error {
 		return nil
 	}
 	s.mu.Lock()
-	// Phase 1: strip the transaction's version of every touched entity,
-	// so reinstalls can't collide on shared index keys (e.g. a deleted
-	// node's (type, name) reclaimed by a node the tx created).
-	for id := range tx.undoE {
-		if rec, ok := s.edges[id]; ok {
+	// Swap every touched entity's current record for its pre-image. One
+	// pass in any order is safe: postings hold any number of IDs per key,
+	// and uninstallEdgeLocked only drops an edgeKey entry it still owns.
+	for id, u := range tx.undoE {
+		if rec, ok := s.edgeAt(id); ok {
 			s.uninstallEdgeLocked(id, rec)
 		}
-	}
-	for id := range tx.undoN {
-		if rec, ok := s.nodes[id]; ok {
-			s.uninstallNodeLocked(id, rec)
-		}
-	}
-	// Phase 2: reinstall pre-images and restore version bookkeeping.
-	for id, u := range tx.undoN {
-		if u.existed {
-			s.installNodeLocked(id, u.rec)
-		}
-		if u.hadBegin {
-			s.nodeBegin[id] = u.begin
-		} else {
-			delete(s.nodeBegin, id)
-		}
-		if vers := s.nodeOld[id]; len(vers) > u.oldLen {
-			if u.oldLen == 0 {
-				delete(s.nodeOld, id)
-			} else {
-				s.nodeOld[id] = vers[:u.oldLen]
-			}
-		}
-	}
-	for id, u := range tx.undoE {
 		if u.existed {
 			s.installEdgeLocked(id, u.rec)
 		}
-		if u.hadBegin {
-			s.edgeBegin[id] = u.begin
-		} else {
-			delete(s.edgeBegin, id)
-		}
-		if vers := s.edgeOld[id]; len(vers) > u.oldLen {
-			if u.oldLen == 0 {
-				delete(s.edgeOld, id)
-			} else {
-				s.edgeOld[id] = vers[:u.oldLen]
-			}
-		}
+		restoreVersions(s.edgeBegin, s.edgeOld, id, u.begin, u.hadBegin, u.oldLen)
 	}
+	for id, u := range tx.undoN {
+		rec, ok := s.nodeAt(id)
+		switch {
+		case ok && u.existed: // same ID, so same label and name: only the attrs moved
+			s.indexAttrsLocked(rec, false)
+			s.nodes[id] = u.rec
+			s.indexAttrsLocked(u.rec, true)
+		case ok:
+			s.uninstallNodeLocked(id, rec)
+		case u.existed:
+			s.installNodeLocked(id, u.rec)
+		}
+		restoreVersions(s.nodeBegin, s.nodeOld, id, u.begin, u.hadBegin, u.oldLen)
+	}
+	// The ID allocators go back, and the slabs give up the slots past them.
 	s.nextNode, s.nextEdge, s.mergeHits = tx.preNextNode, tx.preNextEdge, tx.preMergeHits
-	s.adj.all = nil // force reconstruction from the restored edge map
+	s.nodes = cutSlab(s.nodes, int(s.nextNode)+1)
+	s.edges = cutSlab(s.edges, int(s.nextEdge)+1)
 	s.rebuildAdjLocked()
 	s.idxEpoch++
 	if s.bulk == 0 && s.statsMaterialLocked() {
@@ -985,6 +894,23 @@ func (tx *Tx) Rollback() error {
 	s.mu.Unlock()
 	s.writerMu.Unlock()
 	return nil
+}
+
+// restoreVersions puts one entity's version bookkeeping back to what a
+// transaction's first touch found.
+func restoreVersions[ID comparable, V any](begin map[ID]uint64, old map[ID][]V, id ID, b uint64, hadBegin bool, oldLen int) {
+	if hadBegin {
+		begin[id] = b
+	} else {
+		delete(begin, id)
+	}
+	if vers := old[id]; len(vers) > oldLen {
+		if oldLen == 0 {
+			delete(old, id)
+		} else {
+			old[id] = vers[:oldLen]
+		}
+	}
 }
 
 // --- Tx as a View: the snapshot plus the transaction's own writes ---

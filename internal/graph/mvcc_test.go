@@ -42,7 +42,7 @@ func TestSnapshotSeesStateAtOpen(t *testing.T) {
 	}
 
 	// The snapshot still sees the original world.
-	if got := sn.Node(a).Attrs["sev"]; got != "high" {
+	if got := sn.Node(a).Attrs.Get("sev"); got != "high" {
 		t.Errorf("snapshot sees sev=%q, want high", got)
 	}
 	if sn.Node(b) == nil {
@@ -81,7 +81,7 @@ func TestSnapshotSeesStateAtOpen(t *testing.T) {
 	}
 
 	// The store sees the new world.
-	if got := s.Node(a).Attrs["sev"]; got != "low" {
+	if got := s.Node(a).Attrs.Get("sev"); got != "low" {
 		t.Errorf("store sees sev=%q, want low", got)
 	}
 	if s.Node(b) != nil {
@@ -132,7 +132,7 @@ func TestTxIsolationAndCommit(t *testing.T) {
 	if tx.Node(bID) == nil {
 		t.Error("tx cannot see its own created node")
 	}
-	if got := tx.Node(a).Attrs["k"]; got != "v" {
+	if got := tx.Node(a).Attrs.Get("k"); got != "v" {
 		t.Errorf("tx sees k=%q, want v", got)
 	}
 	if got := len(tx.Edges(a, Out)); got != 1 {
@@ -144,7 +144,7 @@ func TestTxIsolationAndCommit(t *testing.T) {
 	if mid.Node(bID) != nil {
 		t.Error("mid-tx snapshot sees uncommitted node")
 	}
-	if got := mid.Node(a).Attrs["k"]; got != "" {
+	if got := mid.Node(a).Attrs.Get("k"); got != "" {
 		t.Errorf("mid-tx snapshot sees uncommitted attr %q", got)
 	}
 	if got := len(mid.NodesByType("T")); got != 1 {
@@ -173,7 +173,7 @@ func TestTxIsolationAndCommit(t *testing.T) {
 	if after.Node(bID) == nil || s.Node(bID) == nil {
 		t.Error("committed node not visible")
 	}
-	if got := after.Node(a).Attrs["k"]; got != "v" {
+	if got := after.Node(a).Attrs.Get("k"); got != "v" {
 		t.Errorf("after snapshot k=%q, want v", got)
 	}
 }
@@ -319,9 +319,9 @@ func TestConcurrentSnapshotReadsDuringTx(t *testing.T) {
 				default:
 				}
 				sn := s.Snapshot()
-				first := sn.Node(ids[0]).Attrs["v"]
+				first := sn.Node(ids[0]).Attrs.Get("v")
 				for _, id := range ids {
-					if got := sn.Node(id).Attrs["v"]; got != first {
+					if got := sn.Node(id).Attrs.Get("v"); got != first {
 						t.Errorf("torn read: node %d has v=%q, first had %q", id, got, first)
 						sn.Release()
 						return
@@ -351,7 +351,7 @@ func TestConcurrentSnapshotReadsDuringTx(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := s.Node(ids[0]).Attrs["v"]; got != "50" {
+	if got := s.Node(ids[0]).Attrs.Get("v"); got != "50" {
 		t.Errorf("final v=%q, want 50", got)
 	}
 }

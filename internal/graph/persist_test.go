@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -166,5 +167,204 @@ func TestMutationHookAndEpoch(t *testing.T) {
 	}
 	if epoch() != e0+int64(len(want)) {
 		t.Fatalf("epoch %d after %d effective mutations (started %d)", epoch(), len(want), e0)
+	}
+}
+
+// TestHostileIDsDoNotSizeTheSlab: node and edge records live in slabs
+// indexed by ID, so an ID from outside the program must never decide
+// how much memory a slab takes. A stream record whose ID exceeds the
+// stream's own allocator high-water mark is rejected in both codecs,
+// and a replayed mutation naming an ID the store never allocated fails
+// as "unknown" without touching the slabs.
+func TestHostileIDsDoNotSizeTheSlab(t *testing.T) {
+	const huge = 1 << 40
+	for name, in := range map[string]string{
+		"node": `{"magic":"securitykg-graph","version":1,"next_node":2,"next_edge":0,"nodes":2,"edges":0}
+{"id":1,"type":"A","name":"x"}
+{"id":1099511627776,"type":"A","name":"y"}
+`,
+		"edge": `{"magic":"securitykg-graph","version":1,"next_node":2,"next_edge":1,"nodes":2,"edges":1}
+{"id":1,"type":"A","name":"x"}
+{"id":2,"type":"A","name":"y"}
+{"id":1099511627776,"type":"E","from":1,"to":2}
+`,
+	} {
+		if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "invalid "+name+" id") {
+			t.Errorf("JSON %s id beyond next_%s: got %v", name, name, err)
+		}
+	}
+
+	// The same two streams in the binary codec, written field by field.
+	for _, kind := range []string{"node", "edge"} {
+		var buf bytes.Buffer
+		b := newBinWriter(&buf)
+		b.bytes([]byte(binaryMagic))
+		b.uvarint(binaryVersion)
+		b.uvarint(1)
+		b.str("A")
+		b.uvarint(2) // next node
+		b.uvarint(1) // next edge
+		nodeIDs := []uint64{1, 2}
+		if kind == "node" {
+			nodeIDs[1] = huge
+		}
+		b.uvarint(2)
+		for _, id := range nodeIDs {
+			b.uvarint(id)
+			b.uvarint(1)
+			b.str(fmt.Sprint("n", id))
+			b.uvarint(0)
+		}
+		b.uvarint(1)
+		b.uvarint(huge)
+		b.uvarint(1)
+		b.uvarint(1)
+		b.uvarint(2)
+		b.uvarint(0)
+		if err := b.finish(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "invalid "+kind+" id") {
+			t.Errorf("binary %s id beyond the allocator: got %v", kind, err)
+		}
+	}
+
+	s, _ := persistFixture(t)
+	nodes, edges := len(s.nodes), len(s.edges)
+	for _, m := range []Mutation{
+		{Op: OpSetAttr, Node: huge, Key: "k", Val: "v"},
+		{Op: OpDeleteNode, Node: huge},
+		{Op: OpDeleteEdge, Edge: huge},
+		{Op: OpAddEdge, From: huge, Type: "E", To: 1},
+		{Op: OpAddEdge, From: 1, Type: "E", To: huge},
+		{Op: OpMigrateEdges, From: huge, To: 1},
+		{Op: OpMigrateEdges, From: 1, To: -huge},
+	} {
+		if err := s.Apply(m); err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Errorf("Apply(%s) of a never-allocated id: got %v", m.Op, err)
+		}
+		if _, err := s.ApplyBatch([]Mutation{m}); err == nil {
+			t.Errorf("ApplyBatch(%s) of a never-allocated id succeeded", m.Op)
+		}
+	}
+	if s.Node(huge) != nil || s.Edge(-1) != nil || len(s.Nodes(nil, []NodeID{huge, -3, 0})) != 3 {
+		t.Error("reads of never-allocated ids must see nothing")
+	}
+	if len(s.nodes) != nodes || len(s.edges) != edges {
+		t.Errorf("slabs moved from %d/%d to %d/%d slots", nodes, edges, len(s.nodes), len(s.edges))
+	}
+}
+
+// TestLyingHeaderDoesNotSizeTheSlab: a record's ID is checked against
+// its own stream's allocators, so a stream that lies in both — a header
+// of 1<<40 and one record up there — would pass that check and grow a
+// slab by terabytes. The header is refused before any record is read,
+// in both codecs, for either allocator; and an honest header far above
+// its highest record (a store that deleted its newest IDs) sizes the
+// slab and the adjacency by the records, not by itself.
+func TestLyingHeaderDoesNotSizeTheSlab(t *testing.T) {
+	const huge = 1 << 40
+	for _, alloc := range []struct{ name, node, edge string }{
+		{"next_node", "1099511627776", "0"},
+		{"next_edge", "1", "1099511627776"},
+		{"negative", "-1", "0"},
+	} {
+		in := `{"magic":"securitykg-graph","version":1,"next_node":` + alloc.node + `,"next_edge":` + alloc.edge + `,"nodes":1,"edges":0}
+{"id":` + alloc.node + `,"type":"A","name":"x"}
+`
+		if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "implausible id allocators") {
+			t.Errorf("JSON header lying in %s: got %v", alloc.name, err)
+		}
+	}
+	for _, next := range [][2]uint64{{huge, 0}, {1, huge}} {
+		var buf bytes.Buffer
+		b := newBinWriter(&buf)
+		b.bytes([]byte(binaryMagic))
+		b.uvarint(binaryVersion)
+		b.uvarint(1)
+		b.str("A")
+		b.uvarint(next[0])
+		b.uvarint(next[1])
+		b.uvarint(1) // one node, at the ID the header vouches for
+		b.uvarint(next[0])
+		b.uvarint(1)
+		b.str("x")
+		b.uvarint(0)
+		b.uvarint(0)
+		if err := b.finish(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "implausible id allocators") {
+			t.Errorf("binary header %v: got %v", next, err)
+		}
+	}
+
+	s, err := Load(strings.NewReader(`{"magic":"securitykg-graph","version":1,"next_node":1000000,"next_edge":1000000,"nodes":2,"edges":1}
+{"id":1,"type":"A","name":"x"}
+{"id":2,"type":"A","name":"y"}
+{"id":1,"type":"E","from":1,"to":2}
+`))
+	if err != nil {
+		t.Fatalf("honest header far above its records: %v", err)
+	}
+	if len(s.nodes) != 3 || len(s.edges) != 2 || len(s.adj.out.off) > 4 {
+		t.Errorf("slabs %d/%d, adjacency offsets %d: sized by the header, not the records", len(s.nodes), len(s.edges), len(s.adj.out.off))
+	}
+	if id, created := s.MergeNode("A", "z", nil); !created || id != 1000001 {
+		t.Errorf("next node after load = %d, want the header's allocator + 1", id)
+	}
+}
+
+// TestRollbackGivesSlotsBack: a rolled-back transaction hands its IDs
+// back to the allocators, so the slab slots and posting tails it
+// extended go too — cleared, not just cut, because the next transaction
+// allocates the same IDs.
+func TestRollbackGivesSlotsBack(t *testing.T) {
+	s, want := persistFixture(t)
+	s.IndexAttr("platform")
+	nodes, edges := len(s.nodes), len(s.edges)
+	malware := s.NodeIDsByType("Malware")
+
+	tx := s.BeginTx()
+	hub, _ := tx.MergeNode("Malware", "hub", map[string]string{"platform": "windows"})
+	for i := 0; i < 1000; i++ {
+		id, _ := tx.MergeNode("Malware", fmt.Sprint("ghost-", i), map[string]string{"platform": "windows"})
+		if _, _, err := tx.AddEdge(hub, "DROP", id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.nodes) != nodes || len(s.edges) != edges {
+		t.Fatalf("slabs hold %d/%d slots after rollback, want %d/%d", len(s.nodes), len(s.edges), nodes, edges)
+	}
+	for _, rec := range s.nodes[:cap(s.nodes)][nodes:] {
+		if rec.n != nil {
+			t.Fatal("a cut node slot still holds the rolled-back record")
+		}
+	}
+	for _, rec := range s.edges[:cap(s.edges)][edges:] {
+		if rec.e != nil {
+			t.Fatal("a cut edge slot still holds the rolled-back record")
+		}
+	}
+	if got := s.NodeIDsByType("Malware"); !reflect.DeepEqual(got, malware) {
+		t.Errorf("label posting after rollback: %v, want %v", got, malware)
+	}
+	if got := s.NodeIDsByTypeAttr("Malware", "platform", "windows"); !reflect.DeepEqual(got, malware) {
+		t.Errorf("attr posting after rollback: %v, want %v", got, malware)
+	}
+	if n, ok := s.CountByAttr("platform", "windows"); !ok || n != 1 {
+		t.Errorf("CountByAttr = %d, %v after rollback, want 1", n, ok)
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil || !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("Save stream changed across a rolled-back transaction (err %v)", err)
+	}
+	// The same IDs, allocated again, file where the ghosts were.
+	id, created := s.MergeNode("Malware", "real", nil)
+	if !created || int(id) != nodes || !reflect.DeepEqual(s.NodeIDsByType("Malware"), append(malware, id)) {
+		t.Errorf("first node after rollback: id %d created=%v postings %v", id, created, s.NodeIDsByType("Malware"))
 	}
 }

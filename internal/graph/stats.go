@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // This file is the statistics and selectivity layer the Cypher planner
 // consumes: O(1) cardinality estimates backed by the live indexes, degree
 // statistics for expansion fan-out, and NodeID-granular access paths so
@@ -14,36 +12,36 @@ import "sort"
 func (s *Store) CountNodes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.nodes)
+	return s.nNodes
 }
 
 // CountEdges returns the number of edges in the store.
 func (s *Store) CountEdges() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.edges)
+	return s.nEdges
 }
 
 // CountByType returns the number of nodes with the given type (label).
 func (s *Store) CountByType(typ string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byType[s.syms.lookup(typ)])
+	return s.byType[s.syms.lookup(typ)].n
 }
 
 // CountByName returns the number of nodes whose Name equals name.
 func (s *Store) CountByName(name string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byName[name])
+	return s.byName[name].n
 }
 
 // CountByTypeName returns 0 or 1: whether a node with the exact
-// (type, name) pair exists. The merge index makes this pair unique.
+// (type, name) pair exists. Storage-time merging makes this pair unique.
 func (s *Store) CountByTypeName(typ, name string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, ok := s.byKey[nodeKeyT{typ: s.syms.lookup(typ), name: name}]; ok {
+	if _, ok := s.findLocked(s.syms.lookup(typ), name); ok {
 		return 1
 	}
 	return 0
@@ -59,7 +57,7 @@ func (s *Store) CountByAttr(key, val string) (int, bool) {
 	if !s.indexed[ks] {
 		return 0, false
 	}
-	return len(s.propIdx[ks][val]), true
+	return s.propIdx[ks][val].n, true
 }
 
 // CountByTypeAttr returns the number of nodes of the given type with
@@ -72,7 +70,7 @@ func (s *Store) CountByTypeAttr(typ, key, val string) (int, bool) {
 	if !s.indexed[ks] {
 		return 0, false
 	}
-	return len(s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}]), true
+	return s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}].n, true
 }
 
 // CountEdgesByType returns the number of edges with the given type.
@@ -83,8 +81,8 @@ func (s *Store) CountEdgesByType(typ string) int {
 }
 
 // DistinctLabels returns the number of distinct node types currently
-// live in the store. O(1): the label index prunes empty sets, so its
-// size is the live distinct-label count.
+// live in the store. O(1): the label index prunes empty postings, so
+// its size is the live distinct-label count.
 func (s *Store) DistinctLabels() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -129,7 +127,7 @@ func (s *Store) AvgNameBucket() float64 {
 	if len(s.byName) == 0 {
 		return 1
 	}
-	return float64(len(s.nodes)) / float64(len(s.byName))
+	return float64(s.nNodes) / float64(len(s.byName))
 }
 
 // AvgAttrBucket returns the average number of nodes per distinct value
@@ -187,11 +185,11 @@ func statsDrift(cur, base int) bool {
 // drifted materially since the last stats version bump. Callers hold the
 // write lock. O(labels + edge types), both small in practice.
 func (s *Store) statsMaterialLocked() bool {
-	if statsDrift(len(s.nodes), s.statsBase.nodes) || statsDrift(len(s.edges), s.statsBase.edges) {
+	if statsDrift(s.nNodes, s.statsBase.nodes) || statsDrift(s.nEdges, s.statsBase.edges) {
 		return true
 	}
-	for l, set := range s.byType {
-		if statsDrift(len(set), s.statsBase.byLabel[l]) {
+	for l, p := range s.byType {
+		if statsDrift(p.n, s.statsBase.byLabel[l]) {
 			return true
 		}
 	}
@@ -229,13 +227,13 @@ func (s *Store) bumpStatsLocked() {
 
 func (s *Store) rebaseStatsLocked() {
 	base := statsSnapshot{
-		nodes:      len(s.nodes),
-		edges:      len(s.edges),
+		nodes:      s.nNodes,
+		edges:      s.nEdges,
 		byLabel:    make(map[Sym]int, len(s.byType)),
 		byEdgeType: make(map[Sym]int, len(s.edgeTypeCount)),
 	}
-	for l, set := range s.byType {
-		base.byLabel[l] = len(set)
+	for l, p := range s.byType {
+		base.byLabel[l] = p.n
 	}
 	for t, c := range s.edgeTypeCount {
 		base.byEdgeType[t] = c
@@ -373,11 +371,13 @@ func (s *Store) computeDegreeHistogram(label, edgeType string, dir Direction) De
 		h.Buckets[b]++
 	}
 	if label == "" {
-		for id := range s.nodes {
-			add(id)
+		for id, rec := range s.nodes {
+			if rec.n != nil {
+				add(NodeID(id))
+			}
 		}
 	} else {
-		for id := range s.byType[s.syms.lookup(label)] {
+		for id := range s.byType[s.syms.lookup(label)].all() {
 			add(id)
 		}
 	}
@@ -389,53 +389,56 @@ func (s *Store) computeDegreeHistogram(label, edgeType string, dir Direction) De
 func (s *Store) DegreeStats(dir Direction) (avg float64, max int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.nodes) == 0 {
+	if s.nNodes == 0 {
 		return 0, 0
 	}
 	total := 0
-	for id := range s.nodes {
-		d := s.adj.degree(id, dir, 0, true)
+	for id, rec := range s.nodes {
+		if rec.n == nil {
+			continue
+		}
+		d := s.adj.degree(NodeID(id), dir, 0, true)
 		total += d
 		if d > max {
 			max = d
 		}
 	}
-	return float64(total) / float64(len(s.nodes)), max
+	return float64(total) / float64(s.nNodes), max
 }
 
 // --- NodeID access paths for lazy scans ---
 
-func sortedIDs(set map[NodeID]struct{}) []NodeID {
-	out := make([]NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
+// liveNodeIDsLocked lists the slab's occupied slots: every node ID,
+// ascending, in a slice the caller owns.
+func (s *Store) liveNodeIDsLocked() []NodeID {
+	out := make([]NodeID, 0, s.nNodes)
+	for id, rec := range s.nodes {
+		if rec.n != nil {
+			out = append(out, NodeID(id))
+		}
 	}
-	return sortNodeIDs(out)
+	return out
 }
 
 // AllNodeIDs returns every node ID, sorted.
 func (s *Store) AllNodeIDs() []NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]NodeID, 0, len(s.nodes))
-	for id := range s.nodes {
-		out = append(out, id)
-	}
-	return sortNodeIDs(out)
+	return s.liveNodeIDsLocked()
 }
 
 // NodeIDsByType returns the IDs of nodes with the given type, sorted.
 func (s *Store) NodeIDsByType(typ string) []NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return sortedIDs(s.byType[s.syms.lookup(typ)])
+	return s.byType[s.syms.lookup(typ)].ids()
 }
 
 // NodeIDsByName returns the IDs of nodes with the given name, sorted.
 func (s *Store) NodeIDsByName(name string) []NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return sortedIDs(s.byName[name])
+	return s.byName[name].ids()
 }
 
 // NodeIDsByAttr returns the IDs of nodes with attrs[key] == val via the
@@ -447,7 +450,7 @@ func (s *Store) NodeIDsByAttr(key, val string) []NodeID {
 	if !s.indexed[ks] {
 		return nil
 	}
-	return sortedIDs(s.propIdx[ks][val])
+	return s.propIdx[ks][val].ids()
 }
 
 // NodeIDsByTypeAttr returns the IDs of nodes of the given type with
@@ -460,7 +463,7 @@ func (s *Store) NodeIDsByTypeAttr(typ, key, val string) []NodeID {
 	if !s.indexed[ks] {
 		return nil
 	}
-	return sortedIDs(s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}])
+	return s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}].ids()
 }
 
 // NodesByTypeAttr returns the nodes of the given type with
@@ -471,15 +474,13 @@ func (s *Store) NodesByTypeAttr(typ, key, val string) []*Node {
 	defer s.mu.RUnlock()
 	ks := s.syms.lookup(key)
 	if s.indexed[ks] {
-		return s.collect(s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}])
+		return s.nodesOfLocked(s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}])
 	}
 	var out []*Node
-	for id := range s.byType[s.syms.lookup(typ)] {
-		n := s.nodes[id].n
-		if n.Attrs[key] == val {
+	for id := range s.byType[s.syms.lookup(typ)].all() {
+		if n := s.nodes[id].n; n.Attrs.Get(key) == val {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -107,7 +107,7 @@ func TestNodesByTypeAttr(t *testing.T) {
 		t.Fatalf("NodesByTypeAttr = %d nodes, want 5", len(got))
 	}
 	for _, n := range got {
-		if n.Type != "Malware" || n.Attrs["platform"] != "linux" {
+		if n.Type != "Malware" || n.Attrs.Get("platform") != "linux" {
 			t.Errorf("wrong node: %+v", n)
 		}
 	}

@@ -75,16 +75,10 @@ func (s *Store) ExpandFrom(seeds []NodeID, maxDepth, maxNeighbors, maxNodes int)
 // neighbor expansion, restarting on dead ends. Backs the UI's "fetch a
 // random subgraph" feature.
 func (s *Store) RandomSubgraph(seed int64, n int) *Subgraph {
-	s.mu.RLock()
-	all := make([]NodeID, 0, len(s.nodes))
-	for id := range s.nodes {
-		all = append(all, id)
-	}
-	s.mu.RUnlock()
+	all := s.AllNodeIDs()
 	if len(all) == 0 || n <= 0 {
 		return &Subgraph{}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	rng := rand.New(rand.NewSource(seed))
 	included := make(map[NodeID]bool)
 	var order []NodeID

@@ -534,7 +534,7 @@ func TestCypherWriteEndpoint(t *testing.T) {
 		t.Fatalf("writes: %+v", out.Writes)
 	}
 	n := store.FindNode("Malware", "petya")
-	if n == nil || n.Attrs["triaged"] != "yes" {
+	if n == nil || n.Attrs.Get("triaged") != "yes" {
 		t.Fatalf("mutation did not reach the store: %+v", n)
 	}
 	// Read-back through the same endpoint.
@@ -635,7 +635,7 @@ func TestCypherTxSession(t *testing.T) {
 	if rec, _ := postCypher(t, s, map[string]any{"tx": begin.Tx, "query": "COMMIT"}); rec.Code != 200 {
 		t.Fatalf("COMMIT status %d: %s", rec.Code, rec.Body.String())
 	}
-	if n := store.FindNode("Malware", "intx"); n == nil || n.Attrs["stage"] != "draft" {
+	if n := store.FindNode("Malware", "intx"); n == nil || n.Attrs.Get("stage") != "draft" {
 		t.Fatalf("committed write missing from the store: %+v", n)
 	}
 	if rec, _ := postCypher(t, s, map[string]any{

@@ -144,14 +144,14 @@ func BuildBundle(s *graph.Store) (*Bundle, error) {
 		default:
 			obj.Name = n.Name
 		}
-		if aliases, ok := n.Attrs["aliases"]; ok && aliases != "" {
+		if aliases, ok := n.Attrs.Lookup("aliases"); ok && aliases != "" {
 			obj.Aliases = strings.Split(aliases, "|")
 		}
 		if len(n.Attrs) > 0 && obj.CustomProps == nil {
 			props := map[string]string{}
-			for k, v := range n.Attrs {
-				if k != "aliases" {
-					props[k] = v
+			for _, kv := range n.Attrs {
+				if kv.Key != "aliases" {
+					props[kv.Key] = kv.Val
 				}
 			}
 			if len(props) > 0 {

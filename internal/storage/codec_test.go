@@ -252,7 +252,7 @@ func TestBinaryWALTornDictionary(t *testing.T) {
 		t.Fatal("post-tear appends did not survive recovery (dictionary desync?)")
 	}
 	n := db3.Store().FindNode("Malware", "fresh-after-tear")
-	if n == nil || n.Attrs["family"] != "worm" {
+	if n == nil || n.Attrs.Get("family") != "worm" {
 		t.Fatalf("post-tear node wrong: %+v", n)
 	}
 }

@@ -333,7 +333,7 @@ func (sys *System) Search(query string, k int) ([]SearchHit, error) {
 				if n.Type == nt {
 					sh.Title = n.Name
 					sh.Kind = n.Type
-					sh.URL = n.Attrs["url"]
+					sh.URL = n.Attrs.Get("url")
 				}
 			}
 		}
@@ -440,7 +440,7 @@ func (sys *System) RebuildIndex() {
 	idx := search.NewIndex(map[string]float64{"title": 2.0})
 	sys.Store.ForEachNode(func(n *graph.Node) bool {
 		if strings.HasSuffix(n.Type, "Report") {
-			id := n.Attrs["report_id"]
+			id := n.Attrs.Get("report_id")
 			if id == "" {
 				id = fmt.Sprint(n.ID)
 			}
