@@ -11,7 +11,9 @@ build:
 # tests, and the parallel-scan tests force multi-worker partitions so
 # the concurrent scan path is race-checked even on one core). The
 # allocation-regression guards (zero-alloc CSR incidence iteration,
-# zero-alloc binary WAL append, zero-cost disabled ANALYZE
+# zero-alloc binary WAL append and replication-tail copy, a shipped
+# commit group's frame and the follower's per-record apply ceiling,
+# zero-cost disabled ANALYZE
 # instrumentation on the warm expand path, the row-path pins — O(k)
 # top-k, per-group grouping, zero per row on a label scan and in the
 # NDJSON encoder — the extraction pass's per-report ceiling, the IOC
@@ -29,7 +31,7 @@ build:
 # scrape).
 test: vet
 	$(GO) test -race ./...
-	$(GO) test -run 'Allocs' ./internal/graph/ ./internal/storage/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/
+	$(GO) test -run 'Allocs' ./internal/graph/ ./internal/storage/ ./internal/replication/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/
 	$(GO) test -race -count=2 -run 'TestSchedule|TestConcurrentReadersSeeAtomicWrites|TestTx' ./internal/cypher/
 	$(MAKE) replication-test
 	$(MAKE) soak-test SOAKFLAGS=-short
@@ -68,13 +70,16 @@ vet:
 # contention benchmark (ConcurrentReadersDuringWrites: snapshot reads
 # vs an exclusive global lock), and the replication benchmarks
 # (follower catch-up records/s over the HTTP stream, steady-state lag
-# behind a write burst), and the EXPLAIN ANALYZE instrumentation
+# behind a write burst, and ShipGroup: 500-row commit groups leader to
+# follower, with wire bytes per record), and the EXPLAIN ANALYZE instrumentation
 # overhead arm (analyze-off must stay within noise of the prepared hot
 # path; analyze-on prices per-operator profiling), and records the raw
 # `go test -json` event stream in BENCH_cypher.json so the perf
-# trajectory is diffable across PRs.
+# trajectory is diffable across PRs. -cpu 2 pins GOMAXPROCS (every
+# benchmark name ends in -2): a leader, a follower and their readers
+# measured on one processor is a different system.
 bench:
-	$(GO) test -run '^$$' -bench 'Cypher|WAL|ConcurrentReaders|Replication' -benchmem -benchtime 50x . -json | tee BENCH_cypher.json | \
+	$(GO) test -run '^$$' -bench 'Cypher|WAL|ConcurrentReaders|Replication' -benchmem -benchtime 50x -cpu 2 . -json | tee BENCH_cypher.json | \
 		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
 
 # bench-storage runs the binary-vs-JSON storage codec matrix (WAL
@@ -154,11 +159,12 @@ cover:
 		else { printf "internal/server coverage %.1f%% (floor %s%%)\n", t, floor } }'
 
 # fuzz exercises the IOC-scanner, parser, engine, NDJSON-escaper and
-# WAL-recovery fuzz targets for 30s each (the anchored scanner must
-# equal the ten-regex sweep; parser must never panic; engines must
+# WAL-recovery and replication-frame fuzz targets for 30s each (the
+# anchored scanner must equal the ten-regex sweep; parser must never panic; engines must
 # error, not crash; a streamed cell must be escaped exactly as
 # encoding/json escapes it; recovery must survive arbitrary log bytes
-# and stay writable).
+# and stay writable; the frame reader must pass on only whole frames of
+# a known kind, within its size bound).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/ioc -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
@@ -166,3 +172,4 @@ fuzz:
 	$(GO) test ./internal/cypher -fuzz FuzzEngineQuery -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/storage -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/replication -fuzz FuzzFrameReader -fuzztime $(FUZZTIME) -run '^$$'

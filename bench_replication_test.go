@@ -3,14 +3,17 @@ package securitykg
 // Replication benchmarks, run by `make bench` and recorded in
 // BENCH_cypher.json: follower catch-up throughput (how many WAL
 // records per second a fresh replica folds while tailing a leader over
-// HTTP) and steady-state lag (how far behind a connected replica sits
-// the moment the leader finishes a burst of writes).
+// HTTP), steady-state lag (how far behind a connected replica sits
+// the moment the leader finishes a burst of writes) and the per-group
+// cost of the live replicated write path (ShipGroup).
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,4 +118,76 @@ func BenchmarkReplicationSteadyLag(b *testing.B) {
 		b.ReportMetric(float64(time.Since(start).Milliseconds()), "catchup-ms")
 	}
 	b.ReportMetric(lagSum/rounds, "lag-records")
+}
+
+// countingTransport counts the body bytes a follower reads off its
+// streams: the wire cost of what the leader shipped.
+type countingTransport struct{ bytes atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		resp.Body = &countingBody{ReadCloser: resp.Body, n: &c.bytes}
+	}
+	return resp, err
+}
+
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// BenchmarkReplicationShipGroup measures the steady-state replicated
+// write path a live ingest drives: one op commits a 500-row group (a
+// merge and a property write per row, as the ledger's write batch does)
+// on the leader and waits until the connected follower has applied it —
+// log, tail, frame, loopback, decode, apply, the follower's own log.
+// records/s counts WAL records end to end, wire-B/record is what crossed
+// the connection (frame headers and heartbeats included), and allocs/op
+// is per group — 1002 records — on both nodes, the graph's included.
+func BenchmarkReplicationShipGroup(b *testing.B) {
+	const rows = 500
+	ldb, srv := benchLeader(b, 100)
+	fdb, err := storage.Open(b.TempDir(), storage.Options{Sync: storage.SyncNever, CompactBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire := &countingTransport{}
+	repl := replication.NewReplicator(fdb, srv.URL)
+	repl.Client = &http.Client{Transport: wire}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- repl.Run(ctx) }()
+	defer func() { cancel(); <-done; fdb.Close() }()
+	commit := func(round int) {
+		tx := ldb.Store().BeginTx()
+		tx.SetBulk()
+		for i := 0; i < rows; i++ {
+			id, _ := tx.MergeNode("IP", fmt.Sprintf("172.%d.%d.%d", round, i/250, i%250), nil)
+			tx.SetAttr(id, "last_seen", fmt.Sprintf("2026-01-01T00:%02d:00Z", round%60))
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		if err := repl.WaitApplied(ctx, ldb.CommittedSeq()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	commit(250) // connect, size buffers
+	seq, sent := ldb.CommittedSeq(), wire.bytes.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commit(i)
+	}
+	b.StopTimer()
+	records := float64(ldb.CommittedSeq() - seq)
+	b.ReportMetric(records/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(wire.bytes.Load()-sent)/records, "wire-B/record")
 }

@@ -31,6 +31,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node. IDs are never reused within a store's lifetime.
@@ -147,7 +148,10 @@ type Store struct {
 	edgeBegin map[EdgeID]uint64
 	nodeOld   map[NodeID][]nodeVer
 	edgeOld   map[EdgeID][]edgeVer
-	snaps     map[uint64]int // active snapshot count per asOf timestamp
+	// snaps counts open snapshots. It changes under mu held shared — so a
+	// writer, holding mu exclusively, reads a settled count — and opening
+	// or closing a read never asks for the exclusive lock.
+	snaps atomic.Int64
 
 	byType map[Sym]posting // label index; empty postings are pruned
 	// byName is the name index across types, empty postings pruned. It is
@@ -185,9 +189,13 @@ type Store struct {
 	// histogram and bump statsVersion so cached plans re-cost.
 	driftMu sync.Mutex
 	drift   map[DriftKey]*driftEntry
-	// onMutation observes every effective mutation under the write lock
-	// (SetMutationHook); the durability layer tees writes into its WAL here.
+	// onMutation observes every effective mutation (SetMutationHook); the
+	// durability layer tees writes into its WAL here. Written under
+	// writerMu and mu, so either lock suffices to read it.
 	onMutation func(Mutation)
+	// walBuf is the mutation buffer writing transactions take turns with
+	// (Tx.walBuf); guarded by writerMu.
+	walBuf []Mutation
 	// bulk counts open bulk-mode brackets (ApplyStream, ApplyBatch, a
 	// Tx marked SetBulk, or an explicit BeginBulk/EndBulk pair). While
 	// nonzero, per-mutation adjacency compaction and stats-drift checks
@@ -229,7 +237,6 @@ func New() *Store {
 		edgeBegin:     make(map[EdgeID]uint64),
 		nodeOld:       make(map[NodeID][]nodeVer),
 		edgeOld:       make(map[EdgeID][]edgeVer),
-		snaps:         make(map[uint64]int),
 	}
 	s.rebaseStatsLocked()
 	return s

@@ -5,11 +5,11 @@ import "fmt"
 // This file defines the logical mutation log the durability layer hangs
 // off the store: every state-changing public operation describes itself
 // as a Mutation, and a hook installed with SetMutationHook observes the
-// sequence under the store's write lock — in exactly the order the
-// mutations applied. Replaying the same Mutation sequence against the
-// same starting state reproduces the store byte-for-byte (including
-// NextNode/NextEdge allocation), which is what makes the write-ahead log
-// in internal/storage a correct recovery mechanism.
+// sequence in exactly the order the mutations applied. Replaying the
+// same Mutation sequence against the same starting state reproduces the
+// store byte-for-byte (including NextNode/NextEdge allocation), which is
+// what makes the write-ahead log in internal/storage a correct recovery
+// mechanism.
 
 // MutationOp names one replayable store operation.
 type MutationOp string
@@ -51,13 +51,21 @@ type Mutation struct {
 	Val   string            // set_attr value
 }
 
-// SetMutationHook installs fn, called under the store's write lock after
-// every effective mutation (calls that change no state — a MergeNode hit
-// adding no attributes, a SetAttr writing the value already present — do
-// not fire). The hook must be fast and must not call back into the
+// SetMutationHook installs fn, called after every effective mutation
+// (calls that change no state — a MergeNode hit adding no attributes, a
+// SetAttr writing the value already present — do not fire), in exactly
+// the order the mutations applied. A bare mutation reaches fn under the
+// store's write lock. A transaction's group (tx_begin, its mutations,
+// tx_commit) reaches fn from Commit with only the writer lock held,
+// before the group is visible to any snapshot: readers proceed while fn
+// runs, writers and Quiesce wait. The hook must not call back into the
 // store or retain the Attrs map past its return; the write-ahead log
-// encodes the record inside the callback. Passing nil uninstalls.
+// encodes the record inside the callback. Passing nil uninstalls; the
+// call waits for an open writing transaction, so once it returns no
+// hook call is in flight.
 func (s *Store) SetMutationHook(fn func(Mutation)) {
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onMutation = fn

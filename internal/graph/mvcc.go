@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"slices"
+	"sync/atomic"
 )
 
 // This file layers multi-version concurrency control over the store.
@@ -18,7 +19,7 @@ import (
 //     record became visible. Absent means "since forever".
 //   - nodeOld/edgeOld: superseded record versions, each tagged with its
 //     [begin, end) validity interval.
-//   - snaps: a refcount of open snapshots per asOf timestamp.
+//   - snaps: a count of open snapshots.
 //
 // Timestamps come from commitTS, which advances once per committed
 // write (bare mutations are single-op transactions). A mutator stamps
@@ -110,7 +111,7 @@ var (
 // holds a snapshot, or a transaction is in flight (whose writes must
 // stay invisible to snapshots opened before it commits).
 func (s *Store) trackingLocked() bool {
-	return s.curTx != nil || len(s.snaps) > 0
+	return s.curTx != nil || s.snaps.Load() > 0
 }
 
 // beginBareLocked/endBareLocked bracket one bare mutation as a
@@ -170,7 +171,7 @@ func (s *Store) stampEdgeLocked(id EdgeID) {
 // maybePurgeLocked drops all version history once nobody can observe
 // it. Cheap when already empty, which is the steady state.
 func (s *Store) maybePurgeLocked() {
-	if s.curTx != nil || len(s.snaps) > 0 {
+	if s.trackingLocked() {
 		return
 	}
 	if len(s.nodeBegin) > 0 || len(s.edgeBegin) > 0 || len(s.nodeOld) > 0 || len(s.edgeOld) > 0 {
@@ -186,7 +187,7 @@ func (s *Store) maybePurgeLocked() {
 // purged the moment the last observer goes away; tests pin that
 // invariant and operators can watch for snapshot leaks with it.
 type MVCCStats struct {
-	Snapshots    int // open snapshots (refcounts summed across timestamps)
+	Snapshots    int // open snapshots
 	NodeVersions int // superseded node versions retained for old snapshots
 	EdgeVersions int // superseded edge versions retained
 	NodeStamps   int // begin-timestamp entries on current node records
@@ -197,10 +198,7 @@ type MVCCStats struct {
 func (s *Store) MVCCStats() MVCCStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := MVCCStats{NodeStamps: len(s.nodeBegin), EdgeStamps: len(s.edgeBegin)}
-	for _, c := range s.snaps {
-		st.Snapshots += c
-	}
+	st := MVCCStats{Snapshots: int(s.snaps.Load()), NodeStamps: len(s.nodeBegin), EdgeStamps: len(s.edgeBegin)}
 	for _, vers := range s.nodeOld {
 		st.NodeVersions += len(vers)
 	}
@@ -230,39 +228,52 @@ type Snap struct {
 	s        *Store
 	asOf     uint64
 	tx       *Tx // non-nil when this is a transaction's own view
-	released bool
+	released atomic.Bool
+}
+
+// openSnap registers a snapshot of the current committed state. The
+// shared lock is enough: it keeps commitTS still, and a writer — who
+// decides under the exclusive lock whether anybody can observe history —
+// sees the registration either wholly before or wholly after its write.
+func (s *Store) openSnap(tx *Tx) *Snap {
+	s.mu.RLock()
+	sn := &Snap{s: s, asOf: s.commitTS, tx: tx}
+	s.snaps.Add(1)
+	s.mu.RUnlock()
+	return sn
 }
 
 // Snapshot opens a snapshot of the current committed state.
 func (s *Store) Snapshot() *Snap {
 	mSnapshotsOpened.Inc()
-	s.mu.Lock()
-	sn := &Snap{s: s, asOf: s.commitTS}
-	s.snaps[sn.asOf]++
-	s.mu.Unlock()
-	return sn
+	return s.openSnap(nil)
 }
 
-// Release closes the snapshot. Idempotent.
+// Release closes the snapshot. Idempotent. Only the close that leaves
+// history nobody can observe any more takes the exclusive lock, to drop
+// it; beside a writing transaction, or with no history, none does.
 func (sn *Snap) Release() {
-	s := sn.s
-	s.mu.Lock()
-	sn.releaseLocked()
-	s.mu.Unlock()
-}
-
-func (sn *Snap) releaseLocked() {
-	if sn.released {
+	if !sn.released.CompareAndSwap(false, true) {
 		return
 	}
-	sn.released = true
 	s := sn.s
-	if c := s.snaps[sn.asOf]; c <= 1 {
-		delete(s.snaps, sn.asOf)
-	} else {
-		s.snaps[sn.asOf] = c - 1
+	s.mu.RLock()
+	purge := s.snaps.Add(-1) == 0 && s.curTx == nil &&
+		len(s.nodeBegin)+len(s.edgeBegin)+len(s.nodeOld)+len(s.edgeOld) > 0
+	s.mu.RUnlock()
+	if purge {
+		s.mu.Lock()
+		s.maybePurgeLocked()
+		s.mu.Unlock()
 	}
-	s.maybePurgeLocked()
+}
+
+// releaseLocked is Release for a caller holding the exclusive lock.
+func (sn *Snap) releaseLocked() {
+	if sn.released.CompareAndSwap(false, true) {
+		sn.s.snaps.Add(-1)
+		sn.s.maybePurgeLocked()
+	}
 }
 
 // prov is the provisional timestamp whose writes this view may see: the
@@ -688,7 +699,8 @@ type Tx struct {
 	// durability hook only at Commit (wrapped in tx_begin/tx_commit when
 	// more than one): rolled-back transactions never touch the WAL, and
 	// a crash between the commit records leaves a dangling group that
-	// recovery discards.
+	// recovery discards. The array is the store's, borrowed while this
+	// transaction holds writerMu.
 	walBuf []Mutation
 
 	undoN map[NodeID]nodeUndo
@@ -703,11 +715,8 @@ type Tx struct {
 // Never blocks: the writer lock is acquired lazily at the first write.
 func (s *Store) BeginTx() *Tx {
 	mTxBegin.Inc()
-	s.mu.Lock()
 	tx := &Tx{s: s}
-	tx.snap = &Snap{s: s, asOf: s.commitTS, tx: tx}
-	s.snaps[tx.snap.asOf]++
-	s.mu.Unlock()
+	tx.snap = s.openSnap(tx)
 	return tx
 }
 
@@ -732,6 +741,7 @@ func (tx *Tx) ensureWriter() {
 	}
 	s := tx.s
 	s.writerMu.Lock()
+	tx.walBuf, s.walBuf = s.walBuf, nil
 	s.mu.Lock()
 	tx.writing = true
 	tx.prov = s.commitTS + 1
@@ -794,8 +804,12 @@ func (tx *Tx) MigrateEdges(from, to NodeID) error {
 	return tx.s.migrateEdgesLocked(from, to)
 }
 
-// Commit publishes the transaction's writes: later snapshots see them,
-// and the durability hook receives the buffered mutation group.
+// Commit logs the transaction, then publishes it. The durability hook
+// receives the buffered group while only writerMu is held — every writer
+// and Quiesce serialize on it, so the log and the store still change
+// together as far as a checkpoint can tell — and readers never wait on
+// the group's encode, write or fsync. The store lock is taken only to
+// advance commitTS: the group is in the log before any snapshot sees it.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
@@ -807,21 +821,20 @@ func (tx *Tx) Commit() error {
 		tx.snap.Release()
 		return nil
 	}
-	s.mu.Lock()
-	if s.onMutation != nil && len(tx.walBuf) > 0 {
+	if hook := s.onMutation; hook != nil && len(tx.walBuf) > 0 {
 		// A single-mutation transaction logs as a bare record; a larger
 		// group is wrapped so recovery can treat it atomically.
 		if len(tx.walBuf) > 1 {
-			s.onMutation(Mutation{Op: OpTxBegin})
+			hook(Mutation{Op: OpTxBegin})
 		}
 		for i := range tx.walBuf {
-			s.onMutation(tx.walBuf[i])
+			hook(tx.walBuf[i])
 		}
 		if len(tx.walBuf) > 1 {
-			s.onMutation(Mutation{Op: OpTxCommit})
+			hook(Mutation{Op: OpTxCommit})
 		}
 	}
-	tx.walBuf = nil
+	s.mu.Lock()
 	s.commitTS = tx.prov
 	s.curTx = nil
 	s.curProv = 0
@@ -831,8 +844,26 @@ func (tx *Tx) Commit() error {
 	}
 	s.maybeRebuildAdjLocked()
 	s.mu.Unlock()
-	s.writerMu.Unlock()
+	tx.releaseWriter()
 	return nil
+}
+
+// walBufKeep is the largest mutation buffer, in records, a transaction
+// leaves behind for the next: eight 500-row batches' worth (a batch logs
+// about 650 records and append's doubling takes its array to 1024). A
+// larger one belongs to a one-off load and would only pin memory.
+const walBufKeep = 4096
+
+// releaseWriter hands the mutation buffer back to the store, emptied, for
+// the next transaction — a batch a second would otherwise double a fresh
+// one up to ≈160 KB each time — and gives up the writer lock.
+func (tx *Tx) releaseWriter() {
+	if cap(tx.walBuf) <= walBufKeep {
+		clear(tx.walBuf)
+		tx.s.walBuf = tx.walBuf[:0]
+	}
+	tx.walBuf = nil
+	tx.s.writerMu.Unlock()
 }
 
 // Rollback undoes every write of the transaction — records, indexes,
@@ -887,12 +918,11 @@ func (tx *Tx) Rollback() error {
 	if tx.bulk {
 		s.endBulkLocked()
 	}
-	tx.walBuf = nil
 	s.curTx = nil
 	s.curProv = 0
 	tx.snap.releaseLocked()
 	s.mu.Unlock()
-	s.writerMu.Unlock()
+	tx.releaseWriter()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -106,9 +107,9 @@ func TestSnapshotReleasePurgesHistory(t *testing.T) {
 	sn.Release() // idempotent
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.nodeOld) != 0 || len(s.nodeBegin) != 0 || len(s.edgeOld) != 0 || len(s.edgeBegin) != 0 || len(s.snaps) != 0 {
+	if len(s.nodeOld) != 0 || len(s.nodeBegin) != 0 || len(s.edgeOld) != 0 || len(s.edgeBegin) != 0 || s.snaps.Load() != 0 {
 		t.Errorf("history not purged after release: nodeOld=%d nodeBegin=%d snaps=%d",
-			len(s.nodeOld), len(s.nodeBegin), len(s.snaps))
+			len(s.nodeOld), len(s.nodeBegin), s.snaps.Load())
 	}
 }
 
@@ -353,5 +354,169 @@ func TestConcurrentSnapshotReadsDuringTx(t *testing.T) {
 	wg.Wait()
 	if got := s.Node(ids[0]).Attrs.Get("v"); got != "50" {
 		t.Errorf("final v=%q, want 50", got)
+	}
+}
+
+// TestCommitHookBlocksNoReader parks the durability hook mid-group — a
+// slow disk, a long fsync — and checks who waits. Readers do not: a new
+// snapshot opens and reads, seeing the state before the transaction,
+// because the group is logged before it is published. Writers and
+// Quiesce (a checkpoint) do: they run only after the commit finishes,
+// so a checkpoint still captures state and log at a group boundary.
+func TestCommitHookBlocksNoReader(t *testing.T) {
+	s := New()
+	id, _ := s.MergeNode("T", "a", nil)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var logged []MutationOp
+	s.SetMutationHook(func(m Mutation) {
+		if m.Op == OpTxBegin {
+			close(entered)
+			<-release
+		}
+		logged = append(logged, m.Op)
+	})
+
+	tx := s.BeginTx()
+	tx.SetAttr(id, "k", "v")
+	tx.MergeNode("T", "b", nil)
+	committed := make(chan error, 1)
+	go func() { committed <- tx.Commit() }()
+	<-entered
+
+	read := make(chan string, 1)
+	go func() {
+		sn := s.Snapshot()
+		defer sn.Release()
+		read <- fmt.Sprint(sn.Node(id).Attrs.Get("k"), len(sn.NodeIDsByType("T")), s.CountNodes())
+	}()
+	quiesced := make(chan int, 1)
+	go s.Quiesce(func() error { quiesced <- len(logged); return nil })
+	wrote := make(chan struct{})
+	go func() { s.SetAttr(id, "bare", "1"); close(wrote) }()
+
+	// The read completes while the hook is parked: pre-transaction attrs
+	// and label count through the snapshot, while the latest-state
+	// counter (a plain read-lock read) is already at two.
+	if got := <-read; got != fmt.Sprint("", 1, 2) {
+		t.Errorf("snapshot read during a parked commit saw %q, want %q", got, fmt.Sprint("", 1, 2))
+	}
+	select {
+	case n := <-quiesced:
+		t.Fatalf("Quiesce ran inside a commit, with %d of its records logged", n)
+	case <-wrote:
+		t.Fatal("a bare write ran inside a commit")
+	case err := <-committed:
+		t.Fatalf("Commit returned (%v) with its hook parked", err)
+	default:
+	}
+	close(release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if n := <-quiesced; n < 4 {
+		t.Errorf("Quiesce saw %d logged records, want the whole group (4) or more", n)
+	}
+	<-wrote
+	want := []MutationOp{OpTxBegin, OpSetAttr, OpMergeNode, OpTxCommit, OpSetAttr}
+	if fmt.Sprint(logged) != fmt.Sprint(want) {
+		t.Errorf("logged %v, want %v", logged, want)
+	}
+	sn := s.Snapshot()
+	defer sn.Release()
+	if got := sn.Node(id).Attrs.Get("k"); got != "v" {
+		t.Errorf("after the commit a snapshot reads k=%q, want v", got)
+	}
+}
+
+// TestSnapshotReleaseRacesWriters: snapshots open and close under the
+// shared lock, beside transactions and bare writes taking the exclusive
+// one, and only the close that leaves unobservable history purges it.
+// Whatever the interleaving, a snapshot reads the same committed state
+// for as long as it is open (every key of a transaction equal, a bare
+// key unchanged between two passes), a snapshot closed twice — even from
+// two goroutines at once — counts once, and when the last reader and
+// writer are gone no snapshot count or version history is left behind.
+func TestSnapshotReleaseRacesWriters(t *testing.T) {
+	s := New()
+	const keys = 6
+	ids := make([]NodeID, keys)
+	for i := range ids {
+		ids[i], _ = s.MergeNode("K", fmt.Sprintf("k%d", i), map[string]string{"v": "0", "bare": "0"})
+	}
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sn := s.Snapshot()
+				var pass [2]string
+				for p := range pass {
+					first := sn.Node(ids[0]).Attrs.Get("v")
+					for _, id := range ids {
+						nd := sn.Node(id)
+						if got := nd.Attrs.Get("v"); got != first {
+							t.Errorf("torn read: node %d has v=%q, the first had %q", id, got, first)
+						}
+						pass[p] += nd.Attrs.Get("v") + "/" + nd.Attrs.Get("bare") + " "
+					}
+					runtime.Gosched()
+				}
+				if pass[0] != pass[1] {
+					t.Errorf("one snapshot read two states:\n%s\n%s", pass[0], pass[1])
+				}
+				if n%3 == r%3 {
+					twice := make(chan struct{})
+					go func() { sn.Release(); close(twice) }()
+					sn.Release()
+					<-twice
+				}
+				sn.Release()
+				if c := s.snaps.Load(); c < 0 {
+					t.Errorf("snapshot count fell to %d", c)
+					return
+				}
+			}
+		}(r)
+	}
+	writers.Add(2)
+	go func() { // transactions: odd rounds roll back
+		defer writers.Done()
+		for round := 1; round <= 800; round++ {
+			tx := s.BeginTx()
+			for _, id := range ids {
+				if err := tx.SetAttr(id, "v", fmt.Sprint(round)); err != nil {
+					t.Error(err)
+				}
+			}
+			if round%2 == 1 {
+				tx.Rollback()
+			} else if err := tx.Commit(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() { // bare writes, each its own commit
+		defer writers.Done()
+		for round := 1; round <= 8000; round++ {
+			if err := s.SetAttr(ids[round%keys], "bare", fmt.Sprint(round)); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if got := s.Node(ids[0]).Attrs.Get("v"); got != "800" {
+		t.Errorf("final v=%q, want 800", got)
+	}
+	if st := s.MVCCStats(); st != (MVCCStats{}) {
+		t.Errorf("history left behind with nobody to observe it: %+v", st)
 	}
 }

@@ -78,6 +78,8 @@ type Engine struct {
 	pinned []bool
 	vel    []Point
 	temp   float64
+	cells  cellArena // the Barnes-Hut quadtree's cells, rebuilt every Step
+	forces []Point   // Step's force accumulator, reused
 }
 
 // NewEngine seeds positions deterministically on a disk.
@@ -119,7 +121,8 @@ func (e *Engine) SetPos(i int, p Point) {
 // Step advances the simulation one iteration and returns the total
 // displacement (a convergence signal).
 func (e *Engine) Step() float64 {
-	forces := e.RepulsiveForces(nil)
+	e.forces = e.RepulsiveForces(e.forces)
+	forces := e.forces
 	// Spring attraction along edges.
 	for _, ed := range e.g.Edges {
 		a, b := ed[0], ed[1]
@@ -236,8 +239,26 @@ type bhNode struct {
 	leaf   bool
 }
 
-func newCell(x0, y0, x1, y1 float64) *bhNode {
-	return &bhNode{x0: x0, y0: y0, x1: x1, y1: y1, body: -1, leaf: true}
+// cellArena hands out quadtree cells from blocks it keeps: a tree is
+// built and dropped every iteration, and reset makes the next one reuse
+// the same memory. Blocks never move, so cell pointers stay valid.
+type cellArena struct {
+	blocks [][]bhNode
+	used   int
+}
+
+const cellBlock = 64
+
+func (a *cellArena) reset() { a.used = 0 }
+
+func (a *cellArena) newCell(x0, y0, x1, y1 float64) *bhNode {
+	if a.used == len(a.blocks)*cellBlock {
+		a.blocks = append(a.blocks, make([]bhNode, cellBlock))
+	}
+	c := &a.blocks[a.used/cellBlock][a.used%cellBlock]
+	a.used++
+	*c = bhNode{x0: x0, y0: y0, x1: x1, y1: y1, body: -1, leaf: true}
+	return c
 }
 
 func (n *bhNode) quadrant(x, y float64) int {
@@ -253,25 +274,25 @@ func (n *bhNode) quadrant(x, y float64) int {
 	return q
 }
 
-func (n *bhNode) child(q int) *bhNode {
+func (n *bhNode) child(a *cellArena, q int) *bhNode {
 	if n.kids[q] == nil {
 		mx := (n.x0 + n.x1) / 2
 		my := (n.y0 + n.y1) / 2
 		switch q {
 		case 0:
-			n.kids[q] = newCell(n.x0, n.y0, mx, my)
+			n.kids[q] = a.newCell(n.x0, n.y0, mx, my)
 		case 1:
-			n.kids[q] = newCell(mx, n.y0, n.x1, my)
+			n.kids[q] = a.newCell(mx, n.y0, n.x1, my)
 		case 2:
-			n.kids[q] = newCell(n.x0, my, mx, n.y1)
+			n.kids[q] = a.newCell(n.x0, my, mx, n.y1)
 		case 3:
-			n.kids[q] = newCell(mx, my, n.x1, n.y1)
+			n.kids[q] = a.newCell(mx, my, n.x1, n.y1)
 		}
 	}
 	return n.kids[q]
 }
 
-func (n *bhNode) insert(i int, x, y float64, depth int) {
+func (n *bhNode) insert(a *cellArena, i int, x, y float64, depth int) {
 	n.mass++
 	n.cx += (x - n.cx) / n.mass
 	n.cy += (y - n.cy) / n.mass
@@ -290,11 +311,11 @@ func (n *bhNode) insert(i int, x, y float64, depth int) {
 		ox, oy := n.bx, n.by
 		n.body = -1
 		n.leaf = false
-		n.child(n.quadrant(ox, oy)).insert(old, ox, oy, depth+1)
-		n.child(n.quadrant(x, y)).insert(i, x, y, depth+1)
+		n.child(a, n.quadrant(ox, oy)).insert(a, old, ox, oy, depth+1)
+		n.child(a, n.quadrant(x, y)).insert(a, i, x, y, depth+1)
 		return
 	}
-	n.child(n.quadrant(x, y)).insert(i, x, y, depth+1)
+	n.child(a, n.quadrant(x, y)).insert(a, i, x, y, depth+1)
 }
 
 func (e *Engine) barnesHutRepulsion(out []Point) {
@@ -310,47 +331,49 @@ func (e *Engine) barnesHutRepulsion(out []Point) {
 		maxY = math.Max(maxY, p.Y)
 	}
 	size := math.Max(maxX-minX, maxY-minY) + 1
-	root := newCell(minX, minY, minX+size, minY+size)
+	e.cells.reset()
+	root := e.cells.newCell(minX, minY, minX+size, minY+size)
 	for i, p := range e.Pos {
-		root.insert(i, p.X, p.Y, 0)
-	}
-	k := e.cfg.Repulsion
-	theta2 := e.cfg.Theta * e.cfg.Theta
-	var apply func(n *bhNode, i int)
-	apply = func(n *bhNode, i int) {
-		if n == nil || n.mass == 0 {
-			return
-		}
-		px, py := e.Pos[i].X, e.Pos[i].Y
-		dx := px - n.cx
-		dy := py - n.cy
-		d2 := dx*dx + dy*dy
-		w := n.x1 - n.x0
-		if n.leaf || w*w < theta2*d2 {
-			mass := n.mass
-			if n.leaf && n.body == i {
-				// Exclude self from a leaf that only holds this body.
-				mass--
-				if mass <= 0 {
-					return
-				}
-			}
-			if d2 < 1 {
-				d2 = 1
-				dx, dy = jitterDir(i)
-			}
-			d := math.Sqrt(d2)
-			f := k * mass / d2
-			out[i].X += f * dx / d
-			out[i].Y += f * dy / d
-			return
-		}
-		for _, kid := range n.kids {
-			apply(kid, i)
-		}
+		root.insert(&e.cells, i, p.X, p.Y, 0)
 	}
 	for i := range e.Pos {
-		apply(root, i)
+		e.applyCell(root, i, out)
+	}
+}
+
+// applyCell adds to out[i] the repulsion cell n exerts on body i: as one
+// mass at its center when the cell is a leaf or far enough away for its
+// width (the theta criterion), cell by cell otherwise.
+func (e *Engine) applyCell(n *bhNode, i int, out []Point) {
+	if n == nil || n.mass == 0 {
+		return
+	}
+	px, py := e.Pos[i].X, e.Pos[i].Y
+	dx := px - n.cx
+	dy := py - n.cy
+	d2 := dx*dx + dy*dy
+	w := n.x1 - n.x0
+	if n.leaf || w*w < e.cfg.Theta*e.cfg.Theta*d2 {
+		mass := n.mass
+		if n.leaf && n.body == i {
+			// Exclude self from a leaf that only holds this body.
+			mass--
+			if mass <= 0 {
+				return
+			}
+		}
+		if d2 < 1 {
+			d2 = 1
+			dx, dy = jitterDir(i)
+		}
+		d := math.Sqrt(d2)
+		f := e.cfg.Repulsion * mass / d2
+		out[i].X += f * dx / d
+		out[i].Y += f * dy / d
+		return
+	}
+	for _, kid := range n.kids {
+		e.applyCell(kid, i, out)
 	}
 }
 

@@ -80,11 +80,11 @@ func fetchSnapshot(ctx context.Context, dir, leaderURL string, client *http.Clie
 }
 
 // Replicator tails a leader's WAL into a local DB. All reads of the
-// local store see exactly the prefixes the leader committed: records
-// inside a transaction group buffer in memory and reach the store only
-// when the group's commit marker arrives, through a real graph
-// transaction — so concurrent readers get atomic visibility and the
-// follower's own WAL ends up byte-compatible with the leader's.
+// local store see exactly the prefixes the leader committed: a
+// transaction group reaches the store only once its commit marker has
+// arrived, through a real graph transaction — so concurrent readers get
+// atomic visibility and the follower's own WAL ends up byte-compatible
+// with the leader's.
 type Replicator struct {
 	DB     *storage.DB
 	Leader string // leader base URL
@@ -104,12 +104,15 @@ type Replicator struct {
 	leaderWAL int64
 	reconnect uint64
 
-	pending []storage.Record // open tx group, begin marker first
+	// The streaming goroutine's decode state (sequential: no lock).
+	// pending holds the wire bytes of a group whose frame ended before its
+	// commit marker; rec and attrs are the slots records are decoded into.
+	pending []byte
+	rec     storage.Record
+	attrs   map[string]string
 
 	// catchingUp is true while the store is held in bulk mode because
-	// this replica is far behind the leader. Touched only by the
-	// streaming goroutine (streamOnce / handleRecord run sequentially),
-	// so it needs no lock.
+	// this replica is far behind the leader. Streaming goroutine only.
 	catchingUp bool
 }
 
@@ -130,6 +133,7 @@ func NewReplicator(db *storage.DB, leaderURL string) *Replicator {
 		Client: http.DefaultClient,
 		waitCh: make(chan struct{}),
 		state:  "connect",
+		attrs:  make(map[string]string, 8),
 	}
 	r.applied.Store(db.LastSeq())
 	return r
@@ -296,10 +300,9 @@ func (r *Replicator) streamOnce(ctx context.Context, pol *backoff.Policy) error 
 	// stats forever.
 	defer r.exitBulk()
 	fr := newFrameReader(resp.Body)
-	var f frame
-	first := true
-	for {
-		if err := fr.next(&f); err != nil {
+	for first := true; ; first = false {
+		kind, body, err := fr.next()
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
@@ -309,21 +312,18 @@ func (r *Replicator) streamOnce(ctx context.Context, pol *backoff.Policy) error 
 			// The connection produced a valid frame: it is healthy, so
 			// the next failure starts backoff from the base again.
 			pol.Reset()
-			first = false
 		}
-		switch {
-		case f.Rec != nil:
-			if err := r.handleRecord(f.Rec); err != nil {
+		if kind == frameHeartbeat {
+			committed, walBytes, err := parseHeartbeat(body)
+			if err != nil {
 				return err
 			}
-		case f.HB != nil:
 			r.stateMu.Lock()
-			r.leaderSeq = f.HB.Committed
-			r.leaderWAL = f.HB.WALBytes
+			r.leaderSeq, r.leaderWAL = committed, walBytes
 			r.stateMu.Unlock()
 			r.maybeBulk()
-		default:
-			return fmt.Errorf("replication: empty frame")
+		} else if err := r.handleRecords(body); err != nil {
+			return err
 		}
 	}
 }
@@ -359,80 +359,93 @@ func (r *Replicator) exitBulk() {
 	r.logf("replication: caught up with leader at seq %d", r.applied.Load())
 }
 
-// handleRecord folds one shipped record. Bare records apply
-// immediately; transaction groups buffer from their begin marker and
-// apply atomically at the commit marker through a real graph
-// transaction — which re-emits the group through this DB's own WAL
-// hook, reproducing the leader's records (markers included) with the
-// same sequence numbers. Every apply is followed by a seq check; a
-// mismatch is divergence and fatal.
-func (r *Replicator) handleRecord(rec *storage.Record) error {
-	expect := r.DB.LastSeq() + uint64(len(r.pending)) + 1
-	if rec.Seq != expect {
-		return fmt.Errorf("%w: leader shipped seq %d, expected %d", ErrDiverged, rec.Seq, expect)
-	}
-	if len(r.pending) > 0 {
-		r.pending = append(r.pending, *rec)
-		switch rec.Op {
-		case graph.OpTxCommit:
-			group := r.pending
-			r.pending = r.pending[:0]
-			return r.applyGroup(group)
-		case graph.OpTxBegin:
-			return fmt.Errorf("%w: nested tx_begin at seq %d", ErrDiverged, rec.Seq)
-		case graph.OpTxRollback:
-			// Rolled-back transactions are never logged, so a leader can
-			// never ship one (mutation.go).
-			return fmt.Errorf("%w: tx_rollback at seq %d", ErrDiverged, rec.Seq)
+// handleRecords folds one records frame, one atomic unit at a time: a
+// bare record, or a transaction group once all of it has arrived —
+// straight out of the frame when the frame holds it whole (any frame of
+// a leader not backed up past frameCap), out of pending when it was split.
+func (r *Replicator) handleRecords(batch []byte) error {
+	for len(batch) > 0 {
+		_, rest, op, err := storage.NextWire(batch)
+		inGroup := len(r.pending) > 0 || op == graph.OpTxBegin
+		for err == nil && inGroup && op != graph.OpTxCommit && len(rest) > 0 {
+			_, rest, op, err = storage.NextWire(rest) // look for the commit marker
 		}
-		return nil
+		if err != nil {
+			return fmt.Errorf("%w: %v", errBadFrame, err)
+		}
+		unit := batch[:len(batch)-len(rest)]
+		split := inGroup && op != graph.OpTxCommit // the rest is in the next frame
+		if split || len(r.pending) > 0 {
+			r.pending = append(r.pending, unit...)
+			unit = r.pending
+		}
+		if split {
+			return nil
+		}
+		err = r.applyUnit(unit, inGroup)
+		r.pending = r.pending[:0]
+		if err != nil {
+			return err
+		}
+		batch = rest
 	}
-	switch rec.Op {
-	case graph.OpTxBegin:
-		r.pending = append(r.pending, *rec)
-		return nil
-	case graph.OpTxCommit, graph.OpTxRollback:
-		return fmt.Errorf("%w: stray %s at seq %d", ErrDiverged, rec.Op, rec.Seq)
-	}
-	// Bare record: apply through the store; the mutation hook logs it
-	// to the local WAL, assigning the next seq.
-	if err := r.DB.Store().Apply(rec.Mutation()); err != nil {
-		return fmt.Errorf("%w: apply seq %d (%s): %v", ErrDiverged, rec.Seq, rec.Op, err)
-	}
-	if got := r.DB.LastSeq(); got != rec.Seq {
-		return fmt.Errorf("%w: applied seq %d but local WAL is at %d (no-op replay?)", ErrDiverged, rec.Seq, got)
-	}
-	mRecordsApplied.Inc()
-	r.advanceApplied(rec.Seq)
-	r.maybeBulk()
 	return nil
 }
 
-// applyGroup replays one complete shipped transaction group —
-// [tx_begin, mutations..., tx_commit] — through a graph transaction,
-// so readers see it atomically and the commit re-emits the identical
-// group into the local WAL.
-func (r *Replicator) applyGroup(group []storage.Record) error {
-	commitSeq := group[len(group)-1].Seq
-	// SetBulk: a shipped group was one batch on the leader; replaying it
-	// re-judges stats materiality once at commit, like the leader did —
-	// not once per mutation.
-	tx := r.DB.Store().BeginTx()
-	tx.SetBulk()
-	for _, rec := range group[1 : len(group)-1] {
-		if err := tx.Apply(rec.Mutation()); err != nil {
-			tx.Rollback()
-			return fmt.Errorf("%w: tx replay at seq %d (%s): %v", ErrDiverged, rec.Seq, rec.Op, err)
+// applyUnit replays one bare record through the store, or one complete
+// group ([tx_begin, mutations..., tx_commit]) through a graph
+// transaction as it decodes it, so readers see the group atomically.
+// Either way the mutation hook re-emits the unit into the local WAL,
+// reproducing the leader's records, markers included, under the same
+// sequence numbers: each seq is checked as it is decoded and the log's
+// position once the unit is in; a mismatch is divergence and fatal. A
+// marker out of place applies nothing or fails Tx.Apply: same checks.
+func (r *Replicator) applyUnit(unit []byte, group bool) error {
+	var (
+		dst interface{ Apply(graph.Mutation) error } = r.DB.Store()
+		tx  *graph.Tx
+	)
+	if group {
+		// SetBulk: a shipped group was one batch on the leader; replay
+		// judges stats materiality once at commit too, not per mutation.
+		tx = r.DB.Store().BeginTx()
+		tx.SetBulk()
+		dst = tx
+	}
+	first := r.DB.LastSeq()
+	rec, last := &r.rec, first
+	for n := 0; len(unit) > 0; n++ {
+		payload, rest, _, err := storage.NextWire(unit)
+		if err == nil {
+			err = storage.DecodeWire(payload, rec, r.attrs)
+		}
+		if last++; err != nil {
+			err = fmt.Errorf("%w: %v", errBadFrame, err)
+		} else if rec.Seq != last {
+			err = fmt.Errorf("%w: leader shipped seq %d, expected %d", ErrDiverged, rec.Seq, last)
+		} else if marker := group && (n == 0 && rec.Op == graph.OpTxBegin || len(rest) == 0 && rec.Op == graph.OpTxCommit); !marker {
+			if err = dst.Apply(rec.Mutation()); err != nil {
+				err = fmt.Errorf("%w: apply seq %d (%s): %v", ErrDiverged, rec.Seq, rec.Op, err)
+			}
+		}
+		if err != nil {
+			if group {
+				tx.Rollback()
+			}
+			return err
+		}
+		unit = rest
+	}
+	if group {
+		if err := tx.Commit(); err != nil {
+			return fmt.Errorf("%w: tx commit for seq %d: %v", ErrDiverged, last, err)
 		}
 	}
-	if err := tx.Commit(); err != nil {
-		return fmt.Errorf("%w: tx commit for seq %d: %v", ErrDiverged, commitSeq, err)
+	if got := r.DB.LastSeq(); got != last {
+		return fmt.Errorf("%w: applied through seq %d but local WAL is at %d (no-op replay?)", ErrDiverged, last, got)
 	}
-	if got := r.DB.LastSeq(); got != commitSeq {
-		return fmt.Errorf("%w: tx group through seq %d left local WAL at %d", ErrDiverged, commitSeq, got)
-	}
-	mRecordsApplied.Add(int64(len(group)))
-	r.advanceApplied(commitSeq)
+	mRecordsApplied.Add(int64(last - first))
+	r.advanceApplied(last)
 	r.maybeBulk()
 	return nil
 }

@@ -1,7 +1,9 @@
 package replication
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -21,29 +23,10 @@ type Leader struct {
 	DB        *storage.DB
 	Advertise string // base URL followers should be told about, e.g. http://host:8080
 
-	// HeartbeatEvery bounds how long an idle stream stays silent.
-	// Zero means a 2s default.
+	// HeartbeatEvery bounds an idle stream's silence (zero: 2s).
 	HeartbeatEvery time.Duration
 
-	// BatchMax caps records fetched from the tail per iteration.
-	// Zero means 512.
-	BatchMax int
-
 	Log *log.Logger
-}
-
-func (l *Leader) heartbeatEvery() time.Duration {
-	if l.HeartbeatEvery > 0 {
-		return l.HeartbeatEvery
-	}
-	return 2 * time.Second
-}
-
-func (l *Leader) batchMax() int {
-	if l.BatchMax > 0 {
-		return l.BatchMax
-	}
-	return 512
 }
 
 func (l *Leader) logf(format string, args ...any) {
@@ -119,18 +102,28 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad from parameter", http.StatusBadRequest)
 		return
 	}
-	if from == 0 {
-		from = 1
+	cur := l.DB.TailFrom(from)
+	defer cur.Close()
+	buf := make([]byte, frameHdrLen, 32<<10) // the frame being built, reused
+	// nextFrame seals what is committed past the cursor, up to frameCap,
+	// into one records frame; nil when there is nothing yet.
+	nextFrame := func() ([]byte, error) {
+		var n int
+		if buf, n, err = cur.Next(buf[:frameHdrLen], frameCap); n == 0 {
+			return nil, err
+		}
+		// Counts shipped records, not frames: the series predates batching.
+		mFramesShipped.Add(int64(n))
+		return sealFrame(buf, frameRecords), nil
 	}
 
-	// Resolve the first batch before committing to a 200: this is where
-	// "leader can't serve that far back" surfaces as a clean 409.
-	batch, src, err := l.firstBatch(from)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if src == srcSnapshot {
+	// Resolve the first frame before committing to a 200: this is where
+	// "leader can't serve that far back" surfaces as a clean 409. The wake
+	// channel is fetched before each read of the log, so a commit landing
+	// after the read still ends the wait.
+	notify := l.DB.TailNotify()
+	frame, err := nextFrame()
+	if errors.Is(err, storage.ErrTailTruncated) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusConflict)
 		json.NewEncoder(w).Encode(map[string]any{
@@ -139,98 +132,44 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Accel-Buffering", "no")
 	flusher, _ := w.(http.Flusher)
-	fw := &frameWriter{w: w}
-
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	ship := func(recs []Record) bool {
-		for i := range recs {
-			if err := fw.write(&frame{Rec: &recs[i]}); err != nil {
-				return false
-			}
-			mFramesShipped.Inc()
-			from = recs[i].Seq + 1
-		}
-		return true
-	}
-
-	if !ship(batch) {
-		return
-	}
-	flush()
-
 	ctx := r.Context()
-	hb := time.NewTicker(l.heartbeatEvery())
+	hb := time.NewTicker(cmp.Or(max(l.HeartbeatEvery, 0), 2*time.Second))
 	defer hb.Stop()
+	var hbBuf []byte
 	for {
-		// Drain everything currently committed before sleeping.
-		recs, ok := l.DB.TailSince(from, l.batchMax())
-		if !ok {
-			// Evicted under a live stream: the follower fell behind the
-			// buffer while connected. Try disk before giving up.
-			var err error
-			recs, ok, err = l.DB.TailFromDisk(from)
-			if err != nil || !ok {
-				l.logf("replication: stream to %s lost seq %d (checkpoint passed it): %v", r.RemoteAddr, from, err)
-				return // follower reconnects and gets the 409 + snapshot
+		if frame == nil {
+			// Everything committed is shipped: sleep until more is.
+			select {
+			case <-ctx.Done():
+				return
+			case <-notify:
+			case <-hb.C:
+				hbBuf = heartbeatFrame(hbBuf, l.DB.CommittedSeq(), l.DB.WALSize())
+				frame = hbBuf
 			}
 		}
-		if len(recs) > 0 {
-			if !ship(recs) {
+		if frame != nil {
+			if _, err := w.Write(frame); err != nil {
 				return
 			}
-			flush()
-			continue
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
-		notify := l.DB.TailNotify()
-		select {
-		case <-ctx.Done():
+		notify = l.DB.TailNotify()
+		if frame, err = nextFrame(); err != nil {
+			// Evicted under a live stream, past the disk too: the follower
+			// reconnects and gets the 409 + snapshot.
+			l.logf("replication: stream to %s lost its place in the log: %v", r.RemoteAddr, err)
 			return
-		case <-notify:
-		case <-hb.C:
-			if err := fw.write(&frame{HB: &heartbeat{
-				Committed: l.DB.CommittedSeq(),
-				WALBytes:  l.DB.WALSize(),
-			}}); err != nil {
-				return
-			}
-			flush()
 		}
 	}
-}
-
-type batchSrc int
-
-const (
-	srcTail batchSrc = iota
-	srcDisk
-	srcSnapshot
-)
-
-// Record aliases storage.Record for the ship helper's signature.
-type Record = storage.Record
-
-// firstBatch resolves where a stream starting at from can be fed from:
-// the in-memory tail, a disk scan, or nowhere (snapshot required). An
-// empty batch with srcTail means from is simply ahead of the committed
-// watermark — a caught-up follower reconnecting.
-func (l *Leader) firstBatch(from uint64) ([]Record, batchSrc, error) {
-	if recs, ok := l.DB.TailSince(from, l.batchMax()); ok {
-		return recs, srcTail, nil
-	}
-	recs, ok, err := l.DB.TailFromDisk(from)
-	if err != nil {
-		return nil, srcDisk, err
-	}
-	if !ok {
-		return nil, srcSnapshot, nil
-	}
-	return recs, srcDisk, nil
 }

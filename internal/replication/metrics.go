@@ -8,7 +8,7 @@ import "securitykg/internal/metrics"
 // seq gauges live on each server's own registry.
 var (
 	mFramesShipped = metrics.NewCounter("skg_replication_frames_shipped_total",
-		"WAL record frames written to follower tail streams by a leader.")
+		"WAL records shipped to follower tail streams by a leader (records, not frames: a frame carries a batch).")
 	mRecordsApplied = metrics.NewCounter("skg_replication_records_applied_total",
 		"Shipped records applied by a replica (transaction groups count each member).")
 	mReconnects = metrics.NewCounter("skg_replication_reconnects_total",

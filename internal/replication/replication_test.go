@@ -3,7 +3,9 @@ package replication
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
@@ -11,6 +13,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,48 +167,114 @@ func waitCaughtUp(t *testing.T, repl *Replicator, seq uint64) {
 
 // ---- frame codec ----
 
+// recordsFrame commits the given steps on a scratch leader and returns
+// the sealed records frame its tail ships for them, with the seq it
+// ends on.
+func recordsFrame(t testing.TB, steps func(st *graph.Store)) ([]byte, uint64) {
+	t.Helper()
+	db, err := storage.Open(t.TempDir(), storage.Options{Sync: storage.SyncNever, CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	steps(db.Store())
+	buf, n, err := db.TailFrom(1).Next(make([]byte, frameHdrLen), 1<<20)
+	if err != nil || uint64(n) != db.LastSeq() {
+		t.Fatalf("tail shipped %d records (%v), log is at %d", n, err, db.LastSeq())
+	}
+	return sealFrame(buf, frameRecords), uint64(n)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	fw := &frameWriter{w: &buf}
-	rec := storage.Record{Seq: 7, Op: graph.OpMergeNode, Type: "Malware", Name: "x", Attrs: map[string]string{"a": "1"}}
-	if err := fw.write(&frame{Rec: &rec}); err != nil {
-		t.Fatal(err)
+	frame, last := recordsFrame(t, func(st *graph.Store) {
+		st.MergeNode("Malware", "x", map[string]string{"a": "1", "ключ": "значение"})
+		tx := st.BeginTx()
+		tx.MergeNode("IP", "10.0.0.1", nil)
+		tx.MergeNode("IP", "10.0.0.2", nil)
+		tx.Commit()
+	})
+	stream := append(append([]byte{}, frame...), heartbeatFrame(nil, 9, 1024)...)
+	fr := newFrameReader(bytes.NewReader(stream))
+	kind, body, err := fr.next()
+	if err != nil || kind != frameRecords {
+		t.Fatalf("first frame: kind %d, %v", kind, err)
 	}
-	if err := fw.write(&frame{HB: &heartbeat{Committed: 9, WALBytes: 1024}}); err != nil {
-		t.Fatal(err)
+	var (
+		rec storage.Record
+		ops []graph.MutationOp
+	)
+	for len(body) > 0 {
+		payload, rest, op, err := storage.NextWire(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := storage.DecodeWire(payload, &rec, nil); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Op != op || rec.Seq != uint64(len(ops)+1) {
+			t.Fatalf("record %d decoded as seq %d %s (peeked %s)", len(ops)+1, rec.Seq, rec.Op, op)
+		}
+		if rec.Seq == 1 && (rec.Name != "x" || rec.Attrs["a"] != "1" || rec.Attrs["ключ"] != "значение") {
+			t.Fatalf("record did not round-trip: %+v", rec)
+		}
+		ops, body = append(ops, op), rest
 	}
-	fr := newFrameReader(bytes.NewReader(buf.Bytes()))
-	var f frame
-	if err := fr.next(&f); err != nil || f.Rec == nil {
-		t.Fatalf("first frame: %v %+v", err, f)
+	want := []graph.MutationOp{graph.OpMergeNode, graph.OpTxBegin, graph.OpMergeNode, graph.OpMergeNode, graph.OpTxCommit}
+	if !slices.Equal(ops, want) || last != 5 {
+		t.Fatalf("frame carried %v through seq %d, want %v", ops, last, want)
 	}
-	if f.Rec.Seq != 7 || f.Rec.Name != "x" || f.Rec.Attrs["a"] != "1" {
-		t.Fatalf("record did not round-trip: %+v", f.Rec)
+	kind, body, err = fr.next()
+	if err != nil || kind != frameHeartbeat {
+		t.Fatalf("heartbeat frame: kind %d, %v", kind, err)
 	}
-	if err := fr.next(&f); err != nil || f.HB == nil || f.HB.Committed != 9 {
-		t.Fatalf("heartbeat frame: %v %+v", err, f)
+	if committed, walBytes, err := parseHeartbeat(body); err != nil || committed != 9 || walBytes != 1024 {
+		t.Fatalf("heartbeat = (%d, %d, %v)", committed, walBytes, err)
 	}
-	if err := fr.next(&f); err != io.EOF {
+	if _, _, err := fr.next(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
 
 func TestFrameCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	fw := &frameWriter{w: &buf}
-	rec := storage.Record{Seq: 1, Op: graph.OpMergeNode, Type: "IP", Name: "y"}
-	if err := fw.write(&frame{Rec: &rec}); err != nil {
-		t.Fatal(err)
+	b, _ := recordsFrame(t, func(st *graph.Store) { st.MergeNode("IP", "y", nil) })
+	next := func(b []byte) error {
+		_, _, err := newFrameReader(bytes.NewReader(b)).next()
+		return err
 	}
-	b := buf.Bytes()
-	b[len(b)-1] ^= 0xff // payload corruption: CRC must catch it
-	var f frame
-	if err := newFrameReader(bytes.NewReader(b)).next(&f); !errors.Is(err, errBadFrame) {
+	flipped := append([]byte{}, b...)
+	flipped[len(flipped)-1] ^= 0xff // payload corruption: CRC must catch it
+	if err := next(flipped); !errors.Is(err, errBadFrame) {
 		t.Fatalf("corrupt payload: got %v, want errBadFrame", err)
 	}
 	// Truncation mid-frame reads as a clean end (the follower re-dials).
-	if err := newFrameReader(bytes.NewReader(b[:len(b)-3])).next(&f); err != io.EOF {
+	if err := next(b[:len(b)-3]); err != io.EOF {
 		t.Fatalf("truncated frame: got %v, want io.EOF", err)
+	}
+	// A kind this build does not know is refused even with a good CRC...
+	unknown := sealFrame(append(make([]byte, frameHdrLen), "body"...), 7)
+	if err := next(unknown); !errors.Is(err, errBadFrame) {
+		t.Fatalf("unknown kind: got %v, want errBadFrame", err)
+	}
+	// ...and the format this one replaced is refused by name: its frames
+	// were length, CRC, then a JSON object.
+	legacy := append(make([]byte, frameHdrLen-1), `{"hb":{"committed":9,"wal_bytes":1024}}`...)
+	binary.LittleEndian.PutUint32(legacy[0:4], uint32(len(legacy)-8))
+	binary.LittleEndian.PutUint32(legacy[4:8], crc32.ChecksumIEEE(legacy[8:]))
+	if err := next(legacy); !errors.Is(err, errBadFrame) || !strings.Contains(err.Error(), "upgrade leader and followers together") {
+		t.Fatalf("legacy JSON frame: got %v", err)
+	}
+	// A records body must parse to its last byte: what is left over
+	// after whole records is damage, not padding.
+	fdb := openDB(t, t.TempDir(), storage.Options{Sync: storage.SyncNever, CompactBytes: -1})
+	defer fdb.Close()
+	if err := NewReplicator(fdb, "").handleRecords(append(b[frameHdrLen:len(b):len(b)], 0)); !errors.Is(err, errBadFrame) {
+		t.Fatalf("records body with a trailing byte: got %v, want errBadFrame", err)
+	}
+	// Heartbeats are exactly two uvarints.
+	for _, body := range [][]byte{{}, {9}, {9, 1, 0}, {0x80}} {
+		if _, _, err := parseHeartbeat(body); !errors.Is(err, errBadFrame) {
+			t.Fatalf("heartbeat body %v: got %v, want errBadFrame", body, err)
+		}
 	}
 }
 

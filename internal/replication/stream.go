@@ -31,67 +31,67 @@
 //	GET /replication/status
 //	    200: JSON Status.
 //
-// Frame wire format mirrors the WAL's own framing: a uint32
-// little-endian payload length, a uint32 CRC-32 (IEEE) of the payload,
-// then the payload — a JSON frame envelope holding either a WAL record
-// or a heartbeat. JSON (not the binary WAL codec) keeps the wire
-// format independent of the on-disk codec and its in-band dictionary
-// state.
+// Frame wire format mirrors the WAL's own framing:
+//
+//	uint32  length of kind + body (little-endian)
+//	uint32  CRC-32 (IEEE) of kind + body
+//	byte    kind
+//	[]byte  body
+//
+// A records frame (kind 1) is one storage.TailCursor batch (tail.go has
+// the wire form, and why it is independent of the on-disk codec):
+// everything committed past the follower's position, ending on a
+// transaction-group boundary unless that is over frameCap. A heartbeat
+// frame (kind 2) is two uvarints: the leader's committed seq and log size.
+//
+// One wire format, no negotiation: leader and followers upgrade
+// together. Frames of the earlier format — a JSON envelope per record —
+// put '{' where the kind byte is, and are refused by name.
 package replication
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"securitykg/internal/storage"
 )
 
-// maxFrameLen bounds one frame so a corrupt length prefix cannot ask
-// the reader to allocate gigabytes; WAL records are far smaller.
-const maxFrameLen = 32 << 20
+const (
+	// maxFrameLen bounds one frame so a corrupt length prefix cannot ask
+	// the reader to allocate gigabytes; the largest WAL record fits.
+	maxFrameLen = 32 << 20
+	// frameCap is the most a leader puts in one records frame, short of
+	// a single larger record.
+	frameCap = 256 << 10
 
-// frame is the stream envelope: exactly one field is set.
-type frame struct {
-	Rec *storage.Record `json:"rec,omitempty"`
-	HB  *heartbeat      `json:"hb,omitempty"`
+	frameHdrLen          = 9 // length, CRC, kind
+	frameRecords    byte = 1
+	frameHeartbeat  byte = 2
+	frameJSONLegacy byte = '{'
+)
+
+// sealFrame fills in the header of a frame built in place: frameHdrLen
+// reserved bytes, then the body.
+func sealFrame(buf []byte, kind byte) []byte {
+	buf[8] = kind
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-8))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
+	return buf
 }
 
-// heartbeat keeps an idle stream alive and carries the leader's
-// replication watermarks so followers can report lag without extra
-// round trips.
-type heartbeat struct {
-	Committed uint64 `json:"committed"` // leader committed seq
-	WALBytes  int64  `json:"wal_bytes"` // leader log size
+// heartbeatFrame keeps an idle stream alive and carries the leader's
+// watermarks, so followers report lag without extra round trips.
+func heartbeatFrame(buf []byte, committed uint64, walBytes int64) []byte {
+	var hdr [frameHdrLen]byte
+	buf = binary.AppendUvarint(append(buf[:0], hdr[:]...), committed)
+	buf = binary.AppendUvarint(buf, uint64(walBytes))
+	return sealFrame(buf, frameHeartbeat)
 }
 
-// frameWriter frames JSON payloads onto one stream.
-type frameWriter struct {
-	w   io.Writer
-	hdr [8]byte
-}
-
-func (fw *frameWriter) write(f *frame) error {
-	payload, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("replication: encode frame: %w", err)
-	}
-	binary.LittleEndian.PutUint32(fw.hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(fw.hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-		return err
-	}
-	_, err = fw.w.Write(payload)
-	return err
-}
-
-// errBadFrame marks stream damage: a length out of bounds or a CRC
-// mismatch. The reader cannot resynchronize past it (framing is how
-// boundaries are known), so the connection is torn down and re-dialed.
+// errBadFrame marks stream damage (length, CRC, kind or body). Framing is
+// how boundaries are known, so the connection is torn down and re-dialed.
 var errBadFrame = errors.New("replication: damaged frame")
 
 // frameReader decodes one stream of frames.
@@ -105,35 +105,49 @@ func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// next reads one frame. io.EOF (possibly wrapped) means the stream
-// ended cleanly between frames.
-func (fr *frameReader) next(f *frame) error {
+// next reads one frame; body is valid until the following call. io.EOF
+// means the stream ended, between frames or inside one: re-dial.
+func (fr *frameReader) next() (kind byte, body []byte, err error) {
 	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return io.EOF // stream cut mid-header: treat as end, re-dial
+			err = io.EOF
 		}
-		return err
+		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(fr.hdr[0:4])
 	want := binary.LittleEndian.Uint32(fr.hdr[4:8])
 	if n == 0 || n > maxFrameLen {
-		return errBadFrame
+		return 0, nil, errBadFrame
 	}
 	if cap(fr.buf) < int(n) {
-		fr.buf = make([]byte, n)
+		// Headroom, so a stream whose frames creep up in size settles.
+		fr.buf = make([]byte, n, min(n+n/4, maxFrameLen))
 	}
 	fr.buf = fr.buf[:n]
 	if _, err := io.ReadFull(fr.br, fr.buf); err != nil {
-		return io.EOF // cut mid-frame
+		return 0, nil, io.EOF
 	}
 	if crc32.ChecksumIEEE(fr.buf) != want {
-		return errBadFrame
+		return 0, nil, errBadFrame
 	}
-	*f = frame{}
-	if err := json.Unmarshal(fr.buf, f); err != nil {
-		return fmt.Errorf("replication: decode frame: %w", err)
+	switch kind = fr.buf[0]; kind {
+	case frameRecords, frameHeartbeat:
+		return kind, fr.buf[1:], nil
+	case frameJSONLegacy:
+		return 0, nil, fmt.Errorf("%w: the peer speaks the JSON-envelope stream format this build replaced; upgrade leader and followers together", errBadFrame)
 	}
-	return nil
+	return 0, nil, fmt.Errorf("%w: unknown frame kind %d", errBadFrame, kind)
+}
+
+// parseHeartbeat reads a heartbeat body.
+func parseHeartbeat(body []byte) (committed uint64, walBytes int64, err error) {
+	committed, n := binary.Uvarint(body)
+	if n > 0 {
+		if wal, m := binary.Uvarint(body[n:]); m > 0 && n+m == len(body) {
+			return committed, int64(wal), nil
+		}
+	}
+	return 0, 0, fmt.Errorf("%w: heartbeat body", errBadFrame)
 }
 
 // Status is the /replication/status payload, shared by both roles.

@@ -6,11 +6,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -429,14 +429,10 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpErr(w, http.StatusBadRequest, "read request body: %v", err)
-		return
-	}
 	var req cypherRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	bodyLen, err := readJSONBody(r, &req)
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Ingest backpressure: write-shaped statements reserve their body
@@ -445,7 +441,7 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 	// release runs after the handler's streaming paths return). Replicas
 	// skip the gate; their writes are redirected, not executed.
 	if !s.isReplica() && !req.Explain && looksLikeWrite(req.Query) {
-		n := int64(len(body))
+		n := int64(bodyLen)
 		if !s.acquireIngest(w, n) {
 			return
 		}
@@ -505,6 +501,37 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 	}
 	s.noteSlow(req.Query, statementKind(res.Writes != nil), began, len(res.Rows), res.BudgetUsed)
 	s.writeCypherResult(w, res, res.Writes != nil)
+}
+
+// bodyPool recycles /api/cypher request-body buffers: a write batch is
+// tens of kilobytes, read whole before it is parsed.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer kept for reuse, and the most a
+// Content-Length header may reserve before a byte of body has arrived.
+const maxPooledBody = 1 << 20
+
+// readJSONBody reads the request body into a pooled buffer sized from
+// Content-Length, decodes it into v — which keeps nothing of the buffer:
+// encoding/json copies every string — and returns the body's length.
+func readJSONBody(r *http.Request, v any) (int, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPooledBody)) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		return 0, fmt.Errorf("read request body: %w", err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		return 0, fmt.Errorf("bad request body: %w", err)
+	}
+	return buf.Len(), nil
 }
 
 // cypherErr maps an engine error onto the transport: a read-only

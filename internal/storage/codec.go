@@ -147,8 +147,12 @@ func newWALDict(seed []string) *walDict {
 	return d
 }
 
-// emit appends s as a dictref, registering it when new.
+// emit appends s as a dictref, registering it when new. A nil dictionary
+// never remembers: every string goes inline — the wire form (tail.go).
 func (d *walDict) emit(buf []byte, s string) []byte {
+	if d == nil {
+		return appendStr(append(buf, 0), s)
+	}
 	if id, ok := d.ids[s]; ok {
 		return binary.AppendUvarint(buf, id)
 	}
@@ -248,6 +252,7 @@ func (b *binPayload) str() (string, error) {
 }
 
 // dictStr reads a dictref, appending to the dictionary on a new string.
+// A nil dictionary (the wire form's) stays empty: only inline resolves.
 func (b *binPayload) dictStr() (string, error) {
 	r, err := b.uvarint()
 	if err != nil {
@@ -255,14 +260,13 @@ func (b *binPayload) dictStr() (string, error) {
 	}
 	if r == 0 {
 		s, err := b.str()
-		if err != nil {
-			return "", err
+		if err == nil && b.dict != nil {
+			*b.dict = append(*b.dict, s)
 		}
-		*b.dict = append(*b.dict, s)
-		return s, nil
+		return s, err
 	}
-	if r > uint64(len(*b.dict)) {
-		return "", fmt.Errorf("storage: binary record: dict ref %d out of range (%d entries)", r, len(*b.dict))
+	if b.dict == nil || r > uint64(len(*b.dict)) {
+		return "", fmt.Errorf("storage: binary record: dict ref %d out of range", r)
 	}
 	return (*b.dict)[r-1], nil
 }
@@ -278,16 +282,9 @@ func (b *binPayload) id() (int64, error) {
 	return int64(v), nil
 }
 
-// decodeRecordBinary decodes one payload, mutating dict exactly as the
-// writer did when encoding it.
-func decodeRecordBinary(p []byte, dict *[]string) (Record, error) {
-	var rec Record
-	err := decodeRecordBinaryInto(p, dict, &rec, nil)
-	return rec, err
-}
-
 // decodeRecordBinaryInto decodes one payload into *rec, mutating dict
-// exactly as the writer did when encoding it. A non-nil scratch map is
+// exactly as the writer did when encoding it (nil: a self-contained wire
+// payload, nothing to remember). A non-nil scratch map is
 // cleared and used for the record's attributes instead of allocating a
 // fresh map per record — safe only for callers that fully consume each
 // record before decoding the next (the streaming recovery scanner:

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -255,4 +257,32 @@ func TestBinaryWALTornDictionary(t *testing.T) {
 	if n == nil || n.Attrs.Get("family") != "worm" {
 		t.Fatalf("post-tear node wrong: %+v", n)
 	}
+}
+
+// scannedWAL is a test's view of a whole log: the records of the valid
+// prefix beside the scanner's verdict on it.
+type scannedWAL struct {
+	replayResult
+	records []Record
+}
+
+// scanWAL collects the whole valid prefix; recovery streams it instead.
+func scanWAL(r io.Reader) scannedWAL {
+	sc := newWALScanner(r)
+	var out scannedWAL
+	var rec Record
+	for sc.next(&rec) {
+		rec.Attrs = maps.Clone(rec.Attrs) // the scanner reuses its map
+		out.records = append(out.records, rec)
+	}
+	out.replayResult = sc.res
+	return out
+}
+
+// decodeRecordBinary decodes one payload, mutating dict exactly as the
+// writer did when encoding it.
+func decodeRecordBinary(p []byte, dict *[]string) (Record, error) {
+	var rec Record
+	err := decodeRecordBinaryInto(p, dict, &rec, nil)
+	return rec, err
 }

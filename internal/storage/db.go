@@ -44,8 +44,9 @@ type DB struct {
 	dir   string
 	store *graph.Store
 	wal   *WAL
-	tail  *replTail // in-memory record tail for replication (tail.go)
-	lock  *os.File  // exclusive flock on the data directory
+	tail  *replTail    // in-memory record tail for replication (tail.go)
+	group groupTracker // where logMutation is among the transaction markers
+	lock  *os.File     // exclusive flock on the data directory
 	opts  Options
 
 	mu         sync.Mutex // serializes checkpoints
@@ -82,7 +83,7 @@ type Options struct {
 	Codec Codec
 	// TailRecords / TailBytes cap the in-memory replication tail
 	// (tail.go): how far back a follower stream can be served without
-	// rescanning the log file. Defaults: 8192 records, 8 MiB.
+	// rescanning the log file. Defaults: 8192 records, 8 MiB of wire bytes.
 	TailRecords int
 	TailBytes   int64
 }
@@ -169,7 +170,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		// never materializes the record list, which together with the
 		// bulk economics is most of the difference between replaying 20k
 		// records and loading the same state from a snapshot.
-		sc := newWALScanner(f).reuseAttrs()
+		sc := newWALScanner(f)
 		fold := newTxFold(sc)
 		var rec Record
 		applied, aerr := st.ApplyStream(func() (graph.Mutation, bool) {
@@ -365,46 +366,31 @@ func loadBinSnapshot(path string) (*graph.Store, uint64, error) {
 }
 
 // logMutation is the store's mutation hook: it runs under the store's
-// write lock, so records land in the WAL in exactly mutation order. An
-// append failure is sticky on the WAL (Err surfaces it) and the
-// in-memory store runs ahead of the log until a checkpoint — which a
-// failed append schedules immediately — snapshots the full store and
-// re-bases durability past the gap, clearing the sticky error.
+// writer lock, so records land in the WAL in exactly mutation order. An
+// append failure is sticky on the WAL (Err surfaces it) and the store runs
+// ahead of the log until a checkpoint — which a failed append schedules at
+// once — snapshots the full store and re-bases durability past the gap,
+// clearing the error. The tracker sees every mutation, logged or not, so
+// a group a failure cut short still ends at its marker.
 func (db *DB) logMutation(m graph.Mutation) {
-	seq, err := db.wal.Append(m)
+	boundary := db.group.boundary(m.Op)
+	seq, err := db.wal.Append(m, boundary)
 	if err != nil {
+		db.tail.cut(db.wal.LastSeq() + 1)
 		db.scheduleCheckpoint()
 		return // sticky until the checkpoint lands; Err() reports it
 	}
-	// Feed the replication tail an owned copy (the hook contract lets
-	// the caller reuse the Attrs map after we return).
-	rec := recordFromMutation(cloneMutationAttrs(m))
-	rec.Seq = seq
-	db.tail.add(rec)
+	db.tail.add(seq, m, boundary)
 	if db.opts.CompactBytes > 0 && db.wal.Size() > db.opts.CompactBytes {
 		db.scheduleCheckpoint()
 	}
 }
 
-// cloneMutationAttrs deep-copies the mutation's one reference field.
-func cloneMutationAttrs(m graph.Mutation) graph.Mutation {
-	if len(m.Attrs) > 0 {
-		attrs := make(map[string]string, len(m.Attrs))
-		for k, v := range m.Attrs {
-			attrs[k] = v
-		}
-		m.Attrs = attrs
-	}
-	return m
-}
-
 // scheduleCheckpoint runs Checkpoint on its own goroutine (the mutation
-// hook holds the store's write lock and Checkpoint needs its read
-// lock), collapsing concurrent requests into one.
+// hook holds the store's writer lock and Checkpoint quiesces writers),
+// collapsing concurrent requests into one.
 func (db *DB) scheduleCheckpoint() {
 	if db.compacting.CompareAndSwap(false, true) {
-		// The hook holds the store's write lock and Checkpoint needs its
-		// read lock, so compaction must run on its own goroutine.
 		db.compactWG.Add(1)
 		go func() {
 			defer db.compactWG.Done()

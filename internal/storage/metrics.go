@@ -12,7 +12,7 @@ var (
 	mWALBytes = metrics.NewCounter("skg_wal_bytes_total",
 		"Bytes written to the WAL, frame headers included.")
 	mWALFsyncs = metrics.NewCounter("skg_wal_fsyncs_total",
-		"WAL fsync calls (per-write under SyncAlways, batched under group commit).")
+		"WAL fsync calls (one per bare record or transaction group under SyncAlways, one per interval under group commit).")
 	mCheckpointSeconds = metrics.NewHistogram("skg_checkpoint_seconds",
 		"Checkpoint durations: snapshot write + fsync + rename + WAL truncation.",
 		metrics.DurationBuckets)

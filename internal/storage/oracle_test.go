@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -27,11 +28,12 @@ func saveSum(t *testing.T, db *DB) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func writeOracleDir(t *testing.T) {
-	if err := os.RemoveAll(oracleDir); err != nil {
+// writeOracleDir writes the recorded history into dir.
+func writeOracleDir(t *testing.T, dir string) {
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	db := openT(t, oracleDir, Options{Sync: SyncNever, CompactBytes: -1})
+	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	g := newMutGen(23)
 	for i := 0; i < 600; i++ {
 		g.step(db.Store())
@@ -55,15 +57,15 @@ func writeOracleDir(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(filepath.Join(oracleDir, lockFile))
-	if err := os.WriteFile(filepath.Join(oracleDir, "save.sha256"), []byte(sum+"\n"), 0o644); err != nil {
+	os.Remove(filepath.Join(dir, lockFile))
+	if err := os.WriteFile(filepath.Join(dir, "save.sha256"), []byte(sum+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRecoverRecordedDataDir(t *testing.T) {
 	if *updateOracle {
-		writeOracleDir(t)
+		writeOracleDir(t, oracleDir)
 	}
 	dir := t.TempDir()
 	for _, name := range []string{snapshotBinFile, walFile} {
@@ -86,5 +88,27 @@ func TestRecoverRecordedDataDir(t *testing.T) {
 	}
 	if got := saveSum(t, db); got != strings.TrimSpace(string(want)) {
 		t.Errorf("recovered Save stream hashes to %s, the writer's hashed to %s", got, strings.TrimSpace(string(want)))
+	}
+}
+
+// TestWriteRecordedDataDirBytes is the other direction: writing the same
+// seeded history with this build produces the recorded files byte for
+// byte — the snapshot, and the log with its bare records and transaction
+// groups, however the appender now batches its writes.
+func TestWriteRecordedDataDirBytes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "written")
+	writeOracleDir(t, dir)
+	for _, name := range []string{snapshotBinFile, walFile, "save.sha256"} {
+		want, err := os.ReadFile(filepath.Join(oracleDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: this build wrote %d bytes that differ from the %d recorded", name, len(got), len(want))
+		}
 	}
 }

@@ -2,10 +2,13 @@ package storage
 
 import (
 	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"securitykg/internal/graph"
@@ -13,27 +16,83 @@ import (
 
 // This file is the storage side of WAL-shipping replication
 // (internal/replication): an in-memory tail of recently appended
-// records so a leader can serve follower streams without rescanning
-// the log file, a committed watermark that stops streams at transaction
-// group boundaries (a follower must never observe an uncommitted
-// prefix), a disk fallback for followers further behind than the tail
-// buffer reaches, and snapshot export/install for catch-up transfers.
+// records, kept in the form a follower stream carries so a leader serves
+// streams by copying bytes; a committed watermark that stops streams at
+// group boundaries (a follower never observes an uncommitted prefix); a
+// cursor that falls back to the log file; and snapshot export/install.
+//
+// Wire form: a batch is a run of `uvarint len · payload`, each payload
+// the binary record codec (codec.go) with every dictionary string
+// spelled inline, so it decodes alone — whatever codec and in-band
+// dictionary the log file has — and a stream can start at any seq.
 
-// replTail buffers the most recent WAL records. Records are contiguous
-// by Seq; eviction drops from the front, so a follower that falls
-// further behind than the buffer reaches is redirected to the disk
-// scan (and past that, to a snapshot transfer). committed is the last
-// sequence number at a transaction-group boundary — the highest record
-// a replication stream may ship.
+// NextWire cuts the first record off a wire batch, naming its operation
+// without decoding its fields.
+func NextWire(batch []byte) (payload, rest []byte, op graph.MutationOp, err error) {
+	n, w := binary.Uvarint(batch)
+	if w <= 0 || n == 0 || n > uint64(len(batch)-w) {
+		return nil, nil, "", errors.New("storage: wire batch: record length out of range")
+	}
+	payload, rest = batch[w:w+int(n)], batch[w+int(n):]
+	if _, w = binary.Uvarint(payload); w > 0 && w < len(payload) { // seq, then the opcode
+		if op, ok := mutationOpOf(payload[w]); ok {
+			return payload, rest, op, nil
+		}
+	}
+	return nil, nil, "", errors.New("storage: wire batch: record has no known opcode")
+}
+
+// DecodeWire decodes one wire payload into *rec. A non-nil attrs is
+// cleared and reused as the record's attribute map: pass one only when
+// each record is consumed before the next is decoded.
+func DecodeWire(payload []byte, rec *Record, attrs map[string]string) error {
+	return decodeRecordBinaryInto(payload, nil, rec, attrs)
+}
+
+// wireEncoder appends records to wire batches through reused scratch.
+type wireEncoder struct {
+	payload []byte
+	keys    []string // attr-key sort scratch
+}
+
+func (e *wireEncoder) append(batch []byte, rec Record) []byte {
+	e.payload, e.keys = encodeRecordBinary(e.payload[:0], rec, nil, e.keys)
+	return append(binary.AppendUvarint(batch, uint64(len(e.payload))), e.payload...)
+}
+
+// groupTracker follows transaction markers through a record sequence.
+// The DB keeps the only one and tells the log and the tail (logMutation).
+type groupTracker struct{ inTx bool }
+
+// boundary reports whether the sequence is at a group boundary after
+// op: the only points a log flush or a stream may stop.
+func (g *groupTracker) boundary(op graph.MutationOp) bool {
+	switch op {
+	case graph.OpTxBegin:
+		g.inTx = true
+	case graph.OpTxCommit, graph.OpTxRollback:
+		g.inTx = false
+	}
+	return !g.inTx
+}
+
+// replTail buffers the most recent WAL records as one wire batch with
+// an index of where each record ends. Records are contiguous by seq;
+// eviction advances head, and once half the index is evicted the live
+// half moves down in place, so the steady state allocates nothing.
+// committed, the last seq at a group boundary, is where streams stop.
 type replTail struct {
 	mu        sync.Mutex
-	recs      []Record
-	bytes     int64 // approximate retained payload bytes
+	buf       []byte
+	ends      []int // ends[i]: where record base+i ends in buf
+	base      uint64
+	head      int // ends[:head] are evicted
 	maxRecs   int
-	maxBytes  int64
-	inTx      bool
+	maxBytes  int
+	enc       wireEncoder
 	committed uint64
 	notify    chan struct{} // closed and replaced when committed advances
+	armed     bool          // notify has been handed out since it was made
 }
 
 func newReplTail(lastSeq uint64, maxRecs int, maxBytes int64) *replTail {
@@ -44,50 +103,47 @@ func newReplTail(lastSeq uint64, maxRecs int, maxBytes int64) *replTail {
 		maxBytes = 8 << 20
 	}
 	return &replTail{
+		base:      lastSeq + 1,
 		committed: lastSeq,
 		maxRecs:   maxRecs,
-		maxBytes:  maxBytes,
+		maxBytes:  int(maxBytes),
 		notify:    make(chan struct{}),
 	}
 }
 
-// recSize approximates a record's retained bytes for eviction.
-func recSize(r *Record) int64 {
-	n := 64 + len(r.Type) + len(r.Name) + len(r.Key) + len(r.Val)
-	for k, v := range r.Attrs {
-		n += len(k) + len(v) + 32
+// start returns where record base+i begins in buf.
+func (t *replTail) start(i int) int {
+	if i == 0 {
+		return 0
 	}
-	return int64(n)
+	return t.ends[i-1]
 }
 
-// add appends one just-logged record. The caller passes an owned copy
-// (attrs cloned): the mutation hook's map must not be retained.
-func (t *replTail) add(rec Record) {
+// add appends the just-logged mutation, encoded, under its sequence
+// number; nothing of m is retained. At a boundary committed moves to seq.
+func (t *replTail) add(seq uint64, m graph.Mutation, boundary bool) {
+	rec := recordFromMutation(m)
+	rec.Seq = seq
 	t.mu.Lock()
-	t.recs = append(t.recs, rec)
-	t.bytes += recSize(&rec)
-	for (len(t.recs) > t.maxRecs || t.bytes > t.maxBytes) && len(t.recs) > 1 {
-		t.bytes -= recSize(&t.recs[0])
-		t.recs[0] = Record{} // release attr map for GC before sliding
-		t.recs = t.recs[1:]
+	t.buf = t.enc.append(t.buf, rec)
+	t.ends = append(t.ends, len(t.buf))
+	for n := len(t.ends); n-t.head > 1 && (n-t.head > t.maxRecs || len(t.buf)-t.start(t.head) > t.maxBytes); {
+		t.head++
 	}
-	advanced := false
-	switch rec.Op {
-	case graph.OpTxBegin:
-		t.inTx = true
-	case graph.OpTxCommit, graph.OpTxRollback:
-		t.inTx = false
-		t.committed = rec.Seq
-		advanced = true
-	default:
-		if !t.inTx {
-			t.committed = rec.Seq
-			advanced = true
+	if t.head > len(t.ends)/2 {
+		dead := t.start(t.head)
+		t.buf = t.buf[:copy(t.buf, t.buf[dead:])]
+		live := t.ends[t.head:]
+		for i, e := range live {
+			t.ends[i] = e - dead
 		}
+		t.ends, t.base, t.head = t.ends[:len(live)], t.base+uint64(t.head), 0
 	}
 	var wake chan struct{}
-	if advanced {
-		wake, t.notify = t.notify, make(chan struct{})
+	if boundary {
+		if t.committed = seq; t.armed {
+			wake, t.notify, t.armed = t.notify, make(chan struct{}), false
+		}
 	}
 	t.mu.Unlock()
 	if wake != nil {
@@ -95,116 +151,143 @@ func (t *replTail) add(rec Record) {
 	}
 }
 
-// collect returns up to max records with seq in [from, committed].
-// ok is false when the buffer no longer reaches back to from — the
-// caller must fall back to the disk scan or a snapshot. A from past
-// the committed watermark returns (nil, true): nothing to ship yet,
-// wait on Notify.
-func (t *replTail) collect(from uint64, max int) (out []Record, ok bool) {
+// cut forgets every buffered record (the next added is seq next): no
+// stream may cross the hole a failed append leaves. The re-basing checkpoint
+// truncates the file too, so a follower behind it gets ErrTailTruncated.
+func (t *replTail) cut(next uint64) {
+	t.mu.Lock()
+	t.buf, t.ends, t.head, t.base = t.buf[:0], t.ends[:0], 0, next
+	t.mu.Unlock()
+}
+
+// collect appends to batch the records from..last (TailCursor.Next
+// gives the rule; from-1: nothing to ship). ok is false when the buffer
+// no longer reaches back to from.
+func (t *replTail) collect(batch []byte, from uint64, limit int) (out []byte, last uint64, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if from > t.committed {
-		return nil, true
+		return batch, from - 1, true
 	}
-	if len(t.recs) == 0 || t.recs[0].Seq > from {
-		return nil, false
+	if from < t.base+uint64(t.head) {
+		return batch, from - 1, false
 	}
-	i := int(from - t.recs[0].Seq)
-	for ; i < len(t.recs) && len(out) < max; i++ {
-		if t.recs[i].Seq > t.committed {
-			break
-		}
-		out = append(out, t.recs[i])
+	i := int(from - t.base)
+	begin, n := t.start(i), int(t.committed-from)+1
+	if fit := sort.Search(n, func(k int) bool { return t.ends[i+k]-begin > limit }); fit < n {
+		n = max(fit, 1)
 	}
-	return out, true
-}
-
-func (t *replTail) committedSeq() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.committed
-}
-
-func (t *replTail) notifyCh() <-chan struct{} {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.notify
+	return append(batch, t.buf[begin:t.ends[i+n-1]]...), from + uint64(n) - 1, true
 }
 
 // --- DB surface consumed by internal/replication ---
 
-// CommittedSeq returns the sequence number of the last WAL record at a
-// transaction-group boundary: the highest record a replication stream
-// may ship, and the leader-side "read your writes" watermark.
-func (db *DB) CommittedSeq() uint64 { return db.tail.committedSeq() }
-
-// TailNotify returns a channel closed the next time the committed
-// watermark advances. Callers re-fetch the channel after each wake.
-func (db *DB) TailNotify() <-chan struct{} { return db.tail.notifyCh() }
-
-// TailSince returns up to max committed WAL records with seq >= from
-// out of the in-memory tail. ok reports availability: false means the
-// buffer has evicted from (try TailFromDisk); (nil, true) means from is
-// past the committed watermark — nothing to ship yet.
-func (db *DB) TailSince(from uint64, max int) ([]Record, bool) {
-	return db.tail.collect(from, max)
+// CommittedSeq returns the seq of the last WAL record at a group
+// boundary: the highest record a replication stream may ship, and the
+// leader-side "read your writes" watermark.
+func (db *DB) CommittedSeq() uint64 {
+	db.tail.mu.Lock()
+	defer db.tail.mu.Unlock()
+	return db.tail.committed
 }
 
-// TailFromDisk scans the WAL file for committed records with
-// seq >= from: the catch-up path for a follower that reaches further
-// back than the in-memory tail, typically after a leader restart. ok
-// is false when the file does not reach back to from (the records were
-// truncated by a checkpoint) — the follower needs a snapshot transfer.
-// Records past the last transaction-group boundary are withheld, like
-// the in-memory tail. The scan tolerates a concurrent truncation: a
-// torn read ends the scan at the damage and ships the shorter batch;
-// the follower's next request re-resolves.
-func (db *DB) TailFromDisk(from uint64) ([]Record, bool, error) {
-	if from == 0 {
-		from = 1
-	}
-	f, err := os.Open(filepath.Join(db.dir, walFile))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("storage: tail scan: %w", err)
-	}
-	defer f.Close()
-	sc := newWALScanner(f)
-	var (
-		rec            Record
-		out            []Record
-		first          uint64
-		shippedThrough int // len(out) at the last group boundary
-		inTx           bool
-	)
-	for sc.next(&rec) {
-		if first == 0 {
-			first = rec.Seq
-		}
-		if rec.Seq >= from {
-			out = append(out, rec)
-		}
-		switch rec.Op {
-		case graph.OpTxBegin:
-			inTx = true
-		case graph.OpTxCommit, graph.OpTxRollback:
-			inTx = false
-			shippedThrough = len(out)
-		default:
-			if !inTx {
-				shippedThrough = len(out)
+// TailNotify returns a channel closed the next time the committed
+// watermark advances. Fetch it before reading the log — a commit landing
+// between the read and the wait then still wakes the waiter — and
+// re-fetch after each wake.
+func (db *DB) TailNotify() <-chan struct{} {
+	db.tail.mu.Lock()
+	defer db.tail.mu.Unlock()
+	db.tail.armed = true
+	return db.tail.notify
+}
+
+// ErrTailTruncated: neither the tail nor the log file reaches back to the
+// cursor's position (a checkpoint truncated it): the follower needs a snapshot.
+var ErrTailTruncated = errors.New("storage: the log no longer reaches back that far")
+
+// TailCursor reads the committed log from a sequence number on, in wire
+// batches of bounded size: out of the in-memory tail while that reaches
+// back to its position, otherwise (a follower far behind, or a restarted
+// leader) out of a scan of the log file — one batch of memory, not the log.
+type TailCursor struct {
+	db   *DB
+	from uint64 // next seq to hand out
+
+	// The file scan, while one is open: it hands out, re-encoded, records
+	// up to the watermark committed when it was opened.
+	f       *os.File
+	sc      *walScanner
+	through uint64
+	rec     Record
+	primed  bool // rec holds the file's first record, not yet consumed
+	enc     wireEncoder
+}
+
+// TailFrom returns a cursor over committed records from seq on; Close it.
+func (db *DB) TailFrom(from uint64) *TailCursor { return &TailCursor{db: db, from: max(from, 1)} }
+
+// Next appends to batch the next committed records and returns how many:
+// everything committed past the cursor, ending on a transaction-group
+// boundary, unless that is over limit bytes: then the batch ends where
+// limit falls (one record at least). Zero: nothing is committed there yet,
+// wait on TailNotify. The error is ErrTailTruncated or the log not opening.
+func (c *TailCursor) Next(batch []byte, limit int) ([]byte, int, error) {
+	start := c.from
+	for scanned := false; ; {
+		if c.sc != nil {
+			if batch = c.scan(batch, limit); c.from > start {
+				return batch, int(c.from - start), nil
 			}
+			// Watermark reached, or a read torn by a concurrent truncation:
+			// see whether the tail reaches back this far by now.
+			c.Close()
+			scanned = true
+		}
+		var last uint64
+		var ok bool
+		batch, last, ok = c.db.tail.collect(batch, c.from, limit)
+		if c.from = last + 1; ok || scanned {
+			return batch, int(c.from - start), nil // nothing, after a scan: a commit will start another
+		}
+		f, err := os.Open(filepath.Join(c.db.dir, walFile))
+		if err != nil {
+			return batch, 0, fmt.Errorf("storage: tail scan: %w", err)
+		}
+		c.f, c.sc, c.through = f, newWALScanner(f), c.db.CommittedSeq()
+		if c.primed = c.sc.next(&c.rec); !c.primed || c.rec.Seq > c.from {
+			// Empty log, or its oldest surviving record is already past
+			// the cursor: the gap is only recoverable via snapshot.
+			c.Close()
+			return batch, 0, ErrTailTruncated
 		}
 	}
-	out = out[:shippedThrough]
-	if first == 0 || first > from {
-		// Empty log, or its oldest surviving record is already past
-		// from: the gap is only recoverable via snapshot.
-		return nil, false, nil
+}
+
+// scan appends file records until batch has grown by limit bytes. A
+// log's sequence has no gaps: a record of a file restarted under the
+// scan shows as one and ends it, like a torn read.
+func (c *TailCursor) scan(batch []byte, limit int) []byte {
+	limit += len(batch)
+	for len(batch) < limit && (c.primed || c.sc.next(&c.rec)) {
+		c.primed = false
+		switch seq := c.rec.Seq; {
+		case seq > c.through || seq > c.from:
+			c.sc.res.torn = true // nothing more from this file
+		case seq == c.from:
+			batch = c.enc.append(batch, c.rec)
+			c.from++
+		}
 	}
-	return out, true, nil
+	return batch
+}
+
+// Close releases the log file if a scan has it open.
+func (c *TailCursor) Close() {
+	if c.sc != nil {
+		c.f.Close()
+		c.f, c.sc = nil, nil
+	}
 }
 
 // WriteSnapshotTo streams a binary snapshot of the current store —
@@ -252,32 +335,25 @@ func InstallSnapshot(dir string, r io.Reader) error {
 		return fmt.Errorf("storage: install snapshot: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	if _, err := io.Copy(bw, r); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: install snapshot: %w", err)
+	_, err = io.Copy(bw, r)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: install snapshot: %w", err)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: install snapshot: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: install snapshot: %w", err)
+	if err == nil {
+		// Verify the header before renaming into place: a truncated or
+		// foreign stream must not shadow a good directory.
+		_, _, err = binSnapshotSeq(tmp)
 	}
-	// Verify the header before renaming into place: a truncated or
-	// foreign stream must not shadow a good directory.
-	if _, _, err := binSnapshotSeq(tmp); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: install snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, dst)
 	}
-	if err := os.Rename(tmp, dst); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("storage: install snapshot: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +29,10 @@ import (
 // rolled back (nothing logged). Same seed, same stream, on any store.
 type txMutGen struct {
 	g *mutGen
+	// big makes one transaction in eight thousands of steps long: its
+	// group outgrows the log's 64 KB buffer, so part of it is on disk
+	// before the commit marker is. The crash harness sets it.
+	big bool
 }
 
 func newTxMutGen(seed int64) *txMutGen { return &txMutGen{g: newMutGen(seed)} }
@@ -46,6 +51,9 @@ func (tg *txMutGen) batch(st *graph.Store) {
 	savedE := append([]graph.EdgeID(nil), tg.g.edges...)
 	tx := st.BeginTx()
 	n := 2 + tg.g.rng.Intn(4)
+	if tg.big && tg.g.rng.Intn(8) == 0 {
+		n = 3000
+	}
 	for i := 0; i < n; i++ {
 		tg.g.step(tx)
 	}
@@ -191,6 +199,9 @@ func testTornTailEveryOffsetTx(t *testing.T, codec Codec) {
 // recovery must land exactly on a batch boundary: the recovered state
 // equals the prefix of the stream that emitted LastSeq WAL records
 // (wrapper records included), replayed through a fresh in-memory store.
+// A group leaves the process in one write at its commit marker; the
+// later rounds add groups larger than the log's buffer, and then a 1 ms
+// interval sync, so the kill also lands on groups partly pushed out.
 func TestCrashProcessKillTx(t *testing.T) {
 	if dir := os.Getenv("SKG_CRASH_TX_DIR"); dir != "" {
 		crashTxChild(t, dir)
@@ -208,8 +219,10 @@ func TestCrashProcessKillTx(t *testing.T) {
 		seed := rng.Int63()
 		dir := t.TempDir()
 		cmd := exec.Command(exe, "-test.run", "^TestCrashProcessKillTx$", "-test.v")
+		mode := []string{"", "big", "big,interval"}[round]
 		cmd.Env = append(os.Environ(),
 			"SKG_CRASH_TX_DIR="+dir,
+			"SKG_CRASH_TX_MODE="+mode,
 			"SKG_CRASH_CHILD_SEED="+strconv.FormatInt(seed, 10))
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
@@ -239,6 +252,7 @@ func TestCrashProcessKillTx(t *testing.T) {
 		var emitted uint64
 		ref.SetMutationHook(func(graph.Mutation) { emitted++ })
 		tg := newTxMutGen(seed)
+		tg.big = mode != ""
 		for emitted < k {
 			tg.batch(ref)
 		}
@@ -263,12 +277,18 @@ func crashTxChild(t *testing.T, dir string) {
 		fmt.Fprintln(os.Stderr, "crash child: bad seed:", err)
 		os.Exit(2)
 	}
-	db, err := Open(dir, Options{Sync: SyncNever, CompactBytes: -1})
+	mode := os.Getenv("SKG_CRASH_TX_MODE")
+	opts := Options{Sync: SyncNever, CompactBytes: -1}
+	if strings.Contains(mode, "interval") {
+		opts.Sync, opts.SyncEvery = SyncInterval, time.Millisecond
+	}
+	db, err := Open(dir, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash child: open:", err)
 		os.Exit(2)
 	}
 	tg := newTxMutGen(seed)
+	tg.big = mode != ""
 	for {
 		tg.batch(db.Store())
 	}

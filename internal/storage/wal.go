@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"sync"
 	"time"
@@ -97,8 +98,8 @@ const (
 	// One fsync covers every append since the last — the group-commit
 	// default. A crash can lose at most the last interval's writes.
 	SyncInterval SyncPolicy = iota
-	// SyncAlways fsyncs after every append: no acknowledged mutation is
-	// ever lost, at one fsync per write.
+	// SyncAlways fsyncs before every acknowledgement, once per bare record
+	// or transaction group: nothing acknowledged is ever lost.
 	SyncAlways
 	// SyncNever never fsyncs explicitly; the OS flushes on its own
 	// schedule. Fastest, loses the page cache on power failure, still
@@ -243,13 +244,16 @@ func (w *WAL) syncLoop(every time.Duration) {
 	}
 }
 
-// Append encodes the mutation as the next record and writes it,
-// returning the sequence number it was assigned. The write is flushed
-// to the OS before returning (so a process crash never loses an
-// acknowledged append); whether it is fsynced depends on the policy.
-// Errors are sticky: once an append fails, the WAL refuses further
-// writes and Err/Close report the failure.
-func (w *WAL) Append(m graph.Mutation) (uint64, error) {
+// Append encodes the mutation as the next record and buffers it,
+// returning the sequence number it was assigned. At a boundary — a bare
+// record or the marker closing a group; the caller follows the markers,
+// so no group state here can outlive a failed append — the buffer drains
+// to the OS before Append returns (a process crash never loses an
+// acknowledged commit) and is fsynced under SyncAlways. Inside a group
+// records only buffer: one write, one fsync per group, and recovery
+// discards a group cut short on disk. Errors are sticky: once an append
+// fails, the WAL refuses further writes and Err/Close report the failure.
+func (w *WAL) Append(m graph.Mutation, boundary bool) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -273,9 +277,7 @@ func (w *WAL) Append(m graph.Mutation) (uint64, error) {
 		var err error
 		payload, err = json.Marshal(rec)
 		if err != nil {
-			w.err = fmt.Errorf("storage: encode record: %w", err)
-			w.fails++
-			return 0, w.err
+			return 0, w.failLocked(fmt.Errorf("storage: encode record: %w", err))
 		}
 	}
 	if len(payload) > maxRecordLen {
@@ -284,33 +286,35 @@ func (w *WAL) Append(m graph.Mutation) (uint64, error) {
 		// along with every record after it — at recovery. Refuse it
 		// (sticky), leaving the store ahead of the log until a
 		// checkpoint re-bases durability.
-		w.err = fmt.Errorf("storage: mutation record is %d bytes, past the %d-byte limit", len(payload), maxRecordLen)
-		w.fails++
-		return 0, w.err
+		return 0, w.failLocked(fmt.Errorf("storage: mutation record is %d bytes, past the %d-byte limit", len(payload), maxRecordLen))
 	}
 	hdr := w.hdrBuf[:]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	w.dirty = true
 	if _, err := w.w.Write(hdr); err != nil {
-		w.err = fmt.Errorf("storage: append: %w", err)
-		w.fails++
-		return 0, w.err
+		return 0, w.failLocked(fmt.Errorf("storage: append: %w", err))
 	}
 	if _, err := w.w.Write(payload); err != nil {
-		w.err = fmt.Errorf("storage: append: %w", err)
-		w.fails++
-		return 0, w.err
+		return 0, w.failLocked(fmt.Errorf("storage: append: %w", err))
 	}
-	if err := w.flushLocked(w.policy == SyncAlways); err != nil {
-		w.err = err
-		w.fails++
-		return 0, w.err
+	if boundary {
+		if err := w.flushLocked(w.policy == SyncAlways); err != nil {
+			return 0, w.failLocked(err)
+		}
 	}
 	w.lastSeq = rec.Seq
 	w.size += int64(recordHeaderLen + len(payload))
 	mWALAppends.Inc()
 	mWALBytes.Add(int64(recordHeaderLen + len(payload)))
 	return rec.Seq, nil
+}
+
+// failLocked makes err sticky and counts the failed append.
+func (w *WAL) failLocked(err error) error {
+	w.err = err
+	w.fails++
+	return err
 }
 
 // flushLocked drains the buffer to the OS and optionally fsyncs.
@@ -348,9 +352,8 @@ func (w *WAL) Sync() error {
 
 // LastSeq returns the sequence number of the last appended record.
 func (w *WAL) LastSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastSeq
+	seq, _ := w.state()
+	return seq
 }
 
 // state returns (lastSeq, fails) atomically: the checkpoint captures
@@ -461,18 +464,16 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// replayResult is what scanning a WAL file yields: the records of the
-// valid prefix, the byte offset where that prefix ends, whether a
-// torn/corrupt tail was discarded after it, the codec the file was
-// written in, and (for binary logs) the in-band dictionary accumulated
-// over the valid prefix — exactly the state an appender must resume
-// with.
+// replayResult is what scanning a WAL file yields: the byte offset
+// where the valid prefix ends, whether a torn/corrupt tail was discarded
+// after it, the codec the file was written in, and (for binary logs) the
+// in-band dictionary accumulated over the valid prefix — exactly the
+// state an appender must resume with.
 type replayResult struct {
-	records []Record
-	valid   int64
-	torn    bool
-	codec   Codec
-	dict    []string
+	valid int64
+	torn  bool
+	codec Codec
+	dict  []string
 }
 
 // walScanner walks a log's valid record prefix one record at a time,
@@ -494,26 +495,17 @@ type replayResult struct {
 // scanner's two scratch buffers are the only per-record state.
 type walScanner struct {
 	br      *bufio.Reader
-	res     replayResult // records stays nil; valid/torn/codec/dict accumulate
+	res     replayResult
 	lastSeq uint64
 	hdr     [recordHeaderLen]byte
 	payload []byte
-	// attrs, when non-nil, is handed to the binary decoder as a reusable
-	// attribute map. Only streaming consumers that fold each record into
-	// the store before asking for the next may set it (reuseAttrs):
-	// records sharing the map must never be retained side by side.
+	// attrs is the binary decoder's attribute map, reused across records:
+	// a consumer keeping one past the next call copies it.
 	attrs map[string]string
 }
 
-// reuseAttrs opts the scanner into attribute-map reuse across records.
-// Callers that collect records (scanWAL) must not enable it.
-func (sc *walScanner) reuseAttrs() *walScanner {
-	sc.attrs = make(map[string]string, 8)
-	return sc
-}
-
 func newWALScanner(r io.Reader) *walScanner {
-	sc := &walScanner{br: bufio.NewReaderSize(r, 1<<16), res: replayResult{codec: CodecJSON}}
+	sc := &walScanner{br: bufio.NewReaderSize(r, 1<<16), res: replayResult{codec: CodecJSON}, attrs: make(map[string]string, 8)}
 	if head, err := sc.br.Peek(len(walMagic)); err == nil && string(head) == walMagic {
 		sc.br.Discard(len(walMagic))
 		sc.res.codec = CodecBinary
@@ -599,17 +591,6 @@ func countWALFrames(r io.Reader) int {
 		}
 		count++
 	}
-}
-
-// scanWAL collects the whole valid prefix — the convenience form the
-// tests and ReplayReader use; recovery streams via walScanner instead.
-func scanWAL(r io.Reader) replayResult {
-	sc := newWALScanner(r)
-	var rec Record
-	for sc.next(&rec) {
-		sc.res.records = append(sc.res.records, rec)
-	}
-	return sc.res
 }
 
 // txFold layers transaction semantics over a walScanner: mutations
@@ -700,13 +681,7 @@ func (tf *txFold) next(rec *Record, afterSeq uint64) (graph.Mutation, bool) {
 					// The scanner may reuse the record's attr map for the
 					// next decode; buffered mutations need their own copy.
 					m := rec.Mutation()
-					if len(m.Attrs) > 0 {
-						attrs := make(map[string]string, len(m.Attrs))
-						for k, v := range m.Attrs {
-							attrs[k] = v
-						}
-						m.Attrs = attrs
-					}
+					m.Attrs = maps.Clone(m.Attrs)
 					tf.pending = append(tf.pending, m)
 				}
 				continue
@@ -726,7 +701,7 @@ func (tf *txFold) next(rec *Record, afterSeq uint64) (graph.Mutation, bool) {
 // damaged or dangling tail was discarded. Exposed for fuzzing and
 // tests; Open wires the same fold into directory recovery.
 func ReplayReader(r io.Reader, st *graph.Store, afterSeq uint64) (applied int, torn bool, err error) {
-	sc := newWALScanner(r).reuseAttrs()
+	sc := newWALScanner(r)
 	fold := newTxFold(sc)
 	var rec Record
 	applied, aerr := st.ApplyStream(func() (graph.Mutation, bool) {
