@@ -10,10 +10,10 @@ build:
 # the suite includes the join-strategy differential and golden-plan
 # tests, and the parallel-scan tests force multi-worker partitions so
 # the concurrent scan path is race-checked even on one core). The
-# allocation-regression guards (zero-alloc CSR incidence iteration,
-# zero-alloc binary WAL append and replication-tail copy, a shipped
-# commit group's frame and the follower's per-record apply ceiling,
-# zero-cost disabled ANALYZE
+# allocation-regression guards (zero-alloc CSR incidence iteration and
+# planner fan-out read, zero-alloc binary WAL append and
+# replication-tail copy, a shipped commit group's frame and the
+# follower's per-record apply ceiling, zero-cost disabled ANALYZE
 # instrumentation on the warm expand path, the row-path pins — O(k)
 # top-k, per-group grouping, zero per row on a label scan and in the
 # NDJSON encoder — the extraction pass's per-report ceiling, the IOC
@@ -73,7 +73,9 @@ vet:
 # behind a write burst, and ShipGroup: 500-row commit groups leader to
 # follower, with wire bytes per record), and the EXPLAIN ANALYZE instrumentation
 # overhead arm (analyze-off must stay within noise of the prepared hot
-# path; analyze-on prices per-operator profiling), and records the raw
+# path; analyze-on prices per-operator profiling), the first plan after
+# a stats-version bump on two graph sizes (PlanAfterStatsBump: the arms
+# must read alike), and records the raw
 # `go test -json` event stream in BENCH_cypher.json so the perf
 # trajectory is diffable across PRs. -cpu 2 pins GOMAXPROCS (every
 # benchmark name ends in -2): a leader, a follower and their readers

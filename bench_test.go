@@ -846,3 +846,39 @@ func BenchmarkCypherAnalyzeOverhead(b *testing.B) {
 		}
 	})
 }
+
+// --- E21: planning right after a stats-version bump (PR 19) ---
+
+// BenchmarkCypherPlanAfterStatsBump prices the first plan of a 2-hop
+// after the stats version moves — each iteration creates an attribute
+// index off the clock, which bumps it, then parses and plans on it — on
+// two graph sizes. Every statistic the planner reads is a live count, so
+// the arms must read the same few microseconds: when hop fan-out came
+// from degree histograms cached per stats version, this plan walked each
+// source label's nodes under the store's read lock and the larger arm
+// took milliseconds.
+func BenchmarkCypherPlanAfterStatsBump(b *testing.B) {
+	const q = `match (a:Malware {name: $mw})-[:CONNECT]->(i:IP)<-[:CONNECT]-(o:Malware) return o.name limit 50`
+	for _, arm := range []struct {
+		name  string
+		build func() *graph.Store
+	}{
+		{"kg-30k", benchKG},
+		{"kg-100k", scanKG},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			s := arm.build()
+			eng := cypher.NewEngine(s, cypher.DefaultOptions())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s.IndexAttr(fmt.Sprintf("bump-%d", i))
+				b.StartTimer()
+				if _, err := eng.Explain(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(s.CountNodes()), "nodes")
+		})
+	}
+}

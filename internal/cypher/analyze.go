@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"securitykg/internal/graph"
 )
 
 // EXPLAIN ANALYZE profiling. The executor's iterators are untouched:
@@ -196,10 +194,8 @@ func (p *planProf) sortSuffix(seg *PlanSegment) string {
 	return fmt.Sprintf(" [in=%d time=%s]", sp.rows, sp.elapsed)
 }
 
-// --- cardinality drift feedback ---
-
-// A stage has drifted when its observed cumulative cardinality is a
-// driftRatio multiple away from the estimate, with a small-floor guard
+// A stage is marked " drift!" when its observed cumulative cardinality is
+// a driftRatio multiple away from the estimate, with a small-floor guard
 // so tiny absolute differences (est 2, act 0) never count: below the
 // floor the planner's choice cannot have been wrong by enough to
 // matter.
@@ -213,57 +209,6 @@ func cardinalityDrifted(est, act float64) bool {
 		return false
 	}
 	return act > est*driftRatio || est > act*driftRatio
-}
-
-// noteDrift walks an analyzed plan and reports every drifted expansion
-// stage to the store's stats layer, keyed by (source label, edge type,
-// direction) — the same key the planner's degree-histogram lookup uses,
-// so the store can retire exactly the histogram that misled the cost
-// model (graph.RecordEstimateDrift).
-func (e *Engine) noteDrift(pl *Plan, prof *planProf) {
-	for _, seg := range pl.Segments {
-		e.noteStageDrift(seg.Stages, prof)
-	}
-}
-
-func (e *Engine) noteStageDrift(stages []Stage, prof *planProf) {
-	for _, st := range stages {
-		switch s := st.(type) {
-		case *OptionalStage:
-			e.noteStageDrift(s.Inner, prof)
-			continue
-		case *HashJoinStage:
-			e.noteStageDrift(s.Build, prof)
-		}
-		sp := prof.stages[st]
-		if sp == nil || sp.calls == 0 {
-			continue
-		}
-		if !cardinalityDrifted(st.estRows(), float64(sp.rows)) {
-			continue
-		}
-		key, ok := driftKeyFor(st)
-		if !ok {
-			continue
-		}
-		e.store.RecordEstimateDrift(key, st.estRows(), float64(sp.rows))
-	}
-}
-
-// driftKeyFor maps a drifted stage onto the histogram key its estimate
-// came from. Only expansion stages have one — a scan misestimate is an
-// index-count matter, not a fan-out matter.
-func driftKeyFor(st Stage) (graph.DriftKey, bool) {
-	switch s := st.(type) {
-	case *ExpandStage:
-		return graph.DriftKey{Label: s.SrcLabel, EdgeType: s.Edge.Type, Dir: dirFor(s.Edge.Dir, s.Reverse)}, true
-	case *VarExpandStage:
-		return graph.DriftKey{Label: s.SrcLabel, EdgeType: s.Edge.Type, Dir: dirFor(s.Edge.Dir, s.Reverse)}, true
-	case *BiExpandStage:
-		h := s.Hops[0]
-		return graph.DriftKey{Label: s.SrcLabel, EdgeType: h.Edge.Type, Dir: dirFor(h.Edge.Dir, h.Reverse)}, true
-	}
-	return graph.DriftKey{}, false
 }
 
 // --- execution entry points ---
@@ -284,7 +229,6 @@ func (e *Engine) analyzeResult(pl *Plan, ps params) (*Result, error) {
 		return nil, err
 	}
 	mAnalyzeRuns.Inc()
-	e.noteDrift(pl, prof)
 	res := &Result{Columns: []string{"plan"}}
 	for _, line := range strings.Split(strings.TrimSuffix(pl.render(prof), "\n"), "\n") {
 		res.Rows = append(res.Rows, []Value{StringValue(line)})
@@ -296,8 +240,8 @@ func (e *Engine) analyzeResult(pl *Plan, ps params) (*Result, error) {
 // QueryAnalyze executes a statement exactly as Query would — same rows,
 // same writes, same budget — while profiling every pipeline stage, and
 // returns the materialized result together with the annotated plan
-// text. Drift observations feed the store's stats layer as a side
-// effect (see graph.RecordEstimateDrift).
+// text. Analyzing has no effect of its own on the store or the plan
+// cache.
 func (e *Engine) QueryAnalyze(src string, args map[string]any) (*Result, string, error) {
 	if e.opts.Legacy {
 		return nil, "", fmt.Errorf("cypher: EXPLAIN ANALYZE requires the streaming engine (Options.Legacy is set)")
@@ -327,6 +271,5 @@ func (e *Engine) QueryAnalyze(src string, args map[string]any) (*Result, string,
 		return nil, "", err
 	}
 	mAnalyzeRuns.Inc()
-	e.noteDrift(pl, prof)
 	return res, pl.render(prof), nil
 }

@@ -13,7 +13,7 @@ import (
 // whole plan matters, operator assertions where only the choice does.
 // Cost-model edits that change a choice fail loudly here instead of
 // silently regressing plans. Everything is deterministic: the fixtures
-// are fixed, and estimates come from histograms over them.
+// are fixed, and estimates come from exact counts over them.
 
 // goldenJoinStore: 300 :Src and 300 :Dst nodes overlapping on name —
 // the canonical cross-chain equality shape.
@@ -75,7 +75,7 @@ plan (streaming, greedy-ordered):
 }
 
 func TestGoldenHashJoinFallbackOnSelectiveProbe(t *testing.T) {
-	// A point-seek probe side produces one row: the histograms say the
+	// A point-seek probe side produces one row: the estimates say the
 	// nested loop enumerates the other chain exactly once either way, so
 	// building a hash table buys nothing and the planner must fall back.
 	pl := plan(t, goldenJoinStore(),

@@ -84,29 +84,31 @@ func joinStore() *graph.Store {
 	return s
 }
 
+// hashJoinQueries run over joinStore.
+var hashJoinQueries = []string{
+	// Plain cross-chain equality over two label scans.
+	`match (a:Src), (b:Dst) where a.name = b.name return a.name, b.name`,
+	// Chains (not just single nodes) on both sides.
+	`match (a:Src)-[:FEEDS]->(x), (b:Dst)-[:FEEDS]->(y) where a.name = b.name return a.name, x.name, y.name`,
+	// Expression keys (function of a property).
+	`match (a:Src), (b:Dst) where upper(a.name) = upper(b.name) return a.name`,
+	// Null keys on both sides: a.missing is null everywhere, so the
+	// join must produce no rows (null never equals null).
+	`match (a:Src), (b:Dst) where a.missing = b.missing return a.name, b.name`,
+	// Composite key: two equality conjuncts across the same chains.
+	`match (a:Src), (b:Dst) where a.name = b.name and a.grp = b.grp return a.name`,
+	// Aggregation over the join.
+	`match (a:Src), (b:Dst) where a.name = b.name return count(*)`,
+	// Residual non-equality predicate rides along.
+	`match (a:Src), (b:Dst) where a.name = b.name and a.name contains "1" return a.name, b.name`,
+	// Three chains: the join cascades.
+	`match (a:Src), (b:Dst), (c:SrcX) where a.name = b.name and c.name = a.name return a.name`,
+}
+
 func TestHashJoinPlanShapeAndDifferential(t *testing.T) {
 	s := joinStore()
-	queries := []string{
-		// Plain cross-chain equality over two label scans.
-		`match (a:Src), (b:Dst) where a.name = b.name return a.name, b.name`,
-		// Chains (not just single nodes) on both sides.
-		`match (a:Src)-[:FEEDS]->(x), (b:Dst)-[:FEEDS]->(y) where a.name = b.name return a.name, x.name, y.name`,
-		// Expression keys (function of a property).
-		`match (a:Src), (b:Dst) where upper(a.name) = upper(b.name) return a.name`,
-		// Null keys on both sides: a.missing is null everywhere, so the
-		// join must produce no rows (null never equals null).
-		`match (a:Src), (b:Dst) where a.missing = b.missing return a.name, b.name`,
-		// Composite key: two equality conjuncts across the same chains.
-		`match (a:Src), (b:Dst) where a.name = b.name and a.grp = b.grp return a.name`,
-		// Aggregation over the join.
-		`match (a:Src), (b:Dst) where a.name = b.name return count(*)`,
-		// Residual non-equality predicate rides along.
-		`match (a:Src), (b:Dst) where a.name = b.name and a.name contains "1" return a.name, b.name`,
-		// Three chains: the join cascades.
-		`match (a:Src), (b:Dst), (c:SrcX) where a.name = b.name and c.name = a.name return a.name`,
-	}
 	hashJoins := 0
-	for _, q := range queries {
+	for _, q := range hashJoinQueries {
 		pl := plan(t, s, q)
 		if planHas(pl, isHashJoin) {
 			hashJoins++
@@ -114,7 +116,7 @@ func TestHashJoinPlanShapeAndDifferential(t *testing.T) {
 		diffEngines(t, s, q)
 	}
 	if hashJoins < 5 {
-		t.Errorf("only %d/%d queries planned a hash join; the differential is not exercising the operator", hashJoins, len(queries))
+		t.Errorf("only %d/%d queries planned a hash join; the differential is not exercising the operator", hashJoins, len(hashJoinQueries))
 	}
 }
 
@@ -183,29 +185,31 @@ func meshStore(n int) *graph.Store {
 	return s
 }
 
+// biExpandQueries run over meshStore(12).
+var biExpandQueries = []string{
+	// Both endpoints pinned: walk counting end to end.
+	`match (a:H {name: "h0"})-[:R]->()-[:R]->()-[:R]->()-[:R]->(b:H {name: "h1"}) return count(*)`,
+	// Far endpoint free: multiplicity emission per distinct endpoint.
+	`match (a:H {name: "h0"})-[:R]->()-[:R]->()-[:R]->(b) return b.name, count(*)`,
+	// Cycle: the far endpoint is the (bound) start — meet in the middle.
+	`match (a:H {name: "h3"})-[:R]->()-[:R]->()-[:R]->(a) return count(*)`,
+	// Mixed directions inside the run.
+	`match (a:H {name: "h2"})-[:R]->()<-[:R]-()-[:R]->(b:H {name: "h5"}) return count(*)`,
+	// Labeled interior nodes still collapse (synthetic vars, user label).
+	`match (a:H {name: "h0"})-[:R]->(:H)-[:R]->(:H)-[:R]->(b:H {name: "h4"}) return count(*)`,
+}
+
 func TestBiExpandPlanShapeAndDifferential(t *testing.T) {
 	s := meshStore(12)
-	queries := []string{
-		// Both endpoints pinned: walk counting end to end.
-		`match (a:H {name: "h0"})-[:R]->()-[:R]->()-[:R]->()-[:R]->(b:H {name: "h1"}) return count(*)`,
-		// Far endpoint free: multiplicity emission per distinct endpoint.
-		`match (a:H {name: "h0"})-[:R]->()-[:R]->()-[:R]->(b) return b.name, count(*)`,
-		// Cycle: the far endpoint is the (bound) start — meet in the middle.
-		`match (a:H {name: "h3"})-[:R]->()-[:R]->()-[:R]->(a) return count(*)`,
-		// Mixed directions inside the run.
-		`match (a:H {name: "h2"})-[:R]->()<-[:R]-()-[:R]->(b:H {name: "h5"}) return count(*)`,
-		// Labeled interior nodes still collapse (synthetic vars, user label).
-		`match (a:H {name: "h0"})-[:R]->(:H)-[:R]->(:H)-[:R]->(b:H {name: "h4"}) return count(*)`,
-	}
 	biplans := 0
-	for _, q := range queries {
+	for _, q := range biExpandQueries {
 		if planHas(plan(t, s, q), isBiExpand) {
 			biplans++
 		}
 		diffEngines(t, s, q)
 	}
 	if biplans < 4 {
-		t.Errorf("only %d/%d queries planned a BiExpand; the differential is not exercising the operator", biplans, len(queries))
+		t.Errorf("only %d/%d queries planned a BiExpand; the differential is not exercising the operator", biplans, len(biExpandQueries))
 	}
 }
 
@@ -424,7 +428,7 @@ func TestChooseJoinDecision(t *testing.T) {
 		{"tiny-probe", 2, 300, 300, 420, 2, joinNested},
 		// Input side smaller than the chain: hash the input.
 		{"input-cheaper", 50, 5000, 5000, 250000, 50, joinHashInput},
-		// Both sides huge: the histogram says the build side cannot fit.
+		// Both sides huge: the estimate says the build side cannot fit.
 		{"build-too-big", 1 << 20, 1 << 20, 1 << 20, math.Inf(1), 1 << 20, joinNested},
 		// Nested work comparable to hash work: stay pipelined.
 		{"comparable", 500, 500, 501, 251000, 250000, joinNested},

@@ -165,10 +165,6 @@ type ExpandStage struct {
 	Reverse bool // chain traversed right-to-left: edge direction flips
 	Filters []Expr
 	Est     float64
-	// SrcLabel is the source label the planner's degree-histogram lookup
-	// assumed ("" = all nodes) — kept on the stage so ANALYZE can key
-	// cardinality-drift observations to the histogram that produced Est.
-	SrcLabel string
 
 	// Frame slots of From, Edge.Var and To.Var; edgeSlot is -1 for a
 	// synthetic edge name, which nothing can read and so is never bound.
@@ -187,13 +183,12 @@ func (s *ExpandStage) describe() string {
 // distinct endpoint whose shortest distance lies in [MinHops, MaxHops]
 // (reachability semantics, not path enumeration).
 type VarExpandStage struct {
-	From     string
-	Edge     EdgePattern // VarLength() is true
-	To       NodePattern
-	Reverse  bool
-	Filters  []Expr
-	Est      float64
-	SrcLabel string // planner-assumed source label (see ExpandStage)
+	From    string
+	Edge    EdgePattern // VarLength() is true
+	To      NodePattern
+	Reverse bool
+	Filters []Expr
+	Est     float64
 
 	fromSlot, toSlot int // frame slots of From and To.Var
 }
@@ -267,11 +262,10 @@ type BiHop struct {
 // multiset of rows is identical to the equivalent Expand chain — only
 // the enumeration strategy changes.
 type BiExpandStage struct {
-	From     string
-	Hops     []BiHop
-	Filters  []Expr
-	Est      float64
-	SrcLabel string // planner-assumed source label (see ExpandStage)
+	From    string
+	Hops    []BiHop
+	Filters []Expr
+	Est     float64
 
 	fromSlot, toSlot int // frame slots of From and the last hop's To.Var
 }

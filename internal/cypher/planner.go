@@ -34,8 +34,9 @@ import (
 //     re-root the binding namespace.
 //
 // Statistics come from the graph store's selectivity layer (CountByType,
-// CountByName, CountByTypeAttr, DegreeHistogram, ...), kept live by the
-// indexes, so planning is O(pattern size) with O(1) stat lookups.
+// CountByName, CountByTypeAttr, AvgDegree, ...): counts the store keeps
+// live as records come and go, so planning is O(pattern size) with O(1)
+// stat lookups and never walks nodes or edges.
 
 // planQuery builds the plan for q against the engine's store and options.
 // $parameter predicates are costed with stats defaults (average index
@@ -266,7 +267,7 @@ func (e *Engine) planOptional(mc MatchClause, bound map[string]bool, synth *int,
 // free, enabling join-connected chains to piggyback on earlier ones),
 // then plan it outward from there — or, when the chain is linked to the
 // rows planned so far only through equality (a cross-chain predicate or
-// a shared variable) and the histograms say hashing one side is cheaper
+// a shared variable) and the estimates say hashing one side is cheaper
 // than re-expanding per row, as a HashJoinStage. Mutates bound; returns
 // the updated cumulative cardinality estimate.
 func (e *Engine) planPatterns(stages *[]Stage, pats []Pattern, bound map[string]bool,
@@ -324,7 +325,7 @@ func (e *Engine) bestEntry(p Pattern, bound map[string]bool, eq map[string]map[s
 // planChain emits the stages for one pattern chain entered at node index
 // start, returning the updated cumulative cardinality estimate. Long
 // runs of anonymous single-hop edges collapse into a BiExpandStage when
-// the degree histograms put path enumeration deep into walk-explosion
+// the hops' average degrees put path enumeration deep into walk-explosion
 // territory (tryBiExpand).
 func (e *Engine) planChain(stages *[]Stage, p Pattern, start int, bound map[string]bool,
 	eq map[string]map[string]hintVal, cur float64) float64 {
@@ -359,7 +360,7 @@ func (e *Engine) planChain(stages *[]Stage, p Pattern, start int, bound map[stri
 				cur = est
 				continue
 			}
-			cur = e.emitExpand(stages, p.Nodes[hi], p.Edges[hi], p.Nodes[hi+1], false, bound, eq, cur*right)
+			cur = e.emitExpand(stages, p.Nodes[hi], p.Edges[hi], p.Nodes[hi+1], false, bound, cur*right)
 			hi++
 		} else {
 			if hops, est, ok := e.tryBiExpand(stages, p, lo, true, bound, eq, cur); ok {
@@ -367,7 +368,7 @@ func (e *Engine) planChain(stages *[]Stage, p Pattern, start int, bound map[stri
 				cur = est
 				continue
 			}
-			cur = e.emitExpand(stages, p.Nodes[lo], p.Edges[lo-1], p.Nodes[lo-1], true, bound, eq, cur*left)
+			cur = e.emitExpand(stages, p.Nodes[lo], p.Edges[lo-1], p.Nodes[lo-1], true, bound, cur*left)
 			lo--
 		}
 	}
@@ -440,31 +441,25 @@ func (e *Engine) tryBiExpand(stages *[]Stage, p Pattern, idx int, leftward bool,
 	if est < 1 {
 		est = 1
 	}
-	*stages = append(*stages, &BiExpandStage{
-		From: p.Nodes[idx].Var, Hops: hops, Est: est,
-		SrcLabel: nodeLabelFor(p.Nodes[idx], eq),
-	})
+	*stages = append(*stages, &BiExpandStage{From: p.Nodes[idx].Var, Hops: hops, Est: est})
 	bound[to.Var] = true
 	return len(hops), est, true
 }
 
 func (e *Engine) emitExpand(stages *[]Stage, src NodePattern, ep EdgePattern, to NodePattern,
-	reverse bool, bound map[string]bool, eq map[string]map[string]hintVal, est float64) float64 {
+	reverse bool, bound map[string]bool, est float64) float64 {
 	if est < 1 {
 		est = 1 // keep running products from collapsing to zero
 	}
-	// The planner-assumed source label travels with the stage so ANALYZE
-	// drift observations key back to the histogram that priced this hop.
-	srcLabel := nodeLabelFor(src, eq)
 	// Whether Edge.Var/To.Var are already bound is re-derived from the
 	// runtime binding by the executor, which handles both cases.
 	if ep.VarLength() {
 		*stages = append(*stages, &VarExpandStage{
-			From: src.Var, Edge: ep, To: to, Reverse: reverse, Est: est, SrcLabel: srcLabel,
+			From: src.Var, Edge: ep, To: to, Reverse: reverse, Est: est,
 		})
 	} else {
 		*stages = append(*stages, &ExpandStage{
-			From: src.Var, Edge: ep, To: to, Reverse: reverse, Est: est, SrcLabel: srcLabel,
+			From: src.Var, Edge: ep, To: to, Reverse: reverse, Est: est,
 		})
 		bound[ep.Var] = true
 	}
@@ -490,7 +485,7 @@ func nodeLabelFor(np NodePattern, eq map[string]map[string]hintVal) string {
 }
 
 // dirFor maps an edge pattern direction (and chain walk orientation)
-// onto the store direction a histogram lookup needs.
+// onto the side of the source node the hop leaves from.
 func dirFor(d EdgeDir, reverse bool) graph.Direction {
 	switch {
 	case d == DirAny:
@@ -501,22 +496,20 @@ func dirFor(d EdgeDir, reverse bool) graph.Direction {
 	return graph.In
 }
 
-// hopDegree is the histogram-measured average fan-out of one hop: edges
-// of the pattern's type, in the traversal direction, out of nodes with
-// the source's label — replacing the old uniform AvgDegree assumption,
-// so a hub label costs what the hub label actually fans out.
+// hopDegree is the average fan-out of one hop: edges of the pattern's
+// type, in the traversal direction, per node with the source's label, so
+// a hub label costs what the hub label fans out.
 func (e *Engine) hopDegree(fromLabel string, ep EdgePattern, reverse bool) float64 {
-	return e.store.DegreeHistogram(fromLabel, ep.Type, dirFor(ep.Dir, reverse)).Avg()
+	return e.store.AvgDegree(fromLabel, ep.Type, dirFor(ep.Dir, reverse))
 }
 
 // expandFactor estimates the per-row multiplier of expanding one edge
-// pattern onto a target node pattern: the (source label, edge type,
-// direction) degree histogram's average fan-out times the target's
-// selectivity. Variable-length patterns cost the geometric sum of the
-// per-hop fan-out over the hop range — the first hop at the source
-// label's measured degree, later hops at the label-blind degree
-// (unbounded ranges are capped at a costing horizon; execution is
-// exact).
+// pattern onto a target node pattern: the average fan-out of the (source
+// label, edge type, direction) times the target's selectivity.
+// Variable-length patterns cost the geometric sum of the per-hop fan-out
+// over the hop range — the first hop at the source label's degree, later
+// hops at the label-blind degree (unbounded ranges are capped at a
+// costing horizon; execution is exact).
 func (e *Engine) expandFactor(from NodePattern, ep EdgePattern, to NodePattern, reverse bool,
 	bound map[string]bool, eq map[string]map[string]hintVal) float64 {
 	deg := e.hopDegree(nodeLabelFor(from, eq), ep, reverse)

@@ -132,38 +132,40 @@ func TestLimitSkipBoundsQuick(t *testing.T) {
 	}
 }
 
+// equivalenceQueries run over randomStore graphs.
+var equivalenceQueries = []string{
+	`match (n) return n.type, n.name`,
+	`match (n:Malware) return n.name`,
+	`match (n) where n.name = "n5" return n.type, n.name`,
+	`match (n) where n.type = "Malware" return n.name`,
+	`match (a)-[:CONNECT]->(b) return a.name, b.name`,
+	`match (a)<-[:USE]-(b:Malware) return a.name, b.name`,
+	`match (a {name: "n3"})-[r]-(b) return type(r), b.name`,
+	`match (a:Malware)-[:CONNECT]->(b)-[:RELATED_TO]->(c) return a.name, b.name, c.name`,
+	`match (a)-[:USE]->(b:IP) return distinct a.name`,
+	`match (a:Domain), (b:ThreatActor) return a.name, b.name`,
+	`match (a)-[:CONNECT]->(b), (a)-[:USE]->(c) return a.name, b.name, c.name`,
+	`match (a)-[r]->(a) return a.name, type(r)`,
+	`match (a)-[:RELATED_TO]->(b) where a.name contains "1" and not b.name = "n2" return a.name, b.name`,
+	`match (a)-[:CONNECT]->(b) where a.name = "n4" or b.name starts with "n1" return a.name, b.name`,
+	`match (a:Malware)-[:USE]->(b) return a.name, count(b)`,
+	`match (a)-[:CONNECT]->(b) return count(*)`,
+	`match (a:Malware)-[:CONNECT*1..2]->(b) return a.name, b.name`,
+	`match (a {name: "n3"})-[:RELATED_TO*]-(b) return b.name`,
+	`match (a:Malware) optional match (a)-[:USE]->(b:IP) return a.name, b.name`,
+	`match (a)-[:USE]->(b) with a, count(b) as c where c > 1 return a.name, c`,
+	`match (a:ThreatActor) optional match (a)-[:USE*1..2]->(x) with a, collect(x.name) as xs return a.name, xs`,
+	`match (a:Malware)-[:CONNECT]->(b) return a.name, min(b.name), max(b.name), sum(id(b))`,
+}
+
 // Property: the planned streaming executor returns the same row multiset
 // as the legacy tree-walking matcher, over randomized graphs and a query
 // family covering chains, reverse/undirected edges, shared variables,
 // cross products, WHERE operators, DISTINCT and aggregation.
 func TestPlannedLegacyEquivalenceQuick(t *testing.T) {
-	queries := []string{
-		`match (n) return n.type, n.name`,
-		`match (n:Malware) return n.name`,
-		`match (n) where n.name = "n5" return n.type, n.name`,
-		`match (n) where n.type = "Malware" return n.name`,
-		`match (a)-[:CONNECT]->(b) return a.name, b.name`,
-		`match (a)<-[:USE]-(b:Malware) return a.name, b.name`,
-		`match (a {name: "n3"})-[r]-(b) return type(r), b.name`,
-		`match (a:Malware)-[:CONNECT]->(b)-[:RELATED_TO]->(c) return a.name, b.name, c.name`,
-		`match (a)-[:USE]->(b:IP) return distinct a.name`,
-		`match (a:Domain), (b:ThreatActor) return a.name, b.name`,
-		`match (a)-[:CONNECT]->(b), (a)-[:USE]->(c) return a.name, b.name, c.name`,
-		`match (a)-[r]->(a) return a.name, type(r)`,
-		`match (a)-[:RELATED_TO]->(b) where a.name contains "1" and not b.name = "n2" return a.name, b.name`,
-		`match (a)-[:CONNECT]->(b) where a.name = "n4" or b.name starts with "n1" return a.name, b.name`,
-		`match (a:Malware)-[:USE]->(b) return a.name, count(b)`,
-		`match (a)-[:CONNECT]->(b) return count(*)`,
-		`match (a:Malware)-[:CONNECT*1..2]->(b) return a.name, b.name`,
-		`match (a {name: "n3"})-[:RELATED_TO*]-(b) return b.name`,
-		`match (a:Malware) optional match (a)-[:USE]->(b:IP) return a.name, b.name`,
-		`match (a)-[:USE]->(b) with a, count(b) as c where c > 1 return a.name, c`,
-		`match (a:ThreatActor) optional match (a)-[:USE*1..2]->(x) with a, collect(x.name) as xs return a.name, xs`,
-		`match (a:Malware)-[:CONNECT]->(b) return a.name, min(b.name), max(b.name), sum(id(b))`,
-	}
 	f := func(seed int64, qi uint8) bool {
 		s := randomStore(seed%1000, 40)
-		q := queries[int(qi)%len(queries)]
+		q := equivalenceQueries[int(qi)%len(equivalenceQueries)]
 		planned, err1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
 		legacy, err2 := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(q)
 		if (err1 == nil) != (err2 == nil) {

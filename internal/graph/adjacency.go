@@ -157,20 +157,6 @@ func (a *adjacency) walkHalf(h *adjHalf, id NodeID, fn func(halfEdge) bool) bool
 	return true
 }
 
-// degree returns node id's incidence count in dir filtered by type
-// (symNone matches nothing, 0 matches the empty type; pass anySym to
-// count every type).
-func (a *adjacency) degree(id NodeID, dir Direction, typ Sym, any bool) int {
-	n := 0
-	a.forEach(id, dir, func(he halfEdge) bool {
-		if any || he.typ == typ {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
 // needsRebuild reports whether the overlay has grown past the batch
 // threshold: small absolute slack so bursts of writes on small graphs
 // don't thrash, proportional beyond that so rebuild work amortizes.

@@ -129,63 +129,3 @@ func TestBulkBracketDefersSeal(t *testing.T) {
 		t.Errorf("Edges(ids[0], Out) = %d, want 1", got)
 	}
 }
-
-// TestDriftRefreshCooldown is the regression test for drift-refresh
-// thrash: a key whose observed cardinality keeps diverging from the
-// estimate (persistent skew a histogram mean cannot express — a hub
-// node, say) trips refresh after refresh, but on a store whose shape
-// has NOT changed every recomputation yields the identical histogram.
-// Those trips must be suppressed: repeated analyzed runs of one skewed
-// query bump StatsVersion at most once.
-func TestDriftRefreshCooldown(t *testing.T) {
-	s := New()
-	hub, _ := s.MergeNode("Host", "hub", nil)
-	for i := 0; i < 20; i++ {
-		leaf, _ := s.MergeNode("Host", fmt.Sprintf("leaf%d", i), nil)
-		if _, _, err := s.AddEdge(hub, "talks_to", leaf, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	key := DriftKey{Label: "Host", EdgeType: "talks_to", Dir: Out}
-	sv0 := s.StatsVersion()
-	// 5 full trips' worth of observations on a static store.
-	for i := 0; i < 5*driftRefreshAfter; i++ {
-		s.RecordEstimateDrift(key, 1.0, 20.0)
-	}
-	if bumps := s.StatsVersion() - sv0; bumps != 1 {
-		t.Fatalf("StatsVersion moved %d times across repeated drift on a static store, want exactly 1", bumps)
-	}
-	var st DriftStat
-	for _, d := range s.DriftStats() {
-		if d.Key == key {
-			st = d
-		}
-	}
-	if st.Refreshes != 1 {
-		t.Errorf("Refreshes = %d, want 1", st.Refreshes)
-	}
-	if st.Suppressed != 4 {
-		t.Errorf("Suppressed = %d, want 4", st.Suppressed)
-	}
-
-	// The cooldown is not a permanent mute: once the store's shape
-	// actually changes for the key, the next trip refreshes again.
-	for i := 0; i < 30; i++ {
-		leaf, _ := s.MergeNode("Host", fmt.Sprintf("extra%d", i), nil)
-		if _, _, err := s.AddEdge(hub, "talks_to", leaf, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < driftRefreshAfter; i++ {
-		s.RecordEstimateDrift(key, 1.0, 50.0)
-	}
-	for _, d := range s.DriftStats() {
-		if d.Key == key {
-			st = d
-		}
-	}
-	if st.Refreshes != 2 {
-		t.Errorf("Refreshes after shape change = %d, want 2", st.Refreshes)
-	}
-}

@@ -1,10 +1,137 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// TestLiveCountsUnderChurn drives seeded random histories — merges, edge
+// adds (self-loops, the empty edge type and the empty label included),
+// SETs, edge and node deletes, migrations, committed and rolled-back
+// transactions, failed batches — and after every step recounts the edge
+// endpoints from the slabs: the counts the planner reads must be exactly
+// that. The logged history then rebuilds the same counts through
+// ApplyStream, and both codecs reload them.
+func TestLiveCountsUnderChurn(t *testing.T) {
+	type writer interface {
+		MergeNode(typ, name string, attrs map[string]string) (NodeID, bool)
+		AddEdge(from NodeID, typ string, to NodeID, attrs map[string]string) (EdgeID, bool, error)
+		SetAttr(id NodeID, key, val string) error
+		DeleteNode(id NodeID) error
+		DeleteEdge(id EdgeID) error
+		MigrateEdges(from, to NodeID) error
+	}
+	labels := []string{"Malware", "IP", "Domain", ""}
+	etypes := []string{"CONNECT", "USE", ""}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		var log []Mutation
+		s.SetMutationHook(func(m Mutation) { log = append(log, cloneMutation(m)) })
+		node := func() NodeID {
+			if ids := s.AllNodeIDs(); len(ids) > 0 {
+				return ids[rng.Intn(len(ids))]
+			}
+			return 0 // unknown: the write fails and changes nothing
+		}
+		edge := func() EdgeID {
+			var ids []EdgeID
+			s.ForEachEdge(func(e *Edge) bool { ids = append(ids, e.ID); return true })
+			if len(ids) > 0 {
+				return ids[rng.Intn(len(ids))]
+			}
+			return 0
+		}
+		write := func(w writer) {
+			switch rng.Intn(10) {
+			case 0, 1, 2:
+				w.MergeNode(labels[rng.Intn(len(labels))], fmt.Sprintf("n%d", rng.Intn(40)), map[string]string{"k": fmt.Sprint(rng.Intn(3))})
+			case 3, 4, 5, 6:
+				w.AddEdge(node(), etypes[rng.Intn(len(etypes))], node(), nil)
+			case 7:
+				w.SetAttr(node(), "k", fmt.Sprint(rng.Intn(3)))
+			case 8:
+				if rng.Intn(2) == 0 {
+					w.DeleteEdge(edge())
+				} else {
+					w.DeleteNode(node())
+				}
+			case 9:
+				w.MigrateEdges(node(), node())
+			}
+		}
+		for step := 0; step < 250; step++ {
+			switch rng.Intn(8) {
+			case 0: // a transaction, committed or rolled back
+				tx := s.BeginTx()
+				for i := rng.Intn(12); i >= 0; i-- {
+					write(tx)
+				}
+				if rng.Intn(2) == 0 {
+					tx.Rollback()
+				} else if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			case 1: // a batch whose last mutation fails: rolled back whole
+				a, b := node(), node()
+				if _, err := s.ApplyBatch([]Mutation{
+					{Op: OpMergeNode, Type: "Tool", Name: fmt.Sprintf("t%d", step)},
+					{Op: OpAddEdge, From: a, Type: "USE", To: b},
+					{Op: OpDeleteNode, Node: a},
+					{Op: OpDeleteNode, Node: 1 << 30},
+				}); err == nil {
+					t.Fatal("ApplyBatch deleted a node that never existed")
+				}
+			default:
+				write(s)
+			}
+			checkLiveCounts(t, s)
+			if t.Failed() {
+				t.Fatalf("seed %d: live counts wrong after step %d", seed, step)
+			}
+		}
+
+		want := saveBytesOf(t, s)
+		replayed := New()
+		if _, err := replayed.ApplyStream(func() (Mutation, bool) {
+			if len(log) == 0 {
+				return Mutation{}, false
+			}
+			m := log[0]
+			log = log[1:]
+			return m, true
+		}); err != nil {
+			t.Fatalf("seed %d: ApplyStream: %v", seed, err)
+		}
+		var bin bytes.Buffer
+		if err := s.SaveBinary(&bin); err != nil {
+			t.Fatal(err)
+		}
+		fromJSON, err := Load(bytes.NewReader(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBinary, err := Load(&bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]*Store{"ApplyStream": replayed, "Save/Load": fromJSON, "SaveBinary/Load": fromBinary} {
+			if !bytes.Equal(saveBytesOf(t, got), want) {
+				t.Fatalf("seed %d: %s did not reproduce the store", seed, name)
+			}
+			checkLiveCounts(t, got)
+			for _, l := range labels {
+				for _, et := range etypes {
+					if a, b := got.AvgDegree(l, et, Both), s.AvgDegree(l, et, Both); a != b {
+						t.Errorf("seed %d: %s: AvgDegree(%q, %q) = %v, want %v", seed, name, l, et, a, b)
+					}
+				}
+			}
+		}
+	}
+}
 
 // churnStore is one 100k-node label with `family` indexed over two
 // values (node id has family (id-1)%2): every node sits in a 100k byType

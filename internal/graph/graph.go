@@ -97,6 +97,12 @@ type edgeKeyT struct {
 	typ  Sym
 }
 
+// endKey is the (endpoint label, edge type) key of the endpoint counts,
+// packed into one word so the map takes the runtime's integer-key path.
+type endKey uint64
+
+func endKeyOf(label, typ Sym) endKey { return endKey(label)<<32 | endKey(typ) }
+
 // typeAttrKeyT is the composite (type, key, val) index key for indexed
 // attributes.
 type typeAttrKeyT struct {
@@ -168,27 +174,22 @@ type Store struct {
 	edgeKey     map[edgeKeyT]EdgeID
 
 	edgeTypeCount map[Sym]int // live per-type edge counts for the statistics layer
-	// idxEpoch is the per-mutation change counter: bumped by IndexAttr and
-	// by every effective mutation. A cheap has-anything-changed probe for
-	// diagnostics and tests — the plan cache keys on statsVersion below,
-	// and the durability layer consumes onMutation, not this counter.
-	idxEpoch int64
-	// statsVersion is the coarser planner-facing epoch: it bumps only when
-	// a planner-visible count (total nodes/edges, a label's cardinality, an
+	// endDeg counts edge endpoints by the label of the node at that end:
+	// [Out] the edges of the key's type leaving a node of its label, [In]
+	// those arriving at one. labelDeg is the same over all edge types — a
+	// map of its own, because the empty edge type is a type like any other
+	// (Sym 0) and must not be taken for "any type". Both move with
+	// edgeTypeCount and drop a key at zero, so AvgDegree is O(1).
+	endDeg   map[endKey]*[2]int
+	labelDeg map[Sym]*[2]int
+	// statsVersion is the planner-facing epoch: it bumps only when a
+	// planner-visible count (total nodes/edges, a label's cardinality, an
 	// edge type's cardinality) has drifted materially since the last bump,
 	// or when IndexAttr creates a new access path. Plan caches key on it,
 	// so write-heavy workloads whose store size stays roughly stable keep
 	// their cached plans (stats.go).
 	statsVersion int64
 	statsBase    statsSnapshot
-	histMu       sync.Mutex
-	histCache    map[degreeKey]cachedHistogram
-	// Cardinality-drift feedback (drift.go): per-(label, edge type,
-	// direction) counters of estimate-vs-actual divergence reported by
-	// EXPLAIN ANALYZE. Enough observations retire the matching degree
-	// histogram and bump statsVersion so cached plans re-cost.
-	driftMu sync.Mutex
-	drift   map[DriftKey]*driftEntry
 	// onMutation observes every effective mutation (SetMutationHook); the
 	// durability layer tees writes into its WAL here. Written under
 	// writerMu and mu, so either lock suffices to read it.
@@ -232,6 +233,8 @@ func New() *Store {
 		indexed:       make(map[Sym]bool),
 		edgeKey:       make(map[edgeKeyT]EdgeID),
 		edgeTypeCount: make(map[Sym]int),
+		endDeg:        make(map[endKey]*[2]int),
+		labelDeg:      make(map[Sym]*[2]int),
 		statsVersion:  1,
 		nodeBegin:     make(map[NodeID]uint64),
 		edgeBegin:     make(map[EdgeID]uint64),
@@ -341,7 +344,6 @@ func (s *Store) IndexAttr(key string) {
 		return
 	}
 	s.indexed[ks] = true
-	s.idxEpoch++
 	// A new access path always changes what the planner may pick: bump the
 	// planner-facing stats version unconditionally.
 	s.bumpStatsLocked()
@@ -740,6 +742,7 @@ func (s *Store) uninstallEdgeLocked(id EdgeID, rec edgeRec) {
 	if s.edgeTypeCount[rec.typ]--; s.edgeTypeCount[rec.typ] <= 0 {
 		delete(s.edgeTypeCount, rec.typ)
 	}
+	s.countEndpointsLocked(rec, -1)
 }
 
 // installEdgeLocked publishes an edge record (growing the slab for a new
@@ -750,6 +753,31 @@ func (s *Store) installEdgeLocked(id EdgeID, rec edgeRec) {
 	s.nEdges++
 	s.edgeKey[edgeKeyT{from: rec.from, to: rec.to, typ: rec.typ}] = id
 	s.edgeTypeCount[rec.typ]++
+	s.countEndpointsLocked(rec, 1)
+}
+
+// countEndpointsLocked adds d to the endpoint counts of rec's two ends.
+// It reads their labels from the node slab, so both endpoints must be
+// installed when an edge record enters or leaves the store.
+func (s *Store) countEndpointsLocked(rec edgeRec, d int) {
+	from, to := s.nodes[rec.from].typ, s.nodes[rec.to].typ
+	addDeg(s.endDeg, endKeyOf(from, rec.typ), Out, d)
+	addDeg(s.endDeg, endKeyOf(to, rec.typ), In, d)
+	addDeg(s.labelDeg, from, Out, d)
+	addDeg(s.labelDeg, to, In, d)
+}
+
+// addDeg adds d to one side of k's pair. The pairs sit behind pointers so
+// that the usual bump is one map read, not a read and a write.
+func addDeg[K comparable](m map[K]*[2]int, k K, side Direction, d int) {
+	c := m[k]
+	if c == nil {
+		c = new([2]int)
+		m[k] = c
+	}
+	if c[side] += d; *c == ([2]int{}) {
+		delete(m, k)
+	}
 }
 
 // MigrateEdges re-points every edge incident to from so it is incident to

@@ -71,13 +71,11 @@ func (s *Store) SetMutationHook(fn func(Mutation)) {
 	s.onMutation = fn
 }
 
-// noteMutation records one effective mutation: the per-mutation epoch
-// bumps, the coarser planner-facing stats version bumps only if a
-// planner-visible count has drifted materially (stats.go), then the
-// durability hook (if any) observes the mutation. Callers hold the
-// write lock.
+// noteMutation records one effective mutation: the planner-facing stats
+// version bumps if a planner-visible count has drifted materially
+// (stats.go), then the durability hook (if any) observes the mutation.
+// Callers hold the write lock.
 func (s *Store) noteMutation(m Mutation) {
-	s.idxEpoch++
 	if s.bulk == 0 && s.statsMaterialLocked() {
 		s.bumpStatsLocked()
 	}

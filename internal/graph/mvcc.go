@@ -880,17 +880,15 @@ func (tx *Tx) Rollback() error {
 		return nil
 	}
 	s.mu.Lock()
-	// Swap every touched entity's current record for its pre-image. One
-	// pass in any order is safe: postings hold any number of IDs per key,
-	// and uninstallEdgeLocked only drops an edgeKey entry it still owns.
-	for id, u := range tx.undoE {
+	// Put every touched entity's pre-image back, in three passes. The
+	// endpoint counts read both endpoints' labels from the node slab
+	// whenever an edge record enters or leaves, so the transaction's edges
+	// come down while the nodes it created are still there, and the
+	// pre-image edges go back only once the nodes it deleted are.
+	for id := range tx.undoE {
 		if rec, ok := s.edgeAt(id); ok {
 			s.uninstallEdgeLocked(id, rec)
 		}
-		if u.existed {
-			s.installEdgeLocked(id, u.rec)
-		}
-		restoreVersions(s.edgeBegin, s.edgeOld, id, u.begin, u.hadBegin, u.oldLen)
 	}
 	for id, u := range tx.undoN {
 		rec, ok := s.nodeAt(id)
@@ -906,12 +904,17 @@ func (tx *Tx) Rollback() error {
 		}
 		restoreVersions(s.nodeBegin, s.nodeOld, id, u.begin, u.hadBegin, u.oldLen)
 	}
+	for id, u := range tx.undoE {
+		if u.existed {
+			s.installEdgeLocked(id, u.rec)
+		}
+		restoreVersions(s.edgeBegin, s.edgeOld, id, u.begin, u.hadBegin, u.oldLen)
+	}
 	// The ID allocators go back, and the slabs give up the slots past them.
 	s.nextNode, s.nextEdge, s.mergeHits = tx.preNextNode, tx.preNextEdge, tx.preMergeHits
 	s.nodes = cutSlab(s.nodes, int(s.nextNode)+1)
 	s.edges = cutSlab(s.edges, int(s.nextEdge)+1)
 	s.rebuildAdjLocked()
-	s.idxEpoch++
 	if s.bulk == 0 && s.statsMaterialLocked() {
 		s.bumpStatsLocked()
 	}

@@ -231,6 +231,7 @@ func TestTxRollbackRestoresEverything(t *testing.T) {
 	if got := len(s.Edges(a, Both)); got != 1 {
 		t.Errorf("Edges(a) = %d, want 1", got)
 	}
+	checkLiveCounts(t, s)
 	// Allocators restored: the next node reuses the rolled-back ID space.
 	d, _ := s.MergeNode("T", "d", nil)
 	if d != b+1 {

@@ -65,6 +65,7 @@ func oracleHistory(t *testing.T) *Store {
 		}
 	}
 	s.EndBulk()
+	checkLiveCounts(t, s)
 
 	snap := s.Snapshot()
 	defer snap.Release()
@@ -77,17 +78,20 @@ func oracleHistory(t *testing.T) *Store {
 	for i := 0; i < 40; i++ {
 		s.MergeNode("Alias", fmt.Sprintf("n-%d", i*3), map[string]string{"family": "worm"})
 	}
+	checkLiveCounts(t, s)
 	// Merge hits: new keys are added, existing keys keep their value.
 	for i := 0; i < 120; i++ {
 		j := rng.Intn(500)
 		s.MergeNode(labels[j%len(labels)], fmt.Sprintf("n-%d", j),
 			map[string]string{"family": "late", "added": vals[i%len(vals)], "beta": "b"})
 	}
+	checkLiveCounts(t, s)
 	// Edge re-adds that augment attributes.
 	for i := 0; i < 60; i++ {
 		from, to := ids[rng.Intn(len(ids))], ids[rng.Intn(40)]
 		s.AddEdge(from, etypes[i%len(etypes)], to, map[string]string{"again": fmt.Sprint(i)})
 	}
+	checkLiveCounts(t, s)
 	// SetAttr on the indexed key, a fresh key, and a no-op rewrite.
 	for i := 0; i < 80; i++ {
 		id := ids[rng.Intn(len(ids))]
@@ -102,6 +106,7 @@ func oracleHistory(t *testing.T) *Store {
 			t.Fatalf("DeleteNode: %v", err)
 		}
 	}
+	checkLiveCounts(t, s)
 	for i := 0; i < 25; i++ {
 		if e := s.Edges(ids[rng.Intn(40)], Out); len(e) > 0 {
 			if err := s.DeleteEdge(e[len(e)/2].ID); err != nil {
@@ -109,11 +114,13 @@ func oracleHistory(t *testing.T) *Store {
 			}
 		}
 	}
+	checkLiveCounts(t, s)
 	for i := 0; i < 12; i++ {
 		if err := s.MigrateEdges(ids[3+i*2], ids[rng.Intn(20)*2]); err != nil {
 			t.Fatalf("MigrateEdges: %v", err)
 		}
 	}
+	checkLiveCounts(t, s)
 
 	// A committed transaction...
 	tx := s.BeginTx()
@@ -126,6 +133,7 @@ func oracleHistory(t *testing.T) *Store {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
+	checkLiveCounts(t, s)
 	// ...and a rolled-back one: creates nodes (extending every ID-ordered
 	// structure), deletes old and own nodes, reclaims a deleted node's
 	// (type, name), rewrites an indexed attr, migrates edges.
@@ -148,11 +156,13 @@ func oracleHistory(t *testing.T) *Store {
 	if after := saveBytesOf(t, s); !bytes.Equal(before, after) {
 		t.Fatal("rollback did not restore the Save stream")
 	}
+	checkLiveCounts(t, s)
 	// IDs handed back by the rollback are allocated again.
 	for i := 0; i < 10; i++ {
 		a, _ := s.MergeNode("Host", fmt.Sprintf("real-%d", i), map[string]string{"family": vals[i]})
 		s.AddEdge(a, "SCANS", ids[0], nil)
 	}
+	checkLiveCounts(t, s)
 
 	// The snapshot still reads the state it opened on.
 	if n := len(snap.AllNodeIDs()); n != wantNodes {
@@ -207,6 +217,7 @@ func TestPersistenceOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Load: %v", name, err)
 		}
+		checkLiveCounts(t, loaded)
 		if loaded.Stats().Nodes != s.Stats().Nodes || loaded.Stats().Edges != s.Stats().Edges {
 			t.Errorf("%s: loaded %+v, want %+v", name, loaded.Stats(), s.Stats())
 		}

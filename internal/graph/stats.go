@@ -1,8 +1,8 @@
 package graph
 
 // This file is the statistics and selectivity layer the Cypher planner
-// consumes: O(1) cardinality estimates backed by the live indexes, degree
-// statistics for expansion fan-out, and NodeID-granular access paths so
+// consumes: O(1) cardinality estimates backed by the live indexes, live
+// endpoint counts for expansion fan-out, and NodeID-granular access paths so
 // the streaming executor can pull nodes lazily instead of materializing
 // full candidate slices up front. Planner-facing string inputs resolve
 // through the symbol table with lookup (never intern): probing for a
@@ -102,19 +102,6 @@ func (s *Store) HasAttrIndex(key string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.indexed[s.syms.lookup(key)]
-}
-
-// IndexEpoch returns the store's per-mutation change counter: it
-// increases every time a new attribute index is created AND on every
-// effective mutation (node/edge creation, attribute writes, deletions,
-// edge migration). It is a cheap has-anything-changed probe for
-// diagnostics and tests; the plan cache keys on the coarser
-// StatsVersion, and the durability layer consumes the mutation hook
-// (SetMutationHook), not this counter.
-func (s *Store) IndexEpoch() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.idxEpoch
 }
 
 // AvgNameBucket returns the average number of nodes sharing one name —
@@ -217,9 +204,8 @@ func (s *Store) statsMaterialLocked() bool {
 }
 
 // bumpStatsLocked advances the stats version and re-snapshots the counts
-// the next materiality judgement compares against. Degree histograms are
-// cached per version (DegreeHistogram), so a bump implicitly retires
-// them. Callers hold the write lock.
+// the next materiality judgement compares against. Callers hold the write
+// lock.
 func (s *Store) bumpStatsLocked() {
 	s.statsVersion++
 	s.rebaseStatsLocked()
@@ -250,10 +236,10 @@ func (s *Store) rebaseStatsLocked() {
 // advances when a planner-visible count changes materially (>12.5% plus
 // slack on total nodes/edges, any single label / edge type count, the
 // distinct-name count, or an indexed attribute's distinct-value count)
-// and whenever IndexAttr creates a new access path. Unlike IndexEpoch — which
-// counts every effective mutation — it stays put under write-heavy
-// workloads whose store shape is roughly stable, which is what lets the
-// shared plan cache keep serving prepared statements between bumps.
+// and whenever IndexAttr creates a new access path. It stays put under
+// write-heavy workloads whose store shape is roughly stable, which is what
+// lets the shared plan cache keep serving prepared statements between
+// bumps.
 // Cached plans stay *correct* either way (access paths never become
 // invalid); the version only protects optimality.
 func (s *Store) StatsVersion() int64 {
@@ -262,148 +248,42 @@ func (s *Store) StatsVersion() int64 {
 	return s.statsVersion
 }
 
-// --- degree histograms ---
-
-// degreeKey identifies one cached histogram. Strings, not symbols: the
-// cache is probed once per plan, and string keys keep unknown labels
-// (which have no symbol) addressable without sentinel juggling.
-type degreeKey struct {
-	label    string
-	edgeType string
-	dir      Direction
-}
-
-type cachedHistogram struct {
-	version int64
-	hist    DegreeHistogram
-}
-
-// DegreeHistogram summarizes the fan-out of one (source label, edge
-// type, direction) combination: how many sources exist, how many of them
-// have at least one matching edge, the total/maximum degree, and a log2
-// bucket profile (Buckets[i] counts sources with degree in
-// [2^i, 2^(i+1))). It is what replaced the planner's uniform
-// expand-factor assumption: the cost model reads Avg() — the measured
-// mean fan-out of exactly the (label, type, direction) being expanded —
-// while NonZero/Max/Buckets are the documented observability surface
-// (ARCHITECTURE.md) and the inputs skew-aware costing (damping hub
-// estimates by Max/AvgNonZero) will build on; they cost one shift loop
-// per source at (cached, per-version) compute time.
-type DegreeHistogram struct {
-	Label    string    // "" = all nodes
-	EdgeType string    // "" = all edge types
-	Dir      Direction // Out, In or Both (Both counts each loop edge twice)
-	Sources  int       // nodes carrying Label
-	NonZero  int       // sources with degree >= 1
-	Walks    int       // sum of per-source degrees (matching incidences)
-	Max      int
-	Buckets  []int
-}
-
-// Avg returns the mean degree over all sources (0 when there are none).
-func (h DegreeHistogram) Avg() float64 {
-	if h.Sources == 0 {
-		return 0
-	}
-	return float64(h.Walks) / float64(h.Sources)
-}
-
-// AvgNonZero returns the mean degree over sources that have at least one
-// matching edge — the fan-out a row that *did* expand sees.
-func (h DegreeHistogram) AvgNonZero() float64 {
-	if h.NonZero == 0 {
-		return 0
-	}
-	return float64(h.Walks) / float64(h.NonZero)
-}
-
-// DegreeHistogram returns the (cached) degree histogram for the given
-// source label ("" = all nodes), edge type ("" = all types) and
-// direction. Histograms are computed lazily — O(sources + incident
-// edges) over the packed adjacency — and cached per stats version, so
-// plan-time lookups are O(1) between material changes of the store.
-func (s *Store) DegreeHistogram(label, edgeType string, dir Direction) DegreeHistogram {
-	ver := s.StatsVersion()
-	key := degreeKey{label: label, edgeType: edgeType, dir: dir}
-	s.histMu.Lock()
-	if c, ok := s.histCache[key]; ok && c.version == ver {
-		s.histMu.Unlock()
-		return c.hist
-	}
-	s.histMu.Unlock()
-	h := s.computeDegreeHistogram(label, edgeType, dir)
-	s.histMu.Lock()
-	if s.histCache == nil {
-		s.histCache = make(map[degreeKey]cachedHistogram)
-	}
-	s.histCache[key] = cachedHistogram{version: ver, hist: h}
-	s.histMu.Unlock()
-	return h
-}
-
-func (s *Store) computeDegreeHistogram(label, edgeType string, dir Direction) DegreeHistogram {
+// AvgDegree returns the mean number of edges of edgeType ("" = any type)
+// that a node labelled label ("" = any node) has on side dir: the
+// planner's fan-out for one hop. Both is out plus in, so a self-loop
+// counts twice. O(1): the store counts edge endpoints per (label, type,
+// side) as edges come and go. 0 when no node carries the label.
+func (s *Store) AvgDegree(label, edgeType string, dir Direction) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	h := DegreeHistogram{Label: label, EdgeType: edgeType, Dir: dir}
-	anyType := edgeType == ""
-	want := Sym(0)
-	if !anyType {
-		want = s.syms.lookup(edgeType)
-	}
-	add := func(id NodeID) {
-		h.Sources++
-		d := s.adj.degree(id, dir, want, anyType)
-		if d == 0 {
-			return
-		}
-		h.NonZero++
-		h.Walks += d
-		if d > h.Max {
-			h.Max = d
-		}
-		b := 0
-		for v := d; v > 1; v >>= 1 {
-			b++
-		}
-		for len(h.Buckets) <= b {
-			h.Buckets = append(h.Buckets, 0)
-		}
-		h.Buckets[b]++
-	}
+	var sources int
+	var ends [2]int
 	if label == "" {
-		for id, rec := range s.nodes {
-			if rec.n != nil {
-				add(NodeID(id))
-			}
+		sources = s.nNodes
+		n := s.nEdges
+		if edgeType != "" {
+			n = s.edgeTypeCount[s.syms.lookup(edgeType)]
 		}
+		ends = [2]int{n, n}
 	} else {
-		for id := range s.byType[s.syms.lookup(label)].all() {
-			add(id)
+		l := s.syms.lookup(label)
+		sources = s.byType[l].n
+		c := s.labelDeg[l]
+		if edgeType != "" {
+			c = s.endDeg[endKeyOf(l, s.syms.lookup(edgeType))]
+		}
+		if c != nil {
+			ends = *c
 		}
 	}
-	return h
-}
-
-// DegreeStats returns the average and maximum degree over all nodes in
-// the given direction (Both counts each edge at both endpoints).
-func (s *Store) DegreeStats(dir Direction) (avg float64, max int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.nNodes == 0 {
-		return 0, 0
+	if sources == 0 {
+		return 0
 	}
-	total := 0
-	for id, rec := range s.nodes {
-		if rec.n == nil {
-			continue
-		}
-		d := s.adj.degree(NodeID(id), dir, 0, true)
-		total += d
-		if d > max {
-			max = d
-		}
+	walks := ends[Out] + ends[In]
+	if dir != Both {
+		walks = ends[dir]
 	}
-	return float64(total) / float64(s.nNodes), max
+	return float64(walks) / float64(sources)
 }
 
 // --- NodeID access paths for lazy scans ---

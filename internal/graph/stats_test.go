@@ -120,17 +120,6 @@ func TestNodesByTypeAttr(t *testing.T) {
 	}
 }
 
-func TestDegreeStats(t *testing.T) {
-	s := buildStatsStore(t)
-	avg, max := s.DegreeStats(Out)
-	if avg <= 0 || max < 4 { // malware 0 has 3 CONNECT + 1 ATTRIBUTED_TO
-		t.Errorf("DegreeStats(Out) = %f, %d", avg, max)
-	}
-	if empty := New(); func() float64 { a, _ := empty.DegreeStats(Both); return a }() != 0 {
-		t.Error("empty store degree should be 0")
-	}
-}
-
 func TestEdgeTypeCountSurvivesDeleteAndLoad(t *testing.T) {
 	s := buildStatsStore(t)
 	// Delete one CONNECT edge.
@@ -165,60 +154,142 @@ func TestEdgeTypeCountSurvivesDeleteAndLoad(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
+func TestAvgDegree(t *testing.T) {
 	s := buildStatsStore(t)
-	// 10 Malware sources; 30 CONNECT edges spread i%10, so each malware
-	// has exactly 3 outgoing CONNECTs (and malware 0 one extra edge of a
-	// different type that must not count).
-	h := s.DegreeHistogram("Malware", "CONNECT", Out)
-	if h.Sources != 10 || h.NonZero != 10 || h.Walks != 30 || h.Max != 3 {
-		t.Errorf("Malware/CONNECT/Out = %+v, want 10 sources, 30 walks, max 3", h)
+	syms := s.syms.count()
+	for _, c := range []struct {
+		label, edgeType string
+		dir             Direction
+		walks, sources  float64
+	}{
+		// 30 CONNECT edges spread i%10, so each of the 10 malware has
+		// exactly 3 outgoing CONNECTs (malware 0's one edge of a different
+		// type must not count).
+		{"Malware", "CONNECT", Out, 30, 10},
+		{"Malware", "", Out, 31, 10},
+		// IPs have no outgoing CONNECTs, one incoming each.
+		{"IP", "CONNECT", Out, 0, 30},
+		{"IP", "CONNECT", In, 30, 30},
+		{"IP", "CONNECT", Both, 30, 30},
+		// "" label covers every node; "" type counts all edges; Both sums.
+		{"", "", Both, 62, 41},
+		{"", "CONNECT", In, 30, 41},
+		// Never-seen labels and types read 0 and intern nothing.
+		{"Nope", "CONNECT", Out, 0, 1},
+		{"Malware", "NOPE", Both, 0, 1},
+		{"", "NOPE", Out, 0, 1},
+	} {
+		if got, want := s.AvgDegree(c.label, c.edgeType, c.dir), c.walks/c.sources; got != want {
+			t.Errorf("AvgDegree(%q, %q, %d) = %v, want %v/%v", c.label, c.edgeType, c.dir, got, c.walks, c.sources)
+		}
 	}
-	if got := h.Avg(); got != 3 {
-		t.Errorf("Avg = %f, want 3", got)
+	if got := s.syms.count(); got != syms {
+		t.Errorf("AvgDegree interned %d symbols", got-syms)
 	}
-	// Degree 3 lands in the [2,4) log2 bucket (index 1).
-	if len(h.Buckets) != 2 || h.Buckets[1] != 10 {
-		t.Errorf("Buckets = %v, want [0 10]", h.Buckets)
+	if got := New().AvgDegree("", "", Both); got != 0 {
+		t.Errorf("empty store AvgDegree = %v, want 0", got)
 	}
-	// IPs have no outgoing CONNECTs, one incoming each.
-	if h := s.DegreeHistogram("IP", "CONNECT", Out); h.NonZero != 0 || h.Avg() != 0 {
-		t.Errorf("IP/CONNECT/Out = %+v, want all-zero", h)
-	}
-	if h := s.DegreeHistogram("IP", "CONNECT", In); h.Sources != 30 || h.Walks != 30 || h.Max != 1 {
-		t.Errorf("IP/CONNECT/In = %+v, want 30 sources each degree 1", h)
-	}
-	// "" label covers every node; "" type counts all edges; Both sums.
-	if h := s.DegreeHistogram("", "", Both); h.Sources != 41 || h.Walks != 62 {
-		t.Errorf("all/all/Both = %+v, want 41 sources, 62 walks", h)
-	}
-	if got := s.DegreeHistogram("Malware", "CONNECT", Out).AvgNonZero(); got != 3 {
-		t.Errorf("AvgNonZero = %f, want 3", got)
-	}
+	checkLiveCounts(t, s)
 }
 
-func TestDegreeHistogramCachePerVersion(t *testing.T) {
+// TestAvgDegreeFollowsEveryWrite: the fan-out is live, not a per-version
+// copy — a single immaterial write shows at once.
+func TestAvgDegreeFollowsEveryWrite(t *testing.T) {
 	s := buildStatsStore(t)
-	before := s.DegreeHistogram("Malware", "CONNECT", Out)
-	// A non-material write must serve the cached histogram unchanged.
+	ver := s.StatsVersion()
 	m0 := s.FindNode("Malware", "m-0")
 	ip0 := s.FindNode("IP", "10.0.0.0")
 	s.AddEdge(m0.ID, "CONNECT", ip0.ID, map[string]string{"x": "1"}) // dup edge: attr merge only
-	if got := s.DegreeHistogram("Malware", "CONNECT", Out); got.Walks != before.Walks {
-		t.Errorf("histogram recomputed on non-material write: %+v", got)
+	if got := s.AvgDegree("Malware", "CONNECT", Out); got != 3 {
+		t.Errorf("attr merge on an existing edge moved the fan-out to %v", got)
 	}
-	// A material change (bulk insert) must refresh it.
-	ver := s.StatsVersion()
-	for i := 0; i < 40; i++ {
-		id, _ := s.MergeNode("Malware", fmt.Sprintf("new-%d", i), nil)
-		s.AddEdge(id, "CONNECT", ip0.ID, nil)
+	id, _ := s.MergeNode("Malware", "new", nil)
+	s.AddEdge(id, "CONNECT", ip0.ID, nil)
+	if s.StatsVersion() != ver {
+		t.Fatal("one node and one edge bumped the stats version")
 	}
-	if s.StatsVersion() == ver {
-		t.Fatal("bulk insert did not bump the stats version")
+	if got, want := s.AvgDegree("Malware", "CONNECT", Out), 31.0/11; got != want {
+		t.Errorf("AvgDegree after one more malware and edge = %v, want %v", got, want)
 	}
-	h := s.DegreeHistogram("Malware", "CONNECT", Out)
-	if h.Sources != 50 || h.Walks != 70 {
-		t.Errorf("post-bulk histogram = %+v, want 50 sources, 70 walks", h)
+}
+
+// checkLiveCounts recounts every edge endpoint from the slabs and
+// requires the store's live counts — the maps, and what AvgDegree reads
+// off them for every (label, type, side) present — to be exactly that.
+func checkLiveCounts(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.RLock()
+	type end struct{ label, typ Sym }
+	endDeg, labelDeg := map[end][2]int{}, map[Sym][2]int{}
+	for _, rec := range s.edges {
+		if rec.e == nil {
+			continue
+		}
+		from, to := s.nodes[rec.from], s.nodes[rec.to]
+		if from.n == nil || to.n == nil {
+			t.Fatalf("edge %d has a missing endpoint", rec.e.ID)
+		}
+		for side, label := range []Sym{Out: from.typ, In: to.typ} {
+			c := endDeg[end{label, rec.typ}]
+			c[side]++
+			endDeg[end{label, rec.typ}] = c
+			c = labelDeg[label]
+			c[side]++
+			labelDeg[label] = c
+		}
+	}
+	if len(s.endDeg) != len(endDeg) || len(s.labelDeg) != len(labelDeg) {
+		t.Errorf("live counts hold %d (label, type) and %d label keys, want %d and %d",
+			len(s.endDeg), len(s.labelDeg), len(endDeg), len(labelDeg))
+	}
+	for k, want := range endDeg {
+		if got := s.endDeg[endKeyOf(k.label, k.typ)]; got == nil || *got != want {
+			t.Errorf("live endpoint count of (%q, %q) = %v, want %v", s.syms.str(k.label), s.syms.str(k.typ), got, want)
+		}
+	}
+	for l, want := range labelDeg {
+		if got := s.labelDeg[l]; got == nil || *got != want {
+			t.Errorf("live endpoint count of label %q = %v, want %v", s.syms.str(l), got, want)
+		}
+	}
+	type probe struct {
+		label, typ string
+		walks      [2]int
+		sources    int
+	}
+	var probes []probe
+	for k, c := range endDeg {
+		if label, typ := s.syms.str(k.label), s.syms.str(k.typ); label != "" && typ != "" {
+			probes = append(probes, probe{label, typ, c, s.byType[k.label].n})
+		}
+	}
+	for l, c := range labelDeg {
+		if label := s.syms.str(l); label != "" {
+			probes = append(probes, probe{label, "", c, s.byType[l].n})
+		}
+	}
+	for ty, n := range s.edgeTypeCount {
+		if typ := s.syms.str(ty); typ != "" {
+			probes = append(probes, probe{"", typ, [2]int{n, n}, s.nNodes})
+		}
+	}
+	probes = append(probes, probe{"", "", [2]int{s.nEdges, s.nEdges}, s.nNodes},
+		probe{"never-seen-label", "", [2]int{}, 1}, probe{"", "never-seen-type", [2]int{}, 1})
+	syms := s.syms.count()
+	s.mu.RUnlock()
+	for _, p := range probes {
+		for dir, walks := range map[Direction]int{Out: p.walks[Out], In: p.walks[In], Both: p.walks[Out] + p.walks[In]} {
+			want := 0.0
+			if p.sources > 0 {
+				want = float64(walks) / float64(p.sources)
+			}
+			if got := s.AvgDegree(p.label, p.typ, dir); got != want {
+				t.Errorf("AvgDegree(%q, %q, %d) = %v, want %d/%d", p.label, p.typ, dir, got, walks, p.sources)
+			}
+		}
+	}
+	if got := s.syms.count(); got != syms {
+		t.Errorf("AvgDegree interned %d symbols", got-syms)
 	}
 }
 

@@ -156,6 +156,46 @@ func (w *writer) step(st *graph.Store) {
 	}
 }
 
+// checkFanOut recounts st's edge endpoints by endpoint label and edge
+// type through the read surface and requires the planner's fan-out
+// statistic — kept live by whichever path applied the writes — to be
+// exactly that, for every label and edge type present and for any.
+func checkFanOut(t *testing.T, st *graph.Store) {
+	t.Helper()
+	type key struct{ label, typ string }
+	walks := map[key][2]int{}
+	st.ForEachEdge(func(e *graph.Edge) bool {
+		for side, end := range []graph.NodeID{graph.Out: e.From, graph.In: e.To} {
+			label := st.Node(end).Type
+			for _, k := range []key{{label, e.Type}, {label, ""}, {"", e.Type}, {"", ""}} {
+				c := walks[k]
+				c[side]++
+				walks[k] = c
+			}
+		}
+		return true
+	})
+	stats := st.Stats()
+	for _, label := range append([]string{""}, wTypes...) {
+		sources := stats.NodesByType[label]
+		if label == "" {
+			sources = stats.Nodes
+		}
+		for _, typ := range []string{"", "USE", "CONNECT"} {
+			c := walks[key{label, typ}]
+			for dir, n := range map[graph.Direction]int{graph.Out: c[graph.Out], graph.In: c[graph.In], graph.Both: c[graph.Out] + c[graph.In]} {
+				want := 0.0
+				if sources > 0 {
+					want = float64(n) / float64(sources)
+				}
+				if got := st.AvgDegree(label, typ, dir); got != want {
+					t.Errorf("AvgDegree(%q, %q, %d) = %v, want %d/%d", label, typ, dir, got, n, sources)
+				}
+			}
+		}
+	}
+}
+
 func waitCaughtUp(t *testing.T, repl *Replicator, seq uint64) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -300,6 +340,7 @@ func TestReplicateConverges(t *testing.T) {
 	if got, want := saveBytes(t, fdb.Store()), saveBytes(t, ldb.Store()); !bytes.Equal(got, want) {
 		t.Fatalf("follower state differs from leader after catch-up")
 	}
+	checkFanOut(t, fdb.Store())
 
 	// Live tail: more writes while the stream is connected.
 	for i := 0; i < 200; i++ {
@@ -309,6 +350,7 @@ func TestReplicateConverges(t *testing.T) {
 	if got, want := saveBytes(t, fdb.Store()), saveBytes(t, ldb.Store()); !bytes.Equal(got, want) {
 		t.Fatalf("follower state differs from leader after live tail")
 	}
+	checkFanOut(t, fdb.Store())
 	if fdb.LastSeq() != ldb.LastSeq() {
 		t.Fatalf("follower WAL at seq %d, leader at %d", fdb.LastSeq(), ldb.LastSeq())
 	}

@@ -123,7 +123,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"skg_query_budget_aborts_total",
 		"skg_mvcc_snapshots_opened_total",
 		"skg_tx_begin_total", "skg_tx_commit_total", "skg_tx_rollback_total",
-		"skg_cardinality_drift_total",
 		"skg_store_nodes", "skg_store_edges", "skg_store_stats_version",
 		"skg_mvcc_open_snapshots", "skg_plan_cache_entries", "skg_uptime_seconds",
 	} {
