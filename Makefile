@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-storage bench-extract bench-scan bench-heap bench-ledger cover fuzz crash-test replication-test soak-test
+.PHONY: build test vet bench bench-extract bench-scan bench-heap bench-ledger cover fuzz crash-test replication-test soak-test
 
 build:
 	$(GO) build ./...
@@ -66,12 +66,14 @@ vet:
 # bench runs the Cypher engine benchmarks (planned vs legacy, index
 # on/off, variable-length paths, MERGE write path, hash join vs nested
 # loop, bidirectional expand, parallel scans) plus the durability
-# benchmarks (WAL append throughput, cold-start recovery), the MVCC
-# contention benchmark (ConcurrentReadersDuringWrites: snapshot reads
-# vs an exclusive global lock), and the replication benchmarks
-# (follower catch-up records/s over the HTTP stream, steady-state lag
-# behind a write burst, and ShipGroup: 500-row commit groups leader to
-# follower, with wire bytes per record), and the EXPLAIN ANALYZE instrumentation
+# benchmarks (WAL append throughput, cold-start recovery, and the
+# Storage arms: one logged mutation, 20k-record cold-start replay,
+# snapshot load, checkpoint), the MVCC contention benchmark
+# (ConcurrentReadersDuringWrites: snapshot reads vs an exclusive global
+# lock), and the replication benchmarks (follower catch-up records/s
+# over the HTTP stream, steady-state lag behind a write burst, and
+# ShipGroup: 500-row commit groups leader to follower, with wire bytes
+# per record), and the EXPLAIN ANALYZE instrumentation
 # overhead arm (analyze-off must stay within noise of the prepared hot
 # path; analyze-on prices per-operator profiling), the first plan after
 # a stats-version bump on two graph sizes (PlanAfterStatsBump: the arms
@@ -81,17 +83,7 @@ vet:
 # benchmark name ends in -2): a leader, a follower and their readers
 # measured on one processor is a different system.
 bench:
-	$(GO) test -run '^$$' -bench 'Cypher|WAL|ConcurrentReaders|Replication' -benchmem -benchtime 50x -cpu 2 . -json | tee BENCH_cypher.json | \
-		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
-
-# bench-storage runs the binary-vs-JSON storage codec matrix (WAL
-# append, 20k-record cold-start replay, snapshot save/load) and appends
-# the event stream to BENCH_cypher.json so codec regressions are
-# diffable alongside the engine numbers. The PR 6 acceptance bar lives
-# here: StorageCodecReplay/binary-20k must stay >= 2x faster than
-# /json-20k.
-bench-storage:
-	$(GO) test -run '^$$' -bench 'StorageCodec' -benchmem -benchtime 20x . -json | tee -a BENCH_cypher.json | \
+	$(GO) test -run '^$$' -bench 'Cypher|WAL|ConcurrentReaders|Replication|Storage' -benchmem -benchtime 50x -cpu 2 . -json | tee BENCH_cypher.json | \
 		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
 
 # bench-extract runs the front half's benchmarks — the extraction pass

@@ -1,11 +1,8 @@
 package securitykg
 
-// Binary-vs-JSON storage codec benchmarks, run by `make bench-storage`
-// and appended to BENCH_cypher.json. These hold the compact-storage
-// acceptance numbers: binary WAL replay must stay well ahead of JSON
-// (the PR's bar is 2x on the 20k-record log), appends must be cheaper
-// in both time and allocations, and snapshot save/load must beat the
-// JSONL stream it replaced.
+// Storage benchmarks, run by `make bench` and recorded in
+// BENCH_cypher.json: one logged mutation, cold-start replay of a
+// 20k-record log, cold start from a snapshot, and a checkpoint.
 
 import (
 	"fmt"
@@ -15,55 +12,41 @@ import (
 	"securitykg/internal/storage"
 )
 
-var storageCodecs = []struct {
-	name  string
-	codec storage.Codec
-}{
-	{"binary", storage.CodecBinary},
-	{"json", storage.CodecJSON},
-}
+var storageBenchOpts = storage.Options{Sync: storage.SyncNever, CompactBytes: -1}
 
-// BenchmarkStorageCodecAppend measures one logged store mutation
+// BenchmarkStorageAppend measures one logged store mutation
 // (alternating node merge / edge add) through the mutation hook into
-// the log, per codec, without fsync noise. bytes/op is the on-disk
-// footprint per mutation — the binary codec's dictionary makes it
-// shrink as type/key strings repeat.
-func BenchmarkStorageCodecAppend(b *testing.B) {
-	for _, tc := range storageCodecs {
-		b.Run(tc.name, func(b *testing.B) {
-			db, err := storage.Open(b.TempDir(), storage.Options{
-				Sync: storage.SyncNever, CompactBytes: -1, Codec: tc.codec,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			st := db.Store()
-			seed, _ := st.MergeNode("Seed", "seed", nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					st.MergeNode("Malware", fmt.Sprintf("m-%d", i), map[string]string{"seen": "1"})
-				} else {
-					id, _ := st.MergeNode("IP", fmt.Sprintf("10.0.%d.%d", (i/250)%250, i%250), nil)
-					st.AddEdge(seed, "CONNECT", id, nil)
-				}
-			}
-			b.StopTimer()
-			b.SetBytes(db.WALSize() / int64(b.N))
-		})
+// the log, without fsync noise. bytes/op is the on-disk footprint per
+// mutation — the in-band dictionary makes it shrink as type/key strings
+// repeat.
+func BenchmarkStorageAppend(b *testing.B) {
+	db, err := storage.Open(b.TempDir(), storageBenchOpts)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer db.Close()
+	st := db.Store()
+	seed, _ := st.MergeNode("Seed", "seed", nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			st.MergeNode("Malware", fmt.Sprintf("m-%d", i), map[string]string{"seen": "1"})
+		} else {
+			id, _ := st.MergeNode("IP", fmt.Sprintf("10.0.%d.%d", (i/250)%250, i%250), nil)
+			st.AddEdge(seed, "CONNECT", id, nil)
+		}
+	}
+	b.StopTimer()
+	b.SetBytes(db.WALSize() / int64(b.N))
 }
 
-// buildCodecDir writes a 20k-mutation data directory in the given
-// codec; checkpoint=true leaves a snapshot and an empty log,
-// checkpoint=false leaves the full replayable log.
-func buildCodecDir(b *testing.B, codec storage.Codec, checkpoint bool) string {
+// buildStorageDir writes a 20k-mutation data directory;
+// checkpoint=true leaves a snapshot and an empty log, checkpoint=false
+// leaves the full replayable log.
+func buildStorageDir(b *testing.B, checkpoint bool) string {
 	b.Helper()
 	dir := b.TempDir()
-	db, err := storage.Open(dir, storage.Options{
-		Sync: storage.SyncNever, CompactBytes: -1, Codec: codec,
-	})
+	db, err := storage.Open(dir, storageBenchOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,76 +64,51 @@ func buildCodecDir(b *testing.B, codec storage.Codec, checkpoint bool) string {
 	return dir
 }
 
-// BenchmarkStorageCodecReplay measures cold-start recovery replaying a
-// 20k-record WAL (no snapshot) per codec — the acceptance metric for
-// the binary log format.
-func BenchmarkStorageCodecReplay(b *testing.B) {
-	for _, tc := range storageCodecs {
-		b.Run(tc.name+"-20k", func(b *testing.B) {
-			dir := buildCodecDir(b, tc.codec, false)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db, err := storage.Open(dir, storage.Options{
-					Sync: storage.SyncNever, CompactBytes: -1, Codec: tc.codec,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if db.Store().CountNodes() != 20001 {
-					b.Fatalf("recovered %d nodes", db.Store().CountNodes())
-				}
-				db.Close()
-			}
-		})
+// benchStorageOpen measures cold starts of dir.
+func benchStorageOpen(b *testing.B, dir string) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, err := storage.Open(dir, storageBenchOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if db.Store().CountNodes() != 20001 {
+			b.Fatalf("recovered %d nodes", db.Store().CountNodes())
+		}
+		db.Close()
 	}
 }
 
-// BenchmarkStorageCodecSnapshotLoad measures cold-start from a
-// checkpointed directory (snapshot load + empty log tail) per codec.
-func BenchmarkStorageCodecSnapshotLoad(b *testing.B) {
-	for _, tc := range storageCodecs {
-		b.Run(tc.name+"-20k", func(b *testing.B) {
-			dir := buildCodecDir(b, tc.codec, true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db, err := storage.Open(dir, storage.Options{
-					Sync: storage.SyncNever, CompactBytes: -1, Codec: tc.codec,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if db.Store().CountNodes() != 20001 {
-					b.Fatalf("recovered %d nodes", db.Store().CountNodes())
-				}
-				db.Close()
-			}
-		})
-	}
+// BenchmarkStorageReplay measures cold-start recovery replaying a
+// 20k-record WAL (no snapshot).
+func BenchmarkStorageReplay(b *testing.B) {
+	b.Run("20k", func(b *testing.B) { benchStorageOpen(b, buildStorageDir(b, false)) })
 }
 
-// BenchmarkStorageCodecSnapshotSave measures Checkpoint (snapshot write
-// + fsync + WAL truncation) of a 40k-element store per codec.
-func BenchmarkStorageCodecSnapshotSave(b *testing.B) {
-	for _, tc := range storageCodecs {
-		b.Run(tc.name+"-20k", func(b *testing.B) {
-			dir := buildCodecDir(b, tc.codec, false)
-			db, err := storage.Open(dir, storage.Options{
-				Sync: storage.SyncNever, CompactBytes: -1, Codec: tc.codec,
-			})
-			if err != nil {
+// BenchmarkStorageSnapshotLoad measures cold-start from a checkpointed
+// directory (snapshot load + empty log tail).
+func BenchmarkStorageSnapshotLoad(b *testing.B) {
+	b.Run("20k", func(b *testing.B) { benchStorageOpen(b, buildStorageDir(b, true)) })
+}
+
+// BenchmarkStorageSnapshotSave measures Checkpoint (snapshot write +
+// fsync + WAL truncation) of a 40k-element store.
+func BenchmarkStorageSnapshotSave(b *testing.B) {
+	b.Run("20k", func(b *testing.B) {
+		db, err := storage.Open(buildStorageDir(b, false), storageBenchOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer db.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Mutate so every checkpoint has a fresh seq to cover (a
+			// no-op checkpoint would still rewrite the snapshot, but
+			// keep the loop honest).
+			db.Store().SetAttr(graph.NodeID(1), "round", fmt.Sprint(i))
+			if err := db.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}
-			defer db.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Mutate so every checkpoint has a fresh seq to cover (a
-				// no-op checkpoint would still rewrite the snapshot, but
-				// keep the loop honest).
-				db.Store().SetAttr(graph.NodeID(1), "round", fmt.Sprint(i))
-				if err := db.Checkpoint(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -48,7 +48,6 @@ func main() {
 	graphPath := flag.String("graph", "kg.jsonl", "persisted knowledge graph file (ignored when -data-dir is set)")
 	dataDir := flag.String("data-dir", "", "durable data directory: writes are WAL-logged and survive across sessions")
 	fsyncFlag := flag.String("fsync", "interval", "WAL fsync policy with -data-dir: always | interval | never")
-	codecFlag := flag.String("codec", "binary", "on-disk WAL/snapshot codec with -data-dir: binary | json (recovery reads either; the directory converts at its next checkpoint)")
 	explain := flag.Bool("explain", false, "print the query plan before each result (EXPLAIN <query> also works per statement)")
 	flag.Parse()
 
@@ -59,11 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("skg-query: %v", err)
 		}
-		codec, err := storage.ParseCodec(*codecFlag)
-		if err != nil {
-			log.Fatalf("skg-query: %v", err)
-		}
-		db, err = storage.Open(*dataDir, storage.Options{Sync: policy, Codec: codec})
+		db, err = storage.Open(*dataDir, storage.Options{Sync: policy})
 		if err != nil {
 			log.Fatalf("skg-query: %v", err)
 		}

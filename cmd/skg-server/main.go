@@ -11,7 +11,9 @@
 // logged before the response, the log self-compacts past a size
 // threshold, and SIGTERM/SIGINT snapshots before exit. Restarting the
 // server therefore resumes exactly where it stopped instead of
-// re-ingesting from scratch.
+// re-ingesting from scratch. The directory has one format; one written
+// by an earlier build's JSON codec is rewritten the first time it is
+// opened.
 //
 // A durable server is also a replication leader: /replication/snapshot
 // and /replication/wal let any number of read replicas bootstrap and
@@ -24,8 +26,7 @@
 // Usage:
 //
 //	skg-server [-addr :8080] [-reports 10] [-graph kg.jsonl]
-//	           [-data-dir ./data] [-fsync interval|always|never]
-//	           [-codec binary|json] [-compact-mb 64]
+//	           [-data-dir ./data] [-fsync interval|always|never] [-compact-mb 64]
 //	           [-replicate-from http://leader:8080] [-advertise URL]
 //	           [-slow-query-ms 200] [-ingest-limit-mb 32]
 //
@@ -60,7 +61,6 @@ func main() {
 		graphIn   = flag.String("graph", "", "serve a persisted graph file instead of ingesting (read-only snapshot load)")
 		dataDir   = flag.String("data-dir", "", "durable data directory (snapshot + write-ahead log); state survives restarts")
 		fsyncFlag = flag.String("fsync", "interval", "WAL fsync policy: always (fsync per write), interval (group commit), never")
-		codecFlag = flag.String("codec", "binary", "on-disk WAL/snapshot codec: binary | json (recovery reads either; the directory converts at its next checkpoint)")
 		compactMB = flag.Int("compact-mb", 64, "snapshot and truncate the WAL once it exceeds this many MiB (0 disables automatic compaction)")
 		readOnly  = flag.Bool("read-only", false, "reject Cypher write statements on /api/cypher (implied by -graph, which serves a snapshot whose writes would not persist)")
 		replFrom  = flag.String("replicate-from", "", "run as a read-only replica of the leader at this base URL (e.g. http://leader:8080); requires -data-dir")
@@ -86,10 +86,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("skg-server: %v", err)
 		}
-		codec, err := storage.ParseCodec(*codecFlag)
-		if err != nil {
-			log.Fatalf("skg-server: %v", err)
-		}
 		compactBytes := int64(*compactMB) << 20
 		if *compactMB <= 0 {
 			compactBytes = -1 // flag semantics: 0 disables (Options treats 0 as "default")
@@ -107,7 +103,6 @@ func main() {
 		db, err = storage.Open(*dataDir, storage.Options{
 			Sync:         policy,
 			CompactBytes: compactBytes,
-			Codec:        codec,
 		})
 		if err != nil {
 			log.Fatalf("skg-server: %v", err)

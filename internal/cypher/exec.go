@@ -277,34 +277,6 @@ func (e *Engine) Explain(src string) (string, error) {
 	return pl.String(), nil
 }
 
-// RunQuery executes a parsed query through the planned streaming
-// pipeline (planner.go + iter.go), or through the legacy tree-walking
-// matcher when Options.Legacy is set. EXPLAIN always reports the
-// streaming plan. Queries with $parameters need bindings — use
-// Query/QueryRows/Prepare instead.
-func (e *Engine) RunQuery(q *Query) (*Result, error) {
-	if q.TxOp != TxNone {
-		return nil, errTxControl
-	}
-	if len(q.Parts) == 0 {
-		return nil, fmt.Errorf("cypher: empty query")
-	}
-	if fin := &q.Parts[len(q.Parts)-1]; len(fin.Items) == 0 && !fin.HasWrites() {
-		return nil, fmt.Errorf("cypher: empty RETURN")
-	}
-	if q.Explain && !q.Analyze {
-		return e.runPlanned(q, params{})
-	}
-	ps, err := bindParams(q.Params, nil)
-	if err != nil {
-		return nil, err
-	}
-	if e.opts.Legacy && !q.Explain {
-		return e.runLegacy(q, ps)
-	}
-	return e.runPlanned(q, ps)
-}
-
 // runLegacy is the original recursive matcher, extended with the same
 // dialect as the streaming engine (variable-length BFS, OPTIONAL MATCH
 // null-padding, WITH segment chaining): it materializes every complete

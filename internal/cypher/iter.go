@@ -428,29 +428,11 @@ type expandIter struct {
 	setNode bool
 }
 
-// expandDirs maps an edge pattern direction onto store traversal
-// directions from the expansion's starting endpoint. Reverse means the
-// chain is being walked right-to-left, flipping the arrow. (Used by the
-// legacy matcher; the streaming iterators use expandDir + IncidentEdges,
-// whose Both iteration is the same out-block-then-in-block order.)
-func expandDirs(d EdgeDir, reverse bool) []graph.Direction {
-	switch d {
-	case DirRight:
-		if reverse {
-			return []graph.Direction{graph.In}
-		}
-		return []graph.Direction{graph.Out}
-	case DirLeft:
-		if reverse {
-			return []graph.Direction{graph.Out}
-		}
-		return []graph.Direction{graph.In}
-	}
-	return []graph.Direction{graph.Out, graph.In}
-}
-
-// expandDir is expandDirs collapsed to the single direction value the
-// CSR incidence iterator traverses natively.
+// expandDir maps an edge pattern direction onto the store traversal
+// direction from the expansion's starting endpoint, as the one value
+// IncidentEdges traverses natively (Both: the out block, then the in
+// block). Reverse means the chain is being walked right-to-left,
+// flipping the arrow.
 func expandDir(d EdgeDir, reverse bool) graph.Direction {
 	switch d {
 	case DirRight:

@@ -177,9 +177,10 @@ func (s *Store) SaveBinary(w io.Writer) error {
 	return s.saveBinaryLocked(w)
 }
 
-// SaveBinaryWithHeader is SaveBinary's analogue of SaveWithHeader: hdr
-// runs under the same read lock, so a WAL sequence number written there
-// observes exactly the snapshotted state.
+// SaveBinaryWithHeader writes hdr's output, then the SaveBinary stream,
+// all under one read lock — so whatever the header records (the
+// durability layer's WAL sequence number) observes exactly the state the
+// snapshot captures: no mutation can slip between the two.
 func (s *Store) SaveBinaryWithHeader(w io.Writer, hdr func(io.Writer) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

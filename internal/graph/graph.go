@@ -957,21 +957,6 @@ func (s *Store) Save(w io.Writer) error {
 	return s.saveLocked(w)
 }
 
-// SaveWithHeader writes hdr's output, then the Save stream, all under one
-// read lock — so whatever the header records (the durability layer's WAL
-// sequence number) observes exactly the state the snapshot captures: no
-// mutation can slip between the two.
-func (s *Store) SaveWithHeader(w io.Writer, hdr func(io.Writer) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if hdr != nil {
-		if err := hdr(w); err != nil {
-			return err
-		}
-	}
-	return s.saveLocked(w)
-}
-
 func (s *Store) saveLocked(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

@@ -80,23 +80,6 @@ func (s *Store) CountEdgesByType(typ string) int {
 	return s.edgeTypeCount[s.syms.lookup(typ)]
 }
 
-// DistinctLabels returns the number of distinct node types currently
-// live in the store. O(1): the label index prunes empty postings, so
-// its size is the live distinct-label count.
-func (s *Store) DistinctLabels() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byType)
-}
-
-// DistinctNames returns the number of distinct node names currently live
-// in the store. O(1) for the same reason as DistinctLabels.
-func (s *Store) DistinctNames() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byName)
-}
-
 // HasAttrIndex reports whether IndexAttr was called for key.
 func (s *Store) HasAttrIndex(key string) bool {
 	s.mu.RLock()

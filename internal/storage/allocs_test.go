@@ -19,7 +19,7 @@ import (
 // through reused buffers straight into the bufio writer).
 func TestWALAppendAllocs(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(filepath.Join(dir, walFile), 0, 0, CodecBinary, nil, CodecBinary, SyncNever, 0)
+	w, err := openWAL(filepath.Join(dir, walFile), 0, 0, nil, SyncNever, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

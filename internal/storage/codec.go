@@ -7,45 +7,22 @@ import (
 	"securitykg/internal/graph"
 )
 
-// Codec selects how WAL record payloads and snapshots are encoded. The
-// outer WAL framing (length prefix + CRC) is codec-independent; the
-// codec governs the payload bytes and which snapshot format checkpoints
-// write. Recovery always sniffs — a binary-default build replays JSON
-// data directories and vice versa; the directory converts to the
-// configured codec at its next checkpoint (snapshot rewrite + WAL
-// truncation), never in place.
+// This file is the record codec: the payload of a WAL frame (wal.go) and
+// of a replication wire record (tail.go). It is the only codec this
+// package writes. The JSON payloads that came before it (PR 4) are read
+// once more — by the scanner in wal.go, when Open meets a log without
+// the magic below — and Open rewrites that directory before it returns.
+
+// Codec is an inert one-value stub held for bench/corpus.go, which names
+// Options.Codec and CodecBinary; a [benchmark] PR drops all three.
 type Codec int
 
-const (
-	// CodecBinary is the default: varint-packed payloads with an in-band
-	// string dictionary, and binary snapshot checkpoints (snapshot.skg).
-	CodecBinary Codec = iota
-	// CodecJSON is the versioned fallback — the PR-4 format: JSON record
-	// payloads and JSONL snapshots, byte-compatible with old data dirs.
-	CodecJSON
-)
+// CodecBinary is the only on-disk format there is.
+const CodecBinary Codec = 0
 
-// ParseCodec maps the --codec flag values onto codecs.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "binary", "":
-		return CodecBinary, nil
-	case "json":
-		return CodecJSON, nil
-	}
-	return 0, fmt.Errorf("storage: unknown codec %q (want binary or json)", s)
-}
-
-func (c Codec) String() string {
-	if c == CodecJSON {
-		return "json"
-	}
-	return "binary"
-}
-
-// walMagic opens a binary-codec log file. Legacy/JSON logs have no file
-// header — their first bytes are a record length prefix — so recovery
-// distinguishes the formats by this prefix alone.
+// walMagic opens a log file. A JSON-era log has no file header — its
+// first bytes are a record length prefix — so recovery tells the two
+// apart by this prefix alone.
 const walMagic = "skgwal2\n"
 
 // Binary record payload layout (inside the standard length+CRC frame):

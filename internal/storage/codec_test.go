@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"maps"
@@ -14,27 +15,29 @@ import (
 	"securitykg/internal/graph"
 )
 
-// writeWALFile frames recs into a single continuous log file in the
-// given codec (one dictionary stream), as a real appender would have.
-func writeWALFile(t *testing.T, path string, recs []Record, codec Codec) {
+// walFileBytes frames recs as a single continuous log file (one
+// dictionary stream), as a real appender would have. jsonLog hand-frames
+// the records the way the JSON-era appender did — no file magic, JSON
+// payloads — which no build can produce any more but Open must read.
+func walFileBytes(t testing.TB, recs []Record, jsonLog bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	dict := newWALDict(nil)
-	if codec == CodecBinary {
+	if !jsonLog {
 		buf.WriteString(walMagic)
 	}
 	var enc []byte
 	var keys []string
 	for _, rec := range recs {
 		var payload []byte
-		if codec == CodecBinary {
-			enc, keys = encodeRecordBinary(enc[:0], rec, dict, keys)
-			payload = enc
-		} else {
+		if jsonLog {
 			var err error
 			if payload, err = json.Marshal(rec); err != nil {
 				t.Fatal(err)
 			}
+		} else {
+			enc, keys = encodeRecordBinary(enc[:0], rec, dict, keys)
+			payload = enc
 		}
 		var hdr [recordHeaderLen]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -42,8 +45,59 @@ func writeWALFile(t *testing.T, path string, recs []Record, codec Codec) {
 		buf.Write(hdr[:])
 		buf.Write(payload)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	return buf.Bytes()
+}
+
+// jsonLogBytes re-frames a log this build wrote as the JSON-era log
+// holding the same records.
+func jsonLogBytes(t testing.TB, walBytes []byte) []byte {
+	t.Helper()
+	full := scanWAL(bytes.NewReader(walBytes))
+	if full.torn || full.jsonLog || len(full.records) == 0 {
+		t.Fatalf("source log scans torn=%v json=%v records=%d", full.torn, full.jsonLog, len(full.records))
+	}
+	return walFileBytes(t, full.records, true)
+}
+
+// jsonSnapshotBytes crafts a JSON-era snapshot of st covering seq: the
+// {magic, seq} header line, then the Save stream.
+func jsonSnapshotBytes(t *testing.T, seq uint64, st *graph.Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "{\"magic\":%q,\"seq\":%d}\n", snapMagic, seq)
+	if err := st.Save(&buf); err != nil {
 		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// writeFiles writes each name → contents pair into dir.
+func writeFiles(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// requireBinaryDir fails unless dir is what this build writes: no
+// snapshot.jsonl, no temp file, and a log that opens with the magic.
+// Call it once the log has been flushed (after Close, or straight after
+// an Open that upgraded the directory).
+func requireBinaryDir(t *testing.T, dir string) {
+	t.Helper()
+	for _, name := range []string{snapshotFile, snapshotFile + ".tmp", snapshotBinFile + ".tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s is still there (err=%v)", name, err)
+		}
+	}
+	walBytes, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(walBytes, []byte(walMagic)) {
+		t.Fatalf("wal.log does not open with the magic: % x", walBytes[:min(len(walBytes), 16)])
 	}
 }
 
@@ -88,131 +142,66 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// buildDataDir creates a data directory in the given codec containing a
-// snapshot (mid-stream checkpoint) plus a WAL tail, and returns the
-// canonical Save bytes of the final store.
-func buildDataDir(t *testing.T, dir string, codec Codec, seed int64) []byte {
-	t.Helper()
-	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1, Codec: codec})
-	g := newMutGen(seed)
-	for i := 0; i < 120; i++ {
-		g.step(db.Store())
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	for i := 0; i < 60; i++ {
-		g.step(db.Store())
-	}
-	want := saveBytes(t, db.Store())
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return want
-}
-
-// TestCrossCodecMatrix is the forward/backward-compat matrix: a data
-// directory written entirely in either codec must be recovered
-// byte-identically by a build configured for either codec, and the
-// directory must convert to the configured codec at its next
-// checkpoint — snapshot file renamed over, WAL restarted in the new
-// format — without losing a mutation.
-func TestCrossCodecMatrix(t *testing.T) {
-	for _, dirCodec := range []Codec{CodecJSON, CodecBinary} {
-		for _, openCodec := range []Codec{CodecJSON, CodecBinary} {
-			t.Run(dirCodec.String()+"-dir/"+openCodec.String()+"-build", func(t *testing.T) {
-				dir := t.TempDir()
-				want := buildDataDir(t, dir, dirCodec, 11)
-
-				db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1, Codec: openCodec})
-				if got := saveBytes(t, db.Store()); !bytes.Equal(got, want) {
-					t.Fatalf("%v dir recovered by %v build differs", dirCodec, openCodec)
-				}
-				if db.Recovered.SnapshotSeq == 0 || db.Recovered.Replayed == 0 {
-					t.Fatalf("recovery skipped snapshot or tail: %+v", db.Recovered)
-				}
-				// The next checkpoint converts the directory.
-				db.Store().MergeNode("Converted", "marker", nil)
-				if err := db.Checkpoint(); err != nil {
-					t.Fatalf("converting checkpoint: %v", err)
-				}
-				db.Store().MergeNode("Converted", "post-checkpoint", nil)
-				want2 := saveBytes(t, db.Store())
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
-
-				wantSnap, otherSnap := snapshotBinFile, snapshotFile
-				if openCodec == CodecJSON {
-					wantSnap, otherSnap = snapshotFile, snapshotBinFile
-				}
-				if _, err := os.Stat(filepath.Join(dir, wantSnap)); err != nil {
-					t.Fatalf("converted snapshot %s missing: %v", wantSnap, err)
-				}
-				if _, err := os.Stat(filepath.Join(dir, otherSnap)); !os.IsNotExist(err) {
-					t.Fatalf("stale snapshot %s still present (err=%v)", otherSnap, err)
-				}
-				walBytes, err := os.ReadFile(filepath.Join(dir, walFile))
-				if err != nil {
-					t.Fatal(err)
-				}
-				isBin := bytes.HasPrefix(walBytes, []byte(walMagic))
-				if isBin != (openCodec == CodecBinary) {
-					t.Fatalf("post-conversion WAL codec: binary=%v, want %v", isBin, openCodec == CodecBinary)
-				}
-
-				db2 := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1, Codec: openCodec})
-				defer db2.Close()
-				if got := saveBytes(t, db2.Store()); !bytes.Equal(got, want2) {
-					t.Fatal("converted directory lost state across reopen")
-				}
-			})
-		}
-	}
-}
-
-// TestBothSnapshotsPresent: a crash between a checkpoint's rename and
-// its removal of the other codec's file leaves both snapshots; recovery
-// must pick the higher covering seq.
+// TestBothSnapshotsPresent: a crash between a converting checkpoint's
+// rename and its removal of the other file leaves both snapshots — a
+// stale snapshot.jsonl under a newer snapshot.skg (an earlier build
+// converting to binary), or the reverse (one converting to JSON, which
+// the upgrade must tolerate). Recovery picks the higher covering seq
+// either way, and the directory it leaves is binary.
 func TestBothSnapshotsPresent(t *testing.T) {
-	dir := t.TempDir()
-	// Older JSON snapshot at a lower seq.
-	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1, Codec: CodecJSON})
+	src := t.TempDir()
+	db := openT(t, src, Options{Sync: SyncNever, CompactBytes: -1})
 	g := newMutGen(13)
-	for i := 0; i < 50; i++ {
-		g.step(db.Store())
+	type snaps struct {
+		seq  uint64
+		bin  []byte
+		json []byte
 	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	oldJSON, err := os.ReadFile(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Newer binary snapshot at a higher seq (its checkpoint removed the
-	// JSON file; put the stale one back to simulate the crash window).
-	db = openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1, Codec: CodecBinary})
-	for i := 0; i < 50; i++ {
-		g.step(db.Store())
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
+	var at [2]snaps // an older and a newer checkpoint of one history
+	for i := range at {
+		for j := 0; j < 50; j++ {
+			g.step(db.Store())
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		at[i].seq = db.LastSeq()
+		var err error
+		if at[i].bin, err = os.ReadFile(filepath.Join(src, snapshotBinFile)); err != nil {
+			t.Fatal(err)
+		}
+		at[i].json = jsonSnapshotBytes(t, at[i].seq, db.Store())
 	}
 	want := saveBytes(t, db.Store())
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), oldJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	older, newer := at[0], at[1]
 
-	db2 := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
-	defer db2.Close()
-	if got := saveBytes(t, db2.Store()); !bytes.Equal(got, want) {
-		t.Fatal("recovery with both snapshots present did not pick the newer one")
+	for _, tc := range []struct {
+		name      string
+		bin, json []byte
+	}{
+		{"stale-json", newer.bin, older.json},
+		{"json-newer", older.bin, newer.json},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeFiles(t, dir, map[string][]byte{snapshotBinFile: tc.bin, snapshotFile: tc.json})
+			db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
+			if got := saveBytes(t, db.Store()); !bytes.Equal(got, want) || db.Recovered.SnapshotSeq != newer.seq {
+				t.Fatalf("recovery with both snapshots present did not pick the newer one (seq %d, want %d)", db.Recovered.SnapshotSeq, newer.seq)
+			}
+			requireBinaryDir(t, dir)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2 := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
+			defer db2.Close()
+			if got := saveBytes(t, db2.Store()); !bytes.Equal(got, want) || db2.Recovered.SnapshotSeq != newer.seq {
+				t.Fatal("the upgraded directory lost state across reopen")
+			}
+		})
 	}
 }
 

@@ -19,27 +19,27 @@ import (
 // DB is a durable graph store: an in-memory graph.Store whose every
 // effective mutation is teed into a write-ahead log, plus snapshot
 // checkpoints that bound recovery time and log growth. Layout of a data
-// directory (one snapshot file exists at a time, named by codec):
+// directory:
 //
-//	snapshot.skg     binary snapshot: 8-byte magic, uvarint covering
-//	                 seq, then the graph's binary codec stream
-//	                 (the default)
-//	snapshot.jsonl   JSON snapshot: one header line {magic, seq}, then
-//	                 the graph's stable Save stream (same JSONL format
-//	                 skg-query's -graph flag reads, after the header)
-//	wal.log          length-prefixed CRC-checked mutation records
-//	                 with seq > the snapshot's seq (plus, transiently,
-//	                 already-checkpointed records recovery skips);
-//	                 payload codec per codec.go, sniffed at recovery
+//	snapshot.skg     8-byte magic, uvarint covering seq, then the
+//	                 graph's SaveBinary stream
+//	wal.log          8-byte magic, then length-prefixed CRC-checked
+//	                 mutation records (codec.go) with seq > the
+//	                 snapshot's seq (plus, transiently,
+//	                 already-checkpointed records recovery skips)
 //
-// Recovery (Open) loads the snapshot (whichever of the two names
-// exists; the higher covering seq wins if a crash left both), replays
-// the WAL tail, discards a torn final record, and truncates the file to
-// the valid prefix. The snapshot and its covering sequence number
-// travel in one file renamed into place atomically, so there is no
-// crash window in which they can disagree; WAL truncation after a
-// checkpoint is pure space reclamation. A data directory written by the
-// other codec is read as-is and converts at its next checkpoint.
+// Recovery (Open) loads the snapshot, replays the WAL tail, discards a
+// torn final record, and truncates the file to the valid prefix. The
+// snapshot and its covering sequence number travel in one file renamed
+// into place atomically, so there is no crash window in which they can
+// disagree; WAL truncation after a checkpoint is pure space reclamation.
+//
+// That is the only layout this package writes. A directory written by an
+// earlier build's JSON codec — snapshot.jsonl (one {magic, seq} header
+// line, then the graph's Save stream) and a wal.log without the magic,
+// JSON payloads in the same framing — is input from outside the program:
+// Open reads it and rewrites it in place before it returns
+// (upgradeJSONDir), so a running DB never holds a JSON file.
 type DB struct {
 	dir   string
 	store *graph.Store
@@ -78,8 +78,7 @@ type Options struct {
 	// truncation) once the log exceeds this size. 0 means the 64 MiB
 	// default; negative disables automatic compaction.
 	CompactBytes int64
-	// Codec selects the on-disk encoding for new WAL segments and
-	// snapshots (default CodecBinary). Recovery always reads both.
+	// Codec is inert (see its type): there is one on-disk format.
 	Codec Codec
 	// TailRecords / TailBytes cap the in-memory replication tail
 	// (tail.go): how far back a follower stream can be served without
@@ -89,20 +88,16 @@ type Options struct {
 }
 
 const (
-	snapshotFile    = "snapshot.jsonl"
 	snapshotBinFile = "snapshot.skg"
 	walFile         = "wal.log"
 	lockFile        = "LOCK"
-	snapMagic       = "securitykg-wal-snapshot"
-	// snapBinMagic opens a binary snapshot file; a uvarint covering seq
-	// follows, then the graph binary stream (which has its own magic+CRC).
+	// snapBinMagic opens a snapshot file; a uvarint covering seq follows,
+	// then the graph binary stream (which has its own magic+CRC).
 	snapBinMagic = "skgsnp2\n"
+	// The JSON era's snapshot: read by Open, never written.
+	snapshotFile = "snapshot.jsonl"
+	snapMagic    = "securitykg-wal-snapshot"
 )
-
-type snapHeader struct {
-	Magic string `json:"magic"`
-	Seq   uint64 `json:"seq"`
-}
 
 // Open recovers (or initializes) the data directory and returns a DB
 // whose store logs every mutation from here on.
@@ -125,7 +120,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		lf.Close()
 		return nil, fmt.Errorf("storage: %s is in use by another process (%w)", dir, err)
 	}
-	// Crashed mid-checkpoint leftovers.
+	// Crashed mid-checkpoint leftovers (a JSON-era build's included).
 	os.Remove(filepath.Join(dir, snapshotFile+".tmp"))
 	os.Remove(filepath.Join(dir, snapshotBinFile+".tmp"))
 
@@ -136,7 +131,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}()
 
-	st, snapSeq, err := loadSnapshot(dir)
+	st, snapSeq, jsonEra, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +141,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	walPath := filepath.Join(dir, walFile)
 	lastSeq := snapSeq
 	var validLen int64
-	fileCodec := opts.Codec
 	var dictSeed []string
 	if f, err := os.Open(walPath); err == nil {
 		// Recovering from scratch (no snapshot): a header-only pre-pass
@@ -200,8 +194,8 @@ func Open(dir string, opts Options) (*DB, error) {
 		if scSeq > lastSeq {
 			lastSeq = scSeq
 		}
-		validLen = valid
-		fileCodec, dictSeed = sc.res.codec, dict
+		validLen, dictSeed = valid, dict
+		jsonEra = jsonEra || (sc.res.jsonLog && valid > 0)
 		if sc.res.torn || fi.Size() > valid {
 			db.Recovered.TornTail = sc.res.torn || fold.dangling()
 			if terr := os.Truncate(walPath, valid); terr != nil {
@@ -212,7 +206,13 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
 
-	wal, err := openWAL(walPath, validLen, lastSeq, fileCodec, dictSeed, opts.Codec, opts.Sync, opts.SyncEvery)
+	if jsonEra {
+		if err := upgradeJSONDir(dir, st, lastSeq); err != nil {
+			return nil, err
+		}
+		validLen, dictSeed = int64(len(walMagic)), nil
+	}
+	wal, err := openWAL(walPath, validLen, lastSeq, dictSeed, opts.Sync, opts.SyncEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -228,85 +228,91 @@ func lockDataDir(f *os.File) error {
 	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
 }
 
-// loadSnapshot finds the data directory's snapshot — either codec's
-// file name — and loads it (nil-safe on absence: a fresh store at
-// seq 0). Normally exactly one of the two names exists; if a crash
-// between a checkpoint's rename and its removal of the other name left
-// both, the higher covering seq wins (at equal seqs the contents are
-// identical — the seq names the exact log prefix folded in — and the
-// binary file is picked arbitrarily).
-func loadSnapshot(dir string) (*graph.Store, uint64, error) {
-	jsonPath := filepath.Join(dir, snapshotFile)
-	binPath := filepath.Join(dir, snapshotBinFile)
-	jseq, jok, err := jsonSnapshotSeq(jsonPath)
-	if err != nil {
-		return nil, 0, err
-	}
-	bseq, bok, err := binSnapshotSeq(binPath)
-	if err != nil {
-		return nil, 0, err
-	}
-	switch {
-	case bok && (!jok || bseq >= jseq):
-		return loadBinSnapshot(binPath)
-	case jok:
-		return loadJSONSnapshot(jsonPath)
-	}
-	return graph.New(), 0, nil
+// snapFile is a snapshot file opened past its header.
+type snapFile struct {
+	f   *os.File
+	br  *bufio.Reader
+	seq uint64 // the covering seq its header names
 }
 
-// jsonSnapshotSeq reads just the header of a JSON snapshot; ok is false
-// when the file does not exist.
-func jsonSnapshotSeq(path string) (uint64, bool, error) {
+func (s *snapFile) close() {
+	if s != nil {
+		s.f.Close()
+	}
+}
+
+// openSnapshot opens the snapshot at path and reads its header with
+// readHdr — the one place a snapshot file of either era is opened.
+// Returns nil, nil when the file does not exist.
+func openSnapshot(path string, readHdr func(*bufio.Reader, string) (uint64, error)) (*snapFile, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return 0, false, nil
+		return nil, nil
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("storage: open snapshot: %w", err)
+		return nil, fmt.Errorf("storage: open snapshot: %w", err)
 	}
-	defer f.Close()
-	hdr, err := readJSONSnapHeader(bufio.NewReader(f), path)
+	br := bufio.NewReaderSize(f, 1<<16)
+	seq, err := readHdr(br, path)
 	if err != nil {
-		return 0, false, err
+		f.Close()
+		return nil, err
 	}
-	return hdr.Seq, true, nil
+	return &snapFile{f: f, br: br, seq: seq}, nil
 }
 
-func readJSONSnapHeader(br *bufio.Reader, path string) (snapHeader, error) {
-	var hdr snapHeader
+// loadSnapshot loads the data directory's snapshot (a fresh store at
+// seq 0 when there is none). jsonEra reports that a snapshot.jsonl is
+// there. Both files exist only where a crash interrupted a conversion —
+// an earlier build's converting checkpoint, in either direction, or this
+// build's upgrade — and then the higher covering seq wins; at equal seqs
+// the contents are identical (the seq names the exact log prefix folded
+// in) and snapshot.skg is picked.
+func loadSnapshot(dir string) (st *graph.Store, seq uint64, jsonEra bool, err error) {
+	bin, err := openSnapshot(filepath.Join(dir, snapshotBinFile), readBinSnapHeader)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	defer bin.close()
+	js, err := openSnapshot(filepath.Join(dir, snapshotFile), readJSONSnapHeader)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	defer js.close()
+	snap := bin
+	if js != nil && (bin == nil || js.seq > bin.seq) {
+		snap = js
+	}
+	if snap == nil {
+		return graph.New(), 0, false, nil
+	}
+	// graph.Load sniffs which of its two streams follows the header.
+	if st, err = graph.Load(snap.br); err != nil {
+		return nil, 0, false, fmt.Errorf("storage: load snapshot: %w", err)
+	}
+	return st, snap.seq, js != nil, nil
+}
+
+func readJSONSnapHeader(br *bufio.Reader, path string) (uint64, error) {
+	var hdr struct {
+		Magic string `json:"magic"`
+		Seq   uint64 `json:"seq"`
+	}
 	line, err := br.ReadBytes('\n')
 	if err != nil {
-		return hdr, fmt.Errorf("storage: snapshot header: %w", err)
+		return 0, fmt.Errorf("storage: snapshot header: %w", err)
 	}
 	if err := json.Unmarshal(line, &hdr); err != nil {
-		return hdr, fmt.Errorf("storage: snapshot header: %w", err)
+		return 0, fmt.Errorf("storage: snapshot header: %w", err)
 	}
 	if hdr.Magic != snapMagic {
-		return hdr, fmt.Errorf("storage: %s is not a %s snapshot", path, snapMagic)
+		return 0, fmt.Errorf("storage: %s is not a %s snapshot", path, snapMagic)
 	}
-	return hdr, nil
+	return hdr.Seq, nil
 }
 
-// binSnapshotSeq reads just the header of a binary snapshot.
-func binSnapshotSeq(path string) (uint64, bool, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, fmt.Errorf("storage: open snapshot: %w", err)
-	}
-	defer f.Close()
-	seq, err := readBinSnapHeader(bufio.NewReader(f), path)
-	if err != nil {
-		return 0, false, err
-	}
-	return seq, true, nil
-}
-
-// writeBinSnapHeader frames a binary snapshot stream: the magic plus
-// the uvarint covering seq. Checkpoint files and replication snapshot
+// writeBinSnapHeader frames a snapshot stream: the magic plus the
+// uvarint covering seq. Checkpoint files and replication snapshot
 // transfers (tail.go) share it, which is what lets a follower write
 // the transfer verbatim as its snapshot.skg.
 func writeBinSnapHeader(w io.Writer, seq uint64) error {
@@ -329,40 +335,64 @@ func readBinSnapHeader(br *bufio.Reader, path string) (uint64, error) {
 	return seq, nil
 }
 
-func loadJSONSnapshot(path string) (*graph.Store, uint64, error) {
-	f, err := os.Open(path)
+// landSnapshot is the one way a snapshot.skg reaches a data directory —
+// from a checkpoint, the JSON-era upgrade or a replication transfer:
+// write streams it into a temp file, which is fsynced, checked to open
+// with a snapshot header (a truncated or foreign stream must not shadow
+// a good directory) and renamed into place; then a snapshot.jsonl, which
+// it covers, is dropped and the directory fsynced. A crash before the
+// rename leaves a .tmp file Open removes; one after it, at worst both
+// snapshots, of which Open picks this one.
+func landSnapshot(dir string, write func(io.Writer) error) error {
+	dst := filepath.Join(dir, snapshotBinFile)
+	tmp := dst + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
-		return nil, 0, fmt.Errorf("storage: open snapshot: %w", err)
+		return err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	hdr, err := readJSONSnapHeader(br, path)
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		var snap *snapFile
+		snap, err = openSnapshot(tmp, readBinSnapHeader)
+		snap.close()
+	}
+	if err == nil {
+		err = os.Rename(tmp, dst)
+	}
 	if err != nil {
-		return nil, 0, err
+		os.Remove(tmp)
+		return err
 	}
-	st, err := graph.Load(br)
-	if err != nil {
-		return nil, 0, fmt.Errorf("storage: load snapshot: %w", err)
-	}
-	return st, hdr.Seq, nil
+	os.Remove(filepath.Join(dir, snapshotFile))
+	syncDir(dir)
+	return nil
 }
 
-func loadBinSnapshot(path string) (*graph.Store, uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("storage: open snapshot: %w", err)
+// upgradeJSONDir rewrites a directory an earlier build's JSON codec
+// wrote — just recovered into st, its last record lastSeq — as this
+// build writes one: a snapshot.skg covering lastSeq lands (dropping
+// snapshot.jsonl), then the log restarts as a bare magic. Open runs it
+// before the store has a mutation hook or the log an appender. Every
+// crash window reopens to the same store: until the snapshot lands the
+// JSON files are untouched; after it, whatever JSON is left holds only
+// records the snapshot covers, and finding it runs the upgrade again.
+func upgradeJSONDir(dir string, st *graph.Store, lastSeq uint64) error {
+	err := landSnapshot(dir, func(w io.Writer) error {
+		return st.SaveBinaryWithHeader(w, func(hw io.Writer) error { return writeBinSnapHeader(hw, lastSeq) })
+	})
+	if err == nil {
+		err = os.WriteFile(filepath.Join(dir, walFile), []byte(walMagic), 0o644)
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	seq, err := readBinSnapHeader(br, path)
 	if err != nil {
-		return nil, 0, err
+		return fmt.Errorf("storage: upgrade JSON-era directory: %w", err)
 	}
-	st, err := graph.Load(br)
-	if err != nil {
-		return nil, 0, fmt.Errorf("storage: load snapshot: %w", err)
-	}
-	return st, seq, nil
+	return nil
 }
 
 // logMutation is the store's mutation hook: it runs under the store's
@@ -415,68 +445,39 @@ func (db *DB) scheduleCheckpoint() {
 // pipeline — is logged.
 func (db *DB) Store() *graph.Store { return db.store }
 
-// Checkpoint snapshots the store (with the covering WAL sequence number
-// in the snapshot's header, captured under the same lock as the state)
-// to a temp file, atomically renames it into place, removes the other
-// codec's snapshot file if one was left over, and truncates the WAL if
-// nothing was appended meanwhile. This is where a data directory
-// converts to the configured codec: the snapshot is written fresh in it
-// and the truncated WAL restarts in it.
+// writeSnapshot streams a snapshot of the store — the snapshot.skg
+// format — to w and returns the WAL state it covers. Quiesce excludes
+// writers (including an open transaction, which holds the writer lock
+// from its first write to commit/rollback; snapshot reads proceed) for
+// the duration, and the header reads (seq, fails) under the same lock as
+// the state: both are captured at a transaction boundary, never
+// mid-group, so a checkpoint can never persist half a transaction whose
+// WAL group is then truncated away.
+func (db *DB) writeSnapshot(w io.Writer) (seq, fails uint64, err error) {
+	err = db.store.Quiesce(func() error {
+		return db.store.SaveBinaryWithHeader(w, func(hw io.Writer) error {
+			seq, fails = db.wal.state()
+			return writeBinSnapHeader(hw, seq)
+		})
+	})
+	return seq, fails, err
+}
+
+// Checkpoint lands a snapshot of the store (landSnapshot: temp file,
+// fsync, atomic rename) and truncates the WAL if nothing was appended
+// meanwhile.
 func (db *DB) Checkpoint() error {
 	began := time.Now()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	name, other := snapshotBinFile, snapshotFile
-	if db.opts.Codec == CodecJSON {
-		name, other = snapshotFile, snapshotBinFile
-	}
-	tmp := filepath.Join(db.dir, name+".tmp")
-	f, err := os.Create(tmp)
+	var seq, fails uint64
+	err := landSnapshot(db.dir, func(w io.Writer) (err error) {
+		seq, fails, err = db.writeSnapshot(w)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("storage: checkpoint: %w", err)
 	}
-	var seq, fails uint64
-	// Quiesce excludes writers (including an open transaction, which
-	// holds the writer lock from its first write to commit/rollback) for
-	// the duration of the snapshot: the store state and covering seq are
-	// captured at a transaction boundary, never mid-group, so a
-	// checkpoint can never persist half a transaction whose WAL group is
-	// then truncated away.
-	err = db.store.Quiesce(func() error {
-		if db.opts.Codec == CodecJSON {
-			return db.store.SaveWithHeader(f, func(w io.Writer) error {
-				seq, fails = db.wal.state()
-				return json.NewEncoder(w).Encode(snapHeader{Magic: snapMagic, Seq: seq})
-			})
-		}
-		return db.store.SaveBinaryWithHeader(f, func(w io.Writer) error {
-			seq, fails = db.wal.state()
-			return writeBinSnapHeader(w, seq)
-		})
-	})
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: checkpoint sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(db.dir, name)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: checkpoint rename: %w", err)
-	}
-	// The freshly-renamed snapshot covers at least as much as whatever
-	// the other codec's file held, so it is safe to drop (a crash right
-	// before this line leaves both; recovery picks the higher seq).
-	os.Remove(filepath.Join(db.dir, other))
-	syncDir(db.dir)
 	// Truncation (and the sticky-error re-base it performs) is best
 	// effort: the snapshot has already landed, which is what Checkpoint
 	// promises. If an append failed after the snapshot captured its

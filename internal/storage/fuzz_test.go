@@ -15,37 +15,38 @@ import (
 // usable store — corruption costs at most the records at and after the
 // damage, never a crash. The same bytes are also recovered through the
 // full directory path (Open), which must additionally leave the
-// directory writable.
+// directory writable and — whatever era the bytes sniffed as — binary.
 func FuzzWALReplay(f *testing.F) {
-	// Seed with genuine logs in both codecs covering every record type,
-	// including transaction groups (tx_begin/mutations/tx_commit), whose
-	// replay buffers records until the commit lands...
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		for name, write := range map[string]func(db *DB){
-			"bare": func(db *DB) {
-				g := newMutGen(7)
-				for i := 0; i < 30; i++ {
-					g.step(db.Store())
-				}
-			},
-			"tx": func(db *DB) {
-				tg := newTxMutGen(11)
-				for i := 0; i < 20; i++ {
-					tg.batch(db.Store())
-				}
-			},
-		} {
-			dir := f.TempDir()
-			db, err := Open(dir, Options{Sync: SyncNever, CompactBytes: -1, Codec: codec})
-			if err != nil {
-				f.Fatalf("%s/%s: %v", codec, name, err)
+	// Seed with genuine logs covering every record type, including
+	// transaction groups (tx_begin/mutations/tx_commit), whose replay
+	// buffers records until the commit lands — each as this build writes
+	// it and hand-framed as the JSON-era log of the same records...
+	for name, write := range map[string]func(db *DB){
+		"bare": func(db *DB) {
+			g := newMutGen(7)
+			for i := 0; i < 30; i++ {
+				g.step(db.Store())
 			}
-			write(db)
-			db.Close()
-			walBytes, err := os.ReadFile(filepath.Join(dir, walFile))
-			if err != nil {
-				f.Fatal(err)
+		},
+		"tx": func(db *DB) {
+			tg := newTxMutGen(11)
+			for i := 0; i < 20; i++ {
+				tg.batch(db.Store())
 			}
+		},
+	} {
+		dir := f.TempDir()
+		db, err := Open(dir, Options{Sync: SyncNever, CompactBytes: -1})
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		write(db)
+		db.Close()
+		binBytes, err := os.ReadFile(filepath.Join(dir, walFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, walBytes := range [][]byte{binBytes, jsonLogBytes(f, binBytes)} {
 			f.Add(walBytes)
 			// ...plus truncations and bit flips the fuzzer can extend. The
 			// mid-log truncation of the tx seed lands inside a group, the
@@ -59,7 +60,7 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	// Degenerate inputs.
 	f.Add([]byte{})
-	f.Add([]byte(walMagic))                           // bare binary header, zero records
+	f.Add([]byte(walMagic))                           // bare header, zero records
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // huge length prefix
 	f.Add(bytes.Repeat([]byte{0}, 64))
 
@@ -88,5 +89,14 @@ func FuzzWALReplay(f *testing.F) {
 		if err := rdb.Close(); err != nil {
 			t.Fatalf("close after fuzzed recovery: %v", err)
 		}
+		requireBinaryDir(t, sub)
+		rdb2, err := Open(sub, Options{Sync: SyncNever, CompactBytes: -1})
+		if err != nil {
+			t.Fatalf("reopen after fuzzed recovery: %v", err)
+		}
+		if rdb2.Store().FindNode("Fuzz", "post") == nil {
+			t.Fatal("write after fuzzed recovery lost")
+		}
+		rdb2.Close()
 	})
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,8 +22,8 @@ import (
 //
 // Wire form: a batch is a run of `uvarint len · payload`, each payload
 // the binary record codec (codec.go) with every dictionary string
-// spelled inline, so it decodes alone — whatever codec and in-band
-// dictionary the log file has — and a stream can start at any seq.
+// spelled inline, so it decodes alone — whatever in-band dictionary the
+// log file has — and a stream can start at any seq.
 
 // NextWire cuts the first record off a wire batch, naming its operation
 // without decoding its fields.
@@ -290,26 +289,18 @@ func (c *TailCursor) Close() {
 	}
 }
 
-// WriteSnapshotTo streams a binary snapshot of the current store —
-// byte-compatible with the snapshot.skg file a checkpoint writes — to
-// w, returning the covering WAL sequence number. The store is quiesced
-// for the duration (writers wait; snapshot reads proceed), so the
-// state and its covering seq are captured at a transaction boundary.
-// This is the leader side of a replication catch-up transfer.
+// WriteSnapshotTo streams a snapshot of the current store — the bytes a
+// checkpoint at this moment would land as snapshot.skg (writeSnapshot) —
+// to w, returning the covering WAL sequence number. This is the leader
+// side of a replication catch-up transfer.
 func (db *DB) WriteSnapshotTo(w io.Writer) (uint64, error) {
-	var seq uint64
-	err := db.store.Quiesce(func() error {
-		return db.store.SaveBinaryWithHeader(w, func(hw io.Writer) error {
-			seq, _ = db.wal.state()
-			return writeBinSnapHeader(hw, seq)
-		})
-	})
+	seq, _, err := db.writeSnapshot(w)
 	return seq, err
 }
 
-// HasState reports whether dir already holds durable state (a snapshot
-// or a WAL): a replica data directory with state resumes from it
-// instead of re-bootstrapping.
+// HasState reports whether dir already holds durable state (a snapshot,
+// of either era, or a WAL): a replica data directory with state resumes
+// from it instead of re-bootstrapping.
 func HasState(dir string) bool {
 	for _, name := range []string{snapshotBinFile, snapshotFile, walFile} {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil && fi.Size() > 0 {
@@ -319,44 +310,21 @@ func HasState(dir string) bool {
 	return false
 }
 
-// InstallSnapshot writes the snapshot stream r (the WriteSnapshotTo /
-// snapshot.skg format) into dir atomically: temp file, fsync, rename.
+// InstallSnapshot lands the snapshot stream r (the WriteSnapshotTo /
+// snapshot.skg format) in dir (landSnapshot: atomic, header-checked).
 // The directory must not be open as a DB (Open takes the flock). A
 // subsequent Open recovers from the installed snapshot; a crash
 // mid-install leaves only a .tmp file Open ignores and removes.
 func InstallSnapshot(dir string, r io.Reader) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("storage: install snapshot: %w", err)
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		err = landSnapshot(dir, func(w io.Writer) error {
+			_, err := io.Copy(w, r)
+			return err
+		})
 	}
-	dst := filepath.Join(dir, snapshotBinFile)
-	tmp := dst + ".tmp"
-	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("storage: install snapshot: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	_, err = io.Copy(bw, r)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		// Verify the header before renaming into place: a truncated or
-		// foreign stream must not shadow a good directory.
-		_, _, err = binSnapshotSeq(tmp)
-	}
-	if err == nil {
-		err = os.Rename(tmp, dst)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: install snapshot: %w", err)
-	}
-	syncDir(dir)
 	return nil
 }

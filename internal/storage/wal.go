@@ -1,8 +1,10 @@
 // Package storage is the durability subsystem underneath the in-memory
 // graph store: an append-only write-ahead log of logical mutations, a
-// snapshot format that wraps the graph's stable Save/Load JSONL stream,
-// and recovery that turns a data directory back into the exact store
-// that was running before a crash.
+// snapshot file that wraps the graph's binary SaveBinary stream, and
+// recovery that turns a data directory back into the exact store that
+// was running before a crash. It writes one format; the JSON records and
+// JSONL snapshots of earlier builds are read once, when Open finds them,
+// and rewritten before Open returns (db.go).
 //
 // The design follows the log-structured discipline of datom-log stores
 // (janus-datalog's replayable assert/retract sequence): the source of
@@ -33,7 +35,8 @@ import (
 // Record is one WAL entry: a logical store mutation plus its log
 // sequence number. Seq is assigned at append time and is strictly
 // increasing within one data directory; snapshots record the Seq they
-// cover, so recovery applies only records past the checkpoint.
+// cover, so recovery applies only records past the checkpoint. The JSON
+// tags are the payload of a JSON-era log, which the scanner still reads.
 type Record struct {
 	Seq   uint64            `json:"seq"`
 	Op    graph.MutationOp  `json:"op"`
@@ -71,13 +74,13 @@ func (r Record) Mutation() graph.Mutation {
 //
 //	uint32  payload length (little-endian)
 //	uint32  CRC-32 (IEEE) of the payload
-//	[]byte  payload (binary- or JSON-encoded Record; see codec.go)
+//	[]byte  payload (the encoded Record; see codec.go)
 //
-// A binary-codec log additionally opens with the 8-byte walMagic file
-// header; a JSON log starts directly at the first frame, which is how
-// legacy directories stay readable. The length comes first so a reader
-// can skip to the checksum decision without parsing the payload; the
-// CRC covers only the payload, so a torn header, a torn payload, and a
+// The file opens with the 8-byte walMagic header; a JSON-era log starts
+// directly at its first frame, JSON payloads in the same framing, which
+// is how the scanner knows one. The length comes first so a reader can
+// skip to the checksum decision without parsing the payload; the CRC
+// covers only the payload, so a torn header, a torn payload, and a
 // bit-flipped payload are all detected the same way: the record (and
 // everything after it) is discarded.
 
@@ -144,36 +147,20 @@ type WAL struct {
 	err     error  // sticky: first append/flush failure poisons the log
 	fails   uint64 // appends that failed (these never advance lastSeq)
 
-	// codec is the format of the bytes already in the file — appends must
-	// match it. wantCodec is the configured format, adopted whenever the
-	// file restarts from empty (truncation after a covering checkpoint),
-	// which is how legacy JSON logs upgrade without an in-place rewrite.
-	codec     Codec
-	wantCodec Codec
-	dict      *walDict              // encode-side in-band dictionary (binary codec)
-	encBuf    []byte                // reusable binary payload scratch
-	keyBuf    []string              // reusable attr-key sort scratch
-	hdrBuf    [recordHeaderLen]byte // framing scratch; a local escapes via the Write call
+	dict   *walDict              // encode-side in-band dictionary, in step with the file
+	encBuf []byte                // reusable payload scratch
+	keyBuf []string              // reusable attr-key sort scratch
+	hdrBuf [recordHeaderLen]byte // framing scratch; a local escapes via the Write call
 
 	closed   bool
 	stopSync chan struct{} // stops the interval-sync goroutine
 	syncDone chan struct{}
 }
 
-// fileHdrLen returns the byte length of the current file's codec header
-// (the walMagic for binary logs); size equal to it means "empty log".
-func (w *WAL) fileHdrLen() int64 {
-	if w.codec == CodecBinary {
-		return int64(len(walMagic))
-	}
-	return 0
-}
-
 // openWAL opens (creating if needed) the log file for appending at
-// offset size, with lastSeq, the file's codec, and the binary
-// dictionary seeded from recovery's scan. An empty file adopts want —
-// writing the binary magic up front — instead of the scanned codec.
-func openWAL(path string, size int64, lastSeq uint64, fileCodec Codec, dictSeed []string, want Codec, policy SyncPolicy, every time.Duration) (*WAL, error) {
+// offset size, with lastSeq and the dictionary seeded from recovery's
+// scan. An empty file starts with the magic and an empty dictionary.
+func openWAL(path string, size int64, lastSeq uint64, dictSeed []string, policy SyncPolicy, every time.Duration) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
@@ -185,15 +172,13 @@ func openWAL(path string, size int64, lastSeq uint64, fileCodec Codec, dictSeed 
 	w := &WAL{
 		f: f, w: bufio.NewWriterSize(f, 1<<16),
 		size: size, lastSeq: lastSeq, policy: policy,
-		codec: fileCodec, wantCodec: want,
 	}
 	if size == 0 {
-		w.codec = want
 		if err := w.beginFileLocked(); err != nil {
 			f.Close()
 			return nil, err
 		}
-	} else if w.codec == CodecBinary {
+	} else {
 		w.dict = newWALDict(dictSeed)
 	}
 	if policy == SyncInterval {
@@ -207,14 +192,9 @@ func openWAL(path string, size int64, lastSeq uint64, fileCodec Codec, dictSeed 
 	return w, nil
 }
 
-// beginFileLocked initializes an empty log file for w.codec: the binary
-// codec writes its magic header (buffered; it reaches disk with the
-// first flush) and starts a fresh dictionary.
+// beginFileLocked initializes an empty log file: the magic header
+// (buffered; it reaches disk with the first flush) and a fresh dictionary.
 func (w *WAL) beginFileLocked() error {
-	if w.codec != CodecBinary {
-		w.dict = nil
-		return nil
-	}
 	if _, err := w.w.WriteString(walMagic); err != nil {
 		return fmt.Errorf("storage: write wal header: %w", err)
 	}
@@ -265,21 +245,12 @@ func (w *WAL) Append(m graph.Mutation, boundary bool) (uint64, error) {
 	}
 	rec := recordFromMutation(m)
 	rec.Seq = w.lastSeq + 1
-	var payload []byte
-	if w.codec == CodecBinary {
-		// Encoding into the reusable scratch keeps the append hot path
-		// allocation-free. The dictionary mutates as we encode; if any
-		// later step fails the error is sticky, so no bytes diverging
-		// from the dictionary state can ever reach the file.
-		w.encBuf, w.keyBuf = encodeRecordBinary(w.encBuf[:0], rec, w.dict, w.keyBuf)
-		payload = w.encBuf
-	} else {
-		var err error
-		payload, err = json.Marshal(rec)
-		if err != nil {
-			return 0, w.failLocked(fmt.Errorf("storage: encode record: %w", err))
-		}
-	}
+	// Encoding into the reusable scratch keeps the append hot path
+	// allocation-free. The dictionary mutates as we encode; if any later
+	// step fails the error is sticky, so no bytes diverging from the
+	// dictionary state can ever reach the file.
+	w.encBuf, w.keyBuf = encodeRecordBinary(w.encBuf[:0], rec, w.dict, w.keyBuf)
+	payload := w.encBuf
 	if len(payload) > maxRecordLen {
 		// Never frame a record the reader is obliged to reject: an
 		// oversize record would be acknowledged now and then discarded —
@@ -400,8 +371,7 @@ func (w *WAL) Err() error {
 func (w *WAL) truncateThrough(seq, fails uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed || w.lastSeq != seq ||
-		(w.size <= w.fileHdrLen() && w.codec == w.wantCodec && w.err == nil) {
+	if w.closed || w.lastSeq != seq || (w.size <= int64(len(walMagic)) && w.err == nil) {
 		return w.err
 	}
 	if w.fails != fails {
@@ -425,10 +395,8 @@ func (w *WAL) truncateThrough(seq, fails uint64) error {
 	w.size = 0
 	w.dirty = true // the truncation itself should reach disk eventually
 	w.err = nil    // the snapshot covers everything the log missed
-	// A fresh file restarts in the configured codec — this is the only
-	// point a log ever changes format (and where the dictionary resets,
-	// keeping encoder state in lockstep with the bytes on disk).
-	w.codec = w.wantCodec
+	// The dictionary resets with the file, keeping encoder state in
+	// lockstep with the bytes on disk.
 	if err := w.beginFileLocked(); err != nil {
 		w.err = err
 	}
@@ -466,19 +434,21 @@ func (w *WAL) Close() error {
 
 // replayResult is what scanning a WAL file yields: the byte offset
 // where the valid prefix ends, whether a torn/corrupt tail was discarded
-// after it, the codec the file was written in, and (for binary logs) the
-// in-band dictionary accumulated over the valid prefix — exactly the
-// state an appender must resume with.
+// after it, whether the file is a JSON-era log (no magic: nothing appends
+// to one — Open rewrites the directory), and the in-band dictionary
+// accumulated over the valid prefix — with valid, exactly the state an
+// appender must resume with.
 type replayResult struct {
-	valid int64
-	torn  bool
-	codec Codec
-	dict  []string
+	valid   int64
+	torn    bool
+	jsonLog bool
+	dict    []string
 }
 
 // walScanner walks a log's valid record prefix one record at a time,
-// sniffing the codec from the file's first bytes (walMagic → binary;
-// anything else, including a legacy log's first length prefix → JSON).
+// sniffing the payload format from the file's first bytes (walMagic →
+// this build's; anything else, including a JSON-era log's first length
+// prefix → JSON payloads).
 // Damage — a short header, a length past the size bound, a CRC
 // mismatch, a short payload, an undecodable payload, or a sequence
 // number that does not increase — ends the scan: nothing after a bad
@@ -505,10 +475,10 @@ type walScanner struct {
 }
 
 func newWALScanner(r io.Reader) *walScanner {
-	sc := &walScanner{br: bufio.NewReaderSize(r, 1<<16), res: replayResult{codec: CodecJSON}, attrs: make(map[string]string, 8)}
+	sc := &walScanner{br: bufio.NewReaderSize(r, 1<<16), res: replayResult{jsonLog: true}, attrs: make(map[string]string, 8)}
 	if head, err := sc.br.Peek(len(walMagic)); err == nil && string(head) == walMagic {
 		sc.br.Discard(len(walMagic))
-		sc.res.codec = CodecBinary
+		sc.res.jsonLog = false
 		sc.res.valid = int64(len(walMagic))
 	}
 	return sc
@@ -545,17 +515,15 @@ func (sc *walScanner) next(rec *Record) bool {
 		sc.res.torn = true
 		return false
 	}
-	if sc.res.codec == CodecBinary {
-		if derr := decodeRecordBinaryInto(sc.payload, &sc.res.dict, rec, sc.attrs); derr != nil {
-			sc.res.torn = true
-			return false
-		}
-	} else {
+	if sc.res.jsonLog {
 		*rec = Record{}
 		if err := json.Unmarshal(sc.payload, rec); err != nil {
 			sc.res.torn = true
 			return false
 		}
+	} else if derr := decodeRecordBinaryInto(sc.payload, &sc.res.dict, rec, sc.attrs); derr != nil {
+		sc.res.torn = true
+		return false
 	}
 	if rec.Seq <= sc.lastSeq {
 		sc.res.torn = true
