@@ -90,19 +90,21 @@ bench:
 # through its two entry points (NERExtract, RelationExtract), the IOC
 # scanner (IOCProtection) and the whole crawl-to-graph path
 # (EndToEndIngest, PipelineWorkers) — and records the event stream in
-# BENCH_extract.json, as bench does for the engine in BENCH_cypher.json.
+# BENCH_extract.json, as bench does for the engine in BENCH_cypher.json,
+# at the same -cpu 2.
 bench-extract:
-	$(GO) test -run '^$$' -bench 'NERExtract|RelationExtract|IOCProtection|EndToEndIngest|PipelineWorkers' -benchmem . -json | tee BENCH_extract.json | \
+	$(GO) test -run '^$$' -bench 'NERExtract|RelationExtract|IOCProtection|EndToEndIngest|PipelineWorkers' -benchmem -cpu 2 . -json | tee BENCH_extract.json | \
 		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
 
 # bench-scan runs the heavy-read arms — the ledger's five hunt-scan
 # statements over a kg-100k-shaped graph, four through Engine.Query and
 # the 20 000-row NDJSON stream through a real HTTP server — and records
-# the event stream in BENCH_scan.json. Every arm reports the GOMAXPROCS
-# it ran at: the root label scans partition across workers when more
-# than one CPU is available.
+# the event stream in BENCH_scan.json. -cpu 2 pins GOMAXPROCS, as in
+# bench: the root label scans partition across workers when more than
+# one CPU is available, so an unpinned run measures the host, and every
+# arm also reports the GOMAXPROCS it ran at.
 bench-scan:
-	$(GO) test -run '^$$' -bench 'CypherScanClasses' -benchmem -benchtime 50x . -json | tee BENCH_scan.json | \
+	$(GO) test -run '^$$' -bench 'CypherScanClasses' -benchmem -benchtime 50x -cpu 2 . -json | tee BENCH_scan.json | \
 		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
 
 # bench-heap prices keeping the graph in memory: BenchmarkResidentGraph

@@ -152,3 +152,18 @@ func TestGroupByAllocs(t *testing.T) {
 		t.Errorf("group-by of 30000 rows into 40 groups: %.0f allocs/op, want <= %d", allocs, 40+5*40)
 	}
 }
+
+// TestCollectAllocs: an aggregating WITH that collects 10 000 strings into
+// 100 groups allocates per group, not per doubling of a group's list —
+// the strings share one chain for the whole aggregation and each group's
+// list is built once, at its exact size.
+func TestCollectAllocs(t *testing.T) {
+	s := graph.New()
+	for i := 0; i < 10000; i++ {
+		s.MergeNode("R", fmt.Sprintf("r%05d", i), map[string]string{"grp": fmt.Sprintf("g%02d", i%100)})
+	}
+	q := `match (r:R) with r.grp as g, collect(r.name) as names return g, names`
+	if allocs := allocsOf(t, s, q, 100); allocs > 60+6*100 {
+		t.Errorf("collect of 10000 strings into 100 groups: %.0f allocs/op, want <= %d", allocs, 60+6*100)
+	}
+}

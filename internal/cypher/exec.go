@@ -1201,15 +1201,49 @@ func aggOpOf(e Expr) aggOp {
 	return aggNone
 }
 
+// strChain holds the strings collect() has folded, for every group of one
+// aggregation: entries in arrival order, each linked to the previous
+// entry of its own group, so a group's strings cost no slice of their
+// own — an entry is the value's 16-byte string header, not an 88-byte
+// Value in a per-group slice grown by doubling — until result builds the
+// exact-size list.
+type strChain struct {
+	strs []string
+	prev []int32 // prev[i] is 1 + the index of the entry before i in its group; 0 ends the chain
+	buf  []string
+}
+
+// push appends s to the chain whose newest entry is *last (0 = empty).
+func (c *strChain) push(last *int32, s string) {
+	c.strs = append(c.strs, s)
+	c.prev = append(c.prev, *last)
+	*last = int32(len(c.strs))
+}
+
+// sorted returns the chain ending at last in byte order (Value.order on
+// strings), in a buffer reused by the next call.
+func (c *strChain) sorted(last int32) []string {
+	c.buf = c.buf[:0]
+	for i := last; i > 0; i = c.prev[i-1] {
+		c.buf = append(c.buf, c.strs[i-1])
+	}
+	slices.Sort(c.buf)
+	return c.buf
+}
+
 // aggState accumulates one aggregate column within one group.
 type aggState struct {
 	count    int
 	sum      float64
-	min, max Value   // KindNull until a value is seen
-	vals     []Value // collect
+	min, max Value // KindNull until a value is seen
+	// collect: while every value is a string, the group's newest entry in
+	// the aggregation's strChain; from the first other value on, the
+	// values themselves.
+	last int32
+	vals []Value
 }
 
-func (a *aggState) add(op aggOp, v *Value) error {
+func (a *aggState) add(op aggOp, v *Value, ch *strChain) error {
 	if v.Kind == KindNull {
 		return nil
 	}
@@ -1229,12 +1263,21 @@ func (a *aggState) add(op aggOp, v *Value) error {
 			a.max = *v
 		}
 	case aggCollect:
+		if v.Kind == KindString && a.vals == nil {
+			ch.push(&a.last, v.Str)
+			return nil
+		}
+		if a.vals == nil {
+			for _, s := range ch.sorted(a.last) {
+				a.vals = append(a.vals, StringValue(s))
+			}
+		}
 		a.vals = append(a.vals, *v)
 	}
 	return nil
 }
 
-func (a *aggState) result(op aggOp) Value {
+func (a *aggState) result(op aggOp, ch *strChain) Value {
 	switch op {
 	case aggCount:
 		return NumberValue(float64(a.count))
@@ -1247,6 +1290,14 @@ func (a *aggState) result(op aggOp) Value {
 	case aggCollect:
 		// Values that compare equal render identically, so the order among
 		// them is invisible and the sort need not be stable.
+		if a.vals == nil {
+			strs := ch.sorted(a.last)
+			vals := make([]Value, len(strs))
+			for i, s := range strs {
+				vals[i] = StringValue(s)
+			}
+			return ListValue(vals)
+		}
 		slices.SortFunc(a.vals, func(x, y Value) int { return x.order(&y) })
 		return ListValue(a.vals)
 	}
@@ -1298,6 +1349,7 @@ func aggregateRows(items []ReturnItem, res *Result, pull func() (*binding, error
 	}
 	groups := map[string]*aggGroup{}
 	var order []*aggGroup
+	var ch strChain
 	keyVals := make([]Value, len(keyCols))
 	var keyBuf []byte
 	for {
@@ -1333,14 +1385,14 @@ func aggregateRows(items []ReturnItem, res *Result, pull func() (*binding, error
 			if err != nil {
 				return err
 			}
-			if err := g.aggs[a].add(ops[a], &v); err != nil {
+			if err := g.aggs[a].add(ops[a], &v, &ch); err != nil {
 				return err
 			}
 		}
 	}
 	for _, g := range order {
 		for a, col := range aggCols {
-			g.row[col] = g.aggs[a].result(ops[a])
+			g.row[col] = g.aggs[a].result(ops[a], &ch)
 		}
 		res.Rows = append(res.Rows, g.row)
 	}

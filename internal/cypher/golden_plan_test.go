@@ -158,3 +158,58 @@ plan (streaming, greedy-ordered):
 		t.Error("500-row scan must not be partitioned")
 	}
 }
+
+// TestGoldenWithWherePushdown pins where a WITH's WHERE runs: the whole
+// plan of the ledger's var-length hunt shape, whose grouping-key filter
+// sits on the VarExpand that binds host, then per case the filters the
+// segment's outer stages carry and what stays on the bridge — one case
+// that pushes for each shape, one that does not for each reason.
+func TestGoldenWithWherePushdown(t *testing.T) {
+	s := skewedStore(t)
+	got := explain(t, s, `match (m:Malware {name: "hub"})-[:CONNECT*1..2]-(host) optional match (host)<-[:MENTIONS]-(r) with host, collect(r.name) as reports where host.name starts with "10." return host.name, reports`)
+	assertGolden(t, got, `
+plan (streaming, greedy-ordered):
+   1. IndexSeek(label+name) (m:Malware {name: "hub"}) name="hub"   est≈1
+   2. VarExpand (m)-[:CONNECT*1..2]-(host)                         est≈1498.0
+      where host.name starts with "10."
+   3. Optional [introduces r]                                      est≈1498.0
+       3.1 BoundRef (host)                                         est≈1498.0
+       3.2 Expand (host)<-[:MENTIONS]-(r)                          est≈1
+   => With (aggregating) host, collect(r.name)
+   => Project host.name, reports
+`)
+	for _, tc := range []struct {
+		why, q         string
+		seg            int
+		pushed, bridge string
+	}{
+		{"pass-through grouping key", `match (m:Malware)-[:CONNECT]->(ip) with ip, count(m) as c where ip.name contains "1" return ip.name, c`, 0, `Expand (m)-[:CONNECT]->(ip): ip.name contains "1"`, ``},
+		{"DISTINCT", `match (m:Malware)-[:CONNECT]->(ip) with distinct ip where ip.name contains "1" return ip.name`, 0, `Expand (m)-[:CONNECT]->(ip): ip.name contains "1"`, ``},
+		{"carried from an earlier WITH", `match (m:Malware) with m match (m)-[:CONNECT]->(ip) with m, count(ip) as c where m.name = "hub" return c`, 1, `BoundRef (m): m.name = "hub"`, ``},
+		{"mixed AND splits", `match (m:Malware)-[:CONNECT]->(ip) with ip, count(m) as c where c > 0 and ip.name contains "1" return ip.name, c`, 0, `Expand (m)-[:CONNECT]->(ip): ip.name contains "1"`, `c > 0`},
+		{"aggregate alias", `match (m:Malware)-[:CONNECT]->(ip) with ip, count(m) as c where c > 0 return ip.name, c`, 0, ``, `c > 0`},
+		{"renamed item", `match (m:Malware)-[:CONNECT]->(ip) with ip as x, count(m) as c where x.name contains "1" return x.name, c`, 0, ``, `x.name contains "1"`},
+		{"variable an OPTIONAL MATCH introduces", `match (m:Malware) optional match (m)-[:CONNECT]->(ip) with ip, count(m) as c where ip.name contains "1" return ip.name, c`, 0, ``, `ip.name contains "1"`},
+		{"UNWIND alias", `unwind [1, 2, 3] as x with x, count(*) as c where x > 1 return x, c`, 0, ``, `x > 1`},
+		{"writing part", `match (m:Malware) set m.seen = "1" with m, count(*) as c where m.name = "hub" return c`, 0, ``, `m.name = "hub"`},
+		{"aggregate call in the WHERE", `match (m:Malware)-[:CONNECT]->(ip) with ip, count(m) as c where ip.name contains "1" and count(m) > 0 return c`, 0, ``, `(ip.name contains "1" and count(m) > 0)`},
+		{"WHERE names a non-item", `match (m:Malware)-[:CONNECT]->(ip) with ip, count(m) as c where ip.name contains "1" and m.name = "hub" return c`, 0, ``, `(ip.name contains "1" and m.name = "hub")`},
+		{"item names an unbound variable", `match (m:Malware)-[:CONNECT]->(ip) with ip, collect(zz.name) as c where ip.name contains "1" return c`, 0, ``, `ip.name contains "1"`},
+		{"sum() can fail", `match (m:Malware)-[:CONNECT]->(ip) with ip, sum(ip.port) as c where ip.name contains "1" return c`, 0, ``, `ip.name contains "1"`},
+	} {
+		seg := plan(t, s, tc.q).Segments[tc.seg]
+		var pushed []string
+		for _, st := range seg.Stages {
+			for _, f := range st.filters() {
+				pushed = append(pushed, st.describe()+": "+exprString(f))
+			}
+		}
+		bridge := ""
+		if seg.Filter != nil {
+			bridge = exprString(seg.Filter)
+		}
+		if got := strings.Join(pushed, "; "); got != tc.pushed || bridge != tc.bridge {
+			t.Errorf("%s: %s\n pushed %q, want %q\n bridge %q, want %q", tc.why, tc.q, got, tc.pushed, bridge, tc.bridge)
+		}
+	}
+}

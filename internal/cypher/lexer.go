@@ -9,6 +9,11 @@
 //	RETURN DISTINCT a, tools, min(f.name), count(*)
 //	ORDER BY a.name DESC SKIP 2 LIMIT 10
 //
+// A WITH's WHERE reads the projected rows, but a conjunct that names only
+// items the WITH passes through unchanged — a.name above, on the
+// grouping key a — runs where the first MATCH binds a, so the groups it
+// rejects are never built (planner.go, step 1).
+//
 // The write surface mutates the graph through the same statement shape:
 //
 //	CREATE (m:Malware {name: $ioc})-[:CONNECT {proto: "tcp"}]->(ip:IP {name: "10.0.0.1"})

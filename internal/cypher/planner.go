@@ -3,6 +3,7 @@ package cypher
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,7 +16,12 @@ import (
 //     WHERE split into AND-conjuncts; equality conjuncts against string
 //     literals become index hints, and every conjunct is attached to the
 //     earliest pipeline stage at which all of its variables are bound, so
-//     rows are discarded as soon as they can be.
+//     rows are discarded as soon as they can be. A WITH's WHERE is split
+//     too, and a conjunct is planned below the bridge when the part has
+//     no writing clause, the conjunct calls no aggregate, every variable
+//     it names is an item the WITH passes through unchanged, and the
+//     earliest outer stage binding them takes filters (pushWithWhere);
+//     otherwise it stays on the bridge.
 //  2. Greedy ordering (the "greedy beats optimal" strategy from the
 //     janus-datalog line of work): among all pattern chains and all
 //     possible entry nodes, repeatedly start at the node with the
@@ -148,9 +154,6 @@ func (e *Engine) planPart(part *QueryPart, final bool, carried []string, synth *
 		Skip:     part.Skip,
 		Limit:    part.Limit,
 	}
-	if !final {
-		seg.Filter = part.Where
-	}
 	for _, it := range part.Items {
 		if isAggregate(it.Expr) {
 			seg.HasAggregate = true
@@ -204,6 +207,9 @@ func (e *Engine) planPart(part *QueryPart, final bool, carried []string, synth *
 		preRun := copyBound(bound)
 		cur = e.planPatterns(&seg.Stages, pats, bound, eq, conjs, true, cur)
 		assignPredicates(seg.Stages[runStart:], conjs, run.where, preRun)
+	}
+	if !final {
+		seg.Filter = pushWithWhere(part, seg.Stages, carried, bound)
 	}
 	if wc := writeClausesOf(part); wc != nil {
 		// Writes run after every read of the part has materialized
@@ -1108,71 +1114,146 @@ func stageBinds(st Stage, acc map[string]bool) {
 	}
 }
 
-// assignPredicates attaches each WHERE conjunct to the earliest stage at
-// which all of its variables are bound (preBound names variables already
-// bound before these stages run). Conjuncts that can error when
-// evaluated — aggregate calls, or references to variables no pattern
-// binds — force a fallback: the whole original WHERE runs at the last
-// stage, preserving the tree-walking engine's left-to-right
-// short-circuit semantics (a false left conjunct hides an erroring right
-// one).
-func assignPredicates(stages []Stage, conjs []Expr, whole Expr, preBound map[string]bool) {
-	if len(conjs) == 0 || len(stages) == 0 {
-		return
+// attach appends c to a stage's pushed-down filters and reports whether
+// the stage takes filters at all: scans, expansions, hash joins and
+// bidirectional expansions do; unwind, optional and mutation stages do
+// not, and a conjunct they refuse stays with the caller.
+func attach(st Stage, c Expr) bool {
+	switch s := st.(type) {
+	case *ScanStage:
+		s.Filters = append(s.Filters, c)
+	case *ExpandStage:
+		s.Filters = append(s.Filters, c)
+	case *VarExpandStage:
+		s.Filters = append(s.Filters, c)
+	case *HashJoinStage:
+		s.Filters = append(s.Filters, c)
+	case *BiExpandStage:
+		s.Filters = append(s.Filters, c)
+	default:
+		return false
 	}
+	return true
+}
+
+// pushConjuncts attaches each conjunct to the earliest stage after which
+// all of its variables are bound (preBound names the variables bound
+// before the first stage runs) and returns, in order, the conjuncts it
+// could not place: no stage binds all their variables, or the earliest
+// one that does takes no filters. It is the one placement path of
+// MATCH ... WHERE and WITH ... WHERE.
+func pushConjuncts(stages []Stage, conjs []Expr, preBound map[string]bool) []Expr {
 	boundAfter := make([]map[string]bool, len(stages))
 	acc := copyBound(preBound)
 	for i, st := range stages {
 		stageBinds(st, acc)
 		boundAfter[i] = copyBound(acc)
 	}
-	last := len(stages) - 1
-	allBound := boundAfter[last]
-	attach := func(i int, c Expr) {
-		switch s := stages[i].(type) {
-		case *ScanStage:
-			s.Filters = append(s.Filters, c)
-		case *ExpandStage:
-			s.Filters = append(s.Filters, c)
-		case *VarExpandStage:
-			s.Filters = append(s.Filters, c)
-		case *HashJoinStage:
-			s.Filters = append(s.Filters, c)
-		case *BiExpandStage:
-			s.Filters = append(s.Filters, c)
-		}
-	}
+	var refused []Expr
 	for _, c := range conjs {
 		vars := map[string]bool{}
 		exprVars(c, vars)
-		for v := range vars {
-			if !allBound[v] {
-				attach(last, whole)
-				return
-			}
-		}
-		if hasAggCall(c) {
-			attach(last, whole)
-			return
+		i := slices.IndexFunc(boundAfter, func(b map[string]bool) bool { return subsetOf(vars, b) })
+		if i < 0 || !attach(stages[i], c) {
+			refused = append(refused, c)
 		}
 	}
+	return refused
+}
+
+// assignPredicates places a MATCH run's WHERE conjuncts with
+// pushConjuncts (preBound names variables already bound before the run).
+// Conjuncts that can error when evaluated — aggregate calls, or
+// references to variables no pattern binds — force a fallback: the whole
+// original WHERE runs at the last stage, preserving the tree-walking
+// engine's left-to-right short-circuit semantics (a false left conjunct
+// hides an erroring right one). Every stage of a run is a pattern stage,
+// and every pattern stage takes filters, so nothing is ever refused; a
+// refusal would silently drop a predicate, and panics instead.
+func assignPredicates(stages []Stage, conjs []Expr, whole Expr, preBound map[string]bool) {
+	if len(conjs) == 0 || len(stages) == 0 {
+		return
+	}
+	all := copyBound(preBound)
+	for _, st := range stages {
+		stageBinds(st, all)
+	}
+	placed := true
 	for _, c := range conjs {
 		vars := map[string]bool{}
 		exprVars(c, vars)
-		target := last
-		for i := range stages {
-			all := true
-			for v := range vars {
-				if !boundAfter[i][v] {
-					all = false
-					break
-				}
-			}
-			if all {
-				target = i
-				break
-			}
+		if hasAggCall(c) || !subsetOf(vars, all) {
+			placed = attach(stages[len(stages)-1], whole)
+			conjs = nil
+			break
 		}
-		attach(target, c)
 	}
+	if !placed || len(pushConjuncts(stages, conjs, preBound)) > 0 {
+		panic("cypher: a MATCH run's stage refused a WHERE conjunct")
+	}
+}
+
+// pushWithWhere plans a WITH's WHERE conjuncts below the bridge where
+// that cannot change the result, and returns what stays on the bridge
+// (nil when nothing does). A conjunct goes down when all of these hold:
+// the part has no writing clause; the conjunct calls no aggregate; every
+// variable it references is an item the WITH passes through unchanged
+// (`WITH host, ...`); and pushConjuncts finds a filterable stage of the
+// outer pipeline that binds them all — it never enters an OPTIONAL
+// sub-pipeline, and a conjunct it refuses stays on the bridge. Every row
+// of a group carries that group's key, so dropping the rows whose key
+// fails the conjunct drops exactly the groups the bridge would have
+// dropped, and first-seen group order is kept (Postgres applies the same
+// rule to HAVING clauses without aggregates). ORDER BY, SKIP and LIMIT
+// only exist on the final part, so no WITH pages rows before its WHERE.
+//
+// Nothing moves when it could change which error a statement raises: a
+// WHERE that calls an aggregate or names a non-item (both error on the
+// first group that reaches them), or items that name a variable the
+// segment never binds or sum() (which errors on a non-number) — errors
+// the groups the WHERE discards would have raised while being built.
+//
+// The arm that justifies the rule: BenchmarkCypherScanClasses/varlen and
+// the ledger's hunt-scan `varlen` class, whose aggregating WITH otherwise
+// builds, collects and sorts ~15× the groups its WHERE keeps on a top hub.
+func pushWithWhere(part *QueryPart, stages []Stage, carried []string, bound map[string]bool) Expr {
+	if part.Where == nil || part.HasWrites() {
+		return part.Where
+	}
+	aliases, passed := map[string]bool{}, map[string]bool{}
+	for _, it := range part.Items {
+		vars := map[string]bool{}
+		exprVars(it.Expr, vars)
+		if aggOpOf(it.Expr) == aggSum || !subsetOf(vars, bound) {
+			return part.Where
+		}
+		aliases[it.Alias] = true
+		if v, ok := it.Expr.(VarExpr); ok && v.Name == it.Alias {
+			passed[it.Alias] = true
+		}
+	}
+	var conjs, kept []Expr
+	splitConjuncts(part.Where, &conjs)
+	pushable := make([]bool, len(conjs))
+	for i, c := range conjs {
+		vars := map[string]bool{}
+		exprVars(c, vars)
+		if hasAggCall(c) || !subsetOf(vars, aliases) {
+			return part.Where
+		}
+		pushable[i] = subsetOf(vars, passed)
+	}
+	preBound := map[string]bool{}
+	for _, v := range carried {
+		preBound[v] = true
+	}
+	for i, c := range conjs {
+		if !pushable[i] || len(pushConjuncts(stages, []Expr{c}, preBound)) > 0 {
+			kept = append(kept, c)
+		}
+	}
+	if len(kept) == len(conjs) {
+		return part.Where // nothing moved: keep the WHERE exactly as written
+	}
+	return andAll(kept)
 }

@@ -319,6 +319,24 @@ func TestAggregatesSkipNulls(t *testing.T) {
 	}
 }
 
+// TestCollectOrder holds collect()'s list to Value.order however it was
+// folded: strings only (kept as strings until the list is built),
+// strings then other kinds (switched over at the first non-string),
+// other kinds first, and nothing but nulls (the empty list).
+func TestCollectOrder(t *testing.T) {
+	for _, tc := range []struct{ list, want string }{
+		{`["c", "a", "b", "a"]`, "[a, a, b, c]"},
+		{`["c", "a", 2, "b", 1, true]`, "[a, b, c, 1, 2, true]"},
+		{`[3, "b", null, true, 1.5, "a", false]`, "[a, b, 1.5, 3, false, true]"},
+		{`[null, null]`, "[]"},
+	} {
+		res := bothEngines(t, graph.New(), `unwind `+tc.list+` as v with "g" as g, collect(v) as vs return g, vs`)
+		if got := renderRows(res); len(got) != 1 || got[0] != "g|"+tc.want {
+			t.Errorf("collect over %s: %v, want [g|%s]", tc.list, got, tc.want)
+		}
+	}
+}
+
 func TestSumOverNonNumericErrors(t *testing.T) {
 	s := chainStore(t)
 	q := `match (n:Tool) return sum(n.name)`
