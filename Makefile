@@ -8,7 +8,9 @@ build:
 # test runs static analysis first, then the full suite under the race
 # detector (the graph store and query engine are concurrency-facing;
 # the suite includes the join-strategy differential and golden-plan
-# tests, and the parallel-scan tests force multi-worker partitions so
+# tests and TestConnectWholeReportsVisible, where a reader of a leader
+# and its follower must never see half a report, and the parallel-scan
+# tests force multi-worker partitions so
 # the concurrent scan path is race-checked even on one core). The
 # allocation-regression guards (zero-alloc CSR incidence iteration and
 # planner fan-out read, zero-alloc binary WAL append and
@@ -132,9 +134,11 @@ bench-ledger:
 # plus the kill-at-every-byte-offset torn-tail property
 # (TestTornTailEveryOffset). The Tx variants re-run both with a
 # transactional writer: recovery must replay exactly the committed
-# groups and discard dangling ones. -count re-randomizes kill timing.
+# groups and discard dangling ones. TestConnectTornTailEveryOffset cuts
+# a log the graph connector wrote: recovery must hold whole reports
+# only. -count re-randomizes kill timing.
 crash-test:
-	$(GO) test ./internal/storage -run 'TestCrashProcessKill|TestTornTailEveryOffset' -count=3 -v
+	$(GO) test ./internal/storage ./internal/connector -run 'TestCrashProcessKill|TestTornTailEveryOffset|TestConnectTornTailEveryOffset' -count=3 -v
 
 # cover profiles the query engine and the exploration API server, and
 # fails the build when either package's statement coverage drops below

@@ -6,6 +6,7 @@ package securitykg
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"securitykg/internal/graph"
@@ -89,6 +90,65 @@ func BenchmarkStorageReplay(b *testing.B) {
 // directory (snapshot load + empty log tail).
 func BenchmarkStorageSnapshotLoad(b *testing.B) {
 	b.Run("20k", func(b *testing.B) { benchStorageOpen(b, buildStorageDir(b, true)) })
+}
+
+// BenchmarkStorageReportCommit measures one report's commit group — 21
+// mutations (report node, vendor edge, nine new entities with their
+// MENTIONS edges, one relation edge) in a bulk transaction — on durable
+// stores whose packed adjacency holds 1k to 400k edges. The group's
+// edges stay in the adjacency overlay until it outgrows its threshold,
+// so the arms must read flat: a commit that repacked the whole store
+// would grow with it.
+func BenchmarkStorageReportCommit(b *testing.B) {
+	for _, edges := range []int{1000, 10000, 100000, 400000} {
+		b.Run(fmt.Sprintf("edges=%dk", edges/1000), func(b *testing.B) {
+			db, err := storage.Open(b.TempDir(), storageBenchOpts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			st := db.Store()
+			nodes := edges / 5
+			ids := make([]graph.NodeID, nodes)
+			st.BeginBulk()
+			for i := range ids {
+				ids[i], _ = st.MergeNode("Host", fmt.Sprintf("h-%d", i), nil)
+			}
+			for i := 0; i < edges; i++ {
+				from := i % nodes
+				st.AddEdge(ids[from], "CONNECT", ids[(from+1+13*(i/nodes))%nodes], nil)
+			}
+			st.EndBulk()
+			vendor, _ := st.MergeNode("CTIVendor", "vendor", nil)
+			commit := func(i int) {
+				tx := st.BeginTx()
+				tx.SetBulk()
+				rep, _ := tx.MergeNode("MalwareReport", fmt.Sprintf("report-%d", i), map[string]string{"report_id": fmt.Sprint(i)})
+				tx.AddEdge(rep, "REPORTED_BY", vendor, nil)
+				var first graph.NodeID
+				for j := 0; j < 9; j++ {
+					e, _ := tx.MergeNode("IP", fmt.Sprintf("ip-%d-%d", i, j), nil)
+					tx.AddEdge(rep, "MENTIONS", e, nil)
+					if j == 0 {
+						first = e
+					}
+				}
+				tx.AddEdge(first, "CONNECT", ids[(i+nodes)%nodes], nil)
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// The build's garbage and the first commit's cold caches are
+			// not a commit's cost.
+			commit(-1)
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				commit(i)
+			}
+			b.StopTimer() // the deferred Close flushes the build's log
+		})
+	}
 }
 
 // BenchmarkStorageSnapshotSave measures Checkpoint (snapshot write +

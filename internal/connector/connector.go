@@ -46,15 +46,45 @@ func (g *GraphConnector) Name() string { return "graph" }
 // REPORTED_BY edge to the vendor, MENTIONS edges to every entity,
 // DESCRIBES edges to threat concepts, and the extracted relations.
 // Storage-time merging is exact (type, name) per Section 2.5.
+//
+// A report is one commit group: its merges and edges run in one bulk
+// transaction, so they reach the log as one group (one write, one stats
+// judgement, one shipped unit, one transaction on a follower), and
+// readers and recovery see the whole report or none of it. Any error
+// rolls the report back. The full-text index is updated after the
+// commit, so a search hit always names a report the graph holds.
 func (g *GraphConnector) Connect(c *ctirep.CTIRep) error {
+	tx := g.store.BeginTx()
+	tx.SetBulk()
+	if err := connectTx(tx, c); err != nil {
+		tx.Rollback()
+		return fmt.Errorf("connector: graph: %w", err)
+	}
+	if err := tx.Commit(); err != nil {
+		return fmt.Errorf("connector: graph: %w", err)
+	}
+	if g.index != nil {
+		g.index.Add(search.Document{
+			ID: c.ReportID,
+			Fields: map[string]string{
+				"title": c.Title,
+				"body":  c.Text,
+			},
+		})
+	}
+	return nil
+}
+
+// connectTx writes the report's nodes and edges through tx.
+func connectTx(tx *graph.Tx, c *ctirep.CTIRep) error {
 	repEnt := c.ReportEntity()
-	repID, _ := g.store.MergeNode(string(repEnt.Type), repEnt.Name, repEnt.Attrs)
+	repID, _ := tx.MergeNode(string(repEnt.Type), repEnt.Name, repEnt.Attrs)
 
 	if c.Vendor != "" {
-		vID, _ := g.store.MergeNode(string(ontology.TypeCTIVendor), c.Vendor, nil)
-		if _, _, err := g.store.AddEdge(repID, string(ontology.RelReportedBy), vID,
+		vID, _ := tx.MergeNode(string(ontology.TypeCTIVendor), c.Vendor, nil)
+		if _, _, err := tx.AddEdge(repID, string(ontology.RelReportedBy), vID,
 			map[string]string{"report_id": c.ReportID}); err != nil {
-			return fmt.Errorf("connector: graph: %w", err)
+			return err
 		}
 	}
 	for _, e := range c.Entities {
@@ -65,38 +95,29 @@ func (g *GraphConnector) Connect(c *ctirep.CTIRep) error {
 		for k, v := range e.Attrs {
 			attrs[k] = v
 		}
-		eID, _ := g.store.MergeNode(string(e.Type), e.Name, attrs)
+		eID, _ := tx.MergeNode(string(e.Type), e.Name, attrs)
 		rel := ontology.RelMentions
 		if ontology.IsThreatConcept(e.Type) {
 			rel = ontology.RelDescribes
 		}
-		if _, _, err := g.store.AddEdge(repID, string(rel), eID,
+		if _, _, err := tx.AddEdge(repID, string(rel), eID,
 			map[string]string{"report_id": c.ReportID}); err != nil {
-			return fmt.Errorf("connector: graph: %w", err)
+			return err
 		}
 	}
 	for _, r := range c.Relations {
 		if err := r.Validate(); err != nil {
 			continue
 		}
-		sID, _ := g.store.MergeNode(string(r.Src.Type), r.Src.Name, nil)
-		dID, _ := g.store.MergeNode(string(r.Dst.Type), r.Dst.Name, nil)
+		sID, _ := tx.MergeNode(string(r.Src.Type), r.Src.Name, nil)
+		dID, _ := tx.MergeNode(string(r.Dst.Type), r.Dst.Name, nil)
 		attrs := map[string]string{"report_id": c.ReportID}
 		for k, v := range r.Attrs {
 			attrs[k] = v
 		}
-		if _, _, err := g.store.AddEdge(sID, string(r.Type), dID, attrs); err != nil {
-			return fmt.Errorf("connector: graph: %w", err)
+		if _, _, err := tx.AddEdge(sID, string(r.Type), dID, attrs); err != nil {
+			return err
 		}
-	}
-	if g.index != nil {
-		g.index.Add(search.Document{
-			ID: c.ReportID,
-			Fields: map[string]string{
-				"title": c.Title,
-				"body":  c.Text,
-			},
-		})
 	}
 	return nil
 }

@@ -20,7 +20,13 @@ import "slices"
 // packed arrays in one O(V + E) pass over the edge slab (which is in
 // edge-ID order, so the rebuild never sorts) — epoch-batched
 // compaction, amortized O(1) per mutation — so long-lived mixed
-// workloads converge back to pure array scans.
+// workloads converge back to pure array scans. One threshold rules
+// every writer: a write outside a bulk bracket checks it after each
+// adjacency change, and a bulk bracket (a batch transaction, a
+// follower's replayed group, recovery, a load) checks it once when it
+// seals. A commit group therefore costs O(group) — its edges stay in
+// the delta — and only a group or load that pushes the overlay past the
+// threshold pays the repack, once.
 
 // halfEdge is one packed incidence triple: the edge, the endpoint on
 // the far side (equal to the near node for self-loops), and the edge's
@@ -204,9 +210,10 @@ func (s *Store) rebuildAdjLocked() {
 	a.pending = 0
 }
 
-// maybeRebuildAdjLocked batches overlay compaction; called after
-// adjacency-changing mutations under the write lock. Bulk replay
-// (ApplyBatch) defers compaction to its single sealing rebuild.
+// maybeRebuildAdjLocked batches overlay compaction: it repacks only when
+// needsRebuild says so. Called under the write lock after each
+// adjacency-changing mutation, and once by the outermost bulk bracket's
+// seal (endBulkLocked); inside a bracket it does nothing.
 func (s *Store) maybeRebuildAdjLocked() {
 	if s.bulk > 0 {
 		return

@@ -201,8 +201,9 @@ type Store struct {
 	// Tx marked SetBulk, or an explicit BeginBulk/EndBulk pair). While
 	// nonzero, per-mutation adjacency compaction and stats-drift checks
 	// are suppressed; closing the outermost bracket seals with one
-	// rebuild + one materiality judgement instead. Brackets nest so a
-	// bulk transaction inside a load bracket still seals exactly once.
+	// materiality judgement and one compaction check (a repack only past
+	// the overlay threshold) instead. Brackets nest so a bulk transaction
+	// inside a load bracket still seals exactly once.
 	bulk int
 
 	nextNode NodeID

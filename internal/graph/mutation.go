@@ -108,32 +108,34 @@ func cloneMutation(m Mutation) Mutation {
 func (s *Store) beginBulkLocked() { s.bulk++ }
 
 // endBulkLocked closes one bulk-mode bracket; closing the outermost
-// seals the deferred work: one adjacency rebuild over everything the
-// bracket inserted, one stats materiality judgement. Callers hold mu.
+// seals the deferred work: one stats materiality judgement, and one
+// adjacency repack only if the overlay has outgrown the threshold bare
+// writes use — a small group's edges stay in the delta, so the seal costs
+// O(group), while a load past the threshold packs exactly once. Callers
+// hold mu.
 func (s *Store) endBulkLocked() {
 	if s.bulk--; s.bulk > 0 {
 		return
 	}
-	if s.adj.pending > 0 {
-		s.rebuildAdjLocked()
-	}
+	s.maybeRebuildAdjLocked()
 	if s.statsMaterialLocked() {
 		s.bumpStatsLocked()
 	}
 }
 
 // BeginBulk opens an external bulk-load bracket (server boot ingest,
-// replication catch-up): per-mutation adjacency compaction and stats
-// materiality checks are deferred until the matching EndBulk. Brackets
-// nest; each BeginBulk must be paired with exactly one EndBulk.
+// replication catch-up): per-mutation adjacency compaction checks and
+// stats materiality checks are deferred until the matching EndBulk.
+// Brackets nest; each BeginBulk must be paired with exactly one EndBulk.
 func (s *Store) BeginBulk() {
 	s.mu.Lock()
 	s.beginBulkLocked()
 	s.mu.Unlock()
 }
 
-// EndBulk closes a BeginBulk bracket, sealing (one adjacency rebuild +
-// one stats materiality judgement) when the outermost bracket closes.
+// EndBulk closes a BeginBulk bracket, sealing when the outermost bracket
+// closes: one stats materiality judgement, and one adjacency repack if
+// the bracket's edges pushed the overlay past the rebuild threshold.
 func (s *Store) EndBulk() {
 	s.mu.Lock()
 	s.endBulkLocked()
@@ -143,10 +145,11 @@ func (s *Store) EndBulk() {
 // ApplyStream replays the mutation sequence next yields (until it
 // reports false) with bulk economics: the per-mutation adjacency
 // compaction and stats-drift checks Apply pays are deferred, and the
-// stream seals with one adjacency rebuild and one stats materiality
-// judgement. State afterwards is identical to the equivalent Apply
-// loop (adjacency layout and stats versioning are not part of logical
-// state); recovery uses it to fold a WAL tail straight off the
+// stream seals with one stats materiality judgement and at most one
+// adjacency repack (a replay past the overlay threshold packs once at
+// the end; a short tail stays in the overlay). State afterwards is
+// identical to the equivalent Apply loop (adjacency layout and stats
+// versioning are not part of logical state); recovery uses it to fold a WAL tail straight off the
 // scanner without materializing the record list. On error, mutations
 // before the failing one remain applied and the returned count names
 // how many succeeded.
@@ -175,7 +178,8 @@ func (s *Store) ApplyStream(next func() (Mutation, bool)) (int, error) {
 // ApplyBatch applies a mutation slice as one bulk transaction: the
 // whole batch reaches the durability hook as a single
 // tx_begin/.../tx_commit group (one group-committed WAL append), pays
-// one stats materiality judgement, and seals adjacency once — the same
+// one stats materiality judgement, and repacks adjacency at most once,
+// only if the batch pushed the overlay past its threshold — the same
 // economics ApplyStream gives recovery, plus atomicity. On error the
 // transaction rolls back (nothing is applied or logged) and the
 // returned index names the failing mutation.

@@ -723,8 +723,10 @@ func (s *Store) BeginTx() *Tx {
 // SetBulk marks the transaction as a bulk load: its first write opens a
 // store bulk bracket, so per-mutation adjacency compaction and stats
 // materiality checks are deferred until Commit or Rollback seals with
-// one rebuild + one judgement. Call before the first write; a batch
-// ingest of any size then moves StatsVersion at most once.
+// one judgement and, only if the group pushed the adjacency overlay past
+// its threshold, one repack. Call before the first write; a batch ingest
+// of any size then moves StatsVersion at most once, and a small group's
+// commit costs O(group), not O(store).
 func (tx *Tx) SetBulk() {
 	tx.bulk = true
 }
@@ -839,10 +841,11 @@ func (tx *Tx) Commit() error {
 	s.curTx = nil
 	s.curProv = 0
 	tx.snap.releaseLocked()
+	// The one seal decision: a plain transaction's writes already judged
+	// compaction one by one; a bulk one's bracket judges it now.
 	if tx.bulk {
 		s.endBulkLocked()
 	}
-	s.maybeRebuildAdjLocked()
 	s.mu.Unlock()
 	tx.releaseWriter()
 	return nil
@@ -914,7 +917,12 @@ func (tx *Tx) Rollback() error {
 	s.nextNode, s.nextEdge, s.mergeHits = tx.preNextNode, tx.preNextEdge, tx.preMergeHits
 	s.nodes = cutSlab(s.nodes, int(s.nextNode)+1)
 	s.edges = cutSlab(s.edges, int(s.nextEdge)+1)
-	s.rebuildAdjLocked()
+	// Re-installed pre-images break the overlay's ascending-ID order, so
+	// adjacency is repacked — unless no edge was installed or removed, in
+	// which case it is exactly as the transaction found it.
+	if len(tx.undoE) > 0 {
+		s.rebuildAdjLocked()
+	}
 	if s.bulk == 0 && s.statsMaterialLocked() {
 		s.bumpStatsLocked()
 	}

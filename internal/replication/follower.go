@@ -348,8 +348,9 @@ func (r *Replicator) maybeBulk() {
 	}
 }
 
-// exitBulk closes the catch-up bracket if open, sealing adjacency and
-// running the single deferred stats judgement.
+// exitBulk closes the catch-up bracket if open, running the deferred
+// seal: the single stats judgement, and one adjacency repack if the
+// catch-up pushed the overlay past its threshold.
 func (r *Replicator) exitBulk() {
 	if !r.catchingUp {
 		return
