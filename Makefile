@@ -19,9 +19,13 @@ build:
 # instrumentation on the warm expand path, the row-path pins — O(k)
 # top-k, per-group grouping, zero per row on a label scan and in the
 # NDJSON encoder — the extraction pass's per-report ceiling, the IOC
-# scanner and the zero-alloc warm CRF decoder) are gated
+# scanner, the zero-alloc warm CRF decoder, and the layout engine's
+# zero-alloc warm Step on both kernels plus a 9-node server.Layout's
+# ceiling) are gated
 # //go:build !race — the race detector inflates AllocsPerRun — so a
-# plain-build pass runs them.
+# plain-build pass runs them. The same pass runs the layout position
+# oracle (TestPositionsMatchParent), single-goroutine and ≈12× slower
+# under -race, and gated the same way.
 # The final pass re-runs the transaction schedule harness (scripted +
 # randomized interleavings against the snapshot-isolation oracle) and
 # the parallel reader stress test under -race with fresh counts, so the
@@ -33,7 +37,7 @@ build:
 # scrape).
 test: vet
 	$(GO) test -race ./...
-	$(GO) test -run 'Allocs' ./internal/graph/ ./internal/storage/ ./internal/replication/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/
+	$(GO) test -run 'Allocs|PositionsMatchParent' ./internal/graph/ ./internal/storage/ ./internal/replication/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/ ./internal/layout/
 	$(GO) test -race -count=2 -run 'TestSchedule|TestConcurrentReadersSeeAtomicWrites|TestTx' ./internal/cypher/
 	$(MAKE) replication-test
 	$(MAKE) soak-test SOAKFLAGS=-short

@@ -549,12 +549,7 @@ func BenchmarkCypherParallelScan(b *testing.B) {
 func BenchmarkLayoutBarnesHut(b *testing.B) {
 	for _, n := range []int{1000, 5000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchLayoutGraph(n)
-			e := layout.NewEngine(g, layout.Config{Theta: 0.5}, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
+			benchLayoutSteps(b, benchLayoutGraph(n), layout.Config{Theta: 0.5})
 		})
 	}
 }
@@ -562,13 +557,46 @@ func BenchmarkLayoutBarnesHut(b *testing.B) {
 func BenchmarkLayoutExact(b *testing.B) {
 	for _, n := range []int{1000, 5000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchLayoutGraph(n)
-			e := layout.NewEngine(g, layout.Config{Exact: true}, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
+			benchLayoutSteps(b, benchLayoutGraph(n), layout.Config{Exact: true})
 		})
+	}
+}
+
+// benchLayoutSteps times one Step per op. The engine is replaced, off the
+// clock, every 300 steps (one Run's budget): the temperature decays by
+// Cooling each step, and past ≈140 k steps on one engine it goes
+// subnormal and the arm times denormal arithmetic instead of the kernel.
+func benchLayoutSteps(b *testing.B, g layout.Graph, cfg layout.Config) {
+	e := layout.NewEngine(g, cfg, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%300 == 0 {
+			b.StopTimer()
+			e = layout.NewEngine(g, cfg, 1)
+			b.StartTimer()
+		}
+		e.Step()
+	}
+}
+
+// BenchmarkLayoutRun times what one /api/expand or /api/random pays for
+// its view: a fresh engine run to convergence with the server's budget,
+// Run(300, 0.01), per op, cycling through 64 seeds. The exact and
+// Barnes-Hut (θ = 0.5) arms at each size are what layout.exactBelow is
+// set from.
+func BenchmarkLayoutRun(b *testing.B) {
+	for _, n := range []int{9, 26, 101, 256, 400, 1000} {
+		g := benchLayoutGraph(n)
+		for _, arm := range []struct {
+			name string
+			cfg  layout.Config
+		}{{"exact", layout.Config{Exact: true}}, {"bh", layout.Config{Theta: 0.5}}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, arm.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					layout.NewEngine(g, arm.cfg, int64(i%64)).Run(300, 0.01)
+				}
+			})
+		}
 	}
 }
 

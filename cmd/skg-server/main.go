@@ -2,7 +2,7 @@
 // the exploration API the paper's web UI consumes: /api/search,
 // /api/cypher (reads and writes), /api/node, /api/expand,
 // /api/collapse, /api/random, /api/back, and /api/stats, with
-// Barnes-Hut layout positions on every returned subgraph. The synthetic
+// force-directed layout positions on every returned subgraph. The synthetic
 // OSCTI web itself is exposed under /s/ for inspection.
 //
 // With -data-dir the server is durable: boot loads the latest snapshot

@@ -1,8 +1,10 @@
 // Package layout implements the force-directed graph layout behind the
-// exploration UI: repulsive forces computed either exactly (O(N²), the
-// baseline) or with the Barnes-Hut quadtree approximation the paper cites
-// (O(N log N)), plus spring attraction along edges, per-iteration cooling,
-// and position pinning for dragged nodes.
+// exploration UI: repulsive forces computed either exactly (O(N²)) or with
+// the Barnes-Hut quadtree approximation the paper cites (O(N log N)),
+// plus spring attraction along edges, per-iteration cooling, and position
+// pinning for dragged nodes. Left to choose, the engine sums exactly below
+// exactBelow bodies, where the sum is both faster and exact, and uses
+// Barnes-Hut from there up.
 package layout
 
 import (
@@ -25,8 +27,9 @@ type Graph struct {
 // Config tunes the simulation.
 type Config struct {
 	// Theta is the Barnes-Hut opening angle: a cell of width w at distance
-	// d is treated as one body when w/d < Theta. 0.5 is the classic value;
-	// 0 degenerates to exact computation.
+	// d is treated as one body when w/d < Theta. A positive Theta means
+	// Barnes-Hut at every size. 0 lets the engine choose: the exact sum
+	// below exactBelow bodies, Barnes-Hut at the classic 0.5 from there up.
 	Theta float64
 	// Repulsion scales the pairwise repulsive force (default 5000).
 	Repulsion float64
@@ -42,9 +45,18 @@ type Config struct {
 	// as the temperature decays the simulation settles, guaranteeing
 	// convergence.
 	Cooling float64
-	// Exact forces the O(N²) repulsion path (the ablation baseline).
+	// Exact forces the O(N²) repulsion path at every size.
 	Exact bool
 }
+
+// exactBelow is the body count from which an engine left to choose its
+// kernel (Theta 0) uses Barnes-Hut; below it the exact pairwise sum is
+// used. Set from BenchmarkLayoutRun (one Run(300, 0.01) per op): the
+// exact arm beats the Barnes-Hut arm on every run up to n=256 (≈3× at
+// n=9, ≈1.2× at n=256), the two overlap at n=400, and Barnes-Hut wins
+// from there up (≈1.7× at n=1000). 256 is the largest measured size the
+// sum always won, so it is the last one given the sum.
+const exactBelow = 257
 
 func (c *Config) defaults() {
 	if c.Theta <= 0 {
@@ -82,8 +94,13 @@ type Engine struct {
 	forces []Point   // Step's force accumulator, reused
 }
 
-// NewEngine seeds positions deterministically on a disk.
+// NewEngine seeds positions deterministically on a disk and, when
+// cfg.Theta is 0, picks the repulsion kernel by g.N (see exactBelow).
 func NewEngine(g Graph, cfg Config, seed int64) *Engine {
+	// The kernel choice; BenchmarkLayoutRun's exact and bh arms set it.
+	if cfg.Theta <= 0 && g.N < exactBelow {
+		cfg.Exact = true
+	}
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(seed))
 	e := &Engine{

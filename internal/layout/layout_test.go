@@ -49,23 +49,30 @@ func TestThetaTradeoff(t *testing.T) {
 
 func TestStepSeparatesCoincidentCluster(t *testing.T) {
 	g := Graph{N: 10}
-	e := NewEngine(g, Config{}, 5)
-	for i := range e.Pos {
-		e.Pos[i] = Point{X: 0.001 * float64(i), Y: 0}
-	}
-	for i := 0; i < 50; i++ {
-		e.Step()
-	}
-	// Repulsion must spread the nodes out.
-	minDist := math.Inf(1)
-	for i := 0; i < g.N; i++ {
-		for j := i + 1; j < g.N; j++ {
-			d := math.Hypot(e.Pos[i].X-e.Pos[j].X, e.Pos[i].Y-e.Pos[j].Y)
-			minDist = math.Min(minDist, d)
+	// Config{} is the exact sum at this size; Theta 0.5 keeps Barnes-Hut
+	// covered. A spacing of 0 makes every pair coincident, so only the
+	// kernels' jitter directions can pull the nodes apart.
+	for _, cfg := range []Config{{}, {Theta: 0.5}} {
+		for _, spacing := range []float64{0.001, 0} {
+			e := NewEngine(g, cfg, 5)
+			for i := range e.Pos {
+				e.Pos[i] = Point{X: spacing * float64(i), Y: 0}
+			}
+			for i := 0; i < 50; i++ {
+				e.Step()
+			}
+			// Repulsion must spread the nodes out.
+			minDist := math.Inf(1)
+			for i := 0; i < g.N; i++ {
+				for j := i + 1; j < g.N; j++ {
+					d := math.Hypot(e.Pos[i].X-e.Pos[j].X, e.Pos[i].Y-e.Pos[j].Y)
+					minDist = math.Min(minDist, d)
+				}
+			}
+			if minDist < 5 {
+				t.Errorf("Config%+v, spacing %g: nodes did not separate: min distance %.3f", cfg, spacing, minDist)
+			}
 		}
-	}
-	if minDist < 5 {
-		t.Errorf("nodes did not separate: min distance %.3f", minDist)
 	}
 }
 
@@ -145,7 +152,7 @@ func TestExactMatchesBruteForceSymmetry(t *testing.T) {
 
 func TestCoincidentPointsDoNotPanicBarnesHut(t *testing.T) {
 	g := Graph{N: 5}
-	e := NewEngine(g, Config{}, 1)
+	e := NewEngine(g, Config{Theta: 0.5}, 1)
 	for i := range e.Pos {
 		e.Pos[i] = Point{X: 1, Y: 1} // identical positions: deep split guard
 	}

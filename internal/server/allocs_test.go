@@ -1,16 +1,18 @@
 //go:build !race
 
-// Allocation pin for the NDJSON row encoder. AllocsPerRun is meaningless
-// under the race detector, so it runs in the plain `Allocs` pass of
-// `make test`.
+// Allocation pins for the NDJSON row encoder and the laid-out view.
+// AllocsPerRun is meaningless under the race detector, so they run in the
+// plain `Allocs` pass of `make test`.
 
 package server
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
 	"securitykg/internal/cypher"
+	"securitykg/internal/graph"
 )
 
 type discardWriter struct{ io.Writer }
@@ -30,5 +32,22 @@ func TestStreamEncodeAllocs(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("encoding a warm row allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestLayoutViewAllocs: a 9-node Layout (the size of a typical
+// /api/expand view) costs the engine's setup, the index map and the view
+// slices, and no more.
+func TestLayoutViewAllocs(t *testing.T) {
+	sg := &graph.Subgraph{}
+	for i := 0; i < 9; i++ {
+		sg.Nodes = append(sg.Nodes, &graph.Node{ID: graph.NodeID(i + 1), Type: "IP", Name: fmt.Sprintf("10.0.0.%d", i)})
+		if i > 0 {
+			sg.Edges = append(sg.Edges, &graph.Edge{ID: graph.EdgeID(i), From: 1, To: graph.NodeID(i + 1), Type: "CONNECT"})
+		}
+	}
+	const maxLayoutAllocs = 19 // 21 while every view built a quadtree
+	if allocs := testing.AllocsPerRun(100, func() { Layout(sg, 1) }); allocs > maxLayoutAllocs {
+		t.Errorf("9-node Layout allocates %.0f/op, want <= %d", allocs, maxLayoutAllocs)
 	}
 }

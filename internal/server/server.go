@@ -1,8 +1,9 @@
 // Package server exposes the exploration API the paper's web UI consumes:
 // keyword search (Elasticsearch role), Cypher queries (Neo4j role),
 // node detail, neighbor expansion and collapse, random subgraphs, view
-// history (the UI's back button), and Barnes-Hut layout positions for
-// every returned subgraph.
+// history (the UI's back button), and force-directed layout positions
+// for every returned subgraph (internal/layout: the exact sum for small
+// views, Barnes-Hut for large ones).
 package server
 
 import (
@@ -211,7 +212,9 @@ func colorFor(typ string) string {
 	return "green" // IOCs and the rest
 }
 
-// Layout positions a subgraph with Barnes-Hut and wraps it as a ViewGraph.
+// Layout positions a subgraph with the layout engine's default kernel
+// (the exact sum for small views, Barnes-Hut for large ones) and wraps it
+// as a ViewGraph.
 func Layout(sg *graph.Subgraph, seed int64) *ViewGraph {
 	idx := make(map[graph.NodeID]int, len(sg.Nodes))
 	for i, n := range sg.Nodes {
@@ -674,7 +677,10 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	}
 	depth := intParam(r, "depth", 1)
 	maxNb := intParam(r, "neighbors", 25)
-	maxNodes := intParam(r, "nodes", 100)
+	maxNodes, ok := viewSizeParam(w, r, "nodes", 100)
+	if !ok {
+		return
+	}
 	sg := s.store.ExpandFrom([]graph.NodeID{id}, depth, maxNb, maxNodes)
 	vg := Layout(sg, int64(id))
 	s.pushHistory(vg)
@@ -708,7 +714,10 @@ func (s *Server) handleRandom(w http.ResponseWriter, r *http.Request) {
 	if !s.awaitSeq(w, r, minSeqParam(r)) {
 		return
 	}
-	n := intParam(r, "n", 20)
+	n, ok := viewSizeParam(w, r, "n", 20)
+	if !ok {
+		return
+	}
 	seed := int64(intParam(r, "seed", 1))
 	sg := s.store.RandomSubgraph(seed, n)
 	vg := Layout(sg, seed)
@@ -725,6 +734,23 @@ func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
 	}
 	s.history = s.history[:len(s.history)-1]
 	writeJSON(w, s.history[len(s.history)-1])
+}
+
+// maxViewNodes is the most nodes an /api/expand or /api/random view may
+// ask for. A view is laid out on the request's goroutine and nothing
+// cancels it; BenchmarkLayoutRun/n=1000/bh prices one layout at this size
+// at ≈0.55 s on a 2-core machine.
+const maxViewNodes = 1000
+
+// viewSizeParam reads a view-size parameter like intParam and answers 400
+// when it asks for more than maxViewNodes.
+func viewSizeParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
+	n := intParam(r, name, def)
+	if n > maxViewNodes {
+		httpErr(w, http.StatusBadRequest, "%s=%d exceeds the limit of %d nodes per view", name, n, maxViewNodes)
+		return 0, false
+	}
+	return n, true
 }
 
 func intParam(r *http.Request, name string, def int) int {

@@ -236,6 +236,32 @@ func TestRandomAndBackEndpoints(t *testing.T) {
 	}
 }
 
+func TestViewSizeLimit(t *testing.T) {
+	s, _, wc := testServer(t)
+	for _, path := range []string{
+		fmt.Sprintf("/api/expand?id=%d&nodes=%d", wc, maxViewNodes+1),
+		fmt.Sprintf("/api/random?n=%d", maxViewNodes+1),
+		"/api/random?n=100000",
+	} {
+		res := get(t, s, path, nil)
+		var body struct{ Error string }
+		json.NewDecoder(res.Body).Decode(&body)
+		if res.StatusCode != 400 || !strings.Contains(body.Error, fmt.Sprint(maxViewNodes)) {
+			t.Errorf("%s: status %d, error %q; want 400 naming the %d-node limit", path, res.StatusCode, body.Error, maxViewNodes)
+		}
+	}
+	// At the limit both endpoints still answer.
+	for _, path := range []string{
+		fmt.Sprintf("/api/expand?id=%d&nodes=%d", wc, maxViewNodes),
+		fmt.Sprintf("/api/random?n=%d", maxViewNodes),
+	} {
+		var vg ViewGraph
+		if res := get(t, s, path, &vg); res.StatusCode != 200 || len(vg.Nodes) != 4 {
+			t.Errorf("%s: status %d, %d nodes; want 200 and the test graph's 4", path, res.StatusCode, len(vg.Nodes))
+		}
+	}
+}
+
 func TestRandomDeterministicPerSeed(t *testing.T) {
 	s, _, _ := testServer(t)
 	var a, b ViewGraph

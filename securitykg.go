@@ -8,7 +8,8 @@
 // dependency-based relation extraction), storage (property-graph,
 // relational, and log connectors plus a BM25 search index), knowledge
 // fusion, and exploration (Cypher-subset queries, keyword search,
-// Barnes-Hut layout, node expansion).
+// force-directed layout with Barnes-Hut for large views, node
+// expansion).
 //
 // Quickstart:
 //
