@@ -69,9 +69,9 @@ soak-test:
 vet:
 	$(GO) vet ./...
 
-# bench runs the Cypher engine benchmarks (planned vs legacy, index
-# on/off, variable-length paths, MERGE write path, hash join vs nested
-# loop, bidirectional expand, parallel scans) plus the durability
+# bench runs the Cypher engine benchmarks (index on/off,
+# variable-length paths, MERGE write path, hash join, bidirectional
+# expand, parallel scans) plus the durability
 # benchmarks (WAL append throughput, cold-start recovery, and the
 # Storage arms: one logged mutation, 20k-record cold-start replay,
 # snapshot load, checkpoint), the MVCC contention benchmark
@@ -164,8 +164,8 @@ cover:
 
 # fuzz exercises the IOC-scanner, parser, engine, NDJSON-escaper and
 # WAL-recovery and replication-frame fuzz targets for 30s each (the
-# anchored scanner must equal the ten-regex sweep; parser must never panic; engines must
-# error, not crash; a streamed cell must be escaped exactly as
+# anchored scanner must equal the ten-regex sweep; parser must never panic; the engine
+# must error, not crash; a streamed cell must be escaped exactly as
 # encoding/json escapes it; recovery must survive arbitrary log bytes
 # and stay writable; the frame reader must pass on only whole frames of
 # a known kind, within its size bound).

@@ -256,10 +256,10 @@ func BenchmarkCypherQuery(b *testing.B) {
 	}
 }
 
-// --- E15: planned streaming engine vs legacy matcher ---
+// --- the 20k-node KG the engine benchmarks below share ---
 
 // benchKG is a 20k-node KG with malware hubs and IP fan-out, shared by
-// the planner benchmarks.
+// the engine benchmarks.
 func benchKG() *graph.Store {
 	s := graph.New()
 	for i := 0; i < 10000; i++ {
@@ -272,50 +272,13 @@ func benchKG() *graph.Store {
 	return s
 }
 
-// BenchmarkCypherPlannerVsLegacy compares the two engines on the query
-// shapes that matter: point lookups, full multi-hop joins, and LIMIT-ed
-// multi-hop where the streaming executor's early cutoff dominates (the
-// legacy matcher materializes every match before truncating). Repeated
-// planned runs hit the engine's plan cache (skipping parse+plan), the
-// same advantage a serving workload sees; legacy re-parses every run.
-func BenchmarkCypherPlannerVsLegacy(b *testing.B) {
-	s := benchKG()
-	queries := []struct {
-		name string
-		q    string
-	}{
-		{"point", `match (n) where n.name = "malware-5000" return n`},
-		{"2-hop", `match (m {name: "malware-5000"})-[:CONNECT]->(ip)<-[:CONNECT]-(m2) return m2.name`},
-		{"reversed-entry", `match (ip)<-[:CONNECT]-(m {name: "malware-5000"}) return ip.name`},
-		{"multi-hop-limit", `match (m:Malware)-[:CONNECT]->(ip)<-[:CONNECT]-(m2) return m.name, m2.name limit 20`},
-		{"scan-limit", `match (m:Malware)-[:CONNECT]->(ip) return m.name, ip.name limit 10`},
-	}
-	for _, q := range queries {
-		for _, legacy := range []bool{false, true} {
-			mode := "planned"
-			if legacy {
-				mode = "legacy"
-			}
-			b.Run(fmt.Sprintf("%s/%s", q.name, mode), func(b *testing.B) {
-				eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxRows: 100000, Legacy: legacy})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Run(q.q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // --- E16: variable-length path traversal (threat-hunt shape) ---
 
 // BenchmarkCypherVarLengthPath measures the bounded-BFS VarExpand
 // operator on the hunt-style query "what is within k undirected hops of
 // this malware" over the 20k-node KG, where the shared-IP structure
-// makes each extra hop fan out across neighboring malware. Compared on
-// both engines; the streaming path also exercises WITH + collect.
+// makes each extra hop fan out across neighboring malware. The collect
+// arm also exercises WITH + collect.
 func BenchmarkCypherVarLengthPath(b *testing.B) {
 	s := benchKG()
 	queries := []struct {
@@ -327,21 +290,15 @@ func BenchmarkCypherVarLengthPath(b *testing.B) {
 		{"collect-2-hop", `match (m {name: "malware-5000"})-[:CONNECT*1..2]-(x) with m, collect(x.name) as reach return m.name, reach`},
 	}
 	for _, q := range queries {
-		for _, legacy := range []bool{false, true} {
-			mode := "planned"
-			if legacy {
-				mode = "legacy"
-			}
-			b.Run(fmt.Sprintf("%s/%s", q.name, mode), func(b *testing.B) {
-				eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxRows: 100000, Legacy: legacy})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Run(q.q); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(q.name+"/planned", func(b *testing.B) {
+			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxRows: 100000})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Run(q.q); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -449,9 +406,9 @@ func BenchmarkCypherRowsStreaming(b *testing.B) {
 
 // BenchmarkCypherHashJoinVsNestedLoop measures the cross-chain equality
 // join: two 400-node label scans linked only by a.name = b.name. The
-// planned engine hashes the cheaper side (one pass over each scan); the
-// legacy engine is the nested-loop baseline, re-enumerating the second
-// chain for every row of the first (160k pairs per execution).
+// engine hashes the cheaper side, one pass over each scan where a nested
+// loop would re-enumerate the second chain for every row of the first
+// (160k pairs per execution).
 func BenchmarkCypherHashJoinVsNestedLoop(b *testing.B) {
 	s := graph.New()
 	for i := 0; i < 400; i++ {
@@ -459,33 +416,26 @@ func BenchmarkCypherHashJoinVsNestedLoop(b *testing.B) {
 		s.MergeNode("Dst", fmt.Sprintf("k%d", i+100), nil)
 	}
 	q := `match (a:Src), (b:Dst) where a.name = b.name return count(*)`
-	for _, legacy := range []bool{false, true} {
-		mode := "hash-join"
-		if legacy {
-			mode = "nested-loop"
-		}
-		b.Run(mode, func(b *testing.B) {
-			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, Legacy: legacy})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Run(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Rows[0][0].Num != 300 {
-					b.Fatalf("join count = %v, want 300", res.Rows[0][0].Num)
-				}
+	b.Run("hash-join", func(b *testing.B) {
+		eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Run(q)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if res.Rows[0][0].Num != 300 {
+				b.Fatalf("join count = %v, want 300", res.Rows[0][0].Num)
+			}
+		}
+	})
 }
 
 // BenchmarkCypherBiExpand measures a 4-hop symmetric chain with both
-// endpoints pinned on a dense 20-node clique: the planned engine's
-// BiExpand collapses walk multiplicities level by level (counted
-// frontier expansion, ~20 map entries per level); the legacy engine is
-// the one-sided baseline, enumerating all 19^3 ≈ 6.9k complete walks
-// (and visiting 19^4 ≈ 130k edges) per execution.
+// endpoints pinned on a dense 20-node clique: BiExpand collapses walk
+// multiplicities level by level (counted frontier expansion, ~20 map
+// entries per level) where one-sided enumeration would walk all 19^3 ≈
+// 6.9k complete walks (and visit 19^4 ≈ 130k edges) per execution.
 func BenchmarkCypherBiExpand(b *testing.B) {
 	s := graph.New()
 	ids := make([]graph.NodeID, 20)
@@ -500,21 +450,15 @@ func BenchmarkCypherBiExpand(b *testing.B) {
 		}
 	}
 	q := `match (a:H {name: "h0"})-[:R]->()-[:R]->()-[:R]->()-[:R]->(b:H {name: "h1"}) return count(*)`
-	for _, legacy := range []bool{false, true} {
-		mode := "bi-expand"
-		if legacy {
-			mode = "one-sided"
-		}
-		b.Run(mode, func(b *testing.B) {
-			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, Legacy: legacy})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(q); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("bi-expand", func(b *testing.B) {
+		eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Run(q); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkCypherParallelScan measures the partitioned full scan on a

@@ -1,5 +1,5 @@
 // Command skg-bench regenerates every experiment in its index (the defs
-// table below, E1-E15) and prints each as a table.
+// table below, E1-E14) and prints each as a table.
 //
 // Usage:
 //
@@ -70,14 +70,11 @@ var defs = []expDef{
 	{"E14", "embeddings", func(_ int, seed int64) (*experiments.Table, error) {
 		return experiments.EmbeddingFeatures(150, 200, seed)
 	}},
-	{"E15", "planner", func(_ int, seed int64) (*experiments.Table, error) {
-		return experiments.PlannerComparison([]int{1000, 10000, 50000}, seed)
-	}},
 }
 
 func main() {
 	var (
-		exp   = flag.String("exp", "", "experiment to run: E1..E15 or name (crawl, scale, pipeline, ner, iocprot, labelmodel, relext, fusion, ontology, search, cypher, layout, explore, embeddings, planner); empty = all")
+		exp   = flag.String("exp", "", "experiment to run: E1..E14 or name (crawl, scale, pipeline, ner, iocprot, labelmodel, relext, fusion, ontology, search, cypher, layout, explore, embeddings); empty = all")
 		scale = flag.Int("scale", 0, "scale override for -exp scale (default 5000; paper scale 120000)")
 		seed  = flag.Int64("seed", 42, "experiment seed")
 	)

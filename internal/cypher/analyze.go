@@ -243,9 +243,6 @@ func (e *Engine) analyzeResult(pl *Plan, ps params) (*Result, error) {
 // text. Analyzing has no effect of its own on the store or the plan
 // cache.
 func (e *Engine) QueryAnalyze(src string, args map[string]any) (*Result, string, error) {
-	if e.opts.Legacy {
-		return nil, "", fmt.Errorf("cypher: EXPLAIN ANALYZE requires the streaming engine (Options.Legacy is set)")
-	}
 	q, err := Parse(src)
 	if err != nil {
 		return nil, "", err

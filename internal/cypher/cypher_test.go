@@ -306,13 +306,13 @@ func TestOrderByNonReturnedExpression(t *testing.T) {
 			t.Errorf("%s: expected ORDER BY error, got %v", q, err)
 		}
 	}
-	// Legacy engine agrees on both semantics.
-	lres, err := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(`match (n) return n.name order by n.rank`)
+	// The reference agrees on both semantics.
+	rres, err := reference{s}.Query(`match (n) return n.name order by n.rank`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameMultiset(renderRows(res), renderRows(lres)) || lres.Rows[0][0].Str != "c" {
-		t.Errorf("legacy hidden-key order: %+v", lres.Rows)
+	if !sameMultiset(renderRows(res), renderRows(rres)) || rres.Rows[0][0].Str != "c" {
+		t.Errorf("reference hidden-key order: %+v", rres.Rows)
 	}
 }
 

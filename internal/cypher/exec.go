@@ -29,10 +29,6 @@ type Options struct {
 	// query that exceeds the budget aborts with a *BudgetError instead
 	// of returning silently truncated results.
 	MaxBytes int64
-	// Legacy selects the pre-planner tree-walking matcher. It exists for
-	// differential testing and planner-vs-legacy benchmarks; the planned
-	// streaming pipeline is the default.
-	Legacy bool
 	// ReadOnly rejects statements with writing clauses (CREATE, MERGE,
 	// SET, DELETE) at execution time. EXPLAIN of a write statement is
 	// still allowed — it never executes.
@@ -173,33 +169,6 @@ func (e *Engine) Run(src string) (*Result, error) { return e.Query(src, nil) }
 // Repeated statements (same text; parameters do not change the text)
 // reuse the store-shared cached plan, skipping parse and planning.
 func (e *Engine) Query(src string, args map[string]any) (*Result, error) {
-	if e.opts.Legacy {
-		q, err := Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		if q.TxOp != TxNone {
-			return nil, errTxControl
-		}
-		if q.Explain {
-			if q.Analyze {
-				// EXPLAIN ANALYZE executes (through the streaming pipeline,
-				// which is the plan being profiled), so it needs bindings.
-				ps, err := bindParams(q.Params, args)
-				if err != nil {
-					return nil, err
-				}
-				return e.runPlanned(q, ps)
-			}
-			// EXPLAIN never executes, so it needs no bindings.
-			return e.runPlanned(q, params{})
-		}
-		ps, err := bindParams(q.Params, args)
-		if err != nil {
-			return nil, err
-		}
-		return e.runLegacy(q, ps)
-	}
 	rows, err := e.QueryRows(src, args)
 	if err != nil {
 		return nil, err
@@ -209,17 +178,8 @@ func (e *Engine) Query(src string, args map[string]any) (*Result, error) {
 
 // QueryRows executes a statement and returns an incremental cursor: the
 // first row is available without materializing the match set, and
-// closing the cursor early stops all upstream matching. The legacy
-// engine has no streaming pipeline, so it materializes first and the
-// cursor merely iterates the buffer.
+// closing the cursor early stops all upstream matching.
 func (e *Engine) QueryRows(src string, args map[string]any) (*Rows, error) {
-	if e.opts.Legacy {
-		res, err := e.Query(src, args)
-		if err != nil {
-			return nil, err
-		}
-		return rowsFromResult(res), nil
-	}
 	if pl := e.cachedPlan(src); pl != nil {
 		ps, err := bindParams(pl.Params, args)
 		if err != nil {
@@ -277,505 +237,11 @@ func (e *Engine) Explain(src string) (string, error) {
 	return pl.String(), nil
 }
 
-// runLegacy is the original recursive matcher, extended with the same
-// dialect as the streaming engine (variable-length BFS, OPTIONAL MATCH
-// null-padding, WITH segment chaining): it materializes every complete
-// match of a segment before projecting it into the next. Each
-// materialized binding is charged against the byte budget, so an
-// over-budget query fails with *BudgetError instead of being silently
-// truncated (the old MaxRows*4+1000 match cap). Kept as the
-// differential baseline the property tests and benchmarks compare the
-// streaming executor against.
-func (e *Engine) runLegacy(q *Query, ps params) (*Result, error) {
-	if q.HasWrites() && e.opts.ReadOnly {
-		return nil, ErrReadOnly
-	}
-	batch := false
-	for pi := range q.Parts {
-		if q.Parts[pi].Unwind != nil && q.Parts[pi].HasWrites() {
-			batch = true
-		}
-	}
-	ex, finish, err := e.beginScope(q.HasWrites(), batch)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ex.runLegacyScoped(q, ps)
-	// finish commits (or, on error, rolls back) the statement's implicit
-	// transaction / releases its snapshot; a commit failure loses the
-	// result — the mutations did not land.
-	if err := finish(err); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// runLegacyScoped is runLegacy's body, running on the per-statement
-// scoped engine.
-func (e *Engine) runLegacyScoped(q *Query, ps params) (*Result, error) {
-	bud := newBudget(e.opts.MaxBytes)
-	var stats *WriteStats
-	if q.HasWrites() {
-		stats = &WriteStats{}
-	}
-	bindings := []binding{newBinding(legacyTable(&q.Parts[0], nil))}
-	for pi := range q.Parts {
-		part := &q.Parts[pi]
-		var err error
-		if part.Unwind != nil {
-			bindings, err = e.legacyUnwind(part.Unwind, bindings, ps, bud)
-			if err != nil {
-				return nil, err
-			}
-		}
-		bindings, err = e.legacyMatchPart(part, bindings, ps, bud)
-		if err != nil {
-			return nil, err
-		}
-		// Writes run after the part's reads have fully materialized —
-		// the same eager barrier the planned MutationStage provides.
-		if wc := writeClausesOf(part); wc != nil {
-			for _, b := range bindings {
-				if err := e.applyWrites(wc, b, ps, stats); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if pi == len(q.Parts)-1 {
-			return e.legacyFinal(part, bindings, ps, bud, stats)
-		}
-		bindings, err = e.legacyWith(part, legacyTable(&q.Parts[pi+1], part.Items), bindings, ps, bud)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("cypher: query has no RETURN part")
-}
-
-// legacyTable names the frame slots of one part for the legacy matcher,
-// which works from the parsed query: the aliases the previous part
-// hands over, the UNWIND alias, and every named variable of the part's
-// reading and writing patterns.
-func legacyTable(part *QueryPart, carried []ReturnItem) *slotTable {
-	tab := &slotTable{}
-	for _, it := range carried {
-		tab.add(it.Alias)
-	}
-	if part.Unwind != nil {
-		tab.add(part.Unwind.Alias)
-	}
-	for _, mc := range part.Matches {
-		patternVarsInto(tab, mc.Patterns)
-	}
-	for _, cc := range part.Creates {
-		patternVarsInto(tab, cc.Patterns)
-	}
-	return tab
-}
-
-// ErrReadOnly is the uniform rejection both engines return for write
-// statements on a ReadOnly engine. Exported so callers can recognize it
-// with errors.Is — a replica server turns it into a leader redirect.
+// ErrReadOnly is the rejection a ReadOnly engine returns for a statement
+// with writing clauses, before it opens a scope or touches the store.
+// Exported so callers can recognize it with errors.Is — a replica server
+// turns it into a leader redirect.
 var ErrReadOnly = fmt.Errorf("cypher: write clauses (CREATE/MERGE/SET/DELETE) are disabled on this read-only engine")
-
-// legacyUnwind expands each input binding into one clone per element of
-// the UNWIND expression's list, with the element bound to the alias —
-// the same semantics as the streaming unwindIter (null unwinds to zero
-// rows, a non-list value to one).
-func (e *Engine) legacyUnwind(uc *UnwindClause, in []binding, ps params, bud *byteBudget) ([]binding, error) {
-	var out []binding
-	for _, b := range in {
-		v, err := evalExpr(uc.Expr, &b, ps)
-		if err != nil {
-			return nil, err
-		}
-		var elems []Value
-		switch v.Kind {
-		case KindNull:
-			continue
-		case KindList:
-			elems = v.List
-		default:
-			elems = []Value{v}
-		}
-		for _, el := range elems {
-			b2 := b.clone()
-			b2.set(uc.Alias, el)
-			if err := bud.charge(bindingBytes(b2)); err != nil {
-				return nil, err
-			}
-			out = append(out, b2)
-		}
-	}
-	return out, nil
-}
-
-// legacyMatchPart enumerates the bindings for one part's reading
-// clauses, processing the same clause runs the planner emits
-// (requiredRuns is shared, so grouping cannot drift): required runs
-// join, OPTIONAL MATCH null-pads.
-func (e *Engine) legacyMatchPart(part *QueryPart, in []binding, ps params, bud *byteBudget) ([]binding, error) {
-	out := in
-	for _, run := range requiredRuns(part.Matches) {
-		if run.optional != nil {
-			var err error
-			out, err = e.legacyOptional(*run.optional, out, ps, bud)
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		hints := extractEqualityHints(run.where)
-		var next []binding
-		var matchErr error
-		for _, b := range out {
-			e.matchPatterns(run.pats, 0, b, hints, ps, func(b2 binding) bool {
-				if run.where != nil {
-					v, err := evalExpr(run.where, &b2, ps)
-					if err != nil {
-						matchErr = err
-						return false
-					}
-					if !v.Truthy() {
-						return true
-					}
-				}
-				if err := bud.charge(bindingBytes(b2)); err != nil {
-					matchErr = err
-					return false
-				}
-				next = append(next, b2.clone())
-				return true
-			})
-			if matchErr != nil {
-				return nil, matchErr
-			}
-		}
-		out = next
-	}
-	return out, nil
-}
-
-// legacyOptional extends each input binding with every match of the
-// optional clause, or with a single null-padded copy when none exists.
-func (e *Engine) legacyOptional(mc MatchClause, in []binding, ps params, bud *byteBudget) ([]binding, error) {
-	hints := extractEqualityHints(mc.Where)
-	optVars := map[string]bool{}
-	for _, p := range mc.Patterns {
-		for _, np := range p.Nodes {
-			if np.Var != "" {
-				optVars[np.Var] = true
-			}
-		}
-		for _, ep := range p.Edges {
-			if ep.Var != "" {
-				optVars[ep.Var] = true
-			}
-		}
-	}
-	var out []binding
-	var matchErr error
-	for _, b := range in {
-		found := false
-		e.matchPatterns(mc.Patterns, 0, b, hints, ps, func(b2 binding) bool {
-			if mc.Where != nil {
-				v, err := evalExpr(mc.Where, &b2, ps)
-				if err != nil {
-					matchErr = err
-					return false
-				}
-				if !v.Truthy() {
-					return true
-				}
-			}
-			found = true
-			if err := bud.charge(bindingBytes(b2)); err != nil {
-				matchErr = err
-				return false
-			}
-			out = append(out, b2.clone())
-			return true
-		})
-		if matchErr != nil {
-			return nil, matchErr
-		}
-		if !found {
-			b2 := b.clone()
-			for v := range optVars {
-				if _, bound := b2.get(v); !bound {
-					b2.set(v, NullValue())
-				}
-			}
-			if err := bud.charge(bindingBytes(b2)); err != nil {
-				return nil, err
-			}
-			out = append(out, b2)
-		}
-	}
-	return out, nil
-}
-
-// legacyWith projects a part's bindings through its WITH items into
-// fresh bindings for the next part, applying DISTINCT and the post-WITH
-// WHERE filter.
-func (e *Engine) legacyWith(part *QueryPart, next *slotTable, matches []binding, ps params, bud *byteBudget) ([]binding, error) {
-	hasAgg := false
-	for _, it := range part.Items {
-		if isAggregate(it.Expr) {
-			hasAgg = true
-		}
-	}
-	var rows [][]Value
-	if hasAgg {
-		res := &Result{}
-		if err := aggregateRows(part.Items, res, pullFromSlice(matches), ps); err != nil {
-			return nil, err
-		}
-		rows = res.Rows
-	} else {
-		for i := range matches {
-			row, err := projectRow(part.Items, nil, &matches[i], ps)
-			if err != nil {
-				return nil, err
-			}
-			if err := bud.charge(rowBytes(row)); err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-		if part.Distinct {
-			rows = distinctRows(rows)
-		}
-	}
-	var out []binding
-	for _, row := range rows {
-		nb := newBinding(next)
-		for i, it := range part.Items {
-			nb.set(it.Alias, row[i])
-		}
-		if part.Where != nil {
-			v, err := evalExpr(part.Where, &nb, ps)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		out = append(out, nb)
-	}
-	return out, nil
-}
-
-// legacyFinal projects, aggregates, sorts and pages the final part.
-func (e *Engine) legacyFinal(part *QueryPart, matches []binding, ps params, bud *byteBudget, stats *WriteStats) (*Result, error) {
-	res := &Result{Writes: stats}
-	if len(part.Items) == 0 {
-		// Write-only statement: the counts are the result.
-		return res, nil
-	}
-	hasAgg := false
-	for _, it := range part.Items {
-		res.Columns = append(res.Columns, it.Alias)
-		if isAggregate(it.Expr) {
-			hasAgg = true
-		}
-	}
-	op, err := resolveOrderKeys(part.OrderBy, part.Items, part.Distinct, hasAgg)
-	if err != nil {
-		return nil, err
-	}
-	if hasAgg {
-		if err := aggregateRows(part.Items, res, pullFromSlice(matches), ps); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := range matches {
-			row, err := projectRow(part.Items, op, &matches[i], ps)
-			if err != nil {
-				return nil, err
-			}
-			if err := bud.charge(rowBytes(row)); err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		if part.Distinct {
-			res.Rows = distinctRows(res.Rows)
-		}
-	}
-	finishRows(part.OrderBy, part.Skip, part.Limit, res, op, e.opts.MaxRows)
-	return res, nil
-}
-
-// --- pattern matching ---
-
-// equality hints pushed down from WHERE: var -> prop -> literal or
-// $parameter string value (hintVal).
-func extractEqualityHints(w Expr) map[string]map[string]hintVal {
-	var conjs []Expr
-	splitConjuncts(w, &conjs)
-	return equalityHints(conjs)
-}
-
-func (e *Engine) matchPatterns(pats []Pattern, idx int, b binding,
-	hints map[string]map[string]hintVal, ps params, emit func(binding) bool) bool {
-	if idx >= len(pats) {
-		return emit(b)
-	}
-	return e.matchChain(pats[idx], 0, b, hints, ps, func(b2 binding) bool {
-		return e.matchPatterns(pats, idx+1, b2, hints, ps, emit)
-	})
-}
-
-// matchChain matches pattern node i and then recursively its outgoing
-// edge pattern chain, calling emit for every complete assignment. The
-// return value follows the emit protocol: false stops the search.
-func (e *Engine) matchChain(p Pattern, i int, b binding,
-	hints map[string]map[string]hintVal, ps params, emit func(binding) bool) bool {
-	np := p.Nodes[i]
-
-	tryNode := func(n *graph.Node) bool {
-		if !nodeMatches(&np, n, ps) {
-			return true // skip, continue search
-		}
-		b2 := b
-		if np.Var != "" {
-			if prev, bound := b.get(np.Var); bound {
-				if prev.Kind != KindNode || prev.Node.ID != n.ID {
-					return true
-				}
-			} else {
-				b2 = b.clone()
-				b2.set(np.Var, NodeValue(n))
-			}
-		}
-		if i == len(p.Nodes)-1 {
-			return emit(b2)
-		}
-		return e.matchEdge(p, i, n, b2, hints, ps, emit)
-	}
-
-	// If the variable is already bound, only that node is a candidate.
-	if np.Var != "" {
-		if prev, bound := b.get(np.Var); bound {
-			if prev.Kind != KindNode {
-				return true
-			}
-			return tryNode(prev.Node)
-		}
-	}
-	cont := true
-	for _, n := range e.candidates(np, hints, ps) {
-		if !tryNode(n) {
-			cont = false
-			break
-		}
-	}
-	return cont
-}
-
-func (e *Engine) matchEdge(p Pattern, i int, from *graph.Node, b binding,
-	hints map[string]map[string]hintVal, ps params, emit func(binding) bool) bool {
-	ep := p.Edges[i]
-	if ep.VarLength() {
-		return e.matchVarEdge(p, i, from, b, hints, ps, emit)
-	}
-	dirs := []graph.Direction{}
-	switch ep.Dir {
-	case DirRight:
-		dirs = append(dirs, graph.Out)
-	case DirLeft:
-		dirs = append(dirs, graph.In)
-	case DirAny:
-		dirs = append(dirs, graph.Out, graph.In)
-	}
-	for _, d := range dirs {
-		for _, ed := range e.view.Edges(from.ID, d) {
-			if ep.Type != "" && ed.Type != ep.Type {
-				continue
-			}
-			otherID := ed.To
-			if d == graph.In {
-				otherID = ed.From
-			}
-			other := e.view.Node(otherID)
-			if other == nil {
-				continue
-			}
-			b2 := b
-			if ep.Var != "" {
-				if prev, bound := b.get(ep.Var); bound {
-					if prev.Kind != KindEdge || prev.Edge.ID != ed.ID {
-						continue
-					}
-				} else {
-					b2 = b.clone()
-					b2.set(ep.Var, EdgeValue(ed))
-				}
-			}
-			np := p.Nodes[i+1]
-			if !nodeMatches(&np, other, ps) {
-				continue
-			}
-			b3 := b2
-			if np.Var != "" {
-				if prev, bound := b2.get(np.Var); bound {
-					if prev.Kind != KindNode || prev.Node.ID != other.ID {
-						continue
-					}
-				} else {
-					b3 = b2.clone()
-					b3.set(np.Var, NodeValue(other))
-				}
-			}
-			if i+1 == len(p.Nodes)-1 {
-				if !emit(b3) {
-					return false
-				}
-			} else {
-				if !e.matchEdge(p, i+1, other, b3, hints, ps, emit) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// matchVarEdge matches a variable-length edge pattern with the same
-// reachability semantics the streaming VarExpand iterator uses: the
-// target binds once per distinct node whose shortest distance from the
-// start lies within the hop range.
-func (e *Engine) matchVarEdge(p Pattern, i int, from *graph.Node, b binding,
-	hints map[string]map[string]hintVal, ps params, emit func(binding) bool) bool {
-	np := p.Nodes[i+1]
-	for _, id := range new(bfsWalk).targets(e.view, from.ID, p.Edges[i], false) {
-		other := e.view.Node(id)
-		if other == nil || !nodeMatches(&np, other, ps) {
-			continue
-		}
-		b2 := b
-		if np.Var != "" {
-			if prev, bound := b.get(np.Var); bound {
-				if prev.Kind != KindNode || prev.Node.ID != other.ID {
-					continue
-				}
-			} else {
-				b2 = b.clone()
-				b2.set(np.Var, NodeValue(other))
-			}
-		}
-		if i+1 == len(p.Nodes)-1 {
-			if !emit(b2) {
-				return false
-			}
-		} else if !e.matchEdge(p, i+1, other, b2, hints, ps, emit) {
-			return false
-		}
-	}
-	return true
-}
 
 // bfsWalk holds the buffers of the bounded breadth-first walk behind
 // variable-length patterns, so an iterator that walks once per input row
@@ -790,9 +256,8 @@ type bfsWalk struct {
 // targets returns the IDs of the nodes whose shortest distance from
 // start — along edges matching the pattern's type and direction — lies
 // within [MinHops, MaxHops] (MaxHops < 0 = unbounded). Each node is
-// visited at most once, so the walk terminates on any graph. Both
-// engines share it, so variable-length semantics cannot drift. The
-// result is valid until the walk's next call.
+// visited at most once, so the walk terminates on any graph. The result
+// is valid until the walk's next call.
 func (w *bfsWalk) targets(view graph.View, start graph.NodeID, ep EdgePattern, reverse bool) []graph.NodeID {
 	dir := expandDir(ep.Dir, reverse)
 	if w.visited == nil {
@@ -823,54 +288,6 @@ func (w *bfsWalk) targets(view graph.View, start graph.NodeID, ep EdgePattern, r
 		w.frontier, w.next = w.next, w.frontier
 	}
 	return w.out
-}
-
-// candidates enumerates starting nodes for a node pattern, using indexes
-// when allowed: exact (label, name) lookup, name index, label index, then
-// full scan as a last resort. Parameter-valued name constraints (inline
-// $param props or WHERE hints) resolve against ps before the lookup.
-func (e *Engine) candidates(np NodePattern, hints map[string]map[string]hintVal, ps params) []*graph.Node {
-	name, hasName := "", false
-	if np.Props != nil {
-		if v, ok := np.Props["name"]; ok && v.Kind == KindString {
-			name, hasName = v.Str, true
-		}
-	}
-	if !hasName && np.ParamProps != nil {
-		if pn, ok := np.ParamProps["name"]; ok {
-			if v, bound := ps.get(pn); bound && v.Kind == KindString {
-				name, hasName = v.Str, true
-			}
-		}
-	}
-	if !hasName && np.Var != "" {
-		if h, ok := hints[np.Var]; ok {
-			if hv, ok := h["name"]; ok {
-				if s, ok := hv.resolve(ps); ok {
-					name, hasName = s, true
-				}
-			}
-		}
-	}
-	if e.opts.UseIndexes {
-		switch {
-		case hasName && np.Label != "":
-			if n := e.view.FindNode(np.Label, name); n != nil {
-				return []*graph.Node{n}
-			}
-			return nil
-		case hasName:
-			return e.view.NodesByName(name)
-		case np.Label != "":
-			return e.view.NodesByType(np.Label)
-		}
-	}
-	var out []*graph.Node
-	e.view.ForEachNode(func(n *graph.Node) bool {
-		out = append(out, n)
-		return true
-	})
-	return out
 }
 
 // nodeMatches checks label and inline property constraints, resolving
@@ -1304,20 +721,6 @@ func (a *aggState) result(op aggOp, ch *strChain) Value {
 	return NullValue()
 }
 
-// pullFromSlice adapts a materialized match set to aggregateRows' pull
-// protocol (nil binding = exhausted).
-func pullFromSlice(matches []binding) func() (*binding, error) {
-	i := 0
-	return func() (*binding, error) {
-		if i >= len(matches) {
-			return nil, nil
-		}
-		b := &matches[i]
-		i++
-		return b, nil
-	}
-}
-
 // aggGroup is one group of an aggregation: its output row — the grouping
 // values at their item positions from the first row of the group, the
 // aggregate columns filled in when the input is exhausted — and the
@@ -1330,9 +733,8 @@ type aggGroup struct {
 // aggregateRows consumes bindings from pull (nil binding = exhausted),
 // grouping by the non-aggregate projection items and folding the
 // aggregate ones (count/min/max/sum/collect). Groups are emitted in
-// first-seen order; collect() lists are canonically ordered so both
-// engines agree regardless of enumeration order. The legacy path wraps
-// its match slice, the streaming path wraps the iterator pipeline.
+// first-seen order; collect() lists are canonically ordered, so a list
+// does not depend on the order the plan enumerated its rows in.
 //
 // A row costs no allocation once its group exists: the grouping values
 // are evaluated into a scratch row and keyed through a reused buffer
@@ -1399,17 +801,6 @@ func aggregateRows(items []ReturnItem, res *Result, pull func() (*binding, error
 	return nil
 }
 
-func distinctRows(rows [][]Value) [][]Value {
-	seen := newRowSet()
-	out := rows[:0]
-	for _, r := range rows {
-		if seen.add(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // orderPlan is the resolved ORDER BY strategy: each key maps to a column
 // index in the (visible + hidden) row. Keys naming a returned column by
 // alias text sort on it directly; other expressions become hidden
@@ -1471,21 +862,6 @@ func sortRows(orderBy []OrderKey, rows [][]Value, keyCols []int) {
 	slices.SortStableFunc(rows, func(a, b []Value) int {
 		return compareRows(orderBy, keyCols, a, b)
 	})
-}
-
-// finishRows applies the legacy engine's trailing row operators: sort
-// (stripping any hidden key columns afterwards), SKIP, LIMIT, and the
-// MaxRows safety valve (which sets Truncated when it drops rows).
-func finishRows(orderBy []OrderKey, skip, limit int, res *Result, op *orderPlan, maxRows int) {
-	if op != nil {
-		sortRows(orderBy, res.Rows, op.keyCols)
-		stripHidden(res.Rows, len(res.Columns), op)
-	}
-	res.Rows = pageRows(res.Rows, skip, limit)
-	if maxRows > 0 && len(res.Rows) > maxRows {
-		res.Rows = res.Rows[:maxRows]
-		res.Truncated = true
-	}
 }
 
 // stripHidden cuts the hidden ORDER BY columns off sorted rows.

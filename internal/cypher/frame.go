@@ -6,8 +6,8 @@ package cypher
 // variables CREATE/MERGE introduce — and a binding is a []Value indexed
 // by those slots. The planner stamps each stage and each VarExpr/PropExpr
 // with its slot, so the executor indexes instead of hashing a name per
-// access; the legacy matcher and the write path, which work from the
-// parsed (unstamped) query, resolve names through the same table. A
+// access; the write path, which works from the parsed (unstamped)
+// clauses, resolves names through the same table. A
 // table is complete before the first frame over it exists and is never
 // written again, so one cached plan's tables are shared by every
 // concurrent execution.
@@ -114,8 +114,8 @@ func bindingBytes(b binding) int {
 // stampExpr returns e with every variable reference the table knows
 // stamped with its slot. Unknown names stay unstamped and fail at
 // evaluation as unbound, exactly as before. The parsed query is shared
-// with prepared statements and the legacy matcher, so nothing is
-// rewritten in place.
+// with prepared statements (a Stmt re-plans it when its cache entry is
+// evicted), so nothing is rewritten in place.
 func stampExpr(e Expr, tab *slotTable) Expr {
 	switch v := e.(type) {
 	case VarExpr:

@@ -4,9 +4,9 @@ package cypher
 //
 //   - FuzzParse: the parser never panics, whatever the input bytes.
 //   - FuzzEngineQuery: any input the parser accepts either executes or
-//     returns an error — the engines (planned and legacy) never panic
-//     and never hang (MaxRows bounds enumeration; variable-length BFS
-//     is visited-set bounded).
+//     returns an error — the engine never panics and never hangs (the
+//     byte budget bounds enumeration; variable-length BFS is
+//     visited-set bounded).
 //
 // The seed corpus is every query string already used across the package
 // tests, the examples and the benchmarks, so the fuzzers start from the
@@ -215,7 +215,7 @@ var fuzzArgs = map[string]any{
 	"num":  1,
 }
 
-// FuzzEngineQuery asserts both engines return an error rather than
+// FuzzEngineQuery asserts the engine returns an error rather than
 // crashing on any parse-accepted input. The byte budget (1 MiB) bounds
 // enumeration — unbounded cross products abort with *BudgetError
 // instead of hanging.
@@ -245,19 +245,16 @@ func FuzzEngineQuery(f *testing.F) {
 			}
 			return
 		}
-		writes := q.HasWrites()
-		for _, legacy := range []bool{false, true} {
-			s := fuzzStore()
-			if writes {
-				// Write statements mutate: give each engine its own store
-				// so iterations stay independent.
-				s = buildFuzzStore()
-			}
-			eng := NewEngine(s, Options{UseIndexes: true, MaxRows: 50, MaxBytes: 1 << 20, Legacy: legacy})
-			res, err := eng.Query(src, fuzzArgs)
-			if err == nil && res == nil {
-				t.Fatalf("legacy=%v: nil result without error for %q", legacy, src)
-			}
+		s := fuzzStore()
+		if q.HasWrites() {
+			// Write statements mutate: give each execution its own store so
+			// iterations stay independent.
+			s = buildFuzzStore()
+		}
+		eng := NewEngine(s, Options{UseIndexes: true, MaxRows: 50, MaxBytes: 1 << 20})
+		res, err := eng.Query(src, fuzzArgs)
+		if err == nil && res == nil {
+			t.Fatalf("nil result without error for %q", src)
 		}
 	})
 }

@@ -532,9 +532,8 @@ func (x *expandIter) next() (bool, error) {
 
 // varExpandIter streams the bounded BFS of a variable-length pattern:
 // for every input row it computes the set of nodes whose shortest
-// distance from the anchor lies within the hop range (bfsWalk, shared
-// with the legacy matcher) and binds the target variable once per
-// distinct endpoint.
+// distance from the anchor lies within the hop range (bfsWalk) and binds
+// the target variable once per distinct endpoint.
 type varExpandIter struct {
 	ec     *execCtx
 	st     *VarExpandStage
@@ -1280,26 +1279,6 @@ func (w *withIter) next() (bool, error) {
 }
 
 // --- plan execution ---
-
-// runPlanned plans and executes q through the streaming pipeline,
-// materializing the cursor (Engine.Query's MaxRows semantics).
-func (e *Engine) runPlanned(q *Query, ps params) (*Result, error) {
-	pl, err := e.planQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	if q.Explain {
-		if q.Analyze {
-			return e.analyzeResult(pl, ps)
-		}
-		return explainResult(pl), nil
-	}
-	rows, err := e.rowsForPlan(pl, ps)
-	if err != nil {
-		return nil, err
-	}
-	return materialize(rows, e.opts.MaxRows)
-}
 
 func explainResult(pl *Plan) *Result {
 	res := &Result{Columns: []string{"plan"}}

@@ -16,8 +16,7 @@ import (
 // anonymous chains, and partitioned parallel scans. Every new plan shape
 // is (a) asserted to actually appear in the plan — so the differential
 // comparisons below exercise the new operators, not a silent fallback —
-// and (b) pinned to the legacy tree-walking matcher's rows, errors and
-// ordering.
+// and (b) pinned to the reference evaluator's rows, errors and ordering.
 
 // planHas reports whether any stage (recursively through optional and
 // hash-join sub-pipelines) satisfies pred.
@@ -52,20 +51,20 @@ func planHas(pl *Plan, pred func(Stage) bool) bool {
 func isHashJoin(s Stage) bool { _, ok := s.(*HashJoinStage); return ok }
 func isBiExpand(s Stage) bool { _, ok := s.(*BiExpandStage); return ok }
 
-// diffEngines runs q on both engines over the same store and fails on
-// any divergence in error status or row multiset.
+// diffEngines runs q on the engine and the reference over the same store
+// and fails on any divergence in error status or row multiset.
 func diffEngines(t *testing.T, s *graph.Store, q string) {
 	t.Helper()
 	planned, err1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
-	legacy, err2 := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(q)
+	ref, err2 := reference{s}.Query(q, nil)
 	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("error mismatch for %q: planned=%v legacy=%v", q, err1, err2)
+		t.Fatalf("error mismatch for %q: planned=%v reference=%v", q, err1, err2)
 	}
 	if err1 != nil {
 		return
 	}
-	if !sameMultiset(renderRows(planned), renderRows(legacy)) {
-		t.Fatalf("row mismatch for %q:\nplanned: %v\nlegacy:  %v", q, renderRows(planned), renderRows(legacy))
+	if !sameMultiset(renderRows(planned), renderRows(ref)) {
+		t.Fatalf("row mismatch for %q:\nplanned:   %v\nreference: %v", q, renderRows(planned), renderRows(ref))
 	}
 }
 
@@ -121,8 +120,8 @@ func TestHashJoinPlanShapeAndDifferential(t *testing.T) {
 }
 
 func TestHashJoinOrderingAndLimit(t *testing.T) {
-	// With a total ORDER BY both engines must agree on exact ordered rows
-	// through a hash-join plan, for every SKIP/LIMIT combination.
+	// With a total ORDER BY the engine must return the reference's exact
+	// ordered rows through a hash-join plan, SKIP and LIMIT included.
 	s := joinStore()
 	q := `match (a:Src), (b:Dst) where a.name = b.name return a.name, b.name order by a.name, b.name skip 3 limit 7`
 	if !planHas(plan(t, s, q), isHashJoin) {
@@ -132,13 +131,13 @@ func TestHashJoinOrderingAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(q)
+	ref, err := reference{s}.Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := renderRows(planned), renderRows(legacy)
+	a, b := renderRows(planned), renderRows(ref)
 	if len(a) != len(b) {
-		t.Fatalf("row counts: planned=%d legacy=%d", len(a), len(b))
+		t.Fatalf("row counts: planned=%d reference=%d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -150,7 +149,7 @@ func TestHashJoinOrderingAndLimit(t *testing.T) {
 func TestHashJoinSharedVariable(t *testing.T) {
 	// A chain reaching a shared variable from a selective far end: the
 	// planner may hash on the shared node, and either way the rows must
-	// match the legacy matcher.
+	// match the reference.
 	s := graph.New()
 	hub, _ := s.MergeNode("Hub", "hub", nil)
 	for i := 0; i < 200; i++ {
@@ -286,13 +285,13 @@ func TestParallelScanDeterminismAndDifferential(t *testing.T) {
 	diffEngines(t, s, `match (n:T) return count(*)`)
 
 	// Errors inside worker partitions surface deterministically and match
-	// the legacy engine (aggregate call in WHERE errors at evaluation;
-	// the ORDER BY keeps the scan on the partitioned path).
+	// the reference (aggregate call in WHERE errors at evaluation; the
+	// ORDER BY keeps the scan on the partitioned path).
 	qErr := `match (n:T) where count(n) > 0 return n.name order by n.name`
 	_, err1 := NewEngine(s, Options{UseIndexes: true, ScanWorkers: 4}).Run(qErr)
-	_, err2 := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(qErr)
+	_, err2 := reference{s}.Query(qErr, nil)
 	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
-		t.Fatalf("error mismatch: planned=%v legacy=%v", err1, err2)
+		t.Fatalf("error mismatch: planned=%v reference=%v", err1, err2)
 	}
 }
 

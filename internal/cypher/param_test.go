@@ -54,26 +54,27 @@ func TestMissingAndBadParams(t *testing.T) {
 
 func TestParamEquivalentToLiteral(t *testing.T) {
 	// A parameterized statement must return exactly what the same
-	// statement with the value spliced as a literal returns — on both
-	// engines, with and without indexes.
+	// statement with the value spliced as a literal returns — on the
+	// engine with and without indexes, and on the reference.
 	s := randomStore(3, 40)
-	for _, legacy := range []bool{false, true} {
-		for _, useIdx := range []bool{true, false} {
-			eng := NewEngine(s, Options{UseIndexes: useIdx, Legacy: legacy})
-			for _, name := range []string{"n1", "n17", "does-not-exist"} {
-				lit, err := eng.Query(fmt.Sprintf(`match (a {name: %q})-[r]-(b) return type(r), b.name`, name), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				par, err := eng.Query(`match (a {name: $n})-[r]-(b) return type(r), b.name`,
-					map[string]any{"n": name})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameMultiset(renderRows(lit), renderRows(par)) {
-					t.Errorf("legacy=%v idx=%v name=%s:\nliteral: %v\nparam:   %v",
-						legacy, useIdx, name, renderRows(lit), renderRows(par))
-				}
+	for qi, q := range []querier{
+		NewEngine(s, Options{UseIndexes: true}),
+		NewEngine(s, Options{UseIndexes: false}),
+		reference{s},
+	} {
+		for _, name := range []string{"n1", "n17", "does-not-exist"} {
+			lit, err := q.Query(fmt.Sprintf(`match (a {name: %q})-[r]-(b) return type(r), b.name`, name), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := q.Query(`match (a {name: $n})-[r]-(b) return type(r), b.name`,
+				map[string]any{"n": name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameMultiset(renderRows(lit), renderRows(par)) {
+				t.Errorf("querier %d name=%s:\nliteral: %v\nparam:   %v",
+					qi, name, renderRows(lit), renderRows(par))
 			}
 		}
 	}
@@ -96,7 +97,7 @@ var paramQueryTemplates = []string{
 }
 
 // Property: over randomized graphs, queries and parameter bindings, the
-// planned engine and the legacy matcher agree row-for-row.
+// planned engine and the reference agree row-for-row.
 func TestParamDifferentialQuick(t *testing.T) {
 	f := func(seed int64, qi uint8, av, bv uint8, kv int8) bool {
 		s := randomStore(seed%1000, 40)
@@ -107,17 +108,17 @@ func TestParamDifferentialQuick(t *testing.T) {
 			"k": int(kv % 4),
 		}
 		planned, err1 := NewEngine(s, Options{UseIndexes: true}).Query(q, args)
-		legacy, err2 := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Query(q, args)
+		ref, err2 := reference{s}.Query(q, args)
 		if (err1 == nil) != (err2 == nil) {
-			t.Logf("error mismatch for %q %v: planned=%v legacy=%v", q, args, err1, err2)
+			t.Logf("error mismatch for %q %v: planned=%v reference=%v", q, args, err1, err2)
 			return false
 		}
 		if err1 != nil {
 			return true
 		}
-		if !sameMultiset(renderRows(planned), renderRows(legacy)) {
-			t.Logf("row mismatch for %q %v (seed %d):\nplanned: %v\nlegacy:  %v",
-				q, args, seed, renderRows(planned), renderRows(legacy))
+		if !sameMultiset(renderRows(planned), renderRows(ref)) {
+			t.Logf("row mismatch for %q %v (seed %d):\nplanned:   %v\nreference: %v",
+				q, args, seed, renderRows(planned), renderRows(ref))
 			return false
 		}
 		return true
@@ -207,16 +208,13 @@ func TestParamValuesNeverParsedAsQueryText(t *testing.T) {
 	hostile := `x" return n // `
 	s.MergeNode("Malware", hostile, nil)
 	s.MergeNode("Malware", "benign", nil)
-	for _, legacy := range []bool{false, true} {
-		eng := NewEngine(s, Options{UseIndexes: true, Legacy: legacy})
-		res, err := eng.Query(`match (n {name: $v}) return n.name, labels(n)`,
-			map[string]any{"v": hostile})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 1 || res.Rows[0][0].Str != hostile {
-			t.Errorf("legacy=%v: hostile value did not bind literally: %v", legacy, renderRows(res))
-		}
+	res, err := NewEngine(s, Options{UseIndexes: true}).Query(`match (n {name: $v}) return n.name, labels(n)`,
+		map[string]any{"v": hostile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Str != hostile {
+		t.Errorf("hostile value did not bind literally: %v", renderRows(res))
 	}
 }
 
@@ -251,14 +249,10 @@ func TestParamSeekPlansLikeLiteral(t *testing.T) {
 	if err != nil || len(res.Rows) != 0 {
 		t.Errorf("numeric name binding: rows=%v err=%v, want empty/nil", res, err)
 	}
-	// EXPLAIN never executes, so it must not require bindings — on any
-	// entry point, including the legacy engine.
-	for _, legacy := range []bool{false, true} {
-		res, err := NewEngine(s, Options{UseIndexes: true, Legacy: legacy}).
-			Run(`explain match (n:Malware {name: $who}) return n`)
-		if err != nil || len(res.Rows) == 0 {
-			t.Errorf("legacy=%v: EXPLAIN of unbound param statement: rows=%v err=%v", legacy, res, err)
-		}
+	// EXPLAIN never executes, so it must not require bindings.
+	res, err = NewEngine(s, Options{UseIndexes: true}).Run(`explain match (n:Malware {name: $who}) return n`)
+	if err != nil || len(res.Rows) == 0 {
+		t.Errorf("EXPLAIN of unbound param statement: rows=%v err=%v", res, err)
 	}
 }
 
@@ -379,7 +373,7 @@ func TestRowsOrderedAndAggregatedPaths(t *testing.T) {
 
 func TestBudgetErrorIsTypedNotTruncation(t *testing.T) {
 	// Acceptance: exceeding the byte budget surfaces *BudgetError — on
-	// the streaming path, through the cursor, and on the legacy engine.
+	// the materializing path and through the cursor.
 	s := graph.New()
 	for i := 0; i < 2000; i++ {
 		s.MergeNode("T", fmt.Sprintf("node-with-a-long-name-%d", i), nil)
@@ -407,12 +401,6 @@ func TestBudgetErrorIsTypedNotTruncation(t *testing.T) {
 	}
 	if n == 0 {
 		t.Error("cursor produced no rows before tripping the budget")
-	}
-
-	_, err = NewEngine(s, Options{UseIndexes: true, MaxBytes: 8 << 10, Legacy: true}).
-		Run(`match (n) return n.name`)
-	if !errors.As(err, &be) {
-		t.Fatalf("legacy: want *BudgetError, got %v", err)
 	}
 
 	// Under the budget the same query succeeds exactly.

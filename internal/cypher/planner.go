@@ -909,9 +909,9 @@ func copyBound(m map[string]bool) map[string]bool {
 
 // matchRun is one maximal group of consecutive clauses within a part:
 // either a single OPTIONAL MATCH, or a run of required MATCHes merged
-// into one joint pattern set with their WHEREs AND-folded. Both engines
-// plan/execute runs identically (requiredRuns is shared), so clause
-// grouping cannot drift between them.
+// into one joint pattern set with their WHEREs AND-folded. The planner
+// and the reference evaluator the tests check it against group clauses
+// through this one function, so the grouping cannot drift between them.
 type matchRun struct {
 	optional *MatchClause // set for an optional run
 	pats     []Pattern    // required run: merged patterns
@@ -946,8 +946,9 @@ func requiredRuns(matches []MatchClause) []matchRun {
 	return runs
 }
 
-// andAll folds expressions left-to-right into one AND conjunction,
-// preserving the evaluation order the legacy engine uses.
+// andAll folds expressions left-to-right into one AND conjunction, so
+// the clauses' WHEREs are evaluated in the order they were written and
+// an earlier false conjunct short-circuits a later one that would error.
 func andAll(exprs []Expr) Expr {
 	var out Expr
 	for _, ex := range exprs {
@@ -978,20 +979,6 @@ func splitConjuncts(e Expr, out *[]Expr) {
 type hintVal struct {
 	lit   string
 	param string // non-empty when the hint is $param-valued
-}
-
-// resolve returns the concrete string for the hint under the execution's
-// parameter bindings (ok=false for a param bound to a non-string value,
-// which can never equal a name/attribute and so provides no seek key).
-func (h hintVal) resolve(ps params) (string, bool) {
-	if h.param == "" {
-		return h.lit, true
-	}
-	v, ok := ps.get(h.param)
-	if !ok || v.Kind != KindString {
-		return "", false
-	}
-	return v.Str, true
 }
 
 // equalityHints extracts var.prop = "literal" and var.prop = $param

@@ -241,58 +241,55 @@ func TestTypeEqualityPredicateScans(t *testing.T) {
 }
 
 func TestErroringConjunctKeepsShortCircuit(t *testing.T) {
-	// Regression: the legacy engine short-circuits `false and count(...)`
+	// Regression: the reference short-circuits `false and count(...)`
 	// without erroring; pushdown must not reorder evaluation into an error.
 	s := graph.New()
 	p, _ := s.MergeNode("P", "p0", nil)
 	qn, _ := s.MergeNode("Q", "q0", nil)
 	s.AddEdge(p, "E", qn, nil)
 	query := `match (p)-[:E]->(q) where q.name contains "zzz" and count(p) > 0 return p.name`
-	legacy, lerr := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(query)
+	ref, rerr := reference{s}.Query(query, nil)
 	planned, perr := NewEngine(s, Options{UseIndexes: true}).Run(query)
-	if (lerr == nil) != (perr == nil) {
-		t.Fatalf("error mismatch: legacy=%v planned=%v", lerr, perr)
+	if (rerr == nil) != (perr == nil) {
+		t.Fatalf("error mismatch: reference=%v planned=%v", rerr, perr)
 	}
-	if lerr == nil && !sameMultiset(renderRows(planned), renderRows(legacy)) {
-		t.Errorf("rows differ: planned=%v legacy=%v", renderRows(planned), renderRows(legacy))
+	if rerr == nil && !sameMultiset(renderRows(planned), renderRows(ref)) {
+		t.Errorf("rows differ: planned=%v reference=%v", renderRows(planned), renderRows(ref))
 	}
 	// And when the guard passes, the count() error must still surface.
 	query2 := `match (p)-[:E]->(q) where q.name contains "q" and count(p) > 0 return p.name`
-	_, lerr2 := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(query2)
+	_, rerr2 := reference{s}.Query(query2, nil)
 	_, perr2 := NewEngine(s, Options{UseIndexes: true}).Run(query2)
-	if (lerr2 == nil) != (perr2 == nil) || lerr2 == nil {
-		t.Errorf("count() error mismatch: legacy=%v planned=%v", lerr2, perr2)
+	if (rerr2 == nil) != (perr2 == nil) || rerr2 == nil {
+		t.Errorf("count() error mismatch: reference=%v planned=%v", rerr2, perr2)
 	}
 }
 
 func TestAggregateBudgetBoundsEnumeration(t *testing.T) {
 	// The byte budget replaced the MaxRows*4+1000 match cap: with no
 	// budget an aggregate over a cross product is exact (no silent
-	// truncation), and with a tight budget both engines abort with a
-	// typed *BudgetError instead of returning a quietly wrong count.
+	// truncation), and with a tight budget the engine aborts with a typed
+	// *BudgetError instead of returning a quietly wrong count.
 	s := graph.New()
 	for i := 0; i < 50; i++ {
 		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
 	}
 	q := `match (a), (b), (c) return count(*)` // 125000 bindings
-	for _, legacy := range []bool{false, true} {
-		res, err := NewEngine(s, Options{UseIndexes: true, MaxRows: 10, Legacy: legacy}).Run(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rows[0][0].Num != 125000 || res.Truncated {
-			t.Errorf("legacy=%v: count=%v truncated=%v, want exact 125000/false",
-				legacy, res.Rows[0][0].Num, res.Truncated)
-		}
-		_, err = NewEngine(s, Options{UseIndexes: true, MaxBytes: 32 << 10, Legacy: legacy}).Run(q)
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Errorf("legacy=%v: want *BudgetError under a 32KiB budget, got %v", legacy, err)
-		}
+	res, err := NewEngine(s, Options{UseIndexes: true, MaxRows: 10}).Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][0].Num != 125000 || res.Truncated {
+		t.Errorf("count=%v truncated=%v, want exact 125000/false", res.Rows[0][0].Num, res.Truncated)
+	}
+	_, err = NewEngine(s, Options{UseIndexes: true, MaxBytes: 32 << 10}).Run(q)
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Errorf("want *BudgetError under a 32KiB budget, got %v", err)
 	}
 }
 
-func TestPlannedAndLegacyAgreeOnDemoGraph(t *testing.T) {
+func TestPlannedAndReferenceAgreeOnDemoGraph(t *testing.T) {
 	s := buildDemoGraph(t)
 	queries := []string{
 		`match (m:Malware)-[:CONNECT]->(x) return x.name order by x.name`,
@@ -306,12 +303,12 @@ func TestPlannedAndLegacyAgreeOnDemoGraph(t *testing.T) {
 		if err != nil {
 			t.Fatalf("planned %q: %v", q, err)
 		}
-		legacy, err := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(q)
+		ref, err := reference{s}.Query(q, nil)
 		if err != nil {
-			t.Fatalf("legacy %q: %v", q, err)
+			t.Fatalf("reference %q: %v", q, err)
 		}
-		if got, want := renderRows(planned), renderRows(legacy); !sameMultiset(got, want) {
-			t.Errorf("%s:\nplanned: %v\nlegacy:  %v", q, got, want)
+		if got, want := renderRows(planned), renderRows(ref); !sameMultiset(got, want) {
+			t.Errorf("%s:\nplanned:   %v\nreference: %v", q, got, want)
 		}
 	}
 }

@@ -35,7 +35,54 @@ func TestPlansMatchParent(t *testing.T) {
 			fmt.Fprintf(&out, "-- %s\n%s", q, text)
 		}
 	}
+	parentCorpus(t, section)
 
+	// bench/requests.go's statements, the point mix's literal-text class
+	// included.
+	section("kg-100k shape", kgShapedStore(), DefaultOptions(),
+		`match (n {name:$ioc}) return n`,
+		`match (i {name:$ioc})<-[:CONNECT]-(m:Malware) return m.name`,
+		`match (r:MalwareReport)-[:DESCRIBES]->(m:Malware {name:$mw})-[:CONNECT]->(i:IP) return r.name, i.name limit 50`,
+		`match (n {name:"c2-17"}) return n`,
+		`match (r:MalwareReport)-[:REPORTED_BY]->(v:CTIVendor) return v.name, count(*) as n order by n desc, v.name limit 10`,
+		`match (m:Malware {name:$mw})-[:CONNECT*1..2]-(host) optional match (host)<-[:MENTIONS]-(r) with host, collect(r.name) as reports where host.name starts with "10." return host.name, reports order by host.name limit 10`,
+		`match (m:Malware), (t:Tool) where m.family = t.name return t.name, count(*) as n order by n desc, t.name limit 10`,
+		`match (r:MalwareReport) return r.name order by r.published desc, r.name limit 10`,
+		`match (d:Domain) return d.name, d.first_seen`)
+
+	matchesParentFile(t, "testdata/plans_parent.txt", out.String(), *updatePlans)
+}
+
+// matchesParentFile fails t at the first line where got differs from the
+// file at path, or rewrites the file with got when update is set.
+func matchesParentFile(t *testing.T, path, got string, update bool) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s differs at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s differs in length: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+// parentCorpus hands section every fixture and statement list the
+// parent-pinned tests cover, in order, except the kg-100k shape, which
+// only TestPlansMatchParent covers. A section's queries run in order over
+// one store, so a write among them is seen by the ones after it.
+func parentCorpus(t *testing.T, section func(name string, s *graph.Store, opts Options, queries ...string)) {
 	section("golden join", goldenJoinStore(), DefaultOptions(),
 		`match (a:Src), (b:Dst) where a.name = b.name return a.name, b.name`,
 		`match (a:Src {name: "k7"}), (b:Dst) where a.name = b.name return b.name`,
@@ -124,43 +171,6 @@ func TestPlansMatchParent(t *testing.T) {
 		}
 		section(fmt.Sprintf("generated %d (%s)", seed, kind), s, Options{UseIndexes: true},
 			genSurfaceQuery(rand.New(rand.NewSource(seed))))
-	}
-
-	// bench/requests.go's statements, the point mix's literal-text class
-	// included.
-	section("kg-100k shape", kgShapedStore(), DefaultOptions(),
-		`match (n {name:$ioc}) return n`,
-		`match (i {name:$ioc})<-[:CONNECT]-(m:Malware) return m.name`,
-		`match (r:MalwareReport)-[:DESCRIBES]->(m:Malware {name:$mw})-[:CONNECT]->(i:IP) return r.name, i.name limit 50`,
-		`match (n {name:"c2-17"}) return n`,
-		`match (r:MalwareReport)-[:REPORTED_BY]->(v:CTIVendor) return v.name, count(*) as n order by n desc, v.name limit 10`,
-		`match (m:Malware {name:$mw})-[:CONNECT*1..2]-(host) optional match (host)<-[:MENTIONS]-(r) with host, collect(r.name) as reports where host.name starts with "10." return host.name, reports order by host.name limit 10`,
-		`match (m:Malware), (t:Tool) where m.family = t.name return t.name, count(*) as n order by n desc, t.name limit 10`,
-		`match (r:MalwareReport) return r.name order by r.published desc, r.name limit 10`,
-		`match (d:Domain) return d.name, d.first_seen`)
-
-	const path = "testdata/plans_parent.txt"
-	if *updatePlans {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("plans differ from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("plans differ from %s in length: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
 

@@ -159,25 +159,25 @@ var equivalenceQueries = []string{
 }
 
 // Property: the planned streaming executor returns the same row multiset
-// as the legacy tree-walking matcher, over randomized graphs and a query
-// family covering chains, reverse/undirected edges, shared variables,
-// cross products, WHERE operators, DISTINCT and aggregation.
-func TestPlannedLegacyEquivalenceQuick(t *testing.T) {
+// as the reference evaluator, over randomized graphs and a query family
+// covering chains, reverse/undirected edges, shared variables, cross
+// products, WHERE operators, DISTINCT and aggregation.
+func TestPlannedReferenceEquivalenceQuick(t *testing.T) {
 	f := func(seed int64, qi uint8) bool {
 		s := randomStore(seed%1000, 40)
 		q := equivalenceQueries[int(qi)%len(equivalenceQueries)]
 		planned, err1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
-		legacy, err2 := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(q)
+		ref, err2 := reference{s}.Query(q, nil)
 		if (err1 == nil) != (err2 == nil) {
-			t.Logf("error mismatch for %q: planned=%v legacy=%v", q, err1, err2)
+			t.Logf("error mismatch for %q: planned=%v reference=%v", q, err1, err2)
 			return false
 		}
 		if err1 != nil {
 			return true
 		}
-		if !sameMultiset(renderRows(planned), renderRows(legacy)) {
-			t.Logf("row mismatch for %q (seed %d):\nplanned: %v\nlegacy:  %v",
-				q, seed, renderRows(planned), renderRows(legacy))
+		if !sameMultiset(renderRows(planned), renderRows(ref)) {
+			t.Logf("row mismatch for %q (seed %d):\nplanned:   %v\nreference: %v",
+				q, seed, renderRows(planned), renderRows(ref))
 			return false
 		}
 		return true
@@ -188,8 +188,8 @@ func TestPlannedLegacyEquivalenceQuick(t *testing.T) {
 }
 
 // Property: with indexes disabled the planned engine still matches the
-// legacy engine (the ablation path stays correct).
-func TestPlannedLegacyEquivalenceNoIndexQuick(t *testing.T) {
+// reference (the ablation path stays correct).
+func TestPlannedReferenceEquivalenceNoIndexQuick(t *testing.T) {
 	queries := []string{
 		`match (a:Malware)-[:CONNECT]->(b) return a.name, b.name`,
 		`match (n) where n.name = "n7" return n.type`,
@@ -199,14 +199,14 @@ func TestPlannedLegacyEquivalenceNoIndexQuick(t *testing.T) {
 		s := randomStore(seed%500, 30)
 		q := queries[int(qi)%len(queries)]
 		planned, err1 := NewEngine(s, Options{UseIndexes: false}).Run(q)
-		legacy, err2 := NewEngine(s, Options{UseIndexes: false, Legacy: true}).Run(q)
+		ref, err2 := reference{s}.Query(q, nil)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
 		if err1 != nil {
 			return true
 		}
-		return sameMultiset(renderRows(planned), renderRows(legacy))
+		return sameMultiset(renderRows(planned), renderRows(ref))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -214,8 +214,8 @@ func TestPlannedLegacyEquivalenceNoIndexQuick(t *testing.T) {
 }
 
 // Property: with an ORDER BY whose keys cover every projected column,
-// the planned and legacy engines return identical ordered rows for any
-// SKIP/LIMIT combination — including LIMIT 0.
+// the planned engine and the reference return identical ordered rows for
+// any SKIP/LIMIT combination — including LIMIT 0.
 func TestOrderSkipLimitEquivalenceQuick(t *testing.T) {
 	f := func(seed int64, k, sk uint8) bool {
 		s := randomStore(seed%500, 40)
@@ -223,16 +223,16 @@ func TestOrderSkipLimitEquivalenceQuick(t *testing.T) {
 		skip := int(sk % 10)
 		q := fmt.Sprintf(`match (a)-[:CONNECT]->(b) return a.type, a.name, b.name order by a.type, a.name, b.name skip %d limit %d`, skip, limit)
 		planned, e1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
-		legacy, e2 := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(q)
+		ref, e2 := reference{s}.Query(q, nil)
 		if (e1 == nil) != (e2 == nil) {
 			return false
 		}
 		if e1 != nil {
 			return true
 		}
-		a, b := renderRows(planned), renderRows(legacy)
+		a, b := renderRows(planned), renderRows(ref)
 		if len(a) != len(b) {
-			t.Logf("row count mismatch skip=%d limit=%d: planned=%d legacy=%d", skip, limit, len(a), len(b))
+			t.Logf("row count mismatch skip=%d limit=%d: planned=%d reference=%d", skip, limit, len(a), len(b))
 			return false
 		}
 		for i := range a {
@@ -248,24 +248,24 @@ func TestOrderSkipLimitEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// Property: both engines agree on how many rows the MaxRows safety valve
-// leaves and on the Truncated flag; with ORDER BY + LIMIT under the cap
-// they agree on the exact top-k rows.
+// Property: the MaxRows safety valve keeps min(cap, n) of the n rows the
+// reference returns and sets Truncated exactly when it dropped some; with
+// ORDER BY + LIMIT under the cap the rows are the reference's exact top k.
 func TestMaxRowsEquivalenceQuick(t *testing.T) {
 	f := func(seed int64, mr uint8) bool {
 		s := randomStore(seed%500, 40)
 		max := int(mr%20) + 1
 		plannedEng := NewEngine(s, Options{UseIndexes: true, MaxRows: max})
-		legacyEng := NewEngine(s, Options{UseIndexes: true, MaxRows: max, Legacy: true})
+		ref := reference{s}
 		q := `match (a)-[:CONNECT]->(b) return a.name, b.name`
 		planned, e1 := plannedEng.Run(q)
-		legacy, e2 := legacyEng.Run(q)
+		all, e2 := ref.Query(q, nil)
 		if e1 != nil || e2 != nil {
 			return false
 		}
-		if len(planned.Rows) != len(legacy.Rows) || planned.Truncated != legacy.Truncated {
-			t.Logf("maxRows=%d: planned %d rows (trunc=%v), legacy %d rows (trunc=%v)",
-				max, len(planned.Rows), planned.Truncated, len(legacy.Rows), legacy.Truncated)
+		if len(planned.Rows) != min(max, len(all.Rows)) || planned.Truncated != (len(all.Rows) > max) {
+			t.Logf("maxRows=%d: planned %d rows (trunc=%v) of the reference's %d",
+				max, len(planned.Rows), planned.Truncated, len(all.Rows))
 			return false
 		}
 		// Global top-k under the cap must be the true top-k.
@@ -275,11 +275,11 @@ func TestMaxRowsEquivalenceQuick(t *testing.T) {
 		}
 		qTop := fmt.Sprintf(`match (a)-[:CONNECT]->(b) return a.type, a.name, b.name order by a.type, a.name, b.name limit %d`, limit)
 		pTop, e3 := plannedEng.Run(qTop)
-		lTop, e4 := legacyEng.Run(qTop)
+		rTop, e4 := ref.Query(qTop, nil)
 		if e3 != nil || e4 != nil {
 			return false
 		}
-		a, b := renderRows(pTop), renderRows(lTop)
+		a, b := renderRows(pTop), renderRows(rTop)
 		if len(a) != len(b) {
 			return false
 		}
@@ -322,25 +322,13 @@ func TestCountAgreesWithRowsQuick(t *testing.T) {
 
 // --- expanded-surface differential testing ---
 
-// legacySupports is the explicit skip-gate for differential testing:
-// query shapes the legacy tree-walker cannot execute are skipped rather
-// than silently compared. The legacy matcher currently implements the
-// full dialect (variable-length BFS, OPTIONAL MATCH, WITH chaining and
-// all aggregates share code or semantics with the streaming engine), so
-// nothing is gated; new surface that lands planner-first must be listed
-// here until the legacy engine catches up.
-func legacySupports(q string) bool {
-	_ = q
-	return true
-}
-
 // genSurfaceQuery emits a random query exercising variable-length
 // paths, OPTIONAL MATCH and WITH chaining over the randomStore schema.
 // LIMIT/SKIP appear only behind an ORDER BY over every returned column
 // (the last two shapes, whose leading key is null for unmatched optional
 // rows or of mixed kinds): the comparator is a total order, so then —
-// and only then — both engines must keep the same rows in the same
-// order, which the property checks.
+// and only then — the engine and the reference must keep the same rows
+// in the same order, which the property checks.
 func genSurfaceQuery(rng *rand.Rand) string {
 	types := []string{"Malware", "IP", "Domain", "ThreatActor"}
 	rels := []string{"CONNECT", "USE", "RELATED_TO"}
@@ -483,12 +471,12 @@ func genWithWhereQuery(rng *rand.Rand) string {
 }
 
 // Property: the planned engine, which runs a WITH's grouping-key
-// conjuncts below the bridge, returns what the legacy matcher returns
-// running the whole WHERE on projected rows. A conjunct lost on a stage
-// that takes no filters (Unwind, Optional) shows up as extra rows.
+// conjuncts below the bridge, returns what the reference returns running
+// the whole WHERE on projected rows. A conjunct lost on a stage that
+// takes no filters (Unwind, Optional) shows up as extra rows.
 func TestWithWhereEquivalenceQuick(t *testing.T) {
 	f := func(seed int64, qseed int64) bool {
-		return plannedMatchesLegacy(t, randomStore(seed%1000, 30), genWithWhereQuery(rand.New(rand.NewSource(qseed))))
+		return plannedMatchesReference(t, randomStore(seed%1000, 30), genWithWhereQuery(rand.New(rand.NewSource(qseed))))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -497,8 +485,8 @@ func TestWithWhereEquivalenceQuick(t *testing.T) {
 
 // denseRandomStore builds a small high-degree graph — the
 // walk-explosion regime where the planner picks BiExpand — so generator
-// runs exercise the counted-expansion operator against the legacy
-// matcher, not just sparse nested plans.
+// runs exercise the counted-expansion operator against the reference,
+// not just sparse nested plans.
 func denseRandomStore(seed int64, n int) *graph.Store {
 	rng := rand.New(rand.NewSource(seed))
 	s := graph.New()
@@ -515,8 +503,8 @@ func denseRandomStore(seed int64, n int) *graph.Store {
 	return s
 }
 
-// Property: the planned streaming executor and the legacy matcher agree
-// on the full expanded surface — variable-length paths, OPTIONAL MATCH,
+// Property: the planned streaming executor and the reference agree on
+// the full expanded surface — variable-length paths, OPTIONAL MATCH,
 // WITH chaining, cross-chain equality joins and long symmetric chains —
 // over randomized graphs (every third round a dense one, so hash-join
 // and bidirectional-expand plans are exercised) and randomized queries.
@@ -526,26 +514,22 @@ func TestExpandedSurfaceEquivalenceQuick(t *testing.T) {
 		if qseed%3 == 0 {
 			s = denseRandomStore(seed%1000, 12)
 		}
-		q := genSurfaceQuery(rand.New(rand.NewSource(qseed)))
-		if !legacySupports(q) {
-			return true
-		}
-		return plannedMatchesLegacy(t, s, q)
+		return plannedMatchesReference(t, s, genSurfaceQuery(rand.New(rand.NewSource(qseed))))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// plannedMatchesLegacy runs q on both engines over s and reports whether
-// they agree: both error, or both return the same rows — as a multiset,
-// or in order when q has an ORDER BY.
-func plannedMatchesLegacy(t *testing.T, s *graph.Store, q string) bool {
+// plannedMatchesReference runs q on the engine and the reference over s
+// and reports whether they agree: both error, or both return the same
+// rows — as a multiset, or in order when q has an ORDER BY.
+func plannedMatchesReference(t *testing.T, s *graph.Store, q string) bool {
 	t.Helper()
 	planned, err1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
-	legacy, err2 := NewEngine(s, Options{UseIndexes: true, Legacy: true}).Run(q)
+	ref, err2 := reference{s}.Query(q, nil)
 	if (err1 == nil) != (err2 == nil) {
-		t.Logf("error mismatch for %q: planned=%v legacy=%v", q, err1, err2)
+		t.Logf("error mismatch for %q: planned=%v reference=%v", q, err1, err2)
 		return false
 	}
 	if err1 != nil {
@@ -555,8 +539,8 @@ func plannedMatchesLegacy(t *testing.T, s *graph.Store, q string) bool {
 	if strings.Contains(q, "order by") {
 		same = func(a, b []string) bool { return reflect.DeepEqual(a, b) }
 	}
-	if !same(renderRows(planned), renderRows(legacy)) {
-		t.Logf("row mismatch for %q:\nplanned: %v\nlegacy:  %v", q, renderRows(planned), renderRows(legacy))
+	if !same(renderRows(planned), renderRows(ref)) {
+		t.Logf("row mismatch for %q:\nplanned:   %v\nreference: %v", q, renderRows(planned), renderRows(ref))
 		return false
 	}
 	return true
@@ -574,14 +558,14 @@ func TestExpandedSurfaceNoIndexEquivalenceQuick(t *testing.T) {
 		s := randomStore(seed%500, 25)
 		q := queries[int(qi)%len(queries)]
 		planned, err1 := NewEngine(s, Options{UseIndexes: false}).Run(q)
-		legacy, err2 := NewEngine(s, Options{UseIndexes: false, Legacy: true}).Run(q)
+		ref, err2 := reference{s}.Query(q, nil)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
 		if err1 != nil {
 			return true
 		}
-		return sameMultiset(renderRows(planned), renderRows(legacy))
+		return sameMultiset(renderRows(planned), renderRows(ref))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

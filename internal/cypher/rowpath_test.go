@@ -1,8 +1,8 @@
 package cypher
 
-// Tests for the final row operators: the total ORDER BY comparator shared
-// by both engines, and the bounded top-k heap against the full stable
-// sort it must be a prefix of.
+// Tests for the final row operators: the total ORDER BY comparator, and
+// the bounded top-k heap against the full stable sort it must be a
+// prefix of.
 
 import (
 	"errors"
@@ -18,8 +18,8 @@ import (
 // TestOrderByTotalOrder: ORDER BY places null and mixed-kind keys instead
 // of treating them as equal to everything. The first case is the one
 // that exposed the bug: every third key missing used to return a null
-// first and then different rows on the planned (windowed) and legacy
-// (full sort) engines.
+// first and then different rows on the windowed top-k and on a full
+// sort.
 func TestOrderByTotalOrder(t *testing.T) {
 	s := graph.New()
 	for i := 0; i < 5000; i++ {
@@ -67,20 +67,20 @@ func TestOrderByTotalOrder(t *testing.T) {
 	}
 }
 
-// bothEnginesOrdered runs q on both engines and asserts identical rows
-// in identical order.
+// bothEnginesOrdered runs q on the engine and the reference and asserts
+// identical rows in identical order.
 func bothEnginesOrdered(t *testing.T, s *graph.Store, q string) *Result {
 	t.Helper()
 	planned, err := NewEngine(s, DefaultOptions()).Run(q)
 	if err != nil {
 		t.Fatalf("planned %q: %v", q, err)
 	}
-	legacy, err := NewEngine(s, Options{UseIndexes: true, MaxRows: 100000, Legacy: true}).Run(q)
+	ref, err := reference{s}.Query(q, nil)
 	if err != nil {
-		t.Fatalf("legacy %q: %v", q, err)
+		t.Fatalf("reference %q: %v", q, err)
 	}
-	if a, b := renderRows(planned), renderRows(legacy); !reflect.DeepEqual(a, b) {
-		t.Fatalf("engines disagree on %q:\nplanned: %v\nlegacy:  %v", q, a, b)
+	if a, b := renderRows(planned), renderRows(ref); !reflect.DeepEqual(a, b) {
+		t.Fatalf("engine and reference disagree on %q:\nplanned:   %v\nreference: %v", q, a, b)
 	}
 	return planned
 }

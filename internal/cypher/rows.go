@@ -190,8 +190,8 @@ func (r *Rows) close() {
 	}
 }
 
-// sliceSource streams an already-materialized row set (legacy engine,
-// EXPLAIN output, buffered sort/aggregate results).
+// sliceSource streams an already-materialized row set: EXPLAIN and
+// EXPLAIN ANALYZE output, and the empty result of a COMMIT or ROLLBACK.
 type sliceSource struct {
 	rows [][]Value
 	i    int
@@ -355,9 +355,9 @@ func (e *Engine) rowsForPlanScoped(pl *Plan, ps params, prof *planProf) (*Rows, 
 	}
 
 	if writes != nil && fin.Limit == 0 && len(fin.Items) > 0 {
-		// LIMIT 0 returns no rows, but the statement's writes must still
-		// apply (the legacy engine applies them; row sources would
-		// short-circuit without ever pulling the mutation stage). Drain
+		// LIMIT 0 returns no rows, but a statement's writes apply
+		// whatever its RETURN keeps, and the row sources would
+		// short-circuit without ever pulling the mutation stage. Drain
 		// the pipeline now; the source below then emits nothing.
 		for {
 			ok, err := root.next()

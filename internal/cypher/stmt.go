@@ -21,7 +21,7 @@ type Stmt struct {
 	q   *Query
 }
 
-// Prepare parses src and (for the streaming engine) plans it into the
+// Prepare parses src and (unless it is an EXPLAIN) plans it into the
 // shared cache, returning a statement that can be executed any number
 // of times with different parameter bindings.
 func (e *Engine) Prepare(src string) (*Stmt, error) {
@@ -39,7 +39,7 @@ func (e *Engine) Prepare(src string) (*Stmt, error) {
 		return nil, fmt.Errorf("cypher: empty RETURN")
 	}
 	st := &Stmt{e: e, src: src, key: e.cacheKey(src), q: q}
-	if !e.opts.Legacy && !q.Explain {
+	if !q.Explain {
 		if _, err := st.plan(); err != nil {
 			return nil, err
 		}
@@ -68,7 +68,7 @@ func (s *Stmt) plan() (*Plan, error) {
 // QueryRows executes the statement with the given bindings and returns
 // a streaming cursor.
 func (s *Stmt) QueryRows(args map[string]any) (*Rows, error) {
-	if s.e.opts.Legacy || s.q.Explain {
+	if s.q.Explain {
 		return s.e.QueryRows(s.src, args)
 	}
 	pl, err := s.plan()
@@ -85,9 +85,6 @@ func (s *Stmt) QueryRows(args map[string]any) (*Rows, error) {
 // Query executes the statement with the given bindings and materializes
 // the full result (honoring the MaxRows safety valve, like Engine.Query).
 func (s *Stmt) Query(args map[string]any) (*Result, error) {
-	if s.e.opts.Legacy {
-		return s.e.Query(s.src, args)
-	}
 	rows, err := s.QueryRows(args)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,7 @@ package cypher
 // Unit tests for the expanded Cypher surface: variable-length patterns,
 // OPTIONAL MATCH, WITH chaining, and the min/max/sum/collect aggregates.
 // Each behavior is asserted on the planned engine and cross-checked
-// against the legacy matcher where the shape allows it.
+// against the reference evaluator where the shape allows it.
 
 import (
 	"fmt"
@@ -36,21 +36,21 @@ func chainStore(t *testing.T) *graph.Store {
 	return s
 }
 
-// bothEngines runs q on the planned and legacy engines and asserts row
-// multiset parity before returning the planned result.
+// bothEngines runs q on the planned engine and the reference and asserts
+// row multiset parity before returning the planned result.
 func bothEngines(t *testing.T, s *graph.Store, q string) *Result {
 	t.Helper()
 	planned, err := NewEngine(s, DefaultOptions()).Run(q)
 	if err != nil {
 		t.Fatalf("planned %q: %v", q, err)
 	}
-	legacy, err := NewEngine(s, Options{UseIndexes: true, MaxRows: 100000, Legacy: true}).Run(q)
+	ref, err := reference{s}.Query(q, nil)
 	if err != nil {
-		t.Fatalf("legacy %q: %v", q, err)
+		t.Fatalf("reference %q: %v", q, err)
 	}
-	if !sameMultiset(renderRows(planned), renderRows(legacy)) {
-		t.Fatalf("engines disagree on %q:\nplanned: %v\nlegacy:  %v",
-			q, renderRows(planned), renderRows(legacy))
+	if !sameMultiset(renderRows(planned), renderRows(ref)) {
+		t.Fatalf("engine and reference disagree on %q:\nplanned:   %v\nreference: %v",
+			q, renderRows(planned), renderRows(ref))
 	}
 	return planned
 }
@@ -340,10 +340,10 @@ func TestCollectOrder(t *testing.T) {
 func TestSumOverNonNumericErrors(t *testing.T) {
 	s := chainStore(t)
 	q := `match (n:Tool) return sum(n.name)`
-	for _, legacy := range []bool{false, true} {
-		_, err := NewEngine(s, Options{UseIndexes: true, Legacy: legacy}).Run(q)
+	for qi, eng := range []querier{NewEngine(s, Options{UseIndexes: true}), reference{s}} {
+		_, err := eng.Query(q, nil)
 		if err == nil || !strings.Contains(err.Error(), "sum()") {
-			t.Errorf("legacy=%v: want sum() type error, got %v", legacy, err)
+			t.Errorf("querier %d: want sum() type error, got %v", qi, err)
 		}
 	}
 }

@@ -19,40 +19,37 @@ import (
 // errors on a later one (connected node without DETACH) must undo the
 // earlier rows' deletes — and nothing may reach the WAL hook.
 func TestStatementAtomicityRollback(t *testing.T) {
-	for _, name := range []string{"planned", "legacy"} {
-		legacy := name == "legacy"
-		t.Run(name, func(t *testing.T) {
-			s := graph.New()
-			// Lower-ID isolated tools delete fine on rows 1-2; the
-			// connected one errors on row 3.
-			s.MergeNode("Tool", "iso1", nil)
-			s.MergeNode("Tool", "iso2", nil)
-			conn, _ := s.MergeNode("Tool", "conn", nil)
-			ip, _ := s.MergeNode("IP", "10.0.0.1", nil)
-			s.AddEdge(conn, "USE", ip, nil)
-			before := storeBytes(t, s)
+	t.Run("planned", func(t *testing.T) {
+		s := graph.New()
+		// Lower-ID isolated tools delete fine on rows 1-2; the
+		// connected one errors on row 3.
+		s.MergeNode("Tool", "iso1", nil)
+		s.MergeNode("Tool", "iso2", nil)
+		conn, _ := s.MergeNode("Tool", "conn", nil)
+		ip, _ := s.MergeNode("IP", "10.0.0.1", nil)
+		s.AddEdge(conn, "USE", ip, nil)
+		before := storeBytes(t, s)
 
-			var logged []graph.MutationOp
-			s.SetMutationHook(func(m graph.Mutation) { logged = append(logged, m.Op) })
-			e := NewEngine(s, Options{UseIndexes: true, MaxBytes: 16 << 20, Legacy: legacy})
-			_, err := e.Query(`match (t:Tool) delete t`, nil)
-			s.SetMutationHook(nil)
-			if err == nil || !strings.Contains(err.Error(), "DETACH") {
-				t.Fatalf("want DETACH error, got %v", err)
+		var logged []graph.MutationOp
+		s.SetMutationHook(func(m graph.Mutation) { logged = append(logged, m.Op) })
+		e := NewEngine(s, Options{UseIndexes: true, MaxBytes: 16 << 20})
+		_, err := e.Query(`match (t:Tool) delete t`, nil)
+		s.SetMutationHook(nil)
+		if err == nil || !strings.Contains(err.Error(), "DETACH") {
+			t.Fatalf("want DETACH error, got %v", err)
+		}
+		if len(logged) != 0 {
+			t.Fatalf("failed statement leaked %d mutations to the WAL hook: %v", len(logged), logged)
+		}
+		if got := storeBytes(t, s); !bytes.Equal(got, before) {
+			t.Fatalf("failed statement left the store changed: earlier rows' deletes were not rolled back")
+		}
+		for _, n := range []string{"iso1", "iso2", "conn"} {
+			if s.FindNode("Tool", n) == nil {
+				t.Fatalf("node %q missing after rolled-back statement", n)
 			}
-			if len(logged) != 0 {
-				t.Fatalf("failed statement leaked %d mutations to the WAL hook: %v", len(logged), logged)
-			}
-			if got := storeBytes(t, s); !bytes.Equal(got, before) {
-				t.Fatalf("failed statement left the store changed: earlier rows' deletes were not rolled back")
-			}
-			for _, n := range []string{"iso1", "iso2", "conn"} {
-				if s.FindNode("Tool", n) == nil {
-					t.Fatalf("node %q missing after rolled-back statement", n)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestStatementWALGroup pins the WAL grouping contract: a statement

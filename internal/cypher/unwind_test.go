@@ -7,19 +7,17 @@ import (
 	"securitykg/internal/graph"
 )
 
-// TestUnwindReadSemantics: UNWIND expansion rules on both engines —
-// list literals fan out, null unwinds to zero rows, a scalar unwinds
-// to itself, and the unwound variable participates in downstream
+// TestUnwindReadSemantics: UNWIND expansion rules on the engine and the
+// reference — list literals fan out, null unwinds to zero rows, a scalar
+// unwinds to itself, and the unwound variable participates in downstream
 // clauses like any other binding.
 func TestUnwindReadSemantics(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		name := "planned"
-		if legacy {
-			name = "legacy"
-		}
+	for name, open := range map[string]func(*graph.Store) querier{
+		"planned":   func(s *graph.Store) querier { return NewEngine(s, Options{UseIndexes: true, MaxBytes: 16 << 20}) },
+		"reference": func(s *graph.Store) querier { return reference{s} },
+	} {
 		t.Run(name, func(t *testing.T) {
-			s := writeFixture()
-			e := NewEngine(s, Options{UseIndexes: true, MaxBytes: 16 << 20, Legacy: legacy})
+			e := open(writeFixture())
 
 			res, err := e.Query("UNWIND [1, 2, 3] AS x RETURN x", nil)
 			if err != nil {
@@ -60,7 +58,7 @@ func TestUnwindReadSemantics(t *testing.T) {
 }
 
 // TestUnwindCreateDifferential: batch mutation through UNWIND produces
-// identical stores on the planned and legacy engines.
+// identical stores on the engine and the reference.
 func TestUnwindCreateDifferential(t *testing.T) {
 	runWriteDifferential(t, []string{
 		"UNWIND $batch AS row CREATE (h:Host {name: row.name, os: row.os})",

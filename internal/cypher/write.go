@@ -6,13 +6,14 @@ import (
 	"securitykg/internal/graph"
 )
 
-// This file is the write path shared by both engines: one function
-// (applyWrites) applies a part's CREATE/MERGE, SET and DELETE clauses
-// to one matched row, so mutation semantics cannot drift between the
-// planned pipeline (mutationIter) and the legacy matcher. Writes are
-// eager: a part's reading clauses fully materialize before its writes
-// run, which is what keeps a CREATE from feeding its own MATCH
-// (the Halloween problem) and keeps both engines row-for-row identical.
+// This file is the write path: one function (applyWrites) applies a
+// part's CREATE/MERGE, SET and DELETE clauses to one matched row, for
+// the planned pipeline's mutation stage (mutationIter) and for the
+// reference evaluator the tests compare it with. Writes are eager: a
+// part's reading clauses fully materialize before its writes run, which
+// is what keeps a CREATE from feeding its own MATCH (the Halloween
+// problem) and makes a statement's effect independent of the order its
+// plan enumerates rows in.
 //
 // Statements are atomic: every write statement runs inside a store
 // transaction (tx.go) — an implicit one committed when its cursor

@@ -56,25 +56,25 @@ func resultFingerprint(res *Result) string {
 }
 
 // runWriteDifferential executes the statement sequence on two fresh
-// fixture stores — streaming engine on one, legacy on the other —
+// fixture stores — the engine on one, the reference on the other —
 // asserting after every statement that results (or errors) agree and
 // finally that the two stores' Save output is byte-identical. A "!"
-// prefix marks a statement that MUST error (identically on both
-// engines); unprefixed statements must succeed, so an intended
-// success case can never silently rot into a parse error.
+// prefix marks a statement that MUST error (on both); unprefixed
+// statements must succeed, so an intended success case can never
+// silently rot into a parse error.
 func runWriteDifferential(t *testing.T, stmts []string, args map[string]any) {
 	t.Helper()
 	planned := writeFixture()
-	legacy := writeFixture()
+	referenced := writeFixture()
 	pe := NewEngine(planned, Options{UseIndexes: true, MaxBytes: 16 << 20})
-	le := NewEngine(legacy, Options{UseIndexes: true, MaxBytes: 16 << 20, Legacy: true})
+	ref := reference{referenced}
 	for i, src := range stmts {
 		wantErr := strings.HasPrefix(src, "!")
 		src = strings.TrimPrefix(src, "!")
 		pr, perr := pe.Query(src, args)
-		lr, lerr := le.Query(src, args)
-		if (perr == nil) != (lerr == nil) {
-			t.Fatalf("stmt %d %q: planned err=%v legacy err=%v", i, src, perr, lerr)
+		rr, rerr := ref.Query(src, args)
+		if (perr == nil) != (rerr == nil) {
+			t.Fatalf("stmt %d %q: planned err=%v reference err=%v", i, src, perr, rerr)
 		}
 		if (perr != nil) != wantErr {
 			t.Fatalf("stmt %d %q: wantErr=%v got planned err=%v", i, src, wantErr, perr)
@@ -82,52 +82,56 @@ func runWriteDifferential(t *testing.T, stmts []string, args map[string]any) {
 		if perr != nil {
 			continue
 		}
-		if pf, lf := resultFingerprint(pr), resultFingerprint(lr); pf != lf {
-			t.Fatalf("stmt %d %q:\nplanned:\n%s\nlegacy:\n%s", i, src, pf, lf)
+		if pf, rf := resultFingerprint(pr), resultFingerprint(rr); pf != rf {
+			t.Fatalf("stmt %d %q:\nplanned:\n%s\nreference:\n%s", i, src, pf, rf)
 		}
 	}
-	if !bytes.Equal(storeBytes(t, planned), storeBytes(t, legacy)) {
+	if !bytes.Equal(storeBytes(t, planned), storeBytes(t, referenced)) {
 		t.Fatalf("final stores diverged after %d statements", len(stmts))
 	}
 }
 
-// TestWriteDifferentialScripted runs the full write surface — CREATE,
-// MERGE, SET, DELETE, DETACH DELETE, $params, WITH chaining, optional
-// RETURN — identically through both engines.
-func TestWriteDifferentialScripted(t *testing.T) {
-	args := map[string]any{"ioc": "10.9.9.9", "fam": "worm", "actor": "apt0"}
-	runWriteDifferential(t, []string{
-		`create (x:Malware {name: "petya", platform: "windows"})`,
-		`create (x:Malware {name: "petya"})`, // merge-by-name: creates nothing
-		`merge (x:Malware {name: "petya"}) return x.platform`,
-		`create (a:IP {name: $ioc})`,
-		`match (m:Malware {name: "petya"}), (ip:IP {name: $ioc}) create (m)-[c:CONNECT {proto: "tcp"}]->(ip) return type(c)`,
-		`match (m:Malware) set m.family = $fam return m.name, m.family order by m.name`,
-		`match (m:Malware {name: "petya"}) set m.score = 7, m.active = true return m.score, m.active`,
-		`match (a:ThreatActor {name: $actor}) optional match (a)-[:ATTRIB]->(x) set x.seen = "1" return a.name, x`,
-		`create (f:FileName {name: "a.exe"})-[:DROPPED_BY]->(m:Malware {name: "petya"})`,
-		`match (m:Malware {name: "petya"})<-[r:DROPPED_BY]-(f) delete r return f.name`,
-		`match (f:FileName {name: "a.exe"}) delete f`,
-		`match (m:Malware {name: "wannacry"}) detach delete m`,
-		`match (t:Tool) with t where t.name = "t1" create (g:ThreatActor {name: "ghost"})-[:USE]->(t) return g.name, t.name`,
-		`merge (g:ThreatActor {name: "ghost"}) merge (h:ThreatActor {name: "ghost2"}) create (g)-[:PEERS]->(h)`,
-		`match (x:ThreatActor) where x.name starts with "ghost" detach delete x`,
-		// Error paths must agree too (connected node without DETACH,
-		// label-less create, SET on structural props, bad deletes).
-		`!match (ip:IP {name: $ioc}) delete ip`,
-		`!create (x {name: "nolabel"})`,
-		`!create (x:T)`,
-		`!match (t:Tool) set t.name = "renamed" return t`,
-		`!match (t:Tool)-[r:USE]->(u) set r.w = "1" return r`,
-		`!match (t:Tool) delete missing`,
-		`!create (a:A {name: "a"})-[:E]-(b:B {name: "b"})`,
-	}, args)
+// scriptedWrites is the full write surface — CREATE, MERGE, SET, DELETE,
+// DETACH DELETE, $params (scriptedWriteArgs), WITH chaining, optional
+// RETURN — and its error paths, as one script over writeFixture.
+var scriptedWrites = []string{
+	`create (x:Malware {name: "petya", platform: "windows"})`,
+	`create (x:Malware {name: "petya"})`, // merge-by-name: creates nothing
+	`merge (x:Malware {name: "petya"}) return x.platform`,
+	`create (a:IP {name: $ioc})`,
+	`match (m:Malware {name: "petya"}), (ip:IP {name: $ioc}) create (m)-[c:CONNECT {proto: "tcp"}]->(ip) return type(c)`,
+	`match (m:Malware) set m.family = $fam return m.name, m.family order by m.name`,
+	`match (m:Malware {name: "petya"}) set m.score = 7, m.active = true return m.score, m.active`,
+	`match (a:ThreatActor {name: $actor}) optional match (a)-[:ATTRIB]->(x) set x.seen = "1" return a.name, x`,
+	`create (f:FileName {name: "a.exe"})-[:DROPPED_BY]->(m:Malware {name: "petya"})`,
+	`match (m:Malware {name: "petya"})<-[r:DROPPED_BY]-(f) delete r return f.name`,
+	`match (f:FileName {name: "a.exe"}) delete f`,
+	`match (m:Malware {name: "wannacry"}) detach delete m`,
+	`match (t:Tool) with t where t.name = "t1" create (g:ThreatActor {name: "ghost"})-[:USE]->(t) return g.name, t.name`,
+	`merge (g:ThreatActor {name: "ghost"}) merge (h:ThreatActor {name: "ghost2"}) create (g)-[:PEERS]->(h)`,
+	`match (x:ThreatActor) where x.name starts with "ghost" detach delete x`,
+	// Error paths must agree too (connected node without DETACH,
+	// label-less create, SET on structural props, bad deletes).
+	`!match (ip:IP {name: $ioc}) delete ip`,
+	`!create (x {name: "nolabel"})`,
+	`!create (x:T)`,
+	`!match (t:Tool) set t.name = "renamed" return t`,
+	`!match (t:Tool)-[r:USE]->(u) set r.w = "1" return r`,
+	`!match (t:Tool) delete missing`,
+	`!create (a:A {name: "a"})-[:E]-(b:B {name: "b"})`,
 }
 
-// TestWriteDifferentialRandom fuzzes short random write scripts through
-// both engines: any divergence in results, errors, or final store bytes
-// is a bug regardless of how nonsensical the script is.
-func TestWriteDifferentialRandom(t *testing.T) {
+var scriptedWriteArgs = map[string]any{"ioc": "10.9.9.9", "fam": "worm", "actor": "apt0"}
+
+// TestWriteDifferentialScripted runs scriptedWrites through the engine
+// and the reference.
+func TestWriteDifferentialScripted(t *testing.T) {
+	runWriteDifferential(t, scriptedWrites, scriptedWriteArgs)
+}
+
+// randomWriteScripts returns 40 short random write scripts (seed 99)
+// over writeFixture's names, labels and edge types.
+func randomWriteScripts() [][]string {
 	rng := rand.New(rand.NewSource(99))
 	names := []string{"wannacry", "petya", "t1", "t2", "n-%d", "10.1.2.3"}
 	labels := []string{"Malware", "Tool", "IP", "Host"}
@@ -139,25 +143,36 @@ func TestWriteDifferentialRandom(t *testing.T) {
 		}
 		return s
 	}
-	for round := 0; round < 40; round++ {
-		var stmts []string
+	scripts := make([][]string, 40)
+	for round := range scripts {
 		for n := 0; n < 6; n++ {
+			var stmt string
 			switch rng.Intn(6) {
 			case 0:
-				stmts = append(stmts, fmt.Sprintf(`create (x:%s {name: %q})`, pick(labels), pick(names)))
+				stmt = fmt.Sprintf(`create (x:%s {name: %q})`, pick(labels), pick(names))
 			case 1:
-				stmts = append(stmts, fmt.Sprintf(`merge (x:%s {name: %q}) return x.name`, pick(labels), pick(names)))
+				stmt = fmt.Sprintf(`merge (x:%s {name: %q}) return x.name`, pick(labels), pick(names))
 			case 2:
-				stmts = append(stmts, fmt.Sprintf(`match (a {name: %q}), (b {name: %q}) create (a)-[:%s]->(b)`,
-					pick(names), pick(names), pick(rels)))
+				stmt = fmt.Sprintf(`match (a {name: %q}), (b {name: %q}) create (a)-[:%s]->(b)`,
+					pick(names), pick(names), pick(rels))
 			case 3:
-				stmts = append(stmts, fmt.Sprintf(`match (x:%s) set x.mark = %q return count(x)`, pick(labels), pick(names)))
+				stmt = fmt.Sprintf(`match (x:%s) set x.mark = %q return count(x)`, pick(labels), pick(names))
 			case 4:
-				stmts = append(stmts, fmt.Sprintf(`match (x {name: %q}) detach delete x`, pick(names)))
+				stmt = fmt.Sprintf(`match (x {name: %q}) detach delete x`, pick(names))
 			case 5:
-				stmts = append(stmts, fmt.Sprintf(`match (a)-[r:%s]->(b) delete r return count(*)`, pick(rels)))
+				stmt = fmt.Sprintf(`match (a)-[r:%s]->(b) delete r return count(*)`, pick(rels))
 			}
+			scripts[round] = append(scripts[round], stmt)
 		}
+	}
+	return scripts
+}
+
+// TestWriteDifferentialRandom runs randomWriteScripts through the engine
+// and the reference: any divergence in results, errors, or final store
+// bytes is a bug regardless of how nonsensical the script is.
+func TestWriteDifferentialRandom(t *testing.T) {
+	for round, stmts := range randomWriteScripts() {
 		t.Run(fmt.Sprintf("round%d", round), func(t *testing.T) {
 			runWriteDifferential(t, stmts, nil)
 		})
@@ -191,44 +206,40 @@ func TestWriteOnlyRowsCursor(t *testing.T) {
 	}
 }
 
-// TestReadOnlyEngineRejectsWrites: both engines refuse writes under
+// TestReadOnlyEngineRejectsWrites: the engine refuses writes under
 // Options.ReadOnly; EXPLAIN of a write statement stays allowed.
 func TestReadOnlyEngineRejectsWrites(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s := writeFixture()
-		eng := NewEngine(s, Options{UseIndexes: true, ReadOnly: true, Legacy: legacy})
-		if _, err := eng.Query(`create (x:A {name: "a"})`, nil); err == nil {
-			t.Fatalf("legacy=%v: read-only engine accepted a write", legacy)
-		}
-		if _, err := eng.Query(`match (n) return count(*)`, nil); err != nil {
-			t.Fatalf("legacy=%v: read-only engine rejected a read: %v", legacy, err)
-		}
-		if _, err := eng.Query(`explain create (x:A {name: "a"})`, nil); err != nil {
-			t.Fatalf("legacy=%v: read-only engine rejected EXPLAIN of a write: %v", legacy, err)
-		}
+	s := writeFixture()
+	eng := NewEngine(s, Options{UseIndexes: true, ReadOnly: true})
+	if _, err := eng.Query(`create (x:A {name: "a"})`, nil); err == nil {
+		t.Fatal("read-only engine accepted a write")
+	}
+	if _, err := eng.Query(`match (n) return count(*)`, nil); err != nil {
+		t.Fatalf("read-only engine rejected a read: %v", err)
+	}
+	if _, err := eng.Query(`explain create (x:A {name: "a"})`, nil); err != nil {
+		t.Fatalf("read-only engine rejected EXPLAIN of a write: %v", err)
 	}
 }
 
 // TestWriteEagerness: the Halloween guard — a CREATE can never extend
 // the very match set that produced it, even though the scan is lazy.
 func TestWriteEagerness(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s := graph.New()
-		s.MergeNode("T", "seed-1", nil)
-		s.MergeNode("T", "seed-2", nil)
-		eng := NewEngine(s, Options{UseIndexes: true, Legacy: legacy})
-		res, err := eng.Query(`match (n:T) create (c:T {name: "clone"}) return count(n)`, nil)
-		if err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		// Two seed rows → count is 2 (the clone never joins its own
-		// match), and the clone was created once then merged once.
-		if res.Rows[0][0].Num != 2 {
-			t.Fatalf("legacy=%v: CREATE fed its own MATCH: count=%v", legacy, res.Rows[0][0])
-		}
-		if res.Writes.NodesCreated != 1 {
-			t.Fatalf("legacy=%v: writes %+v", legacy, res.Writes)
-		}
+	s := graph.New()
+	s.MergeNode("T", "seed-1", nil)
+	s.MergeNode("T", "seed-2", nil)
+	eng := NewEngine(s, Options{UseIndexes: true})
+	res, err := eng.Query(`match (n:T) create (c:T {name: "clone"}) return count(n)`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two seed rows → count is 2 (the clone never joins its own
+	// match), and the clone was created once then merged once.
+	if res.Rows[0][0].Num != 2 {
+		t.Fatalf("CREATE fed its own MATCH: count=%v", res.Rows[0][0])
+	}
+	if res.Writes.NodesCreated != 1 {
+		t.Fatalf("writes %+v", res.Writes)
 	}
 }
 
@@ -396,55 +407,51 @@ func TestWriteParseErrors(t *testing.T) {
 // nothing — no count, no WAL record — so WriteStats agrees with the
 // store and the durability log.
 func TestSetNoOpNotCounted(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s := writeFixture()
-		logged := 0
-		s.SetMutationHook(func(graph.Mutation) { logged++ })
-		eng := NewEngine(s, Options{UseIndexes: true, Legacy: legacy})
-		const q = `match (m:Malware {name: "wannacry"}) set m.mark = "1" return m.mark`
-		res, err := eng.Query(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Writes.PropsSet != 1 {
-			t.Fatalf("legacy=%v first set: %+v", legacy, res.Writes)
-		}
-		if logged != 1 {
-			t.Fatalf("legacy=%v first set logged %d mutations, want 1", legacy, logged)
-		}
-		res, err = eng.Query(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Writes.PropsSet != 0 {
-			t.Fatalf("legacy=%v no-op set counted: %+v", legacy, res.Writes)
-		}
-		if logged != 1 {
-			t.Fatalf("legacy=%v no-op set reached the mutation hook", legacy)
-		}
+	s := writeFixture()
+	logged := 0
+	s.SetMutationHook(func(graph.Mutation) { logged++ })
+	eng := NewEngine(s, Options{UseIndexes: true})
+	const q = `match (m:Malware {name: "wannacry"}) set m.mark = "1" return m.mark`
+	res, err := eng.Query(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Writes.PropsSet != 1 {
+		t.Fatalf("first set: %+v", res.Writes)
+	}
+	if logged != 1 {
+		t.Fatalf("first set logged %d mutations, want 1", logged)
+	}
+	res, err = eng.Query(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Writes.PropsSet != 0 {
+		t.Fatalf("no-op set counted: %+v", res.Writes)
+	}
+	if logged != 1 {
+		t.Fatal("no-op set reached the mutation hook")
 	}
 }
 
 // TestSelfLoopDeleteCount: a self-loop is one edge, in both the plain
 // DELETE refusal message and the DETACH DELETE counters.
 func TestSelfLoopDeleteCount(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s := graph.New()
-		eng := NewEngine(s, Options{UseIndexes: true, Legacy: legacy})
-		if _, err := eng.Query(`create (a:A {name: "a"})-[:T]->(a)`, nil); err != nil {
-			t.Fatal(err)
-		}
-		_, err := eng.Query(`match (a:A {name: "a"}) delete a`, nil)
-		if err == nil || !strings.Contains(err.Error(), "1 relationship") {
-			t.Fatalf("legacy=%v plain delete: %v", legacy, err)
-		}
-		res, err := eng.Query(`match (a:A {name: "a"}) detach delete a`, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Writes.NodesDeleted != 1 || res.Writes.EdgesDeleted != 1 {
-			t.Fatalf("legacy=%v self-loop counts: %+v", legacy, res.Writes)
-		}
+	s := graph.New()
+	eng := NewEngine(s, Options{UseIndexes: true})
+	if _, err := eng.Query(`create (a:A {name: "a"})-[:T]->(a)`, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err := eng.Query(`match (a:A {name: "a"}) delete a`, nil)
+	if err == nil || !strings.Contains(err.Error(), "1 relationship") {
+		t.Fatalf("plain delete: %v", err)
+	}
+	res, err := eng.Query(`match (a:A {name: "a"}) detach delete a`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Writes.NodesDeleted != 1 || res.Writes.EdgesDeleted != 1 {
+		t.Fatalf("self-loop counts: %+v", res.Writes)
 	}
 }
 
@@ -482,25 +489,23 @@ func TestWriteCursorCloseAppliesMutations(t *testing.T) {
 }
 
 // TestWriteWithLimitZero: LIMIT 0 returns no rows but the writes still
-// apply — identically on both engines.
+// apply.
 func TestWriteWithLimitZero(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s := writeFixture()
-		eng := NewEngine(s, Options{UseIndexes: true, Legacy: legacy})
-		res, err := eng.Query(`match (t:Tool) set t.mark = "1" return t.name limit 0`, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 0 {
-			t.Fatalf("legacy=%v LIMIT 0 returned rows: %v", legacy, res.Rows)
-		}
-		if res.Writes.PropsSet != 2 {
-			t.Fatalf("legacy=%v LIMIT 0 dropped writes: %+v", legacy, res.Writes)
-		}
-		for _, name := range []string{"t1", "t2"} {
-			if n := s.FindNode("Tool", name); n == nil || n.Attrs.Get("mark") != "1" {
-				t.Fatalf("legacy=%v %s not written: %+v", legacy, name, n)
-			}
+	s := writeFixture()
+	eng := NewEngine(s, Options{UseIndexes: true})
+	res, err := eng.Query(`match (t:Tool) set t.mark = "1" return t.name limit 0`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("LIMIT 0 returned rows: %v", res.Rows)
+	}
+	if res.Writes.PropsSet != 2 {
+		t.Fatalf("LIMIT 0 dropped writes: %+v", res.Writes)
+	}
+	for _, name := range []string{"t1", "t2"} {
+		if n := s.FindNode("Tool", name); n == nil || n.Attrs.Get("mark") != "1" {
+			t.Fatalf("%s not written: %+v", name, n)
 		}
 	}
 }
@@ -509,51 +514,47 @@ func TestWriteWithLimitZero(t *testing.T) {
 // existing node is a real (WAL-logged) mutation and counts as props
 // set, never as an all-zero write.
 func TestMergeAugmentCounted(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s := writeFixture()
-		eng := NewEngine(s, Options{UseIndexes: true, Legacy: legacy})
-		res, err := eng.Query(`merge (m:Malware {name: "wannacry", triaged: "1", platform: "ignored"})`, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// platform already exists (first-writer-wins: not counted);
-		// triaged is new.
-		if res.Writes.NodesCreated != 0 || res.Writes.PropsSet != 1 {
-			t.Fatalf("legacy=%v augmenting merge counts: %+v", legacy, res.Writes)
-		}
-		res, err = eng.Query(`merge (m:Malware {name: "wannacry", triaged: "1"})`, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Writes.Zero() {
-			t.Fatalf("legacy=%v pure merge hit counted: %+v", legacy, res.Writes)
-		}
+	s := writeFixture()
+	eng := NewEngine(s, Options{UseIndexes: true})
+	res, err := eng.Query(`merge (m:Malware {name: "wannacry", triaged: "1", platform: "ignored"})`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// platform already exists (first-writer-wins: not counted);
+	// triaged is new.
+	if res.Writes.NodesCreated != 0 || res.Writes.PropsSet != 1 {
+		t.Fatalf("augmenting merge counts: %+v", res.Writes)
+	}
+	res, err = eng.Query(`merge (m:Malware {name: "wannacry", triaged: "1"})`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Writes.Zero() {
+		t.Fatalf("pure merge hit counted: %+v", res.Writes)
 	}
 }
 
 // TestEdgeAugmentCounted: re-merging an existing edge with new
 // attributes is a WAL-logged mutation and counts as props set.
 func TestEdgeAugmentCounted(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s := graph.New()
-		eng := NewEngine(s, Options{UseIndexes: true, Legacy: legacy})
-		if _, err := eng.Query(`create (a:A {name: "a"})-[:pair]->(b:B {name: "b"})`, nil); err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Query(`match (a:A {name: "a"}), (b:B {name: "b"}) merge (a)-[:pair {proto: "udp"}]->(b)`, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Writes.EdgesCreated != 0 || res.Writes.PropsSet != 1 {
-			t.Fatalf("legacy=%v edge augment counts: %+v", legacy, res.Writes)
-		}
-		res, err = eng.Query(`match (a:A {name: "a"}), (b:B {name: "b"}) merge (a)-[:pair {proto: "udp"}]->(b)`, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Writes.Zero() {
-			t.Fatalf("legacy=%v idempotent edge merge counted: %+v", legacy, res.Writes)
-		}
+	s := graph.New()
+	eng := NewEngine(s, Options{UseIndexes: true})
+	if _, err := eng.Query(`create (a:A {name: "a"})-[:pair]->(b:B {name: "b"})`, nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query(`match (a:A {name: "a"}), (b:B {name: "b"}) merge (a)-[:pair {proto: "udp"}]->(b)`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Writes.EdgesCreated != 0 || res.Writes.PropsSet != 1 {
+		t.Fatalf("edge augment counts: %+v", res.Writes)
+	}
+	res, err = eng.Query(`match (a:A {name: "a"}), (b:B {name: "b"}) merge (a)-[:pair {proto: "udp"}]->(b)`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Writes.Zero() {
+		t.Fatalf("idempotent edge merge counted: %+v", res.Writes)
 	}
 }
 

@@ -95,69 +95,6 @@ func CypherScaling(sizes []int, seed int64) (*Table, error) {
 	return t, nil
 }
 
-// PlannerComparison (E15) measures the plan-based streaming engine
-// against the legacy tree-walking matcher over growing KG sizes. The
-// LIMIT-ed multi-hop query is where lazy iteration pays off: the legacy
-// path materializes every match before truncating, the planned path
-// stops matching after the limit is filled.
-func PlannerComparison(sizes []int, seed int64) (*Table, error) {
-	t := &Table{
-		ID:      "E15",
-		Title:   "cypher engine: greedy planner + streaming executor vs legacy matcher",
-		Columns: []string{"nodes", "query", "legacy", "planned", "speedup", "rows"},
-	}
-	for _, n := range sizes {
-		s := syntheticKG(n, seed)
-		actual := s.Stats().Nodes
-		target := fmt.Sprintf("malware-%d", n/20)
-		queries := []struct {
-			name string
-			q    string
-		}{
-			{"point", fmt.Sprintf(`match (n) where n.name = %q return n`, target)},
-			{"2-hop", fmt.Sprintf(`match (r:MalwareReport)-[:DESCRIBES]->(m {name: %q})-[:CONNECT]->(ip) return r.name, ip.name`, target)},
-			{"multi-hop+limit", `match (m:Malware)-[:CONNECT]->(ip)<-[:CONNECT]-(m2) return m.name, m2.name limit 20`},
-			{"reversed-entry", fmt.Sprintf(`match (ip)<-[:CONNECT]-(m {name: %q}) return ip.name`, target)},
-		}
-		for _, q := range queries {
-			legacyEng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxRows: 100000, Legacy: true})
-			plannedEng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxRows: 100000})
-			timeOf := func(eng *cypher.Engine) (time.Duration, int, error) {
-				res, err := eng.Run(q.q) // warm
-				if err != nil {
-					return 0, 0, err
-				}
-				reps := 10
-				start := time.Now()
-				for i := 0; i < reps; i++ {
-					if _, err := eng.Run(q.q); err != nil {
-						return 0, 0, err
-					}
-				}
-				return time.Since(start) / time.Duration(reps), len(res.Rows), nil
-			}
-			lt, rows, err := timeOf(legacyEng)
-			if err != nil {
-				return nil, err
-			}
-			pt, prows, err := timeOf(plannedEng)
-			if err != nil {
-				return nil, err
-			}
-			if rows != prows {
-				return nil, fmt.Errorf("experiments: planner disagreement on %s: legacy %d rows, planned %d", q.name, rows, prows)
-			}
-			t.AddRow(actual, q.name,
-				lt.Round(time.Microsecond).String(), pt.Round(time.Microsecond).String(),
-				fmt.Sprintf("%.1fx", float64(lt)/float64(pt)), rows)
-		}
-	}
-	t.Notes = append(t.Notes,
-		"planned = greedy join ordering + lazy pull iterators; LIMIT stops matching instead of truncating",
-		"planned reps also reuse the engine's per-statement plan cache (repeated queries skip parse+plan), matching the serving workload; legacy re-parses each rep")
-	return t, nil
-}
-
 // LayoutScaling reproduces E12 (Section 2.6's Barnes-Hut layout): ms per
 // iteration for Barnes-Hut vs exact O(N²) repulsion, plus BH force error.
 func LayoutScaling(sizes []int, theta float64, seed int64) (*Table, error) {

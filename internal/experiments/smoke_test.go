@@ -21,7 +21,7 @@ func TestSmokeAll(t *testing.T) {
 		"E11": func() (*Table, error) { return CypherScaling([]int{500}, 1) },
 		"E12": func() (*Table, error) { return LayoutScaling([]int{200}, 0.5, 1) },
 		"E13": func() (*Table, error) { return ExploreOps(2000, 1) },
-		"E15": func() (*Table, error) { return PlannerComparison([]int{500}, 1) },
+		"E14": func() (*Table, error) { return EmbeddingFeatures(60, 30, 1) },
 	}
 	for id, f := range cases {
 		tab, err := f()

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in cmd/skg-bench's index (E1-E15), each regenerating the
+// per experiment in cmd/skg-bench's index (E1-E14), each regenerating the
 // corresponding paper claim, table, or figure as a printable table.
 // cmd/skg-bench exposes them on the command line; the root bench_test.go
 // wraps the hot paths in testing.B benchmarks.

@@ -433,9 +433,15 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cypherRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	bodyLen, err := readJSONBody(r, &req)
 	if err != nil {
-		httpErr(w, http.StatusBadRequest, "%v", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpErr(w, status, "%v", err)
 		return
 	}
 	// Ingest backpressure: write-shaped statements reserve their body
@@ -513,6 +519,13 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // maxPooledBody is the largest buffer kept for reuse, and the most a
 // Content-Length header may reserve before a byte of body has arrived.
 const maxPooledBody = 1 << 20
+
+// maxRequestBody caps an /api/cypher request body at 64 MiB, the engine's
+// default per-query byte budget (cypher.DefaultOptions().MaxBytes): a
+// larger body is refused with 413 instead of being read whole into
+// memory. The ingest gate cannot bound it: it admits any one request
+// when nothing else is in flight, and only once the body has been read.
+const maxRequestBody = 64 << 20
 
 // readJSONBody reads the request body into a pooled buffer sized from
 // Content-Length, decodes it into v — which keeps nothing of the buffer:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -331,6 +332,52 @@ func TestCypherErrorPaths(t *testing.T) {
 	rec2, out2 := postCypher(t, s, map[string]any{"query": "nope", "explain": true})
 	if rec2.Code != 400 || out2.Error == "" {
 		t.Errorf("explain of bad query: status %d body %s", rec2.Code, rec2.Body.String())
+	}
+}
+
+// filler is an endless run of one byte: a request body of any length
+// that costs the client no memory.
+type filler byte
+
+func (f filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestCypherBodyCap: a request body one byte past maxRequestBody is
+// refused with 413 once the cap has been read, and the server goes on
+// answering.
+func TestCypherBodyCap(t *testing.T) {
+	s, _, _ := testServer(t)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	head := `{"query": "`
+	body := io.MultiReader(strings.NewReader(head), io.LimitReader(filler('x'), maxRequestBody+1-int64(len(head))))
+	req, err := http.NewRequest("POST", ts.URL+"/api/cypher", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = maxRequestBody + 1
+	res, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("cap+1 body: status %d (%s), want 413", res.StatusCode, msg)
+	}
+	res, err = ts.Client().Post(ts.URL+"/api/cypher", "application/json",
+		strings.NewReader(`{"query": "match (n:Malware) return n.name"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ = io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != 200 || !strings.Contains(string(msg), "wannacry") {
+		t.Fatalf("request after the refused one: status %d body %s", res.StatusCode, msg)
 	}
 }
 
