@@ -9,9 +9,7 @@ build:
 # detector (the graph store and query engine are concurrency-facing;
 # the suite includes the join-strategy differential and golden-plan
 # tests and TestConnectWholeReportsVisible, where a reader of a leader
-# and its follower must never see half a report, and the parallel-scan
-# tests force multi-worker partitions so
-# the concurrent scan path is race-checked even on one core). The
+# and its follower must never see half a report). The
 # allocation-regression guards (zero-alloc CSR incidence iteration and
 # planner fan-out read, zero-alloc binary WAL append and
 # replication-tail copy, a shipped commit group's frame and the
@@ -71,7 +69,7 @@ vet:
 
 # bench runs the Cypher engine benchmarks (index on/off,
 # variable-length paths, MERGE write path, hash join, bidirectional
-# expand, parallel scans) plus the durability
+# expand) plus the durability
 # benchmarks (WAL append throughput, cold-start recovery, and the
 # Storage arms: one logged mutation, 20k-record cold-start replay,
 # snapshot load, checkpoint), the MVCC contention benchmark
@@ -106,8 +104,8 @@ bench-extract:
 # statements over a kg-100k-shaped graph, four through Engine.Query and
 # the 20 000-row NDJSON stream through a real HTTP server — and records
 # the event stream in BENCH_scan.json. -cpu 2 pins GOMAXPROCS, as in
-# bench: the root label scans partition across workers when more than
-# one CPU is available, so an unpinned run measures the host, and every
+# bench: the garbage collector and the stream arm's server and client
+# run beside the query, so an unpinned run measures the host, and every
 # arm also reports the GOMAXPROCS it ran at.
 bench-scan:
 	$(GO) test -run '^$$' -bench 'CypherScanClasses' -benchmem -benchtime 50x -cpu 2 . -json | tee BENCH_scan.json | \

@@ -106,9 +106,10 @@ func BenchmarkResidentGraph(b *testing.B) {
 // BenchmarkCypherScanClasses prices the ledger's hunt-scan classes one by
 // one with warm cached plans: the four materialized ones through
 // Engine.Query (execution only), the 20 000-row NDJSON stream through a
-// real HTTP server (execution + encoding + socket). GOMAXPROCS is
-// reported with every arm because the root label scans are partitioned
-// across workers when more than one CPU is available.
+// real HTTP server (execution + encoding + socket). A query runs on one
+// goroutine, but the garbage collector's workers (and, for stream-http,
+// the server and client goroutines) run beside it, so GOMAXPROCS is
+// reported with every arm: readings compare only at the same count.
 func BenchmarkCypherScanClasses(b *testing.B) {
 	s := scanKG()
 	procs := float64(runtime.GOMAXPROCS(0))

@@ -461,33 +461,6 @@ func BenchmarkCypherBiExpand(b *testing.B) {
 	})
 }
 
-// BenchmarkCypherParallelScan measures the partitioned full scan on a
-// 50k-node store: a contains-filtered aggregate that must touch every
-// node. workers=1 is the sequential baseline; workers=4 partitions the
-// ID list across four goroutines and re-merges in ID order
-// (byte-identical output). The spread tracks the machine's core count —
-// on a single-core host the two arms measure the same work plus the
-// fan-out overhead.
-func BenchmarkCypherParallelScan(b *testing.B) {
-	s := graph.New()
-	for i := 0; i < 50000; i++ {
-		s.MergeNode("T", fmt.Sprintf("node-%05d", i), nil)
-	}
-	q := `match (n:T) where n.name contains "42" return count(*)`
-	for _, workers := range []int{1, 4} {
-		mode := fmt.Sprintf("workers=%d", workers)
-		b.Run(mode, func(b *testing.B) {
-			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, ScanWorkers: workers})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- E12: layout, Barnes-Hut vs exact ---
 
 func BenchmarkLayoutBarnesHut(b *testing.B) {

@@ -81,13 +81,10 @@ func scanStore(n int) *graph.Store {
 }
 
 // allocsOf runs a warm prepared statement to exhaustion through its
-// cursor and reports allocations per execution. One worker: the pins are
-// about the per-row cost of the sequential path, not goroutine fan-out.
+// cursor and reports allocations per execution.
 func allocsOf(t *testing.T, s *graph.Store, q string, wantRows int) float64 {
 	t.Helper()
-	opts := DefaultOptions()
-	opts.ScanWorkers = 1
-	stmt, err := NewEngine(s, opts).Prepare(q)
+	stmt, err := NewEngine(s, DefaultOptions()).Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}

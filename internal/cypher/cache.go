@@ -45,14 +45,11 @@ func cacheFor(s *graph.Store) *planCache {
 }
 
 // get returns the cached plan for key if the store's stats version has
-// not moved since it was costed. The version bumps when IndexAttr
-// creates a new access path and when a planner-visible count (total
-// nodes/edges, any label or edge-type cardinality) drifts materially —
-// but NOT on every effective mutation, so a write-heavy prepared
-// workload whose store shape stays roughly stable keeps its cache hits
-// instead of re-planning per write (the pre-PR-5 behavior). Cached
-// plans stay correct under mutation either way (access paths never
-// become invalid); the version only protects optimality.
+// not moved since it was costed. graph.Store.StatsVersion's doc lists
+// what moves it; it does not move on every write, so a prepared workload
+// over a stable store shape keeps its cache hits. A stale plan is still
+// correct (access paths never become invalid); the version only protects
+// optimality.
 func (c *planCache) get(key string, s *graph.Store) *Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -2,7 +2,6 @@ package cypher
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -33,13 +32,6 @@ type Options struct {
 	// SET, DELETE) at execution time. EXPLAIN of a write statement is
 	// still allowed — it never executes.
 	ReadOnly bool
-	// ScanWorkers caps the partitions of a parallel full scan (0 = one
-	// per available CPU, capped at 8; 1 forces sequential scans). Results
-	// are merged in ID order either way, so the setting never changes
-	// query output — only how many cores a large scan occupies. The
-	// partitions retain accepted node IDs only (no node copies), so
-	// memory and budget behavior match the sequential scan.
-	ScanWorkers int
 }
 
 // DefaultOptions enables indexes with a 100k row cap and a 64 MiB
@@ -84,18 +76,6 @@ type Engine struct {
 // NewEngine builds an engine over the store.
 func NewEngine(s *graph.Store, opts Options) *Engine {
 	return &Engine{store: s, view: s, w: s, opts: opts, cache: cacheFor(s)}
-}
-
-// scanWorkers resolves the partition count a parallel scan may use.
-func (e *Engine) scanWorkers() int {
-	if e.opts.ScanWorkers > 0 {
-		return e.opts.ScanWorkers
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
 }
 
 // Result is a rectangular query result.

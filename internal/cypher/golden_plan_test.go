@@ -137,7 +137,9 @@ func TestGoldenBiExpandFallbackOnSparseGraph(t *testing.T) {
 	}
 }
 
-func TestGoldenParallelScanPlan(t *testing.T) {
+// TestGoldenFilteredLabelScanPlan pins a large filtered label scan
+// under an aggregate: one streaming scan with its filter pushed down.
+func TestGoldenFilteredLabelScanPlan(t *testing.T) {
 	s := graph.New()
 	for i := 0; i < 2500; i++ {
 		s.MergeNode("T", fmt.Sprintf("node-%04d", i), nil)
@@ -145,18 +147,10 @@ func TestGoldenParallelScanPlan(t *testing.T) {
 	got := explain(t, s, `match (n:T) where n.name contains "7" return count(*)`)
 	assertGolden(t, got, `
 plan (streaming, greedy-ordered):
-   1. LabelScan(parallel) (n:T)                                    est≈2500
+   1. LabelScan (n:T)                                              est≈2500
       where n.name contains "7"
    => Aggregate count(*)
 `)
-	// Below the partition threshold the scan stays sequential.
-	small := graph.New()
-	for i := 0; i < 500; i++ {
-		small.MergeNode("T", fmt.Sprintf("n%d", i), nil)
-	}
-	if sc := plan(t, small, `match (n:T) return count(*)`).Segments[0].Stages[0].(*ScanStage); sc.Parallel {
-		t.Error("500-row scan must not be partitioned")
-	}
 }
 
 // TestGoldenWithWherePushdown pins where a WITH's WHERE runs: the whole

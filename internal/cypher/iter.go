@@ -3,7 +3,6 @@ package cypher
 import (
 	"slices"
 	"strings"
-	"sync"
 
 	"securitykg/internal/graph"
 )
@@ -187,89 +186,6 @@ type scanIter struct {
 	win       nodeWindow
 	boundCand *graph.Node // AccessBound: the single candidate
 	set       bool        // we bound Node.Var on the last emitted row
-	// Partitioned scan: par holds the IDs of the pattern- and
-	// filter-accepted nodes, pre-filtered across workers and merged in
-	// ID order; emission re-fetches each node just like the sequential
-	// path, so output is byte-identical and the retained buffer is only
-	// IDs — strictly smaller than the candidate list the scan already
-	// holds, so budget behavior matches the sequential scan exactly.
-	// Only used when the planner marked the stage Parallel (root of the
-	// pipeline, large scan).
-	par    []graph.NodeID
-	usePar bool
-	parErr error
-}
-
-// runParallelScan partitions the ID list across workers, each applying
-// the node pattern and the pushed-down filters against a private
-// binding, and concatenates the accepted IDs in partition (= ID)
-// order. Errors are reported from the lowest partition — the same error
-// the sequential scan would have hit first. The stage is only marked
-// Parallel when it is the pipeline's root, so the filters can reference
-// no variable but the scan's own.
-func (s *scanIter) runParallelScan(ids []graph.NodeID) ([]graph.NodeID, error) {
-	ec := s.ec
-	workers := ec.e.scanWorkers()
-	if workers > len(ids)/parallelScanMinRows+1 {
-		workers = len(ids)/parallelScanMinRows + 1
-	}
-	filter := func(part []graph.NodeID) ([]graph.NodeID, error) {
-		b := newBinding(ec.b.tab)
-		out := make([]graph.NodeID, 0, len(part))
-		var win nodeWindow
-		win.reset(part)
-		for n := win.next(ec.e.view); n != nil; n = win.next(ec.e.view) {
-			if !nodeMatches(&s.st.Node, n, ec.ps) {
-				continue
-			}
-			b.vals[s.st.slot] = NodeValue(n)
-			ok, err := evalPreds(s.st.Filters, &b, ec.ps)
-			if err != nil {
-				return out, err
-			}
-			if ok {
-				out = append(out, n.ID)
-			}
-		}
-		return out, nil
-	}
-	if workers <= 1 {
-		return filter(ids)
-	}
-	chunk := (len(ids) + workers - 1) / workers
-	results := make([][]graph.NodeID, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, part []graph.NodeID) {
-			defer wg.Done()
-			results[w], errs[w] = filter(part)
-		}(w, ids[lo:hi])
-	}
-	wg.Wait()
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	out := make([]graph.NodeID, 0, total)
-	for w := 0; w < workers; w++ {
-		out = append(out, results[w]...)
-		if errs[w] != nil {
-			// Deterministic: the first error in ID order, exactly where
-			// the sequential scan would have stopped.
-			return nil, errs[w]
-		}
-	}
-	return out, nil
 }
 
 func (s *scanIter) fetchIDs() []graph.NodeID {
@@ -337,24 +253,9 @@ func (s *scanIter) next() (bool, error) {
 			} else {
 				if !s.fetched {
 					s.ids = s.fetchIDs()
-					// ScanWorkers: 1 is the documented escape hatch back to the
-					// streaming scan; the materializing path only engages when
-					// more than one worker can actually run.
-					if st.Parallel && s.input == nil && len(s.ids) >= parallelScanMinRows &&
-						ec.e.scanWorkers() > 1 {
-						s.usePar = true
-						s.par, s.parErr = s.runParallelScan(s.ids)
-					}
 					s.fetched = true
 				}
-				if s.usePar {
-					s.win.reset(s.par)
-				} else {
-					s.win.reset(s.ids)
-				}
-			}
-			if s.parErr != nil {
-				return false, s.parErr
+				s.win.reset(s.ids)
 			}
 		}
 		if s.set {
@@ -370,13 +271,6 @@ func (s *scanIter) next() (bool, error) {
 				n, s.boundCand = s.boundCand, nil
 			} else if n = s.win.next(ec.e.view); n == nil {
 				break
-			}
-			if s.usePar {
-				// Pattern and filters were already applied by the workers;
-				// emission re-fetches by ID like the sequential path.
-				ec.b.vals[st.slot] = NodeValue(n)
-				s.set = true
-				return true, nil
 			}
 			if !nodeMatches(&st.Node, n, ec.ps) {
 				continue

@@ -12,11 +12,11 @@ import (
 )
 
 // This file locks down the PR-5 join strategies: hash joins for
-// equality-linked chains, bidirectional counted expansion for long
-// anonymous chains, and partitioned parallel scans. Every new plan shape
-// is (a) asserted to actually appear in the plan — so the differential
-// comparisons below exercise the new operators, not a silent fallback —
-// and (b) pinned to the reference evaluator's rows, errors and ordering.
+// equality-linked chains and bidirectional counted expansion for long
+// anonymous chains. Every new plan shape is (a) asserted to actually
+// appear in the plan — so the differential comparisons below exercise
+// the new operators, not a silent fallback — and (b) pinned to the
+// reference evaluator's rows, errors and ordering.
 
 // planHas reports whether any stage (recursively through optional and
 // hash-join sub-pipelines) satisfies pred.
@@ -249,113 +249,64 @@ func TestBiExpandRandomizedDifferential(t *testing.T) {
 	}
 }
 
-func TestParallelScanDeterminismAndDifferential(t *testing.T) {
+func TestLabelScanOrderByMatchesReference(t *testing.T) {
 	s := graph.New()
 	for i := 0; i < 3000; i++ {
 		s.MergeNode("T", fmt.Sprintf("node-%04d", i), nil)
 	}
+	// The engine returns the reference's rows in the reference's order.
 	q := `match (n:T) where n.name contains "7" return n.name order by n.name`
-	pl := plan(t, s, q)
-	sc, ok := pl.Segments[0].Stages[0].(*ScanStage)
-	if !ok || !sc.Parallel {
-		t.Fatalf("expected a parallel label scan, got %+v", pl.Segments[0].Stages[0])
-	}
-	// Byte-stable: the partitioned scan must return exactly the sequential
-	// engine's rows in exactly its order. Workers are forced to 4 so the
-	// concurrent path runs (and races surface under -race) even on a
-	// single-core machine where auto would resolve to 1.
-	par, err := NewEngine(s, Options{UseIndexes: true, ScanWorkers: 4}).Run(q)
+	got, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := NewEngine(s, Options{UseIndexes: true, ScanWorkers: 1}).Run(q)
+	want, err := reference{s}.Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := renderRows(par), renderRows(seq)
+	a, b := renderRows(got), renderRows(want)
 	if len(a) != len(b) {
-		t.Fatalf("row counts differ: parallel=%d sequential=%d", len(a), len(b))
+		t.Fatalf("row counts differ: engine=%d reference=%d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs: %q vs %q", i, a[i], b[i])
 		}
 	}
-	diffEngines(t, s, q)
 	diffEngines(t, s, `match (n:T) return count(*)`)
 
-	// Errors inside worker partitions surface deterministically and match
-	// the reference (aggregate call in WHERE errors at evaluation; the
-	// ORDER BY keeps the scan on the partitioned path).
+	// An aggregate call in WHERE errors at evaluation, with the
+	// reference's message.
 	qErr := `match (n:T) where count(n) > 0 return n.name order by n.name`
-	_, err1 := NewEngine(s, Options{UseIndexes: true, ScanWorkers: 4}).Run(qErr)
+	_, err1 := NewEngine(s, Options{UseIndexes: true}).Run(qErr)
 	_, err2 := reference{s}.Query(qErr, nil)
 	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
 		t.Fatalf("error mismatch: planned=%v reference=%v", err1, err2)
 	}
 }
 
-func TestParallelScanSkippedForStreamingPlans(t *testing.T) {
-	s := graph.New()
-	for i := 0; i < 3000; i++ {
-		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
-	}
-	// Streaming plans stay sequential — with a LIMIT (the early cutoff
-	// must keep its effect) and without one (time-to-first-row, cheap
-	// cursor abandonment, stream-until-budget-trips all depend on it).
-	pl := plan(t, s, `match (n:T) return n.name limit 5`)
-	if sc := pl.Segments[0].Stages[0].(*ScanStage); sc.Parallel {
-		t.Error("LIMIT-ed streaming scan must not be parallel")
-	}
-	pl = plan(t, s, `match (n:T) return n.name`)
-	if sc := pl.Segments[0].Stages[0].(*ScanStage); sc.Parallel {
-		t.Error("plain streaming scan must not be parallel")
-	}
-	// With ORDER BY the whole input is consumed anyway: parallel is fine.
-	pl = plan(t, s, `match (n:T) return n.name order by n.name limit 5`)
-	if sc := pl.Segments[0].Stages[0].(*ScanStage); !sc.Parallel {
-		t.Error("ORDER BY + LIMIT consumes the full scan; expected parallel")
-	}
-	// An aggregating WITH bridge is a barrier: the final LIMIT can never
-	// cut the scan short, so the scan must still be parallelized.
-	pl = plan(t, s, `match (n:T) with n.name as g, count(*) as c return g, c limit 3`)
-	if sc := pl.Segments[0].Stages[0].(*ScanStage); !sc.Parallel {
-		t.Error("aggregating WITH consumes the full scan; expected parallel despite the final LIMIT")
-	}
-	// A write stage is an eager barrier too.
-	pl = plan(t, s, `match (n:T) set n.seen = "1" return n.name limit 3`)
-	if sc := pl.Segments[0].Stages[0].(*ScanStage); !sc.Parallel {
-		t.Error("mutation barrier consumes the full scan; expected parallel despite the LIMIT")
-	}
-}
-
-func TestParallelScanBudgetParity(t *testing.T) {
-	// The partitioned scan retains only accepted IDs — strictly smaller
-	// than the candidate list every scan already holds — so a budget the
-	// sequential scan satisfies must never fail just because the planner
-	// parallelized, and a budget neither fits under must fail for both.
+// TestBarrierFedScanBudget pins a label scan feeding an aggregate to the
+// byte budget: every scanned row is charged, so a budget above the
+// enumeration charge passes and one below it fails typed.
+func TestBarrierFedScanBudget(t *testing.T) {
 	s := graph.New()
 	for i := 0; i < 3000; i++ {
 		s.MergeNode("T", fmt.Sprintf("node-%04d", i), map[string]string{"k": "vvvvvvvv"})
 	}
 	q := `match (n:T) return count(*)`
-	// 256KiB > 3000 × aggRowCost: both succeed with the same count.
-	for _, workers := range []int{1, 4} {
-		res, err := NewEngine(s, Options{UseIndexes: true, ScanWorkers: workers, MaxBytes: 256 << 10}).Run(q)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Rows[0][0].Num != 3000 {
-			t.Fatalf("workers=%d: count = %v, want 3000", workers, res.Rows[0][0].Num)
-		}
+	// 256KiB > 3000 × aggRowCost.
+	res, err := NewEngine(s, Options{UseIndexes: true, MaxBytes: 256 << 10}).Run(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 32KiB < the aggregate's enumeration charge: both fail, typed.
-	for _, workers := range []int{1, 4} {
-		_, err := NewEngine(s, Options{UseIndexes: true, ScanWorkers: workers, MaxBytes: 32 << 10}).Run(q)
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("workers=%d: want *BudgetError, got %v", workers, err)
-		}
+	if res.Rows[0][0].Num != 3000 {
+		t.Fatalf("count = %v, want 3000", res.Rows[0][0].Num)
+	}
+	// 32KiB < the aggregate's enumeration charge.
+	_, err = NewEngine(s, Options{UseIndexes: true, MaxBytes: 32 << 10}).Run(q)
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("want *BudgetError, got %v", err)
 	}
 }
 

@@ -76,13 +76,7 @@ type ScanStage struct {
 	AttrVal   string
 	AttrParam string // $parameter supplying the attribute value at bind time
 	Filters   []Expr // pushed-down predicates evaluable once Node.Var is bound
-	// Parallel marks a large full/label scan at the root of the pipeline
-	// for partitioned execution: the ID list is split across workers that
-	// apply the pattern and pushed-down filters concurrently, and the
-	// accepted nodes are re-merged in ID order, so downstream stages see
-	// exactly the sequential stream (planner.go markParallelScan).
-	Parallel bool
-	Est      float64
+	Est       float64
 
 	slot int // frame slot of Node.Var
 }
@@ -93,9 +87,6 @@ func (s *ScanStage) filters() []Expr  { return s.Filters }
 func (s *ScanStage) describe() string {
 	var b strings.Builder
 	b.WriteString(s.Access.String())
-	if s.Parallel {
-		b.WriteString("(parallel)")
-	}
 	b.WriteString(" ")
 	b.WriteString(patternNodeText(s.Node))
 	if s.Label != "" && s.Node.Label == "" {

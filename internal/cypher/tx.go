@@ -14,8 +14,8 @@ import (
 // Every statement executes against a consistent view taken when its
 // cursor opens:
 //
-//   - A read statement pins a Snap; long streaming reads (and parallel
-//     scans) never observe concurrent commits, and never block writers.
+//   - A read statement pins a Snap; long streaming reads never observe
+//     concurrent commits, and never block writers.
 //   - A write statement opens an implicit graph.Tx: its reads see the
 //     transaction's snapshot, its writes buffer in the transaction, and
 //     the cursor's close commits (or, on any error, rolls back — the

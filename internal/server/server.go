@@ -353,29 +353,33 @@ func (s *Server) appliedSeq() uint64 {
 	return s.repl.Seq()
 }
 
-// minSeqParam reads the min_seq read-your-writes token off the query
-// string (all read endpoints accept it).
-func minSeqParam(r *http.Request) uint64 {
-	v := r.URL.Query().Get("min_seq")
-	if v == "" {
-		return 0
+// awaitMinSeq reads the min_seq read-your-writes token off the query
+// string (all read endpoints accept it) and waits for it through
+// awaitSeq. A token that does not parse answers 400: reading as if none
+// were given would hand the client a possibly stale view it asked not to
+// see. Returns false when the response has been written.
+func (s *Server) awaitMinSeq(w http.ResponseWriter, r *http.Request) bool {
+	var minSeq uint64
+	if v := r.URL.Query().Get("min_seq"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			httpErr(w, http.StatusBadRequest, "min_seq=%s is not a sequence number", v)
+			return false
+		}
+		minSeq = n
 	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
+	return s.awaitSeq(w, r, minSeq)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitSeq(w, r, minSeqParam(r)) {
+	if !s.awaitMinSeq(w, r) {
 		return
 	}
 	writeJSON(w, s.store.Stats())
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitSeq(w, r, minSeqParam(r)) {
+	if !s.awaitMinSeq(w, r) {
 		return
 	}
 	q := r.URL.Query().Get("q")
@@ -652,7 +656,7 @@ func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitSeq(w, r, minSeqParam(r)) {
+	if !s.awaitMinSeq(w, r) {
 		return
 	}
 	id, err := nodeIDParam(r, "id")
@@ -676,7 +680,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitSeq(w, r, minSeqParam(r)) {
+	if !s.awaitMinSeq(w, r) {
 		return
 	}
 	id, err := nodeIDParam(r, "id")
@@ -701,7 +705,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitSeq(w, r, minSeqParam(r)) {
+	if !s.awaitMinSeq(w, r) {
 		return
 	}
 	id, err := nodeIDParam(r, "id")
@@ -724,7 +728,7 @@ func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRandom(w http.ResponseWriter, r *http.Request) {
-	if !s.awaitSeq(w, r, minSeqParam(r)) {
+	if !s.awaitMinSeq(w, r) {
 		return
 	}
 	n, ok := viewSizeParam(w, r, "n", 20)
