@@ -101,15 +101,17 @@ type Replicator struct {
 	state     string
 	lastErr   string
 	leaderSeq uint64
-	leaderWAL int64
 	reconnect uint64
+
+	// What this replica has applied since it started, in records and wire
+	// bytes: the mean record size Status prices the lag at.
+	appliedRecs, appliedBytes atomic.Int64
 
 	// The streaming goroutine's decode state (sequential: no lock).
 	// pending holds the wire bytes of a group whose frame ended before its
-	// commit marker; rec and attrs are the slots records are decoded into.
+	// commit marker; unit decodes records into one reused slot.
 	pending []byte
-	rec     storage.Record
-	attrs   map[string]string
+	unit    storage.UnitApplier
 
 	// catchingUp is true while the store is held in bulk mode because
 	// this replica is far behind the leader. Streaming goroutine only.
@@ -133,7 +135,6 @@ func NewReplicator(db *storage.DB, leaderURL string) *Replicator {
 		Client: http.DefaultClient,
 		waitCh: make(chan struct{}),
 		state:  "connect",
-		attrs:  make(map[string]string, 8),
 	}
 	r.applied.Store(db.LastSeq())
 	return r
@@ -195,7 +196,7 @@ func (r *Replicator) noteErr(err error) {
 func (r *Replicator) Status() Status {
 	r.stateMu.Lock()
 	state, lastErr := r.state, r.lastErr
-	leaderSeq, leaderWAL, reconnects := r.leaderSeq, r.leaderWAL, r.reconnect
+	leaderSeq, reconnects := r.leaderSeq, r.reconnect
 	r.stateMu.Unlock()
 	applied := r.applied.Load()
 	st := Status{
@@ -211,8 +212,8 @@ func (r *Replicator) Status() Status {
 	}
 	if leaderSeq > applied {
 		st.LagRecords = int64(leaderSeq - applied)
-		if leaderSeq > 0 && leaderWAL > 0 {
-			st.LagBytes = st.LagRecords * (leaderWAL / int64(leaderSeq))
+		if recs := r.appliedRecs.Load(); recs > 0 {
+			st.LagBytes = st.LagRecords * r.appliedBytes.Load() / recs
 		}
 	}
 	return st
@@ -314,12 +315,12 @@ func (r *Replicator) streamOnce(ctx context.Context, pol *backoff.Policy) error 
 			pol.Reset()
 		}
 		if kind == frameHeartbeat {
-			committed, walBytes, err := parseHeartbeat(body)
+			committed, _, err := parseHeartbeat(body)
 			if err != nil {
 				return err
 			}
 			r.stateMu.Lock()
-			r.leaderSeq, r.leaderWAL = committed, walBytes
+			r.leaderSeq = committed
 			r.stateMu.Unlock()
 			r.maybeBulk()
 		} else if err := r.handleRecords(body); err != nil {
@@ -360,30 +361,28 @@ func (r *Replicator) exitBulk() {
 	r.logf("replication: caught up with leader at seq %d", r.applied.Load())
 }
 
-// handleRecords folds one records frame, one atomic unit at a time: a
-// bare record, or a transaction group once all of it has arrived —
-// straight out of the frame when the frame holds it whole (any frame of
-// a leader not backed up past frameCap), out of pending when it was split.
+// handleRecords folds one records frame, one atomic unit at a time
+// (storage.NextUnit, the cut recovery makes too): a bare record, or a
+// transaction group once all of it has arrived — straight out of the
+// frame when the frame holds it whole (any frame of a leader not backed
+// up past frameCap), out of pending when it was split.
 func (r *Replicator) handleRecords(batch []byte) error {
 	for len(batch) > 0 {
-		_, rest, op, err := storage.NextWire(batch)
-		inGroup := len(r.pending) > 0 || op == graph.OpTxBegin
-		for err == nil && inGroup && op != graph.OpTxCommit && len(rest) > 0 {
-			_, rest, op, err = storage.NextWire(rest) // look for the commit marker
-		}
+		unit, rest, end, err := storage.NextUnit(batch, len(r.pending) > 0)
 		if err != nil {
 			return fmt.Errorf("%w: %v", errBadFrame, err)
 		}
-		unit := batch[:len(batch)-len(rest)]
-		split := inGroup && op != graph.OpTxCommit // the rest is in the next frame
-		if split || len(r.pending) > 0 {
+		if end == storage.UnitAborted {
+			return fmt.Errorf("%w: leader shipped a group that does not commit", ErrDiverged)
+		}
+		if end == storage.UnitOpen || len(r.pending) > 0 {
 			r.pending = append(r.pending, unit...)
 			unit = r.pending
 		}
-		if split {
-			return nil
+		if end == storage.UnitOpen {
+			return nil // the rest is in the next frame
 		}
-		err = r.applyUnit(unit, inGroup)
+		err = r.applyUnit(unit, end == storage.UnitGroup)
 		r.pending = r.pending[:0]
 		if err != nil {
 			return err
@@ -399,8 +398,7 @@ func (r *Replicator) handleRecords(batch []byte) error {
 // Either way the mutation hook re-emits the unit into the local WAL,
 // reproducing the leader's records, markers included, under the same
 // sequence numbers: each seq is checked as it is decoded and the log's
-// position once the unit is in; a mismatch is divergence and fatal. A
-// marker out of place applies nothing or fails Tx.Apply: same checks.
+// position once the unit is in; a mismatch is divergence and fatal.
 func (r *Replicator) applyUnit(unit []byte, group bool) error {
 	var (
 		dst interface{ Apply(graph.Mutation) error } = r.DB.Store()
@@ -414,28 +412,15 @@ func (r *Replicator) applyUnit(unit []byte, group bool) error {
 		dst = tx
 	}
 	first := r.DB.LastSeq()
-	rec, last := &r.rec, first
-	for n := 0; len(unit) > 0; n++ {
-		payload, rest, _, err := storage.NextWire(unit)
-		if err == nil {
-			err = storage.DecodeWire(payload, rec, r.attrs)
+	last, _, err := r.unit.Apply(dst, unit, first, first)
+	if err != nil {
+		if group {
+			tx.Rollback()
 		}
-		if last++; err != nil {
-			err = fmt.Errorf("%w: %v", errBadFrame, err)
-		} else if rec.Seq != last {
-			err = fmt.Errorf("%w: leader shipped seq %d, expected %d", ErrDiverged, rec.Seq, last)
-		} else if marker := group && (n == 0 && rec.Op == graph.OpTxBegin || len(rest) == 0 && rec.Op == graph.OpTxCommit); !marker {
-			if err = dst.Apply(rec.Mutation()); err != nil {
-				err = fmt.Errorf("%w: apply seq %d (%s): %v", ErrDiverged, rec.Seq, rec.Op, err)
-			}
+		if errors.Is(err, storage.ErrBadRecord) {
+			return fmt.Errorf("%w: %v", errBadFrame, err)
 		}
-		if err != nil {
-			if group {
-				tx.Rollback()
-			}
-			return err
-		}
-		unit = rest
+		return fmt.Errorf("%w: %v", ErrDiverged, err)
 	}
 	if group {
 		if err := tx.Commit(); err != nil {
@@ -446,6 +431,8 @@ func (r *Replicator) applyUnit(unit []byte, group bool) error {
 		return fmt.Errorf("%w: applied through seq %d but local WAL is at %d (no-op replay?)", ErrDiverged, last, got)
 	}
 	mRecordsApplied.Add(int64(last - first))
+	r.appliedRecs.Add(int64(last - first))
+	r.appliedBytes.Add(int64(len(unit)))
 	r.advanceApplied(last)
 	r.maybeBulk()
 	return nil

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -448,6 +449,44 @@ func TestSnapshotRequired(t *testing.T) {
 	waitCaughtUp(t, repl3, ldb.CommittedSeq())
 	if got, want := saveBytes(t, fdb3.Store()), saveBytes(t, ldb.Store()); !bytes.Equal(got, want) {
 		t.Fatalf("re-bootstrapped follower did not converge")
+	}
+}
+
+// TestLagBytesAfterLeaderCheckpoint: a replica N records behind a leader
+// whose log a checkpoint has just emptied still reports a byte lag — N
+// at the mean wire size of the records it has applied — though the
+// leader's log is now smaller than one record.
+func TestLagBytesAfterLeaderCheckpoint(t *testing.T) {
+	frame, applied := recordsFrame(t, func(st *graph.Store) {
+		for i := 0; i < 40; i++ {
+			st.MergeNode("IP", "10.0.0."+strconv.Itoa(i), map[string]string{"seen": "1"})
+		}
+	})
+	// Past catchUpBulkLag: the replica holds its store in bulk mode while
+	// it is this far behind, and leaves it when the stream ends.
+	const behind = catchUpBulkLag + 44
+	// The heartbeat comes first, so the replica knows how far ahead the
+	// leader is by the time it has applied the records.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(heartbeatFrame(nil, applied+behind, int64(len("skgwal3\n"))))
+		w.Write(frame)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	fdb := openDB(t, t.TempDir(), storage.Options{Sync: storage.SyncNever, CompactBytes: -1})
+	defer fdb.Close()
+	repl := NewReplicator(fdb, srv.URL)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- repl.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+	waitCaughtUp(t, repl, applied)
+
+	st := repl.Status()
+	mean := float64(len(frame)-frameHdrLen) / float64(applied)
+	if want := behind * mean; st.LagRecords != behind || float64(st.LagBytes) < want/2 || float64(st.LagBytes) > 2*want {
+		t.Fatalf("%d records behind at %.1f B/record: status reports %d records, %d bytes", behind, mean, st.LagRecords, st.LagBytes)
 	}
 }
 

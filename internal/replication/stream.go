@@ -38,11 +38,14 @@
 //	byte    kind
 //	[]byte  body
 //
-// A records frame (kind 1) is one storage.TailCursor batch (tail.go has
-// the wire form, and why it is independent of the on-disk codec):
-// everything committed past the follower's position, ending on a
-// transaction-group boundary unless that is over frameCap. A heartbeat
-// frame (kind 2) is two uvarints: the leader's committed seq and log size.
+// A records frame (kind 1) is one storage.TailCursor batch: each
+// record's length, then its payload — the bytes the leader's log file
+// holds for it (storage/codec.go) — for everything committed past the
+// follower's position, ending on a transaction-group boundary unless
+// that is over frameCap. The follower cuts and applies it with the
+// functions recovery uses (storage.NextUnit, storage.UnitApplier). A
+// heartbeat frame (kind 2) is two uvarints: the leader's committed seq
+// and log size; a follower reads only the seq.
 //
 // One wire format, no negotiation: leader and followers upgrade
 // together. Frames of the earlier format — a JSON envelope per record —
@@ -160,7 +163,7 @@ type Status struct {
 	WALBytes     int64  `json:"wal_bytes"`            // local log size
 	LeaderSeq    uint64 `json:"leader_seq,omitempty"` // replica: leader committed seq as of the last frame
 	LagRecords   int64  `json:"lag_records"`          // replica: leader_seq - committed_seq (0 on primary)
-	LagBytes     int64  `json:"lag_bytes"`            // replica: estimated bytes behind (avg record size × lag)
+	LagBytes     int64  `json:"lag_bytes"`            // replica: estimated bytes behind (lag × mean size of the records it applied)
 	Snapshot     bool   `json:"snapshot_catchup"`     // replica: currently in snapshot transfer
 	LastError    string `json:"last_error,omitempty"` // replica: most recent stream error
 	Reconnects   uint64 `json:"reconnects,omitempty"` // replica: times the tail stream was re-dialed

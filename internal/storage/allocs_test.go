@@ -14,25 +14,25 @@ import (
 )
 
 // TestWALAppendAllocs locks down the binary append hot path: with the
-// dictionary warm and the scratch buffers grown, framing and encoding a
-// record must not allocate (the record's own payload bytes travel
-// through reused buffers straight into the bufio writer).
+// scratch buffers grown, framing and encoding a record must not allocate
+// (the record's own payload bytes travel through reused buffers straight
+// into the bufio writer).
 func TestWALAppendAllocs(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(filepath.Join(dir, walFile), 0, 0, nil, SyncNever, 0)
+	w, err := openWAL(filepath.Join(dir, walFile), 0, 0, SyncNever, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	mut := graph.Mutation{Op: graph.OpSetAttr, Node: 7, Key: "score", Val: "9"}
-	// Warm: register the dictionary entries and grow the scratch buffers.
+	// Warm: grow the scratch buffers.
 	for i := 0; i < 4; i++ {
-		if _, err := w.Append(mut, true); err != nil {
+		if _, _, err := w.Append(mut, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := w.Append(mut, true); err != nil {
+		if _, _, err := w.Append(mut, true); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -46,12 +46,12 @@ func TestWALAppendAllocs(t *testing.T) {
 	mutAttrs := graph.Mutation{Op: graph.OpMergeNode, Type: "Malware", Name: "m",
 		Attrs: map[string]string{"seen": "1", "family": "trojan"}}
 	for i := 0; i < 4; i++ {
-		if _, err := w.Append(mutAttrs, true); err != nil {
+		if _, _, err := w.Append(mutAttrs, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs = testing.AllocsPerRun(200, func() {
-		if _, err := w.Append(mutAttrs, true); err != nil {
+		if _, _, err := w.Append(mutAttrs, true); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -61,7 +61,7 @@ func TestWALAppendAllocs(t *testing.T) {
 }
 
 // TestLogMutationAllocs pins the whole hook — WAL append plus the
-// replication tail's wire copy — at zero allocations per record once
+// replication tail's copy of its payload — at zero allocations per record once
 // warm, amortized over commit groups (a waiter's wake channel is the one
 // allocation a commit may cost, and only while somebody waits): the
 // tail keeps bytes in a buffer it compacts in place, not a struct and a

@@ -2,16 +2,21 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"securitykg/internal/graph"
 )
 
-// This file is the record codec: the payload of a WAL frame (wal.go) and
-// of a replication wire record (tail.go). It is the only codec this
-// package writes. The JSON payloads that came before it (PR 4) are read
-// once more — by the scanner in wal.go, when Open meets a log without
-// the magic below — and Open rewrites that directory before it returns.
+// This file is the record codec and the one group fold. A record's
+// payload is the same bytes everywhere: in a WAL frame (wal.go), in the
+// replication tail and on the wire (tail.go), where a run of records is
+// `uvarint len · payload` each. Recovery and a follower both cut such runs
+// into atomic units (NextUnit) and decode and apply each unit once
+// (UnitApplier). Earlier builds' logs — JSON payloads, or this codec
+// against an in-band dictionary (skgwal2) — are read once, by the
+// scanner in wal.go, when Open meets them, and Open rewrites that
+// directory before it returns.
 
 // Codec is an inert one-value stub held for bench/corpus.go, which names
 // Options.Codec and CodecBinary; a [benchmark] PR drops all three.
@@ -20,10 +25,14 @@ type Codec int
 // CodecBinary is the only on-disk format there is.
 const CodecBinary Codec = 0
 
-// walMagic opens a log file. A JSON-era log has no file header — its
-// first bytes are a record length prefix — so recovery tells the two
-// apart by this prefix alone.
-const walMagic = "skgwal2\n"
+// walMagic opens a log file. A log of the dictionary era opens with
+// walMagicDict; a JSON-era log has no file header — its first bytes are a
+// record length prefix — so recovery tells the three apart by this prefix
+// alone.
+const (
+	walMagic     = "skgwal3\n"
+	walMagicDict = "skgwal2\n"
+)
 
 // Binary record payload layout (inside the standard length+CRC frame):
 //
@@ -32,18 +41,14 @@ const walMagic = "skgwal2\n"
 //	fields per op, in order, from:
 //	  id      uvarint (node/edge IDs; non-negative by construction)
 //	  string  uvarint len + raw bytes (names, attr values)
-//	  dictref uvarint: 0 = new string (uvarint len + bytes) that also
-//	          appends to the dictionary; n>0 = the n-th string ever
-//	          added (types, attr keys — the small repeated vocabulary)
-//	  attrs   uvarint count, then count × (dictref key · string val),
+//	  symbol  uvarint 0, then a string (types, attr keys)
+//	  attrs   uvarint count, then count × (symbol key · string val),
 //	          sorted by key so identical mutations encode identically
 //
-// The dictionary is in-band and cumulative over the life of the log
-// file: the writer adds a string the first time it appears, the reader
-// reconstructs the same table by replaying adds during the scan. A
-// truncation resets both sides along with the file, and append errors
-// are sticky (nothing further is written), so writer and reader tables
-// can never diverge from the bytes actually on disk.
+// A symbol's leading 0 is where a skgwal2 log could instead refer (n>0)
+// to the n-th string its in-band dictionary had added; this build writes
+// every string inline, and only the read-once scan of such a log passes a
+// dictionary to decodeRecord.
 
 const (
 	opMergeNode byte = iota + 1
@@ -109,84 +114,55 @@ func mutationOpOf(b byte) (graph.MutationOp, bool) {
 	return "", false
 }
 
-// walDict is the encode-side in-band dictionary.
-type walDict struct {
-	ids map[string]uint64
-	n   uint64
-}
-
-func newWALDict(seed []string) *walDict {
-	d := &walDict{ids: make(map[string]uint64, len(seed)+16)}
-	for _, s := range seed {
-		d.n++
-		d.ids[s] = d.n
-	}
-	return d
-}
-
-// emit appends s as a dictref, registering it when new. A nil dictionary
-// never remembers: every string goes inline — the wire form (tail.go).
-func (d *walDict) emit(buf []byte, s string) []byte {
-	if d == nil {
-		return appendStr(append(buf, 0), s)
-	}
-	if id, ok := d.ids[s]; ok {
-		return binary.AppendUvarint(buf, id)
-	}
-	buf = binary.AppendUvarint(buf, 0)
-	buf = appendStr(buf, s)
-	d.n++
-	d.ids[s] = d.n
-	return buf
-}
-
 func appendStr(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-// encodeRecordBinary appends rec's binary payload to buf. scratch is a
+func appendSymbol(buf []byte, s string) []byte { return appendStr(append(buf, 0), s) }
+
+// encodeRecord appends the payload of m, numbered seq, to buf. keys is a
 // reusable key-sorting buffer (returned so the caller can keep it).
-func encodeRecordBinary(buf []byte, rec Record, dict *walDict, scratch []string) ([]byte, []string) {
-	buf = binary.AppendUvarint(buf, rec.Seq)
-	code, _ := opcodeOf(rec.Op)
+func encodeRecord(buf []byte, seq uint64, m graph.Mutation, keys []string) ([]byte, []string) {
+	buf = binary.AppendUvarint(buf, seq)
+	code, _ := opcodeOf(m.Op)
 	buf = append(buf, code)
 	emitAttrs := func(buf []byte) []byte {
-		buf = binary.AppendUvarint(buf, uint64(len(rec.Attrs)))
-		scratch = scratch[:0]
-		for k := range rec.Attrs {
-			scratch = append(scratch, k)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Attrs)))
+		keys = keys[:0]
+		for k := range m.Attrs {
+			keys = append(keys, k)
 		}
-		sortStrings(scratch)
-		for _, k := range scratch {
-			buf = dict.emit(buf, k)
-			buf = appendStr(buf, rec.Attrs[k])
+		sortStrings(keys)
+		for _, k := range keys {
+			buf = appendSymbol(buf, k)
+			buf = appendStr(buf, m.Attrs[k])
 		}
 		return buf
 	}
 	switch code {
 	case opMergeNode:
-		buf = dict.emit(buf, rec.Type)
-		buf = appendStr(buf, rec.Name)
+		buf = appendSymbol(buf, m.Type)
+		buf = appendStr(buf, m.Name)
 		buf = emitAttrs(buf)
 	case opAddEdge:
-		buf = dict.emit(buf, rec.Type)
-		buf = binary.AppendUvarint(buf, uint64(rec.From))
-		buf = binary.AppendUvarint(buf, uint64(rec.To))
+		buf = appendSymbol(buf, m.Type)
+		buf = binary.AppendUvarint(buf, uint64(m.From))
+		buf = binary.AppendUvarint(buf, uint64(m.To))
 		buf = emitAttrs(buf)
 	case opSetAttr:
-		buf = binary.AppendUvarint(buf, uint64(rec.Node))
-		buf = dict.emit(buf, rec.Key)
-		buf = appendStr(buf, rec.Val)
+		buf = binary.AppendUvarint(buf, uint64(m.Node))
+		buf = appendSymbol(buf, m.Key)
+		buf = appendStr(buf, m.Val)
 	case opDeleteNode:
-		buf = binary.AppendUvarint(buf, uint64(rec.Node))
+		buf = binary.AppendUvarint(buf, uint64(m.Node))
 	case opDeleteEdge:
-		buf = binary.AppendUvarint(buf, uint64(rec.Edge))
+		buf = binary.AppendUvarint(buf, uint64(m.Edge))
 	case opMigrateEdges:
-		buf = binary.AppendUvarint(buf, uint64(rec.From))
-		buf = binary.AppendUvarint(buf, uint64(rec.To))
+		buf = binary.AppendUvarint(buf, uint64(m.From))
+		buf = binary.AppendUvarint(buf, uint64(m.To))
 	}
-	return buf, scratch
+	return buf, keys
 }
 
 // insertion sort: attr maps are tiny and the keys are nearly sorted in
@@ -197,6 +173,17 @@ func sortStrings(s []string) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
+}
+
+// peekRecord reads a payload's seq and operation without decoding its
+// fields.
+func peekRecord(payload []byte) (seq uint64, op graph.MutationOp, ok bool) {
+	seq, w := binary.Uvarint(payload)
+	if w <= 0 || w >= len(payload) {
+		return 0, "", false
+	}
+	op, ok = mutationOpOf(payload[w])
+	return seq, op, ok
 }
 
 // binPayload walks one binary payload during decode.
@@ -228,9 +215,9 @@ func (b *binPayload) str() (string, error) {
 	return s, nil
 }
 
-// dictStr reads a dictref, appending to the dictionary on a new string.
-// A nil dictionary (the wire form's) stays empty: only inline resolves.
-func (b *binPayload) dictStr() (string, error) {
+// symbol reads a symbol: 0 and an inline string, which a dictionary (a
+// skgwal2 log's) also adds, or a reference only a dictionary resolves.
+func (b *binPayload) symbol() (string, error) {
 	r, err := b.uvarint()
 	if err != nil {
 		return "", err
@@ -259,14 +246,14 @@ func (b *binPayload) id() (int64, error) {
 	return int64(v), nil
 }
 
-// decodeRecordBinaryInto decodes one payload into *rec, mutating dict
-// exactly as the writer did when encoding it (nil: a self-contained wire
-// payload, nothing to remember). A non-nil scratch map is
-// cleared and used for the record's attributes instead of allocating a
-// fresh map per record — safe only for callers that fully consume each
-// record before decoding the next (the streaming recovery scanner:
-// Apply copies attributes, so the reuse never leaks into the store).
-func decodeRecordBinaryInto(p []byte, dict *[]string, rec *Record, scratch map[string]string) error {
+// decodeRecord decodes one payload into *rec. dict is nil but for the
+// read-once scan of a skgwal2 log, which passes its dictionary to be
+// mutated exactly as the writer did when encoding. A non-nil scratch map
+// is cleared and used for the record's attributes instead of allocating
+// a fresh map per record — safe only for callers that fully consume each
+// record before decoding the next (Apply copies attributes, so the reuse
+// never leaks into the store).
+func decodeRecord(p []byte, dict *[]string, rec *Record, scratch map[string]string) error {
 	b := &binPayload{p: p, dict: dict}
 	*rec = Record{}
 	seq, err := b.uvarint()
@@ -302,7 +289,7 @@ func decodeRecordBinaryInto(p []byte, dict *[]string, rec *Record, scratch map[s
 			rec.Attrs = make(map[string]string, n)
 		}
 		for i := uint64(0); i < n; i++ {
-			k, err := b.dictStr()
+			k, err := b.symbol()
 			if err != nil {
 				return err
 			}
@@ -316,7 +303,7 @@ func decodeRecordBinaryInto(p []byte, dict *[]string, rec *Record, scratch map[s
 	}
 	switch code {
 	case opMergeNode:
-		if rec.Type, err = b.dictStr(); err != nil {
+		if rec.Type, err = b.symbol(); err != nil {
 			return err
 		}
 		if rec.Name, err = b.str(); err != nil {
@@ -326,7 +313,7 @@ func decodeRecordBinaryInto(p []byte, dict *[]string, rec *Record, scratch map[s
 			return err
 		}
 	case opAddEdge:
-		if rec.Type, err = b.dictStr(); err != nil {
+		if rec.Type, err = b.symbol(); err != nil {
 			return err
 		}
 		var from, to int64
@@ -346,7 +333,7 @@ func decodeRecordBinaryInto(p []byte, dict *[]string, rec *Record, scratch map[s
 			return err
 		}
 		rec.Node = graph.NodeID(node)
-		if rec.Key, err = b.dictStr(); err != nil {
+		if rec.Key, err = b.symbol(); err != nil {
 			return err
 		}
 		if rec.Val, err = b.str(); err != nil {
@@ -378,4 +365,120 @@ func decodeRecordBinaryInto(p []byte, dict *[]string, rec *Record, scratch map[s
 		return fmt.Errorf("storage: binary record: %d trailing bytes", len(p)-b.off)
 	}
 	return nil
+}
+
+// --- Runs of records, and the atomic units in them ---
+
+// appendWire appends one record to a run: its length, then its payload.
+func appendWire(run, payload []byte) []byte {
+	return append(binary.AppendUvarint(run, uint64(len(payload))), payload...)
+}
+
+// NextWire cuts the first record off a run, naming its operation
+// without decoding its fields.
+func NextWire(run []byte) (payload, rest []byte, op graph.MutationOp, err error) {
+	n, w := binary.Uvarint(run)
+	if w <= 0 || n == 0 || n > uint64(len(run)-w) {
+		return nil, nil, "", errors.New("storage: wire batch: record length out of range")
+	}
+	payload, rest = run[w:w+int(n)], run[w+int(n):]
+	if _, op, ok := peekRecord(payload); ok {
+		return payload, rest, op, nil
+	}
+	return nil, nil, "", errors.New("storage: wire batch: record has no known opcode")
+}
+
+// DecodeWire decodes one payload into *rec. A non-nil attrs is cleared
+// and reused as the record's attribute map: pass one only when each
+// record is consumed before the next is decoded.
+func DecodeWire(payload []byte, rec *Record, attrs map[string]string) error {
+	return decodeRecord(payload, nil, rec, attrs)
+}
+
+// UnitEnd says how the unit NextUnit cut off a run ends.
+type UnitEnd int
+
+const (
+	// UnitBare is one record outside any group (a stray marker included).
+	UnitBare UnitEnd = iota
+	// UnitGroup is a group's last piece, through its tx_commit: the group
+	// is whole.
+	UnitGroup
+	// UnitOpen is a group's piece that the run ends inside: its next
+	// records come in a later run.
+	UnitOpen
+	// UnitAborted ends a group that never commits: at its tx_rollback,
+	// which the unit holds, or before another tx_begin, which heads rest.
+	UnitAborted
+)
+
+// NextUnit cuts the next atomic unit — a bare record, or a whole
+// tx_begin…tx_commit group — off run, a sequence of `uvarint len ·
+// payload` records. open says the caller holds the head of a group that
+// run continues: the unit is then the group's next piece. An error is
+// damage to the run's framing.
+func NextUnit(run []byte, open bool) (unit, rest []byte, end UnitEnd, err error) {
+	for rest = run; len(rest) > 0; {
+		_, next, op, err := NextWire(rest)
+		switch {
+		case err != nil:
+			return nil, nil, 0, err
+		case !open && op != graph.OpTxBegin:
+			return run[:len(run)-len(next)], next, UnitBare, nil
+		case open && op == graph.OpTxBegin:
+			return run[:len(run)-len(rest)], rest, UnitAborted, nil
+		case op == graph.OpTxCommit:
+			return run[:len(run)-len(next)], next, UnitGroup, nil
+		case op == graph.OpTxRollback:
+			return run[:len(run)-len(next)], next, UnitAborted, nil
+		}
+		open, rest = true, next
+	}
+	return run, nil, UnitOpen, nil
+}
+
+// ErrBadRecord marks a record whose payload does not decode.
+var ErrBadRecord = errors.New("storage: undecodable record")
+
+// UnitApplier decodes records into one reused slot. The zero value is
+// ready to use.
+type UnitApplier struct {
+	rec   Record
+	attrs map[string]string
+}
+
+// Apply decodes a whole unit — a bare record, or a group as NextUnit
+// cut it and its pieces joined — once, record by record, and applies
+// each mutation to dst in order: not a group's markers, and not a record
+// at or below skip, which a snapshot already holds. The records must be
+// numbered prev+1, prev+2, …; a record out of that order, one that does
+// not decode (ErrBadRecord) or one dst refuses ends the unit with an
+// error. It returns the last record's seq and how many mutations were
+// applied.
+func (u *UnitApplier) Apply(dst interface{ Apply(graph.Mutation) error }, unit []byte, prev, skip uint64) (last uint64, applied int, err error) {
+	if u.attrs == nil {
+		u.attrs = make(map[string]string, 8)
+	}
+	rec := &u.rec
+	for last = prev; len(unit) > 0; {
+		payload, rest, _, err := NextWire(unit)
+		if err == nil {
+			err = DecodeWire(payload, rec, u.attrs)
+		}
+		if err != nil {
+			return last, applied, fmt.Errorf("%w after seq %d: %v", ErrBadRecord, last, err)
+		}
+		if rec.Seq != last+1 {
+			return last, applied, fmt.Errorf("storage: record seq %d where %d is due", rec.Seq, last+1)
+		}
+		last, unit = rec.Seq, rest
+		if rec.Seq <= skip || rec.Op == graph.OpTxBegin || rec.Op == graph.OpTxCommit || rec.Op == graph.OpTxRollback {
+			continue
+		}
+		if err := dst.Apply(rec.Mutation()); err != nil {
+			return last, applied, fmt.Errorf("storage: replay seq %d (%s): %w", rec.Seq, rec.Op, err)
+		}
+		applied++
+	}
+	return last, applied, nil
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,29 +14,81 @@ import (
 	"securitykg/internal/graph"
 )
 
-// walFileBytes frames recs as a single continuous log file (one
-// dictionary stream), as a real appender would have. jsonLog hand-frames
-// the records the way the JSON-era appender did — no file magic, JSON
-// payloads — which no build can produce any more but Open must read.
-func walFileBytes(t testing.TB, recs []Record, jsonLog bool) []byte {
+// dictEncoder is the skgwal2 writer, kept to produce the logs Open must
+// still read: a symbol spelled once is added to the log's in-band
+// dictionary, and from then on written as a reference to it (its 1-based
+// position). One encoder per log file.
+type dictEncoder map[string]uint64
+
+func (d dictEncoder) symbol(buf []byte, s string) []byte {
+	if id, ok := d[s]; ok {
+		return binary.AppendUvarint(buf, id)
+	}
+	d[s] = uint64(len(d)) + 1
+	return appendSymbol(buf, s)
+}
+
+func (d dictEncoder) encode(buf []byte, rec Record) []byte {
+	buf = binary.AppendUvarint(buf, rec.Seq)
+	code, _ := opcodeOf(rec.Op)
+	buf = append(buf, code)
+	attrs := func(buf []byte) []byte {
+		buf = binary.AppendUvarint(buf, uint64(len(rec.Attrs)))
+		var keys []string
+		for k := range rec.Attrs {
+			keys = append(keys, k)
+		}
+		sortStrings(keys)
+		for _, k := range keys {
+			buf = appendStr(d.symbol(buf, k), rec.Attrs[k])
+		}
+		return buf
+	}
+	switch code {
+	case opMergeNode:
+		buf = attrs(appendStr(d.symbol(buf, rec.Type), rec.Name))
+	case opAddEdge:
+		buf = d.symbol(buf, rec.Type)
+		buf = attrs(binary.AppendUvarint(binary.AppendUvarint(buf, uint64(rec.From)), uint64(rec.To)))
+	case opSetAttr:
+		buf = appendStr(d.symbol(binary.AppendUvarint(buf, uint64(rec.Node)), rec.Key), rec.Val)
+	case opDeleteNode:
+		buf = binary.AppendUvarint(buf, uint64(rec.Node))
+	case opDeleteEdge:
+		buf = binary.AppendUvarint(buf, uint64(rec.Edge))
+	case opMigrateEdges:
+		buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(rec.From)), uint64(rec.To))
+	}
+	return buf
+}
+
+// walFileBytes frames recs as one continuous log file of the given
+// format, as its appender would have: this build's, or one of the two
+// that came before it, which no build can produce any more but Open must
+// read — skgwal2 (one dictionary stream) and the JSON era (no file magic,
+// JSON payloads).
+func walFileBytes(t testing.TB, recs []Record, format logFormat) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	dict := newWALDict(nil)
-	if !jsonLog {
+	dict := dictEncoder{}
+	switch format {
+	case formatWire:
 		buf.WriteString(walMagic)
+	case formatDict:
+		buf.WriteString(walMagicDict)
 	}
-	var enc []byte
-	var keys []string
 	for _, rec := range recs {
 		var payload []byte
-		if jsonLog {
+		switch format {
+		case formatWire:
+			payload, _ = encodeRecord(nil, rec.Seq, rec.Mutation(), nil)
+		case formatDict:
+			payload = dict.encode(nil, rec)
+		case formatJSON:
 			var err error
 			if payload, err = json.Marshal(rec); err != nil {
 				t.Fatal(err)
 			}
-		} else {
-			enc, keys = encodeRecordBinary(enc[:0], rec, dict, keys)
-			payload = enc
 		}
 		var hdr [recordHeaderLen]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -48,15 +99,15 @@ func walFileBytes(t testing.TB, recs []Record, jsonLog bool) []byte {
 	return buf.Bytes()
 }
 
-// jsonLogBytes re-frames a log this build wrote as the JSON-era log
-// holding the same records.
-func jsonLogBytes(t testing.TB, walBytes []byte) []byte {
+// relogBytes re-frames a log this build wrote as the log an earlier
+// build would have written holding the same records.
+func relogBytes(t testing.TB, walBytes []byte, format logFormat) []byte {
 	t.Helper()
 	full := scanWAL(bytes.NewReader(walBytes))
-	if full.torn || full.jsonLog || len(full.records) == 0 {
-		t.Fatalf("source log scans torn=%v json=%v records=%d", full.torn, full.jsonLog, len(full.records))
+	if full.torn || full.format != formatWire || len(full.records) == 0 {
+		t.Fatalf("source log scans torn=%v format=%d records=%d", full.torn, full.format, len(full.records))
 	}
-	return walFileBytes(t, full.records, true)
+	return walFileBytes(t, full.records, format)
 }
 
 // jsonSnapshotBytes crafts a JSON-era snapshot of st covering seq: the
@@ -101,8 +152,9 @@ func requireBinaryDir(t *testing.T, dir string) {
 	}
 }
 
-// TestRecordCodecRoundTrip: every record shape survives the binary
-// codec bit-exactly, including dictionary reuse across records.
+// TestRecordCodecRoundTrip: every record shape survives the codec
+// bit-exactly, each payload on its own, and so does the skgwal2 decode,
+// whose dictionary references are resolved across records.
 func TestRecordCodecRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Seq: 1, Op: graph.OpMergeNode, Type: "Malware", Name: "emotet",
@@ -116,28 +168,29 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		{Seq: 7, Op: graph.OpMigrateEdges, From: 2, To: 1},
 		{Seq: 8, Op: graph.OpDeleteNode, Node: 1},
 	}
-	encDict := newWALDict(nil)
+	enc := dictEncoder{}
 	var decDict []string
-	var buf []byte
-	var keys []string
 	for _, want := range recs {
-		buf, keys = encodeRecordBinary(buf[:0], want, encDict, keys)
-		got, err := decodeRecordBinary(buf, &decDict)
-		if err != nil {
-			t.Fatalf("seq %d: decode: %v", want.Seq, err)
-		}
-		gj, _ := json.Marshal(got)
-		wj, _ := json.Marshal(want)
-		if !bytes.Equal(gj, wj) {
-			t.Fatalf("seq %d: round trip changed record:\nwant %s\ngot  %s", want.Seq, wj, gj)
+		wire, _ := encodeRecord(nil, want.Seq, want.Mutation(), nil)
+		for _, tc := range []struct {
+			payload []byte
+			dict    *[]string
+		}{{wire, nil}, {enc.encode(nil, want), &decDict}} {
+			var got Record
+			if err := decodeRecord(tc.payload, tc.dict, &got, nil); err != nil {
+				t.Fatalf("seq %d: decode: %v", want.Seq, err)
+			}
+			gj, _ := json.Marshal(got)
+			wj, _ := json.Marshal(want)
+			if !bytes.Equal(gj, wj) {
+				t.Fatalf("seq %d: round trip changed record:\nwant %s\ngot  %s", want.Seq, wj, gj)
+			}
 		}
 	}
-	// Re-encoding the same vocabulary must now be pure dictionary refs:
-	// the second MergeNode-style record is smaller than the first.
-	d2 := newWALDict(nil)
-	first, _ := encodeRecordBinary(nil, recs[0], d2, nil)
-	second, _ := encodeRecordBinary(nil, recs[0], d2, nil)
-	if len(second) >= len(first) {
+	// The skgwal2 form of a repeated record is pure dictionary refs: the
+	// decode above resolved references, not only inline strings.
+	d2 := dictEncoder{}
+	if first, second := d2.encode(nil, recs[0]), d2.encode(nil, recs[0]); len(second) >= len(first) {
 		t.Fatalf("dictionary reuse did not shrink a repeated record: %d then %d bytes", len(first), len(second))
 	}
 }
@@ -205,10 +258,10 @@ func TestBothSnapshotsPresent(t *testing.T) {
 	}
 }
 
-// TestBinaryWALTornDictionary: a binary log cut mid-record must recover
-// to the surviving prefix with a consistent dictionary — in particular,
-// appends after recovery (which reseed the dictionary from the scan)
-// must produce records the next recovery decodes correctly.
+// TestBinaryWALTornDictionary: a skgwal2 log cut mid-record must recover
+// to the surviving prefix — its dictionary rebuilt from exactly the
+// records that survived — and the directory Open rewrites must take
+// appends the next recovery reads back.
 func TestBinaryWALTornDictionary(t *testing.T) {
 	dir := t.TempDir()
 	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
@@ -226,21 +279,30 @@ func TestBinaryWALTornDictionary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cut mid-file: the tail record (and its dictionary additions) die.
-	if err := os.WriteFile(walPath, walBytes[:2*len(walBytes)/3], 0o644); err != nil {
+	dictLog := relogBytes(t, walBytes, formatDict)
+	cut := dictLog[:2*len(dictLog)/3]
+	survived := scanWAL(bytes.NewReader(cut))
+	if !survived.torn || len(survived.records) == 0 {
+		t.Fatalf("the cut log scans torn=%v with %d records", survived.torn, len(survived.records))
+	}
+	if err := os.WriteFile(walPath, cut, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	db2 := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
-	// These appends must reuse surviving dictionary ids, not collide.
+	if db2.LastSeq() != survived.records[len(survived.records)-1].Seq {
+		t.Fatalf("recovered through seq %d, the cut log holds %d records", db2.LastSeq(), len(survived.records))
+	}
 	id, _ := db2.Store().MergeNode("Malware", "fresh-after-tear", map[string]string{"family": "worm"})
 	db2.Store().SetAttr(id, "score", "1")
 	want := saveBytes(t, db2.Store())
 	if err := db2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	requireBinaryDir(t, dir)
 	db3 := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	defer db3.Close()
 	if got := saveBytes(t, db3.Store()); !bytes.Equal(got, want) {
-		t.Fatal("post-tear appends did not survive recovery (dictionary desync?)")
+		t.Fatal("post-tear appends did not survive recovery")
 	}
 	n := db3.Store().FindNode("Malware", "fresh-after-tear")
 	if n == nil || n.Attrs.Get("family") != "worm" {
@@ -251,27 +313,23 @@ func TestBinaryWALTornDictionary(t *testing.T) {
 // scannedWAL is a test's view of a whole log: the records of the valid
 // prefix beside the scanner's verdict on it.
 type scannedWAL struct {
-	replayResult
 	records []Record
+	torn    bool
+	format  logFormat
 }
 
-// scanWAL collects the whole valid prefix; recovery streams it instead.
+// scanWAL collects the whole valid prefix, decoded; recovery streams it
+// instead.
 func scanWAL(r io.Reader) scannedWAL {
 	sc := newWALScanner(r)
 	var out scannedWAL
-	var rec Record
-	for sc.next(&rec) {
-		rec.Attrs = maps.Clone(rec.Attrs) // the scanner reuses its map
+	for sc.next() {
+		var rec Record
+		if err := DecodeWire(sc.cur, &rec, nil); err != nil {
+			panic(fmt.Sprintf("the scanner handed out a payload that does not decode: %v", err))
+		}
 		out.records = append(out.records, rec)
 	}
-	out.replayResult = sc.res
+	out.torn, out.format = sc.torn, sc.format
 	return out
-}
-
-// decodeRecordBinary decodes one payload, mutating dict exactly as the
-// writer did when encoding it.
-func decodeRecordBinary(p []byte, dict *[]string) (Record, error) {
-	var rec Record
-	err := decodeRecordBinaryInto(p, dict, &rec, nil)
-	return rec, err
 }

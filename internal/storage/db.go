@@ -34,12 +34,13 @@ import (
 // into place atomically, so there is no crash window in which they can
 // disagree; WAL truncation after a checkpoint is pure space reclamation.
 //
-// That is the only layout this package writes. A directory written by an
-// earlier build's JSON codec — snapshot.jsonl (one {magic, seq} header
-// line, then the graph's Save stream) and a wal.log without the magic,
-// JSON payloads in the same framing — is input from outside the program:
-// Open reads it and rewrites it in place before it returns
-// (upgradeJSONDir), so a running DB never holds a JSON file.
+// That is the only layout this package writes. A directory an earlier
+// build wrote — with its JSON codec, snapshot.jsonl (one {magic, seq}
+// header line, then the graph's Save stream) and a wal.log without a
+// magic, JSON payloads in the same framing; or with a wal.log whose
+// records refer to an in-band dictionary (the skgwal2 magic) — is input
+// from outside the program: Open reads it and rewrites it in place before
+// it returns (upgradeDir), so a running DB never holds such a file.
 type DB struct {
 	dir   string
 	store *graph.Store
@@ -131,7 +132,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}()
 
-	st, snapSeq, jsonEra, err := loadSnapshot(dir)
+	st, snapSeq, upgrade, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +142,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	walPath := filepath.Join(dir, walFile)
 	lastSeq := snapSeq
 	var validLen int64
-	var dictSeed []string
 	if f, err := os.Open(walPath); err == nil {
 		// Recovering from scratch (no snapshot): a header-only pre-pass
 		// counts the log's frames so the store's maps start at their
@@ -156,49 +156,24 @@ func Open(dir string, opts Options) (*DB, error) {
 				return nil, fmt.Errorf("storage: rewind wal: %w", serr)
 			}
 		}
-		// Stream the valid prefix straight into the store: the scanner
-		// decodes each record into one reused slot, the transaction fold
-		// releases only committed groups, and ApplyStream folds the
-		// result in bulk mode (per-mutation adjacency compaction and
-		// stats checks deferred to a single sealing pass) — recovery
-		// never materializes the record list, which together with the
-		// bulk economics is most of the difference between replaying 20k
+		// Stream the valid prefix straight into the store, one unit at a
+		// time, in one bulk bracket (replayLog) — recovery never
+		// materializes the record list, which together with the bulk
+		// economics is most of the difference between replaying 20k
 		// records and loading the same state from a snapshot.
-		sc := newWALScanner(f)
-		fold := newTxFold(sc)
-		var rec Record
-		applied, aerr := st.ApplyStream(func() (graph.Mutation, bool) {
-			return fold.next(&rec, snapSeq)
-		})
-		fi, serr := f.Stat()
+		res, rerr := replayLog(f, st, snapSeq)
 		f.Close()
-		if serr != nil {
-			return nil, fmt.Errorf("storage: stat wal: %w", serr)
+		if rerr != nil {
+			return nil, rerr
 		}
-		if aerr != nil {
-			return nil, fmt.Errorf("storage: replay seq %d: %w", rec.Seq, aerr)
-		}
-		db.Recovered.Replayed += applied
-		db.Recovered.TxDiscarded = fold.discarded
-		// A transaction left open by the end of the log (crash between a
-		// commit's group-flush frames) is cut off exactly like a torn
-		// record: the appender resumes from the committed watermark — the
-		// scanner state at the last record boundary outside an open
-		// group. The dictionary is append-only, so truncating the log to
-		// that offset is matched by truncating the dict to its length at
-		// that offset.
-		valid, scSeq, dict := sc.res.valid, sc.lastSeq, sc.res.dict
-		if fold.dangling() {
-			valid, scSeq, dict = fold.validAt, fold.seqAt, dict[:fold.dictAt]
-		}
-		if scSeq > lastSeq {
-			lastSeq = scSeq
-		}
-		validLen, dictSeed = valid, dict
-		jsonEra = jsonEra || (sc.res.jsonLog && valid > 0)
-		if sc.res.torn || fi.Size() > valid {
-			db.Recovered.TornTail = sc.res.torn || fold.dangling()
-			if terr := os.Truncate(walPath, valid); terr != nil {
+		db.Recovered.Replayed, db.Recovered.TxDiscarded, db.Recovered.TornTail = res.applied, res.discarded, res.torn
+		lastSeq, validLen = max(lastSeq, res.lastSeq), res.valid
+		upgrade = upgrade || res.legacy && res.valid > 0
+		// A torn record, or a transaction left open by the end of the log
+		// (a crash between a commit's group-flush frames), is cut off: the
+		// appender resumes after the last whole unit.
+		if res.torn {
+			if terr := os.Truncate(walPath, res.valid); terr != nil {
 				return nil, fmt.Errorf("storage: truncate torn wal: %w", terr)
 			}
 		}
@@ -206,13 +181,13 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
 
-	if jsonEra {
-		if err := upgradeJSONDir(dir, st, lastSeq); err != nil {
+	if upgrade {
+		if err := upgradeDir(dir, st, lastSeq); err != nil {
 			return nil, err
 		}
-		validLen, dictSeed = int64(len(walMagic)), nil
+		validLen = int64(len(walMagic))
 	}
-	wal, err := openWAL(walPath, validLen, lastSeq, dictSeed, opts.Sync, opts.SyncEvery)
+	wal, err := openWAL(walPath, validLen, lastSeq, opts.Sync, opts.SyncEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -336,11 +311,12 @@ func readBinSnapHeader(br *bufio.Reader, path string) (uint64, error) {
 }
 
 // landSnapshot is the one way a snapshot.skg reaches a data directory —
-// from a checkpoint, the JSON-era upgrade or a replication transfer:
-// write streams it into a temp file, which is fsynced, checked to open
-// with a snapshot header (a truncated or foreign stream must not shadow
-// a good directory) and renamed into place; then a snapshot.jsonl, which
-// it covers, is dropped and the directory fsynced. A crash before the
+// from a checkpoint, the upgrade of an earlier build's directory or a
+// replication transfer: write streams it into a temp file, which is
+// fsynced, checked to open with a snapshot header (a truncated or
+// foreign stream must not shadow a good directory) and renamed into
+// place; then a snapshot.jsonl, which it covers, is dropped and the
+// directory fsynced. A crash before the
 // rename leaves a .tmp file Open removes; one after it, at worst both
 // snapshots, of which Open picks this one.
 func landSnapshot(dir string, write func(io.Writer) error) error {
@@ -374,15 +350,16 @@ func landSnapshot(dir string, write func(io.Writer) error) error {
 	return nil
 }
 
-// upgradeJSONDir rewrites a directory an earlier build's JSON codec
-// wrote — just recovered into st, its last record lastSeq — as this
-// build writes one: a snapshot.skg covering lastSeq lands (dropping
-// snapshot.jsonl), then the log restarts as a bare magic. Open runs it
-// before the store has a mutation hook or the log an appender. Every
-// crash window reopens to the same store: until the snapshot lands the
-// JSON files are untouched; after it, whatever JSON is left holds only
-// records the snapshot covers, and finding it runs the upgrade again.
-func upgradeJSONDir(dir string, st *graph.Store, lastSeq uint64) error {
+// upgradeDir rewrites a directory an earlier build wrote — a JSON-era
+// snapshot or log, or a dictionary-coded log; just recovered into st,
+// its last record lastSeq — as this build writes one: a snapshot.skg
+// covering lastSeq lands (dropping snapshot.jsonl), then the log restarts
+// as a bare magic. Open runs it before the store has a mutation hook or
+// the log an appender. Every crash window reopens to the same store:
+// until the snapshot lands the old files are untouched; after it,
+// whatever old file is left holds only records the snapshot covers, and
+// finding it runs the upgrade again.
+func upgradeDir(dir string, st *graph.Store, lastSeq uint64) error {
 	err := landSnapshot(dir, func(w io.Writer) error {
 		return st.SaveBinaryWithHeader(w, func(hw io.Writer) error { return writeBinSnapHeader(hw, lastSeq) })
 	})
@@ -390,7 +367,7 @@ func upgradeJSONDir(dir string, st *graph.Store, lastSeq uint64) error {
 		err = os.WriteFile(filepath.Join(dir, walFile), []byte(walMagic), 0o644)
 	}
 	if err != nil {
-		return fmt.Errorf("storage: upgrade JSON-era directory: %w", err)
+		return fmt.Errorf("storage: upgrade data directory: %w", err)
 	}
 	return nil
 }
@@ -404,13 +381,13 @@ func upgradeJSONDir(dir string, st *graph.Store, lastSeq uint64) error {
 // a group a failure cut short still ends at its marker.
 func (db *DB) logMutation(m graph.Mutation) {
 	boundary := db.group.boundary(m.Op)
-	seq, err := db.wal.Append(m, boundary)
+	seq, payload, err := db.wal.Append(m, boundary)
 	if err != nil {
 		db.tail.cut(db.wal.LastSeq() + 1)
 		db.scheduleCheckpoint()
 		return // sticky until the checkpoint lands; Err() reports it
 	}
-	db.tail.add(seq, m, boundary)
+	db.tail.add(seq, payload, boundary)
 	if db.opts.CompactBytes > 0 && db.wal.Size() > db.opts.CompactBytes {
 		db.scheduleCheckpoint()
 	}

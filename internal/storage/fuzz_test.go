@@ -20,7 +20,8 @@ func FuzzWALReplay(f *testing.F) {
 	// Seed with genuine logs covering every record type, including
 	// transaction groups (tx_begin/mutations/tx_commit), whose replay
 	// buffers records until the commit lands — each as this build writes
-	// it and hand-framed as the JSON-era log of the same records...
+	// it and hand-framed as the JSON-era and the skgwal2 log (dictionary
+	// references and all) of the same records...
 	for name, write := range map[string]func(db *DB){
 		"bare": func(db *DB) {
 			g := newMutGen(7)
@@ -46,7 +47,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, walBytes := range [][]byte{binBytes, jsonLogBytes(f, binBytes)} {
+		for _, walBytes := range [][]byte{binBytes, relogBytes(f, binBytes, formatJSON), relogBytes(f, binBytes, formatDict)} {
 			f.Add(walBytes)
 			// ...plus truncations and bit flips the fuzzer can extend. The
 			// mid-log truncation of the tx seed lands inside a group, the
@@ -58,6 +59,17 @@ func FuzzWALReplay(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
+	// ...plus the group shapes no store writes: one rolled back, one cut
+	// short by another tx_begin, a stray commit, and one left open.
+	var recs []Record
+	for i, op := range []graph.MutationOp{
+		graph.OpMergeNode, graph.OpTxBegin, graph.OpMergeNode, graph.OpTxRollback,
+		graph.OpTxBegin, graph.OpMergeNode, graph.OpTxBegin, graph.OpMergeNode, graph.OpTxCommit,
+		graph.OpTxCommit, graph.OpTxBegin, graph.OpMergeNode,
+	} {
+		recs = append(recs, Record{Seq: uint64(i + 1), Op: op, Type: "Malware", Name: string(rune('a' + i))})
+	}
+	f.Add(walFileBytes(f, recs, formatWire))
 	// Degenerate inputs.
 	f.Add([]byte{})
 	f.Add([]byte(walMagic))                           // bare header, zero records
@@ -66,7 +78,7 @@ func FuzzWALReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := graph.New()
-		if _, _, err := ReplayReader(bytes.NewReader(data), st, 0); err == nil {
+		if _, err := replayLog(bytes.NewReader(data), st, 0); err == nil {
 			// A clean replay must leave a store whose Save round-trips.
 			var b bytes.Buffer
 			if err := st.Save(&b); err != nil {

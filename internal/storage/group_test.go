@@ -100,7 +100,7 @@ func TestPartialGroupOnDiskIsDiscarded(t *testing.T) {
 			// The log's half of a commit that dies before its marker.
 			db.wal.Append(graph.Mutation{Op: graph.OpTxBegin}, false)
 			for i := 0; i < tc.muts; i++ {
-				if _, err := db.wal.Append(graph.Mutation{Op: graph.OpSetAttr, Node: id, Key: "lost", Val: strings.Repeat("v", 20)}, false); err != nil {
+				if _, _, err := db.wal.Append(graph.Mutation{Op: graph.OpSetAttr, Node: id, Key: "lost", Val: strings.Repeat("v", 20)}, false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -229,9 +229,10 @@ func wireGenRecords(t *testing.T) []Record {
 	st := graph.New()
 	var recs []Record
 	st.SetMutationHook(func(m graph.Mutation) {
-		r := recordFromMutation(m)
-		r.Attrs = maps.Clone(m.Attrs)
-		recs = append(recs, r)
+		recs = append(recs, Record{
+			Op: m.Op, Type: m.Type, Name: m.Name, Attrs: maps.Clone(m.Attrs),
+			From: m.From, To: m.To, Node: m.Node, Edge: m.Edge, Key: m.Key, Val: m.Val,
+		})
 	})
 	tg := newTxMutGen(5)
 	for i := 0; i < 200; i++ {
@@ -253,17 +254,18 @@ func wireGenRecords(t *testing.T) []Record {
 	return recs
 }
 
-// TestWireRoundTrip: decode(encodeInline(r)) == r for every record
-// shape, each payload standing alone (no dictionary carried between
-// them, in any order), with and without a reused attribute map, and
-// NextWire naming the operation the full decode finds.
+// TestWireRoundTrip: decode(encode(r)) == r for every record shape,
+// each payload standing alone (nothing carried between them, in any
+// order), with and without a reused attribute map, and NextWire naming
+// the operation the full decode finds.
 func TestWireRoundTrip(t *testing.T) {
 	recs := wireGenRecords(t)
 	rand.New(rand.NewSource(1)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-	var enc wireEncoder
-	var batch []byte
+	var batch, payload []byte
+	var keys []string
 	for _, r := range recs {
-		batch = enc.append(batch, r)
+		payload, keys = encodeRecord(payload[:0], r.Seq, r.Mutation(), keys)
+		batch = appendWire(batch, payload)
 	}
 	scratch := map[string]string{"stale": "entry"}
 	for i, want := range recs {
@@ -288,7 +290,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("%d bytes left after the last record", len(batch))
 	}
 	// A payload that refers to a dictionary cannot be a wire payload.
-	withRef, _ := encodeRecordBinary(nil, Record{Seq: 1, Op: graph.OpSetAttr, Node: 1, Key: "k", Val: "v"}, newWALDict([]string{"k"}), nil)
+	withRef := dictEncoder{"k": 1}.encode(nil, Record{Seq: 1, Op: graph.OpSetAttr, Node: 1, Key: "k", Val: "v"})
 	if err := DecodeWire(withRef, new(Record), nil); err == nil {
 		t.Fatal("a dictionary reference decoded without a dictionary")
 	}

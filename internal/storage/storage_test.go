@@ -128,13 +128,14 @@ func TestDurableRoundTrip(t *testing.T) {
 // exactly the fold of the record prefix that fully survived — compared
 // byte-for-byte via Save — and must leave the directory writable, and
 // binary. Runs against the log this build writes and against the same
-// records hand-framed as a JSON-era log.
+// records hand-framed as a JSON-era and as a skgwal2 log.
 func TestTornTailEveryOffset(t *testing.T) {
-	t.Run("binary", func(t *testing.T) { testTornTailEveryOffset(t, false) })
-	t.Run("json", func(t *testing.T) { testTornTailEveryOffset(t, true) })
+	t.Run("binary", func(t *testing.T) { testTornTailEveryOffset(t, formatWire) })
+	t.Run("json", func(t *testing.T) { testTornTailEveryOffset(t, formatJSON) })
+	t.Run("skgwal2", func(t *testing.T) { testTornTailEveryOffset(t, formatDict) })
 }
 
-func testTornTailEveryOffset(t *testing.T, jsonLog bool) {
+func testTornTailEveryOffset(t *testing.T, format logFormat) {
 	dir := t.TempDir()
 	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	g := newMutGen(2)
@@ -148,8 +149,8 @@ func testTornTailEveryOffset(t *testing.T, jsonLog bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jsonLog {
-		walBytes = jsonLogBytes(t, walBytes)
+	if format != formatWire {
+		walBytes = relogBytes(t, walBytes, format)
 	}
 	// Record boundaries, from a clean scan.
 	full := scanWAL(bytes.NewReader(walBytes))
@@ -161,7 +162,7 @@ func testTornTailEveryOffset(t *testing.T, jsonLog bool) {
 	// of the first k records into a fresh store). Record boundaries start
 	// after the file magic, if there is one.
 	var hdrLen int64
-	if bytes.HasPrefix(walBytes, []byte(walMagic)) {
+	if format != formatJSON {
 		hdrLen = int64(len(walMagic))
 	}
 	prefixSave := make([][]byte, len(full.records)+1)
@@ -264,19 +265,13 @@ func TestCheckpoint(t *testing.T) {
 	db2.Close()
 
 	// Crash window: snapshot renamed but WAL never truncated. In that
-	// world the log is one continuous file (one dictionary), so rebuild
-	// it by re-encoding pre-checkpoint records followed by the tail's —
-	// raw byte gluing would splice two dictionary streams together.
+	// world the log is one continuous file: the pre-checkpoint records,
+	// then the tail's.
 	tail, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := scanWAL(bytes.NewReader(preWal))
-	post := scanWAL(bytes.NewReader(tail))
-	if pre.torn || post.torn {
-		t.Fatalf("clean logs scan torn: pre=%v post=%v", pre.torn, post.torn)
-	}
-	writeFiles(t, dir, map[string][]byte{walFile: walFileBytes(t, append(pre.records, post.records...), false)})
+	writeFiles(t, dir, map[string][]byte{walFile: append(preWal, tail[len(walMagic):]...)})
 	db3 := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	if got := saveBytes(t, db3.Store()); !bytes.Equal(got, want) {
 		t.Fatalf("recovery with untruncated WAL differs (snapshot-covered records re-applied?)")

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,49 +14,13 @@ import (
 
 // This file is the storage side of WAL-shipping replication
 // (internal/replication): an in-memory tail of recently appended
-// records, kept in the form a follower stream carries so a leader serves
-// streams by copying bytes; a committed watermark that stops streams at
-// group boundaries (a follower never observes an uncommitted prefix); a
-// cursor that falls back to the log file; and snapshot export/install.
-//
-// Wire form: a batch is a run of `uvarint len · payload`, each payload
-// the binary record codec (codec.go) with every dictionary string
-// spelled inline, so it decodes alone — whatever in-band dictionary the
-// log file has — and a stream can start at any seq.
-
-// NextWire cuts the first record off a wire batch, naming its operation
-// without decoding its fields.
-func NextWire(batch []byte) (payload, rest []byte, op graph.MutationOp, err error) {
-	n, w := binary.Uvarint(batch)
-	if w <= 0 || n == 0 || n > uint64(len(batch)-w) {
-		return nil, nil, "", errors.New("storage: wire batch: record length out of range")
-	}
-	payload, rest = batch[w:w+int(n)], batch[w+int(n):]
-	if _, w = binary.Uvarint(payload); w > 0 && w < len(payload) { // seq, then the opcode
-		if op, ok := mutationOpOf(payload[w]); ok {
-			return payload, rest, op, nil
-		}
-	}
-	return nil, nil, "", errors.New("storage: wire batch: record has no known opcode")
-}
-
-// DecodeWire decodes one wire payload into *rec. A non-nil attrs is
-// cleared and reused as the record's attribute map: pass one only when
-// each record is consumed before the next is decoded.
-func DecodeWire(payload []byte, rec *Record, attrs map[string]string) error {
-	return decodeRecordBinaryInto(payload, nil, rec, attrs)
-}
-
-// wireEncoder appends records to wire batches through reused scratch.
-type wireEncoder struct {
-	payload []byte
-	keys    []string // attr-key sort scratch
-}
-
-func (e *wireEncoder) append(batch []byte, rec Record) []byte {
-	e.payload, e.keys = encodeRecordBinary(e.payload[:0], rec, nil, e.keys)
-	return append(binary.AppendUvarint(batch, uint64(len(e.payload))), e.payload...)
-}
+// records, kept as the run a follower stream carries (codec.go: each
+// record's length, then its payload — the bytes the log file holds), so
+// a leader serves streams by copying bytes; a committed watermark that
+// stops streams at group boundaries (a follower never observes an
+// uncommitted prefix); a cursor that falls back to copying payloads out
+// of the log file; and snapshot export/install. A payload decodes alone,
+// so a stream can start at any seq.
 
 // groupTracker follows transaction markers through a record sequence.
 // The DB keeps the only one and tells the log and the tail (logMutation).
@@ -88,7 +51,6 @@ type replTail struct {
 	head      int // ends[:head] are evicted
 	maxRecs   int
 	maxBytes  int
-	enc       wireEncoder
 	committed uint64
 	notify    chan struct{} // closed and replaced when committed advances
 	armed     bool          // notify has been handed out since it was made
@@ -118,13 +80,11 @@ func (t *replTail) start(i int) int {
 	return t.ends[i-1]
 }
 
-// add appends the just-logged mutation, encoded, under its sequence
-// number; nothing of m is retained. At a boundary committed moves to seq.
-func (t *replTail) add(seq uint64, m graph.Mutation, boundary bool) {
-	rec := recordFromMutation(m)
-	rec.Seq = seq
+// add copies the just-logged record's payload, numbered seq; nothing of
+// payload is retained. At a boundary committed moves to seq.
+func (t *replTail) add(seq uint64, payload []byte, boundary bool) {
 	t.mu.Lock()
-	t.buf = t.enc.append(t.buf, rec)
+	t.buf = appendWire(t.buf, payload)
 	t.ends = append(t.ends, len(t.buf))
 	for n := len(t.ends); n-t.head > 1 && (n-t.head > t.maxRecs || len(t.buf)-t.start(t.head) > t.maxBytes); {
 		t.head++
@@ -213,14 +173,12 @@ type TailCursor struct {
 	db   *DB
 	from uint64 // next seq to hand out
 
-	// The file scan, while one is open: it hands out, re-encoded, records
-	// up to the watermark committed when it was opened.
+	// The file scan, while one is open: it hands out records up to the
+	// watermark committed when it was opened.
 	f       *os.File
 	sc      *walScanner
 	through uint64
-	rec     Record
-	primed  bool // rec holds the file's first record, not yet consumed
-	enc     wireEncoder
+	primed  bool // the scanner holds the file's first record, not yet consumed
 }
 
 // TailFrom returns a cursor over committed records from seq on; Close it.
@@ -254,7 +212,7 @@ func (c *TailCursor) Next(batch []byte, limit int) ([]byte, int, error) {
 			return batch, 0, fmt.Errorf("storage: tail scan: %w", err)
 		}
 		c.f, c.sc, c.through = f, newWALScanner(f), c.db.CommittedSeq()
-		if c.primed = c.sc.next(&c.rec); !c.primed || c.rec.Seq > c.from {
+		if c.primed = c.sc.next(); !c.primed || c.sc.lastSeq > c.from {
 			// Empty log, or its oldest surviving record is already past
 			// the cursor: the gap is only recoverable via snapshot.
 			c.Close()
@@ -263,18 +221,20 @@ func (c *TailCursor) Next(batch []byte, limit int) ([]byte, int, error) {
 	}
 }
 
-// scan appends file records until batch has grown by limit bytes. A
-// log's sequence has no gaps: a record of a file restarted under the
-// scan shows as one and ends it, like a torn read.
+// scan copies file records into batch until it has grown by limit
+// bytes. The scanner hands out a gapless sequence from a first record
+// Next checked is not past c.from, so it reaches c.from and then keeps
+// to it: a record of a file restarted under the scan breaks the sequence
+// and ends it, like a torn read.
 func (c *TailCursor) scan(batch []byte, limit int) []byte {
 	limit += len(batch)
-	for len(batch) < limit && (c.primed || c.sc.next(&c.rec)) {
+	for len(batch) < limit && (c.primed || c.sc.next()) {
 		c.primed = false
-		switch seq := c.rec.Seq; {
-		case seq > c.through || seq > c.from:
-			c.sc.res.torn = true // nothing more from this file
+		switch seq := c.sc.lastSeq; {
+		case seq > c.through:
+			c.sc.torn = true // nothing more from this file
 		case seq == c.from:
-			batch = c.enc.append(batch, c.rec)
+			batch = appendWire(batch, c.sc.cur)
 			c.from++
 		}
 	}

@@ -119,13 +119,15 @@ func committedFold(t *testing.T, recs []Record) (*graph.Store, int) {
 // group, where a crash between a commit's flush frames would land —
 // and recovery must produce exactly the committed-prefix fold, report
 // the discarded group, and leave the directory writable and binary.
-// Both this build's log and the same records as a JSON-era log.
+// This build's log, and the same records as a JSON-era and as a skgwal2
+// log.
 func TestTornTailEveryOffsetTx(t *testing.T) {
-	t.Run("binary", func(t *testing.T) { testTornTailEveryOffsetTx(t, false) })
-	t.Run("json", func(t *testing.T) { testTornTailEveryOffsetTx(t, true) })
+	t.Run("binary", func(t *testing.T) { testTornTailEveryOffsetTx(t, formatWire) })
+	t.Run("json", func(t *testing.T) { testTornTailEveryOffsetTx(t, formatJSON) })
+	t.Run("skgwal2", func(t *testing.T) { testTornTailEveryOffsetTx(t, formatDict) })
 }
 
-func testTornTailEveryOffsetTx(t *testing.T, jsonLog bool) {
+func testTornTailEveryOffsetTx(t *testing.T, format logFormat) {
 	dir := t.TempDir()
 	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	tg := newTxMutGen(3)
@@ -139,8 +141,8 @@ func testTornTailEveryOffsetTx(t *testing.T, jsonLog bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jsonLog {
-		walBytes = jsonLogBytes(t, walBytes)
+	if format != formatWire {
+		walBytes = relogBytes(t, walBytes, format)
 	}
 	full := scanWAL(bytes.NewReader(walBytes))
 	if full.torn || len(full.records) == 0 {

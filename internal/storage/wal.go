@@ -2,9 +2,9 @@
 // graph store: an append-only write-ahead log of logical mutations, a
 // snapshot file that wraps the graph's binary SaveBinary stream, and
 // recovery that turns a data directory back into the exact store that
-// was running before a crash. It writes one format; the JSON records and
-// JSONL snapshots of earlier builds are read once, when Open finds them,
-// and rewritten before Open returns (db.go).
+// was running before a crash. It writes one format; the JSON records,
+// JSONL snapshots and dictionary-coded logs of earlier builds are read
+// once, when Open finds them, and rewritten before Open returns (db.go).
 //
 // The design follows the log-structured discipline of datom-log stores
 // (janus-datalog's replayable assert/retract sequence): the source of
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"maps"
 	"os"
 	"sync"
 	"time"
@@ -51,16 +50,6 @@ type Record struct {
 	Val   string            `json:"val,omitempty"`
 }
 
-// recordFromMutation wraps a graph mutation as a WAL record (Seq filled
-// in by the appender).
-func recordFromMutation(m graph.Mutation) Record {
-	return Record{
-		Op: m.Op, Type: m.Type, Name: m.Name, Attrs: m.Attrs,
-		From: m.From, To: m.To, Node: m.Node, Edge: m.Edge,
-		Key: m.Key, Val: m.Val,
-	}
-}
-
 // Mutation converts the record back to the graph-layer mutation it logs.
 func (r Record) Mutation() graph.Mutation {
 	return graph.Mutation{
@@ -76,9 +65,10 @@ func (r Record) Mutation() graph.Mutation {
 //	uint32  CRC-32 (IEEE) of the payload
 //	[]byte  payload (the encoded Record; see codec.go)
 //
-// The file opens with the 8-byte walMagic header; a JSON-era log starts
-// directly at its first frame, JSON payloads in the same framing, which
-// is how the scanner knows one. The length comes first so a reader can
+// The file opens with the 8-byte walMagic header. A log of the dictionary
+// era opens with walMagicDict instead, and a JSON-era log starts directly
+// at its first frame, JSON payloads in the same framing, which is how the
+// scanner knows each. The length comes first so a reader can
 // skip to the checksum decision without parsing the payload; the CRC
 // covers only the payload, so a torn header, a torn payload, and a
 // bit-flipped payload are all detected the same way: the record (and
@@ -147,8 +137,7 @@ type WAL struct {
 	err     error  // sticky: first append/flush failure poisons the log
 	fails   uint64 // appends that failed (these never advance lastSeq)
 
-	dict   *walDict              // encode-side in-band dictionary, in step with the file
-	encBuf []byte                // reusable payload scratch
+	encBuf []byte                // the last record's payload; reused
 	keyBuf []string              // reusable attr-key sort scratch
 	hdrBuf [recordHeaderLen]byte // framing scratch; a local escapes via the Write call
 
@@ -158,9 +147,9 @@ type WAL struct {
 }
 
 // openWAL opens (creating if needed) the log file for appending at
-// offset size, with lastSeq and the dictionary seeded from recovery's
-// scan. An empty file starts with the magic and an empty dictionary.
-func openWAL(path string, size int64, lastSeq uint64, dictSeed []string, policy SyncPolicy, every time.Duration) (*WAL, error) {
+// offset size, with lastSeq from recovery's scan. An empty file starts
+// with the magic.
+func openWAL(path string, size int64, lastSeq uint64, policy SyncPolicy, every time.Duration) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
@@ -178,8 +167,6 @@ func openWAL(path string, size int64, lastSeq uint64, dictSeed []string, policy 
 			f.Close()
 			return nil, err
 		}
-	} else {
-		w.dict = newWALDict(dictSeed)
 	}
 	if policy == SyncInterval {
 		if every <= 0 {
@@ -192,15 +179,14 @@ func openWAL(path string, size int64, lastSeq uint64, dictSeed []string, policy 
 	return w, nil
 }
 
-// beginFileLocked initializes an empty log file: the magic header
-// (buffered; it reaches disk with the first flush) and a fresh dictionary.
+// beginFileLocked initializes an empty log file with the magic header
+// (buffered; it reaches disk with the first flush).
 func (w *WAL) beginFileLocked() error {
 	if _, err := w.w.WriteString(walMagic); err != nil {
 		return fmt.Errorf("storage: write wal header: %w", err)
 	}
 	w.size = int64(len(walMagic))
 	w.dirty = true
-	w.dict = newWALDict(nil)
 	return nil
 }
 
@@ -225,31 +211,30 @@ func (w *WAL) syncLoop(every time.Duration) {
 }
 
 // Append encodes the mutation as the next record and buffers it,
-// returning the sequence number it was assigned. At a boundary — a bare
-// record or the marker closing a group; the caller follows the markers,
-// so no group state here can outlive a failed append — the buffer drains
+// returning the sequence number it was assigned and the record's payload
+// — valid until the next Append, and what the replication tail copies.
+// At a boundary — a bare record or the marker closing a group; the
+// caller follows the markers, so no group state here can outlive a
+// failed append — the buffer drains
 // to the OS before Append returns (a process crash never loses an
 // acknowledged commit) and is fsynced under SyncAlways. Inside a group
 // records only buffer: one write, one fsync per group, and recovery
 // discards a group cut short on disk. Errors are sticky: once an append
 // fails, the WAL refuses further writes and Err/Close report the failure.
-func (w *WAL) Append(m graph.Mutation, boundary bool) (uint64, error) {
+func (w *WAL) Append(m graph.Mutation, boundary bool) (uint64, []byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		w.fails++
-		return 0, w.err
+		return 0, nil, w.err
 	}
 	if w.closed {
-		return 0, errors.New("storage: append to closed WAL")
+		return 0, nil, errors.New("storage: append to closed WAL")
 	}
-	rec := recordFromMutation(m)
-	rec.Seq = w.lastSeq + 1
+	seq := w.lastSeq + 1
 	// Encoding into the reusable scratch keeps the append hot path
-	// allocation-free. The dictionary mutates as we encode; if any later
-	// step fails the error is sticky, so no bytes diverging from the
-	// dictionary state can ever reach the file.
-	w.encBuf, w.keyBuf = encodeRecordBinary(w.encBuf[:0], rec, w.dict, w.keyBuf)
+	// allocation-free.
+	w.encBuf, w.keyBuf = encodeRecord(w.encBuf[:0], seq, m, w.keyBuf)
 	payload := w.encBuf
 	if len(payload) > maxRecordLen {
 		// Never frame a record the reader is obliged to reject: an
@@ -257,28 +242,28 @@ func (w *WAL) Append(m graph.Mutation, boundary bool) (uint64, error) {
 		// along with every record after it — at recovery. Refuse it
 		// (sticky), leaving the store ahead of the log until a
 		// checkpoint re-bases durability.
-		return 0, w.failLocked(fmt.Errorf("storage: mutation record is %d bytes, past the %d-byte limit", len(payload), maxRecordLen))
+		return 0, nil, w.failLocked(fmt.Errorf("storage: mutation record is %d bytes, past the %d-byte limit", len(payload), maxRecordLen))
 	}
 	hdr := w.hdrBuf[:]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	w.dirty = true
 	if _, err := w.w.Write(hdr); err != nil {
-		return 0, w.failLocked(fmt.Errorf("storage: append: %w", err))
+		return 0, nil, w.failLocked(fmt.Errorf("storage: append: %w", err))
 	}
 	if _, err := w.w.Write(payload); err != nil {
-		return 0, w.failLocked(fmt.Errorf("storage: append: %w", err))
+		return 0, nil, w.failLocked(fmt.Errorf("storage: append: %w", err))
 	}
 	if boundary {
 		if err := w.flushLocked(w.policy == SyncAlways); err != nil {
-			return 0, w.failLocked(err)
+			return 0, nil, w.failLocked(err)
 		}
 	}
-	w.lastSeq = rec.Seq
+	w.lastSeq = seq
 	w.size += int64(recordHeaderLen + len(payload))
 	mWALAppends.Inc()
 	mWALBytes.Add(int64(recordHeaderLen + len(payload)))
-	return rec.Seq, nil
+	return seq, payload, nil
 }
 
 // failLocked makes err sticky and counts the failed append.
@@ -395,8 +380,6 @@ func (w *WAL) truncateThrough(seq, fails uint64) error {
 	w.size = 0
 	w.dirty = true // the truncation itself should reach disk eventually
 	w.err = nil    // the snapshot covers everything the log missed
-	// The dictionary resets with the file, keeping encoder state in
-	// lockstep with the bytes on disk.
 	if err := w.beginFileLocked(); err != nil {
 		w.err = err
 	}
@@ -432,106 +415,121 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// replayResult is what scanning a WAL file yields: the byte offset
-// where the valid prefix ends, whether a torn/corrupt tail was discarded
-// after it, whether the file is a JSON-era log (no magic: nothing appends
-// to one — Open rewrites the directory), and the in-band dictionary
-// accumulated over the valid prefix — with valid, exactly the state an
-// appender must resume with.
-type replayResult struct {
-	valid   int64
-	torn    bool
-	jsonLog bool
-	dict    []string
+// logFormat is what wrote a log file, as its first bytes say.
+type logFormat int
+
+const (
+	formatWire logFormat = iota // walMagic: this build
+	formatDict                  // walMagicDict: records against an in-band dictionary
+	formatJSON                  // no magic: JSON payloads
+)
+
+// readMagic consumes a log's magic, if it has one, and names its format.
+// A JSON log can never sniff as binary: its first four bytes are a record
+// length, and the length either magic's bytes spell is far past
+// maxRecordLen.
+func readMagic(br *bufio.Reader) logFormat {
+	head, _ := br.Peek(len(walMagic))
+	switch string(head) {
+	case walMagic:
+		br.Discard(len(walMagic))
+		return formatWire
+	case walMagicDict:
+		br.Discard(len(walMagicDict))
+		return formatDict
+	}
+	return formatJSON
 }
 
 // walScanner walks a log's valid record prefix one record at a time,
-// sniffing the payload format from the file's first bytes (walMagic →
-// this build's; anything else, including a JSON-era log's first length
-// prefix → JSON payloads).
+// handing out each record's payload as this build writes it: the file's
+// own bytes, checked only for framing, CRC, seq and opcode, or — for a
+// log an earlier build wrote — the record decoded and re-encoded.
 // Damage — a short header, a length past the size bound, a CRC
-// mismatch, a short payload, an undecodable payload, or a sequence
-// number that does not increase — ends the scan: nothing after a bad
+// mismatch, a short payload, a payload that does not yield a seq and an
+// opcode (an earlier build's: that does not decode), or a seq that is
+// not its predecessor's successor — ends the scan: nothing after a bad
 // record can be trusted, because record boundaries are only known by
 // walking the length prefixes. This is exactly the torn-final-record
 // tolerance a crash mid-append requires, generalized to arbitrary
-// corruption. A JSON log can never sniff as binary: its first four
-// bytes are a record length, and the length walMagic's bytes spell is
-// far past maxRecordLen.
-//
-// Streaming (next into a caller-reused Record) rather than returning
-// the record list keeps recovery of a long tail from materializing
-// every record: the caller folds each one into the store and the
-// scanner's two scratch buffers are the only per-record state.
+// corruption.
 type walScanner struct {
 	br      *bufio.Reader
-	res     replayResult
-	lastSeq uint64
+	format  logFormat
+	valid   int64  // where the last valid record ends
+	torn    bool   // the scan ended at damage, not at the end of the file
+	lastSeq uint64 // the current record's seq
+	cur     []byte // the current record's payload, valid until the next call
 	hdr     [recordHeaderLen]byte
 	payload []byte
-	// attrs is the binary decoder's attribute map, reused across records:
-	// a consumer keeping one past the next call copies it.
-	attrs map[string]string
+
+	// The read-once decode of an earlier build's log: the in-band
+	// dictionary of a skgwal2 log, and the record re-encoded.
+	dict []string
+	wire []byte
 }
 
 func newWALScanner(r io.Reader) *walScanner {
-	sc := &walScanner{br: bufio.NewReaderSize(r, 1<<16), res: replayResult{jsonLog: true}, attrs: make(map[string]string, 8)}
-	if head, err := sc.br.Peek(len(walMagic)); err == nil && string(head) == walMagic {
-		sc.br.Discard(len(walMagic))
-		sc.res.jsonLog = false
-		sc.res.valid = int64(len(walMagic))
+	sc := &walScanner{br: bufio.NewReaderSize(r, 1<<16)}
+	if sc.format = readMagic(sc.br); sc.format != formatJSON {
+		sc.valid = int64(len(walMagic))
 	}
 	return sc
 }
 
-// next decodes the next valid record into *rec, returning false at the
-// end of the valid prefix (EOF or first damage; res.torn tells which).
-// Payload scratch reuse is safe because both decoders copy every
-// string they keep (string conversions; the dictionary appends the
-// copies) — nothing aliases the buffer across calls.
-func (sc *walScanner) next(rec *Record) bool {
-	if sc.res.torn {
+// next reads the next valid record into cur and lastSeq, returning false
+// at the end of the valid prefix (EOF or first damage; torn tells which).
+func (sc *walScanner) next() bool {
+	if sc.torn {
 		return false
 	}
 	if _, err := io.ReadFull(sc.br, sc.hdr[:]); err != nil {
-		sc.res.torn = !errors.Is(err, io.EOF)
+		sc.torn = !errors.Is(err, io.EOF)
 		return false
 	}
 	n := binary.LittleEndian.Uint32(sc.hdr[0:4])
 	want := binary.LittleEndian.Uint32(sc.hdr[4:8])
 	if n == 0 || n > maxRecordLen {
-		sc.res.torn = true
+		sc.torn = true
 		return false
 	}
 	if cap(sc.payload) < int(n) {
 		sc.payload = make([]byte, n)
 	}
 	sc.payload = sc.payload[:n]
-	if _, err := io.ReadFull(sc.br, sc.payload); err != nil {
-		sc.res.torn = true
+	if _, err := io.ReadFull(sc.br, sc.payload); err != nil || crc32.ChecksumIEEE(sc.payload) != want {
+		sc.torn = true
 		return false
 	}
-	if crc32.ChecksumIEEE(sc.payload) != want {
-		sc.res.torn = true
+	p, ok := sc.payload, true
+	if sc.format != formatWire {
+		p, ok = sc.transcode()
+	}
+	seq, _, known := peekRecord(p)
+	if !ok || !known || seq == 0 || sc.lastSeq != 0 && seq != sc.lastSeq+1 {
+		sc.torn = true
 		return false
 	}
-	if sc.res.jsonLog {
-		*rec = Record{}
-		if err := json.Unmarshal(sc.payload, rec); err != nil {
-			sc.res.torn = true
-			return false
-		}
-	} else if derr := decodeRecordBinaryInto(sc.payload, &sc.res.dict, rec, sc.attrs); derr != nil {
-		sc.res.torn = true
-		return false
-	}
-	if rec.Seq <= sc.lastSeq {
-		sc.res.torn = true
-		return false
-	}
-	sc.lastSeq = rec.Seq
-	sc.res.valid += int64(recordHeaderLen) + int64(n)
+	sc.cur, sc.lastSeq = p, seq
+	sc.valid += int64(recordHeaderLen) + int64(n)
 	return true
+}
+
+// transcode decodes an earlier build's payload — JSON, or binary against
+// the in-band dictionary — and re-encodes it as this build writes it.
+func (sc *walScanner) transcode() ([]byte, bool) {
+	var rec Record
+	var err error
+	if sc.format == formatJSON {
+		err = json.Unmarshal(sc.payload, &rec)
+	} else {
+		err = decodeRecord(sc.payload, &sc.dict, &rec, nil)
+	}
+	if err != nil {
+		return nil, false
+	}
+	sc.wire, _ = encodeRecord(sc.wire[:0], rec.Seq, rec.Mutation(), nil)
+	return sc.wire, true
 }
 
 // countWALFrames walks the record framing (headers only — no CRC, no
@@ -541,9 +539,7 @@ func (sc *walScanner) next(rec *Record) bool {
 // Reserve tolerates (it is a sizing hint, bounded by file size).
 func countWALFrames(r io.Reader) int {
 	br := bufio.NewReaderSize(r, 1<<16)
-	if head, err := br.Peek(len(walMagic)); err == nil && string(head) == walMagic {
-		br.Discard(len(walMagic))
-	}
+	readMagic(br)
 	count := 0
 	var hdr [recordHeaderLen]byte
 	for {
@@ -561,122 +557,65 @@ func countWALFrames(r io.Reader) int {
 	}
 }
 
-// txFold layers transaction semantics over a walScanner: mutations
-// between a tx_begin and its tx_commit are buffered and released to the
-// consumer only once the commit record is scanned; a tx_rollback, a
-// tx_begin inside an open group (can only come from a foreign or
-// corrupted log), or end-of-log with the group still open discards the
-// buffered records. The fold also tracks the committed watermark — the
-// scanner state at the last record boundary outside an open
-// transaction — so recovery can truncate a dangling group off the log
-// tail exactly like a torn record: validAt/seqAt/dictAt are what the
-// appender must resume from when the log is cut there.
-type txFold struct {
-	sc        *walScanner
-	inTx      bool
-	pending   []graph.Mutation
-	drain     int // next pending index to hand out; -1 when not draining
-	discarded int // records of open/rolled-back groups that were dropped
-
-	validAt int64  // committed watermark: byte offset
-	seqAt   uint64 // committed watermark: last sequence number
-	dictAt  int    // committed watermark: dictionary length
+// replayResult is what folding a log into a store found.
+type replayResult struct {
+	applied   int    // mutations applied
+	discarded int    // records of groups that never committed
+	valid     int64  // where the last whole unit ends: the appender resumes here
+	lastSeq   uint64 // that unit's last seq
+	torn      bool   // damage, or a group the log ends inside, follows valid
+	legacy    bool   // an earlier build wrote the log: Open rewrites the directory
 }
 
-func newTxFold(sc *walScanner) *txFold {
-	tf := &txFold{sc: sc, drain: -1}
-	tf.mark()
-	return tf
-}
-
-// mark advances the committed watermark to the scanner's current state.
-func (tf *txFold) mark() {
-	tf.validAt = tf.sc.res.valid
-	tf.seqAt = tf.sc.lastSeq
-	tf.dictAt = len(tf.sc.res.dict)
-}
-
-// dangling reports whether the log ended inside an open transaction —
-// the caller should truncate to the committed watermark.
-func (tf *txFold) dangling() bool { return tf.inTx }
-
-// next yields the next mutation to replay, skipping records with
-// seq <= afterSeq (already covered by a snapshot). rec is the caller's
-// scratch record slot (shared with the scanner).
-func (tf *txFold) next(rec *Record, afterSeq uint64) (graph.Mutation, bool) {
-	for {
-		if tf.drain >= 0 {
-			if tf.drain < len(tf.pending) {
-				m := tf.pending[tf.drain]
-				tf.drain++
-				return m, true
-			}
-			tf.drain = -1
-			tf.pending = tf.pending[:0]
-		}
-		if !tf.sc.next(rec) {
-			if tf.inTx {
-				tf.discarded += len(tf.pending) + 1 // +1 for the tx_begin
-				tf.pending = tf.pending[:0]
-			}
-			return graph.Mutation{}, false
-		}
-		switch rec.Op {
-		case graph.OpTxBegin:
-			if tf.inTx {
-				tf.discarded += len(tf.pending) + 1
-				tf.pending = tf.pending[:0]
-			}
-			tf.inTx = true
-		case graph.OpTxCommit:
-			if tf.inTx {
-				tf.inTx = false
-				tf.mark()
-				tf.drain = 0 // release the group (possibly empty)
-			} else {
-				tf.mark() // stray commit outside a group: ignore
-			}
-		case graph.OpTxRollback:
-			if tf.inTx {
-				tf.discarded += len(tf.pending) + 2 // begin + rollback
-				tf.pending = tf.pending[:0]
-				tf.inTx = false
-			}
-			tf.mark()
-		default:
-			if tf.inTx {
-				if rec.Seq > afterSeq {
-					// The scanner may reuse the record's attr map for the
-					// next decode; buffered mutations need their own copy.
-					m := rec.Mutation()
-					m.Attrs = maps.Clone(m.Attrs)
-					tf.pending = append(tf.pending, m)
-				}
+// replayLog folds the valid prefix of the log in r into st, skipping
+// records at or below after (a snapshot holds them). The units are a
+// follower's, cut and applied by the same two functions (NextUnit,
+// UnitApplier): a bare record applies as it comes; a group's records
+// wait as bytes and are decoded once, as they apply, at its tx_commit. A
+// tx_rollback, or a second tx_begin inside an open group (only a foreign
+// or corrupted log has either), discards the group, and so does the end
+// of the log: a group left open is cut off like a torn record, and valid
+// and lastSeq name the last unit boundary outside a group, where the
+// appender must resume. The fold is one bulk bracket: adjacency
+// compaction and stats checks wait for a single seal.
+func replayLog(r io.Reader, st *graph.Store, after uint64) (res replayResult, err error) {
+	sc := newWALScanner(r)
+	res.valid, res.legacy = sc.valid, sc.format != formatWire
+	st.BeginBulk()
+	defer st.EndBulk()
+	var (
+		apply   UnitApplier
+		pending []byte // the open group's records, then the record at hand
+		held    int    // the open group's records in pending
+	)
+	for sc.next() {
+		head := len(pending)
+		pending = appendWire(pending, sc.cur)
+		// The scanner has checked the record's seq and opcode, so cutting
+		// it cannot fail.
+		_, rest, end, _ := NextUnit(pending[head:], held > 0)
+		switch end {
+		case UnitOpen:
+			held++
+			continue
+		case UnitAborted:
+			if len(rest) > 0 { // a tx_begin: the record opens the next group
+				res.discarded += held
+				pending, held = append(pending[:0], rest...), 1
 				continue
 			}
-			tf.mark()
-			if rec.Seq > afterSeq {
-				return rec.Mutation(), true
+			res.discarded += held + 1
+		default: // the scanner's seqs run without gaps, so pending starts at lastSeq-held
+			var n int
+			if _, n, err = apply.Apply(st, pending, sc.lastSeq-uint64(held)-1, after); err != nil {
+				return res, err
 			}
+			res.applied += n
 		}
+		pending, held = pending[:0], 0
+		res.valid, res.lastSeq = sc.valid, sc.lastSeq
 	}
-}
-
-// ReplayReader applies every valid record in r with seq > afterSeq to
-// the store — transactional groups atomically: only committed groups
-// replay, and a group left open by the end of the log is discarded like
-// a torn record. Returns how many mutations were applied and whether a
-// damaged or dangling tail was discarded. Exposed for fuzzing and
-// tests; Open wires the same fold into directory recovery.
-func ReplayReader(r io.Reader, st *graph.Store, afterSeq uint64) (applied int, torn bool, err error) {
-	sc := newWALScanner(r)
-	fold := newTxFold(sc)
-	var rec Record
-	applied, aerr := st.ApplyStream(func() (graph.Mutation, bool) {
-		return fold.next(&rec, afterSeq)
-	})
-	if aerr != nil {
-		return applied, sc.res.torn, fmt.Errorf("storage: replay seq %d: %w", rec.Seq, aerr)
-	}
-	return applied, sc.res.torn || fold.dangling(), nil
+	res.discarded += held
+	res.torn = sc.torn || held > 0
+	return res, nil
 }
