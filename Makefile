@@ -143,36 +143,24 @@ crash-test:
 	$(GO) test ./internal/storage ./internal/connector -run 'TestCrashProcessKill|TestTornTailEveryOffset|TestConnectTornTailEveryOffset' -count=3 -v
 
 # cover profiles the query engine, the exploration API server, the
-# durability subsystem and replication, and fails the build when any
-# package's statement coverage drops below its floor. Replication's
-# reads 83.7–84.4 % from run to run (which branches the stream's
-# heartbeats reach is timing), so its floor is the lowest run's.
-COVER_FLOOR ?= 85
-COVER_FLOOR_SERVER ?= 87
-COVER_FLOOR_STORAGE ?= 85
-COVER_FLOOR_REPLICATION ?= 83
+# durability subsystem, replication and the graph store, and fails the
+# build when any package's statement coverage drops below its floor
+# (listing its functions under 60 %). COVER_FLOORS holds one pkg:floor
+# pair per package under internal/. Replication's reads 83.7–84.4 %
+# from run to run (which branches the stream's heartbeats reach is
+# timing), so its floor is the lowest run's.
+COVER_FLOORS ?= cypher:85 server:87 storage:85 replication:83 graph:89
 cover:
-	$(GO) test -coverprofile=cover.out -covermode=atomic ./internal/cypher/
-	@$(GO) tool cover -func=cover.out | sort -t: -k2 -n | awk '$$3+0 < 60 {print "  low:", $$0}'
-	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {gsub("%","",$$3); print $$3}'); \
-	awk -v t=$$total -v floor=$(COVER_FLOOR) 'BEGIN { \
-		if (t+0 < floor+0) { printf "internal/cypher coverage %.1f%% is below the %s%% floor\n", t, floor; exit 1 } \
-		else { printf "internal/cypher coverage %.1f%% (floor %s%%)\n", t, floor } }'
-	$(GO) test -coverprofile=cover_server.out -covermode=atomic ./internal/server/
-	@total=$$($(GO) tool cover -func=cover_server.out | awk '/^total:/ {gsub("%","",$$3); print $$3}'); \
-	awk -v t=$$total -v floor=$(COVER_FLOOR_SERVER) 'BEGIN { \
-		if (t+0 < floor+0) { printf "internal/server coverage %.1f%% is below the %s%% floor\n", t, floor; exit 1 } \
-		else { printf "internal/server coverage %.1f%% (floor %s%%)\n", t, floor } }'
-	$(GO) test -coverprofile=cover_storage.out -covermode=atomic ./internal/storage/
-	@total=$$($(GO) tool cover -func=cover_storage.out | awk '/^total:/ {gsub("%","",$$3); print $$3}'); \
-	awk -v t=$$total -v floor=$(COVER_FLOOR_STORAGE) 'BEGIN { \
-		if (t+0 < floor+0) { printf "internal/storage coverage %.1f%% is below the %s%% floor\n", t, floor; exit 1 } \
-		else { printf "internal/storage coverage %.1f%% (floor %s%%)\n", t, floor } }'
-	$(GO) test -coverprofile=cover_replication.out -covermode=atomic ./internal/replication/
-	@total=$$($(GO) tool cover -func=cover_replication.out | awk '/^total:/ {gsub("%","",$$3); print $$3}'); \
-	awk -v t=$$total -v floor=$(COVER_FLOOR_REPLICATION) 'BEGIN { \
-		if (t+0 < floor+0) { printf "internal/replication coverage %.1f%% is below the %s%% floor\n", t, floor; exit 1 } \
-		else { printf "internal/replication coverage %.1f%% (floor %s%%)\n", t, floor } }'
+	@set -e; for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%:*}; floor=$${pf#*:}; out=cover_$$pkg.out; \
+		echo "$(GO) test -coverprofile=$$out -covermode=atomic ./internal/$$pkg/"; \
+		$(GO) test -coverprofile=$$out -covermode=atomic ./internal/$$pkg/; \
+		$(GO) tool cover -func=$$out | sort -t: -k2 -n | awk '$$3+0 < 60 {print "  low:", $$0}'; \
+		$(GO) tool cover -func=$$out | awk -v p=internal/$$pkg -v floor=$$floor '/^total:/ { \
+			t = $$3; sub("%", "", t); \
+			if (t+0 < floor+0) { printf "%s coverage %.1f%% is below the %s%% floor\n", p, t, floor; exit 1 } \
+			printf "%s coverage %.1f%% (floor %s%%)\n", p, t, floor }'; \
+	done
 
 # fuzz exercises the IOC-scanner, parser, engine, NDJSON-escaper and
 # WAL-recovery and replication-frame fuzz targets for 30s each (the

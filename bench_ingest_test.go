@@ -3,8 +3,8 @@ package securitykg
 // Live-ingest benchmarks, run by `make bench` and recorded in
 // BENCH_cypher.json: UNWIND batch mutation throughput against the
 // equivalent per-statement CREATE loop (the batch path owes its margin
-// to one parse/plan, one transaction, one group-committed WAL append
-// and one stats judgement per batch instead of per row), and soak arms
+// to one parse/plan, one transaction and one group-committed WAL append
+// per batch instead of per row), and soak arms
 // measuring ingest rows/s through a live leader/follower pair under
 // concurrent readers, with writer/reader counts in the arm names.
 

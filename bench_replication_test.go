@@ -167,7 +167,6 @@ func BenchmarkReplicationShipGroup(b *testing.B) {
 	defer func() { cancel(); <-done; fdb.Close() }()
 	commit := func(round int) {
 		tx := ldb.Store().BeginTx()
-		tx.SetBulk()
 		for i := 0; i < rows; i++ {
 			id, _ := tx.MergeNode("IP", fmt.Sprintf("172.%d.%d.%d", round, i/250, i%250), nil)
 			tx.SetAttr(id, "last_seen", fmt.Sprintf("2026-01-01T00:%02d:00Z", round%60))

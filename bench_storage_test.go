@@ -94,7 +94,7 @@ func BenchmarkStorageSnapshotLoad(b *testing.B) {
 
 // BenchmarkStorageReportCommit measures one report's commit group — 21
 // mutations (report node, vendor edge, nine new entities with their
-// MENTIONS edges, one relation edge) in a bulk transaction — on durable
+// MENTIONS edges, one relation edge) in one transaction — on durable
 // stores whose packed adjacency holds 1k to 400k edges. The group's
 // edges stay in the adjacency overlay until it outgrows its threshold,
 // so the arms must read flat: a commit that repacked the whole store
@@ -122,7 +122,6 @@ func BenchmarkStorageReportCommit(b *testing.B) {
 			vendor, _ := st.MergeNode("CTIVendor", "vendor", nil)
 			commit := func(i int) {
 				tx := st.BeginTx()
-				tx.SetBulk()
 				rep, _ := tx.MergeNode("MalwareReport", fmt.Sprintf("report-%d", i), map[string]string{"report_id": fmt.Sprint(i)})
 				tx.AddEdge(rep, "REPORTED_BY", vendor, nil)
 				var first graph.NodeID

@@ -112,9 +112,8 @@ func main() {
 		// Adopt before ingesting so every ingested mutation is logged.
 		sys.AdoptStore(db.Store())
 		if *replFrom == "" && db.Store().CountNodes() == 0 && *reports > 0 {
-			// Bulk bracket: boot ingest is one load, so adjacency seals
-			// and planner stats settle once at the end instead of the
-			// store re-judging materiality after every mutation.
+			// Load bracket: boot ingest is one load, so adjacency seals
+			// once at the end instead of repacking as the store grows.
 			db.Store().BeginBulk()
 			ingest(sys)
 			db.Store().EndBulk()

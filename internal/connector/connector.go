@@ -47,15 +47,14 @@ func (g *GraphConnector) Name() string { return "graph" }
 // DESCRIBES edges to threat concepts, and the extracted relations.
 // Storage-time merging is exact (type, name) per Section 2.5.
 //
-// A report is one commit group: its merges and edges run in one bulk
-// transaction, so they reach the log as one group (one write, one stats
-// judgement, one shipped unit, one transaction on a follower), and
-// readers and recovery see the whole report or none of it. Any error
-// rolls the report back. The full-text index is updated after the
-// commit, so a search hit always names a report the graph holds.
+// A report is one commit group: its merges and edges run in one
+// transaction, so they reach the log as one group (one write, one
+// shipped unit, one transaction on a follower), and readers and recovery
+// see the whole report or none of it. Any error rolls the report back.
+// The full-text index is updated after the commit, so a search hit
+// always names a report the graph holds.
 func (g *GraphConnector) Connect(c *ctirep.CTIRep) error {
 	tx := g.store.BeginTx()
-	tx.SetBulk()
 	if err := connectTx(tx, c); err != nil {
 		tx.Rollback()
 		return fmt.Errorf("connector: graph: %w", err)

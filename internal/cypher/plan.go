@@ -393,11 +393,6 @@ type Plan struct {
 	Segments  []*PlanSegment
 	Params    []string
 	HasWrites bool
-	// Batch marks a batch-mutation plan (an UNWIND feeding writes): its
-	// implicit transaction runs in store bulk mode, so the whole batch
-	// commits as one WAL tx group with a single stats-materiality
-	// judgement and one adjacency seal instead of per-row checks.
-	Batch bool
 }
 
 // final returns the RETURN segment.

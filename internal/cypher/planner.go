@@ -72,9 +72,6 @@ func (e *Engine) planQuery(q *Query) (*Plan, error) {
 			}
 		}
 		pl.Segments = append(pl.Segments, seg)
-		if part.Unwind != nil && part.HasWrites() {
-			pl.Batch = true
-		}
 		// The next segment sees only the projected aliases.
 		carried = make([]string, len(part.Items))
 		for i, it := range part.Items {

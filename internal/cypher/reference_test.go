@@ -30,7 +30,7 @@ func (r reference) Query(src string, args map[string]any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, finish, err := NewEngine(r.s, Options{}).beginScope(q.HasWrites(), false)
+	ex, finish, err := NewEngine(r.s, Options{}).beginScope(q.HasWrites())
 	if err != nil {
 		return nil, err
 	}

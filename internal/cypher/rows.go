@@ -312,7 +312,7 @@ func (e *Engine) rowsForPlanProf(pl *Plan, ps params, prof *planProf) (*Rows, er
 	// Scope the statement (tx.go): reads pin a snapshot, writes open an
 	// implicit store transaction. The returned cursor carries the scope's
 	// finish hook; errors before the cursor exists end the scope here.
-	ex, finish, err := e.beginScope(pl.HasWrites, pl.Batch)
+	ex, finish, err := e.beginScope(pl.HasWrites)
 	if err != nil {
 		return nil, err
 	}

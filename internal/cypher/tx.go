@@ -64,13 +64,10 @@ var errTxControl = fmt.Errorf("cypher: BEGIN/COMMIT/ROLLBACK are transaction-con
 //     transaction's abort hook (poisoning it) but neither commits nor
 //     releases anything.
 //   - write statement: an implicit graph.Tx; finish(nil) commits,
-//     finish(err) rolls back. When batch is set (UNWIND-driven batch
-//     mutation, Plan.Batch), the transaction runs in store bulk mode:
-//     per-mutation stats checks and adjacency compaction are deferred
-//     to one sealing judgement at commit, so a batch of any size moves
-//     StatsVersion at most once and lands as one WAL tx group.
+//     finish(err) rolls back. The whole statement — an UNWIND batch of
+//     any size included — lands as one WAL tx group.
 //   - read statement: a pinned Snap; finish releases it.
-func (e *Engine) beginScope(writes, batch bool) (*Engine, func(error) error, error) {
+func (e *Engine) beginScope(writes bool) (*Engine, func(error) error, error) {
 	if e.pinned {
 		fail := e.failTx
 		return e, func(err error) error {
@@ -82,9 +79,6 @@ func (e *Engine) beginScope(writes, batch bool) (*Engine, func(error) error, err
 	}
 	if writes {
 		gtx := e.store.BeginTx()
-		if batch {
-			gtx.SetBulk()
-		}
 		ex := *e
 		ex.view, ex.w = gtx, gtx
 		finish := func(err error) error {

@@ -243,14 +243,15 @@ func TestWriteEagerness(t *testing.T) {
 	}
 }
 
-// TestMaterialMutationInvalidatesPlanCache: mutations that materially
-// change a planner-visible count (bulk deletes, bulk inserts) bump the
-// store's stats version, so the shared plan cache re-plans instead of
-// serving plans costed against stale statistics.
+// TestMaterialMutationInvalidatesPlanCache: a change is material to the
+// shared plan cache when it moves the store into another size class — its
+// node plus edge count crossing a power of two, in either direction. A
+// cached statement re-plans at the crossing and never before, however
+// many writes land inside the class.
 func TestMaterialMutationInvalidatesPlanCache(t *testing.T) {
 	s := graph.New()
 	var mals []graph.NodeID
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 64; i++ { // 128 nodes + 64 edges = 192: the [128, 256) class
 		m, _ := s.MergeNode("Malware", fmt.Sprintf("m%d", i), nil)
 		ip, _ := s.MergeNode("IP", fmt.Sprintf("10.0.0.%d", i), nil)
 		s.AddEdge(m, "CONNECT", ip, nil)
@@ -258,28 +259,46 @@ func TestMaterialMutationInvalidatesPlanCache(t *testing.T) {
 	}
 	eng := NewEngine(s, DefaultOptions())
 	const q = `match (m:Malware)-[:CONNECT]->(ip) return ip.name`
-	for i := 0; i < 2; i++ {
+	query := func(what string, wantMisses int64) {
+		t.Helper()
+		before := eng.PlanCacheStats().Misses
 		if _, err := eng.Query(q, nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := eng.PlanCacheStats()
-	if st.Hits < 1 {
-		t.Fatalf("warmup did not hit the cache: %+v", st)
-	}
-	before := eng.PlanCacheStats()
-	for _, id := range mals[:40] { // 40% of the Malware label: material
-		if err := s.DeleteNode(id); err != nil {
-			t.Fatal(err)
+		if got := eng.PlanCacheStats().Misses - before; got != wantMisses {
+			t.Fatalf("%s: %d plan-cache misses, want %d", what, got, wantMisses)
 		}
 	}
-	if _, err := eng.Query(q, nil); err != nil {
-		t.Fatal(err)
+	tools := 0
+	addTools := func(k int) {
+		for ; k > 0; k-- {
+			s.MergeNode("Tool", fmt.Sprintf("t%d", tools), nil)
+			tools++
+		}
 	}
-	after := eng.PlanCacheStats()
-	if after.Misses == before.Misses {
-		t.Fatalf("bulk delete did not invalidate the cached plan (stats %+v -> %+v)", before, after)
+	dropMalware := func(k int) { // each takes its edge with it
+		for ; k > 0; k-- {
+			if err := s.DeleteNode(mals[0]); err != nil {
+				t.Fatal(err)
+			}
+			mals = mals[1:]
+		}
 	}
+	query("first run", 1)
+	addTools(63)
+	query("growth to 255", 0)
+	addTools(1)
+	query("growth to 256", 1)
+	for _, id := range mals {
+		s.SetAttr(id, "seen", "1")
+	}
+	query("SetAttr inside the class", 0)
+	dropMalware(1)
+	query("shrink to 254", 1)
+	dropMalware(63)
+	query("shrink to 128", 0)
+	s.DeleteNode(s.FindNode("Tool", "t0").ID)
+	query("shrink to 127", 1)
 }
 
 // TestWriteHeavyPreparedKeepsCacheHits is the epoch-granularity

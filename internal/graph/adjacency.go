@@ -21,12 +21,11 @@ import "slices"
 // edge-ID order, so the rebuild never sorts) — epoch-batched
 // compaction, amortized O(1) per mutation — so long-lived mixed
 // workloads converge back to pure array scans. One threshold rules
-// every writer: a write outside a bulk bracket checks it after each
-// adjacency change, and a bulk bracket (a batch transaction, a
-// follower's replayed group, recovery, a load) checks it once when it
-// seals. A commit group therefore costs O(group) — its edges stay in
-// the delta — and only a group or load that pushes the overlay past the
-// threshold pays the repack, once.
+// every writer: a write checks it after each adjacency change, and a
+// load bracket (BeginBulk/EndBulk: recovery, a boot ingest) checks it
+// once when it seals. A commit group therefore costs O(group) — its
+// edges stay in the delta — unless it pushes the overlay past the
+// threshold, and a load past the threshold packs once, at the end.
 
 // halfEdge is one packed incidence triple: the edge, the endpoint on
 // the far side (equal to the near node for self-loops), and the edge's
@@ -212,8 +211,8 @@ func (s *Store) rebuildAdjLocked() {
 
 // maybeRebuildAdjLocked batches overlay compaction: it repacks only when
 // needsRebuild says so. Called under the write lock after each
-// adjacency-changing mutation, and once by the outermost bulk bracket's
-// seal (endBulkLocked); inside a bracket it does nothing.
+// adjacency-changing mutation, and once by the outermost load bracket's
+// seal (EndBulk); inside a bracket it does nothing.
 func (s *Store) maybeRebuildAdjLocked() {
 	if s.bulk > 0 {
 		return

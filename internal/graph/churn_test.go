@@ -12,8 +12,9 @@ import (
 // SETs, edge and node deletes, migrations, committed and rolled-back
 // transactions, failed batches — and after every step recounts the edge
 // endpoints from the slabs: the counts the planner reads must be exactly
-// that. The logged history then rebuilds the same counts through
-// ApplyStream, and both codecs reload them.
+// that. The logged history then rebuilds the same counts through an
+// Apply loop in a load bracket, as recovery replays, and both codecs
+// reload them.
 func TestLiveCountsUnderChurn(t *testing.T) {
 	type writer interface {
 		MergeNode(typ, name string, attrs map[string]string) (NodeID, bool)
@@ -95,16 +96,13 @@ func TestLiveCountsUnderChurn(t *testing.T) {
 
 		want := saveBytesOf(t, s)
 		replayed := New()
-		if _, err := replayed.ApplyStream(func() (Mutation, bool) {
-			if len(log) == 0 {
-				return Mutation{}, false
+		replayed.BeginBulk()
+		for _, m := range log {
+			if err := replayed.Apply(m); err != nil {
+				t.Fatalf("seed %d: replay: %v", seed, err)
 			}
-			m := log[0]
-			log = log[1:]
-			return m, true
-		}); err != nil {
-			t.Fatalf("seed %d: ApplyStream: %v", seed, err)
 		}
+		replayed.EndBulk()
 		var bin bytes.Buffer
 		if err := s.SaveBinary(&bin); err != nil {
 			t.Fatal(err)
@@ -117,7 +115,7 @@ func TestLiveCountsUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string]*Store{"ApplyStream": replayed, "Save/Load": fromJSON, "SaveBinary/Load": fromBinary} {
+		for name, got := range map[string]*Store{"replay": replayed, "Save/Load": fromJSON, "SaveBinary/Load": fromBinary} {
 			if !bytes.Equal(saveBytesOf(t, got), want) {
 				t.Fatalf("seed %d: %s did not reproduce the store", seed, name)
 			}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"sync"
@@ -182,14 +183,12 @@ type Store struct {
 	// edgeTypeCount and drop a key at zero, so AvgDegree is O(1).
 	endDeg   map[endKey]*[2]int
 	labelDeg map[Sym]*[2]int
-	// statsVersion is the planner-facing epoch: it bumps only when a
-	// planner-visible count (total nodes/edges, a label's cardinality, an
-	// edge type's cardinality) has drifted materially since the last bump,
-	// or when IndexAttr creates a new access path. Plan caches key on it,
-	// so write-heavy workloads whose store size stays roughly stable keep
-	// their cached plans (stats.go).
+	// statsVersion is the planner-facing epoch: it bumps when IndexAttr
+	// creates a new access path and when the store changes sizeClass,
+	// bits.Len(nNodes+nEdges). Plan caches key on it, so a steady write
+	// load keeps its cached plans (stats.go).
 	statsVersion int64
-	statsBase    statsSnapshot
+	sizeClass    int
 	// onMutation observes every effective mutation (SetMutationHook); the
 	// durability layer tees writes into its WAL here. Written under
 	// writerMu and mu, so either lock suffices to read it.
@@ -197,13 +196,10 @@ type Store struct {
 	// walBuf is the mutation buffer writing transactions take turns with
 	// (Tx.walBuf); guarded by writerMu.
 	walBuf []Mutation
-	// bulk counts open bulk-mode brackets (ApplyStream, ApplyBatch, a
-	// Tx marked SetBulk, or an explicit BeginBulk/EndBulk pair). While
-	// nonzero, per-mutation adjacency compaction and stats-drift checks
-	// are suppressed; closing the outermost bracket seals with one
-	// materiality judgement and one compaction check (a repack only past
-	// the overlay threshold) instead. Brackets nest so a bulk transaction
-	// inside a load bracket still seals exactly once.
+	// bulk counts open BeginBulk/EndBulk load brackets. While nonzero,
+	// per-mutation adjacency compaction is suppressed; closing the
+	// outermost bracket runs one compaction check (a repack only past the
+	// overlay threshold) instead. Brackets nest.
 	bulk int
 
 	nextNode NodeID
@@ -221,7 +217,7 @@ type Store struct {
 // already provided by the dedicated name index. Additional attribute
 // indexes can be requested with IndexAttr.
 func New() *Store {
-	s := &Store{
+	return &Store{
 		syms:          newSymtab(),
 		nodes:         make([]nodeRec, 1),
 		edges:         make([]edgeRec, 1),
@@ -242,8 +238,6 @@ func New() *Store {
 		nodeOld:       make(map[NodeID][]nodeVer),
 		edgeOld:       make(map[EdgeID][]edgeVer),
 	}
-	s.rebaseStatsLocked()
-	return s
 }
 
 // Reserve pre-sizes the store for a bulk load of roughly nodes nodes and
@@ -347,7 +341,7 @@ func (s *Store) IndexAttr(key string) {
 	s.indexed[ks] = true
 	// A new access path always changes what the planner may pick: bump the
 	// planner-facing stats version unconditionally.
-	s.bumpStatsLocked()
+	s.statsVersion++
 	s.propIdx[ks] = make(map[string]posting)
 	for _, rec := range s.nodes {
 		if rec.n == nil {
@@ -1094,10 +1088,10 @@ func (s *Store) loadEdge(e Edge) error {
 }
 
 // finishLoad seals a bulk load: one adjacency rebuild over all loaded
-// edges, and the stats baseline.
+// edges, and the size class the stats version is judged from.
 func (s *Store) finishLoad() {
 	s.rebuildAdjLocked()
-	s.rebaseStatsLocked()
+	s.sizeClass = bits.Len(uint(s.nNodes + s.nEdges))
 }
 
 // SaveFile persists the graph to path atomically (write temp + rename).

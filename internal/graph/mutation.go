@@ -72,13 +72,11 @@ func (s *Store) SetMutationHook(fn func(Mutation)) {
 }
 
 // noteMutation records one effective mutation: the planner-facing stats
-// version bumps if a planner-visible count has drifted materially
-// (stats.go), then the durability hook (if any) observes the mutation.
-// Callers hold the write lock.
+// version bumps if the store changed size class (stats.go), then the
+// durability hook (if any) observes the mutation. Callers hold the write
+// lock.
 func (s *Store) noteMutation(m Mutation) {
-	if s.bulk == 0 && s.statsMaterialLocked() {
-		s.bumpStatsLocked()
-	}
+	s.noteSizeLocked()
 	if s.onMutation != nil {
 		if tx := s.curTx; tx != nil {
 			// Transactional write: buffer instead of logging — the group
@@ -104,88 +102,35 @@ func cloneMutation(m Mutation) Mutation {
 	return m
 }
 
-// beginBulkLocked opens one bulk-mode bracket. Callers hold mu.
-func (s *Store) beginBulkLocked() { s.bulk++ }
-
-// endBulkLocked closes one bulk-mode bracket; closing the outermost
-// seals the deferred work: one stats materiality judgement, and one
-// adjacency repack only if the overlay has outgrown the threshold bare
-// writes use — a small group's edges stay in the delta, so the seal costs
-// O(group), while a load past the threshold packs exactly once. Callers
-// hold mu.
-func (s *Store) endBulkLocked() {
-	if s.bulk--; s.bulk > 0 {
-		return
-	}
-	s.maybeRebuildAdjLocked()
-	if s.statsMaterialLocked() {
-		s.bumpStatsLocked()
-	}
-}
-
-// BeginBulk opens an external bulk-load bracket (server boot ingest,
-// replication catch-up): per-mutation adjacency compaction checks and
-// stats materiality checks are deferred until the matching EndBulk.
-// Brackets nest; each BeginBulk must be paired with exactly one EndBulk.
+// BeginBulk opens a load bracket (recovery replay, server boot ingest,
+// a bulk import): per-mutation adjacency compaction checks are deferred
+// until the matching EndBulk. Brackets nest; each BeginBulk must be
+// paired with exactly one EndBulk.
 func (s *Store) BeginBulk() {
 	s.mu.Lock()
-	s.beginBulkLocked()
+	s.bulk++
 	s.mu.Unlock()
 }
 
-// EndBulk closes a BeginBulk bracket, sealing when the outermost bracket
-// closes: one stats materiality judgement, and one adjacency repack if
-// the bracket's edges pushed the overlay past the rebuild threshold.
+// EndBulk closes a BeginBulk bracket. Closing the outermost one seals
+// it: one adjacency repack, only if the bracket's edges pushed the
+// overlay past the threshold bare writes use, so a short bracket costs
+// nothing and a load past the threshold packs exactly once.
 func (s *Store) EndBulk() {
 	s.mu.Lock()
-	s.endBulkLocked()
-	s.mu.Unlock()
-}
-
-// ApplyStream replays the mutation sequence next yields (until it
-// reports false) with bulk economics: the per-mutation adjacency
-// compaction and stats-drift checks Apply pays are deferred, and the
-// stream seals with one stats materiality judgement and at most one
-// adjacency repack (a replay past the overlay threshold packs once at
-// the end; a short tail stays in the overlay). State afterwards is
-// identical to the equivalent Apply loop (adjacency layout and stats
-// versioning are not part of logical state); recovery uses it to fold a WAL tail straight off the
-// scanner without materializing the record list. On error, mutations
-// before the failing one remain applied and the returned count names
-// how many succeeded.
-func (s *Store) ApplyStream(next func() (Mutation, bool)) (int, error) {
-	s.mu.Lock()
-	s.beginBulkLocked()
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.endBulkLocked()
-		s.mu.Unlock()
-	}()
-	applied := 0
-	for {
-		m, ok := next()
-		if !ok {
-			return applied, nil
-		}
-		if err := s.Apply(m); err != nil {
-			return applied, err
-		}
-		applied++
+	if s.bulk--; s.bulk == 0 {
+		s.maybeRebuildAdjLocked()
 	}
+	s.mu.Unlock()
 }
 
-// ApplyBatch applies a mutation slice as one bulk transaction: the
-// whole batch reaches the durability hook as a single
-// tx_begin/.../tx_commit group (one group-committed WAL append), pays
-// one stats materiality judgement, and repacks adjacency at most once,
-// only if the batch pushed the overlay past its threshold — the same
-// economics ApplyStream gives recovery, plus atomicity. On error the
-// transaction rolls back (nothing is applied or logged) and the
-// returned index names the failing mutation.
+// ApplyBatch applies a mutation slice as one transaction: the whole batch
+// reaches the durability hook as a single tx_begin/.../tx_commit group
+// (one group-committed WAL append). On error the transaction rolls back
+// (nothing is applied or logged) and the returned index names the
+// failing mutation.
 func (s *Store) ApplyBatch(ms []Mutation) (int, error) {
 	tx := s.BeginTx()
-	tx.SetBulk()
 	for i, m := range ms {
 		if err := tx.Apply(m); err != nil {
 			tx.Rollback()

@@ -692,7 +692,6 @@ type Tx struct {
 	snap    *Snap
 	prov    uint64
 	writing bool
-	bulk    bool
 	done    bool
 
 	// walBuf holds the transaction's mutation records, published to the
@@ -720,17 +719,6 @@ func (s *Store) BeginTx() *Tx {
 	return tx
 }
 
-// SetBulk marks the transaction as a bulk load: its first write opens a
-// store bulk bracket, so per-mutation adjacency compaction and stats
-// materiality checks are deferred until Commit or Rollback seals with
-// one judgement and, only if the group pushed the adjacency overlay past
-// its threshold, one repack. Call before the first write; a batch ingest
-// of any size then moves StatsVersion at most once, and a small group's
-// commit costs O(group), not O(store).
-func (tx *Tx) SetBulk() {
-	tx.bulk = true
-}
-
 // ensureWriter upgrades the transaction to a writer: take the writer
 // lock, pin the provisional timestamp, and capture allocator state for
 // rollback.
@@ -752,9 +740,6 @@ func (tx *Tx) ensureWriter() {
 	tx.undoN = make(map[NodeID]nodeUndo)
 	tx.undoE = make(map[EdgeID]edgeUndo)
 	tx.preNextNode, tx.preNextEdge, tx.preMergeHits = s.nextNode, s.nextEdge, s.mergeHits
-	if tx.bulk {
-		s.beginBulkLocked()
-	}
 	s.mu.Unlock()
 }
 
@@ -841,11 +826,6 @@ func (tx *Tx) Commit() error {
 	s.curTx = nil
 	s.curProv = 0
 	tx.snap.releaseLocked()
-	// The one seal decision: a plain transaction's writes already judged
-	// compaction one by one; a bulk one's bracket judges it now.
-	if tx.bulk {
-		s.endBulkLocked()
-	}
 	s.mu.Unlock()
 	tx.releaseWriter()
 	return nil
@@ -923,12 +903,7 @@ func (tx *Tx) Rollback() error {
 	if len(tx.undoE) > 0 {
 		s.rebuildAdjLocked()
 	}
-	if s.bulk == 0 && s.statsMaterialLocked() {
-		s.bumpStatsLocked()
-	}
-	if tx.bulk {
-		s.endBulkLocked()
-	}
+	s.noteSizeLocked()
 	s.curTx = nil
 	s.curProv = 0
 	tx.snap.releaseLocked()

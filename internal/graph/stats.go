@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // This file is the statistics and selectivity layer the Cypher planner
 // consumes: O(1) cardinality estimates backed by the live indexes, live
 // endpoint counts for expansion fan-out, and NodeID-granular access paths so
@@ -121,110 +123,26 @@ func (s *Store) AvgAttrBucket(key string) (float64, bool) {
 
 // --- stats version: the planner-facing invalidation epoch ---
 
-// statsSnapshot captures the planner-visible counts at the last stats
-// version bump, so materiality is judged against what cached plans were
-// actually costed with rather than against the previous mutation. Keys
-// are interned symbols: snapshots are rebuilt on every bump, so symbol
-// keys keep that rebuild allocation-light.
-type statsSnapshot struct {
-	nodes      int
-	edges      int
-	byLabel    map[Sym]int
-	byEdgeType map[Sym]int
-	// byAttrVals tracks the distinct-value count of each indexed
-	// attribute and names the distinct-name count: AvgAttrBucket and
-	// AvgNameBucket (= nodes / distinct values) are plan-time inputs, so
-	// a key spreading from one value to thousands is a material change
-	// even when no count above moves.
-	byAttrVals map[Sym]int
-	names      int
+// noteSizeLocked advances the stats version when the store has changed
+// size class — bits.Len of its node plus edge count, so a doubling or a
+// halving since the last bump. One compare: every write path runs it.
+// Callers hold the write lock.
+func (s *Store) noteSizeLocked() {
+	if c := bits.Len(uint(s.nNodes + s.nEdges)); c != s.sizeClass {
+		s.sizeClass = c
+		s.statsVersion++
+	}
 }
 
-// statsDrift reports whether cur has moved materially away from base:
-// more than 12.5% plus a small absolute slack, so single-row writes on a
-// store of any size are never material but bulk shifts always are.
-func statsDrift(cur, base int) bool {
-	d := cur - base
-	if d < 0 {
-		d = -d
-	}
-	return d*8 > base+32
-}
-
-// statsMaterialLocked reports whether any planner-visible count has
-// drifted materially since the last stats version bump. Callers hold the
-// write lock. O(labels + edge types), both small in practice.
-func (s *Store) statsMaterialLocked() bool {
-	if statsDrift(s.nNodes, s.statsBase.nodes) || statsDrift(s.nEdges, s.statsBase.edges) {
-		return true
-	}
-	for l, p := range s.byType {
-		if statsDrift(p.n, s.statsBase.byLabel[l]) {
-			return true
-		}
-	}
-	for l, c := range s.statsBase.byLabel {
-		if _, ok := s.byType[l]; !ok && statsDrift(0, c) {
-			return true
-		}
-	}
-	for t, c := range s.edgeTypeCount {
-		if statsDrift(c, s.statsBase.byEdgeType[t]) {
-			return true
-		}
-	}
-	for t, c := range s.statsBase.byEdgeType {
-		if _, ok := s.edgeTypeCount[t]; !ok && statsDrift(0, c) {
-			return true
-		}
-	}
-	for k := range s.indexed {
-		if statsDrift(len(s.propIdx[k]), s.statsBase.byAttrVals[k]) {
-			return true
-		}
-	}
-	return statsDrift(len(s.byName), s.statsBase.names)
-}
-
-// bumpStatsLocked advances the stats version and re-snapshots the counts
-// the next materiality judgement compares against. Callers hold the write
-// lock.
-func (s *Store) bumpStatsLocked() {
-	s.statsVersion++
-	s.rebaseStatsLocked()
-}
-
-func (s *Store) rebaseStatsLocked() {
-	base := statsSnapshot{
-		nodes:      s.nNodes,
-		edges:      s.nEdges,
-		byLabel:    make(map[Sym]int, len(s.byType)),
-		byEdgeType: make(map[Sym]int, len(s.edgeTypeCount)),
-	}
-	for l, p := range s.byType {
-		base.byLabel[l] = p.n
-	}
-	for t, c := range s.edgeTypeCount {
-		base.byEdgeType[t] = c
-	}
-	base.byAttrVals = make(map[Sym]int, len(s.indexed))
-	for k := range s.indexed {
-		base.byAttrVals[k] = len(s.propIdx[k])
-	}
-	base.names = len(s.byName)
-	s.statsBase = base
-}
-
-// StatsVersion returns the planner-facing invalidation epoch: it
-// advances when a planner-visible count changes materially (>12.5% plus
-// slack on total nodes/edges, any single label / edge type count, the
-// distinct-name count, or an indexed attribute's distinct-value count)
-// and whenever IndexAttr creates a new access path. It stays put under
-// write-heavy workloads whose store shape is roughly stable, which is what
-// lets the shared plan cache keep serving prepared statements between
-// bumps.
+// StatsVersion returns the planner-facing invalidation epoch. It advances
+// in exactly two cases: IndexAttr creates a new access path, or the store
+// changes size class (its node plus edge count doubles or halves since
+// the last bump). Writes inside a size class never move it, whatever
+// they do to a single label's or edge type's count, which is what lets
+// the shared plan cache keep serving prepared statements under a steady
+// write load.
 // Cached plans stay *correct* either way (access paths never become
-// invalid); the version only protects optimality.
+// invalid); the version only decides when a plan is costed again.
 func (s *Store) StatsVersion() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -193,7 +193,7 @@ func TestAvgDegree(t *testing.T) {
 }
 
 // TestAvgDegreeFollowsEveryWrite: the fan-out is live, not a per-version
-// copy — a single immaterial write shows at once.
+// copy — writes inside one size class show at once.
 func TestAvgDegreeFollowsEveryWrite(t *testing.T) {
 	s := buildStatsStore(t)
 	ver := s.StatsVersion()
@@ -293,116 +293,176 @@ func checkLiveCounts(t *testing.T, s *Store) {
 	}
 }
 
+// The stats version moves when IndexAttr adds an access path and when the
+// store's node plus edge count crosses a power of two, in either direction
+// — through a bare write, a transaction, a rollback or a load bracket alike
+// — and for nothing else: writes inside a size class never move it,
+// whatever they do to one label's count, to name spread or to indexed
+// values, and a loaded store starts in its own class. The four tests below
+// share one case table form, grouped by what moved the version before the
+// size-class rule replaced the materiality judgement.
+
+// statsVersionCase starts from a store of start Host nodes and no edges
+// (round-tripped through Load when load is set), runs act, and expects the
+// stats version to have moved bumps times.
+type statsVersionCase struct {
+	name  string
+	start int
+	load  bool
+	act   func(t *testing.T, s *Store, ids []NodeID)
+	bumps int64
+}
+
+func runStatsVersionCases(t *testing.T, cases []statsVersionCase) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := New()
+			ids := make([]NodeID, c.start)
+			for i := range ids {
+				ids[i], _ = s.MergeNode("Host", fmt.Sprintf("h%d", i), nil)
+			}
+			if c.load {
+				var buf bytes.Buffer
+				if err := s.SaveBinary(&buf); err != nil {
+					t.Fatal(err)
+				}
+				l, err := Load(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s = l
+			}
+			ver := s.StatsVersion()
+			c.act(t, s, ids)
+			if got := s.StatsVersion() - ver; got != c.bumps {
+				t.Errorf("StatsVersion moved %d times, want %d", got, c.bumps)
+			}
+		})
+	}
+}
+
+func growHosts(s *Store, prefix string, n int) {
+	for i := 0; i < n; i++ {
+		s.MergeNode("Host", fmt.Sprintf("%s%d", prefix, i), nil)
+	}
+}
+
+func dropNodes(t *testing.T, s *Store, ids []NodeID) {
+	for _, id := range ids {
+		if err := s.DeleteNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStatsVersionMaterialityThreshold: the threshold is the size class.
 func TestStatsVersionMaterialityThreshold(t *testing.T) {
-	s := New()
-	for i := 0; i < 200; i++ {
-		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
-	}
-	ver := s.StatsVersion()
-	// Single-row writes on a 200-node store are immaterial.
-	id, _ := s.MergeNode("T", "extra", nil)
-	if err := s.SetAttr(id, "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeleteNode(id); err != nil {
-		t.Fatal(err)
-	}
-	if s.StatsVersion() != ver {
-		t.Fatalf("immaterial writes bumped the stats version")
-	}
-	// Growing the store by >12.5% is material.
-	for i := 0; i < 40; i++ {
-		s.MergeNode("T", fmt.Sprintf("grow%d", i), nil)
-	}
-	if s.StatsVersion() == ver {
-		t.Fatal("material growth did not bump the stats version")
-	}
-	// A small label drifting materially bumps even when totals barely move.
-	ver = s.StatsVersion()
-	for i := 0; i < 8; i++ {
-		s.MergeNode("Rare", fmt.Sprintf("r%d", i), nil)
-	}
-	if s.StatsVersion() == ver {
-		t.Fatal("new label's growth did not bump the stats version")
-	}
-	// IndexAttr always bumps: it creates a new access path.
-	ver = s.StatsVersion()
-	s.IndexAttr("k")
-	if s.StatsVersion() == ver {
-		t.Fatal("IndexAttr did not bump the stats version")
-	}
+	runStatsVersionCases(t, []statsVersionCase{
+		{"growth inside a class", 64, false, func(t *testing.T, s *Store, ids []NodeID) {
+			// 64 -> 127 entities: a new label from nothing to 40, edges
+			// and attribute writes.
+			for i := 0; i < 40; i++ {
+				s.MergeNode("Rare", fmt.Sprintf("r%d", i), nil)
+			}
+			for i := 0; i < 23; i++ {
+				if _, _, err := s.AddEdge(ids[i], "E", ids[i+1], nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SetAttr(ids[i], "k", fmt.Sprint(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, 0},
+		{"growth to the power", 64, false, func(t *testing.T, s *Store, _ []NodeID) { growHosts(s, "g", 64) }, 1},
+		{"growth past two powers", 64, false, func(t *testing.T, s *Store, _ []NodeID) { growHosts(s, "g", 192) }, 2},
+		{"an edge completes the power", 127, false, func(t *testing.T, s *Store, ids []NodeID) {
+			if _, _, err := s.AddEdge(ids[0], "E", ids[1], nil); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+		{"shrink to the power", 65, false, func(t *testing.T, s *Store, ids []NodeID) { dropNodes(t, s, ids[:1]) }, 0},
+		{"shrink below the power", 65, false, func(t *testing.T, s *Store, ids []NodeID) { dropNodes(t, s, ids[:2]) }, 1},
+		{"rollback inside a class", 64, false, func(t *testing.T, s *Store, ids []NodeID) {
+			tx := s.BeginTx()
+			for i := 0; i < 40; i++ {
+				tx.MergeNode("Host", fmt.Sprintf("t%d", i), nil)
+			}
+			tx.Rollback()
+		}, 0},
+		{"rollback across the power", 128, false, func(t *testing.T, s *Store, ids []NodeID) {
+			tx := s.BeginTx()
+			if err := tx.DeleteNode(ids[0]); err != nil {
+				t.Fatal(err)
+			}
+			tx.Rollback()
+		}, 2},
+		{"load bracket does not defer", 64, false, func(t *testing.T, s *Store, _ []NodeID) {
+			s.BeginBulk()
+			growHosts(s, "b", 64)
+			s.EndBulk()
+		}, 1},
+	})
 }
 
+// TestStatsVersionTracksIndexedAttrSpread: IndexAttr adds an access path
+// and moves the version once; the spread of an indexed key's values inside
+// a size class does not move it.
 func TestStatsVersionTracksIndexedAttrSpread(t *testing.T) {
-	// AvgAttrBucket (nodes per distinct indexed value) is a plan-time
-	// input: an indexed key spreading from one value to many is material
-	// even though no node/label/edge count moves.
-	s := New()
-	s.IndexAttr("family")
-	var ids []NodeID
-	for i := 0; i < 200; i++ {
-		id, _ := s.MergeNode("T", fmt.Sprintf("n%d", i), map[string]string{"family": "unknown"})
-		ids = append(ids, id)
-	}
-	ver := s.StatsVersion()
-	// A couple of re-labels: immaterial.
-	s.SetAttr(ids[0], "family", "emotet")
-	if s.StatsVersion() != ver {
-		t.Fatal("single indexed-attr write was treated as material")
-	}
-	// Spreading across dozens of distinct values: material.
-	for i, id := range ids[:60] {
-		if err := s.SetAttr(id, "family", fmt.Sprintf("fam-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.StatsVersion() == ver {
-		t.Fatal("indexed attribute spreading across values did not bump the stats version")
-	}
+	runStatsVersionCases(t, []statsVersionCase{
+		{"IndexAttr", 64, false, func(t *testing.T, s *Store, _ []NodeID) {
+			s.IndexAttr("k")
+			s.IndexAttr("k") // already indexed: no new access path
+		}, 1},
+		{"indexed values spread inside a class", 100, false, func(t *testing.T, s *Store, ids []NodeID) {
+			s.IndexAttr("family")
+			for _, id := range ids {
+				if err := s.SetAttr(id, "family", "unknown"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, id := range ids[:60] {
+				if err := s.SetAttr(id, "family", fmt.Sprintf("fam-%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, 1},
+	})
 }
 
+// TestStatsVersionTracksDistinctNameDrift: churn that moves one label's
+// count or the spread of names inside a size class does not move the
+// version; the same churn carried past a power of two does.
 func TestStatsVersionTracksDistinctNameDrift(t *testing.T) {
-	// AvgNameBucket (nodes / distinct names) is a plan-time input too: a
-	// store whose node count stays flat while its names spread from a few
-	// shared buckets to mostly-unique is a material change.
-	s := New()
-	var ids []NodeID
-	for i := 0; i < 200; i++ {
-		// 200 nodes over 4 shared names (distinct labels keep (type,name) unique).
-		id, _ := s.MergeNode(fmt.Sprintf("T%d", i), fmt.Sprintf("shared-%d", i%4), nil)
-		ids = append(ids, id)
-	}
-	ver := s.StatsVersion()
-	// Rename churn via delete+merge pairs: totals stay inside the drift
-	// bound, but distinct names climb 4 -> ~24.
-	for i := 0; i < 20; i++ {
-		if err := s.DeleteNode(ids[i]); err != nil {
-			t.Fatal(err)
+	// shared re-merges n of the dropped nodes under distinct labels and one
+	// shared name, so distinct names fall while the total stays put.
+	shared := func(s *Store, n int) {
+		for i := 0; i < n; i++ {
+			s.MergeNode(fmt.Sprintf("T%d", i), "shared", nil)
 		}
-		s.MergeNode(fmt.Sprintf("T%d", i), fmt.Sprintf("unique-%d", i), nil)
 	}
-	if s.StatsVersion() == ver {
-		t.Fatal("distinct-name spread did not bump the stats version")
-	}
+	runStatsVersionCases(t, []statsVersionCase{
+		{"churn inside a class", 100, false, func(t *testing.T, s *Store, ids []NodeID) {
+			dropNodes(t, s, ids[:30])
+			growHosts(s, "c", 30)
+		}, 0},
+		{"names collapse inside a class", 100, false, func(t *testing.T, s *Store, ids []NodeID) {
+			dropNodes(t, s, ids[:30])
+			shared(s, 30)
+		}, 0},
+		{"names collapse past the power", 100, false, func(t *testing.T, s *Store, ids []NodeID) {
+			dropNodes(t, s, ids[:30])
+			shared(s, 58)
+		}, 1},
+	})
 }
 
+// TestStatsVersionRebasedOnLoad: a loaded store starts in its own size
+// class, so writes after Load move the version only when they cross it.
 func TestStatsVersionRebasedOnLoad(t *testing.T) {
-	s := buildStatsStore(t)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ver := s2.StatsVersion()
-	// The loaded store's base is its loaded size, so a single write on it
-	// is immaterial — not a drift from an empty base.
-	s2.MergeNode("Malware", "fresh", nil)
-	if s2.StatsVersion() != ver {
-		t.Fatal("single write after Load was treated as material")
-	}
+	runStatsVersionCases(t, []statsVersionCase{
+		{"write after Load", 100, true, func(t *testing.T, s *Store, _ []NodeID) { growHosts(s, "l", 27) }, 0},
+		{"crossing after Load", 127, true, func(t *testing.T, s *Store, _ []NodeID) { growHosts(s, "l", 1) }, 1},
+	})
 }
 
 func TestNodeIDAccessPaths(t *testing.T) {

@@ -55,7 +55,6 @@ func TestShipAndApplyGroupAllocs(t *testing.T) {
 	var shipAllocs, readAllocs, applyAllocs uint64
 	for round := 0; round < rounds; round++ {
 		tx := ldb.Store().BeginTx()
-		tx.SetBulk()
 		for i := 0; i < rows; i++ {
 			id, _ := tx.MergeNode("IP", fmt.Sprintf("10.%d.%d.%d", round, i/250, i%250), nil)
 			tx.SetAttr(id, "last_seen", "2026-01-01T00:00:00Z")

@@ -112,20 +112,7 @@ type Replicator struct {
 	// commit marker; unit decodes records into one reused slot.
 	pending []byte
 	unit    storage.UnitApplier
-
-	// catchingUp is true while the store is held in bulk mode because
-	// this replica is far behind the leader. Streaming goroutine only.
-	catchingUp bool
 }
-
-// catchUpBulkLag is the record lag past which a replica switches its
-// store into bulk mode for the duration of the catch-up: adjacency
-// rebuilds and planner-stats judgements are deferred until it draws
-// level with the leader, then settled exactly once. Without this, a
-// replica replaying a long WAL tail re-runs the per-mutation
-// materiality check on every record and can bump StatsVersion (and
-// invalidate every cached plan) hundreds of times mid-load.
-const catchUpBulkLag = 256
 
 // NewReplicator wires a replicator over an already-open follower DB.
 func NewReplicator(db *storage.DB, leaderURL string) *Replicator {
@@ -296,10 +283,6 @@ func (r *Replicator) streamOnce(ctx context.Context, pol *backoff.Policy) error 
 	}
 
 	r.setState("tail")
-	// Whatever ends this stream — error, EOF, divergence — the bulk
-	// bracket must close, or the store would defer adjacency sealing and
-	// stats forever.
-	defer r.exitBulk()
 	fr := newFrameReader(resp.Body)
 	for first := true; ; first = false {
 		kind, body, err := fr.next()
@@ -322,43 +305,10 @@ func (r *Replicator) streamOnce(ctx context.Context, pol *backoff.Policy) error 
 			r.stateMu.Lock()
 			r.leaderSeq = committed
 			r.stateMu.Unlock()
-			r.maybeBulk()
 		} else if err := r.handleRecords(body); err != nil {
 			return err
 		}
 	}
-}
-
-// maybeBulk enters or leaves store-level bulk mode based on how far
-// behind the last heartbeat says this replica is. Hysteresis: enter
-// only when the lag exceeds catchUpBulkLag, leave only once level with
-// the leader's last-known head — so a steady trickle of writes never
-// flaps the bracket.
-func (r *Replicator) maybeBulk() {
-	r.stateMu.Lock()
-	leaderSeq := r.leaderSeq
-	r.stateMu.Unlock()
-	applied := r.applied.Load()
-	switch {
-	case !r.catchingUp && leaderSeq > applied+catchUpBulkLag:
-		r.DB.Store().BeginBulk()
-		r.catchingUp = true
-		r.logf("replication: %d records behind leader; bulk catch-up (stats and adjacency seal once, when level)", leaderSeq-applied)
-	case r.catchingUp && leaderSeq <= applied:
-		r.exitBulk()
-	}
-}
-
-// exitBulk closes the catch-up bracket if open, running the deferred
-// seal: the single stats judgement, and one adjacency repack if the
-// catch-up pushed the overlay past its threshold.
-func (r *Replicator) exitBulk() {
-	if !r.catchingUp {
-		return
-	}
-	r.DB.Store().EndBulk()
-	r.catchingUp = false
-	r.logf("replication: caught up with leader at seq %d", r.applied.Load())
 }
 
 // handleRecords folds one records frame, one atomic unit at a time
@@ -405,10 +355,7 @@ func (r *Replicator) applyUnit(unit []byte, group bool) error {
 		tx  *graph.Tx
 	)
 	if group {
-		// SetBulk: a shipped group was one batch on the leader; replay
-		// judges stats materiality once at commit too, not per mutation.
 		tx = r.DB.Store().BeginTx()
-		tx.SetBulk()
 		dst = tx
 	}
 	first := r.DB.LastSeq()
@@ -434,7 +381,6 @@ func (r *Replicator) applyUnit(unit []byte, group bool) error {
 	r.appliedRecs.Add(int64(last - first))
 	r.appliedBytes.Add(int64(len(unit)))
 	r.advanceApplied(last)
-	r.maybeBulk()
 	return nil
 }
 

@@ -20,7 +20,6 @@ import (
 func bigGroup(t testing.TB, st *graph.Store, n int, tag string) {
 	t.Helper()
 	tx := st.BeginTx()
-	tx.SetBulk()
 	for i := 0; i < n; i++ {
 		tx.MergeNode("Host", fmt.Sprintf("%s-%06d", tag, i), map[string]string{"batch": tag})
 	}

@@ -462,9 +462,7 @@ func TestLagBytesAfterLeaderCheckpoint(t *testing.T) {
 			st.MergeNode("IP", "10.0.0."+strconv.Itoa(i), map[string]string{"seen": "1"})
 		}
 	})
-	// Past catchUpBulkLag: the replica holds its store in bulk mode while
-	// it is this far behind, and leaves it when the stream ends.
-	const behind = catchUpBulkLag + 44
+	const behind = 300
 	// The heartbeat comes first, so the replica knows how far ahead the
 	// leader is by the time it has applied the records.
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -32,7 +32,7 @@ func (s *Server) registerInstanceGauges() {
 		"Live edges in this instance's store.",
 		func() float64 { return float64(s.store.Stats().Edges) })
 	s.reg.GaugeFunc("skg_store_stats_version",
-		"Planner statistics version (bumps invalidate cached plans).",
+		"Planner statistics version: bumps when the store doubles or halves or gains an attribute index (bumps re-plan cached statements).",
 		func() float64 { return float64(s.store.StatsVersion()) })
 	s.reg.GaugeFunc("skg_mvcc_open_snapshots",
 		"Open MVCC snapshots pinning history.",

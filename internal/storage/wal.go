@@ -576,8 +576,8 @@ type replayResult struct {
 // or corrupted log has either), discards the group, and so does the end
 // of the log: a group left open is cut off like a torn record, and valid
 // and lastSeq name the last unit boundary outside a group, where the
-// appender must resume. The fold is one bulk bracket: adjacency
-// compaction and stats checks wait for a single seal.
+// appender must resume. The fold is one load bracket: adjacency
+// compaction waits for a single seal.
 func replayLog(r io.Reader, st *graph.Store, after uint64) (res replayResult, err error) {
 	sc := newWALScanner(r)
 	res.valid, res.legacy = sc.valid, sc.format != formatWire

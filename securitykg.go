@@ -37,7 +37,6 @@ import (
 	"securitykg/internal/fusion"
 	"securitykg/internal/graph"
 	"securitykg/internal/ioc"
-	"securitykg/internal/metrics"
 	"securitykg/internal/ner"
 	"securitykg/internal/pipeline"
 	"securitykg/internal/relstore"
@@ -391,29 +390,6 @@ func (sys *System) PrepareCypher(query string) (*cypher.Stmt, error) {
 // effects are real — writes commit.
 func (sys *System) CypherAnalyze(query string, params map[string]any) (*cypher.Result, string, error) {
 	return sys.engine().QueryAnalyze(query, params)
-}
-
-// Metrics renders the process-wide runtime metrics (query latencies,
-// plan-cache traffic, WAL and checkpoint activity, MVCC and
-// transaction counters) in Prometheus text format, plus this system's
-// store gauges. Embedding callers get the same exposition an
-// skg-server /metrics scrape serves.
-func (sys *System) Metrics() string {
-	var b strings.Builder
-	metrics.Render(&b)
-	gs := sys.Store.Stats()
-	mv := sys.Store.MVCCStats()
-	inst := metrics.NewRegistry()
-	inst.GaugeFunc("skg_store_nodes", "Live nodes in the store.",
-		func() float64 { return float64(gs.Nodes) })
-	inst.GaugeFunc("skg_store_edges", "Live edges in the store.",
-		func() float64 { return float64(gs.Edges) })
-	inst.GaugeFunc("skg_store_stats_version", "Planner statistics version.",
-		func() float64 { return float64(sys.Store.StatsVersion()) })
-	inst.GaugeFunc("skg_mvcc_open_snapshots", "Open MVCC snapshots pinning history.",
-		func() float64 { return float64(mv.Snapshots) })
-	inst.Render(&b)
-	return b.String()
 }
 
 // SaveGraph persists the knowledge graph to path.
