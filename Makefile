@@ -162,18 +162,20 @@ cover:
 			printf "%s coverage %.1f%% (floor %s%%)\n", p, t, floor }'; \
 	done
 
-# fuzz exercises the IOC-scanner, parser, engine, NDJSON-escaper and
-# WAL-recovery and replication-frame fuzz targets for 30s each (the
-# anchored scanner must equal the ten-regex sweep; parser must never panic; the engine
-# must error, not crash; a streamed cell must be escaped exactly as
-# encoding/json escapes it; recovery must survive arbitrary log bytes
-# and stay writable; the frame reader must pass on only whole frames of
-# a known kind, within its size bound).
+# fuzz exercises the IOC-scanner, parser, engine, JSON-escaper, request-
+# decoder, WAL-recovery and replication-frame fuzz targets for 30s each
+# (the anchored scanner must equal the ten-regex sweep; parser must never
+# panic; the engine must error, not crash; a string must be escaped
+# exactly as encoding/json escapes it; an /api/cypher body must decode as
+# json.Unmarshal decodes it, or be refused when it refuses it; recovery
+# must survive arbitrary log bytes and stay writable; the frame reader
+# must pass on only whole frames of a known kind, within its size bound).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/ioc -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzEngineQuery -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzJSONString -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/server -fuzz FuzzCypherRequest -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/storage -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/replication -fuzz FuzzFrameReader -fuzztime $(FUZZTIME) -run '^$$'

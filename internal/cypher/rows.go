@@ -220,27 +220,38 @@ func rowsFromResult(res *Result) *Rows {
 // from a truncated one).
 func materialize(rows *Rows, maxRows int) (*Result, error) {
 	res := &Result{Columns: rows.Columns()}
-	for rows.Next() {
-		row := rows.Row()
+	truncated, err := rows.Drain(maxRows, func(row []Value) {
 		if rows.reused {
 			row = append([]Value(nil), row...)
 		}
 		res.Rows = append(res.Rows, row)
-		if maxRows > 0 && len(res.Rows) >= maxRows {
-			if rows.Next() {
-				res.Truncated = true
-			}
-			break
-		}
-	}
-	// Close before checking Err: closing ends the statement's execution
-	// scope, and a commit failure surfaces there.
-	if err := rows.Close(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
+	res.Truncated = truncated
 	res.Writes = rows.Writes()
 	res.BudgetUsed = rows.BudgetUsed()
 	return res, nil
+}
+
+// Drain hands each row to each, in order, up to maxRows of them (0: no
+// cap), and closes the cursor. It reports whether the cap dropped rows,
+// and the statement's error, which includes a failed commit. It is
+// Engine.Query's materialization for a caller that encodes rows as they
+// come instead of keeping them: the row passed to each is valid only
+// during the call.
+func (r *Rows) Drain(maxRows int, each func(row []Value)) (truncated bool, err error) {
+	for n := 0; r.Next(); n++ {
+		if maxRows > 0 && n == maxRows {
+			truncated = true
+			break
+		}
+		each(r.Row())
+	}
+	// Close before checking Err: closing ends the statement's execution
+	// scope, and a commit failure surfaces there.
+	return truncated, r.Close()
 }
 
 // --- byte budget ---

@@ -182,10 +182,16 @@ func rowBytes(row []Value) int {
 // String renders a value for display.
 func (v Value) String() string {
 	switch v.Kind {
-	case KindNull:
-		return "null"
 	case KindString:
 		return v.Str
+	case KindNull, KindNumber, KindBool:
+		return v.scalarString()
+	}
+	return string(v.Append(make([]byte, 0, 64)))
+}
+
+func (v Value) scalarString() string {
+	switch v.Kind {
 	case KindNumber:
 		if v.Num == float64(int64(v.Num)) {
 			return strconv.FormatInt(int64(v.Num), 10)
@@ -193,24 +199,43 @@ func (v Value) String() string {
 		return strconv.FormatFloat(v.Num, 'g', -1, 64)
 	case KindBool:
 		return strconv.FormatBool(v.Bool)
-	case KindNode:
-		return fmt.Sprintf("(:%s {name: %q})", v.Node.Type, v.Node.Name)
-	case KindEdge:
-		return fmt.Sprintf("[:%s]", v.Edge.Type)
-	case KindList:
-		parts := make([]string, len(v.List))
-		for i, e := range v.List {
-			parts[i] = e.String()
-		}
-		return "[" + strings.Join(parts, ", ") + "]"
-	case KindMap:
-		parts := make([]string, 0, len(v.Map))
-		for _, k := range v.sortedMapKeys() {
-			parts = append(parts, k+": "+v.Map[k].String())
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
 	}
-	return "?"
+	return "null"
+}
+
+// Append appends the text String renders. A node, edge, list or map is
+// rendered straight into dst, without building a string.
+func (v Value) Append(dst []byte) []byte {
+	switch v.Kind {
+	case KindString:
+		return append(dst, v.Str...)
+	case KindNull, KindNumber, KindBool:
+		return append(dst, v.scalarString()...)
+	case KindNode:
+		dst = append(append(dst, "(:"...), v.Node.Type...)
+		return append(strconv.AppendQuote(append(dst, " {name: "...), v.Node.Name), "})"...)
+	case KindEdge:
+		return append(append(append(dst, "[:"...), v.Edge.Type...), ']')
+	case KindList:
+		dst = append(dst, '[')
+		for i, e := range v.List {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = e.Append(dst)
+		}
+		return append(dst, ']')
+	case KindMap:
+		dst = append(dst, '{')
+		for i, k := range v.sortedMapKeys() {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = v.Map[k].Append(append(append(dst, k...), ": "...))
+		}
+		return append(dst, '}')
+	}
+	return append(dst, '?')
 }
 
 // sortedMapKeys returns the map's keys in sorted order so every map

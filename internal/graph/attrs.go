@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"slices"
 	"strings"
+
+	"securitykg/internal/jsonenc"
 )
 
 // Attr is one attribute of a node or edge.
@@ -68,27 +70,20 @@ func (a Attrs) with(key, val string) Attrs {
 // MarshalJSON writes the object encoding/json writes for the equivalent
 // map: keys in byte order, strings escaped as json.Marshal escapes them.
 func (a Attrs) MarshalJSON() ([]byte, error) {
-	buf := append(make([]byte, 0, 64), '{')
-	for i, kv := range a {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(appendJSONString(buf, kv.Key), ':')
-		buf = appendJSONString(buf, kv.Val)
-	}
-	return append(buf, '}'), nil
+	return a.AppendJSON(make([]byte, 0, 64)), nil
 }
 
-// appendJSONString quotes s as JSON. Plain printable ASCII is copied;
-// anything json.Marshal would escape goes through json.Marshal.
-func appendJSONString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(buf, q...)
+// AppendJSON appends the object MarshalJSON returns.
+func (a Attrs) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
+	for i, kv := range a {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
+		dst = append(jsonenc.AppendString(dst, kv.Key), ':')
+		dst = jsonenc.AppendString(dst, kv.Val)
 	}
-	return append(append(append(buf, '"'), s...), '"')
+	return append(dst, '}')
 }
 
 // UnmarshalJSON reads a JSON object of strings (or null).

@@ -1,23 +1,24 @@
 package server
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"securitykg/internal/cypher"
+	"securitykg/internal/jsonenc"
+	"securitykg/internal/search"
 )
 
 // flushEvery bounds how long a streamed row may sit in the response
 // buffer behind an earlier one before it is pushed to the client.
 const flushEvery = 2 * time.Millisecond
 
-// ndjsonWriter writes the lines of a streamed result. Row lines are
-// built in a reused buffer with an escaper byte-identical to
-// encoding/json (so a warm row costs no allocation and no reflection)
+// ndjsonWriter writes the lines of a streamed result. Every line is
+// built in a reused buffer with the appenders below, byte-identical to
+// encoding/json (so a warm row costs no allocation and no reflection),
 // and handed to the transport, whose own buffer batches them. Flushing
 // is what costs a system call, so it is rationed: the header and the
 // first row go out together at once — the client's first-row latency is
@@ -35,9 +36,10 @@ type ndjsonWriter struct {
 	flusher http.Flusher // nil when the transport cannot flush
 	timer   *time.Timer
 	buf     []byte
-	started bool // the first row has been flushed
-	dirty   bool // bytes written since the last flush
-	armed   bool // the timer is pending
+	cell    []byte // a non-string cell's text (appendCells)
+	started bool   // the first row has been flushed
+	dirty   bool   // bytes written since the last flush
+	armed   bool   // the timer is pending
 	closed  bool
 }
 
@@ -49,48 +51,36 @@ func newNDJSONWriter(w http.ResponseWriter) *ndjsonWriter {
 // header writes the {"columns": [...]} line. It is not flushed on its
 // own: it leaves with the first row, or with the trailer.
 func (nw *ndjsonWriter) header(cols []string) error {
-	nw.buf = append(nw.buf[:0], `{"columns":`...)
-	if cols == nil {
-		nw.buf = append(nw.buf, "null"...)
-	} else {
-		nw.buf = append(nw.buf, '[')
-		for i, c := range cols {
-			if i > 0 {
-				nw.buf = append(nw.buf, ',')
-			}
-			nw.buf = appendJSONString(nw.buf, c)
-		}
-		nw.buf = append(nw.buf, ']')
-	}
-	nw.buf = append(nw.buf, "}\n"...)
+	nw.buf = append(appendStrings(append(nw.buf[:0], `{"columns":`...), cols), "}\n"...)
 	return nw.write(false)
 }
 
 // row writes one {"row": [...]} line, cells rendered as strings.
 func (nw *ndjsonWriter) row(vals []cypher.Value) error {
-	nw.buf = append(nw.buf[:0], `{"row":[`...)
-	for i := range vals {
-		if i > 0 {
-			nw.buf = append(nw.buf, ',')
-		}
-		if v := &vals[i]; v.Kind == cypher.KindString {
-			nw.buf = appendJSONString(nw.buf, v.Str)
-		} else {
-			nw.buf = appendJSONString(nw.buf, v.String())
-		}
-	}
-	nw.buf = append(nw.buf, "]}\n"...)
+	b, cell := appendCells(append(nw.buf[:0], `{"row":`...), nw.cell, vals)
+	nw.buf, nw.cell = append(b, "}\n"...), cell
 	return nw.write(true)
 }
 
-// object writes v as one line (the error and done trailers). Map keys
-// marshal sorted, so the line's bytes are deterministic.
-func (nw *ndjsonWriter) object(v map[string]any) error {
-	line, err := json.Marshal(v)
-	if err != nil {
-		return err
+// done writes the {"done": n} trailer of a statement that returned n rows.
+// A writing statement's trailer adds its counters and, when seq is set,
+// the read-your-writes token — the keys in sorted order, as encoding/json
+// wrote the map this line once was.
+func (nw *ndjsonWriter) done(n int, ws *cypher.WriteStats, seq func() uint64) error {
+	b := strconv.AppendInt(append(nw.buf[:0], `{"done":`...), int64(n), 10)
+	if ws != nil {
+		if seq != nil {
+			b = strconv.AppendUint(append(b, `,"seq":`...), seq(), 10)
+		}
+		b = appendWrites(append(b, `,"writes":`...), ws)
 	}
-	nw.buf = append(append(nw.buf[:0], line...), '\n')
+	nw.buf = append(b, "}\n"...)
+	return nw.write(false)
+}
+
+// fail writes the {"error": msg} trailer of a stream that failed.
+func (nw *ndjsonWriter) fail(msg string) error {
+	nw.buf = append(jsonenc.AppendString(append(nw.buf[:0], `{"error":`...), msg), "}\n"...)
 	return nw.write(false)
 }
 
@@ -144,56 +134,149 @@ func (nw *ndjsonWriter) close() {
 	nw.mu.Unlock()
 }
 
-const hexDigits = "0123456789abcdef"
+// The appenders below build every hot response body byte for byte as
+// json.NewEncoder(w).Encode built it from the structs the handlers used
+// to encode (TestEncodersMatchEncodingJSON): fields in declaration order,
+// omitempty honored, nil slices as null, strings and floats through
+// jsonenc, and the Encoder's trailing newline where a body ends.
 
-// appendJSONString appends s as a JSON string exactly as encoding/json
-// does with HTML escaping on (json.Marshal, json.Encoder's default):
-// quote, backslash and control characters escaped, <, > and & as \u00XX,
-// U+2028/U+2029 as \u202X, invalid UTF-8 as \ufffd. FuzzJSONString holds
-// it to json.Marshal byte for byte.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			start = i + size
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			start = i + size
-		}
-		i += size
+// appendStrings appends ss as a JSON array of strings, null when nil.
+func appendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.AppendString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+// appendCells appends a row as the JSON array of its cells' strings
+// (Value.String), rendering a cell that is not a string into cell first.
+// It returns dst and cell, either possibly grown.
+func appendCells(dst, cell []byte, vals []cypher.Value) ([]byte, []byte) {
+	dst = append(dst, '[')
+	for i := range vals {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if v := &vals[i]; v.Kind == cypher.KindString {
+			dst = jsonenc.AppendString(dst, v.Str)
+		} else {
+			cell = v.Append(cell[:0])
+			dst = jsonenc.AppendString(dst, cell)
+		}
+	}
+	return append(dst, ']'), cell
+}
+
+func appendWrites(dst []byte, ws *cypher.WriteStats) []byte {
+	dst = strconv.AppendInt(append(dst, `{"nodes_created":`...), int64(ws.NodesCreated), 10)
+	dst = strconv.AppendInt(append(dst, `,"edges_created":`...), int64(ws.EdgesCreated), 10)
+	dst = strconv.AppendInt(append(dst, `,"props_set":`...), int64(ws.PropsSet), 10)
+	dst = strconv.AppendInt(append(dst, `,"nodes_deleted":`...), int64(ws.NodesDeleted), 10)
+	dst = strconv.AppendInt(append(dst, `,"edges_deleted":`...), int64(ws.EdgesDeleted), 10)
+	return append(dst, '}')
+}
+
+// appendRows drains rows into a materialized /api/cypher body: the
+// columns, each row as an array of cell strings, then truncated (rows
+// past maxRows are dropped, as Engine.Query drops them), the writes and,
+// when seq is set, the read-your-writes token it returns once the
+// statement has committed. It returns the body and its row count.
+func appendRows(dst []byte, rows *cypher.Rows, maxRows int, seq func() uint64) ([]byte, int, error) {
+	dst = appendStrings(append(dst, `{"columns":`...), rows.Columns())
+	dst = append(dst, `,"rows":`...)
+	open, cell, n := len(dst), make([]byte, 0, 64), 0
+	truncated, err := rows.Drain(maxRows, func(row []cypher.Value) {
+		dst = append(dst, ',') // the first becomes the array's '['
+		dst, cell = appendCells(dst, cell, row)
+		n++
+	})
+	if err != nil {
+		return dst, 0, err
+	}
+	if n == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst[open] = '['
+		dst = append(dst, ']')
+	}
+	if truncated {
+		dst = append(dst, `,"truncated":true`...)
+	}
+	if ws := rows.Writes(); ws != nil {
+		dst = appendWrites(append(dst, `,"writes":`...), ws)
+	}
+	if seq != nil {
+		if s := seq(); s != 0 {
+			dst = strconv.AppendUint(append(dst, `,"seq":`...), s, 10)
+		}
+	}
+	return append(dst, "}\n"...), n, nil
+}
+
+// appendHits appends an /api/search body: [{"id": ..., "score": ...}, ...].
+func appendHits(dst []byte, hits []search.Hit) []byte {
+	dst = append(dst, '[')
+	for i, h := range hits {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.AppendString(append(dst, `{"id":`...), h.ID)
+		dst = append(jsonenc.AppendFloat(append(dst, `,"score":`...), h.Score), '}')
+	}
+	return append(dst, "]\n"...)
+}
+
+// appendView appends a ViewGraph body (/api/expand, /api/random,
+// /api/back): each node's fields, then its position and color.
+func appendView(dst []byte, vg *ViewGraph) []byte {
+	dst = append(dst, `{"nodes":`...)
+	if vg.Nodes == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range vg.Nodes {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			vn := &vg.Nodes[i]
+			dst = strconv.AppendInt(append(dst, `{"id":`...), int64(vn.ID), 10)
+			dst = jsonenc.AppendString(append(dst, `,"type":`...), vn.Type)
+			dst = jsonenc.AppendString(append(dst, `,"name":`...), vn.Name)
+			if len(vn.Attrs) > 0 {
+				dst = vn.Attrs.AppendJSON(append(dst, `,"attrs":`...))
+			}
+			dst = jsonenc.AppendFloat(append(dst, `,"x":`...), vn.X)
+			dst = jsonenc.AppendFloat(append(dst, `,"y":`...), vn.Y)
+			dst = append(jsonenc.AppendString(append(dst, `,"color":`...), vn.Color), '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"edges":`...)
+	if vg.Edges == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, e := range vg.Edges {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(dst, `{"id":`...), int64(e.ID), 10)
+			dst = jsonenc.AppendString(append(dst, `,"type":`...), e.Type)
+			dst = strconv.AppendInt(append(dst, `,"from":`...), int64(e.From), 10)
+			dst = strconv.AppendInt(append(dst, `,"to":`...), int64(e.To), 10)
+			if len(e.Attrs) > 0 {
+				dst = e.Attrs.AppendJSON(append(dst, `,"attrs":`...))
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "}\n"...)
 }

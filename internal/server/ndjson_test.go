@@ -13,12 +13,14 @@ import (
 
 	"securitykg/internal/cypher"
 	"securitykg/internal/graph"
+	"securitykg/internal/jsonenc"
 	"securitykg/internal/search"
 )
 
-// FuzzJSONString holds the NDJSON writer's escaper to encoding/json byte
-// for byte: whatever a cell contains, a streamed line is the line
-// json.Encoder used to write.
+// FuzzJSONString holds the one JSON string escaper (jsonenc) to
+// encoding/json byte for byte, on a string and on its bytes (a rendered
+// cell), and where graph.Attrs marshals a key and a value: whatever a
+// string contains, a body is the body json.Encoder used to write.
 func FuzzJSONString(f *testing.F) {
 	for _, s := range []string{
 		"", "plain", `quote " backslash \`, "ctl \x00\x01\x1f \b\f\n\r\t", "<a href='x'>&amp;</a>",
@@ -31,8 +33,16 @@ func FuzzJSONString(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONString(%q) = %s, json.Marshal = %s", s, got, want)
+		if got := jsonenc.AppendString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("AppendString(%q) = %s, json.Marshal = %s", s, got, want)
+		}
+		if got := jsonenc.AppendString(nil, []byte(s)); !bytes.Equal(got, want) {
+			t.Errorf("AppendString([]byte(%q)) = %s, json.Marshal = %s", s, got, want)
+		}
+		attrs := graph.Attrs{{Key: s, Val: s}}
+		want, _ = json.Marshal(map[string]string{s: s})
+		if got, _ := json.Marshal(attrs); !bytes.Equal(got, want) {
+			t.Errorf("Attrs{%q: %q} marshals to %s, the map to %s", s, s, got, want)
 		}
 	})
 }

@@ -7,7 +7,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"securitykg/internal/cypher"
 	"securitykg/internal/graph"
@@ -34,6 +35,10 @@ type Server struct {
 	index *search.Index
 	eng   *cypher.Engine
 	mux   *http.ServeMux
+
+	// maxRows is the engine's MaxRows: a materialized /api/cypher body
+	// drops the rows past it, as Engine.Query does.
+	maxRows int
 
 	mu      sync.Mutex
 	history []*ViewGraph // view stack for the back button
@@ -133,6 +138,7 @@ func NewWith(store *graph.Store, index *search.Index, opts cypher.Options) *Serv
 		index:   index,
 		eng:     cypher.NewEngine(store, opts),
 		mux:     http.NewServeMux(),
+		maxRows: opts.MaxRows,
 		started: time.Now(),
 		reg:     metrics.NewRegistry(),
 	}
@@ -244,9 +250,23 @@ func (s *Server) pushHistory(vg *ViewGraph) {
 	}
 }
 
+// writeJSON answers the rare endpoints through encoding/json; hot bodies
+// are appended (ndjson.go) and sent with writeBody.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+}
+
+func writeView(w http.ResponseWriter, vg *ViewGraph) {
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
+	*buf = appendView((*buf)[:0], vg)
+	writeBody(w, *buf)
 }
 
 func httpErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -287,15 +307,58 @@ func (s *Server) SetIngestLimit(n int64) {
 // mutate (UNWIND batch ingest included) counts against the in-flight
 // write budget for its duration. A false positive costs a read a brief
 // reservation; a false negative is impossible — the grammar requires
-// one of these keywords for every mutating statement.
+// create, merge, delete, set or unwind in every mutating statement. A
+// keyword matches in any case: the scan lowercases rune by rune as
+// strings.ToLower does (so U+0130, the dotted capital I, reads as i), but
+// copies nothing.
 func looksLikeWrite(q string) bool {
-	lq := strings.ToLower(q)
-	for _, kw := range []string{"create", "merge", "delete", "set", "unwind"} {
-		if strings.Contains(lq, kw) {
+	for i := 0; i < len(q); i++ {
+		// An ASCII letter, lowercased. No multi-byte rune lowercases to
+		// the first letter of a keyword (TestLooksLikeWrite).
+		var rest string
+		switch q[i] | 0x20 {
+		case 'c':
+			rest = "reate"
+		case 'm':
+			rest = "erge"
+		case 'd':
+			rest = "elete"
+		case 's':
+			rest = "et"
+		case 'u':
+			rest = "nwind"
+		default:
+			continue
+		}
+		if hasLowerPrefix(q[i+1:], rest) {
 			return true
 		}
 	}
 	return false
+}
+
+// hasLowerPrefix reports whether s, lowercased, starts with the
+// lowercase ASCII letters kw. The scan may start at any byte:
+// lowercasing never turns part of a rune into ASCII.
+func hasLowerPrefix(s, kw string) bool {
+	for j := 0; j < len(kw); j++ {
+		if s == "" {
+			return false
+		}
+		if s[0] < utf8.RuneSelf {
+			if s[0]|0x20 != kw[j] {
+				return false
+			}
+			s = s[1:]
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s)
+		if unicode.ToLower(r) != rune(kw[j]) {
+			return false
+		}
+		s = s[size:]
+	}
+	return true
 }
 
 // acquireIngest reserves n in-flight write bytes, or sheds the request
@@ -388,26 +451,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := intParam(r, "k", 10)
-	hits := s.index.Search(q, k)
-	type hitOut struct {
-		ID    string  `json:"id"`
-		Score float64 `json:"score"`
-	}
-	out := make([]hitOut, 0, len(hits))
-	for _, h := range hits {
-		out = append(out, hitOut{ID: h.ID, Score: h.Score})
-	}
-	writeJSON(w, out)
-}
-
-// cypherRequest is the /api/cypher request body.
-type cypherRequest struct {
-	Query   string         `json:"query"`
-	Params  map[string]any `json:"params"`
-	Explain bool           `json:"explain"` // render the plan instead of executing
-	Stream  bool           `json:"stream"`  // NDJSON row-by-row response
-	Tx      string         `json:"tx"`      // transaction token (session.go)
-	MinSeq  uint64         `json:"min_seq"` // read-your-writes token: wait for this seq on a replica
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
+	*buf = appendHits((*buf)[:0], s.index.Search(q, k))
+	writeBody(w, *buf)
 }
 
 // handleCypher executes a Cypher statement POSTed as JSON:
@@ -436,10 +483,11 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
 	var req cypherRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	bodyLen, err := readJSONBody(r, &req)
-	if err != nil {
+	if err := readCypherRequest(r, buf, &req); err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -454,7 +502,7 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 	// release runs after the handler's streaming paths return). Replicas
 	// skip the gate; their writes are redirected, not executed.
 	if !s.isReplica() && !req.Explain && looksLikeWrite(req.Query) {
-		n := int64(bodyLen)
+		n := int64(len(*buf))
 		if !s.acquireIngest(w, n) {
 			return
 		}
@@ -499,7 +547,7 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		s.txCypher(w, r, &req, op)
+		s.txCypher(w, r, buf, &req, op)
 		return
 	}
 	if req.Stream {
@@ -507,22 +555,35 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	began := time.Now()
-	res, err := s.eng.Query(req.Query, req.Params)
+	rows, err := s.eng.QueryRows(req.Query, req.Params)
 	if err != nil {
 		s.cypherErr(w, err)
 		return
 	}
-	s.noteSlow(req.Query, statementKind(res.Writes != nil), began, len(res.Rows), res.BudgetUsed)
-	s.writeCypherResult(w, res, res.Writes != nil)
+	wrote := rows.Writes() != nil
+	n, err := s.writeRows(w, buf, rows, wrote)
+	if err != nil {
+		s.cypherErr(w, err)
+		return
+	}
+	s.noteSlow(req.Query, statementKind(wrote), began, n, rows.BudgetUsed())
 }
 
-// bodyPool recycles /api/cypher request-body buffers: a write batch is
-// tens of kilobytes, read whole before it is parsed.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bodyPool recycles the buffers an /api/cypher request body is read into
+// and hot response bodies are appended to; one buffer serves a request's
+// body and then its response. A write batch is tens of kilobytes, read
+// whole before it is decoded.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody is the largest buffer kept for reuse, and the most a
 // Content-Length header may reserve before a byte of body has arrived.
 const maxPooledBody = 1 << 20
+
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
 
 // maxRequestBody caps an /api/cypher request body at 64 MiB, the engine's
 // default per-query byte budget (cypher.DefaultOptions().MaxBytes): a
@@ -530,29 +591,6 @@ const maxPooledBody = 1 << 20
 // memory. The ingest gate cannot bound it: it admits any one request
 // when nothing else is in flight, and only once the body has been read.
 const maxRequestBody = 64 << 20
-
-// readJSONBody reads the request body into a pooled buffer sized from
-// Content-Length, decodes it into v — which keeps nothing of the buffer:
-// encoding/json copies every string — and returns the body's length.
-func readJSONBody(r *http.Request, v any) (int, error) {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			bodyPool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	if n := r.ContentLength; n > 0 {
-		buf.Grow(int(min(n, maxPooledBody)) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
-	}
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		return 0, fmt.Errorf("read request body: %w", err)
-	}
-	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
-		return 0, fmt.Errorf("bad request body: %w", err)
-	}
-	return buf.Len(), nil
-}
 
 // cypherErr maps an engine error onto the transport: a read-only
 // rejection on a replica becomes the not_leader redirect, everything
@@ -565,31 +603,26 @@ func (s *Server) cypherErr(w http.ResponseWriter, err error) {
 	httpErr(w, http.StatusBadRequest, "%v", err)
 }
 
-// writeCypherResult renders a materialized result for transport, rows
-// as strings. (An "EXPLAIN match ..." statement flows through here too,
-// returning plan lines as rows.) When committed is true and the server
-// knows its WAL position, the response carries {"seq": n} — the
-// read-your-writes token a client passes as min_seq on later reads
-// (possibly against a replica) to be guaranteed to see this write.
-func (s *Server) writeCypherResult(w http.ResponseWriter, res *cypher.Result, committed bool) {
-	out := struct {
-		Columns   []string           `json:"columns"`
-		Rows      [][]string         `json:"rows"`
-		Truncated bool               `json:"truncated,omitempty"`
-		Writes    *cypher.WriteStats `json:"writes,omitempty"`
-		Seq       uint64             `json:"seq,omitempty"`
-	}{Columns: res.Columns, Truncated: res.Truncated, Writes: res.Writes}
-	if committed && s.repl.Seq != nil {
-		out.Seq = s.repl.Seq()
+// writeRows drains a statement's cursor into a materialized body in buf,
+// rows as strings, and sends it once the statement has ended without
+// error; it returns the number of rows sent. (An "EXPLAIN match ..."
+// statement flows through here too, returning plan lines as rows.) When
+// committed is true and the server knows its WAL position, the response
+// carries {"seq": n} — the read-your-writes token a client passes as
+// min_seq on later reads (possibly against a replica) to be guaranteed
+// to see this write.
+func (s *Server) writeRows(w http.ResponseWriter, buf *[]byte, rows *cypher.Rows, committed bool) (int, error) {
+	var seq func() uint64
+	if committed {
+		seq = s.repl.Seq
 	}
-	for _, row := range res.Rows {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		out.Rows = append(out.Rows, cells)
+	b, n, err := appendRows((*buf)[:0], rows, s.maxRows, seq)
+	*buf = b
+	if err != nil {
+		return 0, err
 	}
-	writeJSON(w, out)
+	writeBody(w, b)
+	return n, nil
 }
 
 // streamCypher writes the result as NDJSON so a hunting client sees
@@ -641,17 +674,14 @@ func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher
 	// A trailer that cannot be written means the client is gone: there is
 	// nobody left to report the failure to.
 	if err := rows.Err(); err != nil {
-		_ = out.object(map[string]any{"error": err.Error()})
+		_ = out.fail(err.Error())
 		return n
 	}
-	trailer := map[string]any{"done": n}
-	if ws := rows.Writes(); ws != nil {
-		trailer["writes"] = ws
-		if seqOnWrites && s.repl.Seq != nil {
-			trailer["seq"] = s.repl.Seq()
-		}
+	var seq func() uint64
+	if seqOnWrites {
+		seq = s.repl.Seq
 	}
-	_ = out.object(trailer)
+	_ = out.done(n, rows.Writes(), seq)
 	return n
 }
 
@@ -701,7 +731,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	sg := s.store.ExpandFrom([]graph.NodeID{id}, depth, maxNb, maxNodes)
 	vg := Layout(sg, int64(id))
 	s.pushHistory(vg)
-	writeJSON(w, vg)
+	writeView(w, vg)
 }
 
 func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
@@ -739,7 +769,7 @@ func (s *Server) handleRandom(w http.ResponseWriter, r *http.Request) {
 	sg := s.store.RandomSubgraph(seed, n)
 	vg := Layout(sg, seed)
 	s.pushHistory(vg)
-	writeJSON(w, vg)
+	writeView(w, vg)
 }
 
 func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
@@ -750,7 +780,7 @@ func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.history = s.history[:len(s.history)-1]
-	writeJSON(w, s.history[len(s.history)-1])
+	writeView(w, s.history[len(s.history)-1])
 }
 
 // maxViewNodes is the most nodes an /api/expand or /api/random view may

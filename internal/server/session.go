@@ -98,7 +98,7 @@ func (s *Server) sweepTxLocked(now time.Time) {
 }
 
 // txCypher executes one request inside an open transaction session.
-func (s *Server) txCypher(w http.ResponseWriter, r *http.Request, req *cypherRequest, op cypher.TxOp) {
+func (s *Server) txCypher(w http.ResponseWriter, r *http.Request, buf *[]byte, req *cypherRequest, op cypher.TxOp) {
 	sess := s.lookupTx(req.Tx)
 	if sess == nil {
 		httpErr(w, http.StatusBadRequest, "unknown or expired transaction %q", req.Tx)
@@ -116,16 +116,17 @@ func (s *Server) txCypher(w http.ResponseWriter, r *http.Request, req *cypherReq
 		s.streamRows(w, r, rows, false)
 		return
 	}
-	res, err := sess.tx.Query(req.Query, req.Params)
+	// COMMIT is the moment the transaction's writes reach the WAL, so
+	// its response (not the in-tx write statements') carries the
+	// read-your-writes token.
+	rows, err := sess.tx.QueryRows(req.Query, req.Params)
+	if err == nil {
+		_, err = s.writeRows(w, buf, rows, op == cypher.TxCommit)
+	}
 	if sess.tx.Done() {
 		s.dropTx(req.Tx)
 	}
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
-		return
 	}
-	// COMMIT is the moment the transaction's writes reach the WAL, so
-	// its response (not the in-tx write statements') carries the
-	// read-your-writes token.
-	s.writeCypherResult(w, res, op == cypher.TxCommit)
 }
