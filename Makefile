@@ -13,7 +13,9 @@ build:
 # allocation-regression guards (zero-alloc CSR incidence iteration and
 # planner fan-out read, zero-alloc binary WAL append and
 # replication-tail copy, a shipped commit group's frame and the
-# follower's per-record apply ceiling, zero-cost disabled ANALYZE
+# follower's per-record apply ceiling in allocations and bytes, a warm
+# 500-row write batch's bytes and allocations per row through
+# /api/cypher, zero-cost disabled ANALYZE
 # instrumentation on the warm expand path, the row-path pins — O(k)
 # top-k, per-group grouping, zero per row on a label scan and in the
 # NDJSON encoder — the extraction pass's per-report ceiling, the IOC

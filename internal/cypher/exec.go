@@ -362,8 +362,10 @@ func evalExpr(e Expr, b *binding, ps params) (Value, error) {
 		case KindMap:
 			// UNWIND batch rows: row.name reads the map entry (missing
 			// keys are null, like absent node attributes).
-			if mv, ok := val.Map[v.Prop]; ok {
-				return mv, nil
+			for i := range val.Map {
+				if val.Map[i].Key == v.Prop {
+					return val.Map[i].Val, nil
+				}
 			}
 			return NullValue(), nil
 		}

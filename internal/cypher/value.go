@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"securitykg/internal/graph"
 )
 
-// ValueKind discriminates runtime values.
-type ValueKind int
+// ValueKind discriminates runtime values. It is one byte, so that it
+// shares a word with Value.Bool.
+type ValueKind int8
 
 const (
 	KindNull ValueKind = iota
@@ -28,13 +29,19 @@ const (
 // Value is one runtime value produced during query evaluation.
 type Value struct {
 	Kind ValueKind
+	Bool bool
 	Str  string
 	Num  float64
-	Bool bool
 	Node *graph.Node
 	Edge *graph.Edge
 	List []Value
-	Map  map[string]Value
+	Map  []Field // sorted by key, keys unique
+}
+
+// Field is one entry of a map value.
+type Field struct {
+	Key string
+	Val Value
 }
 
 // NullValue returns the null value.
@@ -58,13 +65,37 @@ func EdgeValue(e *graph.Edge) Value { return Value{Kind: KindEdge, Edge: e} }
 // ListValue wraps a list of values (the collect() aggregate result).
 func ListValue(vs []Value) Value { return Value{Kind: KindList, List: vs} }
 
-// MapValue wraps a string-keyed map — the shape of one UNWIND batch row.
-func MapValue(m map[string]Value) Value { return Value{Kind: KindMap, Map: m} }
+// MapValue wraps a string-keyed map — the shape of one UNWIND batch row —
+// as its entries in a field slice sorted by key.
+func MapValue(m map[string]Value) Value {
+	fs := make([]Field, 0, len(m))
+	for k, v := range m {
+		fs = append(fs, Field{k, v})
+	}
+	return FieldsValue(fs)
+}
+
+// FieldsValue wraps fields as a map value. It sorts fs by key in place
+// and keeps, of fields with the same key, the last — json.Unmarshal's
+// rule for a repeated object key — so the value's Map may be a shorter
+// prefix of fs.
+func FieldsValue(fs []Field) Value {
+	slices.SortStableFunc(fs, func(a, b Field) int { return strings.Compare(a.Key, b.Key) })
+	n := 0
+	for i := range fs {
+		if i+1 < len(fs) && fs[i+1].Key == fs[i].Key {
+			continue // a later field has the same key
+		}
+		fs[n] = fs[i]
+		n++
+	}
+	return Value{Kind: KindMap, Map: fs[:n]}
+}
 
 // ToValue converts a plain Go value into a query Value; it is how
 // parameter bindings supplied as map[string]any enter the engine.
 // Supported: nil, string, bool, every built-in numeric type, Value
-// itself, and []any (recursively).
+// itself, and []any and map[string]any (recursively).
 func ToValue(v any) (Value, error) {
 	switch x := v.(type) {
 	case nil:
@@ -110,15 +141,15 @@ func ToValue(v any) (Value, error) {
 		}
 		return ListValue(vs), nil
 	case map[string]any:
-		m := make(map[string]Value, len(x))
+		fs := make([]Field, 0, len(x))
 		for k, e := range x {
 			ev, err := ToValue(e)
 			if err != nil {
 				return Value{}, err
 			}
-			m[k] = ev
+			fs = append(fs, Field{k, ev})
 		}
-		return MapValue(m), nil
+		return FieldsValue(fs), nil
 	}
 	return Value{}, fmt.Errorf("cypher: unsupported parameter type %T", v)
 }
@@ -147,8 +178,8 @@ func (v Value) Go() any {
 		return out
 	case KindMap:
 		out := make(map[string]any, len(v.Map))
-		for k, e := range v.Map {
-			out[k] = e.Go()
+		for _, f := range v.Map {
+			out[f.Key] = f.Val.Go()
 		}
 		return out
 	}
@@ -164,8 +195,8 @@ func valueBytes(v Value) int {
 	for _, e := range v.List {
 		n += valueBytes(e)
 	}
-	for k, e := range v.Map {
-		n += len(k) + valueBytes(e)
+	for _, f := range v.Map {
+		n += len(f.Key) + valueBytes(f.Val)
 	}
 	return n
 }
@@ -227,26 +258,15 @@ func (v Value) Append(dst []byte) []byte {
 		return append(dst, ']')
 	case KindMap:
 		dst = append(dst, '{')
-		for i, k := range v.sortedMapKeys() {
+		for i, f := range v.Map {
 			if i > 0 {
 				dst = append(dst, ", "...)
 			}
-			dst = v.Map[k].Append(append(append(dst, k...), ": "...))
+			dst = f.Val.Append(append(append(dst, f.Key...), ": "...))
 		}
 		return append(dst, '}')
 	}
 	return append(dst, '?')
-}
-
-// sortedMapKeys returns the map's keys in sorted order so every map
-// rendering (String, appendKey) is deterministic.
-func (v Value) sortedMapKeys() []string {
-	keys := make([]string, 0, len(v.Map))
-	for k := range v.Map {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Truthy reports the boolean interpretation used by WHERE.
@@ -302,9 +322,8 @@ func (v Value) Equal(o Value) bool {
 		if len(v.Map) != len(o.Map) {
 			return false
 		}
-		for k, e := range v.Map {
-			oe, ok := o.Map[k]
-			if !ok || !e.Equal(oe) {
+		for i, f := range v.Map {
+			if f.Key != o.Map[i].Key || !f.Val.Equal(o.Map[i].Val) {
 				return false
 			}
 		}
@@ -377,12 +396,12 @@ func (v *Value) appendKey(dst []byte) []byte {
 		return dst
 	case KindMap:
 		dst = append(dst, "M:"...)
-		for i, k := range v.sortedMapKeys() {
+		for i := range v.Map {
 			if i > 0 {
 				dst = append(dst, 1)
 			}
-			e := v.Map[k]
-			dst = e.appendKey(append(append(dst, k...), 2))
+			f := &v.Map[i]
+			dst = f.Val.appendKey(append(append(dst, f.Key...), 2))
 		}
 		return dst
 	}

@@ -3,9 +3,13 @@ package cypher
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"securitykg/internal/graph"
 )
@@ -36,9 +40,11 @@ func fmtString(v Value) string {
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case KindMap:
-		parts := make([]string, 0, len(v.Map))
-		for _, k := range v.sortedMapKeys() {
-			parts = append(parts, k+": "+fmtString(v.Map[k]))
+		fs := slices.Clone(v.Map)
+		sort.Slice(fs, func(i, j int) bool { return fs[i].Key < fs[j].Key })
+		parts := make([]string, 0, len(fs))
+		for _, f := range fs {
+			parts = append(parts, f.Key+": "+fmtString(f.Val))
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	}
@@ -97,5 +103,62 @@ func TestValueStringMatchesFmt(t *testing.T) {
 		if got := string(v.Append([]byte("prefix:"))); got != "prefix:"+want {
 			t.Fatalf("Append = %q, want %q", got, "prefix:"+want)
 		}
+	}
+}
+
+// TestValueSize pins the size of a value: every binding slot, list
+// element and batch-row field pays it, so a new field is a decision.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 96 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 96", got)
+	}
+	if got := unsafe.Sizeof(Field{}); got != 112 {
+		t.Errorf("unsafe.Sizeof(Field{}) = %d, want 112", got)
+	}
+}
+
+// TestFieldsValue: a map value's fields come out sorted by key, and of
+// fields with the same key the last one stays.
+func TestFieldsValue(t *testing.T) {
+	fs := []Field{
+		{"seen", NumberValue(1)},
+		{"ip", StringValue("a")},
+		{"Ip", StringValue("b")},
+		{"seen", NumberValue(2)},
+		{"ip", StringValue("c")},
+		{"seen", NumberValue(3)},
+	}
+	v := FieldsValue(fs)
+	want := []Field{{"Ip", StringValue("b")}, {"ip", StringValue("c")}, {"seen", NumberValue(3)}}
+	if v.Kind != KindMap || !reflect.DeepEqual(v.Map, want) {
+		t.Fatalf("FieldsValue = %v, want %v", v.Map, want)
+	}
+	if got := v.String(); got != "{Ip: b, ip: c, seen: 3}" {
+		t.Fatalf("String() = %q", got)
+	}
+	// Past insertion-sort sizes only a stable sort keeps the last of
+	// each repeated key.
+	fs = fs[:0]
+	last := map[string]float64{}
+	for i := range 64 {
+		k := strconv.Itoa(i * 7 % 10)
+		fs = append(fs, Field{k, NumberValue(float64(i))})
+		last[k] = float64(i)
+	}
+	v = FieldsValue(fs)
+	if len(v.Map) != len(last) {
+		t.Fatalf("FieldsValue kept %d of %d keys", len(v.Map), len(last))
+	}
+	for i, f := range v.Map {
+		if f.Val.Num != last[f.Key] || i > 0 && v.Map[i-1].Key >= f.Key {
+			t.Fatalf("FieldsValue = %v", v.Map)
+		}
+	}
+	m := MapValue(map[string]Value{"b": NumberValue(2), "a": NumberValue(1)})
+	if got := m.String(); got != "{a: 1, b: 2}" {
+		t.Fatalf("MapValue String() = %q", got)
+	}
+	if !m.Equal(FieldsValue([]Field{{"b", NumberValue(2)}, {"a", NumberValue(1)}})) {
+		t.Fatal("equal maps built in different orders compare unequal")
 	}
 }

@@ -193,9 +193,12 @@ type Store struct {
 	// durability layer tees writes into its WAL here. Written under
 	// writerMu and mu, so either lock suffices to read it.
 	onMutation func(Mutation)
-	// walBuf is the mutation buffer writing transactions take turns with
-	// (Tx.walBuf); guarded by writerMu.
+	// walBuf, undoN and undoE are the mutation buffer and undo maps
+	// writing transactions take turns with (Tx.walBuf); guarded by
+	// writerMu.
 	walBuf []Mutation
+	undoN  map[NodeID]nodeUndo
+	undoE  map[EdgeID]edgeUndo
 	// bulk counts open BeginBulk/EndBulk load brackets. While nonzero,
 	// per-mutation adjacency compaction is suppressed; closing the
 	// outermost bracket runs one compaction check (a repack only past the

@@ -702,6 +702,8 @@ type Tx struct {
 	// transaction holds writerMu.
 	walBuf []Mutation
 
+	// undoN and undoE are the first-touch images Rollback restores,
+	// borrowed from the store like walBuf.
 	undoN map[NodeID]nodeUndo
 	undoE map[EdgeID]edgeUndo
 
@@ -732,13 +734,19 @@ func (tx *Tx) ensureWriter() {
 	s := tx.s
 	s.writerMu.Lock()
 	tx.walBuf, s.walBuf = s.walBuf, nil
+	tx.undoN, s.undoN = s.undoN, nil
+	tx.undoE, s.undoE = s.undoE, nil
+	if tx.undoN == nil {
+		tx.undoN = make(map[NodeID]nodeUndo)
+	}
+	if tx.undoE == nil {
+		tx.undoE = make(map[EdgeID]edgeUndo)
+	}
 	s.mu.Lock()
 	tx.writing = true
 	tx.prov = s.commitTS + 1
 	s.curProv = tx.prov
 	s.curTx = tx
-	tx.undoN = make(map[NodeID]nodeUndo)
-	tx.undoE = make(map[EdgeID]edgeUndo)
 	tx.preNextNode, tx.preNextEdge, tx.preMergeHits = s.nextNode, s.nextEdge, s.mergeHits
 	s.mu.Unlock()
 }
@@ -831,22 +839,33 @@ func (tx *Tx) Commit() error {
 	return nil
 }
 
-// walBufKeep is the largest mutation buffer, in records, a transaction
-// leaves behind for the next: eight 500-row batches' worth (a batch logs
-// about 650 records and append's doubling takes its array to 1024). A
-// larger one belongs to a one-off load and would only pin memory.
+// walBufKeep is the largest mutation buffer, in records, and the largest
+// undo map, in entries, a transaction leaves behind for the next: eight
+// 500-row batches' worth (a batch logs about 650 records and append's
+// doubling takes its array to 1024). A larger one belongs to a one-off
+// load and would only pin memory.
 const walBufKeep = 4096
 
-// releaseWriter hands the mutation buffer back to the store, emptied, for
-// the next transaction — a batch a second would otherwise double a fresh
-// one up to ≈160 KB each time — and gives up the writer lock.
+// releaseWriter hands the mutation buffer and the undo maps back to the
+// store, emptied, for the next transaction — a batch a second would
+// otherwise double fresh ones up to ≈160 KB each time — and gives up the
+// writer lock.
 func (tx *Tx) releaseWriter() {
+	s := tx.s
 	if cap(tx.walBuf) <= walBufKeep {
 		clear(tx.walBuf)
-		tx.s.walBuf = tx.walBuf[:0]
+		s.walBuf = tx.walBuf[:0]
 	}
-	tx.walBuf = nil
-	tx.s.writerMu.Unlock()
+	if len(tx.undoN) <= walBufKeep {
+		clear(tx.undoN)
+		s.undoN = tx.undoN
+	}
+	if len(tx.undoE) <= walBufKeep {
+		clear(tx.undoE)
+		s.undoE = tx.undoE
+	}
+	tx.walBuf, tx.undoN, tx.undoE = nil, nil, nil
+	s.writerMu.Unlock()
 }
 
 // Rollback undoes every write of the transaction — records, indexes,

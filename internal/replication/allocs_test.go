@@ -15,14 +15,15 @@ import (
 	"securitykg/internal/storage"
 )
 
-// mallocs runs fn and returns how many heap objects it allocated.
-func mallocs(fn func()) uint64 {
+// mallocs runs fn and returns how many heap objects, and how many bytes,
+// it allocated.
+func mallocs(fn func()) (objects, bytes uint64) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
+	objects, bytes = ms.Mallocs, ms.TotalAlloc
 	fn()
 	runtime.ReadMemStats(&ms)
-	return ms.Mallocs - before
+	return ms.Mallocs - objects, ms.TotalAlloc - bytes
 }
 
 // TestShipAndApplyGroupAllocs prices one 500-row commit group between
@@ -31,8 +32,11 @@ func mallocs(fn func()) uint64 {
 // record (at most a cursor and a grown buffer per group); reading the
 // frame off the stream allocates nothing at all; decoding and applying
 // it costs the follower a small constant per record, all of it the
-// graph's own (strings, the node, its index entries, the transaction's
-// undo and log buffers) — no map or struct per record for the wire.
+// graph's own (strings, the node, its index entries) — no map or struct
+// per record for the wire, and no undo map or log buffer per group: the
+// group's transaction borrows the store's. The count cannot see the
+// borrowed maps (a map grows in few, large steps), so the bytes are
+// pinned too: 547 a record while every group made its own.
 func TestShipAndApplyGroupAllocs(t *testing.T) {
 	ldb, err := storage.Open(t.TempDir(), storage.Options{Sync: storage.SyncNever, CompactBytes: -1})
 	if err != nil {
@@ -52,7 +56,7 @@ func TestShipAndApplyGroupAllocs(t *testing.T) {
 	buf := make([]byte, frameHdrLen, 64<<10)
 	fr := newFrameReader(bytes.NewReader(nil))
 	var stream bytes.Reader
-	var shipAllocs, readAllocs, applyAllocs uint64
+	var shipAllocs, readAllocs, applyAllocs, applyBytes uint64
 	for round := 0; round < rounds; round++ {
 		tx := ldb.Store().BeginTx()
 		for i := 0; i < rows; i++ {
@@ -63,7 +67,7 @@ func TestShipAndApplyGroupAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		var frame []byte
-		ship := mallocs(func() {
+		ship, _ := mallocs(func() {
 			var n int
 			buf, n, _ = cur.Next(buf[:frameHdrLen], frameCap)
 			if n != 2*rows+2 {
@@ -74,16 +78,16 @@ func TestShipAndApplyGroupAllocs(t *testing.T) {
 		stream.Reset(frame)
 		fr.br.Reset(&stream)
 		var body []byte
-		read := mallocs(func() { _, body, err = fr.next() })
+		read, _ := mallocs(func() { _, body, err = fr.next() })
 		if err != nil {
 			t.Fatal(err)
 		}
-		apply := mallocs(func() { err = repl.handleRecords(body) })
+		apply, applyB := mallocs(func() { err = repl.handleRecords(body) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if round >= rounds/2 { // buffers grown, maps sized
-			shipAllocs, readAllocs, applyAllocs = shipAllocs+ship, readAllocs+read, applyAllocs+apply
+			shipAllocs, readAllocs, applyAllocs, applyBytes = shipAllocs+ship, readAllocs+read, applyAllocs+apply, applyBytes+applyB
 		}
 	}
 	if fdb.LastSeq() != ldb.LastSeq() {
@@ -96,11 +100,16 @@ func TestShipAndApplyGroupAllocs(t *testing.T) {
 	if readAllocs > 0 {
 		t.Errorf("reading %d frames off the stream allocated %d times, want 0", n, readAllocs)
 	}
-	if got := float64(applyAllocs) / float64(n*(2*rows+2)); got > 8 {
+	records := float64(n * (2*rows + 2))
+	got, gotBytes := float64(applyAllocs)/records, float64(applyBytes)/records
+	if got > 8 {
 		t.Errorf("follower decode+apply allocates %.1f times per record, want <= 8", got)
-	} else {
-		t.Logf("follower decode+apply: %.2f allocs/record; ship: %d/group", got, shipAllocs/n)
 	}
+	const maxApplyBytes = 460
+	if gotBytes > maxApplyBytes {
+		t.Errorf("follower decode+apply allocates %.0f B per record, want <= %d", gotBytes, maxApplyBytes)
+	}
+	t.Logf("follower decode+apply: %.2f allocs, %.0f B a record; ship: %d/group", got, gotBytes, shipAllocs/n)
 	if mv := fdb.Store().MVCCStats(); mv != (graph.MVCCStats{}) {
 		t.Errorf("follower left MVCC history behind: %+v", mv)
 	}

@@ -40,11 +40,11 @@ type stdCypherRequest struct {
 	MinSeq  uint64         `json:"min_seq"`
 }
 
-// readCypherRequest reads the request body into *buf, which it may grow,
-// and decodes it into req. Nothing in req aliases *buf, so the caller can
-// reuse the buffer for the response.
-func readCypherRequest(r *http.Request, buf *[]byte, req *cypherRequest) error {
-	b := (*buf)[:0]
+// readCypherRequest reads the request body into body.buf, which it may
+// grow, and decodes it into req on body's stacks. Nothing in req aliases
+// body, so the caller can reuse the buffer for the response.
+func readCypherRequest(r *http.Request, body *pooledBody, req *cypherRequest) error {
+	b := body.buf[:0]
 	if n := r.ContentLength; n > 0 {
 		b = slices.Grow(b, int(min(n, maxPooledBody))+1) // one spare byte to read EOF into
 	}
@@ -58,12 +58,12 @@ func readCypherRequest(r *http.Request, buf *[]byte, req *cypherRequest) error {
 			break
 		}
 		if err != nil {
-			*buf = b
+			body.buf = b
 			return fmt.Errorf("read request body: %w", err)
 		}
 	}
-	*buf = b
-	if err := decodeCypherRequest(b, req); err != nil {
+	body.buf = b
+	if err := decodeCypherRequest(b, &body.decodeStacks, req); err != nil {
 		if stdErr := json.Unmarshal(b, new(stdCypherRequest)); stdErr != nil {
 			err = stdErr
 		}
@@ -112,8 +112,10 @@ func envelopeField(key []byte) int {
 // as it is (params: nil), and nothing but white space after the value.
 // A member of the wrong type, a min_seq that is not a uint64, a params
 // number no float64 holds and nesting deeper than maxJSONDepth are errors.
-func decodeCypherRequest(data []byte, req *cypherRequest) error {
-	d := bodyDecoder{data: data}
+// Lists and objects are built on st, which is left empty.
+func decodeCypherRequest(data []byte, st *decodeStacks, req *cypherRequest) error {
+	d := bodyDecoder{data: data, decodeStacks: st}
+	defer st.reset()
 	d.space()
 	if !d.literal("null") { // json.Unmarshal leaves the struct as it is
 		if d.peek() != '{' {
@@ -136,6 +138,34 @@ type bodyDecoder struct {
 	pos     int
 	depth   int
 	scratch []byte // an unescaped string (str)
+	*decodeStacks
+}
+
+// decodeStacks hold the elements of the lists and the fields of the
+// objects being decoded, innermost on top. A closed list or object is
+// popped off in one allocation of its exact size, so a 500-row $batch
+// costs one array, not append's doublings of one, and a row one field
+// array, not a Go map.
+type decodeStacks struct {
+	elems  []cypher.Value
+	fields []cypher.Field
+}
+
+// reset empties the stacks, dropping what a failed decode left on them.
+func (st *decodeStacks) reset() {
+	clear(st.elems)
+	clear(st.fields)
+	st.elems, st.fields = st.elems[:0], st.fields[:0]
+}
+
+// pop takes the top of stack *s, from base, off the stack and returns
+// its first n entries in an exact-size copy.
+func pop[T any](s *[]T, base, n int) []T {
+	out := make([]T, n)
+	copy(out, (*s)[base:])
+	clear((*s)[base:])
+	*s = (*s)[:base]
+	return out
 }
 
 func (d *bodyDecoder) fail(msg string) error { return fmt.Errorf("%s at offset %d", msg, d.pos) }
@@ -225,22 +255,31 @@ func (d *bodyDecoder) value() (cypher.Value, error) {
 		s, err := d.str()
 		return cypher.StringValue(string(s)), err
 	case c == '{':
-		m := map[string]cypher.Value{}
+		base := len(d.fields)
 		err := d.object(func(key []byte) error {
 			k := string(key)
 			v, err := d.value()
-			m[k] = v
+			d.fields = append(d.fields, cypher.Field{Key: k, Val: v})
 			return err
 		})
-		return cypher.MapValue(m), err
+		if err != nil {
+			return cypher.Value{}, err
+		}
+		m := cypher.FieldsValue(d.fields[base:])
+		m.Map = pop(&d.fields, base, len(m.Map))
+		return m, nil
 	case c == '[':
-		vs := []cypher.Value{} // [] is an empty list, not null
+		base := len(d.elems)
 		err := d.array(func() error {
 			v, err := d.value()
-			vs = append(vs, v)
+			d.elems = append(d.elems, v)
 			return err
 		})
-		return cypher.ListValue(vs), err
+		if err != nil {
+			return cypher.Value{}, err
+		}
+		// [] is an empty list, not null: make(_, 0) is not nil.
+		return cypher.ListValue(pop(&d.elems, base, len(d.elems)-base)), nil
 	case c == '-' || '0' <= c && c <= '9':
 		tok, err := d.number()
 		if err != nil {

@@ -43,15 +43,37 @@ func FuzzCypherRequest(f *testing.F) {
 		`null`, ` null `, `[]`, `"x"`, ``, `{`, `{"query":"x"} x`, `{"query":"x",}`, `{"a":01}`, `{"a":.5}`, `{"a":1.}`, `{"a":tru}`,
 		"{\"query\":\"tab\there\"}", `{"query":"\x"}`, `{"query":"\u12"}`, `{"a":[1,]}`, `{,}`, `{"a" 1}`,
 		nested(maxJSONDepth), nested(maxJSONDepth + 1),
+		// Map values are sorted fields: the last of a repeated key wins,
+		// nested keys are case-sensitive, and empty objects and lists stay
+		// empty, not null.
+		`{"params":{"batch":[{"ip":"a","seen":1,"ip":"b"},{"x":{"k":1},"x":{"j":[2]}}]}}`,
+		`{"params":{"batch":[{"seen":2,"ip":"10.0.0.1"},{"z":1,"a":2,"m":3,"b":{"y":1,"x":2}}]}}`,
+		`{"params":{"m":{"Ip":"a","ip":"b","IP":"c","iP":"d","ip":"e"}}}`,
+		`{"params":{"batch":[{},[],{"a":{}},{"b":[]},[[],{}]],"e":{},"l":[]}}`,
+		`{"params":{"batch":[{"ip":"x"},{"ip":"y","seen":[1,{"z":2,}]}]}}`,
+		`{"params":{"m":{"b":1,"a":2,"b":3,"a":{"c":1,"c":[{"d":1,"d":{}}]},"":null,"":0}}}`,
 	} {
 		f.Add([]byte(s))
 	}
+	// The stacks are reused from one body to the next, as a pooled
+	// request's are.
+	var st decodeStacks
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var std stdCypherRequest
 		stdErr := json.Unmarshal(data, &std)
 		body := bytes.Clone(data)
 		var got cypherRequest
-		err := decodeCypherRequest(body, &got)
+		err := decodeCypherRequest(body, &st, &got)
+		for _, v := range st.elems[:cap(st.elems)] {
+			if v.Kind != cypher.KindNull {
+				t.Fatalf("%q: the element stack keeps a value", data)
+			}
+		}
+		for _, f := range st.fields[:cap(st.fields)] {
+			if f.Key != "" || f.Val.Kind != cypher.KindNull {
+				t.Fatalf("%q: the field stack keeps a field", data)
+			}
+		}
 		if (err == nil) != (stdErr == nil) {
 			t.Fatalf("%q: decode error %v, json.Unmarshal error %v", data, err, stdErr)
 		}
@@ -72,6 +94,10 @@ func FuzzCypherRequest(f *testing.F) {
 		for i := range body {
 			body[i] = 'X' // the pooled buffer is reused for the response
 		}
+		// ...and the stacks for the next request.
+		if err := decodeCypherRequest([]byte(`{"params":{"b":[{"ip":"x","s":[1]},{}]}}`), &st, new(cypherRequest)); err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded %#v\nencoding/json %#v", got, want)
 		}
@@ -84,7 +110,7 @@ func FuzzCypherRequest(f *testing.F) {
 // overflow.
 func TestDeepBodyRefused(t *testing.T) {
 	var req cypherRequest
-	if err := decodeCypherRequest([]byte(nested(maxJSONDepth)), &req); err != nil {
+	if err := decodeCypherRequest([]byte(nested(maxJSONDepth)), new(decodeStacks), &req); err != nil {
 		t.Fatalf("%d levels: %v", maxJSONDepth, err)
 	}
 	s := New(graph.New(), search.NewIndex(nil))

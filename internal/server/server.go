@@ -20,6 +20,7 @@ import (
 	"time"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"securitykg/internal/cypher"
 	"securitykg/internal/graph"
@@ -263,10 +264,10 @@ func writeBody(w http.ResponseWriter, body []byte) {
 }
 
 func writeView(w http.ResponseWriter, vg *ViewGraph) {
-	buf := bodyPool.Get().(*[]byte)
-	defer putBody(buf)
-	*buf = appendView((*buf)[:0], vg)
-	writeBody(w, *buf)
+	body := bodyPool.Get().(*pooledBody)
+	defer putBody(body)
+	body.buf = appendView(body.buf[:0], vg)
+	writeBody(w, body.buf)
 }
 
 func httpErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -451,10 +452,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := intParam(r, "k", 10)
-	buf := bodyPool.Get().(*[]byte)
-	defer putBody(buf)
-	*buf = appendHits((*buf)[:0], s.index.Search(q, k))
-	writeBody(w, *buf)
+	body := bodyPool.Get().(*pooledBody)
+	defer putBody(body)
+	body.buf = appendHits(body.buf[:0], s.index.Search(q, k))
+	writeBody(w, body.buf)
 }
 
 // handleCypher executes a Cypher statement POSTed as JSON:
@@ -483,11 +484,12 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	buf := bodyPool.Get().(*[]byte)
-	defer putBody(buf)
+	body := bodyPool.Get().(*pooledBody)
+	defer putBody(body)
+	buf := &body.buf
 	var req cypherRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	if err := readCypherRequest(r, buf, &req); err != nil {
+	if err := readCypherRequest(r, body, &req); err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -572,16 +574,25 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 // bodyPool recycles the buffers an /api/cypher request body is read into
 // and hot response bodies are appended to; one buffer serves a request's
 // body and then its response. A write batch is tens of kilobytes, read
-// whole before it is decoded.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+// whole before it is decoded on the entry's stacks.
+var bodyPool = sync.Pool{New: func() any { return new(pooledBody) }}
 
-// maxPooledBody is the largest buffer kept for reuse, and the most a
-// Content-Length header may reserve before a byte of body has arrived.
+// pooledBody is one bodyPool entry.
+type pooledBody struct {
+	buf []byte
+	decodeStacks
+}
+
+// maxPooledBody is the most bytes a kept entry's buffer, or either of its
+// stacks, may hold, and the most a Content-Length header may reserve
+// before a byte of body has arrived.
 const maxPooledBody = 1 << 20
 
-func putBody(buf *[]byte) {
-	if cap(*buf) <= maxPooledBody {
-		bodyPool.Put(buf)
+func putBody(body *pooledBody) {
+	if cap(body.buf) <= maxPooledBody &&
+		cap(body.elems)*int(unsafe.Sizeof(cypher.Value{})) <= maxPooledBody &&
+		cap(body.fields)*int(unsafe.Sizeof(cypher.Field{})) <= maxPooledBody {
+		bodyPool.Put(body)
 	}
 }
 
