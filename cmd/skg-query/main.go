@@ -6,15 +6,15 @@
 // never spliced into query text — and every execution of the same
 // statement text reuses one cached plan.
 //
-// With -data-dir the shell is a durable client: it opens (or creates)
-// a write-ahead-logged data directory, so CREATE/MERGE/SET/DELETE
-// statements persist across sessions — every write is logged before its
-// counts print, and quitting checkpoints the store. With -graph the
-// shell is read-only-durable: writes mutate only the in-memory copy.
+// -data-dir names the directory the shell opens: one `skg -out` or
+// skg-server -data-dir wrote, or a new one. The shell is a durable
+// client: CREATE/MERGE/SET/DELETE statements persist across sessions —
+// every write is logged before its counts print, and quitting
+// checkpoints the store.
 //
 // Usage:
 //
-//	skg-query -graph kg.jsonl          (or: -data-dir ./data)
+//	skg-query -data-dir ./data
 //	> \set ioc wannacry
 //	> match (n) where n.name = $ioc return n
 //	> merge (m:Malware {name: $ioc}) set m.triaged = "true"
@@ -38,68 +38,47 @@ import (
 	"strconv"
 	"strings"
 
+	"securitykg/internal/connector"
 	"securitykg/internal/cypher"
-	"securitykg/internal/graph"
-	"securitykg/internal/search"
 	"securitykg/internal/storage"
 )
 
 func main() {
-	graphPath := flag.String("graph", "kg.jsonl", "persisted knowledge graph file (ignored when -data-dir is set)")
-	dataDir := flag.String("data-dir", "", "durable data directory: writes are WAL-logged and survive across sessions")
-	fsyncFlag := flag.String("fsync", "interval", "WAL fsync policy with -data-dir: always | interval | never")
+	dataDir := flag.String("data-dir", "", "durable data directory (required): writes are WAL-logged and survive across sessions")
+	fsyncFlag := flag.String("fsync", "interval", "WAL fsync policy: always | interval | never")
 	explain := flag.Bool("explain", false, "print the query plan before each result (EXPLAIN <query> also works per statement)")
 	flag.Parse()
 
-	var store *graph.Store
-	var db *storage.DB
-	if *dataDir != "" {
-		policy, err := storage.ParseSyncPolicy(*fsyncFlag)
-		if err != nil {
-			log.Fatalf("skg-query: %v", err)
-		}
-		db, err = storage.Open(*dataDir, storage.Options{Sync: policy})
-		if err != nil {
-			log.Fatalf("skg-query: %v", err)
-		}
-		store = db.Store()
-		gs := store.Stats()
-		fmt.Printf("skg-query: recovered %d nodes, %d edges from %s (snapshot seq %d, %d WAL records replayed)\n",
-			gs.Nodes, gs.Edges, *dataDir, db.Recovered.SnapshotSeq, db.Recovered.Replayed)
-		defer func() {
-			if err := db.Checkpoint(); err != nil {
-				log.Printf("skg-query: checkpoint: %v", err)
-			}
-			if err := db.Close(); err != nil {
-				log.Printf("skg-query: close: %v", err)
-			}
-		}()
-	} else {
-		var err error
-		store, err = graph.LoadFile(*graphPath)
-		if err != nil {
-			log.Fatalf("skg-query: %v", err)
-		}
-		gs := store.Stats()
-		fmt.Printf("skg-query: loaded %d nodes, %d edges from %s (writes will NOT persist; use -data-dir)\n",
-			gs.Nodes, gs.Edges, *graphPath)
+	if *dataDir == "" {
+		log.Fatalf("skg-query: -data-dir is required")
 	}
+	policy, err := storage.ParseSyncPolicy(*fsyncFlag)
+	if err != nil {
+		log.Fatalf("skg-query: %v", err)
+	}
+	db, err := storage.Open(*dataDir, storage.Options{Sync: policy})
+	if err != nil {
+		log.Fatalf("skg-query: %v", err)
+	}
+	store := db.Store()
+	gs := store.Stats()
+	fmt.Printf("skg-query: recovered %d nodes, %d edges from %s (snapshot seq %d, %d WAL records replayed)\n",
+		gs.Nodes, gs.Edges, *dataDir, db.Recovered.SnapshotSeq, db.Recovered.Replayed)
+	defer func() {
+		if err := db.Checkpoint(); err != nil {
+			log.Printf("skg-query: checkpoint: %v", err)
+		}
+		if err := db.Close(); err != nil {
+			log.Printf("skg-query: close: %v", err)
+		}
+	}()
 	fmt.Println(`skg-query: enter Cypher (reads and writes, e.g. merge (m:Malware {name: $ioc}) set m.triaged = "true"),`)
 	fmt.Println(`  BEGIN / COMMIT / ROLLBACK for multi-statement transactions,`)
 	fmt.Println(`  \set name value / \unset name / \params to manage $parameters,`)
 	fmt.Println(`  explain <query> for plans, \analyze <query> (or explain analyze <query>) for`)
 	fmt.Println(`  profiled execution with per-operator rows and timings, /keyword search, or "quit"`)
 
-	// Rebuild the keyword index from report nodes (title only; bodies are
-	// not persisted in the graph).
-	idx := search.NewIndex(nil)
-	store.ForEachNode(func(n *graph.Node) bool {
-		if strings.HasSuffix(n.Type, "Report") {
-			idx.Add(search.Document{ID: fmt.Sprint(n.ID),
-				Fields: map[string]string{"title": n.Name}})
-		}
-		return true
-	})
+	idx := connector.RebuildIndex(store)
 	eng := cypher.NewEngine(store, cypher.DefaultOptions())
 	params := map[string]any{}
 	var tx *cypher.Tx // open multi-statement transaction, if any

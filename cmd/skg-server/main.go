@@ -13,7 +13,8 @@
 // server therefore resumes exactly where it stopped instead of
 // re-ingesting from scratch. The directory has one format; one written
 // by an earlier build's JSON codec is rewritten the first time it is
-// opened.
+// opened. A directory `skg -out DIR` wrote is served the same way; add
+// -read-only to explore it without writing to it.
 //
 // A durable server is also a replication leader: /replication/snapshot
 // and /replication/wal let any number of read replicas bootstrap and
@@ -25,7 +26,7 @@
 //
 // Usage:
 //
-//	skg-server [-addr :8080] [-reports 10] [-graph kg.jsonl]
+//	skg-server [-addr :8080] [-reports 10] [-read-only]
 //	           [-data-dir ./data] [-fsync interval|always|never] [-compact-mb 64]
 //	           [-replicate-from http://leader:8080] [-advertise URL]
 //	           [-slow-query-ms 200] [-ingest-limit-mb 32]
@@ -58,11 +59,10 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		reports   = flag.Int("reports", 10, "reports per source to ingest when the store starts empty")
-		graphIn   = flag.String("graph", "", "serve a persisted graph file instead of ingesting (read-only snapshot load)")
 		dataDir   = flag.String("data-dir", "", "durable data directory (snapshot + write-ahead log); state survives restarts")
 		fsyncFlag = flag.String("fsync", "interval", "WAL fsync policy: always (fsync per write), interval (group commit), never")
 		compactMB = flag.Int("compact-mb", 64, "snapshot and truncate the WAL once it exceeds this many MiB (0 disables automatic compaction)")
-		readOnly  = flag.Bool("read-only", false, "reject Cypher write statements on /api/cypher (implied by -graph, which serves a snapshot whose writes would not persist)")
+		readOnly  = flag.Bool("read-only", false, "reject Cypher write statements on /api/cypher (implied by -replicate-from)")
 		replFrom  = flag.String("replicate-from", "", "run as a read-only replica of the leader at this base URL (e.g. http://leader:8080); requires -data-dir")
 		advertise = flag.String("advertise", "", "base URL replicas and redirected clients should use to reach this node (leader side)")
 		slowMS    = flag.Int("slow-query-ms", 0, "log /api/cypher statements slower than this many milliseconds with kind, duration, rows, and budget bytes (0 disables; parameter values are never logged)")
@@ -80,8 +80,7 @@ func main() {
 	}
 
 	var db *storage.DB
-	switch {
-	case *dataDir != "":
+	if *dataDir != "" {
 		policy, err := storage.ParseSyncPolicy(*fsyncFlag)
 		if err != nil {
 			log.Fatalf("skg-server: %v", err)
@@ -99,50 +98,33 @@ func main() {
 				log.Fatalf("skg-server: %v", err)
 			}
 			cancel()
-		}
-		db, err = storage.Open(*dataDir, storage.Options{
-			Sync:         policy,
-			CompactBytes: compactBytes,
-		})
-		if err != nil {
-			log.Fatalf("skg-server: %v", err)
-		}
-		fmt.Printf("skg-server: recovered %s (snapshot seq %d, %d WAL records replayed, torn tail: %v)\n",
-			*dataDir, db.Recovered.SnapshotSeq, db.Recovered.Replayed, db.Recovered.TornTail)
-		// Adopt before ingesting so every ingested mutation is logged.
-		sys.AdoptStore(db.Store())
-		if *replFrom == "" && db.Store().CountNodes() == 0 && *reports > 0 {
-			// Load bracket: boot ingest is one load, so adjacency seals
-			// once at the end instead of repacking as the store grows.
-			db.Store().BeginBulk()
-			ingest(sys)
-			db.Store().EndBulk()
-			if err := db.Checkpoint(); err != nil {
-				log.Fatalf("skg-server: post-ingest checkpoint: %v", err)
-			}
-			fmt.Println("skg-server: initial ingest checkpointed")
-		} else {
-			sys.RebuildIndex()
-		}
-		if *replFrom != "" {
 			// A replica's store is the leader's store: local Cypher
 			// writes would fork it, so the engine is read-only and the
 			// server redirects writers to the leader.
 			*readOnly = true
 		}
-	case *graphIn != "":
-		if err := sys.LoadGraph(*graphIn); err != nil {
+		// A leader whose directory starts empty ingests into it, logging
+		// every mutation, and checkpoints; otherwise it serves what it
+		// recovered.
+		var st *securitykg.IngestStats
+		db, st, err = sys.OpenDataDir(context.Background(), *dataDir, storage.Options{
+			Sync:         policy,
+			CompactBytes: compactBytes,
+		}, *replFrom == "" && *reports > 0)
+		if err != nil {
 			log.Fatalf("skg-server: %v", err)
 		}
-		sys.RebuildIndex()
-		// A -graph snapshot has no write-ahead log behind it: accepting
-		// writes would silently drop them on restart.
-		*readOnly = true
-		fmt.Printf("skg-server: loaded graph from %s (read-only)\n", *graphIn)
-	default:
-		sys.Store.BeginBulk()
-		ingest(sys)
-		sys.Store.EndBulk()
+		fmt.Printf("skg-server: recovered %s (snapshot seq %d, %d WAL records replayed, torn tail: %v)\n",
+			*dataDir, db.Recovered.SnapshotSeq, db.Recovered.Replayed, db.Recovered.TornTail)
+		if st != nil {
+			fmt.Printf("skg-server: ingested %d reports; initial ingest checkpointed\n", st.Process.Connected)
+		}
+	} else {
+		st, err := sys.Ingest(context.Background())
+		if err != nil {
+			log.Fatalf("skg-server: ingest: %v", err)
+		}
+		fmt.Printf("skg-server: ingested %d reports\n", st.Process.Connected)
 	}
 	gs := sys.Store.Stats()
 	fmt.Printf("skg-server: knowledge graph: %d nodes, %d edges\n", gs.Nodes, gs.Edges)
@@ -274,15 +256,4 @@ func main() {
 		log.Fatal(err)
 	}
 	select {} // Shutdown in flight: the signal goroutine exits the process
-}
-
-func ingest(sys *securitykg.System) {
-	st, err := sys.Collect(context.Background())
-	if err != nil {
-		log.Fatalf("skg-server: collect: %v", err)
-	}
-	if _, err := sys.Fuse(); err != nil {
-		log.Fatalf("skg-server: fuse: %v", err)
-	}
-	fmt.Printf("skg-server: ingested %d reports\n", st.Process.Connected)
 }

@@ -3,9 +3,15 @@
 // the knowledge graph, optionally run knowledge fusion, and persist the
 // graph.
 //
+// With -out the graph is written to a data directory, the same one
+// skg-server and skg-query open with -data-dir: every mutation is logged
+// as it is ingested, and the run ends with a checkpoint, so the directory
+// holds the graph as one snapshot. A directory that already holds a graph
+// is refused.
+//
 // Usage:
 //
-//	skg [-config file.json] [-reports N] [-out kg.jsonl] [-fuse] [-v]
+//	skg [-config file.json] [-reports N] [-out DIR] [-stix file.json] [-fuse] [-v]
 package main
 
 import (
@@ -18,13 +24,14 @@ import (
 
 	"securitykg"
 	"securitykg/internal/config"
+	"securitykg/internal/storage"
 )
 
 func main() {
 	var (
 		configPath = flag.String("config", "", "JSON configuration file (see internal/config)")
 		reports    = flag.Int("reports", 0, "override reports per source")
-		out        = flag.String("out", "", "persist the knowledge graph to this path")
+		out        = flag.String("out", "", "persist the knowledge graph to this data directory (open it with skg-server or skg-query -data-dir)")
 		stixOut    = flag.String("stix", "", "export the graph as a STIX 2.1 bundle to this path")
 		fuse       = flag.Bool("fuse", true, "run the knowledge-fusion stage after ingest")
 		verbose    = flag.Bool("v", false, "verbose per-type statistics")
@@ -39,6 +46,9 @@ func main() {
 			log.Fatalf("skg: %v", err)
 		}
 	}
+	if !*fuse {
+		cfg.Fusion.Enabled = false
+	}
 	opts := securitykg.Options{Config: &cfg}
 	if *reports > 0 {
 		opts.ReportsPerSource = *reports
@@ -51,9 +61,22 @@ func main() {
 	}
 	fmt.Printf("skg: %d sources configured\n", len(sys.Sources()))
 
-	st, err := sys.Collect(context.Background())
-	if err != nil {
-		log.Fatalf("skg: collect: %v", err)
+	var db *storage.DB
+	var st *securitykg.IngestStats
+	if *out != "" {
+		db, st, err = sys.OpenDataDir(context.Background(), *out, storage.Options{}, true)
+		if err != nil {
+			log.Fatalf("skg: %v", err)
+		}
+		if st == nil {
+			log.Fatalf("skg: %s already holds a graph; serve it with skg-server -data-dir, or pick a new directory", *out)
+		}
+	} else {
+		ist, err := sys.Ingest(context.Background())
+		if err != nil {
+			log.Fatalf("skg: %v", err)
+		}
+		st = &ist
 	}
 	fmt.Printf("skg: crawled %d files in %s (%.0f reports/min), %d retries, %d failures\n",
 		st.Crawl.Collected, st.Crawl.Elapsed.Round(1e6), st.Crawl.ReportsPerMinute(),
@@ -61,14 +84,9 @@ func main() {
 	fmt.Printf("skg: processed %d reports (%d rejected by checkers, %d parse errors, %d lost after extraction) in %s\n",
 		st.Process.Connected, st.Process.Rejected, st.Process.ParseErrs, st.Process.ExtractErrs,
 		st.Process.Elapsed.Round(1e6))
-
-	if *fuse && cfg.Fusion.Enabled {
-		fstats, err := sys.Fuse()
-		if err != nil {
-			log.Fatalf("skg: fusion: %v", err)
-		}
+	if cfg.Fusion.Enabled {
 		fmt.Printf("skg: fusion merged %d nodes across %d alias groups\n",
-			fstats.NodesMerged, fstats.Groups)
+			st.Fusion.NodesMerged, st.Fusion.Groups)
 	}
 
 	gs := sys.Store.Stats()
@@ -85,16 +103,6 @@ func main() {
 		}
 	}
 
-	path := *out
-	if path == "" {
-		path = cfg.GraphPath
-	}
-	if path != "" {
-		if err := sys.SaveGraph(path); err != nil {
-			log.Fatalf("skg: save: %v", err)
-		}
-		fmt.Printf("skg: graph saved to %s\n", path)
-	}
 	if *stixOut != "" {
 		f, err := os.Create(*stixOut)
 		if err != nil {
@@ -107,6 +115,12 @@ func main() {
 			log.Fatalf("skg: stix: %v", err)
 		}
 		fmt.Printf("skg: STIX bundle written to %s\n", *stixOut)
+	}
+	if db != nil {
+		if err := db.Close(); err != nil {
+			log.Fatalf("skg: close: %v", err)
+		}
+		fmt.Printf("skg: graph saved to data directory %s\n", *out)
 	}
 	os.Exit(0)
 }

@@ -8,46 +8,49 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"securitykg/internal/cypher"
 	"securitykg/internal/fusion"
 	"securitykg/internal/graph"
 	"securitykg/internal/ontology"
 	"securitykg/internal/server"
+	"securitykg/internal/storage"
 )
 
-func TestIntegrationLifecyclePersistExploreQuery(t *testing.T) {
-	sys, _ := sharedSystem(t)
+func TestIntegrationLifecycleDataDirExploreQuery(t *testing.T) {
+	dir := t.TempDir()
+	sys, db := durableSystem(t, dir)
 
-	// Persist, reload into a second engine, and verify queries agree.
-	path := filepath.Join(t.TempDir(), "kg.jsonl")
-	if err := sys.SaveGraph(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := graph.LoadFile(path)
+	// Query the live store, then the store storage.Open recovers from the
+	// data directory: the rows must agree exactly.
+	q := `match (m:Malware)-[:CONNECT]->(x) return m.name, x.name order by m.name, x.name limit 10`
+	live, err := sys.Cypher(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := `match (m:Malware)-[:CONNECT]->(x) return m.name, x.name order by m.name limit 10`
-	res1, err := sys.Cypher(q)
+	if len(live.Rows) == 0 {
+		t.Fatal("query returns no rows on the ingested graph")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := storage.Open(dir, storage.Options{Sync: storage.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys2 := &System{Store: loaded, Index: sys.Index}
-	_ = sys2
-	res2, err := sys.Cypher(q)
+	defer db2.Close()
+	recovered, err := cypher.NewEngine(db2.Store(), cypher.DefaultOptions()).Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res1.Rows) != len(res2.Rows) {
-		t.Errorf("query over persisted graph differs: %d vs %d rows",
-			len(res1.Rows), len(res2.Rows))
+	if got, want := renderRows(recovered), renderRows(live); got != want {
+		t.Errorf("query over the recovered data directory differs:\n got %s\nwant %s", got, want)
 	}
 
-	// Exploration server over the live store.
-	srv := httptest.NewServer(server.New(sys.Store, sys.Index))
+	// Exploration server over the recovered store.
+	srv := httptest.NewServer(server.New(db2.Store(), sys.Index))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/api/stats")
 	if err != nil {
@@ -61,6 +64,22 @@ func TestIntegrationLifecyclePersistExploreQuery(t *testing.T) {
 	if gs.Nodes != sys.Store.Stats().Nodes {
 		t.Errorf("server stats mismatch: %d vs %d", gs.Nodes, sys.Store.Stats().Nodes)
 	}
+}
+
+// renderRows renders a result's columns and rows, one row a line.
+func renderRows(r *cypher.Result) string {
+	var b strings.Builder
+	b.WriteString(strings.Join(r.Columns, ",") + "\n")
+	for _, row := range r.Rows {
+		for i, v := range row {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(v.String())
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 func TestIntegrationGroundTruthEntityRecall(t *testing.T) {

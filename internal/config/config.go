@@ -5,8 +5,11 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -48,8 +51,7 @@ type Config struct {
 		Types   []string `json:"types,omitempty"`
 	} `json:"fusion"`
 
-	GraphPath string `json:"graph_path,omitempty"` // persistence location
-	LogPath   string `json:"log_path,omitempty"`   // log connector target
+	LogPath string `json:"log_path,omitempty"` // log connector target
 }
 
 // Default returns the configuration used when no file is given.
@@ -80,10 +82,17 @@ func Load(path string) (Config, error) {
 	return Parse(b)
 }
 
-// Parse decodes and validates config bytes.
+// Parse decodes and validates config bytes. An unknown key is an error,
+// so a misspelt or retired setting cannot be silently ignored.
 func Parse(b []byte) (Config, error) {
 	c := Default()
-	if err := json.Unmarshal(b, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&c)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("trailing data after the config object")
+	}
+	if err != nil {
 		return Config{}, fmt.Errorf("config: parse: %w", err)
 	}
 	if err := c.Validate(); err != nil {

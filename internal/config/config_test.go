@@ -57,6 +57,9 @@ func TestParseRejectsBadValues(t *testing.T) {
 		`{"ner": {"strategy": "quantum"}}`,
 		`{"checkers": ["nonexistent"]}`,
 		`{"connectors": ["mongodb"]}`,
+		`{"graph_path": "kg.jsonl"}`,
+		`{"reports_per_sorce": 5}`,
+		`{"seed": 1} {"seed": 2}`,
 	}
 	for _, b := range bad {
 		if _, err := Parse([]byte(b)); err == nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"securitykg/internal/ctirep"
@@ -72,6 +73,25 @@ func (g *GraphConnector) Connect(c *ctirep.CTIRep) error {
 		})
 	}
 	return nil
+}
+
+// RebuildIndex builds a keyword index over the report nodes already in
+// store, one document per report under its report_id as Connect indexes
+// it. Report bodies are not in the graph, so only titles are indexed.
+// It serves a store recovered from disk, which no Connect call filled.
+func RebuildIndex(store *graph.Store) *search.Index {
+	idx := search.NewIndex(map[string]float64{"title": 2.0})
+	store.ForEachNode(func(n *graph.Node) bool {
+		if strings.HasSuffix(n.Type, "Report") {
+			id := n.Attrs.Get("report_id")
+			if id == "" { // a report created through Cypher has none
+				id = fmt.Sprint(n.ID)
+			}
+			idx.Add(search.Document{ID: id, Fields: map[string]string{"title": n.Name}})
+		}
+		return true
+	})
+	return idx
 }
 
 // connectTx writes the report's nodes and edges through tx.

@@ -43,6 +43,23 @@ func sampleCTI() *ctirep.CTIRep {
 	}
 }
 
+// TestRebuildIndexHitIsReportID: a hit from an index rebuilt off the
+// graph names the report by its report_id, as the index Connect fills
+// does.
+func TestRebuildIndexHitIsReportID(t *testing.T) {
+	store := graph.New()
+	live := search.NewIndex(nil)
+	if err := NewGraphConnector(store, live).Connect(sampleCTI()); err != nil {
+		t.Fatal(err)
+	}
+	for name, idx := range map[string]*search.Index{"live": live, "rebuilt": RebuildIndex(store)} {
+		hits := idx.Search("wannacry analysis", 5)
+		if len(hits) != 1 || hits[0].ID != "rep-1" {
+			t.Errorf("%s index hits %+v, want one hit with ID rep-1", name, hits)
+		}
+	}
+}
+
 func TestGraphConnectorRefactorsToOntology(t *testing.T) {
 	store := graph.New()
 	idx := search.NewIndex(nil)

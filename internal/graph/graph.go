@@ -29,7 +29,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -986,7 +985,9 @@ func (s *Store) saveLocked(w io.Writer) error {
 }
 
 // Load reads a graph previously written by Save or SaveBinary into an
-// empty store, sniffing which codec wrote it.
+// empty store, sniffing which codec wrote it. storage.Open loads every
+// snapshot through it, including the JSON snapshot of a directory an
+// older build wrote, which it then rewrites in the binary form.
 func Load(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(binaryMagic))
@@ -1095,33 +1096,4 @@ func (s *Store) loadEdge(e Edge) error {
 func (s *Store) finishLoad() {
 	s.rebuildAdjLocked()
 	s.sizeClass = bits.Len(uint(s.nNodes + s.nEdges))
-}
-
-// SaveFile persists the graph to path atomically (write temp + rename).
-func (s *Store) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("graph: save file: %w", err)
-	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("graph: close: %w", err)
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile reads a graph from path.
-func LoadFile(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("graph: load file: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -641,8 +641,9 @@ func TestCypherWriteStreamTrailer(t *testing.T) {
 	}
 }
 
-// TestCypherReadOnlyServer: a server built with ReadOnly options (the
-// -graph snapshot mode) rejects write statements and still reads.
+// TestCypherReadOnlyServer: a server built with ReadOnly options
+// (skg-server -read-only, and every replica) rejects write statements
+// and still reads.
 func TestCypherReadOnlyServer(t *testing.T) {
 	store := graph.New()
 	store.MergeNode("Malware", "wannacry", nil)

@@ -43,6 +43,7 @@ import (
 	"securitykg/internal/search"
 	"securitykg/internal/sources"
 	"securitykg/internal/stix"
+	"securitykg/internal/storage"
 	"securitykg/internal/textproc"
 )
 
@@ -378,7 +379,7 @@ func (sys *System) CypherRows(query string, params map[string]any) (*cypher.Rows
 // PrepareCypher parses and plans a statement once for repeated
 // execution with different parameter bindings (threat-hunting loops,
 // API handlers). The statement remains valid until the graph is
-// replaced with LoadGraph.
+// replaced with AdoptStore.
 func (sys *System) PrepareCypher(query string) (*cypher.Stmt, error) {
 	return sys.engine().Prepare(query)
 }
@@ -391,9 +392,6 @@ func (sys *System) PrepareCypher(query string) (*cypher.Stmt, error) {
 func (sys *System) CypherAnalyze(query string, params map[string]any) (*cypher.Result, string, error) {
 	return sys.engine().QueryAnalyze(query, params)
 }
-
-// SaveGraph persists the knowledge graph to path.
-func (sys *System) SaveGraph(path string) error { return sys.Store.SaveFile(path) }
 
 // ExportSTIX writes the knowledge graph as a STIX 2.1-style bundle, making
 // it consumable by standard CTI tooling.
@@ -409,32 +407,53 @@ func (sys *System) AdoptStore(st *graph.Store) {
 	sys.Store = st
 }
 
-// RebuildIndex reconstructs the keyword search index from the report
-// nodes already in the graph (title field only; bodies are not
-// persisted). Used after adopting a recovered store, where ingestion —
-// which indexes bodies as it runs — did not populate the index.
-func (sys *System) RebuildIndex() {
-	idx := search.NewIndex(map[string]float64{"title": 2.0})
-	sys.Store.ForEachNode(func(n *graph.Node) bool {
-		if strings.HasSuffix(n.Type, "Report") {
-			id := n.Attrs.Get("report_id")
-			if id == "" {
-				id = fmt.Sprint(n.ID)
-			}
-			idx.Add(search.Document{ID: id, Fields: map[string]string{"title": n.Name}})
-		}
-		return true
-	})
-	sys.Index = idx
+// IngestStats pairs a collect pass with the fusion pass that followed
+// it (zero when fusion is disabled).
+type IngestStats struct {
+	CollectStats
+	Fusion fusion.Stats
 }
 
-// LoadGraph replaces the knowledge graph with one loaded from path.
-func (sys *System) LoadGraph(path string) error {
-	s, err := graph.LoadFile(path)
-	if err != nil {
-		return err
+// Ingest fills the graph as one load: a collect pass, then fusion when
+// the configuration enables it. Adjacency seals once at the end instead
+// of repacking as the store grows.
+func (sys *System) Ingest(ctx context.Context) (IngestStats, error) {
+	sys.Store.BeginBulk()
+	defer sys.Store.EndBulk()
+	var st IngestStats
+	var err error
+	if st.CollectStats, err = sys.Collect(ctx); err != nil {
+		return st, err
 	}
-	s.IndexAttr("report_id")
-	sys.Store = s
-	return nil
+	if sys.cfg.Fusion.Enabled {
+		st.Fusion, err = sys.Fuse()
+	}
+	return st, err
+}
+
+// OpenDataDir opens the data directory dir and adopts its store. When
+// ingest is set and the directory holds no graph yet, it fills the store
+// with Ingest and checkpoints, so the directory holds the whole graph
+// as a snapshot; the returned stats are then non-nil. Otherwise it
+// serves what was recovered and rebuilds the search index from its
+// report nodes. The caller owns the returned DB and must Close it.
+func (sys *System) OpenDataDir(ctx context.Context, dir string, opts storage.Options, ingest bool) (*storage.DB, *IngestStats, error) {
+	db, err := storage.Open(dir, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	sys.AdoptStore(db.Store())
+	if !ingest || sys.Store.CountNodes() > 0 {
+		sys.Index = connector.RebuildIndex(sys.Store)
+		return db, nil, nil
+	}
+	st, err := sys.Ingest(ctx)
+	if err == nil {
+		err = db.Checkpoint()
+	}
+	if err != nil {
+		db.Close()
+		return nil, nil, err
+	}
+	return db, &st, nil
 }

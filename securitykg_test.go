@@ -3,12 +3,14 @@ package securitykg
 import (
 	"bytes"
 	"context"
-	"path/filepath"
+	"crypto/sha256"
 	"strings"
 	"sync"
 	"testing"
 
 	"securitykg/internal/config"
+	"securitykg/internal/graph"
+	"securitykg/internal/storage"
 )
 
 // one shared small system per test binary: New trains a CRF, which is the
@@ -120,19 +122,86 @@ func TestSystemFuseReducesAliases(t *testing.T) {
 	}
 }
 
-func TestSystemSaveLoadGraph(t *testing.T) {
-	sys, _ := sharedSystem(t)
-	path := filepath.Join(t.TempDir(), "kg.jsonl")
-	if err := sys.SaveGraph(path); err != nil {
+// durableSystem builds a small System and writes its graph into dir the
+// way `skg -out dir` does: ingest into the opened store, then checkpoint.
+// The caller owns the returned DB.
+func durableSystem(t *testing.T, dir string) (*System, *storage.DB) {
+	t.Helper()
+	cfg := config.Default()
+	cfg.ReportsPerSource = 3
+	cfg.NER.TrainDocs = 40
+	cfg.NER.Epochs = 3
+	sys, err := New(Options{Config: &cfg})
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := sys.Store.Stats()
-	if err := sys.LoadGraph(path); err != nil {
+	db, st, err := sys.OpenDataDir(context.Background(), dir, storage.Options{Sync: storage.SyncNever}, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := sys.Store.Stats()
-	if before.Nodes != after.Nodes || before.Edges != after.Edges {
-		t.Errorf("save/load changed graph: %+v vs %+v", before, after)
+	if st == nil || st.Process.Connected == 0 {
+		db.Close()
+		t.Fatalf("empty data directory was not ingested into: %+v", st)
+	}
+	return sys, db
+}
+
+func saveHash(t *testing.T, st *graph.Store) [sha256.Size]byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return sha256.Sum256(buf.Bytes())
+}
+
+// TestSystemDataDirRoundTrip: the data directory skg's path writes
+// reopens to the same bytes, and reopening it through OpenDataDir
+// recovers the graph and its search index instead of ingesting again.
+func TestSystemDataDirRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	sys, db := durableSystem(t, dir)
+	want := saveHash(t, sys.Store)
+	// Two reports with one title merge into one report node, so the
+	// rebuilt index counts report nodes, not the reports ingested.
+	var reports int
+	sys.Store.ForEachNode(func(n *graph.Node) bool {
+		if strings.HasSuffix(n.Type, "Report") {
+			reports++
+		}
+		return true
+	})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := storage.Open(dir, storage.Options{Sync: storage.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := saveHash(t, db2.Store()); got != want {
+		t.Fatalf("recovered store's Save hash %x, live store's %x", got, want)
+	}
+	if db2.Recovered.Replayed != 0 {
+		t.Errorf("%d WAL records replayed; the post-ingest checkpoint should cover them all", db2.Recovered.Replayed)
+	}
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db3, st, err := sys.OpenDataDir(context.Background(), dir, storage.Options{Sync: storage.SyncNever}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	if st != nil {
+		t.Fatalf("a directory holding a graph was ingested into again: %+v", st)
+	}
+	if got := saveHash(t, sys.Store); got != want {
+		t.Fatalf("reopened store's Save hash %x, want %x", got, want)
+	}
+	if sys.Index.Len() != reports {
+		t.Errorf("rebuilt search index holds %d reports, want the %d report nodes", sys.Index.Len(), reports)
 	}
 }
 
