@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-extract bench-scan bench-heap bench-ledger cover fuzz crash-test replication-test soak-test
+.PHONY: build test vet bench bench-extract bench-scan bench-heap bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,20 @@ soak-test:
 
 vet:
 	$(GO) vet ./...
+
+# plan-shapes diffs the EXPLAIN texts in PLANS against their version at
+# REV (a commit, branch or tag) with every est≈ value stripped, so a
+# planner change shows the plans whose shape moved apart from the ones
+# whose estimates did. Each hunk header names the statement above it; no
+# output means no shape moved.
+PLANS = internal/cypher/testdata/plans_parent.txt
+REV ?= HEAD
+plan-shapes:
+	@set -e; git rev-parse --verify '$(REV):$(PLANS)' > /dev/null; \
+	old=$$(mktemp); new=$$(mktemp); trap 'rm -f "$$old" "$$new"' EXIT; \
+	git show '$(REV):$(PLANS)' | sed -E 's/ *est≈[0-9.]+//' > "$$old"; \
+	sed -E 's/ *est≈[0-9.]+//' $(PLANS) > "$$new"; \
+	diff -U0 -F '^-- ' --label '$(REV)' --label worktree "$$old" "$$new" || true
 
 # bench runs the Cypher engine benchmarks (index on/off,
 # variable-length paths, MERGE write path, hash join, bidirectional

@@ -50,8 +50,6 @@ type Config struct {
 		Enabled bool     `json:"enabled"`
 		Types   []string `json:"types,omitempty"`
 	} `json:"fusion"`
-
-	LogPath string `json:"log_path,omitempty"` // log connector target
 }
 
 // Default returns the configuration used when no file is given.

@@ -58,6 +58,7 @@ func TestParseRejectsBadValues(t *testing.T) {
 		`{"checkers": ["nonexistent"]}`,
 		`{"connectors": ["mongodb"]}`,
 		`{"graph_path": "kg.jsonl"}`,
+		`{"log_path": "x"}`,
 		`{"reports_per_sorce": 5}`,
 		`{"seed": 1} {"seed": 2}`,
 	}

@@ -56,12 +56,12 @@ type Engine struct {
 	// statements) or graph.Tx (write statements, explicit transactions)
 	// on the per-scope engine copies beginScope makes.
 	view graph.View
-	// w is the write surface (tx.go): the bare store on an unscoped
-	// engine, the scope's graph.Tx inside a write scope. Its Latest*
-	// reads see the writer's own uncommitted state — the write path must
-	// act on latest state, not the pinned snapshot (a MERGE must augment
-	// the node as it now is).
-	w     graphWriter
+	// w is the write surface (write.go): the scope's graph.Tx inside a
+	// write scope, nil on an unscoped engine, which never writes. Its
+	// Latest* reads see the writer's own uncommitted state — the write
+	// path must act on latest state, not the pinned snapshot (a MERGE
+	// must augment the node as it now is).
+	w     *graph.Tx
 	opts  Options
 	cache *planCache
 	// pinned marks an engine scoped to an explicit transaction
@@ -75,7 +75,7 @@ type Engine struct {
 
 // NewEngine builds an engine over the store.
 func NewEngine(s *graph.Store, opts Options) *Engine {
-	return &Engine{store: s, view: s, w: s, opts: opts, cache: cacheFor(s)}
+	return &Engine{store: s, view: s, opts: opts, cache: cacheFor(s)}
 }
 
 // Result is a rectangular query result.

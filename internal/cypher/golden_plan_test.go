@@ -164,10 +164,10 @@ func TestGoldenWithWherePushdown(t *testing.T) {
 	assertGolden(t, got, `
 plan (streaming, greedy-ordered):
    1. IndexSeek(label+name) (m:Malware {name: "hub"}) name="hub"   est≈1
-   2. VarExpand (m)-[:CONNECT*1..2]-(host)                         est≈1498.0
+   2. VarExpand (m)-[:CONNECT*1..2]-(host)                         est≈2996.0
       where host.name starts with "10."
-   3. Optional [introduces r]                                      est≈1498.0
-       3.1 BoundRef (host)                                         est≈1498.0
+   3. Optional [introduces r]                                      est≈2996.0
+       3.1 BoundRef (host)                                         est≈2996.0
        3.2 Expand (host)<-[:MENTIONS]-(r)                          est≈1
    => With (aggregating) host, collect(r.name)
    => Project host.name, reports

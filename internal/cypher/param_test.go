@@ -224,9 +224,9 @@ func TestParamSeekPlansLikeLiteral(t *testing.T) {
 	s := graph.New()
 	s.IndexAttr("platform")
 	for i := 0; i < 100; i++ {
-		// Ten distinct platform values: the average bucket (10) beats the
-		// label scan (100), so the stats-default costing must pick the
-		// composite attr seek even though the bound value is unknown.
+		// A $param seek is costed by structure, at one node like a literal
+		// (label, name) seek, so the composite attr seek beats the
+		// 100-node label scan although the bound value is unknown.
 		s.MergeNode("Malware", fmt.Sprintf("m%d", i), map[string]string{"platform": fmt.Sprintf("os%d", i%10)})
 	}
 	eng := NewEngine(s, DefaultOptions())

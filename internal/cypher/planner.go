@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -26,28 +27,30 @@ import (
 //     janus-datalog line of work): among all pattern chains and all
 //     possible entry nodes, repeatedly start at the node with the
 //     smallest estimated candidate count — a bound variable is free, an
-//     exact (label, name) seek is ~1, a label scan costs the label
-//     cardinality, a full scan costs the node count — then grow the
-//     chain in whichever direction has the smaller estimated fan-out
-//     (average edge-type degree × target selectivity). Variable-length
-//     expansions cost the geometric sum of the per-hop fan-out over the
-//     hop range. OPTIONAL MATCH clauses plan in place (after the
-//     required stages that bind their anchors) as nested sub-pipelines,
-//     preserving clause order across null-padding boundaries.
+//     exact (label, name) seek and any $param seek are ~1, a label scan
+//     costs the label cardinality, a full scan costs the node count —
+//     then grow the chain in whichever direction has the smaller
+//     estimated fan-out (the edge type's edges per source-label node ×
+//     target selectivity). Variable-length expansions cost the geometric
+//     sum of the per-hop fan-out over the hop range. OPTIONAL MATCH
+//     clauses plan in place (after the required stages that bind their
+//     anchors) as nested sub-pipelines, preserving clause order across
+//     null-padding boundaries.
 //  3. The resulting stages execute as lazy pull iterators (iter.go), so
 //     downstream LIMIT/MaxRows stop matching instead of truncating a
 //     materialized result. WITH boundaries become segment bridges that
 //     re-root the binding namespace.
 //
 // Statistics come from the graph store's selectivity layer (CountByType,
-// CountByName, CountByTypeAttr, AvgDegree, ...): counts the store keeps
-// live as records come and go, so planning is O(pattern size) with O(1)
-// stat lookups and never walks nodes or edges.
+// CountByName, CountByTypeAttr, AvgDegree, ...): the index posting
+// lengths and node and edge counts the store keeps for its own use, so
+// planning is O(pattern size) with O(1) stat lookups, never walks nodes
+// or edges, and no write maintains anything for the planner alone.
 
 // planQuery builds the plan for q against the engine's store and options.
-// $parameter predicates are costed with stats defaults (average index
-// bucket sizes) so one plan serves every binding; the chosen access
-// path's key is resolved per execution by the scan iterator.
+// $parameter predicates are costed by structure (a seek is ~1) so one
+// plan serves every binding; the chosen access path's key is resolved per
+// execution by the scan iterator.
 func (e *Engine) planQuery(q *Query) (*Plan, error) {
 	if len(q.Parts) == 0 {
 		return nil, fmt.Errorf("cypher: empty query")
@@ -448,9 +451,10 @@ func dirFor(d EdgeDir, reverse bool) graph.Direction {
 	return graph.In
 }
 
-// hopDegree is the average fan-out of one hop: edges of the pattern's
-// type, in the traversal direction, per node with the source's label, so
-// a hub label costs what the hub label fans out.
+// hopDegree is the fan-out of one hop: edges of the pattern's type per
+// node with the source's label, doubled for an undirected hop — an upper
+// bound on the mean that is exact for a typed relation leaving the label
+// (Store.AvgDegree).
 func (e *Engine) hopDegree(fromLabel string, ep EdgePattern, reverse bool) float64 {
 	return e.store.AvgDegree(fromLabel, ep.Type, dirFor(ep.Dir, reverse))
 }
@@ -725,10 +729,11 @@ type accessPath struct {
 // label is the one the access path must use: the pattern's own, or one
 // inferred from a literal type-equality predicate (n.type = "Malware"
 // scans like (:Malware)). Parameter-valued hints select the same index
-// kinds as literals but are costed with stats defaults — the average
-// name/attribute bucket size — since the bound value is unknown at plan
-// time. The index *kind* never depends on the bound value, so the plan
-// is reusable across bindings without re-costing.
+// kinds as literals but, their value unknown at plan time, are costed by
+// structure: a name or indexed-attribute seek at one node, like a literal
+// (label, name) seek, so a seek ranks before a label scan and a label
+// scan before a full scan. The index *kind* never depends on the bound
+// value, so the plan is reusable across bindings without re-costing.
 func (e *Engine) accessFor(np NodePattern, hints map[string]hintVal) accessPath {
 	st := e.store
 	total := float64(st.CountNodes())
@@ -765,15 +770,10 @@ func (e *Engine) accessFor(np NodePattern, hints map[string]hintVal) accessPath 
 
 	if n, hasName := merged["name"]; hasName {
 		if n.param != "" {
-			est := st.AvgNameBucket()
 			if label != "" {
-				// (label, name) pairs are unique in the store.
-				if est > 1 {
-					est = 1
-				}
-				return accessPath{kind: AccessLabelName, label: label, nameParam: n.param, est: est}
+				return accessPath{kind: AccessLabelName, label: label, nameParam: n.param, est: 1}
 			}
-			return accessPath{kind: AccessName, nameParam: n.param, est: est}
+			return accessPath{kind: AccessName, nameParam: n.param, est: 1}
 		}
 		if label != "" {
 			return accessPath{kind: AccessLabelName, label: label, name: n.lit,
@@ -787,24 +787,25 @@ func (e *Engine) accessFor(np NodePattern, hints map[string]hintVal) accessPath 
 	if label != "" {
 		ap.kind, ap.est = AccessLabel, float64(st.CountByType(label))
 	}
-	for k, v := range merged {
+	// Sorted, so that of two equally cheap keys the plan always takes the
+	// same one.
+	for _, k := range slices.Sorted(maps.Keys(merged)) {
+		v := merged[k]
 		if k == "name" || k == "type" || k == "label" || k == "id" || !st.HasAttrIndex(k) {
 			continue
 		}
-		var n float64
-		var ok bool
-		if v.param != "" {
-			n, ok = st.AvgAttrBucket(k)
-		} else if label != "" {
+		n := 1.0 // a $param seek, costed by structure
+		if v.param == "" {
+			// The key is indexed (checked above), so the count is exact.
 			var c int
-			c, ok = st.CountByTypeAttr(label, k, v.lit)
-			n = float64(c)
-		} else {
-			var c int
-			c, ok = st.CountByAttr(k, v.lit)
+			if label != "" {
+				c, _ = st.CountByTypeAttr(label, k, v.lit)
+			} else {
+				c, _ = st.CountByAttr(k, v.lit)
+			}
 			n = float64(c)
 		}
-		if !ok || n >= ap.est {
+		if n >= ap.est {
 			continue
 		}
 		if label != "" {

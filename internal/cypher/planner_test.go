@@ -99,6 +99,31 @@ func TestPlannerCompositeAttrSeek(t *testing.T) {
 	if len(res.Rows) != 10 {
 		t.Errorf("rows = %d, want 10", len(res.Rows))
 	}
+
+	// Two indexed keys that cost the same, literal or $param: every
+	// planning takes the same one.
+	s.IndexAttr("a")
+	s.IndexAttr("b")
+	for i := 0; i < 100; i += 10 {
+		s.MergeNode("Malware", fmt.Sprintf("m%d", i), map[string]string{"a": "1", "b": "1"})
+	}
+	eng := NewEngine(s, DefaultOptions())
+	for _, q := range []string{
+		`match (n:Malware) where n.a = "1" and n.b = "1" return n`,
+		`match (n:Malware) where n.a = $x and n.b = $y return n`,
+	} {
+		texts := map[string]bool{}
+		for i := 0; i < 200; i++ {
+			text, err := eng.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts[text] = true
+		}
+		if len(texts) != 1 {
+			t.Errorf("%s: %d distinct plans over 200 plannings", q, len(texts))
+		}
+	}
 }
 
 func TestPlannerBoundChainPiggybacks(t *testing.T) {

@@ -28,29 +28,6 @@ import (
 // a session owner (Tx.Query, the HTTP tx-token handler); the plain
 // Query entry points reject them with errTxControl.
 
-// graphWriter is the mutation surface the write path (write.go) runs
-// against: the bare *graph.Store on an unscoped engine, a *graph.Tx
-// inside a statement or explicit-transaction scope. The Latest* reads
-// deliberately bypass the pinned snapshot — a writer must act on (and
-// bind) the latest state, including its own uncommitted writes.
-type graphWriter interface {
-	MergeNode(typ, name string, attrs map[string]string) (graph.NodeID, bool)
-	AddEdge(from graph.NodeID, typ string, to graph.NodeID, attrs map[string]string) (graph.EdgeID, bool, error)
-	SetAttr(id graph.NodeID, key, val string) error
-	DeleteNode(id graph.NodeID) error
-	DeleteEdge(id graph.EdgeID) error
-
-	LatestNode(id graph.NodeID) *graph.Node
-	LatestEdge(id graph.EdgeID) *graph.Edge
-	LatestEdges(id graph.NodeID, dir graph.Direction) []*graph.Edge
-	LatestFindNode(typ, name string) *graph.Node
-}
-
-var (
-	_ graphWriter = (*graph.Store)(nil)
-	_ graphWriter = (*graph.Tx)(nil)
-)
-
 // errTxControl is returned when BEGIN/COMMIT/ROLLBACK reaches a plain
 // query entry point; transaction control belongs to a session.
 var errTxControl = fmt.Errorf("cypher: BEGIN/COMMIT/ROLLBACK are transaction-control statements — run them through Engine.Begin / a transaction session, not Query")

@@ -10,11 +10,11 @@ import (
 // TestLiveCountsUnderChurn drives seeded random histories — merges, edge
 // adds (self-loops, the empty edge type and the empty label included),
 // SETs, edge and node deletes, migrations, committed and rolled-back
-// transactions, failed batches — and after every step recounts the edge
-// endpoints from the slabs: the counts the planner reads must be exactly
-// that. The logged history then rebuilds the same counts through an
-// Apply loop in a load bracket, as recovery replays, and both codecs
-// reload them.
+// transactions, failed batches — and after every step recounts labels,
+// edge types and edge endpoints from the slabs: the counts the planner
+// reads must be exactly the recount (checkLiveCounts). The logged history
+// then rebuilds the same counts through an Apply loop in a load bracket,
+// as recovery replays, and both codecs reload them.
 func TestLiveCountsUnderChurn(t *testing.T) {
 	type writer interface {
 		MergeNode(typ, name string, attrs map[string]string) (NodeID, bool)

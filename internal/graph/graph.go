@@ -97,12 +97,6 @@ type edgeKeyT struct {
 	typ  Sym
 }
 
-// endKey is the (endpoint label, edge type) key of the endpoint counts,
-// packed into one word so the map takes the runtime's integer-key path.
-type endKey uint64
-
-func endKeyOf(label, typ Sym) endKey { return endKey(label)<<32 | endKey(typ) }
-
 // typeAttrKeyT is the composite (type, key, val) index key for indexed
 // attributes.
 type typeAttrKeyT struct {
@@ -163,25 +157,16 @@ type Store struct {
 	// byName is the name index across types, empty postings pruned. It is
 	// the merge index too: the exact (type, name) probe filters the name's
 	// posting — almost always one ID long — by the records' labels.
-	byName map[string]posting
-	// propIdx[key][val] is the posting for one indexed attribute value;
-	// propIdxSize[key] counts the nodes carrying the key (sum over vals),
-	// kept live so AvgAttrBucket is O(1).
-	propIdx     map[Sym]map[string]posting
-	propIdxSize map[Sym]int
-	typeAttr    map[typeAttrKeyT]posting // composite (type, key, val) index for indexed attrs
-	indexed     map[Sym]bool             // which attribute keys are indexed
-	edgeKey     map[edgeKeyT]EdgeID
+	byName   map[string]posting
+	propIdx  map[Sym]map[string]posting // propIdx[key][val]: the posting for one indexed attribute value
+	typeAttr map[typeAttrKeyT]posting   // composite (type, key, val) index for indexed attrs
+	indexed  map[Sym]bool               // which attribute keys are indexed
+	edgeKey  map[edgeKeyT]EdgeID
 
-	edgeTypeCount map[Sym]int // live per-type edge counts for the statistics layer
-	// endDeg counts edge endpoints by the label of the node at that end:
-	// [Out] the edges of the key's type leaving a node of its label, [In]
-	// those arriving at one. labelDeg is the same over all edge types — a
-	// map of its own, because the empty edge type is a type like any other
-	// (Sym 0) and must not be taken for "any type". Both move with
-	// edgeTypeCount and drop a key at zero, so AvgDegree is O(1).
-	endDeg   map[endKey]*[2]int
-	labelDeg map[Sym]*[2]int
+	// edgeTypeCount is the live edge count per type, zero counts pruned:
+	// Stats().EdgesByType, and with the byType posting lengths the
+	// planner's hop fan-out (AvgDegree).
+	edgeTypeCount map[Sym]int
 	// statsVersion is the planner-facing epoch: it bumps when IndexAttr
 	// creates a new access path and when the store changes sizeClass,
 	// bits.Len(nNodes+nEdges). Plan caches key on it, so a steady write
@@ -227,13 +212,10 @@ func New() *Store {
 		byType:        make(map[Sym]posting),
 		byName:        make(map[string]posting),
 		propIdx:       make(map[Sym]map[string]posting),
-		propIdxSize:   make(map[Sym]int),
 		typeAttr:      make(map[typeAttrKeyT]posting),
 		indexed:       make(map[Sym]bool),
 		edgeKey:       make(map[edgeKeyT]EdgeID),
 		edgeTypeCount: make(map[Sym]int),
-		endDeg:        make(map[endKey]*[2]int),
-		labelDeg:      make(map[Sym]*[2]int),
 		statsVersion:  1,
 		nodeBegin:     make(map[NodeID]uint64),
 		edgeBegin:     make(map[EdgeID]uint64),
@@ -360,15 +342,12 @@ func (s *Store) IndexAttr(key string) {
 func (s *Store) indexAttr(typ, key Sym, val string, id NodeID) {
 	m := s.propIdx[key]
 	m[val] = m[val].add(id)
-	s.propIdxSize[key]++
 	k := typeAttrKeyT{typ: typ, key: key, val: val}
 	s.typeAttr[k] = s.typeAttr[k].add(id)
 }
 
 func (s *Store) unindexAttr(typ, key Sym, val string, id NodeID) {
-	if unfile(s.propIdx[key], val, id) {
-		s.propIdxSize[key]--
-	}
+	unfile(s.propIdx[key], val, id)
 	unfile(s.typeAttr, typeAttrKeyT{typ: typ, key: key, val: val}, id)
 }
 
@@ -739,7 +718,6 @@ func (s *Store) uninstallEdgeLocked(id EdgeID, rec edgeRec) {
 	if s.edgeTypeCount[rec.typ]--; s.edgeTypeCount[rec.typ] <= 0 {
 		delete(s.edgeTypeCount, rec.typ)
 	}
-	s.countEndpointsLocked(rec, -1)
 }
 
 // installEdgeLocked publishes an edge record (growing the slab for a new
@@ -750,31 +728,6 @@ func (s *Store) installEdgeLocked(id EdgeID, rec edgeRec) {
 	s.nEdges++
 	s.edgeKey[edgeKeyT{from: rec.from, to: rec.to, typ: rec.typ}] = id
 	s.edgeTypeCount[rec.typ]++
-	s.countEndpointsLocked(rec, 1)
-}
-
-// countEndpointsLocked adds d to the endpoint counts of rec's two ends.
-// It reads their labels from the node slab, so both endpoints must be
-// installed when an edge record enters or leaves the store.
-func (s *Store) countEndpointsLocked(rec edgeRec, d int) {
-	from, to := s.nodes[rec.from].typ, s.nodes[rec.to].typ
-	addDeg(s.endDeg, endKeyOf(from, rec.typ), Out, d)
-	addDeg(s.endDeg, endKeyOf(to, rec.typ), In, d)
-	addDeg(s.labelDeg, from, Out, d)
-	addDeg(s.labelDeg, to, In, d)
-}
-
-// addDeg adds d to one side of k's pair. The pairs sit behind pointers so
-// that the usual bump is one map read, not a read and a write.
-func addDeg[K comparable](m map[K]*[2]int, k K, side Direction, d int) {
-	c := m[k]
-	if c == nil {
-		c = new([2]int)
-		m[k] = c
-	}
-	if c[side] += d; *c == ([2]int{}) {
-		delete(m, k)
-	}
 }
 
 // MigrateEdges re-points every edge incident to from so it is incident to

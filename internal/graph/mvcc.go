@@ -882,15 +882,15 @@ func (tx *Tx) Rollback() error {
 		return nil
 	}
 	s.mu.Lock()
-	// Put every touched entity's pre-image back, in three passes. The
-	// endpoint counts read both endpoints' labels from the node slab
-	// whenever an edge record enters or leaves, so the transaction's edges
-	// come down while the nodes it created are still there, and the
-	// pre-image edges go back only once the nodes it deleted are.
-	for id := range tx.undoE {
+	// Put every touched entity's pre-image back.
+	for id, u := range tx.undoE {
 		if rec, ok := s.edgeAt(id); ok {
 			s.uninstallEdgeLocked(id, rec)
 		}
+		if u.existed {
+			s.installEdgeLocked(id, u.rec)
+		}
+		restoreVersions(s.edgeBegin, s.edgeOld, id, u.begin, u.hadBegin, u.oldLen)
 	}
 	for id, u := range tx.undoN {
 		rec, ok := s.nodeAt(id)
@@ -905,12 +905,6 @@ func (tx *Tx) Rollback() error {
 			s.installNodeLocked(id, u.rec)
 		}
 		restoreVersions(s.nodeBegin, s.nodeOld, id, u.begin, u.hadBegin, u.oldLen)
-	}
-	for id, u := range tx.undoE {
-		if u.existed {
-			s.installEdgeLocked(id, u.rec)
-		}
-		restoreVersions(s.edgeBegin, s.edgeOld, id, u.begin, u.hadBegin, u.oldLen)
 	}
 	// The ID allocators go back, and the slabs give up the slots past them.
 	s.nextNode, s.nextEdge, s.mergeHits = tx.preNextNode, tx.preNextEdge, tx.preMergeHits
@@ -979,15 +973,7 @@ func (tx *Tx) ForEachNode(fn func(*Node) bool) { tx.snap.ForEachNode(fn) }
 //
 // Writers sometimes need the latest state rather than their snapshot:
 // MergeNode and AddEdge act on latest (single-writer semantics), so the
-// pre-write diffing and post-write binding around them must too. The
-// Latest* family exposes that surface uniformly on *Store and *Tx.
-
-func (s *Store) LatestNode(id NodeID) *Node { return s.Node(id) }
-func (s *Store) LatestEdge(id EdgeID) *Edge { return s.Edge(id) }
-func (s *Store) LatestEdges(id NodeID, dir Direction) []*Edge {
-	return s.Edges(id, dir)
-}
-func (s *Store) LatestFindNode(typ, name string) *Node { return s.FindNode(typ, name) }
+// pre-write diffing and post-write binding around them must too.
 
 func (tx *Tx) LatestNode(id NodeID) *Node { return tx.s.Node(id) }
 func (tx *Tx) LatestEdge(id EdgeID) *Edge { return tx.s.Edge(id) }

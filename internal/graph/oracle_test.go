@@ -69,7 +69,7 @@ func oracleHistory(t *testing.T) *Store {
 
 	snap := s.Snapshot()
 	defer snap.Release()
-	wantNodes, wantEdges := s.CountNodes(), s.CountEdges()
+	wantNodes, wantEdges := s.CountNodes(), s.Stats().Edges
 	wantMalware := snap.NodeIDsByType("Malware")
 	wantRat := snap.NodeIDsByAttr("family", "rat")
 

@@ -98,15 +98,11 @@ func (p posting) all() iter.Seq[NodeID] {
 }
 
 // unfile removes id from the posting under k, pruning the entry when it
-// empties (the distinct-label and distinct-name counts are map sizes),
-// and reports whether id was filed there.
-func unfile[K comparable](m map[K]posting, k K, id NodeID) bool {
-	p := m[k]
-	q := p.remove(id)
-	if q.n == 0 {
+// empties: an index never holds an empty posting.
+func unfile[K comparable](m map[K]posting, k K, id NodeID) {
+	if p := m[k].remove(id); p.n == 0 {
 		delete(m, k)
 	} else {
-		m[k] = q
+		m[k] = p
 	}
-	return q.n != p.n
 }

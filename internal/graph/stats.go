@@ -3,25 +3,18 @@ package graph
 import "math/bits"
 
 // This file is the statistics and selectivity layer the Cypher planner
-// consumes: O(1) cardinality estimates backed by the live indexes, live
-// endpoint counts for expansion fan-out, and NodeID-granular access paths so
-// the streaming executor can pull nodes lazily instead of materializing
-// full candidate slices up front. Planner-facing string inputs resolve
-// through the symbol table with lookup (never intern): probing for a
-// label or key the store has never seen must not grow the table.
+// consumes: O(1) cardinality estimates backed by the live indexes and
+// counts, and NodeID-granular access paths so the streaming executor can
+// pull nodes lazily instead of materializing full candidate slices up
+// front. Planner-facing string inputs resolve through the symbol table
+// with lookup (never intern): probing for a label or key the store has
+// never seen must not grow the table.
 
 // CountNodes returns the number of nodes in the store.
 func (s *Store) CountNodes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.nNodes
-}
-
-// CountEdges returns the number of edges in the store.
-func (s *Store) CountEdges() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nEdges
 }
 
 // CountByType returns the number of nodes with the given type (label).
@@ -75,50 +68,11 @@ func (s *Store) CountByTypeAttr(typ, key, val string) (int, bool) {
 	return s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}].n, true
 }
 
-// CountEdgesByType returns the number of edges with the given type.
-func (s *Store) CountEdgesByType(typ string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.edgeTypeCount[s.syms.lookup(typ)]
-}
-
 // HasAttrIndex reports whether IndexAttr was called for key.
 func (s *Store) HasAttrIndex(key string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.indexed[s.syms.lookup(key)]
-}
-
-// AvgNameBucket returns the average number of nodes sharing one name —
-// the planner's default selectivity for a name seek whose key is a
-// query parameter (unknown until bind time). O(1): the name index prunes
-// empty buckets.
-func (s *Store) AvgNameBucket() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.byName) == 0 {
-		return 1
-	}
-	return float64(s.nNodes) / float64(len(s.byName))
-}
-
-// AvgAttrBucket returns the average number of nodes per distinct value
-// of an indexed attribute (ok=false when the attribute is not indexed)
-// — the stats default for parameter-valued attribute seeks. O(1): the
-// store keeps a live count of nodes carrying each indexed key, so no
-// per-value scan happens at plan time.
-func (s *Store) AvgAttrBucket(key string) (float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ks := s.syms.lookup(key)
-	if !s.indexed[ks] {
-		return 0, false
-	}
-	buckets := len(s.propIdx[ks])
-	if buckets == 0 {
-		return 1, true
-	}
-	return float64(s.propIdxSize[ks]) / float64(buckets), true
 }
 
 // --- stats version: the planner-facing invalidation epoch ---
@@ -149,42 +103,30 @@ func (s *Store) StatsVersion() int64 {
 	return s.statsVersion
 }
 
-// AvgDegree returns the mean number of edges of edgeType ("" = any type)
-// that a node labelled label ("" = any node) has on side dir: the
-// planner's fan-out for one hop. Both is out plus in, so a self-loop
-// counts twice. O(1): the store counts edge endpoints per (label, type,
-// side) as edges come and go. 0 when no node carries the label.
+// AvgDegree returns the planner's fan-out for one hop: the edges of
+// edgeType ("" = every edge) per node labelled label ("" = every node),
+// doubled for Both. It reads only counts the store keeps anyway: the
+// type's edge count and the label's posting length. The result is an
+// upper bound on the mean degree of the label's nodes on side dir, exact
+// when every edge of the type ends at that label on that side (the
+// ontology's typed relations do). 0 when no node carries the label.
 func (s *Store) AvgDegree(label, edgeType string, dir Direction) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var sources int
-	var ends [2]int
-	if label == "" {
-		sources = s.nNodes
-		n := s.nEdges
-		if edgeType != "" {
-			n = s.edgeTypeCount[s.syms.lookup(edgeType)]
-		}
-		ends = [2]int{n, n}
-	} else {
-		l := s.syms.lookup(label)
-		sources = s.byType[l].n
-		c := s.labelDeg[l]
-		if edgeType != "" {
-			c = s.endDeg[endKeyOf(l, s.syms.lookup(edgeType))]
-		}
-		if c != nil {
-			ends = *c
-		}
+	nodes, edges := s.nNodes, s.nEdges
+	if label != "" {
+		nodes = s.byType[s.syms.lookup(label)].n
 	}
-	if sources == 0 {
+	if edgeType != "" {
+		edges = s.edgeTypeCount[s.syms.lookup(edgeType)]
+	}
+	if nodes == 0 {
 		return 0
 	}
-	walks := ends[Out] + ends[In]
-	if dir != Both {
-		walks = ends[dir]
+	if dir == Both {
+		edges *= 2
 	}
-	return float64(walks) / float64(sources)
+	return float64(edges) / float64(nodes)
 }
 
 // --- NodeID access paths for lazy scans ---
@@ -245,23 +187,4 @@ func (s *Store) NodeIDsByTypeAttr(typ, key, val string) []NodeID {
 		return nil
 	}
 	return s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}].ids()
-}
-
-// NodesByTypeAttr returns the nodes of the given type with
-// attrs[key] == val. Uses the composite index when available, otherwise
-// scans. The records are shared and immutable — read-only.
-func (s *Store) NodesByTypeAttr(typ, key, val string) []*Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ks := s.syms.lookup(key)
-	if s.indexed[ks] {
-		return s.nodesOfLocked(s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}])
-	}
-	var out []*Node
-	for id := range s.byType[s.syms.lookup(typ)].all() {
-		if n := s.nodes[id].n; n.Attrs.Get(key) == val {
-			out = append(out, n)
-		}
-	}
-	return out
 }

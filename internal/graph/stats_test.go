@@ -35,8 +35,9 @@ func TestCounts(t *testing.T) {
 	if got := s.CountNodes(); got != 41 {
 		t.Errorf("CountNodes = %d, want 41", got)
 	}
-	if got := s.CountEdges(); got != 31 {
-		t.Errorf("CountEdges = %d, want 31", got)
+	st := s.Stats()
+	if st.Edges != 31 {
+		t.Errorf("Stats().Edges = %d, want 31", st.Edges)
 	}
 	if got := s.CountByType("Malware"); got != 10 {
 		t.Errorf("CountByType(Malware) = %d, want 10", got)
@@ -53,8 +54,8 @@ func TestCounts(t *testing.T) {
 	if got := s.CountByTypeName("IP", "m-3"); got != 0 {
 		t.Errorf("CountByTypeName miss = %d, want 0", got)
 	}
-	if got := s.CountEdgesByType("CONNECT"); got != 30 {
-		t.Errorf("CountEdgesByType(CONNECT) = %d, want 30", got)
+	if got := st.EdgesByType["CONNECT"]; got != 30 {
+		t.Errorf("Stats().EdgesByType[CONNECT] = %d, want 30", got)
 	}
 }
 
@@ -102,21 +103,20 @@ func TestCompositeIndexTracksMutations(t *testing.T) {
 
 func TestNodesByTypeAttr(t *testing.T) {
 	s := buildStatsStore(t)
-	got := s.NodesByTypeAttr("Malware", "platform", "linux")
+	got := s.NodeIDsByTypeAttr("Malware", "platform", "linux")
 	if len(got) != 5 {
-		t.Fatalf("NodesByTypeAttr = %d nodes, want 5", len(got))
+		t.Fatalf("NodeIDsByTypeAttr = %d nodes, want 5", len(got))
 	}
-	for _, n := range got {
-		if n.Type != "Malware" || n.Attrs.Get("platform") != "linux" {
+	for _, id := range got {
+		if n := s.Node(id); n.Type != "Malware" || n.Attrs.Get("platform") != "linux" {
 			t.Errorf("wrong node: %+v", n)
 		}
 	}
-	// Unindexed path scans.
+	// An unindexed attribute has no access path.
 	s2 := New()
 	s2.MergeNode("Malware", "a", map[string]string{"fam": "x"})
-	s2.MergeNode("Malware", "b", map[string]string{"fam": "y"})
-	if got := s2.NodesByTypeAttr("Malware", "fam", "x"); len(got) != 1 || got[0].Name != "a" {
-		t.Errorf("scan path: %+v", got)
+	if got := s2.NodeIDsByTypeAttr("Malware", "fam", "x"); got != nil {
+		t.Errorf("unindexed attribute: %v, want nil", got)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestEdgeTypeCountSurvivesDeleteAndLoad(t *testing.T) {
 	if err := s.DeleteEdge(victim); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.CountEdgesByType("CONNECT"); got != 29 {
+	if got := s.Stats().EdgesByType["CONNECT"]; got != 29 {
 		t.Errorf("after delete: %d, want 29", got)
 	}
 	// Round-trip through Save/Load.
@@ -146,7 +146,7 @@ func TestEdgeTypeCountSurvivesDeleteAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.CountEdgesByType("CONNECT"); got != 29 {
+	if got := s2.Stats().EdgesByType["CONNECT"]; got != 29 {
 		t.Errorf("after load: %d, want 29", got)
 	}
 	if got := len(s2.AllNodeIDs()); got != s.CountNodes() {
@@ -160,18 +160,21 @@ func TestAvgDegree(t *testing.T) {
 	for _, c := range []struct {
 		label, edgeType string
 		dir             Direction
-		walks, sources  float64
+		edges, nodes    float64
 	}{
-		// 30 CONNECT edges spread i%10, so each of the 10 malware has
-		// exactly 3 outgoing CONNECTs (malware 0's one edge of a different
-		// type must not count).
+		// The 30 CONNECT edges all leave malware, so the bound is exact:
+		// each of the 10 malware has 3 (malware 0's one edge of another
+		// type does not count).
 		{"Malware", "CONNECT", Out, 30, 10},
 		{"Malware", "", Out, 31, 10},
-		// IPs have no outgoing CONNECTs, one incoming each.
-		{"IP", "CONNECT", Out, 0, 30},
+		// The one ATTRIBUTED_TO edge ends at the one actor: exact too.
+		{"ThreatActor", "ATTRIBUTED_TO", In, 1, 1},
+		// IPs have no outgoing CONNECTs and one incoming each: the bound
+		// reads the type's edges per IP whatever the side, Both doubled.
+		{"IP", "CONNECT", Out, 30, 30},
 		{"IP", "CONNECT", In, 30, 30},
-		{"IP", "CONNECT", Both, 30, 30},
-		// "" label covers every node; "" type counts all edges; Both sums.
+		{"IP", "CONNECT", Both, 60, 30},
+		// "" label covers every node; "" type counts all edges.
 		{"", "", Both, 62, 41},
 		{"", "CONNECT", In, 30, 41},
 		// Never-seen labels and types read 0 and intern nothing.
@@ -179,8 +182,8 @@ func TestAvgDegree(t *testing.T) {
 		{"Malware", "NOPE", Both, 0, 1},
 		{"", "NOPE", Out, 0, 1},
 	} {
-		if got, want := s.AvgDegree(c.label, c.edgeType, c.dir), c.walks/c.sources; got != want {
-			t.Errorf("AvgDegree(%q, %q, %d) = %v, want %v/%v", c.label, c.edgeType, c.dir, got, c.walks, c.sources)
+		if got, want := s.AvgDegree(c.label, c.edgeType, c.dir), c.edges/c.nodes; got != want {
+			t.Errorf("AvgDegree(%q, %q, %d) = %v, want %v/%v", c.label, c.edgeType, c.dir, got, c.edges, c.nodes)
 		}
 	}
 	if got := s.syms.count(); got != syms {
@@ -213,78 +216,102 @@ func TestAvgDegreeFollowsEveryWrite(t *testing.T) {
 	}
 }
 
-// checkLiveCounts recounts every edge endpoint from the slabs and
-// requires the store's live counts — the maps, and what AvgDegree reads
-// off them for every (label, type, side) present — to be exactly that.
+// checkLiveCounts recounts nodes per label, edges per type and edge
+// endpoints per (label, type, side) from the slabs. The counts the store
+// keeps live — byType, edgeTypeCount, nNodes, nEdges — must equal the
+// recount, and every AvgDegree reading must be the type's edges over the
+// label's nodes, doubled for Both, and never below the exact mean the
+// endpoint recount gives.
 func checkLiveCounts(t *testing.T, s *Store) {
 	t.Helper()
 	s.mu.RLock()
-	type end struct{ label, typ Sym }
-	endDeg, labelDeg := map[end][2]int{}, map[Sym][2]int{}
+	type end struct{ label, typ string }
+	labels, types, ends := map[string]int{}, map[string]int{}, map[end][2]int{}
+	nodes, edges := 0, 0
+	for _, rec := range s.nodes {
+		if rec.n != nil {
+			nodes++
+			labels[rec.n.Type]++
+		}
+	}
 	for _, rec := range s.edges {
 		if rec.e == nil {
 			continue
 		}
-		from, to := s.nodes[rec.from], s.nodes[rec.to]
-		if from.n == nil || to.n == nil {
+		edges++
+		types[rec.e.Type]++
+		from, to := s.nodes[rec.from].n, s.nodes[rec.to].n
+		if from == nil || to == nil {
+			s.mu.RUnlock()
 			t.Fatalf("edge %d has a missing endpoint", rec.e.ID)
 		}
-		for side, label := range []Sym{Out: from.typ, In: to.typ} {
-			c := endDeg[end{label, rec.typ}]
-			c[side]++
-			endDeg[end{label, rec.typ}] = c
-			c = labelDeg[label]
-			c[side]++
-			labelDeg[label] = c
+		for side, n := range []*Node{Out: from, In: to} {
+			// A set: the empty label and the empty type are real ones too,
+			// and "" also stands for any.
+			for k := range map[end]bool{{n.Type, rec.e.Type}: true, {n.Type, ""}: true, {"", rec.e.Type}: true, {"", ""}: true} {
+				c := ends[k]
+				c[side]++
+				ends[k] = c
+			}
 		}
 	}
-	if len(s.endDeg) != len(endDeg) || len(s.labelDeg) != len(labelDeg) {
-		t.Errorf("live counts hold %d (label, type) and %d label keys, want %d and %d",
-			len(s.endDeg), len(s.labelDeg), len(endDeg), len(labelDeg))
+	if s.nNodes != nodes || s.nEdges != edges {
+		t.Errorf("live totals %d nodes, %d edges; want %d, %d", s.nNodes, s.nEdges, nodes, edges)
 	}
-	for k, want := range endDeg {
-		if got := s.endDeg[endKeyOf(k.label, k.typ)]; got == nil || *got != want {
-			t.Errorf("live endpoint count of (%q, %q) = %v, want %v", s.syms.str(k.label), s.syms.str(k.typ), got, want)
+	if len(s.byType) != len(labels) || len(s.edgeTypeCount) != len(types) {
+		t.Errorf("live counts hold %d labels and %d edge types, want %d and %d",
+			len(s.byType), len(s.edgeTypeCount), len(labels), len(types))
+	}
+	for l, n := range labels {
+		if got := s.byType[s.syms.lookup(l)].n; got != n {
+			t.Errorf("label %q posting holds %d nodes, want %d", l, got, n)
 		}
 	}
-	for l, want := range labelDeg {
-		if got := s.labelDeg[l]; got == nil || *got != want {
-			t.Errorf("live endpoint count of label %q = %v, want %v", s.syms.str(l), got, want)
+	for ty, n := range types {
+		if got := s.edgeTypeCount[s.syms.lookup(ty)]; got != n {
+			t.Errorf("live count of edge type %q = %d, want %d", ty, got, n)
 		}
 	}
-	type probe struct {
-		label, typ string
-		walks      [2]int
-		sources    int
-	}
-	var probes []probe
-	for k, c := range endDeg {
-		if label, typ := s.syms.str(k.label), s.syms.str(k.typ); label != "" && typ != "" {
-			probes = append(probes, probe{label, typ, c, s.byType[k.label].n})
-		}
-	}
-	for l, c := range labelDeg {
-		if label := s.syms.str(l); label != "" {
-			probes = append(probes, probe{label, "", c, s.byType[l].n})
-		}
-	}
-	for ty, n := range s.edgeTypeCount {
-		if typ := s.syms.str(ty); typ != "" {
-			probes = append(probes, probe{"", typ, [2]int{n, n}, s.nNodes})
-		}
-	}
-	probes = append(probes, probe{"", "", [2]int{s.nEdges, s.nEdges}, s.nNodes},
-		probe{"never-seen-label", "", [2]int{}, 1}, probe{"", "never-seen-type", [2]int{}, 1})
 	syms := s.syms.count()
 	s.mu.RUnlock()
-	for _, p := range probes {
-		for dir, walks := range map[Direction]int{Out: p.walks[Out], In: p.walks[In], Both: p.walks[Out] + p.walks[In]} {
-			want := 0.0
-			if p.sources > 0 {
-				want = float64(walks) / float64(p.sources)
+	probeLabels, probeTypes := []string{"", "never-seen-label"}, []string{"", "never-seen-type"}
+	for l := range labels {
+		if l != "" {
+			probeLabels = append(probeLabels, l)
+		}
+	}
+	for ty := range types {
+		if ty != "" {
+			probeTypes = append(probeTypes, ty)
+		}
+	}
+	for _, l := range probeLabels {
+		n := nodes
+		if l != "" {
+			n = labels[l]
+		}
+		for _, ty := range probeTypes {
+			m := edges
+			if ty != "" {
+				m = types[ty]
 			}
-			if got := s.AvgDegree(p.label, p.typ, dir); got != want {
-				t.Errorf("AvgDegree(%q, %q, %d) = %v, want %d/%d", p.label, p.typ, dir, got, walks, p.sources)
+			c := ends[end{l, ty}]
+			for dir, exact := range map[Direction]int{Out: c[Out], In: c[In], Both: c[Out] + c[In]} {
+				walks := m
+				if dir == Both {
+					walks *= 2
+				}
+				want, mean := 0.0, 0.0
+				if n > 0 {
+					want, mean = float64(walks)/float64(n), float64(exact)/float64(n)
+				}
+				got := s.AvgDegree(l, ty, dir)
+				if got != want {
+					t.Errorf("AvgDegree(%q, %q, %d) = %v, want %d/%d", l, ty, dir, got, walks, n)
+				}
+				if got < mean {
+					t.Errorf("AvgDegree(%q, %q, %d) = %v is below the exact mean %d/%d", l, ty, dir, got, exact, n)
+				}
 			}
 		}
 	}
