@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-extract bench-scan bench-heap bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes
+.PHONY: build test vet bench bench-extract bench-scan bench-heap bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes loc
 
 build:
 	$(GO) build ./...
@@ -27,10 +27,12 @@ build:
 # oracle (TestPositionsMatchParent), single-goroutine and ≈12× slower
 # under -race, and gated the same way.
 # The final pass re-runs the transaction schedule harness (scripted +
-# randomized interleavings against the snapshot-isolation oracle) and
-# the parallel reader stress test under -race with fresh counts, so the
-# MVCC visibility paths get a dedicated concurrency shakedown beyond
-# the cached full-suite run, followed by the leader/follower
+# randomized interleavings against the snapshot-isolation oracle), the
+# parallel reader stress test and the isolation tests of the UI's walks
+# and view endpoints (an open transaction's writes never show) under
+# -race with fresh counts, so the MVCC visibility paths get a dedicated
+# concurrency shakedown beyond the cached full-suite run, followed by
+# the leader/follower
 # replication integration pass (replication-test) and a short-profile
 # live-ingest soak (soak-test with -short: fewer writers/batches, same
 # assertions — divergence, lost writes, 429 discipline, metrics under
@@ -39,6 +41,7 @@ test: vet
 	$(GO) test -race ./...
 	$(GO) test -run 'Allocs|PositionsMatchParent' ./internal/graph/ ./internal/storage/ ./internal/replication/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/ ./internal/layout/
 	$(GO) test -race -count=2 -run 'TestSchedule|TestConcurrentReadersSeeAtomicWrites|TestTx' ./internal/cypher/
+	$(GO) test -race -count=2 -run 'IgnoreOpenTx' ./internal/graph/ ./internal/server/
 	$(MAKE) replication-test
 	$(MAKE) soak-test SOAKFLAGS=-short
 
@@ -68,6 +71,15 @@ soak-test:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the non-test Go lines of every package — all lines of its
+# files not named *_test.go, comments and blank lines included — sorted
+# by directory, then the total: the count a change that removes code
+# reports before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' | sort | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^[.]/?", "", d); n[d == "" ? "." : d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # plan-shapes diffs the EXPLAIN texts in PLANS against their version at
 # REV (a commit, branch or tag) with every est≈ value stripped, so a

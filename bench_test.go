@@ -554,9 +554,11 @@ func BenchmarkRandomSubgraph(b *testing.B) {
 		}
 		prev = id
 	}
+	sn := s.Snapshot()
+	defer sn.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RandomSubgraph(int64(i), 50)
+		sn.RandomSubgraph(int64(i), 50)
 	}
 }
 

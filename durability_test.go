@@ -74,7 +74,7 @@ func TestServerDurableRestartRoundTrip(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].String() != "true" || res.Rows[0][1].String() != "203.0.113.7" {
 		t.Fatalf("checkpointed state lost: %+v", res.Rows)
 	}
-	if sys2.Store.FindNode("Tool", "tail-tool") == nil {
+	if findNode(sys2.Store, "Tool", "tail-tool") == nil {
 		t.Fatal("WAL-tail write lost across restart")
 	}
 }

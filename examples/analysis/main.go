@@ -50,7 +50,9 @@ func main() {
 
 	// 3. Actor profile: pick the actor with the most attributed malware.
 	var best *analytics.ActorProfile
-	for _, n := range sys.Store.NodesByType(string(ontology.TypeThreatActor)) {
+	sn := sys.Store.Snapshot()
+	defer sn.Release()
+	for _, n := range sn.NodesByType(string(ontology.TypeThreatActor)) {
 		p := analytics.ProfileActor(sys.Store, n.Name)
 		if best == nil || len(p.Malware)+len(p.Techniques) > len(best.Malware)+len(best.Techniques) {
 			best = p

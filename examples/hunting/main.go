@@ -32,7 +32,9 @@ func main() {
 
 	// Simulated incident telemetry: take the network IOCs of one malware
 	// in the graph as "what the EDR saw".
-	observed := sampleIncidentIOCs(sys)
+	sn := sys.Store.Snapshot()
+	defer sn.Release()
+	observed := sampleIncidentIOCs(sn)
 	if len(observed) == 0 {
 		log.Fatal("no IOCs in graph; increase reports per source")
 	}
@@ -45,7 +47,7 @@ func main() {
 	// to them (1-hop pivot).
 	scores := map[graph.NodeID]int{}
 	for _, ioc := range observed {
-		for _, nb := range sys.Store.Neighbors(ioc.ID, graph.Both) {
+		for _, nb := range sn.Neighbors(ioc.ID, graph.Both) {
 			if ontology.IsThreatConcept(ontology.EntityType(nb.Type)) {
 				scores[nb.ID]++
 			}
@@ -57,7 +59,7 @@ func main() {
 	}
 	var ranked []scored
 	for id, s := range scores {
-		ranked = append(ranked, scored{sys.Store.Node(id), s})
+		ranked = append(ranked, scored{sn.Node(id), s})
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].s != ranked[j].s {
@@ -80,8 +82,8 @@ func main() {
 
 	// Expand the hypothesis: what else does the KG know about this threat?
 	fmt.Println("\nadditional indicators and behaviors to hunt for:")
-	for _, e := range sys.Store.Edges(top.ID, graph.Out) {
-		dst := sys.Store.Node(e.To)
+	for _, e := range sn.Edges(top.ID, graph.Out) {
+		dst := sn.Node(e.To)
 		already := false
 		for _, o := range observed {
 			if o.ID == dst.ID {
@@ -141,14 +143,14 @@ func main() {
 
 // sampleIncidentIOCs picks the network/file IOCs adjacent to the first
 // malware node that has at least three of them.
-func sampleIncidentIOCs(sys *securitykg.System) []*graph.Node {
+func sampleIncidentIOCs(sn *graph.Snap) []*graph.Node {
 	var out []*graph.Node
-	sys.Store.ForEachNode(func(n *graph.Node) bool {
+	sn.ForEachNode(func(n *graph.Node) bool {
 		if n.Type != "Malware" {
 			return true
 		}
 		var iocs []*graph.Node
-		for _, nb := range sys.Store.Neighbors(n.ID, graph.Out) {
+		for _, nb := range sn.Neighbors(n.ID, graph.Out) {
 			if ontology.IsIOCType(ontology.EntityType(nb.Type)) {
 				iocs = append(iocs, nb)
 			}

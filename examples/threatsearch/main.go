@@ -96,7 +96,9 @@ func main() {
 // matches the query, case-insensitively.
 func findMalware(sys *securitykg.System, q string) *graph.Node {
 	var found *graph.Node
-	sys.Store.ForEachNode(func(n *graph.Node) bool {
+	sn := sys.Store.Snapshot()
+	defer sn.Release()
+	sn.ForEachNode(func(n *graph.Node) bool {
 		if n.Type != "Malware" {
 			return true
 		}

@@ -95,12 +95,12 @@ func TestIntegrationGroundTruthEntityRecall(t *testing.T) {
 				switch {
 				case e.Type == ontology.TypeMalware:
 					totalMal++
-					if sys.Store.FindNode(string(e.Type), e.Name) != nil {
+					if findNode(sys.Store, string(e.Type), e.Name) != nil {
 						foundMal++
 					}
 				case ontology.IsIOCType(e.Type):
 					totalIOC++
-					if sys.Store.FindNode(string(e.Type), e.Name) != nil {
+					if findNode(sys.Store, string(e.Type), e.Name) != nil {
 						foundIOC++
 					}
 				}
@@ -144,16 +144,16 @@ func TestIntegrationFusionMergesGeneratedAliases(t *testing.T) {
 			continue // canonical never appeared: nothing to merge into
 		}
 		mergeable++
-		if sys.Store.FindNode("Malware", alias) == nil {
+		if findNode(sys.Store, "Malware", alias) == nil {
 			merged++ // alias node folded away
 			continue
 		}
 		// Or the canonical was folded into the alias (degree tie): accept
 		// if either node records the other as alias.
-		if n := sys.Store.FindNode("Malware", canon); n != nil &&
+		if n := findNode(sys.Store, "Malware", canon); n != nil &&
 			strings.Contains(n.Attrs.Get("aliases"), alias) {
 			merged++
-		} else if n := sys.Store.FindNode("Malware", alias); n != nil &&
+		} else if n := findNode(sys.Store, "Malware", alias); n != nil &&
 			strings.Contains(n.Attrs.Get("aliases"), canon) {
 			merged++
 		}

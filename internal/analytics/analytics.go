@@ -23,6 +23,12 @@ type Ranked struct {
 // malware's rank; shared infrastructure concentrates rank). damping is
 // typically 0.85; iters around 20-50.
 func PageRank(s *graph.Store, damping float64, iters int) map[graph.NodeID]float64 {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return pageRank(sn, damping, iters)
+}
+
+func pageRank(sn *graph.Snap, damping float64, iters int) map[graph.NodeID]float64 {
 	if damping <= 0 || damping >= 1 {
 		damping = 0.85
 	}
@@ -32,15 +38,14 @@ func PageRank(s *graph.Store, damping float64, iters int) map[graph.NodeID]float
 	var ids []graph.NodeID
 	deg := map[graph.NodeID]int{}
 	adj := map[graph.NodeID][]graph.NodeID{}
-	s.ForEachNode(func(n *graph.Node) bool {
+	sn.ForEachNode(func(n *graph.Node) bool {
 		ids = append(ids, n.ID)
-		return true
-	})
-	s.ForEachEdge(func(e *graph.Edge) bool {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-		deg[e.From]++
-		deg[e.To]++
+		for _, e := range sn.Edges(n.ID, graph.Out) {
+			adj[e.From] = append(adj[e.From], e.To)
+			adj[e.To] = append(adj[e.To], e.From)
+			deg[e.From]++
+			deg[e.To]++
+		}
 		return true
 	})
 	n := float64(len(ids))
@@ -80,13 +85,15 @@ func PageRank(s *graph.Store, damping float64, iters int) map[graph.NodeID]float
 // TopThreats returns the k highest-PageRank nodes of the given entity
 // types (nil = threat concepts), most important first.
 func TopThreats(s *graph.Store, k int, types []ontology.EntityType) []Ranked {
-	ranks := PageRank(s, 0.85, 30)
+	sn := s.Snapshot()
+	defer sn.Release()
+	ranks := pageRank(sn, 0.85, 30)
 	want := map[string]bool{}
 	for _, t := range types {
 		want[string(t)] = true
 	}
 	var out []Ranked
-	s.ForEachNode(func(n *graph.Node) bool {
+	sn.ForEachNode(func(n *graph.Node) bool {
 		if len(want) > 0 {
 			if !want[n.Type] {
 				return true
@@ -118,9 +125,11 @@ type Component struct {
 // ConnectedComponents finds undirected components, largest first. Isolated
 // report clusters often indicate distinct campaigns.
 func ConnectedComponents(s *graph.Store) []Component {
+	sn := s.Snapshot()
+	defer sn.Release()
 	visited := map[graph.NodeID]bool{}
 	var comps []Component
-	s.ForEachNode(func(n *graph.Node) bool {
+	sn.ForEachNode(func(n *graph.Node) bool {
 		if visited[n.ID] {
 			return true
 		}
@@ -131,7 +140,7 @@ func ConnectedComponents(s *graph.Store) []Component {
 			cur := queue[0]
 			queue = queue[1:]
 			comp = append(comp, cur)
-			for _, nb := range s.Neighbors(cur, graph.Both) {
+			for _, nb := range sn.Neighbors(cur, graph.Both) {
 				if !visited[nb.ID] {
 					visited[nb.ID] = true
 					queue = append(queue, nb.ID)
@@ -163,13 +172,19 @@ type ActorProfile struct {
 
 // ProfileActor aggregates everything the KG knows about one threat actor.
 func ProfileActor(s *graph.Store, name string) *ActorProfile {
-	actor := s.FindNode(string(ontology.TypeThreatActor), name)
+	sn := s.Snapshot()
+	defer sn.Release()
+	return profileActor(sn, name)
+}
+
+func profileActor(sn *graph.Snap, name string) *ActorProfile {
+	actor := sn.FindNode(string(ontology.TypeThreatActor), name)
 	if actor == nil {
 		return nil
 	}
 	p := &ActorProfile{Actor: actor}
-	for _, e := range s.Edges(actor.ID, graph.Out) {
-		dst := s.Node(e.To)
+	for _, e := range sn.Edges(actor.ID, graph.Out) {
+		dst := sn.Node(e.To)
 		if dst == nil {
 			continue
 		}
@@ -182,8 +197,8 @@ func ProfileActor(s *graph.Store, name string) *ActorProfile {
 			p.Targets = append(p.Targets, dst.Name)
 		}
 	}
-	for _, e := range s.Edges(actor.ID, graph.In) {
-		src := s.Node(e.From)
+	for _, e := range sn.Edges(actor.ID, graph.In) {
+		src := sn.Node(e.From)
 		if src == nil {
 			continue
 		}
@@ -205,7 +220,9 @@ func ProfileActor(s *graph.Store, name string) *ActorProfile {
 // tool portfolios — the generalized form of the demo's "other threat
 // actors that use the same set of techniques" question.
 func SimilarActors(s *graph.Store, name string, k int) []Ranked {
-	self := ProfileActor(s, name)
+	sn := s.Snapshot()
+	defer sn.Release()
+	self := profileActor(sn, name)
 	if self == nil {
 		return nil
 	}
@@ -217,11 +234,11 @@ func SimilarActors(s *graph.Store, name string, k int) []Ranked {
 		selfSet["L:"+t] = true
 	}
 	var out []Ranked
-	for _, n := range s.NodesByType(string(ontology.TypeThreatActor)) {
+	for _, n := range sn.NodesByType(string(ontology.TypeThreatActor)) {
 		if n.Name == name {
 			continue
 		}
-		other := ProfileActor(s, n.Name)
+		other := profileActor(sn, n.Name)
 		otherSet := map[string]bool{}
 		for _, t := range other.Techniques {
 			otherSet["T:"+t] = true
@@ -263,12 +280,14 @@ type TimelineBucket struct {
 // Timeline buckets the reports describing or mentioning a threat by
 // publication month, oldest first — campaign activity over time.
 func Timeline(s *graph.Store, threat graph.NodeID) []TimelineBucket {
+	sn := s.Snapshot()
+	defer sn.Release()
 	counts := map[string]int{}
-	for _, e := range s.Edges(threat, graph.In) {
+	for _, e := range sn.Edges(threat, graph.In) {
 		if e.Type != string(ontology.RelDescribes) && e.Type != string(ontology.RelMentions) {
 			continue
 		}
-		rep := s.Node(e.From)
+		rep := sn.Node(e.From)
 		if rep == nil {
 			continue
 		}

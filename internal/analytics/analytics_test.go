@@ -70,8 +70,10 @@ func TestPageRankSumsToOneAndRanksHubs(t *testing.T) {
 	if math.Abs(sum-1) > 1e-6 {
 		t.Errorf("ranks sum to %f, want 1", sum)
 	}
-	hub := s.FindNode("Malware", "BigThreat")
-	minor := s.FindNode("Malware", "MinorThreat")
+	sn := s.Snapshot()
+	defer sn.Release()
+	hub := sn.FindNode("Malware", "BigThreat")
+	minor := sn.FindNode("Malware", "MinorThreat")
 	if ranks[hub.ID] <= ranks[minor.ID] {
 		t.Errorf("hub (%f) should outrank minor (%f)", ranks[hub.ID], ranks[minor.ID])
 	}
@@ -181,7 +183,9 @@ func TestSimilarActors(t *testing.T) {
 
 func TestTimeline(t *testing.T) {
 	s := buildKG(t)
-	hub := s.FindNode("Malware", "BigThreat")
+	sn := s.Snapshot()
+	defer sn.Release()
+	hub := sn.FindNode("Malware", "BigThreat")
 	tl := Timeline(s, hub.ID)
 	if len(tl) != 3 {
 		t.Fatalf("timeline buckets: %+v", tl)

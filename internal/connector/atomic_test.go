@@ -143,21 +143,27 @@ func TestConnectTornTailEveryOffset(t *testing.T) {
 }
 
 // TestConnectWholeReportsVisible runs two connect workers against a
-// durable leader with a tailing follower while a reader loops snapshots
-// of both stores: every report node a snapshot shows must already carry
-// all of its report's out-edges (titles are distinct, so each report has
-// its own node), and the two stores must end byte-identical.
+// durable leader with a tailing follower while two readers loop over both
+// stores: one through snapshots, one walking the newest node IDs one hop
+// with ExpandFrom, as the UI's expand does. Every report node either shows
+// must already carry all of its report's out-edges (titles are distinct,
+// so each report has its own node), and the two stores must end
+// byte-identical.
 func TestConnectWholeReportsVisible(t *testing.T) {
 	reps := sampleReports(t, 300)
 	ref := graph.New()
 	rc := NewGraphConnector(ref, nil)
-	wantOut := map[string]int{}
 	for _, r := range reps {
 		if err := rc.Connect(r); err != nil {
 			t.Fatal(err)
 		}
-		wantOut[r.Title] = len(ref.Edges(ref.FindNode(string(ontology.TypeMalwareReport), r.Title).ID, graph.Out))
 	}
+	wantOut := map[string]int{}
+	refSnap := ref.Snapshot()
+	for _, r := range reps {
+		wantOut[r.Title] = len(refSnap.Edges(refSnap.FindNode(string(ontology.TypeMalwareReport), r.Title).ID, graph.Out))
+	}
+	refSnap.Release()
 
 	ldb, err := storage.Open(t.TempDir(), durable)
 	if err != nil {
@@ -186,6 +192,36 @@ func TestConnectWholeReportsVisible(t *testing.T) {
 	stores := map[string]*graph.Store{"leader": ldb.Store(), "follower": fdb.Store()}
 	stop := make(chan struct{})
 	readerDone, reading := make(chan struct{}), make(chan struct{})
+	walkerDone := make(chan struct{})
+	go func() {
+		defer close(walkerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for name, st := range stores {
+				top := graph.NodeID(st.Stats().Nodes) // no deletes: IDs 1..top are live
+				for id := max(1, top-64); id <= top; id++ {
+					sg := st.ExpandFrom([]graph.NodeID{id}, 1, 1000, 1000)
+					if len(sg.Nodes) == 0 || sg.Nodes[0].Type != string(ontology.TypeMalwareReport) {
+						continue
+					}
+					got := 0
+					for _, e := range sg.Edges {
+						if e.From == id {
+							got++
+						}
+					}
+					if want := wantOut[sg.Nodes[0].Name]; got != want {
+						t.Errorf("%s: ExpandFrom showed report %q with %d of its %d out-edges", name, sg.Nodes[0].Name, got, want)
+						return
+					}
+				}
+			}
+		}
+	}()
 	go func() {
 		defer close(readerDone)
 		close(reading)
@@ -231,6 +267,7 @@ func TestConnectWholeReportsVisible(t *testing.T) {
 	wcancel()
 	close(stop)
 	<-readerDone
+	<-walkerDone
 	cancel()
 	if rerr := <-replDone; rerr != nil {
 		t.Errorf("replicator: %v", rerr)
@@ -242,8 +279,10 @@ func TestConnectWholeReportsVisible(t *testing.T) {
 		t.Fatal("follower state differs from leader")
 	}
 	for name, st := range stores {
-		if got := len(st.NodeIDsByType(string(ontology.TypeMalwareReport))); got != len(reps) {
+		sn := st.Snapshot()
+		if got := len(sn.NodeIDsByType(string(ontology.TypeMalwareReport))); got != len(reps) {
 			t.Errorf("%s holds %d reports, want %d", name, got, len(reps))
 		}
+		sn.Release()
 	}
 }

@@ -81,7 +81,9 @@ func (g *GraphConnector) Connect(c *ctirep.CTIRep) error {
 // It serves a store recovered from disk, which no Connect call filled.
 func RebuildIndex(store *graph.Store) *search.Index {
 	idx := search.NewIndex(map[string]float64{"title": 2.0})
-	store.ForEachNode(func(n *graph.Node) bool {
+	sn := store.Snapshot()
+	defer sn.Release()
+	sn.ForEachNode(func(n *graph.Node) bool {
 		if strings.HasSuffix(n.Type, "Report") {
 			id := n.Attrs.Get("report_id")
 			if id == "" { // a report created through Cypher has none

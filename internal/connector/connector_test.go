@@ -67,24 +67,26 @@ func TestGraphConnectorRefactorsToOntology(t *testing.T) {
 	if err := gc.Connect(sampleCTI()); err != nil {
 		t.Fatal(err)
 	}
+	sn := store.Snapshot()
+	defer sn.Release()
 	// Report node with attrs.
-	rep := store.FindNode(string(ontology.TypeMalwareReport), "WannaCry analysis")
+	rep := sn.FindNode(string(ontology.TypeMalwareReport), "WannaCry analysis")
 	if rep == nil || rep.Attrs.Get("report_id") != "rep-1" {
 		t.Fatalf("report node: %+v", rep)
 	}
 	// Vendor attribution.
-	vendor := store.FindNode(string(ontology.TypeCTIVendor), "AcmeSec")
+	vendor := sn.FindNode(string(ontology.TypeCTIVendor), "AcmeSec")
 	if vendor == nil {
 		t.Fatal("vendor node missing")
 	}
 	// DESCRIBES for threat concept, MENTIONS for IOC.
-	mal := store.FindNode(string(ontology.TypeMalware), "WannaCry")
-	ip := store.FindNode(string(ontology.TypeIP), "10.0.0.5")
+	mal := sn.FindNode(string(ontology.TypeMalware), "WannaCry")
+	ip := sn.FindNode(string(ontology.TypeIP), "10.0.0.5")
 	if mal == nil || ip == nil {
 		t.Fatal("entity nodes missing")
 	}
 	edgeTypes := map[string]bool{}
-	for _, e := range store.Edges(rep.ID, graph.Out) {
+	for _, e := range sn.Edges(rep.ID, graph.Out) {
 		edgeTypes[e.Type] = true
 	}
 	if !edgeTypes[string(ontology.RelReportedBy)] || !edgeTypes[string(ontology.RelDescribes)] ||
@@ -92,15 +94,15 @@ func TestGraphConnectorRefactorsToOntology(t *testing.T) {
 		t.Errorf("report edge types: %+v", edgeTypes)
 	}
 	// Extracted relation became an edge; invalid one skipped.
-	outs := store.Edges(mal.ID, graph.Out)
+	outs := sn.Edges(mal.ID, graph.Out)
 	if len(outs) != 1 || outs[0].Type != string(ontology.RelConnectsTo) {
 		t.Errorf("malware out edges: %+v", outs)
 	}
-	if ins := store.Edges(mal.ID, graph.In); len(ins) != 1 {
+	if ins := sn.Edges(mal.ID, graph.In); len(ins) != 1 {
 		t.Errorf("invalid relation leaked: %+v", ins)
 	}
 	// Bogus entity skipped silently.
-	if n := store.NodesByName("skipme"); len(n) != 0 {
+	if n := sn.NodesByName("skipme"); len(n) != 0 {
 		t.Error("invalid entity stored")
 	}
 	// Search index covers the report.

@@ -52,9 +52,9 @@ func DefaultOptions() Options {
 type Engine struct {
 	store *graph.Store
 	// view is the read surface every match stage and expression reads
-	// through: the bare store on an unscoped engine, a pinned Snap (read
-	// statements) or graph.Tx (write statements, explicit transactions)
-	// on the per-scope engine copies beginScope makes.
+	// through: a pinned Snap (read statements) or graph.Tx (write
+	// statements, explicit transactions) on the per-scope engine copies
+	// beginScope makes; nil on an unscoped engine, which never executes.
 	view graph.View
 	// w is the write surface (write.go): the scope's graph.Tx inside a
 	// write scope, nil on an unscoped engine, which never writes. Its
@@ -75,7 +75,7 @@ type Engine struct {
 
 // NewEngine builds an engine over the store.
 func NewEngine(s *graph.Store, opts Options) *Engine {
-	return &Engine{store: s, view: s, opts: opts, cache: cacheFor(s)}
+	return &Engine{store: s, opts: opts, cache: cacheFor(s)}
 }
 
 // Result is a rectangular query result.

@@ -45,7 +45,7 @@ func TestStatementAtomicityRollback(t *testing.T) {
 			t.Fatalf("failed statement left the store changed: earlier rows' deletes were not rolled back")
 		}
 		for _, n := range []string{"iso1", "iso2", "conn"} {
-			if s.FindNode("Tool", n) == nil {
+			if findNode(s, "Tool", n) == nil {
 				t.Fatalf("node %q missing after rolled-back statement", n)
 			}
 		}
@@ -130,7 +130,7 @@ func TestCursorPinsSnapshot(t *testing.T) {
 	}
 	// Mutate between Next calls: the open cursor must not see it.
 	s.MergeNode("Tool", "c", nil)
-	s.DeleteNode(s.FindNode("Tool", "b").ID)
+	s.DeleteNode(findNode(s, "Tool", "b").ID)
 	got := []string{rows.Row()[0].String()}
 	for rows.Next() {
 		got = append(got, rows.Row()[0].String())
@@ -208,7 +208,7 @@ func TestTxLifecycle(t *testing.T) {
 	if len(logged) != 0 {
 		t.Fatalf("rolled-back transaction logged %v", logged)
 	}
-	if s.FindNode("Tool", "gone") != nil {
+	if findNode(s, "Tool", "gone") != nil {
 		t.Fatal("rolled-back node survived")
 	}
 }
@@ -246,7 +246,7 @@ func TestTxAbortOnError(t *testing.T) {
 	if !tx.Done() {
 		t.Fatal("rolled-back tx not Done")
 	}
-	if s.FindNode("Tool", "pre") != nil {
+	if findNode(s, "Tool", "pre") != nil {
 		t.Fatal("write from before the failed statement survived the abort")
 	}
 	// The engine is fully usable afterwards.
@@ -321,7 +321,7 @@ func TestTxControlRouting(t *testing.T) {
 	if _, err := tx.Query(`match (n) return n`, nil); err == nil {
 		t.Fatal("statement on finished tx accepted")
 	}
-	if s.FindNode("Tool", "a") == nil {
+	if findNode(s, "Tool", "a") == nil {
 		t.Fatal("COMMIT statement did not publish the write")
 	}
 
@@ -330,7 +330,7 @@ func TestTxControlRouting(t *testing.T) {
 	if _, err := tx2.Query("ROLLBACK", nil); err != nil {
 		t.Fatalf("ROLLBACK via statement: %v", err)
 	}
-	if s.FindNode("Tool", "b") != nil {
+	if findNode(s, "Tool", "b") != nil {
 		t.Fatal("ROLLBACK statement kept the write")
 	}
 }

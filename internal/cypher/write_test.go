@@ -11,6 +11,20 @@ import (
 	"securitykg/internal/graph"
 )
 
+// findNode and nodesNamed read the committed state through a snapshot
+// held only for the read.
+func findNode(s *graph.Store, typ, name string) *graph.Node {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return sn.FindNode(typ, name)
+}
+
+func nodesNamed(s *graph.Store, name string) []*graph.Node {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return sn.NodesByName(name)
+}
+
 // writeFixture builds the store both write-test engines start from.
 func writeFixture() *graph.Store {
 	s := graph.New()
@@ -201,7 +215,7 @@ func TestWriteOnlyRowsCursor(t *testing.T) {
 	if ws := rows.Writes(); ws == nil || ws.NodesCreated != 1 {
 		t.Fatalf("writes: %+v", ws)
 	}
-	if s.FindNode("Host", "h9") == nil {
+	if findNode(s, "Host", "h9") == nil {
 		t.Fatal("mutation not applied")
 	}
 }
@@ -297,7 +311,7 @@ func TestMaterialMutationInvalidatesPlanCache(t *testing.T) {
 	query("shrink to 254", 1)
 	dropMalware(63)
 	query("shrink to 128", 0)
-	s.DeleteNode(s.FindNode("Tool", "t0").ID)
+	s.DeleteNode(findNode(s, "Tool", "t0").ID)
 	query("shrink to 127", 1)
 }
 
@@ -374,7 +388,7 @@ func TestPreparedWriteStatement(t *testing.T) {
 	if n := s.CountByType("Malware"); n != 3 {
 		t.Fatalf("expected 3 Malware nodes, got %d", n)
 	}
-	if len(s.NodesByName(`") detach delete (x`)) != 1 {
+	if len(nodesNamed(s, `") detach delete (x`)) != 1 {
 		t.Fatal("injection-shaped parameter was not treated as data")
 	}
 }
@@ -487,7 +501,7 @@ func TestWriteCursorCloseAppliesMutations(t *testing.T) {
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.FindNode("T", "close-only") == nil {
+	if findNode(s, "T", "close-only") == nil {
 		t.Fatal("Close without Next dropped the write")
 	}
 	if ws := rows.Writes(); ws == nil || ws.NodesCreated != 1 {
@@ -523,7 +537,7 @@ func TestWriteWithLimitZero(t *testing.T) {
 		t.Fatalf("LIMIT 0 dropped writes: %+v", res.Writes)
 	}
 	for _, name := range []string{"t1", "t2"} {
-		if n := s.FindNode("Tool", name); n == nil || n.Attrs.Get("mark") != "1" {
+		if n := findNode(s, "Tool", name); n == nil || n.Attrs.Get("mark") != "1" {
 			t.Fatalf("%s not written: %+v", name, n)
 		}
 	}

@@ -146,7 +146,9 @@ func layoutGraph(n int, seed int64) layout.Graph {
 func ExploreOps(nodes int, seed int64) (*Table, error) {
 	s := syntheticKG(nodes, seed)
 	actual := s.Stats().Nodes
-	hub := s.FindNode("Malware", "malware-1")
+	sn := s.Snapshot()
+	defer sn.Release()
+	hub := sn.FindNode("Malware", "malware-1")
 	if hub == nil {
 		return nil, fmt.Errorf("experiments: hub node missing")
 	}
@@ -165,20 +167,20 @@ func ExploreOps(nodes int, seed int64) (*Table, error) {
 		t.AddRow(name, (time.Since(start) / time.Duration(reps)).Round(time.Microsecond).String(), size)
 	}
 	timeIt("expand depth=1", 100, func() int {
-		return len(s.ExpandFrom([]graph.NodeID{hub.ID}, 1, 25, 100).Nodes)
+		return len(sn.ExpandFrom([]graph.NodeID{hub.ID}, 1, 25, 100).Nodes)
 	})
 	timeIt("expand depth=2", 50, func() int {
-		return len(s.ExpandFrom([]graph.NodeID{hub.ID}, 2, 25, 200).Nodes)
+		return len(sn.ExpandFrom([]graph.NodeID{hub.ID}, 2, 25, 200).Nodes)
 	})
 	timeIt("random subgraph n=50", 50, func() int {
-		return len(s.RandomSubgraph(seed, 50).Nodes)
+		return len(sn.RandomSubgraph(seed, 50).Nodes)
 	})
 	timeIt("collapse", 100, func() int {
-		sg := s.ExpandFrom([]graph.NodeID{hub.ID}, 1, 25, 100)
-		return len(s.CollapseFrom(hub.ID, sg.NodeIDs(), sg.NodeIDs()[:1]))
+		sg := sn.ExpandFrom([]graph.NodeID{hub.ID}, 1, 25, 100)
+		return len(sn.CollapseFrom(hub.ID, sg.NodeIDs(), sg.NodeIDs()[:1]))
 	})
 	timeIt("layout 100-node view", 10, func() int {
-		sg := s.ExpandFrom([]graph.NodeID{hub.ID}, 2, 25, 100)
+		sg := sn.ExpandFrom([]graph.NodeID{hub.ID}, 2, 25, 100)
 		lg := layout.Graph{N: len(sg.Nodes)}
 		idx := map[graph.NodeID]int{}
 		for i, nd := range sg.Nodes {

@@ -63,22 +63,36 @@ func Normalize(name string) string {
 // the highest degree (ties: lowest ID, i.e. earliest inserted) becomes the
 // canonical node, every other member's edges migrate to it, alias names
 // are recorded in the canonical's "aliases" attribute, and the duplicates
-// are removed.
+// are removed. The pass is one transaction: readers see the store before
+// it or after it, and a failed pass changes nothing.
 func Fuse(s *graph.Store, opts Options) (Stats, error) {
 	if opts.MinGroup < 2 {
 		opts.MinGroup = 2
 	}
+	var st Stats
+	st.EdgesBefore = s.Stats().Edges
+	tx := s.BeginTx()
+	if err := fuse(tx, opts, &st); err != nil {
+		tx.Rollback()
+		return st, err
+	}
+	if err := tx.Commit(); err != nil {
+		return st, err
+	}
+	st.EdgesAfter = s.Stats().Edges
+	return st, nil
+}
+
+// fuse is Fuse's pass, reading and writing through tx.
+func fuse(tx *graph.Tx, opts Options, st *Stats) error {
 	typeFilter := map[string]bool{}
 	for _, t := range opts.Types {
 		typeFilter[t] = true
 	}
 
-	var st Stats
-	st.EdgesBefore = s.Stats().Edges
-
 	// Group nodes by (type, normalized name).
 	groups := map[string][]*graph.Node{}
-	s.ForEachNode(func(n *graph.Node) bool {
+	tx.ForEachNode(func(n *graph.Node) bool {
 		if len(typeFilter) > 0 && !typeFilter[n.Type] {
 			return true
 		}
@@ -104,27 +118,27 @@ func Fuse(s *graph.Store, opts Options) (Stats, error) {
 		st.Groups++
 		// Pick the canonical: highest degree, then lowest ID.
 		best := members[0]
-		bestDeg := len(s.Edges(best.ID, graph.Both))
+		bestDeg := len(tx.Edges(best.ID, graph.Both))
 		for _, m := range members[1:] {
-			deg := len(s.Edges(m.ID, graph.Both))
+			deg := len(tx.Edges(m.ID, graph.Both))
 			if deg > bestDeg || (deg == bestDeg && m.ID < best.ID) {
 				best, bestDeg = m, deg
 			}
 		}
-		aliases := collectAliases(s, best)
+		aliases := collectAliases(tx, best)
 		for _, m := range members {
 			if m.ID == best.ID {
 				continue
 			}
-			if err := s.MigrateEdges(m.ID, best.ID); err != nil {
-				return st, err
+			if err := tx.MigrateEdges(m.ID, best.ID); err != nil {
+				return err
 			}
 			// Unify attributes: keep canonical's values, adopt new keys.
 			for _, kv := range m.Attrs {
-				if cur := s.Node(best.ID); cur != nil {
+				if cur := tx.Node(best.ID); cur != nil {
 					if _, has := cur.Attrs.Lookup(kv.Key); !has {
-						if err := s.SetAttr(best.ID, kv.Key, kv.Val); err != nil {
-							return st, err
+						if err := tx.SetAttr(best.ID, kv.Key, kv.Val); err != nil {
+							return err
 						}
 					}
 				}
@@ -132,8 +146,8 @@ func Fuse(s *graph.Store, opts Options) (Stats, error) {
 			if m.Name != best.Name {
 				aliases[m.Name] = true
 			}
-			if err := s.DeleteNode(m.ID); err != nil {
-				return st, err
+			if err := tx.DeleteNode(m.ID); err != nil {
+				return err
 			}
 			st.NodesMerged++
 		}
@@ -143,19 +157,18 @@ func Fuse(s *graph.Store, opts Options) (Stats, error) {
 				names = append(names, a)
 			}
 			sort.Strings(names)
-			if err := s.SetAttr(best.ID, "aliases", strings.Join(names, "|")); err != nil {
-				return st, err
+			if err := tx.SetAttr(best.ID, "aliases", strings.Join(names, "|")); err != nil {
+				return err
 			}
 			st.AliasesStored += len(names)
 		}
 	}
-	st.EdgesAfter = s.Stats().Edges
-	return st, nil
+	return nil
 }
 
-func collectAliases(s *graph.Store, n *graph.Node) map[string]bool {
+func collectAliases(tx *graph.Tx, n *graph.Node) map[string]bool {
 	out := map[string]bool{}
-	if cur := s.Node(n.ID); cur != nil {
+	if cur := tx.Node(n.ID); cur != nil {
 		if prev, ok := cur.Attrs.Lookup("aliases"); ok && prev != "" {
 			for _, a := range strings.Split(prev, "|") {
 				out[a] = true

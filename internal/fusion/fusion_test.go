@@ -1,6 +1,9 @@
 package fusion
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"securitykg/internal/graph"
@@ -58,10 +61,12 @@ func TestFuseMergesAliasGroup(t *testing.T) {
 	if st.Groups != 1 || st.NodesMerged != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if s.Node(v1) != nil || s.Node(v2) != nil {
+	sn := s.Snapshot()
+	defer sn.Release()
+	if sn.Node(v1) != nil || sn.Node(v2) != nil {
 		t.Error("alias nodes should be deleted")
 	}
-	n := s.Node(canon)
+	n := sn.Node(canon)
 	if n == nil {
 		t.Fatal("canonical node gone")
 	}
@@ -88,11 +93,13 @@ func TestFuseMigratesAllEdgesWithoutLoss(t *testing.T) {
 	}
 	// Both reports must now describe the canonical node: no information
 	// lost, only unified.
-	ins := s.Edges(canon, graph.In)
+	sn := s.Snapshot()
+	defer sn.Release()
+	ins := sn.Edges(canon, graph.In)
 	if len(ins) != 2 {
 		t.Fatalf("canonical in-edges: %+v", ins)
 	}
-	outs := s.Edges(canon, graph.Out)
+	outs := sn.Edges(canon, graph.Out)
 	if len(outs) != 2 { // CONNECT ip (deduped), CONNECT dom
 		t.Fatalf("canonical out-edges: %+v", outs)
 	}
@@ -110,10 +117,12 @@ func TestFuseChoosesHighestDegreeCanonical(t *testing.T) {
 	if _, err := Fuse(s, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Node(popular) == nil {
+	sn := s.Snapshot()
+	defer sn.Release()
+	if sn.Node(popular) == nil {
 		t.Error("high-degree node should be canonical")
 	}
-	if s.Node(lonely) != nil {
+	if sn.Node(lonely) != nil {
 		t.Error("low-degree duplicate should be merged away")
 	}
 }
@@ -131,10 +140,12 @@ func TestFuseTypeFilter(t *testing.T) {
 	if st.Groups != 1 {
 		t.Fatalf("type filter ignored: %+v", st)
 	}
-	if got := len(s.NodesByType("Malware")); got != 2 {
+	sn := s.Snapshot()
+	defer sn.Release()
+	if got := len(sn.NodesByType("Malware")); got != 2 {
 		t.Errorf("malware should be untouched: %d nodes", got)
 	}
-	if got := len(s.NodesByType("Tool")); got != 1 {
+	if got := len(sn.NodesByType("Tool")); got != 1 {
 		t.Errorf("tools should be fused: %d nodes", got)
 	}
 }
@@ -180,5 +191,38 @@ func TestFuseEmptyStore(t *testing.T) {
 	st, err := Fuse(s, Options{})
 	if err != nil || st.Groups != 0 {
 		t.Errorf("empty store: %+v err=%v", st, err)
+	}
+}
+
+// TestFuseIsOneCommitGroup: a fusion pass is one transaction, so the
+// durability hook sees its mutations wrapped in exactly one
+// tx_begin/tx_commit pair, and the fused store saves to the bytes the
+// pass wrote when each of its mutations committed on its own.
+func TestFuseIsOneCommitGroup(t *testing.T) {
+	s, _, _, _ := buildAliasGraph(t)
+	var ops []graph.MutationOp
+	s.SetMutationHook(func(m graph.Mutation) { ops = append(ops, m.Op) })
+	if _, err := Fuse(s, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	begins, commits := 0, 0
+	for _, op := range ops {
+		switch op {
+		case graph.OpTxBegin:
+			begins++
+		case graph.OpTxCommit:
+			commits++
+		}
+	}
+	if len(ops) < 3 || ops[0] != graph.OpTxBegin || ops[len(ops)-1] != graph.OpTxCommit || begins != 1 || commits != 1 {
+		t.Errorf("hook saw %v; want one tx_begin ... tx_commit group around the pass", ops)
+	}
+	var b bytes.Buffer
+	if err := s.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = "f0048970c09b53cff0535d331daea9ba6ca5ab27caa163b14ace2464954ee500"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != want {
+		t.Errorf("fused store's Save SHA-256 %s, want %s:\n%s", got, want, b.String())
 	}
 }

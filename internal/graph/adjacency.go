@@ -230,26 +230,3 @@ type IncidentEdge struct {
 	Other NodeID
 	Type  string
 }
-
-// IncidentEdges appends to buf the edges incident to id in the given
-// direction whose type matches typ ("" matches every type), returning
-// the extended buffer. Within one direction edges come back in
-// ascending edge-ID order; Both yields the out block then the in block
-// (self-loops appear in each). Reusing buf across calls makes the walk
-// allocation-free once the buffer has grown to the node's degree.
-func (s *Store) IncidentEdges(buf []IncidentEdge, id NodeID, dir Direction, typ string) []IncidentEdge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	any := typ == ""
-	var want Sym
-	if !any {
-		want = s.syms.lookup(typ) // symNone matches no edge
-	}
-	s.adj.forEach(id, dir, func(he halfEdge) bool {
-		if any || he.typ == want {
-			buf = append(buf, IncidentEdge{ID: he.id, Other: he.other, Type: s.syms.str(he.typ)})
-		}
-		return true
-	})
-	return buf
-}

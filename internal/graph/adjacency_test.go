@@ -33,48 +33,52 @@ func checkIncidence(t *testing.T, s *Store) {
 	truthOut := map[NodeID][]half{}
 	truthIn := map[NodeID][]half{}
 	types := map[string]bool{"": true}
-	s.ForEachEdge(func(e *Edge) bool {
-		truthOut[e.From] = append(truthOut[e.From], half{e.ID, e.To, e.Type})
-		truthIn[e.To] = append(truthIn[e.To], half{e.ID, e.From, e.Type})
-		types[e.Type] = true
-		return true
-	})
-	var buf []IncidentEdge
-	s.ForEachNode(func(n *Node) bool {
-		for typ := range types {
-			for _, dir := range []Direction{Out, In, Both} {
-				var want []half
-				if dir == Out || dir == Both {
-					want = append(want, truthOut[n.ID]...)
-				}
-				if dir == In || dir == Both {
-					want = append(want, truthIn[n.ID]...)
-				}
-				if typ != "" {
-					filtered := want[:0:0]
-					for _, h := range want {
-						if h.typ == typ {
-							filtered = append(filtered, h)
-						}
+	for _, rec := range s.edges {
+		if e := rec.e; e != nil {
+			truthOut[e.From] = append(truthOut[e.From], half{e.ID, e.To, e.Type})
+			truthIn[e.To] = append(truthIn[e.To], half{e.ID, e.From, e.Type})
+			types[e.Type] = true
+		}
+	}
+	latest(t, s, func(sn *Snap) bool {
+		var buf []IncidentEdge
+		sn.ForEachNode(func(n *Node) bool {
+			for typ := range types {
+				for _, dir := range []Direction{Out, In, Both} {
+					var want []half
+					if dir == Out || dir == Both {
+						want = append(want, truthOut[n.ID]...)
 					}
-					want = filtered
-				}
-				buf = s.IncidentEdges(buf[:0], n.ID, dir, typ)
-				if len(buf) != len(want) {
-					t.Fatalf("node %d dir %d type %q: got %d incidences, want %d",
-						n.ID, dir, typ, len(buf), len(want))
-				}
-				got := append([]IncidentEdge{}, buf...)
-				sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
-				sort.Slice(want, func(i, j int) bool { return want[i].id < want[j].id })
-				for i, h := range want {
-					if got[i].ID != h.id || got[i].Other != h.other || got[i].Type != h.typ {
-						t.Fatalf("node %d dir %d type %q [%d]: got %+v, want %+v",
-							n.ID, dir, typ, i, got[i], h)
+					if dir == In || dir == Both {
+						want = append(want, truthIn[n.ID]...)
+					}
+					if typ != "" {
+						filtered := want[:0:0]
+						for _, h := range want {
+							if h.typ == typ {
+								filtered = append(filtered, h)
+							}
+						}
+						want = filtered
+					}
+					buf = sn.IncidentEdges(buf[:0], n.ID, dir, typ)
+					if len(buf) != len(want) {
+						t.Fatalf("node %d dir %d type %q: got %d incidences, want %d",
+							n.ID, dir, typ, len(buf), len(want))
+					}
+					got := append([]IncidentEdge{}, buf...)
+					sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+					sort.Slice(want, func(i, j int) bool { return want[i].id < want[j].id })
+					for i, h := range want {
+						if got[i].ID != h.id || got[i].Other != h.other || got[i].Type != h.typ {
+							t.Fatalf("node %d dir %d type %q [%d]: got %+v, want %+v",
+								n.ID, dir, typ, i, got[i], h)
+						}
 					}
 				}
 			}
-		}
+			return true
+		})
 		return true
 	})
 }
@@ -92,7 +96,7 @@ func TestIncidentEdgesOrdering(t *testing.T) {
 	e3, _, _ := s.AddEdge(a, "y", a, nil) // self-loop
 	e4, _, _ := s.AddEdge(a, "x", c, nil)
 
-	out := s.IncidentEdges(nil, a, Out, "")
+	out := latest(t, s, func(sn *Snap) []IncidentEdge { return sn.IncidentEdges(nil, a, Out, "") })
 	wantOut := []EdgeID{e1, e3, e4}
 	if len(out) != len(wantOut) {
 		t.Fatalf("out: got %d edges, want %d", len(out), len(wantOut))
@@ -102,7 +106,7 @@ func TestIncidentEdgesOrdering(t *testing.T) {
 			t.Fatalf("out[%d] = %d, want %d (ascending order)", i, out[i].ID, id)
 		}
 	}
-	both := s.IncidentEdges(nil, a, Both, "")
+	both := latest(t, s, func(sn *Snap) []IncidentEdge { return sn.IncidentEdges(nil, a, Both, "") })
 	wantBoth := []EdgeID{e1, e3, e4, e2, e3} // out block asc, then in block asc
 	if len(both) != len(wantBoth) {
 		t.Fatalf("both: got %d edges, want %d", len(both), len(wantBoth))
@@ -112,11 +116,11 @@ func TestIncidentEdgesOrdering(t *testing.T) {
 			t.Fatalf("both[%d] = %d, want %d", i, both[i].ID, id)
 		}
 	}
-	typed := s.IncidentEdges(nil, a, Out, "y")
+	typed := latest(t, s, func(sn *Snap) []IncidentEdge { return sn.IncidentEdges(nil, a, Out, "y") })
 	if len(typed) != 1 || typed[0].ID != e3 || typed[0].Other != a {
 		t.Fatalf("type filter: got %+v", typed)
 	}
-	if unknown := s.IncidentEdges(nil, a, Both, "nosuchtype"); len(unknown) != 0 {
+	if unknown := latest(t, s, func(sn *Snap) []IncidentEdge { return sn.IncidentEdges(nil, a, Both, "nosuchtype") }); len(unknown) != 0 {
 		t.Fatalf("unknown type matched %d edges", len(unknown))
 	}
 }

@@ -16,7 +16,8 @@ import (
 
 // TestIncidentEdgesAllocs locks down the zero-allocation contract of the
 // CSR incidence iteration the query executor's expand stages sit on: a
-// caller-reused buffer means steady-state traversal never allocates.
+// caller-reused buffer means steady-state traversal through a snapshot
+// never allocates.
 func TestIncidentEdgesAllocs(t *testing.T) {
 	s := New()
 	hub, _ := s.MergeNode("Malware", "hub", nil)
@@ -27,6 +28,8 @@ func TestIncidentEdgesAllocs(t *testing.T) {
 			s.AddEdge(ip, "RESOLVE", hub, nil)
 		}
 	}
+	sn := s.Snapshot()
+	defer sn.Release()
 	buf := make([]IncidentEdge, 0, 512)
 	for _, tc := range []struct {
 		name string
@@ -38,7 +41,7 @@ func TestIncidentEdgesAllocs(t *testing.T) {
 		{"both-all", Both, ""},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
-			buf = s.IncidentEdges(buf[:0], hub, tc.dir, tc.typ)
+			buf = sn.IncidentEdges(buf[:0], hub, tc.dir, tc.typ)
 		})
 		if allocs > 0 {
 			t.Errorf("%s: IncidentEdges allocates %.1f/op with a warm buffer, want 0", tc.name, allocs)
@@ -99,18 +102,16 @@ func TestResidentBytesPerNode(t *testing.T) {
 	}
 }
 
-// TestLabelScanAllocs: an index read on a store with no open snapshot is
-// one copy of an already-ordered posting — one allocation, nothing to
-// collect or sort — on the Store and through a fresh snapshot alike.
+// TestLabelScanAllocs: an index read through a snapshot of a store with no
+// version history is one copy of an already-ordered posting — one
+// allocation, nothing to collect or sort.
 func TestLabelScanAllocs(t *testing.T) {
 	s := residentKG()
 	snap := s.Snapshot()
 	defer snap.Release()
 	for name, scan := range map[string]func() []NodeID{
-		"Store.NodeIDsByType": func() []NodeID { return s.NodeIDsByType("IP") },
-		"Store.NodeIDsByName": func() []NodeID { return s.NodeIDsByName("IP-7") },
-		"Snap.NodeIDsByType":  func() []NodeID { return snap.NodeIDsByType("IP") },
-		"Snap.NodeIDsByName":  func() []NodeID { return snap.NodeIDsByName("IP-7") },
+		"Snap.NodeIDsByType": func() []NodeID { return snap.NodeIDsByType("IP") },
+		"Snap.NodeIDsByName": func() []NodeID { return snap.NodeIDsByName("IP-7") },
 	} {
 		if ids := scan(); len(ids) == 0 || !slices.IsSorted(ids) {
 			t.Fatalf("%s returned %d ids, sorted=%v", name, len(ids), slices.IsSorted(ids))

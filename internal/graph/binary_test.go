@@ -71,7 +71,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if !created {
 		t.Fatal("expected new node after reload")
 	}
-	if orig := s.Node(id); orig != nil {
+	if orig := latest(t, s, func(sn *Snap) *Node { return sn.Node(id) }); orig != nil {
 		t.Fatalf("reloaded store reused live node id %d", id)
 	}
 }

@@ -74,7 +74,7 @@ func TestApplyBatchAtomic(t *testing.T) {
 	if got := s.CountNodes(); got != 0 {
 		t.Errorf("CountNodes = %d after rollback, want 0", got)
 	}
-	if n := s.FindNode("Host", "good"); n != nil {
+	if n := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("Host", "good") }); n != nil {
 		t.Errorf("node %q survived the rollback", "good")
 	}
 }
@@ -165,11 +165,11 @@ func testBulkSealAdjacency(t *testing.T) {
 	if p := pendingOf(s); p != 2*11 {
 		t.Errorf("overlay holds %d entries, want the group's 22", p)
 	}
-	if got := len(s.Edges(rep, Out)); got != 10 {
+	if got := len(latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(rep, Out) })); got != 10 {
 		t.Errorf("Edges(report, Out) = %d, want 10", got)
 	}
 	// ids[0] has five packed out-edges; the group's edge follows them.
-	if outs := s.IncidentEdges(nil, ids[0], Out, ""); len(outs) != 6 || outs[5].Other != rep || outs[5].Type != "MENTIONS" {
+	if outs := latest(t, s, func(sn *Snap) []IncidentEdge { return sn.IncidentEdges(nil, ids[0], Out, "") }); len(outs) != 6 || outs[5].Other != rep || outs[5].Type != "MENTIONS" {
 		t.Errorf("ids[0]'s out-edges read %+v, want five packed then one to the report", outs)
 	}
 	sn := s.Snapshot()
@@ -195,7 +195,7 @@ func testBulkSealAdjacency(t *testing.T) {
 	if got := baseOf(s); got == base || got.n != edges+11+30000 || pendingOf(s) != 0 {
 		t.Fatalf("seal left %d packed edges and %d pending, want %d and 0", got.n, pendingOf(s), edges+11+30000)
 	}
-	if got := len(s.Edges(rep, Out)); got != 10 {
+	if got := len(latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(rep, Out) })); got != 10 {
 		t.Errorf("after the repack Edges(report, Out) = %d, want 10", got)
 	}
 	checkLiveCounts(t, s)
@@ -238,7 +238,7 @@ func testBulkBracketStats(t *testing.T) {
 		t.Errorf("StatsVersion is %d after the seal, want 9", sv)
 	}
 	// The deferred adjacency seal must leave reads correct.
-	if got := len(s.Edges(ids[0], Out)); got != 1 {
+	if got := len(latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(ids[0], Out) })); got != 1 {
 		t.Errorf("Edges(ids[0], Out) = %d, want 1", got)
 	}
 }
@@ -295,10 +295,10 @@ func TestNodeOnlyRollbackKeepsAdjacency(t *testing.T) {
 	if _, _, err := s.AddEdge(a, "E", ids[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.IncidentEdges(nil, a, Out, ""); len(got) != 1 || got[0].Other != ids[0] {
+	if got := latest(t, s, func(sn *Snap) []IncidentEdge { return sn.IncidentEdges(nil, a, Out, "") }); len(got) != 1 || got[0].Other != ids[0] {
 		t.Errorf("new node's out-edges read %+v", got)
 	}
-	if got := len(s.Edges(ids[0], In)); got != 5+1 {
+	if got := len(latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(ids[0], In) })); got != 5+1 {
 		t.Errorf("Edges(ids[0], In) = %d, want 6", got)
 	}
 	checkLiveCounts(t, s)

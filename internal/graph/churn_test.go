@@ -31,15 +31,21 @@ func TestLiveCountsUnderChurn(t *testing.T) {
 		s := New()
 		var log []Mutation
 		s.SetMutationHook(func(m Mutation) { log = append(log, cloneMutation(m)) })
+		// node and edge pick from the latest slabs, an open transaction's
+		// writes included.
 		node := func() NodeID {
-			if ids := s.AllNodeIDs(); len(ids) > 0 {
+			if ids := s.liveNodeIDsLocked(); len(ids) > 0 {
 				return ids[rng.Intn(len(ids))]
 			}
 			return 0 // unknown: the write fails and changes nothing
 		}
 		edge := func() EdgeID {
 			var ids []EdgeID
-			s.ForEachEdge(func(e *Edge) bool { ids = append(ids, e.ID); return true })
+			for id, rec := range s.edges {
+				if rec.e != nil {
+					ids = append(ids, EdgeID(id))
+				}
+			}
 			if len(ids) > 0 {
 				return ids[rng.Intn(len(ids))]
 			}

@@ -14,7 +14,7 @@
 // adjacency rebuild walk in ID order without sorting; incidence lives in a CSR-style
 // packed layout (adjacency.go); attributes are one key-sorted slice per
 // record (attrs.go); and node/edge records are immutable once published —
-// mutations build a fresh record and swap it in, so accessors hand out
+// mutations build a fresh record and swap it in, so reads hand out
 // shared pointers without copying. Apart from the Attrs type none of this
 // is visible at the API: everything exported still speaks strings, and the
 // JSON persistence format is unchanged.
@@ -22,7 +22,6 @@ package graph
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -107,12 +106,12 @@ type typeAttrKeyT struct {
 
 // Store is an in-memory property graph safe for concurrent use.
 //
-// Reads through the plain accessors observe the latest state, including
-// the uncommitted writes of an open transaction (the single writer).
-// Readers that need isolation take a Snapshot (or run inside a Tx) and
-// read through the View interface: versioned visibility (mvcc.go) gives
+// The Store itself exports writes, statistics and persistence, but no
+// node or edge reads: a reader takes a Snapshot (or runs inside a Tx) and
+// reads through the View interface. Versioned visibility (mvcc.go) gives
 // every snapshot the exact committed state as of its creation, without
-// blocking — or being blocked by — the writer.
+// blocking — or being blocked by — the writer, so no reader ever sees an
+// open transaction's writes.
 type Store struct {
 	mu sync.RWMutex
 
@@ -447,141 +446,10 @@ func (s *Store) addEdgePublicLocked(from NodeID, typ string, to NodeID, attrs ma
 	return id, created, nil
 }
 
-// Node returns the node (nil if absent). The returned record is shared and
-// immutable — treat it and its Attrs as read-only.
-func (s *Store) Node(id NodeID) *Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rec, _ := s.nodeAt(id)
-	return rec.n
-}
-
 // nodeChunk bounds how many node lookups one batch read (Nodes) does
 // under a single hold of the read lock, so a long ID list cannot starve
 // a writer.
 const nodeChunk = 256
-
-// Nodes appends the current record of each listed node to dst (nil where
-// absent, so dst stays aligned with ids), taking the read lock once per
-// nodeChunk ids instead of once per node.
-func (s *Store) Nodes(dst []*Node, ids []NodeID) []*Node {
-	dst = slices.Grow(dst, len(ids))
-	for len(ids) > 0 {
-		chunk := ids[:min(len(ids), nodeChunk)]
-		ids = ids[len(chunk):]
-		s.mu.RLock()
-		for _, id := range chunk {
-			rec, _ := s.nodeAt(id)
-			dst = append(dst, rec.n)
-		}
-		s.mu.RUnlock()
-	}
-	return dst
-}
-
-// Edge returns the edge (nil if absent). The returned record is shared and
-// immutable — treat it and its Attrs as read-only.
-func (s *Store) Edge(id EdgeID) *Edge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rec, _ := s.edgeAt(id)
-	return rec.e
-}
-
-// FindNode returns the node with the exact (type, name), or nil.
-func (s *Store) FindNode(typ, name string) *Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if id, ok := s.findLocked(s.syms.lookup(typ), name); ok {
-		return s.nodes[id].n
-	}
-	return nil
-}
-
-// NodesByName returns all nodes whose Name equals name (any type), sorted
-// by ID.
-func (s *Store) NodesByName(name string) []*Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nodesOfLocked(s.byName[name])
-}
-
-// NodesByType returns all nodes with the given type, sorted by ID.
-func (s *Store) NodesByType(typ string) []*Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nodesOfLocked(s.byType[s.syms.lookup(typ)])
-}
-
-// NodesByAttr returns nodes with attrs[key] == val, sorted by ID. If the
-// attribute is indexed the lookup is O(result); otherwise it scans.
-func (s *Store) NodesByAttr(key, val string) []*Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ks := s.syms.lookup(key); s.indexed[ks] {
-		return s.nodesOfLocked(s.propIdx[ks][val])
-	}
-	var out []*Node
-	for _, rec := range s.nodes {
-		if rec.n != nil && rec.n.Attrs.Get(key) == val {
-			out = append(out, rec.n)
-		}
-	}
-	return out
-}
-
-// nodesOfLocked resolves a posting to its nodes' records.
-func (s *Store) nodesOfLocked(p posting) []*Node {
-	out := make([]*Node, 0, p.n)
-	for id := range p.all() {
-		out = append(out, s.nodes[id].n)
-	}
-	return out
-}
-
-// Edges returns the edges incident to id in the given direction, sorted by
-// edge ID. The records are shared and immutable — read-only. For the
-// executor's inner loop prefer IncidentEdges, which avoids materializing
-// edge records at all.
-func (s *Store) Edges(id NodeID, dir Direction) []*Edge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []*Edge
-	sorted := true
-	s.adj.forEach(id, dir, func(he halfEdge) bool {
-		e := s.edges[he.id].e
-		if n := len(out); n > 0 && out[n-1].ID > e.ID {
-			sorted = false
-		}
-		out = append(out, e)
-		return true
-	})
-	// Each direction walks in ascending edge-ID order already; only a Both
-	// walk whose out and in blocks interleave pays the sort.
-	if !sorted {
-		slices.SortFunc(out, func(a, b *Edge) int { return cmp.Compare(a.ID, b.ID) })
-	}
-	return out
-}
-
-// Neighbors returns the distinct nodes adjacent to id in the given
-// direction, sorted by ID.
-func (s *Store) Neighbors(id NodeID, dir Direction) []*Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var ids []NodeID
-	s.adj.forEach(id, dir, func(he halfEdge) bool {
-		ids = append(ids, he.other)
-		return true
-	})
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	out := make([]*Node, len(ids))
-	for i, id := range ids {
-		out[i] = s.nodes[id].n
-	}
-	return out
-}
 
 // SetAttr sets one attribute on a node, updating indexes.
 func (s *Store) SetAttr(id NodeID, key, val string) error {
@@ -820,38 +688,6 @@ func (s *Store) addEdgeLocked(from NodeID, typ Sym, to NodeID, attrs Attrs) (id 
 	s.stampEdgeLocked(id)
 	s.adj.addEdge(id, from, to, typ)
 	return id, true, true
-}
-
-// ForEachNode calls fn for every node in ID order; iteration stops if fn
-// returns false. The callback receives the shared immutable record.
-func (s *Store) ForEachNode(fn func(*Node) bool) {
-	forEachNodeChunked(s, s.AllNodeIDs(), fn)
-}
-
-// ForEachEdge calls fn for every edge in ID order; iteration stops if fn
-// returns false. It walks the slab as long as it was when the walk
-// began, copying out at most nodeChunk records per hold of the read lock
-// and calling fn on them outside it.
-func (s *Store) ForEachEdge(fn func(*Edge) bool) {
-	s.mu.RLock()
-	end := len(s.edges)
-	s.mu.RUnlock()
-	buf := make([]*Edge, 0, min(end, nodeChunk))
-	for lo := 1; lo < end; lo += nodeChunk {
-		buf = buf[:0]
-		s.mu.RLock()
-		for _, rec := range s.edges[min(lo, len(s.edges)):min(lo+nodeChunk, end, len(s.edges))] {
-			if rec.e != nil {
-				buf = append(buf, rec.e)
-			}
-		}
-		s.mu.RUnlock()
-		for _, e := range buf {
-			if !fn(e) {
-				return
-			}
-		}
-	}
 }
 
 // Stats summarizes store contents.

@@ -17,6 +17,21 @@ func mustEdge(t *testing.T, s *Store, from NodeID, typ string, to NodeID) EdgeID
 	return id
 }
 
+// latest is every test read of the store's latest state: it opens a Snap,
+// fails the test if the store holds any node or edge version — so the
+// Snap's reads take the no-history path and are exactly the plain slab
+// reads, not visibility-filtered ones — returns what read returns, and
+// releases the Snap before any later write.
+func latest[T any](t testing.TB, s *Store, read func(*Snap) T) T {
+	t.Helper()
+	if st := s.MVCCStats(); st.NodeVersions+st.EdgeVersions+st.NodeStamps+st.EdgeStamps > 0 {
+		t.Fatalf("latest read with version history in the store: %+v", st)
+	}
+	sn := s.Snapshot()
+	defer sn.Release()
+	return read(sn)
+}
+
 func TestMergeNodeExactTextSemantics(t *testing.T) {
 	s := New()
 	a, created := s.MergeNode("Malware", "WannaCry", map[string]string{"src": "r1"})
@@ -42,7 +57,7 @@ func TestMergeNodeExactTextSemantics(t *testing.T) {
 		t.Error("same name different type must be distinct")
 	}
 	// First-writer-wins attribute augmentation.
-	n := s.Node(a)
+	n := latest(t, s, func(sn *Snap) *Node { return sn.Node(a) })
 	if n.Attrs.Get("src") != "r1" {
 		t.Errorf("existing attr overwritten: %q", n.Attrs.Get("src"))
 	}
@@ -76,7 +91,7 @@ func TestAddEdgeDedup(t *testing.T) {
 	if _, created, _ := s.AddEdge(b, "CONNECT", a, nil); !created {
 		t.Error("reverse direction should create")
 	}
-	if e := s.Edge(e1); e.Attrs.Get("report") != "r1" {
+	if e := latest(t, s, func(sn *Snap) *Edge { return sn.Edge(e1) }); e.Attrs.Get("report") != "r1" {
 		t.Error("edge attr overwritten on dedup")
 	}
 }
@@ -98,24 +113,24 @@ func TestLookupsAndIndexes(t *testing.T) {
 	s.MergeNode("Malware", "B", map[string]string{"family": "ransom"})
 	s.MergeNode("Tool", "A", nil)
 
-	if n := s.FindNode("Malware", "A"); n == nil || n.Type != "Malware" {
+	if n := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("Malware", "A") }); n == nil || n.Type != "Malware" {
 		t.Error("FindNode failed")
 	}
-	if n := s.FindNode("Malware", "missing"); n != nil {
+	if n := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("Malware", "missing") }); n != nil {
 		t.Error("FindNode should return nil for missing")
 	}
-	if got := len(s.NodesByName("A")); got != 2 {
+	if got := len(latest(t, s, func(sn *Snap) []*Node { return sn.NodesByName("A") })); got != 2 {
 		t.Errorf("NodesByName(A) = %d, want 2", got)
 	}
-	if got := len(s.NodesByType("Malware")); got != 2 {
+	if got := len(latest(t, s, func(sn *Snap) []*Node { return sn.NodesByType("Malware") })); got != 2 {
 		t.Errorf("NodesByType(Malware) = %d, want 2", got)
 	}
-	// Unindexed scan and indexed lookup agree.
-	scan := s.NodesByAttr("family", "ransom")
+	// An unindexed attribute has no access path; IndexAttr back-fills one.
+	unindexed := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("family", "ransom") })
 	s.IndexAttr("family")
-	idx := s.NodesByAttr("family", "ransom")
-	if len(scan) != 2 || len(idx) != 2 {
-		t.Errorf("attr lookup: scan=%d idx=%d, want 2/2", len(scan), len(idx))
+	idx := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("family", "ransom") })
+	if unindexed != nil || len(idx) != 2 {
+		t.Errorf("attr lookup: unindexed=%v idx=%d, want nil/2", unindexed, len(idx))
 	}
 }
 
@@ -123,20 +138,20 @@ func TestIndexAttrTracksUpdates(t *testing.T) {
 	s := New()
 	s.IndexAttr("k")
 	id, _ := s.MergeNode("Tool", "t", map[string]string{"k": "v1"})
-	if got := s.NodesByAttr("k", "v1"); len(got) != 1 {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("k", "v1") }); len(got) != 1 {
 		t.Fatal("index missed insert")
 	}
 	if err := s.SetAttr(id, "k", "v2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NodesByAttr("k", "v1"); len(got) != 0 {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("k", "v1") }); len(got) != 0 {
 		t.Error("stale index entry after SetAttr")
 	}
-	if got := s.NodesByAttr("k", "v2"); len(got) != 1 {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("k", "v2") }); len(got) != 1 {
 		t.Error("index missed update")
 	}
 	s.DeleteNode(id)
-	if got := s.NodesByAttr("k", "v2"); len(got) != 0 {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("k", "v2") }); len(got) != 0 {
 		t.Error("stale index entry after delete")
 	}
 }
@@ -149,19 +164,19 @@ func TestNeighborsAndEdgesDirections(t *testing.T) {
 	mustEdge(t, s, a, "CONNECT", b)
 	mustEdge(t, s, c, "RESOLVE_TO", b)
 
-	if nb := s.Neighbors(a, Out); len(nb) != 1 || nb[0].ID != b {
+	if nb := latest(t, s, func(sn *Snap) []*Node { return sn.Neighbors(a, Out) }); len(nb) != 1 || nb[0].ID != b {
 		t.Errorf("out neighbors of a: %+v", nb)
 	}
-	if nb := s.Neighbors(b, In); len(nb) != 2 {
+	if nb := latest(t, s, func(sn *Snap) []*Node { return sn.Neighbors(b, In) }); len(nb) != 2 {
 		t.Errorf("in neighbors of b: %+v", nb)
 	}
-	if nb := s.Neighbors(b, Out); len(nb) != 0 {
+	if nb := latest(t, s, func(sn *Snap) []*Node { return sn.Neighbors(b, Out) }); len(nb) != 0 {
 		t.Errorf("out neighbors of b: %+v", nb)
 	}
-	if nb := s.Neighbors(b, Both); len(nb) != 2 {
+	if nb := latest(t, s, func(sn *Snap) []*Node { return sn.Neighbors(b, Both) }); len(nb) != 2 {
 		t.Errorf("both neighbors of b: %+v", nb)
 	}
-	if es := s.Edges(b, Both); len(es) != 2 {
+	if es := latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(b, Both) }); len(es) != 2 {
 		t.Errorf("edges of b: %+v", es)
 	}
 }
@@ -177,7 +192,7 @@ func TestDeleteNodeRemovesIncidentEdges(t *testing.T) {
 	if got := s.Stats(); got.Edges != 0 || got.Nodes != 1 {
 		t.Errorf("after delete: %+v", got)
 	}
-	if es := s.Edges(a, Out); len(es) != 0 {
+	if es := latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(a, Out) }); len(es) != 0 {
 		t.Errorf("dangling edge: %+v", es)
 	}
 	// Re-inserting the deleted node gets a fresh ID (no reuse).
@@ -201,14 +216,14 @@ func TestMigrateEdgesPreservesTopology(t *testing.T) {
 	if err := s.MigrateEdges(dup, canon); err != nil {
 		t.Fatal(err)
 	}
-	if es := s.Edges(dup, Both); len(es) != 0 {
+	if es := latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(dup, Both) }); len(es) != 0 {
 		t.Errorf("dup still has edges: %+v", es)
 	}
-	outs := s.Edges(canon, Out)
+	outs := latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(canon, Out) })
 	if len(outs) != 1 || outs[0].To != ip {
 		t.Errorf("canon out edges wrong: %+v", outs)
 	}
-	ins := s.Edges(canon, In)
+	ins := latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(canon, In) })
 	if len(ins) != 1 || ins[0].From != rep {
 		t.Errorf("canon in edges wrong: %+v", ins)
 	}
@@ -247,7 +262,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if st1, st2 := s.Stats(), s2.Stats(); st1.Nodes != st2.Nodes || st1.Edges != st2.Edges {
 		t.Errorf("stats mismatch: %+v vs %+v", st1, st2)
 	}
-	if n := s2.FindNode("Malware", "WannaCry"); n == nil || n.Attrs.Get("seen") != "2017" {
+	if n := latest(t, s2, func(sn *Snap) *Node { return sn.FindNode("Malware", "WannaCry") }); n == nil || n.Attrs.Get("seen") != "2017" {
 		t.Error("node attrs lost in round trip")
 	}
 	// New IDs continue after the loaded maximum.
@@ -323,8 +338,8 @@ func TestRandomSubgraphDeterministicPerSeed(t *testing.T) {
 		}
 		prev = id
 	}
-	a := s.RandomSubgraph(42, 10)
-	b := s.RandomSubgraph(42, 10)
+	a := latest(t, s, func(sn *Snap) *Subgraph { return sn.RandomSubgraph(42, 10) })
+	b := latest(t, s, func(sn *Snap) *Subgraph { return sn.RandomSubgraph(42, 10) })
 	if len(a.Nodes) != 10 || len(b.Nodes) != 10 {
 		t.Fatalf("sizes: %d, %d", len(a.Nodes), len(b.Nodes))
 	}
@@ -337,7 +352,7 @@ func TestRandomSubgraphDeterministicPerSeed(t *testing.T) {
 
 func TestRandomSubgraphEmptyStore(t *testing.T) {
 	s := New()
-	if sg := s.RandomSubgraph(1, 5); len(sg.Nodes) != 0 {
+	if sg := latest(t, s, func(sn *Snap) *Subgraph { return sn.RandomSubgraph(1, 5) }); len(sg.Nodes) != 0 {
 		t.Errorf("empty store returned nodes: %+v", sg)
 	}
 }
@@ -353,7 +368,7 @@ func TestCollapseFrom(t *testing.T) {
 	mustEdge(t, s, x, "RESOLVE_TO", l1)
 	mustEdge(t, s, x, "RESOLVE_TO", l2)
 	view := []NodeID{anchor, x, l1, l2}
-	hidden := s.CollapseFrom(x, view, []NodeID{anchor})
+	hidden := latest(t, s, func(sn *Snap) []NodeID { return sn.CollapseFrom(x, view, []NodeID{anchor}) })
 	if len(hidden) != 2 {
 		t.Fatalf("expected 2 hidden nodes, got %v", hidden)
 	}

@@ -11,8 +11,8 @@ import (
 //
 // The scheme is a side-map overlay, not a rewrite of the core state: the
 // nodes/edges slabs and every index always describe the *latest* state
-// (so bare accessors, the planner's statistics, and persistence are
-// untouched), while five auxiliary maps record just enough history for
+// (so the writers, the planner's statistics, and persistence read them
+// directly), while five auxiliary maps record just enough history for
 // point-in-time reads:
 //
 //   - nodeBegin/edgeBegin: the timestamp at which an entity's current
@@ -79,9 +79,11 @@ type edgeUndo struct {
 // ErrTxDone is returned by Commit/Rollback on an already-finished Tx.
 var ErrTxDone = errors.New("graph: transaction already committed or rolled back")
 
-// View is the read surface shared by *Store (latest state), *Snap
-// (point-in-time state), and *Tx (the transaction's snapshot plus its
-// own writes). The Cypher executor reads exclusively through it.
+// View is the read surface shared by *Snap (point-in-time committed
+// state) and *Tx (the transaction's snapshot plus its own writes). Every
+// graph read outside a writer goes through one of them: the Store itself
+// exports no node or edge reads, so nobody can see a half-written
+// transaction. The Cypher executor reads exclusively through View.
 type View interface {
 	Node(id NodeID) *Node
 	Nodes(dst []*Node, ids []NodeID) []*Node
@@ -100,7 +102,6 @@ type View interface {
 }
 
 var (
-	_ View = (*Store)(nil)
 	_ View = (*Snap)(nil)
 	_ View = (*Tx)(nil)
 )
@@ -598,12 +599,16 @@ func (sn *Snap) Edges(id NodeID, dir Direction) []*Edge {
 	return out
 }
 
-// IncidentEdges is the snapshot variant of Store.IncidentEdges: it
-// appends the visible incident edges matching typ. Versions never
-// change an edge's endpoints or type — only attrs — so the adjacency
-// walk's triples are valid for any visible version; an edge is emitted
-// iff some version of it is visible. Deleted-but-visible edges come
-// from the history overlay (appended out of walk order; the tail is
+// IncidentEdges appends to buf the visible edges incident to id in the
+// given direction whose type matches typ ("" matches every type),
+// returning the extended buffer. Within one direction edges come back in
+// ascending edge-ID order; Both yields the out block then the in block
+// (self-loops appear in each). Reusing buf across calls makes the walk
+// allocation-free once the buffer has grown to the node's degree.
+// Versions never change an edge's endpoints or type — only attrs — so
+// the adjacency walk's triples are valid for any visible version; an edge
+// is emitted iff some version of it is visible. Deleted-but-visible edges
+// come from the history overlay (appended out of walk order; the tail is
 // sorted when that happens).
 func (sn *Snap) IncidentEdges(buf []IncidentEdge, id NodeID, dir Direction, typ string) []IncidentEdge {
 	s := sn.s
@@ -649,24 +654,29 @@ func (sn *Snap) IncidentEdges(buf []IncidentEdge, id NodeID, dir Direction, typ 
 	return buf
 }
 
-// ForEachNode calls fn for every visible node in ID order; iteration
-// stops if fn returns false. Like the Store variant, the lock is not
-// held across fn calls.
-func (sn *Snap) ForEachNode(fn func(*Node) bool) {
-	sn.s.mu.RLock()
-	ids := sn.allNodeIDsLocked()
-	sn.s.mu.RUnlock()
-	forEachNodeChunked(sn, ids, fn)
+// Neighbors returns the distinct visible nodes adjacent to id in the
+// given direction, sorted by ID.
+func (sn *Snap) Neighbors(id NodeID, dir Direction) []*Node {
+	inc := sn.IncidentEdges(nil, id, dir, "")
+	ids := make([]NodeID, len(inc))
+	for i, ie := range inc {
+		ids[i] = ie.Other
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	return sn.Nodes(make([]*Node, 0, len(ids)), ids)
 }
 
-// forEachNodeChunked resolves ids through v a chunk at a time and calls
-// fn for every node found, outside the lock.
-func forEachNodeChunked(v View, ids []NodeID, fn func(*Node) bool) {
+// ForEachNode calls fn for every visible node in ID order; iteration
+// stops if fn returns false. The lock is not held across fn calls: nodes
+// are resolved a chunk at a time.
+func (sn *Snap) ForEachNode(fn func(*Node) bool) {
+	ids := sn.AllNodeIDs()
 	buf := make([]*Node, 0, min(len(ids), nodeChunk))
 	for len(ids) > 0 {
 		chunk := ids[:min(len(ids), nodeChunk)]
 		ids = ids[len(chunk):]
-		buf = v.Nodes(buf[:0], chunk)
+		buf = sn.Nodes(buf[:0], chunk)
 		for _, n := range buf {
 			if n != nil && !fn(n) {
 				return
@@ -973,11 +983,58 @@ func (tx *Tx) ForEachNode(fn func(*Node) bool) { tx.snap.ForEachNode(fn) }
 //
 // Writers sometimes need the latest state rather than their snapshot:
 // MergeNode and AddEdge act on latest (single-writer semantics), so the
-// pre-write diffing and post-write binding around them must too.
+// pre-write diffing and post-write binding around them must too. These
+// are the only reads of the slabs that bypass visibility; they belong to
+// the transaction, whose own writes are the only uncommitted state.
 
-func (tx *Tx) LatestNode(id NodeID) *Node { return tx.s.Node(id) }
-func (tx *Tx) LatestEdge(id EdgeID) *Edge { return tx.s.Edge(id) }
-func (tx *Tx) LatestEdges(id NodeID, dir Direction) []*Edge {
-	return tx.s.Edges(id, dir)
+// LatestNode returns node id's current record, or nil.
+func (tx *Tx) LatestNode(id NodeID) *Node {
+	tx.s.mu.RLock()
+	defer tx.s.mu.RUnlock()
+	rec, _ := tx.s.nodeAt(id)
+	return rec.n
 }
-func (tx *Tx) LatestFindNode(typ, name string) *Node { return tx.s.FindNode(typ, name) }
+
+// LatestEdge returns edge id's current record, or nil.
+func (tx *Tx) LatestEdge(id EdgeID) *Edge {
+	tx.s.mu.RLock()
+	defer tx.s.mu.RUnlock()
+	rec, _ := tx.s.edgeAt(id)
+	return rec.e
+}
+
+// LatestEdges returns the current edges incident to id in the given
+// direction, sorted by edge ID.
+func (tx *Tx) LatestEdges(id NodeID, dir Direction) []*Edge {
+	s := tx.s
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []*Edge
+	sorted := true
+	s.adj.forEach(id, dir, func(he halfEdge) bool {
+		e := s.edges[he.id].e
+		if n := len(out); n > 0 && out[n-1].ID > e.ID {
+			sorted = false
+		}
+		out = append(out, e)
+		return true
+	})
+	// Each direction walks in ascending edge-ID order already; only a Both
+	// walk whose out and in blocks interleave pays the sort.
+	if !sorted {
+		slices.SortFunc(out, func(a, b *Edge) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	return out
+}
+
+// LatestFindNode returns the current node with the exact (type, name), or
+// nil.
+func (tx *Tx) LatestFindNode(typ, name string) *Node {
+	s := tx.s
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if id, ok := s.findLocked(s.syms.lookup(typ), name); ok {
+		return s.nodes[id].n
+	}
+	return nil
+}

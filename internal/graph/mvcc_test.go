@@ -81,12 +81,14 @@ func TestSnapshotSeesStateAtOpen(t *testing.T) {
 		t.Errorf("snapshot IncidentEdges(a) = %+v, want one edge to b", inc)
 	}
 
-	// The store sees the new world.
-	if got := s.Node(a).Attrs.Get("sev"); got != "low" {
-		t.Errorf("store sees sev=%q, want low", got)
+	// A new snapshot sees the new world.
+	now := s.Snapshot()
+	defer now.Release()
+	if got := now.Node(a).Attrs.Get("sev"); got != "low" {
+		t.Errorf("new snapshot sees sev=%q, want low", got)
 	}
-	if s.Node(b) != nil {
-		t.Error("store still has node b")
+	if now.Node(b) != nil {
+		t.Error("new snapshot still has node b")
 	}
 }
 
@@ -168,10 +170,10 @@ func TestTxIsolationAndCommit(t *testing.T) {
 	}
 	mid.Release()
 
-	// New snapshots and the store see everything.
+	// New snapshots see everything.
 	after := s.Snapshot()
 	defer after.Release()
-	if after.Node(bID) == nil || s.Node(bID) == nil {
+	if after.Node(bID) == nil {
 		t.Error("committed node not visible")
 	}
 	if got := after.Node(a).Attrs.Get("k"); got != "v" {
@@ -219,16 +221,16 @@ func TestTxRollbackRestoresEverything(t *testing.T) {
 	if got := s.Stats(); got.MergeHits != wantStats.MergeHits {
 		t.Errorf("mergeHits = %d, want %d", got.MergeHits, wantStats.MergeHits)
 	}
-	if n := s.FindNode("CVE", "b"); n == nil || n.ID != b {
+	if n := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("CVE", "b") }); n == nil || n.ID != b {
 		t.Errorf("FindNode(b) = %+v, want id %d", n, b)
 	}
-	if got := len(s.NodeIDsByAttr("sev", "high")); got != 1 {
+	if got := len(latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("sev", "high") })); got != 1 {
 		t.Errorf("NodeIDsByAttr(high) = %d, want 1", got)
 	}
-	if got := len(s.NodeIDsByAttr("sev", "none")); got != 0 {
+	if got := len(latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("sev", "none") })); got != 0 {
 		t.Errorf("NodeIDsByAttr(none) = %d, want 0", got)
 	}
-	if got := len(s.Edges(a, Both)); got != 1 {
+	if got := len(latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(a, Both) })); got != 1 {
 		t.Errorf("Edges(a) = %d, want 1", got)
 	}
 	checkLiveCounts(t, s)
@@ -353,7 +355,7 @@ func TestConcurrentSnapshotReadsDuringTx(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := s.Node(ids[0]).Attrs.Get("v"); got != "50" {
+	if got := latest(t, s, func(sn *Snap) *Node { return sn.Node(ids[0]) }).Attrs.Get("v"); got != "50" {
 		t.Errorf("final v=%q, want 50", got)
 	}
 }
@@ -514,7 +516,7 @@ func TestSnapshotReleaseRacesWriters(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if got := s.Node(ids[0]).Attrs.Get("v"); got != "800" {
+	if got := latest(t, s, func(sn *Snap) *Node { return sn.Node(ids[0]) }).Attrs.Get("v"); got != "800" {
 		t.Errorf("final v=%q, want 800", got)
 	}
 	if st := s.MVCCStats(); st != (MVCCStats{}) {

@@ -108,7 +108,10 @@ func oracleHistory(t *testing.T) *Store {
 	}
 	checkLiveCounts(t, s)
 	for i := 0; i < 25; i++ {
-		if e := s.Edges(ids[rng.Intn(40)], Out); len(e) > 0 {
+		now := s.Snapshot() // no transaction is open: this is the latest state
+		e := now.Edges(ids[rng.Intn(40)], Out)
+		now.Release()
+		if len(e) > 0 {
 			if err := s.DeleteEdge(e[len(e)/2].ID); err != nil {
 				t.Fatalf("DeleteEdge: %v", err)
 			}

@@ -104,7 +104,7 @@ func TestSubgraphRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	seed := s.FindNode("Malware", "wannacry")
+	seed := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("Malware", "wannacry") })
 	if seed == nil {
 		t.Fatal("fixture node missing")
 	}
@@ -242,7 +242,9 @@ func TestHostileIDsDoNotSizeTheSlab(t *testing.T) {
 			t.Errorf("ApplyBatch(%s) of a never-allocated id succeeded", m.Op)
 		}
 	}
-	if s.Node(huge) != nil || s.Edge(-1) != nil || len(s.Nodes(nil, []NodeID{huge, -3, 0})) != 3 {
+	if latest(t, s, func(sn *Snap) bool {
+		return sn.Node(huge) != nil || sn.Edge(-1) != nil || len(sn.Nodes(nil, []NodeID{huge, -3, 0})) != 3
+	}) {
 		t.Error("reads of never-allocated ids must see nothing")
 	}
 	if len(s.nodes) != nodes || len(s.edges) != edges {
@@ -318,7 +320,7 @@ func TestRollbackGivesSlotsBack(t *testing.T) {
 	s, want := persistFixture(t)
 	s.IndexAttr("platform")
 	nodes, edges := len(s.nodes), len(s.edges)
-	malware := s.NodeIDsByType("Malware")
+	malware := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByType("Malware") })
 
 	tx := s.BeginTx()
 	hub, _ := tx.MergeNode("Malware", "hub", map[string]string{"platform": "windows"})
@@ -344,10 +346,10 @@ func TestRollbackGivesSlotsBack(t *testing.T) {
 			t.Fatal("a cut edge slot still holds the rolled-back record")
 		}
 	}
-	if got := s.NodeIDsByType("Malware"); !reflect.DeepEqual(got, malware) {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByType("Malware") }); !reflect.DeepEqual(got, malware) {
 		t.Errorf("label posting after rollback: %v, want %v", got, malware)
 	}
-	if got := s.NodeIDsByTypeAttr("Malware", "platform", "windows"); !reflect.DeepEqual(got, malware) {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByTypeAttr("Malware", "platform", "windows") }); !reflect.DeepEqual(got, malware) {
 		t.Errorf("attr posting after rollback: %v, want %v", got, malware)
 	}
 	if n, ok := s.CountByAttr("platform", "windows"); !ok || n != 1 {
@@ -359,7 +361,8 @@ func TestRollbackGivesSlotsBack(t *testing.T) {
 	}
 	// The same IDs, allocated again, file where the ghosts were.
 	id, created := s.MergeNode("Malware", "real", nil)
-	if !created || int(id) != nodes || !reflect.DeepEqual(s.NodeIDsByType("Malware"), append(malware, id)) {
-		t.Errorf("first node after rollback: id %d created=%v postings %v", id, created, s.NodeIDsByType("Malware"))
+	got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByType("Malware") })
+	if !created || int(id) != nodes || !reflect.DeepEqual(got, append(malware, id)) {
+		t.Errorf("first node after rollback: id %d created=%v postings %v", id, created, got)
 	}
 }

@@ -142,49 +142,3 @@ func (s *Store) liveNodeIDsLocked() []NodeID {
 	}
 	return out
 }
-
-// AllNodeIDs returns every node ID, sorted.
-func (s *Store) AllNodeIDs() []NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.liveNodeIDsLocked()
-}
-
-// NodeIDsByType returns the IDs of nodes with the given type, sorted.
-func (s *Store) NodeIDsByType(typ string) []NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.byType[s.syms.lookup(typ)].ids()
-}
-
-// NodeIDsByName returns the IDs of nodes with the given name, sorted.
-func (s *Store) NodeIDsByName(name string) []NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.byName[name].ids()
-}
-
-// NodeIDsByAttr returns the IDs of nodes with attrs[key] == val via the
-// attribute index; nil when the attribute is not indexed.
-func (s *Store) NodeIDsByAttr(key, val string) []NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ks := s.syms.lookup(key)
-	if !s.indexed[ks] {
-		return nil
-	}
-	return s.propIdx[ks][val].ids()
-}
-
-// NodeIDsByTypeAttr returns the IDs of nodes of the given type with
-// attrs[key] == val via the composite index; nil when the attribute is
-// not indexed.
-func (s *Store) NodeIDsByTypeAttr(typ, key, val string) []NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ks := s.syms.lookup(key)
-	if !s.indexed[ks] {
-		return nil
-	}
-	return s.typeAttr[typeAttrKeyT{typ: s.syms.lookup(typ), key: ks, val: val}].ids()
-}

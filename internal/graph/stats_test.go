@@ -103,19 +103,19 @@ func TestCompositeIndexTracksMutations(t *testing.T) {
 
 func TestNodesByTypeAttr(t *testing.T) {
 	s := buildStatsStore(t)
-	got := s.NodeIDsByTypeAttr("Malware", "platform", "linux")
+	got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByTypeAttr("Malware", "platform", "linux") })
 	if len(got) != 5 {
 		t.Fatalf("NodeIDsByTypeAttr = %d nodes, want 5", len(got))
 	}
 	for _, id := range got {
-		if n := s.Node(id); n.Type != "Malware" || n.Attrs.Get("platform") != "linux" {
+		if n := latest(t, s, func(sn *Snap) *Node { return sn.Node(id) }); n.Type != "Malware" || n.Attrs.Get("platform") != "linux" {
 			t.Errorf("wrong node: %+v", n)
 		}
 	}
 	// An unindexed attribute has no access path.
 	s2 := New()
 	s2.MergeNode("Malware", "a", map[string]string{"fam": "x"})
-	if got := s2.NodeIDsByTypeAttr("Malware", "fam", "x"); got != nil {
+	if got := latest(t, s2, func(sn *Snap) []NodeID { return sn.NodeIDsByTypeAttr("Malware", "fam", "x") }); got != nil {
 		t.Errorf("unindexed attribute: %v, want nil", got)
 	}
 }
@@ -123,13 +123,15 @@ func TestNodesByTypeAttr(t *testing.T) {
 func TestEdgeTypeCountSurvivesDeleteAndLoad(t *testing.T) {
 	s := buildStatsStore(t)
 	// Delete one CONNECT edge.
-	var victim EdgeID
-	s.ForEachEdge(func(e *Edge) bool {
-		if e.Type == "CONNECT" {
-			victim = e.ID
-			return false
+	victim := latest(t, s, func(sn *Snap) EdgeID {
+		for _, id := range sn.AllNodeIDs() {
+			for _, e := range sn.Edges(id, Out) {
+				if e.Type == "CONNECT" {
+					return e.ID
+				}
+			}
 		}
-		return true
+		return 0
 	})
 	if err := s.DeleteEdge(victim); err != nil {
 		t.Fatal(err)
@@ -149,7 +151,7 @@ func TestEdgeTypeCountSurvivesDeleteAndLoad(t *testing.T) {
 	if got := s2.Stats().EdgesByType["CONNECT"]; got != 29 {
 		t.Errorf("after load: %d, want 29", got)
 	}
-	if got := len(s2.AllNodeIDs()); got != s.CountNodes() {
+	if got := len(latest(t, s2, (*Snap).AllNodeIDs)); got != s.CountNodes() {
 		t.Errorf("AllNodeIDs after load: %d, want %d", got, s.CountNodes())
 	}
 }
@@ -200,8 +202,8 @@ func TestAvgDegree(t *testing.T) {
 func TestAvgDegreeFollowsEveryWrite(t *testing.T) {
 	s := buildStatsStore(t)
 	ver := s.StatsVersion()
-	m0 := s.FindNode("Malware", "m-0")
-	ip0 := s.FindNode("IP", "10.0.0.0")
+	m0 := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("Malware", "m-0") })
+	ip0 := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("IP", "10.0.0.0") })
 	s.AddEdge(m0.ID, "CONNECT", ip0.ID, map[string]string{"x": "1"}) // dup edge: attr merge only
 	if got := s.AvgDegree("Malware", "CONNECT", Out); got != 3 {
 		t.Errorf("attr merge on an existing edge moved the fan-out to %v", got)
@@ -494,22 +496,22 @@ func TestStatsVersionRebasedOnLoad(t *testing.T) {
 
 func TestNodeIDAccessPaths(t *testing.T) {
 	s := buildStatsStore(t)
-	if got := s.NodeIDsByType("Malware"); len(got) != 10 {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByType("Malware") }); len(got) != 10 {
 		t.Errorf("NodeIDsByType: %d, want 10", len(got))
 	}
-	if got := s.NodeIDsByName("actor"); len(got) != 1 {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByName("actor") }); len(got) != 1 {
 		t.Errorf("NodeIDsByName: %d, want 1", len(got))
 	}
-	if got := s.NodeIDsByAttr("platform", "linux"); len(got) != 5 {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("platform", "linux") }); len(got) != 5 {
 		t.Errorf("NodeIDsByAttr: %d, want 5", len(got))
 	}
-	if got := s.NodeIDsByAttr("unindexed", "x"); got != nil {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("unindexed", "x") }); got != nil {
 		t.Errorf("NodeIDsByAttr unindexed should be nil, got %v", got)
 	}
-	if got := s.NodeIDsByTypeAttr("Malware", "platform", "linux"); len(got) != 5 {
+	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByTypeAttr("Malware", "platform", "linux") }); len(got) != 5 {
 		t.Errorf("NodeIDsByTypeAttr: %d, want 5", len(got))
 	}
-	ids := s.AllNodeIDs()
+	ids := latest(t, s, (*Snap).AllNodeIDs)
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] >= ids[i] {
 			t.Fatal("AllNodeIDs not sorted")

@@ -21,12 +21,20 @@ func (sg *Subgraph) NodeIDs() []NodeID {
 	return out
 }
 
+// ExpandFrom is Snap.ExpandFrom on a snapshot of the committed state
+// taken for the call.
+func (s *Store) ExpandFrom(seeds []NodeID, maxDepth, maxNeighbors, maxNodes int) *Subgraph {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return sn.ExpandFrom(seeds, maxDepth, maxNeighbors, maxNodes)
+}
+
 // ExpandFrom performs a breadth-first expansion from the seed nodes,
 // visiting at most maxNeighbors neighbors per node and maxNodes nodes in
 // total, up to maxDepth hops. It returns the induced subgraph (all edges
-// of the store connecting two included nodes). This backs the UI's
+// of the snapshot connecting two included nodes). This backs the UI's
 // double-click node-expansion behaviour.
-func (s *Store) ExpandFrom(seeds []NodeID, maxDepth, maxNeighbors, maxNodes int) *Subgraph {
+func (sn *Snap) ExpandFrom(seeds []NodeID, maxDepth, maxNeighbors, maxNodes int) *Subgraph {
 	if maxNodes <= 0 {
 		maxNodes = 100
 	}
@@ -38,7 +46,7 @@ func (s *Store) ExpandFrom(seeds []NodeID, maxDepth, maxNeighbors, maxNodes int)
 	queue := make([]NodeID, 0, len(seeds))
 	depth := map[NodeID]int{}
 	for _, id := range seeds {
-		if s.Node(id) == nil || included[id] {
+		if sn.Node(id) == nil || included[id] {
 			continue
 		}
 		included[id] = true
@@ -53,7 +61,7 @@ func (s *Store) ExpandFrom(seeds []NodeID, maxDepth, maxNeighbors, maxNodes int)
 			continue
 		}
 		added := 0
-		for _, nb := range s.Neighbors(cur, Both) {
+		for _, nb := range sn.Neighbors(cur, Both) {
 			if added >= maxNeighbors || len(order) >= maxNodes {
 				break
 			}
@@ -67,15 +75,15 @@ func (s *Store) ExpandFrom(seeds []NodeID, maxDepth, maxNeighbors, maxNodes int)
 			added++
 		}
 	}
-	return s.induced(order, included)
+	return sn.induced(order, included)
 }
 
 // RandomSubgraph samples a connected-ish subgraph of about n nodes using a
 // deterministic RNG seed: it picks a random start node and grows by random
 // neighbor expansion, restarting on dead ends. Backs the UI's "fetch a
 // random subgraph" feature.
-func (s *Store) RandomSubgraph(seed int64, n int) *Subgraph {
-	all := s.AllNodeIDs()
+func (sn *Snap) RandomSubgraph(seed int64, n int) *Subgraph {
+	all := sn.AllNodeIDs()
 	if len(all) == 0 || n <= 0 {
 		return &Subgraph{}
 	}
@@ -98,7 +106,7 @@ func (s *Store) RandomSubgraph(seed int64, n int) *Subgraph {
 		}
 		i := rng.Intn(len(frontier))
 		cur := frontier[i]
-		nbs := s.Neighbors(cur, Both)
+		nbs := sn.Neighbors(cur, Both)
 		var cand []NodeID
 		for _, nb := range nbs {
 			if !included[nb.ID] {
@@ -111,21 +119,21 @@ func (s *Store) RandomSubgraph(seed int64, n int) *Subgraph {
 		}
 		addNode(cand[rng.Intn(len(cand))])
 	}
-	return s.induced(order, included)
+	return sn.induced(order, included)
 }
 
-// induced builds the subgraph over the given node order with every store
+// induced builds the subgraph over the given node order with every visible
 // edge whose endpoints are both included.
-func (s *Store) induced(order []NodeID, included map[NodeID]bool) *Subgraph {
+func (sn *Snap) induced(order []NodeID, included map[NodeID]bool) *Subgraph {
 	sg := &Subgraph{}
 	for _, id := range order {
-		if n := s.Node(id); n != nil {
+		if n := sn.Node(id); n != nil {
 			sg.Nodes = append(sg.Nodes, n)
 		}
 	}
 	seenEdge := make(map[EdgeID]bool)
 	for _, id := range order {
-		for _, e := range s.Edges(id, Out) {
+		for _, e := range sn.Edges(id, Out) {
 			if included[e.To] && !seenEdge[e.ID] {
 				seenEdge[e.ID] = true
 				sg.Edges = append(sg.Edges, e)
@@ -141,7 +149,7 @@ func (s *Store) induced(order []NodeID, included map[NodeID]bool) *Subgraph {
 // of id (and nodes only reachable through those neighbors) that would be
 // disconnected from the remaining view once id's neighborhood is hidden.
 // Seeds (anchors) are view nodes the caller wants to keep visible.
-func (s *Store) CollapseFrom(id NodeID, viewNodes []NodeID, anchors []NodeID) []NodeID {
+func (sn *Snap) CollapseFrom(id NodeID, viewNodes []NodeID, anchors []NodeID) []NodeID {
 	inView := make(map[NodeID]bool, len(viewNodes))
 	for _, v := range viewNodes {
 		inView[v] = true
@@ -160,7 +168,7 @@ func (s *Store) CollapseFrom(id NodeID, viewNodes []NodeID, anchors []NodeID) []
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range s.Neighbors(cur, Both) {
+		for _, nb := range sn.Neighbors(cur, Both) {
 			if nb.ID == id || !inView[nb.ID] || keep[nb.ID] {
 				continue
 			}

@@ -139,18 +139,20 @@ func TestPipelineRecallAgainstGroundTruth(t *testing.T) {
 	}
 	// Spot-check: the main malware of every report must be a node, and at
 	// least half of the ground-truth relations must exist as edges.
+	sn := store.Snapshot()
+	defer sn.Release()
 	totalRel, foundRel := 0, 0
 	for _, spec := range specs {
 		for i := 0; i < spec.Reports; i++ {
 			truth := web.GenerateTruth(spec, i)
 			for _, r := range truth.Relations {
 				totalRel++
-				src := store.FindNode(string(r.Src.Type), r.Src.Name)
-				dst := store.FindNode(string(r.Dst.Type), r.Dst.Name)
+				src := sn.FindNode(string(r.Src.Type), r.Src.Name)
+				dst := sn.FindNode(string(r.Dst.Type), r.Dst.Name)
 				if src == nil || dst == nil {
 					continue
 				}
-				for _, e := range store.Edges(src.ID, graph.Out) {
+				for _, e := range sn.Edges(src.ID, graph.Out) {
 					if e.To == dst.ID && e.Type == string(r.Type) {
 						foundRel++
 						break

@@ -705,7 +705,9 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	n := s.store.Node(id)
+	sn := s.store.Snapshot()
+	defer sn.Release()
+	n := sn.Node(id)
 	if n == nil {
 		httpErr(w, http.StatusNotFound, "node %d not found", id)
 		return
@@ -716,8 +718,8 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		Degree    int           `json:"degree"`
 		Neighbors []*graph.Node `json:"neighbors"`
 	}
-	nbs := s.store.Neighbors(id, graph.Both)
-	writeJSON(w, out{Node: n, Degree: len(s.store.Edges(id, graph.Both)), Neighbors: nbs})
+	nbs := sn.Neighbors(id, graph.Both)
+	writeJSON(w, out{Node: n, Degree: len(sn.Edges(id, graph.Both)), Neighbors: nbs})
 }
 
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
@@ -729,7 +731,9 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.store.Node(id) == nil {
+	sn := s.store.Snapshot()
+	defer sn.Release()
+	if sn.Node(id) == nil {
 		httpErr(w, http.StatusNotFound, "node %d not found", id)
 		return
 	}
@@ -739,7 +743,8 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sg := s.store.ExpandFrom([]graph.NodeID{id}, depth, maxNb, maxNodes)
+	sg := sn.ExpandFrom([]graph.NodeID{id}, depth, maxNb, maxNodes)
+	sn.Release() // the layout reads only sg: hold no history back during it
 	vg := Layout(sg, int64(id))
 	s.pushHistory(vg)
 	writeView(w, vg)
@@ -764,7 +769,9 @@ func (s *Server) handleCollapse(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	hidden := s.store.CollapseFrom(id, view, anchors)
+	sn := s.store.Snapshot()
+	defer sn.Release()
+	hidden := sn.CollapseFrom(id, view, anchors)
 	writeJSON(w, map[string]any{"hidden": hidden})
 }
 
@@ -777,7 +784,10 @@ func (s *Server) handleRandom(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seed := int64(intParam(r, "seed", 1))
-	sg := s.store.RandomSubgraph(seed, n)
+	sn := s.store.Snapshot()
+	defer sn.Release()
+	sg := sn.RandomSubgraph(seed, n)
+	sn.Release()
 	vg := Layout(sg, seed)
 	s.pushHistory(vg)
 	writeView(w, vg)

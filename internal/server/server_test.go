@@ -193,11 +193,19 @@ func TestExpandEndpointReturnsLayout(t *testing.T) {
 	}
 }
 
+// findNode reads the committed state through a snapshot held only for the
+// read.
+func findNode(s *graph.Store, typ, name string) *graph.Node {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return sn.FindNode(typ, name)
+}
+
 func TestCollapseEndpoint(t *testing.T) {
 	s, store, wc := testServer(t)
-	rep := store.FindNode("MalwareReport", "r1")
-	fam := store.FindNode("MalwareFamily", "ransomware")
-	ip := store.FindNode("IP", "10.0.0.1")
+	rep := findNode(store, "MalwareReport", "r1")
+	fam := findNode(store, "MalwareFamily", "ransomware")
+	ip := findNode(store, "IP", "10.0.0.1")
 	view := fmt.Sprintf("%d,%d,%d,%d", rep.ID, wc, fam.ID, ip.ID)
 	var out struct {
 		Hidden []graph.NodeID `json:"hidden"`
@@ -606,7 +614,7 @@ func TestCypherWriteEndpoint(t *testing.T) {
 	if out.Writes == nil || out.Writes.NodesCreated != 1 || out.Writes.PropsSet != 1 {
 		t.Fatalf("writes: %+v", out.Writes)
 	}
-	n := store.FindNode("Malware", "petya")
+	n := findNode(store, "Malware", "petya")
 	if n == nil || n.Attrs.Get("triaged") != "yes" {
 		t.Fatalf("mutation did not reach the store: %+v", n)
 	}
@@ -697,8 +705,7 @@ func TestCypherTxSession(t *testing.T) {
 		t.Fatalf("own write invisible inside tx: %+v", res.Rows)
 	}
 	// ...but not to plain requests, which pin their own committed
-	// snapshot. (Store.FindNode deliberately reads latest state beneath
-	// MVCC, so snapshot isolation is asserted through the query path.)
+	// snapshot.
 	if _, res := postCypher(t, s, map[string]any{
 		"query": `match (m:Malware {name: "intx"}) return m.stage`,
 	}); len(res.Rows) != 0 {
@@ -709,7 +716,7 @@ func TestCypherTxSession(t *testing.T) {
 	if rec, _ := postCypher(t, s, map[string]any{"tx": begin.Tx, "query": "COMMIT"}); rec.Code != 200 {
 		t.Fatalf("COMMIT status %d: %s", rec.Code, rec.Body.String())
 	}
-	if n := store.FindNode("Malware", "intx"); n == nil || n.Attrs.Get("stage") != "draft" {
+	if n := findNode(store, "Malware", "intx"); n == nil || n.Attrs.Get("stage") != "draft" {
 		t.Fatalf("committed write missing from the store: %+v", n)
 	}
 	if rec, _ := postCypher(t, s, map[string]any{
@@ -747,7 +754,7 @@ func TestCypherTxSessionErrors(t *testing.T) {
 	if rec, _ := postCypher(t, s, map[string]any{"tx": begin.Tx, "query": "ROLLBACK"}); rec.Code != 200 {
 		t.Fatalf("ROLLBACK status %d: %s", rec.Code, rec.Body.String())
 	}
-	if store.FindNode("Malware", "ghost") != nil {
+	if findNode(store, "Malware", "ghost") != nil {
 		t.Fatal("rolled-back write reached the store")
 	}
 }

@@ -116,8 +116,10 @@ func BuildBundle(s *graph.Store) (*Bundle, error) {
 	bundle := &Bundle{Type: "bundle"}
 	ids := map[graph.NodeID]string{}
 
+	sn := s.Snapshot()
+	defer sn.Release()
 	var nodeErr error
-	s.ForEachNode(func(n *graph.Node) bool {
+	sn.ForEachNode(func(n *graph.Node) bool {
 		st, ok := typeMap[ontology.EntityType(n.Type)]
 		if !ok {
 			return true // unknown types are skipped, not fatal
@@ -165,25 +167,27 @@ func BuildBundle(s *graph.Store) (*Bundle, error) {
 		return nil, nodeErr
 	}
 
-	s.ForEachEdge(func(e *graph.Edge) bool {
-		src, okS := ids[e.From]
-		dst, okD := ids[e.To]
-		if !okS || !okD {
-			return true
+	sn.ForEachNode(func(n *graph.Node) bool {
+		for _, e := range sn.Edges(n.ID, graph.Out) {
+			src, okS := ids[e.From]
+			dst, okD := ids[e.To]
+			if !okS || !okD {
+				continue
+			}
+			rel, ok := relMap[ontology.RelationType(e.Type)]
+			if !ok {
+				rel = "related-to"
+			}
+			id := stixID("relationship", e.Type, src+dst)
+			bundle.Objects = append(bundle.Objects, Object{
+				Type:        "relationship",
+				SpecVersion: "2.1",
+				ID:          id,
+				RelType:     rel,
+				SourceRef:   src,
+				TargetRef:   dst,
+			})
 		}
-		rel, ok := relMap[ontology.RelationType(e.Type)]
-		if !ok {
-			rel = "related-to"
-		}
-		id := stixID("relationship", e.Type, src+dst)
-		bundle.Objects = append(bundle.Objects, Object{
-			Type:        "relationship",
-			SpecVersion: "2.1",
-			ID:          id,
-			RelType:     rel,
-			SourceRef:   src,
-			TargetRef:   dst,
-		})
 		return true
 	})
 

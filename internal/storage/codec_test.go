@@ -304,7 +304,7 @@ func TestBinaryWALTornDictionary(t *testing.T) {
 	if got := saveBytes(t, db3.Store()); !bytes.Equal(got, want) {
 		t.Fatal("post-tear appends did not survive recovery")
 	}
-	n := db3.Store().FindNode("Malware", "fresh-after-tear")
+	n := findNode(db3.Store(), "Malware", "fresh-after-tear")
 	if n == nil || n.Attrs.Get("family") != "worm" {
 		t.Fatalf("post-tear node wrong: %+v", n)
 	}

@@ -106,7 +106,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopen after fuzzed recovery: %v", err)
 		}
-		if rdb2.Store().FindNode("Fuzz", "post") == nil {
+		if findNode(rdb2.Store(), "Fuzz", "post") == nil {
 			t.Fatal("write after fuzzed recovery lost")
 		}
 		rdb2.Close()

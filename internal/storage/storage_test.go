@@ -86,6 +86,14 @@ func saveBytes(t *testing.T, st *graph.Store) []byte {
 	return b.Bytes()
 }
 
+// findNode reads the committed state through a snapshot held only for the
+// read.
+func findNode(s *graph.Store, typ, name string) *graph.Node {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return sn.FindNode(typ, name)
+}
+
 func openT(t *testing.T, dir string, opts Options) *DB {
 	t.Helper()
 	db, err := Open(dir, opts)
@@ -211,7 +219,7 @@ func testTornTailEveryOffset(t *testing.T, format logFormat) {
 		if err != nil {
 			t.Fatalf("cut=%d: reopen after post-recovery write: %v", cut, err)
 		}
-		if rdb2.Store().FindNode("Post", "recovery") == nil {
+		if findNode(rdb2.Store(), "Post", "recovery") == nil {
 			t.Fatalf("cut=%d: post-recovery write lost", cut)
 		}
 		rdb2.Close()
@@ -342,7 +350,7 @@ func TestSyncPolicies(t *testing.T) {
 			t.Fatalf("%v: close: %v", pol, err)
 		}
 		db2 := openT(t, dir, Options{CompactBytes: -1})
-		if db2.Store().FindNode("A", "x") == nil {
+		if findNode(db2.Store(), "A", "x") == nil {
 			t.Fatalf("%v: write lost", pol)
 		}
 		db2.Close()
@@ -398,7 +406,7 @@ func TestOversizeRecordRejected(t *testing.T) {
 		t.Fatal("state lost across the oversize-record gap")
 	}
 	for _, name := range []string{"before", "oversize", "after", "resumed"} {
-		if db2.Store().FindNode("A", name) == nil {
+		if findNode(db2.Store(), "A", name) == nil {
 			t.Fatalf("node %q lost", name)
 		}
 	}

@@ -192,7 +192,7 @@ func testTornTailEveryOffsetTx(t *testing.T, format logFormat) {
 		if err != nil {
 			t.Fatalf("cut=%d: reopen after post-recovery write: %v", cut, err)
 		}
-		if rdb2.Store().FindNode("Post", "recovery") == nil {
+		if findNode(rdb2.Store(), "Post", "recovery") == nil {
 			t.Fatalf("cut=%d: post-recovery write lost", cut)
 		}
 		rdb2.Close()

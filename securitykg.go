@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"securitykg/internal/config"
@@ -322,20 +323,25 @@ type SearchHit struct {
 	URL      string
 }
 
+// reportKinds are the node types a search hit resolves to.
+var reportKinds = []string{"MalwareReport", "VulnerabilityReport", "AttackReport"}
+
 // Search runs a BM25 keyword query over report title/body and resolves
 // hits to report metadata (the UI's Elasticsearch path).
 func (sys *System) Search(query string, k int) ([]SearchHit, error) {
 	hits := sys.Index.Search(query, k)
+	sn := sys.Store.Snapshot()
+	defer sn.Release()
 	out := make([]SearchHit, 0, len(hits))
 	for _, h := range hits {
 		sh := SearchHit{ReportID: h.ID, Score: h.Score}
-		for _, nt := range []string{"MalwareReport", "VulnerabilityReport", "AttackReport"} {
-			for _, n := range sys.Store.NodesByAttr("report_id", h.ID) {
-				if n.Type == nt {
-					sh.Title = n.Name
-					sh.Kind = n.Type
-					sh.URL = n.Attrs.Get("url")
-				}
+		// Of several report nodes under one report_id, the last kind listed
+		// wins, and the highest ID within a kind.
+		kind := -1
+		for _, n := range sn.Nodes(nil, sn.NodeIDsByAttr("report_id", h.ID)) {
+			if i := slices.Index(reportKinds, n.Type); i >= 0 && i >= kind {
+				kind = i
+				sh.Title, sh.Kind, sh.URL = n.Name, n.Type, n.Attrs.Get("url")
 			}
 		}
 		out = append(out, sh)

@@ -146,6 +146,14 @@ func durableSystem(t *testing.T, dir string) (*System, *storage.DB) {
 	return sys, db
 }
 
+// findNode reads the committed state through a snapshot held only for the
+// read.
+func findNode(s *graph.Store, typ, name string) *graph.Node {
+	sn := s.Snapshot()
+	defer sn.Release()
+	return sn.FindNode(typ, name)
+}
+
 func saveHash(t *testing.T, st *graph.Store) [sha256.Size]byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -165,12 +173,14 @@ func TestSystemDataDirRoundTrip(t *testing.T) {
 	// Two reports with one title merge into one report node, so the
 	// rebuilt index counts report nodes, not the reports ingested.
 	var reports int
-	sys.Store.ForEachNode(func(n *graph.Node) bool {
+	sn := sys.Store.Snapshot()
+	sn.ForEachNode(func(n *graph.Node) bool {
 		if strings.HasSuffix(n.Type, "Report") {
 			reports++
 		}
 		return true
 	})
+	sn.Release()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
