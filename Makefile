@@ -8,7 +8,9 @@ build:
 # test runs static analysis first, then the full suite under the race
 # detector (the graph store and query engine are concurrency-facing;
 # the suite includes the join-strategy differential and golden-plan
-# tests and TestConnectWholeReportsVisible, where a reader of a leader
+# tests, the engine and the reference evaluator held to the pinned
+# results listing and the engine to its pinned byte-budget charges, and
+# TestConnectWholeReportsVisible, where a reader of a leader
 # and its follower must never see half a report). The
 # allocation-regression guards (zero-alloc CSR incidence iteration and
 # planner fan-out read, zero-alloc binary WAL append and
@@ -17,8 +19,9 @@ build:
 # 500-row write batch's bytes and allocations per row through
 # /api/cypher, zero-cost disabled ANALYZE
 # instrumentation on the warm expand path, the row-path pins — O(k)
-# top-k, per-group grouping, zero per row on a label scan and in the
-# NDJSON encoder — the extraction pass's per-report ceiling, the IOC
+# top-k, per-group grouping, zero per row on a label scan, through a
+# WITH bridge (plain or DISTINCT) and in the NDJSON encoder — the
+# extraction pass's per-report ceiling, the IOC
 # scanner, the zero-alloc warm CRF decoder, and the layout engine's
 # zero-alloc warm Step on both kernels plus a 9-node server.Layout's
 # ceiling) are gated

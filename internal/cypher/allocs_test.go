@@ -67,19 +67,6 @@ func TestAnalyzeDisabledAllocs(t *testing.T) {
 	}
 }
 
-// scanStore is n :R nodes with a `published` attribute (one node in
-// seven shares its date with others) and a `vendor` out of 40.
-func scanStore(n int) *graph.Store {
-	s := graph.New()
-	for i := 0; i < n; i++ {
-		s.MergeNode("R", fmt.Sprintf("r%05d", i), map[string]string{
-			"published": fmt.Sprintf("2021-%03d", (i*7919)%(n/7)),
-			"vendor":    fmt.Sprintf("v%02d", i%40),
-		})
-	}
-	return s
-}
-
 // allocsOf runs a warm prepared statement to exhaustion through its
 // cursor and reports allocations per execution.
 func allocsOf(t *testing.T, s *graph.Store, q string, wantRows int) float64 {
@@ -162,5 +149,28 @@ func TestCollectAllocs(t *testing.T) {
 	q := `match (r:R) with r.grp as g, collect(r.name) as names return g, names`
 	if allocs := allocsOf(t, s, q, 100); allocs > 60+6*100 {
 		t.Errorf("collect of 10000 strings into 100 groups: %.0f allocs/op, want <= %d", allocs, 60+6*100)
+	}
+}
+
+// The WITH pins: a bridge carries each projected row into the next
+// segment's frame without allocating, so a WITH costs what the same
+// RETURN costs. A projected row allocated per upstream row overshoots
+// by the row count.
+
+// TestWithBridgeAllocs: a non-aggregating WITH streams 30 000 rows
+// through the one reused row buffer.
+func TestWithBridgeAllocs(t *testing.T) {
+	s := scanStore(30000)
+	if allocs := allocsOf(t, s, `match (r:R) with r.name as n, r.published as p return n, p`, 30000); allocs > 40 {
+		t.Errorf("WITH bridge over 30000 rows: %.0f allocs/op, want <= 40", allocs)
+	}
+}
+
+// TestWithDistinctAllocs: a DISTINCT WITH allocates per distinct row (40
+// vendors here), not per row it drops.
+func TestWithDistinctAllocs(t *testing.T) {
+	s := scanStore(30000)
+	if allocs := allocsOf(t, s, `match (r:R) with distinct r.vendor as v return v`, 40); allocs > 120 {
+		t.Errorf("DISTINCT WITH of 30000 rows into 40: %.0f allocs/op, want <= 120", allocs)
 	}
 }

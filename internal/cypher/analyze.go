@@ -8,12 +8,12 @@ import (
 
 // EXPLAIN ANALYZE profiling. The executor's iterators are untouched:
 // when a statement is analyzed, buildStageChain wraps each stage
-// iterator in a profIter (and the row sources in a profSource) that
-// counts pulls and rows and accumulates monotonic wall time. The wrap
-// happens only when execCtx.prof is non-nil — one pointer test at
-// pipeline *construction* time — so an un-analyzed execution runs the
-// exact same iterator chain as before, with zero per-row overhead and
-// zero extra allocations.
+// iterator, and wrapOp each segment's end (its WITH bridge, or the final
+// projection), in a profIter that counts pulls and rows and accumulates
+// monotonic wall time. The wrap happens only when the profile is
+// non-nil — one pointer test at pipeline *construction* time — so an
+// un-analyzed execution runs the exact same iterator chain as before,
+// with zero per-row overhead and zero extra allocations.
 //
 // Reported times are inclusive of the operator's inputs (each iterator
 // pulls its upstream inside next()), matching the convention EXPLAIN
@@ -83,25 +83,24 @@ func (p *planProf) wrap(st Stage, it iter, input iter) iter {
 	return &profIter{inner: it, sp: sp}
 }
 
-// wrapOp instruments a segment's projection operator (the withIter
-// bridging into the next segment).
-func (p *planProf) wrapOp(seg *PlanSegment, it iter, input iter) iter {
-	sp := p.opFor(seg, input)
-	return &profIter{inner: it, sp: sp}
-}
-
-// opFor returns (creating) the projection profile for a segment, wiring
-// its rows-in to the segment's last stage.
-func (p *planProf) opFor(seg *PlanSegment, input iter) *stageProf {
-	sp, ok := p.ops[seg]
+// wrapOp instruments the end of a segment: the WITH bridge into the
+// next segment, or the final projection the cursor reads. It counts the
+// rows the consumer receives, so a WITH's out is what its WHERE keeps,
+// and wires the operator's rows-in to the segment's last stage. With no
+// profile it returns it unwrapped.
+func (p *planProf) wrapOp(proj *projection, it iter) iter {
+	if p == nil {
+		return it
+	}
+	sp, ok := p.ops[proj.seg]
 	if !ok {
 		sp = &stageProf{}
-		p.ops[seg] = sp
+		p.ops[proj.seg] = sp
 	}
-	if pi, ok := input.(*profIter); ok {
+	if pi, ok := proj.in.(*profIter); ok {
 		sp.in = pi.sp
 	}
-	return sp
+	return &profIter{inner: it, sp: sp}
 }
 
 // noteSort records the final segment's sort: rows buffered in, time
@@ -131,24 +130,6 @@ func (p *profIter) next() (bool, error) {
 		p.sp.rows++
 	}
 	return ok, err
-}
-
-// profSource times and counts the final row source (projection,
-// aggregation, sort+page) feeding the cursor.
-type profSource struct {
-	src rowSource
-	sp  *stageProf
-}
-
-func (p *profSource) pull() ([]Value, error) {
-	start := time.Now()
-	row, err := p.src.pull()
-	p.sp.elapsed += time.Since(start)
-	p.sp.calls++
-	if row != nil {
-		p.sp.rows++
-	}
-	return row, err
 }
 
 // --- annotated rendering (plan.go's render consumes these) ---

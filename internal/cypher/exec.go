@@ -210,6 +210,9 @@ func (e *Engine) Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	if q.TxOp != TxNone {
+		return "", errTxControl
+	}
 	pl, err := e.planQuery(q)
 	if err != nil {
 		return "", err
@@ -494,24 +497,11 @@ func isAggregate(e Expr) bool { return aggOpOf(e) != aggNone }
 
 // --- projection, grouping, ordering ---
 
-// projectRow evaluates the projection items against one binding, then
-// the order plan's hidden ORDER BY expressions (op may be nil), into one
-// row allocated at its final size.
-func projectRow(items []ReturnItem, op *orderPlan, b *binding, ps params) ([]Value, error) {
-	n := len(items)
-	if op != nil {
-		n += len(op.hidden)
-	}
-	row := make([]Value, n)
-	if err := projectInto(row, items, op, b, ps); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
-// projectInto is projectRow into a caller-owned row of the right length
-// — the top-k window's scratch row, so a row that never enters the
-// window is never allocated.
+// projectInto evaluates the projection items against one binding, then
+// the order plan's hidden ORDER BY expressions (op may be nil), into a
+// caller-owned row of the right length: a streaming projection's reused
+// row, or the top-k window's scratch row, so a row that never enters
+// the window is never allocated.
 func projectInto(row []Value, items []ReturnItem, op *orderPlan, b *binding, ps params) error {
 	for i, it := range items {
 		v, err := evalExpr(it.Expr, b, ps)

@@ -12,9 +12,10 @@ import (
 // place and undone on backtrack instead of cloned per level). Each stage's
 // iterator pulls from its input only when it needs another row, so
 // LIMIT, MaxRows and aggregate early exits stop pattern matching
-// upstream instead of truncating a materialized match set. WITH
-// boundaries bridge segments: the upstream segment's projected row
-// becomes the downstream segment's entire binding namespace.
+// upstream instead of truncating a materialized match set. Each
+// segment ends in a projection (rows.go); at a WITH boundary a bridge
+// (withIter) makes the upstream segment's projected row the downstream
+// segment's entire binding namespace.
 
 // iter advances the shared binding to the next complete extension.
 type iter interface {
@@ -1077,96 +1078,33 @@ func (m *mutationIter) next() (bool, error) {
 
 // --- WITH segment bridge ---
 
-// withIter bridges two pipeline segments: it pulls the upstream
-// segment's rows, projects them through the WITH items (aggregating or
-// deduplicating when asked), applies the post-WITH WHERE filter, and
-// re-roots the downstream segment's binding namespace to exactly the
-// projected aliases. Non-aggregating bridges stream row by row, so a
-// downstream LIMIT still stops upstream matching early; aggregating
-// bridges materialize their group table on first pull, charging the
-// query's byte budget for every row consumed and every row projected.
+// withIter carries rows across a WITH: it pulls the upstream segment's
+// projection (rows.go) one row at a time, installs the row in the
+// downstream segment's frame slots — the segment's entire binding
+// namespace — and applies the WITH ... WHERE filter there.
 type withIter struct {
-	srcEC *execCtx
-	dstEC *execCtx
-	seg   *PlanSegment
-	src   iter
-
-	seen    *rowSet   // DISTINCT
-	buf     [][]Value // aggregate groups
-	bi      int
-	started bool
-}
-
-// emit installs a projected row as the downstream binding and applies
-// the WITH ... WHERE filter.
-func (w *withIter) emit(row []Value) (bool, error) {
-	for i, slot := range w.seg.outSlots {
-		w.dstEC.b.vals[slot] = row[i]
-	}
-	if w.seg.Filter != nil {
-		v, err := evalExpr(w.seg.Filter, &w.dstEC.b, w.dstEC.ps)
-		if err != nil {
-			return false, err
-		}
-		if !v.Truthy() {
-			return false, nil
-		}
-	}
-	return true, nil
+	p  *projection
+	ec *execCtx // the downstream segment's
 }
 
 func (w *withIter) next() (bool, error) {
-	if w.seg.HasAggregate {
-		if !w.started {
-			w.started = true
-			res := &Result{}
-			if err := aggregateRows(w.seg.Items, res, func() (*binding, error) {
-				ok, err := w.src.next()
-				if err != nil || !ok {
-					return nil, err
-				}
-				if err := w.srcEC.bud.charge(aggRowCost); err != nil {
-					return nil, err
-				}
-				return &w.srcEC.b, nil
-			}, w.srcEC.ps); err != nil {
-				return false, err
-			}
-			w.buf = res.Rows
-		}
-		for w.bi < len(w.buf) {
-			row := w.buf[w.bi]
-			w.bi++
-			ok, err := w.emit(row)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
+	seg := w.p.seg
 	for {
-		ok, err := w.src.next()
+		ok, err := w.p.next()
 		if err != nil || !ok {
 			return false, err
 		}
-		row, err := projectRow(w.seg.Items, nil, &w.srcEC.b, w.srcEC.ps)
+		for i, slot := range seg.outSlots {
+			w.ec.b.vals[slot] = w.p.row[i]
+		}
+		if seg.Filter == nil {
+			return true, nil
+		}
+		v, err := evalExpr(seg.Filter, &w.ec.b, w.ec.ps)
 		if err != nil {
 			return false, err
 		}
-		if err := w.srcEC.bud.charge(rowBytes(row)); err != nil {
-			return false, err
-		}
-		if w.seen != nil && !w.seen.add(row) {
-			continue
-		}
-		ok, err = w.emit(row)
-		if err != nil {
-			return false, err
-		}
-		if ok {
+		if v.Truthy() {
 			return true, nil
 		}
 	}

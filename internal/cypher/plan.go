@@ -395,9 +395,6 @@ type Plan struct {
 	HasWrites bool
 }
 
-// final returns the RETURN segment.
-func (p *Plan) final() *PlanSegment { return p.Segments[len(p.Segments)-1] }
-
 // String renders the plan for EXPLAIN: numbered pipeline stages with
 // their pushed-down filters (optional sub-pipelines indented), WITH
 // boundaries between segments, then the row-level operators in order.

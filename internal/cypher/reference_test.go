@@ -297,3 +297,18 @@ func (r refEval) project(part *QueryPart, in []binding) ([][]Value, error) {
 	}
 	return pageRows(rows, part.Skip, part.Limit), nil
 }
+
+// projectRow evaluates the projection items against one binding, then
+// the order plan's hidden ORDER BY expressions (op may be nil), into one
+// row allocated at its final size.
+func projectRow(items []ReturnItem, op *orderPlan, b *binding, ps params) ([]Value, error) {
+	n := len(items)
+	if op != nil {
+		n += len(op.hidden)
+	}
+	row := make([]Value, n)
+	if err := projectInto(row, items, op, b, ps); err != nil {
+		return nil, err
+	}
+	return row, nil
+}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"hash"
 	"sort"
 	"strings"
 	"testing"
@@ -40,6 +41,42 @@ var tooBigToMaterialize = map[string]bool{
 func TestReferenceMatchesParent(t *testing.T) {
 	got := resultsListing(t, func(s *graph.Store, _ Options) querier { return reference{s} })
 	matchesParentFile(t, "testdata/results_parent.txt", got, *updateResults)
+}
+
+// TestEngineMatchesParent holds the engine to the same listing, run with
+// no MaxRows cap because the reference materializes without one. It also
+// pins what each statement charges against its byte budget: the SHA-256
+// of every statement's Result.BudgetUsed, in listing order.
+func TestEngineMatchesParent(t *testing.T) {
+	h := sha256.New()
+	got := resultsListing(t, func(s *graph.Store, opts Options) querier {
+		opts.MaxRows = 0
+		return budgetHasher{NewEngine(s, opts), h}
+	})
+	matchesParentFile(t, "testdata/results_parent.txt", got, false)
+	if sum := fmt.Sprintf("%x", h.Sum(nil)); sum != parentBudgetHash {
+		t.Errorf("budget charges hash to %s, want %s", sum, parentBudgetHash)
+	}
+}
+
+// parentBudgetHash is TestEngineMatchesParent's budget hash as the
+// engine computed it before its projection operators were merged.
+const parentBudgetHash = "683e8d83094a1fb1c2f452f461b59efede0cfc55e35f7c9ef030b60046f83227"
+
+// budgetHasher folds each statement's budget use into h.
+type budgetHasher struct {
+	q querier
+	h hash.Hash
+}
+
+func (b budgetHasher) Query(src string, args map[string]any) (*Result, error) {
+	res, err := b.q.Query(src, args)
+	used := int64(-1)
+	if err == nil {
+		used = res.BudgetUsed
+	}
+	fmt.Fprintf(b.h, "%s\t%d\n", src, used)
+	return res, err
 }
 
 // resultsListing runs parentCorpus and the write scripts through the

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"testing"
 	"testing/quick"
 
@@ -141,5 +142,37 @@ func TestTopKMatchesFullSortQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// scanStore is n :R nodes with a `published` attribute (one node in
+// seven shares its date with others) and a `vendor` out of 40.
+func scanStore(n int) *graph.Store {
+	s := graph.New()
+	for i := 0; i < n; i++ {
+		s.MergeNode("R", fmt.Sprintf("r%05d", i), map[string]string{
+			"published": fmt.Sprintf("2021-%03d", (i*7919)%(n/7)),
+			"vendor":    fmt.Sprintf("v%02d", i%40),
+		})
+	}
+	return s
+}
+
+// TestWithEarlyCutoff: a LIMIT after a non-aggregating WITH stops the
+// scan, with and without a WHERE on the WITH: the bridge pulls only the
+// rows it needs to pass three on.
+func TestWithEarlyCutoff(t *testing.T) {
+	s := scanStore(30000)
+	for _, tc := range []struct{ q, want string }{
+		{`match (r:R) with r.name as n return n limit 3`, `LabelScan \(r:R\) .* act=3 `},
+		{`match (r:R) with r.name as n where n > "r29990" return n limit 3`, `=> With r.name \[in=29994 out=3 `},
+	} {
+		_, plan, err := NewEngine(s, DefaultOptions()).QueryAnalyze(tc.q, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		if !regexp.MustCompile(tc.want).MatchString(plan) {
+			t.Errorf("%s: plan does not match %q:\n%s", tc.q, tc.want, plan)
+		}
 	}
 }

@@ -1,5 +1,10 @@
 package cypher
 
+// The cursor and the operator behind it: Rows reads the final segment's
+// projection, the one operator that ends every segment of a plan —
+// streaming, buffered (aggregation, ORDER BY) or draining (a write-only
+// statement) — and the byte budget it charges.
+
 import (
 	"fmt"
 	"slices"
@@ -25,7 +30,8 @@ import (
 // (charging the byte budget), then stream the buffered result.
 type Rows struct {
 	cols    []string
-	src     rowSource
+	src     iter        // the final projection, or its ANALYZE wrapper
+	proj    *projection // whose row is the current row after src.next
 	cur     []Value
 	err     error
 	done    bool
@@ -45,11 +51,6 @@ type Rows struct {
 	began time.Time
 	nrows int64
 	bud   *byteBudget
-	// reused marks a source that overwrites the row it returned on its
-	// next pull (the streaming path: a cursor consumer reads a row before
-	// asking for the next, so one row buffer serves the whole stream);
-	// materialize copies such rows to keep them.
-	reused bool
 }
 
 // BudgetUsed returns the bytes charged against the statement's byte
@@ -70,18 +71,6 @@ func (r *Rows) BudgetUsed() int64 {
 // closed. An error during that deferred application surfaces via Err.
 func (r *Rows) Writes() *WriteStats { return r.writes }
 
-// rowSource produces rows one at a time; nil row = exhausted. Sources
-// are small structs rather than closures so a cursor costs one
-// allocation, not one per captured variable — prepared-statement
-// workloads execute millions of these.
-type rowSource interface {
-	pull() ([]Value, error)
-}
-
-func newRows(cols []string, src rowSource) *Rows {
-	return &Rows{cols: cols, src: src}
-}
-
 // Columns returns the result column names, available before the first
 // Next call. The caller must not modify the returned slice.
 func (r *Rows) Columns() []string { return r.cols }
@@ -93,18 +82,18 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	r.started = true
-	row, err := r.src.pull()
+	ok, err := r.src.next()
 	if err != nil {
 		r.err = err
 		r.close()
 		return false
 	}
-	if row == nil {
+	if !ok {
 		r.close()
 		return false
 	}
 	r.nrows++
-	r.cur = row
+	r.cur = r.proj.row
 	return true
 }
 
@@ -166,7 +155,7 @@ func (r *Rows) Err() error { return r.err }
 // error from that application lands in Err.
 func (r *Rows) Close() error {
 	if r.writes != nil && !r.started && !r.done && r.src != nil {
-		if _, err := r.src.pull(); err != nil {
+		if _, err := r.src.next(); err != nil {
 			r.err = err
 		}
 	}
@@ -190,28 +179,12 @@ func (r *Rows) close() {
 	}
 }
 
-// sliceSource streams an already-materialized row set: EXPLAIN and
-// EXPLAIN ANALYZE output, and the empty result of a COMMIT or ROLLBACK.
-type sliceSource struct {
-	rows [][]Value
-	i    int
-}
-
-func (s *sliceSource) pull() ([]Value, error) {
-	if s.i >= len(s.rows) {
-		return nil, nil
-	}
-	row := s.rows[s.i]
-	s.i++
-	return row, nil
-}
-
 // rowsFromResult adapts an already-materialized result to the cursor
-// interface.
+// interface: EXPLAIN and EXPLAIN ANALYZE output, and the empty result of
+// a COMMIT or ROLLBACK. Its projection is a filled buffer.
 func rowsFromResult(res *Result) *Rows {
-	r := newRows(res.Columns, &sliceSource{rows: res.Rows})
-	r.writes = res.Writes
-	return r
+	p := &projection{mode: buffered, started: true, buf: res.Rows}
+	return &Rows{cols: res.Columns, src: p, proj: p, writes: res.Writes}
 }
 
 // materialize drains a cursor into a rectangular Result, honoring the
@@ -221,7 +194,7 @@ func rowsFromResult(res *Result) *Rows {
 func materialize(rows *Rows, maxRows int) (*Result, error) {
 	res := &Result{Columns: rows.Columns()}
 	truncated, err := rows.Drain(maxRows, func(row []Value) {
-		if rows.reused {
+		if rows.proj.mode == streaming { // the next pull overwrites row
 			row = append([]Value(nil), row...)
 		}
 		res.Rows = append(res.Rows, row)
@@ -305,16 +278,12 @@ const aggRowCost = 64
 
 // rowsForPlan wires a (possibly cached, possibly shared) plan into the
 // streaming iterator pipeline and returns a cursor over its output.
-// Every projected row is charged against the query's byte budget as it
-// streams, whether the caller keeps it or not — rows dropped by
-// DISTINCT included, so the charge bounds enumeration, not just
-// retained memory.
 func (e *Engine) rowsForPlan(pl *Plan, ps params) (*Rows, error) {
 	return e.rowsForPlanProf(pl, ps, nil)
 }
 
 // rowsForPlanProf is rowsForPlan with an optional ANALYZE profile: when
-// prof is non-nil, every stage iterator and row source is wrapped in a
+// prof is non-nil, every stage iterator and segment end is wrapped in a
 // profiling decorator (analyze.go).
 func (e *Engine) rowsForPlanProf(pl *Plan, ps params, prof *planProf) (*Rows, error) {
 	if pl.HasWrites && e.opts.ReadOnly {
@@ -322,189 +291,241 @@ func (e *Engine) rowsForPlanProf(pl *Plan, ps params, prof *planProf) (*Rows, er
 	}
 	// Scope the statement (tx.go): reads pin a snapshot, writes open an
 	// implicit store transaction. The returned cursor carries the scope's
-	// finish hook; errors before the cursor exists end the scope here.
+	// finish hook.
 	ex, finish, err := e.beginScope(pl.HasWrites)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := ex.rowsForPlanScoped(pl, ps, prof)
-	if err != nil {
-		return nil, finish(err)
-	}
+	rows := ex.rowsForPlanScoped(pl, ps, prof)
 	rows.finish = finish
 	return rows, nil
 }
 
 // rowsForPlanScoped is rowsForPlan's body, running on the per-statement
-// scoped engine.
-func (e *Engine) rowsForPlanScoped(pl *Plan, ps params, prof *planProf) (*Rows, error) {
-	fin := pl.final()
+// scoped engine: each segment is its stage chain ended by a projection,
+// a WITH bridge carries one segment's projection into the next, and the
+// cursor reads the final one.
+func (e *Engine) rowsForPlanScoped(pl *Plan, ps params, prof *planProf) *Rows {
 	bud := newBudget(e.opts.MaxBytes)
 	var writes *WriteStats
 	if pl.HasWrites {
 		writes = &WriteStats{}
 	}
 	began := time.Now()
-	var ec *execCtx
+	var p *projection
 	var root iter
-	for si, seg := range pl.Segments {
-		nec := &execCtx{e: e, b: newBinding(seg.tab), ps: ps, bud: bud, writes: writes, prof: prof}
-		if si > 0 {
-			prev := pl.Segments[si-1]
-			w := &withIter{srcEC: ec, dstEC: nec, seg: prev, src: root}
-			if prev.Distinct && !prev.HasAggregate {
-				w.seen = newRowSet()
-			}
-			if prof != nil {
-				root = prof.wrapOp(prev, w, root)
-			} else {
-				root = w
-			}
+	for _, seg := range pl.Segments {
+		ec := &execCtx{e: e, b: newBinding(seg.tab), ps: ps, bud: bud, writes: writes, prof: prof}
+		if p != nil {
+			root = prof.wrapOp(p, &withIter{p: p, ec: ec})
 		}
-		ec = nec
-		root = buildStageChain(ec, seg.Stages, root)
+		p = newProjection(seg, ec, buildStageChain(ec, seg.Stages, root))
 	}
-
-	if writes != nil && fin.Limit == 0 && len(fin.Items) > 0 {
-		// LIMIT 0 returns no rows, but a statement's writes apply
-		// whatever its RETURN keeps, and the row sources would
-		// short-circuit without ever pulling the mutation stage. Drain
-		// the pipeline now; the source below then emits nothing.
-		for {
-			ok, err := root.next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-		}
-	}
-
-	var src rowSource
-	reused := false
-	switch {
-	case len(fin.Items) == 0:
-		// Write-only statement: drain the pipeline (applying every
-		// mutation), emit no rows.
-		src = &drainSource{root: root}
-	case fin.HasAggregate:
-		src = &aggSource{fin: fin, root: root, ec: ec}
-	case fin.op != nil:
-		ss := &sortedSource{fin: fin, root: root, ec: ec}
-		if fin.Distinct {
-			ss.seen = newRowSet()
-		}
-		src = ss
-	default:
-		st := &streamSource{fin: fin, root: root, ec: ec, row: make([]Value, len(fin.Items))}
-		if fin.Distinct {
-			st.seen = newRowSet()
-		}
-		src, reused = st, true
-	}
-	if prof != nil {
-		src = &profSource{src: src, sp: prof.opFor(fin, root)}
-	}
-	r := newRows(fin.cols, src)
-	r.reused = reused
-	r.writes = writes
-	r.began = began
-	r.bud = bud
-	r.kind = 'r'
+	r := &Rows{cols: p.seg.cols, src: prof.wrapOp(p, p), proj: p, writes: writes, began: began, bud: bud, kind: 'r'}
 	if pl.HasWrites {
 		r.kind = 'w'
 	}
-	return r, nil
+	return r
 }
 
-// drainSource exhausts the pipeline without projecting: the execution
-// path of a write-only statement, whose result is its WriteStats.
-type drainSource struct {
-	root iter
-	done bool
+// --- the projection operator ---
+
+// projection ends every segment: it pulls the segment's bindings and
+// yields its projected rows, the current one in row. A WITH bridge
+// (iter.go) carries the rows into the next segment; the cursor reads the
+// final segment's. It runs in one of three modes:
+//
+//   - streaming: each binding is projected into the one reused row
+//     buffer, and DISTINCT, SKIP and LIMIT apply row by row, so a
+//     satisfied LIMIT stops upstream matching at once;
+//   - buffered, for aggregation and ORDER BY: the first pull groups the
+//     input (aggregateRows) or orders it (sortInput), strips the hidden
+//     ORDER BY keys and cuts the SKIP/LIMIT page, and the rows are yielded
+//     from that buffer;
+//   - draining, when the segment projects nothing (a write-only
+//     statement) or a write statement's LIMIT is 0: the first pull
+//     exhausts the input, applying every mutation, and yields no row.
+//
+// Every projected row is charged against the byte budget as it is
+// made, rows DISTINCT drops included, so the charge bounds enumeration,
+// not just retained memory; an aggregation instead charges aggRowCost
+// for each input row it folds.
+type projection struct {
+	seg     *PlanSegment
+	ec      *execCtx
+	in      iter
+	mode    projMode
+	row     []Value   // the current row
+	seen    *rowSet   // DISTINCT, when not aggregating
+	n       int       // streaming: rows past DISTINCT so far
+	buf     [][]Value // buffered: the page still to yield
+	started bool      // buffered, draining: the first pull ran
 }
 
-func (d *drainSource) pull() ([]Value, error) {
-	if d.done {
-		return nil, nil
+type projMode uint8
+
+const (
+	streaming projMode = iota
+	buffered
+	draining
+)
+
+func newProjection(seg *PlanSegment, ec *execCtx, in iter) *projection {
+	p := &projection{seg: seg, ec: ec, in: in}
+	switch {
+	case len(seg.Items) == 0 || ec.writes != nil && seg.Limit == 0:
+		// A LIMIT 0 returns no rows, but a statement's writes apply
+		// whatever its RETURN keeps.
+		p.mode = draining
+	case seg.HasAggregate || seg.op != nil:
+		p.mode = buffered
+	default:
+		p.row = make([]Value, len(seg.Items))
 	}
-	d.done = true
+	if seg.Distinct && !seg.HasAggregate {
+		p.seen = newRowSet()
+	}
+	return p
+}
+
+func (p *projection) next() (bool, error) {
+	if p.mode == streaming {
+		return p.stream()
+	}
+	if !p.started {
+		p.started = true
+		if err := p.fill(); err != nil {
+			return false, err
+		}
+	}
+	if len(p.buf) == 0 {
+		return false, nil
+	}
+	p.row, p.buf = p.buf[0], p.buf[1:]
+	return true, nil
+}
+
+func (p *projection) stream() (bool, error) {
+	seg, ec := p.seg, p.ec
+	// Pull until LIMIT rows are past SKIP.
+	for seg.Limit < 0 || max(p.n, seg.Skip) < seg.Skip+seg.Limit {
+		ok, err := p.in.next()
+		if err != nil || !ok {
+			return false, err
+		}
+		if err := projectInto(p.row, seg.Items, nil, &ec.b, ec.ps); err != nil {
+			return false, err
+		}
+		if err := ec.bud.charge(rowBytes(p.row)); err != nil {
+			return false, err
+		}
+		if p.seen != nil && !p.seen.add(p.row) {
+			continue
+		}
+		if p.n++; p.n > seg.Skip {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// fill runs a buffered or draining projection's first pull, leaving the
+// rows to yield in buf.
+func (p *projection) fill() error {
+	seg := p.seg
+	var rows [][]Value
+	switch {
+	case p.mode == draining:
+		for {
+			ok, err := p.in.next()
+			if err != nil || !ok {
+				return err
+			}
+		}
+	case seg.HasAggregate:
+		res := &Result{}
+		if err := aggregateRows(seg.Items, res, p.consume, p.ec.ps); err != nil {
+			return err
+		}
+		rows = res.Rows
+		if seg.op != nil {
+			sortRows(seg.OrderBy, rows, seg.op.keyCols)
+		}
+	case seg.Limit != 0:
+		var err error
+		if rows, err = p.sortInput(); err != nil {
+			return err
+		}
+		stripHidden(rows, len(seg.cols), seg.op)
+	}
+	p.buf = pageRows(rows, seg.Skip, seg.Limit)
+	return nil
+}
+
+// consume feeds one upstream binding to the aggregation, charging the
+// byte budget so unbounded enumerations abort instead of hanging.
+func (p *projection) consume() (*binding, error) {
+	ok, err := p.in.next()
+	if err != nil || !ok {
+		return nil, err
+	}
+	if err := p.ec.bud.charge(aggRowCost); err != nil {
+		return nil, err
+	}
+	return &p.ec.b, nil
+}
+
+// sortInput drains the input in ORDER BY order, before paging. Each row
+// is projected — hidden ORDER BY keys included — into a scratch row
+// first, so the budget charge and the DISTINCT check see exactly the row
+// streaming would have produced, and only a row that is kept is copied
+// out of it. Without a LIMIT every row is kept and sorted once; with one
+// only the Skip+Limit best are, in a bounded window ordered by (ORDER BY
+// keys, arrival) — exactly the first Skip+Limit rows of the full stable
+// sort — so memory and allocations are O(k) while every matched row is
+// still considered and charged.
+func (p *projection) sortInput() ([][]Value, error) {
+	seg, ec := p.seg, p.ec
+	visible := len(seg.cols)
+	scratch := make([]Value, visible+len(seg.op.hidden))
+	top := topK{fin: seg}
+	k := seg.Skip + seg.Limit // meaningful only with a LIMIT
+	var rows [][]Value
+	fed := 0
 	for {
-		ok, err := d.root.next()
+		ok, err := p.in.next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return nil, nil
+			break
 		}
-	}
-}
-
-// streamSource is the fully incremental path: projection, DISTINCT,
-// SKIP and LIMIT are applied row by row, so a satisfied LIMIT stops
-// upstream matching immediately. Every row is projected into the one
-// row buffer (Rows.reused), so streaming a row allocates nothing.
-type streamSource struct {
-	fin     *PlanSegment
-	root    iter
-	ec      *execCtx
-	row     []Value
-	seen    *rowSet
-	skipped int
-	emitted int
-	done    bool
-}
-
-func (s *streamSource) pull() ([]Value, error) {
-	fin := s.fin
-	if s.done || (fin.Limit >= 0 && s.emitted >= fin.Limit) {
-		s.done = true
-		return nil, nil
-	}
-	for {
-		ok, err := s.root.next()
-		if err != nil {
-			s.done = true
+		if err := projectInto(scratch, seg.Items, seg.op, &ec.b, ec.ps); err != nil {
 			return nil, err
 		}
-		if !ok {
-			s.done = true
-			return nil, nil
-		}
-		if err := projectInto(s.row, fin.Items, nil, &s.ec.b, s.ec.ps); err != nil {
+		if err := ec.bud.charge(rowBytes(scratch[:visible])); err != nil {
 			return nil, err
 		}
-		if err := s.ec.bud.charge(rowBytes(s.row)); err != nil {
-			s.done = true
-			return nil, err
-		}
-		if s.seen != nil && !s.seen.add(s.row) {
+		if p.seen != nil && !p.seen.add(scratch[:visible]) {
 			continue
 		}
-		if s.skipped < fin.Skip {
-			s.skipped++
-			continue
+		if seg.Limit > 0 {
+			top.offer(scratch, fed, k)
+		} else {
+			rows = append(rows, append([]Value(nil), scratch...))
 		}
-		s.emitted++
-		return s.row, nil
+		fed++
 	}
-}
-
-// sortedSource orders and pages the stream on the first pull. Without a
-// LIMIT it buffers every row and sorts once. With one it keeps only the
-// Skip+Limit best rows seen so far in a bounded heap ordered by (ORDER
-// BY keys, arrival) — exactly the first Skip+Limit rows of the full
-// stable sort — so memory and allocations are O(k) while every matched
-// row is still considered and charged to the byte budget.
-type sortedSource struct {
-	fin     *PlanSegment
-	root    iter
-	ec      *execCtx
-	seen    *rowSet
-	started bool
-	buf     [][]Value
-	bi      int
+	t := time.Now()
+	if seg.Limit > 0 {
+		rows = top.sorted()
+	} else {
+		sortRows(seg.OrderBy, rows, seg.op.keyCols)
+	}
+	if ec.prof != nil {
+		ec.prof.noteSort(seg, int64(fed), time.Since(t))
+	}
+	return rows, nil
 }
 
 // topRow is one row of the top-k window with its arrival number, the
@@ -591,121 +612,6 @@ func (t *topK) sorted() [][]Value {
 		out[i] = t.rows[i].row
 	}
 	return out
-}
-
-func (s *sortedSource) pull() ([]Value, error) {
-	fin := s.fin
-	if !s.started {
-		s.started = true
-		if fin.Limit == 0 {
-			return nil, nil
-		}
-		if err := s.fill(); err != nil {
-			return nil, err
-		}
-		stripHidden(s.buf, len(fin.cols), fin.op)
-		s.buf = pageRows(s.buf, fin.Skip, fin.Limit)
-	}
-	if s.bi >= len(s.buf) {
-		return nil, nil
-	}
-	row := s.buf[s.bi]
-	s.bi++
-	return row, nil
-}
-
-// fill drains the pipeline into s.buf in ORDER BY order (before paging).
-// Each row is projected — hidden ORDER BY keys included — into a scratch
-// row first, so the budget charge and the DISTINCT check see exactly the
-// row streaming would have produced, and only a row that is kept is
-// copied out of it.
-func (s *sortedSource) fill() error {
-	fin, ec := s.fin, s.ec
-	visible := len(fin.cols)
-	scratch := make([]Value, visible+len(fin.op.hidden))
-	top := topK{fin: fin}
-	k := fin.Skip + fin.Limit // meaningful only with a LIMIT
-	fed := 0
-	for {
-		ok, err := s.root.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := projectInto(scratch, fin.Items, fin.op, &ec.b, ec.ps); err != nil {
-			return err
-		}
-		if err := ec.bud.charge(rowBytes(scratch[:visible])); err != nil {
-			return err
-		}
-		if s.seen != nil && !s.seen.add(scratch[:visible]) {
-			continue
-		}
-		if fin.Limit > 0 {
-			top.offer(scratch, fed, k)
-		} else {
-			s.buf = append(s.buf, append([]Value(nil), scratch...))
-		}
-		fed++
-	}
-	t := time.Now()
-	if fin.Limit > 0 {
-		s.buf = top.sorted()
-	} else {
-		sortRows(fin.OrderBy, s.buf, fin.op.keyCols)
-	}
-	if ec.prof != nil {
-		ec.prof.noteSort(fin, int64(fed), time.Since(t))
-	}
-	return nil
-}
-
-// aggSource lazily runs the final aggregation on the first pull
-// (sorting the group table when asked), then streams the SKIP/LIMIT
-// window.
-type aggSource struct {
-	fin     *PlanSegment
-	root    iter
-	ec      *execCtx
-	started bool
-	buf     [][]Value
-	bi      int
-}
-
-func (s *aggSource) pull() ([]Value, error) {
-	fin := s.fin
-	if !s.started {
-		s.started = true
-		res := &Result{}
-		if err := aggregateRows(fin.Items, res, s.consume, s.ec.ps); err != nil {
-			return nil, err
-		}
-		if fin.op != nil {
-			sortRows(fin.OrderBy, res.Rows, fin.op.keyCols)
-		}
-		s.buf = pageRows(res.Rows, fin.Skip, fin.Limit)
-	}
-	if s.bi >= len(s.buf) {
-		return nil, nil
-	}
-	row := s.buf[s.bi]
-	s.bi++
-	return row, nil
-}
-
-// consume feeds one upstream binding to the aggregation, charging the
-// byte budget so unbounded enumerations abort instead of hanging.
-func (s *aggSource) consume() (*binding, error) {
-	ok, err := s.root.next()
-	if err != nil || !ok {
-		return nil, err
-	}
-	if err := s.ec.bud.charge(aggRowCost); err != nil {
-		return nil, err
-	}
-	return &s.ec.b, nil
 }
 
 // pageRows applies SKIP and LIMIT to a materialized row buffer.

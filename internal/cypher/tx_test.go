@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -268,6 +269,9 @@ func TestTxControlRouting(t *testing.T) {
 		}
 		if _, err := e.Prepare(src); err == nil {
 			t.Fatalf("Prepare(%q): want tx-control rejection", src)
+		}
+		if _, err := e.Explain(src); !errors.Is(err, errTxControl) {
+			t.Fatalf("Explain(%q): %v, want the tx-control rejection", src, err)
 		}
 	}
 	if _, err := Parse("BEGIN MATCH (n) RETURN n"); err == nil {

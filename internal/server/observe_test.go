@@ -227,6 +227,21 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Errorf("stream path not logged: %q", buf.String())
 	}
 
+	// Statements inside a transaction session log too, materialized and
+	// streamed; BEGIN and COMMIT do not.
+	buf.Reset()
+	tx := postCy(t, s, map[string]any{"query": "BEGIN"})
+	postCy(t, s, map[string]any{"tx": tx["tx"], "query": `create (x:IP {name: "9.9.9.9"})`})
+	b, _ = json.Marshal(map[string]any{"tx": tx["tx"], "query": `match (x:IP {name: "9.9.9.9"}) return x.name`, "stream": true})
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/api/cypher", bytes.NewReader(b)))
+	postCy(t, s, map[string]any{"tx": tx["tx"], "query": "COMMIT"})
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "kind=write") || !strings.Contains(lines[0], "9.9.9.9") ||
+		!strings.Contains(lines[1], "kind=read") || !strings.Contains(lines[1], "rows=1") {
+		t.Errorf("transaction statements not logged as two lines, write then read: %q", buf.String())
+	}
+
 	// Disabled again: silent.
 	s.SetSlowQueryLog(0, log.New(&buf, "", 0))
 	buf.Reset()

@@ -341,6 +341,11 @@ func TestCypherErrorPaths(t *testing.T) {
 	if rec2.Code != 400 || out2.Error == "" {
 		t.Errorf("explain of bad query: status %d body %s", rec2.Code, rec2.Body.String())
 	}
+	// Explain of a transaction-control statement names what is wrong.
+	rec3, out3 := postCypher(t, s, map[string]any{"query": "BEGIN", "explain": true})
+	if rec3.Code != 400 || !strings.Contains(out3.Error, "transaction-control") {
+		t.Errorf("explain of BEGIN: status %d body %s", rec3.Code, rec3.Body.String())
+	}
 }
 
 // filler is an endless run of one byte: a request body of any length

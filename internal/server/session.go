@@ -107,26 +107,33 @@ func (s *Server) txCypher(w http.ResponseWriter, r *http.Request, buf *[]byte, r
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	defer func() { sess.last = time.Now() }()
+	began := time.Now()
 	if req.Stream && op == cypher.TxNone {
 		rows, err := sess.tx.QueryRows(req.Query, req.Params)
 		if err != nil {
 			httpErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		s.streamRows(w, r, rows, false)
+		n := s.streamRows(w, r, rows, false)
+		s.noteSlow(req.Query, statementKind(rows.Writes() != nil), began, n, rows.BudgetUsed())
 		return
 	}
 	// COMMIT is the moment the transaction's writes reach the WAL, so
 	// its response (not the in-tx write statements') carries the
 	// read-your-writes token.
 	rows, err := sess.tx.QueryRows(req.Query, req.Params)
+	n := 0
 	if err == nil {
-		_, err = s.writeRows(w, buf, rows, op == cypher.TxCommit)
+		n, err = s.writeRows(w, buf, rows, op == cypher.TxCommit)
 	}
 	if sess.tx.Done() {
 		s.dropTx(req.Tx)
 	}
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if op == cypher.TxNone {
+		s.noteSlow(req.Query, statementKind(rows.Writes() != nil), began, n, rows.BudgetUsed())
 	}
 }
