@@ -12,8 +12,8 @@ build:
 # results listing and the engine to its pinned byte-budget charges, and
 # TestConnectWholeReportsVisible, where a reader of a leader
 # and its follower must never see half a report). The
-# allocation-regression guards (zero-alloc CSR incidence iteration and
-# planner fan-out read, zero-alloc binary WAL append and
+# allocation-regression guards (zero-alloc CSR incidence iteration,
+# zero-alloc binary WAL append and
 # replication-tail copy, a shipped commit group's frame and the
 # follower's per-record apply ceiling in allocations and bytes, a warm
 # 500-row write batch's bytes and allocations per row through
@@ -85,10 +85,10 @@ loc:
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # plan-shapes diffs the EXPLAIN texts in PLANS against their version at
-# REV (a commit, branch or tag) with every est≈ value stripped, so a
-# planner change shows the plans whose shape moved apart from the ones
-# whose estimates did. Each hunk header names the statement above it; no
-# output means no shape moved.
+# REV (a commit, branch or tag) with every est≈ value and the padding
+# before it stripped, so a planner change shows the plans whose shape
+# moved apart from the ones whose estimates did. Each hunk header names
+# the statement above it; no output means no shape moved.
 PLANS = internal/cypher/testdata/plans_parent.txt
 REV ?= HEAD
 plan-shapes:

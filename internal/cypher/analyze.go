@@ -145,7 +145,7 @@ func (p *planProf) stageSuffix(st Stage) string {
 		return " act=0 in=0 calls=0 time=0s" // planned but never pulled
 	}
 	s := fmt.Sprintf(" act=%d in=%d calls=%d time=%s", sp.rows, sp.inRows(), sp.calls, sp.elapsed)
-	if cardinalityDrifted(st.estRows(), float64(sp.rows)) {
+	if est, ok := scanEst(st); ok && cardinalityDrifted(est*float64(sp.inRows()), float64(sp.rows)) {
 		s += " drift!"
 	}
 	return s
@@ -175,8 +175,9 @@ func (p *planProf) sortSuffix(seg *PlanSegment) string {
 	return fmt.Sprintf(" [in=%d time=%s]", sp.rows, sp.elapsed)
 }
 
-// A stage is marked " drift!" when its observed cumulative cardinality is
-// a driftRatio multiple away from the estimate, with a small-floor guard
+// A scan or seek is marked " drift!" when its observed rows are a
+// driftRatio multiple away from its candidate count times its rows-in
+// (the scan runs once per input row), with a small-floor guard
 // so tiny absolute differences (est 2, act 0) never count: below the
 // floor the planner's choice cannot have been wrong by enough to
 // matter.

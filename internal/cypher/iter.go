@@ -644,7 +644,7 @@ func (h *hashJoinIter) next() (bool, error) {
 	}
 }
 
-// nextBuildInput is the flipped mode: the incoming rows are the cheaper
+// nextBuildInput is the flipped mode: the incoming rows are the smaller
 // side, so they are drained into the hash table and the chain streams
 // as the probe. The segment binding is swapped wholesale per emitted
 // row (the same technique mutationIter uses to re-stream buffered rows).

@@ -3,7 +3,6 @@ package cypher
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -147,9 +146,9 @@ func TestHashJoinOrderingAndLimit(t *testing.T) {
 }
 
 func TestHashJoinSharedVariable(t *testing.T) {
-	// A chain reaching a shared variable from a selective far end: the
-	// planner may hash on the shared node, and either way the rows must
-	// match the reference.
+	// A chain reaching a shared variable from a selective far end: a
+	// shared variable keeps the nested re-expand from it, and the rows
+	// must match the reference.
 	s := graph.New()
 	hub, _ := s.MergeNode("Hub", "hub", nil)
 	for i := 0; i < 200; i++ {
@@ -188,7 +187,8 @@ func meshStore(n int) *graph.Store {
 var biExpandQueries = []string{
 	// Both endpoints pinned: walk counting end to end.
 	`match (a:H {name: "h0"})-[:R]->()-[:R]->()-[:R]->()-[:R]->(b:H {name: "h1"}) return count(*)`,
-	// Far endpoint free: multiplicity emission per distinct endpoint.
+	// Far endpoint free and unhinted: plain expansions, the one query
+	// here that plans no BiExpand.
 	`match (a:H {name: "h0"})-[:R]->()-[:R]->()-[:R]->(b) return b.name, count(*)`,
 	// Cycle: the far endpoint is the (bound) start — meet in the middle.
 	`match (a:H {name: "h3"})-[:R]->()-[:R]->()-[:R]->(a) return count(*)`,
@@ -365,27 +365,21 @@ func TestHashJoinBuildVarsExcludeSynthetic(t *testing.T) {
 	diffEngines(t, s, q)
 }
 
-func TestChooseJoinDecision(t *testing.T) {
-	cases := []struct {
-		name                                                 string
-		inputRows, chainRows, chainWork, nestedWork, outRows float64
-		want                                                 joinMode
-	}{
-		// 300×300 cartesian with an equality key: classic hash-join win.
-		{"cartesian-win", 300, 300, 300, 90000, 300, joinHashChain},
-		// Tiny probe side whose nested plan is anchored (cheap per row):
-		// building a table saves nothing.
-		{"tiny-probe", 2, 300, 300, 420, 2, joinNested},
-		// Input side smaller than the chain: hash the input.
-		{"input-cheaper", 50, 5000, 5000, 250000, 50, joinHashInput},
-		// Both sides huge: the estimate says the build side cannot fit.
-		{"build-too-big", 1 << 20, 1 << 20, 1 << 20, math.Inf(1), 1 << 20, joinNested},
-		// Nested work comparable to hash work: stay pipelined.
-		{"comparable", 500, 500, 501, 251000, 250000, joinNested},
-	}
-	for _, c := range cases {
-		if got := chooseJoin(c.inputRows, c.chainRows, c.chainWork, c.nestedWork, c.outRows); got != c.want {
-			t.Errorf("%s: chooseJoin = %v, want %v", c.name, got, c.want)
+func TestHashJoinHashesUnwindInput(t *testing.T) {
+	// A batch joined to a label scan by equality: the UNWIND counts as
+	// the smaller side whatever its length, so the batch is hashed and
+	// the 60 :Src nodes stream past it once.
+	s := joinStore()
+	q := `unwind ["k1", "k7", "k7", "nope"] as k match (a:Src) where a.name = k return k, a.grp`
+	pl := plan(t, s, q)
+	var hj *HashJoinStage
+	for _, st := range pl.Segments[0].Stages {
+		if j, ok := st.(*HashJoinStage); ok {
+			hj = j
 		}
 	}
+	if hj == nil || !hj.BuildInput {
+		t.Fatalf("want a hash join building on the UNWIND input:\n%s", pl.String())
+	}
+	diffEngines(t, s, q)
 }

@@ -28,6 +28,12 @@ const (
 	AccessBound                       // variable already bound by an earlier stage
 )
 
+// isSeek reports whether the access path looks its candidates up by a
+// name or an indexed attribute value.
+func (k AccessKind) isSeek() bool {
+	return k == AccessName || k == AccessLabelName || k == AccessAttr || k == AccessLabelAttr
+}
+
 func (k AccessKind) String() string {
 	switch k {
 	case AccessAll:
@@ -53,9 +59,6 @@ type Stage interface {
 	// newIter wires the stage into the Volcano pipeline; input is nil for
 	// the first stage.
 	newIter(ec *execCtx, input iter) iter
-	// estRows is the planner's estimated cumulative row count after this
-	// stage.
-	estRows() float64
 	describe() string
 	filters() []Expr
 }
@@ -74,15 +77,14 @@ type ScanStage struct {
 	NameParam string // $parameter supplying the name at bind time
 	AttrKey   string // attribute key/value for attr seeks
 	AttrVal   string
-	AttrParam string // $parameter supplying the attribute value at bind time
-	Filters   []Expr // pushed-down predicates evaluable once Node.Var is bound
-	Est       float64
+	AttrParam string  // $parameter supplying the attribute value at bind time
+	Filters   []Expr  // pushed-down predicates evaluable once Node.Var is bound
+	Est       float64 // the access path's candidate count; 0 for AccessBound
 
 	slot int // frame slot of Node.Var
 }
 
-func (s *ScanStage) estRows() float64 { return s.Est }
-func (s *ScanStage) filters() []Expr  { return s.Filters }
+func (s *ScanStage) filters() []Expr { return s.Filters }
 
 func (s *ScanStage) describe() string {
 	var b strings.Builder
@@ -155,15 +157,13 @@ type ExpandStage struct {
 	To      NodePattern
 	Reverse bool // chain traversed right-to-left: edge direction flips
 	Filters []Expr
-	Est     float64
 
 	// Frame slots of From, Edge.Var and To.Var; edgeSlot is -1 for a
 	// synthetic edge name, which nothing can read and so is never bound.
 	fromSlot, edgeSlot, toSlot int
 }
 
-func (s *ExpandStage) estRows() float64 { return s.Est }
-func (s *ExpandStage) filters() []Expr  { return s.Filters }
+func (s *ExpandStage) filters() []Expr { return s.Filters }
 
 func (s *ExpandStage) describe() string {
 	return fmt.Sprintf("Expand (%s)%s%s", s.From, edgeText(s.Edge, s.Reverse), patternNodeText(s.To))
@@ -179,13 +179,11 @@ type VarExpandStage struct {
 	To      NodePattern
 	Reverse bool
 	Filters []Expr
-	Est     float64
 
 	fromSlot, toSlot int // frame slots of From and To.Var
 }
 
-func (s *VarExpandStage) estRows() float64 { return s.Est }
-func (s *VarExpandStage) filters() []Expr  { return s.Filters }
+func (s *VarExpandStage) filters() []Expr { return s.Filters }
 
 func (s *VarExpandStage) describe() string {
 	return fmt.Sprintf("VarExpand (%s)%s%s", s.From, edgeText(s.Edge, s.Reverse), patternNodeText(s.To))
@@ -194,8 +192,8 @@ func (s *VarExpandStage) describe() string {
 // HashJoinStage joins the incoming row stream against an independently
 // planned pattern chain on equality keys, replacing the O(n·m)
 // nested re-expand the planner used to emit for chains linked only by a
-// cross-chain equality predicate (a.x = b.y) or a shared node variable.
-// The cheaper side is hashed: with BuildInput false the chain
+// cross-chain equality predicate (a.x = b.y). The side with the smaller
+// entry count is hashed: with BuildInput false the chain
 // sub-pipeline runs once and its rows are hashed by BuildKeys, then each
 // incoming row probes by ProbeKeys; with BuildInput true the incoming
 // rows are drained and hashed instead and the chain streams as the
@@ -206,15 +204,13 @@ type HashJoinStage struct {
 	BuildVars  []string // variables the chain introduces (installed on match)
 	ProbeKeys  []Expr   // evaluated against the incoming row
 	BuildKeys  []Expr   // evaluated against the chain row, aligned with ProbeKeys
-	BuildInput bool     // hash the incoming side instead (it is the cheaper one)
+	BuildInput bool     // hash the incoming side instead (its entry count is the smaller)
 	Filters    []Expr
-	Est        float64
 
 	buildSlots []int // frame slots of BuildVars
 }
 
-func (s *HashJoinStage) estRows() float64 { return s.Est }
-func (s *HashJoinStage) filters() []Expr  { return s.Filters }
+func (s *HashJoinStage) filters() []Expr { return s.Filters }
 
 func (s *HashJoinStage) describe() string {
 	keys := make([]string, len(s.ProbeKeys))
@@ -256,15 +252,13 @@ type BiExpandStage struct {
 	From    string
 	Hops    []BiHop
 	Filters []Expr
-	Est     float64
 
 	fromSlot, toSlot int // frame slots of From and the last hop's To.Var
 }
 
 func (s *BiExpandStage) toPattern() NodePattern { return s.Hops[len(s.Hops)-1].To }
 
-func (s *BiExpandStage) estRows() float64 { return s.Est }
-func (s *BiExpandStage) filters() []Expr  { return s.Filters }
+func (s *BiExpandStage) filters() []Expr { return s.Filters }
 
 func (s *BiExpandStage) describe() string {
 	var b strings.Builder
@@ -283,13 +277,11 @@ func (s *BiExpandStage) describe() string {
 type OptionalStage struct {
 	Inner []Stage  // sub-pipeline, anchored on already-bound variables
 	Vars  []string // variables the inner pipeline introduces (null-padded)
-	Est   float64
 
 	slots []int // frame slots of Vars
 }
 
-func (s *OptionalStage) estRows() float64 { return s.Est }
-func (s *OptionalStage) filters() []Expr  { return nil }
+func (s *OptionalStage) filters() []Expr { return nil }
 
 func (s *OptionalStage) describe() string {
 	vars := make([]string, 0, len(s.Vars))
@@ -311,13 +303,11 @@ func (s *OptionalStage) describe() string {
 type UnwindStage struct {
 	Expr  Expr
 	Alias string
-	Est   float64
 
 	slot int // frame slot of Alias
 }
 
-func (s *UnwindStage) estRows() float64 { return s.Est }
-func (s *UnwindStage) filters() []Expr  { return nil }
+func (s *UnwindStage) filters() []Expr { return nil }
 
 func (s *UnwindStage) describe() string {
 	return fmt.Sprintf("Unwind %s AS %s", exprString(s.Expr), s.Alias)
@@ -331,11 +321,9 @@ func (s *UnwindStage) describe() string {
 // to their pattern variables.
 type MutationStage struct {
 	Writes *writeClauses
-	Est    float64
 }
 
-func (s *MutationStage) estRows() float64 { return s.Est }
-func (s *MutationStage) filters() []Expr  { return nil }
+func (s *MutationStage) filters() []Expr { return nil }
 
 func (s *MutationStage) describe() string {
 	var parts []string
@@ -402,9 +390,10 @@ func (p *Plan) String() string { return p.render(nil) }
 
 // render is String plus optional ANALYZE annotations: with a non-nil
 // profile, every stage line gains observed cardinality (act), rows-in,
-// invocation count and inclusive wall time (plus a drift! marker when
-// act diverges from est past the feedback threshold), the projection
-// lines gain [in/out/time], and the Sort line gains [in/time]. The
+// invocation count and inclusive wall time (plus, on a scan or seek, a
+// drift! marker when act diverges from est past the feedback
+// threshold), the projection lines gain [in/out/time], and the Sort line
+// gains [in/time]. The
 // un-profiled rendering is byte-identical to the pre-ANALYZE EXPLAIN
 // output — the golden plan suite pins that.
 func (p *Plan) render(prof *planProf) string {
@@ -418,7 +407,7 @@ func (p *Plan) render(prof *planProf) string {
 	for si, seg := range p.Segments {
 		for _, st := range seg.Stages {
 			n++
-			fmt.Fprintf(&b, "  %2d. %-60s est≈%s%s\n", n, st.describe(), fmtEst(st.estRows()), prof.stageSuffix(st))
+			fmt.Fprintf(&b, "  %2d. %s%s\n", n, stageLine(st, 60), prof.stageSuffix(st))
 			for _, f := range st.filters() {
 				fmt.Fprintf(&b, "      where %s\n", exprString(f))
 			}
@@ -430,7 +419,7 @@ func (p *Plan) render(prof *planProf) string {
 				inner = is.Build
 			}
 			for ii, ist := range inner {
-				fmt.Fprintf(&b, "      %2d.%d %-55s est≈%s%s\n", n, ii+1, ist.describe(), fmtEst(ist.estRows()), prof.stageSuffix(ist))
+				fmt.Fprintf(&b, "      %2d.%d %s%s\n", n, ii+1, stageLine(ist, 55), prof.stageSuffix(ist))
 				for _, f := range ist.filters() {
 					fmt.Fprintf(&b, "           where %s\n", exprString(f))
 				}
@@ -482,6 +471,26 @@ func (p *Plan) render(prof *planProf) string {
 		}
 	}
 	return b.String()
+}
+
+// scanEst returns a stage's planner estimate: the candidate count of a
+// scan or seek. No other stage carries one.
+func scanEst(st Stage) (float64, bool) {
+	sc, ok := st.(*ScanStage)
+	if !ok || sc.Access == AccessBound {
+		return 0, false
+	}
+	return sc.Est, true
+}
+
+// stageLine is a stage's EXPLAIN text: a scan or seek pads its
+// description to width and appends its estimate; any other stage prints
+// its description alone.
+func stageLine(st Stage, width int) string {
+	if est, ok := scanEst(st); ok {
+		return fmt.Sprintf("%-*s est≈%s", width, st.describe(), fmtEst(est))
+	}
+	return st.describe()
 }
 
 func fmtEst(v float64) string {

@@ -7,8 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"securitykg/internal/graph"
 )
 
 // The planner turns a parsed query into a Plan in three steps:
@@ -26,26 +24,30 @@ import (
 //  2. Greedy ordering (the "greedy beats optimal" strategy from the
 //     janus-datalog line of work): among all pattern chains and all
 //     possible entry nodes, repeatedly start at the node with the
-//     smallest estimated candidate count — a bound variable is free, an
-//     exact (label, name) seek and any $param seek are ~1, a label scan
-//     costs the label cardinality, a full scan costs the node count —
-//     then grow the chain in whichever direction has the smaller
-//     estimated fan-out (the edge type's edges per source-label node ×
-//     target selectivity). Variable-length expansions cost the geometric
-//     sum of the per-hop fan-out over the hop range. OPTIONAL MATCH
-//     clauses plan in place (after the required stages that bind their
-//     anchors) as nested sub-pipelines, preserving clause order across
-//     null-padding boundaries.
+//     smallest candidate count — a bound variable is free, an exact
+//     (label, name) seek and any $param seek are ~1, a label scan costs
+//     the label cardinality, a full scan costs the node count. That is
+//     the only decision counts make. Everything after the entry follows
+//     from the pattern: the chain grows toward the neighbour with the
+//     smaller count (a bound neighbour first, ties to the right); a
+//     chain linked to the rows so far only by equality conjuncts becomes
+//     a hash join unless those rows come from seeks alone, hashing the
+//     side with the smaller entry count; and a run of ≥3 anonymous hops
+//     becomes a BiExpand exactly when its far end is bound or carries a
+//     seek hint. OPTIONAL MATCH clauses plan in place (after the required
+//     stages that bind their anchors) as nested sub-pipelines, preserving
+//     clause order across null-padding boundaries.
 //  3. The resulting stages execute as lazy pull iterators (iter.go), so
 //     downstream LIMIT/MaxRows stop matching instead of truncating a
 //     materialized result. WITH boundaries become segment bridges that
 //     re-root the binding namespace.
 //
-// Statistics come from the graph store's selectivity layer (CountByType,
-// CountByName, CountByTypeAttr, AvgDegree, ...): the index posting
-// lengths and node and edge counts the store keeps for its own use, so
-// planning is O(pattern size) with O(1) stat lookups, never walks nodes
-// or edges, and no write maintains anything for the planner alone.
+// Counts come from the graph store's selectivity layer (CountNodes,
+// CountByType, CountByName, CountByTypeAttr, ...): the index posting
+// lengths and node counts the store keeps for its own use, so planning is
+// O(pattern size) with O(1) count lookups, never walks nodes or edges,
+// and no write maintains anything for the planner alone. Edge counts play
+// no part.
 
 // planQuery builds the plan for q against the engine's store and options.
 // $parameter predicates are costed by structure (a seek is ~1) so one
@@ -84,10 +86,6 @@ func (e *Engine) planQuery(q *Query) (*Plan, error) {
 	return pl, nil
 }
 
-// unwindEstFanout is the planner's assumed element count of an UNWIND
-// list whose length is unknown at plan time (a $parameter batch).
-const unwindEstFanout = 64
-
 // planPart plans one WITH-delimited segment. carried names the
 // variables the previous segment's projection hands over, in item order;
 // they take the first slots of this segment's frames.
@@ -123,28 +121,16 @@ func (e *Engine) planPart(part *QueryPart, final bool, carried []string, synth *
 	for _, a := range carried {
 		bound[a] = true
 	}
-	cur := 1.0
 	if part.Unwind != nil {
 		if bound[part.Unwind.Alias] {
 			return nil, fmt.Errorf("cypher: UNWIND alias %q is already bound", part.Unwind.Alias)
 		}
-		// The list length is unknown at plan time (it is typically a
-		// $parameter); cost it at a nominal batch fan-out so downstream
-		// estimates scale with "many rows" rather than one.
-		cur *= unwindEstFanout
-		seg.Stages = append(seg.Stages, &UnwindStage{
-			Expr: part.Unwind.Expr, Alias: part.Unwind.Alias, Est: cur,
-		})
+		seg.Stages = append(seg.Stages, &UnwindStage{Expr: part.Unwind.Expr, Alias: part.Unwind.Alias})
 		bound[part.Unwind.Alias] = true
 	}
 	for _, run := range requiredRuns(part.Matches) {
 		if run.optional != nil {
-			st, err := e.planOptional(*run.optional, bound, synth, cur)
-			if err != nil {
-				return nil, err
-			}
-			seg.Stages = append(seg.Stages, st)
-			cur = st.Est
+			seg.Stages = append(seg.Stages, e.planOptional(*run.optional, bound, synth))
 			continue
 		}
 		pats := withSyntheticVars(run.pats, synth)
@@ -153,7 +139,7 @@ func (e *Engine) planPart(part *QueryPart, final bool, carried []string, synth *
 		eq := equalityHints(conjs)
 		runStart := len(seg.Stages)
 		preRun := copyBound(bound)
-		cur = e.planPatterns(&seg.Stages, pats, bound, eq, conjs, true, cur)
+		e.planPatterns(&seg.Stages, pats, bound, eq, conjs, true)
 		assignPredicates(seg.Stages[runStart:], conjs, run.where, preRun)
 	}
 	if !final {
@@ -163,7 +149,7 @@ func (e *Engine) planPart(part *QueryPart, final bool, carried []string, synth *
 		// Writes run after every read of the part has materialized
 		// (the stage is an eager barrier) and bind their created
 		// variables for the projection.
-		seg.Stages = append(seg.Stages, &MutationStage{Writes: wc, Est: cur})
+		seg.Stages = append(seg.Stages, &MutationStage{Writes: wc})
 	}
 
 	seg.tab = &slotTable{}
@@ -186,7 +172,7 @@ func (e *Engine) planPart(part *QueryPart, final bool, carried []string, synth *
 // planOptional plans one OPTIONAL MATCH clause as a nested sub-pipeline
 // anchored on the variables bound so far, recording which variables it
 // introduces so the executor can null-pad them on no-match.
-func (e *Engine) planOptional(mc MatchClause, bound map[string]bool, synth *int, cur float64) (*OptionalStage, error) {
+func (e *Engine) planOptional(mc MatchClause, bound map[string]bool, synth *int) *OptionalStage {
 	pats := withSyntheticVars(mc.Patterns, synth)
 	var conjs []Expr
 	splitConjuncts(mc.Where, &conjs)
@@ -197,7 +183,7 @@ func (e *Engine) planOptional(mc MatchClause, bound map[string]bool, synth *int,
 	// Optional sub-pipelines rebuild their iterators per input row, so a
 	// hash join there would re-run its build side per row: joins stay
 	// disabled inside OPTIONAL MATCH.
-	est := e.planPatterns(&inner, pats, innerBound, eq, conjs, false, cur)
+	e.planPatterns(&inner, pats, innerBound, eq, conjs, false)
 	assignPredicates(inner, conjs, mc.Where, pre)
 	var vars []string
 	for v := range innerBound {
@@ -210,22 +196,17 @@ func (e *Engine) planOptional(mc MatchClause, bound map[string]bool, synth *int,
 	for _, v := range vars {
 		bound[v] = true
 	}
-	if est < cur {
-		est = cur // null-padding means optional stages never shrink the stream
-	}
-	return &OptionalStage{Inner: inner, Vars: vars, Est: est}, nil
+	return &OptionalStage{Inner: inner, Vars: vars}
 }
 
 // planPatterns greedily orders a group of pattern chains: repeatedly pick
 // the unplanned chain with the cheapest entry node (bound variables are
 // free, enabling join-connected chains to piggyback on earlier ones),
 // then plan it outward from there — or, when the chain is linked to the
-// rows planned so far only through equality (a cross-chain predicate or
-// a shared variable) and the estimates say hashing one side is cheaper
-// than re-expanding per row, as a HashJoinStage. Mutates bound; returns
-// the updated cumulative cardinality estimate.
+// rows planned so far only through equality conjuncts, as a
+// HashJoinStage (planHashJoin). Mutates bound.
 func (e *Engine) planPatterns(stages *[]Stage, pats []Pattern, bound map[string]bool,
-	eq map[string]map[string]hintVal, conjs []Expr, allowJoin bool, cur float64) float64 {
+	eq map[string]map[string]hintVal, conjs []Expr, allowJoin bool) {
 	planned := make([]bool, len(pats))
 	for {
 		best, bestNode := -1, 0
@@ -240,36 +221,38 @@ func (e *Engine) planPatterns(stages *[]Stage, pats []Pattern, bound map[string]
 			}
 		}
 		if best < 0 {
-			return cur
+			return
 		}
+		planned[best] = true
 		if allowJoin {
-			if st, est, ok := e.planHashJoin(pats[best], bound, eq, conjs, cur); ok {
+			if st, ok := e.planHashJoin(pats[best], *stages, bound, eq, conjs); ok {
 				*stages = append(*stages, st)
 				for v := range patternVars(pats[best]) {
 					bound[v] = true
 				}
-				cur = est
-				planned[best] = true
 				continue
 			}
 		}
-		cur = e.planChain(stages, pats[best], bestNode, bound, eq, cur)
-		planned[best] = true
+		e.planChain(stages, pats[best], bestNode, bound, eq)
 	}
 }
 
-// bestEntry returns the cheapest entry node of a chain and its estimated
-// candidate count (bound variables are free).
+// nodeCount ranks a node pattern for entering or growing a chain: a
+// bound variable is free, any other node costs its access path's
+// candidate count.
+func (e *Engine) nodeCount(np NodePattern, bound map[string]bool, eq map[string]map[string]hintVal) float64 {
+	if bound[np.Var] {
+		return 0
+	}
+	return e.accessFor(np, eq[np.Var]).est
+}
+
+// bestEntry returns the cheapest entry node of a chain and its candidate
+// count (the first of equally cheap nodes).
 func (e *Engine) bestEntry(p Pattern, bound map[string]bool, eq map[string]map[string]hintVal) (int, float64) {
 	best, bestCost := 0, math.Inf(1)
 	for ni, np := range p.Nodes {
-		cost := math.Inf(1)
-		if bound[np.Var] {
-			cost = 0
-		} else {
-			cost = e.accessFor(np, eq[np.Var]).est
-		}
-		if cost < bestCost {
+		if cost := e.nodeCount(np, bound, eq); cost < bestCost {
 			best, bestCost = ni, cost
 		}
 	}
@@ -277,56 +260,69 @@ func (e *Engine) bestEntry(p Pattern, bound map[string]bool, eq map[string]map[s
 }
 
 // planChain emits the stages for one pattern chain entered at node index
-// start, returning the updated cumulative cardinality estimate. Long
-// runs of anonymous single-hop edges collapse into a BiExpandStage when
-// the hops' average degrees put path enumeration deep into walk-explosion
-// territory (tryBiExpand).
+// start. The chain then grows one step at a time toward the neighbour
+// with the smaller nodeCount — a bound neighbour first, ties to the
+// right — so the plan follows from the pattern and the access paths
+// alone, never from edge counts.
 func (e *Engine) planChain(stages *[]Stage, p Pattern, start int, bound map[string]bool,
-	eq map[string]map[string]hintVal, cur float64) float64 {
+	eq map[string]map[string]hintVal) {
 	np := p.Nodes[start]
 	if bound[np.Var] {
-		*stages = append(*stages, &ScanStage{Node: np, Access: AccessBound, Est: cur})
+		*stages = append(*stages, &ScanStage{Node: np, Access: AccessBound})
 	} else {
 		ap := e.accessFor(np, eq[np.Var])
-		cur *= ap.est
 		*stages = append(*stages, &ScanStage{
 			Node: np, Access: ap.kind, Label: ap.label,
 			Name: ap.name, NameParam: ap.nameParam,
 			AttrKey: ap.attrKey, AttrVal: ap.attrVal, AttrParam: ap.attrParam,
-			Est: cur,
+			Est: ap.est,
 		})
 		bound[np.Var] = true
 	}
 
 	lo, hi := start, start
 	for lo > 0 || hi < len(p.Nodes)-1 {
-		right := math.Inf(1)
+		right, left := math.Inf(1), math.Inf(1)
 		if hi < len(p.Nodes)-1 {
-			right = e.expandFactor(p.Nodes[hi], p.Edges[hi], p.Nodes[hi+1], false, bound, eq)
+			right = e.nodeCount(p.Nodes[hi+1], bound, eq)
 		}
-		left := math.Inf(1)
 		if lo > 0 {
-			left = e.expandFactor(p.Nodes[lo], p.Edges[lo-1], p.Nodes[lo-1], true, bound, eq)
+			left = e.nodeCount(p.Nodes[lo-1], bound, eq)
 		}
 		if right <= left {
-			if hops, est, ok := e.tryBiExpand(stages, p, hi, false, bound, eq, cur); ok {
-				hi += hops
-				cur = est
-				continue
-			}
-			cur = e.emitExpand(stages, p.Nodes[hi], p.Edges[hi], p.Nodes[hi+1], false, bound, cur*right)
-			hi++
+			hi += e.grow(stages, p, hi, false, bound, eq)
 		} else {
-			if hops, est, ok := e.tryBiExpand(stages, p, lo, true, bound, eq, cur); ok {
-				lo -= hops
-				cur = est
-				continue
-			}
-			cur = e.emitExpand(stages, p.Nodes[lo], p.Edges[lo-1], p.Nodes[lo-1], true, bound, cur*left)
-			lo--
+			lo -= e.grow(stages, p, lo, true, bound, eq)
 		}
 	}
-	return cur
+}
+
+// grow extends a chain from node index idx (leftward or rightward) and
+// returns the hops consumed: a whole run as one BiExpandStage when
+// tryBiExpand takes it, else one Expand or VarExpand.
+func (e *Engine) grow(stages *[]Stage, p Pattern, idx int, leftward bool,
+	bound map[string]bool, eq map[string]map[string]hintVal) int {
+	if hops := e.tryBiExpand(stages, p, idx, leftward, bound, eq); hops > 0 {
+		return hops
+	}
+	from := p.Nodes[idx].Var
+	var ep EdgePattern
+	var to NodePattern
+	if leftward {
+		ep, to = p.Edges[idx-1], p.Nodes[idx-1]
+	} else {
+		ep, to = p.Edges[idx], p.Nodes[idx+1]
+	}
+	// Whether Edge.Var/To.Var are already bound is re-derived from the
+	// runtime binding by the executor, which handles both cases.
+	if ep.VarLength() {
+		*stages = append(*stages, &VarExpandStage{From: from, Edge: ep, To: to, Reverse: leftward})
+	} else {
+		*stages = append(*stages, &ExpandStage{From: from, Edge: ep, To: to, Reverse: leftward})
+		bound[ep.Var] = true
+	}
+	bound[to.Var] = true
+	return 1
 }
 
 // biExpandMinHops is the shortest collapsible run worth counted
@@ -336,18 +332,15 @@ const biExpandMinHops = 3
 
 // tryBiExpand collapses the maximal run of single-hop, anonymous-interior
 // edges starting at chain position idx (walking leftward or rightward)
-// into one BiExpandStage — if the run is long enough and the per-hop
-// degree product says enumeration would explode: past ~32 walks per row
-// when the far endpoint is already bound (meet-in-the-middle pays
-// immediately), or past 4× the node count when it is free (counts only
-// collapse work once walks outnumber distinct nodes). Returns the number
-// of hops consumed and the updated cumulative estimate. The arm that keeps
-// it: BenchmarkCypherBiExpand, 0.49 ms against 52.3 ms enumerating.
+// into one BiExpandStage when the run has at least biExpandMinHops hops
+// and its far end is bound or carries a seek hint: then the walks meet a
+// known endpoint, and counting them level by level beats enumerating
+// them. Returns the number of hops consumed, 0 when the run stays plain
+// expansions. The arm that keeps it: BenchmarkCypherBiExpand, 0.49 ms
+// against 52.3 ms enumerating.
 func (e *Engine) tryBiExpand(stages *[]Stage, p Pattern, idx int, leftward bool,
-	bound map[string]bool, eq map[string]map[string]hintVal, cur float64) (int, float64, bool) {
+	bound map[string]bool, eq map[string]map[string]hintVal) int {
 	var hops []BiHop
-	prodDeg, est := 1.0, cur
-	node := p.Nodes[idx]
 	j := idx
 	for {
 		var edge EdgePattern
@@ -357,11 +350,13 @@ func (e *Engine) tryBiExpand(stages *[]Stage, p Pattern, idx int, leftward bool,
 				break
 			}
 			edge, next = p.Edges[j-1], p.Nodes[j-1]
+			j--
 		} else {
 			if j == len(p.Nodes)-1 {
 				break
 			}
 			edge, next = p.Edges[j], p.Nodes[j+1]
+			j++
 		}
 		// Interior edges must be anonymous single hops (synthetic "$"
 		// names cannot be referenced, so collapsing them is invisible).
@@ -369,189 +364,24 @@ func (e *Engine) tryBiExpand(stages *[]Stage, p Pattern, idx int, leftward bool,
 			break
 		}
 		hops = append(hops, BiHop{Edge: edge, To: next, Reverse: leftward})
-		prodDeg *= e.hopDegree(nodeLabelFor(node, eq), edge, leftward)
-		est *= e.expandFactor(node, edge, next, leftward, bound, eq)
-		node = next
-		if leftward {
-			j--
-		} else {
-			j++
-		}
 		// The run ends at the first named (bindable) node.
 		if !strings.HasPrefix(next.Var, "$") {
 			break
 		}
 	}
 	if len(hops) < biExpandMinHops {
-		return 0, 0, false
-	}
-	to := hops[len(hops)-1].To
-	if bound[to.Var] {
-		if prodDeg <= 32 {
-			return 0, 0, false
-		}
-	} else if prodDeg <= 4*math.Max(1, float64(e.store.CountNodes())) {
-		return 0, 0, false
-	}
-	if est < 1 {
-		est = 1
-	}
-	*stages = append(*stages, &BiExpandStage{From: p.Nodes[idx].Var, Hops: hops, Est: est})
-	bound[to.Var] = true
-	return len(hops), est, true
-}
-
-func (e *Engine) emitExpand(stages *[]Stage, src NodePattern, ep EdgePattern, to NodePattern,
-	reverse bool, bound map[string]bool, est float64) float64 {
-	if est < 1 {
-		est = 1 // keep running products from collapsing to zero
-	}
-	// Whether Edge.Var/To.Var are already bound is re-derived from the
-	// runtime binding by the executor, which handles both cases.
-	if ep.VarLength() {
-		*stages = append(*stages, &VarExpandStage{
-			From: src.Var, Edge: ep, To: to, Reverse: reverse, Est: est,
-		})
-	} else {
-		*stages = append(*stages, &ExpandStage{
-			From: src.Var, Edge: ep, To: to, Reverse: reverse, Est: est,
-		})
-		bound[ep.Var] = true
-	}
-	bound[to.Var] = true
-	return est
-}
-
-// nodeLabelFor resolves the label the planner may assume for a node
-// pattern: its own, or one pinned by a literal type-equality hint.
-func nodeLabelFor(np NodePattern, eq map[string]map[string]hintVal) string {
-	if np.Label != "" {
-		return np.Label
-	}
-	if h := eq[np.Var]; h != nil {
-		if t, ok := h["type"]; ok && t.param == "" {
-			return t.lit
-		}
-		if t, ok := h["label"]; ok && t.param == "" {
-			return t.lit
-		}
-	}
-	return ""
-}
-
-// dirFor maps an edge pattern direction (and chain walk orientation)
-// onto the side of the source node the hop leaves from.
-func dirFor(d EdgeDir, reverse bool) graph.Direction {
-	switch {
-	case d == DirAny:
-		return graph.Both
-	case (d == DirRight) != reverse:
-		return graph.Out
-	}
-	return graph.In
-}
-
-// hopDegree is the fan-out of one hop: edges of the pattern's type per
-// node with the source's label, doubled for an undirected hop — an upper
-// bound on the mean that is exact for a typed relation leaving the label
-// (Store.AvgDegree).
-func (e *Engine) hopDegree(fromLabel string, ep EdgePattern, reverse bool) float64 {
-	return e.store.AvgDegree(fromLabel, ep.Type, dirFor(ep.Dir, reverse))
-}
-
-// expandFactor estimates the per-row multiplier of expanding one edge
-// pattern onto a target node pattern: the average fan-out of the (source
-// label, edge type, direction) times the target's selectivity.
-// Variable-length patterns cost the geometric sum of the per-hop fan-out
-// over the hop range — the first hop at the source label's degree, later
-// hops at the label-blind degree (unbounded ranges are capped at a
-// costing horizon; execution is exact).
-func (e *Engine) expandFactor(from NodePattern, ep EdgePattern, to NodePattern, reverse bool,
-	bound map[string]bool, eq map[string]map[string]hintVal) float64 {
-	deg := e.hopDegree(nodeLabelFor(from, eq), ep, reverse)
-	if ep.VarLength() {
-		tail := e.hopDegree("", ep, reverse)
-		deg = varExpandFanout(deg, tail, ep.MinHops, ep.MaxHops)
-	}
-	total := e.store.CountNodes()
-	if total == 0 {
 		return 0
 	}
-	var sel float64
-	if bound[to.Var] {
-		sel = 1 / float64(total) // join check: at most one node qualifies
-	} else {
-		sel = e.accessFor(to, eq[to.Var]).est / float64(total)
+	to := hops[len(hops)-1].To
+	if !bound[to.Var] && !e.accessFor(to, eq[to.Var]).kind.isSeek() {
+		return 0
 	}
-	return deg * sel
-}
-
-// varExpandFanout sums the expected frontier over hops in [min, max]:
-// the first hop fans out at the source label's measured degree, later
-// hops at the tail degree. max < 0 (unbounded) is capped at min+8 for
-// costing only.
-func varExpandFanout(first, tail float64, min, max int) float64 {
-	if max < 0 || max > min+8 {
-		max = min + 8
-	}
-	fan := 0.0
-	if min == 0 {
-		fan = 1 // the start node itself
-	}
-	pow := 1.0
-	for h := 1; h <= max; h++ {
-		if h == 1 {
-			pow *= first
-		} else {
-			pow *= tail
-		}
-		if h >= min {
-			fan += pow
-		}
-		if pow > 1e12 {
-			break
-		}
-	}
-	return fan
+	*stages = append(*stages, &BiExpandStage{From: p.Nodes[idx].Var, Hops: hops})
+	bound[to.Var] = true
+	return len(hops)
 }
 
 // --- hash-join planning ---
-
-// joinMode is the planner's decision for one equality-linked chain.
-type joinMode int
-
-const (
-	joinNested    joinMode = iota // keep the nested-loop re-expand / cartesian
-	joinHashChain                 // hash the standalone chain, probe with input rows
-	joinHashInput                 // hash the input rows, probe with the chain
-)
-
-// hashJoinMaxBuild caps the estimated row count of the hashed side: past
-// it the build table's memory dominates whatever work the join saves, so
-// the planner keeps the pipelined nested loop.
-const hashJoinMaxBuild = 1 << 17
-
-// chooseJoin is the pure cost decision between a nested-loop plan and a
-// hash join, from the planner's estimates: the incoming row count, the
-// standalone chain's output rows and enumeration work, the nested plan's
-// work, and the join's estimated output. The chain is fully enumerated
-// under either hash mode (as build or as probe), so hash work is
-// chainWork + one pass over the input + the output itself; nested work
-// must beat that by 1.5× before the hash table is worth building, and
-// the hashed (cheaper) side must fit under hashJoinMaxBuild.
-func chooseJoin(inputRows, chainRows, chainWork, nestedWork, outRows float64) joinMode {
-	hashWork := chainWork + inputRows + outRows
-	if hashWork*1.5 >= nestedWork {
-		return joinNested
-	}
-	if math.Min(inputRows, chainRows) > hashJoinMaxBuild {
-		return joinNested
-	}
-	if chainRows <= inputRows {
-		return joinHashChain
-	}
-	return joinHashInput
-}
 
 // patternVars collects the bindable variables of a chain: node variables
 // plus single-hop edge variables (variable-length edges never bind).
@@ -570,44 +400,60 @@ func patternVars(p Pattern) map[string]bool {
 	return vs
 }
 
-func sumEst(stages []Stage) float64 {
-	t := 0.0
-	for _, st := range stages {
-		t += st.estRows()
-	}
-	return t
-}
-
-// planHashJoin decides whether the next chain should join the rows
-// planned so far through a hash table instead of a nested re-expand.
-// Join keys are the chain's shared bound node variables plus every
-// cross-chain equality conjunct with one side evaluable on each scope;
-// without at least one key there is nothing to hash on (a pure cartesian
-// stays nested). The chain is scratch-planned twice — once anchored on
-// the bound variables (the nested alternative) and once standalone (the
-// build side) — and chooseJoin picks from the resulting estimates. The
-// arms that keep it: the ledger's hunt-scan `join` class runs through a
-// HashJoin, and BenchmarkCypherHashJoinVsNestedLoop prices it at 0.45 ms
-// against 138.9 ms nested.
-func (e *Engine) planHashJoin(p Pattern, bound map[string]bool,
-	eq map[string]map[string]hintVal, conjs []Expr, cur float64) (*HashJoinStage, float64, bool) {
-	if cur <= 1 {
-		return nil, 0, false // single-row probe side: nested is at least as good
-	}
-	pv := patternVars(p)
-	var probeKeys, buildKeys []Expr
-	var shared []string
-	for v := range pv {
-		if bound[v] {
-			shared = append(shared, v)
+// seeksOnly reports whether the rows planned so far come from seeks and
+// re-checks of bound variables alone, so that they are few and the next
+// chain is better re-expanded per row than hashed.
+func seeksOnly(input []Stage) bool {
+	for _, st := range input {
+		sc, ok := st.(*ScanStage)
+		if !ok || !(sc.Access.isSeek() || sc.Access == AccessBound) {
+			return false
 		}
 	}
-	sort.Strings(shared)
-	for _, v := range shared {
-		probeKeys = append(probeKeys, VarExpr{Name: v})
-		buildKeys = append(buildKeys, VarExpr{Name: v})
+	return true
+}
+
+// inputEntry is the entry count of the rows planned so far: their first
+// scan's candidate count, or 0 when an UNWIND comes first or no scan
+// does, so that a batch, like a WITH's carried rows, counts as the
+// smaller side of a join.
+func inputEntry(input []Stage) float64 {
+	for _, st := range input {
+		switch s := st.(type) {
+		case *UnwindStage:
+			return 0
+		case *ScanStage:
+			if s.Access != AccessBound {
+				return s.Est
+			}
+		}
 	}
-	crossKeys := 0
+	return 0
+}
+
+// planHashJoin plans the next chain as a hash join against the rows
+// planned so far (input) when the chain is linked to them only through
+// equality conjuncts — at least one with one side evaluable on each
+// scope, and no variable shared with the input — and the input is not
+// seeks only. The chain is planned standalone as the build
+// sub-pipeline; the side whose entry count is smaller is hashed (ties
+// hash the chain). A shared variable keeps the nested re-expand from it,
+// and a pure cartesian has no key to hash on. The arms that keep it: the
+// ledger's hunt-scan `join` class runs through a HashJoin, and
+// BenchmarkCypherHashJoinVsNestedLoop prices it at 0.45 ms against
+// 138.9 ms nested.
+func (e *Engine) planHashJoin(p Pattern, input []Stage, bound map[string]bool,
+	eq map[string]map[string]hintVal, conjs []Expr) (*HashJoinStage, bool) {
+	pv := patternVars(p)
+	for v := range pv {
+		if bound[v] {
+			return nil, false
+		}
+	}
+	if seeksOnly(input) {
+		return nil, false
+	}
+	var probeKeys, buildKeys []Expr
 	for _, c := range conjs {
 		cmp, ok := c.(CmpExpr)
 		if !ok || cmp.Op != "=" || hasAggCall(c) {
@@ -619,22 +465,17 @@ func (e *Engine) planHashJoin(p Pattern, bound map[string]bool,
 		if len(lv) == 0 || len(rv) == 0 {
 			continue
 		}
-		lB, rB := subsetOf(lv, bound), subsetOf(rv, bound)
-		lP, rP := subsetOf(lv, pv), subsetOf(rv, pv)
 		switch {
-		case lB && rP && !rB:
+		case subsetOf(lv, bound) && subsetOf(rv, pv):
 			probeKeys = append(probeKeys, cmp.Left)
 			buildKeys = append(buildKeys, cmp.Right)
-		case rB && lP && !lB:
+		case subsetOf(rv, bound) && subsetOf(lv, pv):
 			probeKeys = append(probeKeys, cmp.Right)
 			buildKeys = append(buildKeys, cmp.Left)
-		default:
-			continue
 		}
-		crossKeys++
 	}
 	if len(probeKeys) == 0 {
-		return nil, 0, false
+		return nil, false
 	}
 	buildVars := make([]string, 0, len(pv))
 	for v := range pv {
@@ -642,24 +483,16 @@ func (e *Engine) planHashJoin(p Pattern, bound map[string]bool,
 		// storing them in the hash table would charge the byte budget for
 		// values no expression can read. Row multiplicity is preserved
 		// regardless — each build match is its own bucket entry.
-		if !bound[v] && !strings.HasPrefix(v, "$") {
+		if !strings.HasPrefix(v, "$") {
 			buildVars = append(buildVars, v)
 		}
 	}
-	if len(buildVars) == 0 {
-		return nil, 0, false // nothing referencable to bind: keep the nested plan
-	}
 	sort.Strings(buildVars)
 
-	// Scratch-plan both alternatives.
-	nb := copyBound(bound)
-	var nested []Stage
-	entry, _ := e.bestEntry(p, nb, eq)
-	nestedEst := e.planChain(&nested, p, entry, nb, eq, cur)
 	sb := map[string]bool{}
 	var build []Stage
-	sEntry, _ := e.bestEntry(p, sb, eq)
-	buildEst := e.planChain(&build, p, sEntry, sb, eq, 1)
+	entry, _ := e.bestEntry(p, sb, eq)
+	e.planChain(&build, p, entry, sb, eq)
 	// Push chain-local conjuncts into the build sub-pipeline so the hash
 	// table holds filtered rows only. The caller's assignPredicates will
 	// also attach them at the join stage (belt and braces, like scan
@@ -678,24 +511,13 @@ func (e *Engine) planHashJoin(p Pattern, bound map[string]bool,
 	}
 	assignPredicates(build, local, andAll(local), map[string]bool{})
 
-	outEst := nestedEst
-	if crossKeys > 0 {
-		// Classic equality-join selectivity with unknown distinct counts:
-		// |R ⋈ S| ≈ |R|·|S| / max(|R|, |S|).
-		outEst = math.Max(1, nestedEst/math.Max(1, math.Max(cur, buildEst)))
-	}
-	mode := chooseJoin(cur, buildEst, sumEst(build), sumEst(nested), outEst)
-	if mode == joinNested {
-		return nil, 0, false
-	}
 	return &HashJoinStage{
 		Build:      build,
 		BuildVars:  buildVars,
 		ProbeKeys:  probeKeys,
 		BuildKeys:  buildKeys,
-		BuildInput: mode == joinHashInput,
-		Est:        outEst,
-	}, outEst, true
+		BuildInput: inputEntry(input) < build[0].(*ScanStage).Est,
+	}, true
 }
 
 // subsetOf reports whether every variable in vs is present in set.

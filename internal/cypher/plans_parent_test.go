@@ -15,13 +15,13 @@ import (
 var updatePlans = flag.Bool("update-plans", false, "rewrite testdata/plans_parent.txt from this build")
 
 // TestPlansMatchParent holds every plan to testdata/plans_parent.txt,
-// which the last change that meant to alter a plan wrote (hop fan-out
-// read off type and label counts, $param seeks costed at one node): the
+// which the last change that meant to alter a plan wrote (counts choose
+// only the entry; growth, hash joins and BiExpand follow the pattern): the
 // EXPLAIN text of the statements the golden-plan, join and planner tests
 // plan over their fixtures, the property generators at fixed seeds, and
 // the ledger's hunt-point and hunt-scan statement classes over a
-// kg-100k-shaped graph. A hop estimate that moves in the last digit fails
-// it. Regenerate (-update-plans) only when a change means to alter a
+// kg-100k-shaped graph. A scan estimate that moves in the last digit
+// fails it. Regenerate (-update-plans) only when a change means to alter a
 // plan; `make plan-shapes REV=<parent>` then shows which plans moved
 // beyond their estimates.
 func TestPlansMatchParent(t *testing.T) {

@@ -121,25 +121,3 @@ func TestLabelScanAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestAvgDegreeAllocs: the planner's fan-out statistic is a read of live
-// counts — nothing allocated, whether or not the store has ever seen the
-// label or the edge type.
-func TestAvgDegreeAllocs(t *testing.T) {
-	s := residentKG()
-	for _, c := range []struct {
-		label, edgeType string
-		dir             Direction
-	}{
-		{"Malware", "CONNECT", Out},
-		{"IP", "", Both},
-		{"", "MENTIONS", In},
-		{"", "", Both},
-		{"NoSuchLabel", "CONNECT", Out},
-		{"Malware", "NO_SUCH_TYPE", In},
-	} {
-		if allocs := testing.AllocsPerRun(100, func() { s.AvgDegree(c.label, c.edgeType, c.dir) }); allocs > 0 {
-			t.Errorf("AvgDegree(%q, %q, %d) allocates %.1f/op, want 0", c.label, c.edgeType, c.dir, allocs)
-		}
-	}
-}

@@ -163,8 +163,7 @@ type Store struct {
 	edgeKey  map[edgeKeyT]EdgeID
 
 	// edgeTypeCount is the live edge count per type, zero counts pruned:
-	// Stats().EdgesByType, and with the byType posting lengths the
-	// planner's hop fan-out (AvgDegree).
+	// Stats().EdgesByType.
 	edgeTypeCount map[Sym]int
 	// statsVersion is the planner-facing epoch: it bumps when IndexAttr
 	// creates a new access path and when the store changes sizeClass,

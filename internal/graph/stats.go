@@ -103,32 +103,6 @@ func (s *Store) StatsVersion() int64 {
 	return s.statsVersion
 }
 
-// AvgDegree returns the planner's fan-out for one hop: the edges of
-// edgeType ("" = every edge) per node labelled label ("" = every node),
-// doubled for Both. It reads only counts the store keeps anyway: the
-// type's edge count and the label's posting length. The result is an
-// upper bound on the mean degree of the label's nodes on side dir, exact
-// when every edge of the type ends at that label on that side (the
-// ontology's typed relations do). 0 when no node carries the label.
-func (s *Store) AvgDegree(label, edgeType string, dir Direction) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	nodes, edges := s.nNodes, s.nEdges
-	if label != "" {
-		nodes = s.byType[s.syms.lookup(label)].n
-	}
-	if edgeType != "" {
-		edges = s.edgeTypeCount[s.syms.lookup(edgeType)]
-	}
-	if nodes == 0 {
-		return 0
-	}
-	if dir == Both {
-		edges *= 2
-	}
-	return float64(edges) / float64(nodes)
-}
-
 // --- NodeID access paths for lazy scans ---
 
 // liveNodeIDsLocked lists the slab's occupied slots: every node ID,

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -57,6 +59,7 @@ func TestCounts(t *testing.T) {
 	if got := st.EdgesByType["CONNECT"]; got != 30 {
 		t.Errorf("Stats().EdgesByType[CONNECT] = %d, want 30", got)
 	}
+	checkLiveCounts(t, s)
 }
 
 func TestCountByAttrIndexed(t *testing.T) {
@@ -156,79 +159,15 @@ func TestEdgeTypeCountSurvivesDeleteAndLoad(t *testing.T) {
 	}
 }
 
-func TestAvgDegree(t *testing.T) {
-	s := buildStatsStore(t)
-	syms := s.syms.count()
-	for _, c := range []struct {
-		label, edgeType string
-		dir             Direction
-		edges, nodes    float64
-	}{
-		// The 30 CONNECT edges all leave malware, so the bound is exact:
-		// each of the 10 malware has 3 (malware 0's one edge of another
-		// type does not count).
-		{"Malware", "CONNECT", Out, 30, 10},
-		{"Malware", "", Out, 31, 10},
-		// The one ATTRIBUTED_TO edge ends at the one actor: exact too.
-		{"ThreatActor", "ATTRIBUTED_TO", In, 1, 1},
-		// IPs have no outgoing CONNECTs and one incoming each: the bound
-		// reads the type's edges per IP whatever the side, Both doubled.
-		{"IP", "CONNECT", Out, 30, 30},
-		{"IP", "CONNECT", In, 30, 30},
-		{"IP", "CONNECT", Both, 60, 30},
-		// "" label covers every node; "" type counts all edges.
-		{"", "", Both, 62, 41},
-		{"", "CONNECT", In, 30, 41},
-		// Never-seen labels and types read 0 and intern nothing.
-		{"Nope", "CONNECT", Out, 0, 1},
-		{"Malware", "NOPE", Both, 0, 1},
-		{"", "NOPE", Out, 0, 1},
-	} {
-		if got, want := s.AvgDegree(c.label, c.edgeType, c.dir), c.edges/c.nodes; got != want {
-			t.Errorf("AvgDegree(%q, %q, %d) = %v, want %v/%v", c.label, c.edgeType, c.dir, got, c.edges, c.nodes)
-		}
-	}
-	if got := s.syms.count(); got != syms {
-		t.Errorf("AvgDegree interned %d symbols", got-syms)
-	}
-	if got := New().AvgDegree("", "", Both); got != 0 {
-		t.Errorf("empty store AvgDegree = %v, want 0", got)
-	}
-	checkLiveCounts(t, s)
-}
-
-// TestAvgDegreeFollowsEveryWrite: the fan-out is live, not a per-version
-// copy — writes inside one size class show at once.
-func TestAvgDegreeFollowsEveryWrite(t *testing.T) {
-	s := buildStatsStore(t)
-	ver := s.StatsVersion()
-	m0 := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("Malware", "m-0") })
-	ip0 := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("IP", "10.0.0.0") })
-	s.AddEdge(m0.ID, "CONNECT", ip0.ID, map[string]string{"x": "1"}) // dup edge: attr merge only
-	if got := s.AvgDegree("Malware", "CONNECT", Out); got != 3 {
-		t.Errorf("attr merge on an existing edge moved the fan-out to %v", got)
-	}
-	id, _ := s.MergeNode("Malware", "new", nil)
-	s.AddEdge(id, "CONNECT", ip0.ID, nil)
-	if s.StatsVersion() != ver {
-		t.Fatal("one node and one edge bumped the stats version")
-	}
-	if got, want := s.AvgDegree("Malware", "CONNECT", Out), 31.0/11; got != want {
-		t.Errorf("AvgDegree after one more malware and edge = %v, want %v", got, want)
-	}
-}
-
-// checkLiveCounts recounts nodes per label, edges per type and edge
-// endpoints per (label, type, side) from the slabs. The counts the store
-// keeps live — byType, edgeTypeCount, nNodes, nEdges — must equal the
-// recount, and every AvgDegree reading must be the type's edges over the
-// label's nodes, doubled for Both, and never below the exact mean the
-// endpoint recount gives.
+// checkLiveCounts recounts nodes per label and edges per type from the
+// slabs. The counts the store keeps live — byType, edgeTypeCount,
+// nNodes, nEdges — must equal the recount, and so must what CountByType
+// and Stats() read from them; probing a label the store has never seen
+// reads 0 and interns nothing.
 func checkLiveCounts(t *testing.T, s *Store) {
 	t.Helper()
 	s.mu.RLock()
-	type end struct{ label, typ string }
-	labels, types, ends := map[string]int{}, map[string]int{}, map[end][2]int{}
+	labels, types := map[string]int{}, map[string]int{}
 	nodes, edges := 0, 0
 	for _, rec := range s.nodes {
 		if rec.n != nil {
@@ -242,19 +181,9 @@ func checkLiveCounts(t *testing.T, s *Store) {
 		}
 		edges++
 		types[rec.e.Type]++
-		from, to := s.nodes[rec.from].n, s.nodes[rec.to].n
-		if from == nil || to == nil {
+		if s.nodes[rec.from].n == nil || s.nodes[rec.to].n == nil {
 			s.mu.RUnlock()
 			t.Fatalf("edge %d has a missing endpoint", rec.e.ID)
-		}
-		for side, n := range []*Node{Out: from, In: to} {
-			// A set: the empty label and the empty type are real ones too,
-			// and "" also stands for any.
-			for k := range map[end]bool{{n.Type, rec.e.Type}: true, {n.Type, ""}: true, {"", rec.e.Type}: true, {"", ""}: true} {
-				c := ends[k]
-				c[side]++
-				ends[k] = c
-			}
 		}
 	}
 	if s.nNodes != nodes || s.nEdges != edges {
@@ -276,49 +205,16 @@ func checkLiveCounts(t *testing.T, s *Store) {
 	}
 	syms := s.syms.count()
 	s.mu.RUnlock()
-	probeLabels, probeTypes := []string{"", "never-seen-label"}, []string{"", "never-seen-type"}
-	for l := range labels {
-		if l != "" {
-			probeLabels = append(probeLabels, l)
+	for _, l := range append(slices.Collect(maps.Keys(labels)), "never-seen-label") {
+		if got := s.CountByType(l); got != labels[l] {
+			t.Errorf("CountByType(%q) = %d, want %d", l, got, labels[l])
 		}
 	}
-	for ty := range types {
-		if ty != "" {
-			probeTypes = append(probeTypes, ty)
-		}
-	}
-	for _, l := range probeLabels {
-		n := nodes
-		if l != "" {
-			n = labels[l]
-		}
-		for _, ty := range probeTypes {
-			m := edges
-			if ty != "" {
-				m = types[ty]
-			}
-			c := ends[end{l, ty}]
-			for dir, exact := range map[Direction]int{Out: c[Out], In: c[In], Both: c[Out] + c[In]} {
-				walks := m
-				if dir == Both {
-					walks *= 2
-				}
-				want, mean := 0.0, 0.0
-				if n > 0 {
-					want, mean = float64(walks)/float64(n), float64(exact)/float64(n)
-				}
-				got := s.AvgDegree(l, ty, dir)
-				if got != want {
-					t.Errorf("AvgDegree(%q, %q, %d) = %v, want %d/%d", l, ty, dir, got, walks, n)
-				}
-				if got < mean {
-					t.Errorf("AvgDegree(%q, %q, %d) = %v is below the exact mean %d/%d", l, ty, dir, got, exact, n)
-				}
-			}
-		}
+	if got := s.Stats().EdgesByType; !maps.Equal(got, types) {
+		t.Errorf("Stats().EdgesByType = %v, want %v", got, types)
 	}
 	if got := s.syms.count(); got != syms {
-		t.Errorf("AvgDegree interned %d symbols", got-syms)
+		t.Errorf("count probes interned %d symbols", got-syms)
 	}
 }
 

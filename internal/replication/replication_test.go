@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
@@ -157,18 +158,17 @@ func (w *writer) step(st *graph.Store) {
 	}
 }
 
-// checkFanOut requires the follower's planner fan-out statistic — kept
-// live by whichever path applied the writes — to read exactly the
-// leader's, for every label and edge type present and for any.
-func checkFanOut(t *testing.T, leader, follower *graph.Store) {
+// checkCounts requires the follower's live counts — kept by whichever
+// path applied the writes — to read exactly the leader's: edges per type,
+// and nodes per label for every label the workload writes.
+func checkCounts(t *testing.T, leader, follower *graph.Store) {
 	t.Helper()
+	if got, want := follower.Stats().EdgesByType, leader.Stats().EdgesByType; !maps.Equal(got, want) {
+		t.Errorf("follower Stats().EdgesByType = %v, leader %v", got, want)
+	}
 	for _, label := range append([]string{""}, wTypes...) {
-		for _, typ := range []string{"", "USE", "CONNECT"} {
-			for _, dir := range []graph.Direction{graph.Out, graph.In, graph.Both} {
-				if got, want := follower.AvgDegree(label, typ, dir), leader.AvgDegree(label, typ, dir); got != want {
-					t.Errorf("follower AvgDegree(%q, %q, %d) = %v, leader %v", label, typ, dir, got, want)
-				}
-			}
+		if got, want := follower.CountByType(label), leader.CountByType(label); got != want {
+			t.Errorf("follower CountByType(%q) = %d, leader %d", label, got, want)
 		}
 	}
 }
@@ -317,7 +317,7 @@ func TestReplicateConverges(t *testing.T) {
 	if got, want := saveBytes(t, fdb.Store()), saveBytes(t, ldb.Store()); !bytes.Equal(got, want) {
 		t.Fatalf("follower state differs from leader after catch-up")
 	}
-	checkFanOut(t, ldb.Store(), fdb.Store())
+	checkCounts(t, ldb.Store(), fdb.Store())
 
 	// Live tail: more writes while the stream is connected.
 	for i := 0; i < 200; i++ {
@@ -327,7 +327,7 @@ func TestReplicateConverges(t *testing.T) {
 	if got, want := saveBytes(t, fdb.Store()), saveBytes(t, ldb.Store()); !bytes.Equal(got, want) {
 		t.Fatalf("follower state differs from leader after live tail")
 	}
-	checkFanOut(t, ldb.Store(), fdb.Store())
+	checkCounts(t, ldb.Store(), fdb.Store())
 	if fdb.LastSeq() != ldb.LastSeq() {
 		t.Fatalf("follower WAL at seq %d, leader at %d", fdb.LastSeq(), ldb.LastSeq())
 	}
