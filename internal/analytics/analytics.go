@@ -18,16 +18,10 @@ type Ranked struct {
 	Score float64
 }
 
-// PageRank computes importance scores over the knowledge graph treating
+// pageRank computes importance scores over the knowledge graph treating
 // edges as undirected citations (a report describing a malware raises the
 // malware's rank; shared infrastructure concentrates rank). damping is
 // typically 0.85; iters around 20-50.
-func PageRank(s *graph.Store, damping float64, iters int) map[graph.NodeID]float64 {
-	sn := s.Snapshot()
-	defer sn.Release()
-	return pageRank(sn, damping, iters)
-}
-
 func pageRank(sn *graph.Snap, damping float64, iters int) map[graph.NodeID]float64 {
 	if damping <= 0 || damping >= 1 {
 		damping = 0.85

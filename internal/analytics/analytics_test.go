@@ -59,7 +59,9 @@ func buildKG(t *testing.T) *graph.Store {
 
 func TestPageRankSumsToOneAndRanksHubs(t *testing.T) {
 	s := buildKG(t)
-	ranks := PageRank(s, 0.85, 40)
+	sn := s.Snapshot()
+	defer sn.Release()
+	ranks := pageRank(sn, 0.85, 40)
 	var sum float64
 	for _, r := range ranks {
 		if r < 0 {
@@ -70,8 +72,6 @@ func TestPageRankSumsToOneAndRanksHubs(t *testing.T) {
 	if math.Abs(sum-1) > 1e-6 {
 		t.Errorf("ranks sum to %f, want 1", sum)
 	}
-	sn := s.Snapshot()
-	defer sn.Release()
 	hub := sn.FindNode("Malware", "BigThreat")
 	minor := sn.FindNode("Malware", "MinorThreat")
 	if ranks[hub.ID] <= ranks[minor.ID] {
@@ -80,7 +80,9 @@ func TestPageRankSumsToOneAndRanksHubs(t *testing.T) {
 }
 
 func TestPageRankEmptyGraph(t *testing.T) {
-	if got := PageRank(graph.New(), 0.85, 10); len(got) != 0 {
+	sn := graph.New().Snapshot()
+	defer sn.Release()
+	if got := pageRank(sn, 0.85, 10); len(got) != 0 {
 		t.Errorf("empty graph ranks: %v", got)
 	}
 }

@@ -90,14 +90,6 @@ func (p *Policy) Next() time.Duration {
 	return time.Duration(d)
 }
 
-// Attempts reports how many delays Next has handed out since the last
-// Reset.
-func (p *Policy) Attempts() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.attempt
-}
-
 // Reset snaps the sequence back to the base delay. Call it after a
 // successful attempt so the next failure starts patient, not paranoid.
 func (p *Policy) Reset() {

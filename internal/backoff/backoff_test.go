@@ -16,9 +16,6 @@ func TestGrowthAndCap(t *testing.T) {
 			t.Fatalf("attempt %d: got %v, want %v", i, got, w*time.Millisecond)
 		}
 	}
-	if p.Attempts() != len(want) {
-		t.Fatalf("attempts = %d, want %d", p.Attempts(), len(want))
-	}
 }
 
 // TestJitterBounds verifies jittered delays stay in [d*(1-j), d] and

@@ -102,7 +102,7 @@ func TestGraphConnectorRefactorsToOntology(t *testing.T) {
 		t.Errorf("invalid relation leaked: %+v", ins)
 	}
 	// Bogus entity skipped silently.
-	if n := sn.NodesByName("skipme"); len(n) != 0 {
+	if n := sn.NodeIDsByName("skipme"); len(n) != 0 {
 		t.Error("invalid entity stored")
 	}
 	// Search index covers the report.

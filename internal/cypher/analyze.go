@@ -201,7 +201,7 @@ func cardinalityDrifted(est, act float64) bool {
 // (if any) apply exactly as they would un-analyzed.
 func (e *Engine) analyzeResult(pl *Plan, ps params) (*Result, error) {
 	prof := newPlanProf()
-	rows, err := e.rowsForPlanProf(pl, ps, prof)
+	rows, err := e.runPlan(pl, ps, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -225,14 +225,7 @@ func (e *Engine) analyzeResult(pl *Plan, ps params) (*Result, error) {
 // text. Analyzing has no effect of its own on the store or the plan
 // cache.
 func (e *Engine) QueryAnalyze(src string, args map[string]any) (*Result, string, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, "", err
-	}
-	if q.TxOp != TxNone {
-		return nil, "", errTxControl
-	}
-	pl, err := e.planQuery(q)
+	q, pl, err := e.parsePlan(src)
 	if err != nil {
 		return nil, "", err
 	}
@@ -241,7 +234,7 @@ func (e *Engine) QueryAnalyze(src string, args map[string]any) (*Result, string,
 		return nil, "", err
 	}
 	prof := newPlanProf()
-	rows, err := e.rowsForPlanProf(pl, ps, prof)
+	rows, err := e.runPlan(pl, ps, prof)
 	if err != nil {
 		return nil, "", err
 	}

@@ -51,11 +51,11 @@ func DefaultOptions() Options {
 // Engine.Begin opens an explicit multi-statement transaction.
 type Engine struct {
 	store *graph.Store
-	// view is the read surface every match stage and expression reads
-	// through: a pinned Snap (read statements) or graph.Tx (write
+	// view is the Snap every match stage and expression reads through: a
+	// pinned snapshot (read statements) or the graph.Tx's own view (write
 	// statements, explicit transactions) on the per-scope engine copies
 	// beginScope makes; nil on an unscoped engine, which never executes.
-	view graph.View
+	view *graph.Snap
 	// w is the write surface (write.go): the scope's graph.Tx inside a
 	// write scope, nil on an unscoped engine, which never writes. Its
 	// Latest* reads see the writer's own uncommitted state — the write
@@ -165,16 +165,9 @@ func (e *Engine) QueryRows(src string, args map[string]any) (*Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.rowsForPlan(pl, ps)
+		return e.runPlan(pl, ps, nil)
 	}
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if q.TxOp != TxNone {
-		return nil, errTxControl
-	}
-	pl, err := e.planQuery(q)
+	q, pl, err := e.parsePlan(src)
 	if err != nil {
 		return nil, err
 	}
@@ -200,20 +193,31 @@ func (e *Engine) QueryRows(src string, args map[string]any) (*Rows, error) {
 		return nil, err
 	}
 	e.storePlan(src, pl)
-	return e.rowsForPlan(pl, ps)
+	return e.runPlan(pl, ps, nil)
+}
+
+// parsePlan parses src, rejects transaction control and plans the
+// statement: the one way from text to plan, shared by QueryRows' cache
+// miss, Explain and QueryAnalyze.
+func (e *Engine) parsePlan(src string) (*Query, *Plan, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if q.TxOp != TxNone {
+		return nil, nil, errTxControl
+	}
+	pl, err := e.planQuery(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	return q, pl, nil
 }
 
 // Explain parses src and renders the plan the streaming engine would run,
 // without executing it.
 func (e *Engine) Explain(src string) (string, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return "", err
-	}
-	if q.TxOp != TxNone {
-		return "", errTxControl
-	}
-	pl, err := e.planQuery(q)
+	_, pl, err := e.parsePlan(src)
 	if err != nil {
 		return "", err
 	}
@@ -241,7 +245,7 @@ type bfsWalk struct {
 // within [MinHops, MaxHops] (MaxHops < 0 = unbounded). Each node is
 // visited at most once, so the walk terminates on any graph. The result
 // is valid until the walk's next call.
-func (w *bfsWalk) targets(view graph.View, start graph.NodeID, ep EdgePattern, reverse bool) []graph.NodeID {
+func (w *bfsWalk) targets(view *graph.Snap, start graph.NodeID, ep EdgePattern, reverse bool) []graph.NodeID {
 	dir := expandDir(ep.Dir, reverse)
 	if w.visited == nil {
 		w.visited = map[graph.NodeID]bool{}

@@ -130,7 +130,7 @@ func evalPreds(preds []Expr, b *binding, ps params) (bool, error) {
 // --- chunked node reads ---
 
 // nodeWindow walks a list of node IDs, resolving them through the view a
-// chunk at a time (graph.View.Nodes: one hold of the store's read lock
+// chunk at a time (graph.Snap.Nodes: one hold of the store's read lock
 // per chunk rather than per node). The lock is only ever held inside a
 // refill, so never across a next() — a paused cursor or a stalled
 // client holds nothing. The first chunk is small, so a LIMIT or an
@@ -142,7 +142,7 @@ type nodeWindow struct {
 	i     int // next position in ids
 }
 
-// Window sizes. The store bounds its own lock holds (graph.View.Nodes);
+// Window sizes. The store bounds its own lock holds (graph.Snap.Nodes);
 // these only decide how far ahead of the consumer a window resolves.
 const (
 	firstWindow = 16
@@ -155,7 +155,7 @@ func (w *nodeWindow) reset(ids []graph.NodeID) {
 
 // next returns the next listed node the view can see (its position in
 // the list is then w.i-1), or nil when the list is exhausted.
-func (w *nodeWindow) next(view graph.View) *graph.Node {
+func (w *nodeWindow) next(view *graph.Snap) *graph.Node {
 	for w.i < len(w.ids) {
 		if w.i == w.lo+len(w.nodes) {
 			n := nextWindow

@@ -276,16 +276,11 @@ const aggRowCost = 64
 
 // --- plan execution as a row stream ---
 
-// rowsForPlan wires a (possibly cached, possibly shared) plan into the
-// streaming iterator pipeline and returns a cursor over its output.
-func (e *Engine) rowsForPlan(pl *Plan, ps params) (*Rows, error) {
-	return e.rowsForPlanProf(pl, ps, nil)
-}
-
-// rowsForPlanProf is rowsForPlan with an optional ANALYZE profile: when
-// prof is non-nil, every stage iterator and segment end is wrapped in a
-// profiling decorator (analyze.go).
-func (e *Engine) rowsForPlanProf(pl *Plan, ps params, prof *planProf) (*Rows, error) {
+// runPlan wires a (possibly cached, possibly shared) plan into the
+// streaming iterator pipeline and returns a cursor over its output. When
+// prof is non-nil (ANALYZE), every stage iterator and segment end is
+// wrapped in a profiling decorator (analyze.go).
+func (e *Engine) runPlan(pl *Plan, ps params, prof *planProf) (*Rows, error) {
 	if pl.HasWrites && e.opts.ReadOnly {
 		return nil, ErrReadOnly
 	}
@@ -301,7 +296,7 @@ func (e *Engine) rowsForPlanProf(pl *Plan, ps params, prof *planProf) (*Rows, er
 	return rows, nil
 }
 
-// rowsForPlanScoped is rowsForPlan's body, running on the per-statement
+// rowsForPlanScoped is runPlan's body, running on the per-statement
 // scoped engine: each segment is its stage chain ended by a projection,
 // a WITH bridge carries one segment's projection into the next, and the
 // cursor reads the final one.

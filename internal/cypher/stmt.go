@@ -79,7 +79,7 @@ func (s *Stmt) QueryRows(args map[string]any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.e.rowsForPlan(pl, ps)
+	return s.e.runPlan(pl, ps, nil)
 }
 
 // Query executes the statement with the given bindings and materializes

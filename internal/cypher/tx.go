@@ -24,9 +24,9 @@ import (
 //     statements all run against one graph.Tx until Commit/Rollback. A
 //     failed statement aborts the transaction wholesale.
 //
-// BEGIN / COMMIT / ROLLBACK parse as TxOp statements and are routed by
-// a session owner (Tx.Query, the HTTP tx-token handler); the plain
-// Query entry points reject them with errTxControl.
+// BEGIN / COMMIT / ROLLBACK parse as TxOp statements and are run by a
+// session owner through Tx.QueryRows (the shell, the HTTP session
+// route); the Engine's entry points reject them with errTxControl.
 
 // errTxControl is returned when BEGIN/COMMIT/ROLLBACK reaches a plain
 // query entry point; transaction control belongs to a session.
@@ -57,7 +57,7 @@ func (e *Engine) beginScope(writes bool) (*Engine, func(error) error, error) {
 	if writes {
 		gtx := e.store.BeginTx()
 		ex := *e
-		ex.view, ex.w = gtx, gtx
+		ex.view, ex.w = gtx.Snap(), gtx
 		finish := func(err error) error {
 			if err != nil {
 				gtx.Rollback()
@@ -101,7 +101,7 @@ func (e *Engine) Begin() (*Tx, error) {
 	t := &Tx{gtx: e.store.BeginTx()}
 	ex := *e
 	ex.pinned = true
-	ex.view, ex.w = t.gtx, t.gtx
+	ex.view, ex.w = t.gtx.Snap(), t.gtx
 	ex.failTx = t.abort
 	t.e = &ex
 	return t, nil
@@ -132,27 +132,16 @@ func (t *Tx) state() error {
 // COMMIT and ROLLBACK statements finish the transaction; BEGIN errors
 // (no nesting).
 func (t *Tx) Query(src string, args map[string]any) (*Result, error) {
-	op, err := TxOpOf(src)
+	rows, err := t.QueryRows(src, args)
 	if err != nil {
 		return nil, err
 	}
-	switch op {
-	case TxBegin:
-		return nil, fmt.Errorf("cypher: nested BEGIN — a transaction is already open")
-	case TxCommit:
-		return &Result{}, t.Commit()
-	case TxRollback:
-		return &Result{}, t.Rollback()
-	}
-	if err := t.state(); err != nil {
-		return nil, err
-	}
-	return t.e.Query(src, args)
+	return materialize(rows, t.e.opts.MaxRows)
 }
 
 // QueryRows executes one statement inside the transaction as a cursor.
-// Transaction-control statements are handled like Query (returning an
-// empty exhausted cursor).
+// COMMIT and ROLLBACK finish the transaction and return an empty
+// exhausted cursor; BEGIN errors (no nesting).
 func (t *Tx) QueryRows(src string, args map[string]any) (*Rows, error) {
 	op, err := TxOpOf(src)
 	if err != nil {

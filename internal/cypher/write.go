@@ -43,9 +43,6 @@ type WriteStats struct {
 	EdgesDeleted int `json:"edges_deleted"`
 }
 
-// Zero reports whether nothing was changed.
-func (w WriteStats) Zero() bool { return w == WriteStats{} }
-
 func (w WriteStats) String() string {
 	return fmt.Sprintf("nodes created: %d, edges created: %d, props set: %d, nodes deleted: %d, edges deleted: %d",
 		w.NodesCreated, w.EdgesCreated, w.PropsSet, w.NodesDeleted, w.EdgesDeleted)

@@ -22,7 +22,7 @@ func findNode(s *graph.Store, typ, name string) *graph.Node {
 func nodesNamed(s *graph.Store, name string) []*graph.Node {
 	sn := s.Snapshot()
 	defer sn.Release()
-	return sn.NodesByName(name)
+	return sn.Nodes(nil, sn.NodeIDsByName(name))
 }
 
 // writeFixture builds the store both write-test engines start from.
@@ -562,7 +562,7 @@ func TestMergeAugmentCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Writes.Zero() {
+	if *res.Writes != (WriteStats{}) {
 		t.Fatalf("pure merge hit counted: %+v", res.Writes)
 	}
 }
@@ -586,7 +586,7 @@ func TestEdgeAugmentCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Writes.Zero() {
+	if *res.Writes != (WriteStats{}) {
 		t.Fatalf("idempotent edge merge counted: %+v", res.Writes)
 	}
 }

@@ -211,67 +211,6 @@ func buildNegTable(vocab []string, counts map[string]int, size int) []int {
 	return table
 }
 
-// Similarity returns the cosine similarity of two words' vectors, or 0
-// when either is out of vocabulary.
-func (e *Embeddings) Similarity(a, b string) float64 {
-	va, ok := e.Vector(a)
-	if !ok {
-		return 0
-	}
-	vb, ok := e.Vector(b)
-	if !ok {
-		return 0
-	}
-	return cosine(va, vb)
-}
-
-func cosine(a, b []float32) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-		na += float64(a[i]) * float64(a[i])
-		nb += float64(b[i]) * float64(b[i])
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// Nearest returns the k vocabulary words most similar to word (excluding
-// itself), most similar first.
-func (e *Embeddings) Nearest(word string, k int) []string {
-	v, ok := e.Vector(word)
-	if !ok {
-		return nil
-	}
-	type scored struct {
-		w string
-		s float64
-	}
-	var all []scored
-	for i, w := range e.words {
-		if w == word {
-			continue
-		}
-		all = append(all, scored{w, cosine(v, e.vecs[i])})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].s != all[j].s {
-			return all[i].s > all[j].s
-		}
-		return all[i].w < all[j].w
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].w
-	}
-	return out
-}
-
 // Clusters assigns every vocabulary word to one of k clusters via k-means
 // (deterministic for a seed). The returned map is suitable for CRF features
 // like "emb=<cluster id>".

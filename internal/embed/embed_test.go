@@ -3,6 +3,7 @@ package embed
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -87,53 +88,34 @@ func TestTrainErrorsOnTinyVocab(t *testing.T) {
 
 func TestTopicWordsCloserWithinThanAcross(t *testing.T) {
 	e := trainTopics(t)
-	within := e.Similarity("malware", "trojan")
-	across := e.Similarity("malware", "patch")
+	within := similarity(t, e, "malware", "trojan")
+	across := similarity(t, e, "malware", "patch")
 	if within <= across {
 		t.Errorf("within-topic similarity %.3f should exceed across-topic %.3f",
 			within, across)
 	}
-	within2 := e.Similarity("patch", "update")
-	across2 := e.Similarity("update", "dropper")
+	within2 := similarity(t, e, "patch", "update")
+	across2 := similarity(t, e, "update", "dropper")
 	if within2 <= across2 {
 		t.Errorf("topic B: within %.3f vs across %.3f", within2, across2)
 	}
 }
 
-func TestSimilarityOOVIsZero(t *testing.T) {
-	e := trainTopics(t)
-	if s := e.Similarity("malware", "zzz"); s != 0 {
-		t.Errorf("OOV similarity = %f", s)
+// similarity is the cosine of two in-vocabulary words' vectors.
+func similarity(t *testing.T, e *Embeddings, a, b string) float64 {
+	t.Helper()
+	va, okA := e.Vector(a)
+	vb, okB := e.Vector(b)
+	if !okA || !okB {
+		t.Fatalf("%q or %q is out of vocabulary", a, b)
 	}
-}
-
-func TestNearestReturnsTopicSiblings(t *testing.T) {
-	e := trainTopics(t)
-	near := e.Nearest("trojan", 3)
-	if len(near) != 3 {
-		t.Fatalf("nearest: %v", near)
+	var dot, na, nb float64
+	for i := range va {
+		dot += float64(va[i]) * float64(vb[i])
+		na += float64(va[i]) * float64(va[i])
+		nb += float64(vb[i]) * float64(vb[i])
 	}
-	topicA := map[string]bool{"malware": true, "payload": true, "dropper": true, "infection": true}
-	hits := 0
-	for _, w := range near {
-		if topicA[w] {
-			hits++
-		}
-	}
-	if hits < 2 {
-		t.Errorf("nearest(trojan) should be mostly topic A words: %v", near)
-	}
-}
-
-func TestNearestOOVAndExcessK(t *testing.T) {
-	e := trainTopics(t)
-	if got := e.Nearest("zzz", 5); got != nil {
-		t.Errorf("OOV nearest: %v", got)
-	}
-	all := e.Nearest("malware", 10000)
-	if len(all) != e.Len()-1 {
-		t.Errorf("excess k should clamp to vocab-1: %d vs %d", len(all), e.Len()-1)
-	}
+	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
 func TestClustersSeparateTopics(t *testing.T) {

@@ -83,8 +83,9 @@ func Fuse(s *graph.Store, opts Options) (Stats, error) {
 	return st, nil
 }
 
-// fuse is Fuse's pass, reading and writing through tx.
+// fuse is Fuse's pass, reading through tx's view and writing through tx.
 func fuse(tx *graph.Tx, opts Options, st *Stats) error {
+	view := tx.Snap()
 	typeFilter := map[string]bool{}
 	for _, t := range opts.Types {
 		typeFilter[t] = true
@@ -92,7 +93,7 @@ func fuse(tx *graph.Tx, opts Options, st *Stats) error {
 
 	// Group nodes by (type, normalized name).
 	groups := map[string][]*graph.Node{}
-	tx.ForEachNode(func(n *graph.Node) bool {
+	view.ForEachNode(func(n *graph.Node) bool {
 		if len(typeFilter) > 0 && !typeFilter[n.Type] {
 			return true
 		}
@@ -118,14 +119,14 @@ func fuse(tx *graph.Tx, opts Options, st *Stats) error {
 		st.Groups++
 		// Pick the canonical: highest degree, then lowest ID.
 		best := members[0]
-		bestDeg := len(tx.Edges(best.ID, graph.Both))
+		bestDeg := len(view.Edges(best.ID, graph.Both))
 		for _, m := range members[1:] {
-			deg := len(tx.Edges(m.ID, graph.Both))
+			deg := len(view.Edges(m.ID, graph.Both))
 			if deg > bestDeg || (deg == bestDeg && m.ID < best.ID) {
 				best, bestDeg = m, deg
 			}
 		}
-		aliases := collectAliases(tx, best)
+		aliases := collectAliases(view, best)
 		for _, m := range members {
 			if m.ID == best.ID {
 				continue
@@ -135,7 +136,7 @@ func fuse(tx *graph.Tx, opts Options, st *Stats) error {
 			}
 			// Unify attributes: keep canonical's values, adopt new keys.
 			for _, kv := range m.Attrs {
-				if cur := tx.Node(best.ID); cur != nil {
+				if cur := view.Node(best.ID); cur != nil {
 					if _, has := cur.Attrs.Lookup(kv.Key); !has {
 						if err := tx.SetAttr(best.ID, kv.Key, kv.Val); err != nil {
 							return err
@@ -166,9 +167,9 @@ func fuse(tx *graph.Tx, opts Options, st *Stats) error {
 	return nil
 }
 
-func collectAliases(tx *graph.Tx, n *graph.Node) map[string]bool {
+func collectAliases(view *graph.Snap, n *graph.Node) map[string]bool {
 	out := map[string]bool{}
-	if cur := tx.Node(n.ID); cur != nil {
+	if cur := view.Node(n.ID); cur != nil {
 		if prev, ok := cur.Attrs.Lookup("aliases"); ok && prev != "" {
 			for _, a := range strings.Split(prev, "|") {
 				out[a] = true

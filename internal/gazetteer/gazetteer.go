@@ -118,9 +118,7 @@ var software = []string{
 	"PostgreSQL", "Docker Engine", "Kubernetes", "Elasticsearch Server",
 }
 
-// Vendors lists CTI vendor names used for report attribution.
-func Vendors() []string { return copyList(vendors) }
-
+// vendors are CTI vendor names used for report attribution.
 var vendors = []string{
 	"Kaspersky", "Symantec", "McAfee", "TrendMicro", "FireEye",
 	"CrowdStrike", "Palo Alto Networks", "Unit 42", "Cisco Talos",
@@ -207,9 +205,6 @@ func NewLookup() *Lookup {
 func Normalize(s string) string {
 	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
 }
-
-// MaxPhraseLen returns the longest phrase length in tokens.
-func (l *Lookup) MaxPhraseLen() int { return l.maxLen }
 
 // Match returns the class of the normalized phrase, if curated.
 func (l *Lookup) Match(phrase string) (Class, bool) {

@@ -10,7 +10,7 @@ func TestListsNonEmptyAndDistinct(t *testing.T) {
 	lists := map[string][]string{
 		"actors": ThreatActors(), "techniques": Techniques(),
 		"tools": Tools(), "malware": Malware(), "families": MalwareFamilies(),
-		"platforms": Platforms(), "software": Software(), "vendors": Vendors(),
+		"platforms": Platforms(), "software": Software(), "vendors": vendors,
 	}
 	for name, l := range lists {
 		if len(l) < 10 {
@@ -94,7 +94,7 @@ func TestLongestMatchAgainstDefinition(t *testing.T) {
 		}
 		for i := range toks {
 			wantN, wantC := 0, Class("")
-			for n := l.MaxPhraseLen(); n >= 1 && wantN == 0; n-- {
+			for n := l.maxLen; n >= 1 && wantN == 0; n-- {
 				if i+n <= len(toks) {
 					if c, ok := l.Match(strings.Join(toks[i:i+n], " ")); ok {
 						wantN, wantC = n, c
@@ -110,8 +110,8 @@ func TestLongestMatchAgainstDefinition(t *testing.T) {
 
 func TestLookupMaxPhraseLen(t *testing.T) {
 	l := NewLookup()
-	if l.MaxPhraseLen() < 3 {
-		t.Errorf("max phrase len %d, expected >= 3 (e.g. multi-word techniques)", l.MaxPhraseLen())
+	if l.maxLen < 3 {
+		t.Errorf("max phrase len %d, expected >= 3 (e.g. multi-word techniques)", l.maxLen)
 	}
 	if l.Size() < 200 {
 		t.Errorf("lookup too small: %d phrases", l.Size())

@@ -107,11 +107,11 @@ type typeAttrKeyT struct {
 // Store is an in-memory property graph safe for concurrent use.
 //
 // The Store itself exports writes, statistics and persistence, but no
-// node or edge reads: a reader takes a Snapshot (or runs inside a Tx) and
-// reads through the View interface. Versioned visibility (mvcc.go) gives
-// every snapshot the exact committed state as of its creation, without
-// blocking — or being blocked by — the writer, so no reader ever sees an
-// open transaction's writes.
+// node or edge reads: every read goes through a *Snap, one taken with
+// Snapshot or a transaction's own view (Tx.Snap). Versioned visibility
+// (mvcc.go) gives every snapshot the exact committed state as of its
+// creation, without blocking — or being blocked by — the writer, so no
+// reader ever sees another transaction's uncommitted writes.
 type Store struct {
 	mu sync.RWMutex
 

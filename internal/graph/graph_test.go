@@ -119,8 +119,8 @@ func TestLookupsAndIndexes(t *testing.T) {
 	if n := latest(t, s, func(sn *Snap) *Node { return sn.FindNode("Malware", "missing") }); n != nil {
 		t.Error("FindNode should return nil for missing")
 	}
-	if got := len(latest(t, s, func(sn *Snap) []*Node { return sn.NodesByName("A") })); got != 2 {
-		t.Errorf("NodesByName(A) = %d, want 2", got)
+	if got := len(latest(t, s, func(sn *Snap) []*Node { return sn.Nodes(nil, sn.NodeIDsByName("A")) })); got != 2 {
+		t.Errorf("nodes named A = %d, want 2", got)
 	}
 	if got := len(latest(t, s, func(sn *Snap) []*Node { return sn.NodesByType("Malware") })); got != 2 {
 		t.Errorf("NodesByType(Malware) = %d, want 2", got)

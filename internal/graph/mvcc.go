@@ -36,6 +36,11 @@ import (
 // Validity intervals for one entity are disjoint, so at most one
 // version is ever visible.
 //
+// Every read goes through one type, *Snap: a plain snapshot sees the
+// committed state at its timestamp, and a transaction's own view
+// (Tx.Snap) adds the transaction's writes (prov). The Store exports no
+// node or edge reads, so nobody reads a half-written transaction.
+//
 // History is recorded only while someone can observe it: a snapshot is
 // open or a transaction is in flight. Otherwise every side map stays
 // empty, writes pay two empty-map probes, and reads take the exact
@@ -78,33 +83,6 @@ type edgeUndo struct {
 
 // ErrTxDone is returned by Commit/Rollback on an already-finished Tx.
 var ErrTxDone = errors.New("graph: transaction already committed or rolled back")
-
-// View is the read surface shared by *Snap (point-in-time committed
-// state) and *Tx (the transaction's snapshot plus its own writes). Every
-// graph read outside a writer goes through one of them: the Store itself
-// exports no node or edge reads, so nobody can see a half-written
-// transaction. The Cypher executor reads exclusively through View.
-type View interface {
-	Node(id NodeID) *Node
-	Nodes(dst []*Node, ids []NodeID) []*Node
-	Edge(id EdgeID) *Edge
-	FindNode(typ, name string) *Node
-	NodesByName(name string) []*Node
-	NodesByType(typ string) []*Node
-	Edges(id NodeID, dir Direction) []*Edge
-	IncidentEdges(buf []IncidentEdge, id NodeID, dir Direction, typ string) []IncidentEdge
-	AllNodeIDs() []NodeID
-	NodeIDsByType(typ string) []NodeID
-	NodeIDsByName(name string) []NodeID
-	NodeIDsByAttr(key, val string) []NodeID
-	NodeIDsByTypeAttr(typ, key, val string) []NodeID
-	ForEachNode(fn func(*Node) bool)
-}
-
-var (
-	_ View = (*Snap)(nil)
-	_ View = (*Tx)(nil)
-)
 
 // --- write-side bookkeeping ---
 
@@ -252,9 +230,11 @@ func (s *Store) Snapshot() *Snap {
 
 // Release closes the snapshot. Idempotent. Only the close that leaves
 // history nobody can observe any more takes the exclusive lock, to drop
-// it; beside a writing transaction, or with no history, none does.
+// it; beside a writing transaction, or with no history, none does. On a
+// transaction's own view (Tx.Snap) it does nothing: the view lives until
+// Commit or Rollback.
 func (sn *Snap) Release() {
-	if !sn.released.CompareAndSwap(false, true) {
+	if sn.tx != nil || !sn.released.CompareAndSwap(false, true) {
 		return
 	}
 	s := sn.s
@@ -482,13 +462,6 @@ func (sn *Snap) resolveAllLocked(ids []NodeID) []*Node {
 	return out
 }
 
-// NodesByName returns all visible nodes named name, sorted by ID.
-func (sn *Snap) NodesByName(name string) []*Node {
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
-	return sn.resolveAllLocked(sn.idsByNameLocked(name))
-}
-
 // NodesByType returns all visible nodes with the given type, sorted by ID.
 func (sn *Snap) NodesByType(typ string) []*Node {
 	sn.s.mu.RLock()
@@ -523,10 +496,6 @@ func (sn *Snap) idsByTypeLocked(typ string) []NodeID {
 func (sn *Snap) NodeIDsByName(name string) []NodeID {
 	sn.s.mu.RLock()
 	defer sn.s.mu.RUnlock()
-	return sn.idsByNameLocked(name)
-}
-
-func (sn *Snap) idsByNameLocked(name string) []NodeID {
 	return sn.visibleIDsLocked(sn.s.byName[name].ids(), func(v nodeVer) bool { return v.rec.n.Name == name })
 }
 
@@ -693,7 +662,7 @@ func (sn *Snap) ForEachNode(fn func(*Node) bool) {
 // holds the writer lock from its first write until Commit or Rollback —
 // but stay invisible to every other snapshot until Commit, and are
 // undone in full (records, indexes, ID allocators, adjacency) by
-// Rollback. Reads through the Tx see the snapshot plus the
+// Rollback. Reads through Tx.Snap see the snapshot plus the
 // transaction's own writes. A Tx is intended for use by one goroutine;
 // concurrent transactions from different goroutines serialize on the
 // writer lock at their first write.
@@ -721,6 +690,11 @@ type Tx struct {
 	preNextEdge  EdgeID
 	preMergeHits int64
 }
+
+// Snap returns the transaction's read view: the snapshot taken at
+// BeginTx plus the transaction's own writes. It stays valid until Commit
+// or Rollback; its Release does nothing.
+func (tx *Tx) Snap() *Snap { return tx.snap }
 
 // BeginTx opens a transaction whose reads see the store as of now.
 // Never blocks: the writer lock is acquired lazily at the first write.
@@ -823,7 +797,9 @@ func (tx *Tx) Commit() error {
 	mTxCommit.Inc()
 	s := tx.s
 	if !tx.writing {
-		tx.snap.Release()
+		s.mu.Lock()
+		tx.snap.releaseLocked()
+		s.mu.Unlock()
 		return nil
 	}
 	if hook := s.onMutation; hook != nil && len(tx.walBuf) > 0 {
@@ -888,7 +864,9 @@ func (tx *Tx) Rollback() error {
 	mTxRollback.Inc()
 	s := tx.s
 	if !tx.writing {
-		tx.snap.Release()
+		s.mu.Lock()
+		tx.snap.releaseLocked()
+		s.mu.Unlock()
 		return nil
 	}
 	s.mu.Lock()
@@ -951,33 +929,6 @@ func restoreVersions[ID comparable, V any](begin map[ID]uint64, old map[ID][]V, 
 		}
 	}
 }
-
-// --- Tx as a View: the snapshot plus the transaction's own writes ---
-
-func (tx *Tx) Node(id NodeID) *Node { return tx.snap.Node(id) }
-func (tx *Tx) Nodes(dst []*Node, ids []NodeID) []*Node {
-	return tx.snap.Nodes(dst, ids)
-}
-func (tx *Tx) Edge(id EdgeID) *Edge            { return tx.snap.Edge(id) }
-func (tx *Tx) FindNode(typ, name string) *Node { return tx.snap.FindNode(typ, name) }
-func (tx *Tx) NodesByName(name string) []*Node { return tx.snap.NodesByName(name) }
-func (tx *Tx) NodesByType(typ string) []*Node  { return tx.snap.NodesByType(typ) }
-func (tx *Tx) Edges(id NodeID, dir Direction) []*Edge {
-	return tx.snap.Edges(id, dir)
-}
-func (tx *Tx) IncidentEdges(buf []IncidentEdge, id NodeID, dir Direction, typ string) []IncidentEdge {
-	return tx.snap.IncidentEdges(buf, id, dir, typ)
-}
-func (tx *Tx) AllNodeIDs() []NodeID               { return tx.snap.AllNodeIDs() }
-func (tx *Tx) NodeIDsByType(typ string) []NodeID  { return tx.snap.NodeIDsByType(typ) }
-func (tx *Tx) NodeIDsByName(name string) []NodeID { return tx.snap.NodeIDsByName(name) }
-func (tx *Tx) NodeIDsByAttr(key, val string) []NodeID {
-	return tx.snap.NodeIDsByAttr(key, val)
-}
-func (tx *Tx) NodeIDsByTypeAttr(typ, key, val string) []NodeID {
-	return tx.snap.NodeIDsByTypeAttr(typ, key, val)
-}
-func (tx *Tx) ForEachNode(fn func(*Node) bool) { tx.snap.ForEachNode(fn) }
 
 // --- latest-state reads ---
 //

@@ -132,13 +132,13 @@ func TestTxIsolationAndCommit(t *testing.T) {
 	}
 
 	// Tx sees its own writes.
-	if tx.Node(bID) == nil {
+	if tx.Snap().Node(bID) == nil {
 		t.Error("tx cannot see its own created node")
 	}
-	if got := tx.Node(a).Attrs.Get("k"); got != "v" {
+	if got := tx.Snap().Node(a).Attrs.Get("k"); got != "v" {
 		t.Errorf("tx sees k=%q, want v", got)
 	}
-	if got := len(tx.Edges(a, Out)); got != 1 {
+	if got := len(tx.Snap().Edges(a, Out)); got != 1 {
 		t.Errorf("tx Edges(a) = %d, want 1", got)
 	}
 
@@ -291,7 +291,7 @@ func TestTxWALBuffering(t *testing.T) {
 	// Read-only tx commits without logging or blocking.
 	log = nil
 	tx4 := s.BeginTx()
-	_ = tx4.Node(a)
+	_ = tx4.Snap().Node(a)
 	if err := tx4.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -521,5 +521,28 @@ func TestSnapshotReleaseRacesWriters(t *testing.T) {
 	}
 	if st := s.MVCCStats(); st != (MVCCStats{}) {
 		t.Errorf("history left behind with nobody to observe it: %+v", st)
+	}
+}
+
+// TestTxSnapReleaseIsNoop holds the guard on a transaction's own view: a
+// reader that releases tx.Snap() as it would a plain snapshot must not
+// end the view early. The transaction still reads its own writes, and
+// Commit still ends the view and drops the history it kept.
+func TestTxSnapReleaseIsNoop(t *testing.T) {
+	s := New()
+	a, _ := s.MergeNode("T", "a", nil)
+	tx := s.BeginTx()
+	if err := tx.SetAttr(a, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	tx.Snap().Release()
+	if got := tx.Snap().Node(a).Attrs.Get("k"); got != "v" {
+		t.Errorf("after Release the tx reads k=%q, want its own write v", got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.MVCCStats(); st != (MVCCStats{}) {
+		t.Errorf("history left behind after commit: %+v", st)
 	}
 }

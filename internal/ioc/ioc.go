@@ -34,12 +34,6 @@ const (
 	KindCVE      Kind = "cve"
 )
 
-// Kinds lists every IOC kind in priority order (most specific first).
-func Kinds() []Kind {
-	return []Kind{KindURL, KindEmail, KindCVE, KindRegistry, KindHash,
-		KindIP, KindFilePath, KindFileName, KindDomain}
-}
-
 // EntityType maps an IOC kind to its ontology entity type.
 func (k Kind) EntityType() ontology.EntityType {
 	switch k {
@@ -296,17 +290,4 @@ func appendCandidate(cands []candidate, rf string, prio, s, e int) []candidate {
 		return cands
 	}
 	return append(cands, candidate{Match{Kind: matchers[prio].kind, Value: rf[s:e], Start: s, End: e}, prio})
-}
-
-// HashAlgo guesses the algorithm of a hex hash value by length.
-func HashAlgo(h string) string {
-	switch len(h) {
-	case 32:
-		return "md5"
-	case 40:
-		return "sha1"
-	case 64:
-		return "sha256"
-	}
-	return "unknown"
 }

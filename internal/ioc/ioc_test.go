@@ -67,9 +67,8 @@ func TestScanHashes(t *testing.T) {
 	if len(hs) != 3 {
 		t.Fatalf("expected 3 hashes, got %+v", hs)
 	}
-	if HashAlgo(hs[0].Value) != "md5" || HashAlgo(hs[1].Value) != "sha1" || HashAlgo(hs[2].Value) != "sha256" {
-		t.Errorf("hash algos wrong: %v %v %v",
-			HashAlgo(hs[0].Value), HashAlgo(hs[1].Value), HashAlgo(hs[2].Value))
+	if hs[0].Value != md5 || hs[1].Value != sha1 || hs[2].Value != sha256 {
+		t.Errorf("hashes wrong: %v %v %v", hs[0].Value, hs[1].Value, hs[2].Value)
 	}
 }
 
@@ -219,7 +218,8 @@ func TestProtectionMatchesOrder(t *testing.T) {
 }
 
 func TestKindsCoverEntityTypes(t *testing.T) {
-	for _, k := range Kinds() {
+	for _, m := range matchers {
+		k := m.kind
 		et := k.EntityType()
 		if !ontology.KnownEntityType(et) {
 			t.Errorf("kind %s maps to unknown entity type %s", k, et)

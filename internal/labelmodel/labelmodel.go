@@ -223,29 +223,6 @@ func (mo *Model) Posterior(votes []int) []float64 {
 	return out
 }
 
-// MAP returns the most probable class for the votes, with ok=false when
-// every function abstained (no signal).
-func (mo *Model) MAP(votes []int) (int, bool) {
-	any := false
-	for _, v := range votes {
-		if v != Abstain {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return 0, false
-	}
-	post := mo.Posterior(votes)
-	best, bestP := 0, -1.0
-	for c, p := range post {
-		if p > bestP {
-			best, bestP = c, p
-		}
-	}
-	return best, true
-}
-
 // ProbLabels applies the model to every row of the matrix.
 func (mo *Model) ProbLabels(m Matrix) [][]float64 {
 	out := make([][]float64, len(m))

@@ -173,21 +173,6 @@ func TestPosteriorAllAbstainIsPrior(t *testing.T) {
 	}
 }
 
-func TestMAP(t *testing.T) {
-	m, _ := synth(1000, 2, []float64{0.9, 0.85}, []float64{0.9, 0.9}, 9)
-	model, err := Fit(m, 2, FitConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := model.MAP([]int{Abstain, Abstain}); ok {
-		t.Error("all-abstain MAP should report no signal")
-	}
-	cls, ok := model.MAP([]int{1, 1})
-	if !ok || cls != 1 {
-		t.Errorf("unanimous MAP: cls=%d ok=%v", cls, ok)
-	}
-}
-
 func TestHighAccuracyLFDominatesConflict(t *testing.T) {
 	accs := []float64{0.98, 0.55}
 	props := []float64{0.95, 0.95}
@@ -197,9 +182,8 @@ func TestHighAccuracyLFDominatesConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	// When the two disagree, the high-accuracy function should win.
-	cls, ok := model.MAP([]int{0, 1})
-	if !ok || cls != 0 {
-		t.Errorf("conflict resolution: cls=%d (accs %+v)", cls, model.Accuracy)
+	if post := model.Posterior([]int{0, 1}); post[0] <= post[1] {
+		t.Errorf("conflict resolution: posterior %+v (accs %+v)", post, model.Accuracy)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package layout implements the force-directed graph layout behind the
 // exploration UI: repulsive forces computed either exactly (O(N²)) or with
 // the Barnes-Hut quadtree approximation the paper cites (O(N log N)),
-// plus spring attraction along edges, per-iteration cooling, and position
-// pinning for dragged nodes. Left to choose, the engine sums exactly below
-// exactBelow bodies, where the sum is both faster and exact, and uses
-// Barnes-Hut from there up.
+// plus spring attraction along edges and per-iteration cooling. Left to
+// choose, the engine sums exactly below exactBelow bodies, where the sum
+// is both faster and exact, and uses Barnes-Hut from there up.
 package layout
 
 import (
@@ -87,7 +86,6 @@ type Engine struct {
 	cfg    Config
 	g      Graph
 	Pos    []Point
-	pinned []bool
 	vel    []Point
 	temp   float64
 	cells  cellArena // the Barnes-Hut quadtree's cells, rebuilt every Step
@@ -104,12 +102,11 @@ func NewEngine(g Graph, cfg Config, seed int64) *Engine {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(seed))
 	e := &Engine{
-		cfg:    cfg,
-		g:      g,
-		Pos:    make([]Point, g.N),
-		pinned: make([]bool, g.N),
-		vel:    make([]Point, g.N),
-		temp:   1,
+		cfg:  cfg,
+		g:    g,
+		Pos:  make([]Point, g.N),
+		vel:  make([]Point, g.N),
+		temp: 1,
 	}
 	// Seed on a disk whose radius grows with sqrt(N): constant initial
 	// density regardless of graph size, so force magnitudes and the
@@ -121,18 +118,6 @@ func NewEngine(g Graph, cfg Config, seed int64) *Engine {
 		e.Pos[i] = Point{X: r * math.Cos(a), Y: r * math.Sin(a)}
 	}
 	return e
-}
-
-// Pin locks a node in place (the UI's dragged-node lock); Unpin releases.
-func (e *Engine) Pin(i int) { e.pinned[i] = true }
-
-// Unpin releases a pinned node.
-func (e *Engine) Unpin(i int) { e.pinned[i] = false }
-
-// SetPos moves a node (drag) and pins it.
-func (e *Engine) SetPos(i int, p Point) {
-	e.Pos[i] = p
-	e.pinned[i] = true
 }
 
 // Step advances the simulation one iteration and returns the total
@@ -159,9 +144,6 @@ func (e *Engine) Step() float64 {
 	}
 	var moved float64
 	for i := range e.Pos {
-		if e.pinned[i] {
-			continue
-		}
 		e.vel[i].X = (e.vel[i].X + forces[i].X*e.temp) * e.cfg.Damping
 		e.vel[i].Y = (e.vel[i].Y + forces[i].Y*e.temp) * e.cfg.Damping
 		step := math.Hypot(e.vel[i].X, e.vel[i].Y)

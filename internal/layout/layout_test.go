@@ -88,22 +88,6 @@ func TestSpringsPullConnectedNodesToRestLength(t *testing.T) {
 	}
 }
 
-func TestPinnedNodesDoNotMove(t *testing.T) {
-	e := NewEngine(ring(12), Config{}, 9)
-	e.SetPos(0, Point{X: 123, Y: -45})
-	for i := 0; i < 30; i++ {
-		e.Step()
-	}
-	if e.Pos[0].X != 123 || e.Pos[0].Y != -45 {
-		t.Errorf("pinned node moved: %+v", e.Pos[0])
-	}
-	e.Unpin(0)
-	e.Step()
-	if e.Pos[0].X == 123 && e.Pos[0].Y == -45 {
-		t.Error("unpinned node should move again")
-	}
-}
-
 func TestRunConverges(t *testing.T) {
 	e := NewEngine(ring(30), Config{}, 11)
 	iters := e.Run(2000, 1e-3)

@@ -51,16 +51,6 @@ func EntityTypeOf(c gazetteer.Class) (ontology.EntityType, bool) {
 	return "", false
 }
 
-// classOf maps an ontology entity type back to its CRF class.
-func classOf(t ontology.EntityType) (gazetteer.Class, bool) {
-	for _, c := range gazetteer.Classes() {
-		if et, ok := EntityTypeOf(c); ok && et == t {
-			return c, true
-		}
-	}
-	return "", false
-}
-
 // sentenceTokens is one preprocessed sentence: annotated tokens plus
 // per-token gazetteer span info.
 type sentenceTokens struct {

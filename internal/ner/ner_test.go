@@ -255,17 +255,20 @@ func TestEvaluateMetricsMath(t *testing.T) {
 	}
 }
 
+// TestEntityTypeOfRoundTrip: every class maps to an entity type, and no
+// two classes to the same one, so an entity type names its class.
 func TestEntityTypeOfRoundTrip(t *testing.T) {
+	classOf := map[ontology.EntityType]gazetteer.Class{}
 	for _, c := range gazetteer.Classes() {
 		et, ok := EntityTypeOf(c)
 		if !ok {
 			t.Errorf("class %s has no entity type", c)
 			continue
 		}
-		back, ok := classOf(et)
-		if !ok || back != c {
-			t.Errorf("round trip failed: %s -> %s -> %s", c, et, back)
+		if prev, dup := classOf[et]; dup {
+			t.Errorf("round trip failed: %s and %s both map to %s", prev, c, et)
 		}
+		classOf[et] = c
 	}
 }
 

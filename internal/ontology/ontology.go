@@ -189,14 +189,6 @@ func EntityTypes() []EntityType {
 	return out
 }
 
-// RelationTypes returns all relation types in a stable, sorted order.
-func RelationTypes() []RelationType {
-	out := make([]RelationType, len(relationTypes))
-	copy(out, relationTypes)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // KnownEntityType reports whether t is part of the ontology.
 func KnownEntityType(t EntityType) bool { return entityTypeSet[t] }
 
@@ -420,19 +412,6 @@ func Admissible(src EntityType, rel RelationType, dst EntityType) bool {
 	return false
 }
 
-// AdmissibleRelations returns every relation type the schema admits between
-// src and dst, in sorted order. Useful for relation-extraction verb mapping.
-func AdmissibleRelations(src, dst EntityType) []RelationType {
-	var out []RelationType
-	for rel := range schema {
-		if Admissible(src, rel, dst) {
-			out = append(out, rel)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ReportTypeFor maps a report kind label ("malware", "vulnerability",
 // "attack") to the corresponding report entity type. Unknown kinds map to
 // TypeAttackReport, the broadest category.
@@ -505,15 +484,4 @@ var verbMap = map[string]RelationType{
 	"steal":       RelExfiltratesTo,
 	"host":        RelHostedAt,
 	"resolve":     RelResolvesTo,
-}
-
-// RelationVerbs returns the curated verb lemmas that map to a specific
-// (non-fallback) relation type, sorted.
-func RelationVerbs() []string {
-	out := make([]string, 0, len(verbMap))
-	for v := range verbMap {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -7,7 +7,6 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -52,18 +51,6 @@ func (s *Store) CreateTable(name string, cols ...string) error {
 	}
 	s.tables[name] = t
 	return nil
-}
-
-// Tables lists table names, sorted.
-func (s *Store) Tables() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CreateIndex builds (or rebuilds) a hash index on one column.

@@ -26,8 +26,8 @@ func TestCreateTableValidation(t *testing.T) {
 	if err := s.CreateTable("dup", "a", "a"); err == nil {
 		t.Error("duplicate column accepted")
 	}
-	if got := s.Tables(); len(got) != 1 || got[0] != "ents" {
-		t.Errorf("tables: %v", got)
+	if len(s.tables) != 1 || s.tables["ents"] == nil {
+		t.Errorf("tables: %v", s.tables)
 	}
 }
 

@@ -452,6 +452,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := intParam(r, "k", 10)
+	if k < 1 || k > maxSearchHits {
+		httpErr(w, http.StatusBadRequest, "k=%d is outside 1..%d hits per search", k, maxSearchHits)
+		return
+	}
 	body := bodyPool.Get().(*pooledBody)
 	defer putBody(body)
 	body.buf = appendHits(body.buf[:0], s.index.Search(q, k))
@@ -527,6 +531,10 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// The runner: the engine for an autocommit statement, or the open
+	// transaction of the session the token names.
+	var run queryRunner = s.eng
+	var sess *txSession
 	if req.Tx == "" {
 		switch op {
 		case cypher.TxBegin:
@@ -549,26 +557,48 @@ func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		s.txCypher(w, r, buf, &req, op)
-		return
-	}
-	if req.Stream {
-		s.streamCypher(w, r, req.Query, req.Params)
-		return
+		if sess = s.lookupTx(req.Tx); sess == nil {
+			httpErr(w, http.StatusBadRequest, "unknown or expired transaction %q", req.Tx)
+			return
+		}
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		defer func() { sess.last = time.Now() }()
+		run = sess.tx
 	}
 	began := time.Now()
-	rows, err := s.eng.QueryRows(req.Query, req.Params)
+	rows, err := run.QueryRows(req.Query, req.Params)
+	n := 0
+	if err == nil {
+		// The read-your-writes token goes out where a write has landed:
+		// an autocommit write statement, or a COMMIT. A statement inside
+		// a session reaches the WAL only with its COMMIT.
+		var seq func() uint64
+		if (sess == nil && rows.Writes() != nil) || op == cypher.TxCommit {
+			seq = s.repl.Seq
+		}
+		if req.Stream && op == cypher.TxNone {
+			n = s.streamRows(w, r, rows, seq)
+		} else {
+			n, err = s.writeRows(w, buf, rows, seq)
+		}
+	}
+	if sess != nil && sess.tx.Done() {
+		s.dropTx(req.Tx)
+	}
 	if err != nil {
 		s.cypherErr(w, err)
 		return
 	}
-	wrote := rows.Writes() != nil
-	n, err := s.writeRows(w, buf, rows, wrote)
-	if err != nil {
-		s.cypherErr(w, err)
-		return
+	if op == cypher.TxNone {
+		s.noteSlow(req.Query, statementKind(rows.Writes() != nil), began, n, rows.BudgetUsed())
 	}
-	s.noteSlow(req.Query, statementKind(wrote), began, n, rows.BudgetUsed())
+}
+
+// queryRunner runs one /api/cypher statement: *cypher.Engine for an
+// autocommit statement, *cypher.Tx inside a session.
+type queryRunner interface {
+	QueryRows(src string, args map[string]any) (*cypher.Rows, error)
 }
 
 // bodyPool recycles the buffers an /api/cypher request body is read into
@@ -617,16 +647,11 @@ func (s *Server) cypherErr(w http.ResponseWriter, err error) {
 // writeRows drains a statement's cursor into a materialized body in buf,
 // rows as strings, and sends it once the statement has ended without
 // error; it returns the number of rows sent. (An "EXPLAIN match ..."
-// statement flows through here too, returning plan lines as rows.) When
-// committed is true and the server knows its WAL position, the response
-// carries {"seq": n} — the read-your-writes token a client passes as
-// min_seq on later reads (possibly against a replica) to be guaranteed
-// to see this write.
-func (s *Server) writeRows(w http.ResponseWriter, buf *[]byte, rows *cypher.Rows, committed bool) (int, error) {
-	var seq func() uint64
-	if committed {
-		seq = s.repl.Seq
-	}
+// statement flows through here too, returning plan lines as rows.) A
+// non-nil seq adds {"seq": n} — the read-your-writes token a client
+// passes as min_seq on later reads (possibly against a replica) to be
+// guaranteed to see this write.
+func (s *Server) writeRows(w http.ResponseWriter, buf *[]byte, rows *cypher.Rows, seq func() uint64) (int, error) {
 	b, n, err := appendRows((*buf)[:0], rows, s.maxRows, seq)
 	*buf = b
 	if err != nil {
@@ -636,32 +661,18 @@ func (s *Server) writeRows(w http.ResponseWriter, buf *[]byte, rows *cypher.Rows
 	return n, nil
 }
 
-// streamCypher writes the result as NDJSON so a hunting client sees
+// streamRows writes the result as NDJSON so a hunting client sees
 // matches as the executor produces them: the first row leaves at once,
-// later ones at most flushEvery behind (ndjson.go). Rows are not capped
-// by MaxRows here — the cursor streams until exhaustion, an error (e.g.
-// the byte budget), or the client going away: a failed write or a
-// canceled request context closes the cursor, which stops all remaining
-// pattern matching.
-func (s *Server) streamCypher(w http.ResponseWriter, r *http.Request, query string, params map[string]any) {
-	began := time.Now()
-	rows, err := s.eng.QueryRows(query, params)
-	if err != nil {
-		s.cypherErr(w, err)
-		return
-	}
-	n := s.streamRows(w, r, rows, true)
-	s.noteSlow(query, statementKind(rows.Writes() != nil), began, n, rows.BudgetUsed())
-}
-
-// streamRows drains a cursor as NDJSON (shared by the plain and
-// transaction-session streaming paths), returning the number of rows
-// written (for the slow-query log): a {"columns": ...} line, one
-// {"row": ...} line per row, then {"done": n} or {"error": ...}.
-// seqOnWrites attaches the read-your-writes token to the done-trailer of
-// a writing statement; the transaction path passes false because in-tx
-// writes only become visible (and WAL-logged) at COMMIT.
-func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher.Rows, seqOnWrites bool) int {
+// later ones at most flushEvery behind (ndjson.go). It returns the
+// number of rows written (for the slow-query log): a {"columns": ...}
+// line, one {"row": ...} line per row, then {"done": n} or
+// {"error": ...}; a non-nil seq adds the read-your-writes token to a
+// writing statement's done-trailer. Rows are not capped by MaxRows here
+// — the cursor streams until exhaustion, an error (e.g. the byte
+// budget), or the client going away: a failed write or a canceled
+// request context closes the cursor, which stops all remaining pattern
+// matching.
+func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher.Rows, seq func() uint64) int {
 	defer rows.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	out := newNDJSONWriter(w)
@@ -687,10 +698,6 @@ func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher
 	if err := rows.Err(); err != nil {
 		_ = out.fail(err.Error())
 		return n
-	}
-	var seq func() uint64
-	if seqOnWrites {
-		seq = s.repl.Seq
 	}
 	_ = out.done(n, rows.Writes(), seq)
 	return n
@@ -809,6 +816,10 @@ func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
 // cancels it; BenchmarkLayoutRun/n=1000/bh prices one layout at this size
 // at ≈0.55 s on a 2-core machine.
 const maxViewNodes = 1000
+
+// maxSearchHits is the most hits an /api/search may ask for with k. The
+// index returns every hit for k <= 0, so k is held to 1..maxSearchHits.
+const maxSearchHits = 1000
 
 // viewSizeParam reads a view-size parameter like intParam and answers 400
 // when it asks for more than maxViewNodes.

@@ -271,6 +271,27 @@ func TestViewSizeLimit(t *testing.T) {
 	}
 }
 
+func TestSearchSizeLimit(t *testing.T) {
+	s, _, _ := testServer(t)
+	for _, k := range []int{0, -1, maxSearchHits + 1} {
+		path := fmt.Sprintf("/api/search?q=wannacry&k=%d", k)
+		res := get(t, s, path, nil)
+		var body struct{ Error string }
+		json.NewDecoder(res.Body).Decode(&body)
+		if res.StatusCode != 400 || !strings.Contains(body.Error, fmt.Sprint(maxSearchHits)) {
+			t.Errorf("%s: status %d, error %q; want 400 naming the %d-hit limit", path, res.StatusCode, body.Error, maxSearchHits)
+		}
+	}
+	// At the limit the endpoint still answers.
+	for _, k := range []int{1, maxSearchHits} {
+		path := fmt.Sprintf("/api/search?q=wannacry&k=%d", k)
+		var hits []map[string]any
+		if res := get(t, s, path, &hits); res.StatusCode != 200 || len(hits) == 0 {
+			t.Errorf("%s: status %d, %d hits; want 200 and a hit", path, res.StatusCode, len(hits))
+		}
+	}
+}
+
 func TestRandomDeterministicPerSeed(t *testing.T) {
 	s, _, _ := testServer(t)
 	var a, b ViewGraph
@@ -796,6 +817,44 @@ func TestCypherTxSessionStream(t *testing.T) {
 		t.Fatalf("tx stream parse error: status %d", rec.Code)
 	}
 	postCypher(t, s, map[string]any{"tx": begin.Tx, "query": "ROLLBACK"})
+}
+
+// TestCypherSeqWhereWriteLanded pins where /api/cypher hands out the
+// read-your-writes token: on an autocommit write, streamed or not, and
+// on COMMIT; never on a read, nor on a statement inside a session, whose
+// writes reach the WAL only with its COMMIT.
+func TestCypherSeqWhereWriteLanded(t *testing.T) {
+	s, _, _ := testServer(t)
+	s.SetReplication(Replication{Role: "primary", Seq: func() uint64 { return 7 }})
+	post := func(payload map[string]any) string {
+		t.Helper()
+		body, _ := json.Marshal(payload)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/api/cypher", bytes.NewReader(body)))
+		if rec.Code != 200 {
+			t.Fatalf("%v: status %d: %s", payload, rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	begin := post(map[string]any{"query": "BEGIN"})
+	var tx struct{ Tx string }
+	json.Unmarshal([]byte(begin), &tx)
+	for _, c := range []struct {
+		payload map[string]any
+		seq     bool
+	}{
+		{map[string]any{"query": `match (m:Malware) return m.name`}, false},
+		{map[string]any{"query": `match (m:Malware) return m.name`, "stream": true}, false},
+		{map[string]any{"query": `create (m:Malware {name: "a1"})`}, true},
+		{map[string]any{"query": `create (m:Malware {name: "a2"})`, "stream": true}, true},
+		{map[string]any{"tx": tx.Tx, "query": `create (m:Malware {name: "t1"})`}, false},
+		{map[string]any{"tx": tx.Tx, "query": `create (m:Malware {name: "t2"}) return m.name`, "stream": true}, false},
+		{map[string]any{"tx": tx.Tx, "query": "COMMIT", "stream": true}, true},
+	} {
+		if body := post(c.payload); strings.Contains(body, `"seq":7`) != c.seq {
+			t.Errorf("%v: body %s; want seq %v", c.payload, body, c.seq)
+		}
+	}
 }
 
 // TestTxSessionCapAndSweep exercises the session limit and the idle

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -94,46 +93,5 @@ func (s *Server) sweepTxLocked(now time.Time) {
 		sess.tx.Rollback() // aborted/finished rollbacks are no-ops or errors we don't care about
 		sess.mu.Unlock()
 		delete(s.txs, token)
-	}
-}
-
-// txCypher executes one request inside an open transaction session.
-func (s *Server) txCypher(w http.ResponseWriter, r *http.Request, buf *[]byte, req *cypherRequest, op cypher.TxOp) {
-	sess := s.lookupTx(req.Tx)
-	if sess == nil {
-		httpErr(w, http.StatusBadRequest, "unknown or expired transaction %q", req.Tx)
-		return
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	defer func() { sess.last = time.Now() }()
-	began := time.Now()
-	if req.Stream && op == cypher.TxNone {
-		rows, err := sess.tx.QueryRows(req.Query, req.Params)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		n := s.streamRows(w, r, rows, false)
-		s.noteSlow(req.Query, statementKind(rows.Writes() != nil), began, n, rows.BudgetUsed())
-		return
-	}
-	// COMMIT is the moment the transaction's writes reach the WAL, so
-	// its response (not the in-tx write statements') carries the
-	// read-your-writes token.
-	rows, err := sess.tx.QueryRows(req.Query, req.Params)
-	n := 0
-	if err == nil {
-		n, err = s.writeRows(w, buf, rows, op == cypher.TxCommit)
-	}
-	if sess.tx.Done() {
-		s.dropTx(req.Tx)
-	}
-	if err != nil {
-		httpErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if op == cypher.TxNone {
-		s.noteSlow(req.Query, statementKind(rows.Writes() != nil), began, n, rows.BudgetUsed())
 	}
 }

@@ -316,14 +316,3 @@ func TestServeHTTP(t *testing.T) {
 		t.Error("bogus path should not be 200")
 	}
 }
-
-func TestFetchCountMetric(t *testing.T) {
-	w := testWeb(5)
-	spec := w.Sources()[0]
-	before := w.FetchCount()
-	w.Fetch(spec.BaseURL() + "/report/0")
-	w.Fetch(spec.BaseURL() + "/report/1")
-	if got := w.FetchCount() - before; got != 2 {
-		t.Errorf("fetch count delta %d, want 2", got)
-	}
-}

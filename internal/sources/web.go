@@ -47,7 +47,6 @@ type Web struct {
 
 	mu       sync.Mutex
 	attempts map[string]int
-	fetches  int64
 }
 
 // NewWeb builds a synthetic web over the given sources.
@@ -76,14 +75,6 @@ func (w *Web) Source(slug string) (SourceSpec, bool) {
 	return *s, true
 }
 
-// FetchCount returns how many fetches the web has served (metric for
-// throughput experiments).
-func (w *Web) FetchCount() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.fetches
-}
-
 // IndexURL returns the URL of the p-th index page of a source.
 func (w *Web) IndexURL(slug string, p int) string {
 	return fmt.Sprintf("https://%s.osint.test/index/%d", slug, p)
@@ -95,7 +86,6 @@ func (w *Web) Fetch(url string) (*Page, error) {
 		time.Sleep(w.Latency)
 	}
 	w.mu.Lock()
-	w.fetches++
 	if w.FailEveryN > 0 && int(hashSeed(url))%w.FailEveryN == 0 && w.attempts[url] == 0 {
 		w.attempts[url]++
 		w.mu.Unlock()
