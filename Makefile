@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-extract bench-scan bench-heap bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes loc
+.PHONY: build test vet bench bench-extract bench-scan bench-heap profile-scan bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes loc
 
 build:
 	$(GO) build ./...
@@ -154,6 +154,17 @@ bench-heap:
 	$(GO) test -run '^$$' -bench 'ResidentGraph' -benchtime 1x -o .bench_build/heap.test -memprofile .bench_build/heap.prof .
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 .bench_build/heap.test .bench_build/heap.prof
 	$(GO) test -run '^$$' -bench 'IndexChurn' -benchtime 10000x ./internal/graph
+
+# profile-scan writes a CPU profile of the bench-scan arms (200 runs
+# each, -cpu 2) and its test binary to the git-ignored .bench_build/, as
+# bench-heap does, then prints the top functions and the callers of
+# runtime.duffcopy and runtime.duffzero — the runtime's block copy and
+# zeroing, which is where moving 96-byte cypher.Values by value shows.
+profile-scan:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'CypherScanClasses' -benchtime 200x -cpu 2 -o .bench_build/scan.test -cpuprofile .bench_build/scan.prof .
+	$(GO) tool pprof -top -nodecount=25 .bench_build/scan.test .bench_build/scan.prof
+	$(GO) tool pprof -peek 'runtime.duffcopy$$|runtime.duffzero$$' .bench_build/scan.test .bench_build/scan.prof
 
 # bench-ledger runs the performance ledger (bench/README.md): four
 # workloads, end-to-end and per-layer metrics, untraced then traced.

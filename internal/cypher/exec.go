@@ -104,14 +104,15 @@ type params struct {
 	vals  []Value
 }
 
-// get resolves one $parameter by name.
-func (p params) get(name string) (Value, bool) {
+// get resolves one $parameter by name. The value is the binding's own:
+// callers read it, never write it.
+func (p params) get(name string) (*Value, bool) {
 	for i, n := range p.names {
 		if n == name {
-			return p.vals[i], true
+			return &p.vals[i], true
 		}
 	}
-	return Value{}, false
+	return nil, false
 }
 
 // bindParams converts the caller's arguments and validates that every
@@ -278,220 +279,246 @@ func (w *bfsWalk) targets(view *graph.Snap, start graph.NodeID, ep EdgePattern, 
 }
 
 // nodeMatches checks label and inline property constraints, resolving
-// $parameter-valued properties against the execution's bindings.
+// $parameter-valued properties against the execution's bindings. Each
+// property is compared where it lies (nodePropEqual): no Value is built.
+// The length checks spare the common property-less pattern a map
+// iterator's setup per node.
 func nodeMatches(np *NodePattern, n *graph.Node, ps params) bool {
 	if np.Label != "" && n.Type != np.Label {
 		return false
 	}
-	for k, want := range np.Props {
-		got := nodeProp(n, k)
-		if !got.Equal(want) {
-			return false
+	if len(np.Props) > 0 {
+		for k, want := range np.Props {
+			if !nodePropEqual(n, k, &want) {
+				return false
+			}
 		}
 	}
-	for k, pn := range np.ParamProps {
-		want, ok := ps.get(pn)
-		if !ok {
-			return false // unbound parameter: bindParams rejects this upfront
-		}
-		got := nodeProp(n, k)
-		if !got.Equal(want) {
-			return false
+	if len(np.ParamProps) > 0 {
+		for k, pn := range np.ParamProps {
+			want, ok := ps.get(pn)
+			if !ok || !nodePropEqual(n, k, want) {
+				return false // unbound parameter: bindParams rejects this upfront
+			}
 		}
 	}
 	return true
 }
 
-// --- expression evaluation ---
-
-func nodeProp(n *graph.Node, prop string) Value {
+// nodePropEqual reports whether n's property prop Equals want, reading
+// the property's string or ID in place.
+func nodePropEqual(n *graph.Node, prop string, want *Value) bool {
 	switch prop {
 	case "name":
-		return StringValue(n.Name)
+		return want.Kind == KindString && n.Name == want.Str
 	case "type", "label":
-		return StringValue(n.Type)
+		return want.Kind == KindString && n.Type == want.Str
 	case "id":
-		return NumberValue(float64(n.ID))
+		return want.Kind == KindNumber && float64(n.ID) == want.Num
 	}
-	if v, ok := n.Attrs.Lookup(prop); ok {
-		return StringValue(v)
-	}
-	return NullValue()
+	got, ok := n.Attrs.Lookup(prop)
+	return ok && want.Kind == KindString && got == want.Str
 }
 
-func edgeProp(ed *graph.Edge, prop string) Value {
+// --- expression evaluation ---
+
+// nodeProp writes n's property prop into dst: name, type (or label) and
+// id are the node's own fields, anything else an attribute, null when
+// absent.
+func nodeProp(dst *Value, n *graph.Node, prop string) {
+	switch prop {
+	case "name":
+		*dst = StringValue(n.Name)
+	case "type", "label":
+		*dst = StringValue(n.Type)
+	case "id":
+		*dst = NumberValue(float64(n.ID))
+	default:
+		attrProp(dst, n.Attrs, prop)
+	}
+}
+
+// edgeProp is nodeProp for an edge: type and id, then its attributes.
+func edgeProp(dst *Value, ed *graph.Edge, prop string) {
 	switch prop {
 	case "type":
-		return StringValue(ed.Type)
+		*dst = StringValue(ed.Type)
 	case "id":
-		return NumberValue(float64(ed.ID))
+		*dst = NumberValue(float64(ed.ID))
+	default:
+		attrProp(dst, ed.Attrs, prop)
 	}
-	if v, ok := ed.Attrs.Lookup(prop); ok {
-		return StringValue(v)
-	}
-	return NullValue()
 }
 
+// attrProp writes the attribute prop into dst, null when absent.
+func attrProp(dst *Value, attrs graph.Attrs, prop string) {
+	if v, ok := attrs.Lookup(prop); ok {
+		*dst = StringValue(v)
+	} else {
+		*dst = NullValue()
+	}
+}
+
+// evalExpr evaluates e into a value of its own: the form for the cold
+// callers (the write clauses, UNWIND) that keep what they evaluate.
 func evalExpr(e Expr, b *binding, ps params) (Value, error) {
+	var v Value
+	err := evalInto(&v, e, b, ps)
+	return v, err
+}
+
+// evalInto evaluates e against the binding into *dst, overwriting all of
+// it: dst is typically a reused row slot or scratch value that still
+// holds the previous row's value. A 96-byte Value is never returned by
+// value on this path; a sub-expression whose result only feeds its
+// parent evaluates into dst itself, so a tree costs no temporary beyond
+// a comparison's right operand. On error *dst is unspecified.
+func evalInto(dst *Value, e Expr, b *binding, ps params) error {
 	switch v := e.(type) {
 	case LitExpr:
-		return v.Val, nil
+		*dst = v.Val
 	case ParamExpr:
-		if val, ok := ps.get(v.Name); ok {
-			return val, nil
+		val, ok := ps.get(v.Name)
+		if !ok {
+			return fmt.Errorf("cypher: missing parameter $%s", v.Name)
 		}
-		return NullValue(), fmt.Errorf("cypher: missing parameter $%s", v.Name)
+		*dst = *val
 	case ListExpr:
 		elems := make([]Value, len(v.Elems))
 		for i, ee := range v.Elems {
-			ev, err := evalExpr(ee, b, ps)
-			if err != nil {
-				return NullValue(), err
+			if err := evalInto(&elems[i], ee, b, ps); err != nil {
+				return err
 			}
-			elems[i] = ev
 		}
-		return Value{Kind: KindList, List: elems}, nil
+		*dst = ListValue(elems)
 	case VarExpr:
-		if val, ok := b.lookup(v.slot, v.Name); ok {
-			return *val, nil
+		val, ok := b.lookup(v.slot, v.Name)
+		if !ok {
+			return fmt.Errorf("cypher: unbound variable %q", v.Name)
 		}
-		return NullValue(), fmt.Errorf("cypher: unbound variable %q", v.Name)
+		*dst = *val
 	case PropExpr:
 		val, ok := b.lookup(v.slot, v.Var)
 		if !ok {
-			return NullValue(), fmt.Errorf("cypher: unbound variable %q", v.Var)
+			return fmt.Errorf("cypher: unbound variable %q", v.Var)
 		}
 		switch val.Kind {
 		case KindNode:
-			return nodeProp(val.Node, v.Prop), nil
+			nodeProp(dst, val.Node, v.Prop)
 		case KindEdge:
-			return edgeProp(val.Edge, v.Prop), nil
+			edgeProp(dst, val.Edge, v.Prop)
 		case KindMap:
 			// UNWIND batch rows: row.name reads the map entry (missing
 			// keys are null, like absent node attributes).
 			for i := range val.Map {
 				if val.Map[i].Key == v.Prop {
-					return val.Map[i].Val, nil
+					*dst = val.Map[i].Val
+					return nil
 				}
 			}
-			return NullValue(), nil
+			*dst = NullValue()
+		default:
+			*dst = NullValue()
 		}
-		return NullValue(), nil
 	case NotExpr:
-		inner, err := evalExpr(v.Inner, b, ps)
-		if err != nil {
-			return NullValue(), err
+		if err := evalInto(dst, v.Inner, b, ps); err != nil {
+			return err
 		}
-		return BoolValue(!inner.Truthy()), nil
+		*dst = BoolValue(!dst.Truthy())
 	case BoolExpr:
-		l, err := evalExpr(v.Left, b, ps)
-		if err != nil {
-			return NullValue(), err
+		if err := evalInto(dst, v.Left, b, ps); err != nil {
+			return err
 		}
-		if v.Op == "and" && !l.Truthy() {
-			return BoolValue(false), nil
+		if l := dst.Truthy(); v.Op == "and" && !l || v.Op == "or" && l {
+			*dst = BoolValue(l)
+			return nil
 		}
-		if v.Op == "or" && l.Truthy() {
-			return BoolValue(true), nil
+		if err := evalInto(dst, v.Right, b, ps); err != nil {
+			return err
 		}
-		r, err := evalExpr(v.Right, b, ps)
-		if err != nil {
-			return NullValue(), err
-		}
-		return BoolValue(r.Truthy()), nil
+		*dst = BoolValue(dst.Truthy())
 	case CmpExpr:
-		l, err := evalExpr(v.Left, b, ps)
-		if err != nil {
-			return NullValue(), err
-		}
-		r, err := evalExpr(v.Right, b, ps)
-		if err != nil {
-			return NullValue(), err
-		}
-		switch v.Op {
-		case "=":
-			return BoolValue(l.Equal(r)), nil
-		case "<>":
-			if l.Kind == KindNull || r.Kind == KindNull {
-				return BoolValue(false), nil
-			}
-			return BoolValue(!l.Equal(r)), nil
-		case "<", ">", "<=", ">=":
-			c, ok := l.Compare(r)
-			if !ok {
-				return BoolValue(false), nil
-			}
-			switch v.Op {
-			case "<":
-				return BoolValue(c < 0), nil
-			case ">":
-				return BoolValue(c > 0), nil
-			case "<=":
-				return BoolValue(c <= 0), nil
-			default:
-				return BoolValue(c >= 0), nil
-			}
-		case "contains":
-			return BoolValue(l.Kind == KindString && r.Kind == KindString &&
-				strings.Contains(l.Str, r.Str)), nil
-		case "starts":
-			return BoolValue(l.Kind == KindString && r.Kind == KindString &&
-				strings.HasPrefix(l.Str, r.Str)), nil
-		case "ends":
-			return BoolValue(l.Kind == KindString && r.Kind == KindString &&
-				strings.HasSuffix(l.Str, r.Str)), nil
-		}
-		return NullValue(), fmt.Errorf("cypher: unknown comparison %q", v.Op)
+		return evalCmp(dst, &v, b, ps)
 	case FuncExpr:
-		switch v.Name {
-		case "type":
-			arg, err := evalExpr(v.Arg, b, ps)
-			if err != nil {
-				return NullValue(), err
-			}
-			if arg.Kind == KindEdge {
-				return StringValue(arg.Edge.Type), nil
-			}
-			return NullValue(), nil
-		case "id":
-			arg, err := evalExpr(v.Arg, b, ps)
-			if err != nil {
-				return NullValue(), err
-			}
-			switch arg.Kind {
-			case KindNode:
-				return NumberValue(float64(arg.Node.ID)), nil
-			case KindEdge:
-				return NumberValue(float64(arg.Edge.ID)), nil
-			}
-			return NullValue(), nil
-		case "labels":
-			arg, err := evalExpr(v.Arg, b, ps)
-			if err != nil {
-				return NullValue(), err
-			}
-			if arg.Kind == KindNode {
-				return StringValue(arg.Node.Type), nil
-			}
-			return NullValue(), nil
-		case "lower", "upper":
-			arg, err := evalExpr(v.Arg, b, ps)
-			if err != nil {
-				return NullValue(), err
-			}
-			if arg.Kind != KindString {
-				return NullValue(), nil
-			}
-			if v.Name == "lower" {
-				return StringValue(strings.ToLower(arg.Str)), nil
-			}
-			return StringValue(strings.ToUpper(arg.Str)), nil
-		case "count", "min", "max", "sum", "collect":
-			return NullValue(), fmt.Errorf("cypher: %s() outside RETURN/WITH", v.Name)
-		}
-		return NullValue(), fmt.Errorf("cypher: unknown function %q", v.Name)
+		return evalFunc(dst, &v, b, ps)
+	default:
+		return fmt.Errorf("cypher: unevaluable expression %T", e)
 	}
-	return NullValue(), fmt.Errorf("cypher: unevaluable expression %T", e)
+	return nil
+}
+
+// evalCmp evaluates a comparison into dst: the left operand into dst
+// itself, the right one into a scratch value.
+func evalCmp(dst *Value, c *CmpExpr, b *binding, ps params) error {
+	if err := evalInto(dst, c.Left, b, ps); err != nil {
+		return err
+	}
+	var r Value
+	if err := evalInto(&r, c.Right, b, ps); err != nil {
+		return err
+	}
+	l := dst
+	var res bool
+	switch c.Op {
+	case "=":
+		res = l.Equal(&r)
+	case "<>":
+		res = l.Kind != KindNull && r.Kind != KindNull && !l.Equal(&r)
+	case "<", ">", "<=", ">=":
+		n, ok := l.Compare(&r)
+		switch c.Op {
+		case "<":
+			res = ok && n < 0
+		case ">":
+			res = ok && n > 0
+		case "<=":
+			res = ok && n <= 0
+		default:
+			res = ok && n >= 0
+		}
+	case "contains":
+		res = l.Kind == KindString && r.Kind == KindString && strings.Contains(l.Str, r.Str)
+	case "starts":
+		res = l.Kind == KindString && r.Kind == KindString && strings.HasPrefix(l.Str, r.Str)
+	case "ends":
+		res = l.Kind == KindString && r.Kind == KindString && strings.HasSuffix(l.Str, r.Str)
+	default:
+		return fmt.Errorf("cypher: unknown comparison %q", c.Op)
+	}
+	*dst = BoolValue(res)
+	return nil
+}
+
+// evalFunc evaluates a scalar function call into dst: its argument into
+// dst, then the result over it.
+func evalFunc(dst *Value, f *FuncExpr, b *binding, ps params) error {
+	switch f.Name {
+	case "type", "id", "labels", "lower", "upper":
+	case "count", "min", "max", "sum", "collect":
+		return fmt.Errorf("cypher: %s() outside RETURN/WITH", f.Name)
+	default:
+		return fmt.Errorf("cypher: unknown function %q", f.Name)
+	}
+	if err := evalInto(dst, f.Arg, b, ps); err != nil {
+		return err
+	}
+	switch {
+	case f.Name == "type" && dst.Kind == KindEdge:
+		*dst = StringValue(dst.Edge.Type)
+	case f.Name == "id" && dst.Kind == KindNode:
+		*dst = NumberValue(float64(dst.Node.ID))
+	case f.Name == "id" && dst.Kind == KindEdge:
+		*dst = NumberValue(float64(dst.Edge.ID))
+	case f.Name == "labels" && dst.Kind == KindNode:
+		*dst = StringValue(dst.Node.Type)
+	case f.Name == "lower" && dst.Kind == KindString:
+		*dst = StringValue(strings.ToLower(dst.Str))
+	case f.Name == "upper" && dst.Kind == KindString:
+		*dst = StringValue(strings.ToUpper(dst.Str))
+	default:
+		*dst = NullValue()
+	}
+	return nil
 }
 
 // isAggName reports whether name is an aggregate function.
@@ -507,20 +534,16 @@ func isAggregate(e Expr) bool { return aggOpOf(e) != aggNone }
 // row, or the top-k window's scratch row, so a row that never enters
 // the window is never allocated.
 func projectInto(row []Value, items []ReturnItem, op *orderPlan, b *binding, ps params) error {
-	for i, it := range items {
-		v, err := evalExpr(it.Expr, b, ps)
-		if err != nil {
+	for i := range items {
+		if err := evalInto(&row[i], items[i].Expr, b, ps); err != nil {
 			return err
 		}
-		row[i] = v
 	}
 	if op != nil {
 		for i, hx := range op.hidden {
-			v, err := evalExpr(hx, b, ps)
-			if err != nil {
+			if err := evalInto(&row[len(items)+i], hx, b, ps); err != nil {
 				return err
 			}
-			row[len(items)+i] = v
 		}
 	}
 	return nil
@@ -729,6 +752,7 @@ func aggregateRows(items []ReturnItem, res *Result, pull func() (*binding, error
 	var order []*aggGroup
 	var ch strChain
 	keyVals := make([]Value, len(keyCols))
+	var arg Value // each aggregate's argument, evaluated in place
 	var keyBuf []byte
 	for {
 		b, err := pull()
@@ -739,7 +763,7 @@ func aggregateRows(items []ReturnItem, res *Result, pull func() (*binding, error
 			break
 		}
 		for k, col := range keyCols {
-			if keyVals[k], err = evalExpr(items[col].Expr, b, ps); err != nil {
+			if err := evalInto(&keyVals[k], items[col].Expr, b, ps); err != nil {
 				return err
 			}
 		}
@@ -759,11 +783,10 @@ func aggregateRows(items []ReturnItem, res *Result, pull func() (*binding, error
 				g.aggs[a].count++
 				continue
 			}
-			v, err := evalExpr(fe.Arg, b, ps)
-			if err != nil {
+			if err := evalInto(&arg, fe.Arg, b, ps); err != nil {
 				return err
 			}
-			if err := g.aggs[a].add(ops[a], &v, &ch); err != nil {
+			if err := g.aggs[a].add(ops[a], &arg, &ch); err != nil {
 				return err
 			}
 		}

@@ -103,7 +103,7 @@ func bindingBytes(b binding) int {
 	n := 48
 	for i := range b.vals {
 		if b.vals[i].Kind != kindUnbound {
-			n += 16 + valueBytes(b.vals[i])
+			n += 16 + valueBytes(&b.vals[i])
 		}
 	}
 	return n

@@ -114,17 +114,22 @@ func (o *onceIter) next() (bool, error) {
 	return true, nil
 }
 
+// evalPreds reports whether every predicate holds.
 func evalPreds(preds []Expr, b *binding, ps params) (bool, error) {
 	for _, p := range preds {
-		v, err := evalExpr(p, b, ps)
-		if err != nil {
+		if ok, err := evalBool(p, b, ps); !ok || err != nil {
 			return false, err
-		}
-		if !v.Truthy() {
-			return false, nil
 		}
 	}
 	return true, nil
+}
+
+// evalBool reports whether a predicate holds, evaluating it into a
+// scratch value.
+func evalBool(p Expr, b *binding, ps params) (bool, error) {
+	var v Value
+	err := evalInto(&v, p, b, ps)
+	return err == nil && v.Truthy(), err
 }
 
 // --- chunked node reads ---
@@ -501,9 +506,9 @@ func (x *varExpandIter) next() (bool, error) {
 // dropped it.
 func joinKey(buf []byte, keys []Expr, b *binding, ps params) ([]byte, bool, error) {
 	buf = buf[:0]
+	var v Value // each component, evaluated in place
 	for i, k := range keys {
-		v, err := evalExpr(k, b, ps)
-		if err != nil {
+		if err := evalInto(&v, k, b, ps); err != nil {
 			return buf, false, err
 		}
 		if v.Kind == KindNull {
@@ -1100,12 +1105,8 @@ func (w *withIter) next() (bool, error) {
 		if seg.Filter == nil {
 			return true, nil
 		}
-		v, err := evalExpr(seg.Filter, &w.ec.b, w.ec.ps)
-		if err != nil {
-			return false, err
-		}
-		if v.Truthy() {
-			return true, nil
+		if ok, err := evalBool(seg.Filter, &w.ec.b, w.ec.ps); ok || err != nil {
+			return ok, err
 		}
 	}
 }

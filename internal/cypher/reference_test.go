@@ -223,7 +223,7 @@ func (r refEval) chain(p Pattern, i int, n *graph.Node, b binding, emit func(bin
 // binds nothing.
 func bind(b binding, name string, v Value) (binding, bool) {
 	if prev, bound := b.get(name); name == "" || bound {
-		return b, name == "" || v.Kind == KindNull || prev.Equal(v)
+		return b, name == "" || v.Kind == KindNull || prev.Equal(&v)
 	}
 	b = b.clone()
 	b.set(name, v)

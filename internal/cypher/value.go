@@ -190,13 +190,13 @@ func (v Value) Go() any {
 // of its in-memory footprint (struct header plus owned string bytes,
 // lists recursively). Node/edge values charge only the header — the
 // store owns the pointed-to data.
-func valueBytes(v Value) int {
+func valueBytes(v *Value) int {
 	n := 48 + len(v.Str)
-	for _, e := range v.List {
-		n += valueBytes(e)
+	for i := range v.List {
+		n += valueBytes(&v.List[i])
 	}
-	for _, f := range v.Map {
-		n += len(f.Key) + valueBytes(f.Val)
+	for i := range v.Map {
+		n += len(v.Map[i].Key) + valueBytes(&v.Map[i].Val)
 	}
 	return n
 }
@@ -204,8 +204,8 @@ func valueBytes(v Value) int {
 // rowBytes charges a projected row: slice header plus its values.
 func rowBytes(row []Value) int {
 	n := 24
-	for _, v := range row {
-		n += valueBytes(v)
+	for i := range row {
+		n += valueBytes(&row[i])
 	}
 	return n
 }
@@ -236,7 +236,7 @@ func (v Value) scalarString() string {
 
 // Append appends the text String renders. A node, edge, list or map is
 // rendered straight into dst, without building a string.
-func (v Value) Append(dst []byte) []byte {
+func (v *Value) Append(dst []byte) []byte {
 	switch v.Kind {
 	case KindString:
 		return append(dst, v.Str...)
@@ -249,19 +249,20 @@ func (v Value) Append(dst []byte) []byte {
 		return append(append(append(dst, "[:"...), v.Edge.Type...), ']')
 	case KindList:
 		dst = append(dst, '[')
-		for i, e := range v.List {
+		for i := range v.List {
 			if i > 0 {
 				dst = append(dst, ", "...)
 			}
-			dst = e.Append(dst)
+			dst = v.List[i].Append(dst)
 		}
 		return append(dst, ']')
 	case KindMap:
 		dst = append(dst, '{')
-		for i, f := range v.Map {
+		for i := range v.Map {
 			if i > 0 {
 				dst = append(dst, ", "...)
 			}
+			f := &v.Map[i]
 			dst = f.Val.Append(append(append(dst, f.Key...), ": "...))
 		}
 		return append(dst, '}')
@@ -270,7 +271,7 @@ func (v Value) Append(dst []byte) []byte {
 }
 
 // Truthy reports the boolean interpretation used by WHERE.
-func (v Value) Truthy() bool {
+func (v *Value) Truthy() bool {
 	switch v.Kind {
 	case KindBool:
 		return v.Bool
@@ -290,7 +291,7 @@ func (v Value) Truthy() bool {
 
 // Equal compares two values with Cypher-like semantics (null equals
 // nothing, numbers compare numerically, nodes/edges by identity).
-func (v Value) Equal(o Value) bool {
+func (v *Value) Equal(o *Value) bool {
 	if v.Kind == KindNull || o.Kind == KindNull {
 		return false
 	}
@@ -313,7 +314,7 @@ func (v Value) Equal(o Value) bool {
 			return false
 		}
 		for i := range v.List {
-			if !v.List[i].Equal(o.List[i]) {
+			if !v.List[i].Equal(&o.List[i]) {
 				return false
 			}
 		}
@@ -322,8 +323,8 @@ func (v Value) Equal(o Value) bool {
 		if len(v.Map) != len(o.Map) {
 			return false
 		}
-		for i, f := range v.Map {
-			if f.Key != o.Map[i].Key || !f.Val.Equal(o.Map[i].Val) {
+		for i := range v.Map {
+			if v.Map[i].Key != o.Map[i].Key || !v.Map[i].Val.Equal(&o.Map[i].Val) {
 				return false
 			}
 		}
@@ -334,7 +335,7 @@ func (v Value) Equal(o Value) bool {
 
 // Compare returns -1/0/+1 for orderable values; ok=false when the pair is
 // not comparable (mixed kinds, nodes, nulls).
-func (v Value) Compare(o Value) (int, bool) {
+func (v *Value) Compare(o *Value) (int, bool) {
 	if v.Kind != o.Kind {
 		return 0, false
 	}
@@ -370,7 +371,8 @@ func (v Value) Compare(o Value) (int, bool) {
 
 // appendKey appends the key identifying the value for DISTINCT, grouping
 // and hash-join buckets. Keys of different kinds never collide (each
-// carries a kind prefix), equal values always do.
+// carries a kind prefix), equal values always do: −0 keys as 0, which
+// Equal says it is.
 func (v *Value) appendKey(dst []byte) []byte {
 	switch v.Kind {
 	case KindNull:
@@ -378,7 +380,11 @@ func (v *Value) appendKey(dst []byte) []byte {
 	case KindString:
 		return append(append(dst, "s:"...), v.Str...)
 	case KindNumber:
-		return strconv.AppendFloat(append(dst, "n:"...), v.Num, 'g', -1, 64)
+		n := v.Num
+		if n == 0 {
+			n = 0 // −0 == 0
+		}
+		return strconv.AppendFloat(append(dst, "n:"...), n, 'g', -1, 64)
 	case KindBool:
 		return strconv.AppendBool(append(dst, "b:"...), v.Bool)
 	case KindNode:

@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -158,7 +159,43 @@ func TestFieldsValue(t *testing.T) {
 	if got := m.String(); got != "{a: 1, b: 2}" {
 		t.Fatalf("MapValue String() = %q", got)
 	}
-	if !m.Equal(FieldsValue([]Field{{"b", NumberValue(2)}, {"a", NumberValue(1)}})) {
+	if o := FieldsValue([]Field{{"b", NumberValue(2)}, {"a", NumberValue(1)}}); !m.Equal(&o) {
 		t.Fatal("equal maps built in different orders compare unequal")
+	}
+}
+
+// TestNegativeZeroKeys: −0 Equals 0, so DISTINCT, grouping and hash-join
+// buckets, which all key a value through appendKey, must put the two
+// together — on the engine and on the reference evaluator alike.
+func TestNegativeZeroKeys(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	zero, neg := NumberValue(0), NumberValue(negZero)
+	if !zero.Equal(&neg) || string(zero.appendKey(nil)) != string(neg.appendKey(nil)) {
+		t.Errorf("0 and -0: Equal %v, keys %q and %q", zero.Equal(&neg), zero.appendKey(nil), neg.appendKey(nil))
+	}
+	s := graph.New()
+	for _, xs := range [][]any{{0.0, negZero}, {negZero, 0.0}} {
+		args := map[string]any{"xs": xs}
+		for _, tc := range []struct {
+			q    string
+			want []string
+		}{
+			{`unwind $xs as x return distinct x`, []string{"0"}},
+			{`unwind $xs as x return x, count(*)`, []string{"0|2"}},
+			{`unwind $xs as x with distinct x where x = 0 return count(*)`, []string{"1"}},
+			{`unwind $xs as x with x where x = 0 return count(*)`, []string{"2"}},
+		} {
+			planned, err := NewEngine(s, DefaultOptions()).Query(tc.q, args)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.q, err)
+			}
+			ref, err := reference{s}.Query(tc.q, args)
+			if err != nil {
+				t.Fatalf("reference %s: %v", tc.q, err)
+			}
+			if got, rgot := renderRows(planned), renderRows(ref); !reflect.DeepEqual(got, tc.want) || !reflect.DeepEqual(rgot, tc.want) {
+				t.Errorf("%s over %v: engine %v, reference %v, want %v", tc.q, xs, got, rgot, tc.want)
+			}
+		}
 	}
 }

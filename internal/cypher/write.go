@@ -216,7 +216,7 @@ func resolveAttrs(props map[string]Value, paramProps map[string]string,
 	}
 	attrs := make(map[string]string, len(props)+len(paramProps)+len(exprProps))
 	for k, v := range props {
-		s, err := attrString(k, v)
+		s, err := attrString(k, &v)
 		if err != nil {
 			return nil, err
 		}
@@ -233,15 +233,15 @@ func resolveAttrs(props map[string]Value, paramProps map[string]string,
 		}
 		attrs[k] = s
 	}
+	var v Value // each property, evaluated in place
 	for k, ex := range exprProps {
-		v, err := evalExpr(ex, &b, ps)
-		if err != nil {
+		if err := evalInto(&v, ex, &b, ps); err != nil {
 			return nil, err
 		}
 		if v.Kind == KindNull {
 			return nil, fmt.Errorf("cypher: property %q evaluated to null in CREATE/MERGE", k)
 		}
-		s, err := attrString(k, v)
+		s, err := attrString(k, &v)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +252,7 @@ func resolveAttrs(props map[string]Value, paramProps map[string]string,
 
 // attrString renders a value as a store attribute (attributes are
 // strings; numbers and booleans use their canonical rendering).
-func attrString(key string, v Value) (string, error) {
+func attrString(key string, v *Value) (string, error) {
 	switch v.Kind {
 	case KindString, KindNumber, KindBool:
 		return v.String(), nil
@@ -284,7 +284,7 @@ func (e *Engine) applySet(it *SetItem, b binding, ps params, stats *WriteStats) 
 	if val.Kind == KindNull {
 		return fmt.Errorf("cypher: cannot SET %s.%s to null (attribute removal is not supported)", it.Var, it.Prop)
 	}
-	s, err := attrString(it.Prop, val)
+	s, err := attrString(it.Prop, &val)
 	if err != nil {
 		return err
 	}
