@@ -168,7 +168,7 @@ func BenchmarkReplicationShipGroup(b *testing.B) {
 	commit := func(round int) {
 		tx := ldb.Store().BeginTx()
 		for i := 0; i < rows; i++ {
-			id, _ := tx.MergeNode("IP", fmt.Sprintf("172.%d.%d.%d", round, i/250, i%250), nil)
+			id := tx.MergeNode("IP", fmt.Sprintf("172.%d.%d.%d", round, i/250, i%250), nil).Node.ID
 			tx.SetAttr(id, "last_seen", fmt.Sprintf("2026-01-01T00:%02d:00Z", round%60))
 		}
 		if err := tx.Commit(); err != nil {

@@ -122,11 +122,11 @@ func BenchmarkStorageReportCommit(b *testing.B) {
 			vendor, _ := st.MergeNode("CTIVendor", "vendor", nil)
 			commit := func(i int) {
 				tx := st.BeginTx()
-				rep, _ := tx.MergeNode("MalwareReport", fmt.Sprintf("report-%d", i), map[string]string{"report_id": fmt.Sprint(i)})
+				rep := tx.MergeNode("MalwareReport", fmt.Sprintf("report-%d", i), map[string]string{"report_id": fmt.Sprint(i)}).Node.ID
 				tx.AddEdge(rep, "REPORTED_BY", vendor, nil)
 				var first graph.NodeID
 				for j := 0; j < 9; j++ {
-					e, _ := tx.MergeNode("IP", fmt.Sprintf("ip-%d-%d", i, j), nil)
+					e := tx.MergeNode("IP", fmt.Sprintf("ip-%d-%d", i, j), nil).Node.ID
 					tx.AddEdge(rep, "MENTIONS", e, nil)
 					if j == 0 {
 						first = e

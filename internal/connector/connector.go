@@ -99,11 +99,11 @@ func RebuildIndex(store *graph.Store) *search.Index {
 // connectTx writes the report's nodes and edges through tx.
 func connectTx(tx *graph.Tx, c *ctirep.CTIRep) error {
 	repEnt := c.ReportEntity()
-	repID, _ := tx.MergeNode(string(repEnt.Type), repEnt.Name, repEnt.Attrs)
+	repID := tx.MergeNode(string(repEnt.Type), repEnt.Name, repEnt.Attrs).Node.ID
 
 	if c.Vendor != "" {
-		vID, _ := tx.MergeNode(string(ontology.TypeCTIVendor), c.Vendor, nil)
-		if _, _, err := tx.AddEdge(repID, string(ontology.RelReportedBy), vID,
+		vID := tx.MergeNode(string(ontology.TypeCTIVendor), c.Vendor, nil).Node.ID
+		if _, err := tx.AddEdge(repID, string(ontology.RelReportedBy), vID,
 			map[string]string{"report_id": c.ReportID}); err != nil {
 			return err
 		}
@@ -116,12 +116,12 @@ func connectTx(tx *graph.Tx, c *ctirep.CTIRep) error {
 		for k, v := range e.Attrs {
 			attrs[k] = v
 		}
-		eID, _ := tx.MergeNode(string(e.Type), e.Name, attrs)
+		eID := tx.MergeNode(string(e.Type), e.Name, attrs).Node.ID
 		rel := ontology.RelMentions
 		if ontology.IsThreatConcept(e.Type) {
 			rel = ontology.RelDescribes
 		}
-		if _, _, err := tx.AddEdge(repID, string(rel), eID,
+		if _, err := tx.AddEdge(repID, string(rel), eID,
 			map[string]string{"report_id": c.ReportID}); err != nil {
 			return err
 		}
@@ -130,13 +130,13 @@ func connectTx(tx *graph.Tx, c *ctirep.CTIRep) error {
 		if err := r.Validate(); err != nil {
 			continue
 		}
-		sID, _ := tx.MergeNode(string(r.Src.Type), r.Src.Name, nil)
-		dID, _ := tx.MergeNode(string(r.Dst.Type), r.Dst.Name, nil)
+		sID := tx.MergeNode(string(r.Src.Type), r.Src.Name, nil).Node.ID
+		dID := tx.MergeNode(string(r.Dst.Type), r.Dst.Name, nil).Node.ID
 		attrs := map[string]string{"report_id": c.ReportID}
 		for k, v := range r.Attrs {
 			attrs[k] = v
 		}
-		if _, _, err := tx.AddEdge(sID, string(r.Type), dID, attrs); err != nil {
+		if _, err := tx.AddEdge(sID, string(r.Type), dID, attrs); err != nil {
 			return err
 		}
 	}

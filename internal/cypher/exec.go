@@ -58,9 +58,8 @@ type Engine struct {
 	view *graph.Snap
 	// w is the write surface (write.go): the scope's graph.Tx inside a
 	// write scope, nil on an unscoped engine, which never writes. Its
-	// Latest* reads see the writer's own uncommitted state — the write
-	// path must act on latest state, not the pinned snapshot (a MERGE
-	// must augment the node as it now is).
+	// writes act on the latest state, not the pinned snapshot (a MERGE
+	// augments the node as it now is), and report what they did.
 	w     *graph.Tx
 	opts  Options
 	cache *planCache

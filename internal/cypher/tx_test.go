@@ -254,6 +254,94 @@ func TestTxAbortOnError(t *testing.T) {
 	mustQuery(t, e, `match (t:Tool) return count(t)`)
 }
 
+// TestTxWritesSeeLatestState: a transaction's writes act on the store's
+// latest state, not on its snapshot. Another session commits after the
+// transactions below open, so none of their views holds that commit; yet
+// a MERGE binds the node the store holds now, a SET counts against the
+// value it holds now, and a DELETE refuses on — or counts — the edges it
+// holds now; a CREATE edge may end on a node the MERGE bound though the
+// view lacks it, and fails on a node the view holds but the store has
+// lost. Binding or counting from the transaction's view would answer
+// null, count a creation, delete without DETACH or refuse the edge.
+func TestTxWritesSeeLatestState(t *testing.T) {
+	s := graph.New()
+	e := NewEngine(s, Options{UseIndexes: true, MaxBytes: 16 << 20})
+	mustQuery(t, e, `create (:IP {name: "10.0.0.9"})`)
+	// The transactions run one after another: the store is single-writer
+	// and each holds the writer lock from its first write to its end.
+	txs := make([]*Tx, 4)
+	for i := range txs {
+		tx, err := e.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs[i] = tx
+	}
+	mustQuery(t, e, `create (:IP {name: "10.0.0.1", seen: "a"})`)
+	mustQuery(t, e, `create (:IP {name: "10.0.0.2"})-[:R]->(:IP {name: "10.0.0.3"})`)
+	mustQuery(t, e, `match (n:IP {name: "10.0.0.9"}) delete n`)
+	writes := func(res *Result) WriteStats {
+		t.Helper()
+		if res.Writes == nil {
+			t.Fatal("write statement reported no write counts")
+		}
+		return *res.Writes
+	}
+
+	tx := txs[0]
+	if n := tx.gtx.Snap().FindNode("IP", "10.0.0.1"); n != nil {
+		t.Fatalf("the transaction's view sees a node committed after it opened: %+v", n)
+	}
+	res := mustTxQuery(t, tx, `merge (n:IP {name: "10.0.0.1"}) return n.seen`)
+	if len(res.Rows) != 1 || res.Rows[0][0].String() != "a" {
+		t.Fatalf("merge hit bound %v, want [[a]]: the node the store holds", res.Rows)
+	}
+	if w := writes(res); w != (WriteStats{}) {
+		t.Fatalf("merge hit counted %+v, want nothing", w)
+	}
+	res = mustTxQuery(t, tx, `merge (n:IP {name: "10.0.0.1"}) set n.seen = "a" return n.seen`)
+	if w := writes(res); w != (WriteStats{}) {
+		t.Fatalf("SET to the value the store holds counted %+v, want nothing", w)
+	}
+	res = mustTxQuery(t, tx, `merge (g:IP {name: "10.0.0.1"}) create (g)-[:R]->(:X {name: "y"})`)
+	if w, want := writes(res), (WriteStats{NodesCreated: 1, EdgesCreated: 1}); w != want {
+		t.Fatalf("CREATE from a merge-bound node counted %+v, want %+v", w, want)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = txs[1]
+	_, err := tx.Query(`merge (n:IP {name: "10.0.0.2"}) delete n`, nil)
+	if err == nil || !strings.Contains(err.Error(), "node still has 1 relationship(s)") {
+		t.Fatalf("DELETE of a node with an edge the view cannot see: got %v, want the DETACH refusal", err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = txs[2]
+	res = mustTxQuery(t, tx, `merge (n:IP {name: "10.0.0.2"}) detach delete n`)
+	if w, want := writes(res), (WriteStats{NodesDeleted: 1, EdgesDeleted: 1}); w != want {
+		t.Fatalf("DETACH DELETE counted %+v, want %+v", w, want)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if findNode(s, "IP", "10.0.0.2") != nil || findNode(s, "IP", "10.0.0.3") == nil {
+		t.Fatal("DETACH DELETE committed the wrong state")
+	}
+
+	tx = txs[3]
+	_, err = tx.Query(`match (n:IP {name: "10.0.0.9"}) create (n)-[:R]->(:X {name: "z"})`, nil)
+	if err == nil || !strings.Contains(err.Error(), `CREATE endpoint "n" refers to a deleted node`) {
+		t.Fatalf("CREATE edge from a node the store deleted: got %v, want the deleted-endpoint error", err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTxControlRouting: BEGIN/COMMIT/ROLLBACK parse, route through
 // sessions only, and are rejected by every plain entry point.
 func TestTxControlRouting(t *testing.T) {

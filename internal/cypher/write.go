@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"errors"
 	"fmt"
 
 	"securitykg/internal/graph"
@@ -22,19 +23,16 @@ import (
 // error in a SET expression) rolls back wholesale: the earlier rows'
 // mutations are undone and nothing reaches the WAL.
 //
-// Mutations go through e.w, whose Latest* reads see the transaction's
-// own uncommitted writes (the write path must act on latest state — a
-// MERGE must augment the node as it now is, not as the statement's
-// pinned snapshot saw it).
+// Mutations go through e.w, the statement's graph.Tx. The store acts on
+// its latest state — a MERGE augments the node as it now is, not as the
+// statement's pinned snapshot saw it — and each write reports its effect
+// (graph.Effect): the record to bind and what changed. This file reads no
+// store state around a write; it binds and counts what the write reports.
 
-// WriteStats counts what a write query changed. Merged-but-not-created
-// entities (the store's exact-(type, name) merge rule firing) do not
-// count as created. The counts are exact for a single writer; under
-// CONCURRENT writers racing on the same keys they are best-effort (the
-// "did it change" pre-checks run outside the store op's critical
-// section), while the store state and the WAL stay exact — tightening
-// this means the store ops reporting their own deltas, which belongs
-// with the transaction layer (see ROADMAP).
+// WriteStats counts what a write query changed: the sum of the effects
+// the store reported. Merged-but-not-created entities (the store's
+// exact-(type, name) merge rule firing) do not count as created; the
+// attributes such a merge adds count as props set.
 type WriteStats struct {
 	NodesCreated int `json:"nodes_created"`
 	EdgesCreated int `json:"edges_created"`
@@ -111,44 +109,44 @@ func (e *Engine) createPattern(p *Pattern, b binding, ps params, stats *WriteSta
 		if err != nil {
 			return err
 		}
-		// Like createNode: an existing edge augmented with new attributes
-		// is a real (WAL-logged) mutation, counted as props set.
-		augmented := 0
-		if len(attrs) > 0 {
-			for _, ed := range e.w.LatestEdges(from, graph.Out) {
-				if ed.Type != ep.Type || ed.To != to {
-					continue
-				}
-				for k := range attrs {
-					if _, has := ed.Attrs.Lookup(k); !has {
-						augmented++
-					}
-				}
-				break
-			}
+		ef, err := e.w.AddEdge(from, ep.Type, to, attrs)
+		if errors.Is(err, graph.ErrGone) {
+			return goneEndpoint(p, i)
 		}
-		id, created, err := e.w.AddEdge(from, ep.Type, to, attrs)
 		if err != nil {
 			return err
 		}
-		if created {
-			stats.EdgesCreated++
-		} else {
-			stats.PropsSet += augmented
-		}
+		stats.merged(ef, &stats.EdgesCreated)
 		if ep.Var != "" {
 			if _, bound := b.get(ep.Var); bound {
 				return fmt.Errorf("cypher: relationship variable %q already bound in CREATE", ep.Var)
 			}
-			b.set(ep.Var, EdgeValue(e.w.LatestEdge(id)))
+			b.set(ep.Var, EdgeValue(ef.Edge))
 		}
 	}
 	return nil
 }
 
+// goneEndpoint is the error for edge i of p naming a node the store no
+// longer holds. Only a reused endpoint — a bound variable, the one kind
+// of CREATE node without a label — can be gone: a merged one was just
+// written under the writer lock.
+func goneEndpoint(p *Pattern, i int) error {
+	a, b := &p.Nodes[i], &p.Nodes[i+1]
+	switch {
+	case a.Label == "" && b.Label == "":
+		return fmt.Errorf("cypher: CREATE endpoint %q or %q refers to a deleted node", a.Var, b.Var)
+	case b.Label == "":
+		a = b
+	}
+	return fmt.Errorf("cypher: CREATE endpoint %q refers to a deleted node", a.Var)
+}
+
 // createNode resolves one CREATE pattern node: an already-bound
 // variable refers to the existing node (and may carry no further
-// pattern), anything else needs a label and a name and is merged in.
+// pattern), anything else needs a label and a name and is merged in. A
+// reused node is not looked up: if it is gone, an edge naming it fails
+// in the store.
 func (e *Engine) createNode(np *NodePattern, b binding, ps params, stats *WriteStats) (graph.NodeID, error) {
 	if np.Var != "" {
 		if v, bound := b.get(np.Var); bound {
@@ -157,9 +155,6 @@ func (e *Engine) createNode(np *NodePattern, b binding, ps params, stats *WriteS
 			}
 			if np.Label != "" || len(np.Props) > 0 || len(np.ParamProps) > 0 || len(np.ExprProps) > 0 {
 				return 0, fmt.Errorf("cypher: variable %q is already bound; a CREATE/MERGE reuse cannot restate a label or properties", np.Var)
-			}
-			if e.w.LatestNode(v.Node.ID) == nil {
-				return 0, fmt.Errorf("cypher: CREATE endpoint %q refers to a deleted node", np.Var)
 			}
 			return v.Node.ID, nil
 		}
@@ -179,29 +174,23 @@ func (e *Engine) createNode(np *NodePattern, b binding, ps params, stats *WriteS
 	if len(attrs) == 0 {
 		attrs = nil
 	}
-	// A merge hit that augments an existing node with new attributes is
-	// a real mutation (it is WAL-logged); count the added properties so
-	// the stats never claim "nothing changed" for a write that changed
-	// something. Diffed before the merge because MergeNode only reports
-	// whether the node itself was created.
-	augmented := 0
-	if existing := e.w.LatestFindNode(np.Label, name); existing != nil {
-		for k := range attrs {
-			if _, has := existing.Attrs.Lookup(k); !has {
-				augmented++
-			}
-		}
-	}
-	id, created := e.w.MergeNode(np.Label, name, attrs)
-	if created {
-		stats.NodesCreated++
-	} else {
-		stats.PropsSet += augmented
-	}
+	ef := e.w.MergeNode(np.Label, name, attrs)
+	stats.merged(ef, &stats.NodesCreated)
 	if np.Var != "" {
-		b.set(np.Var, NodeValue(e.w.LatestNode(id)))
+		b.set(np.Var, NodeValue(ef.Node))
 	}
-	return id, nil
+	return ef.Node.ID, nil
+}
+
+// merged counts one MergeNode or AddEdge effect: a creation in created,
+// or the attributes a merge hit added as props set — a real, WAL-logged
+// mutation the stats must not call "nothing changed".
+func (w *WriteStats) merged(ef graph.Effect, created *int) {
+	if ef.Created {
+		*created++
+	} else {
+		w.PropsSet += ef.Attrs
+	}
 }
 
 // resolveAttrs renders a pattern's literal, $parameter and expression
@@ -289,22 +278,18 @@ func (e *Engine) applySet(it *SetItem, b binding, ps params, stats *WriteStats) 
 		return err
 	}
 	// Writing the value already present is a no-op everywhere (the store
-	// neither logs nor bumps its epoch), so the counter agrees with the
-	// WAL: PropsSet counts what actually changed.
-	cur := e.w.LatestNode(v.Node.ID)
-	if cur == nil {
+	// neither logs nor bumps its epoch, and reports no attribute changed),
+	// so the counter agrees with the WAL: PropsSet counts what changed.
+	ef, err := e.w.SetAttr(v.Node.ID, it.Prop, s)
+	if errors.Is(err, graph.ErrGone) {
 		return fmt.Errorf("cypher: SET %s.%s: node was deleted", it.Var, it.Prop)
 	}
-	if old, had := cur.Attrs.Lookup(it.Prop); had && old == s {
-		b.set(it.Var, NodeValue(cur))
-		return nil
-	}
-	if err := e.w.SetAttr(v.Node.ID, it.Prop, s); err != nil {
+	if err != nil {
 		return err
 	}
-	stats.PropsSet++
+	stats.PropsSet += ef.Attrs
 	// Refresh the binding so downstream projections see the new value.
-	b.set(it.Var, NodeValue(e.w.LatestNode(v.Node.ID)))
+	b.set(it.Var, NodeValue(ef.Node))
 	return nil
 }
 
@@ -321,32 +306,28 @@ func (e *Engine) applyDelete(dc *DeleteClause, b binding, stats *WriteStats) err
 		case KindNull:
 			continue
 		case KindEdge:
-			if e.w.LatestEdge(v.Edge.ID) == nil {
+			err := e.w.DeleteEdge(v.Edge.ID)
+			if errors.Is(err, graph.ErrGone) {
 				continue
 			}
-			if err := e.w.DeleteEdge(v.Edge.ID); err != nil {
+			if err != nil {
 				return err
 			}
 			stats.EdgesDeleted++
 		case KindNode:
-			if e.w.LatestNode(v.Node.ID) == nil {
-				continue
-			}
-			// Count distinct incident edges: a self-loop appears in both
-			// the out and in incidence lists but is one edge.
-			seen := map[graph.EdgeID]struct{}{}
-			for _, ed := range e.w.LatestEdges(v.Node.ID, graph.Both) {
-				seen[ed.ID] = struct{}{}
-			}
-			incident := len(seen)
-			if incident > 0 && !dc.Detach {
-				return fmt.Errorf("cypher: cannot DELETE %q: node still has %d relationship(s) — use DETACH DELETE", name, incident)
-			}
-			if err := e.w.DeleteNode(v.Node.ID); err != nil {
+			ef, err := e.w.DeleteNode(v.Node.ID, dc.Detach)
+			if err != nil {
+				var attached *graph.AttachedError
+				switch {
+				case errors.Is(err, graph.ErrGone):
+					continue
+				case errors.As(err, &attached):
+					return fmt.Errorf("cypher: cannot DELETE %q: node still has %d relationship(s) — use DETACH DELETE", name, attached.Edges)
+				}
 				return err
 			}
 			stats.NodesDeleted++
-			stats.EdgesDeleted += incident
+			stats.EdgesDeleted += ef.Edges
 		default:
 			return fmt.Errorf("cypher: DELETE expects a node or relationship (%q is %s)", name, v.String())
 		}

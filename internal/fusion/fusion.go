@@ -138,7 +138,7 @@ func fuse(tx *graph.Tx, opts Options, st *Stats) error {
 			for _, kv := range m.Attrs {
 				if cur := view.Node(best.ID); cur != nil {
 					if _, has := cur.Attrs.Lookup(kv.Key); !has {
-						if err := tx.SetAttr(best.ID, kv.Key, kv.Val); err != nil {
+						if _, err := tx.SetAttr(best.ID, kv.Key, kv.Val); err != nil {
 							return err
 						}
 					}
@@ -147,7 +147,7 @@ func fuse(tx *graph.Tx, opts Options, st *Stats) error {
 			if m.Name != best.Name {
 				aliases[m.Name] = true
 			}
-			if err := tx.DeleteNode(m.ID); err != nil {
+			if _, err := tx.DeleteNode(m.ID, true); err != nil {
 				return err
 			}
 			st.NodesMerged++
@@ -158,7 +158,7 @@ func fuse(tx *graph.Tx, opts Options, st *Stats) error {
 				names = append(names, a)
 			}
 			sort.Strings(names)
-			if err := tx.SetAttr(best.ID, "aliases", strings.Join(names, "|")); err != nil {
+			if _, err := tx.SetAttr(best.ID, "aliases", strings.Join(names, "|")); err != nil {
 				return err
 			}
 			st.AliasesStored += len(names)

@@ -146,14 +146,14 @@ func testBulkSealAdjacency(t *testing.T) {
 	// A report's worth, committed as one group: 1 + 10×2 + 1 = 22
 	// mutations, 11 of them new edges.
 	tx := s.BeginTx()
-	rep, _ := tx.MergeNode("Report", "r", map[string]string{"report_id": "r"})
+	rep := tx.MergeNode("Report", "r", map[string]string{"report_id": "r"}).Node.ID
 	for i := 0; i < 10; i++ {
-		e, _ := tx.MergeNode("Entity", fmt.Sprintf("e%d", i), nil)
-		if _, _, err := tx.AddEdge(rep, "MENTIONS", e, nil); err != nil {
+		e := tx.MergeNode("Entity", fmt.Sprintf("e%d", i), nil).Node.ID
+		if _, err := tx.AddEdge(rep, "MENTIONS", e, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := tx.AddEdge(ids[0], "MENTIONS", rep, nil); err != nil {
+	if _, err := tx.AddEdge(ids[0], "MENTIONS", rep, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -219,7 +219,7 @@ func testBulkBracketStats(t *testing.T) {
 	base := baseOf(s)
 	tx := s.BeginTx()
 	for i := 0; i < 50; i++ {
-		if _, _, err := tx.AddEdge(ids[i], "talks_to", ids[i+1], nil); err != nil {
+		if _, err := tx.AddEdge(ids[i], "talks_to", ids[i+1], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

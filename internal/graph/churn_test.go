@@ -17,14 +17,9 @@ import (
 // then rebuilds the same counts through an Apply loop in a load bracket,
 // as recovery replays, and both codecs reload them.
 func TestLiveCountsUnderChurn(t *testing.T) {
-	type writer interface {
-		MergeNode(typ, name string, attrs map[string]string) (NodeID, bool)
-		AddEdge(from NodeID, typ string, to NodeID, attrs map[string]string) (EdgeID, bool, error)
-		SetAttr(id NodeID, key, val string) error
-		DeleteNode(id NodeID) error
-		DeleteEdge(id EdgeID) error
-		MigrateEdges(from, to NodeID) error
-	}
+	// A Store and a Tx write through one method: the dispatch every write
+	// shares.
+	type writer interface{ Apply(Mutation) error }
 	labels := []string{"Malware", "IP", "Domain", ""}
 	etypes := []string{"CONNECT", "USE", ""}
 	for seed := int64(1); seed <= 12; seed++ {
@@ -55,19 +50,19 @@ func TestLiveCountsUnderChurn(t *testing.T) {
 		write := func(w writer) {
 			switch rng.Intn(10) {
 			case 0, 1, 2:
-				w.MergeNode(labels[rng.Intn(len(labels))], fmt.Sprintf("n%d", rng.Intn(40)), map[string]string{"k": fmt.Sprint(rng.Intn(3))})
+				w.Apply(Mutation{Op: OpMergeNode, Type: labels[rng.Intn(len(labels))], Name: fmt.Sprintf("n%d", rng.Intn(40)), Attrs: map[string]string{"k": fmt.Sprint(rng.Intn(3))}})
 			case 3, 4, 5, 6:
-				w.AddEdge(node(), etypes[rng.Intn(len(etypes))], node(), nil)
+				w.Apply(Mutation{Op: OpAddEdge, From: node(), Type: etypes[rng.Intn(len(etypes))], To: node()})
 			case 7:
-				w.SetAttr(node(), "k", fmt.Sprint(rng.Intn(3)))
+				w.Apply(Mutation{Op: OpSetAttr, Node: node(), Key: "k", Val: fmt.Sprint(rng.Intn(3))})
 			case 8:
 				if rng.Intn(2) == 0 {
-					w.DeleteEdge(edge())
+					w.Apply(Mutation{Op: OpDeleteEdge, Edge: edge()})
 				} else {
-					w.DeleteNode(node())
+					w.Apply(Mutation{Op: OpDeleteNode, Node: node()})
 				}
 			case 9:
-				w.MigrateEdges(node(), node())
+				w.Apply(Mutation{Op: OpMigrateEdges, From: node(), To: node()})
 			}
 		}
 		for step := 0; step < 250; step++ {

@@ -369,16 +369,12 @@ func (s *Store) indexAttrsLocked(rec nodeRec, file bool) {
 // of an existing node are augmented (new keys added, existing keys kept —
 // first writer wins, preventing early deletion of information).
 func (s *Store) MergeNode(typ, name string, attrs map[string]string) (NodeID, bool) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.beginBareLocked()
-	defer s.endBareLocked()
-	return s.mergeNodeLocked(typ, name, attrs)
+	var ef Effect
+	s.bare(func() { ef = s.mergeNodeLocked(typ, name, attrs) })
+	return ef.Node.ID, ef.Created
 }
 
-func (s *Store) mergeNodeLocked(typ, name string, attrs map[string]string) (NodeID, bool) {
+func (s *Store) mergeNodeLocked(typ, name string, attrs map[string]string) Effect {
 	tsym := s.syms.intern(typ)
 	if id, ok := s.findLocked(tsym, name); ok {
 		s.mergeHits++
@@ -395,15 +391,17 @@ func (s *Store) mergeNodeLocked(typ, name string, attrs map[string]string) (Node
 				}
 			}
 		}
-		if len(merged) != len(rec.n.Attrs) {
-			s.retireNodeLocked(id, rec, true)
-			nn := *rec.n
-			nn.Attrs = merged
-			s.nodes[id].n = &nn
-			s.stampNodeLocked(id)
-			s.noteMutation(Mutation{Op: OpMergeNode, Type: typ, Name: name, Attrs: attrs})
+		added := len(merged) - len(rec.n.Attrs)
+		if added == 0 {
+			return Effect{Node: rec.n}
 		}
-		return id, false
+		s.retireNodeLocked(id, rec, true)
+		nn := *rec.n
+		nn.Attrs = merged
+		s.nodes[id].n = &nn
+		s.stampNodeLocked(id)
+		s.noteMutation(Mutation{Op: OpMergeNode, Type: typ, Name: name, Attrs: attrs})
+		return Effect{Node: &nn, Attrs: added}
 	}
 	s.nextNode++
 	id := s.nextNode
@@ -412,37 +410,37 @@ func (s *Store) mergeNodeLocked(typ, name string, attrs map[string]string) (Node
 	s.installNodeLocked(id, nodeRec{typ: tsym, n: n})
 	s.stampNodeLocked(id)
 	s.noteMutation(Mutation{Op: OpMergeNode, Type: typ, Name: name, Attrs: attrs})
-	return id, true
+	return Effect{Node: n, Created: true}
 }
 
 // AddEdge inserts a directed edge, deduplicating identical (from, type, to)
 // triples: re-adding merges attributes like MergeNode. Returns the edge ID
 // and whether a new edge was created.
 func (s *Store) AddEdge(from NodeID, typ string, to NodeID, attrs map[string]string) (EdgeID, bool, error) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.beginBareLocked()
-	defer s.endBareLocked()
-	return s.addEdgePublicLocked(from, typ, to, attrs)
+	var ef Effect
+	var err error
+	s.bare(func() { ef, err = s.addEdgePublicLocked(from, typ, to, attrs) })
+	if err != nil {
+		return 0, false, err
+	}
+	return ef.Edge.ID, ef.Created, nil
 }
 
-func (s *Store) addEdgePublicLocked(from NodeID, typ string, to NodeID, attrs map[string]string) (EdgeID, bool, error) {
+func (s *Store) addEdgePublicLocked(from NodeID, typ string, to NodeID, attrs map[string]string) (Effect, error) {
 	if _, ok := s.nodeAt(from); !ok {
-		return 0, false, fmt.Errorf("graph: AddEdge: unknown source node %d", from)
+		return Effect{}, fmt.Errorf("graph: AddEdge: source node %d: %w", from, ErrGone)
 	}
 	if _, ok := s.nodeAt(to); !ok {
-		return 0, false, fmt.Errorf("graph: AddEdge: unknown target node %d", to)
+		return Effect{}, fmt.Errorf("graph: AddEdge: target node %d: %w", to, ErrGone)
 	}
-	id, created, changed := s.addEdgeLocked(from, s.syms.intern(typ), to, s.canonKeys(newAttrs(attrs)))
-	if changed {
+	ef := s.addEdgeLocked(from, s.syms.intern(typ), to, s.canonKeys(newAttrs(attrs)))
+	if ef.Created || ef.Attrs > 0 {
 		s.noteMutation(Mutation{Op: OpAddEdge, From: from, Type: typ, To: to, Attrs: attrs})
 	}
-	if created {
+	if ef.Created {
 		s.maybeRebuildAdjLocked()
 	}
-	return id, created, nil
+	return ef, nil
 }
 
 // nodeChunk bounds how many node lookups one batch read (Nodes) does
@@ -452,23 +450,19 @@ const nodeChunk = 256
 
 // SetAttr sets one attribute on a node, updating indexes.
 func (s *Store) SetAttr(id NodeID, key, val string) error {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.beginBareLocked()
-	defer s.endBareLocked()
-	return s.setAttrLocked(id, key, val)
+	var err error
+	s.bare(func() { _, err = s.setAttrLocked(id, key, val) })
+	return err
 }
 
-func (s *Store) setAttrLocked(id NodeID, key, val string) error {
+func (s *Store) setAttrLocked(id NodeID, key, val string) (Effect, error) {
 	rec, ok := s.nodeAt(id)
 	if !ok {
-		return fmt.Errorf("graph: SetAttr: unknown node %d", id)
+		return Effect{}, fmt.Errorf("graph: SetAttr: node %d: %w", id, ErrGone)
 	}
 	old, had := rec.n.Attrs.Lookup(key)
 	if had && old == val {
-		return nil // no-op write: nothing to invalidate or log
+		return Effect{Node: rec.n}, nil // no-op write: nothing to invalidate or log
 	}
 	ks := s.syms.intern(key)
 	if had && s.indexed[ks] {
@@ -483,32 +477,37 @@ func (s *Store) setAttrLocked(id NodeID, key, val string) error {
 		s.indexAttr(rec.typ, ks, val, id)
 	}
 	s.noteMutation(Mutation{Op: OpSetAttr, Node: id, Key: key, Val: val})
-	return nil
+	return Effect{Node: &nn, Attrs: 1}, nil
 }
 
 // DeleteNode removes a node and all incident edges.
 func (s *Store) DeleteNode(id NodeID) error {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.beginBareLocked()
-	defer s.endBareLocked()
-	return s.deleteNodeLocked(id)
+	var err error
+	s.bare(func() { _, err = s.deleteNodeLocked(id, true) })
+	return err
 }
 
-func (s *Store) deleteNodeLocked(id NodeID) error {
+// deleteNodeLocked removes node id with its edges, or, unless detach,
+// refuses with an *AttachedError while it has any.
+func (s *Store) deleteNodeLocked(id NodeID, detach bool) (Effect, error) {
 	rec, ok := s.nodeAt(id)
 	if !ok {
-		return fmt.Errorf("graph: DeleteNode: unknown node %d", id)
+		return Effect{}, fmt.Errorf("graph: DeleteNode: node %d: %w", id, ErrGone)
 	}
 	var eids []EdgeID
 	s.adj.forEach(id, Both, func(he halfEdge) bool {
 		eids = append(eids, he.id)
 		return true
 	})
+	if !detach && len(eids) > 0 {
+		slices.Sort(eids) // a self-loop appears twice
+		return Effect{}, &AttachedError{Node: id, Edges: len(slices.Compact(eids))}
+	}
+	var ef Effect
 	for _, eid := range eids {
-		s.deleteEdgeLocked(eid) // idempotent: self-loops appear twice
+		if s.deleteEdgeLocked(eid) { // a self-loop's second sighting finds it gone
+			ef.Edges++
+		}
 	}
 	s.retireNodeLocked(id, rec, true)
 	s.uninstallNodeLocked(id, rec)
@@ -516,7 +515,7 @@ func (s *Store) deleteNodeLocked(id NodeID) error {
 	s.adj.removeNode(id)
 	s.noteMutation(Mutation{Op: OpDeleteNode, Node: id})
 	s.maybeRebuildAdjLocked()
-	return nil
+	return ef, nil
 }
 
 // uninstallNodeLocked removes node id's current record and every index
@@ -542,34 +541,31 @@ func (s *Store) installNodeLocked(id NodeID, rec nodeRec) {
 
 // DeleteEdge removes one edge.
 func (s *Store) DeleteEdge(id EdgeID) error {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.beginBareLocked()
-	defer s.endBareLocked()
-	return s.deleteEdgePublicLocked(id)
+	var err error
+	s.bare(func() { err = s.deleteEdgePublicLocked(id) })
+	return err
 }
 
 func (s *Store) deleteEdgePublicLocked(id EdgeID) error {
-	if _, ok := s.edgeAt(id); !ok {
-		return fmt.Errorf("graph: DeleteEdge: unknown edge %d", id)
+	if !s.deleteEdgeLocked(id) {
+		return fmt.Errorf("graph: DeleteEdge: edge %d: %w", id, ErrGone)
 	}
-	s.deleteEdgeLocked(id)
 	s.noteMutation(Mutation{Op: OpDeleteEdge, Edge: id})
 	s.maybeRebuildAdjLocked()
 	return nil
 }
 
-func (s *Store) deleteEdgeLocked(id EdgeID) {
+// deleteEdgeLocked removes edge id, reporting whether it was there.
+func (s *Store) deleteEdgeLocked(id EdgeID) bool {
 	rec, ok := s.edgeAt(id)
 	if !ok {
-		return
+		return false
 	}
 	s.retireEdgeLocked(id, rec, true)
 	s.uninstallEdgeLocked(id, rec)
 	delete(s.edgeBegin, id)
 	s.adj.removeEdge(id, rec.from, rec.to)
+	return true
 }
 
 // uninstallEdgeLocked removes edge id's current record and derived index
@@ -602,21 +598,17 @@ func (s *Store) installEdgeLocked(id EdgeID, rec edgeRec) {
 // against existing edges of to. Self-loops created by the migration are
 // dropped. Used by the knowledge-fusion stage.
 func (s *Store) MigrateEdges(from, to NodeID) error {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.beginBareLocked()
-	defer s.endBareLocked()
-	return s.migrateEdgesLocked(from, to)
+	var err error
+	s.bare(func() { err = s.migrateEdgesLocked(from, to) })
+	return err
 }
 
 func (s *Store) migrateEdgesLocked(from, to NodeID) error {
 	if _, ok := s.nodeAt(from); !ok {
-		return fmt.Errorf("graph: MigrateEdges: unknown node %d", from)
+		return fmt.Errorf("graph: MigrateEdges: node %d: %w", from, ErrGone)
 	}
 	if _, ok := s.nodeAt(to); !ok {
-		return fmt.Errorf("graph: MigrateEdges: unknown node %d", to)
+		return fmt.Errorf("graph: MigrateEdges: node %d: %w", to, ErrGone)
 	}
 	var outs, ins []EdgeID
 	s.adj.forEach(from, Out, func(he halfEdge) bool {
@@ -657,9 +649,9 @@ func (s *Store) migrateEdgesLocked(from, to NodeID) error {
 // addEdgeLocked inserts the edge, or augments the one already holding
 // its (from, type, to) with the attrs it lacks (first writer wins). attrs
 // carries canonical keys and is safe to share: it is freshly built or
-// comes from an immutable record. Reports the edge, whether it is new,
-// and whether anything changed.
-func (s *Store) addEdgeLocked(from NodeID, typ Sym, to NodeID, attrs Attrs) (id EdgeID, created, changed bool) {
+// comes from an immutable record. Nothing changed unless the effect is
+// Created or has Attrs.
+func (s *Store) addEdgeLocked(from NodeID, typ Sym, to NodeID, attrs Attrs) Effect {
 	ek := edgeKeyT{from: from, to: to, typ: typ}
 	if id, ok := s.edgeKey[ek]; ok {
 		rec := s.edges[id]
@@ -669,24 +661,25 @@ func (s *Store) addEdgeLocked(from NodeID, typ Sym, to NodeID, attrs Attrs) (id 
 				merged = merged.with(kv.Key, kv.Val)
 			}
 		}
-		if len(merged) == len(rec.e.Attrs) {
-			return id, false, false
+		added := len(merged) - len(rec.e.Attrs)
+		if added == 0 {
+			return Effect{Edge: rec.e}
 		}
 		s.retireEdgeLocked(id, rec, true)
 		ne := *rec.e
 		ne.Attrs = merged
 		s.edges[id].e = &ne
 		s.stampEdgeLocked(id)
-		return id, false, true
+		return Effect{Edge: &ne, Attrs: added}
 	}
 	s.nextEdge++
-	id = s.nextEdge
+	id := s.nextEdge
 	e := &Edge{ID: id, Type: s.syms.str(typ), From: from, To: to, Attrs: attrs}
 	s.retireEdgeLocked(id, edgeRec{}, false)
 	s.installEdgeLocked(id, edgeRec{from: from, to: to, typ: typ, e: e})
 	s.stampEdgeLocked(id)
 	s.adj.addEdge(id, from, to, typ)
-	return id, true, true
+	return Effect{Edge: e, Created: true}
 }
 
 // Stats summarizes store contents.

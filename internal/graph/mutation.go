@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // This file defines the logical mutation log the durability layer hangs
 // off the store: every state-changing public operation describes itself
@@ -143,54 +146,93 @@ func (s *Store) ApplyBatch(ms []Mutation) (int, error) {
 	return len(ms), nil
 }
 
-// Apply re-issues one mutation on the Tx write surface, mirroring
-// Store.Apply's dispatch. Transaction markers are rejected: a Tx is
-// itself the group boundary.
+// Apply re-issues one mutation on the transaction. Transaction markers
+// are refused: a Tx is itself the group boundary.
 func (tx *Tx) Apply(m Mutation) error {
-	switch m.Op {
-	case OpMergeNode:
-		tx.MergeNode(m.Type, m.Name, m.Attrs)
-		return nil
-	case OpAddEdge:
-		_, _, err := tx.AddEdge(m.From, m.Type, m.To, m.Attrs)
-		return err
-	case OpSetAttr:
-		return tx.SetAttr(m.Node, m.Key, m.Val)
-	case OpDeleteNode:
-		return tx.DeleteNode(m.Node)
-	case OpDeleteEdge:
-		return tx.DeleteEdge(m.Edge)
-	case OpMigrateEdges:
-		return tx.MigrateEdges(m.From, m.To)
+	if m.isMarker() {
+		return fmt.Errorf("graph: Tx.Apply: unsupported mutation op %q", m.Op)
 	}
-	return fmt.Errorf("graph: Tx.Apply: unsupported mutation op %q", m.Op)
+	var err error
+	tx.locked(func() { err = tx.s.applyLocked(m) })
+	return err
 }
 
-// Apply replays one mutation through the corresponding public operation.
-// It is how recovery turns a surviving WAL prefix back into state; the
-// caller installs the mutation hook only after replay, so replay itself
-// is never re-logged.
+// Apply replays one mutation as a bare write. It is how recovery turns a
+// surviving WAL prefix back into state; the caller installs the mutation
+// hook only after replay, so replay itself is never re-logged.
+// Transaction markers mutate nothing: recovery's committed-transaction
+// fold consumes them before replay, and they are accepted here so a
+// caller replaying a raw record stream doesn't fail on one.
 func (s *Store) Apply(m Mutation) error {
-	switch m.Op {
-	case OpMergeNode:
-		s.MergeNode(m.Type, m.Name, m.Attrs)
-		return nil
-	case OpAddEdge:
-		_, _, err := s.AddEdge(m.From, m.Type, m.To, m.Attrs)
-		return err
-	case OpSetAttr:
-		return s.SetAttr(m.Node, m.Key, m.Val)
-	case OpDeleteNode:
-		return s.DeleteNode(m.Node)
-	case OpDeleteEdge:
-		return s.DeleteEdge(m.Edge)
-	case OpMigrateEdges:
-		return s.MigrateEdges(m.From, m.To)
-	case OpTxBegin, OpTxCommit, OpTxRollback:
-		// Markers mutate nothing. Recovery's committed-transaction fold
-		// consumes them before replay; tolerate them here so a caller
-		// replaying a raw record stream doesn't fail on a marker.
+	if m.isMarker() {
 		return nil
 	}
-	return fmt.Errorf("graph: Apply: unknown mutation op %q", m.Op)
+	var err error
+	s.bare(func() { err = s.applyLocked(m) })
+	return err
+}
+
+func (m *Mutation) isMarker() bool {
+	return m.Op == OpTxBegin || m.Op == OpTxCommit || m.Op == OpTxRollback
+}
+
+// applyLocked is the one mutation dispatch, for replay and ApplyBatch:
+// every op goes to the write that logged it. A node delete always
+// detaches, as the bare DeleteNode does.
+func (s *Store) applyLocked(m Mutation) error {
+	var err error
+	switch m.Op {
+	case OpMergeNode:
+		s.mergeNodeLocked(m.Type, m.Name, m.Attrs)
+	case OpAddEdge:
+		_, err = s.addEdgePublicLocked(m.From, m.Type, m.To, m.Attrs)
+	case OpSetAttr:
+		_, err = s.setAttrLocked(m.Node, m.Key, m.Val)
+	case OpDeleteNode:
+		_, err = s.deleteNodeLocked(m.Node, true)
+	case OpDeleteEdge:
+		err = s.deleteEdgePublicLocked(m.Edge)
+	case OpMigrateEdges:
+		err = s.migrateEdgesLocked(m.From, m.To)
+	default:
+		err = fmt.Errorf("graph: Apply: unknown mutation op %q", m.Op)
+	}
+	return err
+}
+
+// bare runs fn as one bare write: a single-op transaction holding the
+// writer lock and the store lock, published when fn returns.
+func (s *Store) bare(fn func()) {
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.beginBareLocked()
+	defer s.endBareLocked()
+	fn()
+}
+
+// Effect is what one Tx write did to the latest state. Callers count and
+// bind from it instead of reading the store around the write.
+type Effect struct {
+	Node    *Node // the node record a MergeNode or SetAttr left
+	Edge    *Edge // the edge record an AddEdge left
+	Created bool  // the write created Node or Edge
+	Attrs   int   // attributes a merge hit added or a SET changed; 0 on creation
+	Edges   int   // DeleteNode: distinct edges deleted with the node
+}
+
+// ErrGone is the error a write returns, wrapped, when the node or edge it
+// names does not exist in the latest state: never created, or deleted.
+var ErrGone = errors.New("unknown or deleted")
+
+// AttachedError is DeleteNode's refusal, without detach, to delete a node
+// that still has edges. Nothing has changed when it is returned.
+type AttachedError struct {
+	Node  NodeID
+	Edges int // distinct incident edges; a self-loop counts once
+}
+
+func (e *AttachedError) Error() string {
+	return fmt.Sprintf("graph: DeleteNode: node %d still has %d edge(s)", e.Node, e.Edges)
 }

@@ -735,52 +735,57 @@ func (tx *Tx) ensureWriter() {
 	s.mu.Unlock()
 }
 
-// MergeNode is the transactional MergeNode.
-func (tx *Tx) MergeNode(typ, name string, attrs map[string]string) (NodeID, bool) {
-	tx.ensureWriter()
-	tx.s.mu.Lock()
-	defer tx.s.mu.Unlock()
-	return tx.s.mergeNodeLocked(typ, name, attrs)
+// MergeNode is the transactional MergeNode; the effect's Node is the
+// record the merge left, created or found.
+func (tx *Tx) MergeNode(typ, name string, attrs map[string]string) Effect {
+	var ef Effect
+	tx.locked(func() { ef = tx.s.mergeNodeLocked(typ, name, attrs) })
+	return ef
 }
 
-// AddEdge is the transactional AddEdge.
-func (tx *Tx) AddEdge(from NodeID, typ string, to NodeID, attrs map[string]string) (EdgeID, bool, error) {
-	tx.ensureWriter()
-	tx.s.mu.Lock()
-	defer tx.s.mu.Unlock()
-	return tx.s.addEdgePublicLocked(from, typ, to, attrs)
+// AddEdge is the transactional AddEdge; the effect's Edge is the record
+// the write left, created or found. A gone endpoint is ErrGone.
+func (tx *Tx) AddEdge(from NodeID, typ string, to NodeID, attrs map[string]string) (ef Effect, err error) {
+	tx.locked(func() { ef, err = tx.s.addEdgePublicLocked(from, typ, to, attrs) })
+	return ef, err
 }
 
-// SetAttr is the transactional SetAttr.
-func (tx *Tx) SetAttr(id NodeID, key, val string) error {
-	tx.ensureWriter()
-	tx.s.mu.Lock()
-	defer tx.s.mu.Unlock()
-	return tx.s.setAttrLocked(id, key, val)
+// SetAttr is the transactional SetAttr; the effect's Node is the record
+// the write left, and Attrs is 0 when the value was already there. A gone
+// node is ErrGone.
+func (tx *Tx) SetAttr(id NodeID, key, val string) (ef Effect, err error) {
+	tx.locked(func() { ef, err = tx.s.setAttrLocked(id, key, val) })
+	return ef, err
 }
 
-// DeleteNode is the transactional DeleteNode.
-func (tx *Tx) DeleteNode(id NodeID) error {
-	tx.ensureWriter()
-	tx.s.mu.Lock()
-	defer tx.s.mu.Unlock()
-	return tx.s.deleteNodeLocked(id)
+// DeleteNode is the transactional DeleteNode. With detach it deletes the
+// node's edges too and counts them in the effect's Edges; without, a node
+// that still has edges is refused with an *AttachedError. A gone node is
+// ErrGone.
+func (tx *Tx) DeleteNode(id NodeID, detach bool) (ef Effect, err error) {
+	tx.locked(func() { ef, err = tx.s.deleteNodeLocked(id, detach) })
+	return ef, err
 }
 
-// DeleteEdge is the transactional DeleteEdge.
-func (tx *Tx) DeleteEdge(id EdgeID) error {
-	tx.ensureWriter()
-	tx.s.mu.Lock()
-	defer tx.s.mu.Unlock()
-	return tx.s.deleteEdgePublicLocked(id)
+// DeleteEdge is the transactional DeleteEdge. A gone edge is ErrGone.
+func (tx *Tx) DeleteEdge(id EdgeID) (err error) {
+	tx.locked(func() { err = tx.s.deleteEdgePublicLocked(id) })
+	return err
 }
 
 // MigrateEdges is the transactional MigrateEdges.
-func (tx *Tx) MigrateEdges(from, to NodeID) error {
+func (tx *Tx) MigrateEdges(from, to NodeID) (err error) {
+	tx.locked(func() { err = tx.s.migrateEdgesLocked(from, to) })
+	return err
+}
+
+// locked runs fn as one write of the transaction, under the writer lock
+// (taken at the first write) and the store lock: the Tx's bare.
+func (tx *Tx) locked(fn func()) {
 	tx.ensureWriter()
 	tx.s.mu.Lock()
 	defer tx.s.mu.Unlock()
-	return tx.s.migrateEdgesLocked(from, to)
+	fn()
 }
 
 // Commit logs the transaction, then publishes it. The durability hook
@@ -928,64 +933,4 @@ func restoreVersions[ID comparable, V any](begin map[ID]uint64, old map[ID][]V, 
 			old[id] = vers[:oldLen]
 		}
 	}
-}
-
-// --- latest-state reads ---
-//
-// Writers sometimes need the latest state rather than their snapshot:
-// MergeNode and AddEdge act on latest (single-writer semantics), so the
-// pre-write diffing and post-write binding around them must too. These
-// are the only reads of the slabs that bypass visibility; they belong to
-// the transaction, whose own writes are the only uncommitted state.
-
-// LatestNode returns node id's current record, or nil.
-func (tx *Tx) LatestNode(id NodeID) *Node {
-	tx.s.mu.RLock()
-	defer tx.s.mu.RUnlock()
-	rec, _ := tx.s.nodeAt(id)
-	return rec.n
-}
-
-// LatestEdge returns edge id's current record, or nil.
-func (tx *Tx) LatestEdge(id EdgeID) *Edge {
-	tx.s.mu.RLock()
-	defer tx.s.mu.RUnlock()
-	rec, _ := tx.s.edgeAt(id)
-	return rec.e
-}
-
-// LatestEdges returns the current edges incident to id in the given
-// direction, sorted by edge ID.
-func (tx *Tx) LatestEdges(id NodeID, dir Direction) []*Edge {
-	s := tx.s
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []*Edge
-	sorted := true
-	s.adj.forEach(id, dir, func(he halfEdge) bool {
-		e := s.edges[he.id].e
-		if n := len(out); n > 0 && out[n-1].ID > e.ID {
-			sorted = false
-		}
-		out = append(out, e)
-		return true
-	})
-	// Each direction walks in ascending edge-ID order already; only a Both
-	// walk whose out and in blocks interleave pays the sort.
-	if !sorted {
-		slices.SortFunc(out, func(a, b *Edge) int { return cmp.Compare(a.ID, b.ID) })
-	}
-	return out
-}
-
-// LatestFindNode returns the current node with the exact (type, name), or
-// nil.
-func (tx *Tx) LatestFindNode(typ, name string) *Node {
-	s := tx.s
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if id, ok := s.findLocked(s.syms.lookup(typ), name); ok {
-		return s.nodes[id].n
-	}
-	return nil
 }

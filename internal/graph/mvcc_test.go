@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -123,11 +126,11 @@ func TestTxIsolationAndCommit(t *testing.T) {
 	defer before.Release()
 
 	tx := s.BeginTx()
-	bID, _ := tx.MergeNode("T", "b", nil)
-	if err := tx.SetAttr(a, "k", "v"); err != nil {
+	bID := tx.MergeNode("T", "b", nil).Node.ID
+	if _, err := tx.SetAttr(a, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tx.AddEdge(a, "rel", bID, nil); err != nil {
+	if _, err := tx.AddEdge(a, "rel", bID, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,22 +196,22 @@ func TestTxRollbackRestoresEverything(t *testing.T) {
 	wantStats := s.Stats()
 
 	tx := s.BeginTx()
-	if err := tx.DeleteNode(b); err != nil { // cascades to the edge
+	if _, err := tx.DeleteNode(b, true); err != nil { // cascades to the edge
 		t.Fatal(err)
 	}
 	// Reclaim b's (type, name) under a new ID, then more churn.
-	b2, _ := tx.MergeNode("CVE", "b", map[string]string{"sev": "low"})
+	b2 := tx.MergeNode("CVE", "b", map[string]string{"sev": "low"}).Node.ID
 	if b2 == b {
 		t.Fatalf("expected fresh id for recreated node, got %d", b2)
 	}
-	if err := tx.SetAttr(a, "sev", "none"); err != nil {
+	if _, err := tx.SetAttr(a, "sev", "none"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tx.AddEdge(b2, "affects", a, nil); err != nil {
+	if _, err := tx.AddEdge(b2, "affects", a, nil); err != nil {
 		t.Fatal(err)
 	}
-	c, _ := tx.MergeNode("Malware", "c", nil)
-	if err := tx.DeleteNode(c); err != nil {
+	c := tx.MergeNode("Malware", "c", nil).Node.ID
+	if _, err := tx.DeleteNode(c, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Rollback(); err != nil {
@@ -248,9 +251,9 @@ func TestTxWALBuffering(t *testing.T) {
 
 	// Multi-mutation tx commits as a wrapped group.
 	tx := s.BeginTx()
-	a, _ := tx.MergeNode("T", "a", nil)
-	bID, _ := tx.MergeNode("T", "b", nil)
-	if _, _, err := tx.AddEdge(a, "rel", bID, nil); err != nil {
+	a := tx.MergeNode("T", "a", nil).Node.ID
+	bID := tx.MergeNode("T", "b", nil).Node.ID
+	if _, err := tx.AddEdge(a, "rel", bID, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(log) != 0 {
@@ -267,7 +270,7 @@ func TestTxWALBuffering(t *testing.T) {
 	// Single-mutation tx logs as a bare record.
 	log = nil
 	tx2 := s.BeginTx()
-	if err := tx2.SetAttr(a, "k", "v"); err != nil {
+	if _, err := tx2.SetAttr(a, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx2.Commit(); err != nil {
@@ -341,7 +344,7 @@ func TestConcurrentSnapshotReadsDuringTx(t *testing.T) {
 		tx := s.BeginTx()
 		v := fmt.Sprint(round)
 		for _, id := range ids {
-			if err := tx.SetAttr(id, "v", v); err != nil {
+			if _, err := tx.SetAttr(id, "v", v); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -494,7 +497,7 @@ func TestSnapshotReleaseRacesWriters(t *testing.T) {
 		for round := 1; round <= 800; round++ {
 			tx := s.BeginTx()
 			for _, id := range ids {
-				if err := tx.SetAttr(id, "v", fmt.Sprint(round)); err != nil {
+				if _, err := tx.SetAttr(id, "v", fmt.Sprint(round)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -532,7 +535,7 @@ func TestTxSnapReleaseIsNoop(t *testing.T) {
 	s := New()
 	a, _ := s.MergeNode("T", "a", nil)
 	tx := s.BeginTx()
-	if err := tx.SetAttr(a, "k", "v"); err != nil {
+	if _, err := tx.SetAttr(a, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	tx.Snap().Release()
@@ -544,5 +547,79 @@ func TestTxSnapReleaseIsNoop(t *testing.T) {
 	}
 	if st := s.MVCCStats(); st != (MVCCStats{}) {
 		t.Errorf("history left behind after commit: %+v", st)
+	}
+}
+
+// TestTxWriteEffects: each Tx write reports what it did — the record it
+// left, whether it created it, the attributes it added or changed, the
+// distinct edges a node delete took along — and refuses a gone target
+// (ErrGone) or an attached node without detach (*AttachedError) before
+// anything changes or is logged.
+func TestTxWriteEffects(t *testing.T) {
+	s := New()
+	a, _ := s.MergeNode("Tool", "a", map[string]string{"k": "1"})
+	b, _ := s.MergeNode("Tool", "b", nil)
+	s.AddEdge(a, "USE", b, nil)
+	s.AddEdge(a, "SELF", a, nil)
+	var logged []MutationOp
+	s.SetMutationHook(func(m Mutation) { logged = append(logged, m.Op) })
+	tx := s.BeginTx()
+	defer tx.Rollback()
+
+	if ef := tx.MergeNode("Tool", "a", map[string]string{"k": "2", "x": "1", "y": "1"}); ef.Created || ef.Attrs != 2 || ef.Node.ID != a || ef.Node.Attrs.Get("k") != "1" {
+		t.Errorf("merge hit: %+v, want node %d keeping k=1 and 2 attributes added", ef, a)
+	}
+	if ef := tx.MergeNode("Tool", "c", map[string]string{"x": "1"}); !ef.Created || ef.Node.Name != "c" {
+		t.Errorf("merge miss: %+v, want a created node c", ef)
+	}
+	if ef, err := tx.AddEdge(a, "USE", b, map[string]string{"w": "1"}); err != nil || ef.Created || ef.Attrs != 1 || ef.Edge.Attrs.Get("w") != "1" {
+		t.Errorf("edge hit: %+v, %v; want the edge augmented by 1 attribute", ef, err)
+	}
+	for _, val := range []string{"1", "3"} {
+		ef, err := tx.SetAttr(a, "k", val)
+		if want := map[string]int{"1": 0, "3": 1}[val]; err != nil || ef.Attrs != want || ef.Node.Attrs.Get("k") != val {
+			t.Errorf("SET k=%s: %+v, %v; want %d changed and the record holding it", val, ef, err, want)
+		}
+	}
+	before, n := saveBytesOf(t, s), len(tx.walBuf)
+	var attached *AttachedError
+	if _, err := tx.DeleteNode(a, false); !errors.As(err, &attached) || attached.Edges != 2 {
+		t.Errorf("delete without detach: %v, want an *AttachedError counting 2 edges (the self-loop once)", err)
+	}
+	if !bytes.Equal(saveBytesOf(t, s), before) || len(tx.walBuf) != n {
+		t.Error("a refused delete changed the store or buffered a mutation")
+	}
+	if ef, err := tx.DeleteNode(a, true); err != nil || ef.Edges != 2 {
+		t.Errorf("detach delete: %+v, %v; want 2 edges deleted", ef, err)
+	}
+	for _, err := range []error{
+		func() error { _, err := tx.SetAttr(a, "k", "4"); return err }(),
+		func() error { _, err := tx.DeleteNode(a, true); return err }(),
+		func() error { _, err := tx.AddEdge(b, "USE", a, nil); return err }(),
+		tx.DeleteEdge(1),
+		tx.MigrateEdges(a, b),
+	} {
+		if !errors.Is(err, ErrGone) {
+			t.Errorf("write naming a deleted target: %v, want ErrGone", err)
+		}
+	}
+	if len(logged) != 0 {
+		t.Errorf("an open transaction reached the hook: %v", logged)
+	}
+}
+
+// TestTxMethodSet pins a transaction's exported surface: its writes, the
+// one dispatch over them, its view and its end. There is no read of the
+// latest state: every read goes through Snap, and what a write did comes
+// back from the write itself (Effect), so nothing reads behind the view.
+func TestTxMethodSet(t *testing.T) {
+	want := []string{"AddEdge", "Apply", "Commit", "DeleteEdge", "DeleteNode", "MergeNode", "MigrateEdges", "Rollback", "SetAttr", "Snap"}
+	typ := reflect.TypeOf(&Tx{})
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*graph.Tx exports %v, want exactly %v", got, want)
 	}
 }

@@ -128,11 +128,11 @@ func oracleHistory(t *testing.T) *Store {
 	// A committed transaction...
 	tx := s.BeginTx()
 	for i := 0; i < 20; i++ {
-		a, _ := tx.MergeNode("Host", fmt.Sprintf("h-%d", i), map[string]string{"family": "worm", "os": "linux"})
+		a := tx.MergeNode("Host", fmt.Sprintf("h-%d", i), map[string]string{"family": "worm", "os": "linux"}).Node.ID
 		tx.AddEdge(a, "SCANS", ids[i], nil)
 		tx.SetAttr(a, "os", "bsd")
 	}
-	tx.DeleteNode(ids[1])
+	tx.DeleteNode(ids[1], true)
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -144,12 +144,12 @@ func oracleHistory(t *testing.T) *Store {
 	tx = s.BeginTx()
 	var mine []NodeID
 	for i := 0; i < 30; i++ {
-		a, _ := tx.MergeNode("Host", fmt.Sprintf("ghost-%d", i), map[string]string{"family": "rat"})
+		a := tx.MergeNode("Host", fmt.Sprintf("ghost-%d", i), map[string]string{"family": "rat"}).Node.ID
 		tx.AddEdge(a, "SCANS", ids[2+i], map[string]string{"k": "v"})
 		mine = append(mine, a)
 	}
-	tx.DeleteNode(mine[3])
-	tx.DeleteNode(ids[2])
+	tx.DeleteNode(mine[3], true)
+	tx.DeleteNode(ids[2], true)
 	tx.MergeNode(labels[2], "n-2", map[string]string{"family": "reborn"})
 	tx.SetAttr(ids[4], "family", "rolled")
 	tx.MigrateEdges(ids[6], ids[8])

@@ -323,10 +323,10 @@ func TestRollbackGivesSlotsBack(t *testing.T) {
 	malware := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByType("Malware") })
 
 	tx := s.BeginTx()
-	hub, _ := tx.MergeNode("Malware", "hub", map[string]string{"platform": "windows"})
+	hub := tx.MergeNode("Malware", "hub", map[string]string{"platform": "windows"}).Node.ID
 	for i := 0; i < 1000; i++ {
-		id, _ := tx.MergeNode("Malware", fmt.Sprint("ghost-", i), map[string]string{"platform": "windows"})
-		if _, _, err := tx.AddEdge(hub, "DROP", id, nil); err != nil {
+		id := tx.MergeNode("Malware", fmt.Sprint("ghost-", i), map[string]string{"platform": "windows"}).Node.ID
+		if _, err := tx.AddEdge(hub, "DROP", id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -316,7 +316,7 @@ func TestStatsVersionMaterialityThreshold(t *testing.T) {
 		}, 0},
 		{"rollback across the power", 128, false, func(t *testing.T, s *Store, ids []NodeID) {
 			tx := s.BeginTx()
-			if err := tx.DeleteNode(ids[0]); err != nil {
+			if _, err := tx.DeleteNode(ids[0], true); err != nil {
 				t.Fatal(err)
 			}
 			tx.Rollback()

@@ -47,11 +47,11 @@ func TestViewWalksIgnoreOpenTx(t *testing.T) {
 	before := walks()
 
 	tx := s.BeginTx()
-	x, _ := tx.MergeNode("Host", "uncommitted", nil)
-	if _, _, err := tx.AddEdge(x, "SCANS", l[0], nil); err != nil {
+	x := tx.MergeNode("Host", "uncommitted", nil).Node.ID
+	if _, err := tx.AddEdge(x, "SCANS", l[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.DeleteNode(l[2]); err != nil {
+	if _, err := tx.DeleteNode(l[2], true); err != nil {
 		t.Fatal(err)
 	}
 	if got := walks(); got != before {

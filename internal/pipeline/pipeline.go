@@ -20,8 +20,11 @@ type Config struct {
 	ExtractWorkers int // extractor stage (default 4; NLP is the bottleneck)
 	ConnectWorkers int // connector stage (default 2)
 	// Serialize encodes/decodes the intermediate representations between
-	// stages, exactly as a multi-host deployment would. Off by default in
-	//-process; E3 measures the cost.
+	// stages, exactly as a multi-host deployment would: each report
+	// round-trips through JSON three times (after porting, parsing and
+	// extraction). The zero Config leaves it off, but config.Default turns
+	// it on, so skg, skg-server and every System built from the default
+	// configuration pay it; E3 measures the cost.
 	Serialize bool
 	// QueueDepth is the channel buffer between stages (default 64).
 	QueueDepth int

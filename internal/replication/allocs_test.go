@@ -60,7 +60,7 @@ func TestShipAndApplyGroupAllocs(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		tx := ldb.Store().BeginTx()
 		for i := 0; i < rows; i++ {
-			id, _ := tx.MergeNode("IP", fmt.Sprintf("10.%d.%d.%d", round, i/250, i%250), nil)
+			id := tx.MergeNode("IP", fmt.Sprintf("10.%d.%d.%d", round, i/250, i%250), nil).Node.ID
 			tx.SetAttr(id, "last_seen", "2026-01-01T00:00:00Z")
 		}
 		if err := tx.Commit(); err != nil {

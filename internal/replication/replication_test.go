@@ -122,9 +122,8 @@ func (w *writer) step(st *graph.Store) {
 		var created []graph.NodeID
 		for i := 0; i < 2+w.rng.Intn(3); i++ {
 			typ := wTypes[w.rng.Intn(len(wTypes))]
-			id, ok := tx.MergeNode(typ, typ+"-"+w.name(), map[string]string{"round": w.name()})
-			if ok {
-				created = append(created, id)
+			if ef := tx.MergeNode(typ, typ+"-"+w.name(), map[string]string{"round": w.name()}); ef.Created {
+				created = append(created, ef.Node.ID)
 			}
 		}
 		if len(created) >= 2 {

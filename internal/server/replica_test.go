@@ -137,6 +137,13 @@ func TestReplicaMinSeq(t *testing.T) {
 	if rec := serve(s, "POST", "/api/cypher?wait_ms=50", body); rec.Code != 504 {
 		t.Errorf("/api/cypher min_seq 9: status %d, want 504", rec.Code)
 	}
+	// A wait_ms that does not parse is refused, not read as no bound.
+	for _, path := range []string{"/api/stats?min_seq=9&wait_ms=abc", "/api/stats?min_seq=9&wait_ms=50ms"} {
+		rec := serve(s, "GET", path, nil)
+		if rec.Code != 400 || !strings.Contains(errorOf(t, rec)["error"], "wait_ms=") {
+			t.Errorf("%s: status %d body %s, want 400 naming wait_ms", path, rec.Code, rec.Body.String())
+		}
+	}
 
 	// A replica without a Seq callback reports applied 0.
 	base, store, _ := testServer(t)

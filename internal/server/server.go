@@ -397,7 +397,11 @@ func (s *Server) awaitSeq(w http.ResponseWriter, r *http.Request, minSeq uint64)
 	if wait <= 0 {
 		wait = 5 * time.Second
 	}
-	if ms := intParam(r, "wait_ms", 0); ms > 0 && time.Duration(ms)*time.Millisecond < wait {
+	ms, ok := intParam(w, r, "wait_ms", 0)
+	if !ok {
+		return false
+	}
+	if ms > 0 && time.Duration(ms)*time.Millisecond < wait {
 		wait = time.Duration(ms) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
@@ -451,7 +455,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
-	k := intParam(r, "k", 10)
+	k, ok := intParam(w, r, "k", 10)
+	if !ok {
+		return
+	}
 	if k < 1 || k > maxSearchHits {
 		httpErr(w, http.StatusBadRequest, "k=%d is outside 1..%d hits per search", k, maxSearchHits)
 		return
@@ -744,8 +751,14 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusNotFound, "node %d not found", id)
 		return
 	}
-	depth := intParam(r, "depth", 1)
-	maxNb := intParam(r, "neighbors", 25)
+	depth, ok := intParam(w, r, "depth", 1)
+	if !ok {
+		return
+	}
+	maxNb, ok := intParam(w, r, "neighbors", 25)
+	if !ok {
+		return
+	}
 	maxNodes, ok := viewSizeParam(w, r, "nodes", 100)
 	if !ok {
 		return
@@ -790,12 +803,15 @@ func (s *Server) handleRandom(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	seed := int64(intParam(r, "seed", 1))
+	seed, ok := intParam(w, r, "seed", 1)
+	if !ok {
+		return
+	}
 	sn := s.store.Snapshot()
 	defer sn.Release()
-	sg := sn.RandomSubgraph(seed, n)
+	sg := sn.RandomSubgraph(int64(seed), n)
 	sn.Release()
-	vg := Layout(sg, seed)
+	vg := Layout(sg, int64(seed))
 	s.pushHistory(vg)
 	writeView(w, vg)
 }
@@ -824,24 +840,29 @@ const maxSearchHits = 1000
 // viewSizeParam reads a view-size parameter like intParam and answers 400
 // when it asks for more than maxViewNodes.
 func viewSizeParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
-	n := intParam(r, name, def)
-	if n > maxViewNodes {
+	n, ok := intParam(w, r, name, def)
+	if ok && n > maxViewNodes {
 		httpErr(w, http.StatusBadRequest, "%s=%d exceeds the limit of %d nodes per view", name, n, maxViewNodes)
 		return 0, false
 	}
-	return n, true
+	return n, ok
 }
 
-func intParam(r *http.Request, name string, def int) int {
+// intParam reads an integer query parameter: def when it is absent, and a
+// 400 naming the parameter when it does not parse — a default in place of
+// what the client asked for would answer a question it did not ask.
+// Returns false when the response has been written.
+func intParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
 	v := r.URL.Query().Get(name)
 	if v == "" {
-		return def
+		return def, true
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return def
+		httpErr(w, http.StatusBadRequest, "%s=%s is not an integer", name, v)
+		return 0, false
 	}
-	return n
+	return n, true
 }
 
 func nodeIDParam(r *http.Request, name string) (graph.NodeID, error) {

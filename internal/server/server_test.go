@@ -247,16 +247,24 @@ func TestRandomAndBackEndpoints(t *testing.T) {
 
 func TestViewSizeLimit(t *testing.T) {
 	s, _, wc := testServer(t)
-	for _, path := range []string{
-		fmt.Sprintf("/api/expand?id=%d&nodes=%d", wc, maxViewNodes+1),
-		fmt.Sprintf("/api/random?n=%d", maxViewNodes+1),
-		"/api/random?n=100000",
+	limit := fmt.Sprintf("exceeds the limit of %d nodes", maxViewNodes)
+	for _, tc := range []struct{ path, want string }{
+		{fmt.Sprintf("/api/expand?id=%d&nodes=%d", wc, maxViewNodes+1), limit},
+		{fmt.Sprintf("/api/random?n=%d", maxViewNodes+1), limit},
+		{"/api/random?n=100000", limit},
+		// A view parameter that does not parse is refused, not read as
+		// its default.
+		{fmt.Sprintf("/api/expand?id=%d&nodes=many", wc), "nodes=many is not an integer"},
+		{fmt.Sprintf("/api/expand?id=%d&depth=2x", wc), "depth=2x is not an integer"},
+		{fmt.Sprintf("/api/expand?id=%d&neighbors=1.5", wc), "neighbors=1.5 is not an integer"},
+		{"/api/random?n=abc", "n=abc is not an integer"},
+		{"/api/random?seed=0x1", "seed=0x1 is not an integer"},
 	} {
-		res := get(t, s, path, nil)
+		res := get(t, s, tc.path, nil)
 		var body struct{ Error string }
 		json.NewDecoder(res.Body).Decode(&body)
-		if res.StatusCode != 400 || !strings.Contains(body.Error, fmt.Sprint(maxViewNodes)) {
-			t.Errorf("%s: status %d, error %q; want 400 naming the %d-node limit", path, res.StatusCode, body.Error, maxViewNodes)
+		if res.StatusCode != 400 || !strings.Contains(body.Error, tc.want) {
+			t.Errorf("%s: status %d, error %q; want 400 with %q", tc.path, res.StatusCode, body.Error, tc.want)
 		}
 	}
 	// At the limit both endpoints still answer.
@@ -273,13 +281,21 @@ func TestViewSizeLimit(t *testing.T) {
 
 func TestSearchSizeLimit(t *testing.T) {
 	s, _, _ := testServer(t)
-	for _, k := range []int{0, -1, maxSearchHits + 1} {
-		path := fmt.Sprintf("/api/search?q=wannacry&k=%d", k)
+	limit := fmt.Sprintf("is outside 1..%d hits", maxSearchHits)
+	for _, tc := range []struct{ k, want string }{
+		{"0", limit},
+		{"-1", limit},
+		{fmt.Sprint(maxSearchHits + 1), limit},
+		// A k that does not parse is refused too, not read as the default.
+		{"abc", "k=abc is not an integer"},
+		{"10x", "k=10x is not an integer"},
+	} {
+		path := "/api/search?q=wannacry&k=" + tc.k
 		res := get(t, s, path, nil)
 		var body struct{ Error string }
 		json.NewDecoder(res.Body).Decode(&body)
-		if res.StatusCode != 400 || !strings.Contains(body.Error, fmt.Sprint(maxSearchHits)) {
-			t.Errorf("%s: status %d, error %q; want 400 naming the %d-hit limit", path, res.StatusCode, body.Error, maxSearchHits)
+		if res.StatusCode != 400 || !strings.Contains(body.Error, tc.want) {
+			t.Errorf("%s: status %d, error %q; want 400 with %q", path, res.StatusCode, body.Error, tc.want)
 		}
 	}
 	// At the limit the endpoint still answers.

@@ -61,11 +61,11 @@ func TestViewEndpointsIgnoreOpenTx(t *testing.T) {
 	}
 
 	tx := store.BeginTx()
-	x, _ := tx.MergeNode("Host", "uncommitted", nil)
-	if _, _, err := tx.AddEdge(x, "SCANS", wc, nil); err != nil {
+	x := tx.MergeNode("Host", "uncommitted", nil).Node.ID
+	if _, err := tx.AddEdge(x, "SCANS", wc, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.DeleteNode(ip.ID); err != nil {
+	if _, err := tx.DeleteNode(ip.ID, true); err != nil {
 		t.Fatal(err)
 	}
 	if code, b := body(t, s, fmt.Sprintf("/api/node?id=%d", x)); code != 404 {

@@ -34,7 +34,7 @@ func commitGroup(t testing.TB, st *graph.Store, id graph.NodeID, n int, tag stri
 	t.Helper()
 	tx := st.BeginTx()
 	for i := 0; i < n; i++ {
-		if err := tx.SetAttr(id, "k"+string(rune('a'+i%26)), tag+"-"+string(rune('0'+i%10))+strings.Repeat("x", i/260)); err != nil {
+		if _, err := tx.SetAttr(id, "k"+string(rune('a'+i%26)), tag+"-"+string(rune('0'+i%10))+strings.Repeat("x", i/260)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -46,7 +46,7 @@ func oracleHistory(t *testing.T, db *DB) {
 	for round := 0; round < 5; round++ {
 		tx := db.Store().BeginTx()
 		for i := 0; i < 20; i++ {
-			g.step(tx)
+			g.step(txWrites{tx})
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)

@@ -37,6 +37,36 @@ type mutStore interface {
 	MigrateEdges(from, to graph.NodeID) error
 }
 
+// txWrites gives an open transaction the bare store's write signatures,
+// dropping each write's effect as the bare writes do.
+type txWrites struct{ tx *graph.Tx }
+
+func (w txWrites) MergeNode(typ, name string, attrs map[string]string) (graph.NodeID, bool) {
+	ef := w.tx.MergeNode(typ, name, attrs)
+	return ef.Node.ID, ef.Created
+}
+
+func (w txWrites) AddEdge(from graph.NodeID, typ string, to graph.NodeID, attrs map[string]string) (graph.EdgeID, bool, error) {
+	ef, err := w.tx.AddEdge(from, typ, to, attrs)
+	if err != nil {
+		return 0, false, err
+	}
+	return ef.Edge.ID, ef.Created, nil
+}
+
+func (w txWrites) SetAttr(id graph.NodeID, key, val string) error {
+	_, err := w.tx.SetAttr(id, key, val)
+	return err
+}
+
+func (w txWrites) DeleteNode(id graph.NodeID) error {
+	_, err := w.tx.DeleteNode(id, true)
+	return err
+}
+
+func (w txWrites) DeleteEdge(id graph.EdgeID) error         { return w.tx.DeleteEdge(id) }
+func (w txWrites) MigrateEdges(from, to graph.NodeID) error { return w.tx.MigrateEdges(from, to) }
+
 // step applies one random operation to st. Operations are chosen so the
 // store keeps growing (deletes are rarer than creates) and so every
 // mutation op appears.

@@ -55,7 +55,7 @@ func (tg *txMutGen) batch(st *graph.Store) {
 		n = 3000
 	}
 	for i := 0; i < n; i++ {
-		tg.g.step(tx)
+		tg.g.step(txWrites{tx})
 	}
 	if rollback {
 		tx.Rollback()
