@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-extract bench-scan bench-heap profile-scan bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes loc
+.PHONY: build test vet bench bench-extract bench-scan bench-heap profile-scan profile-extract bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes loc
 
 build:
 	$(GO) build ./...
@@ -165,6 +165,18 @@ profile-scan:
 	$(GO) test -run '^$$' -bench 'CypherScanClasses' -benchtime 200x -cpu 2 -o .bench_build/scan.test -cpuprofile .bench_build/scan.prof .
 	$(GO) tool pprof -top -nodecount=25 .bench_build/scan.test .bench_build/scan.prof
 	$(GO) tool pprof -peek 'runtime.duffcopy$$|runtime.duffzero$$' .bench_build/scan.test .bench_build/scan.prof
+
+# profile-extract writes a CPU profile of BenchmarkNERExtract (10000
+# Extract calls on one report, -cpu 2) and its test binary to the
+# git-ignored .bench_build/, as profile-scan does, then prints the top
+# functions and the CRF decoder's methods with their callers and callees:
+# Decoder.Add near the top means tokens are resolved by feature string
+# again instead of by the ids their values resolve to.
+profile-extract:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'NERExtract$$' -benchtime 10000x -cpu 2 -o .bench_build/extract.test -cpuprofile .bench_build/extract.prof .
+	$(GO) tool pprof -top -nodecount=25 .bench_build/extract.test .bench_build/extract.prof
+	$(GO) tool pprof -peek 'crf.\(\*Decoder\)' .bench_build/extract.test .bench_build/extract.prof
 
 # bench-ledger runs the performance ledger (bench/README.md): four
 # workloads, end-to-end and per-layer metrics, untraced then traced.

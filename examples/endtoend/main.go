@@ -56,7 +56,7 @@ func main() {
 				pipeline.RelationExtractor{NER: ext},
 			},
 			Connectors: []connector.Connector{connector.NewGraphConnector(store, idx)},
-			Cfg:        pipeline.Config{ExtractWorkers: 4, Serialize: true},
+			Cfg:        pipeline.Config{ExtractWorkers: 4},
 		}
 	}
 

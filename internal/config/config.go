@@ -31,7 +31,7 @@ type Config struct {
 		ParseWorkers   int  `json:"parse_workers"`
 		ExtractWorkers int  `json:"extract_workers"`
 		ConnectWorkers int  `json:"connect_workers"`
-		Serialize      bool `json:"serialize"`
+		Serialize      bool `json:"serialize"` // JSON hand-off between stages; see pipeline.Config
 	} `json:"pipeline"`
 
 	NER struct {
@@ -60,7 +60,6 @@ func Default() Config {
 	c.Crawler.Workers = 8
 	c.Crawler.MaxRetries = 3
 	c.Pipeline.ExtractWorkers = 4
-	c.Pipeline.Serialize = true
 	c.NER.Strategy = "labelmodel"
 	c.NER.Epochs = 5
 	c.NER.TrainDocs = 120

@@ -21,7 +21,7 @@ func TestParseOverridesDefaults(t *testing.T) {
 		"seed": 7,
 		"reports_per_source": 5,
 		"sources": ["acme-encyclopedia"],
-		"pipeline": {"extract_workers": 8, "serialize": false},
+		"pipeline": {"extract_workers": 8, "serialize": true},
 		"ner": {"strategy": "majority", "epochs": 2, "train_docs": 30},
 		"connectors": ["graph", "log"],
 		"fusion": {"enabled": false}
@@ -32,7 +32,7 @@ func TestParseOverridesDefaults(t *testing.T) {
 	if c.Seed != 7 || c.ReportsPerSource != 5 {
 		t.Errorf("scalar overrides: %+v", c)
 	}
-	if c.Pipeline.ExtractWorkers != 8 || c.Pipeline.Serialize {
+	if c.Pipeline.ExtractWorkers != 8 || !c.Pipeline.Serialize {
 		t.Errorf("pipeline overrides: %+v", c.Pipeline)
 	}
 	if c.NER.Strategy != "majority" || c.NER.Epochs != 2 {

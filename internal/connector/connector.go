@@ -96,15 +96,19 @@ func RebuildIndex(store *graph.Store) *search.Index {
 	return idx
 }
 
-// connectTx writes the report's nodes and edges through tx.
+// connectTx writes the report's nodes and edges through tx. A report's
+// strings are substrings of its fetched page and its protected text, so
+// every name and attribute value the graph may keep is a copy: a node must
+// not keep a whole page alive.
 func connectTx(tx *graph.Tx, c *ctirep.CTIRep) error {
+	reportID := strings.Clone(c.ReportID)
 	repEnt := c.ReportEntity()
-	repID := tx.MergeNode(string(repEnt.Type), repEnt.Name, repEnt.Attrs).Node.ID
+	repID := tx.MergeNode(string(repEnt.Type), strings.Clone(repEnt.Name), cloneValues(nil, repEnt.Attrs)).Node.ID
 
 	if c.Vendor != "" {
-		vID := tx.MergeNode(string(ontology.TypeCTIVendor), c.Vendor, nil).Node.ID
+		vID := tx.MergeNode(string(ontology.TypeCTIVendor), strings.Clone(c.Vendor), nil).Node.ID
 		if _, err := tx.AddEdge(repID, string(ontology.RelReportedBy), vID,
-			map[string]string{"report_id": c.ReportID}); err != nil {
+			map[string]string{"report_id": reportID}); err != nil {
 			return err
 		}
 	}
@@ -112,17 +116,14 @@ func connectTx(tx *graph.Tx, c *ctirep.CTIRep) error {
 		if err := e.Validate(); err != nil {
 			continue // skip malformed extractions, never poison the graph
 		}
-		attrs := map[string]string{"first_report": c.ReportID}
-		for k, v := range e.Attrs {
-			attrs[k] = v
-		}
-		eID := tx.MergeNode(string(e.Type), e.Name, attrs).Node.ID
+		attrs := cloneValues(map[string]string{"first_report": reportID}, e.Attrs)
+		eID := tx.MergeNode(string(e.Type), strings.Clone(e.Name), attrs).Node.ID
 		rel := ontology.RelMentions
 		if ontology.IsThreatConcept(e.Type) {
 			rel = ontology.RelDescribes
 		}
 		if _, err := tx.AddEdge(repID, string(rel), eID,
-			map[string]string{"report_id": c.ReportID}); err != nil {
+			map[string]string{"report_id": reportID}); err != nil {
 			return err
 		}
 	}
@@ -130,17 +131,26 @@ func connectTx(tx *graph.Tx, c *ctirep.CTIRep) error {
 		if err := r.Validate(); err != nil {
 			continue
 		}
-		sID := tx.MergeNode(string(r.Src.Type), r.Src.Name, nil).Node.ID
-		dID := tx.MergeNode(string(r.Dst.Type), r.Dst.Name, nil).Node.ID
-		attrs := map[string]string{"report_id": c.ReportID}
-		for k, v := range r.Attrs {
-			attrs[k] = v
-		}
+		sID := tx.MergeNode(string(r.Src.Type), strings.Clone(r.Src.Name), nil).Node.ID
+		dID := tx.MergeNode(string(r.Dst.Type), strings.Clone(r.Dst.Name), nil).Node.ID
+		attrs := cloneValues(map[string]string{"report_id": reportID}, r.Attrs)
 		if _, err := tx.AddEdge(sID, string(r.Type), dID, attrs); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// cloneValues adds src to dst (a new map when dst is nil) with every value
+// copied, and returns dst.
+func cloneValues(dst, src map[string]string) map[string]string {
+	if dst == nil {
+		dst = make(map[string]string, len(src))
+	}
+	for k, v := range src {
+		dst[k] = strings.Clone(v)
+	}
+	return dst
 }
 
 // --- log connector ---

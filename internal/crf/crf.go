@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"math/rand"
 	"sort"
@@ -59,6 +60,24 @@ func (m *Model) finish() *Model {
 		}
 	}
 	return m
+}
+
+// FeatureID returns the id of feature f, if the model knows it.
+func (m *Model) FeatureID(f string) (int32, bool) {
+	id, ok := m.featIdx[f]
+	return id, ok
+}
+
+// Features yields every feature the model knows with its id, in no
+// particular order.
+func (m *Model) Features() iter.Seq2[string, int32] {
+	return func(yield func(string, int32) bool) {
+		for f, id := range m.featIdx {
+			if !yield(f, id) {
+				return
+			}
+		}
+	}
 }
 
 // Labels returns the model's label set in index order.
@@ -333,9 +352,9 @@ func (m *Model) forwardBackward(scores, alpha, beta, acc []float64) float64 {
 
 // Decoder resolves the features of one sentence at a time against its
 // model and decodes them, reusing its buffers from sentence to sentence.
-// A sentence is Reset, then Add for each feature of a position and Next to
-// close the position, then Viterbi. A Decoder is not safe for concurrent
-// use; the model it reads is.
+// A sentence is Reset, then Add (or AddIDs) for the features of a
+// position and Next to close the position, then Viterbi. A Decoder is not
+// safe for concurrent use; the model it reads is.
 type Decoder struct {
 	m      *Model
 	key    []byte
@@ -360,6 +379,10 @@ func (d *Decoder) Add(template, value string) {
 		d.r.ids = append(d.r.ids, id)
 	}
 }
+
+// AddIDs adds features by the ids FeatureID or Features gave for them to
+// the current position.
+func (d *Decoder) AddIDs(ids ...int32) { d.r.ids = append(d.r.ids, ids...) }
 
 // Next closes the current position.
 func (d *Decoder) Next() { d.r.off = append(d.r.off, int32(len(d.r.ids))) }

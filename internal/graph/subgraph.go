@@ -31,16 +31,10 @@ func (s *Store) ExpandFrom(seeds []NodeID, maxDepth, maxNeighbors, maxNodes int)
 
 // ExpandFrom performs a breadth-first expansion from the seed nodes,
 // visiting at most maxNeighbors neighbors per node and maxNodes nodes in
-// total, up to maxDepth hops. It returns the induced subgraph (all edges
-// of the snapshot connecting two included nodes). This backs the UI's
-// double-click node-expansion behaviour.
+// total, up to maxDepth hops; the seeds are always included. It returns
+// the induced subgraph (all edges of the snapshot connecting two included
+// nodes). This backs the UI's double-click node-expansion behaviour.
 func (sn *Snap) ExpandFrom(seeds []NodeID, maxDepth, maxNeighbors, maxNodes int) *Subgraph {
-	if maxNodes <= 0 {
-		maxNodes = 100
-	}
-	if maxNeighbors <= 0 {
-		maxNeighbors = 25
-	}
 	included := make(map[NodeID]bool)
 	var order []NodeID
 	queue := make([]NodeID, 0, len(seeds))

@@ -13,9 +13,10 @@ import (
 
 // The extractor's one NLP pass: protect the IOCs of a text, split the
 // protected text into sentences, and for each sentence annotate, tag with
-// the gazetteer and decode with the CRF. Everything the extractor returns
-// — entity lists, token spans, relations — is read off the resulting
-// document; nothing else runs the models.
+// the gazetteer, resolve each token's feature ids once and decode with
+// the CRF. Everything the extractor returns — entity lists, token spans,
+// relations — is read off the resulting document; nothing else runs the
+// models.
 
 // bioLabel is a CRF label taken apart: 'B' or 'I' and the class it opens
 // or continues, or kind 0 for O and anything else.
@@ -60,11 +61,12 @@ type document struct {
 type analyzer struct {
 	e    *Extractor
 	dec  *crf.Decoder
+	sink idSink
 	memo map[string]*sentence
 }
 
 func (e *Extractor) newAnalyzer() *analyzer {
-	return &analyzer{e: e, dec: e.model.NewDecoder()}
+	return &analyzer{e: e, dec: e.model.NewDecoder(), sink: idSink{fi: e.feats}}
 }
 
 func (a *analyzer) document(prot *ioc.Protection) document {
@@ -77,8 +79,11 @@ func (a *analyzer) document(prot *ioc.Protection) document {
 				continue
 			}
 			a.dec.Reset()
+			a.sink.tokens = a.e.feats.resolve(&st, a.sink.tokens)
 			for i := range st.toks {
-				st.emit(i, a.e.clusters, a.dec)
+				a.sink.ids = a.sink.ids[:0]
+				st.emit(i, &a.sink)
+				a.dec.AddIDs(a.sink.ids...)
 				a.dec.Next()
 			}
 			sent = &sentence{

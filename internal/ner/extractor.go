@@ -21,10 +21,10 @@ type Entity struct {
 // Extractor is the trained NER pipeline: IOC protection + gazetteer
 // features + CRF decoding, with IOC regex recognition alongside.
 type Extractor struct {
-	model    *crf.Model
-	labels   []bioLabel // the model's labels, by label index
-	lookup   *gazetteer.Lookup
-	clusters map[string]int
+	model  *crf.Model
+	labels []bioLabel // the model's labels, by label index
+	lookup *gazetteer.Lookup
+	feats  *featureIDs
 }
 
 // TrainOptions configure NER training.
@@ -91,7 +91,7 @@ func Train(texts []string, opts TrainOptions) (*Extractor, error) {
 }
 
 func newExtractor(m *crf.Model, lookup *gazetteer.Lookup, clusters map[string]int) *Extractor {
-	return &Extractor{model: m, labels: parseLabels(m.Labels()), lookup: lookup, clusters: clusters}
+	return &Extractor{model: m, labels: parseLabels(m.Labels()), lookup: lookup, feats: newFeatureIDs(m, clusters)}
 }
 
 // NewFromModel wraps a pre-trained CRF model into an extractor.

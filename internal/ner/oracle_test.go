@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,8 +50,9 @@ func hashClusters(texts []string) map[string]int {
 }
 
 // oracleSetup trains an extractor with hash clusters on 40 reports and
-// returns it with 48 held-out reports, whose words the clusters cover too.
-func oracleSetup(t testing.TB) (*Extractor, []*sources.Truth) {
+// returns it with the clusters and 48 held-out reports, whose words the
+// clusters cover too.
+func oracleSetup(t testing.TB) (*Extractor, map[string]int, []*sources.Truth) {
 	t.Helper()
 	train := oracleReports(3, 40, 0)
 	test := oracleReports(3, 48, 40/40+3)
@@ -63,7 +65,7 @@ func oracleSetup(t testing.TB) (*Extractor, []*sources.Truth) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ext, test
+	return ext, clusters, test
 }
 
 // extractLines prints, one line each, what Extract, ExtractRelations and
@@ -96,7 +98,7 @@ func extractLines(t testing.TB, ext *Extractor, docs []*sources.Truth) []string 
 // extractor finds.
 func TestExtractMatchesParent(t *testing.T) {
 	const path = "testdata/extract_parent.txt"
-	ext, docs := oracleSetup(t)
+	ext, _, docs := oracleSetup(t)
 	got := extractLines(t, ext, docs)
 	if *updateOracle {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -127,6 +129,53 @@ func TestExtractMatchesParent(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("line %d:\n got %s\nwant %s", i+1, got[i], want[i])
+		}
+	}
+}
+
+// TestFeatureIDsMatchFeatureStrings holds the ids a sentence is decoded
+// from to the ids of the feature strings it is trained on, token by token,
+// on documents of a web neither extractor was trained on: with embedding
+// clusters and without.
+func TestFeatureIDsMatchFeatureStrings(t *testing.T) {
+	withClusters, hashed, _ := oracleSetup(t)
+	extractors := map[string]*Extractor{"clusters": withClusters, "plain": webExtractor(t)}
+	clusters := map[string]map[string]int{"clusters": hashed, "plain": nil}
+	web := sources.NewWeb(99, sources.DefaultSources(4))
+	for name, ext := range extractors {
+		sentences, withEmb := 0, 0
+		for _, spec := range web.Sources() {
+			for i := 0; i < spec.Reports; i++ {
+				prot := ioc.Protect(strings.Join(web.GenerateTruth(spec, i).Paragraphs, "\n"))
+				for _, s := range textproc.SplitSentences(prot.Protected) {
+					st := prepareSentence(s.Text, prot, ext.lookup)
+					sink := idSink{fi: ext.feats, tokens: ext.feats.resolve(&st, nil)}
+					for i := range st.toks {
+						fs := featureStrings{st: &st, clusters: clusters[name]}
+						st.emit(i, &fs)
+						var want []int32
+						for _, f := range fs.out {
+							if id, ok := ext.model.FeatureID(f); ok {
+								want = append(want, id)
+							}
+							if strings.HasPrefix(f, "emb=") {
+								withEmb++
+							}
+						}
+						sink.ids = sink.ids[:0]
+						st.emit(i, &sink)
+						if !slices.Equal(sink.ids, want) {
+							t.Fatalf("%s: sentence %q token %d: ids %v, feature strings %v give %v",
+								name, s.Text, i, sink.ids, fs.out, want)
+						}
+					}
+					sentences++
+				}
+			}
+		}
+		t.Logf("%s: %d sentences, %d emb= features", name, sentences, withEmb)
+		if (withEmb > 0) != (name == "clusters") {
+			t.Errorf("%s: %d emb= features", name, withEmb)
 		}
 	}
 }

@@ -22,9 +22,11 @@ type Config struct {
 	// Serialize encodes/decodes the intermediate representations between
 	// stages, exactly as a multi-host deployment would: each report
 	// round-trips through JSON three times (after porting, parsing and
-	// extraction). The zero Config leaves it off, but config.Default turns
-	// it on, so skg, skg-server and every System built from the default
-	// configuration pay it; E3 measures the cost.
+	// extraction). It is off by default, in config.Default too: stages in
+	// one process hand reports over as Go values, and
+	// TestSerializationToggleEquivalence proves the hand-off loses nothing
+	// the round trip keeps. It stays as E3's knob, which measures what the
+	// round trips cost.
 	Serialize bool
 	// QueueDepth is the channel buffer between stages (default 64).
 	QueueDepth int
@@ -302,7 +304,7 @@ func (p *Pipeline) Run(ctx context.Context, files <-chan ctirep.RawFile) (Stats,
 }
 
 // reserializeRep round-trips the report rep through its wire format when
-// Serialize is on, proving stage decoupling.
+// Serialize is on, as a hand-off between hosts would.
 func (p *Pipeline) reserializeRep(rep *ctirep.ReportRep) (*ctirep.ReportRep, error) {
 	if !p.Cfg.Serialize {
 		return rep, nil

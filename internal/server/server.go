@@ -751,11 +751,11 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusNotFound, "node %d not found", id)
 		return
 	}
-	depth, ok := intParam(w, r, "depth", 1)
+	depth, ok := intParamFrom(w, r, "depth", 1, 0)
 	if !ok {
 		return
 	}
-	maxNb, ok := intParam(w, r, "neighbors", 25)
+	maxNb, ok := intParamFrom(w, r, "neighbors", 25, 1)
 	if !ok {
 		return
 	}
@@ -838,11 +838,22 @@ const maxViewNodes = 1000
 const maxSearchHits = 1000
 
 // viewSizeParam reads a view-size parameter like intParam and answers 400
-// when it asks for more than maxViewNodes.
+// when it is outside 1..maxViewNodes.
 func viewSizeParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
-	n, ok := intParam(w, r, name, def)
+	n, ok := intParamFrom(w, r, name, def, 1)
 	if ok && n > maxViewNodes {
 		httpErr(w, http.StatusBadRequest, "%s=%d exceeds the limit of %d nodes per view", name, n, maxViewNodes)
+		return 0, false
+	}
+	return n, ok
+}
+
+// intParamFrom reads an integer parameter like intParam and answers 400
+// when it is below min.
+func intParamFrom(w http.ResponseWriter, r *http.Request, name string, def, min int) (int, bool) {
+	n, ok := intParam(w, r, name, def)
+	if ok && n < min {
+		httpErr(w, http.StatusBadRequest, "%s=%d is below %d", name, n, min)
 		return 0, false
 	}
 	return n, ok

@@ -252,6 +252,15 @@ func TestViewSizeLimit(t *testing.T) {
 		{fmt.Sprintf("/api/expand?id=%d&nodes=%d", wc, maxViewNodes+1), limit},
 		{fmt.Sprintf("/api/random?n=%d", maxViewNodes+1), limit},
 		{"/api/random?n=100000", limit},
+		// Sizes below the range are refused too, not read as a default
+		// or an empty view.
+		{fmt.Sprintf("/api/expand?id=%d&nodes=0", wc), "nodes=0 is below 1"},
+		{fmt.Sprintf("/api/expand?id=%d&nodes=-5", wc), "nodes=-5 is below 1"},
+		{"/api/random?n=0", "n=0 is below 1"},
+		{"/api/random?n=-1", "n=-1 is below 1"},
+		{fmt.Sprintf("/api/expand?id=%d&neighbors=0", wc), "neighbors=0 is below 1"},
+		{fmt.Sprintf("/api/expand?id=%d&neighbors=-3", wc), "neighbors=-3 is below 1"},
+		{fmt.Sprintf("/api/expand?id=%d&depth=-1", wc), "depth=-1 is below 0"},
 		// A view parameter that does not parse is refused, not read as
 		// its default.
 		{fmt.Sprintf("/api/expand?id=%d&nodes=many", wc), "nodes=many is not an integer"},
@@ -275,6 +284,18 @@ func TestViewSizeLimit(t *testing.T) {
 		var vg ViewGraph
 		if res := get(t, s, path, &vg); res.StatusCode != 200 || len(vg.Nodes) != 4 {
 			t.Errorf("%s: status %d, %d nodes; want 200 and the test graph's 4", path, res.StatusCode, len(vg.Nodes))
+		}
+	}
+	// So do the smallest sizes an expand takes.
+	for path, nodes := range map[string]int{
+		fmt.Sprintf("/api/expand?id=%d&depth=0", wc):             1,
+		fmt.Sprintf("/api/expand?id=%d&nodes=1", wc):             1,
+		fmt.Sprintf("/api/expand?id=%d&neighbors=1&depth=1", wc): 2,
+		"/api/random?n=1": 1,
+	} {
+		var vg ViewGraph
+		if res := get(t, s, path, &vg); res.StatusCode != 200 || len(vg.Nodes) != nodes {
+			t.Errorf("%s: status %d, %d nodes; want 200 and %d", path, res.StatusCode, len(vg.Nodes), nodes)
 		}
 	}
 }

@@ -151,7 +151,8 @@ func TestViewBodiesMatchParent(t *testing.T) {
 		{"/api/random?n=5&seed=1", "200 53be84bf0683c30f254b5061e34c97d0b08ffdb77e433eb584ff99f90dd28a5c"},
 		{"/api/random?n=12&seed=42", "200 be914c046d8b88dfa20d77aaa138528bddbeefd520f9021ddd8817673b30be20"},
 		{"/api/random?n=100&seed=7", "200 bb922d942d12bb3c0bf32514763345eb6a8fb5ae795f283e66f54404af73883b"},
-		{"/api/random?n=0", "200 b10fc962483f9c4cc92a2dcd973bcb5b89709e9439c92e89f7c450808861f44f"},
+		// n=0 answered an empty view until sizes below 1 were refused.
+		{"/api/random?n=0", "400 5055d6fd4a037cbd75b5bf997d245f210c81cc8a4424f58dda1d86e7cab0a073"},
 		{"/api/random?n=1001", "400 20d50470b200a8566415be752ee2a2bb786da452ae109685318970b266770ed0"},
 	} {
 		code, b := body(t, s, c.path)
