@@ -310,7 +310,7 @@ type featureStrings struct {
 }
 
 func (f *featureStrings) Add(t template, j int) {
-	tp := templates[t]
+	tp := &templates[t]
 	v := f.st.value(tp.fam, j)
 	if tp.fam == famEmb {
 		cl, ok := f.clusters[v]
