@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -272,5 +273,46 @@ func TestSystemWithEmbeddingFeatures(t *testing.T) {
 	}
 	if sys.Store.Stats().Nodes == 0 {
 		t.Error("embedding-featured system produced empty graph")
+	}
+}
+
+// TestIngestMatchesParent holds what New + Ingest store to the graph an
+// earlier build stored: the SHA-256 of graph.Save for a small default
+// configuration, with and without embedding-cluster features. Training is
+// seeded, so the extractor, and with it every byte of the graph, must not
+// depend on when the system builds it.
+func TestIngestMatchesParent(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		embeddings bool
+		want       string
+	}{
+		{"default", false, "86e4be018ec01a8e829137a698cdf4b8d8d6acf36d14e3361930483f2550d49a"},
+		{"embeddings", true, "a12404e0365323a3d2c57b0bdfa6df9bca0acadba9d71a5af50f9f2cdc708f0c"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.ReportsPerSource = 2
+			cfg.NER.TrainDocs = 40
+			cfg.NER.Epochs = 3
+			cfg.NER.Embeddings = tc.embeddings
+			// One worker per stage stores reports in crawl order, so the
+			// node and edge ids, and with them the bytes, repeat.
+			cfg.Crawler.Workers = 1
+			cfg.Pipeline.CheckWorkers = 1
+			cfg.Pipeline.ParseWorkers = 1
+			cfg.Pipeline.ExtractWorkers = 1
+			cfg.Pipeline.ConnectWorkers = 1
+			sys, err := New(Options{Config: &cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Ingest(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", saveHash(t, sys.Store)); got != tc.want {
+				t.Errorf("graph.Save SHA-256 %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
