@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"securitykg/internal/config"
 	"securitykg/internal/crawler"
 	"securitykg/internal/ctirep"
 	"securitykg/internal/cypher"
@@ -76,29 +77,58 @@ func BenchmarkEndToEndIngest(b *testing.B) {
 
 // --- E3: pipeline worker scaling ---
 
+// BenchmarkPipelineWorkers times Pipeline.Run alone. The extractor is
+// trained and the sources crawled once, before any arm; every iteration
+// runs the same files into a fresh store with the arm's extract workers
+// and hand-off.
 func BenchmarkPipelineWorkers(b *testing.B) {
-	specs := sources.DefaultSources(4)[:8]
-	web := sources.NewWeb(3, specs)
-	var texts []string
-	for _, spec := range specs {
-		for i := 0; i < 4; i++ {
-			texts = append(texts, strings.Join(web.GenerateTruth(spec, i).Paragraphs, "\n"))
-		}
+	cfg := config.Default()
+	cfg.Seed = 3
+	cfg.ReportsPerSource = 4
+	cfg.NER.TrainDocs = 32
+	cfg.NER.Epochs = 3
+	for _, spec := range sources.DefaultSources(4)[:8] {
+		cfg.Sources = append(cfg.Sources, spec.Slug)
 	}
-	ext, err := ner.Train(texts, ner.TrainOptions{Epochs: 3, Seed: 1})
+	sys, err := New(Options{Config: &cfg})
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = ext
+	var mu sync.Mutex
+	var files []ctirep.RawFile
+	if err := sys.frame.RunOnce(context.Background(), func(rf ctirep.RawFile) {
+		mu.Lock()
+		files = append(files, rf)
+		mu.Unlock()
+	}); err != nil {
+		b.Fatal(err)
+	}
+	// The first pipeline trains the extractor; every later one reuses it.
+	if _, err := sys.buildPipeline(); err != nil {
+		b.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
 		for _, serialize := range []bool{false, true} {
 			b.Run(fmt.Sprintf("workers=%d/serialize=%v", workers, serialize), func(b *testing.B) {
+				sys.cfg.Pipeline.ExtractWorkers = workers
+				sys.cfg.Pipeline.Serialize = serialize
 				for i := 0; i < b.N; i++ {
-					tab, err := experiments.PipelineWorkers(2, []int{workers}, int64(i+1))
+					b.StopTimer()
+					sys.AdoptStore(graph.New())
+					sys.Index = search.NewIndex(nil)
+					p, err := sys.buildPipeline()
 					if err != nil {
 						b.Fatal(err)
 					}
-					_ = tab
+					in := make(chan ctirep.RawFile, len(files))
+					for _, f := range files {
+						in <- f
+					}
+					close(in)
+					b.StartTimer()
+					if _, err := p.Run(context.Background(), in); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}

@@ -54,7 +54,6 @@ func main() {
 		opts.ReportsPerSource = *reports
 	}
 
-	fmt.Println("skg: training NER extractor by data programming...")
 	sys, err := securitykg.New(opts)
 	if err != nil {
 		log.Fatalf("skg: %v", err)

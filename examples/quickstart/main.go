@@ -12,8 +12,7 @@ import (
 
 func main() {
 	// 1. Build the system. This assembles the 42-source synthetic OSCTI
-	// web and trains the CRF entity recognizer with programmatically
-	// synthesized labels (data programming) — no manual annotation.
+	// web; nothing is trained yet.
 	sys, err := securitykg.New(securitykg.Options{ReportsPerSource: 5})
 	if err != nil {
 		log.Fatal(err)
@@ -22,6 +21,9 @@ func main() {
 
 	// 2. Collect: crawl every source and run the porter → checker →
 	// parser → extractor → connector pipeline into the knowledge graph.
+	// The first pipeline trains the CRF entity recognizer with
+	// programmatically synthesized labels (data programming) — no manual
+	// annotation.
 	st, err := sys.Collect(context.Background())
 	if err != nil {
 		log.Fatal(err)

@@ -122,8 +122,11 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("config: unknown connector %q", cn)
 		}
 	}
-	if c.NER.TrainDocs <= 0 {
-		c.NER.TrainDocs = 120
+	if c.NER.TrainDocs < 1 {
+		return fmt.Errorf("config: ner.train_docs must be at least 1")
+	}
+	if c.NER.Epochs < 1 {
+		return fmt.Errorf("config: ner.epochs must be at least 1")
 	}
 	return nil
 }

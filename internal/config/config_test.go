@@ -55,6 +55,10 @@ func TestParseRejectsBadValues(t *testing.T) {
 		`{not json`,
 		`{"reports_per_source": -1}`,
 		`{"ner": {"strategy": "quantum"}}`,
+		`{"ner": {"train_docs": 0}}`,
+		`{"ner": {"train_docs": -5}}`,
+		`{"ner": {"epochs": 0}}`,
+		`{"ner": {"epochs": -1}}`,
 		`{"checkers": ["nonexistent"]}`,
 		`{"connectors": ["mongodb"]}`,
 		`{"graph_path": "kg.jsonl"}`,

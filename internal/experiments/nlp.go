@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"securitykg/internal/depparse"
-	"securitykg/internal/embed"
 	"securitykg/internal/ioc"
 	"securitykg/internal/ner"
 	"securitykg/internal/ontology"
@@ -260,7 +259,7 @@ func EmbeddingFeatures(trainDocs, testDocs int, seed int64) (*Table, error) {
 	for _, d := range train {
 		texts = append(texts, truthText(d))
 	}
-	clusters, err := trainClusters(texts, seed)
+	clusters, err := ner.EmbeddingClusters(texts, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -295,29 +294,6 @@ func EmbeddingFeatures(trainDocs, testDocs int, seed int64) (*Table, error) {
 		"cluster ids from skip-gram embeddings trained on the same unlabeled corpus",
 		"lexical/gazetteer/context features already saturate this synthetic corpus; embeddings matter more on noisier real-world text")
 	return t, nil
-}
-
-func trainClusters(texts []string, seed int64) (map[string]int, error) {
-	var sentences [][]string
-	for _, text := range texts {
-		prot := ioc.Protect(text)
-		for _, s := range textproc.SplitSentences(prot.Protected) {
-			var words []string
-			for _, tok := range textproc.Tokenize(s.Text) {
-				if !tok.IsPunct() {
-					words = append(words, strings.ToLower(tok.Text))
-				}
-			}
-			if len(words) > 1 {
-				sentences = append(sentences, words)
-			}
-		}
-	}
-	emb, err := embed.Train(sentences, embed.Config{Dim: 24, Epochs: 3, Seed: seed, MinCount: 2})
-	if err != nil {
-		return nil, err
-	}
-	return emb.Clusters(32, 20, seed), nil
 }
 
 // RelationExtraction reproduces E7: dependency-based relation extraction

@@ -31,3 +31,27 @@ func TestSmokeAll(t *testing.T) {
 		tab.Fprint(os.Stdout)
 	}
 }
+
+// TestTrainNERCachesPerDocCount: the cache keys on the corpus size as well
+// as the seed, so an experiment gets the model its own size trains whatever
+// ran before it.
+func TestTrainNERCachesPerDocCount(t *testing.T) {
+	small, err := TrainNER(7, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := TrainNER(7, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small == large {
+		t.Fatal("TrainNER(7, 20) returned the extractor cached for TrainNER(7, 10)")
+	}
+	again, err := TrainNER(7, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != small {
+		t.Error("TrainNER(7, 10) trained again instead of returning its cached extractor")
+	}
+}

@@ -20,19 +20,25 @@ import (
 	"securitykg/internal/sources"
 )
 
-// trainedNER caches one extractor per seed: several experiments share it
-// and CRF training is the expensive step.
+// nerCache holds one extractor per seed and corpus size: several
+// experiments share it and CRF training is the expensive step.
 var (
 	nerMu    sync.Mutex
-	nerCache = map[int64]*ner.Extractor{}
+	nerCache = map[nerKey]*ner.Extractor{}
 )
 
+type nerKey struct {
+	seed int64
+	docs int
+}
+
 // TrainNER returns a data-programming-trained extractor over a corpus
-// sample from the synthetic web (cached per seed).
+// sample of docs reports from the synthetic web (cached per seed and docs).
 func TrainNER(seed int64, docs int) (*ner.Extractor, error) {
 	nerMu.Lock()
 	defer nerMu.Unlock()
-	if ext, ok := nerCache[seed]; ok {
+	key := nerKey{seed, docs}
+	if ext, ok := nerCache[key]; ok {
 		return ext, nil
 	}
 	web := sources.NewWeb(seed, sources.DefaultSources(docs/40+2))
@@ -47,7 +53,7 @@ func TrainNER(seed int64, docs int) (*ner.Extractor, error) {
 	if err != nil {
 		return nil, err
 	}
-	nerCache[seed] = ext
+	nerCache[key] = ext
 	return ext, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"securitykg/internal/crf"
+	"securitykg/internal/embed"
 	"securitykg/internal/gazetteer"
 	"securitykg/internal/ioc"
 	"securitykg/internal/ontology"
@@ -88,6 +89,33 @@ func Train(texts []string, opts TrainOptions) (*Extractor, error) {
 		return nil, fmt.Errorf("ner: crf training: %w", err)
 	}
 	return newExtractor(model, lookup, opts.Clusters), nil
+}
+
+// EmbeddingClusters learns skip-gram word embeddings on the training
+// corpus and discretizes them into k-means cluster ids, the Clusters map
+// the CRF consumes as "emb=<id>" features (the paper lists word embeddings
+// among the CRF features).
+func EmbeddingClusters(texts []string, seed int64) (map[string]int, error) {
+	var sentences [][]string
+	for _, text := range texts {
+		prot := ioc.Protect(text)
+		for _, s := range textproc.SplitSentences(prot.Protected) {
+			var words []string
+			for _, tok := range textproc.Tokenize(s.Text) {
+				if !tok.IsPunct() {
+					words = append(words, strings.ToLower(tok.Text))
+				}
+			}
+			if len(words) > 1 {
+				sentences = append(sentences, words)
+			}
+		}
+	}
+	emb, err := embed.Train(sentences, embed.Config{Dim: 24, Epochs: 3, Seed: seed, MinCount: 2})
+	if err != nil {
+		return nil, fmt.Errorf("ner: embedding training: %w", err)
+	}
+	return emb.Clusters(32, 20, seed), nil
 }
 
 func newExtractor(m *crf.Model, lookup *gazetteer.Lookup, clusters map[string]int) *Extractor {

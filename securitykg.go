@@ -34,10 +34,8 @@ import (
 	"securitykg/internal/crawler"
 	"securitykg/internal/ctirep"
 	"securitykg/internal/cypher"
-	"securitykg/internal/embed"
 	"securitykg/internal/fusion"
 	"securitykg/internal/graph"
-	"securitykg/internal/ioc"
 	"securitykg/internal/ner"
 	"securitykg/internal/pipeline"
 	"securitykg/internal/relstore"
@@ -45,12 +43,11 @@ import (
 	"securitykg/internal/sources"
 	"securitykg/internal/stix"
 	"securitykg/internal/storage"
-	"securitykg/internal/textproc"
 )
 
 // Options configure a System. The zero value is usable: it builds the full
-// 42-source synthetic web with 25 reports each and trains the NER model by
-// data programming on a corpus sample.
+// 42-source synthetic web with 25 reports each, and the first pipeline run
+// trains the NER model by data programming on a corpus sample.
 type Options struct {
 	// Seed drives every deterministic component (default 42).
 	Seed int64
@@ -62,7 +59,7 @@ type Options struct {
 	// full configuration document.
 	Config *config.Config
 	// LogWriter receives the log connector's output when the "log"
-	// connector is selected (default os.Stderr -> discarded if nil).
+	// connector is selected (os.Stderr if nil).
 	LogWriter io.Writer
 }
 
@@ -75,16 +72,16 @@ type System struct {
 	Store    *graph.Store
 	Index    *search.Index
 	RelStore *relstore.Store
-	NER      *ner.Extractor
 
-	frame   *crawler.Framework
-	relConn *connector.RelConnector
-	logW    io.Writer
+	frame     *crawler.Framework
+	extractor *ner.Extractor // trained by the first pipeline built
+	relConn   *connector.RelConnector
+	logW      io.Writer
 }
 
-// New builds a System: it assembles the synthetic OSCTI web, trains the
-// NER extractor on an unlabeled corpus sample via data programming, and
-// prepares storage backends.
+// New builds a System: it validates the configuration, assembles the
+// synthetic OSCTI web and prepares storage backends. It trains nothing; the
+// NER extractor is trained when a pipeline first needs it (Collect, Ingest).
 func New(opts Options) (*System, error) {
 	cfg := config.Default()
 	if opts.Config != nil {
@@ -98,6 +95,9 @@ func New(opts Options) (*System, error) {
 	}
 	if opts.SourceSlugs != nil {
 		cfg.Sources = opts.SourceSlugs
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 
 	specs := sources.DefaultSources(cfg.ReportsPerSource)
@@ -130,12 +130,6 @@ func New(opts Options) (*System, error) {
 	// Report nodes are looked up by report_id when resolving search hits.
 	sys.Store.IndexAttr("report_id")
 
-	ext, err := sys.trainNER()
-	if err != nil {
-		return nil, err
-	}
-	sys.NER = ext
-
 	sys.frame = crawler.New(web, specs, crawler.Config{
 		Workers:    cfg.Crawler.Workers,
 		MaxRetries: cfg.Crawler.MaxRetries,
@@ -155,20 +149,16 @@ func (sys *System) trainNER() (*ner.Extractor, error) {
 			texts = append(texts, strings.Join(truth.Paragraphs, "\n"))
 		}
 	}
-	strategy := ner.LabelingStrategy(sys.cfg.NER.Strategy)
-	if strategy == "" {
-		strategy = ner.StrategyLabelModel
-	}
 	var clusters map[string]int
 	if sys.cfg.NER.Embeddings {
-		c, err := trainEmbeddingClusters(texts, sys.cfg.Seed)
+		c, err := ner.EmbeddingClusters(texts, sys.cfg.Seed)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("securitykg: %w", err)
 		}
 		clusters = c
 	}
 	ext, err := ner.Train(texts, ner.TrainOptions{
-		Strategy: strategy,
+		Strategy: ner.LabelingStrategy(sys.cfg.NER.Strategy),
 		Epochs:   sys.cfg.NER.Epochs,
 		Seed:     sys.cfg.Seed,
 		Clusters: clusters,
@@ -177,33 +167,6 @@ func (sys *System) trainNER() (*ner.Extractor, error) {
 		return nil, fmt.Errorf("securitykg: NER training: %w", err)
 	}
 	return ext, nil
-}
-
-// trainEmbeddingClusters learns skip-gram word embeddings on the training
-// corpus and discretizes them into k-means cluster ids, which the CRF
-// consumes as "emb=<id>" features (the paper lists word embeddings among
-// the CRF features).
-func trainEmbeddingClusters(texts []string, seed int64) (map[string]int, error) {
-	var sentences [][]string
-	for _, text := range texts {
-		prot := ioc.Protect(text)
-		for _, s := range textproc.SplitSentences(prot.Protected) {
-			var words []string
-			for _, tok := range textproc.Tokenize(s.Text) {
-				if !tok.IsPunct() {
-					words = append(words, strings.ToLower(tok.Text))
-				}
-			}
-			if len(words) > 1 {
-				sentences = append(sentences, words)
-			}
-		}
-	}
-	emb, err := embed.Train(sentences, embed.Config{Dim: 24, Epochs: 3, Seed: seed, MinCount: 2})
-	if err != nil {
-		return nil, fmt.Errorf("securitykg: embedding training: %w", err)
-	}
-	return emb.Clusters(32, 20, seed), nil
 }
 
 // Web exposes the synthetic OSCTI web (for demos and experiments).
@@ -223,7 +186,8 @@ type CollectStats struct {
 
 // Collect runs one incremental end-to-end pass: crawl every source, then
 // process the collected files through the full pipeline into storage.
-// Repeated calls only process newly published reports.
+// The first call trains the NER extractor; repeated calls reuse it and
+// only process newly published reports.
 func (sys *System) Collect(ctx context.Context) (CollectStats, error) {
 	files := make(chan ctirep.RawFile, 256)
 	p, err := sys.buildPipeline()
@@ -253,6 +217,13 @@ func (sys *System) Collect(ctx context.Context) (CollectStats, error) {
 }
 
 func (sys *System) buildPipeline() (*pipeline.Pipeline, error) {
+	if sys.extractor == nil {
+		ext, err := sys.trainNER()
+		if err != nil {
+			return nil, err
+		}
+		sys.extractor = ext
+	}
 	var checkers []pipeline.Checker
 	for _, name := range sys.cfg.Checkers {
 		switch name {
@@ -293,8 +264,8 @@ func (sys *System) buildPipeline() (*pipeline.Pipeline, error) {
 		Checkers: checkers,
 		Parsers:  pipeline.DefaultParsers(sys.specs),
 		Extractors: []pipeline.Extractor{
-			pipeline.EntityExtractor{NER: sys.NER},
-			pipeline.RelationExtractor{NER: sys.NER},
+			pipeline.EntityExtractor{NER: sys.extractor},
+			pipeline.RelationExtractor{NER: sys.extractor},
 		},
 		Connectors: conns,
 		Cfg: pipeline.Config{

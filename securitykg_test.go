@@ -14,8 +14,8 @@ import (
 	"securitykg/internal/storage"
 )
 
-// one shared small system per test binary: New trains a CRF, which is the
-// slow part.
+// one shared small system per test binary: its first Collect trains a CRF,
+// which is the slow part.
 var (
 	sysOnce  sync.Once
 	sysVal   *System
@@ -213,6 +213,65 @@ func TestSystemDataDirRoundTrip(t *testing.T) {
 	}
 	if sys.Index.Len() != reports {
 		t.Errorf("rebuilt search index holds %d reports, want the %d report nodes", sys.Index.Len(), reports)
+	}
+}
+
+// TestSystemTrainsOnlyToExtract: a System trains its extractor for the
+// first pipeline it runs and keeps it for the next, and a System that only
+// serves a populated data directory trains nothing.
+func TestSystemTrainsOnlyToExtract(t *testing.T) {
+	dir := t.TempDir()
+	sys, db := durableSystem(t, dir)
+	ext := sys.extractor
+	if ext == nil {
+		t.Fatal("ingest left the extractor unbuilt")
+	}
+	if _, err := sys.Collect(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if sys.extractor != ext {
+		t.Error("a second Collect trained the extractor again")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := sys.Config()
+	serving, err := New(Options{Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2, st, err := serving.OpenDataDir(context.Background(), dir, storage.Options{Sync: storage.SyncNever}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if st != nil {
+		t.Fatalf("a directory holding a graph was ingested into again: %+v", st)
+	}
+	if serving.extractor != nil {
+		t.Error("opening a populated data directory trained the extractor")
+	}
+}
+
+// TestNewValidatesConfig: New checks the configuration it will run, after
+// the per-field options override it.
+func TestNewValidatesConfig(t *testing.T) {
+	for name, bad := range map[string]func(*config.Config){
+		"unknown connector": func(c *config.Config) { c.Connectors = []string{"mongodb"} },
+		"zero epochs":       func(c *config.Config) { c.NER.Epochs = 0 },
+		"negative docs":     func(c *config.Config) { c.NER.TrainDocs = -1 },
+	} {
+		cfg := config.Default()
+		bad(&cfg)
+		if _, err := New(Options{Config: &cfg}); err == nil {
+			t.Errorf("%s: New accepted the configuration", name)
+		}
+	}
+	cfg := config.Default()
+	cfg.ReportsPerSource = 0
+	if _, err := New(Options{Config: &cfg, ReportsPerSource: 2}); err != nil {
+		t.Errorf("ReportsPerSource did not override the configuration before validation: %v", err)
 	}
 }
 
