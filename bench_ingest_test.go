@@ -91,7 +91,7 @@ func BenchmarkCypherBatchUnwind(b *testing.B) {
 	for name, s := range ingestStores(b) {
 		b.Run(name, func(b *testing.B) {
 			run := benchInvocation.Add(1)
-			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxRows: 1 << 20})
+			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				batch := make([]any, 0, rows)
@@ -141,7 +141,7 @@ func BenchmarkCypherPerStatementCreate(b *testing.B) {
 	for name, s := range ingestStores(b) {
 		b.Run(name, func(b *testing.B) {
 			run := benchInvocation.Add(1)
-			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxRows: 1 << 20})
+			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < rows; j++ {

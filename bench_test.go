@@ -276,7 +276,7 @@ func BenchmarkCypherQuery(b *testing.B) {
 	q := `match (n) where n.name = "malware-5000" return n`
 	for _, useIdx := range []bool{true, false} {
 		b.Run(fmt.Sprintf("index=%v", useIdx), func(b *testing.B) {
-			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: useIdx, MaxRows: 1000})
+			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: useIdx})
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Run(q); err != nil {
 					b.Fatal(err)
@@ -321,7 +321,7 @@ func BenchmarkCypherVarLengthPath(b *testing.B) {
 	}
 	for _, q := range queries {
 		b.Run(q.name+"/planned", func(b *testing.B) {
-			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxRows: 100000})
+			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Run(q.q); err != nil {
@@ -721,7 +721,7 @@ func BenchmarkConcurrentReadersDuringWrites(b *testing.B) {
 			ip, _ := s.MergeNode("IP", fmt.Sprintf("10.0.%d.%d", i/250, i%250), nil)
 			s.AddEdge(id, "CONNECT", ip, nil)
 		}
-		return cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxRows: 1000, MaxBytes: 16 << 20})
+		return cypher.NewEngine(s, cypher.Options{UseIndexes: true, MaxBytes: 16 << 20})
 	}
 	readQ := `match (m {name: "malware-2500"})-[:CONNECT]->(ip) return ip.name`
 

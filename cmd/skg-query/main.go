@@ -209,21 +209,20 @@ func runQuery(q rowQuerier, line string, params map[string]any) {
 		fmt.Println("error:", err)
 		return
 	}
-	defer rows.Close()
 	if cols := rows.Columns(); len(cols) > 0 {
 		fmt.Println(strings.Join(cols, " | "))
 	}
 	n := 0
-	for rows.Next() {
-		vals := rows.Row()
+	err = rows.Drain(func(vals []cypher.Value) error {
 		cells := make([]string, len(vals))
 		for i, v := range vals {
 			cells[i] = v.String()
 		}
 		fmt.Println(strings.Join(cells, " | "))
 		n++
-	}
-	if err := rows.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		fmt.Printf("(%d rows, then error: %v)\n", n, err)
 		return
 	}

@@ -35,8 +35,8 @@ var unreferencedAllowed = map[string]string{
 }
 
 // TestNoUnreferencedExports fails when a package under internal/ declares
-// an exported function or method whose name no non-test .go file in the
-// module references (cmd/, examples/ and bench/ count as callers). Such a
+// an exported function, method or type whose name no non-test .go file in
+// the module references (cmd/, examples/ and bench/ count as callers). Such a
 // declaration is code only its own tests run; delete it with them, or
 // name it in unreferencedAllowed with the reason it stays.
 func TestNoUnreferencedExports(t *testing.T) {
@@ -63,23 +63,36 @@ func TestNoUnreferencedExports(t *testing.T) {
 		}
 		declNames := map[*ast.Ident]bool{}
 		inInternal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		declare := func(key string, id *ast.Ident) {
+			declNames[id] = true
+			if inInternal && id.IsExported() {
+				decls = append(decls, decl{f.Name.Name + "." + key, fset.Position(id.Pos()).String()})
+			}
+		}
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declNames[fd.Name] = true
-			if !inInternal || !fd.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "."
-			if fd.Recv != nil {
-				if stdlibMethods[fd.Name.Name] {
+			switch d := d.(type) {
+			case *ast.GenDecl:
+				if d.Tok != token.TYPE {
 					continue
 				}
-				key += recvName(fd.Recv.List[0].Type) + "."
+				for _, spec := range d.Specs {
+					ts := spec.(*ast.TypeSpec)
+					declare(ts.Name.Name, ts.Name)
+				}
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					declare(d.Name.Name, d.Name)
+					continue
+				}
+				// A method's receiver names its own type, not a use of it.
+				recv := recvIdent(d.Recv.List[0].Type)
+				declNames[recv] = true
+				if stdlibMethods[d.Name.Name] {
+					declNames[d.Name] = true
+					continue
+				}
+				declare(recv.Name+"."+d.Name.Name, d.Name)
 			}
-			decls = append(decls, decl{key + fd.Name.Name, fset.Position(fd.Pos()).String()})
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
@@ -114,8 +127,8 @@ func TestNoUnreferencedExports(t *testing.T) {
 	}
 }
 
-// recvName is the type name of a method receiver: T for T, *T and T[P].
-func recvName(e ast.Expr) string {
+// recvIdent is the type name of a method receiver: T for T, *T and T[P].
+func recvIdent(e ast.Expr) *ast.Ident {
 	for {
 		switch x := e.(type) {
 		case *ast.StarExpr:
@@ -125,9 +138,9 @@ func recvName(e ast.Expr) string {
 		case *ast.IndexListExpr:
 			e = x.X
 		case *ast.Ident:
-			return x.Name
+			return x
 		default:
-			return "?"
+			return nil
 		}
 	}
 }

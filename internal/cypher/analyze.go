@@ -205,9 +205,7 @@ func (e *Engine) analyzeResult(pl *Plan, ps params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for rows.Next() {
-	}
-	if err := rows.Close(); err != nil {
+	if err := rows.Drain(func([]Value) error { return nil }); err != nil {
 		return nil, err
 	}
 	mAnalyzeRuns.Inc()
@@ -238,7 +236,7 @@ func (e *Engine) QueryAnalyze(src string, args map[string]any) (*Result, string,
 	if err != nil {
 		return nil, "", err
 	}
-	res, err := materialize(rows, e.opts.MaxRows)
+	res, err := materialize(rows)
 	if err != nil {
 		return nil, "", err
 	}

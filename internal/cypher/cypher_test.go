@@ -246,11 +246,11 @@ func TestIndexAndScanAgree(t *testing.T) {
 	}
 	s.MergeNode("Malware", "needle", nil)
 	q := `match (n:Malware) where n.name = "needle" return n.name`
-	idx, err := NewEngine(s, Options{UseIndexes: true, MaxRows: 0}).Run(q)
+	idx, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := NewEngine(s, Options{UseIndexes: false, MaxRows: 0}).Run(q)
+	scan, err := NewEngine(s, Options{UseIndexes: false}).Run(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,19 +349,5 @@ func TestValueStringRendering(t *testing.T) {
 	n := &graph.Node{ID: 1, Type: "Malware", Name: "x"}
 	if got := NodeValue(n).String(); !strings.Contains(got, "Malware") {
 		t.Errorf("node: %q", got)
-	}
-}
-
-func TestMaxRowsCap(t *testing.T) {
-	s := graph.New()
-	for i := 0; i < 50; i++ {
-		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
-	}
-	res, err := NewEngine(s, Options{UseIndexes: true, MaxRows: 10}).Run(`match (n) return n`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 10 {
-		t.Errorf("MaxRows not enforced: %d", len(res.Rows))
 	}
 }

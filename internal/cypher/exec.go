@@ -14,19 +14,12 @@ type Options struct {
 	// exact-property lookups). Disabling it forces full scans — exposed so
 	// the E11 ablation can measure the index's effect.
 	UseIndexes bool
-	// MaxRows caps materialized result size as a safety valve
-	// (0 = unlimited): Engine.Query and Stmt.Query drop rows past the cap
-	// and set Result.Truncated. Streaming cursors ignore it.
-	//
-	// Deprecated: MaxRows predates the byte budget and is honored only
-	// for compatibility. Bound queries with MaxBytes (which fails loudly
-	// instead of silently truncating) and explicit LIMITs.
-	MaxRows int
-	// MaxBytes is the per-query byte budget (0 = unlimited). Every row
-	// the executor streams or materializes — including rows consumed by
-	// aggregation or dropped by DISTINCT — is charged against it, and a
-	// query that exceeds the budget aborts with a *BudgetError instead
-	// of returning silently truncated results.
+	// MaxBytes is the per-query byte budget (0 = unlimited), the one
+	// bound on a statement's size. Every row the executor streams or
+	// materializes — including rows consumed by aggregation or dropped
+	// by DISTINCT — is charged against it, and a query that exceeds the
+	// budget aborts with a *BudgetError instead of returning silently
+	// truncated results.
 	MaxBytes int64
 	// ReadOnly rejects statements with writing clauses (CREATE, MERGE,
 	// SET, DELETE) at execution time. EXPLAIN of a write statement is
@@ -34,10 +27,9 @@ type Options struct {
 	ReadOnly bool
 }
 
-// DefaultOptions enables indexes with a 100k row cap and a 64 MiB
-// per-query byte budget.
+// DefaultOptions enables indexes with a 64 MiB per-query byte budget.
 func DefaultOptions() Options {
-	return Options{UseIndexes: true, MaxRows: 100000, MaxBytes: 64 << 20}
+	return Options{UseIndexes: true, MaxBytes: 64 << 20}
 }
 
 // Engine executes parsed queries against a graph store. Engines are
@@ -81,9 +73,6 @@ func NewEngine(s *graph.Store, opts Options) *Engine {
 type Result struct {
 	Columns []string
 	Rows    [][]Value
-	// Truncated reports that rows were dropped by the MaxRows safety
-	// valve (never by an explicit LIMIT).
-	Truncated bool
 	// Writes summarizes what a write statement changed (nil for
 	// read-only statements). A write-only statement (no RETURN) yields
 	// zero columns and rows; the counts are its result.
@@ -144,8 +133,8 @@ func bindParams(names []string, args map[string]any) (params, error) {
 func (e *Engine) Run(src string) (*Result, error) { return e.Query(src, nil) }
 
 // Query executes a statement with the given parameter bindings and
-// materializes the full result — a thin wrapper over QueryRows that
-// preserves the MaxRows safety valve and Result.Truncated semantics.
+// materializes the full result — a thin wrapper over QueryRows, bounded
+// like the cursor by the byte budget alone.
 // Repeated statements (same text; parameters do not change the text)
 // reuse the store-shared cached plan, skipping parse and planning.
 func (e *Engine) Query(src string, args map[string]any) (*Result, error) {
@@ -153,7 +142,7 @@ func (e *Engine) Query(src string, args map[string]any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return materialize(rows, e.opts.MaxRows)
+	return materialize(rows)
 }
 
 // QueryRows executes a statement and returns an incremental cursor: the

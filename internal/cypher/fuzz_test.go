@@ -231,7 +231,7 @@ func FuzzEngineQuery(f *testing.F) {
 		if q.TxOp != TxNone {
 			// Transaction control parses but must be rejected by the plain
 			// entry points and handled (or cleanly refused) by a session.
-			eng := NewEngine(fuzzStore(), Options{UseIndexes: true, MaxRows: 50, MaxBytes: 1 << 20})
+			eng := NewEngine(fuzzStore(), Options{UseIndexes: true, MaxBytes: 1 << 20})
 			if _, err := eng.Query(src, fuzzArgs); err == nil {
 				t.Fatalf("tx control %q executed through plain Query", src)
 			}
@@ -251,7 +251,7 @@ func FuzzEngineQuery(f *testing.F) {
 			// iterations stay independent.
 			s = buildFuzzStore()
 		}
-		eng := NewEngine(s, Options{UseIndexes: true, MaxRows: 50, MaxBytes: 1 << 20})
+		eng := NewEngine(s, Options{UseIndexes: true, MaxBytes: 1 << 20})
 		res, err := eng.Query(src, fuzzArgs)
 		if err == nil && res == nil {
 			t.Fatalf("nil result without error for %q", src)

@@ -11,7 +11,7 @@ import (
 // but with a single shared slot frame per segment (frame.go) mutated in
 // place and undone on backtrack instead of cloned per level). Each stage's
 // iterator pulls from its input only when it needs another row, so
-// LIMIT, MaxRows and aggregate early exits stop pattern matching
+// LIMIT, a closed cursor and aggregate early exits stop pattern matching
 // upstream instead of truncating a materialized match set. Each
 // segment ends in a projection (rows.go); at a WITH boundary a bridge
 // (withIter) makes the upstream segment's projected row the downstream

@@ -300,6 +300,36 @@ func TestRowsStreamsFirstRowWithoutMaterializing(t *testing.T) {
 	}
 }
 
+func TestDrainStopsOnCallbackError(t *testing.T) {
+	// An error from Drain's callback stops the pull at that row, closes
+	// the cursor (releasing its snapshot) and is what Drain returns.
+	s := graph.New()
+	for i := 0; i < 50; i++ {
+		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
+	}
+	rows, err := NewEngine(s, DefaultOptions()).QueryRows(`match (a), (b), (c) return a.name`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	n := 0
+	err = rows.Drain(func([]Value) error {
+		if n++; n == 3 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || n != 3 {
+		t.Errorf("Drain = %v after %d rows, want the callback's error after 3", err, n)
+	}
+	if rows.Next() {
+		t.Error("the cursor is still open after Drain returned")
+	}
+	if st := s.MVCCStats(); st.Snapshots != 0 {
+		t.Errorf("%d snapshots still pinned after Drain returned", st.Snapshots)
+	}
+}
+
 func TestRowsColumnsAndScan(t *testing.T) {
 	s := graph.New()
 	s.MergeNode("Malware", "wannacry", nil)

@@ -38,9 +38,9 @@ import (
 //     stages that bind their anchors) as nested sub-pipelines, preserving
 //     clause order across null-padding boundaries.
 //  3. The resulting stages execute as lazy pull iterators (iter.go), so
-//     downstream LIMIT/MaxRows stop matching instead of truncating a
-//     materialized result. WITH boundaries become segment bridges that
-//     re-root the binding namespace.
+//     a downstream LIMIT or a closed cursor stops matching instead of
+//     truncating a materialized result. WITH boundaries become segment
+//     bridges that re-root the binding namespace.
 //
 // Counts come from the graph store's selectivity layer (CountNodes,
 // CountByType, CountByName, CountByTypeAttr, ...): the index posting

@@ -192,38 +192,6 @@ func TestExplainDoesNotExecute(t *testing.T) {
 	}
 }
 
-func TestMaxRowsTruncatedFlag(t *testing.T) {
-	s := graph.New()
-	for i := 0; i < 50; i++ {
-		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
-	}
-	eng := NewEngine(s, Options{UseIndexes: true, MaxRows: 10})
-	res, err := eng.Run(`match (n) return n`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 10 || !res.Truncated {
-		t.Errorf("rows=%d truncated=%v, want 10/true", len(res.Rows), res.Truncated)
-	}
-	// An explicit LIMIT below the cap is not a truncation.
-	res, err = eng.Run(`match (n) return n limit 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 5 || res.Truncated {
-		t.Errorf("rows=%d truncated=%v, want 5/false", len(res.Rows), res.Truncated)
-	}
-	// A result that fits exactly is not truncated either.
-	eng = NewEngine(s, Options{UseIndexes: true, MaxRows: 50})
-	res, err = eng.Run(`match (n) return n`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 50 || res.Truncated {
-		t.Errorf("rows=%d truncated=%v, want 50/false", len(res.Rows), res.Truncated)
-	}
-}
-
 func TestStreamingLimitShortCircuits(t *testing.T) {
 	// With a LIMIT and no ORDER BY the executor must stop pulling after
 	// the limit: on a 500-leaf hub this returns quickly and exactly.
@@ -233,8 +201,8 @@ func TestStreamingLimitShortCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 7 || res.Truncated {
-		t.Errorf("rows=%d truncated=%v, want 7/false", len(res.Rows), res.Truncated)
+	if len(res.Rows) != 7 {
+		t.Errorf("rows=%d, want 7", len(res.Rows))
 	}
 }
 
@@ -291,7 +259,7 @@ func TestErroringConjunctKeepsShortCircuit(t *testing.T) {
 }
 
 func TestAggregateBudgetBoundsEnumeration(t *testing.T) {
-	// The byte budget replaced the MaxRows*4+1000 match cap: with no
+	// The byte budget replaced the old row-derived match cap: with no
 	// budget an aggregate over a cross product is exact (no silent
 	// truncation), and with a tight budget the engine aborts with a typed
 	// *BudgetError instead of returning a quietly wrong count.
@@ -300,12 +268,12 @@ func TestAggregateBudgetBoundsEnumeration(t *testing.T) {
 		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
 	}
 	q := `match (a), (b), (c) return count(*)` // 125000 bindings
-	res, err := NewEngine(s, Options{UseIndexes: true, MaxRows: 10}).Run(q)
+	res, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].Num != 125000 || res.Truncated {
-		t.Errorf("count=%v truncated=%v, want exact 125000/false", res.Rows[0][0].Num, res.Truncated)
+	if res.Rows[0][0].Num != 125000 {
+		t.Errorf("count=%v, want exact 125000", res.Rows[0][0].Num)
 	}
 	_, err = NewEngine(s, Options{UseIndexes: true, MaxBytes: 32 << 10}).Run(q)
 	var be *BudgetError

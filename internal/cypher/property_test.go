@@ -71,8 +71,8 @@ func TestIndexScanEquivalenceQuick(t *testing.T) {
 	f := func(seed int64, qi uint8) bool {
 		s := randomStore(seed%1000, 40)
 		q := queries[int(qi)%len(queries)]
-		idxEng := NewEngine(s, Options{UseIndexes: true, MaxRows: 0})
-		scanEng := NewEngine(s, Options{UseIndexes: false, MaxRows: 0})
+		idxEng := NewEngine(s, Options{UseIndexes: true})
+		scanEng := NewEngine(s, Options{UseIndexes: false})
 		a, err1 := idxEng.Run(q)
 		b, err2 := scanEng.Run(q)
 		if (err1 == nil) != (err2 == nil) {
@@ -248,44 +248,25 @@ func TestOrderSkipLimitEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// Property: the MaxRows safety valve keeps min(cap, n) of the n rows the
-// reference returns and sets Truncated exactly when it dropped some; with
-// ORDER BY + LIMIT under the cap the rows are the reference's exact top k.
-func TestMaxRowsEquivalenceQuick(t *testing.T) {
-	f := func(seed int64, mr uint8) bool {
+// Property: with ORDER BY + LIMIT the rows are the reference's exact
+// top k.
+func TestLimitTopKEquivalenceQuick(t *testing.T) {
+	f := func(seed int64, lim uint8) bool {
 		s := randomStore(seed%500, 40)
-		max := int(mr%20) + 1
-		plannedEng := NewEngine(s, Options{UseIndexes: true, MaxRows: max})
-		ref := reference{s}
-		q := `match (a)-[:CONNECT]->(b) return a.name, b.name`
-		planned, e1 := plannedEng.Run(q)
-		all, e2 := ref.Query(q, nil)
+		limit := int(lim%20) + 1
+		q := fmt.Sprintf(`match (a)-[:CONNECT]->(b) return a.type, a.name, b.name order by a.type, a.name, b.name limit %d`, limit)
+		planned, e1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
+		ref, e2 := reference{s}.Query(q, nil)
 		if e1 != nil || e2 != nil {
 			return false
 		}
-		if len(planned.Rows) != min(max, len(all.Rows)) || planned.Truncated != (len(all.Rows) > max) {
-			t.Logf("maxRows=%d: planned %d rows (trunc=%v) of the reference's %d",
-				max, len(planned.Rows), planned.Truncated, len(all.Rows))
-			return false
-		}
-		// Global top-k under the cap must be the true top-k.
-		limit := max
-		if limit > 5 {
-			limit = 5
-		}
-		qTop := fmt.Sprintf(`match (a)-[:CONNECT]->(b) return a.type, a.name, b.name order by a.type, a.name, b.name limit %d`, limit)
-		pTop, e3 := plannedEng.Run(qTop)
-		rTop, e4 := ref.Query(qTop, nil)
-		if e3 != nil || e4 != nil {
-			return false
-		}
-		a, b := renderRows(pTop), renderRows(rTop)
+		a, b := renderRows(planned), renderRows(ref)
 		if len(a) != len(b) {
 			return false
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Logf("top-k mismatch maxRows=%d limit=%d: %q vs %q", max, limit, a[i], b[i])
+				t.Logf("top-k mismatch limit=%d: %q vs %q", limit, a[i], b[i])
 				return false
 			}
 		}
@@ -301,7 +282,7 @@ func TestMaxRowsEquivalenceQuick(t *testing.T) {
 func TestCountAgreesWithRowsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		s := randomStore(seed%500, 30)
-		eng := NewEngine(s, Options{UseIndexes: true, MaxRows: 0})
+		eng := NewEngine(s, Options{UseIndexes: true})
 		rows, err := eng.Run(`match (a)-[:CONNECT]->(b) return a.name, b.name`)
 		if err != nil {
 			return false

@@ -43,14 +43,12 @@ func TestReferenceMatchesParent(t *testing.T) {
 	matchesParentFile(t, "testdata/results_parent.txt", got, *updateResults)
 }
 
-// TestEngineMatchesParent holds the engine to the same listing, run with
-// no MaxRows cap because the reference materializes without one. It also
+// TestEngineMatchesParent holds the engine to the same listing. It also
 // pins what each statement charges against its byte budget: the SHA-256
 // of every statement's Result.BudgetUsed, in listing order.
 func TestEngineMatchesParent(t *testing.T) {
 	h := sha256.New()
 	got := resultsListing(t, func(s *graph.Store, opts Options) querier {
-		opts.MaxRows = 0
 		return budgetHasher{NewEngine(s, opts), h}
 	})
 	matchesParentFile(t, "testdata/results_parent.txt", got, false)

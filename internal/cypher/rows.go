@@ -18,12 +18,10 @@ import (
 //
 //	rows, err := eng.QueryRows(src, args)
 //	if err != nil { ... }
-//	defer rows.Close()
-//	for rows.Next() {
-//		var name string
-//		if err := rows.Scan(&name); err != nil { ... }
-//	}
-//	if err := rows.Err(); err != nil { ... }
+//	err = rows.Drain(func(row []Value) error {
+//		fmt.Println(row[0])
+//		return nil
+//	})
 //
 // Aggregation and ORDER BY cannot emit their first row before consuming
 // their input; those queries buffer internally on the first Next call
@@ -187,44 +185,39 @@ func rowsFromResult(res *Result) *Rows {
 	return &Rows{cols: res.Columns, src: p, proj: p, writes: res.Writes}
 }
 
-// materialize drains a cursor into a rectangular Result, honoring the
-// deprecated-but-honored MaxRows safety valve: when the cap drops rows,
-// Result.Truncated is set (a probe distinguishes an exactly-cap stream
-// from a truncated one).
-func materialize(rows *Rows, maxRows int) (*Result, error) {
+// materialize drains a cursor into a rectangular Result.
+func materialize(rows *Rows) (*Result, error) {
 	res := &Result{Columns: rows.Columns()}
-	truncated, err := rows.Drain(maxRows, func(row []Value) {
+	err := rows.Drain(func(row []Value) error {
 		if rows.proj.mode == streaming { // the next pull overwrites row
 			row = append([]Value(nil), row...)
 		}
 		res.Rows = append(res.Rows, row)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Truncated = truncated
 	res.Writes = rows.Writes()
 	res.BudgetUsed = rows.BudgetUsed()
 	return res, nil
 }
 
-// Drain hands each row to each, in order, up to maxRows of them (0: no
-// cap), and closes the cursor. It reports whether the cap dropped rows,
-// and the statement's error, which includes a failed commit. It is
-// Engine.Query's materialization for a caller that encodes rows as they
-// come instead of keeping them: the row passed to each is valid only
-// during the call.
-func (r *Rows) Drain(maxRows int, each func(row []Value)) (truncated bool, err error) {
-	for n := 0; r.Next(); n++ {
-		if maxRows > 0 && n == maxRows {
-			truncated = true
-			break
+// Drain hands each row to each, in order, and closes the cursor: the one
+// loop that pulls a cursor to its end. An error from each stops the
+// pull, closes the cursor and is returned; otherwise Drain returns the
+// statement's error, which includes a failed commit. The row passed to
+// each is valid only during the call.
+func (r *Rows) Drain(each func(row []Value) error) error {
+	for r.Next() {
+		if err := each(r.Row()); err != nil {
+			r.Close()
+			return err
 		}
-		each(r.Row())
 	}
 	// Close before checking Err: closing ends the statement's execution
 	// scope, and a commit failure surfaces there.
-	return truncated, r.Close()
+	return r.Close()
 }
 
 // --- byte budget ---

@@ -11,8 +11,7 @@ import "fmt"
 //	stmt, _ := eng.Prepare(`match (m {name: $ioc})-[:CONNECT*1..2]-(x) return x.name`)
 //	for _, ioc := range observed {
 //		rows, _ := stmt.QueryRows(map[string]any{"ioc": ioc})
-//		for rows.Next() { ... }
-//		rows.Close()
+//		err := rows.Drain(func(row []cypher.Value) error { ... })
 //	}
 type Stmt struct {
 	e   *Engine
@@ -83,13 +82,13 @@ func (s *Stmt) QueryRows(args map[string]any) (*Rows, error) {
 }
 
 // Query executes the statement with the given bindings and materializes
-// the full result (honoring the MaxRows safety valve, like Engine.Query).
+// the full result, bounded by the byte budget like Engine.Query.
 func (s *Stmt) Query(args map[string]any) (*Result, error) {
 	rows, err := s.QueryRows(args)
 	if err != nil {
 		return nil, err
 	}
-	return materialize(rows, s.e.opts.MaxRows)
+	return materialize(rows)
 }
 
 // Close releases the statement. It exists for database/sql-style call

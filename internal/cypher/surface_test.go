@@ -348,12 +348,11 @@ func TestSumOverNonNumericErrors(t *testing.T) {
 	}
 }
 
-func TestAggregateExactUnderMaxRows(t *testing.T) {
-	// Aggregates fold the full stream regardless of MaxRows (which caps
-	// output rows, not consumption): counts are exact and never flagged
-	// Truncated — also through a WITH bridge. The old engine silently
-	// stopped consuming at MaxRows*4+1000; the byte budget made that an
-	// explicit error path instead (see TestAggregateBudgetBoundsEnumeration).
+func TestAggregateExact(t *testing.T) {
+	// Aggregates fold the full stream: counts are exact, also through a
+	// WITH bridge. The old engine silently stopped consuming at a
+	// row-derived match cap; the byte budget made that an explicit error
+	// path instead (see TestAggregateBudgetBoundsEnumeration).
 	s := graph.New()
 	n := 1005
 	for i := 0; i < n; i++ {
@@ -363,12 +362,12 @@ func TestAggregateExactUnderMaxRows(t *testing.T) {
 		`match (n) return count(*)`,
 		`match (n) with count(*) as c return c`,
 	} {
-		res, err := NewEngine(s, Options{UseIndexes: true, MaxRows: 1}).Run(q)
+		res, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rows[0][0].Num != float64(n) || res.Truncated {
-			t.Errorf("%s: count=%v truncated=%v, want %d/false", q, res.Rows[0][0].Num, res.Truncated, n)
+		if res.Rows[0][0].Num != float64(n) {
+			t.Errorf("%s: count=%v, want %d", q, res.Rows[0][0].Num, n)
 		}
 	}
 }

@@ -136,7 +136,7 @@ func (t *Tx) Query(src string, args map[string]any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return materialize(rows, t.e.opts.MaxRows)
+	return materialize(rows)
 }
 
 // QueryRows executes one statement inside the transaction as a cursor.

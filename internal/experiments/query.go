@@ -69,7 +69,7 @@ func CypherScaling(sizes []int, seed int64) (*Table, error) {
 		}
 		for _, q := range queries {
 			for _, useIdx := range []bool{true, false} {
-				eng := cypher.NewEngine(s, cypher.Options{UseIndexes: useIdx, MaxRows: 100000})
+				eng := cypher.NewEngine(s, cypher.Options{UseIndexes: useIdx})
 				// Warm.
 				res, err := eng.Run(q.q)
 				if err != nil {

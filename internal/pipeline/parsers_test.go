@@ -22,9 +22,9 @@ func parserFixture(t *testing.T, layout sources.Layout) (*ctirep.ReportRep, *sou
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := (DirectPorter{}).Port(ctirep.RawFile{
+		rep := directRep(ctirep.RawFile{
 			Source: spec.Slug, URL: page.URL, Format: "html", Body: page.Body,
-		})[0]
+		})
 		return rep, web.GenerateTruth(spec, 0), spec
 	}
 	t.Fatalf("no html source with layout %s", layout)

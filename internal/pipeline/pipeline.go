@@ -14,7 +14,7 @@ import (
 
 // Config sets per-stage worker counts and the hand-off mode.
 type Config struct {
-	PortWorkers    int // porter stage (default 1; grouping state is shared)
+	PortWorkers    int // ignored: Run ports on one goroutine (grouping state is shared)
 	CheckWorkers   int // checker stage (default 2)
 	ParseWorkers   int // parser stage (default 2)
 	ExtractWorkers int // extractor stage (default 4; NLP is the bottleneck)
@@ -35,9 +35,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.PortWorkers <= 0 {
-		c.PortWorkers = 1
-	}
 	if c.CheckWorkers <= 0 {
 		c.CheckWorkers = 2
 	}
@@ -139,7 +136,6 @@ func (p *Pipeline) Run(ctx context.Context, files <-chan ctirep.RawFile) (Stats,
 
 	// Stage 1: porter. Grouping state is shared, so porting runs on one
 	// goroutine regardless of PortWorkers; porting is cheap.
-	var porterMu sync.Mutex
 	wgPort.Add(1)
 	go func() {
 		defer wgPort.Done()
@@ -159,9 +155,7 @@ func (p *Pipeline) Run(ctx context.Context, files <-chan ctirep.RawFile) (Stats,
 			}
 		}
 		for f := range files {
-			porterMu.Lock()
 			reps := p.Porter.Port(f)
-			porterMu.Unlock()
 			for _, rep := range reps {
 				if !emit(rep) {
 					return
@@ -171,9 +165,7 @@ func (p *Pipeline) Run(ctx context.Context, files <-chan ctirep.RawFile) (Stats,
 				return
 			}
 		}
-		porterMu.Lock()
 		reps := p.Porter.Flush()
-		porterMu.Unlock()
 		for _, rep := range reps {
 			if !emit(rep) {
 				return

@@ -237,6 +237,12 @@ func TestGroupingPorterFlushEmitsPartials(t *testing.T) {
 	}
 }
 
+// directRep is the report representation of one raw file, as a porter
+// that does no page grouping would emit it.
+func directRep(f ctirep.RawFile) *ctirep.ReportRep {
+	return makeRep(f.Source, f.URL, f)
+}
+
 func TestParsersExtractStructuredFields(t *testing.T) {
 	specs := sources.DefaultSources(4)
 	web := sources.NewWeb(5, specs)
@@ -245,9 +251,9 @@ func TestParsersExtractStructuredFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := (DirectPorter{}).Port(ctirep.RawFile{
+		rep := directRep(ctirep.RawFile{
 			Source: spec.Slug, URL: page.URL, Format: "html", Body: page.Body,
-		})[0]
+		})
 		cti, err := (EncyclopediaParser{}).Parse(rep)
 		if err != nil {
 			t.Fatal(err)
@@ -285,9 +291,9 @@ func TestPDFParserRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := (DirectPorter{}).Port(ctirep.RawFile{
+	rep := directRep(ctirep.RawFile{
 		Source: pdfSpec.Slug, URL: page.URL, Format: "pdf", Body: page.Body,
-	})[0]
+	})
 	cti, err := (PDFParser{}).Parse(rep)
 	if err != nil {
 		t.Fatal(err)

@@ -30,17 +30,6 @@ type Porter interface {
 	Flush() []*ctirep.ReportRep
 }
 
-// DirectPorter emits one report representation per raw file.
-type DirectPorter struct{}
-
-// Port implements Porter.
-func (DirectPorter) Port(f ctirep.RawFile) []*ctirep.ReportRep {
-	return []*ctirep.ReportRep{makeRep(f.Source, f.URL, f)}
-}
-
-// Flush implements Porter.
-func (DirectPorter) Flush() []*ctirep.ReportRep { return nil }
-
 func makeRep(source, canonicalURL string, f ctirep.RawFile) *ctirep.ReportRep {
 	title := ""
 	if f.Format == "html" {
@@ -480,27 +469,5 @@ func (e RelationExtractor) Extract(c *ctirep.CTIRep) error {
 		return nil
 	}
 	c.Relations = append(c.Relations, e.NER.ExtractRelations(c.Text)...)
-	return nil
-}
-
-// BaselineEntityExtractor uses the regex/gazetteer recognizer (ablation
-// baseline for E4).
-type BaselineEntityExtractor struct {
-	Baseline *ner.Baseline
-}
-
-// Name implements Extractor.
-func (BaselineEntityExtractor) Name() string { return "entity-baseline" }
-
-// Extract implements Extractor.
-func (e BaselineEntityExtractor) Extract(c *ctirep.CTIRep) error {
-	text := c.Title + ".\n" + c.Text
-	for _, ent := range e.Baseline.Extract(text) {
-		c.Entities = append(c.Entities, ontology.Entity{
-			Type:  ent.Type,
-			Name:  ent.Name,
-			Attrs: map[string]string{"extractor": ent.Source},
-		})
-	}
 	return nil
 }

@@ -131,12 +131,11 @@ func encodeLikeParent(t *testing.T, v any) string {
 // built it.
 func parentResultBody(res *cypher.Result, seq uint64) any {
 	out := struct {
-		Columns   []string           `json:"columns"`
-		Rows      [][]string         `json:"rows"`
-		Truncated bool               `json:"truncated,omitempty"`
-		Writes    *cypher.WriteStats `json:"writes,omitempty"`
-		Seq       uint64             `json:"seq,omitempty"`
-	}{Columns: res.Columns, Truncated: res.Truncated, Writes: res.Writes, Seq: seq}
+		Columns []string           `json:"columns"`
+		Rows    [][]string         `json:"rows"`
+		Writes  *cypher.WriteStats `json:"writes,omitempty"`
+		Seq     uint64             `json:"seq,omitempty"`
+	}{Columns: res.Columns, Writes: res.Writes, Seq: seq}
 	for _, row := range res.Rows {
 		cells := make([]string, len(row))
 		for i, v := range row {
@@ -149,13 +148,13 @@ func parentResultBody(res *cypher.Result, seq uint64) any {
 
 // TestEncodersMatchEncodingJSON is the encoder differential: on random
 // results — floats, unicode, control characters, invalid UTF-8, nested
-// lists and maps, nulls, nodes and edges, writes and seq set or not, rows
-// cut by MaxRows or not — the materialized /api/cypher body, the stream's
-// trailers, /api/search hits and laid-out views are byte for byte what
-// encoding/json wrote from the values the handlers used to encode, and a
-// streamed result's rows decode to the materialized body's. The
-// materialized body drains the statement's cursor; its oracle is the
-// same statement run on a twin store through Engine.Query.
+// lists and maps, nulls, nodes and edges, writes and seq set or not — the
+// materialized /api/cypher body, the stream's trailers, /api/search hits
+// and laid-out views are byte for byte what encoding/json wrote from the
+// values the handlers used to encode, and a streamed result's rows decode
+// to the materialized body's. The materialized body drains the
+// statement's cursor; its oracle is the same statement run on a twin
+// store through Engine.Query.
 func TestEncodersMatchEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 3000; round++ {
@@ -165,7 +164,6 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		}
 		q, params := randStatement(rng), map[string]any{"rows": cypher.ListValue(vals)}
 		opts := cypher.DefaultOptions()
-		opts.MaxRows = rng.Intn(4)
 		res, err := cypher.NewEngine(graph.New(), opts).Query(q, params)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -179,7 +177,7 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 			seq = uint64(rng.Int63()) << rng.Intn(2)
 		}
 		seqFn := func() uint64 { return seq }
-		b, n, err := appendRows(nil, rows, opts.MaxRows, seqFn)
+		b, n, err := appendRows(nil, rows, seqFn)
 		if err != nil || n != len(res.Rows) {
 			t.Fatalf("%s: %d rows, error %v; Engine.Query returned %d", q, n, err, len(res.Rows))
 		}

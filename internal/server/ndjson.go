@@ -184,18 +184,18 @@ func appendWrites(dst []byte, ws *cypher.WriteStats) []byte {
 }
 
 // appendRows drains rows into a materialized /api/cypher body: the
-// columns, each row as an array of cell strings, then truncated (rows
-// past maxRows are dropped, as Engine.Query drops them), the writes and,
+// columns, each row as an array of cell strings, then the writes and,
 // when seq is set, the read-your-writes token it returns once the
 // statement has committed. It returns the body and its row count.
-func appendRows(dst []byte, rows *cypher.Rows, maxRows int, seq func() uint64) ([]byte, int, error) {
+func appendRows(dst []byte, rows *cypher.Rows, seq func() uint64) ([]byte, int, error) {
 	dst = appendStrings(append(dst, `{"columns":`...), rows.Columns())
 	dst = append(dst, `,"rows":`...)
 	open, cell, n := len(dst), make([]byte, 0, 64), 0
-	truncated, err := rows.Drain(maxRows, func(row []cypher.Value) {
+	err := rows.Drain(func(row []cypher.Value) error {
 		dst = append(dst, ',') // the first becomes the array's '['
 		dst, cell = appendCells(dst, cell, row)
 		n++
+		return nil
 	})
 	if err != nil {
 		return dst, 0, err
@@ -205,9 +205,6 @@ func appendRows(dst []byte, rows *cypher.Rows, maxRows int, seq func() uint64) (
 	} else {
 		dst[open] = '['
 		dst = append(dst, ']')
-	}
-	if truncated {
-		dst = append(dst, `,"truncated":true`...)
 	}
 	if ws := rows.Writes(); ws != nil {
 		dst = appendWrites(append(dst, `,"writes":`...), ws)

@@ -37,10 +37,6 @@ type Server struct {
 	eng   *cypher.Engine
 	mux   *http.ServeMux
 
-	// maxRows is the engine's MaxRows: a materialized /api/cypher body
-	// drops the rows past it, as Engine.Query does.
-	maxRows int
-
 	mu      sync.Mutex
 	history []*ViewGraph // view stack for the back button
 
@@ -131,15 +127,14 @@ func New(store *graph.Store, index *search.Index) *Server {
 	return NewWith(store, index, cypher.DefaultOptions())
 }
 
-// NewWith builds the server with explicit query options (row caps,
-// index toggles), so deployments can tune the Cypher safety valve.
+// NewWith builds the server with explicit query options (byte budget,
+// index toggles, read-only), so deployments can tune the Cypher engine.
 func NewWith(store *graph.Store, index *search.Index, opts cypher.Options) *Server {
 	s := &Server{
 		store:   store,
 		index:   index,
 		eng:     cypher.NewEngine(store, opts),
 		mux:     http.NewServeMux(),
-		maxRows: opts.MaxRows,
 		started: time.Now(),
 		reg:     metrics.NewRegistry(),
 	}
@@ -659,7 +654,7 @@ func (s *Server) cypherErr(w http.ResponseWriter, err error) {
 // passes as min_seq on later reads (possibly against a replica) to be
 // guaranteed to see this write.
 func (s *Server) writeRows(w http.ResponseWriter, buf *[]byte, rows *cypher.Rows, seq func() uint64) (int, error) {
-	b, n, err := appendRows((*buf)[:0], rows, s.maxRows, seq)
+	b, n, err := appendRows((*buf)[:0], rows, seq)
 	*buf = b
 	if err != nil {
 		return 0, err
@@ -674,41 +669,47 @@ func (s *Server) writeRows(w http.ResponseWriter, buf *[]byte, rows *cypher.Rows
 // number of rows written (for the slow-query log): a {"columns": ...}
 // line, one {"row": ...} line per row, then {"done": n} or
 // {"error": ...}; a non-nil seq adds the read-your-writes token to a
-// writing statement's done-trailer. Rows are not capped by MaxRows here
-// — the cursor streams until exhaustion, an error (e.g. the byte
-// budget), or the client going away: a failed write or a canceled
-// request context closes the cursor, which stops all remaining pattern
-// matching.
+// writing statement's done-trailer. The cursor drains until exhaustion,
+// an error (e.g. the byte budget), or the client going away: a failed
+// write or a canceled request context closes the cursor, which stops
+// all remaining pattern matching.
 func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher.Rows, seq func() uint64) int {
-	defer rows.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	out := newNDJSONWriter(w)
 	defer out.close()
 	if err := out.header(rows.Columns()); err != nil {
+		rows.Close()
 		return 0
 	}
 	done := r.Context().Done()
 	n := 0
-	for rows.Next() {
+	err := rows.Drain(func(row []cypher.Value) error {
 		select {
 		case <-done:
-			return n
+			return errClientGone
 		default:
 		}
-		if err := out.row(rows.Row()); err != nil {
-			return n
+		if err := out.row(row); err != nil {
+			return errClientGone
 		}
 		n++
-	}
-	// A trailer that cannot be written means the client is gone: there is
-	// nobody left to report the failure to.
-	if err := rows.Err(); err != nil {
+		return nil
+	})
+	// A client that has gone gets no trailer, and a trailer that cannot be
+	// written means the client is gone: either way nobody is left to tell.
+	switch {
+	case err == errClientGone:
+	case err != nil:
 		_ = out.fail(err.Error())
-		return n
+	default:
+		_ = out.done(n, rows.Writes(), seq)
 	}
-	_ = out.done(n, rows.Writes(), seq)
 	return n
 }
+
+// errClientGone ends a stream whose client has stopped reading: its
+// request context is canceled or a write to it failed.
+var errClientGone = errors.New("server: the client has gone")
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	if !s.awaitMinSeq(w, r) {

@@ -346,20 +346,18 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 
 // postCypher posts a query and decodes the result payload.
 func postCypher(t *testing.T, s *Server, payload map[string]any) (*httptest.ResponseRecorder, struct {
-	Columns   []string
-	Rows      [][]string
-	Truncated bool
-	Error     string
+	Columns []string
+	Rows    [][]string
+	Error   string
 }) {
 	t.Helper()
 	body, _ := json.Marshal(payload)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("POST", "/api/cypher", bytes.NewReader(body)))
 	var out struct {
-		Columns   []string
-		Rows      [][]string
-		Truncated bool
-		Error     string
+		Columns []string
+		Rows    [][]string
+		Error   string
 	}
 	json.Unmarshal(rec.Body.Bytes(), &out)
 	return rec, out
@@ -452,30 +450,25 @@ func TestCypherBodyCap(t *testing.T) {
 	}
 }
 
-func TestCypherTruncatedFlag(t *testing.T) {
-	// A MaxRows-capped server truncates mid-stream and surfaces the flag.
+func TestCypherMaterializedBudgetError(t *testing.T) {
+	// A materialized statement over the byte budget fails whole: 400 with
+	// the budget message and none of the rows that fit before it tripped.
 	store := graph.New()
-	hub, _ := store.MergeNode("Malware", "hub", nil)
-	for i := 0; i < 40; i++ {
-		ip, _ := store.MergeNode("IP", fmt.Sprintf("10.0.0.%d", i), nil)
-		store.AddEdge(hub, "CONNECT", ip, nil)
+	for i := 0; i < 5000; i++ {
+		store.MergeNode("T", fmt.Sprintf("some-quite-long-node-name-%d", i), nil)
 	}
-	s := NewWith(store, search.NewIndex(nil), cypher.Options{UseIndexes: true, MaxRows: 5})
-	rec, out := postCypher(t, s, map[string]any{
-		"query": `match (m:Malware)-[:CONNECT]->(ip) return ip.name`,
-	})
-	if rec.Code != 200 {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	s := NewWith(store, search.NewIndex(nil), cypher.Options{UseIndexes: true, MaxBytes: 16 << 10})
+	rec, _ := postCypher(t, s, map[string]any{"query": `match (n) return n.name`})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
 	}
-	if len(out.Rows) != 5 || !out.Truncated {
-		t.Errorf("rows=%d truncated=%v, want 5/true", len(out.Rows), out.Truncated)
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
 	}
-	// An explicit LIMIT under the cap is not a truncation.
-	rec, out = postCypher(t, s, map[string]any{
-		"query": `match (m:Malware)-[:CONNECT]->(ip) return ip.name limit 3`,
-	})
-	if rec.Code != 200 || len(out.Rows) != 3 || out.Truncated {
-		t.Errorf("limit: status=%d rows=%d truncated=%v, want 200/3/false", rec.Code, len(out.Rows), out.Truncated)
+	msg, ok := body["error"].(string)
+	if len(body) != 1 || !ok || !strings.Contains(msg, "byte budget") {
+		t.Errorf("body %s, want only a byte-budget error", rec.Body.String())
 	}
 }
 

@@ -49,7 +49,8 @@ import (
 // 42-source synthetic web with 25 reports each, and the first pipeline run
 // trains the NER model by data programming on a corpus sample.
 type Options struct {
-	// Seed drives every deterministic component (default 42).
+	// Seed fixes the web, the training sample and the model (default 42). Node and
+	// edge ids, and so Save bytes, repeat only with one worker per stage (TestIngestMatchesParent).
 	Seed int64
 	// ReportsPerSource scales the synthetic corpus (default 25).
 	ReportsPerSource int
@@ -269,7 +270,6 @@ func (sys *System) buildPipeline() (*pipeline.Pipeline, error) {
 		},
 		Connectors: conns,
 		Cfg: pipeline.Config{
-			PortWorkers:    sys.cfg.Pipeline.PortWorkers,
 			CheckWorkers:   sys.cfg.Pipeline.CheckWorkers,
 			ParseWorkers:   sys.cfg.Pipeline.ParseWorkers,
 			ExtractWorkers: sys.cfg.Pipeline.ExtractWorkers,
