@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-extract bench-scan bench-heap profile-scan profile-extract bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes loc
+.PHONY: build test vet examples bench bench-extract bench-scan bench-heap profile-scan profile-extract bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes loc
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,8 @@ build:
 # replication integration pass (replication-test) and a short-profile
 # live-ingest soak (soak-test with -short: fewer writers/batches, same
 # assertions — divergence, lost writes, 429 discipline, metrics under
-# scrape).
+# scrape). Last, examples builds and runs the five programs under
+# examples/, which drive the public facade end to end.
 test: vet
 	$(GO) test -race ./...
 	$(GO) test -run 'Allocs|PositionsMatchParent' ./internal/graph/ ./internal/storage/ ./internal/replication/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/ ./internal/layout/
@@ -47,6 +48,15 @@ test: vet
 	$(GO) test -race -count=2 -run 'IgnoreOpenTx' ./internal/graph/ ./internal/server/
 	$(MAKE) replication-test
 	$(MAKE) soak-test SOAKFLAGS=-short
+	$(MAKE) examples
+
+# examples builds and runs every program under examples/ and fails when
+# one exits non-zero; their output is discarded. Each builds its own
+# synthetic corpus in memory and writes nothing to disk (≈1–3 s each).
+examples:
+	@set -e; for ex in $(sort $(dir $(wildcard examples/*/main.go))); do \
+		echo "$(GO) run ./$$ex"; $(GO) run ./$$ex > /dev/null; \
+	done
 
 # replication-test runs the leader/follower integration suite under
 # -race with fresh counts: two-node convergence (Save byte-equality

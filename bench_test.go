@@ -7,6 +7,7 @@ package securitykg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -278,7 +279,7 @@ func BenchmarkCypherQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("index=%v", useIdx), func(b *testing.B) {
 			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: useIdx})
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(q); err != nil {
+				if _, err := eng.Query(q, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -324,7 +325,7 @@ func BenchmarkCypherVarLengthPath(b *testing.B) {
 			eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(q.q); err != nil {
+				if _, err := eng.Query(q.q, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -398,10 +399,10 @@ func BenchmarkCypherPreparedVsParse(b *testing.B) {
 // --- E18: streaming cursor vs materialized results ---
 
 // BenchmarkCypherRowsStreaming measures the Rows cursor against full
-// materialization on a 20k-row scan: "rows-first10" pulls ten rows and
-// closes (the interactive-hunting shape — upstream matching stops at
-// the tenth row), "materialize-all" drains the same query through the
-// compatibility Query path.
+// materialization on a 20k-row scan: "rows-first10" drains ten rows and
+// stops with a sentinel error (the interactive-hunting shape — upstream
+// matching stops at the tenth row), "materialize-all" drains the same
+// query through Query.
 func BenchmarkCypherRowsStreaming(b *testing.B) {
 	s := benchKG()
 	q := `match (m:Malware)-[:CONNECT]->(ip) return m.name, ip.name`
@@ -413,12 +414,16 @@ func BenchmarkCypherRowsStreaming(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for j := 0; j < 10 && rows.Next(); j++ {
+			n := 0
+			err = rows.Drain(func([]cypher.Value) error {
+				if n++; n == 10 {
+					return errTenRows
+				}
+				return nil
+			})
+			if err != errTenRows {
+				b.Fatalf("drain ended with %v, want the stop after ten rows", err)
 			}
-			if err := rows.Err(); err != nil {
-				b.Fatal(err)
-			}
-			rows.Close()
 		}
 	})
 	b.Run("materialize-all", func(b *testing.B) {
@@ -431,6 +436,9 @@ func BenchmarkCypherRowsStreaming(b *testing.B) {
 		}
 	})
 }
+
+// errTenRows stops BenchmarkCypherRowsStreaming's rows-first10 drain.
+var errTenRows = errors.New("ten rows read")
 
 // --- E19: join strategies (PR 5) ---
 
@@ -450,7 +458,7 @@ func BenchmarkCypherHashJoinVsNestedLoop(b *testing.B) {
 		eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Run(q)
+			res, err := eng.Query(q, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -484,7 +492,7 @@ func BenchmarkCypherBiExpand(b *testing.B) {
 		eng := cypher.NewEngine(s, cypher.Options{UseIndexes: true})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(q); err != nil {
+			if _, err := eng.Query(q, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -66,7 +66,7 @@ func TestServerDurableRestartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys2.AdoptStore(db2.Store())
-	res, err := sys2.CypherP(`match (m:Malware {name: $ioc})-[:CONNECT]->(ip) return m.triaged, ip.name`,
+	res, err := sys2.Engine().Query(`match (m:Malware {name: $ioc})-[:CONNECT]->(ip) return m.triaged, ip.name`,
 		map[string]any{"ioc": "restart-probe"})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"securitykg"
+	"securitykg/internal/cypher"
 	"securitykg/internal/graph"
 	"securitykg/internal/ontology"
 )
@@ -106,7 +107,8 @@ func main() {
 	// the graph, i.e. from crawled CTI text) are never spliced into
 	// query strings.
 	threat := map[string]any{"threat": top.Name}
-	res, err := sys.CypherP(`
+	eng := sys.Engine()
+	res, err := eng.Query(`
 		match (m {name: $threat})-[*1..2]-(x)
 		optional match (x)<-[:USE]-(a:ThreatActor)
 		with x, collect(a.name) as actors
@@ -121,23 +123,22 @@ func main() {
 
 	// Attribution and reporting context via Cypher, streamed through the
 	// cursor API: the DESCRIBES sweep prints reports as they match.
-	res, err = sys.CypherP(
+	res, err = eng.Query(
 		`match (m {name: $threat})-[:ATTRIBUTED_TO]->(a:ThreatActor) return a.name`, threat)
 	if err == nil && len(res.Rows) > 0 {
 		fmt.Printf("\nattribution: %s\n", res.Rows[0][0])
 	}
-	rows, err := sys.CypherRows(
+	rows, err := eng.QueryRows(
 		`match (r)-[:DESCRIBES]->(m {name: $threat}) return r.name, r.source`, threat)
 	if err == nil {
 		fmt.Println("reports describing this threat:")
-		for rows.Next() {
-			var name, source string
-			if err := rows.Scan(&name, &source); err != nil {
-				break
-			}
-			fmt.Printf("  %s (%s)\n", name, source)
-		}
-		rows.Close()
+		err = rows.Drain(func(row []cypher.Value) error {
+			fmt.Printf("  %s (%s)\n", row[0], row[1])
+			return nil
+		})
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 

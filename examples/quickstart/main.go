@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"securitykg"
+	"securitykg/internal/cypher"
 )
 
 func main() {
@@ -50,23 +51,19 @@ func main() {
 		fmt.Printf("  %.2f  %s\n", h.Score, h.Title)
 	}
 
-	// 5. Cypher queries (the Neo4j role), streamed through the cursor
-	// API: rows print as the executor matches them, and Close after the
+	// 5. Cypher queries (the Neo4j role), streamed through the cursor:
+	// Drain hands each row over as the executor matches it, and the
 	// LIMIT stops the traversal early.
-	rows, err := sys.CypherRows(`match (m:Malware)-[:CONNECT]->(ip:IP) return m.name, ip.name limit 5`, nil)
+	rows, err := sys.Engine().QueryRows(`match (m:Malware)-[:CONNECT]->(ip:IP) return m.name, ip.name limit 5`, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer rows.Close()
 	fmt.Println("\nmalware → C2 addresses:")
-	for rows.Next() {
-		var mal, ip string
-		if err := rows.Scan(&mal, &ip); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %s -> %s\n", mal, ip)
-	}
-	if err := rows.Err(); err != nil {
+	err = rows.Drain(func(row []cypher.Value) error {
+		fmt.Printf("  %s -> %s\n", row[0], row[1])
+		return nil
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 }

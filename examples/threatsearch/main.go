@@ -59,7 +59,7 @@ func main() {
 	for _, h := range hits {
 		fmt.Printf("  report %.2f  %s\n", h.Score, h.Title)
 	}
-	res, err := sys.CypherP(`match (a:ThreatActor {name: $actor})-[:USE]->(t)<-[:USE]-(other:ThreatActor)
+	res, err := sys.Engine().Query(`match (a:ThreatActor {name: $actor})-[:USE]->(t)<-[:USE]-(other:ThreatActor)
 		where other.name <> $actor
 		return distinct other.name, t.name`, map[string]any{"actor": "CozyDuke"})
 	if err != nil {
@@ -83,7 +83,7 @@ func main() {
 	// the statement text (hence its cached plan) is the same every run.
 	q := `match (n) where n.name = $name return n`
 	fmt.Printf("  %s  ($name = %q)\n", q, name)
-	res, err = sys.CypherP(q, map[string]any{"name": name})
+	res, err = sys.Engine().Query(q, map[string]any{"name": name})
 	if err != nil {
 		log.Fatal(err)
 	}

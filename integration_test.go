@@ -26,7 +26,7 @@ func TestIntegrationLifecycleDataDirExploreQuery(t *testing.T) {
 	// Query the live store, then the store storage.Open recovers from the
 	// data directory: the rows must agree exactly.
 	q := `match (m:Malware)-[:CONNECT]->(x) return m.name, x.name order by m.name, x.name limit 10`
-	live, err := sys.Cypher(q)
+	live, err := sys.Engine().Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,7 @@ func TestAnalyzeDisabledAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for rows.Next() {
-		}
-		if err := rows.Close(); err != nil {
+		if err := rows.Drain(func([]Value) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,10 +79,7 @@ func allocsOf(t *testing.T, s *graph.Store, q string, wantRows int) float64 {
 			t.Fatal(err)
 		}
 		n := 0
-		for rows.Next() {
-			n++
-		}
-		if err := rows.Close(); err != nil {
+		if err := rows.Drain(func([]Value) error { n++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if n != wantRows {

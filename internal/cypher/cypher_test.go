@@ -52,7 +52,7 @@ func buildDemoGraph(t *testing.T) *graph.Store {
 
 func run(t *testing.T, s *graph.Store, q string) *Result {
 	t.Helper()
-	res, err := NewEngine(s, DefaultOptions()).Run(q)
+	res, err := NewEngine(s, DefaultOptions()).Query(q, nil)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -246,11 +246,11 @@ func TestIndexAndScanAgree(t *testing.T) {
 	}
 	s.MergeNode("Malware", "needle", nil)
 	q := `match (n:Malware) where n.name = "needle" return n.name`
-	idx, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
+	idx, err := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := NewEngine(s, Options{UseIndexes: false}).Run(q)
+	scan, err := NewEngine(s, Options{UseIndexes: false}).Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestParseErrors(t *testing.T) {
 	s := graph.New()
 	eng := NewEngine(s, DefaultOptions())
 	for _, q := range bad {
-		if _, err := eng.Run(q); err == nil {
+		if _, err := eng.Query(q, nil); err == nil {
 			t.Errorf("query %q should fail to parse/run", q)
 		}
 	}
@@ -302,7 +302,7 @@ func TestOrderByNonReturnedExpression(t *testing.T) {
 		`match (n) return distinct n.name order by n.rank`,
 		`match (n) return n.type, count(*) order by n.rank`,
 	} {
-		if _, err := NewEngine(s, DefaultOptions()).Run(q); err == nil || !strings.Contains(err.Error(), "ORDER BY") {
+		if _, err := NewEngine(s, DefaultOptions()).Query(q, nil); err == nil || !strings.Contains(err.Error(), "ORDER BY") {
 			t.Errorf("%s: expected ORDER BY error, got %v", q, err)
 		}
 	}

@@ -38,9 +38,12 @@ func DefaultOptions() Options {
 //
 // Every statement executes against a consistent view of the store
 // (tx.go): reads pin an MVCC snapshot for the cursor's lifetime, writes
-// run inside an implicit store transaction committed when the cursor
-// closes (rolled back wholesale on any error — statements are atomic).
-// Engine.Begin opens an explicit multi-statement transaction.
+// run inside an implicit store transaction. Rows leave a statement only
+// through Rows.Drain: a drain to the end commits, while an error —
+// the callback's own included — or a Close before Drain rolls the
+// statement back wholesale (statements are atomic). Query drains for
+// the caller. Engine.Begin opens an explicit multi-statement
+// transaction.
 type Engine struct {
 	store *graph.Store
 	// view is the Snap every match stage and expression reads through: a
@@ -128,10 +131,6 @@ func bindParams(names []string, args map[string]any) (params, error) {
 	return ps, nil
 }
 
-// Run parses and executes a statement with no parameters. Kept as the
-// zero-ceremony entry point; parameterized callers use Query/QueryRows.
-func (e *Engine) Run(src string) (*Result, error) { return e.Query(src, nil) }
-
 // Query executes a statement with the given parameter bindings and
 // materializes the full result — a thin wrapper over QueryRows, bounded
 // like the cursor by the byte budget alone.
@@ -145,9 +144,10 @@ func (e *Engine) Query(src string, args map[string]any) (*Result, error) {
 	return materialize(rows)
 }
 
-// QueryRows executes a statement and returns an incremental cursor: the
-// first row is available without materializing the match set, and
-// closing the cursor early stops all upstream matching.
+// QueryRows executes a statement and returns an incremental cursor, read
+// with Rows.Drain: the first row is available without materializing the
+// match set, and a drain that stops early stops all upstream matching
+// and rolls the statement back.
 func (e *Engine) QueryRows(src string, args map[string]any) (*Rows, error) {
 	if pl := e.cachedPlan(src); pl != nil {
 		ps, err := bindParams(pl.Params, args)

@@ -138,8 +138,8 @@ func evalBool(p Expr, b *binding, ps params) (bool, error) {
 // chunk at a time (graph.Snap.Nodes: one hold of the store's read lock
 // per chunk rather than per node). The lock is only ever held inside a
 // refill, so never across a next() — a paused cursor or a stalled
-// client holds nothing. The first chunk is small, so a LIMIT or an
-// abandoned cursor resolves few nodes it never reads.
+// client holds nothing. The first chunk is small, so a LIMIT or a
+// stopped drain resolves few nodes it never reads.
 type nodeWindow struct {
 	ids   []graph.NodeID
 	nodes []*graph.Node // ids[lo : lo+len(nodes)], resolved

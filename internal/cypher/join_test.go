@@ -54,7 +54,7 @@ func isBiExpand(s Stage) bool { _, ok := s.(*BiExpandStage); return ok }
 // and fails on any divergence in error status or row multiset.
 func diffEngines(t *testing.T, s *graph.Store, q string) {
 	t.Helper()
-	planned, err1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
+	planned, err1 := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 	ref, err2 := reference{s}.Query(q, nil)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("error mismatch for %q: planned=%v reference=%v", q, err1, err2)
@@ -126,7 +126,7 @@ func TestHashJoinOrderingAndLimit(t *testing.T) {
 	if !planHas(plan(t, s, q), isHashJoin) {
 		t.Fatal("expected a hash-join plan")
 	}
-	planned, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
+	planned, err := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestLabelScanOrderByMatchesReference(t *testing.T) {
 	}
 	// The engine returns the reference's rows in the reference's order.
 	q := `match (n:T) where n.name contains "7" return n.name order by n.name`
-	got, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
+	got, err := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestLabelScanOrderByMatchesReference(t *testing.T) {
 	// An aggregate call in WHERE errors at evaluation, with the
 	// reference's message.
 	qErr := `match (n:T) where count(n) > 0 return n.name order by n.name`
-	_, err1 := NewEngine(s, Options{UseIndexes: true}).Run(qErr)
+	_, err1 := NewEngine(s, Options{UseIndexes: true}).Query(qErr, nil)
 	_, err2 := reference{s}.Query(qErr, nil)
 	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
 		t.Fatalf("error mismatch: planned=%v reference=%v", err1, err2)
@@ -295,7 +295,7 @@ func TestBarrierFedScanBudget(t *testing.T) {
 	}
 	q := `match (n:T) return count(*)`
 	// 256KiB > 3000 × aggRowCost.
-	res, err := NewEngine(s, Options{UseIndexes: true, MaxBytes: 256 << 10}).Run(q)
+	res, err := NewEngine(s, Options{UseIndexes: true, MaxBytes: 256 << 10}).Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestBarrierFedScanBudget(t *testing.T) {
 		t.Fatalf("count = %v, want 3000", res.Rows[0][0].Num)
 	}
 	// 32KiB < the aggregate's enumeration charge.
-	_, err = NewEngine(s, Options{UseIndexes: true, MaxBytes: 32 << 10}).Run(q)
+	_, err = NewEngine(s, Options{UseIndexes: true, MaxBytes: 32 << 10}).Query(q, nil)
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("want *BudgetError, got %v", err)

@@ -142,10 +142,6 @@ func TestPreparedReuseOnePlanManyBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stmt.Close()
-	if got := stmt.Params(); len(got) != 1 || got[0] != "name" {
-		t.Fatalf("stmt.Params() = %v", got)
-	}
 	for i := 0; i < 100; i++ {
 		res, err := stmt.Query(map[string]any{"name": fmt.Sprintf("m%d", i)})
 		if err != nil {
@@ -250,7 +246,7 @@ func TestParamSeekPlansLikeLiteral(t *testing.T) {
 		t.Errorf("numeric name binding: rows=%v err=%v, want empty/nil", res, err)
 	}
 	// EXPLAIN never executes, so it must not require bindings.
-	res, err = NewEngine(s, Options{UseIndexes: true}).Run(`explain match (n:Malware {name: $who}) return n`)
+	res, err = NewEngine(s, Options{UseIndexes: true}).Query(`explain match (n:Malware {name: $who}) return n`, nil)
 	if err != nil || len(res.Rows) == 0 {
 		t.Errorf("EXPLAIN of unbound param statement: rows=%v err=%v", res, err)
 	}
@@ -272,61 +268,77 @@ func TestRowsStreamsFirstRowWithoutMaterializing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rows.Close()
-	if !rows.Next() {
-		t.Fatalf("no first row: %v", rows.Err())
-	}
-	if rows.Next() {
-		t.Error("LIMIT 1 produced a second row")
-	}
-	if err := rows.Err(); err != nil {
+	n := 0
+	if err := rows.Drain(func([]Value) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
+	if n != 1 {
+		t.Errorf("LIMIT 1 produced %d rows", n)
+	}
 
-	// Without a LIMIT, pulling a handful of rows and abandoning the
-	// cursor must be equally immediate.
+	// Without a LIMIT, pulling a handful of rows and stopping the drain
+	// must be equally immediate.
 	rows, err = eng.QueryRows(`match (a), (b), (c) return a.name`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if !rows.Next() {
-			t.Fatalf("row %d missing: %v", i, rows.Err())
-		}
-	}
-	rows.Close()
-	if rows.Next() {
-		t.Error("Next returned true after Close")
-	}
-}
-
-func TestDrainStopsOnCallbackError(t *testing.T) {
-	// An error from Drain's callback stops the pull at that row, closes
-	// the cursor (releasing its snapshot) and is what Drain returns.
-	s := graph.New()
-	for i := 0; i < 50; i++ {
-		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
-	}
-	rows, err := NewEngine(s, DefaultOptions()).QueryRows(`match (a), (b), (c) return a.name`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stop := errors.New("stop")
-	n := 0
+	n = 0
 	err = rows.Drain(func([]Value) error {
-		if n++; n == 3 {
+		if n++; n == 5 {
 			return stop
 		}
 		return nil
 	})
-	if err != stop || n != 3 {
-		t.Errorf("Drain = %v after %d rows, want the callback's error after 3", err, n)
+	if err != stop || n != 5 {
+		t.Fatalf("Drain = %v after %d rows, want the stop after 5", err, n)
 	}
-	if rows.Next() {
-		t.Error("the cursor is still open after Drain returned")
+}
+
+func TestDrainStopsOnCallbackError(t *testing.T) {
+	// An error from Drain's callback stops the pull at that row, becomes
+	// the statement's error and is what Drain returns: a read releases
+	// its snapshot, and a write — whose mutations all ran on the first
+	// pull — rolls back, leaving the store as it was.
+	s := graph.New()
+	for i := 0; i < 50; i++ {
+		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
 	}
-	if st := s.MVCCStats(); st.Snapshots != 0 {
-		t.Errorf("%d snapshots still pinned after Drain returned", st.Snapshots)
+	names := map[string]any{"names": []any{"h1", "h2", "h3"}}
+	for _, tc := range []struct {
+		q    string
+		args map[string]any
+		stop int
+	}{
+		{`match (a), (b), (c) return a.name`, nil, 3},
+		{`unwind $names as n create (h:Host {name: n}) return h.name`, names, 2},
+		{`unwind $names as n create (h:Host {name: n}) return h.name`, names, 1},
+	} {
+		before := s.Stats().Nodes
+		rows, err := NewEngine(s, DefaultOptions()).QueryRows(tc.q, tc.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := errors.New("stop")
+		n := 0
+		err = rows.Drain(func([]Value) error {
+			if n++; n == tc.stop {
+				return stop
+			}
+			return nil
+		})
+		if err != stop || n != tc.stop {
+			t.Errorf("%s: Drain = %v after %d rows, want the callback's error after %d", tc.q, err, n, tc.stop)
+		}
+		if err := rows.Drain(func([]Value) error { n++; return nil }); err != stop || n != tc.stop {
+			t.Errorf("%s: the cursor is still open after Drain returned (%v, %d rows)", tc.q, err, n)
+		}
+		if got := s.Stats().Nodes; got != before {
+			t.Errorf("%s: %d nodes after the stopped drain, want %d: the statement landed", tc.q, got, before)
+		}
+		if st := s.MVCCStats(); st != (graph.MVCCStats{}) {
+			t.Errorf("%s: MVCC overlay after Drain returned: %+v", tc.q, st)
+		}
 	}
 }
 
@@ -338,29 +350,19 @@ func TestRowsColumnsAndScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rows.Close()
 	if cols := rows.Columns(); len(cols) != 2 || cols[0] != "name" || cols[1] != "c" {
 		t.Fatalf("columns = %v", rows.Columns())
 	}
-	if err := rows.Scan(new(string)); err == nil {
-		t.Error("Scan before Next succeeded")
-	}
-	if !rows.Next() {
-		t.Fatalf("no row: %v", rows.Err())
-	}
-	var name string
-	var c int
-	if err := rows.Scan(&name, &c); err != nil {
+	var got [][]Value
+	err = rows.Drain(func(row []Value) error {
+		got = append(got, append([]Value(nil), row...))
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "wannacry" || c != 1 {
-		t.Errorf("scanned %q/%d", name, c)
-	}
-	if err := rows.Scan(&name); err == nil {
-		t.Error("arity-mismatched Scan succeeded")
-	}
-	if err := rows.Scan(new(bool), new(int)); err == nil {
-		t.Error("type-mismatched Scan succeeded")
+	if len(got) != 1 || got[0][0].Str != "wannacry" || got[0][1].Num != 1 {
+		t.Errorf("rows = %v", got)
 	}
 }
 
@@ -374,7 +376,7 @@ func TestRowsOrderedAndAggregatedPaths(t *testing.T) {
 		`match (a)-[:CONNECT]->(b) return a.type, count(b) order by a.type`,
 		`match (n) return distinct n.type order by n.type`,
 	} {
-		res, err := eng.Run(q)
+		res, err := eng.Query(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,16 +384,8 @@ func TestRowsOrderedAndAggregatedPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []string
-		for rows.Next() {
-			cells := make([]string, len(rows.Row()))
-			for i, v := range rows.Row() {
-				cells[i] = v.String()
-			}
-			got = append(got, strings.Join(cells, "|"))
-		}
-		rows.Close()
-		if err := rows.Err(); err != nil {
+		got, err := drainStrings(rows)
+		if err != nil {
 			t.Fatal(err)
 		}
 		want := renderRows(res)
@@ -409,7 +403,7 @@ func TestBudgetErrorIsTypedNotTruncation(t *testing.T) {
 		s.MergeNode("T", fmt.Sprintf("node-with-a-long-name-%d", i), nil)
 	}
 	opts := Options{UseIndexes: true, MaxBytes: 8 << 10}
-	_, err := NewEngine(s, opts).Run(`match (n) return n.name`)
+	_, err := NewEngine(s, opts).Query(`match (n) return n.name`, nil)
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("materialized: want *BudgetError, got %v", err)
@@ -423,18 +417,16 @@ func TestBudgetErrorIsTypedNotTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	for rows.Next() {
-		n++
-	}
-	if !errors.As(rows.Err(), &be) {
-		t.Fatalf("cursor: want *BudgetError after %d rows, got %v", n, rows.Err())
+	err = rows.Drain(func([]Value) error { n++; return nil })
+	if !errors.As(err, &be) {
+		t.Fatalf("cursor: want *BudgetError after %d rows, got %v", n, err)
 	}
 	if n == 0 {
 		t.Error("cursor produced no rows before tripping the budget")
 	}
 
 	// Under the budget the same query succeeds exactly.
-	res, err := NewEngine(s, Options{UseIndexes: true, MaxBytes: 1 << 20}).Run(`match (n) return count(*)`)
+	res, err := NewEngine(s, Options{UseIndexes: true, MaxBytes: 1 << 20}).Query(`match (n) return count(*)`, nil)
 	if err != nil || res.Rows[0][0].Num != 2000 {
 		t.Errorf("under budget: res=%v err=%v", res, err)
 	}
@@ -460,17 +452,26 @@ func TestRowsParamStreamRandomBindings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []string
-		for rows.Next() {
-			cells := make([]string, len(rows.Row()))
-			for j, v := range rows.Row() {
-				cells[j] = v.String()
-			}
-			got = append(got, strings.Join(cells, "|"))
+		got, err := drainStrings(rows)
+		if err != nil {
+			t.Fatal(err)
 		}
-		rows.Close()
 		if !sameMultiset(got, renderRows(want)) {
 			t.Fatalf("binding %q: cursor %v, query %v", who, got, renderRows(want))
 		}
 	}
+}
+
+// drainStrings drains a cursor into one "|"-joined string per row.
+func drainStrings(rows *Rows) ([]string, error) {
+	var out []string
+	err := rows.Drain(func(row []Value) error {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = v.String()
+		}
+		out = append(out, strings.Join(cells, "|"))
+		return nil
+	})
+	return out, err
 }

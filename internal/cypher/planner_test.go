@@ -92,7 +92,7 @@ func TestPlannerCompositeAttrSeek(t *testing.T) {
 	if scan.Est != 10 {
 		t.Errorf("est = %f, want 10", scan.Est)
 	}
-	res, err := NewEngine(s, DefaultOptions()).Run(`match (m:Malware) where m.platform = "solaris" return m.name`)
+	res, err := NewEngine(s, DefaultOptions()).Query(`match (m:Malware) where m.platform = "solaris" return m.name`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestPlannerNoIndexesForcesFullScan(t *testing.T) {
 
 func TestExplainStatement(t *testing.T) {
 	s := skewedStore(t)
-	res, err := NewEngine(s, DefaultOptions()).Run(
-		`explain match (m:Malware)-[:CONNECT]->(ip) where ip.name contains "10." return ip.name limit 5`)
+	res, err := NewEngine(s, DefaultOptions()).Query(
+		`explain match (m:Malware)-[:CONNECT]->(ip) where ip.name contains "10." return ip.name limit 5`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestExplainStatement(t *testing.T) {
 
 func TestExplainDoesNotExecute(t *testing.T) {
 	s := skewedStore(t)
-	res, err := NewEngine(s, DefaultOptions()).Run(`explain match (n) return n`)
+	res, err := NewEngine(s, DefaultOptions()).Query(`explain match (n) return n`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +196,8 @@ func TestStreamingLimitShortCircuits(t *testing.T) {
 	// With a LIMIT and no ORDER BY the executor must stop pulling after
 	// the limit: on a 500-leaf hub this returns quickly and exactly.
 	s := skewedStore(t)
-	res, err := NewEngine(s, DefaultOptions()).Run(
-		`match (m:Malware)-[:CONNECT]->(ip) return ip.name limit 7`)
+	res, err := NewEngine(s, DefaultOptions()).Query(
+		`match (m:Malware)-[:CONNECT]->(ip) return ip.name limit 7`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestTypeEqualityPredicateScans(t *testing.T) {
 		`match (n) where n.type = "A" return n.name`,
 		`match (n) where n.label = "A" return n.name`,
 	} {
-		res, err := NewEngine(s, DefaultOptions()).Run(q)
+		res, err := NewEngine(s, DefaultOptions()).Query(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestErroringConjunctKeepsShortCircuit(t *testing.T) {
 	s.AddEdge(p, "E", qn, nil)
 	query := `match (p)-[:E]->(q) where q.name contains "zzz" and count(p) > 0 return p.name`
 	ref, rerr := reference{s}.Query(query, nil)
-	planned, perr := NewEngine(s, Options{UseIndexes: true}).Run(query)
+	planned, perr := NewEngine(s, Options{UseIndexes: true}).Query(query, nil)
 	if (rerr == nil) != (perr == nil) {
 		t.Fatalf("error mismatch: reference=%v planned=%v", rerr, perr)
 	}
@@ -252,7 +252,7 @@ func TestErroringConjunctKeepsShortCircuit(t *testing.T) {
 	// And when the guard passes, the count() error must still surface.
 	query2 := `match (p)-[:E]->(q) where q.name contains "q" and count(p) > 0 return p.name`
 	_, rerr2 := reference{s}.Query(query2, nil)
-	_, perr2 := NewEngine(s, Options{UseIndexes: true}).Run(query2)
+	_, perr2 := NewEngine(s, Options{UseIndexes: true}).Query(query2, nil)
 	if (rerr2 == nil) != (perr2 == nil) || rerr2 == nil {
 		t.Errorf("count() error mismatch: reference=%v planned=%v", rerr2, perr2)
 	}
@@ -268,14 +268,14 @@ func TestAggregateBudgetBoundsEnumeration(t *testing.T) {
 		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
 	}
 	q := `match (a), (b), (c) return count(*)` // 125000 bindings
-	res, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
+	res, err := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rows[0][0].Num != 125000 {
 		t.Errorf("count=%v, want exact 125000", res.Rows[0][0].Num)
 	}
-	_, err = NewEngine(s, Options{UseIndexes: true, MaxBytes: 32 << 10}).Run(q)
+	_, err = NewEngine(s, Options{UseIndexes: true, MaxBytes: 32 << 10}).Query(q, nil)
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Errorf("want *BudgetError under a 32KiB budget, got %v", err)
@@ -292,7 +292,7 @@ func TestPlannedAndReferenceAgreeOnDemoGraph(t *testing.T) {
 		`match (m:Malware)-[:EXPLOIT]->(v), (m)-[:DROP]->(f) return m.name, v.name, f.name`,
 	}
 	for _, q := range queries {
-		planned, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
+		planned, err := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 		if err != nil {
 			t.Fatalf("planned %q: %v", q, err)
 		}
@@ -319,7 +319,7 @@ func TestPlanCacheInvalidatedByIndexAttr(t *testing.T) {
 	}
 	eng := NewEngine(s, DefaultOptions())
 	q := `match (m:Malware) where m.platform = "solaris" return m.name`
-	res, err := eng.Run(q)
+	res, err := eng.Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestPlanCacheInvalidatedByIndexAttr(t *testing.T) {
 	if eng.cachedPlan(q) != nil {
 		t.Fatal("stale plan survived IndexAttr")
 	}
-	res, err = eng.Run(q)
+	res, err = eng.Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

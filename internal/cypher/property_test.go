@@ -73,8 +73,8 @@ func TestIndexScanEquivalenceQuick(t *testing.T) {
 		q := queries[int(qi)%len(queries)]
 		idxEng := NewEngine(s, Options{UseIndexes: true})
 		scanEng := NewEngine(s, Options{UseIndexes: false})
-		a, err1 := idxEng.Run(q)
-		b, err2 := scanEng.Run(q)
+		a, err1 := idxEng.Query(q, nil)
+		b, err2 := scanEng.Query(q, nil)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -106,12 +106,12 @@ func TestLimitSkipBoundsQuick(t *testing.T) {
 	f := func(k, sk uint8) bool {
 		limit := int(k%20) + 1
 		skip := int(sk % 20)
-		base, err := eng.Run(`match (n) return n.name order by n.name`)
+		base, err := eng.Query(`match (n) return n.name order by n.name`, nil)
 		if err != nil {
 			return false
 		}
-		paged, err := eng.Run(fmt.Sprintf(
-			`match (n) return n.name order by n.name skip %d limit %d`, skip, limit))
+		paged, err := eng.Query(fmt.Sprintf(
+			`match (n) return n.name order by n.name skip %d limit %d`, skip, limit), nil)
 		if err != nil {
 			return false
 		}
@@ -166,7 +166,7 @@ func TestPlannedReferenceEquivalenceQuick(t *testing.T) {
 	f := func(seed int64, qi uint8) bool {
 		s := randomStore(seed%1000, 40)
 		q := equivalenceQueries[int(qi)%len(equivalenceQueries)]
-		planned, err1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
+		planned, err1 := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 		ref, err2 := reference{s}.Query(q, nil)
 		if (err1 == nil) != (err2 == nil) {
 			t.Logf("error mismatch for %q: planned=%v reference=%v", q, err1, err2)
@@ -198,7 +198,7 @@ func TestPlannedReferenceEquivalenceNoIndexQuick(t *testing.T) {
 	f := func(seed int64, qi uint8) bool {
 		s := randomStore(seed%500, 30)
 		q := queries[int(qi)%len(queries)]
-		planned, err1 := NewEngine(s, Options{UseIndexes: false}).Run(q)
+		planned, err1 := NewEngine(s, Options{UseIndexes: false}).Query(q, nil)
 		ref, err2 := reference{s}.Query(q, nil)
 		if (err1 == nil) != (err2 == nil) {
 			return false
@@ -222,7 +222,7 @@ func TestOrderSkipLimitEquivalenceQuick(t *testing.T) {
 		limit := int(k % 12) // 0 is a valid LIMIT
 		skip := int(sk % 10)
 		q := fmt.Sprintf(`match (a)-[:CONNECT]->(b) return a.type, a.name, b.name order by a.type, a.name, b.name skip %d limit %d`, skip, limit)
-		planned, e1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
+		planned, e1 := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 		ref, e2 := reference{s}.Query(q, nil)
 		if (e1 == nil) != (e2 == nil) {
 			return false
@@ -255,7 +255,7 @@ func TestLimitTopKEquivalenceQuick(t *testing.T) {
 		s := randomStore(seed%500, 40)
 		limit := int(lim%20) + 1
 		q := fmt.Sprintf(`match (a)-[:CONNECT]->(b) return a.type, a.name, b.name order by a.type, a.name, b.name limit %d`, limit)
-		planned, e1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
+		planned, e1 := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 		ref, e2 := reference{s}.Query(q, nil)
 		if e1 != nil || e2 != nil {
 			return false
@@ -283,11 +283,11 @@ func TestCountAgreesWithRowsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		s := randomStore(seed%500, 30)
 		eng := NewEngine(s, Options{UseIndexes: true})
-		rows, err := eng.Run(`match (a)-[:CONNECT]->(b) return a.name, b.name`)
+		rows, err := eng.Query(`match (a)-[:CONNECT]->(b) return a.name, b.name`, nil)
 		if err != nil {
 			return false
 		}
-		cnt, err := eng.Run(`match (a)-[:CONNECT]->(b) return count(*)`)
+		cnt, err := eng.Query(`match (a)-[:CONNECT]->(b) return count(*)`, nil)
 		if err != nil {
 			return false
 		}
@@ -507,7 +507,7 @@ func TestExpandedSurfaceEquivalenceQuick(t *testing.T) {
 // rows — as a multiset, or in order when q has an ORDER BY.
 func plannedMatchesReference(t *testing.T, s *graph.Store, q string) bool {
 	t.Helper()
-	planned, err1 := NewEngine(s, Options{UseIndexes: true}).Run(q)
+	planned, err1 := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 	ref, err2 := reference{s}.Query(q, nil)
 	if (err1 == nil) != (err2 == nil) {
 		t.Logf("error mismatch for %q: planned=%v reference=%v", q, err1, err2)
@@ -538,7 +538,7 @@ func TestExpandedSurfaceNoIndexEquivalenceQuick(t *testing.T) {
 	f := func(seed int64, qi uint8) bool {
 		s := randomStore(seed%500, 25)
 		q := queries[int(qi)%len(queries)]
-		planned, err1 := NewEngine(s, Options{UseIndexes: false}).Run(q)
+		planned, err1 := NewEngine(s, Options{UseIndexes: false}).Query(q, nil)
 		ref, err2 := reference{s}.Query(q, nil)
 		if (err1 == nil) != (err2 == nil) {
 			return false

@@ -72,7 +72,7 @@ func TestOrderByTotalOrder(t *testing.T) {
 // identical rows in identical order.
 func bothEnginesOrdered(t *testing.T, s *graph.Store, q string) *Result {
 	t.Helper()
-	planned, err := NewEngine(s, DefaultOptions()).Run(q)
+	planned, err := NewEngine(s, DefaultOptions()).Query(q, nil)
 	if err != nil {
 		t.Fatalf("planned %q: %v", q, err)
 	}
@@ -111,12 +111,12 @@ func TestTopKMatchesFullSortQuick(t *testing.T) {
 		base := head + `a.type, a.name, b.name order by ` + order
 		paged := fmt.Sprintf(`%s skip %d limit %d`, base, skip, limit)
 		eng := NewEngine(s, Options{UseIndexes: true, MaxBytes: 1 << 30})
-		full, err := eng.Run(base)
+		full, err := eng.Query(base, nil)
 		if err != nil {
 			t.Logf("%s: %v", base, err)
 			return false
 		}
-		top, err := eng.Run(paged)
+		top, err := eng.Query(paged, nil)
 		if err != nil {
 			t.Logf("%s: %v", paged, err)
 			return false
@@ -131,8 +131,8 @@ func TestTopKMatchesFullSortQuick(t *testing.T) {
 		}
 		// A budget that admits only part of the stream: same trip point.
 		tight := NewEngine(s, Options{UseIndexes: true, MaxBytes: full.BudgetUsed / 2})
-		_, e1 := tight.Run(base)
-		_, e2 := tight.Run(paged)
+		_, e1 := tight.Query(base, nil)
+		_, e2 := tight.Query(paged, nil)
 		var b1, b2 *BudgetError
 		if !errors.As(e1, &b1) || !errors.As(e2, &b2) || b1.Used != b2.Used {
 			t.Logf("%s: budget trips differ: %v vs %v", paged, e1, e2)

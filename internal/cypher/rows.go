@@ -6,15 +6,15 @@ package cypher
 // statement) — and the byte budget it charges.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
 )
 
-// Rows is an incremental cursor over a query's result stream, in the
-// spirit of database/sql.Rows: rows are produced as the caller pulls
-// them, so a LIMIT-ed or abandoned query never materializes its full
-// match set. Usage:
+// Rows is an incremental cursor over a query's result stream: rows are
+// produced as Drain pulls them, so a LIMIT-ed or stopped query never
+// materializes its full match set. Drain is the one way to read it:
 //
 //	rows, err := eng.QueryRows(src, args)
 //	if err != nil { ... }
@@ -23,23 +23,25 @@ import (
 //		return nil
 //	})
 //
+// A statement ends exactly once, where Drain or Close ends the cursor.
+// It lands only when Drain pulls it to exhaustion; a callback that
+// returns an error, or a Close before Drain, stops it and rolls it back.
 // Aggregation and ORDER BY cannot emit their first row before consuming
-// their input; those queries buffer internally on the first Next call
+// their input; those queries buffer internally on the first pull
 // (charging the byte budget), then stream the buffered result.
 type Rows struct {
-	cols    []string
-	src     iter        // the final projection, or its ANALYZE wrapper
-	proj    *projection // whose row is the current row after src.next
-	cur     []Value
-	err     error
-	done    bool
-	started bool // Next was called at least once
-	writes  *WriteStats
-	// finish ends the cursor's execution scope (tx.go) exactly once, at
-	// close: commit the statement's implicit transaction (nil error) or
-	// roll it back (non-nil), or release the pinned read snapshot. The
-	// whole statement is atomic — a write statement's mutations become
-	// visible to other sessions only when its cursor closes cleanly.
+	cols   []string
+	src    iter        // the final projection, or its ANALYZE wrapper
+	proj   *projection // whose row is the current row after src.next
+	err    error
+	done   bool
+	writes *WriteStats
+	// finish ends the cursor's execution scope (tx.go) exactly once:
+	// commit the statement's implicit transaction (nil error) or roll it
+	// back (non-nil) — aborting an explicit transaction instead — or
+	// release the pinned read snapshot. The whole statement is atomic —
+	// a write statement's mutations become visible to other sessions
+	// only when its cursor is drained to the end.
 	finish func(error) error
 	// Statement observability (metrics.go): kind is 'r'/'w' for cursors
 	// produced by plan execution (0 for adapted results, which were
@@ -50,6 +52,10 @@ type Rows struct {
 	nrows int64
 	bud   *byteBudget
 }
+
+// errClosed is the error of a statement whose cursor was closed before
+// Drain ended it.
+var errClosed = errors.New("cypher: cursor closed before Drain ended it")
 
 // BudgetUsed returns the bytes charged against the statement's byte
 // budget so far (0 when the budget is unlimited). Slow-query logs
@@ -63,117 +69,58 @@ func (r *Rows) BudgetUsed() int64 {
 
 // Writes returns the statement's write counters (nil for read-only
 // statements). A write statement applies all of its mutations on the
-// first Next call (the mutation stage is an eager barrier); closing a
-// write cursor that was never advanced applies them too (Close pulls
-// once), so the counters are complete once the cursor is exhausted or
-// closed. An error during that deferred application surfaces via Err.
+// first pull (the mutation stage is an eager barrier), so the counters
+// are complete once Drain has returned nil.
 func (r *Rows) Writes() *WriteStats { return r.writes }
 
-// Columns returns the result column names, available before the first
-// Next call. The caller must not modify the returned slice.
+// Columns returns the result column names, available before Drain. The
+// caller must not modify the returned slice.
 func (r *Rows) Columns() []string { return r.cols }
 
-// Next advances to the next row, returning false when the stream is
-// exhausted or failed (check Err to tell the two apart).
-func (r *Rows) Next() bool {
-	if r.done {
-		return false
-	}
-	r.started = true
-	ok, err := r.src.next()
-	if err != nil {
-		r.err = err
-		r.close()
-		return false
-	}
-	if !ok {
-		r.close()
-		return false
-	}
-	r.nrows++
-	r.cur = r.proj.row
-	return true
-}
-
-// Row returns the current row's values. The slice is valid until the
-// next call to Next or Close.
-func (r *Rows) Row() []Value { return r.cur }
-
-// Scan copies the current row into dest, one destination per column.
-// Supported destinations: *Value (verbatim), *string (rendered),
-// *float64/*int (numbers), *bool, and *any (plain Go representation).
-func (r *Rows) Scan(dest ...any) error {
-	if r.cur == nil {
-		return fmt.Errorf("cypher: Scan called without a row (call Next first)")
-	}
-	if len(dest) != len(r.cur) {
-		return fmt.Errorf("cypher: Scan expects %d destinations, got %d", len(r.cur), len(dest))
-	}
-	for i, d := range dest {
-		v := r.cur[i]
-		switch p := d.(type) {
-		case *Value:
-			*p = v
-		case *string:
-			*p = v.String()
-		case *float64:
-			if v.Kind != KindNumber {
-				return fmt.Errorf("cypher: column %q is not a number", r.cols[i])
-			}
-			*p = v.Num
-		case *int:
-			if v.Kind != KindNumber {
-				return fmt.Errorf("cypher: column %q is not a number", r.cols[i])
-			}
-			*p = int(v.Num)
-		case *bool:
-			if v.Kind != KindBool {
-				return fmt.Errorf("cypher: column %q is not a boolean", r.cols[i])
-			}
-			*p = v.Bool
-		case *any:
-			*p = v.Go()
-		default:
-			return fmt.Errorf("cypher: unsupported Scan destination %T for column %q", d, r.cols[i])
+// Drain hands each row to each, in order, and ends the statement: the
+// one loop that reads a cursor. An error from each stops the pull and
+// becomes the statement's error, so the statement rolls back (an
+// explicit transaction aborts) and Drain returns that error; otherwise
+// Drain returns the statement's own error, which includes a failed
+// commit. Nothing past the last pulled row is ever computed. The row
+// passed to each is valid only during the call. Draining an ended
+// cursor returns its error again.
+func (r *Rows) Drain(each func(row []Value) error) error {
+	for !r.done {
+		ok, err := r.src.next()
+		if err == nil && ok {
+			r.nrows++
+			err = each(r.proj.row)
+		}
+		if err != nil || !ok {
+			r.end(err)
 		}
 	}
-	return nil
-}
-
-// Err returns the error that terminated iteration, if any. A query that
-// exceeds its byte budget surfaces a *BudgetError here.
-func (r *Rows) Err() error { return r.err }
-
-// Close releases the cursor. Abandoning a cursor early (e.g. after the
-// first row of interest) stops all upstream pattern matching — nothing
-// past the pulled rows is ever computed. The one exception is a write
-// statement whose cursor was never advanced: its mutations have not
-// run yet (they apply on the first pull), so Close pulls once to apply
-// them — a write a caller was handed must not silently evaporate. Any
-// error from that application lands in Err.
-func (r *Rows) Close() error {
-	if r.writes != nil && !r.started && !r.done && r.src != nil {
-		if _, err := r.src.next(); err != nil {
-			r.err = err
-		}
-	}
-	r.close()
 	return r.err
 }
 
-func (r *Rows) close() {
-	if !r.done && r.kind != 0 {
-		observeStatement(r.kind, time.Since(r.began), r.nrows, r.err)
+// Close ends a cursor that Drain has not: the statement stops where it
+// is and rolls back — its writes never land — and a read releases its
+// snapshot. Closing an ended cursor does nothing.
+func (r *Rows) Close() {
+	if !r.done {
+		r.end(errClosed)
 	}
-	r.done = true
-	r.cur = nil
-	r.src = nil
+}
+
+// end ends the statement with err (nil when it ran to exhaustion):
+// records the metrics and runs the scope's finish hook, whose commit
+// failure becomes the statement's error.
+func (r *Rows) end(err error) {
+	r.err, r.done, r.src = err, true, nil
+	if r.kind != 0 {
+		observeStatement(r.kind, time.Since(r.began), r.nrows, err)
+	}
 	if r.finish != nil {
-		fin := r.finish
-		r.finish = nil
-		if err := fin(r.err); err != nil && r.err == nil {
-			r.err = err // commit failure: the statement did not land
+		if ferr := r.finish(err); ferr != nil && r.err == nil {
+			r.err = ferr // commit failure: the statement did not land
 		}
+		r.finish = nil
 	}
 }
 
@@ -201,23 +148,6 @@ func materialize(rows *Rows) (*Result, error) {
 	res.Writes = rows.Writes()
 	res.BudgetUsed = rows.BudgetUsed()
 	return res, nil
-}
-
-// Drain hands each row to each, in order, and closes the cursor: the one
-// loop that pulls a cursor to its end. An error from each stops the
-// pull, closes the cursor and is returned; otherwise Drain returns the
-// statement's error, which includes a failed commit. The row passed to
-// each is valid only during the call.
-func (r *Rows) Drain(each func(row []Value) error) error {
-	for r.Next() {
-		if err := each(r.Row()); err != nil {
-			r.Close()
-			return err
-		}
-	}
-	// Close before checking Err: closing ends the statement's execution
-	// scope, and a commit failure surfaces there.
-	return r.Close()
 }
 
 // --- byte budget ---

@@ -594,36 +594,36 @@ func TestSchedulePausedCursorKeepsSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seen := map[string]bool{}
-			read := func(upTo int) {
-				for len(seen) < upTo && rows.Next() {
-					name, val := rows.Row()[0].Str, rows.Row()[1].Str
-					if val != "old" || seen[name] {
-						t.Fatalf("%s: paused at %d, row %d is %s=%s", q, pauseAt, len(seen), name, val)
-					}
-					seen[name] = true
-				}
-			}
-			read(pauseAt)
 			// Commits while the cursor is parked: none may block.
-			if _, err := e.Query(`match (k:KV) set k.val = "new"`, nil); err != nil {
-				t.Fatal(err)
+			commit := func() error {
+				if _, err := e.Query(`match (k:KV) set k.val = "new"`, nil); err != nil {
+					return err
+				}
+				tx, err := e.Begin()
+				if err != nil {
+					return err
+				}
+				if _, err := tx.Query(`match (k:KV) where k.name >= "k0900" detach delete k`, nil); err != nil {
+					return err
+				}
+				if _, err := tx.Query(`create (k:KV {name: "k9999", val: "new"})`, nil); err != nil {
+					return err
+				}
+				return tx.Commit()
 			}
-			tx, err := e.Begin()
+			seen := map[string]bool{}
+			err = rows.Drain(func(row []Value) error {
+				name, val := row[0].Str, row[1].Str
+				if val != "old" || seen[name] {
+					t.Fatalf("%s: paused at %d, row %d is %s=%s", q, pauseAt, len(seen), name, val)
+				}
+				seen[name] = true
+				if len(seen) == pauseAt {
+					return commit()
+				}
+				return nil
+			})
 			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tx.Query(`match (k:KV) where k.name >= "k0900" detach delete k`, nil); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tx.Query(`create (k:KV {name: "k9999", val: "new"})`, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			read(n + 1)
-			if err := rows.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if len(seen) != n {

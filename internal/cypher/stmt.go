@@ -46,9 +46,6 @@ func (e *Engine) Prepare(src string) (*Stmt, error) {
 	return st, nil
 }
 
-// Params returns the sorted $parameter names the statement requires.
-func (s *Stmt) Params() []string { return append([]string(nil), s.q.Params...) }
-
 // plan fetches the statement's plan from the shared cache, re-planning
 // (without re-parsing) when the cache evicted it or the store drifted
 // past the entry's validity bounds.
@@ -90,7 +87,3 @@ func (s *Stmt) Query(args map[string]any) (*Result, error) {
 	}
 	return materialize(rows)
 }
-
-// Close releases the statement. It exists for database/sql-style call
-// sites; the statement holds no resources beyond its parsed form.
-func (s *Stmt) Close() error { return nil }

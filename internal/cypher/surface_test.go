@@ -40,7 +40,7 @@ func chainStore(t *testing.T) *graph.Store {
 // row multiset parity before returning the planned result.
 func bothEngines(t *testing.T, s *graph.Store, q string) *Result {
 	t.Helper()
-	planned, err := NewEngine(s, DefaultOptions()).Run(q)
+	planned, err := NewEngine(s, DefaultOptions()).Query(q, nil)
 	if err != nil {
 		t.Fatalf("planned %q: %v", q, err)
 	}
@@ -362,7 +362,7 @@ func TestAggregateExact(t *testing.T) {
 		`match (n) return count(*)`,
 		`match (n) with count(*) as c return c`,
 	} {
-		res, err := NewEngine(s, Options{UseIndexes: true}).Run(q)
+		res, err := NewEngine(s, Options{UseIndexes: true}).Query(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +401,7 @@ func TestNewSurfaceParseErrors(t *testing.T) {
 	s := graph.New()
 	eng := NewEngine(s, DefaultOptions())
 	for _, q := range bad {
-		if _, err := eng.Run(q); err == nil {
+		if _, err := eng.Query(q, nil); err == nil {
 			t.Errorf("query %q should fail to parse/run", q)
 		}
 	}

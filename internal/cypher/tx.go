@@ -18,8 +18,9 @@ import (
 //     concurrent commits, and never block writers.
 //   - A write statement opens an implicit graph.Tx: its reads see the
 //     transaction's snapshot, its writes buffer in the transaction, and
-//     the cursor's close commits (or, on any error, rolls back — the
-//     whole statement is atomic, including its WAL group).
+//     a drain to the end commits (or, on any error — a stopped drain's
+//     included — rolls back: the whole statement is atomic, including
+//     its WAL group).
 //   - Engine.Begin opens an explicit transaction: a scoped engine whose
 //     statements all run against one graph.Tx until Commit/Rollback. A
 //     failed statement aborts the transaction wholesale.

@@ -88,6 +88,67 @@ func TestStatementWALGroup(t *testing.T) {
 	}
 }
 
+// TestTxStoppedDrainAborts: inside an explicit transaction a statement
+// that is stopped — its drain ended by the callback, or its cursor
+// closed before Drain — is a failed statement: the whole transaction
+// aborts, its earlier writes included, nothing reaches the WAL hook,
+// every later statement and COMMIT errors, and only ROLLBACK ends it.
+func TestTxStoppedDrainAborts(t *testing.T) {
+	stop := errors.New("stop")
+	for _, tc := range []struct {
+		name string
+		end  func(*Rows) error
+		want error
+	}{
+		{"callback", func(r *Rows) error { return r.Drain(func([]Value) error { return stop }) }, stop},
+		{"close", func(r *Rows) error { r.Close(); return r.Drain(func([]Value) error { return nil }) }, errClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := graph.New()
+			s.MergeNode("Tool", "a", nil)
+			before := storeBytes(t, s)
+			var logged []graph.MutationOp
+			s.SetMutationHook(func(m graph.Mutation) { logged = append(logged, m.Op) })
+			e := NewEngine(s, DefaultOptions())
+			tx, err := e.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustTxQuery(t, tx, `create (t:Tool {name: "b"})`)
+			rows, err := tx.QueryRows(`unwind $names as n create (h:Host {name: n}) return h.name`,
+				map[string]any{"names": []any{"h1", "h2", "h3"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.end(rows); err != tc.want {
+				t.Fatalf("stopped statement ended with %v, want %v", err, tc.want)
+			}
+			if _, err := tx.Query(`match (t:Tool) return count(t)`, nil); err == nil || !strings.Contains(err.Error(), "aborted") {
+				t.Fatalf("statement after the stop: %v, want the transaction aborted", err)
+			}
+			if err := tx.Commit(); err == nil {
+				t.Fatal("COMMIT of the aborted transaction succeeded")
+			}
+			if tx.Done() {
+				t.Fatal("the aborted transaction ended before ROLLBACK")
+			}
+			mustTxQuery(t, tx, `rollback`)
+			if !tx.Done() {
+				t.Fatal("ROLLBACK did not end the aborted transaction")
+			}
+			if got := storeBytes(t, s); !bytes.Equal(got, before) {
+				t.Fatal("the aborted transaction left the store changed")
+			}
+			if len(logged) != 0 {
+				t.Fatalf("the aborted transaction logged %v", logged)
+			}
+			if st := s.MVCCStats(); st != (graph.MVCCStats{}) {
+				t.Fatalf("MVCC overlay after ROLLBACK: %+v", st)
+			}
+		})
+	}
+}
+
 func mustQuery(t *testing.T, e *Engine, src string) *Result {
 	t.Helper()
 	res, err := e.Query(src, nil)
@@ -115,7 +176,7 @@ func countOf(t *testing.T, res *Result) string {
 }
 
 // TestCursorPinsSnapshot: a streaming cursor opened before a write
-// reads the store as of its open, not as of each Next call.
+// reads the store as of its open, not as of each pull.
 func TestCursorPinsSnapshot(t *testing.T) {
 	s := graph.New()
 	s.MergeNode("Tool", "a", nil)
@@ -126,17 +187,17 @@ func TestCursorPinsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rows.Next() {
-		t.Fatalf("no first row: %v", rows.Err())
-	}
-	// Mutate between Next calls: the open cursor must not see it.
-	s.MergeNode("Tool", "c", nil)
-	s.DeleteNode(findNode(s, "Tool", "b").ID)
-	got := []string{rows.Row()[0].String()}
-	for rows.Next() {
-		got = append(got, rows.Row()[0].String())
-	}
-	if err := rows.Close(); err != nil {
+	var got []string
+	err = rows.Drain(func(row []Value) error {
+		got = append(got, row[0].String())
+		if len(got) == 1 {
+			// Mutate between pulls: the open cursor must not see it.
+			s.MergeNode("Tool", "c", nil)
+			s.DeleteNode(findNode(s, "Tool", "b").ID)
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {

@@ -2,9 +2,9 @@ package cypher
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -202,14 +202,14 @@ func TestWriteOnlyRowsCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rows.Close()
 	if len(rows.Columns()) != 0 {
 		t.Fatalf("write-only columns: %v", rows.Columns())
 	}
-	if rows.Next() {
+	err = rows.Drain(func([]Value) error {
 		t.Fatal("write-only statement produced a row")
-	}
-	if err := rows.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if ws := rows.Writes(); ws == nil || ws.NodesCreated != 1 {
@@ -338,7 +338,6 @@ func TestWriteHeavyPreparedKeepsCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer write.Close()
 	base := eng.PlanCacheStats()
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
@@ -369,10 +368,6 @@ func TestPreparedWriteStatement(t *testing.T) {
 	stmt, err := eng.Prepare(`merge (m:Malware {name: $ioc}) set m.seen = $seen`)
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer stmt.Close()
-	if got := stmt.Params(); !reflect.DeepEqual(got, []string{"ioc", "seen"}) {
-		t.Fatalf("params: %v", got)
 	}
 	iocs := []string{"a", "b", `") detach delete (x`, "a"}
 	for _, ioc := range iocs {
@@ -488,36 +483,56 @@ func TestSelfLoopDeleteCount(t *testing.T) {
 	}
 }
 
-// TestWriteCursorCloseAppliesMutations: a write cursor handed to a
-// caller must apply its mutations even if the caller closes it without
-// ever calling Next.
-func TestWriteCursorCloseAppliesMutations(t *testing.T) {
+// TestWriteCursorCloseRollsBack: closing a write cursor that Drain has
+// not ended stops the statement and rolls it back — whether its
+// mutations never ran (no pull yet) or already sit in its transaction —
+// and a second Close, or a Drain after it, changes nothing.
+func TestWriteCursorCloseRollsBack(t *testing.T) {
 	s := graph.New()
+	s.MergeNode("T", "t1", nil)
 	eng := NewEngine(s, DefaultOptions())
 	rows, err := eng.QueryRows(`create (x:T {name: "close-only"})`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
+	rows.Close()
+	rows.Close()
+	if findNode(s, "T", "close-only") != nil {
+		t.Fatal("Close before Drain committed the write")
 	}
-	if findNode(s, "T", "close-only") == nil {
-		t.Fatal("Close without Next dropped the write")
-	}
-	if ws := rows.Writes(); ws == nil || ws.NodesCreated != 1 {
+	if ws := rows.Writes(); ws == nil || *ws != (WriteStats{}) {
 		t.Fatalf("writes after close: %+v", ws)
 	}
-	// After a Next, Close must NOT re-apply or pull further.
+	err = rows.Drain(func([]Value) error {
+		t.Fatal("Drain after Close produced a row")
+		return nil
+	})
+	if err != errClosed {
+		t.Fatalf("Drain after Close = %v, want %v", err, errClosed)
+	}
+	// A stop after the first pull has applied the SET inside the
+	// statement's transaction: Close rolls it back all the same.
 	rows, err = eng.QueryRows(`match (x:T) set x.seen = "1" return x.name`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows.Next()
-	if err := rows.Close(); err != nil {
+	stop := errors.New("stop")
+	if err := rows.Drain(func([]Value) error { return stop }); err != stop {
+		t.Fatalf("Drain = %v, want the callback's error", err)
+	}
+	rows.Close()
+	if n := findNode(s, "T", "t1"); n == nil || n.Attrs.Get("seen") != "" {
+		t.Fatalf("stopped SET landed: %+v", n)
+	}
+	if st := s.MVCCStats(); st != (graph.MVCCStats{}) {
+		t.Fatalf("MVCC overlay after the rollbacks: %+v", st)
+	}
+	// The writer is free again: the next write commits.
+	if _, err := eng.Query(`match (x:T) set x.seen = "2"`, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ws := rows.Writes(); ws.PropsSet != 1 {
-		t.Fatalf("writes after Next+Close: %+v", ws)
+	if n := findNode(s, "T", "t1"); n.Attrs.Get("seen") != "2" {
+		t.Fatalf("write after the rollbacks: %+v", n)
 	}
 }
 

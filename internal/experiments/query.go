@@ -71,7 +71,7 @@ func CypherScaling(sizes []int, seed int64) (*Table, error) {
 			for _, useIdx := range []bool{true, false} {
 				eng := cypher.NewEngine(s, cypher.Options{UseIndexes: useIdx})
 				// Warm.
-				res, err := eng.Run(q.q)
+				res, err := eng.Query(q.q, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -81,7 +81,7 @@ func CypherScaling(sizes []int, seed int64) (*Table, error) {
 				}
 				start := time.Now()
 				for i := 0; i < reps; i++ {
-					if _, err := eng.Run(q.q); err != nil {
+					if _, err := eng.Query(q.q, nil); err != nil {
 						return nil, err
 					}
 				}

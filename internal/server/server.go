@@ -671,8 +671,9 @@ func (s *Server) writeRows(w http.ResponseWriter, buf *[]byte, rows *cypher.Rows
 // {"error": ...}; a non-nil seq adds the read-your-writes token to a
 // writing statement's done-trailer. The cursor drains until exhaustion,
 // an error (e.g. the byte budget), or the client going away: a failed
-// write or a canceled request context closes the cursor, which stops
-// all remaining pattern matching.
+// write or a canceled request context stops the drain, which stops all
+// remaining pattern matching and rolls the statement back, so a write
+// nobody is left to acknowledge does not land.
 func (s *Server) streamRows(w http.ResponseWriter, r *http.Request, rows *cypher.Rows, seq func() uint64) int {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	out := newNDJSONWriter(w)

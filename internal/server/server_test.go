@@ -647,6 +647,39 @@ func TestCypherStreamStopsOnClientGone(t *testing.T) {
 	}
 }
 
+// TestCypherStreamWriteRollsBackOnClientGone: a streamed write whose
+// client has gone before the first row is rolled back, not committed:
+// the stopped drain ends the statement with an error, so the body holds
+// no done trailer and no read-your-writes seq, and the store is as it
+// was.
+func TestCypherStreamWriteRollsBackOnClientGone(t *testing.T) {
+	store := graph.New()
+	store.MergeNode("T", "n0", nil)
+	s := New(store, search.NewIndex(nil))
+	body, _ := json.Marshal(map[string]any{
+		"query":  `unwind $names as n create (h:Host {name: n}) return h.name`,
+		"params": map[string]any{"names": []string{"h1", "h2", "h3"}},
+		"stream": true,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest("POST", "/api/cypher", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if got := rec.Body.String(); strings.Contains(got, `"done"`) || strings.Contains(got, `"seq"`) {
+		t.Errorf("canceled write stream reported a commit: %s", got)
+	}
+	if n := store.Stats().Nodes; n != 1 {
+		t.Errorf("%d nodes after the canceled write, want 1: the statement committed", n)
+	}
+	if findNode(store, "Host", "h1") != nil {
+		t.Error("a Host node of the canceled write is in the store")
+	}
+	if st := store.MVCCStats(); st != (graph.MVCCStats{}) {
+		t.Errorf("MVCC overlay after the canceled write: %+v", st)
+	}
+}
+
 // TestCypherWriteEndpoint: /api/cypher accepts write statements, the
 // store actually mutates, and the response carries the write counters.
 func TestCypherWriteEndpoint(t *testing.T) {

@@ -17,7 +17,7 @@
 //	sys.Collect(context.Background())
 //	sys.Fuse()
 //	hits, _ := sys.Search("wannacry", 5)
-//	res, _ := sys.CypherP(`match (n) where n.name = $ioc return n`,
+//	res, _ := sys.Engine().Query(`match (n) where n.name = $ioc return n`,
 //		map[string]any{"ioc": "wannacry"})
 package securitykg
 
@@ -320,54 +320,17 @@ func (sys *System) Search(query string, k int) ([]SearchHit, error) {
 	return out, nil
 }
 
-// engine builds a query engine over the current store. Engines are
-// cheap to construct: the compiled-plan cache is shared per store, so
-// repeated statements hit cached plans across calls (and across every
-// other consumer of the same store, e.g. an API server).
-func (sys *System) engine() *cypher.Engine {
+// Engine returns a Cypher-subset query engine over the knowledge graph
+// (the UI's Neo4j path). Engines are cheap to construct: the
+// compiled-plan cache is shared per store, so repeated statements hit
+// cached plans across calls (and across every other consumer of the
+// same store, e.g. an API server). Rows are read with Rows.Drain, and a
+// drain stopped by its callback rolls the statement back. Untrusted
+// values (IOC strings, report titles) bind as $params, never spliced
+// into the text. An engine stays valid until AdoptStore replaces the
+// graph.
+func (sys *System) Engine() *cypher.Engine {
 	return cypher.NewEngine(sys.Store, cypher.DefaultOptions())
-}
-
-// Cypher executes a Cypher-subset query with no parameters against the
-// knowledge graph (the UI's Neo4j path). Queries embedding untrusted
-// values — IOC strings, report titles — should use CypherP instead of
-// splicing them into the query text.
-func (sys *System) Cypher(query string) (*cypher.Result, error) {
-	return sys.CypherP(query, nil)
-}
-
-// CypherP executes a parameterized query: $name placeholders in the
-// query text are bound from params at execution time, so one cached
-// plan serves every binding and values never need escaping.
-//
-//	sys.CypherP(`match (m {name: $ioc})-[:CONNECT]->(x) return x.name`,
-//		map[string]any{"ioc": observed})
-func (sys *System) CypherP(query string, params map[string]any) (*cypher.Result, error) {
-	return sys.engine().Query(query, params)
-}
-
-// CypherRows executes a parameterized query and returns a streaming
-// cursor: rows surface as they are matched, and closing the cursor
-// early stops all remaining pattern matching. The caller must Close it.
-func (sys *System) CypherRows(query string, params map[string]any) (*cypher.Rows, error) {
-	return sys.engine().QueryRows(query, params)
-}
-
-// PrepareCypher parses and plans a statement once for repeated
-// execution with different parameter bindings (threat-hunting loops,
-// API handlers). The statement remains valid until the graph is
-// replaced with AdoptStore.
-func (sys *System) PrepareCypher(query string) (*cypher.Stmt, error) {
-	return sys.engine().Prepare(query)
-}
-
-// CypherAnalyze executes a parameterized statement fully and returns
-// its result together with the profiled plan: per-operator actual
-// rows, input rows, iterator calls, and wall time rendered next to the
-// planner's estimates (EXPLAIN ANALYZE as an API). The statement's
-// effects are real — writes commit.
-func (sys *System) CypherAnalyze(query string, params map[string]any) (*cypher.Result, string, error) {
-	return sys.engine().QueryAnalyze(query, params)
 }
 
 // ExportSTIX writes the knowledge graph as a STIX 2.1-style bundle, making

@@ -84,7 +84,7 @@ func TestSystemSearchFindsReports(t *testing.T) {
 func TestSystemCypherDemoQuery(t *testing.T) {
 	sys, _ := sharedSystem(t)
 	// Find any malware node, then run the paper's demo-style point query.
-	res, err := sys.Cypher(`match (n:Malware) return n.name limit 1`)
+	res, err := sys.Engine().Query(`match (n:Malware) return n.name limit 1`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSystemCypherDemoQuery(t *testing.T) {
 		t.Fatal("no malware nodes in KG")
 	}
 	name := res.Rows[0][0].Str
-	res2, err := sys.Cypher(`match (n) where n.name = "` + name + `" return n.type`)
+	res2, err := sys.Engine().Query(`match (n) where n.name = "`+name+`" return n.type`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
