@@ -179,14 +179,17 @@ profile-scan:
 # profile-extract writes a CPU profile of BenchmarkNERExtract (10000
 # Extract calls on one report, -cpu 2) and its test binary to the
 # git-ignored .bench_build/, as profile-scan does, then prints the top
-# functions and the CRF decoder's methods with their callers and callees:
+# functions and the CRF decoder's methods with their callers and callees.
+# The profile also covers the benchmark's training, so both reports keep
+# only the samples under Extract and state shares of Extract alone.
 # Decoder.Add near the top means tokens are resolved by feature string
 # again instead of by the ids their values resolve to.
+EXTRACT_FOCUS = -focus 'ner.\(\*Extractor\).Extract$$' -relative_percentages
 profile-extract:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench 'NERExtract$$' -benchtime 10000x -cpu 2 -o .bench_build/extract.test -cpuprofile .bench_build/extract.prof .
-	$(GO) tool pprof -top -nodecount=25 .bench_build/extract.test .bench_build/extract.prof
-	$(GO) tool pprof -peek 'crf.\(\*Decoder\)' .bench_build/extract.test .bench_build/extract.prof
+	$(GO) tool pprof -top -nodecount=25 $(EXTRACT_FOCUS) .bench_build/extract.test .bench_build/extract.prof
+	$(GO) tool pprof -peek 'crf.\(\*Decoder\)' $(EXTRACT_FOCUS) .bench_build/extract.test .bench_build/extract.prof
 
 # bench-ledger runs the performance ledger (bench/README.md): four
 # workloads, end-to-end and per-layer metrics, untraced then traced.
@@ -226,17 +229,20 @@ cover:
 			printf "%s coverage %.1f%% (floor %s%%)\n", p, t, floor }'; \
 	done
 
-# fuzz exercises the IOC-scanner, parser, engine, JSON-escaper, request-
-# decoder, WAL-recovery and replication-frame fuzz targets for 30s each
-# (the anchored scanner must equal the ten-regex sweep; parser must never
-# panic; the engine must error, not crash; a string must be escaped
-# exactly as encoding/json escapes it; an /api/cypher body must decode as
-# json.Unmarshal decodes it, or be refused when it refuses it; recovery
-# must survive arbitrary log bytes and stay writable; the frame reader
-# must pass on only whole frames of a known kind, within its size bound).
+# fuzz exercises the IOC-scanner, HTML-parser, Cypher-parser, engine,
+# JSON-escaper, request-decoder, WAL-recovery and replication-frame fuzz
+# targets for 30s each (the anchored scanner must equal the ten-regex
+# sweep; no page may make the HTML parser or its text extraction panic;
+# the Cypher parser must never panic; the engine must error, not crash;
+# a string must be escaped exactly as encoding/json escapes it; an
+# /api/cypher body must decode as json.Unmarshal decodes it, or be
+# refused when it refuses it; recovery must survive arbitrary log bytes
+# and stay writable; the frame reader must pass on only whole frames of a
+# known kind, within its size bound).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/ioc -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/htmlparse -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzEngineQuery -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzJSONString -fuzztime $(FUZZTIME) -run '^$$'

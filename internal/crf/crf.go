@@ -48,15 +48,22 @@ type Model struct {
 	// into[cur*L+prev] is trans[prev*L+cur] once the weights are final:
 	// Viterbi reads the transitions into a label side by side.
 	into []float64
+	// maxInto[cur] is the largest transition into cur from a label (the
+	// start row aside): the bound Viterbi's fast path checks against.
+	maxInto []float64
 }
 
 // finish derives what decoding reads from the final weights.
 func (m *Model) finish() *Model {
 	L := len(m.labels)
 	m.into = make([]float64, L*L)
-	for prev := 0; prev < L; prev++ {
-		for cur := 0; cur < L; cur++ {
-			m.into[cur*L+prev] = m.trans[prev*L+cur]
+	m.maxInto = make([]float64, L)
+	for cur := 0; cur < L; cur++ {
+		m.maxInto[cur] = math.Inf(-1)
+		for prev := 0; prev < L; prev++ {
+			w := m.trans[prev*L+cur]
+			m.into[cur*L+prev] = w
+			m.maxInto[cur] = max(m.maxInto[cur], w)
 		}
 	}
 	return m
@@ -313,7 +320,7 @@ func (m *Model) scoreInto(scores []float64, r *resolved) []float64 {
 	for t := 0; t < r.positions(); t++ {
 		row := scores[t*L : (t+1)*L]
 		for _, id := range r.ids[r.off[t]:r.off[t+1]] {
-			w := m.unary[int(id)*L : (int(id)+1)*L]
+			w := m.unary[int(id)*L:][:len(row)]
 			for y := range row {
 				row[y] += w[y]
 			}
@@ -417,12 +424,28 @@ func (d *Decoder) Viterbi() []int {
 	}
 	for t := 1; t < T; t++ {
 		prev := delta[(t-1)*L : t*L]
+		// top is the best previous label (the lowest among equals) and
+		// second the best score of all the others.
+		top, second := 0, math.Inf(-1)
+		for yp := 1; yp < L; yp++ {
+			if dv := prev[yp]; dv > prev[top] {
+				top, second = yp, prev[top]
+			} else if dv > second {
+				second = dv
+			}
+		}
 		for y := 0; y < L; y++ {
 			into := m.into[y*L : (y+1)*L][:len(prev)]
-			best, bestPrev := math.Inf(-1), 0
-			for yp, dv := range prev {
-				if v := dv + into[yp]; v > best {
-					best, bestPrev = v, yp
+			// No other predecessor scores above second+maxInto[y], and
+			// float addition is monotone: when top beats that strictly,
+			// top is the one maximum the full loop below would find.
+			best, bestPrev := prev[top]+into[top], top
+			if !(second+m.maxInto[y] < best) {
+				best, bestPrev = math.Inf(-1), 0
+				for yp, dv := range prev {
+					if v := dv + into[yp]; v > best {
+						best, bestPrev = v, yp
+					}
 				}
 			}
 			delta[t*L+y] = best + scores[t*L+y]

@@ -118,8 +118,9 @@ func naiveMarginals(p *persistModel, features [][]string) [][]float64 {
 }
 
 // randomModel draws a model with nLabels labels over nFeats features, in
-// its persisted form and loaded.
-func randomModel(t *testing.T, rng *rand.Rand, nLabels, nFeats int) (*persistModel, *Model) {
+// its persisted form and loaded. A coarse model draws every weight from
+// {0, 0.5, 1}, so lattice scores tie exactly and often.
+func randomModel(t *testing.T, rng *rand.Rand, nLabels, nFeats int, coarse bool) (*persistModel, *Model) {
 	t.Helper()
 	p := &persistModel{Magic: modelMagic, Unary: map[string][]float64{}}
 	row := func() []float64 {
@@ -127,6 +128,9 @@ func randomModel(t *testing.T, rng *rand.Rand, nLabels, nFeats int) (*persistMod
 		for i := range r {
 			// A few exact ties, so tie-breaking is compared too.
 			r[i] = math.Round(rng.NormFloat64()*4) / 2
+			if coarse {
+				r[i] = float64(rng.Intn(3)) / 2
+			}
 		}
 		return r
 	}
@@ -150,11 +154,65 @@ func randomModel(t *testing.T, rng *rand.Rand, nLabels, nFeats int) (*persistMod
 	return p, m
 }
 
+// boundCases classifies every step of the oracle's Viterbi lattice for
+// the features as Decoder.Viterbi's bound sees it: fast when the best
+// previous label (the lowest among equals) plus its transition beats every
+// other label's score plus the best transition into the label, fallback
+// otherwise; and tied when two previous labels reach the maximum exactly,
+// so the lowest must win.
+func boundCases(p *persistModel, features [][]string) (fast, fallback, tied int) {
+	L := len(p.Labels)
+	scores := naiveScores(p, features)
+	delta := make([]float64, L)
+	for y := range delta {
+		delta[y] = scores[0][y] + p.Trans[L][y]
+	}
+	for t := 1; t < len(features); t++ {
+		top := 0
+		for yp := range delta {
+			if delta[yp] > delta[top] {
+				top = yp
+			}
+		}
+		next := make([]float64, L)
+		for y := range next {
+			second, maxInto, best, winners := math.Inf(-1), math.Inf(-1), math.Inf(-1), 0
+			for yp := range delta {
+				if yp != top {
+					second = max(second, delta[yp])
+				}
+				maxInto = max(maxInto, p.Trans[yp][y])
+				v := delta[yp] + p.Trans[yp][y]
+				if v > best {
+					best, winners = v, 0
+				}
+				if v == best {
+					winners++
+				}
+			}
+			if second+maxInto < delta[top]+p.Trans[top][y] {
+				fast++
+			} else {
+				fallback++
+			}
+			if winners > 1 {
+				tied++
+			}
+			next[y] = best + scores[t][y]
+		}
+		delta = next
+	}
+	return fast, fallback, tied
+}
+
 func TestInternedMatchesStringKeyedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 60; trial++ {
-		nLabels, nFeats := 1+rng.Intn(9), 1+rng.Intn(30)
-		p, m := randomModel(t, rng, nLabels, nFeats)
+	var fast, fallback, tied int
+	for trial := 0; trial < 90; trial++ {
+		// Up to 20 labels (the extractor's model has 17); every third
+		// model coarse, so that predecessors tie at the top.
+		nLabels, nFeats := 1+rng.Intn(20), 1+rng.Intn(30)
+		p, m := randomModel(t, rng, nLabels, nFeats, trial%3 == 2)
 		d := m.NewDecoder() // one decoder across sentences: stale scratch must not leak
 		for sent := 0; sent < 8; sent++ {
 			features := make([][]string, rng.Intn(14))
@@ -165,6 +223,10 @@ func TestInternedMatchesStringKeyedOracle(t *testing.T) {
 				}
 			}
 			want := naiveDecode(p, features)
+			if len(features) > 0 {
+				f, fb, ti := boundCases(p, features)
+				fast, fallback, tied = fast+f, fallback+fb, tied+ti
+			}
 			if got := m.Decode(features); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: Decode %v, oracle %v", trial, got, want)
 			}
@@ -189,6 +251,10 @@ func TestInternedMatchesStringKeyedOracle(t *testing.T) {
 				t.Fatalf("trial %d: MarginalProbs %v, oracle %v", trial, got, want)
 			}
 		}
+	}
+	t.Logf("lattice steps: %d by the bound, %d by the full loop, %d of them tied at the maximum", fast, fallback, tied)
+	if fast == 0 || fallback == 0 || tied == 0 {
+		t.Errorf("lattice steps: %d by the bound, %d by the full loop, %d tied: want each path compared", fast, fallback, tied)
 	}
 }
 

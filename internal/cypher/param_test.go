@@ -299,7 +299,8 @@ func TestDrainStopsOnCallbackError(t *testing.T) {
 	// An error from Drain's callback stops the pull at that row, becomes
 	// the statement's error and is what Drain returns: a read releases
 	// its snapshot, and a write — whose mutations all ran on the first
-	// pull — rolls back, leaving the store as it was.
+	// pull — rolls back, leaving the store as it was and its counters at
+	// zero.
 	s := graph.New()
 	for i := 0; i < 50; i++ {
 		s.MergeNode("T", fmt.Sprintf("n%d", i), nil)
@@ -335,6 +336,9 @@ func TestDrainStopsOnCallbackError(t *testing.T) {
 		}
 		if got := s.Stats().Nodes; got != before {
 			t.Errorf("%s: %d nodes after the stopped drain, want %d: the statement landed", tc.q, got, before)
+		}
+		if ws := rows.Writes(); ws != nil && *ws != (WriteStats{}) {
+			t.Errorf("%s: Writes() = %v after the statement rolled back, want all zero", tc.q, ws)
 		}
 		if st := s.MVCCStats(); st != (graph.MVCCStats{}) {
 			t.Errorf("%s: MVCC overlay after Drain returned: %+v", tc.q, st)

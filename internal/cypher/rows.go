@@ -70,7 +70,8 @@ func (r *Rows) BudgetUsed() int64 {
 // Writes returns the statement's write counters (nil for read-only
 // statements). A write statement applies all of its mutations on the
 // first pull (the mutation stage is an eager barrier), so the counters
-// are complete once Drain has returned nil.
+// are complete once Drain has returned nil. A statement that ended in
+// error rolled back, so its counters are all zero.
 func (r *Rows) Writes() *WriteStats { return r.writes }
 
 // Columns returns the result column names, available before Drain. The
@@ -121,6 +122,9 @@ func (r *Rows) end(err error) {
 			r.err = ferr // commit failure: the statement did not land
 		}
 		r.finish = nil
+	}
+	if r.err != nil && r.writes != nil {
+		r.writes = &WriteStats{}
 	}
 }
 

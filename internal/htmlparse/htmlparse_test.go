@@ -1,6 +1,8 @@
 package htmlparse
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -260,4 +262,63 @@ func TestParseRobustnessQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Error(err)
 	}
+}
+
+// tokenSummary renders tokens as "type:data" for comparison.
+func tokenSummary(toks []Token) []string {
+	out := make([]string, len(toks))
+	for i, tk := range toks {
+		out[i] = fmt.Sprintf("%d:%s", tk.Type, tk.Data)
+	}
+	return out
+}
+
+// A raw-text element's close tag is found in the page itself, so bytes
+// and runes whose lowercase form has another length cannot move it: not
+// invalid UTF-8 (each byte lowers to a three-byte U+FFFD), not Ⱥ (2 bytes,
+// lowers to 3) and not İ (2 bytes, lowers to 1).
+func TestRawTextCloseTagOffsets(t *testing.T) {
+	for _, tc := range []struct {
+		html string
+		want []Token
+	}{
+		{"<title>ȺȺ report</TITLE><p>after</p>", []Token{
+			{Type: TokenStartTag, Data: "title"}, {Type: TokenText, Data: "ȺȺ report"},
+			{Type: TokenEndTag, Data: "title"}, {Type: TokenStartTag, Data: "p"},
+			{Type: TokenText, Data: "after"}, {Type: TokenEndTag, Data: "p"}}},
+		{"<style>İİ{x:1}</style ><p>after</p>", []Token{
+			{Type: TokenStartTag, Data: "style"}, {Type: TokenText, Data: "İİ{x:1}"},
+			{Type: TokenEndTag, Data: "style"}, {Type: TokenStartTag, Data: "p"},
+			{Type: TokenText, Data: "after"}, {Type: TokenEndTag, Data: "p"}}},
+		// Only "</" and the name close it; a near miss is raw text.
+		{"<textarea>a</text b</textareaZ>c", []Token{
+			{Type: TokenStartTag, Data: "textarea"}, {Type: TokenText, Data: "a</text b"},
+			{Type: TokenEndTag, Data: "textarea"}, {Type: TokenText, Data: "c"}}},
+		// A fuzz find: the close tag's index in the lowered copy ran past
+		// the end of the page. It comes last, so that where that bug is
+		// back the cases above report before it panics.
+		{"<sCript>\xe9\xe9\xe9\xe9\xe9</sCript", []Token{
+			{Type: TokenStartTag, Data: "script"}, {Type: TokenText, Data: "\xe9\xe9\xe9\xe9\xe9"},
+			{Type: TokenEndTag, Data: "script"}}},
+	} {
+		got, want := tokenSummary(Tokenize(tc.html)), tokenSummary(tc.want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Tokenize(%q):\n got %q\nwant %q", tc.html, got, want)
+		}
+		_ = Parse(tc.html).InnerText()
+	}
+}
+
+// FuzzParse: no page makes Parse or InnerText panic.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{samplePage, "<sCript>\xe9\xe9\xe9\xe9\xe9</sCript",
+		"<title>ȺȺ</title>", "<style>İ</style>", "<!-- x", "<a href='x", "<table><tr><td>z"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, html string) {
+		if len(html) > 1<<16 {
+			t.Skip()
+		}
+		_ = Parse(html).InnerText()
+	})
 }

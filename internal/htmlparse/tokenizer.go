@@ -95,8 +95,7 @@ func Tokenize(html string) []Token {
 			i = next
 			if tok.Type == TokenStartTag && rawTextTags[tok.Data] {
 				// Consume raw text until the matching close tag.
-				closeSeq := "</" + tok.Data
-				idx := indexFold(html[i:], closeSeq)
+				idx := indexCloseTag(html[i:], tok.Data)
 				if idx < 0 {
 					emitText(html[i:])
 					i = n
@@ -192,10 +191,21 @@ func lexStartTag(html string, i int) (Token, int) {
 	return Token{Type: tt, Data: name, Attrs: attrs}, j
 }
 
-// indexFold is a case-insensitive strings.Index for ASCII needles.
-func indexFold(s, needle string) int {
-	ls, ln := strings.ToLower(s), strings.ToLower(needle)
-	return strings.Index(ls, ln)
+// indexCloseTag returns the index in s of the first "</" followed by the
+// ASCII tag name in any case, or -1. It searches s itself: a lowered copy
+// would not keep s's byte offsets, since lowering changes the length of
+// invalid bytes and of some runes.
+func indexCloseTag(s, name string) int {
+	for i := 0; ; i++ {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if end := i + 2 + len(name); end <= len(s) && strings.EqualFold(s[i+2:end], name) {
+			return i
+		}
+	}
 }
 
 var entityTable = map[string]string{

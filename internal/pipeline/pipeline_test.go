@@ -193,6 +193,18 @@ func TestCheckersRejectAdsAndEmpty(t *testing.T) {
 	}
 }
 
+// A page served in Latin-1 holds bytes that are not UTF-8. Thirty of them
+// in an inline script once made the checker's parse slice past the end of
+// the page and panic.
+func TestNotAdsCheckerLatin1Script(t *testing.T) {
+	page := "<html><head><title>Rapport</title></head><body><p>Le logiciel malveillant se connecte.</p><script>var s = '" +
+		strings.Repeat("\xe9", 30) + "';</script></body></html>"
+	rep := &ctirep.ReportRep{Title: "Rapport", Format: "html", Pages: [][]byte{[]byte(page)}}
+	if !(NotAdsChecker{}).Check(rep) {
+		t.Error("a Latin-1 report was rejected as an ad")
+	}
+}
+
 func TestGroupingPorterJoinsPages(t *testing.T) {
 	g := NewGroupingPorter()
 	page1 := ctirep.RawFile{

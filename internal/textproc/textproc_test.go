@@ -1,6 +1,7 @@
 package textproc
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -313,5 +314,34 @@ func TestTokenizeSpansMonotonicQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestShapeASCIIMatchesRunes holds Shape's byte-wise ASCII path to the
+// rune path on random and edge strings: empty, runs longer than four,
+// longer than the 64-byte buffer, non-ASCII anywhere, punctuation and
+// control bytes.
+func TestShapeASCIIMatchesRunes(t *testing.T) {
+	cases := []string{"", "a", "A", "0", ".", "\x00", "\x00\x00\x00\x00\x00\x00",
+		"Mimikatz", "POWERSHELL", "1234567890", "-----", "U.S.", "CVE-2017-0144",
+		"x_y_z", "don't", strings.Repeat("a", 64), strings.Repeat("a", 65),
+		strings.Repeat("aB3.", 16), strings.Repeat("aB3.", 16) + "x",
+		"café", "Ünïcode", "İstanbul", "Ⱥx", "\xe9\xe9", "日本語", strings.Repeat("z", 63) + "é"}
+	const alphabet = "aAzZ09_.-'/\\ \t\x00\x7f!~Xxd"
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 3000; i++ {
+		b := make([]byte, rng.Intn(80))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		if rng.Intn(8) == 0 && len(b) > 0 {
+			b[rng.Intn(len(b))] = byte(128 + rng.Intn(128))
+		}
+		cases = append(cases, string(b))
+	}
+	for _, s := range cases {
+		if got, want := Shape(s), shapeRunes(s); got != want {
+			t.Fatalf("Shape(%q) = %q, rune path %q", s, got, want)
+		}
 	}
 }

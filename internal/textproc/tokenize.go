@@ -13,6 +13,7 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is one tokenized unit of text with its byte span in the original
@@ -42,7 +43,9 @@ func (t Token) IsPunct() bool {
 // ("..." or "--") form a single token. Underscore is treated as a word
 // character so protected placeholders and identifiers survive intact.
 func Tokenize(text string) []Token {
-	var toks []Token
+	// Report prose runs about six bytes a token with its space, and rarely
+	// under four: one allocation almost always holds every token.
+	toks := make([]Token, 0, len(text)/4+1)
 	i := 0
 	n := len(text)
 	for i < n {
@@ -230,6 +233,42 @@ func Shapes(toks []Token) {
 
 // Shape computes the word shape of a single string.
 func Shape(s string) string {
+	// An ASCII string shapes byte for byte into at most as many bytes.
+	var buf [64]byte
+	if len(s) > len(buf) {
+		return shapeRunes(s)
+	}
+	n, run := 0, 0
+	var last byte
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return shapeRunes(s)
+		case 'A' <= c && c <= 'Z':
+			c = 'X'
+		case 'a' <= c && c <= 'z':
+			c = 'x'
+		case '0' <= c && c <= '9':
+			c = 'd'
+		}
+		if c == last {
+			run++
+			if run > 4 {
+				continue
+			}
+		} else {
+			run = 1
+			last = c
+		}
+		buf[n] = c
+		n++
+	}
+	return string(buf[:n])
+}
+
+// shapeRunes is Shape over any string, rune by rune.
+func shapeRunes(s string) string {
 	var b strings.Builder
 	var last rune
 	run := 0
