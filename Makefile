@@ -229,20 +229,23 @@ cover:
 			printf "%s coverage %.1f%% (floor %s%%)\n", p, t, floor }'; \
 	done
 
-# fuzz exercises the IOC-scanner, HTML-parser, Cypher-parser, engine,
-# JSON-escaper, request-decoder, WAL-recovery and replication-frame fuzz
-# targets for 30s each (the anchored scanner must equal the ten-regex
-# sweep; no page may make the HTML parser or its text extraction panic;
+# fuzz exercises the IOC-scanner, HTML-parser, PDF-text, Cypher-parser,
+# engine, JSON-escaper, request-decoder, WAL-recovery and
+# replication-frame fuzz targets for 30s each (the anchored scanner must
+# equal the ten-regex sweep; no page may make the HTML parser or its text
+# extraction panic, and no document the PDF text extractor;
 # the Cypher parser must never panic; the engine must error, not crash;
 # a string must be escaped exactly as encoding/json escapes it; an
 # /api/cypher body must decode as json.Unmarshal decodes it, or be
 # refused when it refuses it; recovery must survive arbitrary log bytes
-# and stay writable; the frame reader must pass on only whole frames of a
+# and stay writable, or refuse a header it does not read and leave the
+# log as it was; the frame reader must pass on only whole frames of a
 # known kind, within its size bound).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/ioc -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/htmlparse -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/pdf -fuzz FuzzExtractText -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzEngineQuery -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzJSONString -fuzztime $(FUZZTIME) -run '^$$'

@@ -11,9 +11,9 @@
 // logged before the response, the log self-compacts past a size
 // threshold, and SIGTERM/SIGINT snapshots before exit. Restarting the
 // server therefore resumes exactly where it stopped instead of
-// re-ingesting from scratch. The directory has one format; one written
-// by an earlier build's JSON codec is rewritten the first time it is
-// opened. A directory `skg -out DIR` wrote is served the same way; add
+// re-ingesting from scratch. The directory has one format; one an
+// earlier build wrote in another is refused with an error that says how
+// to rewrite it. A directory `skg -out DIR` wrote is served the same way; add
 // -read-only to explore it without writing to it.
 //
 // A durable server is also a replication leader: /replication/snapshot

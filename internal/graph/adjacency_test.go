@@ -3,23 +3,10 @@ package graph
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"testing"
 )
-
-func saveToBytes(save func(io.Writer) error) ([]byte, error) {
-	var b bytes.Buffer
-	if err := save(&b); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-func loadFromBytes(data []byte) (*Store, error) {
-	return Load(bytes.NewReader(data))
-}
 
 // checkIncidence verifies IncidentEdges against the ground truth of the
 // edge records themselves, for every node, direction, and live edge type.
@@ -172,18 +159,13 @@ func TestAdjacencyUnderMutation(t *testing.T) {
 	checkIncidence(t, s)
 
 	// Bulk-load rebuild path must agree with the incremental one.
-	for _, save := range []func(*Store) ([]byte, error){
-		func(st *Store) ([]byte, error) { return saveToBytes(st.Save) },
-		func(st *Store) ([]byte, error) { return saveToBytes(st.SaveBinary) },
-	} {
-		data, err := save(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := loadFromBytes(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIncidence(t, loaded)
+	var data bytes.Buffer
+	if err := s.SaveBinary(&data); err != nil {
+		t.Fatal(err)
 	}
+	loaded, err := Load(&data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIncidence(t, loaded)
 }

@@ -168,9 +168,9 @@ func (b *binReader) checkCRC() error {
 
 // --- save ---
 
-// SaveBinary writes the graph in the binary codec. The output is
-// deterministic for identical logical content (see the format comment);
-// Load sniffs the magic and reads either codec.
+// SaveBinary writes the graph in the binary codec, the one Load reads.
+// The output is deterministic for identical logical content (see the
+// format comment).
 func (s *Store) SaveBinary(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -274,9 +274,10 @@ func (s *Store) saveBinaryLocked(w io.Writer) error {
 
 // --- load ---
 
-// loadBinary decodes a binary stream whose magic Load has already
-// sniffed (but not consumed).
-func loadBinary(br *bufio.Reader) (*Store, error) {
+// Load reads a graph SaveBinary wrote into a new store. storage.Open
+// loads every snapshot through it.
+func Load(r io.Reader) (*Store, error) {
+	br := bufio.NewReader(r)
 	b := newBinReader(br)
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != binaryMagic {

@@ -23,7 +23,6 @@ package graph
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -727,8 +726,9 @@ type persistHeader struct {
 const persistMagic = "securitykg-graph"
 
 // Save writes the graph as JSON lines: a header record, then one record
-// per node, then one per edge. The format is stable and diff-friendly.
-// SaveBinary (binary.go) is the compact alternative; Load sniffs both.
+// per node, then one per edge. The format is stable and diff-friendly —
+// the canonical form tests and benchmarks hash — and is not read back:
+// SaveBinary (binary.go) writes what Load reads.
 func (s *Store) Save(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -765,57 +765,6 @@ func (s *Store) saveLocked(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a graph previously written by Save or SaveBinary into an
-// empty store, sniffing which codec wrote it. storage.Open loads every
-// snapshot through it, including the JSON snapshot of a directory an
-// older build wrote, which it then rewrites in the binary form.
-func Load(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
-	if err == nil && string(head) == binaryMagic {
-		return loadBinary(br)
-	}
-	return loadJSON(br)
-}
-
-func loadJSON(br *bufio.Reader) (*Store, error) {
-	s := New()
-	dec := json.NewDecoder(br)
-	var hdr persistHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("graph: load header: %w", err)
-	}
-	if hdr.Magic != persistMagic {
-		return nil, errors.New("graph: not a securitykg graph file")
-	}
-	if hdr.Version != 1 {
-		return nil, fmt.Errorf("graph: unsupported version %d", hdr.Version)
-	}
-	if err := s.loadAllocators(hdr.NextNode, hdr.NextEdge); err != nil {
-		return nil, err
-	}
-	for i := 0; i < hdr.Nodes; i++ {
-		var n Node
-		if err := dec.Decode(&n); err != nil {
-			return nil, fmt.Errorf("graph: load node %d/%d: %w", i, hdr.Nodes, err)
-		}
-		if err := s.loadNode(n); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < hdr.Edges; i++ {
-		var e Edge
-		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("graph: load edge %d/%d: %w", i, hdr.Edges, err)
-		}
-		if err := s.loadEdge(e); err != nil {
-			return nil, err
-		}
-	}
-	s.finishLoad()
-	return s, nil
-}
-
 // maxLoadID is the highest ID allocator Load accepts. A record's ID sizes
 // the slab and is checked only against its own stream's header, so the
 // header is checked against this: a store that had handed out 2^31 IDs
@@ -824,7 +773,7 @@ const maxLoadID = math.MaxInt32
 
 // loadAllocators installs a stream's ID allocators ahead of its records.
 func (s *Store) loadAllocators(nextNode NodeID, nextEdge EdgeID) error {
-	if nextNode < 0 || nextNode > maxLoadID || nextEdge < 0 || nextEdge > maxLoadID {
+	if nextNode > maxLoadID || nextEdge > maxLoadID {
 		return fmt.Errorf("graph: load: implausible id allocators (next_node %d, next_edge %d)", nextNode, nextEdge)
 	}
 	s.nextNode, s.nextEdge = nextNode, nextEdge

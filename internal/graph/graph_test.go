@@ -252,7 +252,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	mustEdge(t, s, a, "CONNECT", c)
 
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := s.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Load(&buf)
@@ -277,11 +277,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString(`{"magic":"nope","version":1}`)); err == nil {
-		t.Error("expected magic mismatch error")
-	}
-	if _, err := Load(bytes.NewBufferString("not json")); err == nil {
-		t.Error("expected decode error")
+	for name, in := range map[string][]byte{
+		"foreign magic":   append([]byte("skggrf0\n"), binStream(t, 0, 0, nil, nil)[len(binaryMagic):]...),
+		"magic alone":     []byte(binaryMagic),
+		"not a graph":     []byte("not a graph stream"),
+		"JSON Save lines": []byte(`{"magic":"securitykg-graph","version":1,"next_node":0,"next_edge":0,"nodes":0,"edges":0}` + "\n"),
+	} {
+		if _, err := Load(bytes.NewReader(in)); err == nil {
+			t.Errorf("%s: Load accepted it", name)
+		}
 	}
 }
 
@@ -442,7 +446,7 @@ func TestSaveLoadQuick(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
+		if err := s.SaveBinary(&buf); err != nil {
 			return false
 		}
 		s2, err := Load(&buf)

@@ -216,27 +216,26 @@ func TestPersistenceOracle(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: this build writes %d bytes that differ from the recorded %d", name, len(got), len(want))
 		}
-		loaded, err := Load(bytes.NewReader(want))
-		if err != nil {
-			t.Fatalf("%s: Load: %v", name, err)
-		}
-		checkLiveCounts(t, loaded)
-		if loaded.Stats().Nodes != s.Stats().Nodes || loaded.Stats().Edges != s.Stats().Edges {
-			t.Errorf("%s: loaded %+v, want %+v", name, loaded.Stats(), s.Stats())
-		}
-		if name != "oracle.bin" {
-			continue // the JSON codec maps invalid UTF-8 to U+FFFD: not a lossless round trip
-		}
-		// The recorded binary stream re-saves to both recorded streams.
-		if !bytes.Equal(saveBytesOf(t, loaded), streams["oracle.jsonl"]) {
-			t.Errorf("%s: Load then Save differs from the recorded JSON stream", name)
-		}
-		var rebin bytes.Buffer
-		if err := loaded.SaveBinary(&rebin); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rebin.Bytes(), want) {
-			t.Errorf("%s: Load then SaveBinary differs from the recorded binary stream", name)
-		}
+	}
+	// The recorded binary stream loads, and re-saves to both recorded
+	// streams.
+	want := streams["oracle.bin"]
+	loaded, err := Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("oracle.bin: Load: %v", err)
+	}
+	checkLiveCounts(t, loaded)
+	if loaded.Stats().Nodes != s.Stats().Nodes || loaded.Stats().Edges != s.Stats().Edges {
+		t.Errorf("oracle.bin: loaded %+v, want %+v", loaded.Stats(), s.Stats())
+	}
+	if !bytes.Equal(saveBytesOf(t, loaded), streams["oracle.jsonl"]) {
+		t.Error("oracle.bin: Load then Save differs from the recorded JSON stream")
+	}
+	var rebin bytes.Buffer
+	if err := loaded.SaveBinary(&rebin); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rebin.Bytes(), want) {
+		t.Error("oracle.bin: Load then SaveBinary differs from the recorded binary stream")
 	}
 }

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// Save/Load failure-mode coverage: recovery builds on this format, so
-// damaged inputs must fail loudly instead of loading half a graph.
+// SaveBinary/Load failure-mode coverage: recovery builds on this format,
+// so damaged inputs must fail loudly instead of loading half a graph.
 
 // persistFixture builds a small graph and returns its Save bytes.
 func persistFixture(t *testing.T) (*Store, []byte) {
@@ -27,8 +28,68 @@ func persistFixture(t *testing.T) (*Store, []byte) {
 	return s, buf.Bytes()
 }
 
+// streamRec is one record of a hand-written binary stream: a node (id,
+// typ, name) or an edge (id, typ, from, to), without attributes.
+type streamRec struct {
+	id       uint64
+	typ      string
+	name     string
+	from, to uint64
+}
+
+// binStream writes a binary graph stream field by field, with whatever
+// allocators and records it is given — the stream a damaged or hostile
+// writer could produce — and a valid CRC.
+func binStream(t *testing.T, nextNode, nextEdge uint64, nodes, edges []streamRec) []byte {
+	t.Helper()
+	vocab := map[string]uint64{}
+	var strs []string
+	for _, r := range append(nodes[:len(nodes):len(nodes)], edges...) {
+		if _, ok := vocab[r.typ]; !ok && r.typ != "" {
+			vocab[r.typ] = 0
+			strs = append(strs, r.typ)
+		}
+	}
+	sort.Strings(strs)
+	var buf bytes.Buffer
+	b := newBinWriter(&buf)
+	b.bytes([]byte(binaryMagic))
+	b.uvarint(binaryVersion)
+	b.uvarint(uint64(len(strs)))
+	for i, v := range strs {
+		vocab[v] = uint64(i + 1)
+		b.str(v)
+	}
+	b.uvarint(nextNode)
+	b.uvarint(nextEdge)
+	b.uvarint(uint64(len(nodes)))
+	for _, n := range nodes {
+		b.uvarint(n.id)
+		b.uvarint(vocab[n.typ])
+		b.str(n.name)
+		b.uvarint(0)
+	}
+	b.uvarint(uint64(len(edges)))
+	for _, e := range edges {
+		b.uvarint(e.id)
+		b.uvarint(vocab[e.typ])
+		b.uvarint(e.from)
+		b.uvarint(e.to)
+		b.uvarint(0)
+	}
+	if err := b.finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestLoadTruncatedStream(t *testing.T) {
-	_, data := persistFixture(t)
+	s, _ := persistFixture(t)
+	var buf bytes.Buffer
+	if err := s.SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
 	// Every truncation that cuts into or before a record must error —
 	// the header's node/edge counts promise more records than arrive.
 	for _, cut := range []int{0, 1, len(data) / 4, len(data) / 2, len(data) - 2} {
@@ -39,59 +100,68 @@ func TestLoadTruncatedStream(t *testing.T) {
 }
 
 func TestLoadMidRecordCorruption(t *testing.T) {
-	_, data := persistFixture(t)
-	// Smash the middle of a node record's JSON.
-	lines := bytes.Split(data, []byte("\n"))
-	if len(lines) < 4 {
-		t.Fatal("fixture too small")
+	// A node record whose name runs past the end of the stream.
+	var buf bytes.Buffer
+	b := newBinWriter(&buf)
+	b.bytes([]byte(binaryMagic))
+	b.uvarint(binaryVersion)
+	b.uvarint(1)
+	b.str("A")
+	b.uvarint(2) // next node
+	b.uvarint(0) // next edge
+	b.uvarint(2) // nodes
+	b.uvarint(1) // id
+	b.uvarint(1) // type
+	b.uvarint(1000)
+	if err := b.finish(); err != nil {
+		t.Fatal(err)
 	}
-	lines[2] = []byte(`{"id":2,"type":`)
-	if _, err := Load(bytes.NewReader(bytes.Join(lines, []byte("\n")))); err == nil {
+	if _, err := Load(&buf); err == nil {
 		t.Error("Load accepted mid-record corruption")
 	}
 	// A wrong magic and a wrong version must also fail.
-	if _, err := Load(strings.NewReader(`{"magic":"other","version":1,"nodes":0,"edges":0}` + "\n")); err == nil {
+	good := binStream(t, 1, 0, []streamRec{{id: 1, typ: "A", name: "x"}}, nil)
+	if _, err := Load(bytes.NewReader(append([]byte("skggrf0\n"), good[len(binaryMagic):]...))); err == nil {
 		t.Error("Load accepted a foreign magic")
 	}
-	if _, err := Load(strings.NewReader(`{"magic":"securitykg-graph","version":9,"nodes":0,"edges":0}` + "\n")); err == nil {
-		t.Error("Load accepted an unknown version")
+	buf.Reset()
+	b = newBinWriter(&buf)
+	b.bytes([]byte(binaryMagic))
+	b.uvarint(9)
+	if err := b.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "unsupported version 9") {
+		t.Errorf("unknown version: got %v", err)
 	}
 }
 
 func TestLoadDuplicateAndDanglingRecords(t *testing.T) {
-	// Duplicate node IDs.
-	in := `{"magic":"securitykg-graph","version":1,"next_node":2,"next_edge":0,"nodes":2,"edges":0}
-{"id":1,"type":"A","name":"x"}
-{"id":1,"type":"B","name":"y"}
-`
-	if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "duplicate node id") {
-		t.Errorf("duplicate node id: got %v", err)
-	}
-	// Duplicate (type, name) pairs under different IDs break the merge index.
-	in = `{"magic":"securitykg-graph","version":1,"next_node":2,"next_edge":0,"nodes":2,"edges":0}
-{"id":1,"type":"A","name":"x"}
-{"id":2,"type":"A","name":"x"}
-`
-	if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "duplicate node") {
-		t.Errorf("duplicate (type,name): got %v", err)
-	}
-	// An edge referencing a node that was never loaded.
-	in = `{"magic":"securitykg-graph","version":1,"next_node":1,"next_edge":1,"nodes":1,"edges":1}
-{"id":1,"type":"A","name":"x"}
-{"id":1,"type":"E","from":1,"to":99}
-`
-	if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "unknown node") {
-		t.Errorf("dangling edge: got %v", err)
-	}
-	// Duplicate edge IDs.
-	in = `{"magic":"securitykg-graph","version":1,"next_node":2,"next_edge":1,"nodes":2,"edges":2}
-{"id":1,"type":"A","name":"x"}
-{"id":2,"type":"A","name":"y"}
-{"id":1,"type":"E","from":1,"to":2}
-{"id":1,"type":"F","from":2,"to":1}
-`
-	if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "duplicate edge id") {
-		t.Errorf("duplicate edge id: got %v", err)
+	for _, tc := range []struct {
+		name               string
+		nextNode, nextEdge uint64
+		nodes, edges       []streamRec
+		want               string
+	}{
+		{"duplicate node id", 2, 0,
+			[]streamRec{{id: 1, typ: "A", name: "x"}, {id: 1, typ: "B", name: "y"}}, nil,
+			"duplicate node id"},
+		// Duplicate (type, name) pairs under different IDs break the merge index.
+		{"duplicate (type,name)", 2, 0,
+			[]streamRec{{id: 1, typ: "A", name: "x"}, {id: 2, typ: "A", name: "x"}}, nil,
+			"duplicate node (A"},
+		{"dangling edge", 1, 1,
+			[]streamRec{{id: 1, typ: "A", name: "x"}}, []streamRec{{id: 1, typ: "E", from: 1, to: 99}},
+			"unknown node"},
+		{"duplicate edge id", 2, 1,
+			[]streamRec{{id: 1, typ: "A", name: "x"}, {id: 2, typ: "A", name: "y"}},
+			[]streamRec{{id: 1, typ: "E", from: 1, to: 2}, {id: 1, typ: "F", from: 2, to: 1}},
+			"duplicate edge id"},
+	} {
+		in := binStream(t, tc.nextNode, tc.nextEdge, tc.nodes, tc.edges)
+		if _, err := Load(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v", tc.name, err)
+		}
 	}
 }
 
@@ -100,7 +170,11 @@ func TestLoadDuplicateAndDanglingRecords(t *testing.T) {
 // same view the original store produced.
 func TestSubgraphRoundTrip(t *testing.T) {
 	s, data := persistFixture(t)
-	loaded, err := Load(bytes.NewReader(data))
+	var bin bytes.Buffer
+	if err := s.SaveBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&bin)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -127,7 +201,7 @@ func TestSubgraphRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), data) {
-		t.Fatal("Save→Load→Save is not byte-stable")
+		t.Fatal("SaveBinary→Load→Save is not byte-stable")
 	}
 }
 
@@ -168,59 +242,18 @@ func TestMutationHook(t *testing.T) {
 // TestHostileIDsDoNotSizeTheSlab: node and edge records live in slabs
 // indexed by ID, so an ID from outside the program must never decide
 // how much memory a slab takes. A stream record whose ID exceeds the
-// stream's own allocator high-water mark is rejected in both codecs,
-// and a replayed mutation naming an ID the store never allocated fails
+// stream's own allocator high-water mark is rejected, and a replayed
+// mutation naming an ID the store never allocated fails
 // as "unknown" without touching the slabs.
 func TestHostileIDsDoNotSizeTheSlab(t *testing.T) {
 	const huge = 1 << 40
-	for name, in := range map[string]string{
-		"node": `{"magic":"securitykg-graph","version":1,"next_node":2,"next_edge":0,"nodes":2,"edges":0}
-{"id":1,"type":"A","name":"x"}
-{"id":1099511627776,"type":"A","name":"y"}
-`,
-		"edge": `{"magic":"securitykg-graph","version":1,"next_node":2,"next_edge":1,"nodes":2,"edges":1}
-{"id":1,"type":"A","name":"x"}
-{"id":2,"type":"A","name":"y"}
-{"id":1099511627776,"type":"E","from":1,"to":2}
-`,
+	for kind, in := range map[string][]byte{
+		"node": binStream(t, 2, 0, []streamRec{{id: 1, typ: "A", name: "x"}, {id: huge, typ: "A", name: "y"}}, nil),
+		"edge": binStream(t, 2, 1, []streamRec{{id: 1, typ: "A", name: "x"}, {id: 2, typ: "A", name: "y"}},
+			[]streamRec{{id: huge, typ: "E", from: 1, to: 2}}),
 	} {
-		if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "invalid "+name+" id") {
-			t.Errorf("JSON %s id beyond next_%s: got %v", name, name, err)
-		}
-	}
-
-	// The same two streams in the binary codec, written field by field.
-	for _, kind := range []string{"node", "edge"} {
-		var buf bytes.Buffer
-		b := newBinWriter(&buf)
-		b.bytes([]byte(binaryMagic))
-		b.uvarint(binaryVersion)
-		b.uvarint(1)
-		b.str("A")
-		b.uvarint(2) // next node
-		b.uvarint(1) // next edge
-		nodeIDs := []uint64{1, 2}
-		if kind == "node" {
-			nodeIDs[1] = huge
-		}
-		b.uvarint(2)
-		for _, id := range nodeIDs {
-			b.uvarint(id)
-			b.uvarint(1)
-			b.str(fmt.Sprint("n", id))
-			b.uvarint(0)
-		}
-		b.uvarint(1)
-		b.uvarint(huge)
-		b.uvarint(1)
-		b.uvarint(1)
-		b.uvarint(2)
-		b.uvarint(0)
-		if err := b.finish(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "invalid "+kind+" id") {
-			t.Errorf("binary %s id beyond the allocator: got %v", kind, err)
+		if _, err := Load(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), "invalid "+kind+" id") {
+			t.Errorf("%s id beyond the allocator: got %v", kind, err)
 		}
 	}
 
@@ -256,51 +289,31 @@ func TestHostileIDsDoNotSizeTheSlab(t *testing.T) {
 // its own stream's allocators, so a stream that lies in both — a header
 // of 1<<40 and one record up there — would pass that check and grow a
 // slab by terabytes. The header is refused before any record is read,
-// in both codecs, for either allocator; and an honest header far above
-// its highest record (a store that deleted its newest IDs) sizes the
-// slab and the adjacency by the records, not by itself.
+// for either allocator, and so is one past the int64 range (a negative
+// ID once cast); and an honest header far above its highest record (a
+// store that deleted its newest IDs) sizes the slab and the adjacency by
+// the records, not by itself.
 func TestLyingHeaderDoesNotSizeTheSlab(t *testing.T) {
 	const huge = 1 << 40
-	for _, alloc := range []struct{ name, node, edge string }{
-		{"next_node", "1099511627776", "0"},
-		{"next_edge", "1", "1099511627776"},
-		{"negative", "-1", "0"},
+	for _, next := range []struct {
+		name       string
+		node, edge uint64
+		want       string
+	}{
+		{"next_node", huge, 0, "implausible id allocators"},
+		{"next_edge", 1, huge, "implausible id allocators"},
+		{"negative", 1 << 63, 0, "overflows"},
 	} {
-		in := `{"magic":"securitykg-graph","version":1,"next_node":` + alloc.node + `,"next_edge":` + alloc.edge + `,"nodes":1,"edges":0}
-{"id":` + alloc.node + `,"type":"A","name":"x"}
-`
-		if _, err := Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "implausible id allocators") {
-			t.Errorf("JSON header lying in %s: got %v", alloc.name, err)
-		}
-	}
-	for _, next := range [][2]uint64{{huge, 0}, {1, huge}} {
-		var buf bytes.Buffer
-		b := newBinWriter(&buf)
-		b.bytes([]byte(binaryMagic))
-		b.uvarint(binaryVersion)
-		b.uvarint(1)
-		b.str("A")
-		b.uvarint(next[0])
-		b.uvarint(next[1])
-		b.uvarint(1) // one node, at the ID the header vouches for
-		b.uvarint(next[0])
-		b.uvarint(1)
-		b.str("x")
-		b.uvarint(0)
-		b.uvarint(0)
-		if err := b.finish(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "implausible id allocators") {
-			t.Errorf("binary header %v: got %v", next, err)
+		// One node, at the ID the header vouches for.
+		in := binStream(t, next.node, next.edge, []streamRec{{id: next.node, typ: "A", name: "x"}}, nil)
+		if _, err := Load(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), next.want) {
+			t.Errorf("header lying in %s: got %v", next.name, err)
 		}
 	}
 
-	s, err := Load(strings.NewReader(`{"magic":"securitykg-graph","version":1,"next_node":1000000,"next_edge":1000000,"nodes":2,"edges":1}
-{"id":1,"type":"A","name":"x"}
-{"id":2,"type":"A","name":"y"}
-{"id":1,"type":"E","from":1,"to":2}
-`))
+	s, err := Load(bytes.NewReader(binStream(t, 1000000, 1000000,
+		[]streamRec{{id: 1, typ: "A", name: "x"}, {id: 2, typ: "A", name: "y"}},
+		[]streamRec{{id: 1, typ: "E", from: 1, to: 2}})))
 	if err != nil {
 		t.Fatalf("honest header far above its records: %v", err)
 	}

@@ -142,9 +142,9 @@ func TestEdgeTypeCountSurvivesDeleteAndLoad(t *testing.T) {
 	if got := s.Stats().EdgesByType["CONNECT"]; got != 29 {
 		t.Errorf("after delete: %d, want 29", got)
 	}
-	// Round-trip through Save/Load.
+	// Round-trip through SaveBinary/Load.
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := s.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Load(&buf)

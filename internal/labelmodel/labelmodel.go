@@ -175,9 +175,9 @@ func Fit(m Matrix, k int, cfg FitConfig) (*Model, error) {
 				model.Prior[c] = prior[c] / priorSum
 			}
 		}
-		// E-step: recompute posteriors under new parameters.
+		// E-step: recompute posteriors under new parameters, in place.
 		for i, row := range m {
-			post[i] = model.Posterior(row)
+			model.posteriorInto(post[i], row)
 		}
 	}
 	return model, nil
@@ -185,8 +185,16 @@ func Fit(m Matrix, k int, cfg FitConfig) (*Model, error) {
 
 // Posterior returns P(y | votes) under the fitted model.
 func (mo *Model) Posterior(votes []int) []float64 {
+	out := make([]float64, mo.K)
+	mo.posteriorInto(out, votes)
+	return out
+}
+
+// posteriorInto writes P(y | votes) into out, of length K: the log
+// probabilities first, then normalized in place.
+func (mo *Model) posteriorInto(out []float64, votes []int) {
 	k := mo.K
-	logp := make([]float64, k)
+	logp := out
 	for c := 0; c < k; c++ {
 		logp[c] = math.Log(mo.Prior[c] + 1e-12)
 	}
@@ -212,7 +220,6 @@ func (mo *Model) Posterior(votes []int) []float64 {
 		}
 	}
 	var sum float64
-	out := make([]float64, k)
 	for c, lp := range logp {
 		out[c] = math.Exp(lp - max)
 		sum += out[c]
@@ -220,7 +227,6 @@ func (mo *Model) Posterior(votes []int) []float64 {
 	for c := range out {
 		out[c] /= sum
 	}
-	return out
 }
 
 // ProbLabels applies the model to every row of the matrix.

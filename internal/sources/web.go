@@ -273,10 +273,10 @@ func (w *Web) renderReport(spec SourceSpec, idx, page int, url string) (*Page, e
 	return &Page{URL: url, ContentType: "text/html", Body: []byte(b.String())}, nil
 }
 
-func htmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// htmlEscaper is built once: a strings.Replacer is safe for concurrent use.
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func htmlEscape(s string) string { return htmlEscaper.Replace(s) }
 
 // ServeHTTP exposes the synthetic web over real HTTP for demos: the path
 // scheme is /s/<slug>/<path...>, translated to the canonical https URL.

@@ -13,10 +13,7 @@ import (
 // replication tail and on the wire (tail.go), where a run of records is
 // `uvarint len · payload` each. Recovery and a follower both cut such runs
 // into atomic units (NextUnit) and decode and apply each unit once
-// (UnitApplier). Earlier builds' logs — JSON payloads, or this codec
-// against an in-band dictionary (skgwal2) — are read once, by the
-// scanner in wal.go, when Open meets them, and Open rewrites that
-// directory before it returns.
+// (UnitApplier).
 
 // Codec is an inert one-value stub held for bench/corpus.go, which names
 // Options.Codec and CodecBinary; a [benchmark] PR drops all three.
@@ -25,14 +22,8 @@ type Codec int
 // CodecBinary is the only on-disk format there is.
 const CodecBinary Codec = 0
 
-// walMagic opens a log file. A log of the dictionary era opens with
-// walMagicDict; a JSON-era log has no file header — its first bytes are a
-// record length prefix — so recovery tells the three apart by this prefix
-// alone.
-const (
-	walMagic     = "skgwal3\n"
-	walMagicDict = "skgwal2\n"
-)
+// walMagic opens a log file.
+const walMagic = "skgwal3\n"
 
 // Binary record payload layout (inside the standard length+CRC frame):
 //
@@ -46,9 +37,8 @@ const (
 //	          sorted by key so identical mutations encode identically
 //
 // A symbol's leading 0 is where a skgwal2 log could instead refer (n>0)
-// to the n-th string its in-band dictionary had added; this build writes
-// every string inline, and only the read-once scan of such a log passes a
-// dictionary to decodeRecord.
+// to a string of its in-band dictionary; such a reference does not
+// decode.
 
 const (
 	opMergeNode byte = iota + 1
@@ -188,9 +178,8 @@ func peekRecord(payload []byte) (seq uint64, op graph.MutationOp, ok bool) {
 
 // binPayload walks one binary payload during decode.
 type binPayload struct {
-	p    []byte
-	off  int
-	dict *[]string
+	p   []byte
+	off int
 }
 
 func (b *binPayload) uvarint() (uint64, error) {
@@ -215,24 +204,16 @@ func (b *binPayload) str() (string, error) {
 	return s, nil
 }
 
-// symbol reads a symbol: 0 and an inline string, which a dictionary (a
-// skgwal2 log's) also adds, or a reference only a dictionary resolves.
+// symbol reads a symbol: 0, then an inline string.
 func (b *binPayload) symbol() (string, error) {
 	r, err := b.uvarint()
 	if err != nil {
 		return "", err
 	}
-	if r == 0 {
-		s, err := b.str()
-		if err == nil && b.dict != nil {
-			*b.dict = append(*b.dict, s)
-		}
-		return s, err
+	if r != 0 {
+		return "", fmt.Errorf("storage: binary record: symbol reference %d, not an inline string", r)
 	}
-	if b.dict == nil || r > uint64(len(*b.dict)) {
-		return "", fmt.Errorf("storage: binary record: dict ref %d out of range", r)
-	}
-	return (*b.dict)[r-1], nil
+	return b.str()
 }
 
 func (b *binPayload) id() (int64, error) {
@@ -246,15 +227,13 @@ func (b *binPayload) id() (int64, error) {
 	return int64(v), nil
 }
 
-// decodeRecord decodes one payload into *rec. dict is nil but for the
-// read-once scan of a skgwal2 log, which passes its dictionary to be
-// mutated exactly as the writer did when encoding. A non-nil scratch map
-// is cleared and used for the record's attributes instead of allocating
-// a fresh map per record — safe only for callers that fully consume each
-// record before decoding the next (Apply copies attributes, so the reuse
-// never leaks into the store).
-func decodeRecord(p []byte, dict *[]string, rec *Record, scratch map[string]string) error {
-	b := &binPayload{p: p, dict: dict}
+// DecodeWire decodes one payload into *rec. A non-nil scratch map is
+// cleared and used for the record's attributes instead of allocating a
+// fresh map per record — pass one only when each record is consumed
+// before the next is decoded (Apply copies attributes, so the reuse never
+// leaks into the store).
+func DecodeWire(p []byte, rec *Record, scratch map[string]string) error {
+	b := &binPayload{p: p}
 	*rec = Record{}
 	seq, err := b.uvarint()
 	if err != nil {
@@ -386,13 +365,6 @@ func NextWire(run []byte) (payload, rest []byte, op graph.MutationOp, err error)
 		return payload, rest, op, nil
 	}
 	return nil, nil, "", errors.New("storage: wire batch: record has no known opcode")
-}
-
-// DecodeWire decodes one payload into *rec. A non-nil attrs is cleared
-// and reused as the record's attribute map: pass one only when each
-// record is consumed before the next is decoded.
-func DecodeWire(payload []byte, rec *Record, attrs map[string]string) error {
-	return decodeRecord(payload, nil, rec, attrs)
 }
 
 // UnitEnd says how the unit NextUnit cut off a run ends.

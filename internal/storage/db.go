@@ -3,7 +3,6 @@ package storage
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -34,13 +33,11 @@ import (
 // into place atomically, so there is no crash window in which they can
 // disagree; WAL truncation after a checkpoint is pure space reclamation.
 //
-// That is the only layout this package writes. A directory an earlier
-// build wrote — with its JSON codec, snapshot.jsonl (one {magic, seq}
-// header line, then the graph's Save stream) and a wal.log without a
-// magic, JSON payloads in the same framing; or with a wal.log whose
-// records refer to an in-band dictionary (the skgwal2 magic) — is input
-// from outside the program: Open reads it and rewrites it in place before
-// it returns (upgradeDir), so a running DB never holds such a file.
+// That is the only layout this package reads or writes. Open refuses a
+// directory an earlier build wrote in another — one holding a JSON-era
+// snapshot.jsonl, or a wal.log that does not open with the magic (a
+// JSON-era log has none, a dictionary-era one opens with skgwal2) — and
+// leaves its files as they are (refuseEarlierFormat).
 type DB struct {
 	dir   string
 	store *graph.Store
@@ -95,9 +92,8 @@ const (
 	// snapBinMagic opens a snapshot file; a uvarint covering seq follows,
 	// then the graph binary stream (which has its own magic+CRC).
 	snapBinMagic = "skgsnp2\n"
-	// The JSON era's snapshot: read by Open, never written.
-	snapshotFile = "snapshot.jsonl"
-	snapMagic    = "securitykg-wal-snapshot"
+	// The JSON era's snapshot: its presence makes Open refuse the directory.
+	jsonSnapshotFile = "snapshot.jsonl"
 )
 
 // Open recovers (or initializes) the data directory and returns a DB
@@ -121,10 +117,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		lf.Close()
 		return nil, fmt.Errorf("storage: %s is in use by another process (%w)", dir, err)
 	}
-	// Crashed mid-checkpoint leftovers (a JSON-era build's included).
-	os.Remove(filepath.Join(dir, snapshotFile+".tmp"))
-	os.Remove(filepath.Join(dir, snapshotBinFile+".tmp"))
-
 	owned := false
 	defer func() {
 		if !owned {
@@ -132,7 +124,13 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}()
 
-	st, snapSeq, upgrade, err := loadSnapshot(dir)
+	if err := refuseEarlierFormat(dir); err != nil {
+		return nil, err
+	}
+	// A crashed checkpoint's leftover.
+	os.Remove(filepath.Join(dir, snapshotBinFile+".tmp"))
+
+	st, snapSeq, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +166,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 		db.Recovered.Replayed, db.Recovered.TxDiscarded, db.Recovered.TornTail = res.applied, res.discarded, res.torn
 		lastSeq, validLen = max(lastSeq, res.lastSeq), res.valid
-		upgrade = upgrade || res.legacy && res.valid > 0
 		// A torn record, or a transaction left open by the end of the log
 		// (a crash between a commit's group-flush frames), is cut off: the
 		// appender resumes after the last whole unit.
@@ -181,12 +178,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
 
-	if upgrade {
-		if err := upgradeDir(dir, st, lastSeq); err != nil {
-			return nil, err
-		}
-		validLen = int64(len(walMagic))
-	}
 	wal, err := openWAL(walPath, validLen, lastSeq, opts.Sync, opts.SyncEvery)
 	if err != nil {
 		return nil, err
@@ -203,6 +194,28 @@ func lockDataDir(f *os.File) error {
 	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
 }
 
+// refuseEarlierFormat returns Open's refusal of a directory it does not
+// read: one with a snapshot.jsonl, or with a wal.log whose header
+// logHeaderProblem refuses. It only reads; a refused directory is left
+// byte for byte as it was.
+func refuseEarlierFormat(dir string) error {
+	path, what := filepath.Join(dir, jsonSnapshotFile), "a JSON-era snapshot"
+	if _, err := os.Stat(path); err != nil {
+		path, what = filepath.Join(dir, walFile), ""
+		if f, err := os.Open(path); err == nil {
+			head := make([]byte, len(walMagic))
+			n, _ := io.ReadFull(f, head)
+			f.Close()
+			what = logHeaderProblem(head[:n])
+		}
+	}
+	if what == "" {
+		return nil
+	}
+	return fmt.Errorf("storage: %s is %s, which this build does not read (the directory is left untouched); "+
+		"if an earlier build wrote it, opening the directory once with a build at or before commit 9caabe4 rewrites it in the current form", path, what)
+}
+
 // snapFile is a snapshot file opened past its header.
 type snapFile struct {
 	f   *os.File
@@ -216,10 +229,9 @@ func (s *snapFile) close() {
 	}
 }
 
-// openSnapshot opens the snapshot at path and reads its header with
-// readHdr — the one place a snapshot file of either era is opened.
-// Returns nil, nil when the file does not exist.
-func openSnapshot(path string, readHdr func(*bufio.Reader, string) (uint64, error)) (*snapFile, error) {
+// openSnapshot opens the snapshot at path and reads its header. Returns
+// nil, nil when the file does not exist.
+func openSnapshot(path string) (*snapFile, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -228,62 +240,35 @@ func openSnapshot(path string, readHdr func(*bufio.Reader, string) (uint64, erro
 		return nil, fmt.Errorf("storage: open snapshot: %w", err)
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
-	seq, err := readHdr(br, path)
+	magic := make([]byte, len(snapBinMagic))
+	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapBinMagic {
+		f.Close()
+		return nil, fmt.Errorf("storage: %s is not a binary snapshot", path)
+	}
+	seq, err := binary.ReadUvarint(br)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("storage: snapshot header: %w", err)
 	}
 	return &snapFile{f: f, br: br, seq: seq}, nil
 }
 
 // loadSnapshot loads the data directory's snapshot (a fresh store at
-// seq 0 when there is none). jsonEra reports that a snapshot.jsonl is
-// there. Both files exist only where a crash interrupted a conversion —
-// an earlier build's converting checkpoint, in either direction, or this
-// build's upgrade — and then the higher covering seq wins; at equal seqs
-// the contents are identical (the seq names the exact log prefix folded
-// in) and snapshot.skg is picked.
-func loadSnapshot(dir string) (st *graph.Store, seq uint64, jsonEra bool, err error) {
-	bin, err := openSnapshot(filepath.Join(dir, snapshotBinFile), readBinSnapHeader)
+// seq 0 when there is none).
+func loadSnapshot(dir string) (*graph.Store, uint64, error) {
+	snap, err := openSnapshot(filepath.Join(dir, snapshotBinFile))
 	if err != nil {
-		return nil, 0, false, err
-	}
-	defer bin.close()
-	js, err := openSnapshot(filepath.Join(dir, snapshotFile), readJSONSnapHeader)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	defer js.close()
-	snap := bin
-	if js != nil && (bin == nil || js.seq > bin.seq) {
-		snap = js
+		return nil, 0, err
 	}
 	if snap == nil {
-		return graph.New(), 0, false, nil
+		return graph.New(), 0, nil
 	}
-	// graph.Load sniffs which of its two streams follows the header.
-	if st, err = graph.Load(snap.br); err != nil {
-		return nil, 0, false, fmt.Errorf("storage: load snapshot: %w", err)
-	}
-	return st, snap.seq, js != nil, nil
-}
-
-func readJSONSnapHeader(br *bufio.Reader, path string) (uint64, error) {
-	var hdr struct {
-		Magic string `json:"magic"`
-		Seq   uint64 `json:"seq"`
-	}
-	line, err := br.ReadBytes('\n')
+	defer snap.close()
+	st, err := graph.Load(snap.br)
 	if err != nil {
-		return 0, fmt.Errorf("storage: snapshot header: %w", err)
+		return nil, 0, fmt.Errorf("storage: load snapshot: %w", err)
 	}
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return 0, fmt.Errorf("storage: snapshot header: %w", err)
-	}
-	if hdr.Magic != snapMagic {
-		return 0, fmt.Errorf("storage: %s is not a %s snapshot", path, snapMagic)
-	}
-	return hdr.Seq, nil
+	return st, snap.seq, nil
 }
 
 // writeBinSnapHeader frames a snapshot stream: the magic plus the
@@ -298,27 +283,12 @@ func writeBinSnapHeader(w io.Writer, seq uint64) error {
 	return err
 }
 
-func readBinSnapHeader(br *bufio.Reader, path string) (uint64, error) {
-	magic := make([]byte, len(snapBinMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapBinMagic {
-		return 0, fmt.Errorf("storage: %s is not a binary snapshot", path)
-	}
-	seq, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("storage: snapshot header: %w", err)
-	}
-	return seq, nil
-}
-
 // landSnapshot is the one way a snapshot.skg reaches a data directory —
-// from a checkpoint, the upgrade of an earlier build's directory or a
-// replication transfer: write streams it into a temp file, which is
-// fsynced, checked to open with a snapshot header (a truncated or
-// foreign stream must not shadow a good directory) and renamed into
-// place; then a snapshot.jsonl, which it covers, is dropped and the
-// directory fsynced. A crash before the
-// rename leaves a .tmp file Open removes; one after it, at worst both
-// snapshots, of which Open picks this one.
+// from a checkpoint or a replication transfer: write streams it into a
+// temp file, which is fsynced, checked to open with a snapshot header (a
+// truncated or foreign stream must not shadow a good directory) and
+// renamed into place; then the directory is fsynced. A crash before the
+// rename leaves a .tmp file Open removes.
 func landSnapshot(dir string, write func(io.Writer) error) error {
 	dst := filepath.Join(dir, snapshotBinFile)
 	tmp := dst + ".tmp"
@@ -335,7 +305,7 @@ func landSnapshot(dir string, write func(io.Writer) error) error {
 	}
 	if err == nil {
 		var snap *snapFile
-		snap, err = openSnapshot(tmp, readBinSnapHeader)
+		snap, err = openSnapshot(tmp)
 		snap.close()
 	}
 	if err == nil {
@@ -345,30 +315,7 @@ func landSnapshot(dir string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	os.Remove(filepath.Join(dir, snapshotFile))
 	syncDir(dir)
-	return nil
-}
-
-// upgradeDir rewrites a directory an earlier build wrote — a JSON-era
-// snapshot or log, or a dictionary-coded log; just recovered into st,
-// its last record lastSeq — as this build writes one: a snapshot.skg
-// covering lastSeq lands (dropping snapshot.jsonl), then the log restarts
-// as a bare magic. Open runs it before the store has a mutation hook or
-// the log an appender. Every crash window reopens to the same store:
-// until the snapshot lands the old files are untouched; after it,
-// whatever old file is left holds only records the snapshot covers, and
-// finding it runs the upgrade again.
-func upgradeDir(dir string, st *graph.Store, lastSeq uint64) error {
-	err := landSnapshot(dir, func(w io.Writer) error {
-		return st.SaveBinaryWithHeader(w, func(hw io.Writer) error { return writeBinSnapHeader(hw, lastSeq) })
-	})
-	if err == nil {
-		err = os.WriteFile(filepath.Join(dir, walFile), []byte(walMagic), 0o644)
-	}
-	if err != nil {
-		return fmt.Errorf("storage: upgrade data directory: %w", err)
-	}
 	return nil
 }
 

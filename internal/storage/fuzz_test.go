@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"securitykg/internal/graph"
@@ -14,14 +15,15 @@ import (
 // allocates absurdly (the length-prefix bound), and always yields a
 // usable store — corruption costs at most the records at and after the
 // damage, never a crash. The same bytes are also recovered through the
-// full directory path (Open), which must additionally leave the
-// directory writable and — whatever era the bytes sniffed as — binary.
+// full directory path (Open), which either recovers and leaves the
+// directory writable, or — for a header it does not read — refuses with
+// the header error and leaves wal.log byte for byte as it was.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with genuine logs covering every record type, including
 	// transaction groups (tx_begin/mutations/tx_commit), whose replay
 	// buffers records until the commit lands — each as this build writes
-	// it and hand-framed as the JSON-era and the skgwal2 log (dictionary
-	// references and all) of the same records...
+	// it, and under the two headers Open refuses: a skgwal2 log's magic,
+	// and none (a JSON-era log's first bytes are a frame)...
 	for name, write := range map[string]func(db *DB){
 		"bare": func(db *DB) {
 			g := newMutGen(7)
@@ -47,7 +49,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, walBytes := range [][]byte{binBytes, relogBytes(f, binBytes, formatJSON), relogBytes(f, binBytes, formatDict)} {
+		for _, walBytes := range [][]byte{binBytes, append([]byte("skgwal2\n"), binBytes[len(walMagic):]...), binBytes[len(walMagic):]} {
 			f.Add(walBytes)
 			// ...plus truncations and bit flips the fuzzer can extend. The
 			// mid-log truncation of the tx seed lands inside a group, the
@@ -69,7 +71,7 @@ func FuzzWALReplay(f *testing.F) {
 	} {
 		recs = append(recs, Record{Seq: uint64(i + 1), Op: op, Type: "Malware", Name: string(rune('a' + i))})
 	}
-	f.Add(walFileBytes(f, recs, formatWire))
+	f.Add(walFileBytes(recs))
 	// Degenerate inputs.
 	f.Add([]byte{})
 	f.Add([]byte(walMagic))                           // bare header, zero records
@@ -79,10 +81,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := graph.New()
 		if _, err := replayLog(bytes.NewReader(data), st, 0); err == nil {
-			// A clean replay must leave a store whose Save round-trips.
+			// A clean replay must leave a store whose snapshot round-trips.
 			var b bytes.Buffer
-			if err := st.Save(&b); err != nil {
-				t.Fatalf("Save after replay: %v", err)
+			if err := st.SaveBinary(&b); err != nil {
+				t.Fatalf("SaveBinary after replay: %v", err)
 			}
 			if _, err := graph.Load(&b); err != nil {
 				t.Fatalf("replayed store does not round-trip: %v", err)
@@ -92,6 +94,12 @@ func FuzzWALReplay(f *testing.F) {
 		sub := t.TempDir()
 		if err := os.WriteFile(filepath.Join(sub, walFile), data, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		if head := data[:min(len(data), len(walMagic))]; !strings.HasPrefix(walMagic, string(head)) {
+			if err := checkRefused(t, sub, walFile, ""); err != nil {
+				t.Fatal(err)
+			}
+			return
 		}
 		rdb, err := Open(sub, Options{Sync: SyncNever, CompactBytes: -1})
 		if err != nil {

@@ -14,12 +14,9 @@ import (
 // testdata/parentdir is a data directory this format's writer wrote: a
 // binary snapshot cut mid-history plus the WAL that follows it (bare
 // records and transaction groups), with the SHA-256 of the writer's
-// final Save stream beside them. testdata/parentdir-skgwal2 is the same
-// history as the last build with an in-band dictionary wrote it; its
-// snapshot is byte-identical, its log is the one Open upgrades. Recovery
-// on any later commit must arrive at the same bytes from either.
-// Regenerate parentdir (-update-oracle) only for a change that means to
-// alter the format; parentdir-skgwal2 is never rewritten.
+// final Save stream beside them. Recovery on any later commit must
+// arrive at the same bytes. Regenerate it (-update-oracle) only for a
+// change that means to alter the format.
 
 var updateOracle = flag.Bool("update-oracle", false, "rewrite testdata/parentdir from this build")
 
@@ -75,33 +72,32 @@ func TestRecoverRecordedDataDir(t *testing.T) {
 	if *updateOracle {
 		writeOracleDir(t, oracleDir)
 	}
-	for _, src := range []string{oracleDir, oracleDir + "-skgwal2"} {
-		t.Run(filepath.Base(src), func(t *testing.T) {
-			dir := t.TempDir()
-			for _, name := range []string{snapshotBinFile, walFile} {
-				data, err := os.ReadFile(filepath.Join(src, name))
-				if err != nil {
-					t.Fatalf("%v (generate with -update-oracle on the commit that owns the format)", err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(filepath.Join(src, "save.sha256"))
+	src := oracleDir
+	t.Run(filepath.Base(src), func(t *testing.T) {
+		dir := t.TempDir()
+		for _, name := range []string{snapshotBinFile, walFile} {
+			data, err := os.ReadFile(filepath.Join(src, name))
 			if err != nil {
+				t.Fatalf("%v (generate with -update-oracle on the commit that owns the format)", err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
-			defer db.Close()
-			if db.Recovered.SnapshotSeq == 0 || db.Recovered.Replayed == 0 || db.Recovered.TornTail {
-				t.Fatalf("recovery did not use both snapshot and log: %+v", db.Recovered)
-			}
-			if got := saveSum(t, db); got != strings.TrimSpace(string(want)) {
-				t.Errorf("recovered Save stream hashes to %s, the writer's hashed to %s", got, strings.TrimSpace(string(want)))
-			}
-			requireBinaryDir(t, dir)
-		})
-	}
+		}
+		want, err := os.ReadFile(filepath.Join(src, "save.sha256"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
+		defer db.Close()
+		if db.Recovered.SnapshotSeq == 0 || db.Recovered.Replayed == 0 || db.Recovered.TornTail {
+			t.Fatalf("recovery did not use both snapshot and log: %+v", db.Recovered)
+		}
+		if got := saveSum(t, db); got != strings.TrimSpace(string(want)) {
+			t.Errorf("recovered Save stream hashes to %s, the writer's hashed to %s", got, strings.TrimSpace(string(want)))
+		}
+		requireBinaryDir(t, dir)
+	})
 }
 
 // TestWriteRecordedDataDirBytes is the other direction: writing the same
@@ -172,7 +168,7 @@ func TestLogPayloadsAreParentWire(t *testing.T) {
 			t.Fatalf("seq %d: the log holds % x, the recorded wire payload is % x", sc.lastSeq, sc.cur, wire[sc.lastSeq])
 		}
 	}
-	if sc.torn || sc.format != formatWire || logged == 0 || sc.lastSeq != uint64(n) {
-		t.Fatalf("log scans torn=%v format=%d with %d records through seq %d", sc.torn, sc.format, logged, sc.lastSeq)
+	if sc.torn || logged == 0 || sc.lastSeq != uint64(n) {
+		t.Fatalf("log scans torn=%v with %d records through seq %d", sc.torn, logged, sc.lastSeq)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,15 +166,15 @@ func TestDurableRoundTrip(t *testing.T) {
 // WAL truncated at every possible byte offset, recovery must yield
 // exactly the fold of the record prefix that fully survived — compared
 // byte-for-byte via Save — and must leave the directory writable, and
-// binary. Runs against the log this build writes and against the same
-// records hand-framed as a JSON-era and as a skgwal2 log.
+// binary. An earlier build's recorded log, cut the same way, is refused
+// (testEarlierLogEveryOffset).
 func TestTornTailEveryOffset(t *testing.T) {
-	t.Run("binary", func(t *testing.T) { testTornTailEveryOffset(t, formatWire) })
-	t.Run("json", func(t *testing.T) { testTornTailEveryOffset(t, formatJSON) })
-	t.Run("skgwal2", func(t *testing.T) { testTornTailEveryOffset(t, formatDict) })
+	t.Run("binary", testTornTailEveryOffset)
+	t.Run("json", func(t *testing.T) { testEarlierLogEveryOffset(t, earlierDirs[0].dir, false) })
+	t.Run("skgwal2", func(t *testing.T) { testEarlierLogEveryOffset(t, earlierDirs[1].dir, false) })
 }
 
-func testTornTailEveryOffset(t *testing.T, format logFormat) {
+func testTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	g := newMutGen(2)
@@ -187,9 +188,6 @@ func testTornTailEveryOffset(t *testing.T, format logFormat) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format != formatWire {
-		walBytes = relogBytes(t, walBytes, format)
-	}
 	// Record boundaries, from a clean scan.
 	full := scanWAL(bytes.NewReader(walBytes))
 	if full.torn || len(full.records) == 0 {
@@ -198,11 +196,8 @@ func testTornTailEveryOffset(t *testing.T, format logFormat) {
 
 	// Expected Save bytes after each record prefix (prefixSave[k] = fold
 	// of the first k records into a fresh store). Record boundaries start
-	// after the file magic, if there is one.
-	var hdrLen int64
-	if format != formatJSON {
-		hdrLen = int64(len(walMagic))
-	}
+	// after the file magic.
+	hdrLen := int64(len(walMagic))
 	prefixSave := make([][]byte, len(full.records)+1)
 	ref := graph.New()
 	prefixSave[0] = saveBytes(t, ref)
@@ -253,6 +248,61 @@ func testTornTailEveryOffset(t *testing.T, format logFormat) {
 			t.Fatalf("cut=%d: post-recovery write lost", cut)
 		}
 		rdb2.Close()
+	}
+}
+
+// testEarlierLogEveryOffset cuts the recorded wal.log of the earlier
+// build's directory src at every byte offset and opens it — alone, or
+// with the directory's snapshot beside it. A cut that leaves a proper
+// prefix of walMagic is an empty log, as a crash while this build created
+// the file would leave one: it opens, to the snapshot's store, unless the
+// snapshot is a JSON-era one. Every other cut is refused and left as it
+// was: an earlier build's torn log is never read as a torn log of this
+// one, and never emptied.
+func testEarlierLogEveryOffset(t *testing.T, src string, withSnapshot bool) {
+	walBytes := readOracleFile(t, src, walFile)
+	files := map[string][]byte{}
+	snapshot := snapshotBinFile
+	if withSnapshot {
+		if _, err := os.Stat(filepath.Join(src, jsonSnapshotFile)); err == nil {
+			snapshot = jsonSnapshotFile
+		}
+		files[snapshot] = readOracleFile(t, src, snapshot)
+	}
+	step := 1
+	if testing.Short() {
+		step = 11
+	}
+	opened := 0
+	for cut := 0; cut <= len(walBytes); cut += step {
+		dir := t.TempDir()
+		files[walFile] = walBytes[:cut]
+		writeFiles(t, dir, files)
+		if cut >= len(walMagic) || !strings.HasPrefix(walMagic, string(walBytes[:cut])) || snapshot == jsonSnapshotFile {
+			refused := walFile
+			if snapshot == jsonSnapshotFile {
+				refused = jsonSnapshotFile
+			}
+			if err := checkRefused(t, dir, refused, ""); err != nil {
+				t.Fatalf("cut=%d: %v", cut, err)
+			}
+			continue
+		}
+		db, err := Open(dir, Options{Sync: SyncNever, CompactBytes: -1})
+		if err != nil {
+			t.Fatalf("cut=%d: a log cut inside the magic is refused: %v", cut, err)
+		}
+		if db.Recovered.Replayed != 0 || (db.Recovered.SnapshotSeq != 0) != withSnapshot {
+			t.Fatalf("cut=%d: recovery %+v, want the snapshot alone", cut, db.Recovered)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		requireBinaryDir(t, dir)
+		opened++
+	}
+	if opened == 0 && snapshot != jsonSnapshotFile {
+		t.Fatal("no cut opened as an empty log")
 	}
 }
 
@@ -390,7 +440,7 @@ func TestSyncPolicies(t *testing.T) {
 // TestOpenRejectsForeignSnapshot: a non-snapshot file fails loudly.
 func TestOpenRejectsForeignSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("{\"magic\":\"nope\"}\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotBinFile), []byte("{\"magic\":\"nope\"}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{}); err == nil {

@@ -259,10 +259,11 @@ func (db *DB) WriteSnapshotTo(w io.Writer) (uint64, error) {
 }
 
 // HasState reports whether dir already holds durable state (a snapshot,
-// of either era, or a WAL): a replica data directory with state resumes
-// from it instead of re-bootstrapping.
+// a JSON-era one included, or a WAL): a replica data directory with
+// state resumes from it — or, if an earlier build wrote it, meets Open's
+// refusal — instead of re-bootstrapping over it.
 func HasState(dir string) bool {
-	for _, name := range []string{snapshotBinFile, snapshotFile, walFile} {
+	for _, name := range []string{snapshotBinFile, jsonSnapshotFile, walFile} {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil && fi.Size() > 0 {
 			return true
 		}

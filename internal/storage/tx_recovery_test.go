@@ -119,15 +119,16 @@ func committedFold(t *testing.T, recs []Record) (*graph.Store, int) {
 // group, where a crash between a commit's flush frames would land —
 // and recovery must produce exactly the committed-prefix fold, report
 // the discarded group, and leave the directory writable and binary.
-// This build's log, and the same records as a JSON-era and as a skgwal2
-// log.
+// An earlier build's recorded directory — its log holds transaction
+// groups too — cut the same way beside its snapshot is refused
+// (testEarlierLogEveryOffset).
 func TestTornTailEveryOffsetTx(t *testing.T) {
-	t.Run("binary", func(t *testing.T) { testTornTailEveryOffsetTx(t, formatWire) })
-	t.Run("json", func(t *testing.T) { testTornTailEveryOffsetTx(t, formatJSON) })
-	t.Run("skgwal2", func(t *testing.T) { testTornTailEveryOffsetTx(t, formatDict) })
+	t.Run("binary", testTornTailEveryOffsetTx)
+	t.Run("json", func(t *testing.T) { testEarlierLogEveryOffset(t, earlierDirs[0].dir, true) })
+	t.Run("skgwal2", func(t *testing.T) { testEarlierLogEveryOffset(t, earlierDirs[1].dir, true) })
 }
 
-func testTornTailEveryOffsetTx(t *testing.T, format logFormat) {
+func testTornTailEveryOffsetTx(t *testing.T) {
 	dir := t.TempDir()
 	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	tg := newTxMutGen(3)
@@ -140,9 +141,6 @@ func testTornTailEveryOffsetTx(t *testing.T, format logFormat) {
 	walBytes, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if format != formatWire {
-		walBytes = relogBytes(t, walBytes, format)
 	}
 	full := scanWAL(bytes.NewReader(walBytes))
 	if full.torn || len(full.records) == 0 {

@@ -2,9 +2,8 @@
 // graph store: an append-only write-ahead log of logical mutations, a
 // snapshot file that wraps the graph's binary SaveBinary stream, and
 // recovery that turns a data directory back into the exact store that
-// was running before a crash. It writes one format; the JSON records,
-// JSONL snapshots and dictionary-coded logs of earlier builds are read
-// once, when Open finds them, and rewritten before Open returns (db.go).
+// was running before a crash. It reads and writes one format; Open
+// refuses a directory an earlier build wrote in another (db.go).
 //
 // The design follows the log-structured discipline of datom-log stores
 // (janus-datalog's replayable assert/retract sequence): the source of
@@ -19,12 +18,12 @@ package storage
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,20 +33,19 @@ import (
 // Record is one WAL entry: a logical store mutation plus its log
 // sequence number. Seq is assigned at append time and is strictly
 // increasing within one data directory; snapshots record the Seq they
-// cover, so recovery applies only records past the checkpoint. The JSON
-// tags are the payload of a JSON-era log, which the scanner still reads.
+// cover, so recovery applies only records past the checkpoint.
 type Record struct {
-	Seq   uint64            `json:"seq"`
-	Op    graph.MutationOp  `json:"op"`
-	Type  string            `json:"type,omitempty"`
-	Name  string            `json:"name,omitempty"`
-	Attrs map[string]string `json:"attrs,omitempty"`
-	From  graph.NodeID      `json:"from,omitempty"`
-	To    graph.NodeID      `json:"to,omitempty"`
-	Node  graph.NodeID      `json:"node,omitempty"`
-	Edge  graph.EdgeID      `json:"edge,omitempty"`
-	Key   string            `json:"key,omitempty"`
-	Val   string            `json:"val,omitempty"`
+	Seq   uint64
+	Op    graph.MutationOp
+	Type  string
+	Name  string
+	Attrs map[string]string
+	From  graph.NodeID
+	To    graph.NodeID
+	Node  graph.NodeID
+	Edge  graph.EdgeID
+	Key   string
+	Val   string
 }
 
 // Mutation converts the record back to the graph-layer mutation it logs.
@@ -65,10 +63,8 @@ func (r Record) Mutation() graph.Mutation {
 //	uint32  CRC-32 (IEEE) of the payload
 //	[]byte  payload (the encoded Record; see codec.go)
 //
-// The file opens with the 8-byte walMagic header. A log of the dictionary
-// era opens with walMagicDict instead, and a JSON-era log starts directly
-// at its first frame, JSON payloads in the same framing, which is how the
-// scanner knows each. The length comes first so a reader can
+// The file opens with the 8-byte walMagic header (logHeaderProblem says
+// what recovery accepts instead). The length comes first so a reader can
 // skip to the checksum decision without parsing the payload; the CRC
 // covers only the payload, so a torn header, a torn payload, and a
 // bit-flipped payload are all detected the same way: the record (and
@@ -415,64 +411,50 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// logFormat is what wrote a log file, as its first bytes say.
-type logFormat int
-
-const (
-	formatWire logFormat = iota // walMagic: this build
-	formatDict                  // walMagicDict: records against an in-band dictionary
-	formatJSON                  // no magic: JSON payloads
-)
-
-// readMagic consumes a log's magic, if it has one, and names its format.
-// A JSON log can never sniff as binary: its first four bytes are a record
-// length, and the length either magic's bytes spell is far past
-// maxRecordLen.
-func readMagic(br *bufio.Reader) logFormat {
-	head, _ := br.Peek(len(walMagic))
-	switch string(head) {
-	case walMagic:
-		br.Discard(len(walMagic))
-		return formatWire
-	case walMagicDict:
-		br.Discard(len(walMagicDict))
-		return formatDict
+// logHeaderProblem says what is wrong with a log file that begins with
+// head — its first len(walMagic) bytes, or all of a shorter file — or ""
+// when nothing is: head is walMagic, or a proper prefix of it, which is
+// all a crash while the file was created leaves (an empty log). Anything
+// else is not a log this build reads: an earlier build's, or damage.
+func logHeaderProblem(head []byte) string {
+	switch {
+	case strings.HasPrefix(walMagic, string(head)):
+		return ""
+	case string(head) == "skgwal2\n":
+		return "a skgwal2 log, whose records refer to an in-band dictionary"
 	}
-	return formatJSON
+	return "a log with an unrecognised or damaged header (a JSON-era log has none)"
 }
 
 // walScanner walks a log's valid record prefix one record at a time,
-// handing out each record's payload as this build writes it: the file's
-// own bytes, checked only for framing, CRC, seq and opcode, or — for a
-// log an earlier build wrote — the record decoded and re-encoded.
-// Damage — a short header, a length past the size bound, a CRC
+// handing out each record's payload: the file's own bytes, checked only
+// for framing, CRC, seq and opcode. Damage — a header logHeaderProblem
+// refuses, a short frame header, a length past the size bound, a CRC
 // mismatch, a short payload, a payload that does not yield a seq and an
-// opcode (an earlier build's: that does not decode), or a seq that is
-// not its predecessor's successor — ends the scan: nothing after a bad
-// record can be trusted, because record boundaries are only known by
-// walking the length prefixes. This is exactly the torn-final-record
-// tolerance a crash mid-append requires, generalized to arbitrary
-// corruption.
+// opcode, or a seq that is not its predecessor's successor — ends the
+// scan: nothing after a bad record can be trusted, because record
+// boundaries are only known by walking the length prefixes. This is
+// exactly the torn-final-record tolerance a crash mid-append requires,
+// generalized to arbitrary corruption.
 type walScanner struct {
 	br      *bufio.Reader
-	format  logFormat
 	valid   int64  // where the last valid record ends
 	torn    bool   // the scan ended at damage, not at the end of the file
 	lastSeq uint64 // the current record's seq
 	cur     []byte // the current record's payload, valid until the next call
 	hdr     [recordHeaderLen]byte
 	payload []byte
-
-	// The read-once decode of an earlier build's log: the in-band
-	// dictionary of a skgwal2 log, and the record re-encoded.
-	dict []string
-	wire []byte
 }
 
 func newWALScanner(r io.Reader) *walScanner {
 	sc := &walScanner{br: bufio.NewReaderSize(r, 1<<16)}
-	if sc.format = readMagic(sc.br); sc.format != formatJSON {
+	head, _ := sc.br.Peek(len(walMagic))
+	switch {
+	case string(head) == walMagic:
+		sc.br.Discard(len(walMagic))
 		sc.valid = int64(len(walMagic))
+	case logHeaderProblem(head) != "":
+		sc.torn = true
 	}
 	return sc
 }
@@ -501,35 +483,14 @@ func (sc *walScanner) next() bool {
 		sc.torn = true
 		return false
 	}
-	p, ok := sc.payload, true
-	if sc.format != formatWire {
-		p, ok = sc.transcode()
-	}
-	seq, _, known := peekRecord(p)
-	if !ok || !known || seq == 0 || sc.lastSeq != 0 && seq != sc.lastSeq+1 {
+	seq, _, known := peekRecord(sc.payload)
+	if !known || seq == 0 || sc.lastSeq != 0 && seq != sc.lastSeq+1 {
 		sc.torn = true
 		return false
 	}
-	sc.cur, sc.lastSeq = p, seq
+	sc.cur, sc.lastSeq = sc.payload, seq
 	sc.valid += int64(recordHeaderLen) + int64(n)
 	return true
-}
-
-// transcode decodes an earlier build's payload — JSON, or binary against
-// the in-band dictionary — and re-encodes it as this build writes it.
-func (sc *walScanner) transcode() ([]byte, bool) {
-	var rec Record
-	var err error
-	if sc.format == formatJSON {
-		err = json.Unmarshal(sc.payload, &rec)
-	} else {
-		err = decodeRecord(sc.payload, &sc.dict, &rec, nil)
-	}
-	if err != nil {
-		return nil, false
-	}
-	sc.wire, _ = encodeRecord(sc.wire[:0], rec.Seq, rec.Mutation(), nil)
-	return sc.wire, true
 }
 
 // countWALFrames walks the record framing (headers only — no CRC, no
@@ -539,7 +500,7 @@ func (sc *walScanner) transcode() ([]byte, bool) {
 // Reserve tolerates (it is a sizing hint, bounded by file size).
 func countWALFrames(r io.Reader) int {
 	br := bufio.NewReaderSize(r, 1<<16)
-	readMagic(br)
+	br.Discard(len(walMagic)) // Open has refused any other header
 	count := 0
 	var hdr [recordHeaderLen]byte
 	for {
@@ -564,7 +525,6 @@ type replayResult struct {
 	valid     int64  // where the last whole unit ends: the appender resumes here
 	lastSeq   uint64 // that unit's last seq
 	torn      bool   // damage, or a group the log ends inside, follows valid
-	legacy    bool   // an earlier build wrote the log: Open rewrites the directory
 }
 
 // replayLog folds the valid prefix of the log in r into st, skipping
@@ -580,7 +540,7 @@ type replayResult struct {
 // compaction waits for a single seal.
 func replayLog(r io.Reader, st *graph.Store, after uint64) (res replayResult, err error) {
 	sc := newWALScanner(r)
-	res.valid, res.legacy = sc.valid, sc.format != formatWire
+	res.valid = sc.valid
 	st.BeginBulk()
 	defer st.EndBulk()
 	var (
