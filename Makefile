@@ -24,7 +24,7 @@ build:
 # extraction pass's per-report ceiling, the IOC
 # scanner, the zero-alloc warm CRF decoder, and the layout engine's
 # zero-alloc warm Step on both kernels plus a 9-node server.Layout's
-# ceiling) are gated
+# ceiling, and the PDF writer's per-line escape) are gated
 # //go:build !race — the race detector inflates AllocsPerRun — so a
 # plain-build pass runs them. The same pass runs the layout position
 # oracle (TestPositionsMatchParent), single-goroutine and ≈12× slower
@@ -43,7 +43,7 @@ build:
 # examples/, which drive the public facade end to end.
 test: vet
 	$(GO) test -race ./...
-	$(GO) test -run 'Allocs|PositionsMatchParent' ./internal/graph/ ./internal/storage/ ./internal/replication/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/ ./internal/layout/
+	$(GO) test -run 'Allocs|PositionsMatchParent' ./internal/graph/ ./internal/storage/ ./internal/replication/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/ ./internal/layout/ ./internal/pdf/
 	$(GO) test -race -count=2 -run 'TestSchedule|TestConcurrentReadersSeeAtomicWrites|TestTx' ./internal/cypher/
 	$(GO) test -race -count=2 -run 'IgnoreOpenTx' ./internal/graph/ ./internal/server/
 	$(MAKE) replication-test
@@ -229,11 +229,13 @@ cover:
 			printf "%s coverage %.1f%% (floor %s%%)\n", p, t, floor }'; \
 	done
 
-# fuzz exercises the IOC-scanner, HTML-parser, PDF-text, Cypher-parser,
+# fuzz exercises the IOC-scanner, HTML-parser, PDF-text, report-parser,
+# entity-extractor, Cypher-parser,
 # engine, JSON-escaper, request-decoder, WAL-recovery and
 # replication-frame fuzz targets for 30s each (the anchored scanner must
 # equal the ten-regex sweep; no page may make the HTML parser or its text
-# extraction panic, and no document the PDF text extractor;
+# extraction panic, and no document the PDF text extractor; no page body
+# may make a report parser panic, nor any text the entity extractor;
 # the Cypher parser must never panic; the engine must error, not crash;
 # a string must be escaped exactly as encoding/json escapes it; an
 # /api/cypher body must decode as json.Unmarshal decodes it, or be
@@ -246,6 +248,8 @@ fuzz:
 	$(GO) test ./internal/ioc -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/htmlparse -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/pdf -fuzz FuzzExtractText -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/pipeline -fuzz FuzzParsers -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/ner -fuzz FuzzExtract -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/cypher -fuzz FuzzEngineQuery -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/server -fuzz FuzzJSONString -fuzztime $(FUZZTIME) -run '^$$'

@@ -164,7 +164,7 @@ func BenchmarkStorageSnapshotSave(b *testing.B) {
 			// Mutate so every checkpoint has a fresh seq to cover (a
 			// no-op checkpoint would still rewrite the snapshot, but
 			// keep the loop honest).
-			db.Store().SetAttr(graph.NodeID(1), "round", fmt.Sprint(i))
+			db.Store().Apply(graph.Mutation{Op: graph.OpSetAttr, Node: 1, Key: "round", Val: fmt.Sprint(i)})
 			if err := db.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}

@@ -519,7 +519,7 @@ func BenchmarkLayoutExact(b *testing.B) {
 
 // benchLayoutSteps times one Step per op. The engine is replaced, off the
 // clock, every 300 steps (one Run's budget): the temperature decays by
-// Cooling each step, and past ≈140 k steps on one engine it goes
+// the cooling constant each step, and past ≈140 k steps on one engine it goes
 // subnormal and the arm times denormal arithmetic instead of the kernel.
 func benchLayoutSteps(b *testing.B, g layout.Graph, cfg layout.Config) {
 	e := layout.NewEngine(g, cfg, 1)

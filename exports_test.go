@@ -6,7 +6,9 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,23 +46,7 @@ func TestNoUnreferencedExports(t *testing.T) {
 	used := map[string]bool{}
 	type decl struct{ key, pos string }
 	var decls []decl
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (n == "testdata" || n == "vendor" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
+	forEachSourceFile(t, fset, func(path string, f *ast.File) {
 		declNames := map[*ast.Ident]bool{}
 		inInternal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
 		declare := func(key string, id *ast.Ident) {
@@ -100,11 +86,7 @@ func TestNoUnreferencedExports(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var dead []string
 	for _, d := range decls {
 		name := d.key[strings.LastIndexByte(d.key, '.')+1:]
@@ -127,6 +109,36 @@ func TestNoUnreferencedExports(t *testing.T) {
 	}
 }
 
+// forEachSourceFile parses every non-test .go file of the module (cmd/,
+// examples/ and bench/ included; testdata, vendor and dot or underscore
+// directories skipped) and hands it to fn with its path.
+func forEachSourceFile(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != "." && (n == "testdata" || n == "vendor" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // recvIdent is the type name of a method receiver: T for T, *T and T[P].
 func recvIdent(e ast.Expr) *ast.Ident {
 	for {
@@ -141,6 +153,140 @@ func recvIdent(e ast.Expr) *ast.Ident {
 			return x
 		default:
 			return nil
+		}
+	}
+}
+
+// unsetAllowed are option fields under internal/ that no non-test code
+// sets, each kept for the reason given.
+var unsetAllowed = map[string]string{
+	"storage.Options.TailRecords": "TestFollowerCatchUpFromDisk, TestSnapshotRequired and TestTailCursorMatchesLog shrink the tail to force the log-file path",
+	"storage.Options.TailBytes":   "TestFollowerCatchUpFromDisk, TestSnapshotRequired and TestTailCursorMatchesLog shrink the tail to force the log-file path",
+	"pipeline.Config.Logger":      "where per-report failures are reported is ROADMAP item 4(b)'s decision",
+	"crawler.Config.Logger":       "where crawl failures are reported is ROADMAP item 4(b)'s decision",
+}
+
+// TestNoUnsetOptions fails when a field of an exported ...Options or
+// ...Config struct under internal/ has no setter outside tests: no
+// non-test .go file in the module (cmd/, examples/ and bench/ count) uses
+// its name as a composite-literal key, and none outside the declaring
+// package assigns to it. A defaults method or an "if x == 0 { x = ... }"
+// line in the declaring package is not a setter, and neither is an
+// assignment in a package that declares an option field of the same name
+// (its own defaulting, not a setter of another package's field). A field
+// with a json tag is set by the configuration file. A setting nobody sets
+// is a constant: make it one, or name it in unsetAllowed with the reason
+// it stays. Like TestNoUnreferencedExports it goes by name, so a key or
+// assignment of the same name elsewhere counts as a setter.
+func TestNoUnsetOptions(t *testing.T) {
+	fset := token.NewFileSet()
+	type field struct{ key, name, dir, pos string }
+	var fields []field
+	keyed := map[string]bool{}               // composite-literal keys
+	assigned := map[string]map[string]bool{} // field name -> directories that assign it
+	var declare func(prefix, dir string, st *ast.StructType)
+	declare = func(prefix, dir string, st *ast.StructType) {
+		for _, f := range st.Fields.List {
+			if f.Tag != nil {
+				tag, _ := strconv.Unquote(f.Tag.Value)
+				if j, ok := reflect.StructTag(tag).Lookup("json"); ok && j != "-" {
+					continue // set by the configuration file
+				}
+			}
+			for _, id := range f.Names {
+				if !id.IsExported() {
+					continue
+				}
+				if sub, ok := f.Type.(*ast.StructType); ok {
+					declare(prefix+id.Name+".", dir, sub)
+					continue
+				}
+				fields = append(fields, field{prefix + id.Name, id.Name, dir, fset.Position(id.Pos()).String()})
+			}
+		}
+	}
+	forEachSourceFile(t, fset, func(path string, f *ast.File) {
+		dir := filepath.Dir(path)
+		if strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					name := ts.Name.Name
+					if ok && ts.Name.IsExported() && (strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+						declare(f.Name.Name+"."+name+".", dir, st)
+					}
+				}
+			}
+		}
+		assign := func(lhs ast.Expr) {
+			if sel, ok := lhs.(*ast.SelectorExpr); ok {
+				if assigned[sel.Sel.Name] == nil {
+					assigned[sel.Sel.Name] = map[string]bool{}
+				}
+				assigned[sel.Sel.Name][dir] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							keyed[id.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					assign(lhs)
+				}
+			case *ast.IncDecStmt:
+				assign(n.X)
+			}
+			return true
+		})
+	})
+	declares := map[string]bool{} // directory + "\x00" + field name
+	for _, f := range fields {
+		declares[f.dir+"\x00"+f.name] = true
+	}
+	set := func(f field) bool {
+		if keyed[f.name] {
+			return true
+		}
+		for dir := range assigned[f.name] {
+			if !declares[dir+"\x00"+f.name] {
+				return true
+			}
+		}
+		return false
+	}
+	var unset []string
+	for _, f := range fields {
+		_, allowed := unsetAllowed[f.key]
+		switch {
+		case set(f) && allowed:
+			t.Errorf("%s is set by non-test code: drop it from unsetAllowed", f.key)
+		case !set(f) && !allowed:
+			unset = append(unset, f.key+" ("+f.pos+")")
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s: an option field no non-test code sets; make it a constant", u)
+	}
+	keys := map[string]bool{}
+	for _, f := range fields {
+		keys[f.key] = true
+	}
+	for key := range unsetAllowed {
+		if !keys[key] {
+			t.Errorf("%s is in unsetAllowed but declares no option field: drop it", key)
 		}
 	}
 }

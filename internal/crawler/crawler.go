@@ -28,12 +28,6 @@ type Config struct {
 	// MaxRetries bounds per-URL retry attempts on transient errors
 	// (default 3).
 	MaxRetries int
-	// RetryDelay is the base backoff delay, doubled per attempt
-	// (default 50ms).
-	RetryDelay time.Duration
-	// RateLimit is the minimum interval between fetches to the same
-	// source (politeness; 0 disables).
-	RateLimit time.Duration
 	// Logger receives failure reports; nil silences logging.
 	Logger *log.Logger
 }
@@ -45,10 +39,11 @@ func (c *Config) defaults() {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
 	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 50 * time.Millisecond
-	}
 }
+
+// retryDelay is the base backoff delay after a transient fetch error,
+// doubled per attempt.
+const retryDelay = 50 * time.Millisecond
 
 // Stats aggregates framework counters.
 type Stats struct {
@@ -78,7 +73,6 @@ type Framework struct {
 	mu        sync.Mutex
 	seen      map[string]bool // canonical report URLs already collected
 	perSource map[string]int64
-	lastFetch map[string]time.Time // per-source politeness clock
 
 	collected atomic.Int64
 	fetches   atomic.Int64
@@ -97,27 +91,6 @@ func New(fetcher sources.Fetcher, specs []sources.SourceSpec, cfg Config) *Frame
 		cfg:       cfg,
 		seen:      make(map[string]bool),
 		perSource: make(map[string]int64),
-		lastFetch: make(map[string]time.Time),
-	}
-}
-
-// politeWait blocks until the per-source rate limit allows another fetch.
-func (f *Framework) politeWait(source string) {
-	if f.cfg.RateLimit <= 0 {
-		return
-	}
-	for {
-		f.mu.Lock()
-		last := f.lastFetch[source]
-		now := time.Now()
-		if wait := f.cfg.RateLimit - now.Sub(last); wait > 0 {
-			f.mu.Unlock()
-			time.Sleep(wait)
-			continue
-		}
-		f.lastFetch[source] = now
-		f.mu.Unlock()
-		return
 	}
 }
 
@@ -241,7 +214,7 @@ func (f *Framework) crawlSource(ctx context.Context, spec sources.SourceSpec, em
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		page, err := f.fetchRetry(spec.Slug, indexURL)
+		page, err := f.fetchRetry(indexURL)
 		if err != nil {
 			f.failures.Add(1)
 			return fmt.Errorf("crawler %s: index %s: %w", spec.Slug, indexURL, err)
@@ -280,7 +253,7 @@ func (f *Framework) collectReport(spec sources.SourceSpec, url string, emit func
 
 	pageURL := url
 	for pageURL != "" {
-		page, err := f.fetchRetry(spec.Slug, pageURL)
+		page, err := f.fetchRetry(pageURL)
 		if err != nil {
 			f.failures.Add(1)
 			if f.cfg.Logger != nil {
@@ -316,13 +289,11 @@ func (f *Framework) collectReport(spec sources.SourceSpec, url string, emit func
 	}
 }
 
-// fetchRetry fetches a URL with exponential backoff on transient errors,
-// honoring the per-source politeness interval.
-func (f *Framework) fetchRetry(source, url string) (*sources.Page, error) {
-	delay := f.cfg.RetryDelay
+// fetchRetry fetches a URL with exponential backoff on transient errors.
+func (f *Framework) fetchRetry(url string) (*sources.Page, error) {
+	delay := retryDelay
 	var lastErr error
 	for attempt := 0; attempt <= f.cfg.MaxRetries; attempt++ {
-		f.politeWait(source)
 		f.fetches.Add(1)
 		page, err := f.fetcher.Fetch(url)
 		if err == nil {

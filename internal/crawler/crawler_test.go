@@ -106,7 +106,7 @@ func TestRetryOnTransientFailures(t *testing.T) {
 	specs := sources.DefaultSources(6)[:2]
 	web := sources.NewWeb(1, specs)
 	web.FailEveryN = 3 // a third of URLs fail on first attempt
-	f := New(web, specs, Config{RetryDelay: time.Millisecond})
+	f := New(web, specs, Config{})
 	files := collect(t, f)
 	perReport := map[string]bool{}
 	for _, rf := range files {
@@ -125,7 +125,7 @@ func TestRetryOnTransientFailures(t *testing.T) {
 func TestRebootAfterPanic(t *testing.T) {
 	specs := sources.DefaultSources(3)[:1]
 	pf := &panicFetcher{inner: sources.NewWeb(1, specs), panicsLeft: 1}
-	f := New(pf, specs, Config{RetryDelay: time.Millisecond})
+	f := New(pf, specs, Config{})
 	files := collect(t, f)
 	if len(files) == 0 {
 		t.Fatal("crawl did not recover after panic")
@@ -236,25 +236,5 @@ func TestStatsSnapshotIsolated(t *testing.T) {
 	st.PerSource["tampered"] = 99
 	if _, ok := f.Stats().PerSource["tampered"]; ok {
 		t.Error("Stats exposes internal map")
-	}
-}
-
-func TestRateLimitSlowsSameSourceFetches(t *testing.T) {
-	specs := sources.DefaultSources(6)[:1]
-	web := sources.NewWeb(1, specs)
-	limited := New(web, specs, Config{RateLimit: 5 * time.Millisecond})
-	start := time.Now()
-	collect(t, limited)
-	elapsed := time.Since(start)
-	// 1 index page + 6 reports (+possible continuation) => >= 7 fetches,
-	// each spaced 5ms apart.
-	if elapsed < 30*time.Millisecond {
-		t.Errorf("rate limit not applied: crawl took %v", elapsed)
-	}
-	unlimited := New(sources.NewWeb(1, specs), specs, Config{})
-	start = time.Now()
-	collect(t, unlimited)
-	if time.Since(start) > elapsed {
-		t.Error("unlimited crawl slower than rate-limited one")
 	}
 }

@@ -111,36 +111,30 @@ func (r *resolved) positions() int { return len(r.off) - 1 }
 
 // TrainConfig controls optimization.
 type TrainConfig struct {
-	Epochs       int     // passes over the data (default 8)
-	LearningRate float64 // AdaGrad base step (default 0.2)
-	L2           float64 // L2 regularization strength (default 1e-4)
-	Seed         int64   // shuffling seed (default 1)
-	Verbose      io.Writer
+	Epochs int   // passes over the data (default 8)
+	Seed   int64 // shuffling seed (default 1)
 }
 
 func (c *TrainConfig) defaults() {
 	if c.Epochs <= 0 {
 		c.Epochs = 8
 	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.2
-	}
-	if c.L2 < 0 {
-		c.L2 = 0
-	} else if c.L2 == 0 {
-		c.L2 = 1e-4
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 }
+
+// The AdaGrad step's settings.
+const (
+	learningRate float64 = 0.2  // base step
+	l2           float64 = 1e-4 // L2 regularization strength
+)
 
 // trainer is the state of one Train call: the training set as ids, the
 // AdaGrad accumulators (laid out as the weights are) and the lattices one
 // gradient step works on.
 type trainer struct {
 	m      *Model
-	cfg    TrainConfig
 	seqs   []resolved
 	gold   [][]int
 	gUnary []float64
@@ -181,7 +175,7 @@ func Train(seqs []Sequence, cfg TrainConfig) (*Model, error) {
 		m.labelIdx[l] = i
 	}
 	L := len(labels)
-	tr := &trainer{m: m, cfg: cfg, seqs: make([]resolved, len(seqs)), gold: make([][]int, len(seqs)),
+	tr := &trainer{m: m, seqs: make([]resolved, len(seqs)), gold: make([][]int, len(seqs)),
 		acc: make([]float64, L), p: make([]float64, L)}
 	for i, s := range seqs {
 		r := &tr.seqs[i]
@@ -210,23 +204,19 @@ func Train(seqs []Sequence, cfg TrainConfig) (*Model, error) {
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Reshuffle each epoch.
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var totalNLL float64
 		for _, si := range order {
-			totalNLL += tr.sgdStep(&tr.seqs[si], tr.gold[si])
-		}
-		if cfg.Verbose != nil {
-			fmt.Fprintf(cfg.Verbose, "crf: epoch %d nll=%.2f\n", epoch+1, totalNLL)
+			tr.sgdStep(&tr.seqs[si], tr.gold[si])
 		}
 	}
 	return m.finish(), nil
 }
 
 // sgdStep computes the gradient of one sequence via forward-backward and
-// applies an AdaGrad update. It returns the sequence NLL before the update.
-func (tr *trainer) sgdStep(r *resolved, gold []int) float64 {
+// applies an AdaGrad update.
+func (tr *trainer) sgdStep(r *resolved, gold []int) {
 	T := len(gold)
 	if T == 0 {
-		return 0
+		return
 	}
 	m := tr.m
 	L := len(m.labels)
@@ -238,21 +228,10 @@ func (tr *trainer) sgdStep(r *resolved, gold []int) float64 {
 	scores, alpha, beta := tr.scores, tr.alpha, tr.beta
 	logZ := m.forwardBackward(scores, alpha, beta, tr.acc)
 
-	// Gold path score for NLL reporting.
-	goldScore := 0.0
-	prev := start
-	for t, y := range gold {
-		goldScore += scores[t*L+y] + m.trans[prev+y]
-		prev = y * L
-	}
-	nll := logZ - goldScore
-
-	lr := tr.cfg.LearningRate
-	l2 := tr.cfg.L2
 	update := func(w, g []float64, i int, grad float64) {
 		grad += l2 * w[i]
 		g[i] += grad * grad
-		w[i] -= lr * grad / (1e-8 + math.Sqrt(g[i]))
+		w[i] -= learningRate * grad / (1e-8 + math.Sqrt(g[i]))
 	}
 
 	// Unary gradients: P(y_t) - 1{y_t = gold}.
@@ -299,7 +278,6 @@ func (tr *trainer) sgdStep(r *resolved, gold []int) float64 {
 			}
 		}
 	}
-	return nll
 }
 
 // grow returns buf resized to n, reallocating only when it is too small.

@@ -250,22 +250,6 @@ func TestTrainingIsDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestL2ShrinksWeights(t *testing.T) {
-	seqs := makeToySeqs(60, 9)
-	weak, _ := Train(seqs, TrainConfig{Epochs: 3, L2: 1e-6})
-	strong, _ := Train(seqs, TrainConfig{Epochs: 3, L2: 0.5})
-	norm := func(m *Model) float64 {
-		var s float64
-		for _, w := range m.unary {
-			s += w * w
-		}
-		return s
-	}
-	if norm(strong) >= norm(weak) {
-		t.Errorf("strong L2 should shrink weights: %.3f vs %.3f", norm(strong), norm(weak))
-	}
-}
-
 func TestLogSumExpStability(t *testing.T) {
 	// Large values must not overflow.
 	v := logSumExp([]float64{1000, 1000})

@@ -193,7 +193,7 @@ func TestCursorPinsSnapshot(t *testing.T) {
 		if len(got) == 1 {
 			// Mutate between pulls: the open cursor must not see it.
 			s.MergeNode("Tool", "c", nil)
-			s.DeleteNode(findNode(s, "Tool", "b").ID)
+			s.Apply(graph.Mutation{Op: graph.OpDeleteNode, Node: findNode(s, "Tool", "b").ID})
 		}
 		return nil
 	})

@@ -292,7 +292,7 @@ func TestMaterialMutationInvalidatesPlanCache(t *testing.T) {
 	}
 	dropMalware := func(k int) { // each takes its edge with it
 		for ; k > 0; k-- {
-			if err := s.DeleteNode(mals[0]); err != nil {
+			if err := s.Apply(graph.Mutation{Op: graph.OpDeleteNode, Node: mals[0]}); err != nil {
 				t.Fatal(err)
 			}
 			mals = mals[1:]
@@ -304,14 +304,14 @@ func TestMaterialMutationInvalidatesPlanCache(t *testing.T) {
 	addTools(1)
 	query("growth to 256", 1)
 	for _, id := range mals {
-		s.SetAttr(id, "seen", "1")
+		s.Apply(graph.Mutation{Op: graph.OpSetAttr, Node: id, Key: "seen", Val: "1"})
 	}
 	query("SetAttr inside the class", 0)
 	dropMalware(1)
 	query("shrink to 254", 1)
 	dropMalware(63)
 	query("shrink to 128", 0)
-	s.DeleteNode(findNode(s, "Tool", "t0").ID)
+	s.Apply(graph.Mutation{Op: graph.OpDeleteNode, Node: findNode(s, "Tool", "t0").ID})
 	query("shrink to 127", 1)
 }
 

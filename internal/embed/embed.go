@@ -16,40 +16,15 @@ import (
 	"sort"
 )
 
-// Config controls SGNS training.
-type Config struct {
-	Dim          int     // vector dimension (default 32)
-	Window       int     // context window half-size (default 4)
-	NegSamples   int     // negatives per positive (default 5)
-	Epochs       int     // passes over the corpus (default 3)
-	LearningRate float64 // initial step (default 0.025)
-	MinCount     int     // drop words rarer than this (default 2)
-	Seed         int64   // RNG seed (default 1)
-}
-
-func (c *Config) defaults() {
-	if c.Dim <= 0 {
-		c.Dim = 32
-	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
-	if c.NegSamples <= 0 {
-		c.NegSamples = 5
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 3
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.025
-	}
-	if c.MinCount <= 0 {
-		c.MinCount = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
+// SGNS training's settings.
+const (
+	dim          = 24    // vector dimension
+	window       = 4     // context window half-size
+	negSamples   = 5     // negatives per positive
+	epochs       = 3     // passes over the corpus
+	learningRate = 0.025 // initial step
+	minCount     = 2     // drop words rarer than this
+)
 
 // Embeddings holds trained word vectors.
 type Embeddings struct {
@@ -81,9 +56,12 @@ func (e *Embeddings) Vector(word string) ([]float32, bool) {
 	return e.vecs[i], true
 }
 
-// Train fits embeddings on tokenized sentences.
-func Train(sentences [][]string, cfg Config) (*Embeddings, error) {
-	cfg.defaults()
+// Train fits embeddings on tokenized sentences; seed fixes the random
+// initialization and sampling (0 means 1).
+func Train(sentences [][]string, seed int64) (*Embeddings, error) {
+	if seed == 0 {
+		seed = 1
+	}
 	counts := map[string]int{}
 	for _, s := range sentences {
 		for _, w := range s {
@@ -92,12 +70,12 @@ func Train(sentences [][]string, cfg Config) (*Embeddings, error) {
 	}
 	var vocab []string
 	for w, c := range counts {
-		if c >= cfg.MinCount {
+		if c >= minCount {
 			vocab = append(vocab, w)
 		}
 	}
 	if len(vocab) < 2 {
-		return nil, errors.New("embed: vocabulary too small (check MinCount)")
+		return nil, errors.New("embed: vocabulary too small")
 	}
 	sort.Strings(vocab)
 	idx := make(map[string]int, len(vocab))
@@ -108,8 +86,8 @@ func Train(sentences [][]string, cfg Config) (*Embeddings, error) {
 	// Unigram^0.75 negative-sampling table.
 	table := buildNegTable(vocab, counts, 1<<17)
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	V, D := len(vocab), cfg.Dim
+	rng := rand.New(rand.NewSource(seed))
+	V, D := len(vocab), dim
 	in := make([][]float32, V)  // input vectors (the result)
 	out := make([][]float32, V) // output/context vectors
 	for i := 0; i < V; i++ {
@@ -137,12 +115,12 @@ func Train(sentences [][]string, cfg Config) (*Embeddings, error) {
 		return nil, errors.New("embed: no trainable sentences after vocabulary filtering")
 	}
 
-	lr := float32(cfg.LearningRate)
+	lr := float32(learningRate)
 	grad := make([]float32, D)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		for _, sent := range encoded {
 			for pos, w := range sent {
-				win := 1 + rng.Intn(cfg.Window)
+				win := 1 + rng.Intn(window)
 				for off := -win; off <= win; off++ {
 					if off == 0 {
 						continue
@@ -157,7 +135,7 @@ func Train(sentences [][]string, cfg Config) (*Embeddings, error) {
 						grad[d] = 0
 					}
 					train1(in[w], out[ctx], 1, lr, grad)
-					for k := 0; k < cfg.NegSamples; k++ {
+					for k := 0; k < negSamples; k++ {
 						neg := table[rng.Intn(len(table))]
 						if neg == ctx {
 							continue

@@ -36,7 +36,7 @@ func topicCorpus(n int, seed int64) [][]string {
 
 func trainTopics(t *testing.T) *Embeddings {
 	t.Helper()
-	e, err := Train(topicCorpus(600, 1), Config{Dim: 16, Epochs: 4, Seed: 1})
+	e, err := Train(topicCorpus(600, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestTrainProducesVectorsForFrequentWords(t *testing.T) {
 			t.Errorf("missing vector for %q", w)
 			continue
 		}
-		if len(v) != 16 {
-			t.Errorf("vector dim %d, want 16", len(v))
+		if len(v) != dim {
+			t.Errorf("vector dim %d, want %d", len(v), dim)
 		}
 	}
 	if _, ok := e.Vector("neverappears"); ok {
@@ -65,12 +65,12 @@ func TestMinCountFiltersRareWords(t *testing.T) {
 		{"common", "common", "rareword", "common"},
 		{"common", "other", "common", "other"},
 	}
-	e, err := Train(sentences, Config{MinCount: 2, Dim: 8})
+	e, err := Train(sentences, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.Vector("rareword"); ok {
-		t.Error("rare word survived MinCount")
+		t.Error("rare word survived minCount")
 	}
 	if _, ok := e.Vector("common"); !ok {
 		t.Error("frequent word dropped")
@@ -78,10 +78,10 @@ func TestMinCountFiltersRareWords(t *testing.T) {
 }
 
 func TestTrainErrorsOnTinyVocab(t *testing.T) {
-	if _, err := Train([][]string{{"only"}}, Config{}); err == nil {
+	if _, err := Train([][]string{{"only"}}, 1); err == nil {
 		t.Error("tiny vocabulary should error")
 	}
-	if _, err := Train(nil, Config{}); err == nil {
+	if _, err := Train(nil, 1); err == nil {
 		t.Error("empty corpus should error")
 	}
 }
@@ -169,8 +169,8 @@ func TestClustersEdgeCases(t *testing.T) {
 
 func TestDeterministicForSeed(t *testing.T) {
 	corpus := topicCorpus(200, 3)
-	e1, _ := Train(corpus, Config{Dim: 8, Seed: 99})
-	e2, _ := Train(corpus, Config{Dim: 8, Seed: 99})
+	e1, _ := Train(corpus, 99)
+	e2, _ := Train(corpus, 99)
 	v1, _ := e1.Vector("malware")
 	v2, _ := e2.Vector("malware")
 	for i := range v1 {

@@ -17,8 +17,6 @@ import (
 type Options struct {
 	// Types restricts fusion to the given node types (nil = all types).
 	Types []string
-	// MinGroup is the smallest alias-group size worth fusing (default 2).
-	MinGroup int
 }
 
 // Stats reports what a fusion pass did.
@@ -66,9 +64,6 @@ func Normalize(name string) string {
 // are removed. The pass is one transaction: readers see the store before
 // it or after it, and a failed pass changes nothing.
 func Fuse(s *graph.Store, opts Options) (Stats, error) {
-	if opts.MinGroup < 2 {
-		opts.MinGroup = 2
-	}
 	var st Stats
 	st.EdgesBefore = s.Stats().Edges
 	tx := s.BeginTx()
@@ -113,8 +108,8 @@ func fuse(tx *graph.Tx, opts Options, st *Stats) error {
 
 	for _, k := range keys {
 		members := groups[k]
-		if len(members) < opts.MinGroup {
-			continue
+		if len(members) < 2 {
+			continue // a name no other node shares
 		}
 		st.Groups++
 		// Pick the canonical: highest degree, then lowest ID.

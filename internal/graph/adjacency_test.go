@@ -137,7 +137,7 @@ func TestAdjacencyUnderMutation(t *testing.T) {
 		}
 		if len(edges) > 0 && rng.Intn(4) == 0 {
 			i := rng.Intn(len(edges))
-			if err := s.DeleteEdge(edges[i]); err == nil {
+			if err := deleteEdge(s, edges[i]); err == nil {
 				edges = append(edges[:i], edges[i+1:]...)
 			}
 		}
@@ -146,14 +146,14 @@ func TestAdjacencyUnderMutation(t *testing.T) {
 
 	// Node deletion sweeps incident edges through the tombstone path.
 	for i := 0; i < 5; i++ {
-		if err := s.DeleteNode(nodes[i]); err != nil {
+		if err := deleteNode(s, nodes[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	checkIncidence(t, s)
 
 	// MigrateEdges deletes and re-adds with fresh IDs.
-	if err := s.MigrateEdges(nodes[10], nodes[20]); err != nil {
+	if err := migrateEdges(s, nodes[10], nodes[20]); err != nil {
 		t.Fatal(err)
 	}
 	checkIncidence(t, s)

@@ -30,10 +30,10 @@ func buildCodecStore(t *testing.T) *Store {
 	if _, _, err := s.AddEdge(dom, "hosts", gone, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteNode(gone); err != nil {
+	if err := deleteNode(s, gone); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MigrateEdges(m2, m1); err != nil {
+	if err := migrateEdges(s, m2, m1); err != nil {
 		t.Fatal(err)
 	}
 	return s

@@ -158,8 +158,8 @@ func BenchmarkIndexChurn(b *testing.B) {
 		name string
 		op   func(s *Store, id NodeID) error
 	}{
-		{"set-indexed", func(s *Store, id NodeID) error { return s.SetAttr(id, "family", fmt.Sprintf("f%d", id%2)) }},
-		{"delete", func(s *Store, id NodeID) error { return s.DeleteNode(id) }},
+		{"set-indexed", func(s *Store, id NodeID) error { return setAttr(s, id, "family", fmt.Sprintf("f%d", id%2)) }},
+		{"delete", func(s *Store, id NodeID) error { return deleteNode(s, id) }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			var s *Store

@@ -447,13 +447,6 @@ func (s *Store) addEdgePublicLocked(from NodeID, typ string, to NodeID, attrs ma
 // a writer.
 const nodeChunk = 256
 
-// SetAttr sets one attribute on a node, updating indexes.
-func (s *Store) SetAttr(id NodeID, key, val string) error {
-	var err error
-	s.bare(func() { _, err = s.setAttrLocked(id, key, val) })
-	return err
-}
-
 func (s *Store) setAttrLocked(id NodeID, key, val string) (Effect, error) {
 	rec, ok := s.nodeAt(id)
 	if !ok {
@@ -477,13 +470,6 @@ func (s *Store) setAttrLocked(id NodeID, key, val string) (Effect, error) {
 	}
 	s.noteMutation(Mutation{Op: OpSetAttr, Node: id, Key: key, Val: val})
 	return Effect{Node: &nn, Attrs: 1}, nil
-}
-
-// DeleteNode removes a node and all incident edges.
-func (s *Store) DeleteNode(id NodeID) error {
-	var err error
-	s.bare(func() { _, err = s.deleteNodeLocked(id, true) })
-	return err
 }
 
 // deleteNodeLocked removes node id with its edges, or, unless detach,
@@ -518,7 +504,7 @@ func (s *Store) deleteNodeLocked(id NodeID, detach bool) (Effect, error) {
 }
 
 // uninstallNodeLocked removes node id's current record and every index
-// entry derived from it. Shared by DeleteNode and transaction rollback.
+// entry derived from it. Shared by deleteNodeLocked and transaction rollback.
 func (s *Store) uninstallNodeLocked(id NodeID, rec nodeRec) {
 	unfile(s.byType, rec.typ, id)
 	unfile(s.byName, rec.n.Name, id)
@@ -536,13 +522,6 @@ func (s *Store) installNodeLocked(id NodeID, rec nodeRec) {
 	s.byType[rec.typ] = s.byType[rec.typ].add(id)
 	s.byName[rec.n.Name] = s.byName[rec.n.Name].add(id)
 	s.indexAttrsLocked(rec, true)
-}
-
-// DeleteEdge removes one edge.
-func (s *Store) DeleteEdge(id EdgeID) error {
-	var err error
-	s.bare(func() { err = s.deleteEdgePublicLocked(id) })
-	return err
 }
 
 func (s *Store) deleteEdgePublicLocked(id EdgeID) error {
@@ -592,16 +571,10 @@ func (s *Store) installEdgeLocked(id EdgeID, rec edgeRec) {
 	s.edgeTypeCount[rec.typ]++
 }
 
-// MigrateEdges re-points every edge incident to from so it is incident to
-// to instead, preserving edge types and attributes and deduplicating
-// against existing edges of to. Self-loops created by the migration are
-// dropped. Used by the knowledge-fusion stage.
-func (s *Store) MigrateEdges(from, to NodeID) error {
-	var err error
-	s.bare(func() { err = s.migrateEdgesLocked(from, to) })
-	return err
-}
-
+// migrateEdgesLocked re-points every edge incident to from so it is
+// incident to to instead, preserving edge types and attributes and
+// deduplicating against existing edges of to. Self-loops created by the
+// migration are dropped. Used by the knowledge-fusion stage.
 func (s *Store) migrateEdgesLocked(from, to NodeID) error {
 	if _, ok := s.nodeAt(from); !ok {
 		return fmt.Errorf("graph: MigrateEdges: node %d: %w", from, ErrGone)

@@ -8,6 +8,21 @@ import (
 	"testing/quick"
 )
 
+// The bare writes the tests issue besides MergeNode and AddEdge: each is
+// the one-mutation Apply that replay uses, which logs what a Tx write of
+// the same op logs. A node delete detaches.
+func setAttr(s *Store, id NodeID, key, val string) error {
+	return s.Apply(Mutation{Op: OpSetAttr, Node: id, Key: key, Val: val})
+}
+
+func deleteNode(s *Store, id NodeID) error { return s.Apply(Mutation{Op: OpDeleteNode, Node: id}) }
+
+func deleteEdge(s *Store, id EdgeID) error { return s.Apply(Mutation{Op: OpDeleteEdge, Edge: id}) }
+
+func migrateEdges(s *Store, from, to NodeID) error {
+	return s.Apply(Mutation{Op: OpMigrateEdges, From: from, To: to})
+}
+
 func mustEdge(t *testing.T, s *Store, from NodeID, typ string, to NodeID) EdgeID {
 	t.Helper()
 	id, _, err := s.AddEdge(from, typ, to, nil)
@@ -141,7 +156,7 @@ func TestIndexAttrTracksUpdates(t *testing.T) {
 	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("k", "v1") }); len(got) != 1 {
 		t.Fatal("index missed insert")
 	}
-	if err := s.SetAttr(id, "k", "v2"); err != nil {
+	if err := setAttr(s, id, "k", "v2"); err != nil {
 		t.Fatal(err)
 	}
 	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("k", "v1") }); len(got) != 0 {
@@ -150,7 +165,7 @@ func TestIndexAttrTracksUpdates(t *testing.T) {
 	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("k", "v2") }); len(got) != 1 {
 		t.Error("index missed update")
 	}
-	s.DeleteNode(id)
+	deleteNode(s, id)
 	if got := latest(t, s, func(sn *Snap) []NodeID { return sn.NodeIDsByAttr("k", "v2") }); len(got) != 0 {
 		t.Error("stale index entry after delete")
 	}
@@ -186,7 +201,7 @@ func TestDeleteNodeRemovesIncidentEdges(t *testing.T) {
 	a, _ := s.MergeNode("Malware", "A", nil)
 	b, _ := s.MergeNode("IP", "1.1.1.1", nil)
 	mustEdge(t, s, a, "CONNECT", b)
-	if err := s.DeleteNode(b); err != nil {
+	if err := deleteNode(s, b); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats(); got.Edges != 0 || got.Nodes != 1 {
@@ -213,7 +228,7 @@ func TestMigrateEdgesPreservesTopology(t *testing.T) {
 	// An edge the canonical node already has: migration must dedup.
 	mustEdge(t, s, canon, "CONNECT", ip)
 
-	if err := s.MigrateEdges(dup, canon); err != nil {
+	if err := migrateEdges(s, dup, canon); err != nil {
 		t.Fatal(err)
 	}
 	if es := latest(t, s, func(sn *Snap) []*Edge { return sn.Edges(dup, Both) }); len(es) != 0 {
@@ -234,7 +249,7 @@ func TestMigrateEdgesDropsSelfLoops(t *testing.T) {
 	a, _ := s.MergeNode("Malware", "a", nil)
 	b, _ := s.MergeNode("Malware", "b", nil)
 	mustEdge(t, s, a, "RELATED_TO", b)
-	if err := s.MigrateEdges(a, b); err != nil {
+	if err := migrateEdges(s, a, b); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Edges != 0 {
@@ -247,7 +262,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	a, _ := s.MergeNode("Malware", "WannaCry", map[string]string{"seen": "2017"})
 	b, _ := s.MergeNode("IP", "1.2.3.4", nil)
 	mustEdge(t, s, a, "CONNECT", b)
-	s.DeleteNode(b) // exercise ID non-reuse across save/load
+	deleteNode(s, b) // exercise ID non-reuse across save/load
 	c, _ := s.MergeNode("Domain", "kill.switch.com", nil)
 	mustEdge(t, s, a, "CONNECT", c)
 

@@ -178,7 +178,7 @@ func (m *Mutation) isMarker() bool {
 
 // applyLocked is the one mutation dispatch, for replay and ApplyBatch:
 // every op goes to the write that logged it. A node delete always
-// detaches, as the bare DeleteNode does.
+// detaches: a delete_node record stands for the node and its edges.
 func (s *Store) applyLocked(m Mutation) error {
 	var err error
 	switch m.Op {

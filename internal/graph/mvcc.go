@@ -750,15 +750,15 @@ func (tx *Tx) AddEdge(from NodeID, typ string, to NodeID, attrs map[string]strin
 	return ef, err
 }
 
-// SetAttr is the transactional SetAttr; the effect's Node is the record
-// the write left, and Attrs is 0 when the value was already there. A gone
+// SetAttr sets one attribute on a node, updating indexes; the effect's
+// Node is the record the write left, and Attrs is 0 when the value was already there. A gone
 // node is ErrGone.
 func (tx *Tx) SetAttr(id NodeID, key, val string) (ef Effect, err error) {
 	tx.locked(func() { ef, err = tx.s.setAttrLocked(id, key, val) })
 	return ef, err
 }
 
-// DeleteNode is the transactional DeleteNode. With detach it deletes the
+// DeleteNode removes a node. With detach it deletes the
 // node's edges too and counts them in the effect's Edges; without, a node
 // that still has edges is refused with an *AttachedError. A gone node is
 // ErrGone.
@@ -767,13 +767,14 @@ func (tx *Tx) DeleteNode(id NodeID, detach bool) (ef Effect, err error) {
 	return ef, err
 }
 
-// DeleteEdge is the transactional DeleteEdge. A gone edge is ErrGone.
+// DeleteEdge removes one edge. A gone edge is ErrGone.
 func (tx *Tx) DeleteEdge(id EdgeID) (err error) {
 	tx.locked(func() { err = tx.s.deleteEdgePublicLocked(id) })
 	return err
 }
 
-// MigrateEdges is the transactional MigrateEdges.
+// MigrateEdges re-points every edge incident to from so it is incident to
+// to instead (migrateEdgesLocked). A gone node is ErrGone.
 func (tx *Tx) MigrateEdges(from, to NodeID) (err error) {
 	tx.locked(func() { err = tx.s.migrateEdgesLocked(from, to) })
 	return err

@@ -34,10 +34,10 @@ func TestSnapshotSeesStateAtOpen(t *testing.T) {
 	defer sn.Release()
 
 	// Mutate after the snapshot: attr change, node delete, new node+edge.
-	if err := s.SetAttr(a, "sev", "low"); err != nil {
+	if err := setAttr(s, a, "sev", "low"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteNode(b); err != nil {
+	if err := deleteNode(s, b); err != nil {
 		t.Fatal(err)
 	}
 	c, _ := s.MergeNode("CVE", "c", nil)
@@ -99,7 +99,7 @@ func TestSnapshotReleasePurgesHistory(t *testing.T) {
 	s := New()
 	a, _ := s.MergeNode("T", "a", nil)
 	sn := s.Snapshot()
-	if err := s.SetAttr(a, "k", "v"); err != nil {
+	if err := setAttr(s, a, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.RLock()
@@ -398,7 +398,7 @@ func TestCommitHookBlocksNoReader(t *testing.T) {
 	quiesced := make(chan int, 1)
 	go s.Quiesce(func() error { quiesced <- len(logged); return nil })
 	wrote := make(chan struct{})
-	go func() { s.SetAttr(id, "bare", "1"); close(wrote) }()
+	go func() { setAttr(s, id, "bare", "1"); close(wrote) }()
 
 	// The read completes while the hook is parked: pre-transaction attrs
 	// and label count through the snapshot, while the latest-state
@@ -511,7 +511,7 @@ func TestSnapshotReleaseRacesWriters(t *testing.T) {
 	go func() { // bare writes, each its own commit
 		defer writers.Done()
 		for round := 1; round <= 8000; round++ {
-			if err := s.SetAttr(ids[round%keys], "bare", fmt.Sprint(round)); err != nil {
+			if err := setAttr(s, ids[round%keys], "bare", fmt.Sprint(round)); err != nil {
 				t.Error(err)
 			}
 		}

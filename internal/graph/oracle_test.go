@@ -95,14 +95,14 @@ func oracleHistory(t *testing.T) *Store {
 	// SetAttr on the indexed key, a fresh key, and a no-op rewrite.
 	for i := 0; i < 80; i++ {
 		id := ids[rng.Intn(len(ids))]
-		if err := s.SetAttr(id, "family", vals[rng.Intn(3)]); err != nil {
+		if err := setAttr(s, id, "family", vals[rng.Intn(3)]); err != nil {
 			t.Fatalf("SetAttr: %v", err)
 		}
-		s.SetAttr(id, "triaged", "yes")
-		s.SetAttr(id, "triaged", "yes")
+		setAttr(s, id, "triaged", "yes")
+		setAttr(s, id, "triaged", "yes")
 	}
 	for i := 0; i < 30; i++ {
-		if err := s.DeleteNode(ids[100+i*7]); err != nil {
+		if err := deleteNode(s, ids[100+i*7]); err != nil {
 			t.Fatalf("DeleteNode: %v", err)
 		}
 	}
@@ -112,14 +112,14 @@ func oracleHistory(t *testing.T) *Store {
 		e := now.Edges(ids[rng.Intn(40)], Out)
 		now.Release()
 		if len(e) > 0 {
-			if err := s.DeleteEdge(e[len(e)/2].ID); err != nil {
+			if err := deleteEdge(s, e[len(e)/2].ID); err != nil {
 				t.Fatalf("DeleteEdge: %v", err)
 			}
 		}
 	}
 	checkLiveCounts(t, s)
 	for i := 0; i < 12; i++ {
-		if err := s.MigrateEdges(ids[3+i*2], ids[rng.Intn(20)*2]); err != nil {
+		if err := migrateEdges(s, ids[3+i*2], ids[rng.Intn(20)*2]); err != nil {
 			t.Fatalf("MigrateEdges: %v", err)
 		}
 	}

@@ -224,12 +224,12 @@ func TestMutationHook(t *testing.T) {
 	s.MergeNode("A", "x", map[string]string{"k": "v"}) // augmenting hit
 	eid, _, _ := s.AddEdge(a, "E", b, nil)
 	s.AddEdge(a, "E", b, nil) // dedup: no change
-	s.SetAttr(a, "k", "v")    // same value: no change
-	s.SetAttr(a, "k", "w")
-	s.DeleteEdge(eid)
+	setAttr(s, a, "k", "v")   // same value: no change
+	setAttr(s, a, "k", "w")
+	deleteEdge(s, eid)
 	s.AddEdge(a, "E", b, nil)
-	s.DeleteNode(b)
-	s.MigrateEdges(a, a) // no incident edges left on a: no change
+	deleteNode(s, b)
+	migrateEdges(s, a, a) // no incident edges left on a: no change
 	want := []MutationOp{
 		OpMergeNode, OpMergeNode, OpMergeNode, OpAddEdge,
 		OpSetAttr, OpDeleteEdge, OpAddEdge, OpDeleteNode,

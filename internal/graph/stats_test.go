@@ -87,7 +87,7 @@ func TestCompositeIndexTracksMutations(t *testing.T) {
 	if n, _ := s.CountByTypeAttr("Malware", "os", "win"); n != 1 {
 		t.Fatalf("after insert: %d", n)
 	}
-	if err := s.SetAttr(id, "os", "mac"); err != nil {
+	if err := setAttr(s, id, "os", "mac"); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.CountByTypeAttr("Malware", "os", "win"); n != 0 {
@@ -96,7 +96,7 @@ func TestCompositeIndexTracksMutations(t *testing.T) {
 	if n, _ := s.CountByTypeAttr("Malware", "os", "mac"); n != 1 {
 		t.Errorf("missing composite entry after SetAttr: %d", n)
 	}
-	if err := s.DeleteNode(id); err != nil {
+	if err := deleteNode(s, id); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.CountByTypeAttr("Malware", "os", "mac"); n != 0 {
@@ -136,7 +136,7 @@ func TestEdgeTypeCountSurvivesDeleteAndLoad(t *testing.T) {
 		}
 		return 0
 	})
-	if err := s.DeleteEdge(victim); err != nil {
+	if err := deleteEdge(s, victim); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().EdgesByType["CONNECT"]; got != 29 {
@@ -274,7 +274,7 @@ func growHosts(s *Store, prefix string, n int) {
 
 func dropNodes(t *testing.T, s *Store, ids []NodeID) {
 	for _, id := range ids {
-		if err := s.DeleteNode(id); err != nil {
+		if err := deleteNode(s, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestStatsVersionMaterialityThreshold(t *testing.T) {
 				if _, _, err := s.AddEdge(ids[i], "E", ids[i+1], nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.SetAttr(ids[i], "k", fmt.Sprint(i)); err != nil {
+				if err := setAttr(s, ids[i], "k", fmt.Sprint(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -341,12 +341,12 @@ func TestStatsVersionTracksIndexedAttrSpread(t *testing.T) {
 		{"indexed values spread inside a class", 100, false, func(t *testing.T, s *Store, ids []NodeID) {
 			s.IndexAttr("family")
 			for _, id := range ids {
-				if err := s.SetAttr(id, "family", "unknown"); err != nil {
+				if err := setAttr(s, id, "family", "unknown"); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i, id := range ids[:60] {
-				if err := s.SetAttr(id, "family", fmt.Sprintf("fam-%d", i)); err != nil {
+				if err := setAttr(s, id, "family", fmt.Sprintf("fam-%d", i)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -85,46 +85,22 @@ type Model struct {
 	Prior      []float64 // class prior
 }
 
-// FitConfig controls EM.
-type FitConfig struct {
-	Iters  int     // EM iterations (default 25)
-	Smooth float64 // additive smoothing for M-step counts (default 1.0)
-	MinAcc float64 // accuracy floor to keep functions informative (default 0.05)
-	MaxAcc float64 // accuracy ceiling to avoid degenerate certainty (default 0.995)
-	// ClassBalance, when non-nil, fixes the class prior instead of learning
-	// it. Length must equal k and entries must sum to ~1. Fixing the
-	// balance is essential when one class dominates (e.g. the O tag in
-	// token labeling): a learned prior otherwise drowns out minority-class
-	// votes and EM collapses.
-	ClassBalance []float64
-}
+// EM's settings.
+const (
+	emIters = 25    // EM iterations
+	smooth  = 1.0   // additive smoothing for M-step counts
+	minAcc  = 0.05  // accuracy floor to keep functions informative
+	maxAcc  = 0.995 // accuracy ceiling to avoid degenerate certainty
+)
 
-func (c *FitConfig) defaults() {
-	if c.Iters <= 0 {
-		c.Iters = 25
-	}
-	if c.Smooth <= 0 {
-		c.Smooth = 1.0
-	}
-	if c.MinAcc <= 0 {
-		c.MinAcc = 0.05
-	}
-	if c.MaxAcc <= 0 || c.MaxAcc >= 1 {
-		c.MaxAcc = 0.995
-	}
-}
-
-// Fit estimates function accuracies and class priors by EM, initialized
-// from majority vote. The model assumes functions err uniformly across
-// wrong classes (the standard conditionally-independent formulation).
-func Fit(m Matrix, k int, cfg FitConfig) (*Model, error) {
+// Fit estimates function accuracies by EM, initialized from majority
+// vote, under a fixed uniform class prior (a learned prior collapses
+// minority-class votes when one class dominates; see ARCHITECTURE.md).
+// The model assumes functions err uniformly across wrong classes (the
+// standard conditionally-independent formulation).
+func Fit(m Matrix, k int) (*Model, error) {
 	if err := m.Validate(k); err != nil {
 		return nil, err
-	}
-	cfg.defaults()
-	if cfg.ClassBalance != nil && len(cfg.ClassBalance) != k {
-		return nil, fmt.Errorf("labelmodel: class balance has %d entries, want %d",
-			len(cfg.ClassBalance), k)
 	}
 	nLF := len(m[0])
 	model := &Model{
@@ -133,21 +109,20 @@ func Fit(m Matrix, k int, cfg FitConfig) (*Model, error) {
 		Propensity: make([]float64, nLF),
 		Prior:      make([]float64, k),
 	}
+	for c := range model.Prior {
+		model.Prior[c] = 1 / float64(k)
+	}
 	// Init from majority vote posteriors.
 	post, _ := MajorityVote(m, k)
 	for j := 0; j < nLF; j++ {
 		model.Accuracy[j] = 0.7
 	}
-	for iter := 0; iter < cfg.Iters; iter++ {
+	for iter := 0; iter < emIters; iter++ {
 		// M-step from current posteriors.
 		accNum := make([]float64, nLF)
 		accDen := make([]float64, nLF)
 		propNum := make([]float64, nLF)
-		prior := make([]float64, k)
 		for i, row := range m {
-			for c := 0; c < k; c++ {
-				prior[c] += post[i][c]
-			}
 			for j, v := range row {
 				if v == Abstain {
 					continue
@@ -160,20 +135,8 @@ func Fit(m Matrix, k int, cfg FitConfig) (*Model, error) {
 		n := float64(len(m))
 		for j := 0; j < nLF; j++ {
 			model.Propensity[j] = propNum[j] / n
-			a := (accNum[j] + cfg.Smooth*0.7) / (accDen[j] + cfg.Smooth)
-			model.Accuracy[j] = clamp(a, cfg.MinAcc, cfg.MaxAcc)
-		}
-		if cfg.ClassBalance != nil {
-			copy(model.Prior, cfg.ClassBalance)
-		} else {
-			var priorSum float64
-			for c := 0; c < k; c++ {
-				prior[c] += cfg.Smooth
-				priorSum += prior[c]
-			}
-			for c := 0; c < k; c++ {
-				model.Prior[c] = prior[c] / priorSum
-			}
+			a := (accNum[j] + smooth*0.7) / (accDen[j] + smooth)
+			model.Accuracy[j] = clamp(a, minAcc, maxAcc)
 		}
 		// E-step: recompute posteriors under new parameters, in place.
 		for i, row := range m {

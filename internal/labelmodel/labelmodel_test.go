@@ -99,7 +99,7 @@ func TestFitRecoversAccuracyOrdering(t *testing.T) {
 	accs := []float64{0.95, 0.70, 0.55}
 	props := []float64{0.8, 0.8, 0.8}
 	m, _ := synth(3000, 3, accs, props, 7)
-	model, err := Fit(m, 3, FitConfig{})
+	model, err := Fit(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFitBeatsMajorityVoteWithHeterogeneousLFs(t *testing.T) {
 	props := []float64{0.9, 0.9, 0.9, 0.9}
 	m, truth := synth(4000, 4, accs, props, 11)
 	mv, _ := MajorityVote(m, 4)
-	model, err := Fit(m, 4, FitConfig{})
+	model, err := Fit(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFitBeatsMajorityVoteWithHeterogeneousLFs(t *testing.T) {
 
 func TestPosteriorSumsToOne(t *testing.T) {
 	m, _ := synth(200, 3, []float64{0.8, 0.7}, []float64{0.7, 0.7}, 3)
-	model, err := Fit(m, 3, FitConfig{Iters: 5})
+	model, err := Fit(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPosteriorSumsToOne(t *testing.T) {
 
 func TestPosteriorAllAbstainIsPrior(t *testing.T) {
 	m, _ := synth(500, 2, []float64{0.9}, []float64{0.5}, 5)
-	model, err := Fit(m, 2, FitConfig{})
+	model, err := Fit(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestHighAccuracyLFDominatesConflict(t *testing.T) {
 	accs := []float64{0.98, 0.55}
 	props := []float64{0.95, 0.95}
 	m, _ := synth(4000, 2, accs, props, 13)
-	model, err := Fit(m, 2, FitConfig{})
+	model, err := Fit(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func TestHighAccuracyLFDominatesConflict(t *testing.T) {
 
 func TestFitDeterministic(t *testing.T) {
 	m, _ := synth(300, 3, []float64{0.8, 0.6}, []float64{0.8, 0.8}, 17)
-	m1, _ := Fit(m, 3, FitConfig{})
-	m2, _ := Fit(m, 3, FitConfig{})
+	m1, _ := Fit(m, 3)
+	m2, _ := Fit(m, 3)
 	for j := range m1.Accuracy {
 		if m1.Accuracy[j] != m2.Accuracy[j] {
 			t.Fatal("Fit is not deterministic")
@@ -199,7 +199,7 @@ func TestFitDeterministic(t *testing.T) {
 }
 
 func TestFitErrorPropagation(t *testing.T) {
-	if _, err := Fit(Matrix{}, 2, FitConfig{}); err == nil {
+	if _, err := Fit(Matrix{}, 2); err == nil {
 		t.Error("empty matrix accepted")
 	}
 	if _, err := MajorityVote(Matrix{{5}}, 2); err == nil {

@@ -23,30 +23,28 @@ type Graph struct {
 	Edges [][2]int
 }
 
-// Config tunes the simulation.
+// Config chooses the repulsion kernel; the forces are constants (below).
 type Config struct {
 	// Theta is the Barnes-Hut opening angle: a cell of width w at distance
 	// d is treated as one body when w/d < Theta. A positive Theta means
 	// Barnes-Hut at every size. 0 lets the engine choose: the exact sum
 	// below exactBelow bodies, Barnes-Hut at the classic 0.5 from there up.
 	Theta float64
-	// Repulsion scales the pairwise repulsive force (default 5000).
-	Repulsion float64
-	// Spring scales edge attraction (default 0.02).
-	Spring float64
-	// SpringLength is the rest length of edges (default 80).
-	SpringLength float64
-	// Damping multiplies displacement per iteration (default 0.85).
-	Damping float64
-	// MaxStep caps per-iteration displacement (default 30).
-	MaxStep float64
-	// Cooling multiplies the force temperature each step (default 0.995);
-	// as the temperature decays the simulation settles, guaranteeing
-	// convergence.
-	Cooling float64
 	// Exact forces the O(N²) repulsion path at every size.
 	Exact bool
 }
+
+// The simulation's force constants.
+const (
+	repulsion    float64 = 5000 // scales the pairwise repulsive force
+	spring       float64 = 0.02 // scales edge attraction
+	springLength float64 = 80   // rest length of edges
+	damping      float64 = 0.85 // multiplies displacement per iteration
+	maxStep      float64 = 30   // caps per-iteration displacement
+	// cooling multiplies the force temperature each step; as the
+	// temperature decays the simulation settles, guaranteeing convergence.
+	cooling float64 = 0.995
+)
 
 // exactBelow is the body count from which an engine left to choose its
 // kernel (Theta 0) uses Barnes-Hut; below it the exact pairwise sum is
@@ -56,30 +54,6 @@ type Config struct {
 // from there up (≈1.7× at n=1000). 256 is the largest measured size the
 // sum always won, so it is the last one given the sum.
 const exactBelow = 257
-
-func (c *Config) defaults() {
-	if c.Theta <= 0 {
-		c.Theta = 0.5
-	}
-	if c.Repulsion <= 0 {
-		c.Repulsion = 5000
-	}
-	if c.Spring <= 0 {
-		c.Spring = 0.02
-	}
-	if c.SpringLength <= 0 {
-		c.SpringLength = 80
-	}
-	if c.Damping <= 0 {
-		c.Damping = 0.85
-	}
-	if c.MaxStep <= 0 {
-		c.MaxStep = 30
-	}
-	if c.Cooling <= 0 || c.Cooling >= 1 {
-		c.Cooling = 0.995
-	}
-}
 
 // Engine runs the simulation over mutable positions.
 type Engine struct {
@@ -99,7 +73,9 @@ func NewEngine(g Graph, cfg Config, seed int64) *Engine {
 	if cfg.Theta <= 0 && g.N < exactBelow {
 		cfg.Exact = true
 	}
-	cfg.defaults()
+	if cfg.Theta <= 0 {
+		cfg.Theta = 0.5
+	}
 	rng := rand.New(rand.NewSource(seed))
 	e := &Engine{
 		cfg:  cfg,
@@ -134,7 +110,7 @@ func (e *Engine) Step() float64 {
 		if dist < 1e-9 {
 			continue
 		}
-		f := e.cfg.Spring * (dist - e.cfg.SpringLength)
+		f := spring * (dist - springLength)
 		fx := f * dx / dist
 		fy := f * dy / dist
 		forces[a].X += fx
@@ -144,12 +120,12 @@ func (e *Engine) Step() float64 {
 	}
 	var moved float64
 	for i := range e.Pos {
-		e.vel[i].X = (e.vel[i].X + forces[i].X*e.temp) * e.cfg.Damping
-		e.vel[i].Y = (e.vel[i].Y + forces[i].Y*e.temp) * e.cfg.Damping
+		e.vel[i].X = (e.vel[i].X + forces[i].X*e.temp) * damping
+		e.vel[i].Y = (e.vel[i].Y + forces[i].Y*e.temp) * damping
 		step := math.Hypot(e.vel[i].X, e.vel[i].Y)
 		scale := 1.0
-		if step > e.cfg.MaxStep {
-			scale = e.cfg.MaxStep / step
+		if step > maxStep {
+			scale = maxStep / step
 		}
 		dx := e.vel[i].X * scale
 		dy := e.vel[i].Y * scale
@@ -157,7 +133,7 @@ func (e *Engine) Step() float64 {
 		e.Pos[i].Y += dy
 		moved += math.Hypot(dx, dy)
 	}
-	e.temp *= e.cfg.Cooling
+	e.temp *= cooling
 	return moved
 }
 
@@ -200,7 +176,6 @@ func jitterDir(i int) (float64, float64) {
 }
 
 func (e *Engine) exactRepulsion(out []Point) {
-	k := e.cfg.Repulsion
 	for i := 0; i < e.g.N; i++ {
 		for j := i + 1; j < e.g.N; j++ {
 			dx := e.Pos[i].X - e.Pos[j].X
@@ -211,7 +186,7 @@ func (e *Engine) exactRepulsion(out []Point) {
 				jx, jy := jitterDir(i*31 + j)
 				dx, dy = jx, jy
 			}
-			f := k / d2
+			f := repulsion / d2
 			d := math.Sqrt(d2)
 			fx := f * dx / d
 			fy := f * dy / d
@@ -366,7 +341,7 @@ func (e *Engine) applyCell(n *bhNode, i int, out []Point) {
 			dx, dy = jitterDir(i)
 		}
 		d := math.Sqrt(d2)
-		f := e.cfg.Repulsion * mass / d2
+		f := repulsion * mass / d2
 		out[i].X += f * dx / d
 		out[i].Y += f * dy / d
 		return

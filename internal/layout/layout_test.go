@@ -78,7 +78,7 @@ func TestStepSeparatesCoincidentCluster(t *testing.T) {
 
 func TestSpringsPullConnectedNodesToRestLength(t *testing.T) {
 	g := Graph{N: 2, Edges: [][2]int{{0, 1}}}
-	e := NewEngine(g, Config{SpringLength: 80}, 7)
+	e := NewEngine(g, Config{}, 7)
 	e.Pos[0] = Point{X: -500, Y: 0}
 	e.Pos[1] = Point{X: 500, Y: 0}
 	e.Run(500, 1e-4)

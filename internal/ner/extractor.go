@@ -111,7 +111,7 @@ func EmbeddingClusters(texts []string, seed int64) (map[string]int, error) {
 			}
 		}
 	}
-	emb, err := embed.Train(sentences, embed.Config{Dim: 24, Epochs: 3, Seed: seed, MinCount: 2})
+	emb, err := embed.Train(sentences, seed)
 	if err != nil {
 		return nil, fmt.Errorf("ner: embedding training: %w", err)
 	}

@@ -188,13 +188,7 @@ func synthesizeLabels(sents []sentenceTokens, strategy LabelingStrategy) ([][]in
 		}
 		post = p
 	default:
-		// Fix a uniform class balance: token labeling is dominated by O,
-		// and a learned prior would collapse every minority-class vote.
-		balance := make([]float64, k)
-		for c := range balance {
-			balance[c] = 1 / float64(k)
-		}
-		model, err := labelmodel.Fit(matrix, k, labelmodel.FitConfig{ClassBalance: balance})
+		model, err := labelmodel.Fit(matrix, k)
 		if err != nil {
 			return nil, err
 		}

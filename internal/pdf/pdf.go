@@ -120,10 +120,10 @@ func contentStream(lines []string) string {
 	return b.String()
 }
 
-func escape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `(`, `\(`, `)`, `\)`)
-	return r.Replace(s)
-}
+// escaper is built once: a strings.Replacer is safe for concurrent use.
+var escaper = strings.NewReplacer(`\`, `\\`, `(`, `\(`, `)`, `\)`)
+
+func escape(s string) string { return escaper.Replace(s) }
 
 // IsPDF reports whether the bytes look like a PDF document.
 func IsPDF(b []byte) bool {

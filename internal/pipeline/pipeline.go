@@ -28,8 +28,6 @@ type Config struct {
 	// the round trip keeps. It stays as E3's knob, which measures what the
 	// round trips cost.
 	Serialize bool
-	// QueueDepth is the channel buffer between stages (default 64).
-	QueueDepth int
 	// Logger receives per-report errors; nil silences them.
 	Logger *log.Logger
 }
@@ -47,10 +45,12 @@ func (c *Config) defaults() {
 	if c.ConnectWorkers <= 0 {
 		c.ConnectWorkers = 2
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 }
+
+// queueDepth is the channel buffer between stages: room for a burst of
+// reports, so a stage goes on working while the next one is busy for a
+// moment, with the reports held between two stages still bounded.
+const queueDepth = 64
 
 // Stats aggregates pipeline counters for one run.
 type Stats struct {
@@ -127,10 +127,10 @@ func (p *Pipeline) Run(ctx context.Context, files <-chan ctirep.RawFile) (Stats,
 	}
 	start := time.Now()
 
-	repCh := make(chan *ctirep.ReportRep, p.Cfg.QueueDepth)
-	checkedCh := make(chan *ctirep.ReportRep, p.Cfg.QueueDepth)
-	ctiCh := make(chan *ctirep.CTIRep, p.Cfg.QueueDepth)
-	extractedCh := make(chan *ctirep.CTIRep, p.Cfg.QueueDepth)
+	repCh := make(chan *ctirep.ReportRep, queueDepth)
+	checkedCh := make(chan *ctirep.ReportRep, queueDepth)
+	ctiCh := make(chan *ctirep.CTIRep, queueDepth)
+	extractedCh := make(chan *ctirep.CTIRep, queueDepth)
 
 	var wgPort, wgCheck, wgParse, wgExtract, wgConnect sync.WaitGroup
 

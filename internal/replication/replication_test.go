@@ -147,11 +147,11 @@ func (w *writer) step(st *graph.Store) {
 		to := w.nodes[w.rng.Intn(len(w.nodes))]
 		st.AddEdge(from, "CONNECT", to, nil)
 	case r < 92:
-		st.SetAttr(w.nodes[w.rng.Intn(len(w.nodes))], "score", w.name())
+		st.Apply(graph.Mutation{Op: graph.OpSetAttr, Node: w.nodes[w.rng.Intn(len(w.nodes))], Key: "score", Val: w.name()})
 	default:
 		if len(w.nodes) > 4 {
 			i := w.rng.Intn(len(w.nodes))
-			st.DeleteNode(w.nodes[i])
+			st.Apply(graph.Mutation{Op: graph.OpDeleteNode, Node: w.nodes[i]})
 			w.nodes = append(w.nodes[:i], w.nodes[i+1:]...)
 		}
 	}

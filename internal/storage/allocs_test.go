@@ -19,7 +19,7 @@ import (
 // into the bufio writer).
 func TestWALAppendAllocs(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(filepath.Join(dir, walFile), 0, 0, SyncNever, 0)
+	w, err := openWAL(filepath.Join(dir, walFile), 0, 0, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestBothSnapshotsPresent(t *testing.T) {
 	var at [2]snaps // an older and a newer checkpoint of one history
 	for i := range at {
 		for j := 0; j < 50; j++ {
-			g.step(db.Store())
+			g.step(bareWrites{db.Store()})
 		}
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)

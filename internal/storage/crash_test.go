@@ -67,7 +67,7 @@ func TestCrashProcessKill(t *testing.T) {
 		ref.SetMutationHook(func(graph.Mutation) { applied++ })
 		g := newMutGen(seed)
 		for applied < k {
-			g.step(ref)
+			g.step(bareWrites{ref})
 		}
 		if applied != k {
 			t.Fatalf("round %d (seed %d): generator stepped past seq %d (at %d)", round, seed, k, applied)
@@ -96,6 +96,6 @@ func crashChild(t *testing.T, dir string) {
 	}
 	g := newMutGen(seed)
 	for {
-		g.step(db.Store())
+		g.step(bareWrites{db.Store()})
 	}
 }

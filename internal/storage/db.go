@@ -69,9 +69,6 @@ type RecoveryInfo struct {
 type Options struct {
 	// Sync is the WAL fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// SyncEvery is the group-commit interval for SyncInterval
-	// (default 50ms).
-	SyncEvery time.Duration
 	// CompactBytes triggers a background checkpoint (snapshot + WAL
 	// truncation) once the log exceeds this size. 0 means the 64 MiB
 	// default; negative disables automatic compaction.
@@ -178,7 +175,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
 
-	wal, err := openWAL(walPath, validLen, lastSeq, opts.Sync, opts.SyncEvery)
+	wal, err := openWAL(walPath, validLen, lastSeq, opts.Sync)
 	if err != nil {
 		return nil, err
 	}

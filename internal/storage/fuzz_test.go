@@ -28,7 +28,7 @@ func FuzzWALReplay(f *testing.F) {
 		"bare": func(db *DB) {
 			g := newMutGen(7)
 			for i := 0; i < 30; i++ {
-				g.step(db.Store())
+				g.step(bareWrites{db.Store()})
 			}
 		},
 		"tx": func(db *DB) {

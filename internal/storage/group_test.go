@@ -69,7 +69,7 @@ func TestGroupCommitOneWriteOneFsync(t *testing.T) {
 	if got := mWALFsyncs.Value() - fsyncs; got != 1 {
 		t.Errorf("a 12-record group under SyncAlways fsynced %d times, want 1", got)
 	}
-	db.Store().SetAttr(id, "bare", "1")
+	db.Store().Apply(graph.Mutation{Op: graph.OpSetAttr, Node: id, Key: "bare", Val: "1"})
 	if cw.writes != 2 || mWALFsyncs.Value()-fsyncs != 2 {
 		t.Errorf("a bare record after it: %d writes, %d fsyncs in total, want 2 and 2", cw.writes, mWALFsyncs.Value()-fsyncs)
 	}
@@ -179,7 +179,7 @@ func TestFailedGroupLeavesNoGroupState(t *testing.T) {
 	db.wal.w.Reset(cw)
 	db.wal.mu.Unlock()
 	fsyncs := mWALFsyncs.Value()
-	db.Store().SetAttr(id, "bare", "after the re-base")
+	db.Store().Apply(graph.Mutation{Op: graph.OpSetAttr, Node: id, Key: "bare", Val: "after the re-base"})
 	if cw.writes != 1 || mWALFsyncs.Value()-fsyncs != 1 {
 		t.Errorf("bare record after a failed group: %d writes, %d fsyncs, want 1 and 1", cw.writes, mWALFsyncs.Value()-fsyncs)
 	}

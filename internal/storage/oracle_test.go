@@ -32,13 +32,13 @@ func saveSum(t *testing.T, db *DB) string {
 func oracleHistory(t *testing.T, db *DB) {
 	g := newMutGen(23)
 	for i := 0; i < 600; i++ {
-		g.step(db.Store())
+		g.step(bareWrites{db.Store()})
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		g.step(db.Store())
+		g.step(bareWrites{db.Store()})
 	}
 	for round := 0; round < 5; round++ {
 		tx := db.Store().BeginTx()

@@ -27,8 +27,9 @@ func newMutGen(seed int64) *mutGen { return &mutGen{rng: rand.New(rand.NewSource
 var genTypes = []string{"Malware", "IP", "Tool", "ThreatActor"}
 var genEdgeTypes = []string{"CONNECT", "USE", "DROP"}
 
-// mutStore is the surface step drives: the bare store or an open
-// transaction — the generator's streams work identically through both.
+// mutStore is the surface step drives: the bare store (bareWrites) or an
+// open transaction (txWrites) — the generator's streams work identically
+// through both.
 type mutStore interface {
 	MergeNode(typ, name string, attrs map[string]string) (graph.NodeID, bool)
 	AddEdge(from graph.NodeID, typ string, to graph.NodeID, attrs map[string]string) (graph.EdgeID, bool, error)
@@ -36,6 +37,27 @@ type mutStore interface {
 	DeleteNode(id graph.NodeID) error
 	DeleteEdge(id graph.EdgeID) error
 	MigrateEdges(from, to graph.NodeID) error
+}
+
+// bareWrites issues the writes MergeNode and AddEdge do not cover as the
+// one-mutation Store.Apply that replay uses, which logs what a Tx write
+// of the same op logs. A node delete detaches.
+type bareWrites struct{ *graph.Store }
+
+func (w bareWrites) SetAttr(id graph.NodeID, key, val string) error {
+	return w.Apply(graph.Mutation{Op: graph.OpSetAttr, Node: id, Key: key, Val: val})
+}
+
+func (w bareWrites) DeleteNode(id graph.NodeID) error {
+	return w.Apply(graph.Mutation{Op: graph.OpDeleteNode, Node: id})
+}
+
+func (w bareWrites) DeleteEdge(id graph.EdgeID) error {
+	return w.Apply(graph.Mutation{Op: graph.OpDeleteEdge, Edge: id})
+}
+
+func (w bareWrites) MigrateEdges(from, to graph.NodeID) error {
+	return w.Apply(graph.Mutation{Op: graph.OpMigrateEdges, From: from, To: to})
 }
 
 // txWrites gives an open transaction the bare store's write signatures,
@@ -141,7 +163,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	g := newMutGen(1)
 	for i := 0; i < 500; i++ {
-		g.step(db.Store())
+		g.step(bareWrites{db.Store()})
 	}
 	want := saveBytes(t, db.Store())
 	wantSeq := db.LastSeq()
@@ -179,7 +201,7 @@ func testTornTailEveryOffset(t *testing.T) {
 	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	g := newMutGen(2)
 	for i := 0; i < 40; i++ {
-		g.step(db.Store())
+		g.step(bareWrites{db.Store()})
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -323,7 +345,7 @@ func TestCheckpoint(t *testing.T) {
 	db := openT(t, dir, Options{Sync: SyncNever, CompactBytes: -1})
 	g := newMutGen(3)
 	for i := 0; i < 200; i++ {
-		g.step(db.Store())
+		g.step(bareWrites{db.Store()})
 	}
 	preWal, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil {
@@ -336,7 +358,7 @@ func TestCheckpoint(t *testing.T) {
 		t.Fatalf("WAL not truncated after checkpoint: %d bytes", db.WALSize())
 	}
 	for i := 0; i < 50; i++ {
-		g.step(db.Store())
+		g.step(bareWrites{db.Store()})
 	}
 	want := saveBytes(t, db.Store())
 	if err := db.Close(); err != nil {
@@ -377,7 +399,7 @@ func TestCompactionTrigger(t *testing.T) {
 	compacted := false
 	for time.Now().Before(deadline) {
 		for i := 0; i < 50; i++ {
-			g.step(db.Store())
+			g.step(bareWrites{db.Store()})
 		}
 		if _, err := os.Stat(filepath.Join(dir, snapshotBinFile)); err == nil {
 			compacted = true
@@ -421,7 +443,7 @@ func TestSyncPolicies(t *testing.T) {
 	}
 	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval} {
 		dir := t.TempDir()
-		db := openT(t, dir, Options{Sync: pol, SyncEvery: 5 * time.Millisecond, CompactBytes: -1})
+		db := openT(t, dir, Options{Sync: pol, CompactBytes: -1})
 		db.Store().MergeNode("A", "x", nil)
 		if err := db.Sync(); err != nil {
 			t.Fatalf("%v: sync: %v", pol, err)

@@ -43,7 +43,7 @@ func newTxMutGen(seed int64) *txMutGen { return &txMutGen{g: newMutGen(seed)} }
 func (tg *txMutGen) batch(st *graph.Store) {
 	r := tg.g.rng.Intn(100)
 	if r < 40 {
-		tg.g.step(st)
+		tg.g.step(bareWrites{st})
 		return
 	}
 	rollback := r >= 90
@@ -204,8 +204,9 @@ func testTornTailEveryOffsetTx(t *testing.T) {
 // equals the prefix of the stream that emitted LastSeq WAL records
 // (wrapper records included), replayed through a fresh in-memory store.
 // A group leaves the process in one write at its commit marker; the
-// later rounds add groups larger than the log's buffer, and then a 1 ms
-// interval sync, so the kill also lands on groups partly pushed out.
+// later rounds add groups larger than the log's buffer, and then the
+// interval sync, so the kill also lands on groups partly pushed out; that
+// round waits one sync interval longer, so a sync has run before the kill.
 func TestCrashProcessKillTx(t *testing.T) {
 	if dir := os.Getenv("SKG_CRASH_TX_DIR"); dir != "" {
 		crashTxChild(t, dir)
@@ -231,7 +232,11 @@ func TestCrashProcessKillTx(t *testing.T) {
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(time.Duration(20+rng.Intn(120)) * time.Millisecond)
+		wait := time.Duration(20+rng.Intn(120)) * time.Millisecond
+		if strings.Contains(mode, "interval") {
+			wait += syncEvery
+		}
+		time.Sleep(wait)
 		cmd.Process.Kill()
 		cmd.Wait()
 
@@ -284,7 +289,7 @@ func crashTxChild(t *testing.T, dir string) {
 	mode := os.Getenv("SKG_CRASH_TX_MODE")
 	opts := Options{Sync: SyncNever, CompactBytes: -1}
 	if strings.Contains(mode, "interval") {
-		opts.Sync, opts.SyncEvery = SyncInterval, time.Millisecond
+		opts.Sync = SyncInterval
 	}
 	db, err := Open(dir, opts)
 	if err != nil {

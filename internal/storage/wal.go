@@ -78,12 +78,15 @@ const (
 	maxRecordLen = 16 << 20
 )
 
+// syncEvery is SyncInterval's group-commit interval.
+const syncEvery = 50 * time.Millisecond
+
 // SyncPolicy selects when the WAL calls fsync.
 type SyncPolicy int
 
 const (
 	// SyncInterval groups commits: appends return after the buffered
-	// write, and a background ticker fsyncs every Options.SyncEvery.
+	// write, and a background ticker fsyncs every syncEvery.
 	// One fsync covers every append since the last — the group-commit
 	// default. A crash can lose at most the last interval's writes.
 	SyncInterval SyncPolicy = iota
@@ -145,7 +148,7 @@ type WAL struct {
 // openWAL opens (creating if needed) the log file for appending at
 // offset size, with lastSeq from recovery's scan. An empty file starts
 // with the magic.
-func openWAL(path string, size int64, lastSeq uint64, policy SyncPolicy, every time.Duration) (*WAL, error) {
+func openWAL(path string, size int64, lastSeq uint64, policy SyncPolicy) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
@@ -165,12 +168,9 @@ func openWAL(path string, size int64, lastSeq uint64, policy SyncPolicy, every t
 		}
 	}
 	if policy == SyncInterval {
-		if every <= 0 {
-			every = 50 * time.Millisecond
-		}
 		w.stopSync = make(chan struct{})
 		w.syncDone = make(chan struct{})
-		go w.syncLoop(every)
+		go w.syncLoop()
 	}
 	return w, nil
 }
@@ -186,9 +186,9 @@ func (w *WAL) beginFileLocked() error {
 	return nil
 }
 
-func (w *WAL) syncLoop(every time.Duration) {
+func (w *WAL) syncLoop() {
 	defer close(w.syncDone)
-	t := time.NewTicker(every)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {
