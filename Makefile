@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet examples bench bench-extract bench-scan bench-heap profile-scan profile-extract bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes loc
+.PHONY: build test vet examples bench bench-extract bench-scan bench-heap profile-scan profile-extract profile-ingest bench-ledger cover fuzz crash-test replication-test soak-test plan-shapes loc
 
 build:
 	$(GO) build ./...
@@ -43,7 +43,7 @@ build:
 # examples/, which drive the public facade end to end.
 test: vet
 	$(GO) test -race ./...
-	$(GO) test -run 'Allocs|PositionsMatchParent' ./internal/graph/ ./internal/storage/ ./internal/replication/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/ ./internal/layout/ ./internal/pdf/
+	$(GO) test -run 'Allocs|PositionsMatchParent' ./internal/graph/ ./internal/storage/ ./internal/replication/ ./internal/cypher/ ./internal/server/ ./internal/ner/ ./internal/ioc/ ./internal/crf/ ./internal/layout/ ./internal/pdf/ ./internal/search/ ./internal/pipeline/
 	$(GO) test -race -count=2 -run 'TestSchedule|TestConcurrentReadersSeeAtomicWrites|TestTx' ./internal/cypher/
 	$(GO) test -race -count=2 -run 'IgnoreOpenTx' ./internal/graph/ ./internal/server/
 	$(MAKE) replication-test
@@ -190,6 +190,22 @@ profile-extract:
 	$(GO) test -run '^$$' -bench 'NERExtract$$' -benchtime 10000x -cpu 2 -o .bench_build/extract.test -cpuprofile .bench_build/extract.prof .
 	$(GO) tool pprof -top -nodecount=25 $(EXTRACT_FOCUS) .bench_build/extract.test .bench_build/extract.prof
 	$(GO) tool pprof -peek 'crf.\(\*Decoder\)' $(EXTRACT_FOCUS) .bench_build/extract.test .bench_build/extract.prof
+
+# profile-ingest writes a CPU profile of BenchmarkEndToEndIngest (crawl,
+# pipeline and connectors over a fresh synthetic web each run, -cpu 2)
+# and its test binary to the git-ignored .bench_build/, as
+# profile-extract does, then prints the top functions of the pipeline's
+# stage goroutines — pipeline.(*Pipeline).Run and the workers it starts —
+# so the crawl and each run's set-up and training drop out and shares are
+# of the stages alone — then the callers of htmlparse.Parse and
+# textproc.Tokenize: a checker or parser beside pageDoc, or search, among
+# them means a page or a document is being parsed or tokenized twice.
+INGEST_FOCUS = -focus 'pipeline.\(\*Pipeline\).Run' -relative_percentages
+profile-ingest:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'EndToEndIngest$$' -benchtime 30x -cpu 2 -o .bench_build/ingest.test -cpuprofile .bench_build/ingest.prof .
+	$(GO) tool pprof -top -nodecount=30 $(INGEST_FOCUS) .bench_build/ingest.test .bench_build/ingest.prof
+	$(GO) tool pprof -peek 'htmlparse.Parse$$|textproc.Tokenize$$' $(INGEST_FOCUS) .bench_build/ingest.test .bench_build/ingest.prof
 
 # bench-ledger runs the performance ledger (bench/README.md): four
 # workloads, end-to-end and per-layer metrics, untraced then traced.

@@ -33,6 +33,10 @@ type Connector interface {
 type GraphConnector struct {
 	store *graph.Store
 	index *search.Index // may be nil
+
+	// write stands in for connectTx in tests of a report whose writes
+	// panic, which no CTIRep provokes.
+	write func(*graph.Tx, *ctirep.CTIRep) error
 }
 
 // NewGraphConnector builds the default connector. index may be nil.
@@ -56,8 +60,14 @@ func (g *GraphConnector) Name() string { return "graph" }
 // always names a report the graph holds.
 func (g *GraphConnector) Connect(c *ctirep.CTIRep) error {
 	tx := g.store.BeginTx()
-	if err := connectTx(tx, c); err != nil {
-		tx.Rollback()
+	// After Commit this is a no-op (ErrTxDone); on an error or a panic in
+	// connectTx it releases the writer lock the report's writes took.
+	defer tx.Rollback()
+	write := connectTx
+	if g.write != nil {
+		write = g.write
+	}
+	if err := write(tx, c); err != nil {
 		return fmt.Errorf("connector: graph: %w", err)
 	}
 	if err := tx.Commit(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"securitykg/internal/ctirep"
 	"securitykg/internal/graph"
@@ -199,5 +200,41 @@ func TestRelConnectorSchemaConflict(t *testing.T) {
 	}
 	if _, err := NewRelConnector(rs); err == nil {
 		t.Error("second schema creation on same store should fail")
+	}
+}
+
+// A panic in the middle of a report's writes must not leave the store's
+// writer lock held: the next transaction's write has to go through.
+func TestConnectPanicReleasesWriter(t *testing.T) {
+	store := graph.New()
+	gc := NewGraphConnector(store, nil)
+	gc.write = func(tx *graph.Tx, c *ctirep.CTIRep) error {
+		tx.MergeNode("Malware", "half-written", nil)
+		panic("injected write fault")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Connect did not panic")
+			}
+		}()
+		gc.Connect(sampleCTI())
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tx := store.BeginTx()
+		tx.MergeNode("Malware", "after", nil)
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a write after the panicked Connect is still waiting after 1s")
+	}
+	if got := store.Stats().Nodes; got != 1 {
+		t.Errorf("%d nodes after the rolled-back report and one write, want 1", got)
 	}
 }

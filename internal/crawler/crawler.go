@@ -289,23 +289,25 @@ func (f *Framework) collectReport(spec sources.SourceSpec, url string, emit func
 	}
 }
 
-// fetchRetry fetches a URL with exponential backoff on transient errors.
+// fetchRetry fetches a URL with exponential backoff on transient errors:
+// at most MaxRetries retries after the first attempt, and no wait after
+// the last one.
 func (f *Framework) fetchRetry(url string) (*sources.Page, error) {
 	delay := retryDelay
-	var lastErr error
-	for attempt := 0; attempt <= f.cfg.MaxRetries; attempt++ {
+	for attempt := 0; ; attempt++ {
 		f.fetches.Add(1)
 		page, err := f.fetcher.Fetch(url)
 		if err == nil {
 			return page, nil
 		}
-		lastErr = err
 		if _, transient := err.(*sources.TransientError); !transient {
 			return nil, err
+		}
+		if attempt == f.cfg.MaxRetries {
+			return nil, fmt.Errorf("crawler: retries exhausted: %w", err)
 		}
 		f.retries.Add(1)
 		time.Sleep(delay)
 		delay *= 2
 	}
-	return nil, fmt.Errorf("crawler: retries exhausted: %w", lastErr)
 }

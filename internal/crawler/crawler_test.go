@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"regexp"
 	"sync"
 	"testing"
@@ -119,6 +120,38 @@ func TestRetryOnTransientFailures(t *testing.T) {
 	}
 	if f.Stats().Retries == 0 {
 		t.Error("expected retries to be counted")
+	}
+}
+
+// downFetcher fails every fetch with a transient error.
+type downFetcher struct{ fetches atomic64 }
+
+func (d *downFetcher) Fetch(url string) (*sources.Page, error) {
+	d.fetches.inc()
+	return nil, &sources.TransientError{URL: url}
+}
+
+// A URL that never comes back is fetched once plus MaxRetries times, and
+// the crawler neither counts nor waits for a retry after the last attempt:
+// the waits are 50+100+200 ms, where one more would add 400.
+func TestRetriesStopAtLastAttempt(t *testing.T) {
+	down := &downFetcher{}
+	f := New(down, nil, Config{MaxRetries: 3})
+	start := time.Now()
+	_, err := f.fetchRetry("https://down.example/report/1")
+	elapsed := time.Since(start)
+	var te *sources.TransientError
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want the last transient error wrapped", err)
+	}
+	if n := down.fetches.val(); n != 4 {
+		t.Errorf("fetches = %d, want 4", n)
+	}
+	if st := f.Stats(); st.Retries != 3 || st.Fetches != 4 {
+		t.Errorf("stats retries=%d fetches=%d, want 3 and 4", st.Retries, st.Fetches)
+	}
+	if elapsed >= 700*time.Millisecond {
+		t.Errorf("gave up after %v: a wait follows the last attempt", elapsed)
 	}
 }
 

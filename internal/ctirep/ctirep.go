@@ -41,7 +41,19 @@ type ReportRep struct {
 	Pages     [][]byte          `json:"pages"` // raw page bodies in order
 	Meta      map[string]string `json:"meta,omitempty"`
 	FetchedAt time.Time         `json:"fetched_at"`
+
+	// parsedPages is what the first stage to parse the pages made of them,
+	// left for the later stages in the same process (checkers, then the
+	// parser). It is not part of the wire format: a rep decoded from it
+	// has none, and its pages are parsed again.
+	parsedPages any
 }
+
+// SetParsedPages leaves p for later stages to read.
+func (r *ReportRep) SetParsedPages(p any) { r.parsedPages = p }
+
+// ParsedPages returns what SetParsedPages left, if anything.
+func (r *ReportRep) ParsedPages() any { return r.parsedPages }
 
 // NewID derives a stable report ID from source and canonical URL.
 func NewID(source, url string) string {

@@ -112,6 +112,26 @@ func (n *Node) InnerText() string {
 	return strings.TrimSpace(collapseSpace(b.String()))
 }
 
+// HasText reports whether the subtree holds a text node outside script
+// and style, which is whether InnerText is non-empty: Parse keeps only
+// text that is not all whitespace. It builds no string.
+func (n *Node) HasText() bool {
+	switch n.Type {
+	case TextNode:
+		return true
+	case ElementNode:
+		if skipTextTags[n.Tag] {
+			return false
+		}
+	}
+	for _, c := range n.Children {
+		if c.HasText() {
+			return true
+		}
+	}
+	return false
+}
+
 var blockTags = map[string]bool{
 	"p": true, "div": true, "li": true, "tr": true, "br": true,
 	"h1": true, "h2": true, "h3": true, "h4": true, "h5": true, "h6": true,

@@ -309,16 +309,47 @@ func TestRawTextCloseTagOffsets(t *testing.T) {
 	}
 }
 
-// FuzzParse: no page makes Parse or InnerText panic.
+// HasText answers whether InnerText is non-empty without building it.
+func TestHasTextMatchesInnerText(t *testing.T) {
+	for _, tc := range []struct {
+		name, html string
+		want       bool
+	}{
+		{"script only", "<html><body><script>var x = 1;</script></body></html>", false},
+		{"style only", "<html><head><style>p { color: red }</style></head><body></body></html>", false},
+		{"comment only", "<html><body><!-- nothing to see --></body></html>", false},
+		{"whitespace only", "<html><body>  \n\t <p>   </p>\r\n</body></html>", false},
+		{"empty", "", false},
+		{"nbsp only", "<p>&nbsp;</p>", false},
+		{"text beside script", "<body><script>x()</script><p>malware</p></body>", true},
+		{"title text", "<html><head><title>Report</title></head></html>", true},
+		{"bare text", "plain", true},
+	} {
+		doc := Parse(tc.html)
+		if got := doc.HasText(); got != tc.want {
+			t.Errorf("%s: HasText() = %v, want %v", tc.name, got, tc.want)
+		}
+		if inner := doc.InnerText() != ""; inner != tc.want {
+			t.Errorf("%s: InnerText() != \"\" is %v, want %v", tc.name, inner, tc.want)
+		}
+	}
+}
+
+// FuzzParse: no page makes Parse or InnerText panic, and HasText agrees
+// with InnerText on every page.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{samplePage, "<sCript>\xe9\xe9\xe9\xe9\xe9</sCript",
-		"<title>ȺȺ</title>", "<style>İ</style>", "<!-- x", "<a href='x", "<table><tr><td>z"} {
+		"<title>ȺȺ</title>", "<style>İ</style>", "<!-- x", "<a href='x", "<table><tr><td>z",
+		"<p> \u00a0\v </p>", "<script>x</script><style>y</style><!--z-->"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, html string) {
 		if len(html) > 1<<16 {
 			t.Skip()
 		}
-		_ = Parse(html).InnerText()
+		doc := Parse(html)
+		if has, inner := doc.HasText(), doc.InnerText(); has != (inner != "") {
+			t.Errorf("HasText() = %v, InnerText() = %q", has, inner)
+		}
 	})
 }

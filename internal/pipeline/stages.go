@@ -141,6 +141,21 @@ type Checker interface {
 	Check(r *ctirep.ReportRep) bool
 }
 
+// pageDoc returns page i of r parsed as HTML. A page is parsed on first
+// use and its tree kept on r, so the checkers and the parser share one
+// parse of each page; the trees go with r after the parse stage.
+func pageDoc(r *ctirep.ReportRep, i int) *htmlparse.Node {
+	docs, _ := r.ParsedPages().([]*htmlparse.Node)
+	if len(docs) != len(r.Pages) {
+		docs = make([]*htmlparse.Node, len(r.Pages))
+		r.SetParsedPages(docs)
+	}
+	if docs[i] == nil {
+		docs[i] = htmlparse.Parse(string(r.Pages[i]))
+	}
+	return docs[i]
+}
+
 // NonemptyChecker rejects reports whose pages carry no visible text.
 type NonemptyChecker struct{}
 
@@ -149,17 +164,12 @@ func (NonemptyChecker) Name() string { return "nonempty" }
 
 // Check implements Checker.
 func (NonemptyChecker) Check(r *ctirep.ReportRep) bool {
-	for _, page := range r.Pages {
-		var text string
+	for i, page := range r.Pages {
 		if r.Format == "pdf" {
-			t, err := pdf.ExtractText(page)
-			if err == nil {
-				text = t
+			if text, err := pdf.ExtractText(page); err == nil && strings.TrimSpace(text) != "" {
+				return true
 			}
-		} else {
-			text = htmlparse.Parse(string(page)).InnerText()
-		}
-		if strings.TrimSpace(text) != "" {
+		} else if pageDoc(r, i).HasText() {
 			return true
 		}
 	}
@@ -187,7 +197,7 @@ func (NotAdsChecker) Check(r *ctirep.ReportRep) bool {
 	if len(r.Pages) == 0 {
 		return false
 	}
-	body := strings.ToLower(htmlparse.Parse(string(r.Pages[0])).InnerText())
+	body := strings.ToLower(pageDoc(r, 0).InnerText())
 	hits := 0
 	for _, m := range adMarkers {
 		if strings.Contains(body, m) {
@@ -253,8 +263,8 @@ func (EncyclopediaParser) Name() string { return "encyclopedia" }
 func (EncyclopediaParser) Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error) {
 	c := baseCTI(r)
 	var bodies []string
-	for _, page := range r.Pages {
-		doc := htmlparse.Parse(string(page))
+	for i := range r.Pages {
+		doc := pageDoc(r, i)
 		if h := doc.Find("h1.entry-title"); h != nil {
 			c.Title = h.InnerText()
 		}
@@ -293,8 +303,8 @@ func (BlogParser) Name() string { return "blog" }
 func (BlogParser) Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error) {
 	c := baseCTI(r)
 	var bodies []string
-	for _, page := range r.Pages {
-		doc := htmlparse.Parse(string(page))
+	for i := range r.Pages {
+		doc := pageDoc(r, i)
 		if h := doc.Find("h1.post-title"); h != nil {
 			c.Title = h.InnerText()
 		}
@@ -342,8 +352,8 @@ func (NewsParser) Name() string { return "news" }
 func (NewsParser) Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error) {
 	c := baseCTI(r)
 	var bodies []string
-	for _, page := range r.Pages {
-		doc := htmlparse.Parse(string(page))
+	for i := range r.Pages {
+		doc := pageDoc(r, i)
 		if h := doc.Find("h1.headline"); h != nil {
 			c.Title = h.InnerText()
 		}

@@ -63,16 +63,16 @@ func NewIndex(boosts map[string]float64) *Index {
 	}
 }
 
-// analyze converts text to normalized index terms: lowercase lemmas with
-// stopwords and pure punctuation removed.
-func analyze(text string) []string {
-	toks := textproc.Tokenize(text)
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if t.IsPunct() {
+// eachTerm calls fn with each index term of text in order: the lowercase
+// lemma of every token that is not pure punctuation or a stopword. It
+// walks the token spans itself, so it builds no token or term slice.
+func eachTerm(text string, fn func(term string)) {
+	for start, end := textproc.NextSpan(text, 0); start < end; start, end = textproc.NextSpan(text, end) {
+		tok := text[start:end]
+		if textproc.IsPunct(tok) {
 			continue
 		}
-		w := strings.ToLower(t.Text)
+		w := strings.ToLower(tok)
 		if textproc.Stopwords[w] || len(w) == 0 {
 			continue
 		}
@@ -80,18 +80,14 @@ func analyze(text string) []string {
 		if lem == "" {
 			lem = w
 		}
-		out = append(out, lem)
+		fn(lem)
 	}
-	return out
 }
 
 // Add indexes a document, replacing any previous document with the same ID.
+// Its fields are analyzed before the index is locked: only the postings
+// update holds the lock.
 func (ix *Index) Add(doc Document) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.docTerms[doc.ID]; ok {
-		ix.removeLocked(doc.ID)
-	}
 	terms := make(map[string]float64)
 	var dlen float64
 	for field, text := range doc.Fields {
@@ -99,10 +95,15 @@ func (ix *Index) Add(doc Document) {
 		if b, ok := ix.boosts[field]; ok {
 			boost = b
 		}
-		for _, term := range analyze(text) {
+		eachTerm(text, func(term string) {
 			terms[term] += boost
 			dlen += boost
-		}
+		})
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if _, ok := ix.docTerms[doc.ID]; ok {
+		ix.removeLocked(doc.ID)
 	}
 	if len(terms) == 0 {
 		// Still track the doc so Len and replacement semantics hold.
@@ -160,7 +161,8 @@ func (ix *Index) Len() int {
 // Search runs a BM25-ranked keyword query and returns the top k hits
 // (all hits if k <= 0). Ties break by document ID for determinism.
 func (ix *Index) Search(query string, k int) []Hit {
-	terms := analyze(query)
+	var terms []string
+	eachTerm(query, func(term string) { terms = append(terms, term) })
 	if len(terms) == 0 {
 		return nil
 	}

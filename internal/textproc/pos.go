@@ -187,7 +187,7 @@ func lexicalTag(w string) string {
 	if tag, ok := openClass[lw]; ok {
 		return tag
 	}
-	if (Token{Text: w}).IsPunct() {
+	if IsPunct(w) {
 		return TagPunct
 	}
 	// Morphological suffix analysis against the verb lexicon.

@@ -28,74 +28,82 @@ type Token struct {
 }
 
 // IsPunct reports whether the token is pure punctuation.
-func (t Token) IsPunct() bool {
-	for _, r := range t.Text {
+func (t Token) IsPunct() bool { return IsPunct(t.Text) }
+
+// IsPunct reports whether s is non-empty and pure punctuation or symbols.
+func IsPunct(s string) bool {
+	for _, r := range s {
 		if !unicode.IsPunct(r) && !unicode.IsSymbol(r) {
 			return false
 		}
 	}
-	return len(t.Text) > 0
+	return len(s) > 0
 }
 
 // Tokenize splits text into word, number, and punctuation tokens with byte
-// offsets. Contractions are kept whole ("don't"), hyphenated compounds are
-// kept whole ("command-and-control"), and runs of identical punctuation
-// ("..." or "--") form a single token. Underscore is treated as a word
-// character so protected placeholders and identifiers survive intact.
+// offsets: one Token per span NextSpan finds.
 func Tokenize(text string) []Token {
 	// Report prose runs about six bytes a token with its space, and rarely
 	// under four: one allocation almost always holds every token.
 	toks := make([]Token, 0, len(text)/4+1)
-	i := 0
-	n := len(text)
-	for i < n {
-		r := rune(text[i])
-		switch {
-		case r < 128 && (unicode.IsSpace(r)):
-			i++
-		case isWordByte(text[i]):
-			j := i + 1
-			for j < n {
-				if isWordByte(text[j]) {
-					j++
-					continue
-				}
-				// Keep internal apostrophes, hyphens and periods between
-				// word characters: "don't", "anti-virus", "U.S." — but a
-				// period followed by space/end is sentence punctuation.
-				if (text[j] == '\'' || text[j] == '-' || text[j] == '.') &&
-					j+1 < n && isWordByte(text[j+1]) {
-					j += 2
-					continue
-				}
-				// Keep thousands separators inside numbers: "120,000".
-				if text[j] == ',' && j+1 < n && isDigitByte(text[j-1]) && isDigitByte(text[j+1]) {
-					j += 2
-					continue
-				}
-				break
-			}
-			toks = append(toks, Token{Text: text[i:j], Start: i, End: j})
-			i = j
-		case r >= 128:
-			// Non-ASCII: take the full rune sequence of letters.
-			j := i
-			for j < n && text[j] >= 128 {
-				j++
-			}
-			toks = append(toks, Token{Text: text[i:j], Start: i, End: j})
-			i = j
-		default:
-			// Punctuation: group runs of the same character.
-			j := i + 1
-			for j < n && text[j] == text[i] {
-				j++
-			}
-			toks = append(toks, Token{Text: text[i:j], Start: i, End: j})
-			i = j
-		}
+	for start, end := NextSpan(text, 0); start < end; start, end = NextSpan(text, end) {
+		toks = append(toks, Token{Text: text[start:end], Start: start, End: end})
 	}
 	return toks
+}
+
+// NextSpan returns the byte span of the first token of text that starts
+// at or after i, or an empty span (start == end) when none is left. A
+// caller that wants the tokens without a []Token walks text with it from
+// 0, passing each span's end as the next i.
+//
+// Contractions are kept whole ("don't"), hyphenated compounds are kept
+// whole ("command-and-control"), and runs of identical punctuation
+// ("..." or "--") form a single token. Underscore is treated as a word
+// character so protected placeholders and identifiers survive intact.
+func NextSpan(text string, i int) (start, end int) {
+	n := len(text)
+	for i < n && text[i] < 128 && unicode.IsSpace(rune(text[i])) {
+		i++
+	}
+	if i >= n {
+		return n, n
+	}
+	j := i + 1
+	switch {
+	case isWordByte(text[i]):
+		for j < n {
+			if isWordByte(text[j]) {
+				j++
+				continue
+			}
+			// Keep internal apostrophes, hyphens and periods between
+			// word characters: "don't", "anti-virus", "U.S." — but a
+			// period followed by space/end is sentence punctuation.
+			if (text[j] == '\'' || text[j] == '-' || text[j] == '.') &&
+				j+1 < n && isWordByte(text[j+1]) {
+				j += 2
+				continue
+			}
+			// Keep thousands separators inside numbers: "120,000".
+			if text[j] == ',' && j+1 < n && isDigitByte(text[j-1]) && isDigitByte(text[j+1]) {
+				j += 2
+				continue
+			}
+			break
+		}
+	case text[i] >= 128:
+		// Non-ASCII: take the full rune sequence of letters.
+		for j < n && text[j] >= 128 {
+			j++
+		}
+	default:
+		// Punctuation: group runs of the same character.
+		for j < n && text[j] == text[i] {
+			j++
+		}
+	}
+	return i, j
 }
 
 func isWordByte(b byte) bool {
