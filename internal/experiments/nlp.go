@@ -138,7 +138,7 @@ func IOCProtection(docsN int, seed int64) (*Table, error) {
 	for _, d := range docs {
 		text := truthText(d)
 		prot := ioc.Protect(text)
-		_, refanged := ioc.Scan(text)
+		refanged := ioc.Refang(text)
 
 		// Sentence counts: ground truth is one sentence per period-joined
 		// template line; approximate with the protected segmentation as

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"securitykg/internal/sources"
 )
 
 const samplePage = `<!DOCTYPE html>
@@ -351,5 +353,65 @@ func FuzzParse(f *testing.F) {
 		if has, inner := doc.HasText(), doc.InnerText(); has != (inner != "") {
 			t.Errorf("HasText() = %v, InnerText() = %q", has, inner)
 		}
+		checkFindIsFirst(t, doc)
 	})
+}
+
+// findSelectors are the selectors the report parsers and the crawler
+// use, and some with the grammar's other steps.
+var findSelectors = []string{
+	"a.next-page", "h1.entry-title", "table.meta td.key", "table.meta td.val", "div.body",
+	"h1.post-title", "div.byline", "article.post-body", "span.date", "span.kind",
+	"h1.headline", "div.meta", "div.story", "a.report-link", "a.next-index",
+	"div p", "div > p", "ul li", "#report", "a[href]", "div div", "* td", "",
+}
+
+// checkFindIsFirst holds Find, which stops at its first match, to
+// FindAll's first, below n.
+func checkFindIsFirst(t *testing.T, n *Node) {
+	t.Helper()
+	for _, sel := range findSelectors {
+		var want *Node
+		if all := n.FindAll(sel); len(all) > 0 {
+			want = all[0]
+		}
+		if got := n.Find(sel); got != want {
+			t.Fatalf("Find(%q) below <%s> = %v, FindAll's first %v", sel, n.Tag, got, want)
+		}
+	}
+}
+
+// checkFindIsFirstEverywhere is checkFindIsFirst below every node of doc,
+// as the blog parser's byline lookups are.
+func checkFindIsFirstEverywhere(t *testing.T, doc *Node) {
+	t.Helper()
+	checkFindIsFirst(t, doc)
+	for _, c := range doc.Children {
+		checkFindIsFirstEverywhere(t, c)
+	}
+}
+
+func TestFindIsFindAllFirst(t *testing.T) {
+	checkFindIsFirstEverywhere(t, Parse(samplePage))
+	specs := sources.DefaultSources(3)
+	web := sources.NewWeb(1, specs)
+	pages := 0
+	for _, spec := range specs {
+		if spec.Format != "html" {
+			continue
+		}
+		urls := []string{web.IndexURL(spec.Slug, 0), web.IndexURL(spec.Slug, 1)}
+		for i := 0; i < spec.Reports; i++ {
+			urls = append(urls, fmt.Sprintf("%s/report/%d", spec.BaseURL(), i), fmt.Sprintf("%s/report/%d/2", spec.BaseURL(), i))
+		}
+		for _, u := range urls {
+			if page, err := web.Fetch(u); err == nil {
+				checkFindIsFirstEverywhere(t, Parse(string(page.Body)))
+				pages++
+			}
+		}
+	}
+	if pages < 100 {
+		t.Fatalf("%d pages checked", pages)
+	}
 }

@@ -157,7 +157,10 @@ func (n *Node) FindAll(selector string) []*Node {
 		return nil
 	}
 	var out []*Node
-	n.findRec(sel.steps, &out)
+	n.walkMatches(sel.steps, func(m *Node) bool {
+		out = append(out, m)
+		return true
+	})
 	// Nested intermediate matches can yield duplicates; keep first occurrence.
 	seen := make(map[*Node]bool, len(out))
 	dedup := out[:0]
@@ -170,50 +173,41 @@ func (n *Node) FindAll(selector string) []*Node {
 	return dedup
 }
 
-// Find returns the first match or nil.
+// Find returns the first match or nil: FindAll's first, found without
+// walking the rest of the tree.
 func (n *Node) Find(selector string) *Node {
-	all := n.FindAll(selector)
-	if len(all) == 0 {
+	sel := Compile(selector)
+	if len(sel.steps) == 0 {
 		return nil
 	}
-	return all[0]
+	var first *Node
+	n.walkMatches(sel.steps, func(m *Node) bool {
+		first = m
+		return false
+	})
+	return first
 }
 
-func (n *Node) findRec(steps []selStep, out *[]*Node) {
+// walkMatches calls yield with each match of steps below n, a node once
+// per way it matches, until yield returns false. It returns false when
+// yield stopped the walk.
+func (n *Node) walkMatches(steps []selStep, yield func(*Node) bool) bool {
 	step := steps[0]
-	var visit func(node *Node, allowDeep bool)
-	visit = func(node *Node, allowDeep bool) {
-		for _, c := range node.Children {
-			if step.simple.matches(c) {
-				if len(steps) == 1 {
-					*out = append(*out, c)
-					// matches may nest; keep descending for descendant steps
-				} else {
-					c.findRec(steps[1:], out)
+	for _, c := range n.Children {
+		if step.simple.matches(c) {
+			if len(steps) == 1 {
+				if !yield(c) {
+					return false
 				}
-			}
-			if allowDeep || !step.child {
-				visit(c, allowDeep)
+			} else if !c.walkMatches(steps[1:], yield) {
+				return false
 			}
 		}
-	}
-	if step.child {
-		visit(n, false)
-	} else {
-		// Descendant: search the whole subtree.
-		var deep func(node *Node)
-		deep = func(node *Node) {
-			for _, c := range node.Children {
-				if step.simple.matches(c) {
-					if len(steps) == 1 {
-						*out = append(*out, c)
-					} else {
-						c.findRec(steps[1:], out)
-					}
-				}
-				deep(c)
-			}
+		// A child step matches children only; a descendant step searches
+		// the whole subtree.
+		if !step.child && !c.walkMatches(steps, yield) {
+			return false
 		}
-		deep(n)
 	}
+	return true
 }

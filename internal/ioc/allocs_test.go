@@ -12,10 +12,10 @@ import (
 )
 
 // TestScanAllocs pins what Scan and Protect allocate. A text without an
-// anchor allocates nothing: no pattern runs, no candidate list, no copy of
-// the text. A text with IOCs pays per island a pattern runs on and per
-// result, never per call (the refanging Replacer is built once) and never
-// per placeholder.
+// anchor allocates nothing: no matcher runs, no candidate list, no copy of
+// the text. A text with IOCs pays per result, never per island, never
+// per call (the refanging Replacer is built once) and never per
+// placeholder.
 func TestScanAllocs(t *testing.T) {
 	prose := strings.Repeat("The attacker moved laterally (quietly) and escalated privileges. ", 40)
 	if got := testing.AllocsPerRun(50, func() { Scan(prose) }); got != 0 {
@@ -27,9 +27,9 @@ func TestScanAllocs(t *testing.T) {
 	if len(ms) != 12 {
 		t.Fatalf("%d IOCs, want 12", len(ms))
 	}
-	// 12 islands with a match at two or three slices each from regexp,
-	// the candidate list's growth, the overlap bitmap and the result.
-	const scanCeiling = 48
+	// The candidate list's growth, the overlap bitmap and the result: the
+	// matchers allocate nothing.
+	const scanCeiling = 8
 	if got := testing.AllocsPerRun(50, func() { Scan(text) }); got > scanCeiling {
 		t.Errorf("Scan allocates %.0f times, ceiling %d", got, scanCeiling)
 	}

@@ -217,6 +217,20 @@ func TestProtectionMatchesOrder(t *testing.T) {
 	}
 }
 
+// Refang returns a text unchanged unless it holds a tell, so every
+// defanged form must hold one.
+func TestDefangTellsCoverForms(t *testing.T) {
+	for i := 0; i < len(defangings); i += 2 {
+		found := false
+		for _, tell := range defangTells {
+			found = found || strings.Contains(defangings[i], tell)
+		}
+		if !found {
+			t.Errorf("defanged form %q holds no tell", defangings[i])
+		}
+	}
+}
+
 func TestKindsCoverEntityTypes(t *testing.T) {
 	for _, m := range matchers {
 		k := m.kind

@@ -3,12 +3,35 @@ package ioc
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
 	"securitykg/internal/sources"
 )
+
+// The ten patterns the matchers were written from, kept as the oracle
+// that holds them to it.
+var (
+	reURL      = regexp.MustCompile(`\bhttps?://[A-Za-z0-9.\-]+(?::\d{1,5})?(?:/[A-Za-z0-9._~:/?#\[\]@!$&'()*+,;=%\-]*)?`)
+	reEmail    = regexp.MustCompile(`\b[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}\b`)
+	reIP       = regexp.MustCompile(`\b(?:(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)\.){3}(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)\b`)
+	reHash     = regexp.MustCompile(`\b[a-fA-F0-9]{64}\b|\b[a-fA-F0-9]{40}\b|\b[a-fA-F0-9]{32}\b`)
+	reCVE      = regexp.MustCompile(`\bCVE-\d{4}-\d{4,7}\b`)
+	reRegistry = regexp.MustCompile(`\b(?:HKEY_LOCAL_MACHINE|HKEY_CURRENT_USER|HKEY_CLASSES_ROOT|HKEY_USERS|HKLM|HKCU|HKCR|HKU)\\[A-Za-z0-9_\\\.{}\-]+`)
+	reWinPath  = regexp.MustCompile(`\b[A-Za-z]:\\(?:[A-Za-z0-9_. ${}%\-]+\\)*[A-Za-z0-9_.${}%\-]+`)
+	reUnixPath = regexp.MustCompile(`(?:^|[\s"'(])(/(?:usr|etc|tmp|var|home|opt|bin|sbin|lib|dev|proc|root)(?:/[A-Za-z0-9_.\-]+)+)`)
+	reFileName = regexp.MustCompile(`\b[A-Za-z0-9_\-]{1,64}\.(?:exe|dll|bat|ps1|vbs|js|jar|doc|docx|docm|xls|xlsx|xlsm|ppt|pptx|pdf|zip|rar|7z|tmp|dat|bin|sys|scr|lnk|hta|iso|img|py|sh|elf|apk|dmg|msi|cab|rtf|chm|wsf|cmd)\b`)
+	reDomain   = regexp.MustCompile(`\b(?:[a-zA-Z0-9](?:[a-zA-Z0-9\-]{0,61}[a-zA-Z0-9])?\.)+(?:com|net|org|info|biz|ru|cn|io|co|uk|de|fr|xyz|top|onion|su|tk|ml|ga|cf|gq|pw|cc|ws|me|site|online|club|live|store|tech|space|fun|icu)\b`)
+)
+
+// patterns are those regexps in the matchers' order; group grp of a
+// match holds the value.
+var patterns = []struct {
+	re  *regexp.Regexp
+	grp int
+}{{reURL, 0}, {reEmail, 0}, {reCVE, 0}, {reRegistry, 0}, {reHash, 0}, {reIP, 0}, {reWinPath, 0}, {reUnixPath, 1}, {reFileName, 0}, {reDomain, 0}}
 
 // referenceScan is the scanner Scan replaced: every pattern swept over the
 // whole refanged text, a Replacer built per call. It is the oracle Scan is
@@ -28,21 +51,9 @@ func referenceScan(text string) ([]Match, string) {
 		prio int
 	}
 	var cands []cand
-	for p, mt := range matchers {
-		for _, loc := range mt.re.FindAllStringSubmatchIndex(rf, -1) {
-			s, e := loc[2*mt.grp], loc[2*mt.grp+1]
-			if s < 0 || e <= s {
-				continue
-			}
-			val := rf[s:e]
-			for len(val) > 0 && strings.ContainsRune(".,;:)]}>'\"", rune(val[len(val)-1])) {
-				val = val[:len(val)-1]
-				e--
-			}
-			if val == "" {
-				continue
-			}
-			cands = append(cands, cand{Match{Kind: mt.kind, Value: val, Start: s, End: e}, p})
+	for p := range patterns {
+		for _, m := range referenceMatches(p, rf) {
+			cands = append(cands, cand{m, p})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -74,6 +85,29 @@ next:
 	return out, rf
 }
 
+// referenceMatches is pattern p swept over the whole of rf, each match
+// less trailing sentence punctuation.
+func referenceMatches(p int, rf string) []Match {
+	pt := patterns[p]
+	var out []Match
+	for _, loc := range pt.re.FindAllStringSubmatchIndex(rf, -1) {
+		s, e := loc[2*pt.grp], loc[2*pt.grp+1]
+		if s < 0 || e <= s {
+			continue
+		}
+		val := rf[s:e]
+		for len(val) > 0 && strings.ContainsRune(".,;:)]}>'\"", rune(val[len(val)-1])) {
+			val = val[:len(val)-1]
+			e--
+		}
+		if val == "" {
+			continue
+		}
+		out = append(out, Match{Kind: matchers[p].kind, Value: val, Start: s, End: e})
+	}
+	return out
+}
+
 func checkAgainstReference(t *testing.T, text string) {
 	t.Helper()
 	want, wantRF := referenceScan(text)
@@ -83,6 +117,20 @@ func checkAgainstReference(t *testing.T, text string) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Scan differs from the ten-regex sweep for %q:\n got %+v\nwant %+v", text, got, want)
+	}
+	// Each matcher alone finds what its pattern's sweep finds, so overlap
+	// resolution hides no stray or missing candidate.
+	cands := candidates(gotRF)
+	for p := range patterns {
+		var mine []Match
+		for _, c := range cands {
+			if c.prio == p {
+				mine = append(mine, c.m)
+			}
+		}
+		if theirs := referenceMatches(p, gotRF); !reflect.DeepEqual(mine, theirs) {
+			t.Fatalf("matcher %d (%s) differs from its pattern for %q:\n got %+v\nwant %+v", p, matchers[p].kind, text, mine, theirs)
+		}
 	}
 }
 
@@ -131,6 +179,26 @@ var scanCorpus = []string{
 	"naïve.com café@x.org /usr/bïn/x \xff/etc/x \xffCVE-2020-1234\xff 1.1.1.1\xc3",
 	"a@b.c a@b.cd @x.org x@ @",
 	"://x http:// https://. http://-",
+	// Each matcher's backtracking edges. IP octets: the alternation's
+	// order, digits given back before '.' or the final `\b`.
+	"1.2.3.25 1.2.3.255 1.2.3.256 1.2.3.2555 249.250.199.100 200.249.100.199 1.2.3.04 1.2.3.4_ 1.2.3.4-5 9.99.199.2a",
+	// Domains: the label count that leaves a listed TLD before a non-word byte.
+	"a.co.uk x.community a.co-x.zzz a.com.zz b.co_ c.me1 d.onion- e.online.f 1.2.3.com -a.com a-.b.com a..com .a.com",
+	strings.Repeat("l", 63) + ".com " + strings.Repeat("m", 64) + ".com " + strings.Repeat("n-", 40) + "n.net " + strings.Repeat("o.", 40) + "zz",
+	// Emails: the host gives back to its rightmost '.' with 2+ letters then a non-word byte.
+	"a@b.c.de a@b.co1 a@b.cd.e1 a@b.cd.ef-g x.@y.com .x@y.com a@b@c.com %a@b.com a-b@c.d-e.fr.x1 q@r.st_u +v@w.io a@.com a@-.co",
+	// CVE numbers: 4 to 7 digits, and 8 or more fail.
+	"CVE-2020-1234567 CVE-2020-12345678 CVE-2020-123 CVE-20201-1234 CVE-2020-1234_ CVE-2020-1234-5 -CVE-2021-0001",
+	// URL ports take at most five digits.
+	"http://a.com:123456 http://a.com: http://a.com:8080x https://a.b:1/x y httpss://a.com xhttp://a.com -http://a.com http://a_b.com http://a.com:9/",
+	// The Unix path's lead: a separator byte, or `^` at the island's start.
+	"/etc/x\t/usr/x \f/etc/y \v/etc/y /usrx/a (/usr/) '/usr//a' \"/proc/1/maps\" \r/home/u/.ssh/k",
+	// File names: a name can start at a '-' after a word byte, is at most 64 bytes, and its extension is a whole word.
+	"x-abc.exe --abc.exe a.exe-b.dll a.docx a.doc_ a.DOC b.7z c.ps1x " + strings.Repeat("p", 64) + ".exe " + strings.Repeat("q", 65) + ".exe",
+	// Windows paths: directories given back until the last segment starts with a file byte.
+	`C:\a\ b C:\a\\b C:\ \ C:\x y\ 1:\a a:\b:\c C:\a b\ c\d e`,
+	// Registry keys: a hive, a backslash and at least one key byte.
+	`HKLM\ HKU\x HKEY_USERS\a _HKLM\a HKCR\\ HKEY_LOCAL_MACHINEX\a HKCUHKLM\b`,
 }
 
 func TestScanMatchesReferenceSweep(t *testing.T) {

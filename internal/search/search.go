@@ -36,16 +36,26 @@ type posting struct {
 	tf  float64 // boost-weighted term frequency
 }
 
+// A term is one index entry: its text, a copy the index owns, and its
+// postings. Terms are analyzed as substrings of the indexed text, so a
+// term's key is stored once, when it is created, and never assigned
+// again (an assignment to an existing string key replaces the stored
+// key); otherwise the index would keep every report's text alive.
+type term struct {
+	text     string
+	postings []posting
+}
+
 // Index is a thread-safe inverted index with BM25 scoring.
 type Index struct {
 	mu       sync.RWMutex
 	boosts   map[string]float64 // field -> boost (default 1.0)
-	postings map[string][]posting
+	terms    map[string]*term
 	docLen   map[string]float64 // boost-weighted token count per doc
 	totalLen float64
 	docs     int
 	// terms per doc kept for removal.
-	docTerms map[string]map[string]float64
+	docTerms map[string][]*term
 }
 
 // NewIndex creates an index. boosts maps field names to score multipliers;
@@ -57,9 +67,9 @@ func NewIndex(boosts map[string]float64) *Index {
 	}
 	return &Index{
 		boosts:   b,
-		postings: make(map[string][]posting),
+		terms:    make(map[string]*term),
 		docLen:   make(map[string]float64),
-		docTerms: make(map[string]map[string]float64),
+		docTerms: make(map[string][]*term),
 	}
 }
 
@@ -88,7 +98,7 @@ func eachTerm(text string, fn func(term string)) {
 // Its fields are analyzed before the index is locked: only the postings
 // update holds the lock.
 func (ix *Index) Add(doc Document) {
-	terms := make(map[string]float64)
+	tfs := make(map[string]float64)
 	var dlen float64
 	for field, text := range doc.Fields {
 		boost := 1.0
@@ -96,26 +106,36 @@ func (ix *Index) Add(doc Document) {
 			boost = b
 		}
 		eachTerm(text, func(term string) {
-			terms[term] += boost
+			tfs[term] += boost
 			dlen += boost
 		})
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, ok := ix.docTerms[doc.ID]; ok {
-		ix.removeLocked(doc.ID)
+	old, replacing := ix.docTerms[doc.ID]
+	if replacing {
+		// Terms the document keeps keep their entries: only those left
+		// without postings are dropped, once the new ones are in.
+		for _, t := range old {
+			t.postings = withoutDoc(t.postings, doc.ID)
+		}
+		ix.totalLen -= ix.docLen[doc.ID]
+		ix.docs--
 	}
-	if len(terms) == 0 {
-		// Still track the doc so Len and replacement semantics hold.
-		ix.docTerms[doc.ID] = terms
-		ix.docLen[doc.ID] = 0
-		ix.docs++
-		return
+	ts := make([]*term, 0, len(tfs))
+	for text, tf := range tfs {
+		t := ix.terms[text]
+		if t == nil {
+			t = &term{text: strings.Clone(text)}
+			ix.terms[t.text] = t
+		}
+		t.postings = append(t.postings, posting{doc: doc.ID, tf: tf})
+		ts = append(ts, t)
 	}
-	for term, tf := range terms {
-		ix.postings[term] = append(ix.postings[term], posting{doc: doc.ID, tf: tf})
+	for _, t := range old {
+		ix.dropIfEmpty(t)
 	}
-	ix.docTerms[doc.ID] = terms
+	ix.docTerms[doc.ID] = ts
 	ix.docLen[doc.ID] = dlen
 	ix.totalLen += dlen
 	ix.docs++
@@ -125,30 +145,33 @@ func (ix *Index) Add(doc Document) {
 func (ix *Index) Remove(id string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(id)
-}
-
-func (ix *Index) removeLocked(id string) {
-	terms, ok := ix.docTerms[id]
+	ts, ok := ix.docTerms[id]
 	if !ok {
 		return
 	}
-	for term := range terms {
-		ps := ix.postings[term]
-		for i, p := range ps {
-			if p.doc == id {
-				ix.postings[term] = append(ps[:i], ps[i+1:]...)
-				break
-			}
-		}
-		if len(ix.postings[term]) == 0 {
-			delete(ix.postings, term)
-		}
+	for _, t := range ts {
+		t.postings = withoutDoc(t.postings, id)
+		ix.dropIfEmpty(t)
 	}
 	ix.totalLen -= ix.docLen[id]
 	delete(ix.docLen, id)
 	delete(ix.docTerms, id)
 	ix.docs--
+}
+
+func withoutDoc(ps []posting, id string) []posting {
+	for i, p := range ps {
+		if p.doc == id {
+			return append(ps[:i], ps[i+1:]...)
+		}
+	}
+	return ps
+}
+
+func (ix *Index) dropIfEmpty(t *term) {
+	if len(t.postings) == 0 {
+		delete(ix.terms, t.text)
+	}
 }
 
 // Len returns the number of indexed documents.
@@ -176,11 +199,12 @@ func (ix *Index) Search(query string, k int) []Hit {
 		return nil
 	}
 	scores := make(map[string]float64)
-	for _, term := range terms {
-		ps := ix.postings[term]
-		if len(ps) == 0 {
+	for _, text := range terms {
+		t := ix.terms[text]
+		if t == nil {
 			continue
 		}
+		ps := t.postings
 		idf := math.Log(1 + (float64(ix.docs)-float64(len(ps))+0.5)/(float64(len(ps))+0.5))
 		for _, p := range ps {
 			dl := ix.docLen[p.doc]

@@ -3,9 +3,11 @@ package search
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"securitykg/internal/sources"
 	"securitykg/internal/textproc"
@@ -99,4 +101,67 @@ func TestConcurrentAddSearchRemove(t *testing.T) {
 	if hits := ix.Search(texts[2], 0); len(hits) == 0 {
 		t.Errorf("no hit for a kept title %q", texts[2])
 	}
+}
+
+// No key the index keeps points into an added document's text. Terms are
+// analyzed as substrings of the text, and one kept as a key would keep
+// the whole text alive; a term shared by many documents, and a document
+// added again, must not bring a substring back.
+func TestKeysDoNotPinText(t *testing.T) {
+	texts := syntheticTexts(5)
+	ix := NewIndex(map[string]float64{"title": 2.0})
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	// The texts stay reachable to the end, so no later allocation reuses
+	// their memory and only a real pin lands in a span.
+	var kept []string
+	add := func(id, title, body string) {
+		// Copies, so each document's text is memory of its own.
+		title, body = strings.Clone(title), strings.Clone(body)
+		kept = append(kept, title, body)
+		for _, s := range []string{title, body} {
+			if s != "" {
+				p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+				spans = append(spans, span{p, p + uintptr(len(s))})
+			}
+		}
+		ix.Add(doc(id, title, body))
+	}
+	for i := 0; i+1 < len(texts); i += 2 {
+		add(fmt.Sprintf("r%d", i), texts[i], texts[i+1])
+	}
+	for i := 0; i+3 < len(texts); i += 8 {
+		add(fmt.Sprintf("r%d", i), texts[i+2], texts[i+3])
+	}
+	pinned := func(s string) bool {
+		if s == "" {
+			return false
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, sp := range spans {
+			if p >= sp.lo && p < sp.hi {
+				return true
+			}
+		}
+		return false
+	}
+	if len(ix.terms) < 100 {
+		t.Fatalf("%d terms indexed, want a corpus's worth", len(ix.terms))
+	}
+	for k, tm := range ix.terms {
+		if pinned(k) || pinned(tm.text) {
+			t.Errorf("term %q points into an added document's text", k)
+		}
+	}
+	for id, ts := range ix.docTerms {
+		if pinned(id) {
+			t.Errorf("document key %q points into an added document's text", id)
+		}
+		for _, tm := range ts {
+			if pinned(tm.text) {
+				t.Errorf("term %q of %s points into an added document's text", tm.text, id)
+			}
+		}
+	}
+	runtime.KeepAlive(kept)
 }
