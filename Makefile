@@ -196,7 +196,8 @@ profile-extract:
 # and its test binary to the git-ignored .bench_build/, as
 # profile-extract does, then prints the top functions of the pipeline's
 # stage goroutines — pipeline.(*Pipeline).Run and the workers it starts —
-# so the crawl and each run's set-up and training drop out and shares are
+# so the crawl, each run's set-up and the one training before the runs
+# drop out and shares are
 # of the stages alone — then the callers of htmlparse.Parse and
 # textproc.Tokenize: a checker or parser beside pageDoc, or search, among
 # them means a page or a document is being parsed or tokenized twice.
@@ -252,7 +253,9 @@ cover:
 # equal the ten-regex sweep, which since its regexps moved into the test
 # oracle means the hand-written finders, each one also equal to its own
 # pattern; no page may make the HTML parser or its text extraction
-# panic, Find must be FindAll's first, and no document the PDF text
+# panic, Find must be FindAll's first, and Parse and FindAll must equal
+# the previous stack-scanning Parse and walk-and-dedup FindAll kept in
+# reference_test.go; no document the PDF text
 # extractor; no page body
 # may make a report parser panic, nor any text the entity extractor;
 # the Cypher parser must never panic; the engine must error, not crash;

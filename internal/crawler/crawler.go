@@ -261,31 +261,24 @@ func (f *Framework) collectReport(spec sources.SourceSpec, url string, emit func
 			}
 			return
 		}
-		format := "html"
-		if strings.Contains(page.ContentType, "pdf") {
-			format = "pdf"
-		}
-		emit(ctirep.RawFile{
+		rf := ctirep.RawFile{
 			Source:    spec.Slug,
 			URL:       pageURL,
-			Format:    format,
+			Format:    "html",
 			Body:      page.Body,
 			FetchedAt: time.Now().UTC(),
-		})
+		}
+		if strings.Contains(page.ContentType, "pdf") {
+			rf.Format = "pdf"
+		} else if next := htmlparse.Parse(string(page.Body)).Find("a.next-page"); next != nil {
+			rf.Next, _ = next.Attr("href")
+		}
+		emit(rf)
 		f.collected.Add(1)
 		f.mu.Lock()
 		f.perSource[spec.Slug]++
 		f.mu.Unlock()
-
-		pageURL = ""
-		if format == "html" {
-			doc := htmlparse.Parse(string(page.Body))
-			if next := doc.Find("a.next-page"); next != nil {
-				if href, ok := next.Attr("href"); ok {
-					pageURL = href
-				}
-			}
-		}
+		pageURL = rf.Next
 	}
 }
 

@@ -28,6 +28,9 @@ type RawFile struct {
 	Format    string    `json:"format"` // "html" or "pdf"
 	Body      []byte    `json:"body"`   // raw bytes
 	FetchedAt time.Time `json:"fetched_at"`
+	// Next is the URL of the report's continuation page, which the page
+	// links to (a.next-page), or "" on a report's last page.
+	Next string `json:"next,omitempty"`
 }
 
 // ReportRep is the intermediate report representation: a (possibly

@@ -336,8 +336,10 @@ const biExpandMinHops = 3
 // and its far end is bound or carries a seek hint: then the walks meet a
 // known endpoint, and counting them level by level beats enumerating
 // them. Returns the number of hops consumed, 0 when the run stays plain
-// expansions. The arm that keeps it: BenchmarkCypherBiExpand, 0.49 ms
-// against 52.3 ms enumerating.
+// expansions. What keeps it: BenchmarkCypherBiExpand, 0.49 ms against
+// 52.3 ms enumerating, and a pinned 4-hop CONNECT chain between two IPs
+// of kg-100k, 5.6–15.5 ms against 93 ms – 5.9 s as plain Expands
+// (ARCHITECTURE.md, "Bidirectional (counted) expand").
 func (e *Engine) tryBiExpand(stages *[]Stage, p Pattern, idx int, leftward bool,
 	bound map[string]bool, eq map[string]map[string]hintVal) int {
 	var hops []BiHop

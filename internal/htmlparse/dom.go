@@ -40,7 +40,20 @@ var autoCloseBefore = map[string]map[string]bool{
 func Parse(html string) *Node {
 	doc := &Node{Type: DocumentNode, Tag: "#document"}
 	stack := []*Node{doc}
+	// A scan of the stack for an end tag's element pops what it passes,
+	// unless the tag is stray. From the first stray end tag on, open
+	// counts the elements on the stack by tag, so later stray end tags
+	// are dropped without a scan and the parse stays linear. Well-formed
+	// pages never build it, which keeps their parse as cheap as a plain
+	// stack.
+	var open map[string]int
 	top := func() *Node { return stack[len(stack)-1] }
+	pop := func() {
+		if open != nil {
+			open[top().Tag]--
+		}
+		stack = stack[:len(stack)-1]
+	}
 	for _, tok := range Tokenize(html) {
 		switch tok.Type {
 		case TokenText:
@@ -55,21 +68,37 @@ func Parse(html string) *Node {
 		case TokenStartTag, TokenSelfClosing:
 			if closers, ok := autoCloseBefore[tok.Data]; ok {
 				for len(stack) > 1 && closers[top().Tag] {
-					stack = stack[:len(stack)-1]
+					pop()
 				}
 			}
 			n := &Node{Type: ElementNode, Tag: tok.Data, Attrs: tok.Attrs, Parent: top()}
 			top().Children = append(top().Children, n)
 			if tok.Type == TokenStartTag {
 				stack = append(stack, n)
+				if open != nil {
+					open[n.Tag]++
+				}
 			}
 		case TokenEndTag:
 			// Pop to the matching open tag if one exists; ignore otherwise.
-			for k := len(stack) - 1; k >= 1; k-- {
-				if stack[k].Tag == tok.Data {
+			if open == nil {
+				k := len(stack) - 1
+				for k >= 1 && stack[k].Tag != tok.Data {
+					k--
+				}
+				if k >= 1 {
 					stack = stack[:k]
 					break
 				}
+				open = map[string]int{}
+				for _, n := range stack[1:] {
+					open[n.Tag]++
+				}
+			} else if open[tok.Data] > 0 {
+				for top().Tag != tok.Data {
+					pop()
+				}
+				pop()
 			}
 		case TokenDoctype:
 			// ignored
@@ -87,16 +116,10 @@ func (n *Node) Attr(name string) (string, bool) {
 	return v, ok
 }
 
-// ID returns the element id attribute ("" if absent).
-func (n *Node) ID() string { v, _ := n.Attr("id"); return v }
-
-// HasClass reports whether the element's class list contains c.
-func (n *Node) HasClass(c string) bool {
-	v, ok := n.Attr("class")
-	if !ok {
-		return false
-	}
-	for _, f := range strings.Fields(v) {
+// hasClass reports whether the element's class list contains c.
+func (n *Node) hasClass(c string) bool {
+	v, _ := n.Attr("class")
+	for f := range strings.FieldsSeq(v) {
 		if f == c {
 			return true
 		}

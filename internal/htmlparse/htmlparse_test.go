@@ -2,7 +2,9 @@ package htmlparse
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -145,9 +147,6 @@ func TestParseUnclosedTagsClosedAtEOF(t *testing.T) {
 func TestSelectorsOnSamplePage(t *testing.T) {
 	doc := Parse(samplePage)
 
-	if n := doc.Find("#report"); n == nil || n.Tag != "div" {
-		t.Fatal("#report not found")
-	}
 	if n := doc.Find("div.malware-report"); n == nil {
 		t.Error("class selector failed")
 	}
@@ -162,26 +161,13 @@ func TestSelectorsOnSamplePage(t *testing.T) {
 	if keys[0].InnerText() != "Vendor" || vals[0].InnerText() != "AcmeSec" {
 		t.Errorf("first row wrong: %q=%q", keys[0].InnerText(), vals[0].InnerText())
 	}
-	if links := doc.FindAll("a[href]"); len(links) != 1 {
-		t.Errorf("attr-presence selector: %d links", len(links))
-	}
-	if n := doc.Find(`a[href=https://mitre.org]`); n == nil {
-		t.Error("attr-equals selector failed")
-	}
-	if lis := doc.FindAll("ul.iocs > li"); len(lis) != 2 {
-		t.Errorf("child combinator: %d li", len(lis))
-	}
 }
 
-func TestChildCombinatorStrictness(t *testing.T) {
+// A descendant step matches at any depth below the step before it.
+func TestDescendantSelectorReachesAnyDepth(t *testing.T) {
 	doc := Parse("<div><section><p>deep</p></section><p>shallow</p></div>")
-	direct := doc.FindAll("div > p")
-	if len(direct) != 1 || direct[0].InnerText() != "shallow" {
-		t.Errorf("child combinator matched wrong nodes: %d", len(direct))
-	}
-	desc := doc.FindAll("div p")
-	if len(desc) != 2 {
-		t.Errorf("descendant combinator should match 2, got %d", len(desc))
+	if desc := doc.FindAll("div p"); len(desc) != 2 {
+		t.Errorf("descendant selector should match 2, got %d", len(desc))
 	}
 }
 
@@ -337,8 +323,9 @@ func TestHasTextMatchesInnerText(t *testing.T) {
 	}
 }
 
-// FuzzParse: no page makes Parse or InnerText panic, and HasText agrees
-// with InnerText on every page.
+// FuzzParse: no page makes Parse or InnerText panic, HasText agrees with
+// InnerText on every page, and Parse and FindAll agree with their
+// references.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{samplePage, "<sCript>\xe9\xe9\xe9\xe9\xe9</sCript",
 		"<title>ȺȺ</title>", "<style>İ</style>", "<!-- x", "<a href='x", "<table><tr><td>z",
@@ -354,6 +341,7 @@ func FuzzParse(f *testing.F) {
 			t.Errorf("HasText() = %v, InnerText() = %q", has, inner)
 		}
 		checkFindIsFirst(t, doc)
+		checkAgainstReference(t, html)
 	})
 }
 
@@ -363,7 +351,8 @@ var findSelectors = []string{
 	"a.next-page", "h1.entry-title", "table.meta td.key", "table.meta td.val", "div.body",
 	"h1.post-title", "div.byline", "article.post-body", "span.date", "span.kind",
 	"h1.headline", "div.meta", "div.story", "a.report-link", "a.next-index",
-	"div p", "div > p", "ul li", "#report", "a[href]", "div div", "* td", "",
+	"div p", "ul li", "div div", "",
+	"tr .key", "div.report.malware-report td", "div div div",
 }
 
 // checkFindIsFirst holds Find, which stops at its first match, to
@@ -393,9 +382,18 @@ func checkFindIsFirstEverywhere(t *testing.T, doc *Node) {
 
 func TestFindIsFindAllFirst(t *testing.T) {
 	checkFindIsFirstEverywhere(t, Parse(samplePage))
+	for _, page := range syntheticPages(t) {
+		checkFindIsFirstEverywhere(t, Parse(page))
+	}
+}
+
+// syntheticPages returns the index and report pages of the synthetic
+// web's HTML sources.
+func syntheticPages(t *testing.T) []string {
+	t.Helper()
 	specs := sources.DefaultSources(3)
 	web := sources.NewWeb(1, specs)
-	pages := 0
+	var pages []string
 	for _, spec := range specs {
 		if spec.Format != "html" {
 			continue
@@ -406,12 +404,78 @@ func TestFindIsFindAllFirst(t *testing.T) {
 		}
 		for _, u := range urls {
 			if page, err := web.Fetch(u); err == nil {
-				checkFindIsFirstEverywhere(t, Parse(string(page.Body)))
-				pages++
+				pages = append(pages, string(page.Body))
 			}
 		}
 	}
-	if pages < 100 {
-		t.Fatalf("%d pages checked", pages)
+	if len(pages) < 100 {
+		t.Fatalf("only %d synthetic pages fetched", len(pages))
+	}
+	return pages
+}
+
+// checkAgainstReference holds Parse to referenceParse on html, and
+// FindAll to referenceFindAll below every node of the tree, for every
+// selector in findSelectors.
+func checkAgainstReference(t *testing.T, html string) {
+	t.Helper()
+	doc := Parse(html)
+	if path := treeDiff(doc, referenceParse(html), "#document"); path != "" {
+		t.Fatalf("Parse and referenceParse differ at %s", path)
+	}
+	var check func(n *Node)
+	check = func(n *Node) {
+		for _, sel := range findSelectors {
+			if got, want := n.FindAll(sel), referenceFindAll(n, sel); !slices.Equal(got, want) {
+				t.Fatalf("FindAll(%q) below <%s>: %d nodes, the reference %d", sel, n.Tag, len(got), len(want))
+			}
+		}
+		for _, c := range n.Children {
+			check(c)
+		}
+	}
+	check(doc)
+}
+
+// treeDiff returns the path to the first node where trees a and b differ
+// in type, tag, text, attributes, children or parent links, or "".
+func treeDiff(a, b *Node, path string) string {
+	if a.Type != b.Type || a.Tag != b.Tag || a.Text != b.Text || !maps.Equal(a.Attrs, b.Attrs) || len(a.Children) != len(b.Children) {
+		return path
+	}
+	for i := range a.Children {
+		if a.Children[i].Parent != a || b.Children[i].Parent != b {
+			return path + " (parent link)"
+		}
+		if d := treeDiff(a.Children[i], b.Children[i], fmt.Sprintf("%s/%d:%s", path, i, a.Children[i].Tag)); d != "" {
+			return d
+		}
+	}
+	return ""
+}
+
+func TestMatchesReferenceOnSyntheticWeb(t *testing.T) {
+	checkAgainstReference(t, samplePage)
+	for _, page := range syntheticPages(t) {
+		checkAgainstReference(t, page)
+	}
+}
+
+// The shapes behind the linear rewrite: nested matches of every step,
+// stray and interleaved end tags before and after the first stray one,
+// and auto-closed elements that a later end tag names.
+func TestMatchesReferenceOnNestingShapes(t *testing.T) {
+	for _, html := range []string{
+		strings.Repeat(`<table class="meta"><tr><td class="key">k<div>`, 20),
+		strings.Repeat("<div>", 30) + strings.Repeat("</x>", 30) + strings.Repeat("</div>", 10) + "<p>after",
+		"<div><p>a<div><p>b</div></p></div>c</div>",
+		"<ul><li>a<li>b<ul><li>c</li></ul></li></ul><li>d</ul>",
+		"<tr><td>a<td>b</tr></td><th>c</td>",
+		"<dl><dt>a<dd>b<dt>c</dl></dd>",
+		"<div><p>a</div><span>b</p></span>c",
+		"</x><ul><li>a<li>b</li></ul></li><p>c</p></p>",
+		`<div class="report malware-report"><div><table><tr><td class="key">x</td></tr></table></div></div>`,
+	} {
+		checkAgainstReference(t, html)
 	}
 }

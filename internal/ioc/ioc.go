@@ -613,7 +613,23 @@ func findDomain(s string, from int) (int, int) {
 		if end >= 0 {
 			return i, end
 		}
-		i = max(p, i+1)
+		if p > i {
+			i = p
+			continue
+		}
+		// The first label failed. Every start in its run of label bytes
+		// reaches the same end d, and only the 63-byte limit depends on
+		// the start: past the limit, skip to the first start within it;
+		// on any other failure, skip the run.
+		d := i
+		for d < len(s) && (isAlnum(s[d]) || s[d] == '-') {
+			d++
+		}
+		if d < len(s) && s[d] == '.' && s[d-1] != '-' {
+			i = d - 63
+		} else {
+			i = d
+		}
 	}
 	return -1, -1
 }

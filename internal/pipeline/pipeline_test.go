@@ -210,6 +210,7 @@ func TestGroupingPorterJoinsPages(t *testing.T) {
 	page1 := ctirep.RawFile{
 		Source: "src", URL: "https://src.osint.test/report/3", Format: "html",
 		Body: []byte(`<html><body><p>part one</p><a class="next-page" href="https://src.osint.test/report/3/2">next</a></body></html>`),
+		Next: "https://src.osint.test/report/3/2",
 	}
 	page2 := ctirep.RawFile{
 		Source: "src", URL: "https://src.osint.test/report/3/2", Format: "html",
@@ -239,6 +240,7 @@ func TestGroupingPorterFlushEmitsPartials(t *testing.T) {
 	page1 := ctirep.RawFile{
 		Source: "src", URL: "u1", Format: "html",
 		Body: []byte(`<html><body>x<a class="next-page" href="u2">next</a></body></html>`),
+		Next: "u2",
 	}
 	if got := g.Port(page1); got != nil {
 		t.Fatal("held page emitted early")

@@ -70,8 +70,8 @@ func scanTitle(body []byte) string {
 	return strings.TrimSpace(htmlparse.DecodeEntities(s[start : start+end]))
 }
 
-// GroupingPorter groups multi-page HTML reports: a page whose body links
-// to a continuation (a.next-page) is held until the continuation arrives,
+// GroupingPorter groups multi-page HTML reports: a page that names a
+// continuation (RawFile.Next) is held until the continuation arrives,
 // then both pages are emitted as one report representation.
 type GroupingPorter struct {
 	// pending maps the awaited continuation URL to the partial report.
@@ -86,18 +86,15 @@ func NewGroupingPorter() *GroupingPorter {
 // Port implements Porter.
 func (g *GroupingPorter) Port(f ctirep.RawFile) []*ctirep.ReportRep {
 	// Is this file a continuation someone is waiting for?
-	if rep, ok := g.pending[f.URL]; ok {
+	rep, ok := g.pending[f.URL]
+	if ok {
 		delete(g.pending, f.URL)
 		rep.Pages = append(rep.Pages, f.Body)
-		if next := nextPageURL(f); next != "" {
-			g.pending[next] = rep
-			return nil
-		}
-		return []*ctirep.ReportRep{rep}
+	} else {
+		rep = makeRep(f.Source, f.URL, f)
 	}
-	rep := makeRep(f.Source, f.URL, f)
-	if next := nextPageURL(f); next != "" {
-		g.pending[next] = rep
+	if f.Next != "" {
+		g.pending[f.Next] = rep
 		return nil
 	}
 	return []*ctirep.ReportRep{rep}
@@ -112,24 +109,6 @@ func (g *GroupingPorter) Flush() []*ctirep.ReportRep {
 	}
 	g.pending = make(map[string]*ctirep.ReportRep)
 	return out
-}
-
-func nextPageURL(f ctirep.RawFile) string {
-	if f.Format != "html" {
-		return ""
-	}
-	// Fast reject: most pages have no continuation link; only parse the
-	// few that mention one (the porter stage is serial).
-	if !strings.Contains(string(f.Body), "next-page") {
-		return ""
-	}
-	doc := htmlparse.Parse(string(f.Body))
-	if a := doc.Find("a.next-page"); a != nil {
-		if href, ok := a.Attr("href"); ok {
-			return href
-		}
-	}
-	return ""
 }
 
 // --- checkers ---
