@@ -80,9 +80,9 @@ func main() {
 	fmt.Printf("skg: crawled %d files in %s (%.0f reports/min), %d retries, %d failures\n",
 		st.Crawl.Collected, st.Crawl.Elapsed.Round(1e6), st.Crawl.ReportsPerMinute(),
 		st.Crawl.Retries, st.Crawl.Failures)
-	fmt.Printf("skg: processed %d reports (%d rejected by checkers, %d parse errors, %d lost after extraction) in %s\n",
+	fmt.Printf("skg: processed %d reports (%d rejected by checkers, %d parse errors, %d lost after extraction, %d failed on a panic) in %s\n",
 		st.Process.Connected, st.Process.Rejected, st.Process.ParseErrs, st.Process.ExtractErrs,
-		st.Process.Elapsed.Round(1e6))
+		st.Process.Panics, st.Process.Elapsed.Round(1e6))
 	if cfg.Fusion.Enabled {
 		fmt.Printf("skg: fusion merged %d nodes across %d alias groups\n",
 			st.Fusion.NodesMerged, st.Fusion.Groups)

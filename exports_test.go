@@ -2,11 +2,14 @@ package securitykg
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,89 +27,208 @@ var stdlibMethods = map[string]bool{
 	"MarshalBinary": true, "UnmarshalBinary": true,
 	"ServeHTTP": true, "Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"Read": true, "Write": true, "Close": true, "WriteTo": true, "ReadFrom": true,
+	"ReadByte": true,
 }
 
 // unreferencedAllowed are exported names under internal/ that only tests
 // call, each kept for the reason given.
 var unreferencedAllowed = map[string]string{
-	"graph.Store.SaveBinary":  "the persistence oracle compares its bytes with files the pre-slab commit wrote",
-	"ner.NewFromModel":        "builds an extractor from a fixed model, so extraction tests skip training",
-	"crf.Model.MarginalProbs": "the string-keyed oracle test checks the decoder's marginals through it",
-	"cypher.MapValue":         "builds map values for the value-encoding tests",
-	"embed.Embeddings.Vector": "the embedding tests read trained vectors through it",
+	"graph.Store.SaveBinary":           "the persistence oracle compares its bytes with files the pre-slab commit wrote",
+	"ner.NewFromModel":                 "builds an extractor from a fixed model, so extraction tests skip training",
+	"ner.Extractor.Model":              "with NewFromModel, the ner and pipeline tests build a second extractor over one trained model",
+	"crf.Model.MarginalProbs":          "the string-keyed oracle test checks the decoder's marginals through it",
+	"crf.Model.Save":                   "wrote testdata/parent-model.json, the parent-model oracle's fixture, and the round-trip test saves through it",
+	"crf.Load":                         "loads testdata/parent-model.json for the parent-model oracle",
+	"crf.Model.Decode":                 "the crf tests and the parent-model oracle decode string-keyed sequences through it",
+	"cypher.MapValue":                  "builds map values for the value-encoding tests",
+	"cypher.Tx.Query":                  "the cypher tests and the module-level benchmarks run a statement inside a transaction and read its rows whole",
+	"embed.Embeddings.Vector":          "the embedding tests read trained vectors through it",
+	"server.New":                       "the module-level integration and durability tests build a server with the default query options",
+	"relstore.Store.Count":             "the relstore, pipeline and module-level tests count a table's rows through it",
+	"connector.RelConnector.Connected": "the connector and pipeline tests count the reports the relational connector took",
+	"metrics.Counter.Value":            "the metrics and storage tests read counters through it",
+	"search.Index.Remove":              "ROADMAP item 1's delete feed removes reports from the index through it",
 }
 
 // TestNoUnreferencedExports fails when a package under internal/ declares
-// an exported function, method or type whose name no non-test .go file in
-// the module references (cmd/, examples/ and bench/ count as callers). Such a
-// declaration is code only its own tests run; delete it with them, or
-// name it in unreferencedAllowed with the reason it stays.
+// an exported function, method or type that no non-test .go file in the
+// module uses (cmd/, examples/ and bench/ count as callers). Uses are
+// resolved by type checking, so a use of another declaration of the same
+// name does not count, and neither does a use inside the declaration
+// itself: a function's own body, a type's own definition or the receiver
+// of one of its methods. A method runs when a method of an interface its
+// type implements is used, and a method the standard library calls
+// through its interfaces (stdlibMethods) always runs. Such a declaration
+// is code only its own tests run; delete it with them, or name it in
+// unreferencedAllowed with the reason it stays.
 func TestNoUnreferencedExports(t *testing.T) {
 	fset := token.NewFileSet()
-	used := map[string]bool{}
-	type decl struct{ key, pos string }
-	var decls []decl
-	forEachSourceFile(t, fset, func(path string, f *ast.File) {
-		declNames := map[*ast.Ident]bool{}
-		inInternal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
-		declare := func(key string, id *ast.Ident) {
-			declNames[id] = true
-			if inInternal && id.IsExported() {
-				decls = append(decls, decl{f.Name.Name + "." + key, fset.Position(id.Pos()).String()})
-			}
+	info := typeCheckModule(t, fset)
+	type decl struct {
+		key, pos string
+		own      []ast.Node // uses inside these do not count
+		used     bool
+	}
+	decls := map[types.Object]*decl{}
+	for ident, obj := range info.Defs {
+		if obj == nil || !ident.IsExported() || obj.Parent() != obj.Pkg().Scope() && !isMethod(obj) {
+			continue
 		}
+		switch obj.(type) {
+		case *types.Var, *types.Const:
+			continue
+		}
+		path := filepath.ToSlash(fset.Position(ident.Pos()).Filename)
+		if !strings.HasPrefix(path, "internal/") {
+			continue
+		}
+		key := obj.Pkg().Name() + "." + obj.Name()
+		if isMethod(obj) {
+			recv := obj.Type().(*types.Signature).Recv().Type()
+			if stdlibMethods[obj.Name()] || types.IsInterface(recv) {
+				continue // an interface's own method declares nothing that runs
+			}
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			key = obj.Pkg().Name() + "." + recv.(*types.Named).Obj().Name() + "." + obj.Name()
+		}
+		decls[obj] = &decl{key: key, pos: fset.Position(ident.Pos()).String()}
+	}
+	// Each declaration's own extent: a function's whole declaration, a
+	// type's spec and the receiver of each of its methods.
+	for _, f := range info.files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.GenDecl:
-				if d.Tok != token.TYPE {
-					continue
-				}
 				for _, spec := range d.Specs {
-					ts := spec.(*ast.TypeSpec)
-					declare(ts.Name.Name, ts.Name)
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						if dl := decls[info.Defs[ts.Name]]; dl != nil {
+							dl.own = append(dl.own, ts)
+						}
+					}
 				}
 			case *ast.FuncDecl:
-				if d.Recv == nil {
-					declare(d.Name.Name, d.Name)
-					continue
+				if dl := decls[info.Defs[d.Name]]; dl != nil {
+					dl.own = append(dl.own, d)
 				}
-				// A method's receiver names its own type, not a use of it.
-				recv := recvIdent(d.Recv.List[0].Type)
-				declNames[recv] = true
-				if stdlibMethods[d.Name.Name] {
-					declNames[d.Name] = true
-					continue
+				if d.Recv != nil {
+					if dl := decls[info.Uses[recvIdent(d.Recv.List[0].Type)]]; dl != nil {
+						dl.own = append(dl.own, d.Recv)
+					}
 				}
-				declare(recv.Name+"."+d.Name.Name, d.Name)
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
-				used[id.Name] = true
+	}
+	var ifaceMethods []*types.Func // interface methods some code uses
+	for ident, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceMethods = append(ifaceMethods, fn)
 			}
-			return true
+		}
+		d := decls[obj]
+		if d == nil || d.used {
+			continue
+		}
+		d.used = !slices.ContainsFunc(d.own, func(n ast.Node) bool { return n.Pos() <= ident.Pos() && ident.Pos() < n.End() })
+	}
+	for obj, d := range decls {
+		if d.used || !isMethod(obj) {
+			continue
+		}
+		recv := obj.Type().(*types.Signature).Recv().Type()
+		d.used = slices.ContainsFunc(ifaceMethods, func(m *types.Func) bool {
+			iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			return m.Name() == obj.Name() && types.Implements(recv, iface)
 		})
-	})
+	}
 	var dead []string
+	keys := map[string]bool{}
 	for _, d := range decls {
-		name := d.key[strings.LastIndexByte(d.key, '.')+1:]
-		if used[name] {
-			continue
+		keys[d.key] = true
+		_, allowed := unreferencedAllowed[d.key]
+		switch {
+		case d.used && allowed:
+			t.Errorf("%s is used by non-test code: drop it from unreferencedAllowed", d.key)
+		case !d.used && !allowed:
+			dead = append(dead, d.key+" ("+d.pos+")")
 		}
-		if _, ok := unreferencedAllowed[d.key]; ok {
-			continue
-		}
-		dead = append(dead, d.key+" ("+d.pos+")")
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s: exported, but no non-test code references it", d)
+		t.Errorf("%s: exported, but no non-test code uses it", d)
 	}
 	for key := range unreferencedAllowed {
-		if used[key[strings.LastIndexByte(key, '.')+1:]] {
-			t.Errorf("%s is referenced by non-test code: drop it from unreferencedAllowed", key)
+		if !keys[key] {
+			t.Errorf("%s is in unreferencedAllowed but declares nothing: drop it", key)
 		}
 	}
+}
+
+func isMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	return ok && fn.Type().(*types.Signature).Recv() != nil
+}
+
+// moduleInfo is what type checking the module's non-test files records:
+// the files and, for each of their identifiers, the object it declares or
+// uses.
+type moduleInfo struct {
+	*types.Info
+	files []*ast.File
+}
+
+// typeCheckModule type-checks every package of the module from its
+// non-test files (forEachSourceFile's), importing the standard library
+// from its export data.
+func typeCheckModule(t *testing.T, fset *token.FileSet) moduleInfo {
+	t.Helper()
+	mod := moduleInfo{Info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	byPath := map[string][]*ast.File{}
+	forEachSourceFile(t, fset, func(path string, f *ast.File) {
+		importPath := "securitykg"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			importPath += "/" + dir
+		}
+		byPath[importPath] = append(byPath[importPath], f)
+		mod.files = append(mod.files, f)
+	})
+	imp := &moduleImporter{fset: fset, info: mod.Info, files: byPath,
+		checked: map[string]*types.Package{}, std: importer.Default()}
+	for path := range byPath {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mod
+}
+
+// moduleImporter type-checks a package of the module on its first import.
+type moduleImporter struct {
+	fset    *token.FileSet
+	info    *types.Info
+	files   map[string][]*ast.File // import path -> non-test files
+	checked map[string]*types.Package
+	std     types.Importer
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := m.checked[path]; ok {
+		return pkg, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.checked[path] = pkg
+	return pkg, nil
 }
 
 // forEachSourceFile parses every non-test .go file of the module (cmd/,
@@ -176,8 +298,8 @@ var unsetAllowed = map[string]string{
 // (its own defaulting, not a setter of another package's field). A field
 // with a json tag is set by the configuration file. A setting nobody sets
 // is a constant: make it one, or name it in unsetAllowed with the reason
-// it stays. Like TestNoUnreferencedExports it goes by name, so a key or
-// assignment of the same name elsewhere counts as a setter.
+// it stays. It goes by name, so a key or assignment of the same name
+// elsewhere counts as a setter.
 func TestNoUnsetOptions(t *testing.T) {
 	fset := token.NewFileSet()
 	type field struct{ key, name, dir, pos string }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,25 +163,6 @@ func (f *Framework) RunOnce(ctx context.Context, emit func(ctirep.RawFile)) erro
 	return firstErr
 }
 
-// Start schedules periodic incremental crawls every period until the
-// context is cancelled. The first run starts immediately.
-func (f *Framework) Start(ctx context.Context, period time.Duration, emit func(ctirep.RawFile)) {
-	go func() {
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		for {
-			if err := f.RunOnce(ctx, emit); err != nil && f.cfg.Logger != nil {
-				f.cfg.Logger.Printf("crawler: run: %v", err)
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-		}
-	}()
-}
-
 // crawlSourceWithReboot runs one source crawl, restarting after panics up
 // to 3 times (the paper's "reboot after failure" behaviour).
 func (f *Framework) crawlSourceWithReboot(ctx context.Context, spec sources.SourceSpec, emit func(ctirep.RawFile)) error {
@@ -228,7 +210,7 @@ func (f *Framework) crawlSource(ctx context.Context, spec sources.SourceSpec, em
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			f.collectReport(spec, href, emit)
+			f.collectReport(ctx, spec, href, emit)
 		}
 		indexURL = ""
 		if next := doc.Find("a.next-index"); next != nil {
@@ -241,8 +223,10 @@ func (f *Framework) crawlSource(ctx context.Context, spec sources.SourceSpec, em
 }
 
 // collectReport fetches one report and its continuation pages, emitting a
-// RawFile per page. Already-seen reports are skipped (incremental).
-func (f *Framework) collectReport(spec sources.SourceSpec, url string, emit func(ctirep.RawFile)) {
+// RawFile per page. Already-seen reports are skipped (incremental). A
+// continuation the report has already fetched ends it: the page naming it
+// is emitted as the last, with Next cleared.
+func (f *Framework) collectReport(ctx context.Context, spec sources.SourceSpec, url string, emit func(ctirep.RawFile)) {
 	f.mu.Lock()
 	if f.seen[url] {
 		f.mu.Unlock()
@@ -251,8 +235,9 @@ func (f *Framework) collectReport(spec sources.SourceSpec, url string, emit func
 	f.seen[url] = true
 	f.mu.Unlock()
 
-	pageURL := url
-	for pageURL != "" {
+	var fetched []string
+	for pageURL := url; pageURL != "" && ctx.Err() == nil; {
+		fetched = append(fetched, pageURL)
 		page, err := f.fetchRetry(pageURL)
 		if err != nil {
 			f.failures.Add(1)
@@ -272,6 +257,9 @@ func (f *Framework) collectReport(spec sources.SourceSpec, url string, emit func
 			rf.Format = "pdf"
 		} else if next := htmlparse.Parse(string(page.Body)).Find("a.next-page"); next != nil {
 			rf.Next, _ = next.Attr("href")
+		}
+		if slices.Contains(fetched, rf.Next) {
+			rf.Next = ""
 		}
 		emit(rf)
 		f.collected.Add(1)

@@ -237,26 +237,64 @@ func TestThroughputMeterPositive(t *testing.T) {
 	}
 }
 
-func TestPeriodicStartIncrementallyCrawls(t *testing.T) {
-	specs := sources.DefaultSources(5)[:1]
-	web := sources.NewWeb(1, specs)
-	f := New(web, specs, Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var count atomic64
-	f.Start(ctx, 10*time.Millisecond, func(ctirep.RawFile) { count.inc() })
-	deadline := time.After(3 * time.Second)
-	for count.val() < 5 {
-		select {
-		case <-deadline:
-			t.Fatalf("periodic crawl collected only %d", count.val())
-		case <-time.After(5 * time.Millisecond):
-		}
+// cycleFetcher serves the synthetic web, except that each URL in next is
+// a page naming next[URL] as its continuation.
+type cycleFetcher struct {
+	inner sources.Fetcher
+	next  map[string]string
+}
+
+func (c cycleFetcher) Fetch(url string) (*sources.Page, error) {
+	if next, ok := c.next[url]; ok {
+		return &sources.Page{URL: url, ContentType: "text/html", Body: []byte(
+			`<html><body><p>Page.</p><a class="next-page" href="` + next + `">continue reading</a></body></html>`)}, nil
 	}
-	// Let a few more periods elapse: incremental dedup means no growth.
-	time.Sleep(50 * time.Millisecond)
-	if got := count.val(); got > 6 { // 5 reports + possible 1 multipage page
-		t.Errorf("periodic runs re-collected: %d", got)
+	return c.inner.Fetch(url)
+}
+
+// A report page naming itself, or a continuation naming the page before
+// it, ends the report: each page is emitted once, the last with no Next,
+// and the crawl ends well inside its deadline.
+func TestContinuationCycleEndsReport(t *testing.T) {
+	specs := sources.DefaultSources(2)[:1]
+	base := specs[0].BaseURL()
+	for _, tc := range []struct {
+		name string
+		next map[string]string
+		want []string
+	}{
+		{"self", map[string]string{base + "/report/0": base + "/report/0"}, []string{base + "/report/0"}},
+		{"two pages", map[string]string{
+			base + "/report/0":   base + "/report/0/2",
+			base + "/report/0/2": base + "/report/0",
+		}, []string{base + "/report/0", base + "/report/0/2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			web := sources.NewWeb(1, specs)
+			f := New(cycleFetcher{web, tc.next}, specs, Config{Workers: 1})
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			emitted := map[string][]ctirep.RawFile{}
+			if err := f.RunOnce(ctx, func(rf ctirep.RawFile) {
+				emitted[rf.URL] = append(emitted[rf.URL], rf)
+			}); err != nil {
+				t.Fatalf("RunOnce: %v", err)
+			}
+			for i, u := range tc.want {
+				pages := emitted[u]
+				if len(pages) != 1 {
+					t.Fatalf("%s emitted %d times, want once", u, len(pages))
+				}
+				if last := i == len(tc.want)-1; last && pages[0].Next != "" {
+					t.Errorf("last page %s emitted naming %s as its continuation", u, pages[0].Next)
+				} else if !last && pages[0].Next != tc.want[i+1] {
+					t.Errorf("%s names %q as its continuation, want %s", u, pages[0].Next, tc.want[i+1])
+				}
+			}
+			if got := len(emitted[base+"/report/1"]); got != 1 {
+				t.Errorf("the next report emitted %d times, want once", got)
+			}
+		})
 	}
 }
 

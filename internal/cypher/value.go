@@ -154,38 +154,6 @@ func ToValue(v any) (Value, error) {
 	return Value{}, fmt.Errorf("cypher: unsupported parameter type %T", v)
 }
 
-// Go returns the plain Go representation of a value (inverse of ToValue
-// where one exists); nodes and edges come back as their graph pointers.
-func (v Value) Go() any {
-	switch v.Kind {
-	case KindNull:
-		return nil
-	case KindString:
-		return v.Str
-	case KindNumber:
-		return v.Num
-	case KindBool:
-		return v.Bool
-	case KindNode:
-		return v.Node
-	case KindEdge:
-		return v.Edge
-	case KindList:
-		out := make([]any, len(v.List))
-		for i, e := range v.List {
-			out[i] = e.Go()
-		}
-		return out
-	case KindMap:
-		out := make(map[string]any, len(v.Map))
-		for _, f := range v.Map {
-			out[f.Key] = f.Val.Go()
-		}
-		return out
-	}
-	return nil
-}
-
 // valueBytes is the byte-budget charge for one value: a coarse estimate
 // of its in-memory footprint (struct header plus owned string bytes,
 // lists recursively). Node/edge values charge only the header — the

@@ -6,11 +6,7 @@
 package embed
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -34,18 +30,8 @@ type Embeddings struct {
 	vecs  [][]float32
 }
 
-// Dim returns the vector dimensionality.
-func (e *Embeddings) Dim() int { return e.dim }
-
 // Len returns the vocabulary size.
 func (e *Embeddings) Len() int { return len(e.words) }
-
-// Words returns the vocabulary in index order.
-func (e *Embeddings) Words() []string {
-	out := make([]string, len(e.words))
-	copy(out, e.words)
-	return out
-}
 
 // Vector returns the embedding for a word.
 func (e *Embeddings) Vector(word string) ([]float32, bool) {
@@ -263,47 +249,4 @@ func (e *Embeddings) Clusters(k int, iters int, seed int64) map[string]int {
 		out[w] = assign[i]
 	}
 	return out
-}
-
-// --- persistence ---
-
-type persistEmb struct {
-	Magic string      `json:"magic"`
-	Dim   int         `json:"dim"`
-	Words []string    `json:"words"`
-	Vecs  [][]float32 `json:"vecs"`
-}
-
-const embMagic = "securitykg-emb-v1"
-
-// Save serializes the embeddings as JSON.
-func (e *Embeddings) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	err := json.NewEncoder(bw).Encode(persistEmb{
-		Magic: embMagic, Dim: e.dim, Words: e.words, Vecs: e.vecs,
-	})
-	if err != nil {
-		return fmt.Errorf("embed: save: %w", err)
-	}
-	return bw.Flush()
-}
-
-// Load reads embeddings written by Save.
-func Load(r io.Reader) (*Embeddings, error) {
-	var p persistEmb
-	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&p); err != nil {
-		return nil, fmt.Errorf("embed: load: %w", err)
-	}
-	if p.Magic != embMagic {
-		return nil, errors.New("embed: not a securitykg embeddings file")
-	}
-	if len(p.Words) != len(p.Vecs) {
-		return nil, errors.New("embed: corrupt embeddings file")
-	}
-	e := &Embeddings{dim: p.Dim, words: p.Words, vecs: p.Vecs,
-		idx: make(map[string]int, len(p.Words))}
-	for i, w := range p.Words {
-		e.idx[w] = i
-	}
-	return e, nil
 }

@@ -1,7 +1,6 @@
 package embed
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -180,45 +179,9 @@ func TestDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	e := trainTopics(t)
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.Len() != e.Len() || e2.Dim() != e.Dim() {
-		t.Fatalf("shape mismatch after load")
-	}
-	for _, w := range []string{"malware", "patch"} {
-		v1, _ := e.Vector(w)
-		v2, ok := e2.Vector(w)
-		if !ok {
-			t.Fatalf("lost word %q", w)
-		}
-		for i := range v1 {
-			if v1[i] != v2[i] {
-				t.Fatalf("vector changed for %q", w)
-			}
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString(`{"magic":"x"}`)); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := Load(bytes.NewBufferString(`{"magic":"securitykg-emb-v1","dim":2,"words":["a"],"vecs":[]}`)); err == nil {
-		t.Error("corrupt shape accepted")
-	}
-}
-
 func TestWordsSortedStable(t *testing.T) {
 	e := trainTopics(t)
-	ws := e.Words()
+	ws := e.words
 	for i := 1; i < len(ws); i++ {
 		if ws[i-1] >= ws[i] {
 			t.Fatalf("vocabulary not sorted at %d: %q >= %q", i, ws[i-1], ws[i])

@@ -251,6 +251,3 @@ func isASCII(s string) bool {
 	}
 	return true
 }
-
-// Size returns the number of curated phrases.
-func (l *Lookup) Size() int { return len(l.phrases) }

@@ -133,3 +133,6 @@ func TestNormalize(t *testing.T) {
 		t.Errorf("normalize failed: %q", Normalize("  Lazarus   GROUP "))
 	}
 }
+
+// Size returns the number of curated phrases.
+func (l *Lookup) Size() int { return len(l.phrases) }

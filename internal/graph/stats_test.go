@@ -414,3 +414,6 @@ func TestNodeIDAccessPaths(t *testing.T) {
 		}
 	}
 }
+
+// count returns the number of interned symbols, including "".
+func (t *symtab) count() int { return len(t.strs) }

@@ -77,6 +77,3 @@ func (t *symtab) str(id Sym) string {
 func (t *symtab) canon(s string) string {
 	return t.strs[t.intern(s)]
 }
-
-// count returns the number of interned symbols, including "".
-func (t *symtab) count() int { return len(t.strs) }

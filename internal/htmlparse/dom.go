@@ -214,14 +214,3 @@ func collapseSpace(s string) string {
 	}
 	return b.String()
 }
-
-// Walk visits every node in the subtree in document order. Returning false
-// from fn prunes the node's children.
-func (n *Node) Walk(fn func(*Node) bool) {
-	if !fn(n) {
-		return
-	}
-	for _, c := range n.Children {
-		c.Walk(fn)
-	}
-}

@@ -193,37 +193,6 @@ func TestInnerTextBlockSeparation(t *testing.T) {
 	}
 }
 
-func TestWalkVisitsAllElements(t *testing.T) {
-	doc := Parse(samplePage)
-	count := 0
-	doc.Walk(func(n *Node) bool {
-		if n.Type == ElementNode {
-			count++
-		}
-		return true
-	})
-	if count < 15 {
-		t.Errorf("expected at least 15 elements, got %d", count)
-	}
-}
-
-func TestWalkPrune(t *testing.T) {
-	doc := Parse("<div><span>a</span></div><p>b</p>")
-	var tags []string
-	doc.Walk(func(n *Node) bool {
-		if n.Type == ElementNode {
-			tags = append(tags, n.Tag)
-			return n.Tag != "div" // prune div's subtree
-		}
-		return true
-	})
-	for _, tg := range tags {
-		if tg == "span" {
-			t.Error("pruned subtree was visited")
-		}
-	}
-}
-
 func TestFindAllNoDuplicatesOnNestedMatch(t *testing.T) {
 	doc := Parse("<div><div><p>x</p></div></div>")
 	ps := doc.FindAll("div p")

@@ -1,10 +1,10 @@
 // Package metrics is a small, dependency-free metrics registry with
 // Prometheus text exposition (version 0.0.4). It exists so the store,
 // query engine, WAL and replication layers can export runtime counters
-// without pulling a client library into the module: counters and gauges
-// are atomic int64s, histograms use fixed buckets, and exposition is
-// deterministic — collectors render in registration order, labeled
-// children in sorted label order — so scrapes diff cleanly.
+// without pulling a client library into the module: counters are atomic
+// int64s, gauges sample callbacks, histograms use fixed buckets, and
+// exposition is deterministic — collectors render in registration order,
+// labeled children in sorted label order — so scrapes diff cleanly.
 //
 // Two kinds of registries cooperate:
 //
@@ -165,38 +165,6 @@ func (c *Counter) write(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
 }
 
-// --- gauge ---
-
-// Gauge is a settable integer value.
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// NewGauge registers a gauge on reg.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.register(&Gauge{name: name, help: help}).(*Gauge)
-}
-
-// NewGauge registers a gauge on the default registry.
-func NewGauge(name, help string) *Gauge { return std.NewGauge(name, help) }
-
-func (g *Gauge) metricName() string { return g.name }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) write(w io.Writer) {
-	header(w, g.name, g.help, "gauge")
-	fmt.Fprintf(w, "%s %d\n", g.name, g.v.Load())
-}
-
 // --- gauge func ---
 
 // gaugeFunc samples a callback at scrape time — the shape instance
@@ -292,9 +260,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 func (h *Histogram) write(w io.Writer) {
 	header(w, h.name, h.help, "histogram")
 	h.writeSamples(w)
@@ -327,74 +292,6 @@ func (h *Histogram) bareLabels() string {
 
 // --- labeled vectors ---
 
-// CounterVec is a family of counters keyed by label values.
-type CounterVec struct {
-	name, help string
-	labels     []string
-	mu         sync.Mutex
-	children   map[string]*vecCounter
-}
-
-type vecCounter struct {
-	vals []string
-	v    atomic.Int64
-}
-
-// NewCounterVec registers a labeled counter family on reg.
-func (r *Registry) NewCounterVec(name, help string, labels []string) *CounterVec {
-	return r.register(&CounterVec{name: name, help: help, labels: labels,
-		children: map[string]*vecCounter{}}).(*CounterVec)
-}
-
-// NewCounterVec registers a labeled counter family on the default registry.
-func NewCounterVec(name, help string, labels []string) *CounterVec {
-	return std.NewCounterVec(name, help, labels)
-}
-
-func (v *CounterVec) metricName() string { return v.name }
-
-func vecKey(vals []string) string { return strings.Join(vals, "\x00") }
-
-// With returns the child counter for the given label values.
-func (v *CounterVec) With(vals ...string) *vecCounter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	key := vecKey(vals)
-	c, ok := v.children[key]
-	if !ok {
-		c = &vecCounter{vals: append([]string{}, vals...)}
-		v.children[key] = c
-	}
-	return c
-}
-
-// Inc adds one.
-func (c *vecCounter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *vecCounter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *vecCounter) Value() int64 { return c.v.Load() }
-
-func (v *CounterVec) write(w io.Writer) {
-	header(w, v.name, v.help, "counter")
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	kids := make([]*vecCounter, len(keys))
-	for i, k := range keys {
-		kids[i] = v.children[k]
-	}
-	v.mu.Unlock()
-	for _, c := range kids {
-		fmt.Fprintf(w, "%s%s %d\n", v.name, labelString(v.labels, c.vals), c.v.Load())
-	}
-}
-
 // HistogramVec is a family of fixed-bucket histograms keyed by label
 // values.
 type HistogramVec struct {
@@ -423,7 +320,7 @@ func (v *HistogramVec) metricName() string { return v.name }
 func (v *HistogramVec) With(vals ...string) *Histogram {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	key := vecKey(vals)
+	key := strings.Join(vals, "\x00")
 	h, ok := v.children[key]
 	if !ok {
 		h = newHistogram(v.name, v.help, v.buckets)

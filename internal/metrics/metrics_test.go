@@ -8,11 +8,9 @@ import (
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("t_ops_total", "Total ops.")
-	g := r.NewGauge("t_depth", "Current depth.")
+	r.GaugeFunc("t_depth", "Current depth.", func() float64 { return 5 })
 	c.Inc()
 	c.Add(2)
-	g.Set(7)
-	g.Add(-2)
 	out := r.String()
 	for _, want := range []string{
 		"# HELP t_ops_total Total ops.\n# TYPE t_ops_total counter\nt_ops_total 3\n",
@@ -44,7 +42,7 @@ func TestRegisterIdempotent(t *testing.T) {
 			t.Fatal("type clash should panic")
 		}
 	}()
-	r.NewGauge("t_same", "h")
+	r.NewHistogram("t_same", "h", nil)
 }
 
 func TestGaugeFuncRewire(t *testing.T) {
@@ -83,20 +81,15 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestVecDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
-	v := r.NewCounterVec("t_kind_total", "h", []string{"kind"})
-	v.With("write").Add(2)
-	v.With("read").Add(5)
-	v.With("read").Inc()
+	hv := r.NewHistogramVec("t_rows", "h", []string{"kind"}, []float64{1, 10})
+	hv.With("write").Observe(20)
+	hv.With("read").Observe(3)
 	out := r.String()
-	read := strings.Index(out, `t_kind_total{kind="read"} 6`)
-	write := strings.Index(out, `t_kind_total{kind="write"} 2`)
+	read := strings.Index(out, `t_rows_count{kind="read"} 1`)
+	write := strings.Index(out, `t_rows_count{kind="write"} 1`)
 	if read < 0 || write < 0 || read > write {
 		t.Fatalf("labeled children must render sorted:\n%s", out)
 	}
-
-	hv := r.NewHistogramVec("t_rows", "h", []string{"kind"}, []float64{1, 10})
-	hv.With("read").Observe(3)
-	out = r.String()
 	for _, want := range []string{
 		`t_rows_bucket{kind="read",le="1"} 0`,
 		`t_rows_bucket{kind="read",le="10"} 1`,
@@ -112,10 +105,10 @@ func TestVecDeterministicOrder(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	v := r.NewCounterVec("t_esc_total", "h", []string{"q"})
-	v.With("a\"b\\c\nd").Inc()
+	v := r.NewHistogramVec("t_esc", "h", []string{"q"}, []float64{1})
+	v.With("a\"b\\c\nd").Observe(1)
 	out := r.String()
-	if !strings.Contains(out, `t_esc_total{q="a\"b\\c\nd"} 1`) {
+	if !strings.Contains(out, `t_esc_count{q="a\"b\\c\nd"} 1`) {
 		t.Fatalf("label not escaped:\n%s", out)
 	}
 }

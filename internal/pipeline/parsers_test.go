@@ -67,17 +67,17 @@ func TestNewsParserFields(t *testing.T) {
 
 func TestParserForSelection(t *testing.T) {
 	specs := sources.DefaultSources(1)
-	seen := map[string]bool{}
+	seen := map[Parser]bool{}
 	for _, spec := range specs {
 		p := ParserFor(spec)
-		seen[p.Name()] = true
-		if spec.Format == "pdf" && p.Name() != "pdf" {
-			t.Errorf("pdf source %s got parser %s", spec.Slug, p.Name())
+		seen[p] = true
+		if spec.Format == "pdf" && p != (PDFParser{}) {
+			t.Errorf("pdf source %s got parser %T", spec.Slug, p)
 		}
 	}
-	for _, want := range []string{"encyclopedia", "blog", "news", "pdf"} {
+	for _, want := range []Parser{EncyclopediaParser{}, BlogParser{}, NewsParser{}, PDFParser{}} {
 		if !seen[want] {
-			t.Errorf("no source selects the %s parser", want)
+			t.Errorf("no source selects the %T", want)
 		}
 	}
 }
@@ -89,7 +89,7 @@ func TestParsersRejectEmptyBodies(t *testing.T) {
 	}
 	for _, p := range []Parser{EncyclopediaParser{}, BlogParser{}, NewsParser{}} {
 		if _, err := p.Parse(empty); err == nil {
-			t.Errorf("%s accepted empty body", p.Name())
+			t.Errorf("%T accepted empty body", p)
 		}
 	}
 	if _, err := (PDFParser{}).Parse(&ctirep.ReportRep{

@@ -62,6 +62,7 @@ type Stats struct {
 	ExtractErrs int64 // extracted but lost re-encoding for the connector stage
 	Connected   int64
 	ConnectErrs int64
+	Panics      int64 // reports a stage panicked on
 	Elapsed     time.Duration
 }
 
@@ -96,6 +97,7 @@ type Pipeline struct {
 	extractErrs atomic.Int64
 	connected   atomic.Int64
 	connectErrs atomic.Int64
+	panics      atomic.Int64
 }
 
 // Stats snapshots the counters.
@@ -109,6 +111,7 @@ func (p *Pipeline) Stats() Stats {
 		ExtractErrs: p.extractErrs.Load(),
 		Connected:   p.connected.Load(),
 		ConnectErrs: p.connectErrs.Load(),
+		Panics:      p.panics.Load(),
 	}
 }
 
@@ -127,18 +130,12 @@ func (p *Pipeline) Run(ctx context.Context, files <-chan ctirep.RawFile) (Stats,
 	}
 	start := time.Now()
 
-	repCh := make(chan *ctirep.ReportRep, queueDepth)
-	checkedCh := make(chan *ctirep.ReportRep, queueDepth)
-	ctiCh := make(chan *ctirep.CTIRep, queueDepth)
-	extractedCh := make(chan *ctirep.CTIRep, queueDepth)
-
-	var wgPort, wgCheck, wgParse, wgExtract, wgConnect sync.WaitGroup
-
 	// Stage 1: porter. Grouping state is shared, so porting runs on one
 	// goroutine regardless of PortWorkers; porting is cheap.
-	wgPort.Add(1)
+	repCh := make(chan *ctirep.ReportRep, queueDepth)
+	ported := make(chan struct{})
 	go func() {
-		defer wgPort.Done()
+		defer close(ported)
 		defer close(repCh)
 		emit := func(rep *ctirep.ReportRep) bool {
 			rep2, err := p.reserializeRep(rep)
@@ -155,8 +152,7 @@ func (p *Pipeline) Run(ctx context.Context, files <-chan ctirep.RawFile) (Stats,
 			}
 		}
 		for f := range files {
-			reps := p.Porter.Port(f)
-			for _, rep := range reps {
+			for _, rep := range p.Porter.Port(f) {
 				if !emit(rep) {
 					return
 				}
@@ -165,134 +161,137 @@ func (p *Pipeline) Run(ctx context.Context, files <-chan ctirep.RawFile) (Stats,
 				return
 			}
 		}
-		reps := p.Porter.Flush()
-		for _, rep := range reps {
+		for _, rep := range p.Porter.Flush() {
 			if !emit(rep) {
 				return
 			}
 		}
 	}()
 
-	// Stage 2: checkers.
-	for i := 0; i < p.Cfg.CheckWorkers; i++ {
-		wgCheck.Add(1)
-		go func() {
-			defer wgCheck.Done()
-			for rep := range repCh {
-				ok := true
-				for _, ch := range p.Checkers {
-					if !ch.Check(rep) {
-						ok = false
-						p.rejected.Add(1)
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				select {
-				case checkedCh <- rep:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() { wgCheck.Wait(); close(checkedCh) }()
+	repURL := func(rep *ctirep.ReportRep) string { return rep.URL }
+	ctiURL := func(cti *ctirep.CTIRep) string { return cti.URL }
+	checkedCh := stage(ctx, p, "check", p.Cfg.CheckWorkers, repCh, repURL, p.check)
+	ctiCh := stage(ctx, p, "parse", p.Cfg.ParseWorkers, checkedCh, repURL, p.parse)
+	extractedCh := stage(ctx, p, "extract", p.Cfg.ExtractWorkers, ctiCh, ctiURL, p.extract)
+	connected := stage(ctx, p, "connect", p.Cfg.ConnectWorkers, extractedCh, ctiURL, p.connect)
 
-	// Stage 3: source-dependent parsers.
-	for i := 0; i < p.Cfg.ParseWorkers; i++ {
-		wgParse.Add(1)
-		go func() {
-			defer wgParse.Done()
-			for rep := range checkedCh {
-				parser, ok := p.Parsers[rep.Source]
-				if !ok {
-					p.parseErrs.Add(1)
-					p.logf("pipeline: no parser for source %q", rep.Source)
-					continue
-				}
-				cti, err := parser.Parse(rep)
-				if err != nil {
-					p.parseErrs.Add(1)
-					p.logf("pipeline: parse %s: %v", rep.URL, err)
-					continue
-				}
-				cti2, err := p.reserializeCTI(cti)
-				if err != nil {
-					p.parseErrs.Add(1)
-					continue
-				}
-				p.parsed.Add(1)
-				select {
-				case ctiCh <- cti2:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() { wgParse.Wait(); close(ctiCh) }()
-
-	// Stage 4: source-independent extractors.
-	for i := 0; i < p.Cfg.ExtractWorkers; i++ {
-		wgExtract.Add(1)
-		go func() {
-			defer wgExtract.Done()
-			for cti := range ctiCh {
-				for _, ex := range p.Extractors {
-					if err := ex.Extract(cti); err != nil {
-						p.logf("pipeline: extract %s (%s): %v", cti.ReportID, ex.Name(), err)
-					}
-				}
-				// An analysis nobody took ends with the stage.
-				cti.TakeAnalysis()
-				cti2, err := p.reserializeCTI(cti)
-				if err != nil {
-					p.extractErrs.Add(1)
-					p.logf("pipeline: serialize extracted %s: %v", cti.ReportID, err)
-					continue
-				}
-				p.extracted.Add(1)
-				select {
-				case extractedCh <- cti2:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() { wgExtract.Wait(); close(extractedCh) }()
-
-	// Stage 5: connectors.
-	for i := 0; i < p.Cfg.ConnectWorkers; i++ {
-		wgConnect.Add(1)
-		go func() {
-			defer wgConnect.Done()
-			for cti := range extractedCh {
-				failed := false
-				for _, conn := range p.Connectors {
-					if err := conn.Connect(cti); err != nil {
-						failed = true
-						p.connectErrs.Add(1)
-						p.logf("pipeline: connect %s (%s): %v", cti.ReportID, conn.Name(), err)
-					}
-				}
-				if !failed {
-					p.connected.Add(1)
-				}
-			}
-		}()
-	}
-
-	wgPort.Wait()
-	wgConnect.Wait()
+	<-ported
+	<-connected
 	st := p.Stats()
 	st.Elapsed = time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return st, fmt.Errorf("pipeline: cancelled: %w", err)
 	}
 	return st, nil
+}
+
+// stage starts n workers that call step on each item from in and hand on
+// the items it keeps, and returns the channel they hand on to, closed when
+// the last worker stops: when in is closed, or when ctx is done while a
+// worker waits to hand on. A panic in step fails its item alone: it is
+// counted and logged with the stage's name and the item's URL.
+func stage[In, Out any](ctx context.Context, p *Pipeline, name string, n int, in <-chan In,
+	url func(In) string, step func(In) (Out, bool)) <-chan Out {
+	contained := func(x In) (y Out, keep bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				p.panics.Add(1)
+				p.logf("pipeline: %s %s: panic: %v", name, url(x), r)
+			}
+		}()
+		return step(x)
+	}
+	out := make(chan Out, queueDepth)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			for x := range in {
+				y, keep := contained(x)
+				if !keep {
+					continue
+				}
+				select {
+				case out <- y:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(out) }()
+	return out
+}
+
+// check passes the rep on when every checker does.
+func (p *Pipeline) check(rep *ctirep.ReportRep) (*ctirep.ReportRep, bool) {
+	for _, ch := range p.Checkers {
+		if !ch.Check(rep) {
+			p.rejected.Add(1)
+			return nil, false
+		}
+	}
+	return rep, true
+}
+
+// parse runs the rep's source-dependent parser.
+func (p *Pipeline) parse(rep *ctirep.ReportRep) (*ctirep.CTIRep, bool) {
+	parser, ok := p.Parsers[rep.Source]
+	if !ok {
+		p.parseErrs.Add(1)
+		p.logf("pipeline: no parser for source %q", rep.Source)
+		return nil, false
+	}
+	cti, err := parser.Parse(rep)
+	if err != nil {
+		p.parseErrs.Add(1)
+		p.logf("pipeline: parse %s: %v", rep.URL, err)
+		return nil, false
+	}
+	cti, err = p.reserializeCTI(cti)
+	if err != nil {
+		p.parseErrs.Add(1)
+		return nil, false
+	}
+	p.parsed.Add(1)
+	return cti, true
+}
+
+// extract runs the source-independent extractors in order.
+func (p *Pipeline) extract(cti *ctirep.CTIRep) (*ctirep.CTIRep, bool) {
+	for _, ex := range p.Extractors {
+		if err := ex.Extract(cti); err != nil {
+			p.logf("pipeline: extract %s (%s): %v", cti.ReportID, ex.Name(), err)
+		}
+	}
+	// An analysis nobody took ends with the stage.
+	cti.TakeAnalysis()
+	cti2, err := p.reserializeCTI(cti)
+	if err != nil {
+		p.extractErrs.Add(1)
+		p.logf("pipeline: serialize extracted %s: %v", cti.ReportID, err)
+		return nil, false
+	}
+	p.extracted.Add(1)
+	return cti2, true
+}
+
+// connect hands the rep to every connector. It is the last stage, so it
+// keeps nothing.
+func (p *Pipeline) connect(cti *ctirep.CTIRep) (struct{}, bool) {
+	failed := false
+	for _, conn := range p.Connectors {
+		if err := conn.Connect(cti); err != nil {
+			failed = true
+			p.connectErrs.Add(1)
+			p.logf("pipeline: connect %s (%s): %v", cti.ReportID, conn.Name(), err)
+		}
+	}
+	if !failed {
+		p.connected.Add(1)
+	}
+	return struct{}{}, false
 }
 
 // reserializeRep round-trips the report rep through its wire format when

@@ -116,7 +116,6 @@ func (g *GroupingPorter) Flush() []*ctirep.ReportRep {
 // Checker screens intermediate report representations; reports failing
 // any checker are dropped before parsing.
 type Checker interface {
-	Name() string
 	Check(r *ctirep.ReportRep) bool
 }
 
@@ -138,9 +137,6 @@ func pageDoc(r *ctirep.ReportRep, i int) *htmlparse.Node {
 // NonemptyChecker rejects reports whose pages carry no visible text.
 type NonemptyChecker struct{}
 
-// Name implements Checker.
-func (NonemptyChecker) Name() string { return "nonempty" }
-
 // Check implements Checker.
 func (NonemptyChecker) Check(r *ctirep.ReportRep) bool {
 	for i, page := range r.Pages {
@@ -158,9 +154,6 @@ func (NonemptyChecker) Check(r *ctirep.ReportRep) bool {
 // NotAdsChecker rejects sponsored/advertisement pages by title markers and
 // promotional vocabulary density.
 type NotAdsChecker struct{}
-
-// Name implements Checker.
-func (NotAdsChecker) Name() string { return "not-ads" }
 
 var adMarkers = []string{"sponsored", "advertisement", "buy now", "subscribe",
 	"limited offer", "discount", "win a prize", "click here"}
@@ -193,7 +186,6 @@ func (NotAdsChecker) Check(r *ctirep.ReportRep) bool {
 // representation. Parsers are source-dependent: each knows its site's
 // structure.
 type Parser interface {
-	Name() string
 	Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error)
 }
 
@@ -235,9 +227,6 @@ func baseCTI(r *ctirep.ReportRep) *ctirep.CTIRep {
 // a key/value meta table, and div.body paragraphs.
 type EncyclopediaParser struct{}
 
-// Name implements Parser.
-func (EncyclopediaParser) Name() string { return "encyclopedia" }
-
 // Parse implements Parser.
 func (EncyclopediaParser) Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error) {
 	c := baseCTI(r)
@@ -274,9 +263,6 @@ func (EncyclopediaParser) Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error) {
 // BlogParser reads the blog layout: h1.post-title, div.byline
 // ("By VENDOR on DATE · KIND"), article.post-body.
 type BlogParser struct{}
-
-// Name implements Parser.
-func (BlogParser) Name() string { return "blog" }
 
 // Parse implements Parser.
 func (BlogParser) Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error) {
@@ -324,9 +310,6 @@ func parseByline(by *htmlparse.Node, c *ctirep.CTIRep) {
 // div.story paragraphs.
 type NewsParser struct{}
 
-// Name implements Parser.
-func (NewsParser) Name() string { return "news" }
-
 // Parse implements Parser.
 func (NewsParser) Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error) {
 	c := baseCTI(r)
@@ -364,9 +347,6 @@ func (NewsParser) Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error) {
 // PDFParser reads PDF reports: line 1 title, "Vendor:"/"Published:"/
 // "Kind:" header lines, remainder body.
 type PDFParser struct{}
-
-// Name implements Parser.
-func (PDFParser) Name() string { return "pdf" }
 
 // Parse implements Parser.
 func (PDFParser) Parse(r *ctirep.ReportRep) (*ctirep.CTIRep, error) {

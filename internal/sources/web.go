@@ -66,15 +66,6 @@ func (w *Web) Sources() []SourceSpec {
 	return out
 }
 
-// Source returns the spec for a slug.
-func (w *Web) Source(slug string) (SourceSpec, bool) {
-	s, ok := w.bySlug[slug]
-	if !ok {
-		return SourceSpec{}, false
-	}
-	return *s, true
-}
-
 // IndexURL returns the URL of the p-th index page of a source.
 func (w *Web) IndexURL(slug string, p int) string {
 	return fmt.Sprintf("https://%s.osint.test/index/%d", slug, p)
